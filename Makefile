@@ -1,10 +1,10 @@
 # Build/verify entry points. `make check` is the gate for server-layer
-# changes: vet everything, run energylint, run the full test suite, then
-# re-run everything under the race detector.
+# changes: vet everything, run energylint, run the full test suite (the
+# bench/ module's included), then re-run everything under the race detector.
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench bench-txn bench-join fuzz smoke
+.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench-check bench-e2e bench bench-txn bench-join fuzz smoke
 
 all: build
 
@@ -18,9 +18,9 @@ vet:
 	$(GO) vet ./...
 
 # energylint: the project's own stdlib-only analyzer suite (see DESIGN.md
-# §10 and §15). The whole module is type-checked once and shared by all
-# analyzers — including the CFG/dataflow chargeflow suite — so a full run
-# stays in single-digit seconds.
+# §10). The whole module is type-checked once and shared by all analyzers
+# and their one CFG/dataflow engine, so a full run stays in single-digit
+# seconds.
 lint:
 	$(GO) run ./cmd/energylint ./...
 
@@ -79,7 +79,23 @@ golden-drift:
 		echo "golden-drift: committed goldens differ from regenerated plans (see diff above)"; exit 1; \
 	fi
 
-check: vet lint staticcheck test golden-drift race
+# bench/ is a module of its own (bench/go.mod replaces energydb with ../),
+# so the root `go vet ./...` and `go test ./...` do not see it; this target
+# is what keeps the benchmark compiling and its own tests green.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+check: vet lint staticcheck test bench-check golden-drift race
+
+# The repository's benchmark (BENCHMARK.json, bench/README.md): the untraced
+# end-to-end pass of one workload and seed, at the benchmark's own default
+# length. WORKLOAD is one of analytic-resident, analytic-spill, point-lookup,
+# txn-mixed; empty runs all four one after the other.
+WORKLOAD ?=
+SEED ?= 1
+
+bench-e2e:
+	bash bench/run.sh $(if $(WORKLOAD),--workload $(WORKLOAD)) --seed $(SEED)
 
 # End-to-end observability smoke: boots energyd with -metrics-addr, runs
 # statements over the wire (incl. \stats), scrapes /metrics and greps the
@@ -87,9 +103,13 @@ check: vet lint staticcheck test golden-drift race
 smoke:
 	./scripts/smoke.sh
 
-# Scaling baselines for future PRs: end-to-end server throughput
-# (internal/server/bench_test.go -> BENCH_server.json) and the row-versus-
-# vector executor sweep (internal/db/vec/bench_test.go -> BENCH_vector.json).
+# Legacy scaling baselines (claims cite BENCHMARK.json names via bench-e2e
+# now): end-to-end server throughput (internal/server/bench_test.go ->
+# BENCH_server.json) and the row-versus-vector executor sweep
+# (internal/db/vec/bench_test.go -> BENCH_vector.json). BENCH_server.json
+# measures `\q6` hand plans: session.execute routes `\qN` to the hand-built
+# tpch.Query.Build row plan, so that file never exercises plan.Prepare, the
+# optimizer or the vector executor. bench/ sends SQL text and does.
 bench:
 	$(GO) test -run xxx -bench BenchmarkServerThroughput -benchtime 2s ./internal/server/
 	$(GO) test -run xxx -bench BenchmarkVectorThroughput -benchtime 1s ./internal/db/vec/

@@ -1,7 +1,7 @@
 // Command energylint runs the project's static-analysis suite: the
 // analyzers that machine-check the energy-accounting and concurrency
 // invariants the codebase otherwise enforces by convention (and has
-// violated before — see DESIGN.md §10 and §15). It is a required gate in
+// violated before — see DESIGN.md §10). It is a required gate in
 // `make check` and CI.
 //
 // Usage:

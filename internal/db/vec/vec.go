@@ -303,7 +303,6 @@ func (b *Batch) Col(ctx *exec.Ctx, j int) *Vector {
 	}
 	b.mat[j] = true
 	ctx.TupleCost()
-	//lint:nopoll bounded by one batch (at most MaxBatch positions); the TupleCost dispatch above is the per-batch checkpoint
 	for i, row := range b.rows {
 		if row == nil {
 			// Snapshot-invisible hole: never selected, but the vector

@@ -7,31 +7,32 @@ import (
 
 // AnalyzerCancelPoll enforces the executor's cooperative-cancellation
 // contract (internal/db/exec): statement timeouts only work if every loop
-// that touches an unbounded number of tuples polls the cancellation flag —
-// by charging Ctx.TupleCost, via the charge-free Ctx.Poll checkpoint, or
-// via the strided Ctx.PollEvery variant for loops over materialized
-// buffers.
-// A loop that pulls from a child Operator inherits the child's polling; a
-// loop that drives a raw cursor (storage scanner, btree iterator, batch
-// scanner), ranges over a materialized row slice, or a comparator passed to
-// sort.Slice / sort.SliceStable / sort.Sort must poll itself. Sort.Open's
-// key-extraction loop and sort comparator were exactly this bug: a statement
-// timeout could not cancel the sort phase (fixed in this PR).
+// that touches an unbounded number of tuples reaches a cancellation
+// checkpoint on every iteration — Ctx.TupleCost, the charge-free Ctx.Poll,
+// the strided Ctx.PollEvery, or any helper the interprocedural summary
+// (summary.go) knows may poll. Pulling from a child Operator is a
+// checkpoint too: the child's Next polls on the loop's behalf.
 //
-// The vectorized executor (internal/db/vec) polls at batch granularity
-// instead of per tuple: its Operator exchanges batches, and each batch is
-// bounded by the L1D-derived batch width. The analyzer recognizes both
-// shapes — a loop pulling from any Operator interface (row or batch
-// variant) inherits the child's polling, and a loop ranging over the rows
-// of one batch (a slice produced by a NextBatch cursor call) is accepted
-// when the enclosing function charges Poll or TupleCost per batch. A batch
-// loop in a function that never polls is still a finding: that is an
-// uncancellable vectorized kernel.
+// It is a client of the chargeflow engine. A loop is in scope when it
+// drives a raw cursor (a Next/Valid/NextBatch call on something that is not
+// an Operator) or ranges over materialized rows; it is a finding when
+// iterationCompletes finds a trip around it that avoids every checkpoint.
+// A range over batch-bounded rows — a sub-slice rows[lo:hi], the result of
+// a NextBatch call, or the payload of a Batch — is also accepted when a
+// checkpoint is guaranteed (a must-fact, as in chargepath's dominance
+// arguments) on every path from an enclosing loop head or the function
+// entry to the loop: that is the vectorized executor's batch-granularity
+// polling, where the uncancellable stretch is one batch or one chunk of a
+// buffer. A range over a whole buffer gets no such credit, however much
+// polling precedes it: Sort.Open's key extraction ran unpolled right after
+// draining its child. A comparator literal passed to
+// sort.Slice/SliceStable/Sort/Stable must contain a checkpoint: a large
+// sort is O(n log n) comparator calls.
 //
-// The analyzer only runs in packages that reference the executor Ctx type
-// (one with a TupleCost method), so row rendering in the shell or wire
-// encoding — which have no machine to poll — are out of scope. Waive a
-// provably bounded loop with //lint:nopoll and a justification.
+// The analyzer runs in packages that mention the executor Ctx type (one
+// with a TupleCost method), so row rendering in the shell or wire encoding
+// — which have no machine to poll — are out of scope. Waive a provably
+// bounded loop with //lint:nopoll and a justification.
 var AnalyzerCancelPoll = &Analyzer{
 	Name:      "cancelpoll",
 	Doc:       "executor tuple loops must poll cancellation via TupleCost or Poll",
@@ -40,316 +41,182 @@ var AnalyzerCancelPoll = &Analyzer{
 }
 
 func runCancelPoll(pass *Pass) {
-	if !pkgReferencesCtx(pass) {
+	if !mentionsType(pass, "Ctx", "TupleCost") {
 		return
 	}
-	operators := findOperatorInterfaces(pass)
+	sum := pass.Prog.chargeSummary()
+	// Every Volcano Operator interface in reach: the row executor and the
+	// vectorized executor each declare one (with different Next
+	// signatures), and a mixed-mode package delegates through either.
+	var operators []*types.Interface
+	for _, tn := range reachableTypes(pass, "Operator") {
+		if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+			operators = append(operators, iface)
+		}
+	}
 	for _, file := range pass.Pkg.Files {
-		for _, fn := range funcScopes(file) {
-			scanCancelScope(pass, fn, operators)
+		for _, fs := range funcScopes(file) {
+			checkPollScope(pass, sum, fs, operators)
 		}
 	}
 }
 
-// pkgReferencesCtx reports whether the package defines or uses a type
-// named Ctx that has a TupleCost method — the executor context.
-func pkgReferencesCtx(pass *Pass) bool {
-	seen := false
-	check := func(obj types.Object) {
-		if seen || obj == nil {
-			return
-		}
-		tn, ok := obj.(*types.TypeName)
-		if !ok || tn.Name() != "Ctx" {
-			return
-		}
-		if hasMethod(tn.Type(), "TupleCost") {
-			seen = true
-		}
-	}
-	for _, obj := range pass.Pkg.Info.Defs {
-		check(obj)
-	}
-	for _, obj := range pass.Pkg.Info.Uses {
-		check(obj)
-	}
-	return seen
-}
-
-// hasMethod reports whether *T or T has a method with the given name.
-func hasMethod(t types.Type, name string) bool {
-	ms := types.NewMethodSet(types.NewPointer(t))
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
-// findOperatorInterfaces locates every Volcano Operator interface in scope:
-// types named Operator declared in this package or any direct import. The
-// row executor and the vectorized executor each declare one (with different
-// Next signatures); a mixed-mode package — the planner instantiates both —
-// delegates polling through either.
-func findOperatorInterfaces(pass *Pass) []*types.Interface {
-	lookup := func(p *types.Package) *types.Interface {
-		obj := p.Scope().Lookup("Operator")
-		if obj == nil {
-			return nil
-		}
-		iface, ok := obj.Type().Underlying().(*types.Interface)
-		if !ok {
-			return nil
-		}
-		return iface
-	}
-	var out []*types.Interface
-	if iface := lookup(pass.Pkg.Types); iface != nil {
-		out = append(out, iface)
-	}
-	for _, imp := range pass.Pkg.Types.Imports() {
-		if iface := lookup(imp); iface != nil {
-			out = append(out, iface)
-		}
-	}
-	return out
-}
-
-// scanCancelScope inspects one function body for unpolled tuple loops and
-// unpolled sort comparators.
-func scanCancelScope(pass *Pass, fn funcScope, operators []*types.Interface) {
-	batchVars := collectBatchVars(pass, fn)
-	fnPolls := scopePolls(fn)
-	inspectShallow(fn.body, func(n ast.Node) bool {
+// checkPollScope checks the sort comparators and the tuple/batch loops of
+// one function scope.
+func checkPollScope(pass *Pass, sum *summary, fs funcScope, operators []*types.Interface) {
+	// batchVars are the variables assigned from a NextBatch call: row
+	// slices bounded by one batch.
+	batchVars := map[types.Object]bool{}
+	inspectShallow(fs.body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.ForStmt:
-			checkTupleLoop(pass, n, n.Body, nil, n.Cond, operators, batchVars, fnPolls)
-		case *ast.RangeStmt:
-			checkTupleLoop(pass, n, n.Body, n.X, nil, operators, batchVars, fnPolls)
 		case *ast.CallExpr:
-			checkSortComparator(pass, n)
-		}
-		return true
-	})
-}
-
-// collectBatchVars gathers the variables in this scope assigned from a
-// NextBatch call — row slices bounded by one batch of the vectorized
-// executor.
-func collectBatchVars(pass *Pass, fn funcScope) map[types.Object]bool {
-	vars := map[types.Object]bool{}
-	inspectShallow(fn.body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "NextBatch" {
-			return true
-		}
-		for _, lhs := range as.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-				if obj := pass.Pkg.Info.ObjectOf(id); obj != nil {
-					vars[obj] = true
+			checkSortComparator(pass, sum, n)
+		case *ast.AssignStmt:
+			if len(n.Rhs) != 1 {
+				break
+			}
+			if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok && calleeName(call) == "NextBatch" {
+				for _, lhs := range n.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
+						batchVars[pass.Pkg.Info.ObjectOf(id)] = true
+					}
 				}
 			}
 		}
 		return true
 	})
-	return vars
+	loops := scopeLoops(fs.body)
+	if len(loops) == 0 {
+		return
+	}
+	g := pass.Prog.cfgOf(fs.body)
+	delegates := func(st ast.Stmt) bool {
+		delegated, _ := pullCalls(pass, stmtEvalNode(st), operators)
+		return delegated
+	}
+	checkpoint := func(st ast.Stmt) bool {
+		return sum.stmtFacts(pass.Pkg, st).polls || delegates(st)
+	}
+	mustCheckpoint := func(st ast.Stmt) bool {
+		return sum.stmtMustPolls(pass.Pkg, st) || delegates(st)
+	}
+	for _, loop := range loops {
+		head := g.byStmt[loop]
+		_, cursor := pullCalls(pass, loop, operators)
+		rng, isRange := loop.(*ast.RangeStmt)
+		if !cursor && !(isRange && typeName(elemOf(pass.TypeOf(rng.X))) == "Row") {
+			continue
+		}
+		if head.matches(checkpoint) || !iterationCompletes(g, loop, nil, checkpoint) {
+			continue
+		}
+		if !cursor && batchBounded(pass, rng.X, batchVars) {
+			// The loop is at most one batch long, so a checkpoint once
+			// per enclosing iteration (or call) bounds the uncancellable
+			// stretch to that batch.
+			if !guaranteedFromAny(loopAnchors(g, loops, loop), head, mustCheckpoint) {
+				pass.Reportf(loop.Pos(),
+					"batch loop never polls cancellation: charge Ctx.TupleCost or Ctx.Poll once per batch in the enclosing scope, or waive with //lint:nopoll")
+			}
+			continue
+		}
+		pass.Reportf(loop.Pos(),
+			"tuple loop never polls cancellation: call Ctx.TupleCost (charged) or Ctx.Poll (free) per tuple, or waive a bounded loop with //lint:nopoll")
+	}
 }
 
-// scopePolls reports whether the scope contains any cancellation
-// checkpoint at all (used to accept batch-bounded loops whose poll sits at
-// batch granularity, outside the inner materialization loop).
-func scopePolls(fn funcScope) bool {
-	polls := false
-	inspectShallow(fn.body, func(n ast.Node) bool {
-		if c, ok := n.(*ast.CallExpr); ok {
-			if s, ok := c.Fun.(*ast.SelectorExpr); ok && isPollName(s.Sel.Name) {
-				polls = true
+// batchBounded reports whether the ranged rows are at most one batch or
+// chunk long: a sub-slice with an explicit upper bound (rows[lo:hi]), a
+// variable assigned from a NextBatch call, or a field of a Batch.
+func batchBounded(pass *Pass, x ast.Expr, batchVars map[types.Object]bool) bool {
+	switch x := ast.Unparen(x).(type) {
+	case *ast.SliceExpr:
+		return x.High != nil
+	case *ast.Ident:
+		return batchVars[pass.Pkg.Info.ObjectOf(x)]
+	case *ast.SelectorExpr:
+		return typeName(pass.TypeOf(x.X)) == "Batch"
+	}
+	return false
+}
+
+// pullCalls scans a fragment for iterator advances — calls to Next, Valid
+// or NextBatch — and reports whether any is delegated (the receiver is an
+// Operator, whose Next polls) and whether any drives a raw cursor (storage
+// scanner, btree iterator, batch scanner: nobody polls for those). Loops
+// and function literals nested inside the fragment are their own scopes
+// and are not entered.
+func pullCalls(pass *Pass, root ast.Node, operators []*types.Interface) (delegated, cursor bool) {
+	if root == nil {
+		return false, false
+	}
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.FuncLit:
+			return n == root
+		case *ast.CallExpr:
+			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if name := sel.Sel.Name; name != "Next" && name != "Valid" && name != "NextBatch" {
+				return true
+			}
+			if recv := pass.TypeOf(sel.X); recv != nil {
+				if implementsAny(recv, operators) {
+					delegated = true
+				} else {
+					cursor = true
+				}
 			}
 		}
 		return true
 	})
-	return polls
+	return delegated, cursor
 }
 
-// isPollName reports whether a method name is one of the executor's
-// cancellation checkpoints: the charged per-tuple TupleCost, the free
-// per-tuple Poll, or the strided PollEvery used in loops over materialized
-// buffers.
-func isPollName(name string) bool {
-	return name == "TupleCost" || name == "Poll" || name == "PollEvery"
-}
-
-// checkTupleLoop classifies one loop and reports it when it iterates
-// tuples without polling and without delegating to a polling child.
-func checkTupleLoop(pass *Pass, loop ast.Node, body *ast.BlockStmt, rangeX, cond ast.Expr,
-	operators []*types.Interface, batchVars map[types.Object]bool, fnPolls bool) {
-	polled, delegated, cursor := false, false, false
-	scan := func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "TupleCost", "Poll", "PollEvery":
-			polled = true
-		case "Next", "Valid", "NextBatch":
-			recvT := pass.TypeOf(sel.X)
-			if recvT != nil && implementsAnyOperator(recvT, operators) {
-				delegated = true
-			} else if recvT != nil {
-				cursor = true
-			}
-		}
-		return true
-	}
-	ast.Inspect(body, scan)
-	if cond != nil {
-		ast.Inspect(cond, scan)
-	}
-	if polled || delegated {
-		return
-	}
-	if rangeX != nil && !cursor {
-		// A range loop counts as a tuple loop only when it walks a
-		// materialized row set ([]value.Row and friends).
-		if !rangeOverRows(pass, rangeX) {
-			return
-		}
-		// One batch of the vectorized executor is bounded by the batch
-		// width; polling at batch granularity — anywhere in the enclosing
-		// scope, which runs once per batch — bounds the uncancellable
-		// stretch to a single batch. The same goes for a chunked buffer
-		// walk — ranging over a bounded sub-slice rows[lo:hi] of a
-		// materialized buffer, the hash-join build and sort-extraction
-		// kernel shape — when the enclosing scope polls per chunk
-		// (Ctx.PollEvery at the chunk head, or the kernel's TupleCost
-		// dispatch).
-		if isBatchVar(pass, rangeX, batchVars) || isBoundedSubslice(rangeX) {
-			if fnPolls {
-				return
-			}
-			pass.Reportf(loop.Pos(),
-				"batch loop never polls cancellation: charge Ctx.TupleCost or Ctx.Poll once per batch in the enclosing scope, or waive with //lint:nopoll")
-			return
-		}
-	}
-	if !cursor && rangeX == nil {
-		return
-	}
-	pass.Reportf(loop.Pos(),
-		"tuple loop never polls cancellation: call Ctx.TupleCost (charged) or Ctx.Poll (free) per tuple, or waive a bounded loop with //lint:nopoll")
-}
-
-// implementsAnyOperator reports whether t (or *t) satisfies one of the
-// Operator interfaces in scope.
-func implementsAnyOperator(t types.Type, operators []*types.Interface) bool {
-	for _, iface := range operators {
+// implementsAny reports whether t (or *t) satisfies one of the interfaces.
+func implementsAny(t types.Type, ifaces []*types.Interface) bool {
+	for _, iface := range ifaces {
 		if types.Implements(t, iface) {
 			return true
 		}
-		if _, isPtr := t.(*types.Pointer); !isPtr {
-			if types.Implements(types.NewPointer(t), iface) {
-				return true
-			}
+		if _, isPtr := t.(*types.Pointer); !isPtr && types.Implements(types.NewPointer(t), iface) {
+			return true
 		}
 	}
 	return false
 }
 
-// isBoundedSubslice reports whether the ranged expression is a slice
-// expression with an explicit upper bound — rows[lo:hi] — i.e. one chunk of
-// a materialized buffer rather than the whole buffer. The caller still
-// requires the enclosing scope to poll once per chunk.
-func isBoundedSubslice(x ast.Expr) bool {
-	sl, ok := ast.Unparen(x).(*ast.SliceExpr)
-	return ok && sl.High != nil
-}
-
-// isBatchVar reports whether the ranged expression is a variable assigned
-// from a NextBatch call in this scope.
-func isBatchVar(pass *Pass, x ast.Expr, batchVars map[types.Object]bool) bool {
-	id, ok := ast.Unparen(x).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	obj := pass.Pkg.Info.ObjectOf(id)
-	return obj != nil && batchVars[obj]
-}
-
-// rangeOverRows reports whether the ranged expression is a slice/array of
-// rows: the element type's name is Row, or it is a slice of a named slice
-// type ending in Row.
-func rangeOverRows(pass *Pass, x ast.Expr) bool {
-	t := pass.TypeOf(x)
+// elemOf returns the element type of a slice or array (nil otherwise).
+func elemOf(t types.Type) types.Type {
 	if t == nil {
-		return false
+		return nil
 	}
-	var elem types.Type
 	switch u := t.Underlying().(type) {
 	case *types.Slice:
-		elem = u.Elem()
+		return u.Elem()
 	case *types.Array:
-		elem = u.Elem()
-	default:
-		return false
+		return u.Elem()
 	}
-	named := namedOf(elem)
-	return named != nil && named.Obj().Name() == "Row"
+	return nil
 }
 
-// checkSortComparator flags sort.Slice/SliceStable/Sort calls in executor
-// packages whose comparator never polls: sorting N tuples is O(N log N)
-// comparator calls, easily the longest uncancellable stretch in a query.
-func checkSortComparator(pass *Pass, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+// checkSortComparator flags sort.Slice/SliceStable/Sort/Stable calls whose
+// comparator literal contains no checkpoint, by the summary's definition
+// of one.
+func checkSortComparator(pass *Pass, sum *summary, call *ast.CallExpr) {
+	fn, ok := calleeObject(pass.Pkg, call).(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sort" {
 		return
 	}
-	pkgIdent, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return
-	}
-	obj, ok := pass.Pkg.Info.Uses[pkgIdent]
-	if !ok {
-		return
-	}
-	pkgName, ok := obj.(*types.PkgName)
-	if !ok || pkgName.Imported().Path() != "sort" {
-		return
-	}
-	switch sel.Sel.Name {
+	switch fn.Name() {
 	case "Slice", "SliceStable", "Sort", "Stable":
 	default:
 		return
 	}
 	for _, arg := range call.Args {
-		lit, ok := arg.(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		polled := false
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if c, ok := n.(*ast.CallExpr); ok {
-				if s, ok := c.Fun.(*ast.SelectorExpr); ok && isPollName(s.Sel.Name) {
-					polled = true
-				}
-			}
-			return true
-		})
-		if !polled {
+		if lit, ok := arg.(*ast.FuncLit); ok && !sum.nodeFacts(pass.Pkg, lit.Body).polls {
 			pass.Reportf(call.Pos(),
 				"sort comparator never polls cancellation: a large sort cannot be timed out; call Ctx.Poll in the less func or waive with //lint:nopoll")
 		}

@@ -34,6 +34,9 @@ type cnode struct {
 	// loopHead marks the condition/range node of a For/Range statement, so
 	// clients can identify back edges and iteration-completing paths.
 	loopHead bool
+	// preds counts incoming edges, so the builder can tell a join or after
+	// node nothing reaches from one control falls through.
+	preds int
 }
 
 // cfg is the control-flow graph of one function body.
@@ -119,6 +122,7 @@ func (b *cfgBuilder) edge(from, to *cnode) {
 		}
 	}
 	from.succs = append(from.succs, to)
+	to.preds++
 }
 
 // block wires a statement list after pred and returns the node that falls
@@ -127,14 +131,9 @@ func (b *cfgBuilder) edge(from, to *cnode) {
 func (b *cfgBuilder) block(blk *ast.BlockStmt, pred *cnode) *cnode {
 	cur := pred
 	for _, s := range blk.List {
+		// After a terminator cur is nil: the rest is unreachable, but its
+		// nodes are still built (disconnected) so byStmt is total.
 		cur = b.stmt(s, cur)
-		if cur == nil {
-			// Unreachable code after a terminator: still build its nodes so
-			// byStmt is total, but leave it disconnected.
-			cur = nil
-			// Build the rest without a predecessor.
-			// (go vet flags genuinely unreachable code; keep going.)
-		}
 	}
 	return cur
 }
@@ -162,15 +161,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, pred *cnode) *cnode {
 		} else {
 			b.edge(cond, join)
 		}
-		if len(join.succs) == 0 && thenEnd == nil && s.Else != nil {
-			// Both branches terminate; no fall-through. The join node may
-			// still have no predecessors — report no fall-through when
-			// nothing reaches it.
-			if !reachableInto(join, cond) {
-				return nil
-			}
-		}
-		return join
+		return b.fallThrough(join)
 
 	case *ast.ForStmt:
 		if s.Init != nil {
@@ -200,11 +191,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, pred *cnode) *cnode {
 		} else {
 			b.edge(bodyEnd, head)
 		}
-		if s.Cond == nil && len(after.succs) == 0 && !hasPred(b.g, after) {
-			// for {} with no break: nothing follows.
-			return nil
-		}
-		return after
+		return b.fallThrough(after) // for {} with no break: nothing follows
 
 	case *ast.RangeStmt:
 		head := b.node(s)
@@ -268,10 +255,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, pred *cnode) *cnode {
 		if !hasDefault {
 			b.edge(head, after)
 		}
-		if len(after.succs) == 0 && !hasPred(b.g, after) {
-			return nil
-		}
-		return after
+		return b.fallThrough(after)
 
 	case *ast.SelectStmt:
 		head := b.node(s)
@@ -279,49 +263,23 @@ func (b *cfgBuilder) stmt(s ast.Stmt, pred *cnode) *cnode {
 		after := &cnode{}
 		b.g.nodes = append(b.g.nodes, after)
 		b.push(loopFrame{label: b.pendingLabel, brk: after, isSwitch: true})
-		hasDefault := false
+		// With or without a default, control always goes through some
+		// clause (a select without default blocks until a case fires), so
+		// there is no head->after edge; a select with no clauses blocks
+		// forever and nothing follows it.
 		for _, c := range s.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			if cc.Comm == nil {
-				hasDefault = true
-			}
-			end := b.block(&ast.BlockStmt{List: cc.Body}, head)
+			end := b.block(&ast.BlockStmt{List: c.(*ast.CommClause).Body}, head)
 			b.edge(end, after)
 		}
 		b.pop()
-		if !hasDefault {
-			// A select without default blocks until a case fires; every
-			// path goes through some case, so no head->after edge. But a
-			// select with zero cases blocks forever.
-			if len(s.Body.List) == 0 {
-				return nil
-			}
-		} else {
-			// default exists: already wired via its clause.
-			_ = hasDefault
-		}
-		if len(after.succs) == 0 && !hasPred(b.g, after) {
-			return nil
-		}
-		return after
+		return b.fallThrough(after)
 
 	case *ast.LabeledStmt:
 		// Record the label, then build the labeled statement. The label
 		// node is the labeled statement's own node.
 		saved := b.pendingLabel
 		b.pendingLabel = s.Label.Name
-		// Pre-allocate the target node so backward gotos resolve.
-		var first *cnode
-		switch s.Stmt.(type) {
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			first = b.node(s.Stmt)
-		default:
-			first = b.node(s.Stmt)
-		}
-		b.labels[s.Label.Name] = first
+		b.labels[s.Label.Name] = b.node(s.Stmt)
 		out := b.stmt(s.Stmt, pred)
 		b.pendingLabel = saved
 		return out
@@ -377,6 +335,16 @@ func (b *cfgBuilder) stmt(s ast.Stmt, pred *cnode) *cnode {
 	}
 }
 
+// fallThrough returns the join/after node as the statement's fall-through
+// point, or nil when nothing reaches it (every branch transferred control
+// elsewhere).
+func (b *cfgBuilder) fallThrough(n *cnode) *cnode {
+	if n.preds == 0 {
+		return nil
+	}
+	return n
+}
+
 // pendingLabel is consumed by the next loop/switch the builder enters.
 func (b *cfgBuilder) push(f loopFrame) {
 	b.frames = append(b.frames, f)
@@ -430,38 +398,6 @@ func isTerminalCall(e ast.Expr) bool {
 		switch name {
 		case "Exit", "Goexit", "Fatal", "Fatalf", "Fatalln", "FailNow", "SkipNow":
 			return true
-		}
-	}
-	return false
-}
-
-// hasPred reports whether any node in g has an edge into n (entry aside).
-func hasPred(g *cfg, n *cnode) bool {
-	for _, m := range g.nodes {
-		for _, s := range m.succs {
-			if s == n {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// reachableInto reports whether n is reachable from start by BFS.
-func reachableInto(n, start *cnode) bool {
-	seen := map[*cnode]bool{start: true}
-	queue := []*cnode{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == n {
-			return true
-		}
-		for _, s := range cur.succs {
-			if !seen[s] {
-				seen[s] = true
-				queue = append(queue, s)
-			}
 		}
 	}
 	return false

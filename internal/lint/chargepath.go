@@ -3,7 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
+	"path"
 )
 
 // AnalyzerChargePath proves energy-attribution soundness over the executor:
@@ -66,19 +66,13 @@ var elemTypeNames = map[string]bool{
 	"Batch": true, "Vector": true, "Page": true,
 }
 
-func pathBase(p string) string {
-	if i := strings.LastIndex(p, "/"); i >= 0 {
-		return p[i+1:]
-	}
-	return p
-}
-
 func runChargePath(p *Pass) {
-	if !chargePathPackages[pathBase(p.Pkg.Path)] {
+	base := path.Base(p.Pkg.Path)
+	if !chargePathPackages[base] {
 		return
 	}
 	sum := p.Prog.chargeSummary()
-	isVec := pathBase(p.Pkg.Path) == "vec"
+	isVec := base == "vec"
 	for _, f := range p.Pkg.Files {
 		for _, fs := range funcScopes(f) {
 			checkChargeScope(p, sum, fs, isVec)
@@ -86,7 +80,7 @@ func runChargePath(p *Pass) {
 		if isVec {
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok {
-					checkEmitBoundary(p, fd)
+					checkEmitBoundary(p, sum, fd)
 				}
 			}
 		}
@@ -96,16 +90,7 @@ func runChargePath(p *Pass) {
 // checkChargeScope applies the pull/element/dispatch rules to every loop in
 // one function scope.
 func checkChargeScope(p *Pass, sum *summary, fs funcScope, isVec bool) {
-	var loops []ast.Stmt
-	inspectShallow(fs.body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ForStmt:
-			loops = append(loops, n)
-		case *ast.RangeStmt:
-			loops = append(loops, n)
-		}
-		return true
-	})
+	loops := scopeLoops(fs.body)
 	if len(loops) == 0 {
 		return
 	}
@@ -122,22 +107,11 @@ func checkChargeScope(p *Pass, sum *summary, fs funcScope, isVec bool) {
 	counts := countVarObjects(p, fs.body)
 
 	for _, loop := range loops {
-		// Anchors: enclosing loop heads, innermost first, then scope entry.
-		var anchors []*cnode
-		var iterEnd *cnode = g.exit
-		for _, outer := range enclosingLoops(loops, loop) {
-			if n := g.byStmt[outer]; n != nil {
-				anchors = append(anchors, n)
-				if iterEnd == g.exit {
-					iterEnd = n // innermost enclosing head
-				}
-			}
-		}
-		anchors = append(anchors, g.entry)
+		// A charge after the loop counts up to where the enclosing iteration
+		// ends: the innermost enclosing loop head, or scope exit.
+		anchors := loopAnchors(g, loops, loop)
+		iterEnd := map[*cnode]bool{anchors[0]: true, g.exit: true}
 		loopHead := g.byStmt[loop]
-		if loopHead == nil {
-			continue
-		}
 
 		if pulls := pullStmts(p, g, loop); len(pulls) > 0 {
 			// Rule 1: pull loops.
@@ -156,18 +130,10 @@ func checkChargeScope(p *Pass, sum *summary, fs funcScope, isVec bool) {
 		}
 
 		// Rule 2: some charge covers each iteration.
-		chargeOK := !iterationCompletes(g, loop, nil, mayCharge) // A: body charges on every completing path
-		if !chargeOK {                                           // B: body touches on every path and charges somewhere
-			chargeOK = !iterationCompletes(g, loop, nil, touch) && bodyHasStmt(g, loop, mayCharge)
-		}
-		for i := 0; !chargeOK && i < len(anchors); i++ { // C: charge dominates the loop from an anchor
-			chargeOK = guaranteedOn(anchors[i], loopHead, mustCharge)
-		}
-		if !chargeOK { // C': charge guaranteed after the loop, before the enclosing iteration ends (or scope exit)
-			if after := g.afterOf[loop]; after != nil {
-				chargeOK = !avoidSearch(after, map[*cnode]bool{iterEnd: true, g.exit: true}, mustCharge)
-			}
-		}
+		chargeOK := !iterationCompletes(g, loop, nil, mayCharge) || // A: body charges on every completing path
+			(!iterationCompletes(g, loop, nil, touch) && bodyHasStmt(g, loop, mayCharge)) || // B: touches on every path, charges somewhere
+			guaranteedFromAny(anchors, loopHead, mustCharge) || // C: a charge dominates the loop from an anchor
+			!avoidSearch(g.afterOf[loop], iterEnd, mustCharge) // C': guaranteed after the loop, before the enclosing iteration ends
 		if !chargeOK {
 			p.Reportf(loop.Pos(),
 				"%s: %s can complete an iteration without charging the meter, and no charge is guaranteed before or after the loop (waive setup-only loops with //lint:nocharge)",
@@ -179,41 +145,13 @@ func checkChargeScope(p *Pass, sum *summary, fs funcScope, isVec bool) {
 		if !isVec {
 			continue
 		}
-		dispatchOK := bodyHasStmt(g, loop, mustDispatch)
-		for i := 0; !dispatchOK && i < len(anchors); i++ {
-			dispatchOK = guaranteedOn(anchors[i], loopHead, mustDispatch)
-		}
-		if !dispatchOK {
-			if after := g.afterOf[loop]; after != nil {
-				dispatchOK = !avoidSearch(after, map[*cnode]bool{iterEnd: true, g.exit: true}, mustDispatch)
-			}
-		}
-		if !dispatchOK {
+		if !bodyHasStmt(g, loop, mustDispatch) && !guaranteedFromAny(anchors, loopHead, mustDispatch) &&
+			avoidSearch(g.afterOf[loop], iterEnd, mustDispatch) {
 			p.Reportf(loop.Pos(),
 				"%s: %s has no per-batch dispatch charge: no Ctx.TupleCost in the body, dominating the loop, or guaranteed after it (waive with //lint:nocharge)",
 				fs.name, kind)
 		}
 	}
-}
-
-// enclosingLoops returns the loops (from the same scope's loop list) that
-// lexically enclose target, innermost first.
-func enclosingLoops(loops []ast.Stmt, target ast.Stmt) []ast.Stmt {
-	var out []ast.Stmt
-	for _, l := range loops {
-		if l != target && l.Pos() <= target.Pos() && target.End() <= l.End() {
-			out = append(out, l)
-		}
-	}
-	// Innermost = latest starting position.
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].Pos() > out[i].Pos() {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out
 }
 
 // bodyHasStmt reports whether any statement inside the loop body satisfies
@@ -281,58 +219,24 @@ func isBatchPull(t types.Type) bool {
 		}
 		t = tup.At(0).Type()
 	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	} else if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
+	if typeName(t) == "Batch" {
+		return true
 	}
-	switch tt := t.(type) {
-	case *types.Named:
-		if tt.Obj().Name() == "Batch" {
-			return true
-		}
-		if sl, ok := tt.Underlying().(*types.Slice); ok {
-			return isNamedElem(sl.Elem(), "Row")
-		}
-	case *types.Slice:
-		return isNamedElem(tt.Elem(), "Row")
+	if named := namedOf(t); named != nil {
+		t = named.Underlying()
 	}
-	return false
-}
-
-func isNamedElem(t types.Type, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == name
+	return typeName(elemOf(t)) == "Row"
 }
 
 // namedElemType reports whether t (after stripping one pointer) is one of
 // the data-plane element types.
 func namedElemType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && elemTypeNames[named.Obj().Name()]
+	return elemTypeNames[typeName(t)]
 }
 
 // elemSliceType reports whether t is a slice/array of data-plane elements.
 func elemSliceType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		return namedElemType(u.Elem())
-	case *types.Array:
-		return namedElemType(u.Elem())
-	}
-	return false
+	return namedElemType(elemOf(t))
 }
 
 // countVarObjects collects the variables in this scope assigned from an
@@ -350,9 +254,7 @@ func countVarObjects(p *Pass, body *ast.BlockStmt) map[types.Object]bool {
 				continue
 			}
 			if id, ok := as.Lhs[i].(*ast.Ident); ok {
-				if obj := p.Pkg.Info.Defs[id]; obj != nil {
-					out[obj] = true
-				} else if obj := p.Pkg.Info.Uses[id]; obj != nil {
+				if obj := p.Pkg.Info.ObjectOf(id); obj != nil {
 					out[obj] = true
 				}
 			}
@@ -500,7 +402,7 @@ func rootIdent(e ast.Expr) *ast.Ident {
 // checkEmitBoundary enforces the boundary rule: an emit-only Next method
 // (returns (*Batch, error), loops, never pulls from a child) must poll
 // cancellation directly — it is the top of the pull chain.
-func checkEmitBoundary(p *Pass, fd *ast.FuncDecl) {
+func checkEmitBoundary(p *Pass, sum *summary, fd *ast.FuncDecl) {
 	if fd.Recv == nil || fd.Body == nil || fd.Name.Name != "Next" {
 		return
 	}
@@ -520,10 +422,10 @@ func checkEmitBoundary(p *Pass, fd *ast.FuncDecl) {
 				hasPull = true
 			}
 		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				if sel.Sel.Name == "Poll" || sel.Sel.Name == "PollEvery" {
-					hasPoll = true
-				}
+			// A free checkpoint by the summary's definition: polls without
+			// being the charged dispatch.
+			if f := sum.callFacts(p.Pkg, n); f.polls && !f.dispatches {
+				hasPoll = true
 			}
 		}
 		return true

@@ -1,6 +1,9 @@
 package lint
 
-import "go/ast"
+import (
+	"go/ast"
+	"go/types"
+)
 
 // This file holds the chargeflow engine's path queries. Every client
 // analyzer reduces its soundness rule to one of two reachability questions
@@ -73,15 +76,41 @@ func guaranteedOn(from, to *cnode, fact stmtPred) bool {
 	return !avoidSearch(from, map[*cnode]bool{to: true}, fact)
 }
 
-// nodesMatching collects the CFG nodes whose statement satisfies p.
-func (g *cfg) nodesMatching(p stmtPred) map[*cnode]bool {
-	out := map[*cnode]bool{}
+// anyMatch reports whether some node of the graph satisfies p.
+func (g *cfg) anyMatch(p stmtPred) bool {
 	for _, n := range g.nodes {
 		if n.matches(p) {
-			out[n] = true
+			return true
 		}
 	}
-	return out
+	return false
+}
+
+// loopAnchors returns the nodes from which a per-iteration obligation of
+// loop may be discharged ahead of it: the heads of the loops (from the same
+// scope's loop list) that lexically enclose it, innermost first, then the
+// scope entry. A fact guaranteed on every path from an anchor to the loop
+// holds once per enclosing iteration — batch granularity.
+func loopAnchors(g *cfg, loops []ast.Stmt, loop ast.Stmt) []*cnode {
+	var anchors []*cnode
+	// loops is in source order, so enclosing loops appear outermost first.
+	for i := len(loops) - 1; i >= 0; i-- {
+		if l := loops[i]; l != loop && l.Pos() <= loop.Pos() && loop.End() <= l.End() {
+			anchors = append(anchors, g.byStmt[l])
+		}
+	}
+	return append(anchors, g.entry)
+}
+
+// guaranteedFromAny reports whether, for some anchor, every path from it to
+// `to` passes a node matching fact.
+func guaranteedFromAny(anchors []*cnode, to *cnode, fact stmtPred) bool {
+	for _, a := range anchors {
+		if guaranteedOn(a, to, fact) {
+			return true
+		}
+	}
+	return false
 }
 
 // loopBodyNodes returns the nodes lexically inside the loop statement's
@@ -175,4 +204,39 @@ func iterationCompletes(g *cfg, loop ast.Stmt, mustPass, fact stmtPred) bool {
 		}
 	}
 	return false
+}
+
+// anyCall reports whether some call expression lexically inside n (function
+// literals included) satisfies pred. A nil fragment has none.
+func anyCall(n ast.Node, pred func(*ast.CallExpr) bool) bool {
+	found := false
+	if n == nil {
+		return false
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && pred(call) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// mentions reports whether the fragment names any of the objects. Function
+// literals are entered: a deferred or synchronously-run closure that reads
+// a value is a legitimate consumer of it. Pass stmtEvalNode(st) to ask
+// about the CFG node of a statement (compound statements count only their
+// condition/tag).
+func mentions(p *Pass, n ast.Node, objs map[types.Object]bool) bool {
+	found := false
+	if n == nil {
+		return false
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && objs[p.Pkg.Info.Uses[id]] {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

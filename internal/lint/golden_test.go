@@ -2,17 +2,18 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// golden runs one analyzer over its fixture module under testdata/<name>
-// and compares the rendered findings against expect.txt in the same
-// directory (paths relative to the fixture root). Regenerate with
-// UPDATE_GOLDEN=1 go test ./internal/lint.
-func golden(t *testing.T, a *Analyzer) {
+// golden runs one analyzer (plus any that share its fixture) over the
+// fixture module under testdata/<name> and compares the rendered findings
+// against expect.txt in the same directory (paths relative to the fixture
+// root). Regenerate with UPDATE_GOLDEN=1 go test ./internal/lint.
+func golden(t *testing.T, a *Analyzer, sharing ...*Analyzer) {
 	t.Helper()
 	dir, err := filepath.Abs(filepath.Join("testdata", a.Name))
 	if err != nil {
@@ -23,7 +24,7 @@ func golden(t *testing.T, a *Analyzer) {
 		t.Fatalf("loading fixture: %v", err)
 	}
 	var b strings.Builder
-	for _, d := range Run(prog, []*Analyzer{a}) {
+	for _, d := range Run(prog, append([]*Analyzer{a}, sharing...)) {
 		rel, err := filepath.Rel(dir, d.Pos.Filename)
 		if err != nil {
 			rel = d.Pos.Filename
@@ -54,26 +55,107 @@ func golden(t *testing.T, a *Analyzer) {
 func TestGoldenCounterDelta(t *testing.T) { golden(t, AnalyzerCounterDelta) }
 func TestGoldenLockOrder(t *testing.T)    { golden(t, AnalyzerLockOrder) }
 func TestGoldenCancelPoll(t *testing.T)   { golden(t, AnalyzerCancelPoll) }
-func TestGoldenLedgerRetire(t *testing.T) { golden(t, AnalyzerLedgerRetire) }
-func TestGoldenWireSym(t *testing.T)      { golden(t, AnalyzerWireSym) }
-func TestGoldenChargePath(t *testing.T)   { golden(t, AnalyzerChargePath) }
-func TestGoldenPoolEscape(t *testing.T)   { golden(t, AnalyzerPoolEscape) }
-func TestGoldenWalErr(t *testing.T)       { golden(t, AnalyzerWalErr) }
-func TestGoldenRetirePath(t *testing.T)   { golden(t, AnalyzerRetirePath) }
+
+// The ledgerretire fixture also seeds the dropped measurement that used to
+// be that analyzer's second half and is retirepath's finding now.
+func TestGoldenLedgerRetire(t *testing.T) { golden(t, AnalyzerLedgerRetire, AnalyzerRetirePath) }
+
+func TestGoldenWireSym(t *testing.T)    { golden(t, AnalyzerWireSym) }
+func TestGoldenChargePath(t *testing.T) { golden(t, AnalyzerChargePath) }
+func TestGoldenPoolEscape(t *testing.T) { golden(t, AnalyzerPoolEscape) }
+func TestGoldenWalErr(t *testing.T)     { golden(t, AnalyzerWalErr) }
+func TestGoldenRetirePath(t *testing.T) { golden(t, AnalyzerRetirePath) }
 
 // TestRepoClean asserts the full suite reports nothing on the repository
 // itself: every real finding has been fixed or carries a justified waiver,
-// and HEAD must stay that way (energylint is a required CI gate).
+// and HEAD must stay that way (energylint is a required CI gate). The
+// converse holds too: every //lint:<key> comment must still suppress a
+// finding, so a waiver that outlives its reason cannot hide a later one.
 func TestRepoClean(t *testing.T) {
+	prog := loadRepo(t, "./...")
+	for _, d := range Run(prog, All()) {
+		t.Errorf("unexpected finding at HEAD: %s", d)
+	}
+	for _, pos := range prog.staleWaivers() {
+		t.Errorf("stale waiver at %s:%d: it suppresses no finding; delete it", pos.Filename, pos.Line)
+	}
+}
+
+func loadRepo(t *testing.T, patterns ...string) *Program {
+	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Load(root, "./...")
+	prog, err := Load(root, patterns...)
 	if err != nil {
 		t.Fatalf("loading repository: %v", err)
 	}
-	for _, d := range Run(prog, All()) {
-		t.Errorf("unexpected finding at HEAD: %s", d)
+	return prog
+}
+
+// TestDeletionMatrix removes, one at a time and in memory, every TupleCost
+// and Poll statement (13 when written) from the methods of vec.HashJoin and
+// vec.Sort, and expects chargepath or cancelpoll to notice each time: those
+// calls are what the two analyzers exist to keep in place.
+func TestDeletionMatrix(t *testing.T) {
+	prog := loadRepo(t, "./internal/db/vec")
+	analyzers := []*Analyzer{AnalyzerChargePath, AnalyzerCancelPoll}
+	if diags := Run(prog, analyzers); len(diags) > 0 {
+		t.Fatalf("vec is not clean before any deletion: %v", diags)
 	}
+	sites := 0
+	for _, file := range prog.Pkgs[0].Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || fd.Body == nil {
+				continue
+			}
+			if recv := recvTypeName(fd); recv != "HashJoin" && recv != "Sort" {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				var list *[]ast.Stmt
+				switch n := n.(type) {
+				case *ast.BlockStmt:
+					list = &n.List
+				case *ast.CaseClause:
+					list = &n.Body
+				case *ast.CommClause:
+					list = &n.Body
+				default:
+					return true
+				}
+				kept := *list
+				for i, st := range kept {
+					es, ok := st.(*ast.ExprStmt)
+					if !ok {
+						continue
+					}
+					call, ok := es.X.(*ast.CallExpr)
+					if !ok {
+						continue
+					}
+					// PollEvery is left out: both of its uses sit next to a
+					// TupleCost that polls as well, so it is redundant to
+					// the analyzers by design.
+					if name := calleeName(call); name != "TupleCost" && name != "Poll" {
+						continue
+					}
+					sites++
+					*list = append(append([]ast.Stmt{}, kept[:i]...), kept[i+1:]...)
+					prog.chargeSum, prog.cfgCache = nil, nil
+					if len(Run(prog, analyzers)) == 0 {
+						t.Errorf("deleting %s at %s goes unnoticed", exprString(call), prog.Fset.Position(call.Pos()))
+					}
+					*list = kept
+				}
+				return true
+			})
+		}
+	}
+	if sites == 0 {
+		t.Errorf("found no TupleCost/Poll statement in the methods of vec.HashJoin and vec.Sort; the matrix checks nothing")
+	}
+	t.Logf("%d deletions tried", sites)
 }

@@ -2,443 +2,142 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
 
 // AnalyzerLedgerRetire generalizes the client.Dial socket leak fixed in
-// PR 4 and guards the ledger side of the same contract:
+// PR 4: a function that acquires a connection-like resource (a call to a
+// Dial* function whose first result has a Close method) must settle it on
+// every path to a return. A path is settled by a Close call on the resource
+// or on a closeable value built from it (direct or deferred — the guard-flag
+// `defer func() { if !ok { c.Close() } }()` shape counts), or by letting it
+// escape: returned to the caller, stored into a field, sent on a channel,
+// handed to a goroutine.
 //
-//   - dialretire: a function that acquires a connection-like resource
-//     (a call to a Dial* function returning a value with a Close method)
-//     must, on every return path, either have released it (a Close call,
-//     direct or deferred — the guard-flag `defer func() { if !ok {
-//     c.Close() } }()` shape counts), or let it escape (returned to the
-//     caller, or stored into a field/global/channel that outlives the
-//     call). Returns inside the acquisition's own `if err != nil` guard
-//     are exempt: the resource was never obtained.
-//   - profileretire: in packages with a session Ledger, a function that
-//     measures energy (calls a .Profile(...) method) must either retire
-//     the breakdown (a retire call or Ledger.Add) or hand it back to the
-//     caller (return a value of a type named Breakdown). Measured energy
-//     that is silently dropped breaks the exact-partition invariant: the
-//     session ledgers would no longer sum to the server total.
+// It is a must-reach query on the chargeflow engine: from the acquiring
+// assignment, no return may be reachable along a path that avoids every
+// settling node. The `if err != nil` branch that directly follows the
+// acquisition and tests its own error is pruned: the resource was never
+// obtained there. A later `if err := handshake(nc); err != nil` is a
+// different error with a live socket, and is not.
+//
+// (The analyzer's other historical half — measured energy that is never
+// retired into a ledger — is retirepath's rule now.)
 var AnalyzerLedgerRetire = &Analyzer{
 	Name: "ledgerretire",
-	Doc:  "Dial-shaped acquisitions must close on all paths; measured energy must be retired",
+	Doc:  "Dial-shaped acquisitions must be closed or handed on along every return path",
 	Run:  runLedgerRetire,
 }
 
 func runLedgerRetire(pass *Pass) {
-	hasLedger := pkgHasLedger(pass)
 	for _, file := range pass.Pkg.Files {
-		for _, fn := range declScopes(file) {
-			checkDialRelease(pass, fn)
-			if hasLedger {
-				checkProfileRetired(pass, fn)
-			}
+		for _, fs := range funcScopes(file) {
+			inspectShallow(fs.body, func(n ast.Node) bool {
+				if as, ok := n.(*ast.AssignStmt); ok {
+					checkDialRelease(pass, fs, as)
+				}
+				return true
+			})
 		}
 	}
 }
 
-// pkgHasLedger reports whether the package defines or imports a type named
-// Ledger with an Add method — the energy-accounting scope object.
-func pkgHasLedger(pass *Pass) bool {
-	probe := func(p *types.Package) bool {
-		obj := p.Scope().Lookup("Ledger")
-		if obj == nil {
-			return false
-		}
-		tn, ok := obj.(*types.TypeName)
-		return ok && hasMethod(tn.Type(), "Add")
-	}
-	if probe(pass.Pkg.Types) {
-		return true
-	}
-	for _, imp := range pass.Pkg.Types.Imports() {
-		if probe(imp) {
-			return true
-		}
-	}
-	return false
-}
-
-// acquisition tracks one Dial-shaped resource through the linear scan.
-type acquisition struct {
-	names    map[string]bool // alias set (rendered expressions)
-	errName  string          // the err result of the acquiring call, if any
-	released bool            // a Close on some alias has been seen
-	escaped  bool            // returned/stored beyond the function
-	pos      ast.Node
-	what     string
-}
-
-// checkDialRelease walks one declared function (closures included: the
-// deferred guard-flag closure is part of the same cleanup protocol).
-func checkDialRelease(pass *Pass, fn funcScope) {
-	var acqs []*acquisition
-	touch := func(a *acquisition, e ast.Expr) bool {
-		return a.names[exprString(ast.Unparen(e))]
-	}
-	containsAlias := func(a *acquisition, n ast.Node) bool {
-		found := false
-		ast.Inspect(n, func(m ast.Node) bool {
-			if e, ok := m.(ast.Expr); ok && touch(a, e) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
-	}
-	// The if-context stack lets returns inside `if err != nil` blocks be
-	// recognized as failed-acquisition paths (nothing to close there).
-	var stack []errFrame
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		switch n := n.(type) {
-		case nil:
-			return
-		case *ast.IfStmt:
-			if n.Init != nil {
-				walk(n.Init)
-			}
-			errName := errTestName(n.Cond)
-			stack = append(stack, errFrame{errTest: errName})
-			walk(n.Body)
-			stack = stack[:len(stack)-1]
-			if n.Else != nil {
-				walk(n.Else)
-			}
-			return
-		case *ast.AssignStmt:
-			scanAcquire(pass, n, &acqs)
-			// A later assignment to the acquisition's err variable (the
-			// `if err := handshake(nc); err != nil` shape of the original
-			// leak) re-binds it: err-guarded returns after this point are
-			// handshake failures with a live socket, not failed dials.
-			for _, a := range acqs {
-				if a.errName == "" || a.pos == ast.Node(n) {
-					continue
-				}
-				for _, lhs := range n.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok && id.Name == a.errName {
-						a.errName = ""
-					}
-				}
-			}
-			// Aliasing and escapes.
-			for _, a := range acqs {
-				for i, rhs := range n.Rhs {
-					if !containsAlias(a, rhs) {
-						continue
-					}
-					if i < len(n.Lhs) {
-						if lhs, ok := n.Lhs[i].(*ast.Ident); ok {
-							// Only a closeable result keeps the resource
-							// reachable; `err := handshake(nc)` does not.
-							if t := pass.TypeOf(lhs); t != nil && hasCloseMethod(t) {
-								a.names[lhs.Name] = true
-							}
-						} else {
-							// Stored into a field, index or deref:
-							// outlives the call.
-							a.escaped = true
-						}
-					}
-				}
-				// Multi-value form x, y := f(conn): alias the closeable
-				// results too (bufio.NewReader(conn) keeps the conn
-				// reachable).
-				if len(n.Rhs) == 1 && len(n.Lhs) > 1 && containsAlias(a, n.Rhs[0]) {
-					for _, lhs := range n.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok {
-							if t := pass.TypeOf(id); t != nil && hasCloseMethod(t) {
-								a.names[id.Name] = true
-							}
-						}
-					}
-				}
-			}
-			return
-		case *ast.DeferStmt:
-			for _, a := range acqs {
-				if closesAlias(a, n.Call) || containsCloseOf(a, n.Call) {
-					a.released = true
-				}
-			}
-			return
-		case *ast.ExprStmt:
-			if call, ok := n.X.(*ast.CallExpr); ok {
-				for _, a := range acqs {
-					if closesAlias(a, call) {
-						a.released = true
-					}
-				}
-			}
-			walk(n.X)
-			return
-		case *ast.SendStmt:
-			for _, a := range acqs {
-				if containsAlias(a, n.Value) {
-					a.escaped = true
-				}
-			}
-			return
-		case *ast.ReturnStmt:
-			for _, a := range acqs {
-				if a.released || a.escaped {
-					continue
-				}
-				returned := false
-				for _, res := range n.Results {
-					if containsAlias(a, res) {
-						returned = true
-					}
-				}
-				if returned {
-					a.escaped = true
-					continue
-				}
-				if a.errName != "" && errGuarded(stack, a.errName) {
-					continue // acquisition itself failed; nothing to close
-				}
-				pass.Reportf(n.Pos(),
-					"%s may leak: this return path neither closes it nor hands it to the caller (the client.Dial handshake-leak shape); close it or guard with a deferred cleanup",
-					a.what)
-			}
-			return
-		case *ast.CallExpr:
-			// Passing an alias to a plain call neither releases nor
-			// escapes it (bufio.NewReader-style wrapping); results are
-			// aliased at the enclosing AssignStmt.
-			for _, arg := range n.Args {
-				walk(arg)
-			}
-			return
-		}
-		// Generic recursion over remaining nodes.
-		cont := func(c ast.Node) { walk(c) }
-		switch n := n.(type) {
-		case *ast.BlockStmt:
-			for _, s := range n.List {
-				cont(s)
-			}
-		case *ast.ForStmt:
-			if n.Init != nil {
-				cont(n.Init)
-			}
-			cont(n.Body)
-		case *ast.RangeStmt:
-			cont(n.Body)
-		case *ast.SwitchStmt:
-			if n.Init != nil {
-				cont(n.Init)
-			}
-			cont(n.Body)
-		case *ast.TypeSwitchStmt:
-			if n.Init != nil {
-				cont(n.Init)
-			}
-			cont(n.Body)
-		case *ast.SelectStmt:
-			cont(n.Body)
-		case *ast.CaseClause:
-			for _, s := range n.Body {
-				cont(s)
-			}
-		case *ast.CommClause:
-			for _, s := range n.Body {
-				cont(s)
-			}
-		case *ast.LabeledStmt:
-			cont(n.Stmt)
-		case *ast.GoStmt:
-			// A goroutine using the alias takes ownership.
-			for _, a := range acqs {
-				if containsAlias(a, n.Call) {
-					a.escaped = true
-				}
-			}
-		}
-	}
-	walk(fn.body)
-}
-
-// scanAcquire records Dial-shaped acquisitions from an assignment:
-// `c, err := pkg.DialX(...)` or `c := DialX(...)` where c's type has a
-// Close method.
-func scanAcquire(pass *Pass, n *ast.AssignStmt, acqs *[]*acquisition) {
-	if len(n.Rhs) != 1 {
+// checkDialRelease runs the must-reach query for one assignment if it is a
+// Dial-shaped acquisition: `c, err := pkg.DialX(...)` or `c := DialX(...)`
+// where c has a Close method.
+func checkDialRelease(pass *Pass, fs funcScope, as *ast.AssignStmt) {
+	if len(as.Rhs) != 1 {
 		return
 	}
-	call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr)
+	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+	if !ok || !strings.HasPrefix(calleeName(call), "Dial") {
+		return
+	}
+	id, ok := as.Lhs[0].(*ast.Ident)
 	if !ok {
 		return
 	}
-	name := calleeName(call)
-	if !strings.HasPrefix(name, "Dial") {
+	res := pass.Pkg.Info.ObjectOf(id)
+	if res == nil || !hasMethod(res.Type(), "Close") {
 		return
 	}
-	if len(n.Lhs) == 0 {
-		return
-	}
-	id, ok := n.Lhs[0].(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	t := pass.TypeOf(n.Lhs[0])
-	if t == nil || !hasCloseMethod(t) {
-		return
-	}
-	a := &acquisition{
-		names: map[string]bool{id.Name: true},
-		pos:   n,
-		what:  name + " result " + id.Name,
-	}
-	if len(n.Lhs) > 1 {
-		if errID, ok := n.Lhs[len(n.Lhs)-1].(*ast.Ident); ok && errID.Name != "_" {
-			a.errName = errID.Name
-		}
-	}
-	*acqs = append(*acqs, a)
-}
 
-// calleeName extracts the called function's bare name.
-func calleeName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
-}
-
-// hasCloseMethod reports whether the type (or pointer to it) has a Close
-// method, or is an interface containing one.
-func hasCloseMethod(t types.Type) bool {
-	if iface, ok := t.Underlying().(*types.Interface); ok {
-		for i := 0; i < iface.NumMethods(); i++ {
-			if iface.Method(i).Name() == "Close" {
-				return true
+	// Closeable values built from the resource keep it reachable: closing
+	// or returning the bufio/Conn wrapper settles the socket inside it.
+	aliases := map[types.Object]bool{res: true}
+	inspectShallow(fs.body, func(n ast.Node) bool {
+		if wrap, ok := n.(*ast.AssignStmt); ok {
+			for i, lhs := range wrap.Lhs {
+				id, ok := lhs.(*ast.Ident)
+				if !ok || !mentions(pass, wrap.Rhs[min(i, len(wrap.Rhs)-1)], aliases) {
+					continue
+				}
+				if obj := pass.Pkg.Info.ObjectOf(id); obj != nil && hasMethod(obj.Type(), "Close") {
+					aliases[obj] = true
+				}
 			}
 		}
-		// Embedded method sets are flattened by NumMethods only for
-		// explicit methods; use the full method set too.
+		return true
+	})
+
+	g := pass.Prog.cfgOf(fs.body)
+	def := g.byStmt[as]
+	var failed *ast.BlockStmt // the acquisition's own `if err != nil` branch
+	if errID, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident); ok && len(as.Lhs) > 1 && len(def.succs) == 1 {
+		if guard, ok := def.succs[0].stmt.(*ast.IfStmt); ok && testsNonNil(pass, guard.Cond, pass.Pkg.Info.ObjectOf(errID)) {
+			failed = guard.Body
+		}
 	}
-	ms := types.NewMethodSet(t)
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == "Close" {
+	settled := func(st ast.Stmt) bool {
+		if failed != nil && failed.Pos() <= st.Pos() && st.End() <= failed.End() {
 			return true
 		}
+		return settles(pass, st, aliases)
 	}
-	if _, isPtr := t.(*types.Pointer); !isPtr {
-		ms = types.NewMethodSet(types.NewPointer(t))
-		for i := 0; i < ms.Len(); i++ {
-			if ms.At(i).Obj().Name() == "Close" {
-				return true
-			}
+	for _, n := range g.nodes {
+		ret, ok := n.stmt.(*ast.ReturnStmt)
+		if ok && !settled(ret) && avoidSearch(def, map[*cnode]bool{n: true}, settled) {
+			pass.Reportf(ret.Pos(),
+				"%s result %s may leak: this return path neither closes it nor hands it to the caller (the client.Dial handshake-leak shape); close it or guard with a deferred cleanup",
+				calleeName(call), id.Name)
 		}
 	}
-	return false
 }
 
-// closesAlias reports whether the call is alias.Close().
-func closesAlias(a *acquisition, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Close" {
+// testsNonNil matches the condition `obj != nil`.
+func testsNonNil(pass *Pass, cond ast.Expr, obj types.Object) bool {
+	bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok || bin.Op != token.NEQ || obj == nil {
 		return false
 	}
-	return a.names[exprString(ast.Unparen(sel.X))]
+	x, _ := ast.Unparen(bin.X).(*ast.Ident)
+	y, _ := ast.Unparen(bin.Y).(*ast.Ident)
+	return x != nil && y != nil && pass.Pkg.Info.Uses[x] == obj && y.Name == "nil"
 }
 
-// containsCloseOf reports whether the node contains alias.Close() anywhere
-// (deferred guard closures).
-func containsCloseOf(a *acquisition, n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if call, ok := m.(*ast.CallExpr); ok && closesAlias(a, call) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// errTestName returns the identifier tested against nil in the condition
-// (`err != nil`), or "".
-func errTestName(cond ast.Expr) string {
-	bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok {
-		return ""
-	}
-	isNil := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && id.Name == "nil"
-	}
-	if name, ok := ast.Unparen(bin.X).(*ast.Ident); ok && isNil(bin.Y) {
-		return name.Name
-	}
-	if name, ok := ast.Unparen(bin.Y).(*ast.Ident); ok && isNil(bin.X) {
-		return name.Name
-	}
-	return ""
-}
-
-// errFrame is one enclosing if on the dial-release walk.
-type errFrame struct {
-	errTest string // err identifier tested against nil in the condition
-}
-
-// errGuarded reports whether any enclosing if tests the given err name.
-func errGuarded(stack []errFrame, errName string) bool {
-	for _, f := range stack {
-		if f.errTest == errName {
+// settles reports whether executing st closes the resource (a Close call on
+// an alias anywhere in the fragment, deferred closures included) or lets it
+// escape the function.
+func settles(pass *Pass, st ast.Stmt, aliases map[types.Object]bool) bool {
+	root := stmtEvalNode(st)
+	switch st := st.(type) {
+	case *ast.ReturnStmt, *ast.SendStmt, *ast.GoStmt:
+		if mentions(pass, root, aliases) {
 			return true
 		}
-	}
-	return false
-}
-
-// checkProfileRetired flags functions that call a .Profile(...) method but
-// neither retire the result (a call to retire or a Ledger Add) nor return
-// a Breakdown to the caller.
-func checkProfileRetired(pass *Pass, fn funcScope) {
-	var profileCall ast.Node
-	retired := false
-	returnsBreakdown := false
-	ast.Inspect(fn.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch calleeName(call) {
-		case "Profile":
-			if profileCall == nil {
-				profileCall = call
-			}
-		case "retire", "Retire", "Add":
-			retired = true
-		}
-		return true
-	})
-	if profileCall == nil || retired {
-		return
-	}
-	// Returning the measured breakdown delegates retirement to the caller.
-	if decl, ok := fn.node.(*ast.FuncDecl); ok && decl.Type.Results != nil {
-		for _, res := range decl.Type.Results.List {
-			t := pass.TypeOf(res.Type)
-			if named := namedOf(t); named != nil && named.Obj().Name() == "Breakdown" {
-				returnsBreakdown = true
+	case *ast.AssignStmt:
+		// Stored into a field, index or deref: outlives the call. A plain
+		// local on the left is at most another alias.
+		for i, lhs := range st.Lhs {
+			if _, local := lhs.(*ast.Ident); !local && mentions(pass, st.Rhs[min(i, len(st.Rhs)-1)], aliases) {
+				return true
 			}
 		}
 	}
-	if returnsBreakdown {
-		return
-	}
-	pass.Reportf(profileCall.Pos(),
-		"energy is measured here but never retired: add it to a ledger (retire/Add) or return the Breakdown; dropped measurements break the exact-partition invariant")
+	return anyCall(root, func(call *ast.CallExpr) bool {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Close" && mentions(pass, sel.X, aliases)
+	})
 }

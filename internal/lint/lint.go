@@ -14,28 +14,36 @@
 //
 // # Analyzers
 //
+// Four rules are local type/AST rules with no path question:
+//
 //   - counterdelta: raw a-b subtraction on monotonic uint64 PMU/ledger
 //     counters (underflow on counter reset).
-//   - lockorder: engine → storage → btree lock ordering, mutex value
+//   - lockorder: engine → txn → storage → btree lock ordering, mutex value
 //     copies, and lock held across a channel operation.
-//   - cancelpoll: executor tuple loops that never poll the cancellation
-//     flag (statement timeouts would not fire).
-//   - ledgerretire: Dial-shaped acquisitions that can leak on early
-//     returns, and measured energy that is never retired into a ledger.
 //   - wiresym: wire frame types whose Encode/Decode/String surfaces are
 //     asymmetric.
+//   - poolescape: pooled vec batches/vectors pulled from an operator or
+//     pool must not be retained in fields or growing slices past their
+//     reuse point.
 //
-// The chargeflow analyzers run on a CFG + dataflow engine (cfg.go,
-// dataflow.go, summary.go) with an interprocedural charge summary, and
-// prove path-sensitive energy-attribution soundness:
+// Five are path rules, and all five are clients of one engine: a
+// statement-level CFG (cfg.go), reachability-avoiding-facts queries over it
+// (dataflow.go: avoidSearch, guaranteedOn, iterationCompletes, loop anchors)
+// and an interprocedural may/must summary of what every declared function
+// charges, dispatches and polls (summary.go). No analyzer re-derives a path
+// property by matching statement shapes.
 //
 //   - chargepath: every executor loop that advances tuples, batches,
 //     pages or version chains must charge the meter on every completing
 //     iteration (vectorized loops additionally owe a per-batch driver
-//     dispatch, and emit boundaries a direct cancellation poll).
-//   - poolescape: pooled vec batches/vectors pulled from an operator or
-//     pool must not be retained in fields or growing slices past their
-//     reuse point.
+//     dispatch, and emit boundaries a free cancellation poll).
+//   - cancelpoll: no iteration of a tuple or batch loop may complete
+//     without reaching a cancellation checkpoint (statement timeouts would
+//     not fire), unless the loop is batch-bounded and a checkpoint is
+//     guaranteed once per enclosing iteration; sort comparators must
+//     contain one.
+//   - ledgerretire: from a Dial-shaped acquisition, no return may be
+//     reachable without passing a Close or an escape of the resource.
 //   - walerr: WAL/engine/txn/storage durability errors
 //     (Commit/Rollback/Abort/Sync/Append) must reach the caller or the
 //     abort path on every CFG path.
@@ -44,16 +52,18 @@
 //
 // # Waivers
 //
-// A finding can be waived with a //lint:<key> comment on the flagged line
-// or the line directly above it, where <key> is the analyzer's waiver key
-// (counterdelta uses "monotonic", cancelpoll uses "nopoll", chargepath
-// uses "nocharge", the others use their own name). Waivers should carry a
+// A finding can be waived with a //lint:<key> comment trailing the flagged
+// line, or standing alone on the line directly above it, where <key> is the
+// analyzer's waiver key (counterdelta uses "monotonic", cancelpoll uses
+// "nopoll", chargepath uses "nocharge", the others use their own name). A
+// trailing waiver covers its own line only. Waivers should carry a
 // justification after the key:
 //
 //	//lint:monotonic Transitions only advances on this goroutine
 //
-// DESIGN.md §10 catalogues each rule, its origin and its waiver syntax;
-// §15 documents the CFG/dataflow engine behind the chargeflow analyzers.
+// A waiver that no longer suppresses anything is stale; TestRepoClean fails
+// on it. DESIGN.md §10 is the rule catalogue: each analyzer, the engine
+// query it reduces to, its waiver key and the bug it came from.
 package lint
 
 import (
@@ -171,48 +181,99 @@ func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 // waiverPrefix introduces a suppression comment.
 const waiverPrefix = "//lint:"
 
+// waiver is one //lint:<key> comment.
+type waiver struct {
+	pos token.Position
+	key string
+	// standalone is set when nothing but the comment is on its line; only
+	// then does it also cover the line below. A trailing waiver covers its
+	// own line alone, so `x := a - b //lint:monotonic` cannot leak onto the
+	// next statement.
+	standalone bool
+	// used records that the waiver suppressed at least one finding; a
+	// waiver that never did is stale (TestRepoClean fails on those).
+	used bool
+}
+
 // collectWaivers indexes every //lint:<key> comment by file and line.
-func collectWaivers(fset *token.FileSet, files []*ast.File) map[string]map[int]map[string]bool {
-	out := make(map[string]map[int]map[string]bool)
+func collectWaivers(fset *token.FileSet, files []*ast.File) map[string]map[int][]*waiver {
+	out := make(map[string]map[int][]*waiver)
 	for _, f := range files {
+		var found []*waiver
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				if !strings.HasPrefix(text, waiverPrefix) {
+				rest, ok := strings.CutPrefix(strings.TrimSpace(c.Text), waiverPrefix)
+				if !ok {
 					continue
 				}
-				rest := strings.TrimPrefix(text, waiverPrefix)
-				fields := strings.Fields(rest)
-				if len(fields) == 0 {
-					continue
+				if fields := strings.Fields(rest); len(fields) > 0 {
+					found = append(found, &waiver{pos: fset.Position(c.Pos()), key: fields[0]})
 				}
-				key := fields[0]
-				pos := fset.Position(c.Pos())
-				byLine := out[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int]map[string]bool)
-					out[pos.Filename] = byLine
-				}
-				keys := byLine[pos.Line]
-				if keys == nil {
-					keys = make(map[string]bool)
-					byLine[pos.Line] = keys
-				}
-				keys[key] = true
 			}
 		}
+		if len(found) == 0 {
+			continue
+		}
+		// A line carries code when some syntax node starts or ends on it.
+		code := make(map[int]bool)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n.(type) {
+			case nil, *ast.CommentGroup:
+				return false
+			}
+			code[fset.Position(n.Pos()).Line] = true
+			code[fset.Position(n.End()).Line] = true
+			return true
+		})
+		byLine := make(map[int][]*waiver)
+		for _, w := range found {
+			w.standalone = !code[w.pos.Line]
+			byLine[w.pos.Line] = append(byLine[w.pos.Line], w)
+		}
+		out[found[0].pos.Filename] = byLine
 	}
 	return out
 }
 
-// waived reports whether a //lint:<key> comment covers the position (same
-// line, or the line directly above for standalone waiver comments).
+// waived reports whether a //lint:<key> comment covers the position: on the
+// same line, or standing alone on the line directly above.
 func (p *Program) waived(pos token.Position, key string) bool {
 	byLine := p.waivers[pos.Filename]
-	if byLine == nil {
-		return false
+	for _, w := range byLine[pos.Line] {
+		if w.key == key {
+			w.used = true
+			return true
+		}
 	}
-	return byLine[pos.Line][key] || byLine[pos.Line-1][key]
+	for _, w := range byLine[pos.Line-1] {
+		if w.key == key && w.standalone {
+			w.used = true
+			return true
+		}
+	}
+	return false
+}
+
+// staleWaivers lists the waiver comments that suppressed no finding in the
+// runs so far, sorted by position.
+func (p *Program) staleWaivers() []token.Position {
+	var out []token.Position
+	for _, byLine := range p.waivers {
+		for _, ws := range byLine {
+			for _, w := range ws {
+				if !w.used {
+					out = append(out, w.pos)
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Filename != out[j].Filename {
+			return out[i].Filename < out[j].Filename
+		}
+		return out[i].Line < out[j].Line
+	})
+	return out
 }
 
 // exprString renders a (small) expression for operand matching and messages.
@@ -249,6 +310,13 @@ type funcScope struct {
 	body *ast.BlockStmt // never nil
 }
 
+// captures reports whether obj is declared outside this scope: a variable a
+// function literal closes over, which the enclosing function reads after
+// the literal runs.
+func (fs funcScope) captures(obj types.Object) bool {
+	return obj.Pos() < fs.node.Pos() || fs.node.End() < obj.Pos()
+}
+
 // declScopes enumerates only the declared function bodies (literals stay
 // part of their declaration). Use when "the enclosing function" means the
 // function as written, nested closures included.
@@ -268,16 +336,11 @@ func declScopes(f *ast.File) []funcScope {
 // and every function literal, each as its own scope.
 func funcScopes(f *ast.File) []funcScope {
 	var out []funcScope
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		out = append(out, funcScope{name: fd.Name.Name, node: fd, body: fd.Body})
-		name := fd.Name.Name
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
+	for _, decl := range declScopes(f) {
+		out = append(out, decl)
+		ast.Inspect(decl.body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				out = append(out, funcScope{name: name + " (func literal)", node: lit, body: lit.Body})
+				out = append(out, funcScope{name: decl.name + " (func literal)", node: lit, body: lit.Body})
 			}
 			return true
 		})
@@ -294,4 +357,99 @@ func inspectShallow(body *ast.BlockStmt, fn func(ast.Node) bool) {
 		}
 		return fn(n)
 	})
+}
+
+// scopeLoops lists the for/range statements of one function scope in source
+// order (outer loops before the loops they enclose), nested function
+// literals excluded.
+func scopeLoops(body *ast.BlockStmt) []ast.Stmt {
+	var loops []ast.Stmt
+	inspectShallow(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ForStmt:
+			loops = append(loops, n)
+		case *ast.RangeStmt:
+			loops = append(loops, n)
+		}
+		return true
+	})
+	return loops
+}
+
+// calleeName extracts the called function's bare name ("" for calls through
+// a function value that is neither an identifier nor a selector).
+func calleeName(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}
+
+// namedOf unwraps pointers to a named type.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// typeName returns the bare name of t's named type (one pointer stripped),
+// or "" when t is nil or unnamed. Analyzers key on names rather than on
+// object identity so the fixture modules can mirror the real packages.
+func typeName(t types.Type) string {
+	if named := namedOf(t); named != nil {
+		return named.Obj().Name()
+	}
+	return ""
+}
+
+// hasMethod reports whether a value of type t — addressable, so pointer-
+// receiver methods count — or the interface t has a method of that name.
+func hasMethod(t types.Type, name string) bool {
+	if _, isPtr := t.(*types.Pointer); !isPtr && !types.IsInterface(t) {
+		t = types.NewPointer(t)
+	}
+	ms := types.NewMethodSet(t)
+	for i := 0; i < ms.Len(); i++ {
+		if ms.At(i).Obj().Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// reachableTypes returns the types called name that the package declares
+// or a direct import declares: the Operator interfaces a package can
+// delegate through, the session Ledger it can retire into.
+func reachableTypes(pass *Pass, name string) []*types.TypeName {
+	var out []*types.TypeName
+	for _, pkg := range append([]*types.Package{pass.Pkg.Types}, pass.Pkg.Types.Imports()...) {
+		if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+			out = append(out, tn)
+		}
+	}
+	return out
+}
+
+// mentionsType reports whether the package declares or names a type called
+// name that has the given method. cancelpoll gates on it: a package that
+// talks about the executor Ctx has a machine to poll, while code that merely
+// imports such a package (row rendering in the shell, wire encoding) stays
+// out of scope. The other gates are reachableTypes (declared here or in a
+// direct import) and, for layer-named rules — engine, txn, vec, wire, ... —
+// path.Base of the import path, so fixture packages of the same name are
+// analyzed like the real ones.
+func mentionsType(pass *Pass, name, method string) bool {
+	for _, idents := range []map[*ast.Ident]types.Object{pass.Pkg.Info.Defs, pass.Pkg.Info.Uses} {
+		for id, obj := range idents {
+			if tn, ok := obj.(*types.TypeName); ok && id.Name == name && hasMethod(tn.Type(), method) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -30,7 +30,7 @@ type Program struct {
 	loading map[string]bool     // import-cycle guard
 	std     types.Importer      // stdlib importer (gc export data)
 	stdSrc  types.Importer      // fallback stdlib importer (source)
-	waivers map[string]map[int]map[string]bool
+	waivers map[string]map[int][]*waiver
 
 	// chargeSum and cfgCache are lazily-built chargeflow engine state,
 	// shared by every analyzer pass over this program (summary.go, cfg.go).

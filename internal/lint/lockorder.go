@@ -256,21 +256,6 @@ func isSyncLocker(t types.Type) bool {
 	return false
 }
 
-// namedOf unwraps pointers to a named type.
-func namedOf(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	return named
-}
-
 // checkMutexCopies flags copies of lock-bearing values: assignment from an
 // existing location (identifier, selector, deref, index), passing such a
 // value as a call argument, or ranging over a slice/array of them. Fresh

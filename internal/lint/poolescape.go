@@ -48,17 +48,7 @@ func runPoolEscape(p *Pass) {
 
 // pooledVarType reports whether t is a loanable payload carrier.
 func pooledVarType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	name := named.Obj().Name()
+	name := typeName(t)
 	return name == "Batch" || name == "Vector"
 }
 
@@ -74,27 +64,14 @@ func checkPoolEscapes(p *Pass, fs funcScope) {
 		if !ok {
 			return true
 		}
-		var callee string
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			callee = fun.Name
-		case *ast.SelectorExpr:
-			callee = fun.Sel.Name
-		}
-		if !poolSourceNames[callee] {
+		if !poolSourceNames[calleeName(call)] {
 			return true
 		}
 		for _, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := p.Pkg.Info.Defs[id]
-			if obj == nil {
-				obj = p.Pkg.Info.Uses[id]
-			}
-			if obj != nil && pooledVarType(obj.Type()) {
-				tracked[obj] = true
+			if id, ok := lhs.(*ast.Ident); ok {
+				if obj := p.Pkg.Info.ObjectOf(id); obj != nil && pooledVarType(obj.Type()) {
+					tracked[obj] = true
+				}
 			}
 		}
 		return true
@@ -159,11 +136,7 @@ func fieldStoreTarget(e ast.Expr) bool {
 }
 
 func pooledKind(obj types.Object) string {
-	t := obj.Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok && named.Obj().Name() == "Vector" {
+	if typeName(obj.Type()) == "Vector" {
 		return "vector"
 	}
 	return "batch"

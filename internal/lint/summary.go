@@ -43,21 +43,33 @@ type summary struct {
 	facts map[types.Object]*chargeFacts
 }
 
-// chargeMethodNames are the hierarchy / machine primitives that directly
-// charge energy when called on any receiver.
-func isDirectChargeName(name string) bool {
+// directFacts is the single definition of what a call contributes by its
+// bare callee name alone, on any receiver: the hierarchy / machine
+// primitives charge; Poll and PollEvery are the free cancellation
+// checkpoints; TupleCost is dispatch + charge + checkpoint in one call.
+// Every analyzer that asks "does this poll" or "does this charge" asks the
+// summary, which starts from here.
+func directFacts(name string) chargeFacts {
 	switch name {
 	case "Load", "Store", "LoadRepeat", "StoreRepeat",
 		"LoadRange", "StoreRange", "Exec", "AddIdle",
 		"EvalCost", "EmitRow", "Compute":
-		return true
+		return chargeFacts{charges: true}
+	case "Poll", "PollEvery":
+		return chargeFacts{polls: true}
+	case "TupleCost":
+		return chargeFacts{charges: true, dispatches: true, polls: true}
 	}
-	return strings.HasPrefix(name, "Charge")
+	return chargeFacts{charges: strings.HasPrefix(name, "Charge")}
 }
 
-// isDirectPollName mirrors cancelpoll's poll set.
-func isDirectPollName(name string) bool {
-	return name == "Poll" || name == "PollEvery" || name == "TupleCost"
+// merge ors the may-facts of o into f and reports whether f changed.
+func (f *chargeFacts) merge(o chargeFacts) bool {
+	before := *f
+	f.charges = f.charges || o.charges
+	f.dispatches = f.dispatches || o.dispatches
+	f.polls = f.polls || o.polls
+	return *f != before
 }
 
 // buildSummary computes the fixed point of the may-charge/may-dispatch/
@@ -105,24 +117,7 @@ func buildSummary(prog *Program) *summary {
 			if !ok {
 				return true
 			}
-			var name string
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				name = fun.Name
-			case *ast.SelectorExpr:
-				name = fun.Sel.Name
-			}
-			if isDirectChargeName(name) {
-				f.charges = true
-			}
-			if name == "TupleCost" {
-				// TupleCost is dispatch + charge + poll in one call.
-				f.dispatches = true
-				f.charges = true
-			}
-			if isDirectPollName(name) {
-				f.polls = true
-			}
+			f.merge(directFacts(calleeName(call)))
 			if callee := calleeObject(fn.pkg, call); callee != nil {
 				if _, declared := decls[callee]; declared {
 					callees[obj] = append(callees[obj], callee)
@@ -138,18 +133,8 @@ func buildSummary(prog *Program) *summary {
 		for obj, cs := range callees {
 			f := s.facts[obj]
 			for _, c := range cs {
-				cf := s.facts[c]
-				if cf == nil {
-					continue
-				}
-				if cf.charges && !f.charges {
-					f.charges, changed = true, true
-				}
-				if cf.dispatches && !f.dispatches {
-					f.dispatches, changed = true, true
-				}
-				if cf.polls && !f.polls {
-					f.polls, changed = true, true
+				if f.merge(*s.facts[c]) {
+					changed = true
 				}
 			}
 		}
@@ -196,57 +181,32 @@ func buildSummary(prog *Program) *summary {
 // function literals count — the Profile(func(){...}) shapes in this
 // codebase run their literal synchronously.)
 func (s *summary) stmtMustCharges(pkg *Package, st ast.Stmt) bool {
-	return s.stmtMust(pkg, st, func(name string, f *chargeFacts) bool {
-		if isDirectChargeName(name) || name == "TupleCost" {
-			return true
-		}
-		return f != nil && f.mustCharges
+	return s.stmtMust(pkg, st, func(direct chargeFacts, f *chargeFacts) bool {
+		return direct.charges || (f != nil && f.mustCharges)
 	})
 }
 
 // stmtMustDispatches is stmtMustCharges for the per-batch dispatch fact
 // (Ctx.TupleCost transitively on every path).
 func (s *summary) stmtMustDispatches(pkg *Package, st ast.Stmt) bool {
-	return s.stmtMust(pkg, st, func(name string, f *chargeFacts) bool {
-		if name == "TupleCost" {
-			return true
-		}
-		return f != nil && f.mustDispatches
+	return s.stmtMust(pkg, st, func(direct chargeFacts, f *chargeFacts) bool {
+		return direct.dispatches || (f != nil && f.mustDispatches)
 	})
 }
 
-func (s *summary) stmtMust(pkg *Package, st ast.Stmt, hit func(string, *chargeFacts) bool) bool {
-	found := false
-	root := stmtEvalNode(st)
-	if root == nil {
-		return false
-	}
-	ast.Inspect(root, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var name string
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			name = fun.Name
-		case *ast.SelectorExpr:
-			name = fun.Sel.Name
-		}
-		var f *chargeFacts
-		if callee := calleeObject(pkg, call); callee != nil {
-			f = s.facts[callee]
-		}
-		if hit(name, f) {
-			found = true
-			return false
-		}
-		return true
+// stmtMustPolls reports whether executing this statement is guaranteed to
+// reach a cancellation checkpoint: a direct Poll/PollEvery/TupleCost, or a
+// callee that dispatches (TupleCost polls) on every path.
+func (s *summary) stmtMustPolls(pkg *Package, st ast.Stmt) bool {
+	return s.stmtMust(pkg, st, func(direct chargeFacts, f *chargeFacts) bool {
+		return direct.polls || (f != nil && f.mustDispatches)
 	})
-	return found
+}
+
+func (s *summary) stmtMust(pkg *Package, st ast.Stmt, hit func(chargeFacts, *chargeFacts) bool) bool {
+	return anyCall(stmtEvalNode(st), func(call *ast.CallExpr) bool {
+		return hit(directFacts(calleeName(call)), s.facts[calleeObject(pkg, call)])
+	})
 }
 
 // stmtEvalNode returns the AST fragment a CFG node for this statement
@@ -302,60 +262,37 @@ func calleeObject(pkg *Package, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// callFacts returns the summary facts a call expression contributes at its
-// call site: direct primitive names count immediately, declared callees
+// callFacts returns the may-facts a call expression contributes at its call
+// site: direct primitive names count immediately, declared callees
 // contribute their fixed-point facts.
 func (s *summary) callFacts(pkg *Package, call *ast.CallExpr) chargeFacts {
-	var out chargeFacts
-	var name string
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		name = fun.Name
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-	}
-	if isDirectChargeName(name) {
-		out.charges = true
-	}
-	if name == "TupleCost" {
-		out.dispatches = true
-		out.charges = true
-	}
-	if isDirectPollName(name) {
-		out.polls = true
-	}
-	if callee := calleeObject(pkg, call); callee != nil {
-		if f := s.facts[callee]; f != nil {
-			out.charges = out.charges || f.charges
-			out.dispatches = out.dispatches || f.dispatches
-			out.polls = out.polls || f.polls
-		}
+	out := directFacts(calleeName(call))
+	if f := s.facts[calleeObject(pkg, call)]; f != nil {
+		out.merge(*f)
 	}
 	return out
 }
 
-// stmtFacts folds callFacts over every call lexically inside one statement
-// (not descending into function literals: a closure's body runs when the
-// closure runs, not when the statement defining it executes — except that
-// passing a closure to a call usually runs it synchronously; the summary
-// already attributed closure facts to the enclosing declaration, and for
-// statement-level queries the conservative choice is to count calls in
-// literals too, since Profile(func(){...}) shapes are synchronous in this
-// codebase).
-func (s *summary) stmtFacts(pkg *Package, st ast.Stmt) chargeFacts {
+// nodeFacts folds callFacts over every call lexically inside n, function
+// literals included: a literal handed to a call usually runs synchronously
+// (the Profile(func(){...}) shapes in this codebase), and a sort comparator
+// literal is asked about as a node of its own.
+func (s *summary) nodeFacts(pkg *Package, n ast.Node) chargeFacts {
 	var out chargeFacts
-	n := stmtEvalNode(st)
 	if n == nil {
 		return out
 	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			f := s.callFacts(pkg, call)
-			out.charges = out.charges || f.charges
-			out.dispatches = out.dispatches || f.dispatches
-			out.polls = out.polls || f.polls
+			out.merge(s.callFacts(pkg, call))
 		}
 		return true
 	})
 	return out
+}
+
+// stmtFacts is nodeFacts over the fragment the statement's CFG node
+// evaluates.
+func (s *summary) stmtFacts(pkg *Package, st ast.Stmt) chargeFacts {
+	return s.nodeFacts(pkg, stmtEvalNode(st))
 }

@@ -114,3 +114,38 @@ func buildChunkedUnpolled(rows []exec.Row, chunk int) int {
 	}
 	return n
 }
+
+// extractKeys is the Sort.Open origin bug: it drains its child inline (each
+// pull is a checkpoint) and then walks the whole materialized buffer with
+// no poll. The polling before the loop earns no credit — the buffer is as
+// long as the input, not one batch — so this is a finding.
+func extractKeys(ctx *exec.Ctx, op Operator) (int, error) {
+	var rows []exec.Row
+	for {
+		b, err := op.Next()
+		if err != nil {
+			return 0, err
+		}
+		if b == nil {
+			break
+		}
+		rows = append(rows, b.Rows...)
+	}
+	n := 0
+	for range rows {
+		n++
+	}
+	return n, nil
+}
+
+// colMaterialize is the Batch.Col shape: the rows are one Batch's payload
+// and the per-batch TupleCost dispatch is guaranteed ahead of the loop.
+// Accepted.
+func colMaterialize(ctx *exec.Ctx, b *Batch) int {
+	ctx.TupleCost()
+	n := 0
+	for range b.Rows {
+		n++
+	}
+	return n
+}

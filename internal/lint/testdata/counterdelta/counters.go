@@ -52,3 +52,12 @@ func windowTransitions(nowTransitions, baseTransitions uint64) uint64 {
 func lastSlot(issueSlots uint64) uint64 {
 	return issueSlots - 1
 }
+
+// trailingWaiver pins the waiver's reach: a waiver that trails a statement
+// covers that line only, so the unwaived delta on the next line is still a
+// finding (only a waiver alone on its line also covers the line below).
+func trailingWaiver(loadsNow, loadsBase, hitsNow, hitsBase uint64) (uint64, uint64) {
+	loads := loadsNow - loadsBase //lint:monotonic same-goroutine window
+	hits := hitsNow - hitsBase
+	return loads, hits
+}

@@ -40,3 +40,53 @@ func measureAndRetire(m *meter, l *Ledger) {
 func measureForCaller(m *meter) Breakdown {
 	return m.Profile()
 }
+
+// tryMeter is a meter whose measurement can fail.
+type tryMeter struct{}
+
+// Profile measures the region's energy.
+func (m *tryMeter) Profile() (Breakdown, error) { return Breakdown{}, nil }
+
+// measureMulti binds the breakdown next to an error and then only reads a
+// field of it: dropped on both paths.
+func measureMulti(m *tryMeter) error {
+	b, err := m.Profile()
+	if err != nil {
+		return err
+	}
+	_ = b.Total
+	return nil
+}
+
+// measureMultiRetire is the accepted two-result shape.
+func measureMultiRetire(m *tryMeter, l *Ledger) error {
+	b, err := m.Profile()
+	l.Add(b.Total)
+	return err
+}
+
+// measureBare profiles as a bare statement: nothing holds the result.
+func measureBare(m *meter) {
+	m.Profile()
+}
+
+// measureBlank assigns the measurement to the blank identifier.
+func measureBlank(m *meter) {
+	_ = m.Profile()
+}
+
+// measureField reads one field straight off the call and drops the rest.
+func measureField(m *meter) float64 {
+	return m.Profile().Total
+}
+
+// AddTo retires the breakdown into a ledger.
+func (b Breakdown) AddTo(l *Ledger) { l.Add(b.Total) }
+
+// measureMethod is accepted: a method of the breakdown hands it on, bound
+// to a variable or straight off the call.
+func measureMethod(m *meter, l *Ledger) {
+	b := m.Profile()
+	b.AddTo(l)
+	m.Profile().AddTo(l)
+}

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"path"
 )
 
 // AnalyzerWalErr proves durability-error propagation: an error returned by
@@ -67,7 +68,7 @@ func durabilityCall(p *Pass, call *ast.CallExpr) (string, bool) {
 	} else if obj := p.Pkg.Info.Uses[sel.Sel]; obj != nil {
 		pkg = obj.Pkg() // package-qualified function call
 	}
-	if pkg == nil || !walErrPackages[pathBase(pkg.Path())] {
+	if pkg == nil || !walErrPackages[path.Base(pkg.Path())] {
 		return "", false
 	}
 	return exprString(sel.X) + "." + sel.Sel.Name, true
@@ -134,10 +135,7 @@ func checkWalErrScope(p *Pass, fs funcScope) {
 					fs.name, name)
 				return true
 			}
-			obj := p.Pkg.Info.Defs[id]
-			if obj == nil {
-				obj = p.Pkg.Info.Uses[id]
-			}
+			obj := p.Pkg.Info.ObjectOf(id)
 			if obj == nil {
 				return true
 			}
@@ -145,7 +143,7 @@ func checkWalErrScope(p *Pass, fs funcScope) {
 			// propagates the error out of this closure by construction —
 			// the enclosing scope reads it after the closure runs (the
 			// prof.Profile(func(){ err = ... }) shape).
-			if obj.Pos() < fs.node.Pos() || fs.node.End() < obj.Pos() {
+			if fs.captures(obj) {
 				return true
 			}
 			if g == nil {
@@ -155,6 +153,7 @@ func checkWalErrScope(p *Pass, fs funcScope) {
 			if def == nil {
 				return true
 			}
+			errVar := map[types.Object]bool{obj: true}
 			reads := func(s ast.Stmt) bool {
 				if s == ast.Stmt(st) {
 					return false // the definition itself
@@ -162,7 +161,7 @@ func checkWalErrScope(p *Pass, fs funcScope) {
 				if _, isRet := s.(*ast.ReturnStmt); isRet && namedResults[obj] {
 					return true
 				}
-				return stmtMentions(p, s, obj)
+				return mentions(p, stmtEvalNode(s), errVar)
 			}
 			if avoidSearch(def, map[*cnode]bool{g.exit: true}, reads) {
 				p.Reportf(st.Pos(),
@@ -172,27 +171,4 @@ func checkWalErrScope(p *Pass, fs funcScope) {
 		}
 		return true
 	})
-}
-
-// stmtMentions reports whether the CFG node for st evaluates the object
-// (compound statements count only their condition/tag; function literals
-// inside simple statements count — a deferred or synchronous closure
-// reading the error is a legitimate consumer).
-func stmtMentions(p *Pass, st ast.Stmt, obj types.Object) bool {
-	root := stmtEvalNode(st)
-	if root == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && p.Pkg.Info.Uses[id] == obj {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

@@ -77,6 +77,9 @@ func runWireSym(pass *Pass) {
 				if !ok {
 					continue
 				}
+				if _, isStruct := tn.Type().Underlying().(*types.Struct); !isStruct {
+					continue
+				}
 				hasFrameType := hasMethod(tn.Type(), "FrameType")
 				hasEnc := hasMethod(tn.Type(), "encode") || hasMethod(tn.Type(), "Encode")
 				hasDec := hasMethod(tn.Type(), "decode") || hasMethod(tn.Type(), "Decode")
