@@ -152,7 +152,7 @@ func (g *GroupBy) Open() error {
 
 	cap := g.GroupCap
 	if cap <= 0 {
-		cap = 1024
+		cap = defaultGroupCap
 	}
 	tableSize := uint64(cap) * hashBucketBytes * 2
 	tableBase := g.Ctx.Arena.Alloc(tableSize, memsim.PageSize)
@@ -165,15 +165,9 @@ func (g *GroupBy) Open() error {
 	groups := make(map[value.Key]*group)
 	var order []*group
 
-	keyNodes := 0
-	for _, e := range g.GroupBy {
-		keyNodes += e.Nodes()
-	}
-	argNodes := 0
+	nodes := ExprNodes(g.GroupBy...)
 	for _, a := range g.Aggs {
-		if a.Arg != nil {
-			argNodes += a.Arg.Nodes()
-		}
+		nodes += ExprNodes(a.Arg)
 	}
 
 	for {
@@ -184,14 +178,12 @@ func (g *GroupBy) Open() error {
 		if !ok {
 			break
 		}
-		g.Ctx.TupleCost()
-		g.Ctx.EvalCost(keyNodes + argNodes)
+		ChargeGroupInput(g.Ctx, Card{In: 1}, nodes)
 		keyVals := make([]value.Value, len(g.GroupBy))
 		for i, e := range g.GroupBy {
 			keyVals[i] = e.Eval(row)
 		}
 		key := value.MakeKey(keyVals...)
-		g.Ctx.Compute(2) // hash
 		slot := tableBase + key.Hash()%tableSize
 		h.Load(slot, true) // bucket probe
 		grp, found := groups[key]
@@ -199,27 +191,23 @@ func (g *GroupBy) Open() error {
 			grp = &group{keyVals: keyVals, states: make([]AggAcc, len(g.Aggs))}
 			groups[key] = grp
 			order = append(order, grp)
-			h.Store(slot) // insert bucket entry
+			ChargeGroupInsert(g.Ctx, Card{In: 1}, slot)
 		}
-		// Accumulator update: load + arithmetic + store.
-		h.Load(slot+hashBucketBytes, true)
 		for i, a := range g.Aggs {
 			v := value.Int(1)
 			if a.Arg != nil {
 				v = a.Arg.Eval(row)
 			}
 			grp.states[i].UpdateKind(a.Kind, v)
-			g.Ctx.Compute(1)
 		}
-		h.Store(slot + hashBucketBytes)
+		acc := slot + hashBucketBytes
+		h.Load(acc, true) // accumulator fetch
+		ChargeGroupUpdate(g.Ctx, Card{In: 1}, len(g.Aggs), acc)
 	}
 
 	g.groups = make([]value.Row, len(order))
 	for i, grp := range order {
-		// Result extraction: one arithmetic op per aggregate plus the row
-		// build — the finalization work the hash-table update loop above
-		// never charged (chargepath finding).
-		g.Ctx.Compute(1 + len(g.Aggs))
+		ChargeGroupOutput(g.Ctx, Card{In: 1}, len(g.Aggs), 0)
 		out := make(value.Row, 0, len(grp.keyVals)+len(g.Aggs))
 		out = append(out, grp.keyVals...)
 		for k, a := range g.Aggs {
@@ -238,7 +226,7 @@ func (g *GroupBy) Next() (value.Row, bool, error) {
 	}
 	row := g.groups[g.pos]
 	g.pos++
-	g.Ctx.EmitRow(len(row) * 8)
+	ChargeGroupOutput(g.Ctx, Card{Out: 1}, len(g.Aggs), len(row))
 	return row, true, nil
 }
 

@@ -1,0 +1,191 @@
+package exec
+
+import "energydb/internal/memsim"
+
+// This file is the one statement of what the row operators charge. A charge
+// function issues an operator phase's modelled micro-operations — counts
+// times constants at hot or fixed addresses: interpretation overhead,
+// expression evaluation, output copies, hash and accumulator arithmetic —
+// into a Sink, and is linear in the cardinalities it is handed. The
+// operators call it per tuple with actual counts and the *Ctx as sink; the
+// planner (internal/db/plan) calls the same function once per plan node with
+// estimated totals and its estimate as sink. Because the terms are linear,
+// the per-tuple calls sum to the single evaluation: at equal cardinalities
+// prediction and measurement agree on every modelled term, and what is left
+// of a prediction error is cardinality plus the planner's cache model for
+// the data-dependent accesses (page scans, bucket probes, comparator loads),
+// which operators keep issuing inline at real addresses.
+
+// Sink receives modelled charges. Counts are float64 because the planner
+// evaluates charge functions at fractional estimates; the executor passes
+// whole numbers.
+type Sink interface {
+	// Tuples charges n per-tuple interpretation overheads: one per row on
+	// the row path, one per batch per primitive (a dispatch) on the vector
+	// path.
+	Tuples(n float64)
+	// Evals charges n interpreted evaluations of an expression tree of
+	// the given node count.
+	Evals(n float64, nodes int)
+	// Emits charges n output-row copies of width bytes.
+	Emits(n float64, width int)
+	// Loads and Stores charge n accesses to the line at addr, which stays
+	// L1D-resident across them.
+	Loads(addr uint64, n float64)
+	Stores(addr uint64, n float64)
+	// Stream charges one load per cache line of a sequential read.
+	Stream(addr uint64, bytes float64)
+	// Adds and Others charge n arithmetic and n plain instructions.
+	Adds(n float64)
+	Others(n float64)
+}
+
+// Card is the cardinality record a charge function is linear in.
+type Card struct {
+	// Batches is the number of batches dispatched (vector path only).
+	Batches float64
+	// In counts what the phase consumes: rows, batch positions or
+	// selected elements.
+	In float64
+	// Out counts what survives it: rows selected, inserted or emitted.
+	Out float64
+}
+
+// Tuples implements Sink.
+func (c *Ctx) Tuples(n float64) {
+	for ; n >= 1; n-- {
+		c.TupleCost()
+	}
+}
+
+// Evals implements Sink.
+func (c *Ctx) Evals(n float64, nodes int) {
+	for ; n >= 1; n-- {
+		c.EvalCost(nodes)
+	}
+}
+
+// Emits implements Sink.
+func (c *Ctx) Emits(n float64, width int) {
+	for ; n >= 1; n-- {
+		c.EmitRow(width)
+	}
+}
+
+// Loads implements Sink.
+func (c *Ctx) Loads(addr uint64, n float64) { c.M.Hier.LoadRepeat(addr, uint64(n)) }
+
+// Stores implements Sink.
+func (c *Ctx) Stores(addr uint64, n float64) { c.M.Hier.StoreRepeat(addr, uint64(n)) }
+
+// Stream implements Sink.
+func (c *Ctx) Stream(addr uint64, bytes float64) { c.M.Hier.LoadRange(addr, uint64(bytes)) }
+
+// Adds implements Sink.
+func (c *Ctx) Adds(n float64) { c.Compute(int(n)) }
+
+// Others implements Sink.
+func (c *Ctx) Others(n float64) {
+	if n >= 1 {
+		c.M.Hier.Exec(uint64(n), memsim.InstrOther)
+	}
+}
+
+// hashBucketBytes is the simulated size of one hash-table bucket entry.
+const hashBucketBytes = 16
+
+// SortEntryBytes is the size of one sort-buffer entry (a row pointer and
+// its extracted key slot), in both executors.
+const SortEntryBytes = 16
+
+// HashTableBytes is the simulated footprint of a join hash table over the
+// given number of build rows: a bucket head and a chain entry per row.
+func HashTableBytes(rows float64) float64 { return (rows + 1) * hashBucketBytes * 2 }
+
+// GroupTableBytes is the simulated footprint of the default hash
+// aggregation table (GroupCap 0).
+const GroupTableBytes = defaultGroupCap * hashBucketBytes * 2
+
+const defaultGroupCap = 1024
+
+// ChargeTuples is the per-tuple schedule of every row source — both scans
+// and the match loops of all three joins: each candidate row pays the
+// interpretation overhead and the filter (or residual) evaluation, each
+// surviving row the output copy. A candidate that is dropped before the
+// filter runs (an index entry invisible to the snapshot) passes nodes 0.
+func ChargeTuples(s Sink, c Card, nodes, width int) {
+	s.Tuples(c.In)
+	s.Evals(c.In, nodes)
+	s.Emits(c.Out, width)
+}
+
+// ChargeFilter is the predicate evaluation per input row.
+func ChargeFilter(s Sink, c Card, nodes int) { s.Evals(c.In, nodes) }
+
+// ChargeProject evaluates the output expressions and copies the projected
+// row (8-byte slots) per input row.
+func ChargeProject(s Sink, c Card, nodes, cols int) {
+	s.Evals(c.In, nodes)
+	s.Emits(c.In, cols*8)
+}
+
+// ChargePrune is one register move per kept column, then the narrowed row
+// copy.
+func ChargePrune(s Sink, c Card, cols, width int) {
+	s.Adds(c.In * float64(cols))
+	s.Emits(c.In, width)
+}
+
+// ChargeHashBuild is the hash arithmetic and the bucket-entry store of one
+// build row, issued after its dependent bucket load.
+func ChargeHashBuild(s Sink, c Card, slot uint64) {
+	s.Adds(3 * c.In)
+	s.Stores(slot, c.In)
+}
+
+// ChargeHashProbe hashes the probe key; the dependent bucket-head load
+// follows it.
+func ChargeHashProbe(s Sink, c Card) { s.Adds(2 * c.In) }
+
+// ChargeGroupInput is what every row entering a hash aggregation pays
+// before its bucket is probed: interpretation overhead, the evaluation of
+// the key and argument expressions, and the key hash.
+func ChargeGroupInput(s Sink, c Card, nodes int) {
+	s.Tuples(c.In)
+	s.Evals(c.In, nodes)
+	s.Adds(2 * c.In)
+}
+
+// ChargeGroupInsert is the bucket-entry store of each new group, issued
+// between its dependent bucket probe and its accumulator fetch.
+func ChargeGroupInsert(s Sink, c Card, slot uint64) { s.Stores(slot, c.In) }
+
+// ChargeGroupUpdate follows the dependent accumulator fetch at acc: one
+// arithmetic op per aggregate and the accumulator store.
+func ChargeGroupUpdate(s Sink, c Card, aggs int, acc uint64) {
+	s.Adds(c.In * float64(aggs))
+	s.Stores(acc, c.In)
+}
+
+// ChargeGroupOutput is the result extraction of each finalized group (In:
+// one arithmetic op per aggregate plus the row build) and the output copy
+// of each emitted one (Out).
+func ChargeGroupOutput(s Sink, c Card, aggs, cols int) {
+	s.Adds(c.In * float64(1+aggs))
+	s.Emits(c.Out, cols*8)
+}
+
+// ChargeSortKeys is the key extraction per collected row: engines sort on
+// extracted keys, one interpreted step per row.
+func ChargeSortKeys(s Sink, c Card) { s.Evals(c.In, 1) }
+
+// ChargeSortStore writes sort-buffer entries: the fill before the ordering
+// pass and the placement after it, in both executors.
+func ChargeSortStore(s Sink, c Card, at uint64) { s.Stores(at, c.In) }
+
+// ChargeSortEmit reads each output row's entry off the sorted run and
+// copies the row out.
+func ChargeSortEmit(s Sink, c Card, at uint64, width int) {
+	s.Loads(at, c.In)
+	s.Emits(c.In, width)
+}

@@ -222,6 +222,18 @@ func (in InList) Nodes() int { return 1 + in.E.Nodes() + len(in.List) }
 
 func (in InList) String() string { return fmt.Sprintf("%s IN (...%d)", in.E, len(in.List)) }
 
+// ExprNodes sums the node counts of the given expressions; nil expressions
+// (an absent filter) count zero.
+func ExprNodes(exprs ...Expr) int {
+	n := 0
+	for _, e := range exprs {
+		if e != nil {
+			n += e.Nodes()
+		}
+	}
+	return n
+}
+
 // Truthy interprets a datum as a boolean.
 func Truthy(v value.Value) bool {
 	switch v.T {

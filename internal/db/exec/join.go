@@ -8,9 +8,6 @@ import (
 	"energydb/internal/memsim"
 )
 
-// hashBucketBytes is the simulated size of one hash-table bucket entry.
-const hashBucketBytes = 16
-
 // HashJoin builds a hash table on the build side and probes it with the
 // probe side (PostgreSQL/MySQL-style equijoin). Build stores and probe
 // chains are simulated: probes are dependent loads into a table that is
@@ -51,7 +48,7 @@ func (j *HashJoin) Open() error {
 		return err
 	}
 	j.table = make(map[value.Key][]value.Row, len(rows))
-	j.tableSize = uint64(len(rows)+1) * hashBucketBytes * 2
+	j.tableSize = uint64(HashTableBytes(float64(len(rows))))
 	j.tableBase = j.Ctx.Arena.Alloc(j.tableSize, memsim.PageSize)
 	h := j.Ctx.M.Hier
 	for i, r := range rows {
@@ -63,15 +60,11 @@ func (j *HashJoin) Open() error {
 			continue
 		}
 		j.table[key] = append(j.table[key], r)
-		// Hash, bucket write, entry write.
-		j.Ctx.Compute(3)
 		slot := j.tableBase + uint64(i)*hashBucketBytes*2%j.tableSize
 		h.Load(slot, true)
-		h.Store(slot)
+		ChargeHashBuild(j.Ctx, Card{In: 1}, slot)
 	}
-	if j.Residual != nil {
-		j.resNodes = j.Residual.Nodes()
-	}
+	j.resNodes = ExprNodes(j.Residual)
 	return j.Probe.Open()
 }
 
@@ -89,15 +82,10 @@ func (j *HashJoin) Next() (value.Row, bool, error) {
 			}
 			j.out = append(j.out[:0], j.probeRow...)
 			j.out = append(j.out, b...)
-			j.Ctx.TupleCost()
-			if j.Residual != nil {
-				j.Ctx.EvalCost(j.resNodes)
-				if !Truthy(j.Residual.Eval(j.out)) {
-					continue
-				}
+			if chargeCandidate(j.Ctx, j.Residual, j.resNodes, j.out, len(j.out)*8) {
+				return j.out, true, nil
 			}
-			j.Ctx.EmitRow(len(j.out) * 8)
-			return j.out, true, nil
+			continue
 		}
 		row, ok, err := j.Probe.Next()
 		if err != nil || !ok {
@@ -109,7 +97,7 @@ func (j *HashJoin) Next() (value.Row, bool, error) {
 			continue
 		}
 		j.probeRow = row.Clone()
-		j.Ctx.Compute(2) // hash the probe key
+		ChargeHashProbe(j.Ctx, Card{In: 1})
 		// Bucket head probe: dependent load.
 		h.Load(j.tableBase+key.Hash()%j.tableSize, true)
 		j.matches = j.table[key]
@@ -153,9 +141,7 @@ func (j *IndexJoin) Schema() *catalog.Schema {
 
 // Open implements Operator.
 func (j *IndexJoin) Open() error {
-	if j.Residual != nil {
-		j.resNodes = j.Residual.Nodes()
-	}
+	j.resNodes = ExprNodes(j.Residual)
 	return j.Outer.Open()
 }
 
@@ -170,7 +156,7 @@ func (j *IndexJoin) Next() (value.Row, bool, error) {
 				return nil, false, err
 			}
 			if !visible {
-				j.Ctx.TupleCost()
+				ChargeTuples(j.Ctx, Card{In: 1}, 0, 0)
 				continue
 			}
 			if j.out == nil {
@@ -178,15 +164,10 @@ func (j *IndexJoin) Next() (value.Row, bool, error) {
 			}
 			j.out = append(j.out[:0], j.outerRow...)
 			j.out = append(j.out, inner...)
-			j.Ctx.TupleCost()
-			if j.Residual != nil {
-				j.Ctx.EvalCost(j.resNodes)
-				if !Truthy(j.Residual.Eval(j.out)) {
-					continue
-				}
+			if chargeCandidate(j.Ctx, j.Residual, j.resNodes, j.out, len(j.out)*8) {
+				return j.out, true, nil
 			}
-			j.Ctx.EmitRow(len(j.out) * 8)
-			return j.out, true, nil
+			continue
 		}
 		row, ok, err := j.Outer.Next()
 		if err != nil || !ok {
@@ -238,9 +219,7 @@ func (j *NestedLoopJoin) Open() error {
 		return err
 	}
 	j.inner = NewMemTable(j.Ctx, j.Inner.Schema(), rows)
-	if j.Pred != nil {
-		j.predNodes = j.Pred.Nodes()
-	}
+	j.predNodes = ExprNodes(j.Pred)
 	j.innerIdx = 0
 	j.outerRow = nil
 	return j.Outer.Open()
@@ -265,15 +244,9 @@ func (j *NestedLoopJoin) Next() (value.Row, bool, error) {
 			}
 			j.out = append(j.out[:0], j.outerRow...)
 			j.out = append(j.out, inner...)
-			j.Ctx.TupleCost()
-			if j.Pred != nil {
-				j.Ctx.EvalCost(j.predNodes)
-				if !Truthy(j.Pred.Eval(j.out)) {
-					continue
-				}
+			if chargeCandidate(j.Ctx, j.Pred, j.predNodes, j.out, len(j.out)*8) {
+				return j.out, true, nil
 			}
-			j.Ctx.EmitRow(len(j.out) * 8)
-			return j.out, true, nil
 		}
 		j.outerRow = nil
 	}

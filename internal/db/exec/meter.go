@@ -56,7 +56,7 @@ func (ms *MeterSet) Exit(m *Meter) {
 }
 
 // Meter is one attribution cell: the PMU counters an operator's own work
-// (not its children's) advances, plus its emitted row count.
+// (not its children's) advances, plus what it emitted.
 type Meter struct {
 	// Label names the metered operator for EXPLAIN output.
 	Label string
@@ -66,6 +66,16 @@ type Meter struct {
 
 	own  memsim.Counters
 	rows int
+	out  Emitted
+}
+
+// Emitted counts the batches a vectorized operator handed its consumer:
+// all of them with the positions behind them (selected or not), and the
+// Live ones — those with at least one selected row, the only ones a
+// buffering consumer looks at.
+type Emitted struct {
+	Batches, Positions         int
+	LiveBatches, LivePositions int
 }
 
 // Own returns the counters attributed exclusively to this operator.
@@ -74,9 +84,23 @@ func (m *Meter) Own() memsim.Counters { return m.own }
 // Rows returns how many rows the operator emitted.
 func (m *Meter) Rows() int { return m.rows }
 
-// AddRows records n emitted rows (batch operators count a whole batch at
-// once).
+// Emitted returns the operator's batch counts (zero for row operators).
+func (m *Meter) Emitted() Emitted { return m.out }
+
+// AddRows records n emitted rows.
 func (m *Meter) AddRows(n int) { m.rows += n }
+
+// AddBatch records one emitted batch of the given positions, rows of them
+// selected.
+func (m *Meter) AddBatch(positions, rows int) {
+	m.rows += rows
+	m.out.Batches++
+	m.out.Positions += positions
+	if rows > 0 {
+		m.out.LiveBatches++
+		m.out.LivePositions += positions
+	}
+}
 
 // Inclusive returns this operator's counters including all metered
 // descendants.

@@ -27,6 +27,7 @@ type SeqScan struct {
 
 	sc          *storage.Scanner
 	filterNodes int
+	width       int
 }
 
 // Schema implements Operator.
@@ -35,9 +36,8 @@ func (s *SeqScan) Schema() *catalog.Schema { return s.File.Schema() }
 // Open implements Operator.
 func (s *SeqScan) Open() error {
 	s.sc = s.File.Scan()
-	if s.Filter != nil {
-		s.filterNodes = s.Filter.Nodes()
-	}
+	s.filterNodes = ExprNodes(s.Filter)
+	s.width = s.File.Schema().RowWidth()
 	return nil
 }
 
@@ -48,20 +48,25 @@ func (s *SeqScan) Next() (value.Row, bool, error) {
 		if !ok {
 			return nil, false, nil
 		}
-		s.Ctx.TupleCost()
-		if s.Filter != nil {
-			s.Ctx.EvalCost(s.filterNodes)
-			if !Truthy(s.Filter.Eval(row)) {
-				continue
-			}
+		if chargeCandidate(s.Ctx, s.Filter, s.filterNodes, row, s.width) {
+			return row, true, nil
 		}
-		s.Ctx.EmitRow(s.File.Schema().RowWidth())
-		return row, true, nil
 	}
 }
 
 // Close implements Operator.
 func (s *SeqScan) Close() error { return nil }
+
+// chargeCandidate charges one candidate row of a scan or join and reports
+// whether it passes the filter (and is therefore emitted, width bytes wide).
+func chargeCandidate(ctx *Ctx, filter Expr, nodes int, row value.Row, width int) bool {
+	c := Card{In: 1}
+	if filter == nil || Truthy(filter.Eval(row)) {
+		c.Out = 1
+	}
+	ChargeTuples(ctx, c, nodes, width)
+	return c.Out == 1
+}
 
 // IndexScan walks an index range [Lo, Hi] (inclusive bounds; nil means
 // unbounded) and fetches matching heap rows in index order — random heap
@@ -78,6 +83,7 @@ type IndexScan struct {
 
 	it          *btree.Iter
 	filterNodes int
+	width       int
 }
 
 // Schema implements Operator.
@@ -90,9 +96,8 @@ func (s *IndexScan) Open() error {
 	} else {
 		s.it = s.Tree.First()
 	}
-	if s.Filter != nil {
-		s.filterNodes = s.Filter.Nodes()
-	}
+	s.filterNodes = ExprNodes(s.Filter)
+	s.width = s.File.Schema().RowWidth()
 	return nil
 }
 
@@ -108,20 +113,15 @@ func (s *IndexScan) Next() (value.Row, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		s.Ctx.TupleCost()
 		if !visible {
 			// Index entry for a version this snapshot cannot see (index
 			// entries outlive their heap versions, as in PostgreSQL).
+			ChargeTuples(s.Ctx, Card{In: 1}, 0, 0)
 			continue
 		}
-		if s.Filter != nil {
-			s.Ctx.EvalCost(s.filterNodes)
-			if !Truthy(s.Filter.Eval(row)) {
-				continue
-			}
+		if chargeCandidate(s.Ctx, s.Filter, s.filterNodes, row, s.width) {
+			return row, true, nil
 		}
-		s.Ctx.EmitRow(s.File.Schema().RowWidth())
-		return row, true, nil
 	}
 	return nil, false, nil
 }
@@ -154,7 +154,7 @@ func (f *Filter) Next() (value.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		f.Ctx.EvalCost(f.nodes)
+		ChargeFilter(f.Ctx, Card{In: 1}, f.nodes)
 		if Truthy(f.Pred.Eval(row)) {
 			return row, true, nil
 		}
@@ -207,11 +207,10 @@ func (p *Project) Next() (value.Row, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	p.Ctx.EvalCost(p.nodes)
+	ChargeProject(p.Ctx, Card{In: 1}, p.nodes, len(p.Exprs))
 	for i, e := range p.Exprs {
 		p.out[i] = e.Eval(row)
 	}
-	p.Ctx.EmitRow(len(p.Exprs) * 8)
 	return p.out, true, nil
 }
 

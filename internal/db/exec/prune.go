@@ -42,11 +42,10 @@ func (p *Prune) Next() (value.Row, bool, error) {
 		return nil, false, err
 	}
 	// One register move per kept column, then the narrowed row copy.
-	p.Ctx.Compute(len(p.Cols))
+	ChargePrune(p.Ctx, Card{In: 1}, len(p.Cols), p.Schema().RowWidth())
 	for i, c := range p.Cols {
 		p.out[i] = row[c]
 	}
-	p.Ctx.EmitRow(p.Schema().RowWidth())
 	return p.out, true, nil
 }
 

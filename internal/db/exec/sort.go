@@ -53,7 +53,7 @@ func (s *Sort) Open() error {
 			ks[k] = sk.Expr.Eval(r)
 		}
 		s.keys[i] = ks
-		s.Ctx.EvalCost(1)
+		ChargeSortKeys(s.Ctx, Card{In: 1})
 	}
 
 	// The sort buffer: one pointer-sized entry per row.
@@ -61,11 +61,11 @@ func (s *Sort) Open() error {
 	if n == 0 {
 		n = 1
 	}
-	s.base = s.Ctx.Arena.Alloc(n*16, memsim.PageSize)
+	s.base = s.Ctx.Arena.Alloc(n*SortEntryBytes, memsim.PageSize)
 	h := s.Ctx.M.Hier
 	for i := range rows {
 		s.Ctx.PollEvery(i)
-		h.Store(s.base + uint64(i)*16)
+		ChargeSortStore(s.Ctx, Card{In: 1}, s.base+uint64(i)*SortEntryBytes)
 	}
 
 	idx := make([]int, len(rows))
@@ -78,8 +78,8 @@ func (s *Sort) Open() error {
 		// phase is O(n log n) comparisons with no tuple boundary, so it
 		// must poll here or a statement timeout cannot cancel it.
 		s.Ctx.Poll()
-		h.Load(s.base+uint64(idx[a])*16%((n)*16), true)
-		h.Load(s.base+uint64(idx[b])*16%((n)*16), true)
+		h.Load(s.base+uint64(idx[a])*SortEntryBytes%(n*SortEntryBytes), true)
+		h.Load(s.base+uint64(idx[b])*SortEntryBytes%(n*SortEntryBytes), true)
 		s.Ctx.Compute(len(s.Keys))
 		return s.less(idx[a], idx[b])
 	})
@@ -88,7 +88,7 @@ func (s *Sort) Open() error {
 	for i, j := range idx {
 		sorted[i] = s.rows[j]
 		sortedKeys[i] = s.keys[j]
-		h.Store(s.base + uint64(i)*16)
+		ChargeSortStore(s.Ctx, Card{In: 1}, s.base+uint64(i)*SortEntryBytes)
 	}
 	s.rows = sorted
 	s.keys = sortedKeys
@@ -115,10 +115,9 @@ func (s *Sort) Next() (value.Row, bool, error) {
 		return nil, false, nil
 	}
 	// Reading the output streams the sorted run.
-	s.Ctx.M.Hier.LoadRange(s.base+uint64(s.pos)*16, 16)
+	ChargeSortEmit(s.Ctx, Card{In: 1}, s.base+uint64(s.pos)*SortEntryBytes, s.rowsize)
 	row := s.rows[s.pos]
 	s.pos++
-	s.Ctx.EmitRow(s.rowsize)
 	return row, true, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"energydb/internal/db/engine"
+	"energydb/internal/db/exec"
 	"energydb/internal/memsim"
 )
 
@@ -12,7 +13,16 @@ import (
 // memsim.Counters (the paper's N_m terms); pricing converts them through the
 // machine's calibrated ΔE_m table, so the cost model and the measurement
 // share one energy vocabulary.
+//
+// It fills from two sides. As an exec.Sink it receives the modelled charges
+// of the executors' own charge functions (exec/charge.go, vec/charge.go),
+// evaluated at a node's estimated cardinalities — the planner holds no copy
+// of any operator's arithmetic. The coster methods below add the cache
+// model: what the data-dependent accesses the operators issue at real
+// addresses are expected to cost.
 type est struct {
+	cm exec.CostModel // the profile's interpretation overheads (Tuples/Evals/Emits)
+
 	l1d   float64 // demand L1D accesses (N_L1D)
 	reg2  float64 // stores completing in L1D (N_Reg2L1D)
 	l2    float64 // demand L2 accesses
@@ -98,38 +108,52 @@ func newCoster(e *engine.Engine) *coster {
 
 // price converts a micro-op estimate to joules of active energy at the
 // engine's current operating point.
-func (c *coster) price(a est) float64 {
+func (c *coster) price(a *est) float64 {
 	return c.e.M.Profile.Energy.Active(a.counters(), c.e.M.PState()).Total()
 }
 
-// tuple charges the profile's per-tuple interpretation overhead for n rows
-// (hot loads, hot stores, plain instructions — all cache-resident).
-func (c *coster) tuple(a *est, n float64) {
-	cm := c.e.Ctx.Cost
-	a.l1d += n * float64(cm.TupleLoads)
-	a.reg2 += n * float64(cm.TupleStores)
-	a.other += n * float64(cm.TupleInstr)
+// newEst starts an estimate under the engine's executor cost model.
+func (c *coster) newEst() *est { return &est{cm: c.e.Ctx.Cost} }
+
+// Tuples implements exec.Sink: the profile's per-tuple interpretation
+// overhead (hot loads, hot stores, plain instructions — all cache-resident),
+// as Ctx.TupleCost issues it.
+func (a *est) Tuples(n float64) {
+	a.l1d += n * float64(a.cm.TupleLoads)
+	a.reg2 += n * float64(a.cm.TupleStores)
+	a.other += n * float64(a.cm.TupleInstr)
 }
 
-// eval charges expression evaluation of `nodes` AST nodes over n rows.
-func (c *coster) eval(a *est, n float64, nodes int) {
-	if nodes <= 0 {
-		return
-	}
-	cm := c.e.Ctx.Cost
+// Evals implements exec.Sink (Ctx.EvalCost).
+func (a *est) Evals(n float64, nodes int) {
 	f := n * float64(nodes)
-	a.l1d += f * float64(cm.EvalLoads)
-	a.reg2 += f * float64(cm.EvalStores)
-	a.other += f * float64(cm.EvalInstr)
+	a.l1d += f * float64(a.cm.EvalLoads)
+	a.reg2 += f * float64(a.cm.EvalStores)
+	a.other += f * float64(a.cm.EvalInstr)
 }
 
-// emit charges the output-row copy for n rows of the given byte width.
-func (c *coster) emit(a *est, n, width float64) {
-	if !c.e.Ctx.Cost.EmitRowCopy || width <= 0 {
+// Emits implements exec.Sink (Ctx.EmitRow: one store per line of width).
+func (a *est) Emits(n float64, width int) {
+	if !a.cm.EmitRowCopy || width <= 0 {
 		return
 	}
-	a.reg2 += n * math.Ceil(width/64)
+	a.reg2 += n * float64((width+memsim.LineSize-1)/memsim.LineSize)
 }
+
+// Loads implements exec.Sink: hot-line loads hit L1D.
+func (a *est) Loads(_ uint64, n float64) { a.l1d += n }
+
+// Stores implements exec.Sink: hot-line stores complete in L1D.
+func (a *est) Stores(_ uint64, n float64) { a.reg2 += n }
+
+// Stream implements exec.Sink: one L1D access per line read.
+func (a *est) Stream(_ uint64, bytes float64) { a.l1d += bytes / memsim.LineSize }
+
+// Adds implements exec.Sink.
+func (a *est) Adds(n float64) { a.add += n }
+
+// Others implements exec.Sink.
+func (a *est) Others(n float64) { a.other += n }
 
 // randLoad charges n dependent loads at uniformly random addresses within a
 // working set of setBytes, blending hit levels by the fraction of the set
@@ -163,9 +187,10 @@ const sortInsertionBlock = 20
 // 97k entries, vs n·log2(n) = 1.61M).
 const sortCmpFactor = 1.27
 
-// sortCompares charges the comparator traffic of ordering n entries of
-// entryBytes each: two dependent buffer loads per comparison, as both the
-// row and vector sorts issue them. Unlike randLoad's uniform-random blend,
+// sortCompares charges the ordering pass over n entries of entryBytes each,
+// the one data-dependent part of a sort: two dependent buffer loads and
+// nkeys arithmetic ops per comparison, as both the row and vector sorts
+// issue them from inside their comparator. Unlike randLoad's uniform-random blend,
 // the comparison sequence of a merge-style sort (sort.SliceStable:
 // insertion-sorted blocks, then pairwise run merges) has strong locality —
 // the run heads being merged stay hot, so misses are per merge level, not

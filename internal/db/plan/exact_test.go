@@ -1,0 +1,193 @@
+package plan
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"energydb/internal/cpusim"
+	"energydb/internal/db/engine"
+	"energydb/internal/db/exec"
+	"energydb/internal/db/vec"
+	"energydb/internal/tpch"
+)
+
+// observed binds n's cardinalities to what the meters counted, in the mode
+// n ran in.
+func observed(e *engine.Engine, n *Node, meters map[*Node]*exec.Meter) cards {
+	k := bind(n) // scanned: a full scan reads the whole heap
+	own := meters[n].Emitted()
+	k.out = float64(meters[n].Rows())
+	k.matches = k.out
+	var first, build exec.Emitted
+	if len(n.Kids) > 0 {
+		k.in = float64(meters[n.Kids[0]].Rows())
+		first = meters[n.Kids[0]].Emitted()
+	}
+	if n.Kind == opHashJoin {
+		k.build = float64(meters[n.Kids[1]].Rows())
+		build = meters[n.Kids[1]].Emitted()
+	}
+	if n.Mode != ModeVector {
+		return k
+	}
+	width := float64(vec.BatchSizeFor(e.M.Profile.Mem))
+	k.outBatches = float64(own.Batches)
+	switch n.Kind {
+	case opSeqScan:
+		k.batches = float64(own.Batches)
+		k.backBatches, k.backRows = k.batches, float64(own.Positions)
+	case opHashJoin:
+		// Both inputs skip batches with nothing selected, and the output's
+		// positions are the pairs gathered before the residual narrows them.
+		k.batches = float64(first.LiveBatches)
+		k.backBatches, k.backRows = k.batches, float64(first.LivePositions)
+		k.buildBatches = float64(build.LiveBatches)
+		k.chunks = math.Ceil(k.build / width)
+		k.matches = float64(own.Positions)
+	default:
+		k.batches = float64(first.Batches)
+		k.backBatches, k.backRows = k.batches, float64(first.Positions)
+	}
+	return k
+}
+
+// exactKind lists the operators whose add and plain-instruction counts are
+// modelled charges alone. Sort and the index operators are not among them:
+// their comparator and B-tree probe instruction counts depend on the data.
+func exactKind(k opKind) bool {
+	switch k {
+	case opSeqScan, opFilter, opPrune, opProject, opAggregate, opHashJoin:
+		return true
+	}
+	return false
+}
+
+// checkExact re-evaluates every node's charge functions at the cardinalities
+// the meters observed and requires the cache-independent counters to equal
+// the node's exclusive meter delta. cut marks a subtree a LIMIT may have
+// stopped pulling from before it was drained: its meters then saw only part
+// of what the operators buffered or finalized, so it is skipped down to the
+// next blocking operator. It returns n's output lazy-batch state.
+func checkExact(t *testing.T, label string, e *engine.Engine, n *Node, meters map[*Node]*exec.Meter, vecParent, cut bool) *lazyBatch {
+	t.Helper()
+	if n.Kind == opLimit {
+		cut = true
+	}
+	var in *lazyBatch
+	for i, kid := range n.Kids {
+		kidCut := cut
+		switch {
+		case n.Kind == opSort, n.Kind == opAggregate, n.Kind == opHashJoin && i == 1:
+			kidCut = false // drained in Open, whatever is pulled from n later
+		}
+		lz := checkExact(t, label, e, kid, meters, n.Mode == ModeVector, kidCut)
+		if i == 0 {
+			in = lz
+		}
+	}
+	k := observed(e, n, meters)
+	a := &est{cm: e.Ctx.Cost}
+	var out *lazyBatch
+	if n.Mode == ModeVector {
+		out = chargeVec(n, k, a, in)
+		if !vecParent {
+			chargeBoundary(n, exec.Card{Batches: k.outBatches, In: k.out}, a)
+		}
+	} else {
+		chargeRow(n, k, a)
+	}
+	if !exactKind(n.Kind) || cut {
+		return out
+	}
+	if n.Kind == opHashJoin && n.Mode == ModeRow && n.Filter != nil {
+		return out // candidates before the residual are not metered on the row path
+	}
+	got := meters[n].Own()
+	if want := a.counters(); want.AddOps != got.AddOps || want.OtherOps != got.OtherOps {
+		t.Errorf("%s: %s (mode=%s): charges at observed cardinalities give AddOps=%d OtherOps=%d, meter has AddOps=%d OtherOps=%d\n  cards %+v",
+			label, n.Title(), n.Mode, want.AddOps, want.OtherOps, got.AddOps, got.OtherOps, k)
+	}
+	return out
+}
+
+// runExact plans and drains the statement under meters, checks every node
+// and tallies the checked operator/mode pairs into seen.
+func runExact(t *testing.T, label string, e *engine.Engine, text string, seen map[string]int) {
+	t.Helper()
+	p := prepare(t, e, text)
+	op, meters, err := p.BuildMetered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exec.Drain(op); err != nil {
+		t.Fatal(err)
+	}
+	checkExact(t, label, e, p.Root, meters, false, false)
+	var count func(n *Node)
+	count = func(n *Node) {
+		if exactKind(n.Kind) {
+			seen[strings.Fields(n.Title())[0]+"/"+n.Mode.String()]++
+		}
+		for _, kid := range n.Kids {
+			count(kid)
+		}
+	}
+	count(p.Root)
+}
+
+// TestChargesExactAtObservedCardinalities is the "exact by construction"
+// property, checked: for every scan, filter, prune, project, aggregate and
+// hash-join node of the 22 TPC-H plans, in whichever mode it was planned,
+// the planner's evaluation of the operator's charge functions — the same
+// calls that price the node, fed the cardinalities the meters observed
+// instead of estimates — reproduces the add and plain-instruction counts of
+// the node's exclusive meter delta, chain tops including their RowSource
+// boundary. A charge the executor issues and the planner's binding omits
+// (or the reverse) fails here whatever the ±25% X9 band would absorb.
+func TestChargesExactAtObservedCardinalities(t *testing.T) {
+	configs := []struct {
+		kind    engine.Kind
+		rowOnly bool
+	}{{engine.SQLite, false}, {engine.PostgreSQL, false}, {engine.PostgreSQL, true}}
+	for _, c := range configs {
+		m := cpusim.NewMachine(cpusim.IntelI7_4790())
+		e := engine.New(c.kind, m, engine.SettingBaseline)
+		e.Knobs.DisableVectorExec = c.rowOnly
+		tpch.Setup(e, tpch.Size10MB)
+		seen := map[string]int{}
+		for _, q := range tpch.SQLQueries() {
+			runExact(t, fmt.Sprintf("%s Q%d", c.kind, q.ID), e, q.Text, seen)
+		}
+		t.Logf("%s (row only: %v): nodes by operator/mode: %v", c.kind, c.rowOnly, seen)
+	}
+}
+
+// TestChargesExactVectorChains checks the same property on the operator and
+// mode pairs no TPC-H plan contains at 10MB: vectorized projections, sorted
+// chains and a vectorized hash join with its pruned build side.
+func TestChargesExactVectorChains(t *testing.T) {
+	seen := map[string]int{}
+	for _, q := range []string{
+		"SELECT id, amount FROM facts WHERE amount > 1 ORDER BY amount DESC",
+		"SELECT id + 1 AS x FROM facts WHERE amount > 1 ORDER BY x",
+		"SELECT grp, COUNT(*) AS n, SUM(amount * 2) AS s FROM facts GROUP BY grp ORDER BY grp",
+		"SELECT id FROM facts WHERE id < 40 ORDER BY amount",
+		"SELECT id, amount * 2 FROM facts WHERE amount > 1 AND id < 4000",
+	} {
+		runExact(t, q, vecTestEngine(t, 5000), q, seen)
+	}
+	for _, q := range []string{
+		joinQuery,
+		"SELECT id, label FROM facts JOIN dim ON grp = did WHERE amount < id",
+	} {
+		runExact(t, q, joinVecEngine(t, 4000, 6000), q, seen)
+	}
+	for _, want := range []string{"Project/vector", "HashAggregate/vector", "HashJoin/vector", "SeqScan/vector"} {
+		if seen[want] == 0 {
+			t.Errorf("no %s node was checked: %v", want, seen)
+		}
+	}
+	t.Logf("nodes by operator/mode: %v", seen)
+}

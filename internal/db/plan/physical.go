@@ -10,6 +10,7 @@ import (
 	"energydb/internal/db/exec"
 	"energydb/internal/db/sql"
 	"energydb/internal/db/value"
+	"energydb/internal/memsim"
 )
 
 // opKind enumerates the physical operators a plan node can choose.
@@ -124,10 +125,6 @@ type planCtx struct {
 	star bool
 	// topRefs are the columns referenced above the join chain.
 	topRefs map[string]bool
-	// lazy tracks, per vector-mode node whose output batch is lazily
-	// backed by raw scan rows, which columns its subtree has already
-	// materialized (see chooseModes).
-	lazy map[*Node]*lazyBatch
 	// prices holds the chain DP's two-state subtree prices (see
 	// priceModes/commitModes in vector.go).
 	prices map[*Node]modePrice
@@ -156,17 +153,6 @@ func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, lp *logical) *planCtx {
 	return pc
 }
 
-// exprNodes sums compiled expression node counts.
-func exprNodes(exprs ...exec.Expr) int {
-	n := 0
-	for _, e := range exprs {
-		if e != nil {
-			n += e.Nodes()
-		}
-	}
-	return n
-}
-
 // renderConds renders an AND chain for display.
 func renderConds(conds []sql.Node) string {
 	parts := make([]string, len(conds))
@@ -191,7 +177,7 @@ func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 		schema:  r.t.Schema(),
 		EstRows: r.estRows,
 	}
-	pc.costSeqScan(seq)
+	pc.costRow(seq, bind(seq))
 	best := seq
 
 	for col := range r.t.Indexes {
@@ -211,7 +197,9 @@ func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 			schema:  r.t.Schema(),
 			EstRows: r.estRows,
 		}
-		pc.costIndexScan(cand, float64(r.stats.RowCount)*rangeSel)
+		k := bind(cand)
+		k.scanned = float64(r.stats.RowCount) * rangeSel
+		pc.costRow(cand, k)
 		if cand.EstEJ < best.EstEJ {
 			best = cand
 		}
@@ -374,7 +362,9 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, 
 			schema:  schema,
 			EstRows: matches,
 		}
-		pc.costIndexJoin(indexNode, preMatches)
+		k := bind(indexNode)
+		k.matches = preMatches
+		pc.costRow(indexNode, k)
 	}
 	if pc.e.Kind == engine.SQLite && indexNode != nil {
 		return indexNode, nil
@@ -401,7 +391,7 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, 
 		schema:  schema,
 		EstRows: matches,
 	}
-	pc.costHashJoin(hashNode)
+	pc.costRow(hashNode, bind(hashNode))
 
 	if indexNode != nil && indexNode.EstEJ < hashNode.EstEJ+build.EstEJ {
 		return indexNode, nil
@@ -409,121 +399,139 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, 
 	return hashNode, nil
 }
 
-// node cost estimators ------------------------------------------------------
+// node costing ---------------------------------------------------------------
+//
+// A node's predicted energy has two parts. The modelled charges — per-tuple
+// interpretation overhead, expression evaluation, output copies, hash and
+// accumulator arithmetic — are not restated here: chargeRow (and chargeVec in
+// vector.go) calls the executor's own charge functions, the ones its
+// operators run per tuple or per batch, once at the node's cardinalities.
+// The data-dependent accesses the operators issue at real addresses are
+// priced by the cache model in cost.go (model). What the planner owns is the
+// binding in between: which cardinality goes where.
 
-func (pc *planCtx) costSeqScan(n *Node) {
-	var a est
-	rows := float64(n.Table.File.RowCount())
-	pc.c.scanHeap(&a, n.Table)
-	pc.c.tuple(&a, rows)
-	pc.c.eval(&a, rows, exprNodes(n.Filter))
-	pc.c.emit(&a, n.EstRows, float64(n.schema.RowWidth()))
-	n.EstEJ = pc.c.price(a)
+// cards binds the cardinalities one node's charges are evaluated at.
+// Prepare fills it from estimates; the exactness tests fill it from what
+// meters observed, and the same evaluation then reproduces the executor's
+// cache-independent counters.
+type cards struct {
+	// scanned counts the heap rows a sequential scan reads, or the index
+	// entries an index scan visits.
+	scanned float64
+	// in and build count the rows arriving from the first (outer, probe)
+	// child and from a hash join's build child.
+	in, build float64
+	// matches counts a join's candidate rows before its residual.
+	matches float64
+	// out counts the rows leaving the node.
+	out float64
+
+	// Vector mode only: batches and buildBatches count the batches arriving
+	// from the two children, chunks the batch-width pieces a blocking
+	// operator cuts its buffered input into (join build, sort fill),
+	// outBatches the batches it re-batches its output into, and backRows
+	// and backBatches the positions and batches behind a lazily backed
+	// input, which a column's first touch materializes whole.
+	batches, buildBatches, chunks, outBatches float64
+	backRows, backBatches                     float64
 }
 
-func (pc *planCtx) costIndexScan(n *Node, entries float64) {
-	var a est
-	tree := n.Table.Index(n.IdxCol)
-	pc.c.btreeDescend(&a, 1, tree.Height(), tree.Order(), tree.Len())
-	pc.c.indexEntries(&a, entries, tree.Len())
-	pc.c.heapFetch(&a, entries, n.Table)
-	pc.c.tuple(&a, entries)
-	pc.c.eval(&a, entries, exprNodes(n.Filter))
-	pc.c.emit(&a, n.EstRows, float64(n.schema.RowWidth()))
-	n.EstEJ = pc.c.price(a)
-}
-
-func (pc *planCtx) costIndexJoin(n *Node, preMatches float64) {
-	var a est
-	outer := n.Kids[0].EstRows
-	tree := n.Table.Index(n.InnerColName)
-	pc.c.btreeDescend(&a, outer, tree.Height(), tree.Order(), tree.Len())
-	pc.c.indexEntries(&a, preMatches, tree.Len())
-	pc.c.heapFetch(&a, preMatches, n.Table)
-	pc.c.tuple(&a, preMatches)
-	pc.c.eval(&a, preMatches, exprNodes(n.Filter))
-	pc.c.emit(&a, n.EstRows, float64(len(n.schema.Columns)*8))
-	n.EstEJ = pc.c.price(a)
-}
-
-func (pc *planCtx) costHashJoin(n *Node) {
-	var a est
-	buildRows := n.Kids[1].EstRows
-	probeRows := n.Kids[0].EstRows
-	tableBytes := (buildRows + 1) * 32
-	// Build: hash (3 adds), bucket load, entry store per row.
-	a.add += 3 * buildRows
-	pc.c.randLoad(&a, buildRows, tableBytes)
-	a.reg2 += buildRows
-	// Probe: hash (2 adds) and bucket load per row.
-	a.add += 2 * probeRows
-	pc.c.randLoad(&a, probeRows, tableBytes)
-	// Matches: entry chase, tuple overhead, residual, output copy.
-	pc.c.randLoad(&a, n.EstRows, tableBytes)
-	pc.c.tuple(&a, n.EstRows)
-	pc.c.eval(&a, n.EstRows, exprNodes(n.Filter))
-	pc.c.emit(&a, n.EstRows, float64(len(n.schema.Columns)*8))
-	n.EstEJ = pc.c.price(a)
-}
-
-func (pc *planCtx) costFilter(n *Node) {
-	var a est
-	pc.c.eval(&a, n.Kids[0].EstRows, exprNodes(n.Filter))
-	n.EstEJ = pc.c.price(a)
-}
-
-func (pc *planCtx) costPrune(n *Node) {
-	var a est
-	rows := n.Kids[0].EstRows
-	a.add += rows * float64(len(n.Cols))
-	pc.c.emit(&a, rows, float64(n.schema.RowWidth()))
-	n.EstEJ = pc.c.price(a)
-}
-
-func (pc *planCtx) costProject(n *Node) {
-	var a est
-	rows := n.Kids[0].EstRows
-	pc.c.eval(&a, rows, exprNodes(n.Exprs...))
-	pc.c.emit(&a, rows, float64(len(n.Exprs)*8))
-	n.EstEJ = pc.c.price(a)
-}
-
-// groupTableBytes is the default hash-aggregation table footprint (the
-// executor's group cap times its entry size).
-const groupTableBytes = 32 << 10
-
-func (pc *planCtx) costAggregate(n *Node) {
-	var a est
-	in := n.Kids[0].EstRows
-	groups := n.EstRows
-	pc.c.tuple(&a, in)
-	pc.c.eval(&a, in, exprNodes(n.GroupExprs...)+n.aggArgNodes)
-	a.add += 2 * in
-	pc.c.randLoad(&a, 2*in, groupTableBytes)
-	a.add += in * float64(len(n.Aggs))
-	a.reg2 += in * float64(len(n.Aggs))
-	a.reg2 += groups
-	// Group output (16-byte string keys, 8-byte aggregates), then the
-	// select-list re-projection.
-	pc.c.emit(&a, groups, float64(16*len(n.GroupExprs)+8*len(n.Aggs)))
-	pc.c.eval(&a, groups, exprNodes(n.PostExprs...))
-	pc.c.emit(&a, groups, float64(len(n.PostExprs)*8))
-	n.EstEJ = pc.c.price(a)
-}
-
-func (pc *planCtx) costSort(n *Node) {
-	var a est
-	rows := n.Kids[0].EstRows
-	keyNodes := 0
-	for _, k := range n.SortKeys {
-		keyNodes += k.Expr.Nodes()
+// bind estimates n's cardinalities from its own and its children's row
+// estimates. Where a join's pre-residual candidate count is not known
+// separately, the output estimate stands in for it.
+func bind(n *Node) cards {
+	k := cards{out: n.EstRows, matches: n.EstRows}
+	if n.Kind == opSeqScan {
+		k.scanned = float64(n.Table.File.RowCount())
 	}
-	pc.c.eval(&a, rows, keyNodes)
-	a.reg2 += 2 * rows // collect and final placement stores
-	pc.c.sortCompares(&a, rows, 16, float64(len(n.SortKeys)))
-	a.l1d += rows // key-buffer read on emit
-	pc.c.emit(&a, rows, float64(n.schema.RowWidth()))
+	if len(n.Kids) > 0 {
+		k.in = n.Kids[0].EstRows
+	}
+	if n.Kind == opHashJoin {
+		k.build = n.Kids[1].EstRows
+	}
+	return k
+}
+
+// costRow prices n as a row operator at k.
+func (pc *planCtx) costRow(n *Node, k cards) {
+	a := pc.c.newEst()
+	chargeRow(n, k, a)
+	pc.model(n, k, a, false)
 	n.EstEJ = pc.c.price(a)
+}
+
+// chargeRow issues the modelled charges of n's row operator at k.
+func chargeRow(n *Node, k cards, s exec.Sink) {
+	in := exec.Card{In: k.in}
+	joined := len(n.schema.Columns) * 8
+	switch n.Kind {
+	case opSeqScan, opIndexScan:
+		exec.ChargeTuples(s, exec.Card{In: k.scanned, Out: k.out}, exec.ExprNodes(n.Filter), n.schema.RowWidth())
+	case opIndexJoin:
+		exec.ChargeTuples(s, exec.Card{In: k.matches, Out: k.out}, exec.ExprNodes(n.Filter), joined)
+	case opHashJoin:
+		exec.ChargeHashBuild(s, exec.Card{In: k.build}, 0)
+		exec.ChargeHashProbe(s, in)
+		exec.ChargeTuples(s, exec.Card{In: k.matches, Out: k.out}, exec.ExprNodes(n.Filter), joined)
+	case opFilter:
+		exec.ChargeFilter(s, in, exec.ExprNodes(n.Filter))
+	case opPrune:
+		exec.ChargePrune(s, in, len(n.Cols), n.schema.RowWidth())
+	case opProject:
+		exec.ChargeProject(s, in, exec.ExprNodes(n.Exprs...), len(n.Exprs))
+	case opAggregate:
+		// Hash aggregation, then the select-list re-projection of its groups.
+		groups := exec.Card{In: k.out, Out: k.out}
+		exec.ChargeGroupInput(s, in, exec.ExprNodes(n.GroupExprs...)+n.aggArgNodes)
+		exec.ChargeGroupInsert(s, groups, 0)
+		exec.ChargeGroupUpdate(s, in, len(n.Aggs), 0)
+		exec.ChargeGroupOutput(s, groups, len(n.Aggs), len(n.GroupExprs)+len(n.Aggs))
+		exec.ChargeProject(s, groups, exec.ExprNodes(n.PostExprs...), len(n.PostExprs))
+	case opSort:
+		exec.ChargeSortKeys(s, in)
+		exec.ChargeSortStore(s, in, 0) // fill
+		exec.ChargeSortStore(s, in, 0) // placement
+		exec.ChargeSortEmit(s, in, 0, n.schema.RowWidth())
+	}
+}
+
+// model prices the data-dependent accesses of n at k — heap and index
+// traffic, hash-table probes and chain walks, the sort's ordering pass — in
+// either execution mode: both executors issue them at the same addresses.
+// The vector join adds the gather's scattered first-line load per match;
+// the vector aggregate's table fits the cache and has no such term.
+func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
+	c := pc.c
+	switch n.Kind {
+	case opSeqScan:
+		c.scanHeap(a, n.Table)
+	case opIndexScan:
+		tree := n.Table.Index(n.IdxCol)
+		c.btreeDescend(a, 1, tree.Height(), tree.Order(), tree.Len())
+		c.indexEntries(a, k.scanned, tree.Len())
+		c.heapFetch(a, k.scanned, n.Table)
+	case opIndexJoin:
+		tree := n.Table.Index(n.InnerColName)
+		c.btreeDescend(a, k.in, tree.Height(), tree.Order(), tree.Len())
+		c.indexEntries(a, k.matches, tree.Len())
+		c.heapFetch(a, k.matches, n.Table)
+	case opHashJoin:
+		table := exec.HashTableBytes(k.build)
+		c.randLoad(a, k.build, table)   // bucket load per build row
+		c.randLoad(a, k.in, table)      // bucket head per probe row
+		c.randLoad(a, k.matches, table) // chain hop per match
+		if vector {
+			c.randLoad(a, k.matches, math.Max(memsim.LineSize, k.build*float64(n.Kids[1].schema.RowWidth())))
+		}
+	case opAggregate:
+		if !vector {
+			c.randLoad(a, k.in, exec.GroupTableBytes) // bucket probe
+			c.randLoad(a, k.in, exec.GroupTableBytes) // accumulator fetch
+		}
+	case opSort:
+		c.sortCompares(a, k.in, exec.SortEntryBytes, float64(len(n.SortKeys)))
+	}
 }
 
 // planFootprint sums the plan's working set: scanned heaps, the touched
@@ -553,11 +561,11 @@ func (pc *planCtx) planFootprint(n *Node) float64 {
 		total += math.Min(pc.c.heapBytes(n.Table), probes*float64(pc.e.Knobs.PageBytes))
 	case opHashJoin:
 		build := n.Kids[1]
-		total += build.EstRows*float64(build.schema.RowWidth()) + (build.EstRows+1)*32
+		total += build.EstRows*float64(build.schema.RowWidth()) + exec.HashTableBytes(build.EstRows)
 	case opAggregate:
-		total += groupTableBytes
+		total += exec.GroupTableBytes
 	case opSort:
-		total += n.Kids[0].EstRows * (float64(n.Kids[0].schema.RowWidth()) + 16)
+		total += n.Kids[0].EstRows * (float64(n.Kids[0].schema.RowWidth()) + exec.SortEntryBytes)
 	}
 	for _, k := range n.Kids {
 		total += pc.planFootprint(k)
@@ -576,7 +584,7 @@ func (pc *planCtx) recostScans(n *Node) {
 		pc.recostScans(k)
 	}
 	if n.Kind == opSeqScan {
-		pc.costSeqScan(n)
+		pc.costRow(n, bind(n))
 	}
 }
 
@@ -626,26 +634,26 @@ func (pc *planCtx) outerKeep(schema *catalog.Schema, i int) ([]int, bool) {
 }
 
 // maybePrune inserts a column-pruning node over child when the predicted
-// energy saved in the parent's per-match output copies exceeds the prune's
-// own per-row cost.
-func (pc *planCtx) maybePrune(child *Node, keep []int, parentRows float64, parentExtraCols int) *Node {
-	fullCols := len(child.schema.Columns)
-	linesFull := math.Ceil(float64((fullCols+parentExtraCols)*8) / 64)
-	linesKept := math.Ceil(float64((len(keep)+parentExtraCols)*8) / 64)
-	var benefit est
-	benefit.reg2 = parentRows * (linesFull - linesKept)
+// energy of the row-copy lines it saves downstream — rows copies, each
+// linesSaved cache lines narrower — exceeds the prune's own per-row cost.
+func (pc *planCtx) maybePrune(child *Node, keep []int, rows, linesSaved float64) *Node {
+	benefit := pc.c.newEst()
+	benefit.Stores(0, rows*linesSaved)
 	prune := &Node{
 		Kind: opPrune, Kids: []*Node{child},
 		Cols:    keep,
 		schema:  child.schema.Project(keep),
 		EstRows: child.EstRows,
 	}
-	pc.costPrune(prune)
+	pc.costRow(prune, bind(prune))
 	if prune.EstEJ < pc.c.price(benefit) {
 		return prune
 	}
 	return child
 }
+
+// lines is the number of cache lines a row of the given byte width spans.
+func lines(width int) float64 { return math.Ceil(float64(width) / memsim.LineSize) }
 
 // buildChain assembles the scan-join part of the plan, then applies any
 // conjuncts that never resolved (surfacing their resolution errors).
@@ -657,8 +665,10 @@ func (pc *planCtx) buildChain() (*Node, error) {
 	for i := 1; i < len(pc.lp.rels); i++ {
 		r := pc.lp.rels[i]
 		if keep, ok := pc.outerKeep(node.schema, i); ok {
-			innerCols := len(r.t.Schema().Columns)
-			node = pc.maybePrune(node, keep, node.EstRows, innerCols)
+			// The join copies outer plus inner columns per match, 8 bytes each.
+			inner := len(r.t.Schema().Columns)
+			saved := lines((len(node.schema.Columns)+inner)*8) - lines((len(keep)+inner)*8)
+			node = pc.maybePrune(node, keep, node.EstRows, saved)
 		}
 		node, err = pc.chooseJoin(node, r, pc.lp.residualsAt(i))
 		if err != nil {
@@ -676,7 +686,7 @@ func (pc *planCtx) buildChain() (*Node, error) {
 			schema:  node.schema,
 			EstRows: node.EstRows * defaultSel,
 		}
-		pc.costFilter(f)
+		pc.costRow(f, bind(f))
 		node = f
 	}
 	return node, nil
@@ -721,7 +731,8 @@ func (pc *planCtx) buildTop(node *Node) (*Node, error) {
 		// Sort copies whole rows, so dropping wide unused columns saves
 		// a line per row per copy.
 		if keep, ok := pc.outerKeep(node.schema, len(pc.lp.rels)); ok {
-			node = pc.maybeSortPrune(node, keep)
+			saved := lines(node.schema.RowWidth()) - lines(node.schema.Project(keep).RowWidth())
+			node = pc.maybePrune(node, keep, node.EstRows, saved)
 		}
 		aliasExprs := map[string]sql.Node{}
 		for _, it := range stmt.Items {
@@ -751,7 +762,7 @@ func (pc *planCtx) buildTop(node *Node) (*Node, error) {
 			schema:  node.schema,
 			EstRows: node.EstRows,
 		}
-		pc.costSort(s)
+		pc.costRow(s, bind(s))
 		node = s
 	}
 
@@ -777,7 +788,7 @@ func (pc *planCtx) buildTop(node *Node) (*Node, error) {
 			schema:  node.schema,
 			EstRows: node.EstRows,
 		}
-		pc.costSort(s)
+		pc.costRow(s, bind(s))
 		node = s
 	}
 	if stmt.Limit > 0 {
@@ -789,27 +800,6 @@ func (pc *planCtx) buildTop(node *Node) (*Node, error) {
 		}
 	}
 	return node, nil
-}
-
-// maybeSortPrune inserts a prune below a sort when the saved row-copy width
-// beats the prune cost.
-func (pc *planCtx) maybeSortPrune(child *Node, keep []int) *Node {
-	pruned := child.schema.Project(keep)
-	fullLines := math.Ceil(float64(child.schema.RowWidth()) / 64)
-	keptLines := math.Ceil(float64(pruned.RowWidth()) / 64)
-	var benefit est
-	benefit.reg2 = child.EstRows * (fullLines - keptLines)
-	prune := &Node{
-		Kind: opPrune, Kids: []*Node{child},
-		Cols:    keep,
-		schema:  pruned,
-		EstRows: child.EstRows,
-	}
-	pc.costPrune(prune)
-	if prune.EstEJ < pc.c.price(benefit) {
-		return prune
-	}
-	return child
 }
 
 func sortName(k sql.OrderKey) string {
@@ -854,7 +844,7 @@ func (pc *planCtx) projection(node *Node) (*Node, map[string]int, error) {
 			schema:  projectSchema(outNames),
 			EstRows: node.EstRows,
 		}
-		pc.costProject(p)
+		pc.costRow(p, bind(p))
 		return p, names, nil
 	}
 
@@ -938,7 +928,7 @@ func (pc *planCtx) projection(node *Node) (*Node, map[string]int, error) {
 		schema:  projectSchema(postNames),
 		EstRows: pc.groupEstimate(node.EstRows),
 	}
-	pc.costAggregate(a)
+	pc.costRow(a, bind(a))
 	return a, names, nil
 }
 

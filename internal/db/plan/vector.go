@@ -13,12 +13,14 @@ import (
 // row mode (each child free to pick its own cheaper state, every vector→row
 // transition explicitly charged) and in vector mode (every child forced to
 // stay in the chain), then commits the cheaper assignment top-down. The
-// estimators below mirror the vec package's charging scheme exactly — one
-// per-batch dispatch (a tuple's worth of interpretation overhead) per
-// primitive plus per-element payload traffic — priced with the same
-// calibrated ΔE_m table as every other estimate, so the crossover falls out
-// of the model: tiny inputs stay on the row path (the batch dispatch does
-// not amortize), large scans go vector.
+// vector hypothesis is priced the way the row one is (see "node costing" in
+// physical.go): chargeVec evaluates the vec package's own charge functions
+// — one per-batch dispatch per primitive plus per-element payload traffic —
+// at the node's estimated cardinalities, and the cache model prices the
+// data-dependent accesses, all with the same calibrated ΔE_m table as every
+// other estimate. The crossover falls out of the model: tiny inputs stay on
+// the row path (the batch dispatch does not amortize), large scans go
+// vector.
 //
 // A vectorized operator exchanges columnar batches, so it can only stack on
 // a vectorized child; chains are rooted at sequential scans — and, with the
@@ -42,18 +44,6 @@ func vecEligibleKind(k opKind) bool {
 		return true
 	}
 	return false
-}
-
-// supportedExpr treats a missing predicate as vectorizable.
-func supportedExpr(e exec.Expr) bool { return e == nil || vec.Supported(e) }
-
-func allSupported(exprs []exec.Expr) bool {
-	for _, e := range exprs {
-		if !supportedExpr(e) {
-			return false
-		}
-	}
-	return true
 }
 
 // lazyBatch is the planner's model of a lazily materialized scan batch
@@ -108,13 +98,12 @@ func (pc *planCtx) chooseModes(root *Node) {
 	pc.commitModes(root, false) // the drain loop at the top consumes rows
 }
 
-// priceModes computes the two-state price of n's subtree. While pricing the
-// vector hypothesis, each child's lazy-batch state is staged in pc.lazy so
-// the estimators see the chain's materialization state — the mechanism that
-// threads the consumer's column demand down a chain: a parent's estimator
-// charges Batch.Col materialization only for the columns it references,
-// against the child's output state (the parent's demand, not the child's
-// supply).
+// priceModes computes the two-state price of n's subtree. The vector
+// hypothesis is priced against the first child's output lazy-batch state —
+// the mechanism that threads the consumer's column demand down a chain: a
+// parent is charged Batch.Col materialization only for the columns it
+// references, against the child's output state (the parent's demand, not
+// the child's supply).
 func (pc *planCtx) priceModes(n *Node) modePrice {
 	rowKids, vecKids := 0.0, 0.0
 	chainKids := true
@@ -129,9 +118,6 @@ func (pc *planCtx) priceModes(n *Node) modePrice {
 	}
 	mp := modePrice{rowTotal: n.EstEJ + rowKids, vecTotal: math.Inf(1)}
 	if chainKids && pc.vecSupported(n) {
-		for _, k := range n.Kids {
-			pc.setLazy(k, pc.prices[k].lz)
-		}
 		mp.vecEJ, mp.lz = pc.costVec(n)
 		mp.vecTotal = mp.vecEJ + vecKids
 		mp.boundary = pc.costBoundary(n)
@@ -154,7 +140,6 @@ func (pc *planCtx) commitModes(n *Node, vecConsumer bool) {
 			n.BoundaryEJ = mp.boundary
 			n.EstEJ += mp.boundary
 		}
-		pc.setLazy(n, mp.lz)
 		for _, k := range n.Kids {
 			pc.commitModes(k, true)
 		}
@@ -165,103 +150,61 @@ func (pc *planCtx) commitModes(n *Node, vecConsumer bool) {
 	}
 }
 
-// setLazy stages a node's output lazy-batch state for its consumer's
-// estimator (nil states are recorded as absent).
-func (pc *planCtx) setLazy(n *Node, lz *lazyBatch) {
-	if pc.lazy == nil {
-		pc.lazy = map[*Node]*lazyBatch{}
-	}
-	if lz == nil {
-		delete(pc.lazy, n)
-		return
-	}
-	pc.lazy[n] = lz
-}
-
 // vecSupported reports whether n can run vectorized at all, given batch
 // inputs: the kind has a kernel implementation and every expression
 // compiles to kernels.
 func (pc *planCtx) vecSupported(n *Node) bool {
-	switch n.Kind {
-	case opSeqScan:
-		return supportedExpr(n.Filter)
-	case opFilter:
-		return supportedExpr(n.Filter)
-	case opPrune:
-		return true
-	case opProject:
-		return allSupported(n.Exprs)
-	case opAggregate:
-		if !allSupported(n.GroupExprs) || !allSupported(n.PostExprs) {
+	if !vecEligibleKind(n.Kind) {
+		return false
+	}
+	// A build side smaller than one batch never fills a single build chunk:
+	// the batched build degenerates to the row path plus extra buffering,
+	// and at that size the estimator is below its resolution (one dispatch
+	// either way decides the comparison). Keep such joins on the row path.
+	if n.Kind == opHashJoin && n.Kids[1].EstRows < pc.batchWidth() {
+		return false
+	}
+	exprs := append([]exec.Expr{n.Filter}, n.Exprs...)
+	exprs = append(append(exprs, n.GroupExprs...), n.PostExprs...)
+	for _, a := range n.Aggs {
+		exprs = append(exprs, a.Arg)
+	}
+	for _, k := range n.SortKeys {
+		exprs = append(exprs, k.Expr)
+	}
+	for _, e := range exprs {
+		if e != nil && !vec.Supported(e) {
 			return false
 		}
-		for _, a := range n.Aggs {
-			if !supportedExpr(a.Arg) {
-				return false
-			}
-		}
-		return true
-	case opHashJoin:
-		// A build side smaller than one batch never fills a single build
-		// chunk: the batched build degenerates to the row path plus extra
-		// buffering, and at that size the estimator is below its resolution
-		// (one dispatch either way decides the comparison). Keep such joins
-		// on the row path.
-		return supportedExpr(n.Filter) && n.Kids[1].EstRows >= pc.batchWidth()
-	case opSort:
-		for _, k := range n.SortKeys {
-			if !supportedExpr(k.Expr) {
-				return false
-			}
-		}
-		return true
 	}
-	return false
+	return true
 }
 
-// costVec dispatches to the node kind's vector estimator. Callers must have
-// staged the children's lazy-batch states (priceModes does).
+// costVec prices n under the vector hypothesis and returns its output
+// lazy-batch state; its children must have been priced (priceModes does).
 func (pc *planCtx) costVec(n *Node) (float64, *lazyBatch) {
-	switch n.Kind {
-	case opSeqScan:
-		return pc.costVecSeqScan(n)
-	case opFilter:
-		return pc.costVecFilter(n)
-	case opPrune:
-		return pc.costVecPrune(n)
-	case opProject:
-		return pc.costVecProject(n)
-	case opAggregate:
-		return pc.costVecAggregate(n)
-	case opHashJoin:
-		return pc.costVecHashJoin(n)
-	case opSort:
-		return pc.costVecSort(n)
+	var in *lazyBatch
+	if len(n.Kids) > 0 {
+		in = pc.prices[n.Kids[0]].lz
 	}
-	return math.Inf(1), nil
+	k := pc.bindVec(n, in)
+	a := pc.c.newEst()
+	out := chargeVec(n, k, a, in)
+	pc.model(n, k, a, true)
+	return pc.c.price(a), out
 }
 
-// costBoundary prices the vector→row transition under n: the RowSource
-// adaptation (one adapter dispatch per batch) plus the loss of lazy
-// materialization — the row consumer takes whole rows, so every row pays a
-// full-width copy out of the batch's backing regardless of which columns
-// the chain below materialized. Mirrors vec.RowSource's charges exactly
-// (the exported Boundary* constants).
+// costBoundary prices the vector→row transition above n: what vec.RowSource
+// charges to hand n's batches to a row consumer.
 func (pc *planCtx) costBoundary(n *Node) float64 {
-	var a est
-	rows := n.EstRows
-	lines := math.Ceil(float64(n.schema.RowWidth()) / 64)
-	if lines < 1 {
-		lines = 1
-	}
-	pc.c.tuple(&a, pc.batchesFor(rows))
-	a.l1d += rows * lines * vec.BoundaryLoadsPerLine
-	a.reg2 += rows * lines * vec.BoundaryStoresPerLine
-	a.other += rows * vec.BoundaryInstrPerRow
+	a := pc.c.newEst()
+	chargeBoundary(n, exec.Card{Batches: pc.batchesFor(n.EstRows), In: n.EstRows}, a)
 	return pc.c.price(a)
 }
 
-// vector-mode estimators ------------------------------------------------------
+func chargeBoundary(n *Node, c exec.Card, s exec.Sink) {
+	vec.ChargeBoundary(s, c, vec.RowLines(n.schema.RowWidth()), 0)
+}
 
 // batchWidth is the planner's view of the L1D-derived batch size.
 func (pc *planCtx) batchWidth() float64 {
@@ -276,328 +219,140 @@ func (pc *planCtx) batchesFor(n float64) float64 {
 	return math.Ceil(n / pc.batchWidth())
 }
 
-// vecKernel charges one vectorized primitive over n elements spread across
-// `batches` batches with `inputs` non-constant input vectors: a per-batch
-// dispatch, then per element the kernel's payload loads, ALU work and
-// payload store (vec.chargeKernel's counters).
-func (pc *planCtx) vecKernel(a *est, batches, n, inputs float64) {
-	pc.c.tuple(a, batches)
-	a.l1d += n * inputs * vec.KernelLoadsPerVal
-	a.add += n * vec.KernelInstrPerVal
-	a.reg2 += n * vec.KernelStoresPerVal
+// bindVec extends bind with the batch counts of the vector hypothesis; in
+// is the staged output state of n's first child.
+func (pc *planCtx) bindVec(n *Node, in *lazyBatch) cards {
+	k := bind(n)
+	k.batches = pc.batchesFor(k.in)
+	k.buildBatches = pc.batchesFor(k.build)
+	k.chunks = k.batches
+	k.outBatches = pc.batchesFor(k.out)
+	switch {
+	case n.Kind == opSeqScan:
+		k.batches = pc.batchesFor(k.scanned)
+		k.backRows, k.backBatches = k.scanned, k.batches
+	case in != nil:
+		k.backRows, k.backBatches = in.rows, pc.batchesFor(in.rows)
+	}
+	if n.Kind == opHashJoin {
+		k.chunks = k.buildBatches
+	}
+	return k
 }
 
-// nonConstInput counts an expression operand as one vector load stream
-// unless it is a constant (broadcast vectors have no payload to load).
-func nonConstInput(e exec.Expr) float64 {
-	if _, ok := e.(exec.Const); ok {
-		return 0
-	}
-	return 1
-}
-
-// vecExpr charges the kernels of one expression tree over n selected
-// elements: each computed node is one primitive; columns alias batch vectors
-// and constants broadcast, both free.
-func (pc *planCtx) vecExpr(a *est, e exec.Expr, batches, n float64) {
-	switch t := e.(type) {
-	case exec.BinOp:
-		pc.vecExpr(a, t.L, batches, n)
-		pc.vecExpr(a, t.R, batches, n)
-		pc.vecKernel(a, batches, n, nonConstInput(t.L)+nonConstInput(t.R))
-	case exec.Not:
-		pc.vecExpr(a, t.E, batches, n)
-		pc.vecKernel(a, batches, n, nonConstInput(t.E))
-	case exec.Like:
-		pc.vecExpr(a, t.E, batches, n)
-		pc.vecKernel(a, batches, n, nonConstInput(t.E))
-	case exec.InList:
-		pc.vecExpr(a, t.E, batches, n)
-		pc.vecKernel(a, batches, n, nonConstInput(t.E))
-	}
-}
-
-// vecPred charges predicate evaluation plus the selection narrowing
-// (vec.applyPred): the predicate kernels, one branch pass over the n
-// candidates, and the selection-vector store for the `selected` survivors.
-func (pc *planCtx) vecPred(a *est, pred exec.Expr, batches, n, selected float64) {
-	if pred == nil {
-		return
-	}
-	pc.vecExpr(a, pred, batches, n)
-	pc.c.tuple(a, batches)
-	a.l1d += n
-	a.other += n
-	a.reg2 += selected
-}
-
-// exprCols collects the column indexes an expression references. Only the
-// kernel-supported node types can appear under vector mode, so the walk
-// covers exactly those.
-func exprCols(e exec.Expr, set map[int]bool) {
-	switch t := e.(type) {
-	case exec.Col:
-		set[t.Idx] = true
-	case exec.BinOp:
-		exprCols(t.L, set)
-		exprCols(t.R, set)
-	case exec.Not:
-		exprCols(t.E, set)
-	case exec.Like:
-		exprCols(t.E, set)
-	case exec.InList:
-		exprCols(t.E, set)
-	}
-}
-
-// vecMaterialize charges the lazy materializations this node's kernels
-// trigger (vec.Batch.Col): for each referenced column the subtree has not
-// touched yet, one primitive per batch — a dispatch, then a move and a
-// payload store per backing position — and marks it materialized in lz.
-func (pc *planCtx) vecMaterialize(a *est, lz *lazyBatch, cols map[int]bool) {
-	if lz == nil {
-		return
-	}
-	fresh := 0.0
-	for c := range cols {
-		if !lz.mat[c] {
-			lz.mat[c] = true
-			fresh++
+// toucher returns the planner's stand-in for vec.Batch.Col on a lazily
+// backed batch of the given extent: the first touch of a column lz has not
+// materialized yet charges its materialization and marks it.
+func toucher(s exec.Sink, lz *lazyBatch, batches, rows float64) func(col int) {
+	return func(col int) {
+		if lz != nil && !lz.mat[col] {
+			lz.mat[col] = true
+			vec.ChargeMaterialize(s, exec.Card{Batches: batches, In: rows}, 0)
 		}
 	}
-	if fresh == 0 {
-		return
-	}
-	pc.c.tuple(a, pc.batchesFor(lz.rows)*fresh)
-	a.add += lz.rows * fresh
-	a.reg2 += lz.rows * fresh
 }
 
-// costVecSeqScan predicts the vectorized scan: the same heap traffic as the
-// row scan (the batch scanner touches the same pages and lines), then the
-// pushed predicate over lazily materialized columns — only columns the
-// predicate references move payload bytes here; the rest materialize where
-// (and if) a parent kernel first touches them. There is no output-row copy —
-// batches are handed to the parent by reference.
-func (pc *planCtx) costVecSeqScan(n *Node) (float64, *lazyBatch) {
-	var a est
-	rows := float64(n.Table.File.RowCount())
-	batches := pc.batchesFor(rows)
-	pc.c.scanHeap(&a, n.Table)
-	pc.c.tuple(&a, batches) // per-batch driver dispatch
-	lz := &lazyBatch{mat: map[int]bool{}, rows: rows}
-	if n.Filter != nil {
-		cols := map[int]bool{}
-		exprCols(n.Filter, cols)
-		pc.vecMaterialize(&a, lz, cols)
-		pc.vecPred(&a, n.Filter, batches, rows, n.EstRows)
+// chargeProject charges a vectorized projection of c: its driver dispatch
+// and one kernel program per output expression.
+func chargeProject(s exec.Sink, c exec.Card, exprs []exec.Expr, touch func(col int)) {
+	vec.ChargeDispatch(s, c)
+	for _, e := range exprs {
+		vec.Compile(e).Charge(s, c, touch)
 	}
-	return pc.c.price(a), lz
 }
 
-// costVecFilter predicts a vectorized selection narrowing. The batch passes
-// through by reference, so the output stays lazily backed.
-func (pc *planCtx) costVecFilter(n *Node) (float64, *lazyBatch) {
-	var a est
-	lz := cloneLazy(pc.lazy[n.Kids[0]])
-	cols := map[int]bool{}
-	exprCols(n.Filter, cols)
-	pc.vecMaterialize(&a, lz, cols)
-	in := n.Kids[0].EstRows
-	pc.vecPred(&a, n.Filter, pc.batchesFor(in), in, n.EstRows)
-	return pc.c.price(a), lz
-}
-
-// costVecPrune predicts a vectorized column prune: one dispatch per batch
-// remapping column slots, materializing the kept columns (no further
-// payload movement). The pruned batch is fully materialized.
-func (pc *planCtx) costVecPrune(n *Node) (float64, *lazyBatch) {
-	var a est
-	lz := cloneLazy(pc.lazy[n.Kids[0]])
-	cols := map[int]bool{}
-	for _, c := range n.Cols {
-		cols[c] = true
+// chargeVec issues the modelled charges of n's vectorized operator at k,
+// given the lazy-batch state its first child hands over, and returns the
+// state n hands its own consumer: nil when every output vector is
+// materialized (kernel outputs), otherwise what the subtree has touched so
+// far. Only columns a node's kernels reference materialize here; the rest
+// do where (and if) a parent first touches them — which is how a
+// consumer's column demand, not the producer's supply, ends up priced.
+func chargeVec(n *Node, k cards, s exec.Sink, in *lazyBatch) *lazyBatch {
+	lz := cloneLazy(in)
+	if n.Kind == opSeqScan {
+		lz = &lazyBatch{mat: map[int]bool{}, rows: k.scanned}
 	}
-	pc.vecMaterialize(&a, lz, cols)
-	batches := pc.batchesFor(n.Kids[0].EstRows)
-	pc.c.tuple(&a, batches)
-	a.add += batches * float64(len(n.Cols))
-	return pc.c.price(a), nil
-}
-
-// costVecProject predicts one kernel tree per output expression, plus the
-// lazy materialization of the input columns those kernels touch. The
-// projected batch is fully materialized.
-func (pc *planCtx) costVecProject(n *Node) (float64, *lazyBatch) {
-	var a est
-	lz := cloneLazy(pc.lazy[n.Kids[0]])
-	cols := map[int]bool{}
-	for _, e := range n.Exprs {
-		exprCols(e, cols)
-	}
-	pc.vecMaterialize(&a, lz, cols)
-	in := n.Kids[0].EstRows
-	batches := pc.batchesFor(in)
-	for _, e := range n.Exprs {
-		pc.vecExpr(&a, e, batches, in)
-	}
-	return pc.c.price(a), nil
-}
-
-// costVecAggregate predicts the batch-at-a-time hash aggregation: key and
-// argument kernels, one table-update primitive per batch (probe loads,
-// accumulator stores and update arithmetic, all L1-resident — the simulated
-// table fits the cache), then the group materialization and the select-list
-// re-projection over the group batches.
-func (pc *planCtx) costVecAggregate(n *Node) (float64, *lazyBatch) {
-	var a est
-	lz := cloneLazy(pc.lazy[n.Kids[0]])
-	cols := map[int]bool{}
-	for _, e := range n.GroupExprs {
-		exprCols(e, cols)
-	}
-	for _, ag := range n.Aggs {
-		if ag.Arg != nil {
-			exprCols(ag.Arg, cols)
+	touch := toucher(s, lz, k.backBatches, k.backRows)
+	arriving := exec.Card{Batches: k.batches, In: k.in, Out: k.out}
+	switch n.Kind {
+	case opSeqScan:
+		// The same heap traffic as the row scan (model), a driver dispatch
+		// per batch, then the pushed predicate; no output-row copy — batches
+		// go to the parent by reference.
+		vec.ChargeScan(s, exec.Card{Batches: k.batches}, 0)
+		if n.Filter != nil {
+			vec.Compile(n.Filter).ChargeFilter(s, exec.Card{Batches: k.batches, In: k.scanned, Out: k.out}, touch)
 		}
-	}
-	pc.vecMaterialize(&a, lz, cols)
-	in := n.Kids[0].EstRows
-	groups := n.EstRows
-	batches := pc.batchesFor(in)
-	for _, e := range n.GroupExprs {
-		pc.vecExpr(&a, e, batches, in)
-	}
-	for _, ag := range n.Aggs {
-		if ag.Arg != nil {
-			pc.vecExpr(&a, ag.Arg, batches, in)
+		return lz
+	case opFilter:
+		// The batch passes through by reference: the output stays lazy.
+		vec.Compile(n.Filter).ChargeFilter(s, arriving, touch)
+		return lz
+	case opPrune:
+		vec.ChargePrune(s, arriving, len(n.Cols))
+		for _, c := range n.Cols {
+			touch(c)
 		}
+	case opProject:
+		chargeProject(s, arriving, n.Exprs, touch)
+	case opAggregate:
+		// Key and argument kernels and one table update per batch; then the
+		// finalizing table scan, one materialization primitive per output
+		// column per group batch, and the select-list re-projection.
+		for _, e := range n.GroupExprs {
+			vec.Compile(e).Charge(s, arriving, touch)
+		}
+		for _, ag := range n.Aggs {
+			if ag.Arg != nil {
+				vec.Compile(ag.Arg).Charge(s, arriving, touch)
+			}
+		}
+		vec.ChargeAggUpdate(s, arriving, len(n.Aggs), 0)
+		groups := exec.Card{Batches: k.outBatches, In: k.out}
+		vec.ChargeAggFinalize(s, exec.Card{Batches: 1, In: k.out}, len(n.GroupExprs), len(n.Aggs), 0)
+		for i := len(n.GroupExprs) + len(n.Aggs); i > 0; i-- {
+			vec.ChargeMaterialize(s, groups, 0)
+		}
+		chargeProject(s, groups, n.PostExprs, func(int) {}) // group batches are materialized
+	case opHashJoin:
+		// Build: a collect dispatch per batch, the chunked hashing of the
+		// row buffer, an entry store per row. Probe: the key column of a
+		// lazily backed probe batch materializes, then one key-hash kernel
+		// per batch. Matches: one gather per output batch. The output is
+		// backed by the assembled rows, so which of its columns become
+		// vectors is priced where a consumer (or the residual here) touches
+		// them.
+		buildLines := vec.RowLines(n.Kids[1].schema.RowWidth())
+		vec.ChargeDispatch(s, exec.Card{Batches: k.buildBatches})
+		vec.ChargeJoinBuild(s, exec.Card{Batches: k.chunks, In: k.build}, buildLines, 0)
+		vec.ChargeJoinInsert(s, exec.Card{In: k.build}, 0)
+		vec.ChargeDispatch(s, arriving)
+		touch(n.OuterKey)
+		vec.ChargeJoinProbe(s, arriving, 0)
+		matched := exec.Card{Batches: k.outBatches, In: k.matches, Out: k.out}
+		vec.ChargeDispatch(s, matched)
+		vec.ChargeJoinGather(s, matched, vec.RowLines(n.Kids[0].schema.RowWidth()), buildLines, 0)
+		out := &lazyBatch{mat: map[int]bool{}, rows: k.matches}
+		if n.Filter != nil {
+			vec.Compile(n.Filter).ChargeFilter(s, matched, toucher(s, out, k.outBatches, k.matches))
+		}
+		return out
+	case opSort:
+		// Bulk key extraction (kernels plus one packing primitive per key
+		// per batch), a collect dispatch per batch, the chunked fill, the
+		// placement, and a lazily backed emit with no per-row output copy.
+		for _, key := range n.SortKeys {
+			p := vec.Compile(key.Expr)
+			p.Charge(s, arriving, touch)
+			vec.ChargeSortPack(s, arriving, 0, p.Const(), 0)
+		}
+		vec.ChargeDispatch(s, arriving)                     // collect
+		vec.ChargeDispatch(s, exec.Card{Batches: k.chunks}) // fill, chunk by chunk
+		exec.ChargeSortStore(s, arriving, 0)                // fill
+		exec.ChargeSortStore(s, arriving, 0)                // placement
+		vec.ChargeSortEmit(s, exec.Card{Batches: k.outBatches, In: k.in}, 0)
+		return &lazyBatch{mat: map[int]bool{}, rows: k.out}
 	}
-	pc.c.tuple(&a, batches)
-	a.l1d += 2 * in
-	a.reg2 += in
-	a.add += in * float64(2+len(n.Aggs))
-
-	outCols := float64(len(n.GroupExprs) + len(n.Aggs))
-	gBatches := pc.batchesFor(groups)
-	pc.c.tuple(&a, gBatches*outCols)
-	a.add += groups * outCols
-	a.reg2 += groups * outCols
-	for _, e := range n.PostExprs {
-		pc.vecExpr(&a, e, gBatches, groups)
-	}
-	return pc.c.price(a), nil
-}
-
-// costVecHashJoin predicts the batch-at-a-time hash join, mirroring
-// vec.HashJoin's charging: the build side is collected and hashed in chunks
-// (bulk buffer copy and hash arithmetic, per-row dependent bucket accesses
-// into the same simulated table the row join probes), each probe batch runs
-// one key-hash kernel plus a dependent bucket-head load per element, and
-// every match is gathered — one dispatch per output batch plus two block
-// row-copies per match — into a lazily row-backed output batch. The gather
-// moves cache lines, not per-column vector elements: which output columns
-// become vectors is the consumer's decision, priced by the consumer's own
-// estimator against the outLz state returned here (or by costBoundary when
-// a row consumer takes whole rows). That demand-side accounting is what
-// stops the wide-row over-prediction X8 surfaced — the old model charged a
-// per-element primitive for every output column, supply-side, even when the
-// parent materialized almost none of them. The per-tuple dispatch,
-// probe-row clone and per-match output copy of the row join are gone; for
-// tiny inputs the fixed per-batch dispatches do not amortize and the row
-// estimate wins.
-func (pc *planCtx) costVecHashJoin(n *Node) (float64, *lazyBatch) {
-	var a est
-	buildRows := n.Kids[1].EstRows
-	probeRows := n.Kids[0].EstRows
-	matches := n.EstRows
-	tableBytes := (buildRows + 1) * 32
-	buildBatches := pc.batchesFor(buildRows)
-	probeBatches := pc.batchesFor(probeRows)
-	outBatches := pc.batchesFor(matches)
-	rowLines := math.Ceil(float64(n.Kids[1].schema.RowWidth()) / 64)
-	probeLines := math.Ceil(float64(n.Kids[0].schema.RowWidth()) / 64)
-	bufBytes := math.Max(64, buildRows*float64(n.Kids[1].schema.RowWidth()))
-
-	// Build: a collect dispatch and a chunk dispatch per build batch, the
-	// row-buffer copy, bulk key loads and hash arithmetic, then a dependent
-	// bucket load and an entry store per row.
-	pc.c.tuple(&a, 2*buildBatches)
-	a.reg2 += buildRows * rowLines
-	a.l1d += buildRows
-	a.add += 3 * buildRows
-	pc.c.randLoad(&a, buildRows, tableBytes)
-	a.reg2 += buildRows
-
-	// Probe: the key-hash kernel materializes only the probe key column of a
-	// lazily backed probe batch.
-	lz := cloneLazy(pc.lazy[n.Kids[0]])
-	pc.vecMaterialize(&a, lz, map[int]bool{n.OuterKey: true})
-	// Key-hash kernel per probe batch plus the dependent bucket-head loads.
-	pc.c.tuple(&a, probeBatches)
-	a.l1d += probeRows * vec.KernelLoadsPerVal
-	a.add += 2 * probeRows
-	pc.c.randLoad(&a, probeRows, tableBytes)
-
-	// Matches: the bucket-chain chase stays per element; the gather is one
-	// dispatch per output batch and two block row-copies per match — a
-	// dependent first-line load of the matched build row at its scattered
-	// buffer offset, the trailing build lines and the cache-hot probe row,
-	// and the assembled-row stores — leaving the output lazily backed.
-	pc.c.randLoad(&a, matches, tableBytes)
-	pc.c.tuple(&a, outBatches)
-	pc.c.randLoad(&a, matches, bufBytes)
-	a.l1d += matches * (rowLines - 1 + probeLines)
-	a.reg2 += matches * (probeLines + rowLines)
-	a.add += 2 * matches
-
-	// Residual predicate, vectorized over the gathered output batch: its
-	// columns materialize from the backing rows first.
-	outLz := &lazyBatch{mat: map[int]bool{}, rows: matches}
-	if n.Filter != nil {
-		cols := map[int]bool{}
-		exprCols(n.Filter, cols)
-		pc.vecMaterialize(&a, outLz, cols)
-		pc.vecPred(&a, n.Filter, outBatches, matches, matches)
-	}
-	return pc.c.price(a), outLz
-}
-
-// costVecSort predicts the batch-at-a-time sort, mirroring vec.Sort: bulk
-// key extraction (expression kernels plus one packing primitive per key per
-// batch), the chunked sort-buffer fill, the same O(n log n) comparator
-// costs as the row sort, and a lazily backed emit — one dispatch and a
-// streaming read of the sorted run per output batch, with no per-row output
-// copy. The output batch is backed by the sorted rows, so parent kernels
-// pay materialization only for the columns they touch.
-func (pc *planCtx) costVecSort(n *Node) (float64, *lazyBatch) {
-	var a est
-	lz := cloneLazy(pc.lazy[n.Kids[0]])
-	cols := map[int]bool{}
-	for _, k := range n.SortKeys {
-		exprCols(k.Expr, cols)
-	}
-	pc.vecMaterialize(&a, lz, cols)
-	in := n.Kids[0].EstRows
-	batches := pc.batchesFor(in)
-	nkeys := float64(len(n.SortKeys))
-	for _, k := range n.SortKeys {
-		pc.vecExpr(&a, k.Expr, batches, in)
-	}
-	// Key packing: one primitive per key per batch.
-	pc.c.tuple(&a, batches*nkeys)
-	a.l1d += in * nkeys * vec.KernelLoadsPerVal
-	a.add += in * nkeys
-	a.reg2 += in * nkeys * vec.KernelStoresPerVal
-	// Collect dispatch per batch, then the chunked sort-buffer fill.
-	pc.c.tuple(&a, 2*batches)
-	a.reg2 += in
-	// Ordering pass: identical to the row sort's comparator costs — the
-	// merge-locality model, not a uniform-random blend (see sortCompares).
-	pc.c.sortCompares(&a, in, 16, nkeys)
-	a.reg2 += in // final placement (the ordering vector store)
-	// Emit: one dispatch and a streaming run read per output batch.
-	pc.c.tuple(&a, pc.batchesFor(n.EstRows))
-	a.l1d += in * 16 / 64
-	return pc.c.price(a), &lazyBatch{mat: map[int]bool{}, rows: n.EstRows}
+	return nil
 }

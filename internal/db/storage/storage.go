@@ -392,6 +392,7 @@ func newVersion(begin uint64, row value.Row, prev *Version) *Version {
 // taken past the head. Callers charge the hops via Device.ChargeChain.
 func resolve(v *Version, snap txn.Snap) (value.Row, int) {
 	hops := 0
+	//lint:nocharge machine-free walk over shared version chains; the caller charges the returned hops on its own machine (Device.ChargeChain)
 	for v != nil {
 		if snap.Visible(v.begin.Load(), v.end.Load()) {
 			return v.row, hops
@@ -451,6 +452,7 @@ func (d *TableData) ForEachRaw(fn func(id int, row value.Row)) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	latest := txn.Latest()
+	//lint:nocharge ANALYZE path: statistics collection must not advance any worker's PMU counters
 	for i, v := range d.slots {
 		if row, _ := resolve(v, latest); row != nil {
 			fn(i, row)
@@ -465,6 +467,7 @@ func (d *TableData) LiveCount() int {
 	defer d.mu.RUnlock()
 	latest := txn.Latest()
 	n := 0
+	//lint:nocharge bookkeeping count, no accesses simulated
 	for _, v := range d.slots {
 		if row, _ := resolve(v, latest); row != nil {
 			n++
@@ -486,6 +489,7 @@ func (d *TableData) rowSpan(lo int, dst []value.Row, snap txn.Snap) (n, hops int
 	if n > len(dst) {
 		n = len(dst)
 	}
+	//lint:nocharge machine-free resolution under the shared lock; BatchScanner.NextBatch charges the returned hops and the page runs
 	for i := 0; i < n; i++ {
 		row, h := resolve(d.slots[lo+i], snap)
 		dst[i] = row

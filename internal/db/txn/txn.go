@@ -212,6 +212,7 @@ func (m *Manager) Commit(t *Txn) (uint64, error) {
 		// The manager is shared across workers and machine-free; the
 		// committing worker pays for each stamp via Device.ChargeCommit
 		// in engine.Commit.
+		//lint:nocharge stamping is charged by engine.Commit (Device.ChargeCommit)
 		for _, r := range t.records {
 			r.Commit(ts)
 		}

@@ -1,0 +1,169 @@
+package vec
+
+import "energydb/internal/db/exec"
+
+// This file is the one statement of what the vectorized operators charge,
+// in the same form as the row path's (exec/charge.go): each function issues
+// one operator phase's modelled micro-operations into a sink and is linear
+// in its cardinality record. Operators call them per batch with the *exec.Ctx
+// as sink; the planner calls the same functions once per plan node with
+// estimated totals. The scheme is one dispatch — a tuple's worth of
+// interpretation overhead — per batch per primitive, plus per-element
+// payload traffic at the vectors' simulated addresses. Dependent loads at
+// data-dependent addresses (bucket heads, chain walks, build-row gathers,
+// comparator loads) stay inline in the operators.
+
+// Per-value kernel costs, charged per selected element per primitive: one
+// L1D payload load per input vector element, one payload store per output
+// element, and kernelInstrPerVal ALU instructions per element.
+const (
+	kernelLoadsPerVal  = 1
+	kernelStoresPerVal = 1
+	kernelInstrPerVal  = 4
+)
+
+// ChargeDispatch is one primitive's per-batch dispatch, the cost the batch
+// representation amortizes over its elements. It doubles as the
+// cancellation checkpoint of the batch (exec.Ctx.TupleCost polls).
+func ChargeDispatch(s exec.Sink, c exec.Card) { s.Tuples(c.Batches) }
+
+// ChargeScan is the scan driver's dispatch per batch, plus the
+// selection-vector store for the Out rows left when snapshot-invisible
+// holes were dropped (none when the batch had no hole).
+func ChargeScan(s exec.Sink, c exec.Card, sel uint64) {
+	s.Tuples(c.Batches)
+	s.Stores(sel, c.Out)
+}
+
+// ChargeMaterialize fills one vector from row-shaped backing — a lazily
+// backed batch's column on first touch, an aggregate's output column: a
+// dispatch per batch, then a move and a payload store per position (every
+// position, selected or not).
+func ChargeMaterialize(s exec.Sink, c exec.Card, at uint64) {
+	s.Tuples(c.Batches)
+	s.Adds(c.In)
+	s.Stores(at, c.In*kernelStoresPerVal)
+}
+
+// chargeKernel is one expression primitive over the selected elements: the
+// dispatch, a payload load per element per non-constant input, the ALU work
+// and a payload store per element.
+func chargeKernel(s exec.Sink, c exec.Card, out uint64, ins ...uint64) {
+	s.Tuples(c.Batches)
+	for _, in := range ins {
+		s.Loads(in, c.In*kernelLoadsPerVal)
+	}
+	s.Adds(c.In * kernelInstrPerVal)
+	s.Stores(out, c.In*kernelStoresPerVal)
+}
+
+// chargeNarrow turns a predicate vector into a narrower selection: the
+// dispatch, the predicate loads and one branch per candidate, then the
+// selection-vector store of the Out survivors.
+func chargeNarrow(s exec.Sink, c exec.Card, pred uint64, predConst bool, sel uint64) {
+	s.Tuples(c.Batches)
+	if !predConst {
+		s.Loads(pred, c.In*kernelLoadsPerVal)
+	}
+	s.Others(c.In)
+	s.Stores(sel, c.Out)
+}
+
+// ChargePrune remaps the kept column slots: a dispatch and one move per
+// column per batch, no payload traffic.
+func ChargePrune(s exec.Sink, c exec.Card, cols int) {
+	s.Tuples(c.Batches)
+	s.Adds(c.Batches * float64(cols))
+}
+
+// ChargeAggUpdate is the table-update primitive: per element two probe
+// loads, the accumulator store, and the hash plus one update op per
+// aggregate — all against a table that fits the cache.
+func ChargeAggUpdate(s exec.Sink, c exec.Card, aggs int, table uint64) {
+	s.Tuples(c.Batches)
+	s.Loads(table, 2*c.In)
+	s.Stores(table+aggTableBytes, c.In)
+	s.Adds(c.In * float64(2+aggs))
+}
+
+// ChargeAggFinalize is the table scan that folds the In accumulated groups
+// into output rows: each bucket re-read, one op per output column.
+func ChargeAggFinalize(s exec.Sink, c exec.Card, keys, aggs int, table uint64) {
+	s.Tuples(c.Batches)
+	s.Loads(table, c.In)
+	s.Adds(c.In * float64(keys+aggs))
+}
+
+// ChargeJoinBuild hashes one chunk of the collected build rows: the
+// row-buffer copy (lines per row), the key loads and the hash arithmetic,
+// in bulk. Each row's dependent bucket load and ChargeJoinInsert follow.
+func ChargeJoinBuild(s exec.Sink, c exec.Card, lines int, buf uint64) {
+	s.Tuples(c.Batches)
+	s.Stores(buf, c.In*float64(lines))
+	s.Loads(buf, c.In)
+	s.Adds(3 * c.In)
+}
+
+// ChargeJoinInsert is the bucket-entry store of one build row.
+func ChargeJoinInsert(s exec.Sink, c exec.Card, slot uint64) { s.Stores(slot, c.In) }
+
+// ChargeJoinProbe is the payload of the key-hash kernel, after its dispatch
+// and the key columns' materialization: the key loads and the hash
+// arithmetic. The dependent bucket-head load per element follows.
+func ChargeJoinProbe(s exec.Sink, c exec.Card, keys ...uint64) {
+	for _, k := range keys {
+		s.Loads(k, c.In*kernelLoadsPerVal)
+	}
+	s.Adds(2 * c.In)
+}
+
+// ChargeJoinGather assembles the In matched pairs into output rows, after
+// the gather's dispatch and each pair's dependent first-line load of its
+// build row: the trailing build lines, the cache-hot probe row, the
+// assembled-row stores and the move bookkeeping. No per-column vector
+// traffic: the output stays rows-backed and its consumer materializes what
+// it touches.
+func ChargeJoinGather(s exec.Sink, c exec.Card, probeLines, buildLines int, at uint64) {
+	s.Loads(at, c.In*float64(buildLines-1))
+	s.Loads(at, c.In*float64(probeLines))
+	s.Stores(at, c.In*float64(probeLines+buildLines))
+	s.Adds(2 * c.In)
+}
+
+// ChargeSortPack appends one extracted key vector to the columnar key
+// store: a dispatch, then a load, a move and a store per element.
+func ChargeSortPack(s exec.Sink, c exec.Card, key uint64, keyConst bool, store uint64) {
+	s.Tuples(c.Batches)
+	if !keyConst {
+		s.Loads(key, c.In*kernelLoadsPerVal)
+	}
+	s.Adds(c.In)
+	s.Stores(store, c.In*kernelStoresPerVal)
+}
+
+// ChargeSortEmit hands out the next slice of the sorted run: a dispatch and
+// a streaming read of its entries, no per-row copy.
+func ChargeSortEmit(s exec.Sink, c exec.Card, at uint64) {
+	s.Tuples(c.Batches)
+	s.Stream(at, c.In*exec.SortEntryBytes)
+}
+
+// ChargeBoundary is the vector→row crossing: one adapter dispatch per
+// batch, then per row a full-width copy out of the batch's backing (a load
+// and a store per line) and two move/bookkeeping instructions — the end of
+// lazy materialization's savings, since a row consumer takes whole rows.
+func ChargeBoundary(s exec.Sink, c exec.Card, lines int, at uint64) {
+	s.Tuples(c.Batches)
+	s.Loads(at, c.In*float64(lines))
+	s.Stores(at, c.In*float64(lines))
+	s.Others(2 * c.In)
+}
+
+// RowLines is the number of cache lines a row of the given byte width
+// spans in a row buffer; a zero-width schema still occupies one 8-byte slot.
+func RowLines(width int) int {
+	if width <= 0 {
+		width = 8
+	}
+	return (width + 63) / 64
+}

@@ -3,7 +3,6 @@ package vec
 import (
 	"energydb/internal/db/exec"
 	"energydb/internal/db/value"
-	"energydb/internal/memsim"
 )
 
 // pool hands out scratch vectors for expression temporaries, reused across
@@ -33,127 +32,170 @@ func (p *pool) get() *Vector {
 	return v
 }
 
-// Supported reports whether the expression can be compiled to vectorized
-// kernels. The planner only chooses vector mode for supported trees; an
-// unsupported node reaching evalVec anyway falls back to exact row-at-a-time
-// evaluation inside the kernel.
-func Supported(e exec.Expr) bool {
-	switch t := e.(type) {
-	case exec.Col, exec.Const:
-		return true
-	case exec.BinOp:
-		return Supported(t.L) && Supported(t.R)
-	case exec.Not:
-		return Supported(t.E)
-	case exec.Like:
-		return Supported(t.E)
-	case exec.InList:
-		return Supported(t.E)
-	default:
-		return false
-	}
+// Prog is an expression compiled for batch evaluation: its column reads and
+// kernels in evaluation order, operands before the kernel that consumes
+// them. Column references alias the batch's vectors, constants broadcast
+// from a register, and every other node is one kernel. The executor
+// evaluates the sequence per batch (eval) and the planner prices the same
+// sequence at estimated cardinalities (Charge), so which kernels an
+// expression costs is decided once, here.
+type Prog struct {
+	nodes []*progNode // column reads and kernels; constants are operands only
+	res   *progNode
+	// exact is false when some node has no kernel and falls back to
+	// row-at-a-time evaluation; the planner only vectorizes exact programs.
+	exact bool
 }
 
-// chargeKernel charges one vectorized primitive over n selected elements:
-// a single per-batch dispatch (one tuple's worth of interpretation overhead,
-// via TupleCost — which doubles as the cancellation checkpoint the
-// cancelpoll analyzer requires at batch granularity), one payload load per
-// element per non-constant input, the ALU work, and one payload store per
-// element into out.
-func chargeKernel(ctx *exec.Ctx, out *Vector, n int, ins ...*Vector) {
-	ctx.TupleCost()
-	if n == 0 {
-		return
-	}
-	h := ctx.M.Hier
-	for _, in := range ins {
-		if in != nil && !in.isConst {
-			h.LoadRepeat(in.addr, uint64(n)*KernelLoadsPerVal)
-		}
-	}
-	h.Exec(uint64(n)*KernelInstrPerVal, memsim.InstrAdd)
-	if out != nil {
-		h.StoreRepeat(out.addr, uint64(n)*KernelStoresPerVal)
-	}
+// progNode is a column read (exec.Col), a constant (val fixed), or a kernel
+// over up to two operands.
+type progNode struct {
+	e    exec.Expr
+	l, r *progNode
+	val  *Vector // result for the current batch
 }
 
-// evalVec evaluates the expression over the batch's selected positions.
-// Column references alias the batch's vectors and constants broadcast; every
-// computed node runs as one kernel — dispatch charged per batch, payload
-// traffic per element — with element semantics delegated to the exact same
-// helpers the row interpreter uses.
-func evalVec(ctx *exec.Ctx, p *pool, e exec.Expr, b *Batch) *Vector {
+// Compile flattens the expression into a program.
+func Compile(e exec.Expr) *Prog {
+	p := &Prog{exact: true}
+	p.res = p.add(e)
+	return p
+}
+
+func (p *Prog) add(e exec.Expr) *progNode {
+	n := &progNode{e: e}
 	switch t := e.(type) {
-	case exec.Col:
-		return b.Col(ctx, t.Idx)
 	case exec.Const:
-		return NewConst(t.V)
+		n.val = NewConst(t.V)
+		return n
+	case exec.Col:
 	case exec.BinOp:
-		l := evalVec(ctx, p, t.L, b)
-		r := evalVec(ctx, p, t.R, b)
-		out := p.get()
-		n := b.Len()
-		chargeKernel(ctx, out, n, l, r)
-		for k := 0; k < n; k++ {
-			i := b.Pos(k)
-			out.Set(i, exec.ApplyBin(t.Op, l.Get(i), r.Get(i)))
-		}
-		return out
+		n.l, n.r = p.add(t.L), p.add(t.R)
 	case exec.Not:
-		in := evalVec(ctx, p, t.E, b)
-		out := p.get()
-		n := b.Len()
-		chargeKernel(ctx, out, n, in)
-		for k := 0; k < n; k++ {
-			i := b.Pos(k)
-			out.Set(i, boolVal(!exec.Truthy(in.Get(i))))
-		}
-		return out
+		n.l = p.add(t.E)
 	case exec.Like:
-		in := evalVec(ctx, p, t.E, b)
-		out := p.get()
-		n := b.Len()
-		chargeKernel(ctx, out, n, in)
-		for k := 0; k < n; k++ {
-			i := b.Pos(k)
-			out.Set(i, boolVal(exec.LikeMatch(in.Get(i).S, t.Pattern)))
-		}
-		return out
+		n.l = p.add(t.E)
 	case exec.InList:
-		in := evalVec(ctx, p, t.E, b)
-		out := p.get()
-		n := b.Len()
-		chargeKernel(ctx, out, n, in)
-		for k := 0; k < n; k++ {
-			i := b.Pos(k)
-			v := in.Get(i)
-			hit := false
-			for _, c := range t.List {
-				if value.Equal(v, c) {
-					hit = true
-					break
-				}
-			}
-			out.Set(i, boolVal(hit))
-		}
-		return out
+		n.l = p.add(t.E)
 	default:
-		// Exact fallback for expression types without a kernel: rebuild
-		// each selected row and run the row interpreter's Eval, charging
-		// its per-node cost so the energy model stays honest.
-		out := p.get()
-		n := b.Len()
-		chargeKernel(ctx, out, n)
-		nodes := e.Nodes()
-		row := make(value.Row, len(b.Cols))
-		for k := 0; k < n; k++ {
-			i := b.Pos(k)
-			b.Row(k, row)
-			ctx.EvalCost(nodes)
-			out.Set(i, e.Eval(row))
-		}
-		return out
+		p.exact = false
 	}
+	p.nodes = append(p.nodes, n)
+	return n
+}
+
+// Supported reports whether the expression compiles to kernels only. The
+// planner only chooses vector mode for supported trees; an unsupported node
+// reaching a program anyway falls back to exact row-at-a-time evaluation
+// inside its kernel.
+func Supported(e exec.Expr) bool { return Compile(e).exact }
+
+// Const reports whether the program's result is a broadcast constant.
+func (p *Prog) Const() bool { return p.res.isConst() }
+
+// isConst reports whether the node broadcasts a constant, which a kernel
+// keeps in a register instead of loading a payload.
+func (n *progNode) isConst() bool { return n.val != nil && n.val.isConst }
+
+// payload appends the address a kernel loads operand n from, unless the
+// operand is absent or constant (the address is zero before the first eval).
+func (n *progNode) payload(ins []uint64) []uint64 {
+	switch {
+	case n == nil || n.isConst():
+		return ins
+	case n.val == nil:
+		return append(ins, 0)
+	}
+	return append(ins, n.val.addr)
+}
+
+// Charge charges one evaluation per batch over c.In selected elements:
+// touch is told each column read — whether that materializes the column
+// depends on what the chain below already touched, which the caller knows —
+// and every kernel is charged.
+func (p *Prog) Charge(s exec.Sink, c exec.Card, touch func(col int)) {
+	var buf [2]uint64
+	for _, n := range p.nodes {
+		if col, ok := n.e.(exec.Col); ok {
+			touch(col.Idx)
+		} else {
+			chargeKernel(s, c, 0, n.r.payload(n.l.payload(buf[:0]))...)
+		}
+	}
+}
+
+// ChargeFilter charges the program as a predicate: Charge, then the
+// narrowing of c.In candidates to c.Out survivors.
+func (p *Prog) ChargeFilter(s exec.Sink, c exec.Card, touch func(col int)) {
+	p.Charge(s, c, touch)
+	chargeNarrow(s, c, 0, p.Const(), 0)
+}
+
+// eval evaluates the program over the batch's selected positions: dispatch
+// charged per batch per kernel, payload traffic per element, with element
+// semantics delegated to the exact same helpers the row interpreter uses.
+// The result is only valid until the next eval or pool reset.
+func (p *Prog) eval(ctx *exec.Ctx, pl *pool, b *Batch) *Vector {
+	n := b.Len()
+	c := exec.Card{Batches: 1, In: float64(n)}
+	var buf [2]uint64
+	for _, nd := range p.nodes {
+		if col, ok := nd.e.(exec.Col); ok {
+			nd.val = b.Col(ctx, col.Idx)
+			continue
+		}
+		out := pl.get()
+		nd.val = out //lint:poolescape node results are read by later nodes of this eval and by its caller, all before the pool is reset at the next batch
+		chargeKernel(ctx, c, out.addr, nd.r.payload(nd.l.payload(buf[:0]))...)
+		var l *Vector
+		if nd.l != nil {
+			l = nd.l.val
+		}
+		switch t := nd.e.(type) {
+		case exec.BinOp:
+			r := nd.r.val
+			for k := 0; k < n; k++ {
+				i := b.Pos(k)
+				out.Set(i, exec.ApplyBin(t.Op, l.Get(i), r.Get(i)))
+			}
+		case exec.Not:
+			for k := 0; k < n; k++ {
+				i := b.Pos(k)
+				out.Set(i, boolVal(!exec.Truthy(l.Get(i))))
+			}
+		case exec.Like:
+			for k := 0; k < n; k++ {
+				i := b.Pos(k)
+				out.Set(i, boolVal(exec.LikeMatch(l.Get(i).S, t.Pattern)))
+			}
+		case exec.InList:
+			for k := 0; k < n; k++ {
+				i := b.Pos(k)
+				v := l.Get(i)
+				hit := false
+				for _, item := range t.List {
+					if value.Equal(v, item) {
+						hit = true
+						break
+					}
+				}
+				out.Set(i, boolVal(hit))
+			}
+		default:
+			// Exact fallback for expression types without a kernel: rebuild
+			// each selected row and run the row interpreter's Eval, charging
+			// its per-node cost so the energy model stays honest.
+			nodes := nd.e.Nodes()
+			row := make(value.Row, len(b.Cols))
+			for k := 0; k < n; k++ {
+				i := b.Pos(k)
+				b.Row(k, row)
+				ctx.EvalCost(nodes)
+				out.Set(i, nd.e.Eval(row))
+			}
+		}
+	}
+	return p.res.val
 }
 
 func boolVal(b bool) value.Value {
@@ -163,19 +205,14 @@ func boolVal(b bool) value.Value {
 	return value.Int(0)
 }
 
-// applyPred narrows the batch's selection to positions where the predicate
-// vector is truthy: one kernel (dispatch + predicate loads + branch
-// instructions) plus the selection-vector store inside narrowSel.
-func applyPred(ctx *exec.Ctx, pred *Vector, b *Batch) {
-	ctx.TupleCost()
-	n := b.Len()
-	if n == 0 {
-		return
+// filter evaluates the program as a predicate and narrows the batch's
+// selection to the positions where it is truthy.
+func (p *Prog) filter(ctx *exec.Ctx, pl *pool, b *Batch) {
+	pred := p.eval(ctx, pl, b)
+	c := exec.Card{Batches: 1, In: float64(b.Len())}
+	if c.In > 0 {
+		b.narrowSel(func(i int) bool { return exec.Truthy(pred.Get(i)) })
+		c.Out = float64(b.Len())
 	}
-	h := ctx.M.Hier
-	if !pred.isConst {
-		h.LoadRepeat(pred.addr, uint64(n)*KernelLoadsPerVal)
-	}
-	h.Exec(uint64(n), memsim.InstrOther)
-	b.narrowSel(ctx, func(i int) bool { return exec.Truthy(pred.Get(i)) })
+	chargeNarrow(ctx, c, pred.addr, pred.isConst, b.selAddr)
 }

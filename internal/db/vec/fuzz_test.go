@@ -119,6 +119,62 @@ func runMetered(t *testing.T, e *engine.Engine, op exec.Operator, ms *exec.Meter
 	return rows
 }
 
+// tally is an exec.Sink that keeps only what no cache state can change: the
+// arithmetic and plain instruction counts.
+type tally struct {
+	cm         exec.CostModel
+	add, other float64
+}
+
+func (t *tally) Tuples(n float64)           { t.other += n * float64(t.cm.TupleInstr) }
+func (t *tally) Evals(n float64, nodes int) { t.other += n * float64(nodes*t.cm.EvalInstr) }
+func (t *tally) Emits(float64, int)         {}
+func (t *tally) Loads(uint64, float64)      {}
+func (t *tally) Stores(uint64, float64)     {}
+func (t *tally) Stream(uint64, float64)     {}
+func (t *tally) Adds(n float64)             { t.add += n }
+func (t *tally) Others(n float64)           { t.other += n }
+
+// toucher stands in for Batch.Col on the scan's lazily backed batches: the
+// first read of a column mat has not seen charges its materialization over
+// all the scan's batches and positions.
+func toucher(s exec.Sink, mat map[int]bool, scan exec.Emitted) func(col int) {
+	return func(col int) {
+		if !mat[col] {
+			mat[col] = true
+			ChargeMaterialize(s, exec.Card{Batches: float64(scan.Batches), In: float64(scan.Positions)}, 0)
+		}
+	}
+}
+
+// checkCharges requires the meter's arithmetic and plain instruction counts
+// to equal one evaluation of the operator's charge functions at the totals
+// the run produced: charging batch by batch sums to the single evaluation
+// the planner makes.
+func checkCharges(t *testing.T, m *exec.Meter, want *tally) {
+	t.Helper()
+	got := m.Own()
+	if float64(got.AddOps) != want.add || float64(got.OtherOps) != want.other {
+		t.Fatalf("operator %q: charge functions at the observed totals give AddOps=%v OtherOps=%v, the meter has AddOps=%d OtherOps=%d",
+			m.Label, want.add, want.other, got.AddOps, got.OtherOps)
+	}
+}
+
+// scanCharges evaluates a vectorized scan's charges at what its meter saw,
+// marking the columns its predicate materialized in mat; rows > 0 adds a
+// RowSource boundary attributed to the scan.
+func scanCharges(e *engine.Engine, m *exec.Meter, pred exec.Expr, mat map[int]bool, lines int) *tally {
+	out := m.Emitted()
+	all := exec.Card{Batches: float64(out.Batches), In: float64(out.Positions), Out: float64(m.Rows())}
+	w := &tally{cm: e.Ctx.Cost}
+	ChargeScan(w, exec.Card{Batches: all.Batches}, 0)
+	Compile(pred).ChargeFilter(w, all, toucher(w, mat, out))
+	if lines > 0 {
+		ChargeBoundary(w, exec.Card{Batches: all.Batches, In: all.Out}, lines, 0)
+	}
+	return w
+}
+
 // FuzzVecExec is the differential fuzzer for the vectorized engine: any
 // random table, predicate and plan shape — projection (mode 0), aggregation
 // (mode 1), hash join + sort (mode 2), or a broken chain (mode 3: a row
@@ -130,7 +186,10 @@ func runMetered(t *testing.T, e *engine.Engine, op exec.Operator, ms *exec.Meter
 // broken-chain shape the adapter's boundary charges land on the chain-top
 // scan's meter, exactly where the planner folds the transition price). Join
 // keys include the price column, whose NULLs exercise the
-// NULL-key-never-matches rule on both sides.
+// NULL-key-never-matches rule on both sides. On the vector path the scans,
+// the projection and the aggregation are also held to their charge
+// functions: one evaluation at the run's totals must reproduce the meter's
+// arithmetic and plain instruction counts exactly (checkCharges).
 func FuzzVecExec(f *testing.F) {
 	f.Add(int64(1), uint16(50), uint16(0), uint8(0))
 	f.Add(int64(2), uint16(300), uint16(1), uint8(1))
@@ -182,6 +241,20 @@ func FuzzVecExec(f *testing.F) {
 					Ctx: ev.Ctx, Child: scanV, GroupBy: groupBy, Aggs: aggs,
 				}},
 			}, msV, []*exec.Meter{mScanV, mTopV})
+			mat := map[int]bool{}
+			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, mat, 0))
+			in, groups := mScanV.Emitted(), mTopV.Emitted()
+			arriving := exec.Card{Batches: float64(in.Batches), In: float64(mScanV.Rows())}
+			w := &tally{cm: ev.Ctx.Cost}
+			for _, e := range []exec.Expr{groupBy[0], aggs[0].Arg, aggs[2].Arg} {
+				Compile(e).Charge(w, arriving, toucher(w, mat, in))
+			}
+			ChargeAggUpdate(w, arriving, len(aggs), 0)
+			ChargeAggFinalize(w, exec.Card{Batches: 1, In: float64(mTopV.Rows())}, len(groupBy), len(aggs), 0)
+			for i := 0; i < len(groupBy)+len(aggs); i++ {
+				ChargeMaterialize(w, exec.Card{Batches: float64(groups.Batches), In: float64(groups.Positions)}, 0)
+			}
+			checkCharges(t, mTopV, w)
 		case 2:
 			// Hash join (random key columns on each side, NULLs included) under
 			// a multi-key sort — the scan meters above feed the probe side; the
@@ -252,6 +325,7 @@ func FuzzVecExec(f *testing.F) {
 				},
 				GroupBy: groupBy, Aggs: aggs,
 			}}, msV, []*exec.Meter{mScanV, mTopV})
+			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, map[int]bool{}, RowLines(tv.Schema().RowWidth())))
 		default:
 			ra := rand.New(rand.NewSource(exprSeed))
 			exprs := make([]exec.Expr, ra.Intn(3)+1)
@@ -266,6 +340,16 @@ func FuzzVecExec(f *testing.F) {
 					Ctx: ev.Ctx, Child: scanV, Exprs: exprs,
 				}},
 			}, msV, []*exec.Meter{mScanV, mTopV})
+			mat := map[int]bool{}
+			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, mat, 0))
+			in := mScanV.Emitted()
+			arriving := exec.Card{Batches: float64(in.Batches), In: float64(mScanV.Rows())}
+			w := &tally{cm: ev.Ctx.Cost}
+			ChargeDispatch(w, arriving)
+			for _, e := range exprs {
+				Compile(e).Charge(w, arriving, toucher(w, mat, in))
+			}
+			checkCharges(t, mTopV, w)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("vector result differs from row result: %d vs %d rows\nseed=%d rows=%d batch=%d shape=%d",

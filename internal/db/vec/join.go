@@ -8,8 +8,8 @@ import (
 )
 
 // hashEntryBytes is the simulated size of one hash-table bucket entry,
-// matching the row executor's bucket geometry so the two modes probe the
-// same simulated table shape.
+// matching the row executor's bucket geometry (exec.HashTableBytes sizes
+// the table) so the two modes probe the same simulated table shape.
 const hashEntryBytes = 16
 
 // HashJoin is the batch-at-a-time equijoin: the build side is drained into
@@ -63,10 +63,12 @@ type HashJoin struct {
 	matches []int32
 	mi      int
 
-	p       *pool
-	keyCols []*Vector
-	scratch []value.Value
-	rowBuf  []value.Row // reused backing rows for the lazily backed output
+	p        *pool
+	residual *Prog
+	keyCols  []*Vector
+	keyAddrs []uint64
+	scratch  []value.Value
+	rowBuf   []value.Row // reused backing rows for the lazily backed output
 }
 
 // Schema implements Operator (probe columns first, like the row join).
@@ -102,7 +104,7 @@ func (j *HashJoin) Open() error {
 		}
 		// One collect dispatch per batch; the copy into the build buffer is
 		// charged once the buffer address exists (below).
-		j.Ctx.TupleCost()
+		ChargeDispatch(j.Ctx, exec.Card{Batches: 1})
 		for k := 0; k < n; k++ {
 			dst := make(value.Row, ncols)
 			b.Row(k, dst)
@@ -118,13 +120,13 @@ func (j *HashJoin) Open() error {
 	if width <= 0 {
 		width = 8
 	}
-	rowLines := uint64((width + 63) / 64)
+	rowLines := RowLines(width)
 	bufBytes := uint64(len(rows)) * uint64(width)
 	if bufBytes == 0 {
 		bufBytes = memsim.LineSize
 	}
 	j.buildBase = j.Ctx.Arena.Alloc(bufBytes, memsim.LineSize)
-	j.tableSize = uint64(len(rows)+1) * hashEntryBytes * 2
+	j.tableSize = uint64(exec.HashTableBytes(float64(len(rows))))
 	j.tableBase = j.Ctx.Arena.Alloc(j.tableSize, memsim.PageSize)
 	j.table = make(map[value.Key][]int32, len(rows))
 
@@ -145,11 +147,7 @@ func (j *HashJoin) Open() error {
 		// chunk: hash arithmetic, the buffer copy, and the key loads are
 		// charged in bulk; bucket accesses stay per-row dependent loads.
 		j.Ctx.PollEvery(lo)
-		j.Ctx.TupleCost()
-		n := uint64(hi - lo)
-		h.StoreRepeat(j.buildBase+uint64(lo)*uint64(width), n*rowLines)
-		h.LoadRepeat(j.buildBase+uint64(lo)*uint64(width), n)
-		h.Exec(3*n, memsim.InstrAdd)
+		ChargeJoinBuild(j.Ctx, exec.Card{Batches: 1, In: float64(hi - lo)}, rowLines, j.buildBase+uint64(lo)*uint64(width))
 		for i, r := range rows[lo:hi] {
 			null := false
 			for c, ci := range j.BuildKey {
@@ -166,16 +164,12 @@ func (j *HashJoin) Open() error {
 			j.table[key] = append(j.table[key], int32(lo+i))
 			slot := j.tableBase + uint64(lo+i)*hashEntryBytes*2%j.tableSize
 			h.Load(slot, true)
-			h.Store(slot)
+			ChargeJoinInsert(j.Ctx, exec.Card{In: 1}, slot)
 		}
 	}
 
 	j.out = NewBatch(j.Ctx.Arena, j.Schema(), chunk)
-	outWidth := uint64(j.Schema().RowWidth())
-	if outWidth == 0 {
-		outWidth = 8
-	}
-	outLines := (outWidth + 63) / 64
+	outLines := uint64(RowLines(j.Schema().RowWidth()))
 	j.rowBase = j.Ctx.Arena.Alloc(uint64(chunk)*outLines*memsim.LineSize, memsim.LineSize)
 	j.rowBuf = make([]value.Row, chunk)
 	//lint:nopoll bounded by one batch (at most MaxBatch rows), pure allocation
@@ -183,6 +177,9 @@ func (j *HashJoin) Open() error {
 		j.rowBuf[i] = make(value.Row, len(j.Schema().Columns))
 	}
 	j.p = newPool(j.Ctx, chunk)
+	if j.Residual != nil {
+		j.residual = Compile(j.Residual)
+	}
 	j.keyCols = make([]*Vector, len(j.ProbeKey))
 	j.scratch = make([]value.Value, len(j.ProbeKey))
 	j.probe = nil
@@ -197,17 +194,16 @@ func (j *HashJoin) Open() error {
 // bucket-head load per non-NULL key element.
 func (j *HashJoin) probeKeys(b *Batch) {
 	n := b.Len()
-	j.Ctx.TupleCost()
+	ChargeDispatch(j.Ctx, exec.Card{Batches: 1})
 	h := j.Ctx.M.Hier
+	j.keyAddrs = j.keyAddrs[:0]
 	for i, c := range j.ProbeKey {
 		j.keyCols[i] = b.Col(j.Ctx, c)
-	}
-	for _, v := range j.keyCols {
-		if !v.Const() {
-			h.LoadRepeat(v.addr, uint64(n)*KernelLoadsPerVal)
+		if !j.keyCols[i].Const() {
+			j.keyAddrs = append(j.keyAddrs, j.keyCols[i].addr)
 		}
 	}
-	h.Exec(uint64(2*n), memsim.InstrAdd)
+	ChargeJoinProbe(j.Ctx, exec.Card{In: float64(n)}, j.keyAddrs...)
 	j.keys = j.keys[:0]
 	j.keyOK = j.keyOK[:0]
 	for k := 0; k < n; k++ {
@@ -290,10 +286,9 @@ func (j *HashJoin) Next() (*Batch, error) {
 		return nil, nil
 	}
 	j.gather(out)
-	if j.Residual != nil {
+	if j.residual != nil {
 		j.p.reset()
-		pv := evalVec(j.Ctx, j.p, j.Residual, out)
-		applyPred(j.Ctx, pv, out)
+		j.residual.filter(j.Ctx, j.p, out)
 	}
 	return out, nil
 }
@@ -309,33 +304,24 @@ func (j *HashJoin) Next() (*Batch, error) {
 // — the consumer's demand, not the join's supply — so unreferenced columns
 // of wide rows move nothing beyond the block copy.
 func (j *HashJoin) gather(out *Batch) {
-	n := uint64(len(j.pairP))
 	h := j.Ctx.M.Hier
 	np := len(j.Probe.Schema().Columns)
 	width := uint64(j.Build.Schema().RowWidth())
 	if width == 0 {
 		width = 8
 	}
-	buildLines := (width + 63) / 64
-	probeWidth := uint64(j.Probe.Schema().RowWidth())
-	if probeWidth == 0 {
-		probeWidth = 8
-	}
-	probeLines := (probeWidth + 63) / 64
 	bufBytes := uint64(len(j.buildRows)) * width
 	if bufBytes == 0 {
 		bufBytes = memsim.LineSize
 	}
-	j.Ctx.TupleCost()
+	ChargeDispatch(j.Ctx, exec.Card{Batches: 1})
 	for _, bi := range j.pairB {
 		// Dependent first-line load of the matched build row at its real
 		// buffer offset; trailing lines of the row ride the open line(s).
 		h.Load(j.buildBase+uint64(bi)*width%bufBytes, true)
 	}
-	h.LoadRepeat(j.rowBase, n*(buildLines-1))
-	h.LoadRepeat(j.rowBase, n*probeLines)
-	h.StoreRepeat(j.rowBase, n*(probeLines+buildLines))
-	h.Exec(2*n, memsim.InstrAdd)
+	ChargeJoinGather(j.Ctx, exec.Card{In: float64(len(j.pairP))},
+		RowLines(j.Probe.Schema().RowWidth()), RowLines(int(width)), j.rowBase)
 	for i := range j.pairP {
 		dst := j.rowBuf[i]
 		j.probe.Row(int(j.pairP[i]), dst[:np])

@@ -34,9 +34,10 @@ type Scan struct {
 	// it); 0 picks BatchSizeFor on the context machine's hierarchy.
 	BatchSize int
 
-	bs *storage.BatchScanner
-	b  *Batch
-	p  *pool
+	bs   *storage.BatchScanner
+	b    *Batch
+	p    *pool
+	pred *Prog
 }
 
 // Schema implements Operator.
@@ -54,6 +55,9 @@ func (s *Scan) Open() error {
 	s.bs = s.File.BatchScan(n)
 	s.b = NewBatch(s.Ctx.Arena, s.Schema(), n)
 	s.p = newPool(s.Ctx, n)
+	if s.Pred != nil {
+		s.pred = Compile(s.Pred)
+	}
 	return nil
 }
 
@@ -70,19 +74,20 @@ func (s *Scan) Next() (*Batch, error) {
 	b.SetRows(rows)
 	// One driver dispatch per batch: the scan's cursor bookkeeping and
 	// batch handoff cost one tuple's worth of interpretation overhead.
-	s.Ctx.TupleCost()
 	// Slots invisible to the snapshot arrive as nil holes; drop them via
 	// the selection vector so kernels only see rows this snapshot may read.
+	c := exec.Card{Batches: 1}
 	for _, r := range rows {
 		if r == nil {
-			b.narrowSel(s.Ctx, func(i int) bool { return rows[i] != nil })
+			b.narrowSel(func(i int) bool { return rows[i] != nil })
+			c.Out = float64(b.Len())
 			break
 		}
 	}
-	if s.Pred != nil {
+	ChargeScan(s.Ctx, c, b.selAddr)
+	if s.pred != nil {
 		s.p.reset()
-		pv := evalVec(s.Ctx, s.p, s.Pred, b)
-		applyPred(s.Ctx, pv, b)
+		s.pred.filter(s.Ctx, s.p, b)
 	}
 	return b, nil
 }
@@ -96,7 +101,8 @@ type Filter struct {
 	Child Operator
 	Pred  exec.Expr
 
-	p *pool
+	p    *pool
+	pred *Prog
 }
 
 // Schema implements Operator.
@@ -105,6 +111,7 @@ func (f *Filter) Schema() *catalog.Schema { return f.Child.Schema() }
 // Open implements Operator.
 func (f *Filter) Open() error {
 	f.p = newPool(f.Ctx, MaxBatch)
+	f.pred = Compile(f.Pred)
 	return f.Child.Open()
 }
 
@@ -116,8 +123,7 @@ func (f *Filter) Next() (*Batch, error) {
 	}
 	f.Ctx.Poll()
 	f.p.reset()
-	pv := evalVec(f.Ctx, f.p, f.Pred, b)
-	applyPred(f.Ctx, pv, b)
+	f.pred.filter(f.Ctx, f.p, b)
 	return b, nil
 }
 
@@ -157,8 +163,7 @@ func (p *Prune) Next() (*Batch, error) {
 		return nil, err
 	}
 	p.Ctx.Poll()
-	p.Ctx.TupleCost()
-	p.Ctx.Compute(len(p.Cols))
+	ChargePrune(p.Ctx, exec.Card{Batches: 1}, len(p.Cols))
 	for i, c := range p.Cols {
 		p.out.Cols[i] = b.Col(p.Ctx, c)
 	}
@@ -181,6 +186,7 @@ type Project struct {
 	schema *catalog.Schema
 	out    Batch
 	p      *pool
+	progs  []*Prog
 }
 
 // Schema implements Operator.
@@ -203,6 +209,7 @@ func (p *Project) Schema() *catalog.Schema {
 func (p *Project) Open() error {
 	p.out.Cols = make([]*Vector, len(p.Exprs))
 	p.p = newPool(p.Ctx, MaxBatch)
+	p.progs = compileAll(p.Exprs)
 	return p.Child.Open()
 }
 
@@ -213,14 +220,14 @@ func (p *Project) Next() (*Batch, error) {
 		return nil, err
 	}
 	p.Ctx.Poll()
-	// One driver dispatch per projected batch, mirroring Scan and Prune: a
-	// column-only projection reaches no kernel (evalVec hands the child's
-	// vector back as-is), and without this charge it would emit every batch
-	// with zero attributed work (chargepath finding).
-	p.Ctx.TupleCost()
+	// One driver dispatch per projected batch, like Scan and Prune: a
+	// column-only projection reaches no kernel (its program hands the
+	// child's vector back as-is), and without this charge it would emit
+	// every batch with zero attributed work (chargepath finding).
+	ChargeDispatch(p.Ctx, exec.Card{Batches: 1})
 	p.p.reset()
-	for i, e := range p.Exprs {
-		p.out.Cols[i] = evalVec(p.Ctx, p.p, e, b)
+	for i, prog := range p.progs {
+		p.out.Cols[i] = prog.eval(p.Ctx, p.p, b)
 	}
 	p.out.N = b.N
 	p.out.Sel = b.Sel
@@ -229,6 +236,14 @@ func (p *Project) Next() (*Batch, error) {
 
 // Close implements Operator.
 func (p *Project) Close() error { return p.Child.Close() }
+
+func compileAll(exprs []exec.Expr) []*Prog {
+	progs := make([]*Prog, len(exprs))
+	for i, e := range exprs {
+		progs[i] = Compile(e)
+	}
+	return progs
+}
 
 // aggTableBytes is the simulated size of one aggregation hash bucket
 // (matching the row executor's hash-bucket geometry).
@@ -288,8 +303,14 @@ func (g *Agg) Open() error {
 	}
 	tableSize := uint64(cap) * aggTableBytes * 2
 	tableBase := g.Ctx.Arena.Alloc(tableSize, memsim.PageSize)
-	h := g.Ctx.M.Hier
 	g.p = newPool(g.Ctx, MaxBatch)
+	keyProgs := compileAll(g.GroupBy)
+	argProgs := make([]*Prog, len(g.Aggs))
+	for i, a := range g.Aggs {
+		if a.Arg != nil {
+			argProgs[i] = Compile(a.Arg)
+		}
+	}
 
 	type group struct {
 		keyVals []value.Value
@@ -311,26 +332,20 @@ func (g *Agg) Open() error {
 		}
 		g.Ctx.Poll()
 		g.p.reset()
-		for i, e := range g.GroupBy {
-			kvs[i] = evalVec(g.Ctx, g.p, e, b)
+		for i, prog := range keyProgs {
+			kvs[i] = prog.eval(g.Ctx, g.p, b)
 		}
-		for i, a := range g.Aggs {
-			if a.Arg != nil {
-				avs[i] = evalVec(g.Ctx, g.p, a.Arg, b)
-			} else {
-				avs[i] = nil
+		for i, prog := range argProgs {
+			avs[i] = nil
+			if prog != nil {
+				avs[i] = prog.eval(g.Ctx, g.p, b)
 			}
 		}
 		n := b.Len()
 		// One table-update primitive for the whole batch: the probe
 		// loads, accumulator stores and update arithmetic for n
 		// elements, dispatched once.
-		g.Ctx.TupleCost()
-		if n > 0 {
-			h.LoadRepeat(tableBase, uint64(2*n))
-			h.StoreRepeat(tableBase+aggTableBytes, uint64(n))
-			h.Exec(uint64(n*(2+len(g.Aggs))), memsim.InstrAdd)
-		}
+		ChargeAggUpdate(g.Ctx, exec.Card{Batches: 1, In: float64(n)}, len(g.Aggs), tableBase)
 		for k := 0; k < n; k++ {
 			i := b.Pos(k)
 			for j, kv := range kvs {
@@ -360,11 +375,7 @@ func (g *Agg) Open() error {
 	// each group's bucket is re-read and its accumulators folded into output
 	// rows. This is real per-group work the meter must see (chargepath
 	// finding); the row executor's GroupBy.Open charges the same way.
-	g.Ctx.TupleCost()
-	if len(order) > 0 {
-		h.LoadRepeat(tableBase, uint64(len(order)))
-		h.Exec(uint64(len(order)*(len(g.GroupBy)+len(g.Aggs))), memsim.InstrAdd)
-	}
+	ChargeAggFinalize(g.Ctx, exec.Card{Batches: 1, In: float64(len(order))}, len(g.GroupBy), len(g.Aggs), tableBase)
 	g.groups = make([]value.Row, len(order))
 	for i, grp := range order {
 		out := make(value.Row, 0, len(grp.keyVals)+len(g.Aggs))
@@ -390,14 +401,11 @@ func (g *Agg) Next() (*Batch, error) {
 	if rem := len(g.groups) - g.pos; rem < n {
 		n = rem
 	}
-	h := g.Ctx.M.Hier
 	for j, v := range g.out.Cols {
-		g.Ctx.TupleCost()
+		ChargeMaterialize(g.Ctx, exec.Card{Batches: 1, In: float64(n)}, v.addr)
 		for i := 0; i < n; i++ {
 			v.Set(i, g.groups[g.pos+i][j])
 		}
-		h.Exec(uint64(n), memsim.InstrAdd)
-		h.StoreRepeat(v.addr, uint64(n)*KernelStoresPerVal)
 	}
 	g.pos += n
 	g.out.N = n
@@ -411,26 +419,10 @@ func (g *Agg) Close() error {
 	return nil
 }
 
-// Boundary-crossing charge model. Adapting a vectorized chain back to rows
-// is where the batch representation's lazy-materialization savings end: a
-// row consumer takes whole rows, so every vector→row crossing pays one
-// adapter dispatch per batch plus a full-width row copy per row —
-// BoundaryLoadsPerLine cache-line loads out of the batch's backing and
-// BoundaryStoresPerLine stores into the handed-out row, plus
-// BoundaryInstrPerRow move/bookkeeping instructions. The constants are
-// exported so the planner's transition estimate (plan.costBoundary) mirrors
-// the adapter's charges exactly: chain-wise mode selection prices a broken
-// chain against precisely what RowSource will charge at run time.
-const (
-	BoundaryLoadsPerLine  = 1
-	BoundaryStoresPerLine = 1
-	BoundaryInstrPerRow   = 2
-)
-
 // RowSource adapts a vectorized chain back to the row Operator interface so
 // it can sit under row-at-a-time parents (sorts, joins, the drain loop).
-// The adapter charges the boundary-crossing model above against Ctx; when
-// Set/M are provided the charges are attributed to M (the chain-top
+// The adapter charges the boundary crossing (ChargeBoundary) against Ctx;
+// when Set/M are provided the charges are attributed to M (the chain-top
 // operator's meter), keeping the per-operator partition of a metered plan
 // exact and aligned with the planner, which folds the same transition price
 // into the chain-top node's estimate.
@@ -445,7 +437,7 @@ type RowSource struct {
 	k     int
 	out   value.Row
 	base  uint64
-	lines uint64
+	lines int
 }
 
 // Schema implements exec.Operator.
@@ -457,19 +449,15 @@ func (r *RowSource) Open() error {
 	schema := r.Child.Schema()
 	r.out = make(value.Row, len(schema.Columns))
 	if r.Ctx != nil {
-		width := schema.RowWidth()
-		if width <= 0 {
-			width = 8
-		}
-		r.lines = uint64((width + 63) / 64)
-		r.base = r.Ctx.Arena.Alloc(r.lines*memsim.LineSize, memsim.LineSize)
+		r.lines = RowLines(schema.RowWidth())
+		r.base = r.Ctx.Arena.Alloc(uint64(r.lines)*memsim.LineSize, memsim.LineSize)
 	}
 	return r.Child.Open()
 }
 
-// charge prices one boundary event — per-batch dispatch or per-row copy —
+// charge prices one boundary event — a pulled batch or a handed-out row —
 // under the adapter's meter window, if any.
-func (r *RowSource) charge(rows uint64, dispatch bool) {
+func (r *RowSource) charge(c exec.Card) {
 	if r.Ctx == nil {
 		return
 	}
@@ -477,15 +465,7 @@ func (r *RowSource) charge(rows uint64, dispatch bool) {
 		r.Set.Enter(r.M)
 		defer r.Set.Exit(r.M)
 	}
-	if dispatch {
-		r.Ctx.TupleCost()
-	}
-	if rows > 0 {
-		h := r.Ctx.M.Hier
-		h.LoadRepeat(r.base, rows*r.lines*BoundaryLoadsPerLine)
-		h.StoreRepeat(r.base, rows*r.lines*BoundaryStoresPerLine)
-		h.Exec(rows*BoundaryInstrPerRow, memsim.InstrOther)
-	}
+	ChargeBoundary(r.Ctx, c, r.lines, r.base)
 }
 
 // Next implements exec.Operator. The returned row is reused; buffering
@@ -494,7 +474,7 @@ func (r *RowSource) Next() (value.Row, bool, error) {
 	for {
 		if r.b != nil && r.k < r.b.Len() {
 			r.b.Row(r.k, r.out)
-			r.charge(1, false)
+			r.charge(exec.Card{In: 1})
 			r.k++
 			return r.out, true, nil
 		}
@@ -505,7 +485,7 @@ func (r *RowSource) Next() (value.Row, bool, error) {
 		if b == nil {
 			return nil, false, nil
 		}
-		r.charge(0, true)
+		r.charge(exec.Card{Batches: 1})
 		r.b, r.k = b, 0 //lint:poolescape held only until the next Child.Next pull; the cursor drains the batch row-by-row before re-pulling
 	}
 }
@@ -539,7 +519,7 @@ func (m *Metered) Next() (*Batch, error) {
 	defer m.Set.Exit(m.M)
 	b, err := m.Child.Next()
 	if b != nil {
-		m.M.AddRows(b.Len())
+		m.M.AddBatch(b.N, b.Len())
 	}
 	return b, err
 }

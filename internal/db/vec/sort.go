@@ -58,6 +58,10 @@ func (s *Sort) Open() error {
 	s.keyBase = s.Ctx.Arena.Alloc(uint64(MaxBatch)*8*uint64(len(s.Keys)+1), memsim.LineSize)
 	s.rows = s.rows[:0]
 	s.keys = make([][]value.Value, len(s.Keys))
+	progs := make([]*Prog, len(s.Keys))
+	for kc := range s.Keys {
+		progs[kc] = Compile(s.Keys[kc].Expr)
+	}
 	for {
 		b, err := s.Child.Next()
 		if err != nil {
@@ -72,25 +76,21 @@ func (s *Sort) Open() error {
 		if n == 0 {
 			continue
 		}
-		// Bulk key extraction: evalVec computes each key as a typed vector
-		// (columns alias the batch, computed keys run as kernels), then one
-		// packing primitive per key appends it to the columnar key store.
+		// Bulk key extraction: each key's program computes it as a typed
+		// vector (columns alias the batch, computed keys run as kernels),
+		// then one packing primitive per key appends it to the columnar key
+		// store.
 		s.p.reset()
-		for kc := range s.Keys {
-			kv := evalVec(s.Ctx, s.p, s.Keys[kc].Expr, b)
-			s.Ctx.TupleCost()
-			if !kv.Const() {
-				h.LoadRepeat(kv.addr, uint64(n)*KernelLoadsPerVal)
-			}
-			h.Exec(uint64(n), memsim.InstrAdd)
-			h.StoreRepeat(s.keyBase, uint64(n)*KernelStoresPerVal)
+		for kc, prog := range progs {
+			kv := prog.eval(s.Ctx, s.p, b)
+			ChargeSortPack(s.Ctx, exec.Card{Batches: 1, In: float64(n)}, kv.addr, kv.Const(), s.keyBase)
 			for k := 0; k < n; k++ {
 				s.keys[kc] = append(s.keys[kc], kv.Get(b.Pos(k)))
 			}
 		}
 		// Collect the rows behind the keys (one dispatch per batch; the
 		// sort-buffer entry stores are charged when the buffer is sized).
-		s.Ctx.TupleCost()
+		ChargeDispatch(s.Ctx, exec.Card{Batches: 1})
 		for k := 0; k < n; k++ {
 			dst := make(value.Row, ncols)
 			b.Row(k, dst)
@@ -108,15 +108,15 @@ func (s *Sort) Open() error {
 	if nn == 0 {
 		nn = 1
 	}
-	s.base = s.Ctx.Arena.Alloc(nn*16, memsim.PageSize)
+	s.base = s.Ctx.Arena.Alloc(nn*exec.SortEntryBytes, memsim.PageSize)
 	for lo := 0; lo < n; lo += width {
 		hi := lo + width
 		if hi > n {
 			hi = n
 		}
 		s.Ctx.PollEvery(lo)
-		s.Ctx.TupleCost()
-		h.StoreRepeat(s.base+uint64(lo)*16, uint64(hi-lo))
+		ChargeDispatch(s.Ctx, exec.Card{Batches: 1})
+		exec.ChargeSortStore(s.Ctx, exec.Card{In: float64(hi - lo)}, s.base+uint64(lo)*exec.SortEntryBytes)
 	}
 
 	// Ordering pass: identical comparator discipline to the row sort — the
@@ -128,17 +128,15 @@ func (s *Sort) Open() error {
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
 		s.Ctx.Poll()
-		h.Load(s.base+uint64(idx[a])*16%(nn*16), true)
-		h.Load(s.base+uint64(idx[b])*16%(nn*16), true)
+		h.Load(s.base+uint64(idx[a])*exec.SortEntryBytes%(nn*exec.SortEntryBytes), true)
+		h.Load(s.base+uint64(idx[b])*exec.SortEntryBytes%(nn*exec.SortEntryBytes), true)
 		s.Ctx.Compute(len(s.Keys))
 		return s.less(int(idx[a]), int(idx[b]))
 	})
 	s.idx = idx
 	// Final placement: the ordering selection vector is stored in one bulk
 	// pass instead of a per-row store loop.
-	if n > 0 {
-		h.StoreRepeat(s.base, uint64(n))
-	}
+	exec.ChargeSortStore(s.Ctx, exec.Card{In: float64(n)}, s.base)
 
 	s.pos = 0
 	s.out = NewBatch(s.Ctx.Arena, s.Schema(), width)
@@ -172,8 +170,7 @@ func (s *Sort) Next() (*Batch, error) {
 	if rem := len(s.rows) - s.pos; rem < n {
 		n = rem
 	}
-	s.Ctx.TupleCost()
-	s.Ctx.M.Hier.LoadRange(s.base+uint64(s.pos)*16, uint64(n)*16)
+	ChargeSortEmit(s.Ctx, exec.Card{Batches: 1, In: float64(n)}, s.base+uint64(s.pos)*exec.SortEntryBytes)
 	s.chunk = s.chunk[:0]
 	for _, j := range s.idx[s.pos : s.pos+n] {
 		s.chunk = append(s.chunk, s.rows[j])

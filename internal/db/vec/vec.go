@@ -50,16 +50,6 @@ func BatchSizeFor(cfg memsim.Config) int {
 	return n
 }
 
-// Per-value kernel costs, charged per selected element per primitive and
-// mirrored by the planner's vector-mode estimators (internal/db/plan): one
-// L1D payload load per input vector element, one payload store per output
-// element, and kernelInstrPerVal ALU instructions per element.
-const (
-	KernelLoadsPerVal  = 1
-	KernelStoresPerVal = 1
-	KernelInstrPerVal  = 4
-)
-
 // nullWord locates bit i in a []uint64 bitmap.
 func nullWord(i int) (int, uint64) { return i >> 6, 1 << uint(i&63) }
 
@@ -302,7 +292,7 @@ func (b *Batch) Col(ctx *exec.Ctx, j int) *Vector {
 		return v
 	}
 	b.mat[j] = true
-	ctx.TupleCost()
+	ChargeMaterialize(ctx, exec.Card{Batches: 1, In: float64(len(b.rows))}, v.addr)
 	for i, row := range b.rows {
 		if row == nil {
 			// Snapshot-invisible hole: never selected, but the vector
@@ -312,9 +302,6 @@ func (b *Batch) Col(ctx *exec.Ctx, j int) *Vector {
 		}
 		v.Set(i, row[j])
 	}
-	h := ctx.M.Hier
-	h.Exec(uint64(len(b.rows)), memsim.InstrAdd)
-	h.StoreRepeat(v.addr, uint64(len(b.rows))*KernelStoresPerVal)
 	return v
 }
 
@@ -335,13 +322,13 @@ func (b *Batch) Row(k int, dst value.Row) {
 }
 
 // narrowSel replaces the batch's selection with the positions where keep
-// returns true, charging the selection-vector store. The compaction writes
-// at or behind the read cursor, so reusing the buffer while iterating the
-// previous selection is safe.
-func (b *Batch) narrowSel(ctx *exec.Ctx, keep func(i int) bool) {
+// returns true; the caller charges the selection-vector store. The
+// compaction writes at or behind the read cursor, so reusing the buffer
+// while iterating the previous selection is safe.
+func (b *Batch) narrowSel(keep func(i int) bool) {
 	sel := b.selBuf[:0]
 	n := b.Len()
-	//lint:nocharge predicate loads are charged by the calling kernel; the selection-vector store is charged below when any position survives
+	//lint:nocharge predicate loads and the selection-vector store are charged by the calling kernel (chargeNarrow, ChargeScan)
 	for k := 0; k < n; k++ {
 		i := b.Pos(k)
 		if keep(i) {
@@ -350,7 +337,4 @@ func (b *Batch) narrowSel(ctx *exec.Ctx, keep func(i int) bool) {
 	}
 	b.Sel = sel
 	b.selBuf = sel[:0]
-	if len(sel) > 0 {
-		ctx.M.Hier.StoreRepeat(b.selAddr, uint64(len(sel)))
-	}
 }

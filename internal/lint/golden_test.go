@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -94,10 +95,24 @@ func loadRepo(t *testing.T, patterns ...string) *Program {
 	return prog
 }
 
-// TestDeletionMatrix removes, one at a time and in memory, every TupleCost
-// and Poll statement (13 when written) from the methods of vec.HashJoin and
-// vec.Sort, and expects chargepath or cancelpoll to notice each time: those
-// calls are what the two analyzers exist to keep in place.
+// TestDeletionMatrix removes, one at a time and in memory, every statement
+// of the methods of vec.HashJoin and vec.Sort that is a Poll or a call to a
+// charge function whose summary says it always pays the per-batch dispatch
+// (13 statements when written), and expects chargepath or cancelpoll to
+// notice each time: those calls are what the two analyzers exist to keep in
+// place.
+// isDispatchCharge reports whether call invokes a package-level function
+// that dispatches on every path: the shared charge functions, as opposed to
+// operator methods that reach one.
+func isDispatchCharge(sum *summary, pkg *Package, call *ast.CallExpr) bool {
+	fn, ok := calleeObject(pkg, call).(*types.Func)
+	if !ok || fn.Type().(*types.Signature).Recv() != nil {
+		return false
+	}
+	f := sum.facts[fn]
+	return f != nil && f.mustDispatches
+}
+
 func TestDeletionMatrix(t *testing.T) {
 	prog := loadRepo(t, "./internal/db/vec")
 	analyzers := []*Analyzer{AnalyzerChargePath, AnalyzerCancelPoll}
@@ -105,7 +120,9 @@ func TestDeletionMatrix(t *testing.T) {
 		t.Fatalf("vec is not clean before any deletion: %v", diags)
 	}
 	sites := 0
-	for _, file := range prog.Pkgs[0].Files {
+	pkg := prog.Pkgs[0]
+	sum := prog.chargeSummary()
+	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Recv == nil || fd.Body == nil {
@@ -139,7 +156,7 @@ func TestDeletionMatrix(t *testing.T) {
 					// PollEvery is left out: both of its uses sit next to a
 					// TupleCost that polls as well, so it is redundant to
 					// the analyzers by design.
-					if name := calleeName(call); name != "TupleCost" && name != "Poll" {
+					if calleeName(call) != "Poll" && !isDispatchCharge(sum, pkg, call) {
 						continue
 					}
 					sites++
@@ -155,7 +172,7 @@ func TestDeletionMatrix(t *testing.T) {
 		}
 	}
 	if sites == 0 {
-		t.Errorf("found no TupleCost/Poll statement in the methods of vec.HashJoin and vec.Sort; the matrix checks nothing")
+		t.Errorf("found no dispatch or Poll statement in the methods of vec.HashJoin and vec.Sort; the matrix checks nothing")
 	}
 	t.Logf("%d deletions tried", sites)
 }

@@ -3,13 +3,12 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // This file computes the chargeflow engine's interprocedural summary: for
 // every function declared in the module, whether calling it may charge the
-// meter (advance PMU counters through the memory hierarchy or an explicit
-// Charge* helper), may dispatch per-tuple cost (Ctx.TupleCost transitively,
+// meter (advance PMU counters through the memory hierarchy, directly or
+// through a charge function), may dispatch per-tuple cost (Ctx.TupleCost transitively,
 // which both charges and polls), and may poll cancellation. Helpers that
 // charge on behalf of callers — vec.Metered sections, Ctx.PollEvery,
 // Device.ChargeChain — therefore propagate to the loops that call them,
@@ -44,23 +43,58 @@ type summary struct {
 }
 
 // directFacts is the single definition of what a call contributes by its
-// bare callee name alone, on any receiver: the hierarchy / machine
-// primitives charge; Poll and PollEvery are the free cancellation
-// checkpoints; TupleCost is dispatch + charge + checkpoint in one call.
-// Every analyzer that asks "does this poll" or "does this charge" asks the
-// summary, which starts from here.
-func directFacts(name string) chargeFacts {
-	switch name {
-	case "Load", "Store", "LoadRepeat", "StoreRepeat",
-		"LoadRange", "StoreRange", "Exec", "AddIdle",
-		"EvalCost", "EmitRow", "Compute":
-		return chargeFacts{charges: true}
-	case "Poll", "PollEvery":
-		return chargeFacts{polls: true}
-	case "TupleCost":
-		return chargeFacts{charges: true, dispatches: true, polls: true}
+// callee alone, before any summary: a method of the simulated machine, of
+// the executor context or of the charge sink, identified by the named type
+// that declares it — so atomic.Uint64.Store or a btree's Load are not
+// charges, whatever they are called. The hierarchy and machine primitives
+// charge; Ctx.Poll and PollEvery are the free cancellation checkpoints;
+// Ctx.TupleCost, and Sink.Tuples which stands for it in the shared charge
+// functions, are dispatch + charge + checkpoint in one call. Everything
+// else — storage.ChargeChain, exec.ChargeTuples, vec.ChargeDispatch — is a
+// declared function whose own body proves what it does, and is learned
+// through the summary. Every analyzer that asks "does this poll" or "does
+// this charge" asks the summary, which starts from here.
+func directFacts(pkg *Package, call *ast.CallExpr) chargeFacts {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return chargeFacts{}
 	}
-	return chargeFacts{charges: strings.HasPrefix(name, "Charge")}
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return chargeFacts{}
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return chargeFacts{}
+	}
+	switch typeName(recv.Type()) {
+	case "Hierarchy":
+		switch fn.Name() {
+		case "Load", "Store", "LoadRepeat", "StoreRepeat", "LoadRange", "StoreRange", "Exec":
+			return chargeFacts{charges: true}
+		}
+	case "Machine":
+		if fn.Name() == "AddIdle" {
+			return chargeFacts{charges: true}
+		}
+	case "Ctx":
+		switch fn.Name() {
+		case "EvalCost", "EmitRow", "Compute":
+			return chargeFacts{charges: true}
+		case "Poll", "PollEvery":
+			return chargeFacts{polls: true}
+		case "TupleCost":
+			return chargeFacts{charges: true, dispatches: true, polls: true}
+		}
+	case "Sink":
+		switch fn.Name() {
+		case "Evals", "Emits", "Loads", "Stores", "Stream", "Adds", "Others":
+			return chargeFacts{charges: true}
+		case "Tuples":
+			return chargeFacts{charges: true, dispatches: true, polls: true}
+		}
+	}
+	return chargeFacts{}
 }
 
 // merge ors the may-facts of o into f and reports whether f changed.
@@ -117,7 +151,7 @@ func buildSummary(prog *Program) *summary {
 			if !ok {
 				return true
 			}
-			f.merge(directFacts(calleeName(call)))
+			f.merge(directFacts(fn.pkg, call))
 			if callee := calleeObject(fn.pkg, call); callee != nil {
 				if _, declared := decls[callee]; declared {
 					callees[obj] = append(callees[obj], callee)
@@ -205,7 +239,7 @@ func (s *summary) stmtMustPolls(pkg *Package, st ast.Stmt) bool {
 
 func (s *summary) stmtMust(pkg *Package, st ast.Stmt, hit func(chargeFacts, *chargeFacts) bool) bool {
 	return anyCall(stmtEvalNode(st), func(call *ast.CallExpr) bool {
-		return hit(directFacts(calleeName(call)), s.facts[calleeObject(pkg, call)])
+		return hit(directFacts(pkg, call), s.facts[calleeObject(pkg, call)])
 	})
 }
 
@@ -266,7 +300,7 @@ func calleeObject(pkg *Package, call *ast.CallExpr) types.Object {
 // site: direct primitive names count immediately, declared callees
 // contribute their fixed-point facts.
 func (s *summary) callFacts(pkg *Package, call *ast.CallExpr) chargeFacts {
-	out := directFacts(calleeName(call))
+	out := directFacts(pkg, call)
 	if f := s.facts[calleeObject(pkg, call)]; f != nil {
 		out.merge(*f)
 	}

@@ -13,10 +13,10 @@ type Version struct {
 	TS   int
 }
 
-// Hier is the memory-hierarchy stand-in.
-type Hier struct{}
+// Hierarchy is the memory-hierarchy stand-in.
+type Hierarchy struct{}
 
-func (h *Hier) Load(addr uint64, dependent bool) {}
+func (h *Hierarchy) Load(addr uint64, dependent bool) {}
 
 // Ctx is the energy-context stand-in.
 type Ctx struct{}
@@ -36,7 +36,7 @@ func visibleUncharged(v *Version, ts int) *Version {
 }
 
 // visibleCharged charges one dependent load per hop: clean.
-func visibleCharged(h *Hier, base uint64, v *Version, ts int) *Version {
+func visibleCharged(h *Hierarchy, base uint64, v *Version, ts int) *Version {
 	for v != nil {
 		h.Load(base, true)
 		if v.TS <= ts {

@@ -8,15 +8,15 @@ package vec
 // Row mirrors exec.Row.
 type Row []int
 
-// Hier is the memory-hierarchy stand-in.
-type Hier struct{}
+// Hierarchy is the memory-hierarchy stand-in.
+type Hierarchy struct{}
 
-func (h *Hier) LoadRepeat(addr, n uint64)  {}
-func (h *Hier) StoreRepeat(addr, n uint64) {}
-func (h *Hier) Exec(n uint64)              {}
+func (h *Hierarchy) LoadRepeat(addr, n uint64)  {}
+func (h *Hierarchy) StoreRepeat(addr, n uint64) {}
+func (h *Hierarchy) Exec(n uint64)              {}
 
 // Machine bundles the hierarchy.
-type Machine struct{ Hier *Hier }
+type Machine struct{ Hier *Hierarchy }
 
 // Ctx is the energy/cancellation context stand-in.
 type Ctx struct{ M *Machine }
