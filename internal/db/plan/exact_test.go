@@ -36,19 +36,16 @@ func observed(e *engine.Engine, n *Node, meters map[*Node]*exec.Meter) cards {
 	k.outBatches = float64(own.Batches)
 	switch n.Kind {
 	case opSeqScan:
-		k.batches = float64(own.Batches)
-		k.backBatches, k.backRows = k.batches, float64(own.Positions)
+		k.batches, k.backRows = float64(own.Batches), float64(own.Positions)
 	case opHashJoin:
 		// Both inputs skip batches with nothing selected, and the output's
 		// positions are the pairs gathered before the residual narrows them.
-		k.batches = float64(first.LiveBatches)
-		k.backBatches, k.backRows = k.batches, float64(first.LivePositions)
+		k.batches, k.backRows = float64(first.LiveBatches), float64(first.LivePositions)
 		k.buildBatches = float64(build.LiveBatches)
 		k.chunks = math.Ceil(k.build / width)
 		k.matches = float64(own.Positions)
 	default:
-		k.batches = float64(first.Batches)
-		k.backBatches, k.backRows = k.batches, float64(first.Positions)
+		k.batches, k.backRows = float64(first.Batches), float64(first.Positions)
 	}
 	return k
 }
@@ -69,27 +66,24 @@ func exactKind(k opKind) bool {
 // the node's exclusive meter delta. cut marks a subtree a LIMIT may have
 // stopped pulling from before it was drained: its meters then saw only part
 // of what the operators buffered or finalized, so it is skipped down to the
-// next blocking operator. It returns n's output lazy-batch state.
-func checkExact(t *testing.T, label string, e *engine.Engine, n *Node, meters map[*Node]*exec.Meter, vecParent, cut bool) *lazyBatch {
+// next blocking operator. It returns n's output flow (nil in row mode).
+func checkExact(t *testing.T, label string, e *engine.Engine, n *Node, meters map[*Node]*exec.Meter, vecParent, cut bool) *flow {
 	t.Helper()
 	if n.Kind == opLimit {
 		cut = true
 	}
-	var in *lazyBatch
+	var in []*flow
 	for i, kid := range n.Kids {
 		kidCut := cut
 		switch {
 		case n.Kind == opSort, n.Kind == opAggregate, n.Kind == opHashJoin && i == 1:
 			kidCut = false // drained in Open, whatever is pulled from n later
 		}
-		lz := checkExact(t, label, e, kid, meters, n.Mode == ModeVector, kidCut)
-		if i == 0 {
-			in = lz
-		}
+		in = append(in, checkExact(t, label, e, kid, meters, n.Mode == ModeVector, kidCut))
 	}
 	k := observed(e, n, meters)
 	a := &est{cm: e.Ctx.Cost}
-	var out *lazyBatch
+	var out *flow
 	if n.Mode == ModeVector {
 		out = chargeVec(n, k, a, in)
 		if !vecParent {

@@ -427,13 +427,13 @@ type cards struct {
 	out float64
 
 	// Vector mode only: batches and buildBatches count the batches arriving
-	// from the two children, chunks the batch-width pieces a blocking
-	// operator cuts its buffered input into (join build, sort fill),
-	// outBatches the batches it re-batches its output into, and backRows
-	// and backBatches the positions and batches behind a lazily backed
-	// input, which a column's first touch materializes whole.
-	batches, buildBatches, chunks, outBatches float64
-	backRows, backBatches                     float64
+	// from the two children and backRows the positions behind the first
+	// one's (a column's first touch materializes them all), chunks the
+	// batch-width pieces a blocking operator cuts its buffered input into
+	// (join build, sort fill), and outBatches the batches it re-batches its
+	// output into.
+	batches, buildBatches, backRows float64
+	chunks, outBatches              float64
 }
 
 // bind estimates n's cardinalities from its own and its children's row

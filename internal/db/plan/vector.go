@@ -46,24 +46,31 @@ func vecEligibleKind(k opKind) bool {
 	return false
 }
 
-// lazyBatch is the planner's model of a lazily materialized scan batch
-// (vec.Batch backed by raw source rows): mat records the columns already
-// materialized by the subtree below, rows the backing scan's positions per
-// stream (materialization covers every position, selected or not).
-type lazyBatch struct {
-	mat  map[int]bool
-	rows float64
+// flow is the planner's model of the batches a vector-mode node hands its
+// consumer. batches is how many: a filter narrows the selection vector and
+// never compacts, so a chain keeps dispatching once per batch of its root —
+// the scan, or the join, sort or aggregate that re-batched its output —
+// however few rows stay selected. rows counts the positions behind those
+// batches. mat is set for a lazily backed batch (vec.Batch over raw rows)
+// and records the columns the subtree below has materialized — a first
+// touch covers every position, selected or not; it is nil when every vector
+// is materialized already (kernel outputs).
+type flow struct {
+	batches, rows float64
+	mat           map[int]bool
 }
 
-func cloneLazy(lz *lazyBatch) *lazyBatch {
-	if lz == nil {
+// copyMat copies a materialization set (nil stays nil), so a hypothesis can
+// mark columns without touching the state its siblings are priced against.
+func copyMat(mat map[int]bool) map[int]bool {
+	if mat == nil {
 		return nil
 	}
-	mat := make(map[int]bool, len(lz.mat))
-	for c := range lz.mat {
-		mat[c] = true
+	c := make(map[int]bool, len(mat))
+	for col := range mat {
+		c[col] = true
 	}
-	return &lazyBatch{mat: mat, rows: lz.rows}
+	return c
 }
 
 // modePrice is the two-state chain price of a subtree: rowTotal is the
@@ -71,16 +78,15 @@ func cloneLazy(lz *lazyBatch) *lazyBatch {
 // cheaper of staying row or running its vector chain plus the boundary
 // crossing back to rows), vecTotal the total with this node in vector mode
 // (every child forced to stay in the chain; +Inf when the node cannot run
-// vectorized). vecEJ/lz are the node's own vector estimate and output
-// lazy-batch state under the vector hypothesis, boundary the RowSource
-// adaptation price of handing this node's vectorized output to a row
-// consumer.
+// vectorized). vecEJ/out are the node's own vector estimate and output
+// flow under the vector hypothesis, boundary the RowSource adaptation price
+// of handing this node's vectorized output to a row consumer.
 type modePrice struct {
 	rowTotal float64
 	vecTotal float64
 	vecEJ    float64
 	boundary float64
-	lz       *lazyBatch
+	out      *flow
 }
 
 // chooseModes assigns execution modes chain-wise: priceModes runs the
@@ -99,11 +105,11 @@ func (pc *planCtx) chooseModes(root *Node) {
 }
 
 // priceModes computes the two-state price of n's subtree. The vector
-// hypothesis is priced against the first child's output lazy-batch state —
-// the mechanism that threads the consumer's column demand down a chain: a
-// parent is charged Batch.Col materialization only for the columns it
-// references, against the child's output state (the parent's demand, not
-// the child's supply).
+// hypothesis is priced against the children's output flows — the mechanism
+// that threads the chain root's batch count up a chain and the consumer's
+// column demand down it: a parent is charged Batch.Col materialization only
+// for the columns it references, against the child's output state (the
+// parent's demand, not the child's supply).
 func (pc *planCtx) priceModes(n *Node) modePrice {
 	rowKids, vecKids := 0.0, 0.0
 	chainKids := true
@@ -118,9 +124,9 @@ func (pc *planCtx) priceModes(n *Node) modePrice {
 	}
 	mp := modePrice{rowTotal: n.EstEJ + rowKids, vecTotal: math.Inf(1)}
 	if chainKids && pc.vecSupported(n) {
-		mp.vecEJ, mp.lz = pc.costVec(n)
+		mp.vecEJ, mp.out = pc.costVec(n)
 		mp.vecTotal = mp.vecEJ + vecKids
-		mp.boundary = pc.costBoundary(n)
+		mp.boundary = pc.costBoundary(n, mp.out)
 	}
 	pc.prices[n] = mp
 	return mp
@@ -180,12 +186,12 @@ func (pc *planCtx) vecSupported(n *Node) bool {
 	return true
 }
 
-// costVec prices n under the vector hypothesis and returns its output
-// lazy-batch state; its children must have been priced (priceModes does).
-func (pc *planCtx) costVec(n *Node) (float64, *lazyBatch) {
-	var in *lazyBatch
-	if len(n.Kids) > 0 {
-		in = pc.prices[n.Kids[0]].lz
+// costVec prices n under the vector hypothesis and returns its output flow;
+// its children must have been priced (priceModes does).
+func (pc *planCtx) costVec(n *Node) (float64, *flow) {
+	var in []*flow
+	for _, kid := range n.Kids {
+		in = append(in, pc.prices[kid].out)
 	}
 	k := pc.bindVec(n, in)
 	a := pc.c.newEst()
@@ -195,10 +201,10 @@ func (pc *planCtx) costVec(n *Node) (float64, *lazyBatch) {
 }
 
 // costBoundary prices the vector→row transition above n: what vec.RowSource
-// charges to hand n's batches to a row consumer.
-func (pc *planCtx) costBoundary(n *Node) float64 {
+// charges to hand n's output batches to a row consumer.
+func (pc *planCtx) costBoundary(n *Node, out *flow) float64 {
 	a := pc.c.newEst()
-	chargeBoundary(n, exec.Card{Batches: pc.batchesFor(n.EstRows), In: n.EstRows}, a)
+	chargeBoundary(n, exec.Card{Batches: out.batches, In: n.EstRows}, a)
 	return pc.c.price(a)
 }
 
@@ -219,35 +225,36 @@ func (pc *planCtx) batchesFor(n float64) float64 {
 	return math.Ceil(n / pc.batchWidth())
 }
 
-// bindVec extends bind with the batch counts of the vector hypothesis; in
-// is the staged output state of n's first child.
-func (pc *planCtx) bindVec(n *Node, in *lazyBatch) cards {
+// bindVec extends bind with the batch counts of the vector hypothesis: the
+// batches arriving are the children's output flows (in), whatever share of
+// their rows is still selected; a scan roots its chain with one batch per
+// batch width of heap rows, and a blocking operator cuts its buffered input
+// into chunks and its output into batches the same way.
+func (pc *planCtx) bindVec(n *Node, in []*flow) cards {
 	k := bind(n)
-	k.batches = pc.batchesFor(k.in)
-	k.buildBatches = pc.batchesFor(k.build)
-	k.chunks = k.batches
+	k.chunks = pc.batchesFor(k.in)
 	k.outBatches = pc.batchesFor(k.out)
-	switch {
-	case n.Kind == opSeqScan:
-		k.batches = pc.batchesFor(k.scanned)
-		k.backRows, k.backBatches = k.scanned, k.batches
-	case in != nil:
-		k.backRows, k.backBatches = in.rows, pc.batchesFor(in.rows)
-	}
-	if n.Kind == opHashJoin {
-		k.chunks = k.buildBatches
+	switch n.Kind {
+	case opSeqScan:
+		k.batches, k.backRows = pc.batchesFor(k.scanned), k.scanned
+	case opHashJoin:
+		k.chunks = pc.batchesFor(k.build)
+		k.buildBatches = in[1].batches
+		fallthrough
+	default:
+		k.batches, k.backRows = in[0].batches, in[0].rows
 	}
 	return k
 }
 
-// toucher returns the planner's stand-in for vec.Batch.Col on a lazily
-// backed batch of the given extent: the first touch of a column lz has not
+// toucher returns the planner's stand-in for vec.Batch.Col on the batches
+// of f: the first touch of a column a lazily backed batch has not
 // materialized yet charges its materialization and marks it.
-func toucher(s exec.Sink, lz *lazyBatch, batches, rows float64) func(col int) {
+func toucher(s exec.Sink, f *flow) func(col int) {
 	return func(col int) {
-		if lz != nil && !lz.mat[col] {
-			lz.mat[col] = true
-			vec.ChargeMaterialize(s, exec.Card{Batches: batches, In: rows}, 0)
+		if f.mat != nil && !f.mat[col] {
+			f.mat[col] = true
+			vec.ChargeMaterialize(s, exec.Card{Batches: f.batches, In: f.rows}, 0)
 		}
 	}
 }
@@ -262,18 +269,20 @@ func chargeProject(s exec.Sink, c exec.Card, exprs []exec.Expr, touch func(col i
 }
 
 // chargeVec issues the modelled charges of n's vectorized operator at k,
-// given the lazy-batch state its first child hands over, and returns the
-// state n hands its own consumer: nil when every output vector is
-// materialized (kernel outputs), otherwise what the subtree has touched so
-// far. Only columns a node's kernels reference materialize here; the rest
-// do where (and if) a parent first touches them — which is how a
+// given the flows its children hand over, and returns the flow n hands its
+// own consumer. Only columns a node's kernels reference materialize here;
+// the rest do where (and if) a parent first touches them — which is how a
 // consumer's column demand, not the producer's supply, ends up priced.
-func chargeVec(n *Node, k cards, s exec.Sink, in *lazyBatch) *lazyBatch {
-	lz := cloneLazy(in)
-	if n.Kind == opSeqScan {
-		lz = &lazyBatch{mat: map[int]bool{}, rows: k.scanned}
+func chargeVec(n *Node, k cards, s exec.Sink, in []*flow) *flow {
+	// The batches n's kernels run over: the first child's, at the bound
+	// extent (a scan's are its own). Pass-through operators hand the same
+	// lazily backed batches on; kernel outputs are fully materialized.
+	src := &flow{batches: k.batches, rows: k.backRows, mat: map[int]bool{}}
+	if len(in) > 0 {
+		src.mat = copyMat(in[0].mat)
 	}
-	touch := toucher(s, lz, k.backBatches, k.backRows)
+	touch := toucher(s, src)
+	made := &flow{batches: k.batches, rows: k.backRows}
 	arriving := exec.Card{Batches: k.batches, In: k.in, Out: k.out}
 	switch n.Kind {
 	case opSeqScan:
@@ -284,11 +293,11 @@ func chargeVec(n *Node, k cards, s exec.Sink, in *lazyBatch) *lazyBatch {
 		if n.Filter != nil {
 			vec.Compile(n.Filter).ChargeFilter(s, exec.Card{Batches: k.batches, In: k.scanned, Out: k.out}, touch)
 		}
-		return lz
+		return src
 	case opFilter:
 		// The batch passes through by reference: the output stays lazy.
 		vec.Compile(n.Filter).ChargeFilter(s, arriving, touch)
-		return lz
+		return src
 	case opPrune:
 		vec.ChargePrune(s, arriving, len(n.Cols))
 		for _, c := range n.Cols {
@@ -314,7 +323,8 @@ func chargeVec(n *Node, k cards, s exec.Sink, in *lazyBatch) *lazyBatch {
 		for i := len(n.GroupExprs) + len(n.Aggs); i > 0; i-- {
 			vec.ChargeMaterialize(s, groups, 0)
 		}
-		chargeProject(s, groups, n.PostExprs, func(int) {}) // group batches are materialized
+		made = &flow{batches: k.outBatches, rows: k.out}
+		chargeProject(s, groups, n.PostExprs, toucher(s, made))
 	case opHashJoin:
 		// Build: a collect dispatch per batch, the chunked hashing of the
 		// row buffer, an entry store per row. Probe: the key column of a
@@ -333,9 +343,9 @@ func chargeVec(n *Node, k cards, s exec.Sink, in *lazyBatch) *lazyBatch {
 		matched := exec.Card{Batches: k.outBatches, In: k.matches, Out: k.out}
 		vec.ChargeDispatch(s, matched)
 		vec.ChargeJoinGather(s, matched, vec.RowLines(n.Kids[0].schema.RowWidth()), buildLines, 0)
-		out := &lazyBatch{mat: map[int]bool{}, rows: k.matches}
+		out := &flow{batches: k.outBatches, rows: k.matches, mat: map[int]bool{}}
 		if n.Filter != nil {
-			vec.Compile(n.Filter).ChargeFilter(s, matched, toucher(s, out, k.outBatches, k.matches))
+			vec.Compile(n.Filter).ChargeFilter(s, matched, toucher(s, out))
 		}
 		return out
 	case opSort:
@@ -352,7 +362,7 @@ func chargeVec(n *Node, k cards, s exec.Sink, in *lazyBatch) *lazyBatch {
 		exec.ChargeSortStore(s, arriving, 0)                // fill
 		exec.ChargeSortStore(s, arriving, 0)                // placement
 		vec.ChargeSortEmit(s, exec.Card{Batches: k.outBatches, In: k.in}, 0)
-		return &lazyBatch{mat: map[int]bool{}, rows: k.out}
+		return &flow{batches: k.outBatches, rows: k.out, mat: map[int]bool{}}
 	}
-	return nil
+	return made
 }
