@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench-check bench-e2e bench bench-txn bench-join fuzz smoke
+.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench-check bench-e2e bench bench-txn bench-join fuzz smoke loc
 
 all: build
 
@@ -23,6 +23,12 @@ vet:
 # seconds.
 lint:
 	$(GO) run ./cmd/energylint ./...
+
+# Non-blank, non-comment, non-test Go lines of the packages the simplicity
+# PRs track: the planner and the two executors, and the analyzer suite.
+loc:
+	@scripts/loc.sh internal/db/plan internal/db/vec internal/db/exec
+	@scripts/loc.sh internal/lint
 
 # Budget gate for the analyzer suite itself: the full-repo run (load +
 # type-check + all analyzers, chargeflow CFG fixpoint included) must stay
@@ -106,10 +112,12 @@ smoke:
 # Legacy scaling baselines (claims cite BENCHMARK.json names via bench-e2e
 # now): end-to-end server throughput (internal/server/bench_test.go ->
 # BENCH_server.json) and the row-versus-vector executor sweep
-# (internal/db/vec/bench_test.go -> BENCH_vector.json). BENCH_server.json
-# measures `\q6` hand plans: session.execute routes `\qN` to the hand-built
-# tpch.Query.Build row plan, so that file never exercises plan.Prepare, the
-# optimizer or the vector executor. bench/ sends SQL text and does.
+# (internal/db/vec/bench_test.go -> BENCH_vector.json). The committed
+# BENCH_server.json was recorded when session.execute still routed `\qN` to
+# the hand-built tpch.Query.Build row plans; `\qN` is now the SQL text of
+# query N through plan.Prepare, so a fresh run measures the optimizer and the
+# vector executor and is not comparable with the committed cells. The file
+# was not regenerated when the route changed.
 bench:
 	$(GO) test -run xxx -bench BenchmarkServerThroughput -benchtime 2s ./internal/server/
 	$(GO) test -run xxx -bench BenchmarkVectorThroughput -benchtime 1s ./internal/db/vec/

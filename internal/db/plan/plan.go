@@ -6,9 +6,12 @@
 // units.
 //
 // The cost model estimates each candidate operator's micro-operation counts
-// (the paper's N_m terms: L1D, Reg2L1D, L2, L3, mem, prefetch, stall) from
-// catalog statistics and cache geometry, then prices them with the same
-// calibrated ΔE_m table the measurement pipeline uses (Eq. 1). Plans are
+// (the paper's N_m terms: L1D, Reg2L1D, L2, L3, mem, prefetch, stall) — the
+// modelled charges by evaluating the executors' own charge functions at
+// cardinalities estimated from catalog statistics, the data-dependent
+// accesses with a cache model over the machine's geometry — then prices
+// them with the same calibrated ΔE_m table the measurement pipeline uses
+// (Eq. 1). Plans are
 // therefore chosen, displayed (EXPLAIN) and verified (EXPLAIN ENERGY, which
 // meters each operator's counter delta during execution) in one energy
 // vocabulary.

@@ -7,7 +7,9 @@
 // of a kernel pipeline stays cache-resident, and every kernel charges its
 // payload traffic through the same memory-hierarchy simulator as the row
 // executor, so EXPLAIN ENERGY attribution and the calibrated ΔE_m pricing
-// work identically for both modes.
+// work identically for both modes. What each primitive charges is stated
+// once, as a charge function in charge.go that the operators run per batch
+// and the planner evaluates per plan node.
 //
 // Semantics are shared with the row path by construction: kernels evaluate
 // elements with exec.ApplyBin, exec.Truthy, exec.LikeMatch and exec.AggAcc —

@@ -14,8 +14,8 @@ import (
 // nothing). The analysis runs on the chargeflow engine (cfg.go,
 // dataflow.go, summary.go): statement-level CFGs plus an interprocedural
 // may/must charge summary, so helpers that charge on behalf of callers
-// (vec.Metered sections, chargeKernel, Device.Charge*) satisfy the
-// obligation of the loops that call them.
+// (vec.Metered sections, the exec/vec charge functions, Device.Charge*)
+// satisfy the obligation of the loops that call them.
 //
 // Three rules, in decreasing specificity:
 //

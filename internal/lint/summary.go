@@ -29,7 +29,7 @@ import (
 // charge/dispatch", which the chargepath analyzer needs to accept a helper
 // call as satisfying a loop's charging obligation.
 type chargeFacts struct {
-	charges    bool // may advance hierarchy counters / Charge* / AddIdle
+	charges    bool // may advance hierarchy counters (or the machine clock: AddIdle)
 	dispatches bool // may call Ctx.TupleCost (charged per-tuple dispatch)
 	polls      bool // may check cancellation (Poll / PollEvery / TupleCost)
 

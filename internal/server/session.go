@@ -421,54 +421,51 @@ func (s *session) execute(text string) (name string, cols []string, rows []value
 	var buildErr error
 	var planSummary string
 	name = "query"
+	query := text
 	if strings.HasPrefix(text, `\q`) {
+		// TPC-H shorthand: \qN is the SQL text of query N (tpch.SQLByID) and
+		// takes the same parse → optimize route as any other statement.
 		var id int
 		if _, scanErr := fmt.Sscanf(text, `\q%d`, &id); scanErr != nil {
 			return "", nil, nil, b, "parse", fmt.Errorf(`bad TPC-H shorthand %q: use \q<N> with N in 1..22`, text)
 		}
-		q, qErr := tpch.QueryByID(id)
+		q, qErr := tpch.SQLByID(id)
 		if qErr != nil {
 			return "", nil, nil, b, "parse", qErr
 		}
 		name = fmt.Sprintf("tpch-q%d", id)
-		if submitErr := s.submit(func() {
-			s.bind()
-			plan, buildErr = q.Build(s.eng)
-		}); submitErr != nil {
-			return "", nil, nil, b, "exec", submitErr
+		query = q.Text
+	}
+	stmt, parseErr := sql.ParseStatement(query)
+	if parseErr != nil {
+		return "", nil, nil, b, "parse", parseErr
+	}
+	var sel *sql.SelectStmt
+	switch st := stmt.(type) {
+	case *sql.ExplainStmt:
+		return s.explain(st, text)
+	case *sql.BeginStmt:
+		return s.txnStmt(wire.TxnBegin)
+	case *sql.CommitStmt:
+		return s.txnStmt(wire.TxnCommit)
+	case *sql.RollbackStmt:
+		return s.txnStmt(wire.TxnRollback)
+	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+		return s.executeDML(st, text)
+	case *sql.SelectStmt:
+		sel = st
+	default:
+		return "", nil, nil, b, "parse", fmt.Errorf("unsupported statement %T", stmt)
+	}
+	if submitErr := s.submit(func() {
+		s.bind()
+		var p *dbplan.Prepared
+		if p, buildErr = dbplan.Prepare(s.eng, sel); buildErr == nil {
+			planSummary = p.Summary()
+			plan, buildErr = p.Build()
 		}
-	} else {
-		stmt, parseErr := sql.ParseStatement(text)
-		if parseErr != nil {
-			return "", nil, nil, b, "parse", parseErr
-		}
-		var sel *sql.SelectStmt
-		switch st := stmt.(type) {
-		case *sql.ExplainStmt:
-			return s.explain(st, text)
-		case *sql.BeginStmt:
-			return s.txnStmt(wire.TxnBegin)
-		case *sql.CommitStmt:
-			return s.txnStmt(wire.TxnCommit)
-		case *sql.RollbackStmt:
-			return s.txnStmt(wire.TxnRollback)
-		case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-			return s.executeDML(st, text)
-		case *sql.SelectStmt:
-			sel = st
-		default:
-			return "", nil, nil, b, "parse", fmt.Errorf("unsupported statement %T", stmt)
-		}
-		if submitErr := s.submit(func() {
-			s.bind()
-			var p *dbplan.Prepared
-			if p, buildErr = dbplan.Prepare(s.eng, sel); buildErr == nil {
-				planSummary = p.Summary()
-				plan, buildErr = p.Build()
-			}
-		}); submitErr != nil {
-			return "", nil, nil, b, "exec", submitErr
-		}
+	}); submitErr != nil {
+		return "", nil, nil, b, "exec", submitErr
 	}
 	if buildErr != nil {
 		return "", nil, nil, b, "plan", buildErr
