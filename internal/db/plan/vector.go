@@ -234,15 +234,14 @@ func (pc *planCtx) bindVec(n *Node, in []*flow) cards {
 	k := bind(n)
 	k.chunks = pc.batchesFor(k.in)
 	k.outBatches = pc.batchesFor(k.out)
-	switch n.Kind {
-	case opSeqScan:
+	if n.Kind == opSeqScan {
 		k.batches, k.backRows = pc.batchesFor(k.scanned), k.scanned
-	case opHashJoin:
+	} else {
+		k.batches, k.backRows = in[0].batches, in[0].rows
+	}
+	if n.Kind == opHashJoin {
 		k.chunks = pc.batchesFor(k.build)
 		k.buildBatches = in[1].batches
-		fallthrough
-	default:
-		k.batches, k.backRows = in[0].batches, in[0].rows
 	}
 	return k
 }
