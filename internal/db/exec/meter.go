@@ -69,13 +69,10 @@ type Meter struct {
 	out  Emitted
 }
 
-// Emitted counts the batches a vectorized operator handed its consumer:
-// all of them with the positions behind them (selected or not), and the
-// Live ones — those with at least one selected row, the only ones a
-// buffering consumer looks at.
+// Emitted counts the batches a vectorized operator handed its consumer and
+// the positions behind them, selected or not.
 type Emitted struct {
-	Batches, Positions         int
-	LiveBatches, LivePositions int
+	Batches, Positions int
 }
 
 // Own returns the counters attributed exclusively to this operator.
@@ -96,10 +93,6 @@ func (m *Meter) AddBatch(positions, rows int) {
 	m.rows += rows
 	m.out.Batches++
 	m.out.Positions += positions
-	if rows > 0 {
-		m.out.LiveBatches++
-		m.out.LivePositions += positions
-	}
 }
 
 // Inclusive returns this operator's counters including all metered

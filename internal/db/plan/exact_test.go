@@ -14,39 +14,32 @@ import (
 )
 
 // observed binds n's cardinalities to what the meters counted, in the mode
-// n ran in.
-func observed(e *engine.Engine, n *Node, meters map[*Node]*exec.Meter) cards {
+// n ran in; in are the output flows of its children (vector mode).
+func observed(e *engine.Engine, n *Node, meters map[*Node]*exec.Meter, in []*flow) cards {
 	k := bind(n) // scanned: a full scan reads the whole heap
 	own := meters[n].Emitted()
 	k.out = float64(meters[n].Rows())
 	k.matches = k.out
-	var first, build exec.Emitted
 	if len(n.Kids) > 0 {
 		k.in = float64(meters[n.Kids[0]].Rows())
-		first = meters[n.Kids[0]].Emitted()
 	}
 	if n.Kind == opHashJoin {
 		k.build = float64(meters[n.Kids[1]].Rows())
-		build = meters[n.Kids[1]].Emitted()
 	}
 	if n.Mode != ModeVector {
 		return k
 	}
-	width := float64(vec.BatchSizeFor(e.M.Profile.Mem))
 	k.outBatches = float64(own.Batches)
 	switch n.Kind {
 	case opSeqScan:
 		k.batches, k.backRows = float64(own.Batches), float64(own.Positions)
 	case opHashJoin:
-		// Both inputs skip batches with nothing selected, and the output's
-		// positions are the pairs gathered before the residual narrows them.
-		k.batches, k.backRows = float64(first.LiveBatches), float64(first.LivePositions)
-		k.buildBatches = float64(build.LiveBatches)
-		k.chunks = math.Ceil(k.build / width)
+		// The output's positions are the pairs gathered before the residual
+		// narrows them.
+		k.chunks = math.Ceil(k.build / float64(vec.BatchSizeFor(e.M.Profile.Mem)))
 		k.matches = float64(own.Positions)
-	default:
-		k.batches, k.backRows = float64(first.Batches), float64(first.Positions)
 	}
+	k.bindFlows(n, in)
 	return k
 }
 
@@ -81,11 +74,12 @@ func checkExact(t *testing.T, label string, e *engine.Engine, n *Node, meters ma
 		}
 		in = append(in, checkExact(t, label, e, kid, meters, n.Mode == ModeVector, kidCut))
 	}
-	k := observed(e, n, meters)
+	k := observed(e, n, meters, in)
 	a := &est{cm: e.Ctx.Cost}
 	var out *flow
 	if n.Mode == ModeVector {
-		out = chargeVec(n, k, a, in)
+		pr, _ := compileVec(n)
+		out = chargeVec(n, pr, k, a, in)
 		if !vecParent {
 			chargeBoundary(n, exec.Card{Batches: k.outBatches, In: k.out}, a)
 		}

@@ -60,6 +60,18 @@ type flow struct {
 	mat           map[int]bool
 }
 
+// live returns the part of f a buffering consumer looks at. vec.HashJoin and
+// vec.Sort skip a batch with nothing selected; with sel of f's positions
+// still selected, spread evenly, a batch of w positions keeps at least one
+// with probability 1-(1-sel/rows)^w.
+func (f *flow) live(sel float64) (batches, rows float64) {
+	if f.rows <= 0 || f.batches <= 0 {
+		return f.batches, f.rows
+	}
+	p := 1 - math.Pow(1-math.Min(1, sel/f.rows), f.rows/f.batches)
+	return f.batches * p, f.rows * p
+}
+
 // copyMat copies a materialization set (nil stays nil), so a hypothesis can
 // mark columns without touching the state its siblings are priced against.
 func copyMat(mat map[int]bool) map[int]bool {
@@ -123,10 +135,12 @@ func (pc *planCtx) priceModes(n *Node) modePrice {
 		}
 	}
 	mp := modePrice{rowTotal: n.EstEJ + rowKids, vecTotal: math.Inf(1)}
-	if chainKids && pc.vecSupported(n) {
-		mp.vecEJ, mp.out = pc.costVec(n)
-		mp.vecTotal = mp.vecEJ + vecKids
-		mp.boundary = pc.costBoundary(n, mp.out)
+	if chainKids {
+		if pr, ok := pc.vecSupported(n); ok {
+			mp.vecEJ, mp.out = pc.costVec(n, pr)
+			mp.vecTotal = mp.vecEJ + vecKids
+			mp.boundary = pc.costBoundary(n, mp.out)
+		}
 	}
 	pc.prices[n] = mp
 	return mp
@@ -156,46 +170,71 @@ func (pc *planCtx) commitModes(n *Node, vecConsumer bool) {
 	}
 }
 
+// progs holds a node's expressions compiled to kernel programs. Prepare
+// compiles them once: whether all of them are exact decides if the node can
+// run vectorized, and chargeVec prices the same programs.
+type progs struct {
+	filter                    *vec.Prog   // nil without a predicate
+	exprs, groups, post, keys []*vec.Prog // select list, GROUP BY, re-projection, ORDER BY
+	args                      []*vec.Prog // one per aggregate, nil for COUNT(*)
+}
+
+// compileVec compiles n's expressions and reports whether every one of them
+// runs as kernels only.
+func compileVec(n *Node) (*progs, bool) {
+	exact := true
+	one := func(e exec.Expr) *vec.Prog {
+		if e == nil {
+			return nil
+		}
+		p := vec.Compile(e)
+		exact = exact && p.Exact()
+		return p
+	}
+	all := func(es []exec.Expr) []*vec.Prog {
+		ps := make([]*vec.Prog, len(es))
+		for i, e := range es {
+			ps[i] = one(e)
+		}
+		return ps
+	}
+	pr := &progs{filter: one(n.Filter), exprs: all(n.Exprs), groups: all(n.GroupExprs), post: all(n.PostExprs)}
+	for _, a := range n.Aggs {
+		pr.args = append(pr.args, one(a.Arg))
+	}
+	for _, k := range n.SortKeys {
+		pr.keys = append(pr.keys, one(k.Expr))
+	}
+	return pr, exact
+}
+
 // vecSupported reports whether n can run vectorized at all, given batch
-// inputs: the kind has a kernel implementation and every expression
-// compiles to kernels.
-func (pc *planCtx) vecSupported(n *Node) bool {
+// inputs — the kind has a kernel implementation and every expression
+// compiles to kernels — and returns the compiled programs if so.
+func (pc *planCtx) vecSupported(n *Node) (*progs, bool) {
 	if !vecEligibleKind(n.Kind) {
-		return false
+		return nil, false
 	}
 	// A build side smaller than one batch never fills a single build chunk:
 	// the batched build degenerates to the row path plus extra buffering,
 	// and at that size the estimator is below its resolution (one dispatch
 	// either way decides the comparison). Keep such joins on the row path.
 	if n.Kind == opHashJoin && n.Kids[1].EstRows < pc.batchWidth() {
-		return false
+		return nil, false
 	}
-	exprs := append([]exec.Expr{n.Filter}, n.Exprs...)
-	exprs = append(append(exprs, n.GroupExprs...), n.PostExprs...)
-	for _, a := range n.Aggs {
-		exprs = append(exprs, a.Arg)
-	}
-	for _, k := range n.SortKeys {
-		exprs = append(exprs, k.Expr)
-	}
-	for _, e := range exprs {
-		if e != nil && !vec.Supported(e) {
-			return false
-		}
-	}
-	return true
+	return compileVec(n)
 }
 
 // costVec prices n under the vector hypothesis and returns its output flow;
 // its children must have been priced (priceModes does).
-func (pc *planCtx) costVec(n *Node) (float64, *flow) {
+func (pc *planCtx) costVec(n *Node, pr *progs) (float64, *flow) {
 	var in []*flow
 	for _, kid := range n.Kids {
 		in = append(in, pc.prices[kid].out)
 	}
 	k := pc.bindVec(n, in)
 	a := pc.c.newEst()
-	out := chargeVec(n, k, a, in)
+	out := chargeVec(n, pr, k, a, in)
 	pc.model(n, k, a, true)
 	return pc.c.price(a), out
 }
@@ -225,25 +264,38 @@ func (pc *planCtx) batchesFor(n float64) float64 {
 	return math.Ceil(n / pc.batchWidth())
 }
 
-// bindVec extends bind with the batch counts of the vector hypothesis: the
-// batches arriving are the children's output flows (in), whatever share of
-// their rows is still selected; a scan roots its chain with one batch per
-// batch width of heap rows, and a blocking operator cuts its buffered input
-// into chunks and its output into batches the same way.
+// bindVec extends bind with the batch counts of the vector hypothesis: a scan
+// roots its chain with one batch per batch width of heap rows, and a
+// blocking operator cuts its buffered input into chunks and its output into
+// batches the same way; the batches arriving are bindFlows'.
 func (pc *planCtx) bindVec(n *Node, in []*flow) cards {
 	k := bind(n)
 	k.chunks = pc.batchesFor(k.in)
 	k.outBatches = pc.batchesFor(k.out)
 	if n.Kind == opSeqScan {
 		k.batches, k.backRows = pc.batchesFor(k.scanned), k.scanned
-	} else {
-		k.batches, k.backRows = in[0].batches, in[0].rows
 	}
 	if n.Kind == opHashJoin {
 		k.chunks = pc.batchesFor(k.build)
-		k.buildBatches = in[1].batches
 	}
+	k.bindFlows(n, in)
 	return k
+}
+
+// bindFlows binds the batches arriving at n to its children's output flows
+// (in): all of them, whatever share of their rows is still selected, except
+// that the buffering consumers — join and sort — see the live ones only.
+func (k *cards) bindFlows(n *Node, in []*flow) {
+	switch n.Kind {
+	case opSeqScan:
+	case opHashJoin:
+		k.batches, k.backRows = in[0].live(k.in)
+		k.buildBatches, _ = in[1].live(k.build)
+	case opSort:
+		k.batches, k.backRows = in[0].live(k.in)
+	default:
+		k.batches, k.backRows = in[0].batches, in[0].rows
+	}
 }
 
 // toucher returns the planner's stand-in for vec.Batch.Col on the batches
@@ -260,10 +312,10 @@ func toucher(s exec.Sink, f *flow) func(col int) {
 
 // chargeProject charges a vectorized projection of c: its driver dispatch
 // and one kernel program per output expression.
-func chargeProject(s exec.Sink, c exec.Card, exprs []exec.Expr, touch func(col int)) {
+func chargeProject(s exec.Sink, c exec.Card, exprs []*vec.Prog, touch func(col int)) {
 	vec.ChargeDispatch(s, c)
-	for _, e := range exprs {
-		vec.Compile(e).Charge(s, c, touch)
+	for _, p := range exprs {
+		p.Charge(s, c, touch)
 	}
 }
 
@@ -272,7 +324,7 @@ func chargeProject(s exec.Sink, c exec.Card, exprs []exec.Expr, touch func(col i
 // own consumer. Only columns a node's kernels reference materialize here;
 // the rest do where (and if) a parent first touches them — which is how a
 // consumer's column demand, not the producer's supply, ends up priced.
-func chargeVec(n *Node, k cards, s exec.Sink, in []*flow) *flow {
+func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 	// The batches n's kernels run over: the first child's, at the bound
 	// extent (a scan's are its own). Pass-through operators hand the same
 	// lazily backed batches on; kernel outputs are fully materialized.
@@ -289,13 +341,13 @@ func chargeVec(n *Node, k cards, s exec.Sink, in []*flow) *flow {
 		// per batch, then the pushed predicate; no output-row copy — batches
 		// go to the parent by reference.
 		vec.ChargeScan(s, exec.Card{Batches: k.batches}, 0)
-		if n.Filter != nil {
-			vec.Compile(n.Filter).ChargeFilter(s, exec.Card{Batches: k.batches, In: k.scanned, Out: k.out}, touch)
+		if pr.filter != nil {
+			pr.filter.ChargeFilter(s, exec.Card{Batches: k.batches, In: k.scanned, Out: k.out}, touch)
 		}
 		return src
 	case opFilter:
 		// The batch passes through by reference: the output stays lazy.
-		vec.Compile(n.Filter).ChargeFilter(s, arriving, touch)
+		pr.filter.ChargeFilter(s, arriving, touch)
 		return src
 	case opPrune:
 		vec.ChargePrune(s, arriving, len(n.Cols))
@@ -303,17 +355,17 @@ func chargeVec(n *Node, k cards, s exec.Sink, in []*flow) *flow {
 			touch(c)
 		}
 	case opProject:
-		chargeProject(s, arriving, n.Exprs, touch)
+		chargeProject(s, arriving, pr.exprs, touch)
 	case opAggregate:
 		// Key and argument kernels and one table update per batch; then the
 		// finalizing table scan, one materialization primitive per output
 		// column per group batch, and the select-list re-projection.
-		for _, e := range n.GroupExprs {
-			vec.Compile(e).Charge(s, arriving, touch)
+		for _, p := range pr.groups {
+			p.Charge(s, arriving, touch)
 		}
-		for _, ag := range n.Aggs {
-			if ag.Arg != nil {
-				vec.Compile(ag.Arg).Charge(s, arriving, touch)
+		for _, p := range pr.args {
+			if p != nil {
+				p.Charge(s, arriving, touch)
 			}
 		}
 		vec.ChargeAggUpdate(s, arriving, len(n.Aggs), 0)
@@ -323,7 +375,7 @@ func chargeVec(n *Node, k cards, s exec.Sink, in []*flow) *flow {
 			vec.ChargeMaterialize(s, groups, 0)
 		}
 		made = &flow{batches: k.outBatches, rows: k.out}
-		chargeProject(s, groups, n.PostExprs, toucher(s, made))
+		chargeProject(s, groups, pr.post, toucher(s, made))
 	case opHashJoin:
 		// Build: a collect dispatch per batch, the chunked hashing of the
 		// row buffer, an entry store per row. Probe: the key column of a
@@ -343,16 +395,15 @@ func chargeVec(n *Node, k cards, s exec.Sink, in []*flow) *flow {
 		vec.ChargeDispatch(s, matched)
 		vec.ChargeJoinGather(s, matched, vec.RowLines(n.Kids[0].schema.RowWidth()), buildLines, 0)
 		out := &flow{batches: k.outBatches, rows: k.matches, mat: map[int]bool{}}
-		if n.Filter != nil {
-			vec.Compile(n.Filter).ChargeFilter(s, matched, toucher(s, out))
+		if pr.filter != nil {
+			pr.filter.ChargeFilter(s, matched, toucher(s, out))
 		}
 		return out
 	case opSort:
 		// Bulk key extraction (kernels plus one packing primitive per key
 		// per batch), a collect dispatch per batch, the chunked fill, the
 		// placement, and a lazily backed emit with no per-row output copy.
-		for _, key := range n.SortKeys {
-			p := vec.Compile(key.Expr)
+		for _, p := range pr.keys {
 			p.Charge(s, arriving, touch)
 			vec.ChargeSortPack(s, arriving, 0, p.Const(), 0)
 		}

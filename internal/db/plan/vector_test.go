@@ -346,3 +346,19 @@ func TestChainModePricing(t *testing.T) {
 		})
 	}
 }
+
+// TestFlowLive pins the live-batch rule the buffering consumers are bound
+// with: every batch while the selection is dense, none when it is empty, and
+// about one batch per surviving row when almost nothing is selected.
+func TestFlowLive(t *testing.T) {
+	f := &flow{batches: 60, rows: 60 * 1024}
+	if b, r := f.live(f.rows / 10); b != f.batches || r != f.rows {
+		t.Errorf("dense selection: live = %v batches, %v rows, want all of %v, %v", b, r, f.batches, f.rows)
+	}
+	if b, r := f.live(0); b != 0 || r != 0 {
+		t.Errorf("empty selection: live = %v batches, %v rows, want none", b, r)
+	}
+	if b, _ := f.live(6); b < 5 || b > 6 {
+		t.Errorf("6 rows selected out of 60 batches: live = %v batches, want just under 6", b)
+	}
+}

@@ -84,11 +84,10 @@ func (p *Prog) add(e exec.Expr) *progNode {
 	return n
 }
 
-// Supported reports whether the expression compiles to kernels only. The
-// planner only chooses vector mode for supported trees; an unsupported node
-// reaching a program anyway falls back to exact row-at-a-time evaluation
-// inside its kernel.
-func Supported(e exec.Expr) bool { return Compile(e).exact }
+// Exact reports whether the program runs as kernels only. The planner only
+// chooses vector mode for exact programs; an unsupported node reaching a
+// program anyway falls back to row-at-a-time evaluation inside its kernel.
+func (p *Prog) Exact() bool { return p.exact }
 
 // Const reports whether the program's result is a broadcast constant.
 func (p *Prog) Const() bool { return p.res.isConst() }
