@@ -25,10 +25,12 @@ lint:
 	$(GO) run ./cmd/energylint ./...
 
 # Non-blank, non-comment, non-test Go lines of the packages the simplicity
-# PRs track: the planner and the two executors, and the analyzer suite.
+# PRs track: the planner and the two executors, the analyzer suite, and the
+# statement pipeline with its two consumers.
 loc:
 	@scripts/loc.sh internal/db/plan internal/db/vec internal/db/exec
 	@scripts/loc.sh internal/lint
+	@scripts/loc.sh internal/server cmd/dbshell internal/db/stmt
 
 # Budget gate for the analyzer suite itself: the full-repo run (load +
 # type-check + all analyzers, chargeflow CFG fixpoint included) must stay

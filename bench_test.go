@@ -207,14 +207,7 @@ func BenchmarkAblationDTCMBudget(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			plan, err := q.Build(e)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Run(plan); err != nil {
-				b.Fatal(err)
-			}
-			plan, err = q.Build(e)
+			plan, err := tpch.Warm(e, q.Build)
 			if err != nil {
 				b.Fatal(err)
 			}

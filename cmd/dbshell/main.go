@@ -29,12 +29,8 @@ import (
 	"energydb/internal/core"
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
-	"energydb/internal/db/exec"
-	"energydb/internal/db/plan"
-	"energydb/internal/db/sql"
-	"energydb/internal/db/txn"
+	"energydb/internal/db/stmt"
 	"energydb/internal/db/value"
-	"energydb/internal/mubench"
 	"energydb/internal/obs"
 	"energydb/internal/rapl"
 	"energydb/internal/server/client"
@@ -52,15 +48,15 @@ func main() {
 	)
 	flag.Parse()
 
-	kind, err := parseKind(*dbFlag)
+	kind, err := engine.ParseKind(*dbFlag)
 	if err != nil {
 		fatal(err)
 	}
-	class, err := parseClass(*classFlag)
+	class, err := tpch.ParseClass(*classFlag)
 	if err != nil {
 		fatal(err)
 	}
-	set, err := parseSetting(*setting)
+	set, err := engine.ParseSetting(*setting)
 	if err != nil {
 		fatal(err)
 	}
@@ -107,11 +103,9 @@ type shell struct {
 	setting engine.Setting
 	maxRows int
 
-	// Local mode (lazily built).
-	eng  *engine.Engine
-	prof *core.Profiler
-	// tx is the open explicit transaction in local mode (nil: autocommit).
-	tx *txn.Txn
+	// Local mode (lazily built): the statement pipeline energyd sessions
+	// run, on an engine and profiler of the shell's own.
+	pipe *stmt.Session
 
 	// Remote mode.
 	remote *client.Conn
@@ -119,9 +113,12 @@ type shell struct {
 
 // prompt marks an open transaction, locally or on the remote session.
 func (sh *shell) prompt() string {
-	inTxn := sh.tx != nil
-	if sh.remote != nil {
+	inTxn := false
+	switch {
+	case sh.remote != nil:
 		_, inTxn = sh.remote.InTxn()
+	case sh.pipe != nil:
+		_, inTxn = sh.pipe.InTxn()
 	}
 	if inTxn {
 		return "(txn)> "
@@ -193,11 +190,16 @@ func (sh *shell) dispatch(line string) bool {
 		sh.remoteQuery(line)
 		return true
 	}
-	if strings.HasPrefix(line, `\q`) {
-		sh.localTPCH(line)
+	st, err := stmt.Parse(line)
+	if err != nil {
+		fmt.Println("error:", err)
 		return true
 	}
-	sh.localSQL(line)
+	if st.Note != "" {
+		fmt.Println("approximates the query:", st.Note)
+	}
+	sh.local(func() ([]stmt.Record, stmt.Result, error) { return sh.pipe.Exec(st) },
+		func(res stmt.Result) { sh.printRows(res.Cols, res.Rows) })
 	return true
 }
 
@@ -223,23 +225,41 @@ func (sh *shell) dial(addr string) error {
 
 // setupLocal calibrates the machine and loads the dataset (once).
 func (sh *shell) setupLocal() error {
-	if sh.eng != nil {
+	if sh.pipe != nil {
 		return nil
 	}
 	fmt.Printf("Calibrating the i7-4790 energy model...\n")
-	m := cpusim.NewMachine(cpusim.IntelI7_4790())
-	meter := rapl.NewMeter(m, 42, rapl.DefaultNoise)
-	runner := mubench.NewRunner(m, meter)
-	runner.Scale = 0.1
-	cal, err := core.Calibrate(runner)
+	st, err := core.NewStack(cpusim.PStateMax, 42, rapl.DefaultNoise, 0.1, 0)
 	if err != nil {
 		return err
 	}
-	sh.prof = core.NewProfiler(m, meter, cal)
 	fmt.Printf("Loading TPC-H %s into the %v profile (%v knobs)...\n", sh.class, sh.kind, sh.setting)
-	sh.eng = engine.New(sh.kind, m, sh.setting)
-	tpch.Setup(sh.eng, sh.class)
+	eng := engine.New(sh.kind, st.M, sh.setting)
+	tpch.Setup(eng, sh.class)
+	sh.pipe = &stmt.Session{Eng: eng, Prof: st.Profiler()}
 	return nil
+}
+
+// local runs one pipeline call on the shell's own engine and shows what an
+// energyd session would have answered, then the breakdown of every region
+// that ran to completion (a failed write inside a transaction still shows
+// what rolling it back cost).
+func (sh *shell) local(call func() ([]stmt.Record, stmt.Result, error), show func(stmt.Result)) {
+	if err := sh.setupLocal(); err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	recs, res, err := call()
+	if err != nil {
+		fmt.Println("error:", err)
+	} else {
+		show(res)
+	}
+	for _, r := range recs {
+		if r.OK {
+			printBreakdown(r.B)
+		}
+	}
 }
 
 // remoteQuery routes one statement (SQL or \qN) to the server and renders
@@ -261,8 +281,7 @@ func (sh *shell) remoteQuery(line string) {
 }
 
 // txnCmd runs one transaction control, against the remote session or the
-// local engine. Commit fsyncs the WAL and rollback walks the undo chain, so
-// the local path prints their energy breakdown like any statement.
+// local pipeline.
 func (sh *shell) txnCmd(op wire.TxnOp) {
 	if sh.remote != nil {
 		var err error
@@ -286,161 +305,8 @@ func (sh *shell) txnCmd(op wire.TxnOp) {
 		}
 		return
 	}
-	if err := sh.setupLocal(); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	switch op {
-	case wire.TxnBegin:
-		if sh.tx != nil {
-			fmt.Printf("error: transaction %d already open\n", sh.tx.ID())
-			return
-		}
-		sh.tx = sh.eng.Begin()
-		fmt.Printf("BEGIN (txn %d)\n", sh.tx.ID())
-	case wire.TxnCommit, wire.TxnRollback:
-		if sh.tx == nil {
-			fmt.Println("error: no transaction open")
-			return
-		}
-		t := sh.tx
-		sh.tx = nil
-		sh.eng.Bind(t)
-		var err error
-		b := sh.prof.Profile(strings.ToLower(op.String()), func() {
-			if op == wire.TxnCommit {
-				err = sh.eng.Commit(t)
-			} else {
-				err = sh.eng.Rollback(t)
-			}
-		})
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		fmt.Println(op.String())
-		printBreakdown(b)
-	}
-}
-
-// bind establishes the statement snapshot on the local engine: the open
-// transaction's pinned one, or a fresh read snapshot.
-func (sh *shell) bind() {
-	if sh.tx != nil {
-		sh.eng.Bind(sh.tx)
-	} else {
-		sh.eng.Unbind()
-	}
-}
-
-// localTPCH runs \q<N> locally: the shorthand stands for the SQL text of
-// TPC-H query N and takes the same route as typing it.
-func (sh *shell) localTPCH(line string) {
-	var id int
-	if _, err := fmt.Sscanf(line, `\q%d`, &id); err != nil {
-		fmt.Println("error: use \\q<N> with N in 1..22")
-		return
-	}
-	q, err := tpch.SQLByID(id)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("TPC-H Q%d\n", id)
-	if !q.Exact {
-		fmt.Println("approximates the query:", q.Note)
-	}
-	sh.localSQL(q.Text)
-}
-
-// localSQL parses, plans and profiles one SQL statement locally. EXPLAIN
-// renders the optimizer's chosen plan with predicted energy; EXPLAIN ENERGY
-// executes it with per-operator metering and prints the measured
-// attribution.
-func (sh *shell) localSQL(line string) {
-	if err := sh.setupLocal(); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	stmt, err := sql.ParseStatement(line)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	sh.bind()
-	switch stmt.(type) {
-	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-		var n int
-		var runErr error
-		b := sh.prof.Profile("dml", func() { n, runErr = plan.ExecWrite(sh.eng, sh.tx, stmt) })
-		if runErr != nil {
-			// A failed statement may have left writes in the open
-			// transaction; roll the whole transaction back rather than
-			// let a later commit publish a torn statement.
-			if sh.tx != nil {
-				t := sh.tx
-				sh.tx = nil
-				sh.eng.Bind(t)
-				if rbErr := sh.eng.Rollback(t); rbErr != nil {
-					fmt.Println("rollback error:", rbErr)
-				}
-				fmt.Printf("error: %v %s\n", runErr, wire.TxnRolledBackSuffix)
-				return
-			}
-			fmt.Println("error:", runErr)
-			return
-		}
-		fmt.Printf("%d rows affected\n", n)
-		printBreakdown(b)
-		return
-	}
-	if ex, ok := stmt.(*sql.ExplainStmt); ok {
-		p, err := plan.Prepare(sh.eng, ex.Select)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		if !ex.Energy {
-			rows, _ := p.Explain()
-			for _, r := range rows {
-				fmt.Println(r[0].S)
-			}
-			return
-		}
-		rows, _, b, err := p.ExplainEnergy(sh.prof)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		for _, r := range rows {
-			fmt.Println(r[0].S)
-		}
-		printBreakdown(b)
-		return
-	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		fmt.Printf("error: unsupported statement %T\n", stmt)
-		return
-	}
-	op, err := plan.Plan(sh.eng, sel)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	var rows []value.Row
-	var runErr error
-	b := sh.prof.Profile("query", func() {
-		// Rows are collected (not printed) inside the measured
-		// region, matching the paper's display-disabled runs.
-		rows, runErr = exec.Collect(op)
-	})
-	if runErr != nil {
-		fmt.Println("error:", runErr)
-		return
-	}
-	sh.printRows(op.Schema().Names(), rows)
-	printBreakdown(b)
+	sh.local(func() ([]stmt.Record, stmt.Result, error) { return sh.pipe.Txn(op) },
+		func(res stmt.Result) { fmt.Println(res.Rows[0][0]) })
 }
 
 // stats fetches and renders the server's observability snapshot (STATS):
@@ -514,7 +380,7 @@ func (sh *shell) tables() {
 		return
 	}
 	for _, name := range []string{"region", "nation", "supplier", "customer", "part", "partsupp", "orders", "lineitem"} {
-		t, err := sh.eng.Table(name)
+		t, err := sh.pipe.Eng.Table(name)
 		if err != nil {
 			continue
 		}
@@ -549,39 +415,6 @@ func printShares(eActive float64, s [core.NumComponents]float64, extra string) {
 		s[core.CompMem]*100, s[core.CompPf]*100,
 		s[core.CompStall]*100, s[core.CompOther]*100,
 		extra)
-}
-
-func parseKind(s string) (engine.Kind, error) {
-	switch strings.ToLower(s) {
-	case "postgresql", "postgres", "pg":
-		return engine.PostgreSQL, nil
-	case "sqlite":
-		return engine.SQLite, nil
-	case "mysql":
-		return engine.MySQL, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q", s)
-}
-
-func parseClass(s string) (tpch.SizeClass, error) {
-	for _, c := range []tpch.SizeClass{tpch.Size10MB, tpch.Size100MB, tpch.Size500MB, tpch.Size1GB} {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown class %q", s)
-}
-
-func parseSetting(s string) (engine.Setting, error) {
-	switch strings.ToLower(s) {
-	case "small":
-		return engine.SettingSmall, nil
-	case "baseline":
-		return engine.SettingBaseline, nil
-	case "large":
-		return engine.SettingLarge, nil
-	}
-	return 0, fmt.Errorf("unknown setting %q", s)
 }
 
 func fatal(err error) {

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"energydb/internal/db/engine"
@@ -48,12 +47,12 @@ func main() {
 	opts.Quick = *quick
 	opts.Seed = *seed
 	opts.Scale = *scale
-	cls, err := parseClass(*class)
+	cls, err := tpch.ParseClass(*class)
 	if err != nil {
 		fatal(err)
 	}
 	opts.Class = cls
-	set, err := parseSetting(*setting)
+	set, err := engine.ParseSetting(*setting)
 	if err != nil {
 		fatal(err)
 	}
@@ -101,27 +100,6 @@ func main() {
 		}
 		fmt.Printf("HTML report written to %s\n", *htmlOut)
 	}
-}
-
-func parseClass(s string) (tpch.SizeClass, error) {
-	for _, c := range []tpch.SizeClass{tpch.Size10MB, tpch.Size100MB, tpch.Size500MB, tpch.Size1GB} {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown class %q (want 10MB, 100MB, 500MB or 1GB)", s)
-}
-
-func parseSetting(s string) (engine.Setting, error) {
-	switch strings.ToLower(s) {
-	case "small":
-		return engine.SettingSmall, nil
-	case "baseline":
-		return engine.SettingBaseline, nil
-	case "large":
-		return engine.SettingLarge, nil
-	}
-	return 0, fmt.Errorf("unknown setting %q (want small, baseline or large)", s)
 }
 
 func fatal(err error) {

@@ -16,7 +16,6 @@ import (
 
 	"energydb/internal/core"
 	"energydb/internal/cpusim"
-	"energydb/internal/mubench"
 	"energydb/internal/rapl"
 )
 
@@ -29,19 +28,13 @@ func main() {
 	)
 	flag.Parse()
 
-	m := cpusim.NewMachine(cpusim.IntelI7_4790())
-	if err := m.SetPState(cpusim.PState(*pstate)); err != nil {
-		fatal(err)
-	}
-	meter := rapl.NewMeter(m, *seed, *noise)
-	runner := mubench.NewRunner(m, meter)
-	runner.Scale = *scale
-
-	fmt.Printf("Calibrating at %v (scale %.2f)...\n\n", m.PState(), *scale)
-	cal, err := core.Calibrate(runner)
+	p := cpusim.PState(*pstate)
+	fmt.Printf("Calibrating at %v (scale %.2f)...\n\n", p, *scale)
+	st, err := core.NewStack(p, *seed, *noise, *scale, 0)
 	if err != nil {
 		fatal(err)
 	}
+	cal := st.Cal
 
 	fmt.Println("Runtime behaviors (Table 1):")
 	fmt.Printf("%-14s %8s %10s %9s %9s %7s\n", "benchmark", "BLI%", "L1Dmiss%", "L2miss%", "L3miss%", "IPC")
@@ -63,7 +56,7 @@ func main() {
 	fmt.Printf("  dE_nop     = %7.2f nJ\n", d.Nop)
 
 	fmt.Println("\nVerification (Table 3):")
-	results := cal.Verify(runner)
+	results := cal.Verify(st.Runner)
 	fmt.Printf("%-22s %14s %14s %8s\n", "benchmark", "estimated (J)", "measured (J)", "acc%")
 	for _, v := range results {
 		fmt.Printf("%-22s %14.6f %14.6f %8.2f\n", v.Name, v.EEstimated, v.EMeasured, v.Accuracy*100)

@@ -26,7 +26,7 @@ func main() {
 	)
 	flag.Parse()
 
-	class, err := parseClass(*classFlag)
+	class, err := tpch.ParseClass(*classFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -61,15 +61,6 @@ func main() {
 		total += len(t.rows)
 	}
 	fmt.Printf("Done: %d rows total.\n", total)
-}
-
-func parseClass(s string) (tpch.SizeClass, error) {
-	for _, c := range []tpch.SizeClass{tpch.Size10MB, tpch.Size100MB, tpch.Size500MB, tpch.Size1GB} {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown class %q (want 10MB, 100MB, 500MB or 1GB)", s)
 }
 
 func writeCSV(path string, schema *catalog.Schema, rows []value.Row) error {

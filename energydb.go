@@ -34,6 +34,7 @@ import (
 	"energydb/internal/cpu2006"
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
+	"energydb/internal/db/exec"
 	"energydb/internal/harness"
 	"energydb/internal/memsim"
 	"energydb/internal/mubench"
@@ -151,6 +152,12 @@ func QueryByID(id int) (Query, error) { return tpch.QueryByID(id) }
 // BasicOps returns the 7 basic query operations of Section 3.2.
 func BasicOps() []BasicOp { return tpch.BasicOps() }
 
+// Warm is the first half of warm-then-measure for a Query's or BasicOp's
+// Build: it runs the plan once and returns a fresh build to measure.
+func Warm(e *Engine, build func(*Engine) (exec.Operator, error)) (exec.Operator, error) {
+	return tpch.Warm(e, build)
+}
+
 // Experiments returns the registry of all paper tables and figures.
 func Experiments() []Experiment { return harness.Experiments() }
 
@@ -205,18 +212,11 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 0.2
 	}
-	m := cpusim.NewMachine(cpusim.IntelI7_4790())
-	if err := m.SetPState(cfg.PState); err != nil {
-		return nil, err
-	}
-	meter := rapl.NewMeter(m, cfg.Seed, cfg.Noise)
-	runner := mubench.NewRunner(m, meter)
-	runner.Scale = cfg.Scale
-	cal, err := core.Calibrate(runner)
+	st, err := core.NewStack(cfg.PState, cfg.Seed, cfg.Noise, cfg.Scale, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Lab{Machine: m, Meter: meter, Calibration: cal, runner: runner}, nil
+	return &Lab{Machine: st.M, Meter: st.Meter, Calibration: st.Cal, runner: st.Runner}, nil
 }
 
 // Verify runs the verification micro-benchmark set (Table 3) against the
@@ -240,14 +240,7 @@ func (l *Lab) Profiler() *Profiler {
 // its Active-energy breakdown.
 func (l *Lab) ProfileQuery(e *Engine, q Query) (Breakdown, error) {
 	prof := l.Profiler()
-	plan, err := q.Build(e)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	if _, err := e.Run(plan); err != nil {
-		return Breakdown{}, err
-	}
-	plan, err = q.Build(e)
+	plan, err := tpch.Warm(e, q.Build)
 	if err != nil {
 		return Breakdown{}, err
 	}

@@ -73,14 +73,7 @@ func sweepQueryOp(name string) {
 			log.Fatal(err)
 		}
 		eng := lab.NewEngine(energydb.PostgreSQL, energydb.SettingLarge, energydb.Size500MB)
-		plan, err := op.Build(eng)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := eng.Run(plan); err != nil {
-			log.Fatal(err)
-		}
-		plan, err = op.Build(eng)
+		plan, err := energydb.Warm(eng, op.Build)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -31,14 +31,7 @@ func main() {
 			}
 			_ = cd
 		}
-		plan, err := q.Build(eng)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := eng.Run(plan); err != nil { // warm
-			log.Fatal(err)
-		}
-		plan, err = q.Build(eng)
+		plan, err := energydb.Warm(eng, q.Build)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -52,6 +52,40 @@ type Calibration struct {
 	Results []mubench.Result
 }
 
+// Stack is the calibrated measurement stack every consumer starts from:
+// machine → meter → micro-benchmark runner → solved ΔE_m.
+type Stack struct {
+	M      *cpusim.Machine
+	Meter  *rapl.Meter
+	Runner *mubench.Runner
+	Cal    *Calibration
+}
+
+// NewStack builds an i7-4790 at P-state p, attaches a meter with the given
+// noise seed and relative measurement error, and calibrates it with
+// micro-benchmark pass counts rescaled by scale and reps measured sessions
+// per benchmark (0 keeps the runner's default).
+func NewStack(p cpusim.PState, seed int64, noise, scale float64, reps int) (*Stack, error) {
+	m := cpusim.NewMachine(cpusim.IntelI7_4790())
+	if err := m.SetPState(p); err != nil {
+		return nil, err
+	}
+	meter := rapl.NewMeter(m, seed, noise)
+	runner := mubench.NewRunner(m, meter)
+	runner.Scale = scale
+	if reps > 0 {
+		runner.Repetitions = reps
+	}
+	cal, err := Calibrate(runner)
+	if err != nil {
+		return nil, err
+	}
+	return &Stack{M: m, Meter: meter, Runner: runner, Cal: cal}, nil
+}
+
+// Profiler returns a workload profiler over the stack.
+func (s *Stack) Profiler() *Profiler { return NewProfiler(s.M, s.Meter, s.Cal) }
+
 // Calibrate runs the full MBS micro-benchmark set on the runner's machine at
 // its current P-state and solves the energy models of Section 2.5.4.
 func Calibrate(r *mubench.Runner) (*Calibration, error) {

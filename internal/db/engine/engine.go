@@ -53,6 +53,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"energydb/internal/cpusim"
@@ -91,6 +92,19 @@ func (k Kind) String() string {
 // Kinds lists all profiles in the paper's figure order.
 func Kinds() []Kind { return []Kind{PostgreSQL, SQLite, MySQL} }
 
+// ParseKind resolves a profile name as flags and handshakes spell it.
+func ParseKind(s string) (Kind, error) {
+	switch strings.ToLower(s) {
+	case "postgresql", "postgres", "pg":
+		return PostgreSQL, nil
+	case "sqlite":
+		return SQLite, nil
+	case "mysql":
+		return MySQL, nil
+	}
+	return 0, fmt.Errorf("unknown engine %q (want postgresql, sqlite or mysql)", s)
+}
+
 // Setting selects a Table 4 knob row.
 type Setting int
 
@@ -117,6 +131,16 @@ func (s Setting) String() string {
 
 // Settings lists all knob settings.
 func Settings() []Setting { return []Setting{SettingSmall, SettingBaseline, SettingLarge} }
+
+// ParseSetting resolves a Table 4 knob setting name.
+func ParseSetting(s string) (Setting, error) {
+	for _, v := range Settings() {
+		if strings.EqualFold(v.String(), s) {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown setting %q (want small, baseline or large)", s)
+}
 
 // Knobs are the resolved engine parameters (Table 4 rows, scaled 1:10 with
 // the data).
@@ -667,16 +691,28 @@ func (e *Engine) journalPayload(t *Table, id int, journaled map[int]bool) int {
 	return t.schema.RowWidth()
 }
 
-// UpdateWhereTxn updates every row matching pred under transaction tx: set
-// receives the current row and returns the replacement. Each change is
-// logged (write-ahead) before the version chain is touched. A write-write
-// conflict aborts the statement with txn.ErrWriteConflict; the caller
-// decides whether to roll the transaction back. Updated rows must not
-// change indexed columns; the paper defers write-query analysis and so does
-// this engine's index maintenance.
-//
-// It returns the number of rows updated.
-func (e *Engine) UpdateWhereTxn(tx *txn.Txn, t *Table, pred exec.Expr, set func(value.Row) value.Row) (updated int, err error) {
+// Autocommit runs one statement as a transaction of its own: begin, run,
+// commit. Any error (including a write-write conflict) rolls back instead,
+// and a rollback failure is joined onto it.
+func (e *Engine) Autocommit(run func(*txn.Txn) (int, error)) (int, error) {
+	tx := e.Begin()
+	n, err := run(tx)
+	if err != nil {
+		if rbErr := e.Rollback(tx); rbErr != nil {
+			return n, errors.Join(err, rbErr)
+		}
+		return n, err
+	}
+	return n, e.Commit(tx)
+}
+
+// writeWhere is the scan-and-match loop of UPDATE and DELETE: every row
+// visible to tx that satisfies pred is handed to apply, which logs the change
+// (logChange, write-ahead) and then touches the version chain. A write-write
+// conflict aborts the statement with txn.ErrWriteConflict; the caller decides
+// whether to roll the transaction back. It returns the number of rows
+// applied.
+func (e *Engine) writeWhere(tx *txn.Txn, t *Table, pred exec.Expr, apply func(id int, row value.Row, journaled map[int]bool) error) (n int, err error) {
 	defer exec.RecoverCanceled(&err)
 	e.Bind(tx)
 	journaled := make(map[int]bool)
@@ -687,7 +723,7 @@ func (e *Engine) UpdateWhereTxn(tx *txn.Txn, t *Table, pred exec.Expr, set func(
 	for sc := t.File.Scan(); ; {
 		row, id, ok := sc.Next()
 		if !ok {
-			break
+			return n, nil
 		}
 		e.Ctx.TupleCost()
 		if pred != nil {
@@ -696,90 +732,56 @@ func (e *Engine) UpdateWhereTxn(tx *txn.Txn, t *Table, pred exec.Expr, set func(
 				continue
 			}
 		}
+		if err := apply(id, row, journaled); err != nil {
+			return n, err
+		}
+		n++
+	}
+}
+
+// logChange appends one row change of tx to the log, sized by the journal
+// mode; journaled tracks first page touches across the statement.
+func (e *Engine) logChange(tx *txn.Txn, t *Table, kind storage.RecordKind, id int, data value.Row, journaled map[int]bool) {
+	e.shared.Wal.Append(e.Dev, storage.LogRecord{
+		Kind: kind, Txn: tx.ID(), Table: t.Name, Row: id, Data: data,
+	}, e.journalPayload(t, id, journaled))
+}
+
+// UpdateWhereTxn updates every row matching pred under transaction tx: set
+// receives the current row and returns the replacement. Updated rows must
+// not change indexed columns; the paper defers write-query analysis and so
+// does this engine's index maintenance.
+func (e *Engine) UpdateWhereTxn(tx *txn.Txn, t *Table, pred exec.Expr, set func(value.Row) value.Row) (int, error) {
+	return e.writeWhere(tx, t, pred, func(id int, row value.Row, journaled map[int]bool) error {
 		newRow := set(row.Clone())
 		for col := range t.Indexes {
 			ci := t.schema.MustColIndex(col)
 			if !value.Equal(row[ci], newRow[ci]) {
-				return updated, fmt.Errorf("engine: UpdateWhere cannot change indexed column %q", col)
+				return fmt.Errorf("engine: UpdateWhere cannot change indexed column %q", col)
 			}
 		}
-		// Journal before modifying (write-ahead).
-		e.shared.Wal.Append(e.Dev, storage.LogRecord{
-			Kind: storage.RecUpdate, Txn: tx.ID(), Table: t.Name, Row: id, Data: newRow,
-		}, e.journalPayload(t, id, journaled))
-		if _, err := t.File.UpdateTxn(tx, id, newRow); err != nil {
-			return updated, err
-		}
-		updated++
-	}
-	return updated, nil
+		e.logChange(tx, t, storage.RecUpdate, id, newRow, journaled)
+		_, err := t.File.UpdateTxn(tx, id, newRow)
+		return err
+	})
 }
 
-// UpdateWhere is the autocommit form of UpdateWhereTxn: one statement, one
-// transaction. Any error (including a write-write conflict) rolls back.
+// UpdateWhere is the autocommit form of UpdateWhereTxn.
 func (e *Engine) UpdateWhere(t *Table, pred exec.Expr, set func(value.Row) value.Row) (int, error) {
-	tx := e.Begin()
-	n, err := e.UpdateWhereTxn(tx, t, pred, set)
-	if err != nil {
-		if rbErr := e.Rollback(tx); rbErr != nil {
-			return n, errors.Join(err, rbErr)
-		}
-		return n, err
-	}
-	if err := e.Commit(tx); err != nil {
-		return n, err
-	}
-	return n, nil
+	return e.Autocommit(func(tx *txn.Txn) (int, error) { return e.UpdateWhereTxn(tx, t, pred, set) })
 }
 
-// DeleteWhereTxn deletes every row matching pred under transaction tx,
-// logging each delete (write-ahead). Conflict semantics match
-// UpdateWhereTxn. It returns the number of rows deleted.
-func (e *Engine) DeleteWhereTxn(tx *txn.Txn, t *Table, pred exec.Expr) (deleted int, err error) {
-	defer exec.RecoverCanceled(&err)
-	e.Bind(tx)
-	journaled := make(map[int]bool)
-	predNodes := 0
-	if pred != nil {
-		predNodes = pred.Nodes()
-	}
-	for sc := t.File.Scan(); ; {
-		row, id, ok := sc.Next()
-		if !ok {
-			break
-		}
-		e.Ctx.TupleCost()
-		if pred != nil {
-			e.Ctx.EvalCost(predNodes)
-			if !exec.Truthy(pred.Eval(row)) {
-				continue
-			}
-		}
-		e.shared.Wal.Append(e.Dev, storage.LogRecord{
-			Kind: storage.RecDelete, Txn: tx.ID(), Table: t.Name, Row: id,
-		}, e.journalPayload(t, id, journaled))
-		if err := t.File.DeleteTxn(tx, id); err != nil {
-			return deleted, err
-		}
-		deleted++
-	}
-	return deleted, nil
+// DeleteWhereTxn deletes every row matching pred under transaction tx.
+func (e *Engine) DeleteWhereTxn(tx *txn.Txn, t *Table, pred exec.Expr) (int, error) {
+	return e.writeWhere(tx, t, pred, func(id int, _ value.Row, journaled map[int]bool) error {
+		e.logChange(tx, t, storage.RecDelete, id, nil, journaled)
+		return t.File.DeleteTxn(tx, id)
+	})
 }
 
 // DeleteWhere is the autocommit form of DeleteWhereTxn.
 func (e *Engine) DeleteWhere(t *Table, pred exec.Expr) (int, error) {
-	tx := e.Begin()
-	n, err := e.DeleteWhereTxn(tx, t, pred)
-	if err != nil {
-		if rbErr := e.Rollback(tx); rbErr != nil {
-			return n, errors.Join(err, rbErr)
-		}
-		return n, err
-	}
-	if err := e.Commit(tx); err != nil {
-		return n, err
-	}
-	return n, nil
+	return e.Autocommit(func(tx *txn.Txn) (int, error) { return e.DeleteWhereTxn(tx, t, pred) })
 }
 
 // Recover replays durable log records (storage.WAL.Durable) after a crash:

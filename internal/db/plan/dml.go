@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"errors"
 	"fmt"
 
 	"energydb/internal/db/catalog"
@@ -20,15 +19,7 @@ import (
 // explicit transaction the caller decides whether to roll back.
 func ExecWrite(e *engine.Engine, tx *txn.Txn, stmt sql.Statement) (int, error) {
 	if tx == nil {
-		t := e.Begin()
-		n, err := execWriteTxn(e, t, stmt)
-		if err != nil {
-			if rbErr := e.Rollback(t); rbErr != nil {
-				return n, errors.Join(err, rbErr)
-			}
-			return n, err
-		}
-		return n, e.Commit(t)
+		return e.Autocommit(func(t *txn.Txn) (int, error) { return execWriteTxn(e, t, stmt) })
 	}
 	return execWriteTxn(e, tx, stmt)
 }
@@ -112,13 +103,12 @@ func execUpdate(e *engine.Engine, tx *txn.Txn, s *sql.UpdateStmt) (int, error) {
 	return e.UpdateWhereTxn(tx, t, pred, func(r value.Row) value.Row {
 		for _, st := range sets {
 			e.Ctx.EvalCost(st.nodes)
-			v, cerr := coerce(st.expr.Eval(r), schema.Columns[st.ci].Type)
-			if cerr != nil {
-				// Type mismatch on an expression result: keep the value
-				// as evaluated (comparisons handle mixed numerics).
-				v = st.expr.Eval(r)
+			r[st.ci] = st.expr.Eval(r)
+			// On a type mismatch the value stays as evaluated (comparisons
+			// handle mixed numerics).
+			if v, err := coerce(r[st.ci], schema.Columns[st.ci].Type); err == nil {
+				r[st.ci] = v
 			}
-			r[st.ci] = v
 		}
 		return r
 	})

@@ -205,16 +205,6 @@ func (p *Prepared) instantiateVec(n *Node, ms *exec.MeterSet, meters map[*Node]*
 	return op, nil
 }
 
-// Plan optimizes and instantiates a statement in one step (the planning
-// entry point used by the server and shell).
-func Plan(e *engine.Engine, stmt *sql.SelectStmt) (exec.Operator, error) {
-	p, err := Prepare(e, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return p.Build()
-}
-
 // Run parses, plans and drains a query, returning the result rows and the
 // output column names.
 func Run(e *engine.Engine, query string) ([]value.Row, []string, error) {

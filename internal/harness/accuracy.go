@@ -35,7 +35,7 @@ func RunExtensionAccuracy(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	prof := l.profiler()
+	prof := l.Profiler()
 	e := l.setupEngine(engine.SQLite, o.Setting, o.Class)
 
 	queries := sqlQueriesFor(o)

@@ -33,14 +33,7 @@ func RunExtensionArchSweep(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	plan, err := q.Build(e)
-	if err != nil {
-		return Result{}, err
-	}
-	if _, err := e.Run(plan); err != nil { // warm
-		return Result{}, err
-	}
-	plan, err = q.Build(e)
+	plan, err := tpch.Warm(e, q.Build)
 	if err != nil {
 		return Result{}, err
 	}

@@ -29,7 +29,7 @@ func RunExtensionNoSQL(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	prof := l.profiler()
+	prof := l.Profiler()
 
 	keys, valueBytes := 120_000, 128 // ~25MB live data: past L3, like the DB classes
 	if o.Quick {
@@ -39,7 +39,7 @@ func RunExtensionNoSQL(o Options) (Result, error) {
 	header := append([]string{"Engine", "Workload"}, append(shareHeader, "L1D+St%")...)
 	var rows [][]string
 	for _, kind := range []nosql.EngineKind{nosql.HashEngine, nosql.LSMEngine} {
-		inst, err := nosql.NewInstance(kind, l.m, keys, valueBytes)
+		inst, err := nosql.NewInstance(kind, l.M, keys, valueBytes)
 		if err != nil {
 			return Result{}, err
 		}
@@ -105,14 +105,7 @@ func RunExtensionDVFS(o Options) (Result, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		plan, err := op.Build(e)
-		if err != nil {
-			return outcome{}, err
-		}
-		if _, err := e.Run(plan); err != nil { // warm buffers
-			return outcome{}, err
-		}
-		plan, err = op.Build(e)
+		plan, err := tpch.Warm(e, op.Build)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -198,7 +191,7 @@ func RunExtensionWrites(o Options) (Result, error) {
 			return Result{}, err
 		}
 		e := l.setupEngine(kind, o.Setting, o.Class)
-		prof := l.profiler()
+		prof := l.Profiler()
 		li, err := e.Table("lineitem")
 		if err != nil {
 			return Result{}, err
@@ -272,14 +265,7 @@ func RunExtensionITCM(o Options) (Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		plan, err := q.Build(e)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := e.Run(plan); err != nil {
-			return 0, err
-		}
-		plan, err = q.Build(e)
+		plan, err := tpch.Warm(e, q.Build)
 		if err != nil {
 			return 0, err
 		}

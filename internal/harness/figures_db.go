@@ -24,16 +24,9 @@ func RunFigure6(o Options) (Result, error) {
 			return Result{}, err
 		}
 		e := l.setupEngine(kind, o.Setting, o.Class)
-		prof := l.profiler()
+		prof := l.Profiler()
 		for _, op := range tpch.BasicOps() {
-			plan, err := op.Build(e)
-			if err != nil {
-				return Result{}, err
-			}
-			if _, err := e.Run(plan); err != nil { // warm
-				return Result{}, err
-			}
-			plan, err = op.Build(e)
+			plan, err := tpch.Warm(e, op.Build)
 			if err != nil {
 				return Result{}, err
 			}
@@ -67,7 +60,7 @@ func RunFigure7(o Options) (Result, error) {
 			return Result{}, err
 		}
 		e := l.setupEngine(kind, o.Setting, o.Class)
-		prof := l.profiler()
+		prof := l.Profiler()
 		var all []core.Breakdown
 		for _, q := range queriesFor(o) {
 			b, err := profileQuery(prof, e, q)
@@ -101,7 +94,7 @@ func averageVector(o Options, kind engine.Kind, setting engine.Setting, class tp
 		return core.Breakdown{}, err
 	}
 	e := l.setupEngine(kind, setting, class)
-	prof := l.profiler()
+	prof := l.Profiler()
 	var all []core.Breakdown
 	for _, q := range queriesFor(o) {
 		b, err := profileQuery(prof, e, q)

@@ -150,7 +150,7 @@ func RunFigure10(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	prof := l.profiler()
+	prof := l.Profiler()
 	header := append([]string{"Workload"}, append(shareHeader, "L1D+St%")...)
 	var rows [][]string
 	var labels []string
@@ -163,8 +163,8 @@ func RunFigure10(o Options) (Result, error) {
 		if warm > 0.05 {
 			warm = 0.05
 		}
-		w.Run(l.m, warm)
-		b := prof.Profile(w.Name, func() { w.Run(l.m, o.WorkScale) })
+		w.Run(l.M, warm)
+		b := prof.Profile(w.Name, func() { w.Run(l.M, o.WorkScale) })
 		rows = append(rows, append(append([]string{w.Name}, shareCells(b)...),
 			fmt.Sprintf("%.1f", b.L1DShare()*100)))
 		labels = append(labels, w.Name)
@@ -192,14 +192,7 @@ func RunFigure13(o Options) (Result, error) {
 				return 0, 0, err
 			}
 		}
-		plan, err := q.Build(e)
-		if err != nil {
-			return 0, 0, err
-		}
-		if _, err := e.Run(plan); err != nil { // warm
-			return 0, 0, err
-		}
-		plan, err = q.Build(e)
+		plan, err := tpch.Warm(e, q.Build)
 		if err != nil {
 			return 0, 0, err
 		}

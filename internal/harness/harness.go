@@ -12,7 +12,6 @@ import (
 	"energydb/internal/core"
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
-	"energydb/internal/mubench"
 	"energydb/internal/rapl"
 	"energydb/internal/tpch"
 )
@@ -130,42 +129,22 @@ func ids() []string {
 	return out
 }
 
-// lab bundles the Intel measurement stack: machine, meter, runner and a
-// calibration at the requested P-state.
-type lab struct {
-	m      *cpusim.Machine
-	meter  *rapl.Meter
-	runner *mubench.Runner
-	cal    *core.Calibration
-}
+// lab is the Intel measurement stack calibrated at the requested P-state.
+type lab struct{ *core.Stack }
 
 // newLab calibrates a fresh machine at the given P-state.
-func newLab(o Options, p cpusim.PState) (*lab, error) {
-	m := cpusim.NewMachine(cpusim.IntelI7_4790())
-	if err := m.SetPState(p); err != nil {
-		return nil, err
-	}
-	meter := rapl.NewMeter(m, o.Seed, rapl.DefaultNoise)
-	runner := mubench.NewRunner(m, meter)
-	runner.Scale = o.Scale
+func newLab(o Options, p cpusim.PState) (lab, error) {
+	reps := 0
 	if o.Quick {
-		runner.Repetitions = 2
+		reps = 2
 	}
-	cal, err := core.Calibrate(runner)
-	if err != nil {
-		return nil, err
-	}
-	return &lab{m: m, meter: meter, runner: runner, cal: cal}, nil
-}
-
-// profiler builds a workload profiler over the lab.
-func (l *lab) profiler() *core.Profiler {
-	return core.NewProfiler(l.m, l.meter, l.cal)
+	st, err := core.NewStack(p, o.Seed, rapl.DefaultNoise, o.Scale, reps)
+	return lab{st}, err
 }
 
 // setupEngine loads TPC-H into a fresh engine on the lab's machine.
-func (l *lab) setupEngine(kind engine.Kind, setting engine.Setting, class tpch.SizeClass) *engine.Engine {
-	e := engine.New(kind, l.m, setting)
+func (l lab) setupEngine(kind engine.Kind, setting engine.Setting, class tpch.SizeClass) *engine.Engine {
+	e := engine.New(kind, l.M, setting)
 	tpch.Setup(e, class)
 	return e
 }
@@ -190,14 +169,7 @@ func queriesFor(o Options) []tpch.Query {
 
 // profileQuery warms the plan once, rebuilds it and profiles the run.
 func profileQuery(prof *core.Profiler, e *engine.Engine, q tpch.Query) (core.Breakdown, error) {
-	plan, err := q.Build(e)
-	if err != nil {
-		return core.Breakdown{}, err
-	}
-	if _, err := e.Run(plan); err != nil {
-		return core.Breakdown{}, err
-	}
-	plan, err = q.Build(e)
+	plan, err := tpch.Warm(e, q.Build)
 	if err != nil {
 		return core.Breakdown{}, err
 	}

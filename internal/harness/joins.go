@@ -51,14 +51,14 @@ func RunExtensionJoin(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	profV := lv.profiler()
+	profV := lv.Profiler()
 	ev := lv.setupEngine(engine.PostgreSQL, o.Setting, o.Class)
 
 	lr, err := newLab(o, cpusim.PState36)
 	if err != nil {
 		return Result{}, err
 	}
-	profR := lr.profiler()
+	profR := lr.Profiler()
 	er := lr.setupEngine(engine.PostgreSQL, o.Setting, o.Class)
 	er.Knobs.DisableVectorExec = true
 

@@ -29,7 +29,7 @@ func RunExtensionOptimizer(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	prof := l.profiler()
+	prof := l.Profiler()
 	e := l.setupEngine(engine.SQLite, o.Setting, o.Class)
 
 	queries := sqlQueriesFor(o)
@@ -102,7 +102,7 @@ func optimizerEngineShares(o Options, queries []tpch.SQLQuery) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		prof := l.profiler()
+		prof := l.Profiler()
 		e := l.setupEngine(kind, o.Setting, o.Class)
 		var sum float64
 		for _, q := range queries {

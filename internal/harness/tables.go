@@ -18,7 +18,7 @@ func RunTable1(o Options) (Result, error) {
 	}
 	header := []string{"Micro-benchmark", "BLI%", "L1D miss%", "L2 miss%", "L3 miss%", "IPC"}
 	var rows [][]string
-	for _, res := range l.cal.Results {
+	for _, res := range l.Cal.Results {
 		c := res.Counters
 		dash := func(v float64, have bool) string {
 			if !have {
@@ -48,7 +48,7 @@ func RunTable2(o Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		cals[p] = l.cal
+		cals[p] = l.Cal
 	}
 	header := []string{"Micro-operation", "P36 (nJ)", "P24 (nJ)", "P12 (nJ)"}
 	row := func(name string, get func(d core.DeltaE) float64) []string {
@@ -80,7 +80,7 @@ func RunTable3(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	results := l.cal.Verify(l.runner)
+	results := l.Cal.Verify(l.Runner)
 	header := []string{"Verification benchmark", "Eactive_est (J)", "Eactive (J)", "acc%"}
 	var rows [][]string
 	for _, v := range results {
@@ -117,8 +117,8 @@ func RunTable5(o Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		res := l.runner.Run(spec)
-		d := l.cal.DeltaE
+		res := l.Runner.Run(spec)
+		d := l.Cal.DeltaE
 		data = append(data, rowData{
 			p:       p,
 			emem:    d.Mem * float64(res.Counters.MemAccesses) * 1e-9,

@@ -28,14 +28,14 @@ func RunExtensionVector(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	profV := lv.profiler()
+	profV := lv.Profiler()
 	ev := lv.setupEngine(engine.SQLite, o.Setting, o.Class)
 
 	lr, err := newLab(o, cpusim.PState36)
 	if err != nil {
 		return Result{}, err
 	}
-	profR := lr.profiler()
+	profR := lr.Profiler()
 	er := lr.setupEngine(engine.SQLite, o.Setting, o.Class)
 	er.Knobs.DisableVectorExec = true
 

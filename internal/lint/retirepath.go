@@ -8,24 +8,29 @@ import (
 
 // AnalyzerRetirePath proves that statement execution retires its measured
 // energy on every path. The server's accounting contract: each profiled
-// statement section (prof.Profile(...) returning a core.Breakdown) must be
-// folded into the session/worker ledgers whether the statement succeeds,
-// fails, or unwinds early — otherwise the energy was measured, the device
-// counters advanced, and the joules simply vanish from the ledger
-// (energy-conservation violation between the per-query and per-session
-// views).
+// statement section must be folded into the session/worker ledgers whether
+// the statement succeeds, fails, or unwinds early — otherwise the energy was
+// measured, the device counters advanced, and the joules simply vanish from
+// the ledger (energy-conservation violation between the per-query and
+// per-session views).
 //
-// The analysis runs in scopes that profile and also retire, and in every
-// profiling scope of a package that declares or imports a session Ledger (a
+// A measurement source is a call to Profile (returning a core.Breakdown) or
+// a call that returns the statement pipeline's records (a Record or []Record
+// whose struct carries a Breakdown: stmt.Session.Exec and Txn, and any
+// function value of that shape) — the server no longer profiles, it receives
+// what the pipeline profiled.
+//
+// The analysis runs in scopes that measure and also retire, and in every
+// measuring scope of a package that declares or imports a session Ledger (a
 // scope with a Profile call anywhere else is a measurement harness, not
-// statement execution). A Profile call whose result is bound to a variable
-// is checked with CFG liveness: no path from the call to function exit may
-// avoid every statement that hands the breakdown on — to a call (retire,
-// Ledger.Add, a method of its own), to the caller, or into longer-lived
-// storage. Reading one of its fields is not a hand-off: `return b.Total`
-// drops the breakdown. A Profile call whose result is bound to nothing —
-// a bare statement, a blank assignment, a field read straight off the call
-// — drops it on the spot.
+// statement execution). A source whose result is bound to a variable is
+// checked with CFG liveness: no path from the call to function exit may
+// avoid every statement that hands the measurement on — to a call (retire,
+// Ledger.Add, a method of its own), to the caller, into longer-lived
+// storage, or to a range loop over the records. Reading one of its fields is
+// not a hand-off: `return b.Total` drops the breakdown. A source whose
+// result is bound to nothing — a bare statement, a blank assignment, a field
+// read straight off the call — drops it on the spot.
 var AnalyzerRetirePath = &Analyzer{
 	Name:      "retirepath",
 	Doc:       "profiled statement breakdowns must be retired to the ledgers on every path, including error and early-return paths",
@@ -42,16 +47,15 @@ func runRetirePath(p *Pass) {
 }
 
 func checkRetireScope(p *Pass, fs funcScope) {
-	hasProfile, hasRetire := false, false
+	hasSource, hasRetire := false, false
 	inspectShallow(fs.body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			name := calleeName(call)
-			hasProfile = hasProfile || name == "Profile"
-			hasRetire = hasRetire || strings.Contains(strings.ToLower(name), "retire")
+			hasSource = hasSource || measured(p, call) >= 0
+			hasRetire = hasRetire || strings.Contains(strings.ToLower(calleeName(call)), "retire")
 		}
 		return true
 	})
-	if !hasProfile || !(hasRetire || hasLedger(p)) {
+	if !hasSource || !(hasRetire || hasLedger(p)) {
 		return
 	}
 
@@ -87,7 +91,7 @@ func checkRetireScope(p *Pass, fs funcScope) {
 	inspectShallow(fs.body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.ExprStmt:
-			if isProfileCall(n.X) {
+			if measured(p, n.X) >= 0 {
 				dropped(n.X)
 			}
 		case *ast.CallExpr:
@@ -95,16 +99,21 @@ func checkRetireScope(p *Pass, fs funcScope) {
 				methodCallees[sel] = true
 			}
 		case *ast.SelectorExpr:
-			if isProfileCall(n.X) && !methodCallees[n] {
+			if measured(p, n.X) >= 0 && !methodCallees[n] {
 				dropped(n.X)
 			}
 		case *ast.AssignStmt:
-			// b := m.Profile() and b, err := m.Profile() bind the breakdown
-			// to the first variable; a store into a field keeps it.
-			if len(n.Rhs) != 1 || !isProfileCall(n.Rhs[0]) {
+			// b := m.Profile(), b, err := m.Profile() and recs, res, err =
+			// pipe.Exec(st) bind the measurement to the variable at the
+			// measured result's position; a store into a field keeps it.
+			if len(n.Rhs) != 1 {
 				break
 			}
-			id, ok := ast.Unparen(n.Lhs[0]).(*ast.Ident)
+			at := measured(p, n.Rhs[0])
+			if at < 0 || at >= len(n.Lhs) {
+				break
+			}
+			id, ok := ast.Unparen(n.Lhs[at]).(*ast.Ident)
 			switch {
 			case !ok:
 			case id.Name == "_":
@@ -128,11 +137,47 @@ func hasLedger(p *Pass) bool {
 	return false
 }
 
-// isProfileCall reports whether e is a call to a function or method named
-// Profile.
-func isProfileCall(e ast.Expr) bool {
+// measured returns the position, among e's results, of the measurement a
+// source call yields: 0 for a function or method named Profile, the first
+// Record or []Record result for a pipeline entry point. It is -1 when e is
+// not a measurement source.
+func measured(p *Pass, e ast.Expr) int {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	return ok && calleeName(call) == "Profile"
+	if !ok {
+		return -1
+	}
+	if calleeName(call) == "Profile" {
+		return 0
+	}
+	t := p.Pkg.Info.TypeOf(call)
+	if results, ok := t.(*types.Tuple); ok {
+		for i := 0; i < results.Len(); i++ {
+			if isRecord(results.At(i).Type()) {
+				return i
+			}
+		}
+	} else if t != nil && isRecord(t) {
+		return 0
+	}
+	return -1
+}
+
+// isRecord reports whether t is the pipeline's record type or a slice of it:
+// a struct named Record with a field of a type named Breakdown.
+func isRecord(t types.Type) bool {
+	if el := elemOf(t); el != nil {
+		t = el
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok || typeName(t) != "Record" {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if typeName(st.Field(i).Type()) == "Breakdown" {
+			return true
+		}
+	}
+	return false
 }
 
 // handsOn reports whether the fragment passes the breakdown on whole — as

@@ -49,3 +49,40 @@ func (s *session) executeBalanced(run func() error) error {
 	s.ledger.retire(b)
 	return nil
 }
+
+// Record is one profiled region as the statement pipeline hands it over.
+type Record struct {
+	Name string
+	B    Breakdown
+	OK   bool
+}
+
+// Pipe is the statement pipeline: it profiles, the session only receives.
+type Pipe struct{}
+
+func (p *Pipe) Exec(text string) ([]Record, error) { return nil, nil }
+
+func (l *Ledger) retireRecord(r Record) {}
+
+// serveLeaky books the records of statements that succeeded only: a failed
+// write's energy-only record and its rollback record reach the error return
+// unaccounted.
+func (s *session) serveLeaky(pipe *Pipe, text string) error {
+	recs, err := pipe.Exec(text)
+	if err != nil {
+		return err
+	}
+	for _, r := range recs {
+		s.ledger.retireRecord(r)
+	}
+	return nil
+}
+
+// serveBalanced books every record before looking at the error: clean.
+func (s *session) serveBalanced(pipe *Pipe, text string) error {
+	recs, err := pipe.Exec(text)
+	for _, r := range recs {
+		s.ledger.retireRecord(r)
+	}
+	return err
+}

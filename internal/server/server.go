@@ -55,7 +55,6 @@ import (
 	"net"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,7 +63,6 @@ import (
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
 	"energydb/internal/db/txn"
-	"energydb/internal/mubench"
 	"energydb/internal/rapl"
 	"energydb/internal/server/wire"
 	"energydb/internal/tpch"
@@ -168,19 +166,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	m := cpusim.NewMachine(cpusim.IntelI7_4790())
-	meter := rapl.NewMeter(m, cfg.Seed, cfg.Noise)
-	runner := mubench.NewRunner(m, meter)
-	runner.Scale = cfg.Scale
-	cal, err := core.Calibrate(runner)
+	st, err := core.NewStack(cpusim.PStateMax, cfg.Seed, cfg.Noise, cfg.Scale, 0)
 	if err != nil {
 		return nil, fmt.Errorf("server: calibration failed: %w", err)
 	}
 	srv := &Server{
 		cfg:      cfg,
-		m:        m,
-		cal:      cal,
-		pool:     newPool(cfg.Workers, m, cal, cfg.Seed, cfg.Noise, cfg.Governor),
+		m:        st.M,
+		cal:      st.Cal,
+		pool:     newPool(cfg.Workers, st.M, st.Cal, cfg.Seed, cfg.Noise, cfg.Governor),
 		sessions: make(map[uint64]*session),
 		stores:   make(map[engineKey]*storeEntry),
 	}
@@ -431,41 +425,4 @@ func (s *Server) Stats() *wire.StatsSnapshot {
 		Slowest:         s.obs.qlog.Slowest(),
 		Hottest:         s.obs.qlog.Hottest(),
 	}
-}
-
-// ParseKind resolves an engine profile name ("postgresql", "pg",
-// "sqlite", "mysql").
-func ParseKind(s string) (engine.Kind, error) {
-	switch strings.ToLower(s) {
-	case "postgresql", "postgres", "pg":
-		return engine.PostgreSQL, nil
-	case "sqlite":
-		return engine.SQLite, nil
-	case "mysql":
-		return engine.MySQL, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q", s)
-}
-
-// ParseSetting resolves a Table 4 knob setting name.
-func ParseSetting(s string) (engine.Setting, error) {
-	switch strings.ToLower(s) {
-	case "small":
-		return engine.SettingSmall, nil
-	case "baseline":
-		return engine.SettingBaseline, nil
-	case "large":
-		return engine.SettingLarge, nil
-	}
-	return 0, fmt.Errorf("unknown setting %q", s)
-}
-
-// ParseClass resolves a dataset size class name.
-func ParseClass(s string) (tpch.SizeClass, error) {
-	for _, c := range []tpch.SizeClass{tpch.Size10MB, tpch.Size100MB, tpch.Size500MB, tpch.Size1GB} {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown class %q", s)
 }

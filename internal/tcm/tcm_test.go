@@ -95,14 +95,7 @@ func TestCoDesignSavesEnergyWithoutSlowdown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := q.Build(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Run(plan); err != nil { // warm
-			t.Fatal(err)
-		}
-		plan, err = q.Build(e)
+		plan, err := tpch.Warm(e, q.Build)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ package tpch
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/value"
@@ -40,6 +41,16 @@ func (s SizeClass) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseClass resolves a dataset size class label.
+func ParseClass(s string) (SizeClass, error) {
+	for c := Size10MB; c <= Size1GB; c++ {
+		if strings.EqualFold(c.String(), s) {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown class %q (want 10MB, 100MB, 500MB or 1GB)", s)
 }
 
 // scaleFactor returns the effective TPC-H scale factor of the class.

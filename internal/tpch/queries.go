@@ -23,6 +23,20 @@ type Query struct {
 	Build func(e *engine.Engine) (exec.Operator, error)
 }
 
+// Warm is the first half of warm-then-measure for a hand-built plan (a
+// Query's or a BasicOp's Build): it builds and runs the plan once so buffers
+// and caches hold the working set, then returns a fresh build to measure.
+func Warm(e *engine.Engine, build func(*engine.Engine) (exec.Operator, error)) (exec.Operator, error) {
+	plan, err := build(e)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := e.Run(plan); err != nil {
+		return nil, err
+	}
+	return build(e)
+}
+
 // Queries returns all 22 queries in order.
 func Queries() []Query {
 	return []Query{

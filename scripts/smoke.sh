@@ -3,6 +3,8 @@
 # metrics listener, run a few statements through the wire protocol, scrape
 # /metrics and /healthz, and grep for the core metric families with live
 # values. Exercises exactly what a production scrape + STATS client would.
+# The same statements then run through dbshell's local mode, which must print
+# the same answers: both are consumers of one statement pipeline.
 set -eu
 
 PORT="${SMOKE_PORT:-17683}"
@@ -31,15 +33,15 @@ echo "smoke: /healthz ok"
 
 # Run statements through the real wire protocol, including a committed
 # transaction and \stats.
-"$TMP/dbshell" -connect "127.0.0.1:$PORT" -db sqlite -class 10MB >"$TMP/shell.out" 2>&1 <<'EOF'
+cat >"$TMP/script" <<'EOF'
 \q6
-SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag
+SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag
 BEGIN
 UPDATE nation SET n_name = 'SMOKE' WHERE n_nationkey = 0
 COMMIT
-\stats
-\quit
 EOF
+{ cat "$TMP/script"; printf '%s\n' '\stats' '\quit'; } |
+  "$TMP/dbshell" -connect "127.0.0.1:$PORT" -db sqlite -class 10MB >"$TMP/shell.out" 2>&1
 grep -q "Eactive=" "$TMP/shell.out" || {
   echo "smoke: dbshell produced no energy report" >&2
   cat "$TMP/shell.out" >&2
@@ -87,4 +89,20 @@ echo "smoke: /metrics families ok"
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true
+
+# The same statements in dbshell's local mode. What a statement answers —
+# column header, rows, row count, transaction status — must not depend on
+# which consumer of the pipeline ran it; energy lines and banners do.
+"$TMP/dbshell" -db sqlite -class 10MB <"$TMP/script" >"$TMP/local.out" 2>&1
+answers() {
+  sed -E -e 's/^(\(txn\))?> //' -e '/^energyd\/1 /,$d' -e 's/\(txn [0-9]+\)/(txn N)/' "$1" |
+    grep -v -E '^(energy:|session:|connected to|Calibrating|Loading|Ready\.|approximates the query:|>?$)'
+}
+answers "$TMP/shell.out" >"$TMP/remote.rows"
+answers "$TMP/local.out" >"$TMP/local.rows"
+diff -u "$TMP/remote.rows" "$TMP/local.rows" || {
+  echo "smoke: local dbshell answers differ from the remote run" >&2
+  exit 1
+}
+echo "smoke: local mode gives the same $(wc -l <"$TMP/local.rows" | tr -d ' ') answer lines"
 echo "smoke: PASS"
