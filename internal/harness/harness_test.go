@@ -1,16 +1,68 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick/<ID>.txt from the current quick outputs")
 
 func quickOpts() Options {
 	o := DefaultOptions()
 	o.Quick = true
 	return o
+}
+
+// runQuick runs one experiment in quick mode and pins its rendered text to
+// testdata/quick/<ID>.txt, so a change that moves any cell of any experiment
+// shows up as a golden diff in `make test` rather than in a stale
+// EXPERIMENTS.md. The simulation is deterministic, but the goldens were
+// recorded on amd64: elsewhere the compiler may fuse a multiply-add and move a
+// last digit, so only the shape checks of the calling test run there.
+func runQuick(t *testing.T, run func(Options) (Result, error)) Result {
+	t.Helper()
+	skipIfShort(t)
+	res, err := run(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOARCH != "amd64" {
+		return res
+	}
+	path := filepath.Join("testdata", "quick", res.ID+".txt")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(res.Text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (record it with go test ./internal/harness -update)", err)
+	}
+	got, wantLines := strings.Split(res.Text, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Errorf("%s line %d differs from %s:\n got: %s\nwant: %s", res.ID, i+1, path, g, w)
+		}
+	}
+	return res
 }
 
 // skipIfShort skips a simulation sweep in -short mode. The harness runs
@@ -45,11 +97,7 @@ func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
 }
 
 func TestTable1Quick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunTable1(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunTable1)
 	for _, name := range []string{"B_L1D_list", "B_L1D_array", "B_L2", "B_L3", "B_mem", "B_Reg2L1D", "B_add", "B_nop"} {
 		if !strings.Contains(res.Text, name) {
 			t.Errorf("Table 1 missing %s", name)
@@ -61,44 +109,28 @@ func TestTable1Quick(t *testing.T) {
 }
 
 func TestTable2Quick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunTable2(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunTable2)
 	if !strings.Contains(res.Text, "dE_L1D") || !strings.Contains(res.Text, "dE_mem") {
 		t.Fatalf("Table 2 rows missing:\n%s", res.Text)
 	}
 }
 
 func TestTable3Quick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunTable3(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunTable3)
 	if !strings.Contains(res.Text, "B_mem_nop") || !strings.Contains(res.Text, "average") {
 		t.Fatalf("Table 3 incomplete:\n%s", res.Text)
 	}
 }
 
 func TestTable5Quick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunTable5(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunTable5)
 	if !strings.Contains(res.Text, "E_stall") || !strings.Contains(res.Text, "P36->P24") {
 		t.Fatalf("Table 5 incomplete:\n%s", res.Text)
 	}
 }
 
 func TestFigure6Quick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunFigure6(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunFigure6)
 	for _, s := range []string{"index scan", "table scan", "SQLite", "MySQL", "PostgreSQL"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("Figure 6 missing %q", s)
@@ -107,22 +139,14 @@ func TestFigure6Quick(t *testing.T) {
 }
 
 func TestFigure7Quick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunFigure7(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunFigure7)
 	if !strings.Contains(res.Text, "average") {
 		t.Fatalf("Figure 7 missing averages:\n%s", res.Text)
 	}
 }
 
 func TestFigure10Quick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunFigure10(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunFigure10)
 	for _, w := range []string{"Mcf", "Libquantum", "Bzip2"} {
 		if !strings.Contains(res.Text, w) {
 			t.Errorf("Figure 10 missing %s", w)
@@ -131,44 +155,28 @@ func TestFigure10Quick(t *testing.T) {
 }
 
 func TestFigure13Quick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunFigure13(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunFigure13)
 	if !strings.Contains(res.Text, "DTCM peak saving") {
 		t.Fatalf("Figure 13 incomplete:\n%s", res.Text)
 	}
 }
 
 func TestFigure5Quick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunFigure5(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunFigure5)
 	if !strings.Contains(res.Text, "90-100") {
 		t.Fatalf("Figure 5 missing buckets:\n%s", res.Text)
 	}
 }
 
 func TestFigure8Quick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunFigure8(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunFigure8)
 	if !strings.Contains(res.Text, "SQLite-100MB") {
 		t.Fatalf("Figure 8 missing size rows:\n%s", res.Text)
 	}
 }
 
 func TestFigure9Quick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunFigure9(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunFigure9)
 	for _, s := range []string{"PostgreSQL-small", "MySQL-large"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("Figure 9 missing %q", s)
@@ -177,11 +185,7 @@ func TestFigure9Quick(t *testing.T) {
 }
 
 func TestFigure11Quick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunFigure11(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunFigure11)
 	for _, s := range []string{"SQLite-Pstate36", "SQLite-Pstate12"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("Figure 11 missing %q", s)
@@ -190,11 +194,7 @@ func TestFigure11Quick(t *testing.T) {
 }
 
 func TestExtensionNoSQLQuick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunExtensionNoSQL(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunExtensionNoSQL)
 	for _, s := range []string{"HashKV", "LSMKV", "ycsb-c"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X1 missing %q:\n%s", s, res.Text)
@@ -203,11 +203,7 @@ func TestExtensionNoSQLQuick(t *testing.T) {
 }
 
 func TestExtensionDVFSQuick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunExtensionDVFS(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunExtensionDVFS)
 	for _, s := range []string{"index scan", "table scan", "stall-aware"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X2 missing %q:\n%s", s, res.Text)
@@ -216,11 +212,7 @@ func TestExtensionDVFSQuick(t *testing.T) {
 }
 
 func TestExtensionWritesQuick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunExtensionWrites(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunExtensionWrites)
 	for _, s := range []string{"bulk update", "WAL recs", "SQLite"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X4 missing %q:\n%s", s, res.Text)
@@ -229,11 +221,7 @@ func TestExtensionWritesQuick(t *testing.T) {
 }
 
 func TestExtensionArchSweepQuick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunExtensionArchSweep(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunExtensionArchSweep)
 	for _, s := range []string{"stock", "Arch 1", "-40% L1D energy"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X5 missing %q:\n%s", s, res.Text)
@@ -242,11 +230,7 @@ func TestExtensionArchSweepQuick(t *testing.T) {
 }
 
 func TestExtensionOptimizerQuick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunExtensionOptimizer(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunExtensionOptimizer)
 	for _, s := range []string{"Q1", "Q6", "prediction within", "avg L1D+Reg2L1D share by engine"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X6 missing %q:\n%s", s, res.Text)
@@ -255,11 +239,7 @@ func TestExtensionOptimizerQuick(t *testing.T) {
 }
 
 func TestExtensionVectorQuick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunExtensionVector(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunExtensionVector)
 	for _, s := range []string{"Q1", "Q6", "vector operator", "measured delta"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X7 missing %q:\n%s", s, res.Text)
@@ -274,11 +254,7 @@ func TestExtensionVectorQuick(t *testing.T) {
 // cost-model regression that pushes it back out of +/-25% fails here, not
 // only in the full X9 sweep.
 func TestExtensionAccuracyQuick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunExtensionAccuracy(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunExtensionAccuracy)
 	for _, s := range []string{"Q1", "Q6", "README", "prediction within", "README join example error", "worst absolute error"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X9 missing %q:\n%s", s, res.Text)
@@ -303,11 +279,7 @@ func TestExtensionAccuracyQuick(t *testing.T) {
 // join-dominated subset, the subset's E_active moves down under the vector
 // join/sort, and the per-operator meter partition holds on the mixed plan.
 func TestExtensionJoinQuick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunExtensionJoin(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunExtensionJoin)
 	for _, s := range []string{"Q9", "join-dominated subset", "join lab", "meter partition", "sum exactly"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X8 missing %q:\n%s", s, res.Text)
@@ -333,11 +305,7 @@ func TestExtensionJoinQuick(t *testing.T) {
 }
 
 func TestExtensionITCMQuick(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunExtensionITCM(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick(t, RunExtensionITCM)
 	if !strings.Contains(res.Text, "+ DTCM + ITCM") {
 		t.Fatalf("X3 incomplete:\n%s", res.Text)
 	}
