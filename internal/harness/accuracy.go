@@ -6,8 +6,6 @@ import (
 
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
-	"energydb/internal/db/plan"
-	"energydb/internal/db/sql"
 	"energydb/internal/tpch"
 )
 
@@ -31,78 +29,33 @@ const ReadmeJoinQuery = `SELECT * FROM lineitem JOIN partsupp ON l_suppkey = ps_
 // of the plan went batch-at-a-time.
 func RunExtensionAccuracy(o Options) (Result, error) {
 	o = o.effective()
-	l, err := newLab(o, cpusim.PState36)
+	r, err := newRig(o, cpusim.PState36, engine.SQLite, o.Setting, o.Class)
 	if err != nil {
 		return Result{}, err
 	}
-	prof := l.Profiler()
-	e := l.setupEngine(engine.SQLite, o.Setting, o.Class)
-
-	queries := sqlQueriesFor(o)
-	queries = append(queries, tpch.SQLQuery{ID: 0, Text: ReadmeJoinQuery, Exact: true,
-		Note: "README join example"})
-
-	header := []string{"Query", "pred (mJ)", "meas (mJ)", "err%", "vec ops"}
-	var rows [][]string
-	within, total := 0, 0
-	worstErr, worstID := 0.0, ""
-	var readmeErr float64
-	for _, q := range queries {
-		pred, b, err := profileSQLQuery(prof, e, q)
-		if err != nil {
-			return Result{}, fmt.Errorf("Q%d: %v", q.ID, err)
-		}
-		errPct := (pred/b.EActive - 1) * 100
-		name := fmt.Sprintf("Q%d", q.ID)
-		if q.ID == 0 {
-			name = "README"
-			readmeErr = errPct
-		} else {
-			total++
-			if math.Abs(errPct) <= 25 {
-				within++
-			}
-		}
-		if math.Abs(errPct) > math.Abs(worstErr) {
-			worstErr, worstID = errPct, name
-		}
-		rows = append(rows, []string{
-			name,
-			fmt.Sprintf("%.3f", pred*1e3),
-			fmt.Sprintf("%.3f", b.EActive*1e3),
-			fmt.Sprintf("%+.1f", errPct),
-			fmt.Sprintf("%d", countVecOps(e, q)),
-		})
+	runs, rows, within, err := predVsMeas(r, sqlSweep(o, representativeIDs...))
+	if err != nil {
+		return Result{}, err
 	}
+	// The README example rides last, outside the 22-query count.
+	extra, extraRows, _, err := predVsMeas(r, []tpch.SQLQuery{{ID: 0, Text: ReadmeJoinQuery, Exact: true,
+		Note: "README join example"}})
+	if err != nil {
+		return Result{}, err
+	}
+	total, readme := len(runs), extra[0]
+	runs, rows = append(runs, readme), append(rows, extraRows...)
+	worst := runs[0]
+	for i, s := range runs {
+		if math.Abs(s.errPct()) > math.Abs(worst.errPct()) {
+			worst = s
+		}
+		rows[i] = append(rows[i], fmt.Sprintf("%d", s.vecOps()))
+	}
+	header := []string{"Query", "pred (mJ)", "meas (mJ)", "err%", "vec ops"}
 	text, csv := table("Extension X9: estimator accuracy — predicted vs measured E_active after chain-wise mode pricing (SQLite, warm buffers)", header, rows)
 	text += fmt.Sprintf("\nprediction within +/-25%%: %d/%d queries\n", within, total)
-	text += fmt.Sprintf("README join example error: %+.1f%% (band +/-25%%)\n", readmeErr)
-	text += fmt.Sprintf("worst absolute error: %+.1f%% on %s\n", worstErr, worstID)
+	text += fmt.Sprintf("README join example error: %+.1f%% (band +/-25%%)\n", readme.errPct())
+	text += fmt.Sprintf("worst absolute error: %+.1f%% on %s\n", worst.errPct(), worst.name())
 	return Result{ID: "X9", Title: "Extension X9 (estimator accuracy sweep)", Text: text, CSV: csv}, nil
-}
-
-// countVecOps replans the query text and counts vector-mode operators in the
-// chosen plan (planning is deterministic given the warm engine state, so the
-// count matches the profiled run's plan).
-func countVecOps(e *engine.Engine, q tpch.SQLQuery) int {
-	stmt, err := sql.Parse(q.Text)
-	if err != nil {
-		return 0
-	}
-	p, err := plan.Prepare(e, stmt)
-	if err != nil {
-		return 0
-	}
-	count := 0
-	var walk func(n *plan.Node)
-	walk = func(n *plan.Node) {
-		if n.Mode == plan.ModeVector {
-			count++
-		}
-		for _, k := range n.Kids {
-			walk(k)
-		}
-	}
-	walk(p.Root)
-	return count
 }

@@ -61,12 +61,9 @@ func RunExtensionArchSweep(o Options) (Result, error) {
 		prof := cpusim.IntelI7_4790()
 		prof.Mem.L1D.SizeBytes = c.l1dBytes
 		prof.Mem.Prefetch.Enabled = true
-		if c.l1dEnergy != 1 {
-			for i := range prof.Energy.Anchors[cpusim.OpL1D] {
-				prof.Energy.Anchors[cpusim.OpL1D][i] *= c.l1dEnergy
-			}
-			for i := range prof.Energy.Anchors[cpusim.OpReg2L1D] {
-				prof.Energy.Anchors[cpusim.OpReg2L1D][i] *= c.l1dEnergy
+		for _, op := range []cpusim.MicroOp{cpusim.OpL1D, cpusim.OpReg2L1D} {
+			for i := range prof.Energy.Anchors[op] {
+				prof.Energy.Anchors[op][i] *= c.l1dEnergy
 			}
 		}
 		m := cpusim.NewMachine(prof)
@@ -81,31 +78,28 @@ func RunExtensionArchSweep(o Options) (Result, error) {
 		return m.ActiveEnergy().Total() - e0, d.StallCycles, d.L1DMissRate()
 	}
 
+	energies := make([]float64, len(configs))
+	rows := make([][]string, len(configs))
 	var baseEnergy float64
-	header := []string{"Architecture", "E_active (J)", "vs stock", "stalls", "L1D miss%"}
-	var rows [][]string
-	for _, c := range configs {
+	for i, c := range configs {
 		energy, stalls, miss := replayOn(c)
+		energies[i] = energy
 		if c.name == "L1D 32KB (stock)" {
 			baseEnergy = energy
 		}
-		rows = append(rows, []string{
+		rows[i] = []string{
 			c.name,
 			fmt.Sprintf("%.4f", energy),
 			"", // filled below once the stock baseline is known
 			fmt.Sprintf("%d", stalls),
 			fmt.Sprintf("%.2f", miss*100),
-		})
-	}
-	for i, c := range configs {
-		energy := 0.0
-		fmt.Sscanf(rows[i][1], "%f", &energy)
-		if baseEnergy > 0 {
-			rows[i][2] = fmt.Sprintf("%+.1f%%", (energy/baseEnergy-1)*100)
 		}
-		_ = c
+	}
+	for i, energy := range energies {
+		rows[i][2] = fmt.Sprintf("%+.1f%%", (energy/baseEnergy-1)*100)
 	}
 
+	header := []string{"Architecture", "E_active (J)", "vs stock", "stalls", "L1D miss%"}
 	text, csv := table(fmt.Sprintf(
 		"Extension X5: customized-CPU architecture sweep (trace of TPC-H Q1 on SQLite, %d events replayed)", tr.Len()),
 		header, rows)

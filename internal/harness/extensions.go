@@ -9,7 +9,6 @@ import (
 	"energydb/internal/db/value"
 	"energydb/internal/nosql"
 	"energydb/internal/rapl"
-	"energydb/internal/tcm"
 	"energydb/internal/tpch"
 )
 
@@ -32,8 +31,9 @@ func RunExtensionNoSQL(o Options) (Result, error) {
 	prof := l.Profiler()
 
 	keys, valueBytes := 120_000, 128 // ~25MB live data: past L3, like the DB classes
+	workloads, scale := nosql.Workloads(), 1.0
 	if o.Quick {
-		keys = 30_000
+		keys, workloads, scale = 30_000, workloads[:2], 0.1
 	}
 
 	header := append([]string{"Engine", "Workload"}, append(shareHeader, "L1D+St%")...)
@@ -43,15 +43,14 @@ func RunExtensionNoSQL(o Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		for _, w := range Workloadsets(o) {
-			w := w
+		for _, w := range workloads {
 			// Warm pass, then the measured run.
 			if _, err := inst.Run(w, 0.05); err != nil {
 				return Result{}, err
 			}
 			var runErr error
 			b := prof.Profile(w.Name, func() {
-				_, runErr = inst.Run(w, workloadScale(o))
+				_, runErr = inst.Run(w, scale)
 			})
 			if runErr != nil {
 				return Result{}, runErr
@@ -62,22 +61,6 @@ func RunExtensionNoSQL(o Options) (Result, error) {
 	}
 	text, csv := table("Extension X1: Active energy breakdown of NoSQL key-value stores (Section 7 future work)", header, rows)
 	return Result{ID: "X1", Title: "Extension X1 (NoSQL)", Text: text, CSV: csv}, nil
-}
-
-// Workloadsets returns the YCSB mixes for the options.
-func Workloadsets(o Options) []nosql.Workload {
-	ws := nosql.Workloads()
-	if o.Quick {
-		return ws[:2]
-	}
-	return ws
-}
-
-func workloadScale(o Options) float64 {
-	if o.Quick {
-		return 0.1
-	}
-	return 1
 }
 
 // RunExtensionDVFS (X2) evaluates the Section 5 suggestion: a stall-aware
@@ -186,16 +169,12 @@ func RunExtensionWrites(o Options) (Result, error) {
 		append(shareHeader, "L1D+St%", "WAL recs", "writebacks")...)
 	var rows [][]string
 	for _, kind := range engine.Kinds() {
-		l, err := newLab(o, cpusim.PState36)
+		r, err := newRig(o, cpusim.PState36, kind, o.Setting, o.Class)
 		if err != nil {
 			return Result{}, err
 		}
-		e := l.setupEngine(kind, o.Setting, o.Class)
-		prof := l.Profiler()
-		li, err := e.Table("lineitem")
-		if err != nil {
-			return Result{}, err
-		}
+		e := r.e
+		li := e.MustTable("lineitem")
 		qtyIdx := li.Schema().MustColIndex("l_quantity")
 		dateIdx := li.Schema().MustColIndex("l_shipdate")
 		for _, w := range workloads {
@@ -213,7 +192,7 @@ func RunExtensionWrites(o Options) (Result, error) {
 			wbBefore := e.Pool.WriteBacks
 			var updated int
 			var runErr error
-			b := prof.Profile(w.name, func() {
+			b := r.prof.Profile(w.name, func() {
 				updated, runErr = e.UpdateWhere(li, pred, func(r value.Row) value.Row {
 					r[qtyIdx] = value.Float(r[qtyIdx].AsFloat() + 1)
 					return r
@@ -248,41 +227,20 @@ func RunExtensionITCM(o Options) (Result, error) {
 	// instruction's energy, so ITCM trims instruction-class energy ~13%.
 	const itcmSaving = 0.13
 
-	run := func(dtcm, itcm bool) (float64, error) {
-		m := tcm.NewMachine()
-		if itcm {
-			m.EnableITCM(itcmSaving)
-		}
-		meter := rapl.NewPowerMeter(m, o.Seed, 0)
-		e := engine.New(engine.SQLite, m, engine.SettingSmall)
-		tpch.Setup(e, tpch.Size10MB)
-		if dtcm {
-			if _, err := tcm.OptimizeSQLite(e, []string{"lineitem", "orders", "customer"}); err != nil {
-				return 0, err
-			}
-		}
-		q, err := tpch.QueryByID(1)
-		if err != nil {
-			return 0, err
-		}
-		plan, err := tpch.Warm(e, q.Build)
-		if err != nil {
-			return 0, err
-		}
-		var runErr error
-		j, _ := meter.MeasureSession(func() { _, runErr = e.Run(plan) })
-		return j, runErr
-	}
-
-	base, err := run(false, false)
+	q, err := tpch.QueryByID(1)
 	if err != nil {
 		return Result{}, err
 	}
-	dtcmOnly, err := run(true, false)
+	dtcmTables := []string{"lineitem", "orders", "customer"}
+	base, _, err := armRun(o, q, nil, 0)
 	if err != nil {
 		return Result{}, err
 	}
-	both, err := run(true, true)
+	dtcmOnly, _, err := armRun(o, q, dtcmTables, 0)
+	if err != nil {
+		return Result{}, err
+	}
+	both, _, err := armRun(o, q, dtcmTables, itcmSaving)
 	if err != nil {
 		return Result{}, err
 	}

@@ -16,32 +16,23 @@ func RunFigure6(o Options) (Result, error) {
 	o = o.effective()
 	header := append([]string{"Database", "Operation"}, shareHeader...)
 	var rows [][]string
-	var labels []string
 	var bds []core.Breakdown
 	for _, kind := range engine.Kinds() {
-		l, err := newLab(o, cpusim.PState36)
+		r, err := newRig(o, cpusim.PState36, kind, o.Setting, o.Class)
 		if err != nil {
 			return Result{}, err
 		}
-		e := l.setupEngine(kind, o.Setting, o.Class)
-		prof := l.Profiler()
 		for _, op := range tpch.BasicOps() {
-			plan, err := tpch.Warm(e, op.Build)
+			b, err := r.profile(fmt.Sprintf("%s/%s", kind, op.Name), op.Build)
 			if err != nil {
 				return Result{}, err
 			}
-			var runErr error
-			b := prof.Profile(op.Name, func() { _, runErr = e.Run(plan) })
-			if runErr != nil {
-				return Result{}, runErr
-			}
 			rows = append(rows, append([]string{kind.String(), op.Name}, shareCells(b)...))
-			labels = append(labels, fmt.Sprintf("%s/%s", kind, op.Name))
 			bds = append(bds, b)
 		}
 	}
 	text, csv := table("Figure 6: Active energy cost breakdown of the basic query operations", header, rows)
-	text += chart("Figure 6 as stacked bars:", labels, bds)
+	text += chart("Figure 6 as stacked bars:", bds)
 	return Result{ID: "F6", Title: "Figure 6", Text: text, CSV: csv}, nil
 }
 
@@ -52,58 +43,52 @@ func RunFigure7(o Options) (Result, error) {
 	o = o.effective()
 	header := append([]string{"Database", "Query"}, append(shareHeader, "L1D+St%", "DataMove%", "Bg/Busy%")...)
 	var rows [][]string
+	row := func(kind engine.Kind, label string, b core.Breakdown) {
+		rows = append(rows, append(append([]string{kind.String(), label}, shareCells(b)...),
+			fmt.Sprintf("%.1f", b.L1DShare()*100),
+			fmt.Sprintf("%.1f", b.DataMovementShare()*100),
+			fmt.Sprintf("%.1f", b.BackgroundShare()*100)))
+	}
 	var avgs []core.Breakdown
-	var avgLabels []string
 	for _, kind := range engine.Kinds() {
-		l, err := newLab(o, cpusim.PState36)
+		all, err := handSweep(o, kind, o.Setting, o.Class, cpusim.PState36)
 		if err != nil {
 			return Result{}, err
 		}
-		e := l.setupEngine(kind, o.Setting, o.Class)
-		prof := l.Profiler()
-		var all []core.Breakdown
-		for _, q := range queriesFor(o) {
-			b, err := profileQuery(prof, e, q)
-			if err != nil {
-				return Result{}, fmt.Errorf("%v Q%d: %w", kind, q.ID, err)
-			}
-			all = append(all, b)
-			rows = append(rows, append(append([]string{kind.String(), b.Name}, shareCells(b)...),
-				fmt.Sprintf("%.1f", b.L1DShare()*100),
-				fmt.Sprintf("%.1f", b.DataMovementShare()*100),
-				fmt.Sprintf("%.1f", b.BackgroundShare()*100)))
+		for _, b := range all {
+			row(kind, b.Name, b)
 		}
-		avg := core.AverageBreakdown(kind.String()+" avg", all)
+		avg := core.AverageBreakdown(kind.String(), all)
 		avgs = append(avgs, avg)
-		avgLabels = append(avgLabels, kind.String())
-		rows = append(rows, append(append([]string{kind.String(), "average"}, shareCells(avg)...),
-			fmt.Sprintf("%.1f", avg.L1DShare()*100),
-			fmt.Sprintf("%.1f", avg.DataMovementShare()*100),
-			fmt.Sprintf("%.1f", avg.BackgroundShare()*100)))
+		row(kind, "average", avg)
 	}
 	text, csv := table("Figure 7: Active energy cost breakdown of TPC-H", header, rows)
-	text += chart("Figure 7 per-system averages as stacked bars:", avgLabels, avgs)
+	text += chart("Figure 7 per-system averages as stacked bars:", avgs)
 	return Result{ID: "F7", Title: "Figure 7", Text: text, CSV: csv}, nil
 }
 
-// averageVector profiles the query sweep and returns the energy-weighted
-// average breakdown, the presentation of Figures 8, 9 and 11.
-func averageVector(o Options, kind engine.Kind, setting engine.Setting, class tpch.SizeClass, p cpusim.PState) (core.Breakdown, error) {
-	l, err := newLab(o, p)
+// handSweep profiles the hand-built query sweep on a fresh rig.
+func handSweep(o Options, kind engine.Kind, setting engine.Setting, class tpch.SizeClass, p cpusim.PState) ([]core.Breakdown, error) {
+	r, err := newRig(o, p, kind, setting, class)
 	if err != nil {
-		return core.Breakdown{}, err
+		return nil, err
 	}
-	e := l.setupEngine(kind, setting, class)
-	prof := l.Profiler()
 	var all []core.Breakdown
 	for _, q := range queriesFor(o) {
-		b, err := profileQuery(prof, e, q)
+		b, err := r.profile(fmt.Sprintf("Q%d", q.ID), q.Build)
 		if err != nil {
-			return core.Breakdown{}, fmt.Errorf("%v Q%d: %w", kind, q.ID, err)
+			return nil, fmt.Errorf("%v Q%d: %w", kind, q.ID, err)
 		}
 		all = append(all, b)
 	}
-	return core.AverageBreakdown(kind.String(), all), nil
+	return all, nil
+}
+
+// averageVector returns the sweep's energy-weighted average breakdown, the
+// presentation of Figures 8, 9 and 11.
+func averageVector(o Options, kind engine.Kind, setting engine.Setting, class tpch.SizeClass, p cpusim.PState) (core.Breakdown, error) {
+	all, err := handSweep(o, kind, setting, class, p)
+	return core.AverageBreakdown(kind.String(), all), err
 }
 
 // RunFigure8 reproduces Figure 8: per-system average breakdown across the

@@ -91,21 +91,10 @@ func RunFigure5(o Options) (Result, error) {
 	return Result{ID: "F5", Title: "Figure 5", Text: text, CSV: csv}, nil
 }
 
+// bucketOf indexes Figure 5's buckets: one below 50%, then 10-point bands,
+// the last of which includes 100%.
 func bucketOf(pct float64) int {
-	switch {
-	case pct < 50:
-		return 0
-	case pct < 60:
-		return 1
-	case pct < 70:
-		return 2
-	case pct < 80:
-		return 3
-	case pct < 90:
-		return 4
-	default:
-		return 5
-	}
+	return min(max(int(pct/10)-4, 0), 5)
 }
 
 // runWithGovernor drives fn with EIST active and reconstructs the paper's
@@ -153,10 +142,8 @@ func RunFigure10(o Options) (Result, error) {
 	prof := l.Profiler()
 	header := append([]string{"Workload"}, append(shareHeader, "L1D+St%")...)
 	var rows [][]string
-	var labels []string
 	var bds []core.Breakdown
 	for _, w := range cpu2006.Workloads() {
-		w := w
 		// Warm pass: CPU2006 workloads are long-running, so steady-state
 		// cache contents (not cold-start streaming) shape the profile.
 		warm := o.WorkScale / 4
@@ -167,12 +154,38 @@ func RunFigure10(o Options) (Result, error) {
 		b := prof.Profile(w.Name, func() { w.Run(l.M, o.WorkScale) })
 		rows = append(rows, append(append([]string{w.Name}, shareCells(b)...),
 			fmt.Sprintf("%.1f", b.L1DShare()*100)))
-		labels = append(labels, w.Name)
 		bds = append(bds, b)
 	}
 	text, csv := table("Figure 10: energy cost breakdown of CPU2006", header, rows)
-	text += chart("Figure 10 as stacked bars:", labels, bds)
+	text += chart("Figure 10 as stacked bars:", bds)
 	return Result{ID: "F10", Title: "Figure 10", Text: text, CSV: csv}, nil
+}
+
+// armRun measures one warm run of a hand-built query on a fresh ARM1176JZF-S
+// running SQLite (10MB data, small setting) with the external power meter.
+// dtcm names the tables whose hot structures the co-design pins into DTCM (nil
+// is the unmodified build); itcm > 0 also serves the instruction stream from
+// ITCM, trimming instruction-class energy by that fraction.
+func armRun(o Options, q tpch.Query, dtcm []string, itcm float64) (joules, seconds float64, err error) {
+	m := tcm.NewMachine()
+	if itcm > 0 {
+		m.EnableITCM(itcm)
+	}
+	meter := rapl.NewPowerMeter(m, o.Seed, 0)
+	e := engine.New(engine.SQLite, m, engine.SettingSmall)
+	tpch.Setup(e, tpch.Size10MB)
+	if dtcm != nil {
+		if _, err := tcm.OptimizeSQLite(e, dtcm); err != nil {
+			return 0, 0, err
+		}
+	}
+	plan, err := tpch.Warm(e, q.Build)
+	if err != nil {
+		return 0, 0, err
+	}
+	var runErr error
+	joules, seconds = meter.MeasureSession(func() { _, runErr = e.Run(plan) })
+	return joules, seconds, runErr
 }
 
 // RunFigure13 reproduces Figure 13: per-query energy saving and performance
@@ -182,35 +195,17 @@ func RunFigure10(o Options) (Result, error) {
 func RunFigure13(o Options) (Result, error) {
 	o = o.effective()
 
-	runQuery := func(optimize bool, q tpch.Query) (joules, seconds float64, err error) {
-		m := tcm.NewMachine()
-		meter := rapl.NewPowerMeter(m, o.Seed, 0)
-		e := engine.New(engine.SQLite, m, engine.SettingSmall)
-		tpch.Setup(e, tpch.Size10MB)
-		if optimize {
-			if _, err := tcm.OptimizeSQLite(e, []string{"lineitem", "orders", "customer", "part", "supplier"}); err != nil {
-				return 0, 0, err
-			}
-		}
-		plan, err := tpch.Warm(e, q.Build)
-		if err != nil {
-			return 0, 0, err
-		}
-		var runErr error
-		j, s := meter.MeasureSession(func() { _, runErr = e.Run(plan) })
-		return j, s, runErr
-	}
-
+	dtcmTables := []string{"lineitem", "orders", "customer", "part", "supplier"}
 	header := []string{"Query", "Energy saving%", "Perf improvement%"}
 	var rows [][]string
 	var sumSave, sumPerf float64
 	qs := queriesFor(o)
 	for _, q := range qs {
-		e0, t0, err := runQuery(false, q)
+		e0, t0, err := armRun(o, q, nil, 0)
 		if err != nil {
 			return Result{}, fmt.Errorf("Q%d base: %w", q.ID, err)
 		}
-		e1, t1, err := runQuery(true, q)
+		e1, t1, err := armRun(o, q, dtcmTables, 0)
 		if err != nil {
 			return Result{}, fmt.Errorf("Q%d dtcm: %w", q.ID, err)
 		}

@@ -6,12 +6,13 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"energydb/internal/core"
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
+	"energydb/internal/db/exec"
 	"energydb/internal/rapl"
 	"energydb/internal/tpch"
 )
@@ -112,72 +113,85 @@ func Experiments() []Experiment {
 
 // ByID fetches an experiment.
 func ByID(id string) (Experiment, error) {
+	var have []string
 	for _, e := range Experiments() {
 		if strings.EqualFold(e.ID, id) {
 			return e, nil
 		}
+		have = append(have, e.ID)
 	}
-	return Experiment{}, fmt.Errorf("harness: no experiment %q (have %s)", id, strings.Join(ids(), ", "))
+	return Experiment{}, fmt.Errorf("harness: no experiment %q (have %s)", id, strings.Join(have, ", "))
 }
-
-func ids() []string {
-	out := make([]string, 0)
-	for _, e := range Experiments() {
-		out = append(out, e.ID)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// lab is the Intel measurement stack calibrated at the requested P-state.
-type lab struct{ *core.Stack }
 
 // newLab calibrates a fresh machine at the given P-state.
-func newLab(o Options, p cpusim.PState) (lab, error) {
+func newLab(o Options, p cpusim.PState) (*core.Stack, error) {
 	reps := 0
 	if o.Quick {
 		reps = 2
 	}
-	st, err := core.NewStack(p, o.Seed, rapl.DefaultNoise, o.Scale, reps)
-	return lab{st}, err
+	return core.NewStack(p, o.Seed, rapl.DefaultNoise, o.Scale, reps)
 }
 
-// setupEngine loads TPC-H into a fresh engine on the lab's machine.
-func (l lab) setupEngine(kind engine.Kind, setting engine.Setting, class tpch.SizeClass) *engine.Engine {
+// rig is one measured database configuration: an engine with TPC-H loaded on
+// a freshly calibrated lab's machine, and the Eq. 1 profiler over that lab.
+type rig struct {
+	e    *engine.Engine
+	prof *core.Profiler
+}
+
+// newRig calibrates a fresh lab at P-state p and loads the class into an
+// engine of the given kind and knob setting.
+func newRig(o Options, p cpusim.PState, kind engine.Kind, setting engine.Setting, class tpch.SizeClass) (rig, error) {
+	l, err := newLab(o, p)
+	if err != nil {
+		return rig{}, err
+	}
 	e := engine.New(kind, l.M, setting)
 	tpch.Setup(e, class)
-	return e
+	return rig{e: e, prof: l.Profiler()}, nil
 }
 
-// queriesFor returns the query sweep for the options.
-func queriesFor(o Options) []tpch.Query {
-	qs := tpch.Queries()
-	if !o.Quick {
-		return qs
+// profile is warm-then-measure for a hand-built plan (a tpch.Query's or a
+// BasicOp's Build): run it once to warm, rebuild it and profile that run.
+func (r rig) profile(name string, build func(*engine.Engine) (exec.Operator, error)) (core.Breakdown, error) {
+	plan, err := tpch.Warm(r.e, build)
+	if err != nil {
+		return core.Breakdown{}, err
 	}
-	// A representative quick subset: scan (Q1, Q6), join-heavy (Q3),
-	// index-flavoured (Q4), aggregation (Q13).
-	var out []tpch.Query
-	for _, q := range qs {
-		switch q.ID {
-		case 1, 3, 4, 6, 13:
+	var runErr error
+	b := r.prof.Profile(name, func() {
+		_, runErr = r.e.Run(plan)
+	})
+	return b, runErr
+}
+
+// quickSubset is the sweep an experiment runs: every query, or under o.Quick
+// only those whose number is listed.
+func quickSubset[Q any](o Options, all []Q, id func(Q) int, quickIDs ...int) []Q {
+	if !o.Quick {
+		return all
+	}
+	var out []Q
+	for _, q := range all {
+		if slices.Contains(quickIDs, id(q)) {
 			out = append(out, q)
 		}
 	}
 	return out
 }
 
-// profileQuery warms the plan once, rebuilds it and profiles the run.
-func profileQuery(prof *core.Profiler, e *engine.Engine, q tpch.Query) (core.Breakdown, error) {
-	plan, err := tpch.Warm(e, q.Build)
-	if err != nil {
-		return core.Breakdown{}, err
-	}
-	var runErr error
-	b := prof.Profile(fmt.Sprintf("Q%d", q.ID), func() {
-		_, runErr = e.Run(plan)
-	})
-	return b, runErr
+// representativeIDs is the default quick subset: scan (Q1, Q6), join-heavy
+// (Q3), index-flavoured (Q4), aggregation (Q13).
+var representativeIDs = []int{1, 3, 4, 6, 13}
+
+// queriesFor returns the hand-built query sweep for the options.
+func queriesFor(o Options) []tpch.Query {
+	return quickSubset(o, tpch.Queries(), func(q tpch.Query) int { return q.ID }, representativeIDs...)
+}
+
+// sqlSweep returns the SQL-text query sweep for the options.
+func sqlSweep(o Options, quickIDs ...int) []tpch.SQLQuery {
+	return quickSubset(o, tpch.SQLQueries(), func(q tpch.SQLQuery) int { return q.ID }, quickIDs...)
 }
 
 // shareHeader is the component header of every breakdown table.
@@ -225,18 +239,16 @@ func bar(b core.Breakdown) string {
 // barLegend explains the glyphs once per chart.
 const barLegend = "legend: L=E_L1D S=E_Reg2L1D 2=E_L2 3=E_L3 M=E_mem P=E_pf W=E_stall .=E_other"
 
-// chart renders labelled stacked bars.
-func chart(title string, labels []string, bds []core.Breakdown) string {
+// chart renders stacked bars labelled by each breakdown's name.
+func chart(title string, bds []core.Breakdown) string {
 	width := 0
-	for _, l := range labels {
-		if len(l) > width {
-			width = len(l)
-		}
+	for _, b := range bds {
+		width = max(width, len(b.Name))
 	}
 	var sb strings.Builder
 	sb.WriteString("\n" + title + "\n" + barLegend + "\n")
-	for i, b := range bds {
-		fmt.Fprintf(&sb, "%-*s %s\n", width, labels[i], bar(b))
+	for _, b := range bds {
+		fmt.Fprintf(&sb, "%-*s %s\n", width, b.Name, bar(b))
 	}
 	return sb.String()
 }
@@ -266,13 +278,11 @@ func table(title string, header []string, rows [][]string) (string, string) {
 		text.WriteString("\n")
 	}
 	writeRow(header)
+	rule := make([]string, len(widths))
 	for i, w := range widths {
-		if i > 0 {
-			text.WriteString("  ")
-		}
-		text.WriteString(strings.Repeat("-", w))
+		rule[i] = strings.Repeat("-", w)
 	}
-	text.WriteString("\n")
+	writeRow(rule)
 	for _, r := range rows {
 		writeRow(r)
 	}

@@ -7,8 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"energydb/internal/cpusim"
+	"energydb/internal/db/engine"
+	"energydb/internal/db/plan"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/quick/<ID>.txt from the current quick outputs")
@@ -19,19 +24,31 @@ func quickOpts() Options {
 	return o
 }
 
+// quickResults keeps each experiment's quick result, so a test that compares
+// experiments with each other does not run them again.
+var quickResults = map[string]Result{}
+
 // runQuick runs one experiment in quick mode and pins its rendered text to
 // testdata/quick/<ID>.txt, so a change that moves any cell of any experiment
 // shows up as a golden diff in `make test` rather than in a stale
 // EXPERIMENTS.md. The simulation is deterministic, but the goldens were
 // recorded on amd64: elsewhere the compiler may fuse a multiply-add and move a
 // last digit, so only the shape checks of the calling test run there.
-func runQuick(t *testing.T, run func(Options) (Result, error)) Result {
+func runQuick(t *testing.T, id string) Result {
 	t.Helper()
 	skipIfShort(t)
-	res, err := run(quickOpts())
+	if res, ok := quickResults[id]; ok {
+		return res
+	}
+	exp, err := ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := exp.Run(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	quickResults[id] = res
 	if runtime.GOARCH != "amd64" {
 		return res
 	}
@@ -97,7 +114,7 @@ func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
 }
 
 func TestTable1Quick(t *testing.T) {
-	res := runQuick(t, RunTable1)
+	res := runQuick(t, "T1")
 	for _, name := range []string{"B_L1D_list", "B_L1D_array", "B_L2", "B_L3", "B_mem", "B_Reg2L1D", "B_add", "B_nop"} {
 		if !strings.Contains(res.Text, name) {
 			t.Errorf("Table 1 missing %s", name)
@@ -109,28 +126,28 @@ func TestTable1Quick(t *testing.T) {
 }
 
 func TestTable2Quick(t *testing.T) {
-	res := runQuick(t, RunTable2)
+	res := runQuick(t, "T2")
 	if !strings.Contains(res.Text, "dE_L1D") || !strings.Contains(res.Text, "dE_mem") {
 		t.Fatalf("Table 2 rows missing:\n%s", res.Text)
 	}
 }
 
 func TestTable3Quick(t *testing.T) {
-	res := runQuick(t, RunTable3)
+	res := runQuick(t, "T3")
 	if !strings.Contains(res.Text, "B_mem_nop") || !strings.Contains(res.Text, "average") {
 		t.Fatalf("Table 3 incomplete:\n%s", res.Text)
 	}
 }
 
 func TestTable5Quick(t *testing.T) {
-	res := runQuick(t, RunTable5)
+	res := runQuick(t, "T5")
 	if !strings.Contains(res.Text, "E_stall") || !strings.Contains(res.Text, "P36->P24") {
 		t.Fatalf("Table 5 incomplete:\n%s", res.Text)
 	}
 }
 
 func TestFigure6Quick(t *testing.T) {
-	res := runQuick(t, RunFigure6)
+	res := runQuick(t, "F6")
 	for _, s := range []string{"index scan", "table scan", "SQLite", "MySQL", "PostgreSQL"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("Figure 6 missing %q", s)
@@ -139,14 +156,14 @@ func TestFigure6Quick(t *testing.T) {
 }
 
 func TestFigure7Quick(t *testing.T) {
-	res := runQuick(t, RunFigure7)
+	res := runQuick(t, "F7")
 	if !strings.Contains(res.Text, "average") {
 		t.Fatalf("Figure 7 missing averages:\n%s", res.Text)
 	}
 }
 
 func TestFigure10Quick(t *testing.T) {
-	res := runQuick(t, RunFigure10)
+	res := runQuick(t, "F10")
 	for _, w := range []string{"Mcf", "Libquantum", "Bzip2"} {
 		if !strings.Contains(res.Text, w) {
 			t.Errorf("Figure 10 missing %s", w)
@@ -155,28 +172,28 @@ func TestFigure10Quick(t *testing.T) {
 }
 
 func TestFigure13Quick(t *testing.T) {
-	res := runQuick(t, RunFigure13)
+	res := runQuick(t, "F13")
 	if !strings.Contains(res.Text, "DTCM peak saving") {
 		t.Fatalf("Figure 13 incomplete:\n%s", res.Text)
 	}
 }
 
 func TestFigure5Quick(t *testing.T) {
-	res := runQuick(t, RunFigure5)
+	res := runQuick(t, "F5")
 	if !strings.Contains(res.Text, "90-100") {
 		t.Fatalf("Figure 5 missing buckets:\n%s", res.Text)
 	}
 }
 
 func TestFigure8Quick(t *testing.T) {
-	res := runQuick(t, RunFigure8)
+	res := runQuick(t, "F8")
 	if !strings.Contains(res.Text, "SQLite-100MB") {
 		t.Fatalf("Figure 8 missing size rows:\n%s", res.Text)
 	}
 }
 
 func TestFigure9Quick(t *testing.T) {
-	res := runQuick(t, RunFigure9)
+	res := runQuick(t, "F9")
 	for _, s := range []string{"PostgreSQL-small", "MySQL-large"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("Figure 9 missing %q", s)
@@ -185,7 +202,7 @@ func TestFigure9Quick(t *testing.T) {
 }
 
 func TestFigure11Quick(t *testing.T) {
-	res := runQuick(t, RunFigure11)
+	res := runQuick(t, "F11")
 	for _, s := range []string{"SQLite-Pstate36", "SQLite-Pstate12"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("Figure 11 missing %q", s)
@@ -194,7 +211,7 @@ func TestFigure11Quick(t *testing.T) {
 }
 
 func TestExtensionNoSQLQuick(t *testing.T) {
-	res := runQuick(t, RunExtensionNoSQL)
+	res := runQuick(t, "X1")
 	for _, s := range []string{"HashKV", "LSMKV", "ycsb-c"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X1 missing %q:\n%s", s, res.Text)
@@ -203,7 +220,7 @@ func TestExtensionNoSQLQuick(t *testing.T) {
 }
 
 func TestExtensionDVFSQuick(t *testing.T) {
-	res := runQuick(t, RunExtensionDVFS)
+	res := runQuick(t, "X2")
 	for _, s := range []string{"index scan", "table scan", "stall-aware"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X2 missing %q:\n%s", s, res.Text)
@@ -212,7 +229,7 @@ func TestExtensionDVFSQuick(t *testing.T) {
 }
 
 func TestExtensionWritesQuick(t *testing.T) {
-	res := runQuick(t, RunExtensionWrites)
+	res := runQuick(t, "X4")
 	for _, s := range []string{"bulk update", "WAL recs", "SQLite"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X4 missing %q:\n%s", s, res.Text)
@@ -221,7 +238,7 @@ func TestExtensionWritesQuick(t *testing.T) {
 }
 
 func TestExtensionArchSweepQuick(t *testing.T) {
-	res := runQuick(t, RunExtensionArchSweep)
+	res := runQuick(t, "X5")
 	for _, s := range []string{"stock", "Arch 1", "-40% L1D energy"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X5 missing %q:\n%s", s, res.Text)
@@ -230,7 +247,7 @@ func TestExtensionArchSweepQuick(t *testing.T) {
 }
 
 func TestExtensionOptimizerQuick(t *testing.T) {
-	res := runQuick(t, RunExtensionOptimizer)
+	res := runQuick(t, "X6")
 	for _, s := range []string{"Q1", "Q6", "prediction within", "avg L1D+Reg2L1D share by engine"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X6 missing %q:\n%s", s, res.Text)
@@ -239,7 +256,7 @@ func TestExtensionOptimizerQuick(t *testing.T) {
 }
 
 func TestExtensionVectorQuick(t *testing.T) {
-	res := runQuick(t, RunExtensionVector)
+	res := runQuick(t, "X7")
 	for _, s := range []string{"Q1", "Q6", "vector operator", "measured delta"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X7 missing %q:\n%s", s, res.Text)
@@ -254,7 +271,7 @@ func TestExtensionVectorQuick(t *testing.T) {
 // cost-model regression that pushes it back out of +/-25% fails here, not
 // only in the full X9 sweep.
 func TestExtensionAccuracyQuick(t *testing.T) {
-	res := runQuick(t, RunExtensionAccuracy)
+	res := runQuick(t, "X9")
 	for _, s := range []string{"Q1", "Q6", "README", "prediction within", "README join example error", "worst absolute error"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X9 missing %q:\n%s", s, res.Text)
@@ -279,7 +296,7 @@ func TestExtensionAccuracyQuick(t *testing.T) {
 // join-dominated subset, the subset's E_active moves down under the vector
 // join/sort, and the per-operator meter partition holds on the mixed plan.
 func TestExtensionJoinQuick(t *testing.T) {
-	res := runQuick(t, RunExtensionJoin)
+	res := runQuick(t, "X8")
 	for _, s := range []string{"Q9", "join-dominated subset", "join lab", "meter partition", "sum exactly"} {
 		if !strings.Contains(res.Text, s) {
 			t.Errorf("X8 missing %q:\n%s", s, res.Text)
@@ -305,8 +322,74 @@ func TestExtensionJoinQuick(t *testing.T) {
 }
 
 func TestExtensionITCMQuick(t *testing.T) {
-	res := runQuick(t, RunExtensionITCM)
+	res := runQuick(t, "X3")
 	if !strings.Contains(res.Text, "+ DTCM + ITCM") {
 		t.Fatalf("X3 incomplete:\n%s", res.Text)
+	}
+}
+
+// column reads one column of an experiment's CSV, keyed by each row's first
+// cell.
+func column(t *testing.T, res Result, name string) map[string]string {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(res.CSV), "\n")
+	idx := slices.Index(strings.Split(lines[0], ","), name)
+	if idx < 0 {
+		t.Fatalf("%s has no column %q", res.ID, name)
+	}
+	out := make(map[string]string)
+	for _, line := range lines[1:] {
+		cells := strings.Split(line, ",")
+		out[cells[0]] = cells[idx]
+	}
+	return out
+}
+
+// TestSQLSweepConsistency pins what rig.sql buys: one statement on one
+// configuration prints the same joules in every experiment, and what a row
+// says about its plan is read off the plan that produced its joules. X6, X7
+// and X9 all sweep the SQL texts on a SQLite rig of the same seed, so their
+// measured cells must agree string for string; and a sweep run here must
+// reproduce X9's cells from the sqlRun it hands back.
+func TestSQLSweepConsistency(t *testing.T) {
+	x6 := column(t, runQuick(t, "X6"), "meas (mJ)")
+	x7 := column(t, runQuick(t, "X7"), "E_vec (mJ)")
+	x9 := runQuick(t, "X9")
+	x9meas, x9vecOps := column(t, x9, "meas (mJ)"), column(t, x9, "vec ops")
+
+	o := quickOpts().effective()
+	r, err := newRig(o, cpusim.PState36, engine.SQLite, o.Setting, o.Class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, _, _, err := predVsMeas(r, sqlSweep(o, representativeIDs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range runs {
+		q := s.name()
+		if x6[q] != x9meas[q] {
+			t.Errorf("%s: X6 meas %s, X9 meas %s", q, x6[q], x9meas[q])
+		}
+		if x7[q] != x9meas[q] {
+			t.Errorf("%s: X7 E_vec %s, X9 meas %s", q, x7[q], x9meas[q])
+		}
+		if got := fmt.Sprintf("%.3f", s.B.EActive*1e3); got != x9meas[q] {
+			t.Errorf("%s: this sweep measured %s, X9 %s", q, got, x9meas[q])
+		}
+		vecOps := 0
+		var walk func(n *plan.Node)
+		walk = func(n *plan.Node) {
+			if n.Mode == plan.ModeVector {
+				vecOps++
+			}
+			for _, k := range n.Kids {
+				walk(k)
+			}
+		}
+		walk(s.Plan.Root)
+		if got := fmt.Sprint(vecOps); got != x9vecOps[q] {
+			t.Errorf("%s: measured plan has %s vector operators, X9 prints %s", q, got, x9vecOps[q])
+		}
 	}
 }

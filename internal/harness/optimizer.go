@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"energydb/internal/core"
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
-	"energydb/internal/db/exec"
-	"energydb/internal/db/plan"
-	"energydb/internal/db/sql"
 	"energydb/internal/tpch"
 )
 
@@ -21,156 +17,82 @@ import (
 // (E_L1D+E_Reg2L1D dominates Active energy), and — for the queries whose
 // SQL is an exact transcription of the hand-built plan — that the
 // optimizer's plan does not cost more energy than the hand-built one.
-// A final sweep over all three engine profiles checks the Figure 7 share
+// The same sweep on the other two engine profiles checks the Figure 7 share
 // ordering (SQLite > PostgreSQL > MySQL) survives optimizer-chosen plans.
+// The SQLite sweep is X9's: same rig, same statements in the same order.
 func RunExtensionOptimizer(o Options) (Result, error) {
 	o = o.effective()
-	l, err := newLab(o, cpusim.PState36)
+	queries := sqlSweep(o, representativeIDs...)
+	r, err := newRig(o, cpusim.PState36, engine.SQLite, o.Setting, o.Class)
 	if err != nil {
 		return Result{}, err
 	}
-	prof := l.Profiler()
-	e := l.setupEngine(engine.SQLite, o.Setting, o.Class)
+	runs, rows, within, err := predVsMeas(r, queries)
+	if err != nil {
+		return Result{}, err
+	}
 
-	queries := sqlQueriesFor(o)
-	header := []string{"Query", "pred (mJ)", "meas (mJ)", "err%", "L1D+St%", "hand (mJ)", "vs hand", "exact"}
-	var rows [][]string
-	within := 0
-	var shareSum float64
+	// The hand-built plans run after the sweep, on the same warm rig, so the
+	// sweep above is statement for statement the one X9 reports.
 	worstDelta, worstID := math.Inf(-1), 0
-	for _, q := range queries {
-		pred, b, err := profileSQLQuery(prof, e, q)
-		if err != nil {
-			return Result{}, fmt.Errorf("Q%d: %v", q.ID, err)
-		}
-		errPct := (pred/b.EActive - 1) * 100
-		if math.Abs(errPct) <= 25 {
-			within++
-		}
-		shareSum += b.L1DShare()
+	for i, s := range runs {
 		handCell, deltaCell, exactCell := "-", "-", ""
-		if q.Exact {
+		if s.Query.Exact {
 			exactCell = "yes"
-			hand, err := tpch.QueryByID(q.ID)
+			hand, err := tpch.QueryByID(s.Query.ID)
 			if err != nil {
 				return Result{}, err
 			}
-			hb, err := profileQuery(prof, e, hand)
+			hb, err := r.profile(s.name(), hand.Build)
 			if err != nil {
-				return Result{}, fmt.Errorf("Q%d hand-built: %v", q.ID, err)
+				return Result{}, fmt.Errorf("%s hand-built: %v", s.name(), err)
 			}
-			delta := (b.EActive/hb.EActive - 1) * 100
+			delta := (s.B.EActive/hb.EActive - 1) * 100
 			if delta > worstDelta {
-				worstDelta, worstID = delta, q.ID
+				worstDelta, worstID = delta, s.Query.ID
 			}
 			handCell = fmt.Sprintf("%.3f", hb.EActive*1e3)
 			deltaCell = fmt.Sprintf("%+.1f%%", delta)
 		}
-		rows = append(rows, []string{
-			fmt.Sprintf("Q%d", q.ID),
-			fmt.Sprintf("%.3f", pred*1e3),
-			fmt.Sprintf("%.3f", b.EActive*1e3),
-			fmt.Sprintf("%+.1f", errPct),
-			fmt.Sprintf("%.1f", b.L1DShare()*100),
-			handCell, deltaCell, exactCell,
-		})
+		rows[i] = append(rows[i], fmt.Sprintf("%.1f", s.B.L1DShare()*100), handCell, deltaCell, exactCell)
 	}
+	header := []string{"Query", "pred (mJ)", "meas (mJ)", "err%", "L1D+St%", "hand (mJ)", "vs hand", "exact"}
 	text, csv := table("Extension X6: energy-aware optimizer — predicted vs measured E_active (SQLite, warm buffers)", header, rows)
 	text += fmt.Sprintf("\nprediction within +/-25%%: %d/%d queries\n", within, len(queries))
 	if worstID != 0 {
 		text += fmt.Sprintf("worst optimizer-vs-hand-built E_active delta (exact queries): %+.1f%% on Q%d\n", worstDelta, worstID)
 	}
-	text += fmt.Sprintf("avg L1D+Reg2L1D share of optimizer plans (SQLite): %.1f%%\n", shareSum/float64(len(queries))*100)
+	shares := map[engine.Kind]float64{engine.SQLite: avgL1DShare(runs)}
+	text += fmt.Sprintf("avg L1D+Reg2L1D share of optimizer plans (SQLite): %.1f%%\n", shares[engine.SQLite]*100)
 
 	// The Figure 7 cross-engine ordering, on optimizer-chosen plans: the
 	// SQLite engine profile spends the largest E_L1D+E_Reg2L1D share,
-	// PostgreSQL next, MySQL least.
-	engText, err := optimizerEngineShares(o, queries)
-	if err != nil {
-		return Result{}, err
+	// PostgreSQL next, MySQL least. SQLite's share is the sweep above.
+	for _, kind := range []engine.Kind{engine.PostgreSQL, engine.MySQL} {
+		rk, err := newRig(o, cpusim.PState36, kind, o.Setting, o.Class)
+		if err != nil {
+			return Result{}, err
+		}
+		kindRuns, _, _, err := predVsMeas(rk, queries)
+		if err != nil {
+			return Result{}, fmt.Errorf("%s %v", kind, err)
+		}
+		shares[kind] = avgL1DShare(kindRuns)
 	}
-	text += engText
+	mark := "ok"
+	if !(shares[engine.SQLite] > shares[engine.PostgreSQL] && shares[engine.PostgreSQL] > shares[engine.MySQL]) {
+		mark = "VIOLATED"
+	}
+	text += fmt.Sprintf("avg L1D+Reg2L1D share by engine: SQLite %.1f%% > PostgreSQL %.1f%% > MySQL %.1f%% (Figure 7 ordering %s)\n",
+		shares[engine.SQLite]*100, shares[engine.PostgreSQL]*100, shares[engine.MySQL]*100, mark)
 	return Result{ID: "X6", Title: "Extension X6 (energy-aware optimizer)", Text: text, CSV: csv}, nil
 }
 
-// optimizerEngineShares profiles the optimizer's plans under each engine
-// profile and renders the average L1D+Reg2L1D share per engine.
-func optimizerEngineShares(o Options, queries []tpch.SQLQuery) (string, error) {
-	shares := make(map[engine.Kind]float64)
-	for _, kind := range engine.Kinds() {
-		l, err := newLab(o, cpusim.PState36)
-		if err != nil {
-			return "", err
-		}
-		prof := l.Profiler()
-		e := l.setupEngine(kind, o.Setting, o.Class)
-		var sum float64
-		for _, q := range queries {
-			_, b, err := profileSQLQuery(prof, e, q)
-			if err != nil {
-				return "", fmt.Errorf("%s Q%d: %v", kind, q.ID, err)
-			}
-			sum += b.L1DShare()
-		}
-		shares[kind] = sum / float64(len(queries))
+// avgL1DShare is the unweighted mean L1D+Reg2L1D share of a sweep.
+func avgL1DShare(runs []sqlRun) float64 {
+	var sum float64
+	for _, s := range runs {
+		sum += s.B.L1DShare()
 	}
-	ordered := shares[engine.SQLite] > shares[engine.PostgreSQL] &&
-		shares[engine.PostgreSQL] > shares[engine.MySQL]
-	mark := "ok"
-	if !ordered {
-		mark = "VIOLATED"
-	}
-	return fmt.Sprintf("avg L1D+Reg2L1D share by engine: SQLite %.1f%% > PostgreSQL %.1f%% > MySQL %.1f%% (Figure 7 ordering %s)\n",
-		shares[engine.SQLite]*100, shares[engine.PostgreSQL]*100, shares[engine.MySQL]*100, mark), nil
-}
-
-// sqlQueriesFor returns the SQL-text query sweep for the options, mirroring
-// queriesFor's quick subset.
-func sqlQueriesFor(o Options) []tpch.SQLQuery {
-	qs := tpch.SQLQueries()
-	if !o.Quick {
-		return qs
-	}
-	var out []tpch.SQLQuery
-	for _, q := range qs {
-		switch q.ID {
-		case 1, 3, 4, 6, 13:
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// profileSQLQuery plans and runs the SQL text once to warm the buffer pool,
-// then re-plans — so the cost model's residency estimates see the warm pool,
-// matching what it is asked to predict — and profiles the re-planned run.
-func profileSQLQuery(prof *core.Profiler, e *engine.Engine, q tpch.SQLQuery) (predEJ float64, b core.Breakdown, err error) {
-	stmt, err := sql.Parse(q.Text)
-	if err != nil {
-		return 0, b, err
-	}
-	p, err := plan.Prepare(e, stmt)
-	if err != nil {
-		return 0, b, err
-	}
-	op, err := p.Build()
-	if err != nil {
-		return 0, b, err
-	}
-	if _, err := exec.Collect(op); err != nil {
-		return 0, b, err
-	}
-	p, err = plan.Prepare(e, stmt)
-	if err != nil {
-		return 0, b, err
-	}
-	op, err = p.Build()
-	if err != nil {
-		return 0, b, err
-	}
-	var runErr error
-	b = prof.Profile(fmt.Sprintf("Q%d-sql", q.ID), func() {
-		_, runErr = exec.Collect(op)
-	})
-	return p.PredictedEJ(), b, runErr
+	return sum / float64(len(runs))
 }
