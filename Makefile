@@ -25,12 +25,13 @@ lint:
 	$(GO) run ./cmd/energylint ./...
 
 # Non-blank, non-comment, non-test Go lines of the packages the simplicity
-# PRs track: the planner and the two executors, the analyzer suite, and the
-# statement pipeline with its two consumers.
+# PRs track: the planner and the two executors, the analyzer suite, the
+# statement pipeline with its two consumers, and the experiment harness.
 loc:
 	@scripts/loc.sh internal/db/plan internal/db/vec internal/db/exec
 	@scripts/loc.sh internal/lint
 	@scripts/loc.sh internal/server cmd/dbshell internal/db/stmt
+	@scripts/loc.sh internal/harness
 
 # Budget gate for the analyzer suite itself: the full-repo run (load +
 # type-check + all analyzers, chargeflow CFG fixpoint included) must stay

@@ -74,7 +74,14 @@ func main() {
 	} else if err := sh.setupLocal(); err != nil {
 		fatal(err)
 	}
-	fmt.Println(`Ready. End statements with a newline; EXPLAIN [ENERGY] <select> shows the optimizer's plan (ENERGY: measured per-operator attribution); INSERT/UPDATE/DELETE write under snapshot isolation; \begin \commit \rollback (or SQL BEGIN/COMMIT/ROLLBACK) control transactions; \q<N> runs the SQL text of TPC-H query N (13 of the 22 texts approximate their query where the grammar falls short; the shell says how); \tables lists tables; \connect <addr> goes remote; \stats shows server observability (remote); \quit exits.`)
+	texts := tpch.SQLQueries()
+	approx := 0
+	for _, q := range texts {
+		if !q.Exact {
+			approx++
+		}
+	}
+	fmt.Printf(`Ready. End statements with a newline; EXPLAIN [ENERGY] <select> shows the optimizer's plan (ENERGY: measured per-operator attribution); INSERT/UPDATE/DELETE write under snapshot isolation; \begin \commit \rollback (or SQL BEGIN/COMMIT/ROLLBACK) control transactions; \q<N> runs the SQL text of TPC-H query N (%d of the %d texts approximate their query where the grammar falls short; the shell says how); \tables lists tables; \connect <addr> goes remote; \stats shows server observability (remote); \quit exits.`+"\n", approx, len(texts))
 
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)

@@ -41,7 +41,7 @@
 // An individual Engine is still NOT goroutine-safe: one worker owns it, and
 // all access to it (plan building, execution, transaction binding,
 // counter/energy snapshots) must stay on that worker's goroutine. Snapshot
-// APIs (memsim.Hierarchy.Counters, perfmon.Take, rapl sessions) return
+// APIs (memsim.Hierarchy.Counters, rapl sessions) return
 // value copies, so snapshots taken on the owner goroutine may be diffed and
 // read anywhere afterwards.
 //

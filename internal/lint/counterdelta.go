@@ -14,8 +14,7 @@ import (
 // or when a baseline is re-synchronized across machines; raw uint64
 // subtraction then underflows to ~2^64 and poisons every downstream energy
 // figure. This exact bug shipped twice: StallAwareGovernor.Tick (fixed in
-// PR 4) and perfmon.Sample.DeltaSince / memsim.Counters.Sub (fixed in this
-// PR). The invariant: every counter delta must clamp at zero.
+// PR 4) and memsim.Counters.Sub (fixed in this PR). The invariant: every counter delta must clamp at zero.
 //
 // A subtraction is exempt when either operand is a constant (index/align
 // arithmetic), when the enclosing function guards the same operand pair

@@ -1,9 +1,9 @@
 package memsim
 
 // Counters is the simulator's performance monitoring unit (PMU). All fields
-// are cumulative event counts; the perfmon package exposes them under
-// perf-style event names and the core package consumes them as the N_m terms
-// of the paper's Eq. (1).
+// are cumulative event counts — the role Linux perf / ocperf events play in
+// the paper (Section 2.4) — and the core package consumes them as the N_m
+// terms of the paper's Eq. (1).
 type Counters struct {
 	// Loads is the number of load instructions issued (register-hit loads
 	// excluded: the benchmarks are written so every load touches memory).
@@ -62,9 +62,9 @@ type Counters struct {
 	PageCrossings uint64
 
 	// UncountedL1DPf tallies L1D next-line prefetches. The paper notes
-	// the i7-4790's L1D prefetchers raise no PMU event; accordingly no
-	// perfmon event exposes this field — the energy ground truth charges
-	// it, the Eq. 1 solver never sees it.
+	// the i7-4790's L1D prefetchers raise no PMU event; accordingly the
+	// energy ground truth charges this field and the Eq. 1 solver never
+	// sees it.
 	UncountedL1DPf uint64
 }
 
@@ -122,10 +122,9 @@ func missRate(miss, total uint64) float64 {
 }
 
 // monotonicSub returns cur - prev clamped at zero. Counter snapshots are
-// monotonic only per hierarchy instance: ResetCounters (perfmon uses it
-// between measurement windows) rewinds every field, and a stale base
-// snapshot then makes the raw subtraction wrap to ~2^64 — the same
-// underflow class as the stallgov.Tick bug. A zero delta for the window
+// monotonic only per hierarchy instance: ResetCounters rewinds every field,
+// and a stale base snapshot then makes the raw subtraction wrap to ~2^64 —
+// the same underflow class as the stallgov.Tick bug. A zero delta for the window
 // spanning the reset is the honest reading.
 func monotonicSub(cur, prev uint64) uint64 {
 	if cur < prev {

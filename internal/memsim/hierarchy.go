@@ -263,7 +263,7 @@ func (h *Hierarchy) l1dNextLine(line uint64) {
 }
 
 // UncountedL1DPrefetches returns the hidden L1D-prefetch tally (test and
-// energy-ground-truth use only; no perfmon event exposes it).
+// energy-ground-truth use only; it is not one of the N_m terms).
 func (h *Hierarchy) UncountedL1DPrefetches() uint64 { return h.ctr.UncountedL1DPf }
 
 // Store simulates one store instruction to the line containing addr. Under

@@ -354,3 +354,29 @@ func TestLevelString(t *testing.T) {
 		}
 	}
 }
+
+// TestSubClampsAcrossCounterReset is a regression test: a snapshot taken
+// before ResetCounters used to make Sub wrap to ~2^64 (raw uint64 subtraction
+// on a now-smaller snapshot). The delta must clamp at zero instead — the same
+// fix shape as the stallgov.Tick underflow.
+func TestSubClampsAcrossCounterReset(t *testing.T) {
+	h := newI7(t)
+	h.Load(0x40, true)
+	h.Load(0x80, true)
+	h.Load(0xC0, true)
+	before := h.Counters()
+
+	h.ResetCounters()
+	h.Load(0x40, true)
+	d := h.Counters().Sub(before)
+
+	if d.Loads != 0 {
+		t.Fatalf("Loads delta across reset = %d, want 0 (clamped)", d.Loads)
+	}
+	if d.L1DAccesses != 0 {
+		t.Fatalf("L1DAccesses delta across reset = %d, want 0 (clamped)", d.L1DAccesses)
+	}
+	if d.MemAccesses > 3 {
+		t.Fatalf("MemAccesses delta across reset = %d, want small (not wrapped)", d.MemAccesses)
+	}
+}

@@ -44,7 +44,7 @@
 //     exactly one worker ledger, so the session ledgers partition the
 //     server total (the merge of the worker ledgers) exactly.
 //
-// Counter snapshots (memsim.Hierarchy.Counters, perfmon.Take) return value
+// Counter snapshots (memsim.Hierarchy.Counters) return value
 // copies and are race-free by construction once the per-worker single-owner
 // rule holds; rapl.Meter additionally guards its measurement-noise stream
 // with a mutex so sessions opened off the worker cannot corrupt it.
