@@ -61,7 +61,6 @@ func RunExtensionJoin(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var subsetIDs []string
 	var subset []vecRowPair
 	var q3 sqlRun
 	vectorized := 0
@@ -70,7 +69,6 @@ func RunExtensionJoin(o Options) (Result, error) {
 			vectorized++
 		}
 		if joinShare(p) >= joinDominatedShare {
-			subsetIDs = append(subsetIDs, p.vec.name())
 			subset = append(subset, p)
 		}
 		if p.vec.Query.ID == 3 {
@@ -97,8 +95,12 @@ func RunExtensionJoin(o Options) (Result, error) {
 	text += fmt.Sprintf("\nqueries with a vectorized join or sort: %d/%d\n", vectorized, len(sw.pairs))
 	text += energyLine("total", sw.pairs)
 	if len(subset) > 0 {
+		ids := make([]string, len(subset))
+		for i, p := range subset {
+			ids[i] = p.vec.name()
+		}
 		text += fmt.Sprintf("join-dominated subset (join ops >= %.0f%% of predicted plan energy): %s\n",
-			joinDominatedShare*100, strings.Join(subsetIDs, ", "))
+			joinDominatedShare*100, strings.Join(ids, ", "))
 		text += energyLine("subset", subset) + shareLine("subset avg", subset)
 	}
 	text += partition + "\n"

@@ -107,9 +107,19 @@ func isVectorJoinOrSort(n *plan.Node) bool {
 	return isVector(n) && (isJoin(n) || strings.HasPrefix(n.Title(), "Sort"))
 }
 
-// predVsMeas runs the queries in order on the rig and renders the four cells
-// every accuracy table (X6, X9) starts with. within counts the runs predicted
-// within ±25% of the measurement.
+// accuracyCells renders the four cells every accuracy table (X6, X9) row
+// starts with: query, predicted and measured E_active, signed error.
+func (s sqlRun) accuracyCells() []string {
+	return []string{
+		s.name(),
+		fmt.Sprintf("%.3f", s.Pred*1e3),
+		fmt.Sprintf("%.3f", s.B.EActive*1e3),
+		fmt.Sprintf("%+.1f", s.errPct()),
+	}
+}
+
+// predVsMeas runs the queries in order on the rig, one accuracyCells row each.
+// within counts the runs predicted within ±25% of the measurement.
 func predVsMeas(r rig, queries []tpch.SQLQuery) (runs []sqlRun, rows [][]string, within int, err error) {
 	for _, q := range queries {
 		s, err := r.sql(q)
@@ -120,12 +130,7 @@ func predVsMeas(r rig, queries []tpch.SQLQuery) (runs []sqlRun, rows [][]string,
 			within++
 		}
 		runs = append(runs, s)
-		rows = append(rows, []string{
-			s.name(),
-			fmt.Sprintf("%.3f", s.Pred*1e3),
-			fmt.Sprintf("%.3f", s.B.EActive*1e3),
-			fmt.Sprintf("%+.1f", s.errPct()),
-		})
+		rows = append(rows, s.accuracyCells())
 	}
 	return runs, rows, within, nil
 }
