@@ -32,6 +32,8 @@
 package btree
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -357,6 +359,39 @@ func (it *Iter) Next() {
 	for it.n != nil && len(it.n.keys) == 0 {
 		it.advanceLeaf()
 	}
+}
+
+// Shape summarises one tree snapshot for the tests that pin a build: entry
+// count, height, node count and an FNV-1a hash over every node's (simulated
+// address, key count) in key order. Two trees with equal shapes were built by
+// the same splits at the same addresses.
+type Shape struct {
+	Len, Height, Nodes int
+	Hash               uint64
+}
+
+// Shape walks the current snapshot without simulating any access.
+func (t *Tree) Shape() Shape {
+	t.s.mu.RLock()
+	sh := Shape{Len: t.s.size, Height: t.s.height}
+	root := t.s.root
+	t.s.mu.RUnlock()
+	f := fnv.New64a()
+	var word [16]byte
+	var walk func(n *node)
+	//lint:nocharge structural fingerprint for tests, not part of any measured statement
+	walk = func(n *node) {
+		sh.Nodes++
+		binary.LittleEndian.PutUint64(word[:8], n.addr)
+		binary.LittleEndian.PutUint64(word[8:], uint64(len(n.keys)))
+		f.Write(word[:])
+		for _, k := range n.kids {
+			walk(k)
+		}
+	}
+	walk(root)
+	sh.Hash = f.Sum64()
+	return sh
 }
 
 // PlaceTopLevels relocates the root and as many upper levels as fit into

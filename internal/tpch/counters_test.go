@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"energydb/internal/db/exec"
 	"energydb/internal/db/plan"
 	"energydb/internal/db/sql"
+	"energydb/internal/memsim"
 )
 
 // readmeJoin is the README's wide-row join-plus-sort example
@@ -26,6 +28,13 @@ const readmeJoin = `SELECT * FROM lineitem JOIN partsupp ON l_suppkey = ps_suppk
 // proves that refactor — and any later one — left the simulated machine's
 // work bit-identical. A plan change moves these numbers too; then the EXPLAIN
 // goldens say so first.
+//
+// Beside the statements, each configuration pins the load it ran them on
+// (testdata/counters/<engine>-<class>.load.txt, shared by the free and row
+// modes): the counter delta of Setup and the shape of every index it built,
+// so a change to how the B+trees are built or how the hierarchy is walked
+// shows whether it moved the simulated stream, a split point or a node
+// address.
 func TestRecordedCounters(t *testing.T) {
 	type config struct {
 		kind    engine.Kind
@@ -54,7 +63,9 @@ func TestRecordedCounters(t *testing.T) {
 			m := cpusim.NewMachine(cpusim.IntelI7_4790())
 			e := engine.New(c.kind, m, engine.SettingBaseline)
 			e.Knobs.DisableVectorExec = c.rowOnly
+			before := e.M.Hier.Counters()
 			Setup(e, c.class)
+			compareRecorded(t, fmt.Sprintf("%s-%s.load", c.kind, c.class), loadRecord(t, e, before))
 			var b strings.Builder
 			for _, id := range c.ids {
 				label, text := "readme-join", readmeJoin
@@ -83,30 +94,61 @@ func TestRecordedCounters(t *testing.T) {
 				}
 				fmt.Fprintf(&b, "%s %+v\n", label, e.M.Hier.Counters().Sub(before))
 			}
-			path := filepath.Join("testdata", "counters", name+".txt")
-			if *updateExplain {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := strings.Split(b.String(), "\n")
-			for i, w := range strings.Split(string(want), "\n") {
-				if i >= len(got) || got[i] != w {
-					g := ""
-					if i < len(got) {
-						g = got[i]
-					}
-					t.Errorf("counters moved:\n want %s\n  got %s", w, g)
-				}
-			}
+			compareRecorded(t, name, b.String())
 		})
+	}
+}
+
+// loadRecord renders what Setup did to the machine and what it built: the
+// counter delta since before, then one line per index in table and column
+// order.
+func loadRecord(t *testing.T, e *engine.Engine, before memsim.Counters) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "load %+v\n", e.M.Hier.Counters().Sub(before))
+	for _, name := range []string{"region", "nation", "supplier", "customer", "part", "partsupp", "orders", "lineitem"} {
+		tab, err := e.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := make([]string, 0, len(tab.Indexes))
+		for col := range tab.Indexes {
+			cols = append(cols, col)
+		}
+		sort.Strings(cols)
+		for _, col := range cols {
+			sh := tab.Indexes[col].Shape()
+			fmt.Fprintf(&b, "%s.%s len=%d height=%d nodes=%d fnv=%016x\n", name, col, sh.Len, sh.Height, sh.Nodes, sh.Hash)
+		}
+	}
+	return b.String()
+}
+
+// compareRecorded checks got line by line against testdata/counters/<name>.txt,
+// or rewrites the file under -update.
+func compareRecorded(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "counters", name+".txt")
+	if *updateExplain {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(got, "\n")
+	for i, w := range strings.Split(string(want), "\n") {
+		g := ""
+		if i < len(lines) {
+			g = lines[i]
+		}
+		if g != w {
+			t.Errorf("%s moved:\n want %s\n  got %s", name, w, g)
+		}
 	}
 }
