@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench-check bench-e2e bench bench-txn bench-join fuzz smoke loc
+.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench-check bench-e2e bench bench-txn bench-join bench-substrate fuzz smoke loc
 
 all: build
 
@@ -144,10 +144,19 @@ bench-txn:
 bench-join:
 	$(GO) test -run xxx -bench BenchmarkVectorJoinSort -benchtime $(BENCHTIME) ./internal/db/vec/
 
+# The simulated substrate's host cost (root bench_test.go): the hierarchy
+# walk on an L1D hit, a never-hitting stream, a cache-resident scan and random
+# DRAM loads, the calibration every boot pays, and the index build every load
+# pays. These are the numbers a memsim or btree change reports before and
+# after; CI runs them once each to keep them compiling and finishing.
+bench-substrate:
+	$(GO) test -run xxx -bench 'BenchmarkHierarchy|BenchmarkCalibration|BenchmarkCreateIndex' -benchtime $(BENCHTIME) .
+
 # Short fuzz pass over every fuzz target: the SQL parser (raw client text),
 # the planner pipeline (parse → optimize → build → execute), the row-versus-
-# vector differential executor, and both wire-protocol surfaces. FUZZTIME is
-# overridable for CI smoke runs.
+# vector differential executor, both wire-protocol surfaces, and the cache
+# hierarchy against its reference model. FUZZTIME is overridable for CI smoke
+# runs.
 FUZZTIME ?= 30s
 
 fuzz:
@@ -156,3 +165,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzVecExec -fuzztime $(FUZZTIME) ./internal/db/vec/
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/server/wire/
 	$(GO) test -run xxx -fuzz FuzzQueryRoundTrip -fuzztime $(FUZZTIME) ./internal/server/wire/
+	$(GO) test -run xxx -fuzz FuzzHierarchy -fuzztime $(FUZZTIME) ./internal/memsim/

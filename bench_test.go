@@ -85,6 +85,21 @@ func BenchmarkHierarchyLoadStream(b *testing.B) {
 	}
 }
 
+// BenchmarkHierarchyScanResident loops over a 1 MB region with the streamer
+// on: after the first pass every load hits L2 or L3 and every prefetch finds
+// its line present — the path a scan of a cache-resident table takes, which
+// LoadStream (never a hit) does not reach.
+func BenchmarkHierarchyScanResident(b *testing.B) {
+	h := memsim.New(memsim.I7_4790())
+	h.SetPrefetchEnabled(true)
+	const lines = (1 << 20) / memsim.LineSize
+	h.LoadRange(0, 1<<20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Load(uint64(i%lines)*memsim.LineSize, false)
+	}
+}
+
 func BenchmarkHierarchyLoadRandomDRAM(b *testing.B) {
 	h := memsim.New(memsim.I7_4790())
 	b.ResetTimer()
@@ -103,6 +118,21 @@ func BenchmarkCalibration(b *testing.B) {
 		if _, err := core.Calibrate(r); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCreateIndex builds the lineitem l_orderkey index of the 100MB
+// class: one Insert per row into a tree no reader has seen.
+func BenchmarkCreateIndex(b *testing.B) {
+	m := cpusim.NewMachine(cpusim.IntelI7_4790())
+	e := engine.New(engine.PostgreSQL, m, engine.SettingBaseline)
+	lineitem := e.CreateTable("lineitem", tpch.LineitemSchema)
+	for _, r := range tpch.Generate(tpch.Size100MB, 7421).Lineitem {
+		e.Insert(lineitem, r)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.CreateIndex(lineitem, "l_orderkey")
 	}
 }
 

@@ -15,16 +15,23 @@
 // shared index with View, so all of them descend the same structure while
 // every simulated load and store drives the view's own machine.
 //
-// Concurrency is copy-on-write: Insert clones every node it modifies
-// (reusing the node's simulated address, so the energy stream is identical
-// to an in-place write) and publishes a new root under the shared half's
-// internal lock. Published nodes are immutable, so a reader captures the
-// root once and traverses a consistent snapshot of the whole tree without
-// holding any lock — index scans never block behind inserts, and an
-// iterator never observes a half-applied split. Entries inserted after the
-// root capture are simply absent from that snapshot, which is exactly the
-// MVCC contract: such entries belong to concurrent transactions whose
-// versions the reader's snapshot filters out anyway.
+// Concurrency is copy-on-write by generation. Every node is stamped with the
+// generation it was made in, and the tree's generation advances at the first
+// Insert after any reader captured the root. Insert writes a node of the
+// current generation in place — no reader can hold it, since none has looked
+// since it was made — and clones any older node it has to modify (reusing the
+// node's simulated address, so the energy stream is identical to an in-place
+// write) before publishing the new root under the shared half's internal
+// lock. A tree nobody has read yet, such as an index under construction, is
+// therefore built without a single copy, while a tree in service copies the
+// root-to-leaf path once per insert that follows a read. Nodes a reader can
+// reach are immutable, so a reader captures the root once and traverses a
+// consistent snapshot of the whole tree without holding any lock — index
+// scans never block behind inserts, and an iterator never observes a
+// half-applied split. Entries inserted after the root capture are simply
+// absent from that snapshot, which is exactly the MVCC contract: such entries
+// belong to concurrent transactions whose versions the reader's snapshot
+// filters out anyway.
 //
 // PlaceTopLevels is the one exception: it rewrites node addresses in place
 // and must not run concurrently with readers (it is a load-time/experiment
@@ -36,6 +43,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"energydb/internal/db/value"
 	"energydb/internal/memsim"
@@ -54,8 +62,9 @@ type Tree struct {
 	s *shared
 }
 
-// shared is the cross-view tree structure. mu guards root/size/height;
-// nodes reachable from a published root are immutable (copy-on-write).
+// shared is the cross-view tree structure. mu guards root/size/height/gen;
+// nodes of an older generation than gen are immutable (a reader may hold
+// them), nodes of generation gen belong to the inserter.
 type shared struct {
 	mu     sync.RWMutex
 	arena  *memsim.Arena
@@ -63,9 +72,15 @@ type shared struct {
 	root   *node
 	height int
 	size   int
+	gen    uint64
+	// read is set by a reader capturing the root (under the read lock) and
+	// cleared by the next Insert (under the write lock), which then starts
+	// a new generation.
+	read atomic.Bool
 }
 
 type node struct {
+	gen    uint64
 	addr   uint64
 	leaf   bool
 	keys   []value.Value // first key component only, for ordering
@@ -73,10 +88,10 @@ type node struct {
 	rowIDs []int         // leaf
 }
 
-// clone returns a mutable copy of n at the same simulated address. The
-// original stays immutable for readers holding older roots.
-func (n *node) clone() *node {
-	c := &node{addr: n.addr, leaf: n.leaf}
+// clone returns a mutable copy of n for generation gen at the same simulated
+// address. The original stays immutable for readers holding older roots.
+func (n *node) clone(gen uint64) *node {
+	c := &node{gen: gen, addr: n.addr, leaf: n.leaf}
 	c.keys = append([]value.Value(nil), n.keys...)
 	if n.leaf {
 		c.rowIDs = append([]int(nil), n.rowIDs...)
@@ -108,17 +123,26 @@ func (t *Tree) View(h *memsim.Hierarchy) *Tree {
 func (t *Tree) newNode(leaf bool) *node {
 	size := nodeHeaderBytes + t.s.order*entryBytes
 	return &node{
+		gen:  t.s.gen,
 		addr: t.s.arena.Alloc(uint64(size), memsim.LineSize),
 		leaf: leaf,
 	}
 }
 
-// snapshotRoot captures the current published root; everything reachable
-// from it is immutable.
+// snapshotRoot captures the current published root and marks the tree read,
+// which makes everything reachable from that root immutable.
 func (t *Tree) snapshotRoot() *node {
 	t.s.mu.RLock()
 	defer t.s.mu.RUnlock()
-	return t.s.root
+	return t.s.capture()
+}
+
+// capture hands the root to a reader; the caller holds mu.
+func (s *shared) capture() *node {
+	if !s.read.Load() {
+		s.read.Store(true)
+	}
+	return s.root
 }
 
 // Len returns the number of entries.
@@ -140,12 +164,16 @@ func (t *Tree) Order() int { return t.s.order }
 
 // Insert adds (key, rowID). Keys may repeat; entries with equal keys are
 // kept in insertion order. The simulated descent and node writes are issued
-// against the inserting view's hierarchy; structurally the insert is
-// copy-on-write (see the package comment), so concurrent readers keep a
-// consistent snapshot.
+// against the inserting view's hierarchy; structurally the insert copies
+// whatever a reader may hold (see the package comment), so concurrent readers
+// keep a consistent snapshot.
 func (t *Tree) Insert(key value.Value, rowID int) {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
+	if t.s.read.Load() {
+		t.s.read.Store(false)
+		t.s.gen++
+	}
 	t.s.size++
 	root, split, sep := t.insert(t.s.root, key, rowID)
 	if split != nil {
@@ -159,11 +187,14 @@ func (t *Tree) Insert(key value.Value, rowID int) {
 	t.s.root = root
 }
 
-// insert returns the cloned replacement for n with (key, rowID) added, plus
-// a split sibling when n overflowed.
+// insert returns n, or its clone when n predates the current generation,
+// with (key, rowID) added, plus a split sibling when it overflowed.
 func (t *Tree) insert(n *node, key value.Value, rowID int) (*node, *node, value.Value) {
 	t.touchNode(n, len(n.keys))
-	c := n.clone()
+	c := n
+	if n.gen != t.s.gen {
+		c = n.clone(t.s.gen)
+	}
 	if c.leaf {
 		idx := sort.Search(len(c.keys), func(i int) bool {
 			return value.Compare(c.keys[i], key) > 0
@@ -374,12 +405,11 @@ type Shape struct {
 func (t *Tree) Shape() Shape {
 	t.s.mu.RLock()
 	sh := Shape{Len: t.s.size, Height: t.s.height}
-	root := t.s.root
+	root := t.s.capture()
 	t.s.mu.RUnlock()
 	f := fnv.New64a()
 	var word [16]byte
 	var walk func(n *node)
-	//lint:nocharge structural fingerprint for tests, not part of any measured statement
 	walk = func(n *node) {
 		sh.Nodes++
 		binary.LittleEndian.PutUint64(word[:8], n.addr)

@@ -551,7 +551,7 @@ func (e *Engine) CreateIndex(t *Table, col string) *btree.Tree {
 	tree := btree.New(e.M.Hier, e.Dev.Arena, e.Knobs.PageBytes)
 	prev := e.Dev.Snap
 	e.Dev.Snap = txn.Latest()
-	for i := 0; i < t.File.RowCount(); i++ {
+	for i, n := 0, t.File.RowCount(); i < n; i++ {
 		row, visible, err := t.File.ReadRow(i, true)
 		if err != nil {
 			e.Dev.Snap = prev

@@ -254,10 +254,8 @@ func (h *Hierarchy) l1dNextLine(line uint64) {
 	if h.l1d.contains(next) {
 		return
 	}
-	inL2 := h.l2 != nil && h.l2.contains(next)
-	inL3 := h.l3 != nil && h.l3.contains(next)
-	if inL2 || inL3 {
-		h.l1d.fill(next)
+	if (h.l2 != nil && h.l2.contains(next)) || (h.l3 != nil && h.l3.contains(next)) {
+		h.l1d.insert(next)
 		h.ctr.UncountedL1DPf++
 	}
 }
@@ -282,16 +280,17 @@ func (h *Hierarchy) Store(addr uint64) Level {
 	h.ctr.Stores++
 	h.notePage(addr)
 	line := addr / LineSize
-	if h.l1d != nil && h.l1d.lookup(line) {
+	if h.l1d.access(line, true) {
 		h.ctr.StoreL1DHits++
 		return LevelL1D
 	}
 	// Write-allocate: the miss fetches the line through the hierarchy
 	// (those transfers consume the corresponding load energies and are
 	// counted at L2/L3/mem, but not as N_L1D, which is a load-only
-	// event), then the store completes in L1D.
+	// event) and every level keeps a copy, DirectFill or not; then the
+	// store completes in L1D.
 	h.ctr.StoreL1DMisses++
-	level := h.storeFill(line)
+	level := h.fetch(line, true)
 	h.stall(level, false)
 	return level
 }
@@ -331,7 +330,7 @@ func (h *Hierarchy) LoadRepeat(addr uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	first := h.Load(addr, false) // records AccessLoadInd for the head
+	h.Load(addr, false) // records AccessLoadInd for the head
 	rest := n - 1
 	if rest == 0 {
 		return
@@ -348,7 +347,6 @@ func (h *Hierarchy) LoadRepeat(addr uint64, n uint64) {
 	h.ctr.Loads += rest
 	h.ctr.L1DAccesses += rest
 	h.ctr.L1DHits += rest
-	_ = first
 }
 
 // StoreRepeat simulates n stores to the same hot line: after the first
@@ -402,96 +400,48 @@ func (h *Hierarchy) Exec(n uint64, kind InstrKind) {
 
 // demandFill walks the hierarchy for a demand access to line, applying the
 // step-by-step replication strategy the paper illustrates in Figure 2: a hit
-// at level m copies the line into every level above m on the way back.
+// at level m copies the line into every level above m on the way back. Each
+// level is probed once: a level that will receive the line places it in the
+// scan that found it missing (cache.access), which is exact because a
+// cache's LRU order depends only on the sequence of its own accesses, and no
+// other access reaches a level between its miss and its fill.
 func (h *Hierarchy) demandFill(line uint64) Level {
 	h.ctr.L1DAccesses++
-	if h.l1d.lookup(line) {
+	if h.l1d.access(line, true) {
 		h.ctr.L1DHits++
 		return LevelL1D
 	}
 	h.ctr.L1DMisses++
+	// Under the DirectFill ablation a deep hit fills only L1D.
+	return h.fetch(line, !h.cfg.DirectFill)
+}
+
+// fetch brings a line that missed L1D (and was placed there by the probe)
+// from the first level below that holds it, counting the transfers. With
+// replicate set, every level it missed in keeps a copy.
+func (h *Hierarchy) fetch(line uint64, replicate bool) Level {
 	if h.l2 == nil {
 		// No L2: the L1D miss goes straight to DRAM (ARM profile).
 		h.ctr.MemAccesses++
-		h.l1d.fill(line)
 		return LevelMem
 	}
 	h.ctr.L2Accesses++
-	if h.l2.lookup(line) {
+	if h.l2.access(line, replicate) {
 		h.ctr.L2Hits++
-		h.l1d.fill(line)
 		return LevelL2
 	}
 	h.ctr.L2Misses++
 	if h.l3 == nil {
 		h.ctr.MemAccesses++
-		h.fillUp(line, LevelMem)
 		return LevelMem
 	}
 	h.ctr.L3Accesses++
-	if h.l3.lookup(line) {
+	if h.l3.access(line, replicate) {
 		h.ctr.L3Hits++
-		h.fillUp(line, LevelL3)
 		return LevelL3
 	}
 	h.ctr.L3Misses++
 	h.ctr.MemAccesses++
-	h.fillUp(line, LevelMem)
-	return LevelMem
-}
-
-// fillUp places a line fetched from the given level into the caches: every
-// level above it under step-by-step replication (Figure 2), or only L1D
-// under the DirectFill ablation.
-func (h *Hierarchy) fillUp(line uint64, from Level) {
-	if h.cfg.DirectFill {
-		h.l1d.fill(line)
-		return
-	}
-	if from == LevelMem && h.l3 != nil {
-		h.l3.fill(line)
-	}
-	if h.l2 != nil {
-		h.l2.fill(line)
-	}
-	h.l1d.fill(line)
-}
-
-// storeFill brings a line in on a store miss (write-allocate). It is the
-// same walk as demandFill except the L1D load event is not counted: N_L1D is
-// a load-only event in the paper's model, while the deeper transfers really
-// do move data and are charged normally.
-func (h *Hierarchy) storeFill(line uint64) Level {
-	if h.l2 == nil {
-		h.ctr.MemAccesses++
-		h.l1d.fill(line)
-		return LevelMem
-	}
-	h.ctr.L2Accesses++
-	if h.l2.lookup(line) {
-		h.ctr.L2Hits++
-		h.l1d.fill(line)
-		return LevelL2
-	}
-	h.ctr.L2Misses++
-	if h.l3 == nil {
-		h.ctr.MemAccesses++
-		h.l2.fill(line)
-		h.l1d.fill(line)
-		return LevelMem
-	}
-	h.ctr.L3Accesses++
-	if h.l3.lookup(line) {
-		h.ctr.L3Hits++
-		h.l2.fill(line)
-		h.l1d.fill(line)
-		return LevelL3
-	}
-	h.ctr.L3Misses++
-	h.ctr.MemAccesses++
-	h.l3.fill(line)
-	h.l2.fill(line)
-	h.l1d.fill(line)
 	return LevelMem
 }
 

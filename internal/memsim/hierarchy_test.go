@@ -334,12 +334,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := newCache(CacheConfig{SizeBytes: 4 * LineSize, Ways: 4, LatencyCycles: 1})
 	// Single set, 4 ways: fill 0..3, touch 0, insert 4 -> victim must be 1.
 	for i := uint64(0); i < 4; i++ {
-		c.fill(i)
+		if c.access(i, true) {
+			t.Fatalf("line %d hit an empty cache", i)
+		}
 	}
-	c.lookup(0)
-	evicted, did := c.fill(4)
-	if !did || evicted != 1 {
-		t.Fatalf("evicted %d (did=%v), want 1", evicted, did)
+	if !c.access(0, false) {
+		t.Fatal("line 0 missed after its fill")
+	}
+	if c.access(4, true) {
+		t.Fatal("line 4 hit before its fill")
 	}
 	if !c.contains(0) || c.contains(1) || !c.contains(4) {
 		t.Fatal("LRU state wrong after eviction")

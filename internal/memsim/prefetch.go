@@ -11,6 +11,7 @@ type prefetcher struct {
 	cfg     PrefetchConfig
 	streams []stream
 	clock   uint64
+	last    int // index of the stream find returned last; a hint, checked before use
 }
 
 type stream struct {
@@ -42,6 +43,7 @@ func (p *prefetcher) reset() {
 		p.streams[i] = stream{}
 	}
 	p.clock = 0
+	p.last = 0
 }
 
 const linesPerPage = PageSize / LineSize
@@ -94,36 +96,33 @@ func (p *prefetcher) issue(h *Hierarchy, page, line uint64) {
 // or into L3 only. Lines already present at the target level cost nothing:
 // the streamer checks before issuing.
 func (p *prefetcher) fetchLine(h *Hierarchy, line uint64, intoL2 bool) {
-	if intoL2 {
-		if h.l2.contains(line) {
-			return
-		}
-		if h.l3 != nil && !h.l3.contains(line) {
-			// The line must first be brought from DRAM into L3.
-			h.l3.fill(line)
-			h.ctr.PrefetchL3++
-		}
-		h.l2.fill(line)
-		h.ctr.PrefetchL2++
-		return
-	}
 	if h.l3 == nil {
-		// No L3: degrade to an L2 prefetch from DRAM.
-		if !h.l2.contains(line) {
-			h.l2.fill(line)
+		// No L3: every prefetch is an L2 prefetch from DRAM.
+		if h.l2.insert(line) {
 			h.ctr.PrefetchL2++
 		}
 		return
 	}
-	if !h.l3.contains(line) {
-		h.l3.fill(line)
+	if intoL2 {
+		if !h.l2.insert(line) {
+			return
+		}
+		h.ctr.PrefetchL2++
+	}
+	// The line comes from DRAM into L3 unless L3 already holds it.
+	if h.l3.insert(line) {
 		h.ctr.PrefetchL3++
 	}
 }
 
+// find returns the stream tracking page, trying the stream found last first.
 func (p *prefetcher) find(page uint64) *stream {
+	if s := &p.streams[p.last]; s.valid && s.page == page {
+		return s
+	}
 	for i := range p.streams {
 		if p.streams[i].valid && p.streams[i].page == page {
+			p.last = i
 			return &p.streams[i]
 		}
 	}
@@ -142,5 +141,6 @@ func (p *prefetcher) allocate(page uint64) *stream {
 		}
 	}
 	p.streams[victim] = stream{page: page, valid: true}
+	p.last = victim
 	return &p.streams[victim]
 }
