@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -48,25 +49,13 @@ func TestIterSurvivesRootSplits(t *testing.T) {
 		for n := 0; n < 3*tr.Order() || tr.Height() < height+2; n++ {
 			tr.Insert(value.Int(rng.Int63n(int64(initial*100))), 1000+n)
 		}
-		if got := collect(first); !equalEntries(got, want) {
+		if got := collect(first); !slices.Equal(got, want) {
 			t.Fatalf("initial=%d: First() opened before the inserts yields %v, want %v", initial, got, want)
 		}
-		if got := collect(mid); !equalEntries(got, want[initial/2:]) {
+		if got := collect(mid); !slices.Equal(got, want[initial/2:]) {
 			t.Fatalf("initial=%d: Seek() opened before the inserts yields %v, want %v", initial, got, want[initial/2:])
 		}
 	}
-}
-
-func equalEntries(a, b []entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestSeekBetweenInsertsMatchesModel takes a snapshot every k-th insert, which
@@ -89,11 +78,11 @@ func TestSeekBetweenInsertsMatchesModel(t *testing.T) {
 			}
 			target := rng.Int63n(220)
 			from := sort.Search(len(model), func(j int) bool { return model[j].key >= target })
-			if got := collect(tr.Seek(value.Int(target))); !equalEntries(got, model[from:]) {
+			if got := collect(tr.Seek(value.Int(target))); !slices.Equal(got, model[from:]) {
 				t.Fatalf("k=%d after %d inserts: Seek(%d) yields %v, want %v", k, i+1, target, got, model[from:])
 			}
 		}
-		if got := collect(tr.First()); !equalEntries(got, model) {
+		if got := collect(tr.First()); !slices.Equal(got, model) {
 			t.Fatalf("k=%d: final tree differs from the model", k)
 		}
 	}

@@ -401,10 +401,10 @@ func (h *Hierarchy) Exec(n uint64, kind InstrKind) {
 // demandFill walks the hierarchy for a demand access to line, applying the
 // step-by-step replication strategy the paper illustrates in Figure 2: a hit
 // at level m copies the line into every level above m on the way back. Each
-// level is probed once: a level that will receive the line places it in the
-// scan that found it missing (cache.access), which is exact because a
-// cache's LRU order depends only on the sequence of its own accesses, and no
-// other access reaches a level between its miss and its fill.
+// level is visited once: a level that will receive the line places it when
+// it finds it missing (cache.access), which is exact because a cache's LRU
+// order depends only on the sequence of its own accesses, and no other
+// access reaches a level between its miss and its fill.
 func (h *Hierarchy) demandFill(line uint64) Level {
 	h.ctr.L1DAccesses++
 	if h.l1d.access(line, true) {

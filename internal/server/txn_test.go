@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"energydb/internal/server"
 	"energydb/internal/server/client"
@@ -212,7 +213,12 @@ func TestTxnDisconnectRollsBack(t *testing.T) {
 	a.Close()
 
 	b := dialTxn(t, addr)
-	// The orphan's write claim must be released; retry covers the close race.
+	// The orphan's write claim must be released. The server aborts it when
+	// a's session sees the closed connection, so wait for that event (a
+	// bare retry loop can finish before the session goroutine is scheduled).
+	for deadline := time.Now().Add(5 * time.Second); srv.TxnStats().Aborted == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	var lastErr error
 	for i := 0; i < 50; i++ {
 		if _, lastErr = b.Query("UPDATE nation SET n_name = 'FRESH' WHERE n_nationkey = 5"); lastErr == nil {

@@ -141,11 +141,14 @@ func compareRecorded(t *testing.T, name, got string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(got, "\n")
-	for i, w := range strings.Split(string(want), "\n") {
-		g := ""
+	lines, wants := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(lines) || i < len(wants); i++ {
+		g, w := "", ""
 		if i < len(lines) {
 			g = lines[i]
+		}
+		if i < len(wants) {
+			w = wants[i]
 		}
 		if g != w {
 			t.Errorf("%s moved:\n want %s\n  got %s", name, w, g)
