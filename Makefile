@@ -74,11 +74,14 @@ vulncheck:
 race:
 	$(GO) test -race -short -timeout 30m ./...
 
-# Golden-drift gate: regenerate every EXPLAIN golden into a scratch
-# directory and diff it against the committed set. TestExplainGolden already
-# fails on drift in `make test`; this target additionally catches a stale or
-# hand-edited committed golden (the regenerated set is the single source of
-# truth) and prints the full diff in one place.
+# Golden-drift gate: regenerate every EXPLAIN golden — the 22 TPC-H texts on
+# the SQLite profile (testdata/explain) and on the PostgreSQL profile the
+# benchmark's server runs (testdata/explain/postgresql) — into a scratch
+# directory and diff it, recursively, against the committed set.
+# TestExplainGolden already fails on drift in `make test`; this target
+# additionally catches a stale, hand-edited, missing or stray committed
+# golden (the regenerated set is the single source of truth) and prints the
+# full diff in one place.
 golden-drift:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	EXPLAIN_GOLDEN_DIR="$$tmp" $(GO) test ./internal/tpch -run TestExplainGolden -update >/dev/null && \

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"energydb/internal/db/catalog"
@@ -110,6 +111,12 @@ type Node struct {
 	// elsewhere). EXPLAIN surfaces it as xfer≈ so a mode choice that
 	// breaks a chain can be audited against the transition it pays for.
 	BoundaryEJ float64
+
+	// seq is the sequential candidate chooseScan kept beside this index
+	// scan: the only access path that can root a vector chain. The chain DP
+	// prices the pair as one node and commitModes replaces the index scan by
+	// it when the chain prefers to run vectorized (nil on every other node).
+	seq *Node
 }
 
 // Schema returns the node's output schema.
@@ -128,6 +135,10 @@ type planCtx struct {
 	// prices holds the chain DP's two-state subtree prices (see
 	// priceModes/commitModes in vector.go).
 	prices map[*Node]modePrice
+	// pin, set only by the planner's own tests, restricts the named
+	// relations to one access path (opSeqScan or opIndexScan), so a test can
+	// price the neighbour of a committed plan.
+	pin map[string]opKind
 }
 
 func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, lp *logical) *planCtx {
@@ -162,10 +173,15 @@ func renderConds(conds []sql.Node) string {
 	return strings.Join(parts, " AND ")
 }
 
-// chooseScan picks the cheapest access path for one relation: a sequential
-// scan with the pushed predicate, or — when a usable index bound exists — an
-// index range scan with the remaining conjuncts as residual. The choice is
-// by predicted active energy, not row count.
+// chooseScan builds the access-path candidates of one relation: a sequential
+// scan with the pushed predicate and — for every index with a usable bound —
+// an index range scan with the remaining conjuncts as residual, each priced
+// in row mode by predicted active energy, not row count. It returns the
+// cheapest row candidate. An index scan only ever runs row-at-a-time while
+// a sequential scan can also root a vector chain, so when an index scan wins
+// the row comparison the sequential candidate rides along (Node.seq): which
+// of the two the plan runs is a state of the chain DP (priceModes), where
+// each competes at the price of its cheapest mode assignment in its chain.
 func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 	pred, err := compileConds(r.conds, r.t.Schema())
 	if err != nil {
@@ -178,9 +194,16 @@ func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 		EstRows: r.estRows,
 	}
 	pc.costRow(seq, bind(seq))
-	best := seq
 
+	// Sorted, so that equally priced candidates resolve the same way on
+	// every run (map iteration order is random).
+	cols := make([]string, 0, len(r.t.Indexes))
 	for col := range r.t.Indexes {
+		cols = append(cols, col)
+	}
+	slices.Sort(cols)
+	var index *Node
+	for _, col := range cols {
 		lo, hi, captured, rest := extractBounds(col, r.conds)
 		if lo == nil && hi == nil {
 			continue
@@ -200,11 +223,21 @@ func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 		k := bind(cand)
 		k.scanned = float64(r.stats.RowCount) * rangeSel
 		pc.costRow(cand, k)
-		if cand.EstEJ < best.EstEJ {
-			best = cand
+		if index == nil || cand.EstEJ < index.EstEJ {
+			index = cand
 		}
 	}
-	return best, nil
+	if pinned, ok := pc.pin[r.name]; ok && index != nil {
+		if pinned == opIndexScan {
+			return index, nil
+		}
+		return seq, nil
+	}
+	if index == nil || seq.EstEJ <= index.EstEJ {
+		return seq, nil
+	}
+	index.seq = seq
+	return index, nil
 }
 
 func compileConds(conds []sql.Node, schema *catalog.Schema) (exec.Expr, error) {
@@ -573,19 +606,27 @@ func (pc *planCtx) planFootprint(n *Node) float64 {
 	return total
 }
 
-// recostScans re-prices every sequential scan after the coster learns the
-// plan-wide footprint. Access-path and join choices were made with the
-// optimistic (footprint-free) estimates — those compare candidates under
-// equal cache pressure, which is what a choice needs — but the *absolute*
-// numbers EXPLAIN reports and chooseModes prices must reflect the eviction
-// the full plan causes.
+// recostScans re-prices every sequential scan, in the mode it was committed
+// to, after the coster learns the plan-wide footprint. Access-path, join and
+// mode choices were made with the optimistic (footprint-free) estimates —
+// those compare candidates under equal cache pressure, which is what a
+// choice needs, and both modes of a scan read the heap through the same
+// scanHeap term — but the *absolute* numbers EXPLAIN reports must reflect
+// the eviction the full plan causes.
 func (pc *planCtx) recostScans(n *Node) {
 	for _, k := range n.Kids {
 		pc.recostScans(k)
 	}
-	if n.Kind == opSeqScan {
-		pc.costRow(n, bind(n))
+	if n.Kind != opSeqScan {
+		return
 	}
+	if n.Mode == ModeVector {
+		pr, _ := compileVec(n)
+		n.EstEJ, _ = pc.costVec(n, pr)
+		n.EstEJ += n.BoundaryEJ
+		return
+	}
+	pc.costRow(n, bind(n))
 }
 
 // chain assembly ------------------------------------------------------------

@@ -39,12 +39,24 @@ type Prepared struct {
 }
 
 // Prepare plans a parsed statement on the engine.
+//
+// The order of decisions: buildChain collects each relation's access-path
+// candidates and picks joins, buildTop adds the operators above; chooseModes
+// then settles, per chain, access path and execution mode together; the
+// footprint is summed over the committed tree and the scans re-priced
+// against it.
 func Prepare(e *engine.Engine, stmt *sql.SelectStmt) (*Prepared, error) {
+	return preparePinned(e, stmt, nil)
+}
+
+// preparePinned is Prepare with the tests' access-path pins (see planCtx.pin).
+func preparePinned(e *engine.Engine, stmt *sql.SelectStmt, pin map[string]opKind) (*Prepared, error) {
 	lp, err := buildLogical(e, stmt)
 	if err != nil {
 		return nil, err
 	}
 	pc := newPlanCtx(e, stmt, lp)
+	pc.pin = pin
 	chain, err := pc.buildChain()
 	if err != nil {
 		return nil, err
@@ -53,9 +65,9 @@ func Prepare(e *engine.Engine, stmt *sql.SelectStmt) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
+	pc.chooseModes(root)
 	pc.c.footprint = pc.planFootprint(root)
 	pc.recostScans(root)
-	pc.chooseModes(root)
 	return &Prepared{E: e, Stmt: stmt, Root: root}, nil
 }
 

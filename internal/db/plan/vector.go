@@ -7,12 +7,17 @@ import (
 	"energydb/internal/db/vec"
 )
 
-// Row-versus-vector mode choice. After the plan shape is fixed, chooseModes
-// prices every mode assignment chain-wise: a two-state dynamic program over
-// the tree computes, per node, the cheapest subtree total with the node in
-// row mode (each child free to pick its own cheaper state, every vector→row
-// transition explicitly charged) and in vector mode (every child forced to
-// stay in the chain), then commits the cheaper assignment top-down. The
+// Row-versus-vector mode choice, and with it the access path. After the plan
+// shape is fixed, chooseModes prices every mode assignment chain-wise: a
+// two-state dynamic program over the tree computes, per node, the cheapest
+// subtree total with the node in row mode (each child free to pick its own
+// cheaper state, every vector→row transition explicitly charged) and in
+// vector mode (every child forced to stay in the chain), then commits the
+// cheaper assignment top-down. A relation with a usable index enters the
+// program as one node with two access paths (chooseScan): its row state is
+// the index scan, its vector state the sequential scan rooting the chain, so
+// an index scan that beats the row-mode sequential scan does not forfeit a
+// chain the sequential scan would have won as a whole. The
 // vector hypothesis is priced the way the row one is (see "node costing" in
 // physical.go): chargeVec evaluates the vec package's own charge functions
 // — one per-batch dispatch per primitive plus per-element payload traffic —
@@ -92,7 +97,8 @@ func copyMat(mat map[int]bool) map[int]bool {
 // (every child forced to stay in the chain; +Inf when the node cannot run
 // vectorized). vecEJ/out are the node's own vector estimate and output
 // flow under the vector hypothesis, boundary the RowSource adaptation price
-// of handing this node's vectorized output to a row consumer.
+// of handing this node's vectorized output to a row consumer. For an index
+// scan the vector hypothesis is its sequential candidate's.
 type modePrice struct {
 	rowTotal float64
 	vecTotal float64
@@ -135,11 +141,15 @@ func (pc *planCtx) priceModes(n *Node) modePrice {
 		}
 	}
 	mp := modePrice{rowTotal: n.EstEJ + rowKids, vecTotal: math.Inf(1)}
+	v := n
+	if n.seq != nil {
+		v = n.seq
+	}
 	if chainKids {
-		if pr, ok := pc.vecSupported(n); ok {
-			mp.vecEJ, mp.out = pc.costVec(n, pr)
+		if pr, ok := pc.vecSupported(v); ok {
+			mp.vecEJ, mp.out = pc.costVec(v, pr)
 			mp.vecTotal = mp.vecEJ + vecKids
-			mp.boundary = pc.costBoundary(n, mp.out)
+			mp.boundary = pc.costBoundary(v, mp.out)
 		}
 	}
 	pc.prices[n] = mp
@@ -150,10 +160,14 @@ func (pc *planCtx) priceModes(n *Node) modePrice {
 // vector chain every node stays vector (the parent's price assumed it); at
 // each row-consumer point the transition-priced chain total competes with
 // the all-row subtree, and a winning chain top absorbs the boundary price
-// into its estimate (surfaced by EXPLAIN as xfer≈).
+// into its estimate (surfaced by EXPLAIN as xfer≈). An index scan whose
+// chain goes vector becomes its sequential candidate.
 func (pc *planCtx) commitModes(n *Node, vecConsumer bool) {
 	mp := pc.prices[n]
 	if vecConsumer || mp.vecTotal+mp.boundary < mp.rowTotal {
+		if n.seq != nil {
+			*n = *n.seq
+		}
 		n.Mode = ModeVector
 		n.EstEJ = mp.vecEJ
 		if !vecConsumer {

@@ -47,6 +47,14 @@ type benchCase struct {
 	pred  exec.Expr
 }
 
+// benchEngine loads the TPC-H 10MB subset into a SQLite-profile engine on a
+// fresh machine.
+func benchEngine() *engine.Engine {
+	e := engine.New(engine.SQLite, cpusim.NewMachine(cpusim.IntelI7_4790()), engine.SettingBaseline)
+	tpch.Setup(e, tpch.Size10MB)
+	return e
+}
+
 // BenchmarkVectorThroughput measures base-table rows per wall-clock second
 // for the filter+aggregate acceptance query — SELECT l_returnflag,
 // SUM(l_extendedprice), COUNT(*) FROM lineitem WHERE l_quantity < c GROUP BY
@@ -57,11 +65,6 @@ type benchCase struct {
 // interpretation saving (one dispatch per primitive per batch instead of per
 // tuple). The sweep is merged into BENCH_vector.json at the repo root.
 func BenchmarkVectorThroughput(b *testing.B) {
-	m := cpusim.NewMachine(cpusim.IntelI7_4790())
-	e := engine.New(engine.SQLite, m, engine.SettingBaseline)
-	tpch.Setup(e, tpch.Size10MB)
-	tbl := e.MustTable("lineitem")
-
 	const (
 		colQuantity = 4 // l_quantity
 		colPrice    = 5 // l_extendedprice
@@ -84,7 +87,8 @@ func BenchmarkVectorThroughput(b *testing.B) {
 		{Kind: exec.AggCount, Name: "n"},
 	}
 
-	all, err := exec.Collect(e.Scan(tbl, nil))
+	ref := benchEngine()
+	all, err := exec.Collect(ref.Scan(ref.MustTable("lineitem"), nil))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -114,6 +118,12 @@ func BenchmarkVectorThroughput(b *testing.B) {
 
 	for _, c := range cases {
 		sel := selectivity(c.pred)
+		// A fresh engine per selectivity: every vector iteration draws its
+		// batch vectors from the engine's bump arena (1MB at batch 4096),
+		// and one engine shared by all eighteen cells runs out of simulated
+		// address space once the kernels get fast enough.
+		e := benchEngine()
+		tbl := e.MustTable("lineitem")
 		b.Run(fmt.Sprintf("mode=row/sel=%s", c.label), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := exec.Collect(e.GroupBy(e.Scan(tbl, c.pred), groupBy, aggs)); err != nil {
@@ -152,9 +162,7 @@ func BenchmarkVectorThroughput(b *testing.B) {
 // Acceptance floor: the vectorized join sustains >= 1.5x the row join's
 // rows/sec at batch >= 256.
 func BenchmarkVectorJoinSort(b *testing.B) {
-	m := cpusim.NewMachine(cpusim.IntelI7_4790())
-	e := engine.New(engine.SQLite, m, engine.SettingBaseline)
-	tpch.Setup(e, tpch.Size10MB)
+	e := benchEngine()
 	lineitem := e.MustTable("lineitem")
 	orders := e.MustTable("orders")
 	probeRows := lineitem.File.RowCount()

@@ -153,6 +153,9 @@ func (p *Prog) eval(ctx *exec.Ctx, pl *pool, b *Batch) *Vector {
 		switch t := nd.e.(type) {
 		case exec.BinOp:
 			r := nd.r.val
+			if evalNumeric(t.Op, l, r, out, b) {
+				break
+			}
 			for k := 0; k < n; k++ {
 				i := b.Pos(k)
 				out.Set(i, exec.ApplyBin(t.Op, l.Get(i), r.Get(i)))
@@ -197,6 +200,146 @@ func (p *Prog) eval(ctx *exec.Ctx, pl *pool, b *Batch) *Vector {
 	return p.res.val
 }
 
+// numOperand is a kernel operand read without boxing: a null-free int, date
+// or float payload, or a numeric constant, every element as the float64
+// exec.ApplyBin would coerce it to.
+type numOperand struct {
+	i     []int64
+	f     []float64
+	c     float64
+	isInt bool // TypeInt exactly: int ∘ int arithmetic stays int, dates do not
+}
+
+func (o *numOperand) at(i int) float64 {
+	switch {
+	case o.i != nil:
+		return float64(o.i[i])
+	case o.f != nil:
+		return o.f[i]
+	}
+	return o.c
+}
+
+// numeric returns v's unboxed view, or false when v is not a null-free
+// numeric payload (strings, the demoted fallback payload, NULLs, a vector
+// nothing has been stored into yet).
+func (v *Vector) numeric() (numOperand, bool) {
+	o := numOperand{isInt: v.T == value.TypeInt}
+	if v.isConst {
+		o.c = v.cv.AsFloat()
+		return o, v.T == value.TypeInt || v.T == value.TypeDate || v.T == value.TypeFloat
+	}
+	if v.raw != nil {
+		return o, false
+	}
+	for _, w := range v.null {
+		if w != 0 {
+			return o, false
+		}
+	}
+	switch v.T {
+	case value.TypeInt, value.TypeDate:
+		o.i = v.i
+		return o, v.i != nil
+	case value.TypeFloat:
+		o.f = v.f
+		return o, v.f != nil
+	}
+	return o, false
+}
+
+// evalNumeric is the typed form of the BinOp kernel's element loop: when both
+// operands are null-free numeric payloads or constants it computes what
+// exec.ApplyBin computes — the same float64 coercion, the same three-way
+// comparison, the same int-or-float result type — on the payload slices
+// directly and stores into out's payload, leaving out exactly as the
+// Get/ApplyBin/Set loop would. It reports false, having changed nothing,
+// when the operands or out's state call for that loop instead (a division
+// whose divisor might be zero yields NULLs; an out vector already holding
+// another type demotes). Charges are the caller's and do not depend on the
+// path taken.
+func evalNumeric(op exec.BinOpKind, l, r, out *Vector, b *Batch) bool {
+	n := b.Len()
+	lo, okL := l.numeric()
+	ro, okR := r.numeric()
+	if !okL || !okR || n == 0 || out.raw != nil {
+		return false
+	}
+	arith := op == exec.OpAdd || op == exec.OpSub || op == exec.OpMul || op == exec.OpDiv
+	if op == exec.OpDiv && !(r.isConst && ro.c != 0) {
+		return false
+	}
+	resT := value.TypeInt
+	if arith && !(lo.isInt && ro.isInt && op != exec.OpDiv) {
+		resT = value.TypeFloat
+	}
+	if out.T != value.TypeNull && out.T != resT {
+		return false
+	}
+	out.T = resT
+	if resT == value.TypeFloat {
+		if out.f == nil {
+			out.f = make([]float64, out.cap)
+		}
+		//lint:nocharge the kernel's dispatch and payload traffic are charged by the caller (chargeKernel in Prog.eval), whichever element loop runs
+		for k := 0; k < n; k++ {
+			i := b.Pos(k)
+			out.clearNull(i)
+			out.f[i] = applyArith(op, lo.at(i), ro.at(i))
+		}
+		return true
+	}
+	if out.i == nil {
+		out.i = make([]int64, out.cap)
+	}
+	//lint:nocharge as above: charged by the caller before the element loop
+	for k := 0; k < n; k++ {
+		i := b.Pos(k)
+		out.clearNull(i)
+		x, y := lo.at(i), ro.at(i)
+		if arith {
+			out.i[i] = int64(applyArith(op, x, y))
+			continue
+		}
+		t := false
+		switch op {
+		case exec.OpAnd:
+			t = x != 0 && y != 0
+		case exec.OpOr:
+			t = x != 0 || y != 0
+		case exec.OpEq:
+			t = !(x < y) && !(x > y)
+		case exec.OpNe:
+			t = x < y || x > y
+		case exec.OpLt:
+			t = x < y
+		case exec.OpLe:
+			t = !(x > y)
+		case exec.OpGt:
+			t = x > y
+		case exec.OpGe:
+			t = !(x < y)
+		}
+		out.i[i] = 0
+		if t {
+			out.i[i] = 1
+		}
+	}
+	return true
+}
+
+func applyArith(op exec.BinOpKind, x, y float64) float64 {
+	switch op {
+	case exec.OpAdd:
+		return x + y
+	case exec.OpSub:
+		return x - y
+	case exec.OpMul:
+		return x * y
+	}
+	return x / y
+}
+
 func boolVal(b bool) value.Value {
 	if b {
 		return value.Int(1)
@@ -210,7 +353,11 @@ func (p *Prog) filter(ctx *exec.Ctx, pl *pool, b *Batch) {
 	pred := p.eval(ctx, pl, b)
 	c := exec.Card{Batches: 1, In: float64(b.Len())}
 	if c.In > 0 {
-		b.narrowSel(func(i int) bool { return exec.Truthy(pred.Get(i)) })
+		if o, ok := pred.numeric(); ok {
+			b.narrowSel(func(i int) bool { return o.at(i) != 0 })
+		} else {
+			b.narrowSel(func(i int) bool { return exec.Truthy(pred.Get(i)) })
+		}
 		c.Out = float64(b.Len())
 	}
 	chargeNarrow(ctx, c, pred.addr, pred.isConst, b.selAddr)

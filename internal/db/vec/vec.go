@@ -14,7 +14,11 @@
 // Semantics are shared with the row path by construction: kernels evaluate
 // elements with exec.ApplyBin, exec.Truthy, exec.LikeMatch and exec.AggAcc —
 // the same helpers the row interpreter uses — so the two paths cannot drift
-// (FuzzVecExec checks this differentially).
+// (FuzzVecExec checks this differentially). The one exception is host-side
+// only: over null-free numeric payloads the BinOp kernel runs a typed loop
+// (evalNumeric) that computes what ApplyBin computes without boxing each
+// element, held to the boxed loop by TestEvalNumericMatchesBoxedLoop; what a
+// kernel charges does not depend on which loop ran.
 package vec
 
 import (

@@ -18,54 +18,61 @@ import (
 var updateExplain = flag.Bool("update", false, "rewrite golden EXPLAIN files")
 
 // TestExplainGolden pins the optimizer's chosen plan for every TPC-H query
-// text on the deterministic 10MB dataset. A change to the statistics, the
-// cost model or the rewrite rules that alters any plan (or its cardinality
-// and energy predictions) trips this test; if the new plan is intentional,
+// text on the deterministic 10MB dataset, on the SQLite profile
+// (testdata/explain) and on the PostgreSQL profile the benchmark's server
+// runs (testdata/explain/postgresql). A change to the statistics, the cost
+// model or the rewrite rules that alters any plan (or its cardinality and
+// energy predictions) trips this test; if the new plan is intentional,
 // regenerate with `go test ./internal/tpch -run ExplainGolden -update`.
 func TestExplainGolden(t *testing.T) {
-	m := cpusim.NewMachine(cpusim.IntelI7_4790())
-	e := engine.New(engine.SQLite, m, engine.SettingBaseline)
-	Setup(e, Size10MB)
-	for _, q := range SQLQueries() {
-		stmt, err := sql.Parse(q.Text)
-		if err != nil {
-			t.Fatalf("Q%d: parse: %v", q.ID, err)
-		}
-		p, err := plan.Prepare(e, stmt)
-		if err != nil {
-			t.Fatalf("Q%d: plan: %v", q.ID, err)
-		}
-		rows, _ := p.Explain()
-		var b strings.Builder
-		for _, r := range rows {
-			b.WriteString(r[0].S)
-			b.WriteByte('\n')
-		}
-		got := b.String()
-		dir := filepath.Join("testdata", "explain")
-		if alt := os.Getenv("EXPLAIN_GOLDEN_DIR"); alt != "" && *updateExplain {
-			// Redirected regeneration: `make golden-drift` regenerates the
-			// goldens into a scratch directory and diffs it against the
-			// committed set, so a stale checked-in golden fails `make check`
-			// even if someone regenerated without reviewing.
-			dir = alt
-		}
-		path := filepath.Join(dir, fmt.Sprintf("q%d.txt", q.ID))
-		if *updateExplain {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
+	root := filepath.Join("testdata", "explain")
+	if alt := os.Getenv("EXPLAIN_GOLDEN_DIR"); alt != "" && *updateExplain {
+		// Redirected regeneration: `make golden-drift` regenerates the
+		// goldens into a scratch directory and diffs it against the
+		// committed set, so a stale checked-in golden fails `make check`
+		// even if someone regenerated without reviewing.
+		root = alt
+	}
+	for _, profile := range []struct {
+		kind engine.Kind
+		dir  string
+	}{{engine.SQLite, root}, {engine.PostgreSQL, filepath.Join(root, "postgresql")}} {
+		m := cpusim.NewMachine(cpusim.IntelI7_4790())
+		e := engine.New(profile.kind, m, engine.SettingBaseline)
+		Setup(e, Size10MB)
+		for _, q := range SQLQueries() {
+			stmt, err := sql.Parse(q.Text)
+			if err != nil {
+				t.Fatalf("Q%d: parse: %v", q.ID, err)
 			}
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
+			p, err := plan.Prepare(e, stmt)
+			if err != nil {
+				t.Fatalf("%s Q%d: plan: %v", profile.kind, q.ID, err)
 			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("Q%d: %v (run with -update to generate)", q.ID, err)
-		}
-		if got != string(want) {
-			t.Errorf("Q%d plan changed.\n--- want\n%s--- got\n%s", q.ID, want, got)
+			rows, _ := p.Explain()
+			var b strings.Builder
+			for _, r := range rows {
+				b.WriteString(r[0].S)
+				b.WriteByte('\n')
+			}
+			got := b.String()
+			path := filepath.Join(profile.dir, fmt.Sprintf("q%d.txt", q.ID))
+			if *updateExplain {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%s Q%d: %v (run with -update to generate)", profile.kind, q.ID, err)
+			}
+			if got != string(want) {
+				t.Errorf("%s Q%d plan changed.\n--- want\n%s--- got\n%s", profile.kind, q.ID, want, got)
+			}
 		}
 	}
 }
