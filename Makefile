@@ -93,9 +93,11 @@ golden-drift:
 
 # bench/ is a module of its own (bench/go.mod replaces energydb with ../),
 # so the root `go vet ./...` and `go test ./...` do not see it; this target
-# is what keeps the benchmark compiling and its own tests green.
+# is what keeps the benchmark compiling and its own tests green. It also runs
+# the row-versus-vector index join pair once, which no JSON baseline records.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -run xxx -bench BenchmarkIndexJoin -benchtime 1x ./internal/db/vec/
 
 check: vet lint staticcheck test bench-check golden-drift race
 

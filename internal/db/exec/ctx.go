@@ -68,7 +68,9 @@ type Ctx struct {
 	hot     uint64
 	hotIdx  uint64
 	slotOff uint64
-	tuples  uint64
+	// tuples counts the checkpoints passed under the flag in polled.
+	tuples uint64
+	polled *atomic.Bool
 }
 
 // yieldEvery is how many tuple checkpoints pass between scheduler yields
@@ -76,8 +78,29 @@ type Ctx struct {
 // GOMAXPROCS=1 host a statement could otherwise outrun the watchdog timer
 // (Go only delivers expired timers when the scheduler runs); an occasional
 // Gosched bounds cancellation latency to a few thousand tuples on any host
-// at negligible cost.
+// at negligible cost. The first checkpoint under a newly armed flag yields
+// as well: a batch plan may pass only a few hundred checkpoints in all, and
+// a watchdog that has already expired must not depend on another processor
+// being free to deliver it.
 const yieldEvery = 4096
+
+// checkpoint observes the cancel flag on behalf of n tuples' worth of work
+// (n divides yieldEvery) and yields on the cadence above.
+func (c *Ctx) checkpoint(n uint64) {
+	if c.Cancel == nil {
+		return
+	}
+	if c.Cancel != c.polled {
+		c.polled, c.tuples = c.Cancel, 0
+	}
+	if c.tuples%yieldEvery < n {
+		runtime.Gosched()
+	}
+	c.tuples += n
+	if c.Cancel.Load() {
+		panic(canceledPanic{})
+	}
+}
 
 // canceledPanic is the unwind sentinel thrown by TupleCost on cancellation.
 type canceledPanic struct{}
@@ -111,14 +134,7 @@ func (c *Ctx) hotLine() uint64 {
 // loads, stores and instructions a real executor spends moving one tuple
 // through an operator.
 func (c *Ctx) TupleCost() {
-	if c.Cancel != nil {
-		if c.Cancel.Load() {
-			panic(canceledPanic{})
-		}
-		if c.tuples++; c.tuples%yieldEvery == 0 {
-			runtime.Gosched()
-		}
-	}
+	c.checkpoint(1)
 	h := c.M.Hier
 	if n := c.Cost.TupleLoads; n > 0 {
 		third := uint64(n) / 3
@@ -141,17 +157,7 @@ func (c *Ctx) TupleCost() {
 // machine, so loops that already account their traffic another way — hash
 // builds, sort comparators, materialization copies — can still be timed
 // out without perturbing energy numbers.
-func (c *Ctx) Poll() {
-	if c.Cancel == nil {
-		return
-	}
-	if c.Cancel.Load() {
-		panic(canceledPanic{})
-	}
-	if c.tuples++; c.tuples%yieldEvery == 0 {
-		runtime.Gosched()
-	}
-}
+func (c *Ctx) Poll() { c.checkpoint(1) }
 
 // pollStride is how many buffer elements pass between cancellation checks
 // in loops over already-materialized rows (sort key extraction, hash-table
@@ -169,14 +175,8 @@ const pollStride = 256
 // yield cadence stays at one Gosched per yieldEvery elements, same as the
 // per-tuple checkpoints.
 func (c *Ctx) PollEvery(i int) {
-	if i%pollStride != 0 || c.Cancel == nil {
-		return
-	}
-	if c.Cancel.Load() {
-		panic(canceledPanic{})
-	}
-	if c.tuples += pollStride; c.tuples%yieldEvery < pollStride {
-		runtime.Gosched()
+	if i%pollStride == 0 {
+		c.checkpoint(pollStride)
 	}
 }
 

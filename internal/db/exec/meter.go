@@ -70,9 +70,12 @@ type Meter struct {
 }
 
 // Emitted counts the batches a vectorized operator handed its consumer and
-// the positions behind them, selected or not.
+// the positions behind them, selected or not; Live and LivePositions count
+// those of them with at least one row selected, which is all a buffering
+// consumer (join, sort) looks at.
 type Emitted struct {
-	Batches, Positions int
+	Batches, Positions  int
+	Live, LivePositions int
 }
 
 // Own returns the counters attributed exclusively to this operator.
@@ -93,6 +96,10 @@ func (m *Meter) AddBatch(positions, rows int) {
 	m.rows += rows
 	m.out.Batches++
 	m.out.Positions += positions
+	if rows > 0 {
+		m.out.Live++
+		m.out.LivePositions += positions
+	}
 }
 
 // Inclusive returns this operator's counters including all metered

@@ -360,19 +360,26 @@ func indexBytes(entries int) float64 {
 	return float64(entries) * 16 * 1.07
 }
 
-// btreeDescend charges n root-to-leaf descents of the index on t.col.
-func (c *coster) btreeDescend(a *est, n float64, height, order, entries int) {
+// btreeDescend charges n root-to-leaf descents of an index of the given
+// height over that many entries, as Tree.touchNode issues them: per node a
+// header load and one binary-search probe per halving of the node's fill,
+// each a dependent load. The fill follows from the shape — a tree of height h
+// over e entries fans out e^(1/h) a level — and so does the working set: a
+// descent probes the same few lines of whichever node it visits, so what
+// competes for the caches is nodes × probed lines, not the index's bytes.
+func (c *coster) btreeDescend(a *est, n float64, height, entries int) {
 	if n <= 0 || height <= 0 {
 		return
 	}
-	perNode := float64(order) / 2
-	probes := math.Ceil(math.Log2(math.Max(2, perNode))) + 1
-	setBytes := indexBytes(entries)
-	for lvl := 0; lvl < height; lvl++ {
-		// Header load plus the binary-search probes, all dependent.
-		c.randLoad(a, n*(1+probes), setBytes)
-		a.other += n * probes
+	fan := math.Max(2, math.Pow(float64(entries), 1/float64(height)))
+	probes := math.Floor(math.Log2(fan)) + 1
+	nodes := 0.0
+	for lvl, at := 0, 1.0; lvl < height; lvl, at = lvl+1, at*fan {
+		nodes += at
 	}
+	visits := n * float64(height)
+	c.randLoad(a, visits*(1+probes), nodes*(1+probes)*memsim.LineSize)
+	a.other += visits * probes
 }
 
 // indexEntries charges iterating `n` consecutive index entries (four 16-byte
@@ -402,6 +409,6 @@ func (c *coster) heapFetch(a *est, n float64, t *engine.Table) {
 		c.coldLines(a, n*(1-r)*pageLines)
 		a.l1d += n * (1 - r) * lines
 	}
-	// Pool frame lookup.
-	c.randLoad(a, n, c.l2Bytes)
+	// Pool frame lookup: the header line of whichever page holds the row.
+	c.randLoad(a, n, math.Ceil(c.heapBytes(t)/float64(c.e.Knobs.PageBytes))*memsim.LineSize)
 }

@@ -10,6 +10,7 @@ import (
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
 	"energydb/internal/db/vec"
+	"energydb/internal/memsim"
 	"energydb/internal/tpch"
 )
 
@@ -33,25 +34,82 @@ func observed(e *engine.Engine, n *Node, meters map[*Node]*exec.Meter, in []*flo
 	switch n.Kind {
 	case opSeqScan:
 		k.batches, k.backRows = float64(own.Batches), float64(own.Positions)
+	case opIndexScan:
+		// The positions are the entries fetched before the residual narrows
+		// them (the loaded data has no version a snapshot cannot see).
+		k.batches, k.backRows = float64(own.Batches), float64(own.Positions)
+		k.scanned = k.backRows
 	case opHashJoin:
 		// The output's positions are the pairs gathered before the residual
 		// narrows them.
 		k.chunks = math.Ceil(k.build / float64(vec.BatchSizeFor(e.M.Profile.Mem)))
 		k.matches = float64(own.Positions)
+	case opIndexJoin:
+		k.matches = float64(own.Positions)
 	}
-	k.bindFlows(n, in)
+	switch n.Kind {
+	case opHashJoin, opSort, opIndexJoin:
+		// The buffering consumers skip a batch with nothing selected; what
+		// they saw is metered, where the planner has flow.live's estimate.
+		live := meters[n.Kids[0]].Emitted()
+		k.batches, k.backRows = float64(live.Live), float64(live.LivePositions)
+		if n.Kind == opHashJoin {
+			k.buildBatches = float64(meters[n.Kids[1]].Emitted().Live)
+		}
+	default:
+		k.bindFlows(n, in)
+	}
 	return k
 }
 
 // exactKind lists the operators whose add and plain-instruction counts are
-// modelled charges alone. Sort and the index operators are not among them:
-// their comparator and B-tree probe instruction counts depend on the data.
-func exactKind(k opKind) bool {
-	switch k {
+// modelled charges alone, or, for the index operators in vector mode, those
+// plus the B-tree's binary-search comparisons (treeWork). Sort is not among
+// them — its comparator count depends on the data — nor are the row index
+// operators, whose candidates before the filter are not metered.
+func exactKind(n *Node) bool {
+	switch n.Kind {
 	case opSeqScan, opFilter, opPrune, opProject, opAggregate, opHashJoin:
 		return true
+	case opIndexScan, opIndexJoin:
+		return n.Mode == ModeVector
 	}
 	return false
+}
+
+// treeWork replays n's index traversals on a scratch hierarchy and returns
+// the plain instructions the B-tree issued for them: the one part of an
+// index operator's OtherOps that depends on the data rather than on a charge
+// function. An index join's probe keys come from re-running its outer
+// subtree.
+func treeWork(t *testing.T, p *Prepared, n *Node) uint64 {
+	t.Helper()
+	scratch := memsim.New(p.E.M.Profile.Mem)
+	switch n.Kind {
+	case opIndexScan:
+		tree := n.Table.Index(n.IdxCol).View(scratch)
+		if n.Lo != nil {
+			tree.Seek(*n.Lo)
+		} else {
+			tree.First()
+		}
+	case opIndexJoin:
+		tree := n.Table.Index(n.InnerColName).View(scratch)
+		outer, err := p.instantiate(n.Kids[0], nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := exec.Collect(outer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if !r[n.OuterKey].IsNull() {
+				tree.Lookup(r[n.OuterKey])
+			}
+		}
+	}
+	return scratch.Counters().OtherOps
 }
 
 // checkExact re-evaluates every node's charge functions at the cardinalities
@@ -60,7 +118,7 @@ func exactKind(k opKind) bool {
 // stopped pulling from before it was drained: its meters then saw only part
 // of what the operators buffered or finalized, so it is skipped down to the
 // next blocking operator. It returns n's output flow (nil in row mode).
-func checkExact(t *testing.T, label string, e *engine.Engine, n *Node, meters map[*Node]*exec.Meter, vecParent, cut bool) *flow {
+func checkExact(t *testing.T, label string, p *Prepared, n *Node, meters map[*Node]*exec.Meter, vecParent, cut bool) *flow {
 	t.Helper()
 	if n.Kind == opLimit {
 		cut = true
@@ -72,8 +130,9 @@ func checkExact(t *testing.T, label string, e *engine.Engine, n *Node, meters ma
 		case n.Kind == opSort, n.Kind == opAggregate, n.Kind == opHashJoin && i == 1:
 			kidCut = false // drained in Open, whatever is pulled from n later
 		}
-		in = append(in, checkExact(t, label, e, kid, meters, n.Mode == ModeVector, kidCut))
+		in = append(in, checkExact(t, label, p, kid, meters, n.Mode == ModeVector, kidCut))
 	}
+	e := p.E
 	k := observed(e, n, meters, in)
 	a := &est{cm: e.Ctx.Cost}
 	var out *flow
@@ -86,8 +145,11 @@ func checkExact(t *testing.T, label string, e *engine.Engine, n *Node, meters ma
 	} else {
 		chargeRow(n, k, a)
 	}
-	if !exactKind(n.Kind) || cut {
+	if !exactKind(n) || cut {
 		return out
+	}
+	if n.Kind == opIndexScan || n.Kind == opIndexJoin {
+		a.other += float64(treeWork(t, p, n))
 	}
 	if n.Kind == opHashJoin && n.Mode == ModeRow && n.Filter != nil {
 		return out // candidates before the residual are not metered on the row path
@@ -112,10 +174,10 @@ func runExact(t *testing.T, label string, e *engine.Engine, text string, seen ma
 	if _, err := exec.Drain(op); err != nil {
 		t.Fatal(err)
 	}
-	checkExact(t, label, e, p.Root, meters, false, false)
+	checkExact(t, label, p, p.Root, meters, false, false)
 	var count func(n *Node)
 	count = func(n *Node) {
-		if exactKind(n.Kind) {
+		if exactKind(n) {
 			seen[strings.Fields(n.Title())[0]+"/"+n.Mode.String()]++
 		}
 		for _, kid := range n.Kids {

@@ -34,7 +34,7 @@ const (
 // row-at-a-time interpreter or the vectorized batch-at-a-time engine
 // (internal/db/vec). The optimizer picks per operator by predicted active
 // energy; vectorized nodes can only stack on vectorized children, so a plan
-// is a row tree with vector chains rooted at sequential scans.
+// is a row tree with vector chains rooted at scans.
 type Mode int
 
 const (
@@ -103,6 +103,10 @@ type Node struct {
 	schema *catalog.Schema
 	// EstRows is the estimated output cardinality.
 	EstRows float64
+	// candidates estimates what the node's filter sees: a join's matches
+	// before its residual (what the match loop of either strategy iterates,
+	// in either mode), an index scan's entries within [Lo, Hi].
+	candidates float64
 	// EstEJ is the predicted exclusive active energy of this operator in
 	// joules (Eq. 1 micro-op counts priced with the machine's ΔE table).
 	EstEJ float64
@@ -113,9 +117,10 @@ type Node struct {
 	BoundaryEJ float64
 
 	// seq is the sequential candidate chooseScan kept beside this index
-	// scan: the only access path that can root a vector chain. The chain DP
-	// prices the pair as one node and commitModes replaces the index scan by
-	// it when the chain prefers to run vectorized (nil on every other node).
+	// scan. The chain DP prices the pair as one node with three states — the
+	// row index scan, the batched index scan, the vectorized sequential scan
+	// — and commitModes replaces the index scan by it where the chain prefers
+	// that one (nil on every other node).
 	seq *Node
 }
 
@@ -135,10 +140,12 @@ type planCtx struct {
 	// prices holds the chain DP's two-state subtree prices (see
 	// priceModes/commitModes in vector.go).
 	prices map[*Node]modePrice
-	// pin, set only by the planner's own tests, restricts the named
-	// relations to one access path (opSeqScan or opIndexScan), so a test can
-	// price the neighbour of a committed plan.
-	pin map[string]opKind
+	// pin and pinMode, set only by the planner's own tests, restrict the
+	// named relations to one access path (opSeqScan or opIndexScan) and
+	// their index scan or index join to one mode, so a test can price the
+	// neighbours of a committed plan.
+	pin     map[string]opKind
+	pinMode map[string]Mode
 }
 
 func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, lp *logical) *planCtx {
@@ -177,11 +184,13 @@ func renderConds(conds []sql.Node) string {
 // scan with the pushed predicate and — for every index with a usable bound —
 // an index range scan with the remaining conjuncts as residual, each priced
 // in row mode by predicted active energy, not row count. It returns the
-// cheapest row candidate. An index scan only ever runs row-at-a-time while
-// a sequential scan can also root a vector chain, so when an index scan wins
-// the row comparison the sequential candidate rides along (Node.seq): which
-// of the two the plan runs is a state of the chain DP (priceModes), where
-// each competes at the price of its cheapest mode assignment in its chain.
+// cheapest row candidate. Batches amortize a sequential scan's per-tuple
+// interpretation over the whole heap and an index scan's only over the rows
+// it fetches, so the row comparison does not settle the vector one: when an
+// index scan wins it the sequential candidate rides along (Node.seq), and
+// which of the two the plan runs is a state of the chain DP (priceModes),
+// where each competes at the price of its cheapest mode assignment in its
+// chain.
 func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 	pred, err := compileConds(r.conds, r.t.Schema())
 	if err != nil {
@@ -218,11 +227,9 @@ func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 			IdxCol: col, Lo: lo, Hi: hi,
 			Filter: resid, FilterStr: renderConds(rest),
 			schema:  r.t.Schema(),
-			EstRows: r.estRows,
+			EstRows: r.estRows, candidates: float64(r.stats.RowCount) * rangeSel,
 		}
-		k := bind(cand)
-		k.scanned = float64(r.stats.RowCount) * rangeSel
-		pc.costRow(cand, k)
+		pc.costRow(cand, bind(cand))
 		if index == nil || cand.EstEJ < index.EstEJ {
 			index = cand
 		}
@@ -393,11 +400,9 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, 
 			OuterKey: outerKey, OuterColName: r.outerCol, InnerColName: r.innerCol,
 			Filter: resid, FilterStr: renderConds(all),
 			schema:  schema,
-			EstRows: matches,
+			EstRows: matches, candidates: preMatches,
 		}
-		k := bind(indexNode)
-		k.matches = preMatches
-		pc.costRow(indexNode, k)
+		pc.costRow(indexNode, bind(indexNode))
 	}
 	if pc.e.Kind == engine.SQLite && indexNode != nil {
 		return indexNode, nil
@@ -423,6 +428,10 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, 
 		Filter: resid, FilterStr: renderConds(resConds),
 		schema:  schema,
 		EstRows: matches,
+		// The build side is already filtered by the inner relation's pushed
+		// conjuncts, so only their share of the index candidates reaches the
+		// hash join's match loop; the residual then thins it to the output.
+		candidates: math.Max(matches, preMatches*r.sel),
 	}
 	pc.costRow(hashNode, bind(hashNode))
 
@@ -470,12 +479,14 @@ type cards struct {
 }
 
 // bind estimates n's cardinalities from its own and its children's row
-// estimates. Where a join's pre-residual candidate count is not known
-// separately, the output estimate stands in for it.
+// estimates.
 func bind(n *Node) cards {
-	k := cards{out: n.EstRows, matches: n.EstRows}
-	if n.Kind == opSeqScan {
+	k := cards{out: n.EstRows, matches: n.candidates}
+	switch n.Kind {
+	case opSeqScan:
 		k.scanned = float64(n.Table.File.RowCount())
+	case opIndexScan:
+		k.scanned = n.candidates
 	}
 	if len(n.Kids) > 0 {
 		k.in = n.Kids[0].EstRows
@@ -541,12 +552,12 @@ func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 		c.scanHeap(a, n.Table)
 	case opIndexScan:
 		tree := n.Table.Index(n.IdxCol)
-		c.btreeDescend(a, 1, tree.Height(), tree.Order(), tree.Len())
+		c.btreeDescend(a, 1, tree.Height(), tree.Len())
 		c.indexEntries(a, k.scanned, tree.Len())
 		c.heapFetch(a, k.scanned, n.Table)
 	case opIndexJoin:
 		tree := n.Table.Index(n.InnerColName)
-		c.btreeDescend(a, k.in, tree.Height(), tree.Order(), tree.Len())
+		c.btreeDescend(a, k.in, tree.Height(), tree.Len())
 		c.indexEntries(a, k.matches, tree.Len())
 		c.heapFetch(a, k.matches, n.Table)
 	case opHashJoin:

@@ -46,17 +46,18 @@ type Prepared struct {
 // footprint is summed over the committed tree and the scans re-priced
 // against it.
 func Prepare(e *engine.Engine, stmt *sql.SelectStmt) (*Prepared, error) {
-	return preparePinned(e, stmt, nil)
+	return preparePinned(e, stmt, nil, nil)
 }
 
-// preparePinned is Prepare with the tests' access-path pins (see planCtx.pin).
-func preparePinned(e *engine.Engine, stmt *sql.SelectStmt, pin map[string]opKind) (*Prepared, error) {
+// preparePinned is Prepare with the tests' access-path and mode pins (see
+// planCtx.pin).
+func preparePinned(e *engine.Engine, stmt *sql.SelectStmt, pin map[string]opKind, pinMode map[string]Mode) (*Prepared, error) {
 	lp, err := buildLogical(e, stmt)
 	if err != nil {
 		return nil, err
 	}
 	pc := newPlanCtx(e, stmt, lp)
-	pc.pin = pin
+	pc.pin, pc.pinMode = pin, pinMode
 	chain, err := pc.buildChain()
 	if err != nil {
 		return nil, err
@@ -168,9 +169,8 @@ func (p *Prepared) instantiate(n *Node, ms *exec.MeterSet, meters map[*Node]*exe
 
 // instantiateVec builds the vectorized executor for a vector-mode node.
 // chooseModes guarantees every child of a vector node is itself in vector
-// mode, so the recursion bottoms out at the sequential scans and batches
-// move edge to edge — through joins and sorts included — with no row
-// adapter in between.
+// mode, so the recursion bottoms out at the scans and batches move edge to
+// edge — through joins and sorts included — with no row adapter in between.
 func (p *Prepared) instantiateVec(n *Node, ms *exec.MeterSet, meters map[*Node]*exec.Meter) (vec.Operator, error) {
 	e := p.E
 	kids := make([]vec.Operator, len(n.Kids))
@@ -189,6 +189,17 @@ func (p *Prepared) instantiateVec(n *Node, ms *exec.MeterSet, meters map[*Node]*
 	switch n.Kind {
 	case opSeqScan:
 		op = &vec.Scan{Ctx: e.Ctx, File: n.Table.File, Pred: n.Filter}
+	case opIndexScan:
+		op = &vec.IndexScan{
+			Ctx: e.Ctx, File: n.Table.File, Tree: n.Table.Index(n.IdxCol),
+			Lo: n.Lo, Hi: n.Hi, Filter: n.Filter,
+		}
+	case opIndexJoin:
+		op = &vec.IndexJoin{
+			Ctx: e.Ctx, Probe: kids[0], Inner: n.Table.File,
+			Index: n.Table.Index(n.InnerColName), ProbeKey: n.OuterKey,
+			Residual: n.Filter,
+		}
 	case opFilter:
 		op = &vec.Filter{Ctx: e.Ctx, Child: kids[0], Pred: n.Filter}
 	case opPrune:

@@ -15,22 +15,25 @@ import (
 // vector mode (every child forced to stay in the chain), then commits the
 // cheaper assignment top-down. A relation with a usable index enters the
 // program as one node with two access paths (chooseScan): its row state is
-// the index scan, its vector state the sequential scan rooting the chain, so
-// an index scan that beats the row-mode sequential scan does not forfeit a
-// chain the sequential scan would have won as a whole. The
+// the index scan, its vector state the cheaper of the batched index scan and
+// the vectorized sequential scan, so an index scan that beats the row-mode
+// sequential scan does not forfeit a chain either of them would have won as
+// a whole. The
 // vector hypothesis is priced the way the row one is (see "node costing" in
 // physical.go): chargeVec evaluates the vec package's own charge functions
 // — one per-batch dispatch per primitive plus per-element payload traffic —
 // at the node's estimated cardinalities, and the cache model prices the
 // data-dependent accesses, all with the same calibrated ΔE_m table as every
 // other estimate. The crossover falls out of the model: tiny inputs stay on
-// the row path (the batch dispatch does not amortize), large scans go
-// vector.
+// the row path (the batch dispatch does not amortize — a single-row index
+// lookup pays two dispatches, its fetch and the boundary, against one
+// tuple), large scans go vector.
 //
 // A vectorized operator exchanges columnar batches, so it can only stack on
-// a vectorized child; chains are rooted at sequential scans — and, with the
-// batch-first join and sort, can carry batches edge to edge through hash
-// joins (both inputs vectorized) and sorts — adapted back to rows only
+// a vectorized child; chains are rooted at scans, sequential or index, and
+// carry batches edge to edge through joins (hash joins with both inputs
+// vectorized, index joins fetching behind their probe batches) and sorts —
+// adapted back to rows only
 // where a row-only parent, or the drain loop at the top, takes over. That
 // adaptation is not free: RowSource charges one dispatch per batch plus a
 // full-width row copy per row (the loss of lazy materialization — a row
@@ -45,7 +48,7 @@ import (
 // annotation).
 func vecEligibleKind(k opKind) bool {
 	switch k {
-	case opSeqScan, opFilter, opPrune, opProject, opAggregate, opHashJoin, opSort:
+	case opSeqScan, opIndexScan, opIndexJoin, opFilter, opPrune, opProject, opAggregate, opHashJoin, opSort:
 		return true
 	}
 	return false
@@ -97,14 +100,15 @@ func copyMat(mat map[int]bool) map[int]bool {
 // (every child forced to stay in the chain; +Inf when the node cannot run
 // vectorized). vecEJ/out are the node's own vector estimate and output
 // flow under the vector hypothesis, boundary the RowSource adaptation price
-// of handing this node's vectorized output to a row consumer. For an index
-// scan the vector hypothesis is its sequential candidate's.
+// of handing this node's vectorized output to a row consumer. seq is set
+// when the vector hypothesis of an index scan is its sequential candidate's.
 type modePrice struct {
 	rowTotal float64
 	vecTotal float64
 	vecEJ    float64
 	boundary float64
 	out      *flow
+	seq      bool
 }
 
 // chooseModes assigns execution modes chain-wise: priceModes runs the
@@ -141,19 +145,42 @@ func (pc *planCtx) priceModes(n *Node) modePrice {
 		}
 	}
 	mp := modePrice{rowTotal: n.EstEJ + rowKids, vecTotal: math.Inf(1)}
-	v := n
-	if n.seq != nil {
-		v = n.seq
-	}
 	if chainKids {
-		if pr, ok := pc.vecSupported(v); ok {
-			mp.vecEJ, mp.out = pc.costVec(v, pr)
-			mp.vecTotal = mp.vecEJ + vecKids
-			mp.boundary = pc.costBoundary(v, mp.out)
+		pc.priceVec(n, vecKids, &mp)
+		if n.seq != nil {
+			// Two vector candidates: keep the one cheaper as a chain top.
+			alt := modePrice{vecTotal: math.Inf(1), seq: true}
+			pc.priceVec(n.seq, vecKids, &alt)
+			if alt.vecTotal+alt.boundary < mp.vecTotal+mp.boundary {
+				alt.rowTotal = mp.rowTotal
+				mp = alt
+			}
+		}
+	}
+	if mode, ok := pc.pinMode[n.TableName]; ok && (n.Kind == opIndexScan || n.Kind == opIndexJoin) {
+		switch {
+		case mode == ModeRow:
+			mp.vecTotal = math.Inf(1)
+		case !math.IsInf(mp.vecTotal, 1):
+			mp.rowTotal = math.Inf(1)
 		}
 	}
 	pc.prices[n] = mp
 	return mp
+}
+
+// priceVec fills mp's vector state with v's price above children whose
+// chains total vecKids, if v can run vectorized at all — the kind has a
+// kernel implementation and every expression compiles to kernels.
+func (pc *planCtx) priceVec(v *Node, vecKids float64, mp *modePrice) {
+	if !vecEligibleKind(v.Kind) {
+		return
+	}
+	if pr, ok := compileVec(v); ok {
+		mp.vecEJ, mp.out = pc.costVec(v, pr)
+		mp.vecTotal = mp.vecEJ + vecKids
+		mp.boundary = pc.costBoundary(v, mp.out)
+	}
 }
 
 // commitModes commits the cheaper assignment top-down. Inside a committed
@@ -161,11 +188,12 @@ func (pc *planCtx) priceModes(n *Node) modePrice {
 // each row-consumer point the transition-priced chain total competes with
 // the all-row subtree, and a winning chain top absorbs the boundary price
 // into its estimate (surfaced by EXPLAIN as xfer≈). An index scan whose
-// chain goes vector becomes its sequential candidate.
+// chain prefers the vectorized sequential scan becomes its sequential
+// candidate.
 func (pc *planCtx) commitModes(n *Node, vecConsumer bool) {
 	mp := pc.prices[n]
 	if vecConsumer || mp.vecTotal+mp.boundary < mp.rowTotal {
-		if n.seq != nil {
+		if mp.seq {
 			*n = *n.seq
 		}
 		n.Mode = ModeVector
@@ -222,23 +250,6 @@ func compileVec(n *Node) (*progs, bool) {
 	return pr, exact
 }
 
-// vecSupported reports whether n can run vectorized at all, given batch
-// inputs — the kind has a kernel implementation and every expression
-// compiles to kernels — and returns the compiled programs if so.
-func (pc *planCtx) vecSupported(n *Node) (*progs, bool) {
-	if !vecEligibleKind(n.Kind) {
-		return nil, false
-	}
-	// A build side smaller than one batch never fills a single build chunk:
-	// the batched build degenerates to the row path plus extra buffering,
-	// and at that size the estimator is below its resolution (one dispatch
-	// either way decides the comparison). Keep such joins on the row path.
-	if n.Kind == opHashJoin && n.Kids[1].EstRows < pc.batchWidth() {
-		return nil, false
-	}
-	return compileVec(n)
-}
-
 // costVec prices n under the vector hypothesis and returns its output flow;
 // its children must have been priced (priceModes does).
 func (pc *planCtx) costVec(n *Node, pr *progs) (float64, *flow) {
@@ -265,32 +276,32 @@ func chargeBoundary(n *Node, c exec.Card, s exec.Sink) {
 	vec.ChargeBoundary(s, c, vec.RowLines(n.schema.RowWidth()), 0)
 }
 
-// batchWidth is the planner's view of the L1D-derived batch size.
-func (pc *planCtx) batchWidth() float64 {
-	return float64(vec.BatchSizeFor(pc.e.M.Profile.Mem))
-}
-
-// batchesFor counts the batches a stream of n rows occupies.
+// batchesFor counts the L1D-derived-width batches a stream of n rows
+// occupies.
 func (pc *planCtx) batchesFor(n float64) float64 {
 	if n <= 0 {
 		return 1
 	}
-	return math.Ceil(n / pc.batchWidth())
+	return math.Ceil(n / float64(vec.BatchSizeFor(pc.e.M.Profile.Mem)))
 }
 
 // bindVec extends bind with the batch counts of the vector hypothesis: a scan
-// roots its chain with one batch per batch width of heap rows, and a
-// blocking operator cuts its buffered input into chunks and its output into
-// batches the same way; the batches arriving are bindFlows'.
+// roots its chain with one batch per batch width of heap rows or index
+// entries, and a blocking operator cuts its buffered input into chunks and
+// its output into batches the same way — a join the candidates it gathers,
+// before its residual narrows them; the batches arriving are bindFlows'.
 func (pc *planCtx) bindVec(n *Node, in []*flow) cards {
 	k := bind(n)
 	k.chunks = pc.batchesFor(k.in)
 	k.outBatches = pc.batchesFor(k.out)
-	if n.Kind == opSeqScan {
+	switch n.Kind {
+	case opSeqScan, opIndexScan:
 		k.batches, k.backRows = pc.batchesFor(k.scanned), k.scanned
-	}
-	if n.Kind == opHashJoin {
+	case opIndexJoin:
+		k.outBatches = pc.batchesFor(k.matches)
+	case opHashJoin:
 		k.chunks = pc.batchesFor(k.build)
+		k.outBatches = pc.batchesFor(k.matches)
 	}
 	k.bindFlows(n, in)
 	return k
@@ -301,11 +312,11 @@ func (pc *planCtx) bindVec(n *Node, in []*flow) cards {
 // that the buffering consumers — join and sort — see the live ones only.
 func (k *cards) bindFlows(n *Node, in []*flow) {
 	switch n.Kind {
-	case opSeqScan:
+	case opSeqScan, opIndexScan:
 	case opHashJoin:
 		k.batches, k.backRows = in[0].live(k.in)
 		k.buildBatches, _ = in[1].live(k.build)
-	case opSort:
+	case opSort, opIndexJoin:
 		k.batches, k.backRows = in[0].live(k.in)
 	default:
 		k.batches, k.backRows = in[0].batches, in[0].rows
@@ -359,6 +370,35 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 			pr.filter.ChargeFilter(s, exec.Card{Batches: k.batches, In: k.scanned, Out: k.out}, touch)
 		}
 		return src
+	case opIndexScan:
+		// The same B-tree and heap traffic as the row scan (model); in place
+		// of its per-entry interpretation the fetch primitive per batch of
+		// entries, then the residual over the fetched rows.
+		fetched := exec.Card{Batches: k.batches, In: k.scanned, Out: k.scanned}
+		vec.ChargeFetch(s, fetched, 0)
+		if pr.filter != nil {
+			fetched.Out = k.out
+			pr.filter.ChargeFilter(s, fetched, touch)
+		}
+		return src
+	case opIndexJoin:
+		// One key kernel per probe batch over its materialized key column;
+		// then per output batch the fetch primitive and the gather that
+		// assembles probe and inner rows, and the residual over the joined
+		// batch. Lookups and fetches themselves are the model's.
+		vec.ChargeDispatch(s, arriving)
+		touch(n.OuterKey)
+		vec.ChargeJoinProbe(s, arriving, 0)
+		matched := exec.Card{Batches: k.outBatches, In: k.matches, Out: k.matches}
+		vec.ChargeFetch(s, matched, 0)
+		vec.ChargeDispatch(s, matched)
+		vec.ChargeJoinGather(s, matched, vec.RowLines(n.Kids[0].schema.RowWidth()), vec.RowLines(n.Table.Schema().RowWidth()), 0)
+		out := &flow{batches: k.outBatches, rows: k.matches, mat: map[int]bool{}}
+		if pr.filter != nil {
+			matched.Out = k.out
+			pr.filter.ChargeFilter(s, matched, toucher(s, out))
+		}
+		return out
 	case opFilter:
 		// The batch passes through by reference: the output stays lazy.
 		pr.filter.ChargeFilter(s, arriving, touch)

@@ -8,6 +8,7 @@ import (
 	"energydb/internal/cpusim"
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/engine"
+	"energydb/internal/db/exec"
 	"energydb/internal/db/sql"
 	"energydb/internal/db/value"
 )
@@ -160,10 +161,12 @@ func joinVecEngine(t *testing.T, dimRows, factRows int) *engine.Engine {
 
 const joinQuery = "SELECT id, label FROM facts JOIN dim ON grp = did ORDER BY amount DESC"
 
-// TestJoinSortModeChoice checks the extended crossover model: with both join
-// inputs large the hash join and the sort above it go vector, while a build
-// side smaller than one batch keeps its scan — and therefore the join — on
-// the row path (the ISSUE's tiny-cardinality join regression).
+// TestJoinSortModeChoice checks the crossover model on joins: with both
+// inputs large the hash join and the sort above it go vector; a build side
+// under one batch is decided by its price like everything else — a one-row
+// build stays in the vector chain under 6000 probe rows and under a dozen,
+// falls back to the row path under a single one, and the chosen plan never
+// measures above the forced-row one.
 func TestJoinSortModeChoice(t *testing.T) {
 	p := prepare(t, joinVecEngine(t, 4000, 6000), joinQuery)
 	join := findNode(p.Root, opHashJoin)
@@ -178,13 +181,33 @@ func TestJoinSortModeChoice(t *testing.T) {
 		t.Errorf("big sort chose %v, want vector:\n%s", srt.Mode, p.Summary())
 	}
 
-	tiny := prepare(t, joinVecEngine(t, 8, 6000), joinQuery)
-	tj := findNode(tiny.Root, opHashJoin)
-	if tj == nil {
-		t.Fatalf("tiny plan shape:\n%s", tiny.Summary())
+	// measure drains the statement and prices its counter delta.
+	measure := func(e *engine.Engine) (float64, *Prepared) {
+		p := prepare(t, e, joinQuery)
+		op, err := p.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := e.M.Hier.Counters()
+		if _, err := exec.Drain(op); err != nil {
+			t.Fatal(err)
+		}
+		return e.M.Profile.Energy.Active(e.M.Hier.Counters().Sub(before), e.M.PState()).Total(), p
 	}
-	if tj.Mode != ModeRow {
-		t.Errorf("8-row-build hash join chose %v, want row fallback:\n%s", tj.Mode, tiny.Summary())
+	// joinVecEngine takes grp modulo the dim size, so it needs dims <= facts.
+	for _, facts := range []int{6000, 12, 1} {
+		free, p := measure(joinVecEngine(t, 1, facts))
+		rowOnly := joinVecEngine(t, 1, facts)
+		rowOnly.Knobs.DisableVectorExec = true
+		row, _ := measure(rowOnly)
+		mode := findNode(p.Root, opHashJoin).Mode
+		t.Logf("1-row build under %d probe rows: mode=%s, free %s, forced row %s", facts, mode, fmtEnergy(free), fmtEnergy(row))
+		if want := map[bool]Mode{true: ModeVector, false: ModeRow}[facts > 1]; mode != want {
+			t.Errorf("1-row build under %d probe rows: join chose %s, want %s:\n%s", facts, mode, want, explainText(p))
+		}
+		if free > row {
+			t.Errorf("1-row build under %d probe rows: free plan costs %s, forced row %s", facts, fmtEnergy(free), fmtEnergy(row))
+		}
 	}
 }
 

@@ -234,6 +234,43 @@ func BenchmarkVectorJoinSort(b *testing.B) {
 	writeVectorBenchJSON(b, rows)
 }
 
+// BenchmarkIndexJoin is the row-versus-vector pair for the index nested loop:
+// lineitem ⋈ orders through the orders index on o_orderkey, the join TPC-H
+// runs most, in host rows per second over the probe side. Both forms issue
+// the same B-tree descents and heap fetches; the vector one replaces the
+// per-match interpretation storm by one fetch and one gather dispatch per
+// output batch. It writes no JSON cell: `make bench-check` and CI run it once
+// (-benchtime=1x) to keep the pair compiling and finishing.
+func BenchmarkIndexJoin(b *testing.B) {
+	e := benchEngine()
+	lineitem, orders := e.MustTable("lineitem"), e.MustTable("orders")
+	index := orders.Index("o_orderkey")
+	if index == nil {
+		b.Fatal("orders has no index on o_orderkey")
+	}
+	run := func(b *testing.B, op func() exec.Operator) {
+		for i := 0; i < b.N; i++ {
+			if _, err := exec.Drain(op()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N)*float64(lineitem.File.RowCount())/b.Elapsed().Seconds(), "rows/sec")
+	}
+	b.Run("mode=row", func(b *testing.B) {
+		run(b, func() exec.Operator {
+			return &exec.IndexJoin{Ctx: e.Ctx, Outer: e.Scan(lineitem, nil), Inner: orders.File, Index: index, OuterKey: 0}
+		})
+	})
+	b.Run("mode=vector", func(b *testing.B) {
+		run(b, func() exec.Operator {
+			return &vec.RowSource{Child: &vec.IndexJoin{
+				Ctx: e.Ctx, Probe: &vec.Scan{Ctx: e.Ctx, File: lineitem.File},
+				Inner: orders.File, Index: index, ProbeKey: 0,
+			}}
+		})
+	})
+}
+
 // benchFile is the BENCH_vector.json document.
 type benchFile struct {
 	Benchmark string            `json:"benchmark"`

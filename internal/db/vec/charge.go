@@ -107,9 +107,10 @@ func ChargeJoinBuild(s exec.Sink, c exec.Card, lines int, buf uint64) {
 // ChargeJoinInsert is the bucket-entry store of one build row.
 func ChargeJoinInsert(s exec.Sink, c exec.Card, slot uint64) { s.Stores(slot, c.In) }
 
-// ChargeJoinProbe is the payload of the key-hash kernel, after its dispatch
-// and the key columns' materialization: the key loads and the hash
-// arithmetic. The dependent bucket-head load per element follows.
+// ChargeJoinProbe is the payload of a join's key kernel, after its dispatch
+// and the key columns' materialization: the key loads and the per-key
+// arithmetic (the hash, or the index join's NULL test and search-key setup).
+// The dependent bucket-head load or index descent per element follows.
 func ChargeJoinProbe(s exec.Sink, c exec.Card, keys ...uint64) {
 	for _, k := range keys {
 		s.Loads(k, c.In*kernelLoadsPerVal)
@@ -128,6 +129,20 @@ func ChargeJoinGather(s exec.Sink, c exec.Card, probeLines, buildLines int, at u
 	s.Loads(at, c.In*float64(probeLines))
 	s.Stores(at, c.In*float64(probeLines+buildLines))
 	s.Adds(2 * c.In)
+}
+
+// ChargeFetch is the index operators' fetch primitive over one batch of In
+// index entries, Out of them visible to the snapshot, after the dependent
+// B-tree and heap accesses storage issued for each: a dispatch, then per
+// entry the row-id load off the id list and the bound-or-visibility branch,
+// and per visible row the row-pointer store into the batch's backing. This
+// is what replaces the row schedule's per-candidate exec.ChargeTuples; rows
+// are handed on by reference, so there is no output copy.
+func ChargeFetch(s exec.Sink, c exec.Card, at uint64) {
+	s.Tuples(c.Batches)
+	s.Loads(at, c.In)
+	s.Others(c.In)
+	s.Stores(at, c.Out)
 }
 
 // ChargeSortPack appends one extracted key vector to the columnar key

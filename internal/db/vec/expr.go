@@ -8,24 +8,23 @@ import (
 // pool hands out scratch vectors for expression temporaries, reused across
 // batches: reset rewinds the pool at each batch boundary and get returns the
 // next scratch vector, allocating (Go slice + simulated address) only on
-// first use. Evaluation order is deterministic, so each expression node sees
-// the same scratch vector every batch.
+// first use, at the capacity of the batch it is evaluated over — every batch
+// an operator sees comes from one child and has that child's capacity.
+// Evaluation order is deterministic, so each expression node sees the same
+// scratch vector every batch.
 type pool struct {
 	ctx  *exec.Ctx
-	cap  int
 	vecs []*Vector
 	next int
 }
 
-func newPool(ctx *exec.Ctx, cap int) *pool {
-	return &pool{ctx: ctx, cap: cap}
-}
+func newPool(ctx *exec.Ctx) *pool { return &pool{ctx: ctx} }
 
 func (p *pool) reset() { p.next = 0 }
 
-func (p *pool) get() *Vector {
+func (p *pool) get(cap int) *Vector {
 	if p.next == len(p.vecs) {
-		p.vecs = append(p.vecs, NewVector(p.ctx.Arena, value.TypeNull, p.cap))
+		p.vecs = append(p.vecs, NewVector(p.ctx.Arena, value.TypeNull, cap))
 	}
 	v := p.vecs[p.next]
 	p.next++
@@ -105,7 +104,7 @@ func (n *progNode) payload(ins []uint64) []uint64 {
 	case n.val == nil:
 		return append(ins, 0)
 	}
-	return append(ins, n.val.addr)
+	return append(ins, n.val.Addr())
 }
 
 // Charge charges one evaluation per batch over c.In selected elements:
@@ -143,9 +142,9 @@ func (p *Prog) eval(ctx *exec.Ctx, pl *pool, b *Batch) *Vector {
 			nd.val = b.Col(ctx, col.Idx)
 			continue
 		}
-		out := pl.get()
+		out := pl.get(b.cap)
 		nd.val = out //lint:poolescape node results are read by later nodes of this eval and by its caller, all before the pool is reset at the next batch
-		chargeKernel(ctx, c, out.addr, nd.r.payload(nd.l.payload(buf[:0]))...)
+		chargeKernel(ctx, c, out.Addr(), nd.r.payload(nd.l.payload(buf[:0]))...)
 		var l *Vector
 		if nd.l != nil {
 			l = nd.l.val
@@ -360,5 +359,5 @@ func (p *Prog) filter(ctx *exec.Ctx, pl *pool, b *Batch) {
 		}
 		c.Out = float64(b.Len())
 	}
-	chargeNarrow(ctx, c, pred.addr, pred.isConst, b.selAddr)
+	chargeNarrow(ctx, c, pred.Addr(), pred.isConst, b.selAddr())
 }

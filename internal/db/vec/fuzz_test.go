@@ -160,6 +160,47 @@ func checkCharges(t *testing.T, m *exec.Meter, want *tally) {
 	}
 }
 
+// checkIndexCharges holds a vectorized index operator to its charge
+// functions, evaluated into want at the run's totals, against the row
+// operator's run over identical data. c is what the operator's filter saw
+// (In candidates, Out survivors) and nodes the filter's size. The B-tree
+// charges its binary-search comparisons as plain instructions inside both
+// meters, the same number of them in either mode, so the arithmetic count
+// must be exact and the plain counts must differ from their schedules — the
+// row one is exec.ChargeTuples per candidate — by the same amount.
+func checkIndexCharges(t *testing.T, er *engine.Engine, mRow, mVec *exec.Meter, want *tally, c exec.Card, nodes int) {
+	t.Helper()
+	row := &tally{cm: er.Ctx.Cost}
+	exec.ChargeTuples(row, c, nodes, 0)
+	gotR, gotV := mRow.Own(), mVec.Own()
+	if float64(gotV.AddOps) != want.add || float64(gotV.OtherOps)-want.other != float64(gotR.OtherOps)-row.other {
+		t.Fatalf("operator %q: charge functions at the observed totals give AddOps=%v OtherOps=%v, the meter has AddOps=%d OtherOps=%d; the row operator's schedule gives OtherOps=%v of its %d",
+			mVec.Label, want.add, want.other, gotV.AddOps, gotV.OtherOps, row.other, gotR.OtherOps)
+	}
+}
+
+// randBound draws an index range bound for column ci of the fuzz table from
+// the generator's domain, or nil (open) one time in four.
+func randBound(r *rand.Rand, ci int) *value.Value {
+	var v value.Value
+	switch ci {
+	case 0:
+		v = value.Int(int64(r.Intn(2000)))
+	case 1:
+		v = value.Int(int64(r.Intn(6)))
+	case 2:
+		v = value.Float(float64(r.Intn(500)) / 4)
+	case 3:
+		v = value.Str([]string{"alpha", "beta", "gamma", "ax", ""}[r.Intn(5)])
+	default:
+		v = value.Date(int64(r.Intn(365)))
+	}
+	if r.Intn(4) == 0 {
+		return nil
+	}
+	return &v
+}
+
 // scanCharges evaluates a vectorized scan's charges at what its meter saw,
 // marking the columns its predicate materialized in mat; rows > 0 adds a
 // RowSource boundary attributed to the scan.
@@ -177,10 +218,13 @@ func scanCharges(e *engine.Engine, m *exec.Meter, pred exec.Expr, mat map[int]bo
 
 // FuzzVecExec is the differential fuzzer for the vectorized engine: any
 // random table, predicate and plan shape — projection (mode 0), aggregation
-// (mode 1), hash join + sort (mode 2), or a broken chain (mode 3: a row
+// (mode 1), hash join + sort (mode 2), a broken chain (mode 3: a row
 // consumer over a RowSource-adapted vector scan, the transition the
-// chain-wise mode chooser prices as a chain top's boundary) — must produce
-// an identical result set through the row and vector paths, and on both
+// chain-wise mode chooser prices as a chain top's boundary), a projection
+// over an index range scan on a random column with random bounds (mode 4) or
+// an index join on random key columns with a random residual (mode 5) — must
+// produce an identical result set, in identical order for the index
+// operators, through the row and vector paths, and on both
 // paths the per-operator metered counters must sum exactly to that path's
 // statement counter delta (the EXPLAIN ENERGY partition invariant; in the
 // broken-chain shape the adapter's boundary charges land on the chain-top
@@ -189,7 +233,12 @@ func scanCharges(e *engine.Engine, m *exec.Meter, pred exec.Expr, mat map[int]bo
 // NULL-key-never-matches rule on both sides. On the vector path the scans,
 // the projection and the aggregation are also held to their charge
 // functions: one evaluation at the run's totals must reproduce the meter's
-// arithmetic and plain instruction counts exactly (checkCharges).
+// arithmetic and plain instruction counts exactly (checkCharges). The index
+// operators' plain instructions include the B-tree's binary-search
+// comparisons, which depend on the data but not on the mode: there the
+// arithmetic count must be exact and what the charge functions leave of the
+// plain count must equal what the row schedule leaves of the row operator's
+// (checkIndexCharges).
 func FuzzVecExec(f *testing.F) {
 	f.Add(int64(1), uint16(50), uint16(0), uint8(0))
 	f.Add(int64(2), uint16(300), uint16(1), uint8(1))
@@ -199,10 +248,15 @@ func FuzzVecExec(f *testing.F) {
 	f.Add(int64(6), uint16(0), uint16(13), uint8(2))
 	f.Add(int64(7), uint16(211), uint16(97), uint8(5))
 	f.Add(int64(8), uint16(420), uint16(32), uint8(3))
+	f.Add(int64(9), uint16(500), uint16(16), uint8(4))
+	f.Add(int64(10), uint16(333), uint16(1023), uint8(4))
+	f.Add(int64(11), uint16(260), uint16(2), uint8(5))
+	f.Add(int64(12), uint16(700), uint16(255), uint8(5))
+	f.Add(int64(13), uint16(0), uint16(9), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, nRows, batch uint16, mode uint8) {
 		rows := int(nRows) % 800
 		batchSize := int(batch)%MaxBatch + 1
-		shape := int(mode) % 4
+		shape := int(mode) % 6
 		r := rand.New(rand.NewSource(seed))
 		pred := randExpr(r, 2, 5)
 		exprSeed := r.Int63()
@@ -326,6 +380,93 @@ func FuzzVecExec(f *testing.F) {
 				GroupBy: groupBy, Aggs: aggs,
 			}}, msV, []*exec.Meter{mScanV, mTopV})
 			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, map[int]bool{}, RowLines(tv.Schema().RowWidth())))
+		case 4:
+			// Index range scan on a random column between random bounds (either
+			// may be open, the range may be empty or inverted), the predicate as
+			// its residual, under a projection that materializes columns of the
+			// fetched batches.
+			ra := rand.New(rand.NewSource(exprSeed))
+			ci := ra.Intn(5)
+			lo, hi := randBound(ra, ci), randBound(ra, ci)
+			exprs := make([]exec.Expr, ra.Intn(3)+1)
+			for i := range exprs {
+				exprs[i] = randExpr(ra, 2, 5)
+			}
+			name := tr.Schema().Columns[ci].Name
+			er.CreateIndex(tr, name)
+			ev.CreateIndex(tv, name)
+			rowScan, err := er.IndexRange(tr, name, lo, hi, pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = runMetered(t, er, &exec.Metered{Set: msR, M: mTopR, Child: &exec.Project{
+				Ctx: er.Ctx, Child: &exec.Metered{Set: msR, M: mScanR, Child: rowScan}, Exprs: exprs,
+			}}, msR, []*exec.Meter{mScanR, mTopR})
+			got = runMetered(t, ev, &RowSource{
+				Child: &Metered{Set: msV, M: mTopV, Child: &Project{
+					Ctx: ev.Ctx, Exprs: exprs,
+					Child: &Metered{Set: msV, M: mScanV, Child: &IndexScan{
+						Ctx: ev.Ctx, File: tv.File, Tree: tv.Index(name), Lo: lo, Hi: hi, Filter: pred, BatchSize: batchSize,
+					}},
+				}},
+			}, msV, []*exec.Meter{mScanV, mTopV})
+			out := mScanV.Emitted()
+			fetched := exec.Card{Batches: float64(out.Batches), In: float64(out.Positions), Out: float64(out.Positions)}
+			w := &tally{cm: ev.Ctx.Cost}
+			ChargeFetch(w, fetched, 0)
+			fetched.Out = float64(mScanV.Rows())
+			mat := map[int]bool{}
+			Compile(pred).ChargeFilter(w, fetched, toucher(w, mat, out))
+			checkIndexCharges(t, er, mScanR, mScanV, w, fetched, exec.ExprNodes(pred))
+			arriving := exec.Card{Batches: fetched.Batches, In: fetched.Out}
+			w = &tally{cm: ev.Ctx.Cost}
+			ChargeDispatch(w, arriving)
+			for _, e := range exprs {
+				Compile(e).Charge(w, arriving, toucher(w, mat, out))
+			}
+			checkCharges(t, mTopV, w)
+		case 5:
+			// Index join of the filtered scan to the same table through an
+			// index on a random column (key types may differ: then nothing
+			// matches, on either path), with an optional residual over the
+			// joined row.
+			ra := rand.New(rand.NewSource(exprSeed))
+			probeKey := ra.Intn(5)
+			name := tr.Schema().Columns[ra.Intn(5)].Name
+			var residual exec.Expr
+			if ra.Intn(2) == 0 {
+				residual = randExpr(ra, 1, 10)
+			}
+			er.CreateIndex(tr, name)
+			ev.CreateIndex(tv, name)
+			want = runMetered(t, er, &exec.Metered{Set: msR, M: mTopR, Child: &exec.IndexJoin{
+				Ctx: er.Ctx, Outer: scanR, Inner: tr.File, Index: tr.Index(name), OuterKey: probeKey, Residual: residual,
+			}}, msR, []*exec.Meter{mScanR, mTopR})
+			got = runMetered(t, ev, &RowSource{
+				Child: &Metered{Set: msV, M: mTopV, Child: &IndexJoin{
+					Ctx: ev.Ctx, Probe: scanV, Inner: tv.File, Index: tv.Index(name), ProbeKey: probeKey,
+					Residual: residual, BatchSize: batchSize,
+				}},
+			}, msV, []*exec.Meter{mScanV, mTopV})
+			mat := map[int]bool{}
+			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, mat, 0))
+			// The join looks at the probe batches with something selected: one
+			// key kernel each, over the key column's first touch.
+			in, out := mScanV.Emitted(), mTopV.Emitted()
+			live := exec.Emitted{Batches: in.Live, Positions: in.LivePositions}
+			w := &tally{cm: ev.Ctx.Cost}
+			ChargeDispatch(w, exec.Card{Batches: float64(live.Batches)})
+			toucher(w, mat, live)(probeKey)
+			ChargeJoinProbe(w, exec.Card{In: float64(mScanV.Rows())}, 0)
+			matched := exec.Card{Batches: float64(out.Batches), In: float64(out.Positions), Out: float64(out.Positions)}
+			ChargeFetch(w, matched, 0)
+			ChargeDispatch(w, matched)
+			ChargeJoinGather(w, matched, 1, 1, 0)
+			matched.Out = float64(mTopV.Rows())
+			if residual != nil {
+				Compile(residual).ChargeFilter(w, matched, toucher(w, map[int]bool{}, out))
+			}
+			checkIndexCharges(t, er, mTopR, mTopV, w, matched, exec.ExprNodes(residual))
 		default:
 			ra := rand.New(rand.NewSource(exprSeed))
 			exprs := make([]exec.Expr, ra.Intn(3)+1)

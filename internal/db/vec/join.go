@@ -49,7 +49,7 @@ type HashJoin struct {
 	tableBase uint64
 	tableSize uint64
 	buildBase uint64
-	rowBase   uint64 // scratch address of the assembled-row output buffer
+	rowBase   uint64 // scratch line the assembled-row traffic is charged against
 
 	out   *Batch
 	pairP []int32 // per output position: probe batch position
@@ -130,13 +130,7 @@ func (j *HashJoin) Open() error {
 	j.tableBase = j.Ctx.Arena.Alloc(j.tableSize, memsim.PageSize)
 	j.table = make(map[value.Key][]int32, len(rows))
 
-	chunk := j.BatchSize
-	if chunk <= 0 {
-		chunk = BatchSizeFor(j.Ctx.M.Profile.Mem)
-	}
-	if chunk > MaxBatch {
-		chunk = MaxBatch
-	}
+	chunk := batchWidth(j.Ctx, j.BatchSize)
 	scratch := make([]value.Value, len(j.BuildKey))
 	for lo := 0; lo < len(rows); lo += chunk {
 		hi := lo + chunk
@@ -169,14 +163,13 @@ func (j *HashJoin) Open() error {
 	}
 
 	j.out = NewBatch(j.Ctx.Arena, j.Schema(), chunk)
-	outLines := uint64(RowLines(j.Schema().RowWidth()))
-	j.rowBase = j.Ctx.Arena.Alloc(uint64(chunk)*outLines*memsim.LineSize, memsim.LineSize)
+	j.rowBase = j.Ctx.Arena.Alloc(memsim.LineSize, memsim.LineSize)
 	j.rowBuf = make([]value.Row, chunk)
 	//lint:nopoll bounded by one batch (at most MaxBatch rows), pure allocation
 	for i := range j.rowBuf { //lint:nocharge one-time output-buffer allocation; emitted rows are charged per batch in gather
 		j.rowBuf[i] = make(value.Row, len(j.Schema().Columns))
 	}
-	j.p = newPool(j.Ctx, chunk)
+	j.p = newPool(j.Ctx)
 	if j.Residual != nil {
 		j.residual = Compile(j.Residual)
 	}
@@ -200,7 +193,7 @@ func (j *HashJoin) probeKeys(b *Batch) {
 	for i, c := range j.ProbeKey {
 		j.keyCols[i] = b.Col(j.Ctx, c)
 		if !j.keyCols[i].Const() {
-			j.keyAddrs = append(j.keyAddrs, j.keyCols[i].addr)
+			j.keyAddrs = append(j.keyAddrs, j.keyCols[i].Addr())
 		}
 	}
 	ChargeJoinProbe(j.Ctx, exec.Card{In: float64(n)}, j.keyAddrs...)
@@ -327,8 +320,6 @@ func (j *HashJoin) gather(out *Batch) {
 		j.probe.Row(int(j.pairP[i]), dst[:np])
 		copy(dst[np:], j.buildRows[j.pairB[i]])
 	}
-	out.N = len(j.pairP)
-	out.Sel = nil
 	out.SetRows(j.rowBuf[:len(j.pairP)])
 }
 

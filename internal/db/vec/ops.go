@@ -45,16 +45,10 @@ func (s *Scan) Schema() *catalog.Schema { return s.File.Schema() }
 
 // Open implements Operator.
 func (s *Scan) Open() error {
-	n := s.BatchSize
-	if n <= 0 {
-		n = BatchSizeFor(s.Ctx.M.Profile.Mem)
-	}
-	if n > MaxBatch {
-		n = MaxBatch
-	}
+	n := batchWidth(s.Ctx, s.BatchSize)
 	s.bs = s.File.BatchScan(n)
 	s.b = NewBatch(s.Ctx.Arena, s.Schema(), n)
-	s.p = newPool(s.Ctx, n)
+	s.p = newPool(s.Ctx)
 	if s.Pred != nil {
 		s.pred = Compile(s.Pred)
 	}
@@ -69,22 +63,22 @@ func (s *Scan) Next() (*Batch, error) {
 		return nil, nil
 	}
 	b := s.b
-	b.N = len(rows)
-	b.Sel = nil
 	b.SetRows(rows)
 	// One driver dispatch per batch: the scan's cursor bookkeeping and
 	// batch handoff cost one tuple's worth of interpretation overhead.
 	// Slots invisible to the snapshot arrive as nil holes; drop them via
 	// the selection vector so kernels only see rows this snapshot may read.
 	c := exec.Card{Batches: 1}
+	var sel uint64
 	for _, r := range rows {
 		if r == nil {
 			b.narrowSel(func(i int) bool { return rows[i] != nil })
 			c.Out = float64(b.Len())
+			sel = b.selAddr()
 			break
 		}
 	}
-	ChargeScan(s.Ctx, c, b.selAddr)
+	ChargeScan(s.Ctx, c, sel)
 	if s.pred != nil {
 		s.p.reset()
 		s.pred.filter(s.Ctx, s.p, b)
@@ -110,7 +104,7 @@ func (f *Filter) Schema() *catalog.Schema { return f.Child.Schema() }
 
 // Open implements Operator.
 func (f *Filter) Open() error {
-	f.p = newPool(f.Ctx, MaxBatch)
+	f.p = newPool(f.Ctx)
 	f.pred = Compile(f.Pred)
 	return f.Child.Open()
 }
@@ -167,8 +161,7 @@ func (p *Prune) Next() (*Batch, error) {
 	for i, c := range p.Cols {
 		p.out.Cols[i] = b.Col(p.Ctx, c)
 	}
-	p.out.N = b.N
-	p.out.Sel = b.Sel
+	p.out.N, p.out.Sel, p.out.cap = b.N, b.Sel, b.cap
 	return &p.out, nil
 }
 
@@ -208,7 +201,7 @@ func (p *Project) Schema() *catalog.Schema {
 // Open implements Operator.
 func (p *Project) Open() error {
 	p.out.Cols = make([]*Vector, len(p.Exprs))
-	p.p = newPool(p.Ctx, MaxBatch)
+	p.p = newPool(p.Ctx)
 	p.progs = compileAll(p.Exprs)
 	return p.Child.Open()
 }
@@ -229,8 +222,7 @@ func (p *Project) Next() (*Batch, error) {
 	for i, prog := range p.progs {
 		p.out.Cols[i] = prog.eval(p.Ctx, p.p, b)
 	}
-	p.out.N = b.N
-	p.out.Sel = b.Sel
+	p.out.N, p.out.Sel, p.out.cap = b.N, b.Sel, b.cap
 	return &p.out, nil
 }
 
@@ -303,7 +295,7 @@ func (g *Agg) Open() error {
 	}
 	tableSize := uint64(cap) * aggTableBytes * 2
 	tableBase := g.Ctx.Arena.Alloc(tableSize, memsim.PageSize)
-	g.p = newPool(g.Ctx, MaxBatch)
+	g.p = newPool(g.Ctx)
 	keyProgs := compileAll(g.GroupBy)
 	argProgs := make([]*Prog, len(g.Aggs))
 	for i, a := range g.Aggs {
@@ -386,7 +378,9 @@ func (g *Agg) Open() error {
 		g.groups[i] = out
 	}
 	g.pos = 0
-	g.out = NewBatch(g.Ctx.Arena, g.Schema(), BatchSizeFor(g.Ctx.M.Profile.Mem))
+	// The output batch is no wider than the groups there are to emit: a
+	// handful of groups does not reserve a full batch of vector payload.
+	g.out = NewBatch(g.Ctx.Arena, g.Schema(), max(1, min(len(g.groups), batchWidth(g.Ctx, 0))))
 	return nil
 }
 
@@ -402,7 +396,7 @@ func (g *Agg) Next() (*Batch, error) {
 		n = rem
 	}
 	for j, v := range g.out.Cols {
-		ChargeMaterialize(g.Ctx, exec.Card{Batches: 1, In: float64(n)}, v.addr)
+		ChargeMaterialize(g.Ctx, exec.Card{Batches: 1, In: float64(n)}, v.Addr())
 		for i := 0; i < n; i++ {
 			v.Set(i, g.groups[g.pos+i][j])
 		}

@@ -47,14 +47,8 @@ func (s *Sort) Open() error {
 	}
 	h := s.Ctx.M.Hier
 	ncols := len(s.Child.Schema().Columns)
-	width := s.BatchSize
-	if width <= 0 {
-		width = BatchSizeFor(s.Ctx.M.Profile.Mem)
-	}
-	if width > MaxBatch {
-		width = MaxBatch
-	}
-	s.p = newPool(s.Ctx, MaxBatch)
+	width := batchWidth(s.Ctx, s.BatchSize)
+	s.p = newPool(s.Ctx)
 	s.keyBase = s.Ctx.Arena.Alloc(uint64(MaxBatch)*8*uint64(len(s.Keys)+1), memsim.LineSize)
 	s.rows = s.rows[:0]
 	s.keys = make([][]value.Value, len(s.Keys))
@@ -83,7 +77,7 @@ func (s *Sort) Open() error {
 		s.p.reset()
 		for kc, prog := range progs {
 			kv := prog.eval(s.Ctx, s.p, b)
-			ChargeSortPack(s.Ctx, exec.Card{Batches: 1, In: float64(n)}, kv.addr, kv.Const(), s.keyBase)
+			ChargeSortPack(s.Ctx, exec.Card{Batches: 1, In: float64(n)}, kv.Addr(), kv.Const(), s.keyBase)
 			for k := 0; k < n; k++ {
 				s.keys[kc] = append(s.keys[kc], kv.Get(b.Pos(k)))
 			}
@@ -175,8 +169,6 @@ func (s *Sort) Next() (*Batch, error) {
 	for _, j := range s.idx[s.pos : s.pos+n] {
 		s.chunk = append(s.chunk, s.rows[j])
 	}
-	s.out.N = n
-	s.out.Sel = nil
 	s.out.SetRows(s.chunk)
 	s.pos += n
 	return s.out, nil

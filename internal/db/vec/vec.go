@@ -56,6 +56,16 @@ func BatchSizeFor(cfg memsim.Config) int {
 	return n
 }
 
+// batchWidth resolves an operator's BatchSize field: the override if one is
+// set (benchmarks and tests sweep it), else the width BatchSizeFor derives
+// from the context machine's L1D, never above MaxBatch.
+func batchWidth(ctx *exec.Ctx, override int) int {
+	if override <= 0 {
+		override = BatchSizeFor(ctx.M.Profile.Mem)
+	}
+	return min(override, MaxBatch)
+}
+
 // nullWord locates bit i in a []uint64 bitmap.
 func nullWord(i int) (int, uint64) { return i >> 6, 1 << uint(i&63) }
 
@@ -77,19 +87,16 @@ type Vector struct {
 	isConst bool
 	cv      value.Value
 
-	cap  int
-	addr uint64
+	cap   int
+	arena *memsim.Arena
+	addr  uint64 // zero until Addr draws it
 }
 
-// NewVector allocates a vector of the given capacity, with a simulated
-// payload address drawn from the arena (kernels charge their element traffic
-// against it).
+// NewVector allocates a vector of the given capacity. Its simulated payload
+// address (kernels charge their element traffic against it) is drawn from the
+// arena when it is first asked for.
 func NewVector(arena *memsim.Arena, t value.Type, cap int) *Vector {
-	return &Vector{
-		T:    t,
-		cap:  cap,
-		addr: arena.Alloc(uint64(cap)*16, memsim.LineSize),
-	}
+	return &Vector{T: t, cap: cap, arena: arena}
 }
 
 // NewConst builds a constant (broadcast) vector. It has no payload and no
@@ -102,8 +109,16 @@ func NewConst(v value.Value) *Vector {
 // Const reports whether the vector broadcasts a single value.
 func (v *Vector) Const() bool { return v.isConst }
 
-// Addr returns the simulated payload address.
-func (v *Vector) Addr() uint64 { return v.addr }
+// Addr returns the simulated payload address, drawing it from the arena on
+// first use — the vector's first materialization or first kernel write — so a
+// column of a lazily backed batch that no kernel touches occupies no
+// simulated address space (the arena is never freed). A constant has none.
+func (v *Vector) Addr() uint64 {
+	if v.addr == 0 && !v.isConst {
+		v.addr = v.arena.Alloc(uint64(v.cap)*16, memsim.LineSize)
+	}
+	return v.addr
+}
 
 // IsNull reports whether position i holds NULL.
 func (v *Vector) IsNull(i int) bool {
@@ -233,9 +248,10 @@ type Batch struct {
 	rows []value.Row
 	mat  []bool
 
-	selBuf  []int32
-	selAddr uint64
-	cap     int
+	selBuf []int32
+	sel    uint64 // simulated address of the selection vector, zero until selAddr draws it
+	arena  *memsim.Arena
+	cap    int
 }
 
 // NewBatch allocates a batch for the schema with vectors typed from the
@@ -246,12 +262,18 @@ func NewBatch(arena *memsim.Arena, schema *catalog.Schema, cap int) *Batch {
 	for i, c := range schema.Columns {
 		cols[i] = NewVector(arena, c.Type, cap)
 	}
-	return &Batch{
-		Cols:    cols,
-		selBuf:  make([]int32, 0, cap),
-		selAddr: arena.Alloc(uint64(cap)*4, memsim.LineSize),
-		cap:     cap,
+	return &Batch{Cols: cols, selBuf: make([]int32, 0, cap), arena: arena, cap: cap}
+}
+
+// selAddr returns the simulated address of the selection vector, drawn from
+// the arena the first time a selection store is charged against it. The
+// pass-through batches of Prune and Project have no arena of their own and
+// keep address zero.
+func (b *Batch) selAddr() uint64 {
+	if b.sel == 0 && b.arena != nil {
+		b.sel = b.arena.Alloc(uint64(b.cap)*4, memsim.LineSize)
 	}
+	return b.sel
 }
 
 // Cap returns the batch capacity (positions per vector).
@@ -273,10 +295,13 @@ func (b *Batch) Pos(k int) int {
 	return k
 }
 
-// SetRows points the batch at one raw source batch and marks every column
-// unmaterialized. The slice is only read until the next SetRows call.
+// SetRows points the batch at one raw source batch, every row of it
+// selected, and marks every column unmaterialized. The slice is only read
+// until the next SetRows call.
 func (b *Batch) SetRows(rows []value.Row) {
 	b.rows = rows
+	b.N = len(rows)
+	b.Sel = nil
 	if b.mat == nil {
 		b.mat = make([]bool, len(b.Cols))
 		return
@@ -298,7 +323,7 @@ func (b *Batch) Col(ctx *exec.Ctx, j int) *Vector {
 		return v
 	}
 	b.mat[j] = true
-	ChargeMaterialize(ctx, exec.Card{Batches: 1, In: float64(len(b.rows))}, v.addr)
+	ChargeMaterialize(ctx, exec.Card{Batches: 1, In: float64(len(b.rows))}, v.Addr())
 	for i, row := range b.rows {
 		if row == nil {
 			// Snapshot-invisible hole: never selected, but the vector

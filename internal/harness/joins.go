@@ -22,23 +22,23 @@ const joinDominatedShare = 0.25
 // (one hash kernel per probe batch, bulk key extraction, lazily rows-backed
 // gather) remove the same dispatch-per-row load/store storm.
 //
-// The sweep runs on the PostgreSQL profile: its optimizer hash-joins any
-// build side that fits work_mem, so the batch join actually fires (SQLite's
-// bytecode VM prefers index nested loops, which stay row-at-a-time by
-// design). Every TPC-H SQL query runs twice on identically calibrated
-// machines — optimizer free to vectorize versus the DisableVectorExec knob
-// forcing the row path — and the table reports measured E_active and the
-// L1D+Reg2L1D share for both. Queries whose join operators are predicted to
-// draw at least 25% of plan energy form the join-dominated subset the
-// acceptance targets; their deltas are summarized separately.
+// The sweep runs on the PostgreSQL profile, whose optimizer chooses between
+// the hash join and the index nested loop by predicted energy (SQLite's
+// bytecode VM only has the latter). Every TPC-H SQL query runs twice on
+// identically calibrated machines — optimizer free to vectorize versus the
+// DisableVectorExec knob forcing the row path — and the table reports
+// measured E_active and the L1D+Reg2L1D share for both. Queries whose join
+// operators are predicted to draw at least 25% of plan energy form the
+// join-dominated subset the acceptance targets; their deltas are summarized
+// separately.
 //
-// Because the optimizer's index preference keeps most stock TPC-H joins on
-// the index nested loop, a join lab follows the sweep: the batch hash join
-// and sort are profiled head-to-head against their row twins on TPC-H base
-// tables, where the build side is well past one batch. The run ends with a
-// meter-partition check: a mixed row/vector plan is rebuilt with
-// per-operator meters and the per-operator counter deltas must sum exactly
-// to the statement's ledger delta.
+// Stock TPC-H joins are keyed on indexed columns and mostly plan as index
+// nested loops, batched like the hash join, so a join lab follows the sweep
+// to isolate the hash join and the sort: both are profiled head-to-head
+// against their row twins on TPC-H base tables, where the build side is well
+// past one batch. The run ends with a meter-partition check: the measured Q3
+// plan is rebuilt with per-operator meters and the per-operator counter
+// deltas must sum exactly to the statement's ledger delta.
 func RunExtensionJoin(o Options) (Result, error) {
 	o = o.effective()
 	// The quick subset keeps Q9 — the join-dominated representative the
@@ -87,9 +87,9 @@ func RunExtensionJoin(o Options) (Result, error) {
 
 	text, csv := table("Extension X8: vector join/sort vs forced-row (PostgreSQL, warm buffers)", sw.header, sw.rows)
 	text += "\nnote: stock TPC-H plans on this profile favor index nested-loop joins\n" +
-		"(every join key is indexed) and the surviving hash joins build dimension\n" +
-		"tables smaller than one batch, so the sweep's deltas come mostly from\n" +
-		"vector scans and aggregates; the join lab below isolates the batch join.\n"
+		"(every join key is indexed), which run batch-at-a-time like the hash joins\n" +
+		"over the dimension tables; the join lab below isolates the batch hash join\n" +
+		"and sort on base tables.\n"
 	text += "\n" + labText
 	csv += "\n" + labCSV
 	text += fmt.Sprintf("\nqueries with a vectorized join or sort: %d/%d\n", vectorized, len(sw.pairs))

@@ -1,0 +1,58 @@
+package tpch
+
+import (
+	"fmt"
+	"testing"
+
+	"energydb/internal/cpusim"
+	"energydb/internal/db/engine"
+)
+
+// TestArenaPerStatement pins the simulated address space a statement uses.
+// A worker's arena is never freed and a worker panics when it runs out, so
+// what a statement reserves — vector payloads, hash tables, sort buffers —
+// times the statement rate is how long a server lasts. Over the benchmark's
+// analytic cycle (Q6×3, Q14, Q3×2, Q5×2, Q1×2; PostgreSQL profile, warm), the
+// mean per statement must stay at or under what it was before index access
+// joined the vector chain: 433 760 bytes at 10MB, 300 230 at 100MB (Q6 520 128
+// / 36 800, Q14 32 768 / 32 768, Q3 155 936 / 157 504, Q5 352 032 / 407 824,
+// Q1 864 256 / 864 240). More of each plan runs on vectors now; the budget
+// holds because a vector draws its payload address when it is first
+// materialized or written, expression temporaries are as wide as the batch
+// they are evaluated over, and an aggregate's output batch as wide as its
+// groups.
+func TestArenaPerStatement(t *testing.T) {
+	cycle := []struct{ id, times int }{{6, 3}, {14, 1}, {3, 2}, {5, 2}, {1, 2}}
+	for _, c := range []struct {
+		class SizeClass
+		limit uint64
+	}{{Size10MB, 433760}, {Size100MB, 300230}} {
+		if c.class == Size100MB && testing.Short() {
+			continue
+		}
+		m := cpusim.NewMachine(cpusim.IntelI7_4790())
+		e := engine.New(engine.PostgreSQL, m, engine.SettingBaseline)
+		Setup(e, c.class)
+		var total, stmts uint64
+		for pass := 0; pass < 2; pass++ { // warm, then measure
+			total, stmts = 0, 0
+			for _, s := range cycle {
+				q, err := SQLByID(s.id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := e.Ctx.Arena.Used()
+				planAndDrain(t, e, fmt.Sprintf("Q%d", s.id), q.Text)
+				used := e.Ctx.Arena.Used() - before
+				t.Logf("%s Q%d: %d bytes", c.class, s.id, used)
+				total += used * uint64(s.times)
+				stmts += uint64(s.times)
+			}
+		}
+		if mean := total / stmts; mean > c.limit {
+			t.Errorf("%s: %d bytes of arena per statement over the analytic cycle, at most %d before", c.class, mean, c.limit)
+		} else {
+			t.Logf("%s: %d bytes per statement (limit %d)", c.class, mean, c.limit)
+		}
+	}
+}

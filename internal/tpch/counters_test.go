@@ -77,25 +77,31 @@ func TestRecordedCounters(t *testing.T) {
 					label, text = fmt.Sprintf("q%d", id), q.Text
 				}
 				before := e.M.Hier.Counters()
-				stmt, err := sql.Parse(text)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				p, err := plan.Prepare(e, stmt)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				op, err := p.Build()
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if _, err := exec.Drain(op); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
+				planAndDrain(t, e, label, text)
 				fmt.Fprintf(&b, "%s %+v\n", label, e.M.Hier.Counters().Sub(before))
 			}
 			compareRecorded(t, name, b.String())
 		})
+	}
+}
+
+// planAndDrain parses, plans, builds and drains one statement on e.
+func planAndDrain(t *testing.T, e *engine.Engine, label, text string) {
+	t.Helper()
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	p, err := plan.Prepare(e, stmt)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	op, err := p.Build()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if _, err := exec.Drain(op); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
