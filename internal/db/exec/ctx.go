@@ -68,9 +68,7 @@ type Ctx struct {
 	hot     uint64
 	hotIdx  uint64
 	slotOff uint64
-	// tuples counts the checkpoints passed under the flag in polled.
-	tuples uint64
-	polled *atomic.Bool
+	tuples  uint64
 }
 
 // yieldEvery is how many tuple checkpoints pass between scheduler yields
@@ -78,10 +76,10 @@ type Ctx struct {
 // GOMAXPROCS=1 host a statement could otherwise outrun the watchdog timer
 // (Go only delivers expired timers when the scheduler runs); an occasional
 // Gosched bounds cancellation latency to a few thousand tuples on any host
-// at negligible cost. The first checkpoint under a newly armed flag yields
-// as well: a batch plan may pass only a few hundred checkpoints in all, and
-// a watchdog that has already expired must not depend on another processor
-// being free to deliver it.
+// at negligible cost. The count runs across statements, so a batch plan that
+// passes only a few hundred checkpoints in all may never yield: a timeout
+// that has passed before its statement starts is raised where the watchdog
+// is armed (stmt.Session), not here.
 const yieldEvery = 4096
 
 // checkpoint observes the cancel flag on behalf of n tuples' worth of work
@@ -90,15 +88,11 @@ func (c *Ctx) checkpoint(n uint64) {
 	if c.Cancel == nil {
 		return
 	}
-	if c.Cancel != c.polled {
-		c.polled, c.tuples = c.Cancel, 0
-	}
-	if c.tuples%yieldEvery < n {
-		runtime.Gosched()
-	}
-	c.tuples += n
 	if c.Cancel.Load() {
 		panic(canceledPanic{})
+	}
+	if c.tuples += n; c.tuples%yieldEvery < n {
+		runtime.Gosched()
 	}
 }
 

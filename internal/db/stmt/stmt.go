@@ -241,13 +241,20 @@ func (s *Session) Exec(st *Stmt) ([]Record, Result, error) {
 // guarded runs fn with a fresh cancel flag wired into the executor and, when
 // a timeout is set, a watchdog that raises it. The flag is per statement, so
 // a watchdog that fires late flips a flag no longer wired to anything and
-// can never poison a later statement.
+// can never poison a later statement. Go delivers an expired timer when the
+// scheduler next runs, which a short batch plan need not wait for (see
+// exec.Ctx's yield cadence), so a timeout that has already passed once the
+// watchdog is armed is raised here and cancels fn at its first checkpoint.
 func (s *Session) guarded(fn func()) {
 	cancel := new(atomic.Bool)
 	s.Eng.Ctx.Cancel = cancel
 	defer func() { s.Eng.Ctx.Cancel = nil }()
 	if s.Timeout > 0 {
+		armed := time.Now()
 		defer time.AfterFunc(s.Timeout, func() { cancel.Store(true) }).Stop()
+		if time.Since(armed) >= s.Timeout {
+			cancel.Store(true)
+		}
 	}
 	fn()
 }
