@@ -151,16 +151,19 @@ bench-join:
 
 # The simulated substrate's host cost (root bench_test.go): the hierarchy
 # walk on an L1D hit, a never-hitting stream, a cache-resident scan and random
-# DRAM loads, the calibration every boot pays, and the index build every load
-# pays. These are the numbers a memsim or btree change reports before and
-# after; CI runs them once each to keep them compiling and finishing.
+# DRAM loads, the calibration every boot pays (BenchmarkCalibration/boot; most
+# of the benchmark's setup_s on the resident workloads), and the index build
+# every load pays. These are the numbers a memsim or btree change reports
+# before and after; CI runs them once each to keep them compiling and
+# finishing.
 bench-substrate:
 	$(GO) test -run xxx -bench 'BenchmarkHierarchy|BenchmarkCalibration|BenchmarkCreateIndex' -benchtime $(BENCHTIME) .
 
 # Short fuzz pass over every fuzz target: the SQL parser (raw client text),
 # the planner pipeline (parse → optimize → build → execute), the row-versus-
-# vector differential executor, both wire-protocol surfaces, and the cache
-# hierarchy against its reference model. FUZZTIME is overridable for CI smoke
+# vector differential executor, both wire-protocol surfaces, the cache
+# hierarchy against its reference model, and the state equivalence that
+# calibration's credited passes rest on. FUZZTIME is overridable for CI smoke
 # runs.
 FUZZTIME ?= 30s
 
@@ -170,4 +173,5 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzVecExec -fuzztime $(FUZZTIME) ./internal/db/vec/
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/server/wire/
 	$(GO) test -run xxx -fuzz FuzzQueryRoundTrip -fuzztime $(FUZZTIME) ./internal/server/wire/
-	$(GO) test -run xxx -fuzz FuzzHierarchy -fuzztime $(FUZZTIME) ./internal/memsim/
+	$(GO) test -run xxx -fuzz '^FuzzHierarchy$$' -fuzztime $(FUZZTIME) ./internal/memsim/
+	$(GO) test -run xxx -fuzz '^FuzzHierarchyState$$' -fuzztime $(FUZZTIME) ./internal/memsim/

@@ -17,7 +17,6 @@ import (
 	"energydb/internal/db/engine"
 	"energydb/internal/harness"
 	"energydb/internal/memsim"
-	"energydb/internal/mubench"
 	"energydb/internal/rapl"
 	"energydb/internal/tcm"
 	"energydb/internal/tpch"
@@ -108,17 +107,26 @@ func BenchmarkHierarchyLoadRandomDRAM(b *testing.B) {
 	}
 }
 
+// BenchmarkCalibration/boot is what server.New, dbshell and the benchmark's
+// set-up pay before the first statement: pass counts at scale 0.1, five
+// sessions per micro-benchmark. /single-pass runs every micro-benchmark's
+// warmup and one session of its fewest passes: nothing in it repeats, so it
+// is the cost of the walks themselves.
 func BenchmarkCalibration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := cpusim.NewMachine(cpusim.IntelI7_4790())
-		meter := rapl.NewMeter(m, 1, 0)
-		r := mubench.NewRunner(m, meter)
-		r.Scale = 0.02
-		r.Repetitions = 1
-		if _, err := core.Calibrate(r); err != nil {
-			b.Fatal(err)
+	b.Run("boot", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.NewStack(cpusim.PStateMax, 1, 0, 0.1, 0); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("single-pass", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.NewStack(cpusim.PStateMax, 1, 0, 0.02, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkCreateIndex builds the lineitem l_orderkey index of the 100MB

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"energydb/internal/cpusim"
@@ -230,5 +231,47 @@ func TestComponentString(t *testing.T) {
 	}
 	if Component(99).String() != "unknown" {
 		t.Fatal("out-of-range component should be unknown")
+	}
+}
+
+// TestCalibrationBitIdentical: a calibration whose repeated passes are
+// credited (mubench's steady-state accounting) is the calibration that walks
+// every pass, bit for bit, and leaves the same machine behind. The walked
+// side installs a recorder that drops its events, which is what makes
+// mubench walk every pass. (mubench's own differential test covers VMBS, the
+// other scales and the ARM profile; this one ties the solve to it.)
+func TestCalibrationBitIdentical(t *testing.T) {
+	for _, p := range []cpusim.PState{cpusim.PStateMax, cpusim.PStateMin} {
+		stack := func(walkEveryPass bool) (*Calibration, *cpusim.Machine) {
+			m := cpusim.NewMachine(cpusim.IntelI7_4790())
+			if err := m.SetPState(p); err != nil {
+				t.Fatal(err)
+			}
+			if walkEveryPass {
+				m.Hier.SetRecorder(func(memsim.AccessKind, uint64, uint64) {})
+			}
+			r := mubench.NewRunner(m, rapl.NewMeter(m, 42, rapl.DefaultNoise))
+			r.Scale = 0.1 // what server.New, dbshell and the benchmark boot with
+			cal, err := Calibrate(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cal, m
+		}
+		cal, m := stack(false)
+		wantCal, wantM := stack(true)
+		if !reflect.DeepEqual(cal, wantCal) {
+			t.Errorf("%v: calibration (results included) differs: ΔE\n  got %+v\n want %+v", p, cal.DeltaE, wantCal.DeltaE)
+		}
+		if g, w := m.Hier.Counters(), wantM.Hier.Counters(); g != w {
+			t.Errorf("%v: counters\n  got %+v\n want %+v", p, g, w)
+		}
+		if m.ActiveEnergy() != wantM.ActiveEnergy() || m.WallSeconds() != wantM.WallSeconds() {
+			t.Errorf("%v: energy %+v over %v s, walked %+v over %v s", p,
+				m.ActiveEnergy(), m.WallSeconds(), wantM.ActiveEnergy(), wantM.WallSeconds())
+		}
+		if !m.Hier.State().Equal(wantM.Hier.State()) {
+			t.Errorf("%v: hierarchy state differs from the walked one", p)
+		}
 	}
 }

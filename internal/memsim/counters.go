@@ -77,6 +77,17 @@ func (c Counters) Instructions() uint64 {
 	return c.Loads + c.Stores + c.AddOps + c.NopOps + c.OtherOps
 }
 
+// MemorySide returns c less everything Exec put into it: the non-memory
+// instruction counts and the issue slots they occupied. Exec is the only
+// source of AddOps, NopOps and OtherOps and moves nothing else but those
+// slots, so the loads, stores and prefetches of the same window account for
+// exactly what is left.
+func (c Counters) MemorySide() Counters {
+	c.IssueSlots -= execSlots(c.AddOps, InstrAdd) + execSlots(c.NopOps, InstrNop) + execSlots(c.OtherOps, InstrOther)
+	c.AddOps, c.NopOps, c.OtherOps = 0, 0, 0
+	return c
+}
+
 // BusyCycles returns the non-stalled cycle count implied by issue-slot
 // accounting.
 func (c Counters) BusyCycles() uint64 {

@@ -95,6 +95,9 @@ type Hierarchy struct {
 // SetRecorder installs (or removes, with nil) an access recorder.
 func (h *Hierarchy) SetRecorder(r Recorder) { h.rec = r }
 
+// Recorder returns the installed access recorder, nil when there is none.
+func (h *Hierarchy) Recorder() Recorder { return h.rec }
+
 // NewLike returns a fresh, cold hierarchy with the same configuration: the
 // cache geometry, prefetch setting, TCM window and (frequency-scaled) memory
 // latency are replicated, while caches start empty and PMU counters at zero.
@@ -388,13 +391,23 @@ func (h *Hierarchy) Exec(n uint64, kind InstrKind) {
 	switch kind {
 	case InstrAdd:
 		h.ctr.AddOps += n
-		h.ctr.IssueSlots += n * (issueLCM / addIssueWidth)
 	case InstrNop:
 		h.ctr.NopOps += n
-		h.ctr.IssueSlots += n * (issueLCM / nopIssueWidth)
 	default:
 		h.ctr.OtherOps += n
-		h.ctr.IssueSlots += n * (issueLCM / otherIssueWidth)
+	}
+	h.ctr.IssueSlots += execSlots(n, kind)
+}
+
+// execSlots is the issue slots n non-memory instructions of a kind occupy.
+func execSlots(n uint64, kind InstrKind) uint64 {
+	switch kind {
+	case InstrAdd:
+		return n * (issueLCM / addIssueWidth)
+	case InstrNop:
+		return n * (issueLCM / nopIssueWidth)
+	default:
+		return n * (issueLCM / otherIssueWidth)
 	}
 }
 

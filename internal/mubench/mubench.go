@@ -201,11 +201,20 @@ func NewRunner(m *cpusim.Machine, meter *rapl.Meter) *Runner {
 }
 
 // Run executes one micro-benchmark: cold reset, prefetcher off, one warmup
-// pass, then Repetitions measured sessions whose energies are averaged.
+// pass, then Repetitions measured sessions whose energies are averaged. Once
+// the passes repeat themselves they are accounted instead of walked
+// (walker.step); the Result and the machine's counters, time and energy are
+// those of walking every pass.
 func (r *Runner) Run(s Spec) Result {
 	r.M.Hier.ResetCaches()
 	r.M.Hier.SetPrefetchEnabled(false)
+	return r.measure(newWalker(r.M.Hier, s))
+}
 
+// measure runs the warmup pass and the measured sessions of w's benchmark on
+// the hierarchy as it stands.
+func (r *Runner) measure(w *walker) Result {
+	s := w.s
 	passes := s.Passes
 	if r.Scale > 0 && r.Scale != 1 {
 		passes = int(float64(passes) * r.Scale)
@@ -218,8 +227,7 @@ func (r *Runner) Run(s Spec) Result {
 		reps = 1
 	}
 
-	w := newWalker(r.M.Hier, s)
-	w.pass() // warmup: populate the target layer
+	w.warmup()
 
 	var busy, seconds float64
 	var delta memsim.Counters
@@ -227,7 +235,7 @@ func (r *Runner) Run(s Spec) Result {
 		startCtr := r.M.Hier.Counters()
 		sess := r.Meter.Begin()
 		for i := 0; i < passes; i++ {
-			w.pass()
+			w.step()
 		}
 		meas := sess.End()
 		if rep == 0 {
@@ -294,7 +302,24 @@ type walker struct {
 	// overhead accumulates fractional loop-control instructions.
 	overhead      float64
 	overheadSlope float64
+
+	// Steady-state accounting, see step.
+	walked int             // passes walked through the hierarchy; tests pin the saving on it
+	checks int             // walked passes compared with the state they began in
+	from   memsim.State    // where the last walked pass ended
+	steady bool            // a compared pass ended where it began
+	mem    memsim.Counters // what the memory accesses of that pass counted
 }
+
+// steadyChecks is how many passes after the warmup step compares before it
+// stops looking for a steady state and walks the rest. Every benchmark of MBS
+// and VMBS settles at the first comparison, on either machine profile: the
+// warmup leaves each level holding the tail of the pass in access order, and
+// so does every pass after it. A working set whose lower levels first see a
+// pass filtered by the hits above them in the pass after the warmup would
+// settle at the second. The third bounds what a run that never settles pays
+// in snapshots; it is not a setting.
+const steadyChecks = 3
 
 func newWalker(h *memsim.Hierarchy, s Spec) *walker {
 	w := &walker{h: h, s: s, overheadSlope: float64(s.OverheadPerKiloOp) / 1000}
@@ -347,24 +372,77 @@ func abs(x int) int {
 	return x
 }
 
-// pass runs one full traversal.
-func (w *walker) pass() {
+// warmup walks the first pass, which populates the target layer, and notes
+// the state it leaves for step to compare the next pass against.
+func (w *walker) warmup() {
+	w.pass(true)
+	w.from = w.h.State()
+}
+
+// step runs one measured pass. Every pass of a benchmark issues the same
+// loads and stores in the same order, so once a pass ends in a hierarchy
+// state equal to the one it began in (memsim.State), each later pass would
+// return the same levels, count the same events and end in that state again.
+// From then on step does not walk the pass: it issues the instructions
+// between the memory accesses, whose loop overhead carries a fraction from
+// pass to pass and so is stepped as the walk steps it, and credits what the
+// memory accesses of the compared pass counted. The counters after every
+// pass, and with them the machine's time and energy, are those of the walk.
+func (w *walker) step() {
+	if w.h.Recorder() != nil {
+		// The events are what the recorder's owner is after: this pass
+		// and, the chain of compared states now broken, every later
+		// one is walked.
+		w.steady, w.checks = false, steadyChecks
+	}
+	switch {
+	case w.steady:
+		w.pass(false)
+		w.h.Credit(w.mem)
+	case w.checks == steadyChecks:
+		w.pass(true)
+	default:
+		before := w.h.Counters()
+		w.pass(true)
+		w.checks++
+		if after := w.h.State(); after.Equal(w.from) {
+			w.steady = true
+			w.mem = w.h.Counters().Sub(before).MemorySide()
+			w.from = memsim.State{}
+		} else {
+			w.from = after
+		}
+	}
+}
+
+// pass runs one full traversal, through the hierarchy when walk is set and
+// otherwise with its loads and stores left out.
+func (w *walker) pass(walk bool) {
 	s := w.s
+	if walk {
+		w.walked++
+	}
 	switch s.Style {
 	case StyleArray:
 		for _, idx := range w.order {
-			w.h.Load(w.base+uint64(idx)*memsim.LineSize, false)
+			if walk {
+				w.h.Load(w.base+uint64(idx)*memsim.LineSize, false)
+			}
 			w.interleave()
 		}
 	case StyleList, StyleRandomList:
 		for _, idx := range w.order {
-			w.h.Load(w.base+uint64(idx)*memsim.LineSize, true)
+			if walk {
+				w.h.Load(w.base+uint64(idx)*memsim.LineSize, true)
+			}
 			w.interleave()
 		}
 	case StyleStoreVar:
 		n := s.DesiredOps()
 		for i := uint64(0); i < n; i++ {
-			w.h.Store(w.base)
+			if walk {
+				w.h.Store(w.base)
+			}
 			w.interleave()
 		}
 	case StyleExec:
@@ -375,8 +453,10 @@ func (w *walker) pass() {
 		// wraps around.
 		n := len(w.order2)
 		for i := 0; i < n; i++ {
-			w.h.Load(w.base+uint64(w.order[i%len(w.order)])*memsim.LineSize, true)
-			w.h.Load(w.base2+uint64(w.order2[i])*memsim.LineSize, true)
+			if walk {
+				w.h.Load(w.base+uint64(w.order[i%len(w.order)])*memsim.LineSize, true)
+				w.h.Load(w.base2+uint64(w.order2[i])*memsim.LineSize, true)
+			}
 			w.interleave()
 			w.interleave()
 		}

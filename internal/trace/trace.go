@@ -46,13 +46,19 @@ func (t *Trace) Ops() uint64 {
 }
 
 // Capture runs fn with a recorder installed on the machine's hierarchy and
-// returns the trace. Any prior recorder is restored afterwards.
+// returns the trace. A recorder already installed keeps receiving every
+// event and is left installed afterwards, so a capture inside a recorded
+// region takes nothing from the outer recording.
 func Capture(m *cpusim.Machine, fn func()) *Trace {
 	t := &Trace{}
+	outer := m.Hier.Recorder()
+	defer m.Hier.SetRecorder(outer)
 	m.Hier.SetRecorder(func(kind memsim.AccessKind, addr, n uint64) {
 		t.Events = append(t.Events, Event{Kind: kind, Addr: addr, N: n})
+		if outer != nil {
+			outer(kind, addr, n)
+		}
 	})
-	defer m.Hier.SetRecorder(nil)
 	fn()
 	return t
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"energydb/internal/cpusim"
@@ -44,6 +45,32 @@ func TestCaptureStopsAfterReturn(t *testing.T) {
 	m.Hier.Load(0x80, false) // outside the capture window
 	if tr.Len() != n {
 		t.Fatal("recorder still active after Capture returned")
+	}
+}
+
+// TestNestedCapture: a capture inside a capture records its own window, and
+// the outer one misses nothing — neither the inner window nor what follows it.
+func TestNestedCapture(t *testing.T) {
+	m := cpusim.NewMachine(cpusim.IntelI7_4790())
+	var inner *Trace
+	outer := Capture(m, func() {
+		m.Hier.Load(0x40, false)
+		inner = Capture(m, func() { driveMixed(m) })
+		m.Hier.Store(0x80)
+	})
+	m2 := cpusim.NewMachine(cpusim.IntelI7_4790())
+	want := Capture(m2, func() { driveMixed(m2) })
+	if !reflect.DeepEqual(inner.Events, want.Events) {
+		t.Fatalf("inner capture recorded %d events, want the %d of its window", inner.Len(), want.Len())
+	}
+	if got := outer.Len(); got != 1+want.Len()+1 {
+		t.Fatalf("outer capture recorded %d events, want %d", got, 1+want.Len()+1)
+	}
+	if last := outer.Events[outer.Len()-1]; last.Kind != memsim.AccessStore || last.Addr != 0x80 {
+		t.Fatalf("outer capture ends with %+v, want the store after the inner capture", last)
+	}
+	if m.Hier.Recorder() != nil {
+		t.Fatal("a recorder is left installed after the outermost capture")
 	}
 }
 
