@@ -152,19 +152,21 @@ bench-join:
 # The simulated substrate's host cost (root bench_test.go): the hierarchy
 # walk on an L1D hit, a never-hitting stream, a cache-resident scan and random
 # DRAM loads, the calibration every boot pays (BenchmarkCalibration/boot; most
-# of the benchmark's setup_s on the resident workloads), and the index build
-# every load pays. These are the numbers a memsim or btree change reports
-# before and after; CI runs them once each to keep them compiling and
-# finishing.
+# of the benchmark's setup_s on the resident workloads), the index build
+# every load pays, and the ANALYZE pass a planner pays when a table's
+# statistics have gone stale (internal/db/engine). These are the numbers a
+# memsim, btree or statistics change reports before and after; CI runs them
+# once each to keep them compiling and finishing.
 bench-substrate:
 	$(GO) test -run xxx -bench 'BenchmarkHierarchy|BenchmarkCalibration|BenchmarkCreateIndex' -benchtime $(BENCHTIME) .
+	$(GO) test -run xxx -bench BenchmarkAnalyze -benchtime $(BENCHTIME) ./internal/db/engine/
 
 # Short fuzz pass over every fuzz target: the SQL parser (raw client text),
 # the planner pipeline (parse → optimize → build → execute), the row-versus-
 # vector differential executor, both wire-protocol surfaces, the cache
-# hierarchy against its reference model, and the state equivalence that
-# calibration's credited passes rest on. FUZZTIME is overridable for CI smoke
-# runs.
+# hierarchy against its reference model, the state equivalence that
+# calibration's credited passes rest on, and the B+tree's insert/delete/seek
+# against a sorted-slice model. FUZZTIME is overridable for CI smoke runs.
 FUZZTIME ?= 30s
 
 fuzz:
@@ -175,3 +177,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzQueryRoundTrip -fuzztime $(FUZZTIME) ./internal/server/wire/
 	$(GO) test -run xxx -fuzz '^FuzzHierarchy$$' -fuzztime $(FUZZTIME) ./internal/memsim/
 	$(GO) test -run xxx -fuzz '^FuzzHierarchyState$$' -fuzztime $(FUZZTIME) ./internal/memsim/
+	$(GO) test -run xxx -fuzz FuzzBtreeDelete -fuzztime $(FUZZTIME) ./internal/db/btree/

@@ -81,7 +81,7 @@ func main() {
 			approx++
 		}
 	}
-	fmt.Printf(`Ready. End statements with a newline; EXPLAIN [ENERGY] <select> shows the optimizer's plan (ENERGY: measured per-operator attribution); INSERT/UPDATE/DELETE write under snapshot isolation; \begin \commit \rollback (or SQL BEGIN/COMMIT/ROLLBACK) control transactions; \q<N> runs the SQL text of TPC-H query N (%d of the %d texts approximate their query where the grammar falls short; the shell says how); \tables lists tables; \connect <addr> goes remote; \stats shows server observability (remote); \quit exits.`+"\n", approx, len(texts))
+	fmt.Printf(`Ready. End statements with a newline; EXPLAIN [ENERGY] <select|update|delete> shows the optimizer's plan (ENERGY: runs it and shows the measured per-operator attribution); INSERT/UPDATE/DELETE write under snapshot isolation; \begin \commit \rollback (or SQL BEGIN/COMMIT/ROLLBACK) control transactions; \q<N> runs the SQL text of TPC-H query N (%d of the %d texts approximate their query where the grammar falls short; the shell says how); \tables lists tables; \connect <addr> goes remote; \stats shows server observability (remote); \quit exits.`+"\n", approx, len(texts))
 
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
@@ -334,6 +334,20 @@ func (sh *shell) stats() {
 		s.Queries, s.EActiveJ, s.EBusyJ, s.EBackgroundJ, s.Seconds, s.L1DShare*100)
 	fmt.Printf("txns: %d active, %d started, %d committed, %d aborted\n",
 		s.TxnsActive, s.TxnsStarted, s.TxnsCommitted, s.TxnsAborted)
+	var analyzes []string
+	gauge := make(map[string]float64)
+	for _, f := range s.Metrics.Families {
+		for _, m := range f.Metrics {
+			if f.Name == "energyd_analyze_total" && m.Value > 0 {
+				analyzes = append(analyzes, fmt.Sprintf("%s=%.0f", m.Labels[0].Value, m.Value))
+			}
+			gauge[f.Name] = m.Value
+		}
+	}
+	fmt.Printf("reclaim: oldest snapshot %.0f commits behind, %.0f versions pruned, %.0f dead rows reaped (%.0f pending), log holds %.0f records after %.0f checkpoints, analyze: %s\n",
+		gauge["energyd_oldest_snapshot_lag"], gauge["energyd_versions_pruned_total"],
+		gauge["energyd_dead_rows_reaped_total"], gauge["energyd_dead_rows_pending"],
+		gauge["energyd_wal_retained_records"], gauge["energyd_wal_checkpoints_total"], strings.Join(analyzes, " "))
 	fmt.Print("components:")
 	for _, c := range core.Components() {
 		fmt.Printf(" %s=%.4gJ", c, s.ComponentJoules[c.String()])

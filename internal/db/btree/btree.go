@@ -17,7 +17,7 @@
 //
 // Concurrency is copy-on-write by generation. Every node is stamped with the
 // generation it was made in, and the tree's generation advances at the first
-// Insert after any reader captured the root. Insert writes a node of the
+// Insert or Delete after any reader captured the root. Insert writes a node of the
 // current generation in place — no reader can hold it, since none has looked
 // since it was made — and clones any older node it has to modify (reusing the
 // node's simulated address, so the energy stream is identical to an in-place
@@ -162,6 +162,16 @@ func (t *Tree) Height() int {
 // Order returns the node fanout.
 func (t *Tree) Order() int { return t.s.order }
 
+// beginWrite starts a structural change: if a reader has captured the root
+// since the last one, everything reachable from it is now immutable and the
+// change belongs to a new generation. The caller holds mu.
+func (s *shared) beginWrite() {
+	if s.read.Load() {
+		s.read.Store(false)
+		s.gen++
+	}
+}
+
 // Insert adds (key, rowID). Keys may repeat; entries with equal keys are
 // kept in insertion order. The simulated descent and node writes are issued
 // against the inserting view's hierarchy; structurally the insert copies
@@ -170,10 +180,7 @@ func (t *Tree) Order() int { return t.s.order }
 func (t *Tree) Insert(key value.Value, rowID int) {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
-	if t.s.read.Load() {
-		t.s.read.Store(false)
-		t.s.gen++
-	}
+	t.s.beginWrite()
 	t.s.size++
 	root, split, sep := t.insert(t.s.root, key, rowID)
 	if split != nil {
@@ -191,10 +198,7 @@ func (t *Tree) Insert(key value.Value, rowID int) {
 // with (key, rowID) added, plus a split sibling when it overflowed.
 func (t *Tree) insert(n *node, key value.Value, rowID int) (*node, *node, value.Value) {
 	t.touchNode(n, len(n.keys))
-	c := n
-	if n.gen != t.s.gen {
-		c = n.clone(t.s.gen)
-	}
+	c := t.mutable(n)
 	if c.leaf {
 		idx := sort.Search(len(c.keys), func(i int) bool {
 			return value.Compare(c.keys[i], key) > 0
@@ -247,6 +251,70 @@ func (t *Tree) splitInterior(n *node) (*node, value.Value) {
 	n.kids = n.kids[:mid+1]
 	t.h.StoreRange(right.addr, uint64(nodeHeaderBytes+len(right.keys)*entryBytes))
 	return right, sep
+}
+
+// Delete removes the entry (key, rowID) and reports whether it was there.
+// Like Insert it descends on the deleting view's hierarchy and copies, by
+// generation, the root-to-leaf path a reader may hold, so an iterator keeps
+// the snapshot it captured. Leaves are never merged: one that loses its last
+// entry stays in place, empty (iterators step over it) and without its entry
+// arrays. Equal keys may straddle a separator, so the search tries every
+// child that can hold key, leftmost first.
+func (t *Tree) Delete(key value.Value, rowID int) bool {
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	t.s.beginWrite()
+	root, found := t.delete(t.s.root, key, rowID)
+	if found {
+		t.s.root = root
+		t.s.size--
+	}
+	return found
+}
+
+// delete returns n, or its clone when n predates the current generation,
+// without (key, rowID), and whether the entry was found below n.
+func (t *Tree) delete(n *node, key value.Value, rowID int) (*node, bool) {
+	t.touchNode(n, len(n.keys))
+	i := sort.Search(len(n.keys), func(i int) bool {
+		return value.Compare(n.keys[i], key) >= 0
+	})
+	if n.leaf {
+		for ; i < len(n.keys) && value.Compare(n.keys[i], key) == 0; i++ {
+			if n.rowIDs[i] != rowID {
+				t.h.Load(n.addr+uint64(nodeHeaderBytes+i*entryBytes), false)
+				continue
+			}
+			c := t.mutable(n)
+			c.keys = append(c.keys[:i], c.keys[i+1:]...)
+			c.rowIDs = append(c.rowIDs[:i], c.rowIDs[i+1:]...)
+			if len(c.keys) == 0 {
+				c.keys, c.rowIDs = nil, nil
+			}
+			t.h.StoreRange(c.addr+uint64(nodeHeaderBytes+i*entryBytes), entryBytes)
+			return c, true
+		}
+		return n, false
+	}
+	for ; i < len(n.kids); i++ {
+		if kid, found := t.delete(n.kids[i], key, rowID); found {
+			c := t.mutable(n)
+			c.kids[i] = kid
+			return c, true
+		}
+		if i == len(n.keys) || value.Compare(n.keys[i], key) > 0 {
+			break
+		}
+	}
+	return n, false
+}
+
+// mutable returns n if it belongs to the current generation, else its clone.
+func (t *Tree) mutable(n *node) *node {
+	if n.gen != t.s.gen {
+		return n.clone(t.s.gen)
+	}
+	return n
 }
 
 // touchNode simulates reading a node during a descent: a dependent load of
@@ -317,6 +385,9 @@ func (t *Tree) First() *Iter {
 	}
 	t.touchNode(n, len(n.keys))
 	it.n = n
+	for it.n != nil && len(it.n.keys) == 0 {
+		it.advanceLeaf()
+	}
 	return it
 }
 

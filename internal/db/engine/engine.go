@@ -33,10 +33,18 @@
 // block readers; write-write conflicts abort the second writer
 // (first-updater-wins, txn.ErrWriteConflict).
 //
+// Every snapshot a view reads under is registered with the transaction
+// manager, which is what lets writers reclaim what no snapshot can reach
+// (package storage, "Reclamation"): a transaction's by Begin, a view's read
+// snapshot by Unbind/BeginRead, which swap the view's one registration for a
+// fresh one. Bind drops it (the transaction's covers the view) and EndRead
+// drops it when the statement is over, so an idle view pins nothing.
+//
 // Shared.mu is catalog-scoped only: it guards the tables map (CreateTable,
 // CreateIndex, Table lookups), never statement execution. Lock order across
-// the stack is engine (Shared.mu) → txn (Manager.commitMu) → storage
-// (TableData.mu) → btree (tree shared mu); no layer calls back up.
+// the stack is engine (Shared.mu) → txn (the Manager's commit and registry
+// mutexes) → storage (TableData.mu) → btree (tree shared mu); no layer calls
+// back up.
 //
 // An individual Engine is still NOT goroutine-safe: one worker owns it, and
 // all access to it (plan building, execution, transaction binding,
@@ -55,6 +63,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"energydb/internal/cpusim"
 	"energydb/internal/db/btree"
@@ -276,6 +285,8 @@ type sharedTable struct {
 	// statistics computes them for everyone.
 	statsMu sync.Mutex
 	stats   *catalog.TableStats
+	// analyzes counts the ANALYZE passes the cache above has cost.
+	analyzes atomic.Uint64
 }
 
 // Shared is the table store of one database instance: everything that is
@@ -312,6 +323,48 @@ func NewShared(kind Kind, setting Setting) *Shared {
 	}
 }
 
+// StoreStats is what a store's writers have left behind, have reclaimed and
+// still retain: the state of the machinery that keeps a long-running store
+// bounded, for gauges.
+type StoreStats struct {
+	// OldestSnapshotLag is how many commits the oldest registered snapshot
+	// is behind the horizon: what holds reclamation back.
+	OldestSnapshotLag uint64
+	// VersionsPruned, DeadRowsReaped and DeadRowsPending sum the tables'
+	// storage.ReclaimStats.
+	VersionsPruned  uint64
+	DeadRowsReaped  uint64
+	DeadRowsPending int
+	// WALRetained is the number of records the log holds; WALCheckpoints
+	// how often it has been recycled.
+	WALRetained    int
+	WALCheckpoints uint64
+	// Analyzes counts the ANALYZE passes per table.
+	Analyzes map[string]uint64
+}
+
+// Stats reads the store's reclamation state (each figure atomically; the set
+// is advisory).
+func (sh *Shared) Stats() StoreStats {
+	oldest := sh.Txns.Oldest() // before the horizon, which only moves on
+	st := StoreStats{
+		OldestSnapshotLag: sh.Txns.Horizon() - oldest,
+		WALRetained:       sh.Wal.Retained(),
+		WALCheckpoints:    sh.Wal.Checkpoints.Load(),
+		Analyzes:          make(map[string]uint64),
+	}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for name, t := range sh.tables {
+		r := t.data.Reclaimed()
+		st.VersionsPruned += r.VersionsPruned
+		st.DeadRowsReaped += r.DeadRowsReaped
+		st.DeadRowsPending += r.DeadRowsPending
+		st.Analyzes[name] = t.analyzes.Load()
+	}
+	return st
+}
+
 // TableCount returns the number of tables in the store.
 func (sh *Shared) TableCount() int {
 	sh.mu.RLock()
@@ -337,6 +390,9 @@ type Engine struct {
 	// autocommit mode. While bound, the device snapshot is pinned to the
 	// transaction's snapshot (repeatable reads + read-own-writes).
 	tx *txn.Txn
+	// reading says Dev.Snap is a read snapshot this view has registered
+	// with the transaction manager and not yet released.
+	reading bool
 }
 
 // arenaBytes is the per-engine simulated address space (buffers, indexes,
@@ -382,16 +438,31 @@ func (e *Engine) Begin() *txn.Txn {
 }
 
 // Bind pins the worker to an existing transaction (the server re-binds a
-// session's transaction to its worker on every statement).
+// session's transaction to its worker on every statement). The view's own
+// read registration is released: the transaction's covers what it reads.
 func (e *Engine) Bind(t *txn.Txn) {
+	e.EndRead()
 	e.tx = t
 	e.Dev.Snap = t.Snap()
 }
 
-// Unbind returns the worker to autocommit mode with a fresh read snapshot.
+// Unbind returns the worker to autocommit mode with a fresh read snapshot,
+// registered until the next Bind, Unbind, BeginRead or EndRead.
 func (e *Engine) Unbind() {
+	e.EndRead()
 	e.tx = nil
-	e.Dev.Snap = e.shared.Txns.ReadSnap()
+	e.Dev.Snap = e.shared.Txns.Pin()
+	e.reading = true
+}
+
+// EndRead releases the view's read snapshot registration, if it holds one:
+// the statement that read under it is over. Reads through the view must be
+// preceded by a new BeginRead, Unbind or Bind.
+func (e *Engine) EndRead() {
+	if e.reading {
+		e.shared.Txns.Unpin(e.Dev.Snap)
+		e.reading = false
+	}
 }
 
 // Txn returns the transaction bound to this worker, nil in autocommit mode.
@@ -403,7 +474,7 @@ func (e *Engine) Txn() *txn.Txn { return e.tx }
 // planning/running each statement.
 func (e *Engine) BeginRead() {
 	if e.tx == nil {
-		e.Dev.Snap = e.shared.Txns.ReadSnap()
+		e.Unbind()
 	}
 }
 
@@ -411,14 +482,20 @@ func (e *Engine) BeginRead() {
 // appended and fsynced (group commit) on this worker's device, then the
 // version stamps publish — each stamped version charged to this worker via
 // Device.ChargeCommit, the mirror of Rollback's undo walk. Read-only
-// transactions skip the log and the stamping entirely.
+// transactions skip the log and the stamping entirely. A commit that finds
+// the log a checkpoint interval past the last checkpoint takes the next one,
+// on this worker's device like the rest of the commit.
 func (e *Engine) Commit(t *txn.Txn) error {
-	if n := t.Writes(); n > 0 {
+	n := t.Writes()
+	if n > 0 {
 		e.shared.Wal.Commit(e.Dev, t.ID())
 		e.Dev.ChargeCommit(n)
 	}
 	_, err := e.shared.Txns.Commit(t)
 	e.Unbind()
+	if n > 0 && e.shared.Wal.CheckpointDue() {
+		e.Checkpoint()
+	}
 	return err
 }
 
@@ -691,6 +768,19 @@ func (e *Engine) journalPayload(t *Table, id int, journaled map[int]bool) int {
 	return t.schema.RowWidth()
 }
 
+// LogBytes estimates what changing rows rows of t appends to the log under
+// the engine's journal mode, the way journalPayload sizes it row by row: a
+// record per row, and under the rollback journal a page image in place of the
+// row for the first touch of each page.
+func (e *Engine) LogBytes(t *Table, rows float64) float64 {
+	bytes := rows * float64(t.schema.RowWidth()+storage.WALRecordHeader)
+	if e.Journal() == JournalRollback {
+		pages := min(rows, float64(t.File.PageCount()))
+		bytes += pages * float64(e.Knobs.PageBytes-t.schema.RowWidth())
+	}
+	return bytes
+}
+
 // Autocommit runs one statement as a transaction of its own: begin, run,
 // commit. Any error (including a write-write conflict) rolls back instead,
 // and a rollback failure is joined onto it.
@@ -706,39 +796,6 @@ func (e *Engine) Autocommit(run func(*txn.Txn) (int, error)) (int, error) {
 	return n, e.Commit(tx)
 }
 
-// writeWhere is the scan-and-match loop of UPDATE and DELETE: every row
-// visible to tx that satisfies pred is handed to apply, which logs the change
-// (logChange, write-ahead) and then touches the version chain. A write-write
-// conflict aborts the statement with txn.ErrWriteConflict; the caller decides
-// whether to roll the transaction back. It returns the number of rows
-// applied.
-func (e *Engine) writeWhere(tx *txn.Txn, t *Table, pred exec.Expr, apply func(id int, row value.Row, journaled map[int]bool) error) (n int, err error) {
-	defer exec.RecoverCanceled(&err)
-	e.Bind(tx)
-	journaled := make(map[int]bool)
-	predNodes := 0
-	if pred != nil {
-		predNodes = pred.Nodes()
-	}
-	for sc := t.File.Scan(); ; {
-		row, id, ok := sc.Next()
-		if !ok {
-			return n, nil
-		}
-		e.Ctx.TupleCost()
-		if pred != nil {
-			e.Ctx.EvalCost(predNodes)
-			if !exec.Truthy(pred.Eval(row)) {
-				continue
-			}
-		}
-		if err := apply(id, row, journaled); err != nil {
-			return n, err
-		}
-		n++
-	}
-}
-
 // logChange appends one row change of tx to the log, sized by the journal
 // mode; journaled tracks first page touches across the statement.
 func (e *Engine) logChange(tx *txn.Txn, t *Table, kind storage.RecordKind, id int, data value.Row, journaled map[int]bool) {
@@ -747,50 +804,14 @@ func (e *Engine) logChange(tx *txn.Txn, t *Table, kind storage.RecordKind, id in
 	}, e.journalPayload(t, id, journaled))
 }
 
-// UpdateWhereTxn updates every row matching pred under transaction tx: set
-// receives the current row and returns the replacement. Updated rows must
-// not change indexed columns; the paper defers write-query analysis and so
-// does this engine's index maintenance.
-func (e *Engine) UpdateWhereTxn(tx *txn.Txn, t *Table, pred exec.Expr, set func(value.Row) value.Row) (int, error) {
-	return e.writeWhere(tx, t, pred, func(id int, row value.Row, journaled map[int]bool) error {
-		newRow := set(row.Clone())
-		for col := range t.Indexes {
-			ci := t.schema.MustColIndex(col)
-			if !value.Equal(row[ci], newRow[ci]) {
-				return fmt.Errorf("engine: UpdateWhere cannot change indexed column %q", col)
-			}
-		}
-		e.logChange(tx, t, storage.RecUpdate, id, newRow, journaled)
-		_, err := t.File.UpdateTxn(tx, id, newRow)
-		return err
-	})
-}
-
-// UpdateWhere is the autocommit form of UpdateWhereTxn.
-func (e *Engine) UpdateWhere(t *Table, pred exec.Expr, set func(value.Row) value.Row) (int, error) {
-	return e.Autocommit(func(tx *txn.Txn) (int, error) { return e.UpdateWhereTxn(tx, t, pred, set) })
-}
-
-// DeleteWhereTxn deletes every row matching pred under transaction tx.
-func (e *Engine) DeleteWhereTxn(tx *txn.Txn, t *Table, pred exec.Expr) (int, error) {
-	return e.writeWhere(tx, t, pred, func(id int, _ value.Row, journaled map[int]bool) error {
-		e.logChange(tx, t, storage.RecDelete, id, nil, journaled)
-		return t.File.DeleteTxn(tx, id)
-	})
-}
-
-// DeleteWhere is the autocommit form of DeleteWhereTxn.
-func (e *Engine) DeleteWhere(t *Table, pred exec.Expr) (int, error) {
-	return e.Autocommit(func(tx *txn.Txn) (int, error) { return e.DeleteWhereTxn(tx, t, pred) })
-}
-
-// Recover replays durable log records (storage.WAL.Durable) after a crash:
-// committed transactions are re-applied in log order, transactions with no
-// durable commit record are rolled back. The replayed work drives this
-// worker's device — charged once, here — and appends nothing back to the
-// log (the records are already durable). Inserts land on their original
-// slot ids so later records address the right rows. It returns the number
-// of row changes applied.
+// Recover replays durable log records (storage.WAL.Durable) after a crash,
+// onto the store as of the log's last checkpoint (a freshly loaded one if
+// there was none): committed transactions are re-applied in log order,
+// transactions with no durable commit record are rolled back. The replayed
+// work drives this worker's device — charged once, here — and appends nothing
+// back to the log (the records are already durable). Inserts land on their
+// original slot ids so later records address the right rows. It returns the
+// number of row changes applied.
 func (e *Engine) Recover(records []storage.LogRecord) (applied int, err error) {
 	defer exec.RecoverCanceled(&err)
 	open := make(map[uint64]*txn.Txn)
@@ -857,8 +878,11 @@ func (e *Engine) Recover(records []storage.LogRecord) (applied int, err error) {
 	return applied, nil
 }
 
-// Checkpoint flushes dirty buffer pages (and implicitly bounds recovery
-// work), returning the number of pages written back.
+// Checkpoint flushes this view's dirty buffer pages and then recycles the
+// log (storage.WAL.Checkpoint), which bounds recovery work and what the log
+// retains. It returns the number of pages written back.
 func (e *Engine) Checkpoint() int {
-	return e.Pool.Checkpoint()
+	n := e.Pool.Checkpoint()
+	e.shared.Wal.Checkpoint(e.Dev)
+	return n
 }

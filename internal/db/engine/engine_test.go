@@ -6,6 +6,7 @@ import (
 	"energydb/internal/cpusim"
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/txn"
 	"energydb/internal/db/value"
 )
 
@@ -156,7 +157,7 @@ func TestKindAndSettingStrings(t *testing.T) {
 func TestUpdateWhere(t *testing.T) {
 	e := newEngine(t, PostgreSQL, SettingBaseline)
 	tbl := loadSample(t, e, 400)
-	n, err := e.UpdateWhere(tbl,
+	n, err := updateWhere(e, tbl,
 		exec.BinOp{Op: exec.OpLt, L: exec.Col{Idx: 0}, R: exec.Const{V: value.Int(100)}},
 		func(r value.Row) value.Row {
 			r[2] = value.Float(r[2].AsFloat() + 1000)
@@ -195,7 +196,7 @@ func TestUpdateWhere(t *testing.T) {
 func TestUpdateWhereRejectsIndexedColumn(t *testing.T) {
 	e := newEngine(t, SQLite, SettingBaseline)
 	tbl := loadSample(t, e, 50)
-	_, err := e.UpdateWhere(tbl, nil, func(r value.Row) value.Row {
+	_, err := updateWhere(e, tbl, nil, func(r value.Row) value.Row {
 		r[0] = value.Int(r[0].AsInt() + 1) // k is indexed
 		return r
 	})
@@ -216,7 +217,7 @@ func TestJournalModesByProfile(t *testing.T) {
 func TestRollbackJournalCopiesPagesOnce(t *testing.T) {
 	e := newEngine(t, SQLite, SettingBaseline)
 	tbl := loadSample(t, e, 400)
-	if _, err := e.UpdateWhere(tbl, nil, func(r value.Row) value.Row {
+	if _, err := updateWhere(e, tbl, nil, func(r value.Row) value.Row {
 		r[2] = value.Float(0)
 		return r
 	}); err != nil {
@@ -237,4 +238,12 @@ func TestRollbackJournalCopiesPagesOnce(t *testing.T) {
 		t.Fatalf("journal bytes = %d, want one page image per touched page plus row records (%d..%d)",
 			got, minBytes, maxBytes)
 	}
+}
+
+// updateWhere runs the write operator over a sequential scan of t filtered by
+// pred, as a transaction of its own: the by-hand form of an UPDATE.
+func updateWhere(e *Engine, t *Table, pred exec.Expr, set func(value.Row) value.Row) (int, error) {
+	return e.Autocommit(func(*txn.Txn) (int, error) {
+		return exec.Drain(&Write{E: e, T: t, Child: e.Scan(t, pred), Set: set})
+	})
 }

@@ -5,6 +5,8 @@ import (
 
 	"energydb/internal/cpusim"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/storage"
+	"energydb/internal/db/txn"
 	"energydb/internal/db/value"
 )
 
@@ -35,11 +37,11 @@ func TestWalCrashRecovery(t *testing.T) {
 	e.InsertTxn(txn2, tbl, row(101))
 	e.InsertTxn(txn2, tbl, row(102))
 	k5 := exec.BinOp{Op: exec.OpEq, L: exec.Col{Idx: 0}, R: exec.Const{V: value.Int(5)}}
-	if n, err := e.UpdateWhereTxn(txn2, tbl, k5, func(r value.Row) value.Row {
-		out := append(value.Row(nil), r...)
-		out[2] = value.Float(-1)
-		return out
-	}); err != nil || n != 1 {
+	e.Bind(txn2)
+	if n, err := exec.Drain(&Write{E: e, T: tbl, Child: e.Scan(tbl, k5), Set: func(r value.Row) value.Row {
+		r[2] = value.Float(-1)
+		return r
+	}}); err != nil || n != 1 {
 		t.Fatalf("txn2 update: n=%d err=%v", n, err)
 	}
 
@@ -130,3 +132,120 @@ func TestWalCrashRecovery(t *testing.T) {
 		t.Fatalf("replay not deterministic: %d vs %d visible rows", gn, n)
 	}
 }
+
+// TestRecoveryAfterCheckpoint crashes a store that has recycled its log. A
+// checkpoint is taken while one writer (open) is still in flight; more
+// transactions follow, the open one commits, and the power goes between the
+// last one's commit record and its fsync. Durable() is then the tail since
+// the checkpoint — what the open writer had logged before it, and everything
+// after — and replaying it onto the store as the checkpoint left it (the
+// committed state at that moment) must give exactly the acknowledged
+// commits: nothing from before the checkpoint is replayed twice, nothing of
+// the open writer is lost, and the unsynced transaction is gone.
+func TestRecoveryAfterCheckpoint(t *testing.T) {
+	e := newEngine(t, PostgreSQL, SettingBaseline)
+	tbl := loadSample(t, e, 50)
+	row := func(k int64) value.Row {
+		return value.Row{value.Int(k), value.Int(k % 7), value.Float(float64(k))}
+	}
+	key := func(k int64) exec.Expr {
+		return exec.BinOp{Op: exec.OpEq, L: exec.Col{Idx: 0}, R: exec.Const{V: value.Int(k)}}
+	}
+	setV := func(v float64) func(value.Row) value.Row {
+		return func(r value.Row) value.Row { r[2] = value.Float(v); return r }
+	}
+	update := func(tx *txn.Txn, k int64, v float64) {
+		t.Helper()
+		e.Bind(tx)
+		if n, err := exec.Drain(&Write{E: e, T: tbl, Child: e.Scan(tbl, key(k)), Set: setV(v)}); err != nil || n != 1 {
+			t.Fatalf("update k=%d: n=%d err=%v", k, n, err)
+		}
+	}
+	commit := func(tx *txn.Txn) {
+		t.Helper()
+		if err := e.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	before := e.Begin()
+	e.InsertTxn(before, tbl, row(100))
+	update(before, 5, -5)
+	commit(before)
+
+	open := e.Begin()
+	e.InsertTxn(open, tbl, row(101))
+	update(open, 6, -6)
+
+	flusher := e.Begin() // its fsync makes open's records durable
+	e.InsertTxn(flusher, tbl, row(102))
+	commit(flusher)
+
+	// The store as the checkpoint leaves it holds what had committed by then:
+	// a fresh load plus the closed transactions of the log so far.
+	var closed []storage.LogRecord
+	for _, rec := range e.WAL().Durable() {
+		if rec.Txn != open.ID() {
+			closed = append(closed, rec)
+		}
+	}
+	e.Checkpoint()
+	if got := e.WAL().Checkpoints.Load(); got != 1 {
+		t.Fatalf("checkpoints = %d, want 1", got)
+	}
+	tail := e.WAL().Durable()
+	if len(tail) != 2 || tail[0].Txn != open.ID() || tail[1].Txn != open.ID() {
+		t.Fatalf("log after the checkpoint = %+v, want the open writer's two records", tail)
+	}
+
+	after := e.Begin()
+	update(after, 7, -7)
+	commit(after)
+	commit(open)
+	e.WAL().GroupCommit = 1 << 20 // the next commit record stays in the buffer
+	lost := e.Begin()
+	e.InsertTxn(lost, tbl, row(103))
+	update(lost, 8, -8)
+	commit(lost)
+	if e.WAL().PendingLen() == 0 {
+		t.Fatal("the last commit record should still be volatile")
+	}
+
+	f := New(PostgreSQL, cpusim.NewMachine(cpusim.IntelI7_4790()), SettingBaseline)
+	ftbl := loadSample(t, f, 50)
+	if _, err := f.Recover(closed); err != nil {
+		t.Fatalf("rebuilding the checkpointed store: %v", err)
+	}
+	if _, err := f.Recover(e.WAL().Durable()); err != nil {
+		t.Fatalf("replaying the tail: %v", err)
+	}
+
+	want := map[int64]float64{100: 100, 101: 101, 102: 102, 5: -5, 6: -6, 7: -7, 8: 8}
+	rows, err := exec.Collect(f.Scan(ftbl, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 53 {
+		t.Fatalf("recovered %d visible rows, want 53 (50 loaded, 100, 101, 102)", len(rows))
+	}
+	for _, r := range rows {
+		if v, ok := want[r[0].I]; ok && r[2].F != v {
+			t.Errorf("k=%d recovered with v=%v, want %v", r[0].I, r[2].F, v)
+		}
+		if r[0].I == 103 {
+			t.Error("the transaction whose commit never reached the disk is visible")
+		}
+	}
+	// The index went through the same replay: one entry per recovered key.
+	for k := range want {
+		op, err := f.IndexRange(ftbl, "k", ptrTo(value.Int(k)), ptrTo(value.Int(k)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := f.Run(op); err != nil || n != 1 {
+			t.Errorf("index lookup k=%d found %d rows (err=%v), want 1", k, n, err)
+		}
+	}
+}
+
+func ptrTo(v value.Value) *value.Value { return &v }

@@ -141,11 +141,11 @@ func TestSharedParallelReaders(t *testing.T) {
 	}
 }
 
-// TestUpdateWhereStillWorks guards the internally-locked DML entry point.
+// TestUpdateWhereStillWorks guards the write operator over a full scan.
 func TestUpdateWhereStillWorks(t *testing.T) {
 	e := newEngine(t, PostgreSQL, SettingBaseline)
 	tbl := loadSample(t, e, 50)
-	n, err := e.UpdateWhere(tbl, nil, func(r value.Row) value.Row {
+	n, err := updateWhere(e, tbl, nil, func(r value.Row) value.Row {
 		r[2] = value.Float(1.5)
 		return r
 	})

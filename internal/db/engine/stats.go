@@ -20,13 +20,19 @@ const statsSampleCap = 2048
 // join fan-out estimates.
 const statsSketchK = 1024
 
+// analyzeScaleFactor is the share of the rows the last ANALYZE saw that may
+// be inserted, updated or deleted before the table is analyzed again
+// (PostgreSQL's autovacuum_analyze_scale_factor).
+const analyzeScaleFactor = 0.1
+
 // Stats returns optimizer statistics for a table, computing them on first
 // use and caching them on the shared table store. The ANALYZE pass walks raw
 // rows on the Go side (no simulated accesses), so collecting statistics
-// never pollutes a measured statement. The cache is invalidated whenever the
-// row count changes; it is guarded by its own mutex so concurrent workers
-// planning under the statement read lock race neither each other nor the
-// cache.
+// never pollutes a measured statement. The cache lasts until the rows
+// written since it was filled (storage.TableData.Changes) pass
+// analyzeScaleFactor of the rows it was filled from; it is guarded by its own
+// mutex so concurrent workers planning at once race neither each other nor
+// the cache.
 func (e *Engine) Stats(t *Table) *catalog.TableStats {
 	st, ok := e.shared.tables[t.Name]
 	if !ok {
@@ -36,9 +42,11 @@ func (e *Engine) Stats(t *Table) *catalog.TableStats {
 	}
 	st.statsMu.Lock()
 	defer st.statsMu.Unlock()
-	n := t.File.RowCount()
-	if st.stats == nil || st.stats.RowCount != n {
+	changes := st.data.Changes()
+	if st.stats == nil || float64(changes) > analyzeScaleFactor*float64(st.stats.RowCount) {
 		st.stats = analyze(st.data, st.schema)
+		st.data.Analyzed(changes)
+		st.analyzes.Add(1)
 	}
 	return st.stats
 }
@@ -66,7 +74,7 @@ func analyze(data *storage.TableData, schema *catalog.Schema) *catalog.TableStat
 	data.ForEachRaw(func(id int, row value.Row) {
 		stats.RowCount++
 		if id%stride == 0 {
-			stats.Sample = append(stats.Sample, row.Clone())
+			stats.Sample = append(stats.Sample, row) // a version's payload is immutable
 		}
 		for i := 0; i < ncols && i < len(row); i++ {
 			v := row[i]
@@ -79,7 +87,7 @@ func analyze(data *storage.TableData, schema *catalog.Schema) *catalog.TableStat
 			if cols[i].Max.IsNull() || value.Compare(v, cols[i].Max) > 0 {
 				cols[i].Max = v
 			}
-			sketches[i].add(value.MakeKey(v).Hash())
+			sketches[i].add(v.Hash())
 		}
 	})
 	for i := range cols {
@@ -90,49 +98,64 @@ func analyze(data *storage.TableData, schema *catalog.Schema) *catalog.TableStat
 
 // kmvSketch estimates a column's distinct count by tracking the k smallest
 // distinct 64-bit value hashes: exact while fewer than k distinct hashes
-// were seen, else distinct ≈ (k-1)·2^64/kthMin.
+// were seen, else distinct ≈ (k-1)·2^64/kthMin. The tracked hashes sit in a
+// max-heap, so the kth minimum is its root and replacing it costs log k.
 type kmvSketch struct {
-	k   int
-	set map[uint64]struct{}
-	max uint64
+	k    int
+	set  map[uint64]struct{}
+	mins []uint64 // binary max-heap of the hashes in set
 }
 
 func newKMV(k int) kmvSketch {
-	return kmvSketch{k: k, set: make(map[uint64]struct{}, k)}
+	return kmvSketch{k: k, set: make(map[uint64]struct{})}
 }
 
 func (s *kmvSketch) add(h uint64) {
 	if _, ok := s.set[h]; ok {
 		return
 	}
-	if len(s.set) < s.k {
+	m := s.mins
+	if len(m) < s.k {
+		// Sift the new hash up from the end.
+		i := len(m)
+		m = append(m, h)
+		for p := (i - 1) / 2; i > 0 && m[p] < h; i, p = p, (p-1)/2 {
+			m[i] = m[p]
+		}
+		m[i] = h
+		s.mins = m
 		s.set[h] = struct{}{}
-		if h > s.max {
-			s.max = h
-		}
 		return
 	}
-	if h >= s.max {
+	if h >= m[0] {
 		return
 	}
-	delete(s.set, s.max)
+	// Replace the root and sift the new hash down.
+	delete(s.set, m[0])
 	s.set[h] = struct{}{}
-	s.max = 0
-	for x := range s.set {
-		if x > s.max {
-			s.max = x
+	i := 0
+	for {
+		c := 2*i + 1
+		if c+1 < len(m) && m[c+1] > m[c] {
+			c++
 		}
+		if c >= len(m) || m[c] <= h {
+			break
+		}
+		m[i] = m[c]
+		i = c
 	}
+	m[i] = h
 }
 
 func (s *kmvSketch) estimate() int {
-	if len(s.set) < s.k {
-		return len(s.set)
+	if len(s.mins) < s.k {
+		return len(s.mins)
 	}
 	// kthMin as a fraction of the hash space.
-	frac := float64(s.max) / float64(^uint64(0))
+	frac := float64(s.mins[0]) / float64(^uint64(0))
 	if frac <= 0 {
-		return len(s.set)
+		return len(s.mins)
 	}
 	return int(float64(s.k-1) / frac)
 }

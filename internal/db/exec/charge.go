@@ -119,6 +119,16 @@ func ChargeTuples(s Sink, c Card, nodes, width int) {
 	s.Emits(c.Out, width)
 }
 
+// ChargeWrite is the write operator's schedule per row it changes: the
+// interpretation overhead of moving the row through one more operator and
+// the evaluation of the SET expressions (nodes 0 for a DELETE). The log and
+// heap stores behind it are issued by the storage layer at their real
+// addresses.
+func ChargeWrite(s Sink, c Card, nodes int) {
+	s.Tuples(c.In)
+	s.Evals(c.In, nodes)
+}
+
 // ChargeFilter is the predicate evaluation per input row.
 func ChargeFilter(s Sink, c Card, nodes int) { s.Evals(c.In, nodes) }
 

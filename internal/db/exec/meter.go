@@ -143,6 +143,9 @@ func (m *Metered) Next() (value.Row, bool, error) {
 	return row, ok, err
 }
 
+// RowID implements RowIDer for a metered scan.
+func (m *Metered) RowID() int { return m.Child.(RowIDer).RowID() }
+
 // Close implements Operator.
 func (m *Metered) Close() error {
 	m.Set.Enter(m.M)

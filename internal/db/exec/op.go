@@ -19,6 +19,14 @@ type Operator interface {
 	Close() error
 }
 
+// RowIDer is a row source that can say which heap slot the row its Next last
+// returned came from: the scans, and what may stand between a scan and the
+// write operator that consumes the ids (the meter wrapper, the batch-to-row
+// adapter).
+type RowIDer interface {
+	RowID() int
+}
+
 // SeqScan streams a heap file in row order, optionally filtering.
 type SeqScan struct {
 	Ctx    *Ctx
@@ -26,6 +34,7 @@ type SeqScan struct {
 	Filter Expr
 
 	sc          *storage.Scanner
+	id          int
 	filterNodes int
 	width       int
 }
@@ -44,15 +53,19 @@ func (s *SeqScan) Open() error {
 // Next implements Operator.
 func (s *SeqScan) Next() (value.Row, bool, error) {
 	for {
-		row, _, ok := s.sc.Next()
+		row, id, ok := s.sc.Next()
 		if !ok {
 			return nil, false, nil
 		}
 		if chargeCandidate(s.Ctx, s.Filter, s.filterNodes, row, s.width) {
+			s.id = id
 			return row, true, nil
 		}
 	}
 }
+
+// RowID implements RowIDer.
+func (s *SeqScan) RowID() int { return s.id }
 
 // Close implements Operator.
 func (s *SeqScan) Close() error { return nil }
@@ -82,6 +95,7 @@ type IndexScan struct {
 	Filter Expr
 
 	it          *btree.Iter
+	id          int
 	filterNodes int
 	width       int
 }
@@ -120,11 +134,15 @@ func (s *IndexScan) Next() (value.Row, bool, error) {
 			continue
 		}
 		if chargeCandidate(s.Ctx, s.Filter, s.filterNodes, row, s.width) {
+			s.id = id
 			return row, true, nil
 		}
 	}
 	return nil, false, nil
 }
+
+// RowID implements RowIDer.
+func (s *IndexScan) RowID() int { return s.id }
 
 // Close implements Operator.
 func (s *IndexScan) Close() error { return nil }
@@ -310,7 +328,7 @@ func (s *memScan) Close() error { return nil }
 var ErrCanceled = errors.New("exec: statement canceled")
 
 // RecoverCanceled is the deferred guard for loops that charge tuple costs
-// outside an operator tree (engine DML, recovery replay): it converts the
+// outside an operator tree (recovery replay): it converts the
 // cancellation unwind raised by Ctx.TupleCost/Poll into ErrCanceled and
 // re-panics on anything else. Usage: defer exec.RecoverCanceled(&err).
 func RecoverCanceled(err *error) {

@@ -5,6 +5,7 @@ import (
 
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/storage"
 	"energydb/internal/memsim"
 )
 
@@ -411,4 +412,40 @@ func (c *coster) heapFetch(a *est, n float64, t *engine.Table) {
 	}
 	// Pool frame lookup: the header line of whichever page holds the row.
 	c.randLoad(a, n, math.Ceil(c.heapBytes(t)/float64(c.e.Knobs.PageBytes))*memsim.LineSize)
+}
+
+// writeRows charges what the storage layer issues for n rows an UPDATE or
+// DELETE (del) changes in t: per row the log record streamed into the hot log
+// buffer, the pool-frame lookup and the tuple store on the page the scan has
+// just read (a DELETE stamps the header line only), and an UPDATE's hop to the
+// version it supersedes. A statement that will autocommit (no transaction is
+// bound while it is planned) also pays its commit: the commit record, the
+// buffer read back out by the flush, a stamp per version written. And the
+// statement reaps what earlier writers left dead in t before it scans: per
+// queued slot the look at it, the header store that releases it and, per
+// index, the descent to its entry and the entry's removal.
+func (c *coster) writeRows(a *est, n float64, t *engine.Table, del bool) {
+	logLines := c.e.LogBytes(t, n) / memsim.LineSize
+	heapLines := 1.0
+	if !del {
+		heapLines = math.Ceil(c.heapRowWidth(t) / memsim.LineSize)
+		c.randLoad(a, n, storage.VersionStoreBytes)
+	}
+	a.reg2 += logLines + n*heapLines
+	a.l1d += n
+	a.stall += n * c.depL1
+	if c.e.Txn() == nil {
+		a.reg2 += 1 + n
+		a.l1d += logLines + 1
+		c.randLoad(a, n, storage.VersionStoreBytes)
+	}
+	if dead := float64(t.File.Data().Reclaimed().DeadRowsPending); dead > 0 {
+		c.randLoad(a, dead, storage.VersionStoreBytes)
+		a.l1d += dead
+		a.reg2 += dead
+		for _, tree := range t.Indexes {
+			c.btreeDescend(a, dead, tree.Height(), tree.Len())
+			a.reg2 += dead
+		}
+	}
 }

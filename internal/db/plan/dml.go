@@ -11,30 +11,105 @@ import (
 	"energydb/internal/db/value"
 )
 
-// ExecWrite lowers a DML statement (INSERT, UPDATE, DELETE) onto the
-// engine's transactional write paths and returns the number of rows
-// affected. With tx nil the statement autocommits (one statement, one
-// transaction); otherwise the writes join tx and become visible at its
-// commit. Write-write conflicts surface as txn.ErrWriteConflict — under an
-// explicit transaction the caller decides whether to roll back.
+// ExecWrite runs a DML statement (INSERT, UPDATE, DELETE) and returns the
+// number of rows affected. With tx nil the statement autocommits (one
+// statement, one transaction); otherwise the writes join tx and become visible
+// at its commit. Write-write conflicts surface as txn.ErrWriteConflict — under
+// an explicit transaction the caller decides whether to roll back. An INSERT
+// goes straight to the engine; an UPDATE or DELETE is planned (PrepareStmt)
+// and its plan drained.
 func ExecWrite(e *engine.Engine, tx *txn.Txn, stmt sql.Statement) (int, error) {
-	if tx == nil {
-		return e.Autocommit(func(t *txn.Txn) (int, error) { return execWriteTxn(e, t, stmt) })
+	if ins, ok := stmt.(*sql.InsertStmt); ok {
+		if tx == nil {
+			return e.Autocommit(func(t *txn.Txn) (int, error) { return execInsert(e, t, ins) })
+		}
+		return execInsert(e, tx, ins)
 	}
-	return execWriteTxn(e, tx, stmt)
+	p, err := PrepareStmt(e, stmt)
+	if err != nil {
+		return 0, err
+	}
+	return p.ExecWrite(tx)
 }
 
-func execWriteTxn(e *engine.Engine, tx *txn.Txn, stmt sql.Statement) (int, error) {
-	switch s := stmt.(type) {
-	case *sql.InsertStmt:
-		return execInsert(e, tx, s)
-	case *sql.UpdateStmt:
-		return execUpdate(e, tx, s)
-	case *sql.DeleteStmt:
-		return execDelete(e, tx, s)
-	default:
-		return 0, fmt.Errorf("plan: %T is not a DML statement", stmt)
+// ExecWrite runs a prepared UPDATE or DELETE under tx, or as a transaction of
+// its own when tx is nil, and returns the number of rows affected.
+func (p *Prepared) ExecWrite(tx *txn.Txn) (int, error) {
+	if p.Root.Kind != opWrite {
+		return 0, fmt.Errorf("plan: %s is not the plan of a write", p.Root.Title())
 	}
+	op, err := p.Build()
+	if err != nil {
+		return 0, err
+	}
+	if tx != nil {
+		p.E.Bind(tx)
+	} else {
+		p.E.Unbind()
+	}
+	return p.drain(op)
+}
+
+// drain runs a built plan to completion and returns its row count — rows
+// affected, for a write. A write plan on an engine with no transaction bound
+// runs as one of its own.
+func (p *Prepared) drain(op exec.Operator) (int, error) {
+	if p.Root.Kind == opWrite && p.E.Txn() == nil {
+		return p.E.Autocommit(func(*txn.Txn) (int, error) { return exec.Drain(op) })
+	}
+	return exec.Drain(op)
+}
+
+// readOf is the read half of an UPDATE or DELETE: every column of the rows
+// of table that pass where.
+func readOf(table string, where sql.Node) *sql.SelectStmt {
+	return &sql.SelectStmt{Items: []sql.SelectItem{{Star: true}}, From: table, Where: where}
+}
+
+// buildWrite puts the write node of an UPDATE (sets non-empty) or DELETE over
+// the scan of its table.
+func (pc *planCtx) buildWrite(scan *Node, sets []sql.SetClause) (*Node, error) {
+	t := pc.lp.rels[0].t
+	schema := t.Schema()
+	w := &Node{
+		Kind: opWrite, Kids: []*Node{scan},
+		Table: t, TableName: pc.lp.rels[0].name,
+		schema:  schema,
+		EstRows: scan.EstRows,
+	}
+	type setter struct {
+		ci   int
+		expr exec.Expr
+	}
+	setters := make([]setter, 0, len(sets))
+	for _, sc := range sets {
+		ci, err := schema.ColIndex(sc.Col)
+		if err != nil {
+			return nil, err
+		}
+		ex, err := compile(sc.Expr, schema)
+		if err != nil {
+			return nil, err
+		}
+		setters = append(setters, setter{ci: ci, expr: ex})
+		w.SetNames = append(w.SetNames, sc.Col)
+		w.setNodes += ex.Nodes()
+	}
+	if len(setters) > 0 {
+		w.set = func(r value.Row) value.Row {
+			for _, st := range setters {
+				r[st.ci] = st.expr.Eval(r)
+				// On a type mismatch the value stays as evaluated (comparisons
+				// handle mixed numerics).
+				if v, err := coerce(r[st.ci], schema.Columns[st.ci].Type); err == nil {
+					r[st.ci] = v
+				}
+			}
+			return r
+		}
+	}
+	pc.costRow(w, bind(w))
+	return w, nil
 }
 
 func execInsert(e *engine.Engine, tx *txn.Txn, s *sql.InsertStmt) (int, error) {
@@ -71,73 +146,6 @@ func execInsert(e *engine.Engine, tx *txn.Txn, s *sql.InsertStmt) (int, error) {
 	e.Ctx.EvalCost(nodes)
 	e.InsertTxn(tx, t, row)
 	return 1, nil
-}
-
-func execUpdate(e *engine.Engine, tx *txn.Txn, s *sql.UpdateStmt) (int, error) {
-	t, err := e.Table(s.Table)
-	if err != nil {
-		return 0, err
-	}
-	schema := t.Schema()
-	pred, err := compileOptional(s.Where, schema)
-	if err != nil {
-		return 0, err
-	}
-	type setter struct {
-		ci    int
-		expr  setExpr
-		nodes int
-	}
-	sets := make([]setter, 0, len(s.Sets))
-	for _, sc := range s.Sets {
-		ci, err := schema.ColIndex(sc.Col)
-		if err != nil {
-			return 0, err
-		}
-		ex, err := compile(sc.Expr, schema)
-		if err != nil {
-			return 0, err
-		}
-		sets = append(sets, setter{ci: ci, expr: ex, nodes: ex.Nodes()})
-	}
-	return e.UpdateWhereTxn(tx, t, pred, func(r value.Row) value.Row {
-		for _, st := range sets {
-			e.Ctx.EvalCost(st.nodes)
-			r[st.ci] = st.expr.Eval(r)
-			// On a type mismatch the value stays as evaluated (comparisons
-			// handle mixed numerics).
-			if v, err := coerce(r[st.ci], schema.Columns[st.ci].Type); err == nil {
-				r[st.ci] = v
-			}
-		}
-		return r
-	})
-}
-
-func execDelete(e *engine.Engine, tx *txn.Txn, s *sql.DeleteStmt) (int, error) {
-	t, err := e.Table(s.Table)
-	if err != nil {
-		return 0, err
-	}
-	pred, err := compileOptional(s.Where, t.Schema())
-	if err != nil {
-		return 0, err
-	}
-	return e.DeleteWhereTxn(tx, t, pred)
-}
-
-// setExpr is the evaluable slice of exec.Expr the setters need.
-type setExpr interface {
-	Eval(value.Row) value.Value
-	Nodes() int
-}
-
-// compileOptional compiles a possibly-absent predicate.
-func compileOptional(n sql.Node, schema *catalog.Schema) (exec.Expr, error) {
-	if n == nil {
-		return nil, nil
-	}
-	return compile(n, schema)
 }
 
 // evalLiteral folds a literal expression (numbers, strings, arithmetic over

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"energydb/internal/core"
-	"energydb/internal/db/exec"
 	"energydb/internal/db/value"
 	"energydb/internal/memsim"
 )
@@ -33,6 +32,11 @@ func (n *Node) Title() string {
 		return fmt.Sprintf("Sort [%s]", strings.Join(n.SortNames, ", "))
 	case opLimit:
 		return fmt.Sprintf("Limit %d", n.LimitN)
+	case opWrite:
+		if n.set == nil {
+			return "Delete " + n.TableName
+		}
+		return "Update " + n.TableName
 	default:
 		return "?"
 	}
@@ -66,6 +70,9 @@ func (n *Node) detail() string {
 			names[i] = a.Name
 		}
 		parts = append(parts, fmt.Sprintf("aggs=[%s]", strings.Join(names, ", ")))
+	}
+	if len(n.SetNames) > 0 {
+		parts = append(parts, fmt.Sprintf("set=[%s]", strings.Join(n.SetNames, ", ")))
 	}
 	if n.FilterStr != "" {
 		parts = append(parts, "filter=("+n.FilterStr+")")
@@ -160,7 +167,10 @@ func (p *Prepared) PredictedEJ() float64 {
 // counters are priced with the calibrated ΔE_m table and scaled so the
 // per-operator energies sum exactly to the statement's measured Eactive
 // (the counter deltas partition the run, so the scale factor only absorbs
-// the E_other residual that Eq. 1 cannot place).
+// the E_other residual that Eq. 1 cannot place). A write plan run outside a
+// transaction autocommits inside the region; the begin and the commit happen
+// outside every operator's meter window and are credited to the root, the
+// write node, whose estimate prices them.
 //
 // It returns the rendered rows and the statement-level breakdown (for the
 // caller's energy ledger).
@@ -171,19 +181,26 @@ func (p *Prepared) ExplainEnergy(prof *core.Profiler) ([]value.Row, []string, co
 	}
 	var runErr error
 	b := prof.Profile("explain-energy", func() {
-		_, runErr = exec.Drain(op)
+		_, runErr = p.drain(op)
 	})
 	if runErr != nil {
-		return nil, nil, core.Breakdown{}, runErr
+		return nil, nil, b, runErr
 	}
 
 	price := func(c memsim.Counters) float64 {
 		return p.E.M.Profile.Energy.Active(c, p.E.M.PState()).Total()
 	}
+	unmetered := b.Counters.Sub(meters[p.Root].Inclusive())
+	own := func(n *Node) memsim.Counters {
+		if n == p.Root {
+			return meters[n].Own().Add(unmetered)
+		}
+		return meters[n].Own()
+	}
 	sum := 0.0
 	var each func(n *Node)
 	each = func(n *Node) {
-		sum += price(meters[n].Own())
+		sum += price(own(n))
 		for _, k := range n.Kids {
 			each(k)
 		}
@@ -197,8 +214,8 @@ func (p *Prepared) ExplainEnergy(prof *core.Profiler) ([]value.Row, []string, co
 	var rows []value.Row
 	walkTree(p.Root, func(n *Node, prefix string) {
 		m := meters[n]
-		eJ := price(m.Own()) * scale
-		nb := prof.Cal.BreakdownCounters(n.Title(), m.Own(), eJ)
+		eJ := price(own(n)) * scale
+		nb := prof.Cal.BreakdownCounters(n.Title(), own(n), eJ)
 		share := 0.0
 		if b.EActive > 0 {
 			share = eJ / b.EActive

@@ -28,6 +28,7 @@ const (
 	opAggregate
 	opSort
 	opLimit
+	opWrite
 )
 
 // Mode selects the executor implementation of a plan node: the classic
@@ -100,6 +101,13 @@ type Node struct {
 	// Limit.
 	LimitN int
 
+	// Write (the root of an UPDATE or DELETE, over the scan of Table): the
+	// assigned columns, the function computing a row's replacement (nil
+	// deletes it) and the node count of the expressions it evaluates.
+	SetNames []string
+	set      func(value.Row) value.Row
+	setNodes int
+
 	schema *catalog.Schema
 	// EstRows is the estimated output cardinality.
 	EstRows float64
@@ -142,8 +150,8 @@ type planCtx struct {
 	prices map[*Node]modePrice
 	// pin and pinMode, set only by the planner's own tests, restrict the
 	// named relations to one access path (opSeqScan or opIndexScan) and
-	// their index scan or index join to one mode, so a test can price the
-	// neighbours of a committed plan.
+	// their scan or index join to one mode, so a test can price the
+	// neighbours of a committed plan, or run a write over each.
 	pin     map[string]opKind
 	pinMode map[string]Mode
 }
@@ -537,11 +545,14 @@ func chargeRow(n *Node, k cards, s exec.Sink) {
 		exec.ChargeSortStore(s, in, 0) // fill
 		exec.ChargeSortStore(s, in, 0) // placement
 		exec.ChargeSortEmit(s, in, 0, n.schema.RowWidth())
+	case opWrite:
+		exec.ChargeWrite(s, in, n.setNodes)
 	}
 }
 
 // model prices the data-dependent accesses of n at k — heap and index
-// traffic, hash-table probes and chain walks, the sort's ordering pass — in
+// traffic, hash-table probes and chain walks, the sort's ordering pass, the
+// log and heap stores of a write — in
 // either execution mode: both executors issue them at the same addresses.
 // The vector join adds the gather's scattered first-line load per match;
 // the vector aggregate's table fits the cache and has no such term.
@@ -575,6 +586,8 @@ func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 		}
 	case opSort:
 		c.sortCompares(a, k.in, exec.SortEntryBytes, float64(len(n.SortKeys)))
+	case opWrite:
+		c.writeRows(a, k.in, n.Table, n.set == nil)
 	}
 }
 

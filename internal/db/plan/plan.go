@@ -1,4 +1,5 @@
-// Package plan is the logical-plan optimizer: it rewrites a parsed SELECT
+// Package plan is the logical-plan optimizer: it rewrites a parsed SELECT —
+// or the scan an UPDATE or DELETE reads its rows through —
 // into a relational tree, applies rewrite rules (predicate pushdown through
 // joins, statistics-driven join reordering, column pruning), and picks
 // physical operators — sequential versus index scans, hash versus index
@@ -33,43 +34,69 @@ import (
 // never revisited, so a Prepared plan is stable across executions even as
 // buffer-pool residency shifts.
 type Prepared struct {
-	E    *engine.Engine
+	E *engine.Engine
+	// Stmt is the planned SELECT; for an UPDATE or DELETE, the read of the
+	// rows to change (SELECT * FROM the table under the statement's WHERE).
 	Stmt *sql.SelectStmt
 	Root *Node
 }
 
-// Prepare plans a parsed statement on the engine.
-//
-// The order of decisions: buildChain collects each relation's access-path
-// candidates and picks joins, buildTop adds the operators above; chooseModes
-// then settles, per chain, access path and execution mode together; the
-// footprint is summed over the committed tree and the scans re-priced
-// against it.
+// Prepare plans a parsed SELECT on the engine.
 func Prepare(e *engine.Engine, stmt *sql.SelectStmt) (*Prepared, error) {
 	return preparePinned(e, stmt, nil, nil)
 }
 
-// preparePinned is Prepare with the tests' access-path and mode pins (see
+// PrepareStmt plans any plannable statement: a SELECT, or an UPDATE or DELETE,
+// whose WHERE is planned like a SELECT's — the same access-path candidates,
+// the same mode choice — under one write node at the root.
+//
+// The order of decisions: buildChain collects each relation's access-path
+// candidates and picks joins, buildTop (or buildWrite) adds the operators
+// above; chooseModes then settles, per chain, access path and execution mode
+// together; the footprint is summed over the committed tree and the scans
+// re-priced against it.
+func PrepareStmt(e *engine.Engine, stmt sql.Statement) (*Prepared, error) {
+	return preparePinned(e, stmt, nil, nil)
+}
+
+// preparePinned is PrepareStmt with the tests' access-path and mode pins (see
 // planCtx.pin).
-func preparePinned(e *engine.Engine, stmt *sql.SelectStmt, pin map[string]opKind, pinMode map[string]Mode) (*Prepared, error) {
-	lp, err := buildLogical(e, stmt)
+func preparePinned(e *engine.Engine, stmt sql.Statement, pin map[string]opKind, pinMode map[string]Mode) (*Prepared, error) {
+	var read *sql.SelectStmt
+	var sets []sql.SetClause
+	write := true
+	switch s := stmt.(type) {
+	case *sql.SelectStmt:
+		read, write = s, false
+	case *sql.UpdateStmt:
+		read, sets = readOf(s.Table, s.Where), s.Sets
+	case *sql.DeleteStmt:
+		read = readOf(s.Table, s.Where)
+	default:
+		return nil, fmt.Errorf("plan: %T has no plan", stmt)
+	}
+	lp, err := buildLogical(e, read)
 	if err != nil {
 		return nil, err
 	}
-	pc := newPlanCtx(e, stmt, lp)
+	pc := newPlanCtx(e, read, lp)
 	pc.pin, pc.pinMode = pin, pinMode
-	chain, err := pc.buildChain()
+	root, err := pc.buildChain()
 	if err != nil {
 		return nil, err
 	}
-	root, err := pc.buildTop(chain)
+	if write {
+		root, err = pc.buildWrite(root, sets)
+	} else {
+		root, err = pc.buildTop(root)
+	}
 	if err != nil {
 		return nil, err
 	}
 	pc.chooseModes(root)
 	pc.c.footprint = pc.planFootprint(root)
 	pc.recostScans(root)
-	return &Prepared{E: e, Stmt: stmt, Root: root}, nil
+	return &Prepared{E: e, Stmt: read, Root: root}, nil
 }
 
 // Names returns the output column names.
@@ -158,6 +185,8 @@ func (p *Prepared) instantiate(n *Node, ms *exec.MeterSet, meters map[*Node]*exe
 		op = e.Sort(kids[0], n.SortKeys)
 	case opLimit:
 		op = &exec.Limit{Child: kids[0], N: n.LimitN}
+	case opWrite:
+		op = &engine.Write{E: e, T: n.Table, Child: kids[0], Set: n.set, SetNodes: n.setNodes}
 	}
 	if ms != nil {
 		m := &exec.Meter{Label: n.Title(), Kids: kidMeters}

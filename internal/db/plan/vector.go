@@ -157,7 +157,7 @@ func (pc *planCtx) priceModes(n *Node) modePrice {
 			}
 		}
 	}
-	if mode, ok := pc.pinMode[n.TableName]; ok && (n.Kind == opIndexScan || n.Kind == opIndexJoin) {
+	if mode, ok := pc.pinMode[n.TableName]; ok && (n.Kind == opSeqScan || n.Kind == opIndexScan || n.Kind == opIndexJoin) {
 		switch {
 		case mode == ModeRow:
 			mp.vecTotal = math.Inf(1)

@@ -16,18 +16,21 @@ func (*BeginStmt) stmt()    {}
 func (*CommitStmt) stmt()   {}
 func (*RollbackStmt) stmt() {}
 
-// ExplainStmt is `EXPLAIN [ENERGY] <select>`. Plain EXPLAIN asks for the
-// optimizer's chosen plan with estimated cardinalities and predicted energy;
-// EXPLAIN ENERGY additionally executes the statement with per-operator
-// counter snapshots and reports each operator's measured Eactive breakdown.
+// ExplainStmt is `EXPLAIN [ENERGY] <select | update | delete>`. Plain EXPLAIN
+// asks for the optimizer's chosen plan with estimated cardinalities and
+// predicted energy; EXPLAIN ENERGY additionally executes the statement — a
+// write writes — with per-operator counter snapshots and reports each
+// operator's measured Eactive breakdown.
 type ExplainStmt struct {
 	Energy bool
-	Select *SelectStmt
+	// Stmt is the explained statement: *SelectStmt, *UpdateStmt or
+	// *DeleteStmt.
+	Stmt Statement
 }
 
-// ParseStatement parses one top-level statement: a SELECT (optionally under
-// EXPLAIN / EXPLAIN ENERGY), a DML statement (INSERT, UPDATE, DELETE), or a
-// transaction control (BEGIN, COMMIT, ROLLBACK). Parse remains the
+// ParseStatement parses one top-level statement: a SELECT, a DML statement
+// (INSERT, UPDATE, DELETE), either but INSERT under EXPLAIN / EXPLAIN ENERGY,
+// or a transaction control (BEGIN, COMMIT, ROLLBACK). Parse remains the
 // SELECT-only entry point.
 func ParseStatement(src string) (Statement, error) {
 	toks, err := lexAll(src)
@@ -48,23 +51,12 @@ func ParseStatement(src string) (Statement, error) {
 		stmt = &RollbackStmt{}
 	case p.at(tokKeyword, "INSERT"):
 		stmt, err = p.insertStmt()
-	case p.at(tokKeyword, "UPDATE"):
-		stmt, err = p.updateStmt()
-	case p.at(tokKeyword, "DELETE"):
-		stmt, err = p.deleteStmt()
+	case p.accept(tokKeyword, "EXPLAIN"):
+		ex := &ExplainStmt{Energy: p.accept(tokKeyword, "ENERGY")}
+		ex.Stmt, err = p.plannable()
+		stmt = ex
 	default:
-		explain := p.accept(tokKeyword, "EXPLAIN")
-		energy := false
-		if explain {
-			energy = p.accept(tokKeyword, "ENERGY")
-		}
-		var sel *SelectStmt
-		sel, err = p.selectStmt()
-		if err == nil && explain {
-			stmt = &ExplainStmt{Energy: energy, Select: sel}
-		} else if err == nil {
-			stmt = sel
-		}
+		stmt, err = p.plannable()
 	}
 	if err != nil {
 		return nil, err
@@ -73,4 +65,16 @@ func ParseStatement(src string) (Statement, error) {
 		return nil, fmt.Errorf("sql: trailing input at %q", p.cur().text)
 	}
 	return stmt, nil
+}
+
+// plannable parses a statement the optimizer plans: SELECT, UPDATE or DELETE.
+func (p *parser) plannable() (Statement, error) {
+	switch {
+	case p.at(tokKeyword, "UPDATE"):
+		return p.updateStmt()
+	case p.at(tokKeyword, "DELETE"):
+		return p.deleteStmt()
+	default:
+		return p.selectStmt()
+	}
 }

@@ -149,10 +149,15 @@ func (s *Session) InTxn() (uint64, bool) {
 //
 // The region is execution only for SELECT and EXPLAIN ENERGY (rows are
 // collected, not rendered: the paper's display-disabled runs), planning for
-// plain EXPLAIN, and the write for DML. A write that fails under an explicit
-// transaction may have left half a statement in it, so the whole transaction
-// is rolled back, in a region of its own: committing a torn statement is
-// never an option under snapshot isolation.
+// plain EXPLAIN, and the write for DML. A write — EXPLAIN ENERGY of one
+// included, which executes it — that fails under an explicit transaction may
+// have left half a statement in it, so the whole transaction is rolled back,
+// in a region of its own: committing a torn statement is never an option
+// under snapshot isolation.
+//
+// The view's read snapshot stays registered with the transaction manager only
+// while the statement runs: once Exec returns, an idle session holds no
+// version back from the writers' reclamation.
 func (s *Session) Exec(st *Stmt) ([]Record, Result, error) {
 	switch st.AST.(type) {
 	case *sql.BeginStmt:
@@ -167,6 +172,7 @@ func (s *Session) Exec(st *Stmt) ([]Record, Result, error) {
 	} else {
 		s.Eng.Unbind()
 	}
+	defer s.Eng.EndRead()
 	var (
 		res   = Result{Name: st.Name}
 		rec   = Record{Name: st.Name, Text: st.Text}
@@ -194,14 +200,16 @@ func (s *Session) Exec(st *Stmt) ([]Record, Result, error) {
 	case *sql.ExplainStmt:
 		var p *plan.Prepared
 		if a.Energy {
-			if p, err = plan.Prepare(s.Eng, a.Select); err != nil {
+			if p, err = plan.PrepareStmt(s.Eng, a.Stmt); err != nil {
 				return nil, Result{}, &Error{"plan", err}
 			}
+			_, read := a.Stmt.(*sql.SelectStmt)
+			write = !read
 			s.guarded(func() { res.Rows, res.Cols, rec.B, err = p.ExplainEnergy(s.Prof) })
 		} else {
 			class = "plan"
 			rec.B = s.Prof.Profile(st.Name, func() {
-				if p, err = plan.Prepare(s.Eng, a.Select); err == nil {
+				if p, err = plan.PrepareStmt(s.Eng, a.Stmt); err == nil {
 					res.Rows, res.Cols = p.Explain()
 				}
 			})
@@ -210,14 +218,26 @@ func (s *Session) Exec(st *Stmt) ([]Record, Result, error) {
 			rec.Plan = p.Summary()
 		}
 		rec.Rows = uint64(len(res.Rows))
-	default: // INSERT, UPDATE, DELETE: Parse admits nothing else
+	case *sql.InsertStmt:
 		write = true
 		var n int
 		s.guarded(func() {
 			rec.B = s.Prof.Profile(st.Name, func() { n, err = plan.ExecWrite(s.Eng, s.tx, a) })
 		})
-		rec.Rows = uint64(n)
-		res.Cols, res.Rows = []string{"rows_affected"}, []value.Row{{value.Int(int64(n))}}
+		rec.Rows, res.Cols, res.Rows = affected(n)
+	default: // UPDATE, DELETE: Parse admits nothing else
+		write = true
+		var p *plan.Prepared
+		var n int
+		if p, err = plan.PrepareStmt(s.Eng, a); err != nil {
+			class = "plan" // nothing ran, but an open transaction is over all the same
+		} else {
+			rec.Plan = p.Summary()
+			s.guarded(func() {
+				rec.B = s.Prof.Profile(st.Name, func() { n, err = p.ExecWrite(s.tx) })
+			})
+		}
+		rec.Rows, res.Cols, res.Rows = affected(n)
 	}
 	rec.Wall, rec.OK, res.Energy = time.Since(start).Seconds(), err == nil, rec.B
 	recs := []Record{rec}
@@ -236,6 +256,11 @@ func (s *Session) Exec(st *Stmt) ([]Record, Result, error) {
 		err = fmt.Errorf("%w %s", err, wire.TxnRolledBackSuffix)
 	}
 	return recs, Result{}, &Error{class, err}
+}
+
+// affected is the answer of a DML statement that changed n rows.
+func affected(n int) (uint64, []string, []value.Row) {
+	return uint64(n), []string{"rows_affected"}, []value.Row{{value.Int(int64(n))}}
 }
 
 // guarded runs fn with a fresh cancel flag wired into the executor and, when
@@ -277,6 +302,7 @@ func (s *Session) Txn(op wire.TxnOp) ([]Record, Result, error) {
 		return nil, Result{}, &Error{"txn", err}
 	}
 	rec, err := s.control(op, start)
+	s.Eng.EndRead() // a commit or rollback left the view on a fresh read snapshot
 	if err != nil {
 		return []Record{rec}, Result{}, &Error{"txn", err}
 	}

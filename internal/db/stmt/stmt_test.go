@@ -15,15 +15,21 @@ import (
 	"energydb/internal/tpch"
 )
 
-// newSession is a pipeline on a direct engine: what dbshell's local mode
-// builds.
+// newSession is a pipeline on a direct SQLite engine: what dbshell's local
+// mode builds.
 func newSession(t *testing.T) *stmt.Session {
+	t.Helper()
+	return sessionOn(t, engine.SQLite)
+}
+
+// sessionOn is a pipeline over a fresh 10MB store of the given profile.
+func sessionOn(t testing.TB, kind engine.Kind) *stmt.Session {
 	t.Helper()
 	st, err := core.NewStack(cpusim.PStateMax, 42, rapl.DefaultNoise, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(engine.SQLite, st.M, engine.SettingBaseline)
+	eng := engine.New(kind, st.M, engine.SettingBaseline)
 	tpch.Setup(eng, tpch.Size10MB)
 	return &stmt.Session{Eng: eng, Prof: st.Profiler()}
 }

@@ -28,7 +28,7 @@ func TestInsertTxnInvisibleUntilCommit(t *testing.T) {
 	}
 
 	// An autocommit snapshot taken now must not see it; the writer must.
-	dev.Snap = mgr.ReadSnap()
+	dev.Snap = mgr.Pin()
 	if _, visible, err := hf.ReadRow(id, true); err != nil || visible {
 		t.Fatalf("uncommitted insert visible to other snapshot (err=%v)", err)
 	}
@@ -40,7 +40,7 @@ func TestInsertTxnInvisibleUntilCommit(t *testing.T) {
 	if _, err := mgr.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	dev.Snap = mgr.ReadSnap()
+	dev.Snap = mgr.Pin()
 	if _, visible, _ := hf.ReadRow(id, true); !visible {
 		t.Fatal("committed insert invisible to fresh snapshot")
 	}
@@ -71,7 +71,7 @@ func TestUpdateTxnSnapshotStability(t *testing.T) {
 	mgr := txn.NewManager()
 
 	// Reader snapshots before the update commits.
-	reader := mgr.ReadSnap()
+	reader := mgr.Pin()
 
 	tx := mgr.Begin()
 	if _, err := hf.UpdateTxn(tx, 3, value.Row{value.Int(3), value.Float(99), value.Str("u")}); err != nil {
@@ -91,7 +91,7 @@ func TestUpdateTxnSnapshotStability(t *testing.T) {
 		t.Fatalf("old snapshot sees new version: %v", row)
 	}
 	// New snapshot sees the update.
-	dev.Snap = mgr.ReadSnap()
+	dev.Snap = mgr.Pin()
 	row, _, _ = hf.ReadRow(3, true)
 	if row[1].F != 99 {
 		t.Fatalf("new snapshot missed the update: %v", row)
@@ -162,7 +162,7 @@ func TestDeleteTxnLifecycle(t *testing.T) {
 	if _, visible, _ := hf.ReadRow(2, true); visible {
 		t.Fatal("deleter still sees deleted row")
 	}
-	dev.Snap = mgr.ReadSnap()
+	dev.Snap = mgr.Pin()
 	if _, visible, _ := hf.ReadRow(2, true); !visible {
 		t.Fatal("uncommitted delete visible to others")
 	}
@@ -175,7 +175,7 @@ func TestDeleteTxnLifecycle(t *testing.T) {
 	}
 
 	// Commit path: old snapshots keep the row, new ones lose it.
-	before := mgr.ReadSnap()
+	before := mgr.Pin()
 	tx2 := mgr.Begin()
 	if err := hf.DeleteTxn(tx2, 2); err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestDeleteTxnLifecycle(t *testing.T) {
 	if _, visible, _ := hf.ReadRow(2, true); !visible {
 		t.Fatal("pre-delete snapshot lost the row")
 	}
-	dev.Snap = mgr.ReadSnap()
+	dev.Snap = mgr.Pin()
 	if _, visible, _ := hf.ReadRow(2, true); visible {
 		t.Fatal("committed delete still visible")
 	}
@@ -222,7 +222,7 @@ func TestScannerSkipsInvisible(t *testing.T) {
 		t.Fatalf("zero snapshot scan saw %d rows, want 10", n)
 	}
 	// Fresh snapshot: row 0 deleted, one insert added.
-	dev.Snap = mgr.ReadSnap()
+	dev.Snap = mgr.Pin()
 	ids := []int{}
 	for sc := hf.Scan(); ; {
 		_, id, ok := sc.Next()
@@ -246,7 +246,7 @@ func TestBatchScannerNilHoles(t *testing.T) {
 	if _, err := mgr.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	dev.Snap = mgr.ReadSnap()
+	dev.Snap = mgr.Pin()
 	rows, base, ok := hf.BatchScan(64).NextBatch()
 	if !ok || base != 0 || len(rows) != 10 {
 		t.Fatalf("batch = %d rows at %d (ok=%v)", len(rows), base, ok)
@@ -264,7 +264,7 @@ func TestBatchScannerNilHoles(t *testing.T) {
 func TestChainWalkChargesReader(t *testing.T) {
 	dev, hf := newHeap(t)
 	mgr := txn.NewManager()
-	old := mgr.ReadSnap()
+	old := mgr.Pin()
 	for i := 0; i < 3; i++ {
 		tx := mgr.Begin()
 		if _, err := hf.UpdateTxn(tx, 0, value.Row{value.Int(0), value.Float(float64(i)), value.Str("u")}); err != nil {
@@ -277,7 +277,7 @@ func TestChainWalkChargesReader(t *testing.T) {
 	// Reading through the old snapshot walks 3 chain hops; a fresh
 	// snapshot reads the head directly. Same row payload width, so the
 	// load-count difference is the chain traversal.
-	dev.Snap = mgr.ReadSnap()
+	dev.Snap = mgr.Pin()
 	before := dev.M.Hier.Counters()
 	if _, visible, _ := hf.ReadRow(0, true); !visible {
 		t.Fatal("head invisible to fresh snapshot")

@@ -29,6 +29,16 @@
 // dedicated simulated region (old versions live off-page, as in a real MVCC
 // engine's version store), so snapshot overhead shows up in the energy
 // ledgers.
+//
+// # Reclamation
+//
+// What writes leave behind is reclaimed by later writes, on the writing
+// worker's device, against the oldest registered snapshot (txn.Manager.
+// Oldest): UpdateTxn unlinks the versions below the slot head that no
+// snapshot can reach any more, and Reap releases the slots of rows whose
+// delete committed, or whose insert aborted, at or below that horizon. There
+// is no background goroutine: every access a reclamation makes is issued by,
+// and charged to, the statement that runs it.
 package storage
 
 import (
@@ -72,9 +82,9 @@ type Device struct {
 	verOff  uint64
 }
 
-// versionArenaBytes sizes the simulated version-store region chain hops are
-// charged against.
-const versionArenaBytes = 1 << 20
+// VersionStoreBytes sizes the simulated version-store region chain hops,
+// commit stamps and undo records are charged against.
+const VersionStoreBytes = 1 << 20
 
 // NewDevice builds a device with a private arena.
 func NewDevice(m *cpusim.Machine, arenaBytes uint64) *Device {
@@ -86,40 +96,35 @@ func NewDevice(m *cpusim.Machine, arenaBytes uint64) *Device {
 	}
 }
 
-// ChargeChain simulates walking n version-chain hops: one dependent load of
-// the next version's header line per hop, placed in the version-store
-// region so snapshot overhead is attributed like any other memory traffic.
-func (dev *Device) ChargeChain(n int) {
+// versions simulates n accesses to consecutive version headers in the
+// version-store region: per header one dependent load, and with write the
+// store of its timestamp line.
+func (dev *Device) versions(n int, write bool) {
 	if n <= 0 {
 		return
 	}
 	if dev.verBase == 0 {
-		dev.verBase = dev.Arena.Alloc(versionArenaBytes, memsim.PageSize)
+		dev.verBase = dev.Arena.Alloc(VersionStoreBytes, memsim.PageSize)
 	}
 	h := dev.M.Hier
 	for i := 0; i < n; i++ {
 		h.Load(dev.verBase+dev.verOff, true)
-		dev.verOff = (dev.verOff + memsim.LineSize) % versionArenaBytes
+		if write {
+			h.StoreRange(dev.verBase+dev.verOff, memsim.LineSize)
+		}
+		dev.verOff = (dev.verOff + memsim.LineSize) % VersionStoreBytes
 	}
 }
+
+// ChargeChain simulates walking n version-chain hops: one dependent load of
+// the next version's header line per hop, placed in the version-store
+// region so snapshot overhead is attributed like any other memory traffic.
+func (dev *Device) ChargeChain(n int) { dev.versions(n, false) }
 
 // ChargeUndo simulates rolling back n undo records: each is a dependent load
 // of the record in the version store followed by a line store that unwinds
 // it, so aborts cost energy in proportion to the work being thrown away.
-func (dev *Device) ChargeUndo(n int) {
-	if n <= 0 {
-		return
-	}
-	if dev.verBase == 0 {
-		dev.verBase = dev.Arena.Alloc(versionArenaBytes, memsim.PageSize)
-	}
-	h := dev.M.Hier
-	for i := 0; i < n; i++ {
-		h.Load(dev.verBase+dev.verOff, true)
-		h.StoreRange(dev.verBase+dev.verOff, memsim.LineSize)
-		dev.verOff = (dev.verOff + memsim.LineSize) % versionArenaBytes
-	}
-}
+func (dev *Device) ChargeUndo(n int) { dev.versions(n, true) }
 
 // ChargeCommit simulates stamping n written versions at commit: each stamp
 // is a dependent load of the version header followed by a store of the
@@ -127,20 +132,7 @@ func (dev *Device) ChargeUndo(n int) {
 // work costs energy in proportion to the work being published. The txn
 // manager's stamping loop itself is machine-free (it is shared across
 // workers); the committing worker pays here.
-func (dev *Device) ChargeCommit(n int) {
-	if n <= 0 {
-		return
-	}
-	if dev.verBase == 0 {
-		dev.verBase = dev.Arena.Alloc(versionArenaBytes, memsim.PageSize)
-	}
-	h := dev.M.Hier
-	for i := 0; i < n; i++ {
-		h.Load(dev.verBase+dev.verOff, true)
-		h.StoreRange(dev.verBase+dev.verOff, memsim.LineSize)
-		dev.verOff = (dev.verOff + memsim.LineSize) % versionArenaBytes
-	}
-}
+func (dev *Device) ChargeCommit(n int) { dev.versions(n, true) }
 
 // DiskModel gives per-page read latencies for the local SATA drive of the
 // paper's testbed plus the OS page-cache hit cost. Sequential reads ride OS
@@ -403,6 +395,32 @@ func resolve(v *Version, snap txn.Snap) (value.Row, int) {
 	return nil, hops
 }
 
+// tombstone is the one version every reclaimed or never-filled slot points
+// at: aborted, so invisible to every snapshot and a write-write conflict for
+// every writer, and without a payload. Nothing ever stores to it.
+var tombstone = newVersion(txn.Aborted, nil, nil)
+
+// prune unlinks the versions below v whose end is a commit at or below
+// oldest — ends fall down a chain, so the first such version takes the rest
+// of the chain with it — and returns the hops walked and the versions cut.
+// The caller holds the table's write lock and charges both.
+func prune(v *Version, oldest uint64) (walked, cut int) {
+	//lint:nocharge machine-free walk under the table lock; UpdateTxn charges the hops and the unlink on its own machine
+	for ; v.prev != nil; v = v.prev {
+		walked++
+		if v.prev.end.Load() > oldest {
+			continue
+		}
+		// What one unlink releases; the unlink is one store whatever the count.
+		for p := v.prev; p != nil; p = p.prev {
+			cut++
+		}
+		v.prev = nil
+		break
+	}
+	return walked, cut
+}
+
 // TableData is the shared half of a heap file: versioned tuple chains,
 // schema and page/slot geometry. Per-worker HeapFile views over one
 // TableData see identical rows while simulating their accesses on their own
@@ -419,6 +437,50 @@ type TableData struct {
 	// TupleOverhead is the per-row header width (PostgreSQL's 24-byte
 	// heap tuple header, InnoDB's record header, ...), an engine knob.
 	TupleOverhead int
+
+	// dead queues the slots a DeleteTxn stamped or an aborted InsertTxn left
+	// behind, until Reap finds them out of every snapshot's reach.
+	dead []int
+
+	// changes counts rows inserted, updated and deleted since the optimizer
+	// last analyzed the table; pending mirrors len(dead); pruned and reaped
+	// count versions unlinked and slots released. Atomics, so planners and
+	// gauges read them without the lock.
+	changes atomic.Int64
+	pending atomic.Int64
+	pruned  atomic.Uint64
+	reaped  atomic.Uint64
+}
+
+// Changes returns how many rows were inserted, updated or deleted since the
+// last Analyzed call.
+func (d *TableData) Changes() int { return int(d.changes.Load()) }
+
+// Analyzed tells the table that statistics covering n of its counted changes
+// were just collected.
+func (d *TableData) Analyzed(n int) { d.changes.Add(-int64(n)) }
+
+// ReclaimStats is what reclamation has done to one table and what it still
+// has queued.
+type ReclaimStats struct {
+	VersionsPruned  uint64
+	DeadRowsReaped  uint64
+	DeadRowsPending int
+}
+
+// Reclaimed reads the table's reclamation counters.
+func (d *TableData) Reclaimed() ReclaimStats {
+	return ReclaimStats{
+		VersionsPruned:  d.pruned.Load(),
+		DeadRowsReaped:  d.reaped.Load(),
+		DeadRowsPending: int(d.pending.Load()),
+	}
+}
+
+// queueDead appends slot id to the dead queue; the caller holds the lock.
+func (d *TableData) queueDead(id int) {
+	d.dead = append(d.dead, id)
+	d.pending.Store(int64(len(d.dead)))
 }
 
 // rowCount returns the number of slots under the read lock.
@@ -576,6 +638,7 @@ func (hf *HeapFile) Append(r value.Row) int {
 	id := len(d.slots)
 	d.slots = append(d.slots, v)
 	d.mu.Unlock()
+	d.changes.Add(1)
 	page, slot := id/d.perPage, id%d.perPage
 	addr := hf.pool.Fetch(PageID{d.fileID, page}, true)
 	hf.dev.M.Hier.StoreRange(addr+uint64(pageHeaderBytes+slot*d.rowWidth), uint64(d.rowWidth))
@@ -583,12 +646,24 @@ func (hf *HeapFile) Append(r value.Row) int {
 }
 
 // insertRecord undoes/commits an InsertTxn: commit stamps the begin
-// timestamp, abort leaves an aborted tombstone in the slot (row IDs are
-// never reused, so recovery and concurrent scans keep stable geometry).
-type insertRecord struct{ v *Version }
+// timestamp, abort marks the version aborted and queues its slot for Reap,
+// which releases the payload and hands the row back so its index entries can
+// go too (row IDs are never reused, so recovery and concurrent scans keep
+// stable geometry).
+type insertRecord struct {
+	d  *TableData
+	id int
+	v  *Version
+}
 
 func (r *insertRecord) Commit(ts uint64) { r.v.begin.Store(ts) }
-func (r *insertRecord) Abort()           { r.v.begin.Store(txn.Aborted) }
+
+func (r *insertRecord) Abort() {
+	r.v.begin.Store(txn.Aborted)
+	r.d.mu.Lock()
+	r.d.queueDead(r.id)
+	r.d.mu.Unlock()
+}
 
 // updateRecord undoes/commits an UpdateTxn: commit stamps the new head's
 // begin and the old head's end with the commit timestamp; abort swaps the
@@ -644,7 +719,8 @@ func (hf *HeapFile) InsertTxn(t *txn.Txn, r value.Row) int {
 	id := len(d.slots)
 	d.slots = append(d.slots, v)
 	d.mu.Unlock()
-	t.Log(&insertRecord{v: v})
+	d.changes.Add(1)
+	t.Log(&insertRecord{d: d, id: id, v: v})
 	page, slot := id/d.perPage, id%d.perPage
 	pid := PageID{d.fileID, page}
 	addr := hf.pool.Fetch(pid, true)
@@ -656,23 +732,26 @@ func (hf *HeapFile) InsertTxn(t *txn.Txn, r value.Row) int {
 // InsertAtTxn applies a recovered insert at a specific slot id (WAL replay
 // must reproduce the original row geometry because later log records address
 // rows by id). Slots lost to the crash — allocated by transactions whose
-// records never became durable — are back-filled with aborted tombstones.
-// It simulates the same page write as InsertTxn.
+// records never became durable — are back-filled with the tombstone; a log
+// tail replayed onto a checkpointed store finds the slots of the transactions
+// that were open at the checkpoint back-filled so, and fills them. It
+// simulates the same page write as InsertTxn.
 func (hf *HeapFile) InsertAtTxn(t *txn.Txn, id int, r value.Row) error {
 	d := hf.data
 	v := newVersion(t.ID(), r.Clone(), nil)
 	d.mu.Lock()
-	if id < len(d.slots) {
+	if id < len(d.slots) && d.slots[id] != tombstone {
 		n := len(d.slots)
 		d.mu.Unlock()
 		return fmt.Errorf("storage: replay slot %d already allocated (have %d)", id, n)
 	}
-	for len(d.slots) < id {
-		d.slots = append(d.slots, newVersion(txn.Aborted, nil, nil))
+	for len(d.slots) <= id {
+		d.slots = append(d.slots, tombstone)
 	}
-	d.slots = append(d.slots, v)
+	d.slots[id] = v
 	d.mu.Unlock()
-	t.Log(&insertRecord{v: v})
+	d.changes.Add(1)
+	t.Log(&insertRecord{d: d, id: id, v: v})
 	page, slot := id/d.perPage, id%d.perPage
 	pid := PageID{d.fileID, page}
 	addr := hf.pool.Fetch(pid, true)
@@ -684,10 +763,15 @@ func (hf *HeapFile) InsertAtTxn(t *txn.Txn, id int, r value.Row) error {
 // UpdateTxn pushes a new version of slot id owned by t, first-updater-wins:
 // txn.ErrWriteConflict reports a head written by another in-flight
 // transaction or committed past t's snapshot. The old head stays reachable
-// for older snapshots (its end is stamped at commit). It returns the number
-// of bytes logically written, for WAL sizing.
+// for older snapshots (its end is stamped at commit); the versions below it
+// that no registered snapshot can reach are unlinked on the way (prune), the
+// walk and the unlink charged to this device. row becomes the new version's
+// payload, which is immutable: the caller gives it up (the log record of the
+// change may share it). It returns the number of bytes logically written, for
+// WAL sizing.
 func (hf *HeapFile) UpdateTxn(t *txn.Txn, id int, row value.Row) (int, error) {
 	d := hf.data
+	oldest := t.Oldest() // txn before storage: never under d.mu
 	d.mu.Lock()
 	if id < 0 || id >= len(d.slots) {
 		n := len(d.slots)
@@ -699,11 +783,18 @@ func (hf *HeapFile) UpdateTxn(t *txn.Txn, id int, row value.Row) (int, error) {
 		d.mu.Unlock()
 		return 0, txn.ErrWriteConflict
 	}
-	nv := newVersion(t.ID(), row.Clone(), head)
+	walked, cut := prune(head, oldest)
+	nv := newVersion(t.ID(), row, head)
 	head.end.Store(t.ID())
 	d.slots[id] = nv
 	d.mu.Unlock()
+	d.changes.Add(1)
 	t.Log(&updateRecord{d: d, id: id, old: head, neu: nv})
+	hf.dev.ChargeChain(walked)
+	if cut > 0 {
+		d.pruned.Add(uint64(cut))
+		hf.dev.versions(1, true)
+	}
 	page, slot := id/d.perPage, id%d.perPage
 	pid := PageID{d.fileID, page}
 	addr := hf.pool.Fetch(pid, false)
@@ -713,8 +804,8 @@ func (hf *HeapFile) UpdateTxn(t *txn.Txn, id int, row value.Row) (int, error) {
 }
 
 // DeleteTxn stamps slot id's head with t's ID (first-updater-wins, as
-// UpdateTxn) so it disappears from snapshots after commit. The simulated
-// write touches the tuple header line only.
+// UpdateTxn) so it disappears from snapshots after commit, and queues the
+// slot for Reap. The simulated write touches the tuple header line only.
 func (hf *HeapFile) DeleteTxn(t *txn.Txn, id int) error {
 	d := hf.data
 	d.mu.Lock()
@@ -729,7 +820,9 @@ func (hf *HeapFile) DeleteTxn(t *txn.Txn, id int) error {
 		return txn.ErrWriteConflict
 	}
 	head.end.Store(t.ID())
+	d.queueDead(id)
 	d.mu.Unlock()
+	d.changes.Add(1)
 	t.Log(&deleteRecord{v: head})
 	page, slot := id/d.perPage, id%d.perPage
 	pid := PageID{d.fileID, page}
@@ -737,6 +830,61 @@ func (hf *HeapFile) DeleteTxn(t *txn.Txn, id int) error {
 	hf.dev.M.Hier.StoreRange(addr+uint64(pageHeaderBytes+slot*d.rowWidth), memsim.LineSize)
 	hf.pool.MarkDirty(pid)
 	return nil
+}
+
+// Reaped is one slot Reap released: its id and the row it held, which the
+// caller needs to find the slot's index entries.
+type Reaped struct {
+	ID  int
+	Row value.Row
+}
+
+// Reap releases the queued dead slots that no snapshot at or above oldest can
+// see — the delete committed at or below it, or the insert aborted — by
+// pointing them at the tombstone: the payload and the chain below it become
+// garbage, the slot id stays taken. A slot whose delete rolled back leaves
+// the queue; one whose delete is still in flight, or committed above oldest,
+// stays. Every queued slot costs this device a look at its tuple header, every
+// released one the store that marks it. The caller removes the index entries
+// of what is returned, after this returns and so outside the table lock.
+func (hf *HeapFile) Reap(oldest uint64) []Reaped {
+	d := hf.data
+	if d.pending.Load() == 0 {
+		return nil
+	}
+	var out []Reaped
+	d.mu.Lock()
+	queued := d.dead
+	keep := d.dead[:0]
+	//lint:nocharge machine-free pass under the table lock; the header looks and marking stores are issued below, outside it
+	for _, id := range queued {
+		v := d.slots[id]
+		begin, end := v.begin.Load(), v.end.Load()
+		switch {
+		case v == tombstone || (begin != txn.Aborted && end == txn.Infinity):
+		case begin == txn.Aborted || end <= oldest:
+			out = append(out, Reaped{ID: id, Row: v.row})
+			d.slots[id] = tombstone
+		default:
+			keep = append(keep, id)
+		}
+	}
+	examined := len(queued)
+	d.dead = keep
+	d.pending.Store(int64(len(keep)))
+	d.mu.Unlock()
+	d.reaped.Add(uint64(len(out)))
+
+	h := hf.dev.M.Hier
+	hf.dev.ChargeChain(examined)
+	for _, r := range out {
+		page, slot := r.ID/d.perPage, r.ID%d.perPage
+		pid := PageID{d.fileID, page}
+		addr := hf.pool.Fetch(pid, false)
+		h.StoreRange(addr+uint64(pageHeaderBytes+slot*d.rowWidth), memsim.LineSize)
+		hf.pool.MarkDirty(pid)
+	}
+	return out
 }
 
 // Pool returns the backing buffer pool.

@@ -55,7 +55,7 @@ func TestTableDataView(t *testing.T) {
 	if _, err := mgr.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	devA.Snap = mgr.ReadSnap()
+	devA.Snap = mgr.Pin()
 	row, _, err = hf.ReadRow(42, false)
 	if err != nil {
 		t.Fatal(err)

@@ -54,6 +54,12 @@ type LogRecord struct {
 // scale, scaled down like the rest of the knobs).
 const walBufBytes = 64 << 10
 
+// walCheckpointBytes is how much log may accumulate past the last checkpoint
+// before the next committing worker takes one (PostgreSQL's max_wal_size,
+// scaled like the buffer): it bounds what recovery replays and what the log
+// retains.
+const walCheckpointBytes = 2 * walBufBytes
+
 // walBufBase is the simulated address of the shared log buffer. It sits
 // below every device arena (arenas start at 1<<32), so all workers' append
 // traffic lands on the same hot region — as a real engine's WAL insert
@@ -69,6 +75,11 @@ const walBufBase = uint64(0xE000_0000)
 // appenders. Simulated costs (buffer stores, flush loads, fsync latency)
 // are charged to the Device passed by the calling worker, keeping
 // per-session energy attribution exact.
+//
+// The log is recycled at checkpoints: once the store holds everything a
+// closed transaction wrote, its records are dropped, so the durable log is
+// the tail recovery still needs and no longer than walCheckpointBytes plus
+// what the transactions open at the last checkpoint had written.
 type WAL struct {
 	mu sync.Mutex
 	// bufOff is the fill point of the simulated log buffer.
@@ -76,9 +87,13 @@ type WAL struct {
 	// pending are records appended but not yet durable; a crash loses
 	// them.
 	pending []LogRecord
-	// durable are records that reached stable storage.
+	// durable are records that reached stable storage since the last
+	// checkpoint, behind those of the transactions open at it.
 	durable        []LogRecord
 	pendingCommits int
+	// sinceCheckpoint counts the log bytes appended since the last
+	// checkpoint.
+	sinceCheckpoint uint64
 
 	// FsyncSec is the commit-time flush latency. Set before use; not
 	// synchronized.
@@ -88,14 +103,15 @@ type WAL struct {
 	GroupCommit int
 
 	// Records counts appended records; Syncs counts fsyncs; Bytes counts
-	// logical log bytes.
-	Records atomic.Uint64
-	Syncs   atomic.Uint64
-	Bytes   atomic.Uint64
+	// logical log bytes; Checkpoints counts log recyclings.
+	Records     atomic.Uint64
+	Syncs       atomic.Uint64
+	Bytes       atomic.Uint64
+	Checkpoints atomic.Uint64
 }
 
-// walRecordHeader is the per-record header size charged on append.
-const walRecordHeader = 24
+// WALRecordHeader is the per-record header size charged on append.
+const WALRecordHeader = 24
 
 // NewWAL returns an empty log.
 func NewWAL() *WAL {
@@ -105,22 +121,28 @@ func NewWAL() *WAL {
 	}
 }
 
-// Append logs one data record of the given payload size: a header plus the
-// payload streamed into the log buffer (stores with excellent L1D
-// locality), charged to dev.
-func (w *WAL) Append(dev *Device, rec LogRecord, payload int) {
-	size := uint64(payload + walRecordHeader)
-	w.mu.Lock()
+// log appends one record of the given payload size: a header plus the
+// payload streamed into the log buffer (stores with excellent L1D locality),
+// charged to dev. Caller holds w.mu.
+func (w *WAL) log(dev *Device, rec LogRecord, payload int) {
+	size := uint64(payload + WALRecordHeader)
 	if w.bufOff+size > walBufBytes {
 		// Buffer wrap forces a background flush of the filled portion.
 		w.flushLocked(dev)
 	}
 	dev.M.Hier.StoreRange(walBufBase+w.bufOff, size)
 	w.bufOff += size
+	w.sinceCheckpoint += size
 	w.pending = append(w.pending, rec)
-	w.mu.Unlock()
 	w.Records.Add(1)
 	w.Bytes.Add(size)
+}
+
+// Append logs one data record of the given payload size.
+func (w *WAL) Append(dev *Device, rec LogRecord, payload int) {
+	w.mu.Lock()
+	w.log(dev, rec, payload)
+	w.mu.Unlock()
 }
 
 // Commit logs the transaction's commit record and makes everything
@@ -128,38 +150,60 @@ func (w *WAL) Append(dev *Device, rec LogRecord, payload int) {
 // call pays the fsync. The flush cost lands on the committing worker's
 // device.
 func (w *WAL) Commit(dev *Device, txnID uint64) {
-	size := uint64(walRecordHeader)
 	w.mu.Lock()
-	if w.bufOff+size > walBufBytes {
-		w.flushLocked(dev)
-	}
-	dev.M.Hier.StoreRange(walBufBase+w.bufOff, size)
-	w.bufOff += size
-	w.pending = append(w.pending, LogRecord{Kind: RecCommit, Txn: txnID})
+	w.log(dev, LogRecord{Kind: RecCommit, Txn: txnID}, 0)
 	w.pendingCommits++
 	if w.pendingCommits >= w.GroupCommit {
 		w.flushLocked(dev)
 	}
 	w.mu.Unlock()
-	w.Records.Add(1)
-	w.Bytes.Add(size)
 }
 
 // Abort logs the transaction's abort record. No fsync is forced — an abort
 // needs no durability guarantee (replay aborts unclosed transactions
 // anyway); the record rides the next flush.
 func (w *WAL) Abort(dev *Device, txnID uint64) {
-	size := uint64(walRecordHeader)
 	w.mu.Lock()
-	if w.bufOff+size > walBufBytes {
-		w.flushLocked(dev)
-	}
-	dev.M.Hier.StoreRange(walBufBase+w.bufOff, size)
-	w.bufOff += size
-	w.pending = append(w.pending, LogRecord{Kind: RecAbort, Txn: txnID})
+	w.log(dev, LogRecord{Kind: RecAbort, Txn: txnID}, 0)
 	w.mu.Unlock()
-	w.Records.Add(1)
-	w.Bytes.Add(size)
+}
+
+// CheckpointDue reports whether the log has grown walCheckpointBytes past
+// the last checkpoint.
+func (w *WAL) CheckpointDue() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.sinceCheckpoint >= walCheckpointBytes
+}
+
+// Checkpoint recycles the log once the caller has written the store back
+// (BufferPool.Checkpoint): the buffer is forced out, and every record of a
+// transaction that has closed — its commit or abort record is durable, so the
+// store holds what it wrote, or nothing of it — is dropped. What stays is
+// what the transactions still open have logged, from the first record of the
+// oldest of them; Durable is that plus everything appended afterwards.
+func (w *WAL) Checkpoint(dev *Device) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.flushLocked(dev)
+	// Truncating a log drops files, it reads no record: the forced flush above
+	// is the checkpoint's charged work.
+	closed := make(map[uint64]bool)
+	for _, rec := range w.durable {
+		if rec.Kind == RecCommit || rec.Kind == RecAbort {
+			closed[rec.Txn] = true
+		}
+	}
+	keep := w.durable[:0]
+	for _, rec := range w.durable {
+		if !closed[rec.Txn] {
+			keep = append(keep, rec)
+		}
+	}
+	clear(w.durable[len(keep):])
+	w.durable = keep
+	w.sinceCheckpoint = 0
+	w.Checkpoints.Add(1)
 }
 
 // Sync forces the buffer to stable storage (checkpoint / shutdown path).
@@ -184,8 +228,9 @@ func (w *WAL) flushLocked(dev *Device) {
 	w.Syncs.Add(1)
 }
 
-// Durable returns a copy of the records that have reached stable storage —
-// what a crash would leave behind for replay. Records still in the buffer
+// Durable returns a copy of the records that have reached stable storage and
+// no checkpoint has recycled — what a crash would leave behind for replay
+// onto the store as of the last checkpoint. Records still in the buffer
 // (appended but never flushed) are lost, exactly like a real log.
 func (w *WAL) Durable() []LogRecord {
 	w.mu.Lock()
@@ -201,4 +246,11 @@ func (w *WAL) PendingLen() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.pending)
+}
+
+// Retained reports how many records the log holds, durable and buffered.
+func (w *WAL) Retained() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.durable) + len(w.pending)
 }

@@ -131,7 +131,7 @@ func TestHeapFileUpdateRoundTrip(t *testing.T) {
 	if _, err := mgr.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	dev.Snap = mgr.ReadSnap()
+	dev.Snap = mgr.Pin()
 	r, visible, err := hf.ReadRow(42, true)
 	if err != nil {
 		t.Fatal(err)

@@ -23,13 +23,26 @@
 // points below the new timestamp while stamping runs. Aborts need no mutex:
 // they only un-write the aborting transaction's own versions.
 //
+// # Snapshot registry
+//
+// Every snapshot a reader may still resolve a version chain against is
+// registered with the manager: a transaction's from Begin to Commit or
+// Abort, an autocommit statement's from Pin to Unpin. Reading the horizon
+// and registering it happen under one mutex, and Oldest reads the registry
+// under the same one, so no snapshot can exist that Oldest did not bound:
+// a version whose end timestamp is a commit at or below Oldest is invisible
+// to every snapshot there is or will be, which is what lets the storage
+// layer reclaim it (storage.HeapFile.UpdateTxn, Reap). A session that is
+// idle between statements holds no registration and holds nothing back.
+//
 // # Locking model
 //
-// The manager's commit mutex is a txn-level lock in the engine stack's
-// documented order (engine → txn → storage → btree, enforced by the
-// lockorder analyzer): commit stamping touches only version atomics, never
-// a storage or btree lock. Undo records MAY take storage.TableData's lock
-// (to swap a chain head back), which respects the order.
+// The manager's commit and registry mutexes are txn-level locks in the
+// engine stack's documented order (engine → txn → storage → btree, enforced
+// by the lockorder analyzer): commit stamping touches only version atomics,
+// never a storage or btree lock, and Oldest is read before a storage lock is
+// taken, never under one. Undo records MAY take storage.TableData's lock (to
+// swap a chain head back), which respects the order.
 package txn
 
 import (
@@ -160,6 +173,10 @@ func (t *Txn) Writes() int { return len(t.records) }
 // Log registers one write for commit stamping / abort undo.
 func (t *Txn) Log(r Record) { t.records = append(t.records, r) }
 
+// Oldest is the manager's Oldest, for the storage layer, which is handed
+// transactions and not their manager.
+func (t *Txn) Oldest() uint64 { return t.mgr.Oldest() }
+
 // Manager allocates transaction IDs and commit timestamps and publishes the
 // snapshot horizon. One manager serves one table store; all fields are
 // atomics or guarded by commitMu, so Begin/Commit/Abort may be called from
@@ -173,6 +190,11 @@ type Manager struct {
 	// commitMu serializes commit stamping and horizon publication.
 	commitMu sync.Mutex
 
+	// snapMu guards pins, the horizon of every registered snapshot (one
+	// entry per registration; a handful at most, so a slice).
+	snapMu sync.Mutex
+	pins   []uint64
+
 	active    atomic.Int64
 	started   atomic.Uint64
 	committed atomic.Uint64
@@ -182,17 +204,60 @@ type Manager struct {
 // NewManager returns a manager with an empty history (horizon 0).
 func NewManager() *Manager { return &Manager{} }
 
-// ReadSnap returns a fresh autocommit read snapshot at the current horizon.
-func (m *Manager) ReadSnap() Snap { return Snap{TS: m.last.Load()} }
+// pin reads the horizon and registers it, atomically with respect to Oldest.
+func (m *Manager) pin() uint64 {
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
+	ts := m.last.Load()
+	m.pins = append(m.pins, ts)
+	return ts
+}
 
-// Begin starts a transaction with a snapshot at the current horizon.
+// unpin drops one registration of ts.
+func (m *Manager) unpin(ts uint64) {
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
+	for i, p := range m.pins {
+		if p == ts {
+			last := len(m.pins) - 1
+			m.pins[i] = m.pins[last]
+			m.pins = m.pins[:last]
+			return
+		}
+	}
+}
+
+// Pin returns a fresh autocommit read snapshot at the current horizon and
+// registers it until Unpin.
+func (m *Manager) Pin() Snap { return Snap{TS: m.pin()} }
+
+// Unpin releases a snapshot Pin returned.
+func (m *Manager) Unpin(s Snap) { m.unpin(s.TS) }
+
+// Oldest returns the horizon of the oldest registered snapshot, or the
+// current horizon when none is registered: no snapshot, present or future,
+// reads below it.
+func (m *Manager) Oldest() uint64 {
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
+	oldest := m.last.Load()
+	for _, p := range m.pins {
+		if p < oldest {
+			oldest = p
+		}
+	}
+	return oldest
+}
+
+// Begin starts a transaction with a snapshot at the current horizon,
+// registered until the transaction commits or aborts.
 func (m *Manager) Begin() *Txn {
 	id := TxnIDBase + m.next.Add(1)
 	m.started.Add(1)
 	m.active.Add(1)
 	return &Txn{
 		id:   id,
-		snap: Snap{TS: m.last.Load(), ID: id},
+		snap: Snap{TS: m.pin(), ID: id},
 		mgr:  m,
 	}
 }
@@ -223,6 +288,7 @@ func (m *Manager) Commit(t *Txn) (uint64, error) {
 	}
 	t.status = StatusCommitted
 	t.records = nil
+	m.unpin(t.snap.TS)
 	m.active.Add(-1)
 	m.committed.Add(1)
 	return ts, nil
@@ -243,6 +309,7 @@ func (m *Manager) Abort(t *Txn) error {
 	}
 	t.status = StatusAborted
 	t.records = nil
+	m.unpin(t.snap.TS)
 	m.active.Add(-1)
 	m.aborted.Add(1)
 	return nil

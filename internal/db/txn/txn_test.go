@@ -154,7 +154,7 @@ func TestConcurrentCommitAtomicity(t *testing.T) {
 				return
 			default:
 			}
-			snap := m.ReadSnap()
+			snap := m.Pin()
 			mu.Lock()
 			pairs := append([]*pair(nil), all...)
 			mu.Unlock()
@@ -166,6 +166,7 @@ func TestConcurrentCommitAtomicity(t *testing.T) {
 					return
 				}
 			}
+			m.Unpin(snap)
 		}
 	}()
 	wg.Wait()

@@ -165,18 +165,30 @@ type Key struct {
 func MakeKey(vals ...Value) Key {
 	var b []byte
 	for _, v := range vals {
-		b = append(b, byte(v.T))
-		switch v.T {
-		case TypeInt, TypeDate:
-			b = appendInt(b, v.I)
-		case TypeFloat:
-			b = strconv.AppendFloat(b, v.F, 'g', -1, 64)
-		case TypeStr:
-			b = append(b, v.S...)
-		}
-		b = append(b, 0)
+		b = appendKey(b, v)
 	}
 	return Key{s: string(b)}
+}
+
+// appendKey appends one value's key encoding.
+func appendKey(b []byte, v Value) []byte {
+	b = append(b, byte(v.T))
+	switch v.T {
+	case TypeInt, TypeDate:
+		b = appendInt(b, v.I)
+	case TypeFloat:
+		b = strconv.AppendFloat(b, v.F, 'g', -1, 64)
+	case TypeStr:
+		b = append(b, v.S...)
+	}
+	return append(b, 0)
+}
+
+// Hash is MakeKey(v).Hash() without building the key: the encoding goes
+// through a buffer on the stack.
+func (v Value) Hash() uint64 {
+	var buf [64]byte
+	return fnv1a(appendKey(buf[:0], v))
 }
 
 func appendInt(b []byte, v int64) []byte {
@@ -185,14 +197,16 @@ func appendInt(b []byte, v int64) []byte {
 
 // Hash returns a 64-bit FNV-1a hash of the key, used by hash operators to
 // derive simulated bucket addresses.
-func (k Key) Hash() uint64 {
+func (k Key) Hash() uint64 { return fnv1a(k.s) }
+
+func fnv1a[S string | []byte](s S) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(k.s); i++ {
-		h ^= uint64(k.s[i])
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= prime64
 	}
 	return h

@@ -24,8 +24,10 @@ type fetcher struct {
 	file *storage.HeapFile
 	out  *Batch
 	// rows backs out: the fetched heap rows themselves, or, under a join,
-	// probe+inner rows assembled in buf (np probe columns in front).
+	// probe+inner rows assembled in buf (np probe columns in front); ids are
+	// the heap slots they were fetched from.
 	rows []value.Row
+	ids  []int
 	buf  []value.Row
 	np   int
 	// seen counts the ids fetched into the pending batch, entries the
@@ -46,6 +48,7 @@ func newFetcher(ctx *exec.Ctx, file *storage.HeapFile, schema, probe *catalog.Sc
 		ctx: ctx, file: file,
 		out:  NewBatch(ctx.Arena, schema, width),
 		rows: make([]value.Row, 0, width),
+		ids:  make([]int, 0, width),
 		at:   ctx.Arena.Alloc(memsim.LineSize, memsim.LineSize),
 	}
 	if probe != nil {
@@ -82,6 +85,7 @@ func (f *fetcher) fetch(id int, probe *Batch, k int) error {
 		row = dst
 	}
 	f.rows = append(f.rows, row)
+	f.ids = append(f.ids, id)
 	return nil
 }
 
@@ -98,7 +102,8 @@ func (f *fetcher) emit() *Batch {
 		ChargeJoinGather(f.ctx, exec.Card{In: float64(len(f.rows))}, f.probeLines, f.innerLines, f.at)
 	}
 	f.out.SetRows(f.rows)
-	f.rows, f.seen = f.rows[:0], 0
+	f.out.SetRowIDs(0, f.ids)
+	f.rows, f.ids, f.seen = f.rows[:0], f.ids[:0], 0
 	return f.out
 }
 

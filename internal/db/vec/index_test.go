@@ -8,6 +8,7 @@ import (
 
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/txn"
 	"energydb/internal/db/value"
 	"energydb/internal/memsim"
 )
@@ -173,7 +174,10 @@ func TestIndexJoinNullKeysNeverMatch(t *testing.T) {
 func TestIndexOpsDropInvisibleEntries(t *testing.T) {
 	setup := func() (*engine.Engine, *engine.Table) {
 		e, tbl := indexedEngine(t, 200)
-		if n, err := e.DeleteWhere(tbl, exec.BinOp{Op: exec.OpEq, L: col(1), R: exec.Const{V: value.Int(3)}}); err != nil || n == 0 {
+		if n, err := e.Autocommit(func(*txn.Txn) (int, error) {
+			grp3 := exec.BinOp{Op: exec.OpEq, L: col(1), R: exec.Const{V: value.Int(3)}}
+			return exec.Drain(&engine.Write{E: e, T: tbl, Child: e.Scan(tbl, grp3)})
+		}); err != nil || n == 0 {
 			t.Fatalf("delete: %d rows, %v", n, err)
 		}
 		tx := e.Begin()

@@ -58,12 +58,13 @@ func (s *Scan) Open() error {
 // Next implements Operator.
 func (s *Scan) Next() (*Batch, error) {
 	s.Ctx.Poll()
-	rows, _, ok := s.bs.NextBatch()
+	rows, base, ok := s.bs.NextBatch()
 	if !ok {
 		return nil, nil
 	}
 	b := s.b
 	b.SetRows(rows)
+	b.SetRowIDs(base, nil)
 	// One driver dispatch per batch: the scan's cursor bookkeeping and
 	// batch handoff cost one tuple's worth of interpretation overhead.
 	// Slots invisible to the snapshot arrive as nil holes; drop them via
@@ -483,6 +484,10 @@ func (r *RowSource) Next() (value.Row, bool, error) {
 		r.b, r.k = b, 0 //lint:poolescape held only until the next Child.Next pull; the cursor drains the batch row-by-row before re-pulling
 	}
 }
+
+// RowID implements exec.RowIDer over a chain that hands a scan's batches up
+// unchanged but for their selection.
+func (r *RowSource) RowID() int { return r.b.RowID(r.k - 1) }
 
 // Close implements exec.Operator.
 func (r *RowSource) Close() error { return r.Child.Close() }

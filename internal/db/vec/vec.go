@@ -247,6 +247,11 @@ type Batch struct {
 	// rule. nil means every vector is materialized (kernel outputs).
 	rows []value.Row
 	mat  []bool
+	// base and ids name the heap slots behind rows when they came off a
+	// heap file: a sequential run starts at slot base (ids nil), a fetched
+	// batch lists each row's slot.
+	base int
+	ids  []int
 
 	selBuf []int32
 	sel    uint64 // simulated address of the selection vector, zero until selAddr draws it
@@ -310,6 +315,21 @@ func (b *Batch) SetRows(rows []value.Row) {
 	for j := range b.mat {
 		b.mat[j] = false
 	}
+}
+
+// SetRowIDs records, after SetRows, which heap slots the source rows occupy:
+// slot base onwards when ids is nil, else ids[i] for row i. ids is read until
+// the next SetRows call.
+func (b *Batch) SetRowIDs(base int, ids []int) { b.base, b.ids = base, ids }
+
+// RowID returns the heap slot of the selected position k of a batch a scan
+// produced (filters only narrow the selection, so the ids survive them).
+func (b *Batch) RowID(k int) int {
+	i := b.Pos(k)
+	if b.ids != nil {
+		return b.ids[i]
+	}
+	return b.base + i
 }
 
 // Col returns column j's vector, materializing it from the raw source rows

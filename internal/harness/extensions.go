@@ -6,7 +6,8 @@ import (
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
-	"energydb/internal/db/value"
+	"energydb/internal/db/plan"
+	"energydb/internal/db/sql"
 	"energydb/internal/nosql"
 	"energydb/internal/rapl"
 	"energydb/internal/tpch"
@@ -166,7 +167,7 @@ func RunExtensionWrites(o Options) (Result, error) {
 	}
 
 	header := append([]string{"Database", "Statement"},
-		append(shareHeader, "L1D+St%", "WAL recs", "writebacks")...)
+		append(shareHeader, "L1D+St%", "E_active (mJ)", "WAL recs", "writebacks", "Plan")...)
 	var rows [][]string
 	for _, kind := range engine.Kinds() {
 		r, err := newRig(o, cpusim.PState36, kind, o.Setting, o.Class)
@@ -175,17 +176,20 @@ func RunExtensionWrites(o Options) (Result, error) {
 		}
 		e := r.e
 		li := e.MustTable("lineitem")
-		qtyIdx := li.Schema().MustColIndex("l_quantity")
-		dateIdx := li.Schema().MustColIndex("l_shipdate")
 		for _, w := range workloads {
-			// Select by a shipdate prefix whose width sets the
-			// update fraction (shipdates spread ~uniformly).
-			cutoff := int64(float64(2405) * w.frac)
-			pred := exec.BinOp{Op: exec.OpLt,
-				L: exec.Col{Idx: dateIdx, Name: "l_shipdate"},
-				R: exec.Const{V: value.Date(cutoff)}}
+			// Select by a shipdate prefix whose width sets the update fraction
+			// (shipdates spread ~uniformly over 2405 days, counted from day 0).
+			stmt, err := sql.ParseStatement(fmt.Sprintf(
+				"UPDATE lineitem SET l_quantity = l_quantity + 1 WHERE l_shipdate < %d", int64(2405*w.frac)))
+			if err != nil {
+				return Result{}, err
+			}
 			// Warm the table.
 			if _, err := e.Run(e.Scan(li, nil)); err != nil {
+				return Result{}, err
+			}
+			p, err := plan.PrepareStmt(e, stmt)
+			if err != nil {
 				return Result{}, err
 			}
 			walBefore := e.WAL().Records.Load()
@@ -193,10 +197,7 @@ func RunExtensionWrites(o Options) (Result, error) {
 			var updated int
 			var runErr error
 			b := r.prof.Profile(w.name, func() {
-				updated, runErr = e.UpdateWhere(li, pred, func(r value.Row) value.Row {
-					r[qtyIdx] = value.Float(r[qtyIdx].AsFloat() + 1)
-					return r
-				})
+				updated, runErr = p.ExecWrite(nil)
 				e.Checkpoint()
 			})
 			if runErr != nil {
@@ -208,8 +209,10 @@ func RunExtensionWrites(o Options) (Result, error) {
 			walRecs := e.WAL().Records.Load() - walBefore //lint:monotonic WAL counters never reset within a run
 			rows = append(rows, append(append([]string{kind.String(), w.name}, shareCells(b)...),
 				fmt.Sprintf("%.1f", b.L1DShare()*100),
+				fmt.Sprintf("%.3f", b.EActive*1e3),
 				fmt.Sprintf("%d", walRecs),
-				fmt.Sprintf("%d", e.Pool.WriteBacks-wbBefore)))
+				fmt.Sprintf("%d", e.Pool.WriteBacks-wbBefore),
+				fmt.Sprintf("%s, scan mode=%s", p.Summary(), p.Root.Kids[0].Mode)))
 		}
 	}
 	text, csv := table("Extension X4: Active energy breakdown of update statements (the write path the paper defers)", header, rows)

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"energydb/internal/core"
+	"energydb/internal/db/engine"
 	"energydb/internal/obs"
 )
 
@@ -97,6 +98,25 @@ func newMetrics(s *Server) *metrics {
 	r.GaugeFunc("energyd_txns_aborted", "Transactions aborted since server start, all stores.", func() float64 {
 		return float64(s.TxnStats().Aborted)
 	})
+	for _, g := range []struct {
+		name, help string
+		read       func(engine.StoreStats) float64
+	}{
+		{"energyd_oldest_snapshot_lag", "Commits between the oldest registered snapshot and the horizon (worst store).",
+			func(st engine.StoreStats) float64 { return float64(st.OldestSnapshotLag) }},
+		{"energyd_versions_pruned_total", "Row versions unlinked from their chains by later updates.",
+			func(st engine.StoreStats) float64 { return float64(st.VersionsPruned) }},
+		{"energyd_dead_rows_pending", "Deleted or aborted rows queued until no snapshot can see them.",
+			func(st engine.StoreStats) float64 { return float64(st.DeadRowsPending) }},
+		{"energyd_dead_rows_reaped_total", "Dead rows whose slot and index entries a later write released.",
+			func(st engine.StoreStats) float64 { return float64(st.DeadRowsReaped) }},
+		{"energyd_wal_retained_records", "Log records held since the last checkpoint, buffered ones included.",
+			func(st engine.StoreStats) float64 { return float64(st.WALRetained) }},
+		{"energyd_wal_checkpoints_total", "Checkpoints taken: dirty pages written back and the log recycled.",
+			func(st engine.StoreStats) float64 { return float64(st.WALCheckpoints) }},
+	} {
+		r.GaugeFunc(g.name, g.help, func() float64 { return g.read(s.StoreStats()) })
+	}
 	r.Gauge("energyd_workers", "Execution workers (simulated machines).").Set(float64(len(s.pool.workers)))
 	r.GaugeFunc("energyd_slowlog_slowest_seconds", "Worst statement wall time on the slow board.", m.qlog.SlowestWall)
 	r.GaugeFunc("energyd_slowlog_hottest_joules", "Worst statement E_active on the hot board.", m.qlog.HottestJoules)
@@ -109,6 +129,16 @@ func newMetrics(s *Server) *metrics {
 			"P-state changes made by the worker's stall-aware governor.", "worker", id)
 	}
 	return m
+}
+
+// watchTables registers the per-table ANALYZE counter for every table of a
+// store that has just been provisioned. Stores share table names; the value
+// sums them, so registering a name again changes nothing.
+func (m *metrics) watchTables(s *Server, sh *engine.Shared) {
+	for table := range sh.Stats().Analyzes {
+		m.reg.GaugeFunc("energyd_analyze_total", "ANALYZE passes the optimizer's statistics cache has cost, by table.",
+			func() float64 { return float64(s.StoreStats().Analyzes[table]) }, "table", table)
+	}
 }
 
 // observeStatement books one successfully retired statement.

@@ -349,6 +349,7 @@ func (s *Server) sharedStore(key engineKey) *engine.Shared {
 
 	ent.shared = e.Shared()
 	close(ent.ready)
+	s.obs.watchTables(s, ent.shared)
 	return ent.shared
 }
 
@@ -365,24 +366,51 @@ func (s *Server) Engines() int {
 // provisioned store. Stores still loading are skipped — they cannot have
 // transactions yet.
 func (s *Server) TxnStats() txn.Stats {
+	var out txn.Stats
+	for _, sh := range s.readyStores() {
+		st := sh.Txns.StatsSnapshot()
+		out.Active += st.Active
+		out.Started += st.Started
+		out.Committed += st.Committed
+		out.Aborted += st.Aborted
+	}
+	return out
+}
+
+// readyStores lists the provisioned stores that have finished loading.
+func (s *Server) readyStores() []*engine.Shared {
 	s.mu.Lock()
 	ents := make([]*storeEntry, 0, len(s.stores))
 	for _, ent := range s.stores {
 		ents = append(ents, ent)
 	}
 	s.mu.Unlock()
-	var out txn.Stats
+	out := make([]*engine.Shared, 0, len(ents))
 	for _, ent := range ents {
 		select {
 		case <-ent.ready:
+			out = append(out, ent.shared)
 		default:
-			continue
 		}
-		st := ent.shared.Txns.StatsSnapshot()
-		out.Active += st.Active
-		out.Started += st.Started
-		out.Committed += st.Committed
-		out.Aborted += st.Aborted
+	}
+	return out
+}
+
+// StoreStats aggregates the stores' reclamation state (engine.StoreStats):
+// counters sum, and the snapshot lag is the worst of any store.
+func (s *Server) StoreStats() engine.StoreStats {
+	out := engine.StoreStats{Analyzes: make(map[string]uint64)}
+	for _, sh := range s.readyStores() {
+		st := sh.Stats()
+		out.OldestSnapshotLag = max(out.OldestSnapshotLag, st.OldestSnapshotLag)
+		out.VersionsPruned += st.VersionsPruned
+		out.DeadRowsReaped += st.DeadRowsReaped
+		out.DeadRowsPending += st.DeadRowsPending
+		out.WALRetained += st.WALRetained
+		out.WALCheckpoints += st.WALCheckpoints
+		for table, n := range st.Analyzes {
+			out.Analyzes[table] += n
+		}
 	}
 	return out
 }

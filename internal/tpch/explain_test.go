@@ -17,10 +17,23 @@ import (
 
 var updateExplain = flag.Bool("update", false, "rewrite golden EXPLAIN files")
 
+// dmlTexts are the writes whose plans are pinned beside the queries': the
+// planned statements of the txn-mixed benchmark's writer (bench/workload.go;
+// its INSERT has no plan), an UPDATE whose WHERE no index serves, and one with
+// no WHERE at all.
+var dmlTexts = []struct{ name, text string }{
+	{"update-orders-key", "UPDATE orders SET o_totalprice = 17 WHERE o_orderkey = 7"},
+	{"update-nation-key", "UPDATE nation SET n_regionkey = 17 WHERE n_nationkey = 24"},
+	{"delete-orders-key", "DELETE FROM orders WHERE o_orderkey = 1000012"},
+	{"update-orders-unindexed", "UPDATE orders SET o_totalprice = o_totalprice + 1 WHERE o_orderpriority = '5-LOW'"},
+	{"update-lineitem-all", "UPDATE lineitem SET l_quantity = l_quantity + 1"},
+}
+
 // TestExplainGolden pins the optimizer's chosen plan for every TPC-H query
-// text on the deterministic 10MB dataset, on the SQLite profile
-// (testdata/explain) and on the PostgreSQL profile the benchmark's server
-// runs (testdata/explain/postgresql). A change to the statistics, the cost
+// text, and for the writes of dmlTexts, on the deterministic 10MB dataset, on
+// the SQLite profile (testdata/explain, writes in dml/sqlite-*.txt) and on the
+// PostgreSQL profile the benchmark's server runs (testdata/explain/postgresql,
+// writes in dml/postgresql-*.txt). A change to the statistics, the cost
 // model or the rewrite rules that alters any plan (or its cardinality and
 // energy predictions) trips this test; if the new plan is intentional,
 // regenerate with `go test ./internal/tpch -run ExplainGolden -update`.
@@ -40,14 +53,15 @@ func TestExplainGolden(t *testing.T) {
 		m := cpusim.NewMachine(cpusim.IntelI7_4790())
 		e := engine.New(profile.kind, m, engine.SettingBaseline)
 		Setup(e, Size10MB)
-		for _, q := range SQLQueries() {
-			stmt, err := sql.Parse(q.Text)
+		// golden plans one statement and holds its EXPLAIN to the file.
+		golden := func(name, text, path string) {
+			stmt, err := sql.ParseStatement(text)
 			if err != nil {
-				t.Fatalf("Q%d: parse: %v", q.ID, err)
+				t.Fatalf("%s: parse: %v", name, err)
 			}
-			p, err := plan.Prepare(e, stmt)
+			p, err := plan.PrepareStmt(e, stmt)
 			if err != nil {
-				t.Fatalf("%s Q%d: plan: %v", profile.kind, q.ID, err)
+				t.Fatalf("%s %s: plan: %v", profile.kind, name, err)
 			}
 			rows, _ := p.Explain()
 			var b strings.Builder
@@ -56,7 +70,6 @@ func TestExplainGolden(t *testing.T) {
 				b.WriteByte('\n')
 			}
 			got := b.String()
-			path := filepath.Join(profile.dir, fmt.Sprintf("q%d.txt", q.ID))
 			if *updateExplain {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -64,15 +77,21 @@ func TestExplainGolden(t *testing.T) {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				continue
+				return
 			}
 			want, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("%s Q%d: %v (run with -update to generate)", profile.kind, q.ID, err)
+				t.Fatalf("%s %s: %v (run with -update to generate)", profile.kind, name, err)
 			}
 			if got != string(want) {
-				t.Errorf("%s Q%d plan changed.\n--- want\n%s--- got\n%s", profile.kind, q.ID, want, got)
+				t.Errorf("%s %s plan changed.\n--- want\n%s--- got\n%s", profile.kind, name, want, got)
 			}
+		}
+		for _, q := range SQLQueries() {
+			golden(fmt.Sprintf("Q%d", q.ID), q.Text, filepath.Join(profile.dir, fmt.Sprintf("q%d.txt", q.ID)))
+		}
+		for _, w := range dmlTexts {
+			golden(w.name, w.text, filepath.Join(root, "dml", strings.ToLower(profile.kind.String())+"-"+w.name+".txt"))
 		}
 	}
 }

@@ -62,6 +62,11 @@ grep -q "txns: 0 active, 1 started, 1 committed, 0 aborted" "$TMP/shell.out" || 
   cat "$TMP/shell.out" >&2
   exit 1
 }
+grep -q "reclaim: oldest snapshot 0 commits behind" "$TMP/shell.out" || {
+  echo "smoke: \\stats shows no reclamation line, or an idle server pins a snapshot" >&2
+  cat "$TMP/shell.out" >&2
+  exit 1
+}
 echo "smoke: statements + transaction + \\stats ok"
 
 # Scrape and check the core families carry live values.
@@ -72,6 +77,13 @@ for family in \
   'energyd_txns_active 0' \
   'energyd_txns_committed 1' \
   'energyd_txns_aborted 0' \
+  'energyd_oldest_snapshot_lag 0' \
+  'energyd_versions_pruned_total 0' \
+  'energyd_dead_rows_pending 0' \
+  'energyd_dead_rows_reaped_total 0' \
+  'energyd_wal_retained_records 2' \
+  'energyd_wal_checkpoints_total 0' \
+  'energyd_analyze_total{table="nation"} 1' \
   'energyd_statement_wall_seconds_bucket' \
   'energyd_energy_joules_total{component="E_L1D"}' \
   'energyd_l1d_share' \
