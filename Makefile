@@ -153,13 +153,17 @@ bench-join:
 # walk on an L1D hit, a never-hitting stream, a cache-resident scan and random
 # DRAM loads, the calibration every boot pays (BenchmarkCalibration/boot; most
 # of the benchmark's setup_s on the resident workloads), the index build
-# every load pays, and the ANALYZE pass a planner pays when a table's
-# statistics have gone stale (internal/db/engine). These are the numbers a
-# memsim, btree or statistics change reports before and after; CI runs them
+# every load pays, the ANALYZE pass a planner pays when a table's
+# statistics have gone stale (internal/db/engine), and what eight scans of a
+# heap of 1.3 × L3 pull out of DRAM walking it the same way every time and
+# taking turns (internal/db/storage; simulated cost, once is exact). These are
+# the numbers a memsim, btree, statistics or scan-order change reports before
+# and after; CI runs them
 # once each to keep them compiling and finishing.
 bench-substrate:
 	$(GO) test -run xxx -bench 'BenchmarkHierarchy|BenchmarkCalibration|BenchmarkCreateIndex' -benchtime $(BENCHTIME) .
 	$(GO) test -run xxx -bench BenchmarkAnalyze -benchtime $(BENCHTIME) ./internal/db/engine/
+	$(GO) test -run xxx -bench BenchmarkHeapRescan -benchtime 1x ./internal/db/storage/
 
 # Short fuzz pass over every fuzz target: the SQL parser (raw client text),
 # the planner pipeline (parse → optimize → build → execute), the row-versus-

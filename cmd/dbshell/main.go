@@ -336,10 +336,14 @@ func (sh *shell) stats() {
 		s.TxnsActive, s.TxnsStarted, s.TxnsCommitted, s.TxnsAborted)
 	var analyzes []string
 	gauge := make(map[string]float64)
+	scans := make(map[string]float64)
 	for _, f := range s.Metrics.Families {
 		for _, m := range f.Metrics {
-			if f.Name == "energyd_analyze_total" && m.Value > 0 {
+			switch {
+			case f.Name == "energyd_analyze_total" && m.Value > 0:
 				analyzes = append(analyzes, fmt.Sprintf("%s=%.0f", m.Labels[0].Value, m.Value))
+			case f.Name == "energyd_heap_scans_total":
+				scans[m.Labels[0].Value] = m.Value
 			}
 			gauge[f.Name] = m.Value
 		}
@@ -348,6 +352,7 @@ func (sh *shell) stats() {
 		gauge["energyd_oldest_snapshot_lag"], gauge["energyd_versions_pruned_total"],
 		gauge["energyd_dead_rows_reaped_total"], gauge["energyd_dead_rows_pending"],
 		gauge["energyd_wal_retained_records"], gauge["energyd_wal_checkpoints_total"], strings.Join(analyzes, " "))
+	fmt.Printf("scans: %.0f vector heap scans front to back, %.0f back to front\n", scans["forward"], scans["reverse"])
 	fmt.Print("components:")
 	for _, c := range core.Components() {
 		fmt.Printf(" %s=%.4gJ", c, s.ComponentJoules[c.String()])

@@ -341,6 +341,12 @@ type StoreStats struct {
 	WALCheckpoints uint64
 	// Analyzes counts the ANALYZE passes per table.
 	Analyzes map[string]uint64
+	// HeapScansForward and HeapScansReverse count the batch scans started
+	// over the store's heaps by direction, all views together (storage.
+	// TableData.ScanCounts): a reverse scan is a vector scan of a heap longer
+	// than the last-level cache starting where the one before it ended.
+	HeapScansForward uint64
+	HeapScansReverse uint64
 }
 
 // Stats reads the store's reclamation state (each figure atomically; the set
@@ -361,6 +367,9 @@ func (sh *Shared) Stats() StoreStats {
 		st.DeadRowsReaped += r.DeadRowsReaped
 		st.DeadRowsPending += r.DeadRowsPending
 		st.Analyzes[name] = t.analyzes.Load()
+		f, rev := t.data.ScanCounts()
+		st.HeapScansForward += f
+		st.HeapScansReverse += rev
 	}
 	return st
 }

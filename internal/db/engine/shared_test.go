@@ -166,3 +166,87 @@ func TestUpdateWhereStillWorks(t *testing.T) {
 		t.Fatalf("row not updated: %v", row)
 	}
 }
+
+// TestScanDirectionUnderConcurrentWrites: a reader inside a transaction batch-
+// scans a table longer than its machine's L3 six times — so front to back and
+// back to front in turn — while another view commits deletes, updates and
+// inserts to it. Every scan returns the rows of the reader's snapshot, slot
+// for slot, whichever way it walked; the writer's view, which ran no batch
+// scan, still points forward. Run under -race this is also the proof that a
+// direction belongs to one view.
+func TestScanDirectionUnderConcurrentWrites(t *testing.T) {
+	small := cpusim.IntelI7_4790()
+	small.Mem.L2.SizeBytes, small.Mem.L3.SizeBytes = 64<<10, 256<<10
+	e := New(PostgreSQL, cpusim.NewMachine(small), SettingBaseline)
+	const rows = 12000
+	tbl := loadSample(t, e, rows)
+	if !tbl.File.Alternates() {
+		t.Fatal("sample fits the L3")
+	}
+	reader := e.Shared().View(cpusim.NewMachine(small))
+	rt, err := reader.Table("sample")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtx := reader.Begin()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 300; i++ {
+			tx := e.Begin()
+			if err := tbl.File.DeleteTxn(tx, i*37); err != nil {
+				t.Error(err)
+			}
+			if _, err := tbl.File.UpdateTxn(tx, i*37+1, value.Row{value.Int(-1), value.Int(0), value.Float(0)}); err != nil {
+				t.Error(err)
+			}
+			e.InsertTxn(tx, tbl, value.Row{value.Int(int64(rows + i)), value.Int(0), value.Float(0)})
+			if err := e.Commit(tx); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for i := 0; i < 6; i++ {
+		sc := rt.File.BatchScan(500)
+		seen, first := 0, -1
+		for {
+			batch, base, ok := sc.NextBatch()
+			if !ok {
+				break
+			}
+			if first < 0 {
+				first = base
+			}
+			for j, r := range batch {
+				id := base + j
+				switch {
+				case id >= rows && r != nil:
+					t.Fatalf("scan %d: slot %d, inserted after the snapshot, is visible", i, id)
+				case id < rows && (r == nil || r[0].I != int64(id)):
+					t.Fatalf("scan %d: slot %d reads %v under the reader's snapshot", i, id, r)
+				case id < rows:
+					seen++
+				}
+			}
+		}
+		if seen != rows {
+			t.Fatalf("scan %d saw %d rows, want %d", i, seen, rows)
+		}
+		if want := i%2 == 1; sc.Reverse() != want || (first == 0) == want {
+			t.Fatalf("scan %d: reverse=%v, first batch at %d", i, sc.Reverse(), first)
+		}
+	}
+	wg.Wait()
+	if err := reader.Commit(rtx); err != nil {
+		t.Fatal(err)
+	}
+	sc := tbl.File.BatchScan(500)
+	if _, base, ok := sc.NextBatch(); !ok || base != 0 || sc.Reverse() {
+		t.Fatalf("the writer's first batch scan starts at %d, reverse=%v", base, sc.Reverse())
+	}
+	if f, r := tbl.File.Data().ScanCounts(); f != 4 || r != 3 {
+		t.Fatalf("scan counts forward %d reverse %d, want 4 and 3", f, r)
+	}
+}

@@ -95,7 +95,7 @@ func treeWork(t *testing.T, p *Prepared, n *Node) uint64 {
 		}
 	case opIndexJoin:
 		tree := n.Table.Index(n.InnerColName).View(scratch)
-		outer, err := p.instantiate(n.Kids[0], nil, nil)
+		outer, err := p.instantiate(n.Kids[0], nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,10 +175,11 @@ func (p *Prepared) PredictedEJ() float64 {
 // It returns the rendered rows and the statement-level breakdown (for the
 // caller's energy ledger).
 func (p *Prepared) ExplainEnergy(prof *core.Profiler) ([]value.Row, []string, core.Breakdown, error) {
-	op, meters, err := p.BuildMetered()
+	op, mt, err := p.buildMetered()
 	if err != nil {
 		return nil, nil, core.Breakdown{}, err
 	}
+	meters := mt.meters
 	var runErr error
 	b := prof.Profile("explain-energy", func() {
 		_, runErr = p.drain(op)
@@ -220,8 +221,14 @@ func (p *Prepared) ExplainEnergy(prof *core.Profiler) ([]value.Row, []string, co
 		if b.EActive > 0 {
 			share = eJ / b.EActive
 		}
+		detail := n.detail()
+		if scan := mt.scans[n]; scan != nil && scan.Reverse() {
+			// Why two measured runs of one statement may differ: this one
+			// walked the heap back to front (storage.BatchScanner).
+			detail += " order=reverse"
+		}
 		line := fmt.Sprintf("%s%s%s  (rows=%d, E=%s %4.1f%%, L1D+Reg2L1D %4.1f%%)",
-			prefix, n.Title(), n.detail(), m.Rows(), fmtEnergy(eJ),
+			prefix, n.Title(), detail, m.Rows(), fmtEnergy(eJ),
 			share*100, nb.L1DShare()*100)
 		rows = append(rows, value.Row{value.Str(line)})
 	})

@@ -52,11 +52,24 @@ func indexNodes(n *Node) []*Node {
 // vector chain (PostgreSQL Q1: 20.3 mJ committed against a 0.96 mJ
 // neighbour); an index operator left out of the chain DP fails it wherever
 // batches would have amortized its per-candidate interpretation.
+//
+// PostgreSQL runs it at 100MB too: its lineitem heap is longer than L3 there,
+// so the sequential candidate of a vector chain carries the alternating-scan
+// price (seqLines) against index paths priced as before.
 func TestCommittedPlanBeatsScanNeighbours(t *testing.T) {
-	for _, kind := range []engine.Kind{engine.SQLite, engine.PostgreSQL} {
+	type rig struct {
+		kind engine.Kind
+		size tpch.SizeClass
+	}
+	rigs := []rig{{engine.SQLite, tpch.Size10MB}, {engine.PostgreSQL, tpch.Size10MB}}
+	if !testing.Short() {
+		rigs = append(rigs, rig{engine.PostgreSQL, tpch.Size100MB})
+	}
+	for _, r := range rigs {
+		kind := fmt.Sprintf("%s %s", r.kind, r.size)
 		m := cpusim.NewMachine(cpusim.IntelI7_4790())
-		e := engine.New(kind, m, engine.SettingBaseline)
-		tpch.Setup(e, tpch.Size10MB)
+		e := engine.New(r.kind, m, engine.SettingBaseline)
+		tpch.Setup(e, r.size)
 		paths, modes := 0, 0
 		for _, q := range tpch.SQLQueries() {
 			stmt, err := sql.Parse(q.Text)

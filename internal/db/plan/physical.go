@@ -560,7 +560,7 @@ func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 	c := pc.c
 	switch n.Kind {
 	case opSeqScan:
-		c.scanHeap(a, n.Table)
+		c.scanHeap(a, n.Table, vector)
 	case opIndexScan:
 		tree := n.Table.Index(n.IdxCol)
 		c.btreeDescend(a, 1, tree.Height(), tree.Len())

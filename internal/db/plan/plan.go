@@ -104,21 +104,37 @@ func (p *Prepared) Names() []string { return p.Root.Schema().Names() }
 
 // Build instantiates the executor tree for one execution.
 func (p *Prepared) Build() (exec.Operator, error) {
-	op, err := p.instantiate(p.Root, nil, nil)
+	op, err := p.instantiate(p.Root, nil)
 	return op, err
+}
+
+// metering is what a metered build keeps per node: the meter, and for a
+// vector sequential scan the operator, which knows the way it walked.
+type metering struct {
+	set    *exec.MeterSet
+	meters map[*Node]*exec.Meter
+	scans  map[*Node]*vec.Scan
 }
 
 // BuildMetered instantiates the executor tree with every operator wrapped in
 // a counter meter, for per-operator energy attribution. The returned map
 // locates each node's meter.
 func (p *Prepared) BuildMetered() (exec.Operator, map[*Node]*exec.Meter, error) {
-	ms := exec.NewMeterSet(p.E.Ctx)
-	meters := make(map[*Node]*exec.Meter)
-	op, err := p.instantiate(p.Root, ms, meters)
-	return op, meters, err
+	op, mt, err := p.buildMetered()
+	return op, mt.meters, err
 }
 
-func (p *Prepared) instantiate(n *Node, ms *exec.MeterSet, meters map[*Node]*exec.Meter) (exec.Operator, error) {
+func (p *Prepared) buildMetered() (exec.Operator, *metering, error) {
+	mt := &metering{
+		set:    exec.NewMeterSet(p.E.Ctx),
+		meters: make(map[*Node]*exec.Meter),
+		scans:  make(map[*Node]*vec.Scan),
+	}
+	op, err := p.instantiate(p.Root, mt)
+	return op, mt, err
+}
+
+func (p *Prepared) instantiate(n *Node, mt *metering) (exec.Operator, error) {
 	if n.Mode == ModeVector {
 		// The whole vector chain rooted here is built batch-at-a-time and
 		// adapted back to rows for the (row-mode) parent. The adapter
@@ -127,13 +143,13 @@ func (p *Prepared) instantiate(n *Node, ms *exec.MeterSet, meters map[*Node]*exe
 		// planner folded the transition price into — so per-operator
 		// predicted-vs-measured stays aligned and the partition stays
 		// exact.
-		vop, err := p.instantiateVec(n, ms, meters)
+		vop, err := p.instantiateVec(n, mt)
 		if err != nil {
 			return nil, err
 		}
 		rs := &vec.RowSource{Ctx: p.E.Ctx, Child: vop}
-		if ms != nil {
-			rs.Set, rs.M = ms, meters[n]
+		if mt != nil {
+			rs.Set, rs.M = mt.set, mt.meters[n]
 		}
 		return rs, nil
 	}
@@ -141,13 +157,13 @@ func (p *Prepared) instantiate(n *Node, ms *exec.MeterSet, meters map[*Node]*exe
 	kids := make([]exec.Operator, len(n.Kids))
 	var kidMeters []*exec.Meter
 	for i, k := range n.Kids {
-		op, err := p.instantiate(k, ms, meters)
+		op, err := p.instantiate(k, mt)
 		if err != nil {
 			return nil, err
 		}
 		kids[i] = op
-		if ms != nil {
-			kidMeters = append(kidMeters, meters[k])
+		if mt != nil {
+			kidMeters = append(kidMeters, mt.meters[k])
 		}
 	}
 	var op exec.Operator
@@ -188,10 +204,10 @@ func (p *Prepared) instantiate(n *Node, ms *exec.MeterSet, meters map[*Node]*exe
 	case opWrite:
 		op = &engine.Write{E: e, T: n.Table, Child: kids[0], Set: n.set, SetNodes: n.setNodes}
 	}
-	if ms != nil {
+	if mt != nil {
 		m := &exec.Meter{Label: n.Title(), Kids: kidMeters}
-		meters[n] = m
-		return &exec.Metered{Set: ms, Child: op, M: m}, nil
+		mt.meters[n] = m
+		return &exec.Metered{Set: mt.set, Child: op, M: m}, nil
 	}
 	return op, nil
 }
@@ -200,24 +216,28 @@ func (p *Prepared) instantiate(n *Node, ms *exec.MeterSet, meters map[*Node]*exe
 // chooseModes guarantees every child of a vector node is itself in vector
 // mode, so the recursion bottoms out at the scans and batches move edge to
 // edge — through joins and sorts included — with no row adapter in between.
-func (p *Prepared) instantiateVec(n *Node, ms *exec.MeterSet, meters map[*Node]*exec.Meter) (vec.Operator, error) {
+func (p *Prepared) instantiateVec(n *Node, mt *metering) (vec.Operator, error) {
 	e := p.E
 	kids := make([]vec.Operator, len(n.Kids))
 	var kidMeters []*exec.Meter
 	for i, k := range n.Kids {
-		kid, err := p.instantiateVec(k, ms, meters)
+		kid, err := p.instantiateVec(k, mt)
 		if err != nil {
 			return nil, err
 		}
 		kids[i] = kid
-		if ms != nil {
-			kidMeters = append(kidMeters, meters[k])
+		if mt != nil {
+			kidMeters = append(kidMeters, mt.meters[k])
 		}
 	}
 	var op vec.Operator
 	switch n.Kind {
 	case opSeqScan:
-		op = &vec.Scan{Ctx: e.Ctx, File: n.Table.File, Pred: n.Filter}
+		scan := &vec.Scan{Ctx: e.Ctx, File: n.Table.File, Pred: n.Filter}
+		if mt != nil {
+			mt.scans[n] = scan
+		}
+		op = scan
 	case opIndexScan:
 		op = &vec.IndexScan{
 			Ctx: e.Ctx, File: n.Table.File, Tree: n.Table.Index(n.IdxCol),
@@ -249,10 +269,10 @@ func (p *Prepared) instantiateVec(n *Node, ms *exec.MeterSet, meters map[*Node]*
 	default:
 		return nil, fmt.Errorf("plan: no vectorized implementation for %s", n.Title())
 	}
-	if ms != nil {
+	if mt != nil {
 		m := &exec.Meter{Label: n.Title(), Kids: kidMeters}
-		meters[n] = m
-		op = &vec.Metered{Set: ms, Child: op, M: m}
+		mt.meters[n] = m
+		op = &vec.Metered{Set: mt.set, Child: op, M: m}
 	}
 	return op, nil
 }

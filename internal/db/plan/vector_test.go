@@ -16,7 +16,11 @@ import (
 // vecTestEngine builds an engine with one `facts` table of the given size.
 func vecTestEngine(t *testing.T, rows int) *engine.Engine {
 	t.Helper()
-	m := cpusim.NewMachine(cpusim.IntelI7_4790())
+	return factsEngine(cpusim.NewMachine(cpusim.IntelI7_4790()), rows)
+}
+
+// factsEngine loads `facts` into a new SQLite engine on m.
+func factsEngine(m *cpusim.Machine, rows int) *engine.Engine {
 	e := engine.New(engine.SQLite, m, engine.SettingBaseline)
 	facts := e.CreateTable("facts", catalog.NewSchema(
 		catalog.Column{Name: "id", Type: value.TypeInt},

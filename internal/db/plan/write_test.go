@@ -9,6 +9,7 @@ import (
 	"energydb/internal/core"
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
+	"energydb/internal/db/exec"
 	"energydb/internal/db/sql"
 	"energydb/internal/tpch"
 )
@@ -44,15 +45,20 @@ func tableDump(t *testing.T, e *engine.Engine) []string {
 }
 
 // TestWriteSameOnEveryPathAndMode runs one UPDATE and one DELETE with the scan
-// under the write node pinned to each access path in each executor: all four
+// under the write node pinned to each access path in each executor, and each
+// of those with the view's next batch scan pointing either way: all eight
 // plans must change the same rows — read back slot by slot, so the same row
 // ids — and report the same count. The predicate has a part the index bounds
-// capture and a residual, and spans several batches of the vector scans.
+// capture and a residual, and spans several batches of the vector scans. The
+// machine's L3 is cut to 256 KB so that facts is longer than it and the vector
+// sequential scan does walk back to front when told to.
 func TestWriteSameOnEveryPathAndMode(t *testing.T) {
-	const rows = 3000
+	const rows = 15000
+	small := cpusim.IntelI7_4790()
+	small.Mem.L2.SizeBytes, small.Mem.L3.SizeBytes = 64<<10, 256<<10
 	for _, text := range []string{
-		"UPDATE facts SET amount = amount * 2 + 1, grp = 9 WHERE id >= 100 AND id <= 2600 AND grp = 3",
-		"DELETE FROM facts WHERE id >= 100 AND id <= 2600 AND grp = 3",
+		"UPDATE facts SET amount = amount * 2 + 1, grp = 9 WHERE id >= 100 AND id <= 12600 AND grp = 3",
+		"DELETE FROM facts WHERE id >= 100 AND id <= 12600 AND grp = 3",
 	} {
 		stmt, err := sql.ParseStatement(text)
 		if err != nil {
@@ -62,37 +68,61 @@ func TestWriteSameOnEveryPathAndMode(t *testing.T) {
 		var wantN int
 		for _, path := range []opKind{opSeqScan, opIndexScan} {
 			for _, mode := range []Mode{ModeRow, ModeVector} {
-				e := writeEngine(t, rows)
-				before := tableDump(t, e)
-				p, err := preparePinned(e, stmt, map[string]opKind{"facts": path}, map[string]Mode{"facts": mode})
-				if err != nil {
-					t.Fatal(err)
-				}
-				scan := p.Root.Kids[0]
-				if p.Root.Kind != opWrite || scan.Kind != path || scan.Mode != mode {
-					t.Fatalf("%s: pinned to %v/%v, planned\n%s", text, path, mode, explainText(p))
-				}
-				n, err := p.ExecWrite(nil)
-				if err != nil {
-					t.Fatalf("%s over %s: %v", text, scan.Title(), err)
-				}
-				dump := tableDump(t, e)
-				if wantDump == nil {
-					wantDump, wantN = dump, n
-					changed := 0
-					for i := range dump {
-						if dump[i] != before[i] {
-							changed++
+				for _, reverse := range []bool{false, true} {
+					e := factsEngine(cpusim.NewMachine(small), rows)
+					facts := e.MustTable("facts")
+					e.CreateIndex(facts, "id")
+					if !facts.File.Alternates() {
+						t.Fatal("facts fits the L3")
+					}
+					if reverse {
+						// One completed vector scan turns the view around.
+						op, err := prepare(t, e, "SELECT COUNT(*) FROM facts").Build()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := exec.Drain(op); err != nil {
+							t.Fatal(err)
+						}
+						if f, r := facts.File.Data().ScanCounts(); f != 1 || r != 0 {
+							t.Fatalf("the turning scan was not one front-to-back batch scan (%d, %d)", f, r)
 						}
 					}
-					if n != 500 || changed != n {
-						t.Fatalf("%s: %d rows affected, %d slots changed, want 500", text, n, changed)
+					before := tableDump(t, e)
+					p, err := preparePinned(e, stmt, map[string]opKind{"facts": path}, map[string]Mode{"facts": mode})
+					if err != nil {
+						t.Fatal(err)
 					}
-					continue
-				}
-				if n != wantN || !reflect.DeepEqual(dump, wantDump) {
-					t.Errorf("%s over %s mode=%v: %d rows affected and a different table than over the row sequential scan (%d)",
-						text, scan.Title(), mode, n, wantN)
+					scan := p.Root.Kids[0]
+					if p.Root.Kind != opWrite || scan.Kind != path || scan.Mode != mode {
+						t.Fatalf("%s: pinned to %v/%v, planned\n%s", text, path, mode, explainText(p))
+					}
+					_, was := facts.File.Data().ScanCounts()
+					n, err := p.ExecWrite(nil)
+					if err != nil {
+						t.Fatalf("%s over %s: %v", text, scan.Title(), err)
+					}
+					if _, now := facts.File.Data().ScanCounts(); (now > was) != (reverse && path == opSeqScan && mode == ModeVector) {
+						t.Fatalf("%s over %s mode=%v, view reversed %v: %d back-to-front scans ran", text, scan.Title(), mode, reverse, now-was)
+					}
+					dump := tableDump(t, e)
+					if wantDump == nil {
+						wantDump, wantN = dump, n
+						changed := 0
+						for i := range dump {
+							if dump[i] != before[i] {
+								changed++
+							}
+						}
+						if n != 2500 || changed != n {
+							t.Fatalf("%s: %d rows affected, %d slots changed, want 2500", text, n, changed)
+						}
+						continue
+					}
+					if n != wantN || !reflect.DeepEqual(dump, wantDump) {
+						t.Errorf("%s over %s mode=%v, view reversed %v: %d rows affected and a different table than over the row sequential scan (%d)",
+							text, scan.Title(), mode, reverse, n, wantN)
+					}
 				}
 			}
 		}

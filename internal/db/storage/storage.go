@@ -450,6 +450,10 @@ type TableData struct {
 	pending atomic.Int64
 	pruned  atomic.Uint64
 	reaped  atomic.Uint64
+
+	// forwardScans and reverseScans count the batch scans every view has
+	// started over this table, by the direction they took.
+	forwardScans, reverseScans atomic.Uint64
 }
 
 // Changes returns how many rows were inserted, updated or deleted since the
@@ -475,6 +479,12 @@ func (d *TableData) Reclaimed() ReclaimStats {
 		DeadRowsReaped:  d.reaped.Load(),
 		DeadRowsPending: int(d.pending.Load()),
 	}
+}
+
+// ScanCounts returns how many batch scans of the table have started front to
+// back and back to front, over all its views.
+func (d *TableData) ScanCounts() (forward, reverse uint64) {
+	return d.forwardScans.Load(), d.reverseScans.Load()
 }
 
 // queueDead appends slot id to the dead queue; the caller holds the lock.
@@ -571,6 +581,11 @@ type HeapFile struct {
 	dev  *Device
 	pool *BufferPool
 	data *TableData
+
+	// reverse is the direction this view's next batch scan takes if the heap
+	// is longer than the last-level cache (see BatchScanner). It belongs to
+	// the view because the caches it speaks of are the view's machine's.
+	reverse bool
 }
 
 // NewHeapFile creates an empty heap file on the pool, with fresh shared
@@ -985,19 +1000,35 @@ func (s *Scanner) Next() (value.Row, int, bool) {
 	}
 }
 
-// BatchScanner iterates a heap file in row order a batch at a time: each
-// page is fetched once and each page's row run is streamed with a single
-// range load, so the batch touches the same pages and cache lines as the
-// row-at-a-time Scanner while amortizing the per-call bookkeeping over the
-// whole batch — the vectorized-scan access pattern. Slots invisible to the
-// device's snapshot come back as nil holes; the vectorized scan drops them
-// via its selection vector.
+// BatchScanner iterates a heap file a batch at a time: each page is fetched
+// once and each page's row run is streamed with a single range load, so the
+// batch touches the same pages and cache lines as the row-at-a-time Scanner
+// while amortizing the per-call bookkeeping over the whole batch — the
+// vectorized-scan access pattern. Slots invisible to the device's snapshot
+// come back as nil holes; the vectorized scan drops them via its selection
+// vector.
+//
+// Batches arrive in slot order unless the heap is longer than the device's
+// last-level cache. Such a heap, scanned front to back again, finds none of
+// its lines: under LRU each was evicted by the scan's own later lines. So a
+// scan of one starts at the end where the view's previous batch scan finished
+// (HeapFile.reverse) and finds that scan's tail still cached. Only the order
+// of the batches turns around — the same batches, each one's rows, pages and
+// lines ascending, so the per-page streamer still trains and a batch's row
+// ids stay base+i. The view's direction turns when a scan hands out its last
+// batch: a scan abandoned early (LIMIT, a cancelled statement) walked off
+// nothing and leaves it alone.
 type BatchScanner struct {
 	hf       *HeapFile
 	next     int
 	curPage  int
 	pageAddr uint64
 	buf      []value.Row
+
+	started bool
+	reverse bool
+	total   int // slots when the scan began, if the heap alternates; else 0
+	left    int // reverse: batches not handed out yet
 }
 
 // BatchScan starts a full-file sequential scan that yields up to max rows
@@ -1009,34 +1040,87 @@ func (hf *HeapFile) BatchScan(max int) *BatchScanner {
 	return &BatchScanner{hf: hf, curPage: -1, buf: make([]value.Row, max)}
 }
 
+// Alternates reports whether consecutive batch scans of this heap take turns
+// in direction: its pages do not fit the device's last-level cache.
+func (hf *HeapFile) Alternates() bool {
+	l3 := hf.dev.M.Hier.Config().L3
+	return l3.Present() && hf.PageCount()*hf.pool.pageSize > l3.SizeBytes
+}
+
+// start fixes the scan's direction, at its first batch rather than when it
+// was opened: of two scans one statement opens together over one heap, the
+// second to run starts where the first finished.
+func (s *BatchScanner) start() {
+	hf := s.hf
+	s.started = true
+	if hf.Alternates() {
+		s.reverse = hf.reverse
+		s.total = hf.RowCount()
+		if s.reverse {
+			s.left = (s.total + len(s.buf) - 1) / len(s.buf)
+		}
+	}
+	if s.reverse {
+		hf.data.reverseScans.Add(1)
+	} else {
+		hf.data.forwardScans.Add(1)
+	}
+}
+
+// Reverse reports whether the scan hands its batches out back to front. It
+// is settled by the first NextBatch.
+func (s *BatchScanner) Reverse() bool { return s.reverse }
+
 // NextBatch returns the next run of rows (nil entries mark slots invisible
-// to the snapshot) and the id of the first, or ok=false at the end of the
-// file. The returned slice is only valid until the following NextBatch call
-// (the batch buffer is reused).
+// to the snapshot) and the id of the first, or ok=false when every batch has
+// been handed out. The returned slice is only valid until the following
+// NextBatch call (the batch buffer is reused).
 func (s *BatchScanner) NextBatch() ([]value.Row, int, bool) {
 	hf := s.hf
 	d := hf.data
-	n, hops := d.rowSpan(s.next, s.buf, hf.dev.Snap)
+	if !s.started {
+		s.start()
+	}
+	base, dst := s.next, s.buf
+	if s.reverse {
+		if s.left == 0 {
+			return nil, 0, false
+		}
+		s.left--
+		base = s.left * len(s.buf)
+		if rem := s.total - base; rem < len(dst) {
+			dst = dst[:rem]
+		}
+	}
+	n, hops := d.rowSpan(base, dst, hf.dev.Snap)
 	if n == 0 {
 		return nil, 0, false
 	}
-	base := s.next
-	s.next += n
+	s.next = base + n
+	if s.total > 0 && (s.reverse && s.left == 0 || !s.reverse && s.next >= s.total) {
+		hf.reverse = !s.reverse
+	}
 	h := hf.dev.M.Hier
 	hf.dev.ChargeChain(hops)
+	// The page this batch shares with the one after it is fetched once: the
+	// last page of a batch walking up, the first of one walking down.
+	edgePage, edgeAddr := s.curPage, s.pageAddr
 	for id := base; id < base+n; {
 		page, slot := id/d.perPage, id%d.perPage
+		addr := s.pageAddr
 		if page != s.curPage {
-			s.pageAddr = hf.pool.Fetch(PageID{d.fileID, page}, true)
-			s.curPage = page
+			addr = hf.pool.Fetch(PageID{d.fileID, page}, true)
+		}
+		if !s.reverse || id == base {
+			edgePage, edgeAddr = page, addr
 		}
 		run := d.perPage - slot
 		if rem := base + n - id; run > rem {
 			run = rem
 		}
-		rowAddr := s.pageAddr + uint64(pageHeaderBytes+slot*d.rowWidth)
-		h.LoadRange(rowAddr, uint64(run*d.rowWidth))
+		h.LoadRange(addr+uint64(pageHeaderBytes+slot*d.rowWidth), uint64(run*d.rowWidth))
 		id += run
 	}
-	return s.buf[:n], base, true
+	s.curPage, s.pageAddr = edgePage, edgeAddr
+	return dst[:n], base, true
 }

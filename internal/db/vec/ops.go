@@ -90,6 +90,10 @@ func (s *Scan) Next() (*Batch, error) {
 // Close implements Operator.
 func (s *Scan) Close() error { return nil }
 
+// Reverse reports whether the scan handed its batches out back to front, as
+// every other scan of a heap longer than the last-level cache does.
+func (s *Scan) Reverse() bool { return s.bs != nil && s.bs.Reverse() }
+
 // Filter narrows the selection vector of each batch by a predicate.
 type Filter struct {
 	Ctx   *exec.Ctx
