@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench-check bench-e2e bench bench-txn bench-join bench-substrate fuzz smoke loc
+.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench-check bench-e2e bench bench-join bench-substrate fuzz smoke loc
 
 all: build
 
@@ -26,12 +26,15 @@ lint:
 
 # Non-blank, non-comment, non-test Go lines of the packages the simplicity
 # PRs track: the planner and the two executors, the analyzer suite, the
-# statement pipeline with its two consumers, and the experiment harness.
+# statement pipeline with its two consumers, the experiment harness, the
+# TPC-H package and the public facade at the root.
 loc:
 	@scripts/loc.sh internal/db/plan internal/db/vec internal/db/exec
 	@scripts/loc.sh internal/lint
 	@scripts/loc.sh internal/server cmd/dbshell internal/db/stmt
 	@scripts/loc.sh internal/harness
+	@scripts/loc.sh internal/tpch
+	@scripts/loc.sh .
 
 # Budget gate for the analyzer suite itself: the full-repo run (load +
 # type-check + all analyzers, chargeflow CFG fixpoint included) must stay
@@ -117,30 +120,15 @@ bench-e2e:
 smoke:
 	./scripts/smoke.sh
 
-# Legacy scaling baselines (claims cite BENCHMARK.json names via bench-e2e
-# now): end-to-end server throughput (internal/server/bench_test.go ->
-# BENCH_server.json) and the row-versus-vector executor sweep
-# (internal/db/vec/bench_test.go -> BENCH_vector.json). The committed
-# BENCH_server.json was recorded when session.execute still routed `\qN` to
-# the hand-built tpch.Query.Build row plans; `\qN` is now the SQL text of
-# query N through plan.Prepare, so a fresh run measures the optimizer and the
-# vector executor and is not comparable with the committed cells. The file
-# was not regenerated when the route changed.
+# Legacy scaling baseline (claims cite BENCHMARK.json names via bench-e2e
+# now): the row-versus-vector executor sweep (internal/db/vec/bench_test.go
+# -> BENCH_vector.json).
 bench:
-	$(GO) test -run xxx -bench BenchmarkServerThroughput -benchtime 2s ./internal/server/
 	$(GO) test -run xxx -bench BenchmarkVectorThroughput -benchtime 1s ./internal/db/vec/
 	$(GO) test -run xxx -bench BenchmarkVectorJoinSort -benchtime 1s ./internal/db/vec/
 
-# Mixed reader/writer slice of the server matrix only: 16 sessions over 4
-# workers with 2/8/16 of them running explicit update transactions. This
-# is the CI smoke for the MVCC transaction path — it drives BEGIN/COMMIT
-# frames, write-write conflict machinery, and WAL group commit end to end,
-# and refreshes just those cells of BENCH_server.json. BENCHTIME is
-# overridable so CI can keep it short.
+# BENCHTIME is overridable so CI can keep the bench smokes short.
 BENCHTIME ?= 1s
-
-bench-txn:
-	$(GO) test -run xxx -bench 'BenchmarkServerThroughput/mixed' -benchtime $(BENCHTIME) ./internal/server/
 
 # Join/sort slice of the vector sweep only: lineitem ⋈ orders through the
 # row and batch hash joins plus the two-key lineitem sort, at batch widths

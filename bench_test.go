@@ -15,6 +15,7 @@ import (
 
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
+	"energydb/internal/db/plan"
 	"energydb/internal/harness"
 	"energydb/internal/memsim"
 	"energydb/internal/rapl"
@@ -144,45 +145,37 @@ func BenchmarkCreateIndex(b *testing.B) {
 	}
 }
 
-func BenchmarkTPCHQ1SQLite(b *testing.B) {
-	m := cpusim.NewMachine(cpusim.IntelI7_4790())
-	e := engine.New(engine.SQLite, m, engine.SettingBaseline)
-	tpch.Setup(e, tpch.Size10MB)
-	q, err := tpch.QueryByID(1)
+// sqlText is the SQL text of TPC-H query id.
+func sqlText(b *testing.B, id int) string {
+	q, err := tpch.SQLByID(id)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return q.Text
+}
+
+// benchTPCH plans and drains TPC-H query id on a 10MB engine of the kind,
+// once per iteration.
+func benchTPCH(b *testing.B, kind engine.Kind, id int) {
+	m := cpusim.NewMachine(cpusim.IntelI7_4790())
+	e := engine.New(kind, m, engine.SettingBaseline)
+	tpch.Setup(e, tpch.Size10MB)
+	build := plan.Builder(sqlText(b, id))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := q.Build(e)
+		op, err := build(e)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Run(plan); err != nil {
+		if _, err := e.Run(op); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkTPCHQ3HashJoinPostgreSQL(b *testing.B) {
-	m := cpusim.NewMachine(cpusim.IntelI7_4790())
-	e := engine.New(engine.PostgreSQL, m, engine.SettingBaseline)
-	tpch.Setup(e, tpch.Size10MB)
-	q, err := tpch.QueryByID(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan, err := q.Build(e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(plan); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTPCHQ1SQLite(b *testing.B) { benchTPCH(b, engine.SQLite, 1) }
+
+func BenchmarkTPCHQ3PostgreSQL(b *testing.B) { benchTPCH(b, engine.PostgreSQL, 3) }
 
 // Ablation benches (DESIGN.md section 6).
 
@@ -195,23 +188,12 @@ func BenchmarkAblationPrefetcher(b *testing.B) {
 		e := engine.New(engine.SQLite, m, engine.SettingBaseline)
 		tpch.Setup(e, tpch.Size10MB)
 		m.Hier.SetPrefetchEnabled(on)
-		q, err := tpch.QueryByID(6)
+		op, err := tpch.Warm(e, plan.Builder(sqlText(b, 6)))
 		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := q.Build(e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(plan); err != nil {
 			b.Fatal(err)
 		}
 		before := m.Hier.Counters()
-		plan, err = q.Build(e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(plan); err != nil {
+		if _, err := e.Run(op); err != nil {
 			b.Fatal(err)
 		}
 		return float64(m.Hier.Counters().Sub(before).StallCycles)
@@ -235,22 +217,19 @@ func BenchmarkAblationDTCMBudget(b *testing.B) {
 			m := tcm.NewMachine()
 			meter := rapl.NewPowerMeter(m, 7, 0)
 			e := engine.New(engine.SQLite, m, engine.SettingSmall)
+			e.Knobs.DisableVectorExec = true // Figure 13's row executor
 			tpch.Setup(e, tpch.Size10MB)
 			if optimize {
 				if _, err := tcm.OptimizeSQLite(e, tables); err != nil {
 					b.Fatal(err)
 				}
 			}
-			q, err := tpch.QueryByID(6)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan, err := tpch.Warm(e, q.Build)
+			op, err := tpch.Warm(e, plan.Builder(sqlText(b, 6)))
 			if err != nil {
 				b.Fatal(err)
 			}
 			j, _ := meter.MeasureSession(func() {
-				if _, err := e.Run(plan); err != nil {
+				if _, err := e.Run(op); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -281,23 +260,12 @@ func BenchmarkAblationL1DPrefetcher(b *testing.B) {
 		e := engine.New(engine.SQLite, m, engine.SettingBaseline)
 		tpch.Setup(e, tpch.Size10MB)
 		m.Hier.SetPrefetchEnabled(true)
-		q, err := tpch.QueryByID(6)
+		op, err := tpch.Warm(e, plan.Builder(sqlText(b, 6)))
 		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := q.Build(e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(plan); err != nil {
 			b.Fatal(err)
 		}
 		before := m.Hier.Counters()
-		plan, err = q.Build(e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(plan); err != nil {
+		if _, err := e.Run(op); err != nil {
 			b.Fatal(err)
 		}
 		d := m.Hier.Counters().Sub(before)
@@ -329,20 +297,20 @@ func BenchmarkAblationFillPolicy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		plan, err := op.Build(e)
+		scan, err := op.Build(e)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Run(plan); err != nil {
+		if _, err := e.Run(scan); err != nil {
 			b.Fatal(err)
 		}
 		before := m.Hier.Counters()
 		e0 := m.ActiveEnergy().Total()
-		plan, err = op.Build(e)
+		scan, err = op.Build(e)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Run(plan); err != nil {
+		if _, err := e.Run(scan); err != nil {
 			b.Fatal(err)
 		}
 		return m.ActiveEnergy().Total() - e0, m.Hier.Counters().Sub(before).StallCycles
@@ -360,7 +328,8 @@ func BenchmarkAblationFillPolicy(b *testing.B) {
 }
 
 // BenchmarkAblationEngineOverhead contrasts the three engine cost models on
-// the identical plan shape, reporting instructions per returned row.
+// TPC-H Q1 (one scan, one aggregate and a sort on every profile), reporting
+// instructions per query.
 func BenchmarkAblationEngineOverhead(b *testing.B) {
 	for _, kind := range engine.Kinds() {
 		kind := kind
@@ -368,27 +337,22 @@ func BenchmarkAblationEngineOverhead(b *testing.B) {
 			m := cpusim.NewMachine(cpusim.IntelI7_4790())
 			e := engine.New(kind, m, engine.SettingBaseline)
 			tpch.Setup(e, tpch.Size10MB)
-			q, err := tpch.QueryByID(1)
-			if err != nil {
-				b.Fatal(err)
-			}
+			build := plan.Builder(sqlText(b, 1))
 			b.ResetTimer()
 			var instr, rows uint64
 			for i := 0; i < b.N; i++ {
-				plan, err := q.Build(e)
+				op, err := build(e)
 				if err != nil {
 					b.Fatal(err)
 				}
 				before := m.Hier.Counters()
-				n, err := e.Run(plan)
+				n, err := e.Run(op)
 				if err != nil {
 					b.Fatal(err)
 				}
 				instr += m.Hier.Counters().Sub(before).Instructions()
 				rows += uint64(n)
 			}
-			lines := m.Hier.Counters()
-			_ = lines
 			if rows > 0 {
 				b.ReportMetric(float64(instr)/float64(b.N), "instr/query")
 			}

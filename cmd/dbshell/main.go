@@ -77,7 +77,7 @@ func main() {
 	texts := tpch.SQLQueries()
 	approx := 0
 	for _, q := range texts {
-		if !q.Exact {
+		if q.Note != "" {
 			approx++
 		}
 	}

@@ -21,7 +21,7 @@
 //	lab, err := energydb.NewLab(energydb.LabConfig{})
 //	if err != nil { ... }
 //	eng := lab.NewEngine(energydb.SQLite, energydb.SettingBaseline, energydb.Size100MB)
-//	q, _ := energydb.QueryByID(6)
+//	q, _ := energydb.QueryByID(6) // TPC-H Q6 as SQL text, planned row-at-a-time
 //	b, err := lab.ProfileQuery(eng, q)
 //	fmt.Printf("L1D share: %.1f%%\n", b.L1DShare()*100)
 //
@@ -30,11 +30,14 @@
 package energydb
 
 import (
+	"fmt"
+
 	"energydb/internal/core"
 	"energydb/internal/cpu2006"
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/plan"
 	"energydb/internal/harness"
 	"energydb/internal/memsim"
 	"energydb/internal/mubench"
@@ -96,8 +99,8 @@ type (
 	EngineKind = engine.Kind
 	// Setting selects a Table 4 knob row.
 	Setting = engine.Setting
-	// Query is one of the 22 TPC-H queries.
-	Query = tpch.Query
+	// Query is the SQL text of one of the 22 TPC-H queries.
+	Query = tpch.SQLQuery
 	// BasicOp is one of the 7 basic query operations.
 	BasicOp = tpch.BasicOp
 	// SizeClass is a dataset size class.
@@ -143,17 +146,21 @@ type (
 	ExperimentResult = harness.Result
 )
 
-// Queries returns the 22 TPC-H queries.
-func Queries() []Query { return tpch.Queries() }
+// Queries returns the 22 TPC-H query texts.
+func Queries() []Query { return tpch.SQLQueries() }
 
-// QueryByID fetches one TPC-H query (1–22).
-func QueryByID(id int) (Query, error) { return tpch.QueryByID(id) }
+// QueryByID fetches one TPC-H query text (1–22).
+func QueryByID(id int) (Query, error) { return tpch.SQLByID(id) }
+
+// Builder returns the build function of a SQL query for Warm: each call plans
+// the text on the engine and instantiates the plan.
+func Builder(query string) func(*Engine) (exec.Operator, error) { return plan.Builder(query) }
 
 // BasicOps returns the 7 basic query operations of Section 3.2.
 func BasicOps() []BasicOp { return tpch.BasicOps() }
 
-// Warm is the first half of warm-then-measure for a Query's or BasicOp's
-// Build: it runs the plan once and returns a fresh build to measure.
+// Warm is the first half of warm-then-measure for a BasicOp's Build or a
+// query's Builder: it runs the plan once and returns a fresh build to measure.
 func Warm(e *Engine, build func(*Engine) (exec.Operator, error)) (exec.Operator, error) {
 	return tpch.Warm(e, build)
 }
@@ -224,9 +231,12 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 func (l *Lab) Verify() []VerifyResult { return l.Calibration.Verify(l.runner) }
 
 // NewEngine creates a database engine on the lab's machine and loads the
-// TPC-H dataset of the given class into it.
+// TPC-H dataset of the given class into it. Its planner is held to the row
+// executor (Knobs.DisableVectorExec), as the paper's tuple-at-a-time engines
+// run; clear the knob to let it choose vector operators.
 func (l *Lab) NewEngine(kind EngineKind, setting Setting, class SizeClass) *Engine {
 	e := engine.New(kind, l.Machine, setting)
+	e.Knobs.DisableVectorExec = true
 	tpch.Setup(e, class)
 	return e
 }
@@ -236,16 +246,15 @@ func (l *Lab) Profiler() *Profiler {
 	return core.NewProfiler(l.Machine, l.Meter, l.Calibration)
 }
 
-// ProfileQuery warms and profiles one TPC-H query on the engine, returning
-// its Active-energy breakdown.
+// ProfileQuery plans one TPC-H query text on the engine, warms it and
+// profiles a re-planned run, returning its Active-energy breakdown.
 func (l *Lab) ProfileQuery(e *Engine, q Query) (Breakdown, error) {
-	prof := l.Profiler()
-	plan, err := tpch.Warm(e, q.Build)
+	op, err := tpch.Warm(e, plan.Builder(q.Text))
 	if err != nil {
 		return Breakdown{}, err
 	}
 	var runErr error
-	b := prof.Profile(q.Name, func() { _, runErr = e.Run(plan) })
+	b := l.Profiler().Profile(fmt.Sprintf("Q%d", q.ID), func() { _, runErr = e.Run(op) })
 	return b, runErr
 }
 

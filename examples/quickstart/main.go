@@ -44,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("TPC-H Q6 on SQLite (%s):\n", q.Name)
+	fmt.Println("TPC-H Q6 on SQLite (forecasting revenue change):")
 	fmt.Printf("  Active energy:       %.4f J over %.1f ms\n", b.EActive, b.Seconds*1e3)
 	fmt.Printf("  E_L1D + E_Reg2L1D:   %.1f%%   <- the paper's bottleneck (39%%-67%% band)\n", b.L1DShare()*100)
 	fmt.Printf("  data movement total: %.1f%%\n", b.DataMovementShare()*100)

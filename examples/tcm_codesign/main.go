@@ -31,7 +31,7 @@ func main() {
 			}
 			_ = cd
 		}
-		plan, err := energydb.Warm(eng, q.Build)
+		plan, err := energydb.Warm(eng, energydb.Builder(q.Text))
 		if err != nil {
 			log.Fatal(err)
 		}

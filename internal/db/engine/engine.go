@@ -669,26 +669,17 @@ func (e *Engine) IndexRange(t *Table, col string, lo, hi *value.Value, residual 
 	return &exec.IndexScan{Ctx: e.Ctx, File: t.File, Tree: idx, Lo: lo, Hi: hi, Filter: residual}, nil
 }
 
-// joinHashThreshold is the probe-side cardinality above which the
-// PostgreSQL and MySQL profiles prefer a hash join over an index join.
+// joinHashThreshold is the stored table's row count from which the
+// PostgreSQL and MySQL profiles hash it rather than index-join it.
 const joinHashThreshold = 64
 
 // EquiJoin joins an outer operator to a stored table on outer[outerKey] ==
-// inner[innerCol], picking the profile's strategy: SQLite always uses the
-// index nested loop (its only strategy); PostgreSQL and MySQL build a hash
-// table when the inner side is large, else use the index.
+// inner[innerCol], picking the profile's strategy: an indexed inner table is
+// index-joined on SQLite (its only strategy) and, on PostgreSQL and MySQL,
+// while it is small; otherwise the stored table is hashed.
 func (e *Engine) EquiJoin(outer exec.Operator, outerKey int, inner *Table, innerCol string, residual exec.Expr) exec.Operator {
-	innerIdx := inner.schema.MustColIndex(innerCol)
 	tree := inner.Index(innerCol)
-	useIndex := tree != nil
-	if e.Kind != SQLite && inner.File.RowCount() > 0 {
-		// Cost-based: hash join wins when the inner table is scanned
-		// anyway or matches are dense.
-		if inner.File.RowCount() >= joinHashThreshold && !e.preferIndexJoin(inner) {
-			useIndex = false
-		}
-	}
-	if useIndex && tree != nil {
+	if tree != nil && (e.Kind == SQLite || inner.File.RowCount() < joinHashThreshold) {
 		return &exec.IndexJoin{
 			Ctx: e.Ctx, Outer: outer, Inner: inner.File, Index: tree,
 			OuterKey: outerKey, Residual: residual,
@@ -701,16 +692,10 @@ func (e *Engine) EquiJoin(outer exec.Operator, outerKey int, inner *Table, inner
 		Ctx:      e.Ctx,
 		Build:    e.Scan(inner, nil),
 		Probe:    outer,
-		BuildKey: []int{innerIdx},
+		BuildKey: []int{inner.schema.MustColIndex(innerCol)},
 		ProbeKey: []int{outerKey},
 		Residual: residual,
 	}
-}
-
-// preferIndexJoin reports whether the profile would rather chase the index
-// (small tables stay index-joined even on PostgreSQL/MySQL).
-func (e *Engine) preferIndexJoin(inner *Table) bool {
-	return inner.File.RowCount() < joinHashThreshold
 }
 
 // Sort builds a sort node under the profile's work_mem (the simulation cost

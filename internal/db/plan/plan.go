@@ -277,18 +277,28 @@ func (p *Prepared) instantiateVec(n *Node, mt *metering) (vec.Operator, error) {
 	return op, nil
 }
 
+// Builder returns the build function of a query, in the shape tpch.Warm
+// takes: each call parses and plans the text on the engine it is given — so
+// a build after a warm-up run is planned against the warm buffer pool — and
+// instantiates the plan.
+func Builder(query string) func(*engine.Engine) (exec.Operator, error) {
+	return func(e *engine.Engine) (exec.Operator, error) {
+		stmt, err := sql.Parse(query)
+		if err != nil {
+			return nil, err
+		}
+		p, err := Prepare(e, stmt)
+		if err != nil {
+			return nil, err
+		}
+		return p.Build()
+	}
+}
+
 // Run parses, plans and drains a query, returning the result rows and the
 // output column names.
 func Run(e *engine.Engine, query string) ([]value.Row, []string, error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := Prepare(e, stmt)
-	if err != nil {
-		return nil, nil, err
-	}
-	op, err := p.Build()
+	op, err := Builder(query)(e)
 	if err != nil {
 		return nil, nil, err
 	}

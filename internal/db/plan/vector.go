@@ -230,7 +230,7 @@ func compileVec(n *Node) (*progs, bool) {
 			return nil
 		}
 		p := vec.Compile(e)
-		exact = exact && p.Exact()
+		exact = exact && p.KernelsOnly()
 		return p
 	}
 	all := func(es []exec.Expr) []*vec.Prog {

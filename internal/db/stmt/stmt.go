@@ -89,10 +89,7 @@ func Parse(text string) (*Stmt, error) {
 		if err != nil {
 			return nil, &Error{"parse", err}
 		}
-		st.Name, query = fmt.Sprintf("tpch-q%d", id), q.Text
-		if !q.Exact {
-			st.Note = q.Note
-		}
+		st.Name, query, st.Note = fmt.Sprintf("tpch-q%d", id), q.Text, q.Note
 	}
 	var err error
 	if st.AST, err = sql.ParseStatement(query); err != nil {

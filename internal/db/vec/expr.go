@@ -83,10 +83,10 @@ func (p *Prog) add(e exec.Expr) *progNode {
 	return n
 }
 
-// Exact reports whether the program runs as kernels only. The planner only
-// chooses vector mode for exact programs; an unsupported node reaching a
+// KernelsOnly reports whether the program runs as kernels only. The planner
+// only chooses vector mode for such programs; an unsupported node reaching a
 // program anyway falls back to row-at-a-time evaluation inside its kernel.
-func (p *Prog) Exact() bool { return p.exact }
+func (p *Prog) KernelsOnly() bool { return p.exact }
 
 // Const reports whether the program's result is a broadcast constant.
 func (p *Prog) Const() bool { return p.res.isConst() }

@@ -5,6 +5,7 @@ import (
 
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
+	"energydb/internal/db/plan"
 	"energydb/internal/tpch"
 	"energydb/internal/trace"
 )
@@ -27,18 +28,19 @@ func RunExtensionArchSweep(o Options) (Result, error) {
 	// Capture the query stream once on the baseline machine.
 	base := cpusim.NewMachine(cpusim.IntelI7_4790())
 	e := engine.New(engine.SQLite, base, o.Setting)
+	e.Knobs.DisableVectorExec = true // the row plan Figure 7 measures
 	tpch.Setup(e, o.Class)
 	base.Hier.SetPrefetchEnabled(true)
-	q, err := tpch.QueryByID(1)
+	q, err := tpch.SQLByID(1)
 	if err != nil {
 		return Result{}, err
 	}
-	plan, err := tpch.Warm(e, q.Build)
+	op, err := tpch.Warm(e, plan.Builder(q.Text))
 	if err != nil {
 		return Result{}, err
 	}
 	var runErr error
-	tr := trace.Capture(base, func() { _, runErr = e.Run(plan) })
+	tr := trace.Capture(base, func() { _, runErr = e.Run(op) })
 	if runErr != nil {
 		return Result{}, runErr
 	}

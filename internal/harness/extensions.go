@@ -230,7 +230,7 @@ func RunExtensionITCM(o Options) (Result, error) {
 	// instruction's energy, so ITCM trims instruction-class energy ~13%.
 	const itcmSaving = 0.13
 
-	q, err := tpch.QueryByID(1)
+	q, err := tpch.SQLByID(1)
 	if err != nil {
 		return Result{}, err
 	}

@@ -51,7 +51,7 @@ func RunFigure7(o Options) (Result, error) {
 	}
 	var avgs []core.Breakdown
 	for _, kind := range engine.Kinds() {
-		all, err := handSweep(o, kind, o.Setting, o.Class, cpusim.PState36)
+		all, err := rowSweep(o, kind, o.Setting, o.Class, cpusim.PState36)
 		if err != nil {
 			return Result{}, err
 		}
@@ -67,19 +67,22 @@ func RunFigure7(o Options) (Result, error) {
 	return Result{ID: "F7", Title: "Figure 7", Text: text, CSV: csv}, nil
 }
 
-// handSweep profiles the hand-built query sweep on a fresh rig.
-func handSweep(o Options, kind engine.Kind, setting engine.Setting, class tpch.SizeClass, p cpusim.PState) ([]core.Breakdown, error) {
+// rowSweep profiles the TPC-H sweep on a fresh rig whose planner is held to
+// the row executor (DisableVectorExec): the paper measured tuple-at-a-time
+// engines.
+func rowSweep(o Options, kind engine.Kind, setting engine.Setting, class tpch.SizeClass, p cpusim.PState) ([]core.Breakdown, error) {
 	r, err := newRig(o, p, kind, setting, class)
 	if err != nil {
 		return nil, err
 	}
+	r.e.Knobs.DisableVectorExec = true
 	var all []core.Breakdown
-	for _, q := range queriesFor(o) {
-		b, err := r.profile(fmt.Sprintf("Q%d", q.ID), q.Build)
+	for _, q := range sqlSweep(o, representativeIDs...) {
+		s, err := r.sql(q)
 		if err != nil {
 			return nil, fmt.Errorf("%v Q%d: %w", kind, q.ID, err)
 		}
-		all = append(all, b)
+		all = append(all, s.B)
 	}
 	return all, nil
 }
@@ -87,7 +90,7 @@ func handSweep(o Options, kind engine.Kind, setting engine.Setting, class tpch.S
 // averageVector returns the sweep's energy-weighted average breakdown, the
 // presentation of Figures 8, 9 and 11.
 func averageVector(o Options, kind engine.Kind, setting engine.Setting, class tpch.SizeClass, p cpusim.PState) (core.Breakdown, error) {
-	all, err := handSweep(o, kind, setting, class, p)
+	all, err := rowSweep(o, kind, setting, class, p)
 	return core.AverageBreakdown(kind.String(), all), err
 }
 

@@ -7,6 +7,7 @@ import (
 	"energydb/internal/cpu2006"
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
+	"energydb/internal/db/plan"
 	"energydb/internal/rapl"
 	"energydb/internal/tcm"
 	"energydb/internal/tpch"
@@ -41,23 +42,25 @@ func RunFigure5(o Options) (Result, error) {
 		counts[kind] = make([]int, len(buckets))
 		m := cpusim.NewMachine(cpusim.IntelI7_4790())
 		e := engine.New(kind, m, o.Setting)
+		e.Knobs.DisableVectorExec = true // the paper's engines run tuple-at-a-time
 		tpch.Setup(e, o.Class)
 		m.SetEIST(true)
-		for _, q := range queriesFor(o) {
-			plan, err := q.Build(e)
+		for _, q := range sqlSweep(o, representativeIDs...) {
+			build := plan.Builder(q.Text)
+			op, err := build(e)
 			if err != nil {
 				return Result{}, err
 			}
-			if _, err := e.Run(plan); err != nil { // warm caches
+			if _, err := e.Run(op); err != nil { // warm caches
 				return Result{}, err
 			}
 			p36, total, err := runWithGovernor(m, func() error {
 				for rep := 0; rep < figure5Reps; rep++ {
-					plan, err := q.Build(e)
+					op, err := build(e)
 					if err != nil {
 						return err
 					}
-					if _, err := e.Run(plan); err != nil {
+					if _, err := e.Run(op); err != nil {
 						return err
 					}
 					m.AddIdle(interRunGapSec)
@@ -161,30 +164,32 @@ func RunFigure10(o Options) (Result, error) {
 	return Result{ID: "F10", Title: "Figure 10", Text: text, CSV: csv}, nil
 }
 
-// armRun measures one warm run of a hand-built query on a fresh ARM1176JZF-S
-// running SQLite (10MB data, small setting) with the external power meter.
+// armRun measures one warm run of a TPC-H text on a fresh ARM1176JZF-S
+// running SQLite (10MB data, small setting, row executor) with the external
+// power meter.
 // dtcm names the tables whose hot structures the co-design pins into DTCM (nil
 // is the unmodified build); itcm > 0 also serves the instruction stream from
 // ITCM, trimming instruction-class energy by that fraction.
-func armRun(o Options, q tpch.Query, dtcm []string, itcm float64) (joules, seconds float64, err error) {
+func armRun(o Options, q tpch.SQLQuery, dtcm []string, itcm float64) (joules, seconds float64, err error) {
 	m := tcm.NewMachine()
 	if itcm > 0 {
 		m.EnableITCM(itcm)
 	}
 	meter := rapl.NewPowerMeter(m, o.Seed, 0)
 	e := engine.New(engine.SQLite, m, engine.SettingSmall)
+	e.Knobs.DisableVectorExec = true
 	tpch.Setup(e, tpch.Size10MB)
 	if dtcm != nil {
 		if _, err := tcm.OptimizeSQLite(e, dtcm); err != nil {
 			return 0, 0, err
 		}
 	}
-	plan, err := tpch.Warm(e, q.Build)
+	op, err := tpch.Warm(e, plan.Builder(q.Text))
 	if err != nil {
 		return 0, 0, err
 	}
 	var runErr error
-	joules, seconds = meter.MeasureSession(func() { _, runErr = e.Run(plan) })
+	joules, seconds = meter.MeasureSession(func() { _, runErr = e.Run(op) })
 	return joules, seconds, runErr
 }
 
@@ -199,7 +204,7 @@ func RunFigure13(o Options) (Result, error) {
 	header := []string{"Query", "Energy saving%", "Perf improvement%"}
 	var rows [][]string
 	var sumSave, sumPerf float64
-	qs := queriesFor(o)
+	qs := sqlSweep(o, representativeIDs...)
 	for _, q := range qs {
 		e0, t0, err := armRun(o, q, nil, 0)
 		if err != nil {

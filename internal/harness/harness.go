@@ -47,7 +47,8 @@ func DefaultOptions() Options {
 	}
 }
 
-// quickOptions reduces everything for fast runs.
+// effective fills the defaults of unset scales and, under o.Quick, shrinks
+// the class and both scales for fast runs.
 func (o Options) effective() Options {
 	if o.Scale <= 0 {
 		o.Scale = 0.2
@@ -151,8 +152,9 @@ func newRig(o Options, p cpusim.PState, kind engine.Kind, setting engine.Setting
 	return rig{e: e, prof: l.Profiler()}, nil
 }
 
-// profile is warm-then-measure for a hand-built plan (a tpch.Query's or a
-// BasicOp's Build): run it once to warm, rebuild it and profile that run.
+// profile is warm-then-measure for an operator tree built by hand (a
+// BasicOp's, or the X8 join lab's): run it once to warm, rebuild it and
+// profile that run. SQL text goes through rig.sql.
 func (r rig) profile(name string, build func(*engine.Engine) (exec.Operator, error)) (core.Breakdown, error) {
 	plan, err := tpch.Warm(r.e, build)
 	if err != nil {
@@ -165,33 +167,24 @@ func (r rig) profile(name string, build func(*engine.Engine) (exec.Operator, err
 	return b, runErr
 }
 
-// quickSubset is the sweep an experiment runs: every query, or under o.Quick
-// only those whose number is listed.
-func quickSubset[Q any](o Options, all []Q, id func(Q) int, quickIDs ...int) []Q {
-	if !o.Quick {
-		return all
-	}
-	var out []Q
-	for _, q := range all {
-		if slices.Contains(quickIDs, id(q)) {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 // representativeIDs is the default quick subset: scan (Q1, Q6), join-heavy
 // (Q3), index-flavoured (Q4), aggregation (Q13).
 var representativeIDs = []int{1, 3, 4, 6, 13}
 
-// queriesFor returns the hand-built query sweep for the options.
-func queriesFor(o Options) []tpch.Query {
-	return quickSubset(o, tpch.Queries(), func(q tpch.Query) int { return q.ID }, representativeIDs...)
-}
-
-// sqlSweep returns the SQL-text query sweep for the options.
+// sqlSweep is the TPC-H sweep an experiment runs: every text, or under
+// o.Quick only those whose number is listed.
 func sqlSweep(o Options, quickIDs ...int) []tpch.SQLQuery {
-	return quickSubset(o, tpch.SQLQueries(), func(q tpch.SQLQuery) int { return q.ID }, quickIDs...)
+	all := tpch.SQLQueries()
+	if !o.Quick {
+		return all
+	}
+	var out []tpch.SQLQuery
+	for _, q := range all {
+		if slices.Contains(quickIDs, q.ID) {
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
 // shareHeader is the component header of every breakdown table.

@@ -2,24 +2,20 @@ package harness
 
 import (
 	"fmt"
-	"math"
 
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
-	"energydb/internal/tpch"
 )
 
 // RunExtensionOptimizer (X6) validates the energy-aware logical-plan
 // optimizer against the paper's measurement stack. For every TPC-H query
 // text it compares the cost model's predicted E_active with the measured
 // E_active of the optimizer's chosen plan (warm-buffer run under the Eq. 1
-// profiler), checks that the plans preserve the paper's headline result
-// (E_L1D+E_Reg2L1D dominates Active energy), and — for the queries whose
-// SQL is an exact transcription of the hand-built plan — that the
-// optimizer's plan does not cost more energy than the hand-built one.
-// The same sweep on the other two engine profiles checks the Figure 7 share
-// ordering (SQLite > PostgreSQL > MySQL) survives optimizer-chosen plans.
-// The SQLite sweep is X9's: same rig, same statements in the same order.
+// profiler) and reports the plan's E_L1D+E_Reg2L1D share, the paper's
+// headline metric. The same sweep on the other two engine profiles checks the
+// Figure 7 share ordering (SQLite > PostgreSQL > MySQL) survives
+// optimizer-chosen plans. The SQLite sweep is X9's: same rig, same statements
+// in the same order.
 func RunExtensionOptimizer(o Options) (Result, error) {
 	o = o.effective()
 	queries := sqlSweep(o, representativeIDs...)
@@ -31,37 +27,12 @@ func RunExtensionOptimizer(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-
-	// The hand-built plans run after the sweep, on the same warm rig, so the
-	// sweep above is statement for statement the one X9 reports.
-	worstDelta, worstID := math.Inf(-1), 0
 	for i, s := range runs {
-		handCell, deltaCell, exactCell := "-", "-", ""
-		if s.Query.Exact {
-			exactCell = "yes"
-			hand, err := tpch.QueryByID(s.Query.ID)
-			if err != nil {
-				return Result{}, err
-			}
-			hb, err := r.profile(s.name(), hand.Build)
-			if err != nil {
-				return Result{}, fmt.Errorf("%s hand-built: %v", s.name(), err)
-			}
-			delta := (s.B.EActive/hb.EActive - 1) * 100
-			if delta > worstDelta {
-				worstDelta, worstID = delta, s.Query.ID
-			}
-			handCell = fmt.Sprintf("%.3f", hb.EActive*1e3)
-			deltaCell = fmt.Sprintf("%+.1f%%", delta)
-		}
-		rows[i] = append(rows[i], fmt.Sprintf("%.1f", s.B.L1DShare()*100), handCell, deltaCell, exactCell)
+		rows[i] = append(rows[i], fmt.Sprintf("%.1f", s.B.L1DShare()*100))
 	}
-	header := []string{"Query", "pred (mJ)", "meas (mJ)", "err%", "L1D+St%", "hand (mJ)", "vs hand", "exact"}
+	header := []string{"Query", "pred (mJ)", "meas (mJ)", "err%", "L1D+St%"}
 	text, csv := table("Extension X6: energy-aware optimizer — predicted vs measured E_active (SQLite, warm buffers)", header, rows)
 	text += fmt.Sprintf("\nprediction within +/-25%%: %d/%d queries\n", within, len(queries))
-	if worstID != 0 {
-		text += fmt.Sprintf("worst optimizer-vs-hand-built E_active delta (exact queries): %+.1f%% on Q%d\n", worstDelta, worstID)
-	}
 	shares := map[engine.Kind]float64{engine.SQLite: avgL1DShare(runs)}
 	text += fmt.Sprintf("avg L1D+Reg2L1D share of optimizer plans (SQLite): %.1f%%\n", shares[engine.SQLite]*100)
 

@@ -54,11 +54,12 @@ func (r rig) sql(q tpch.SQLQuery) (sqlRun, error) {
 	if err != nil {
 		return sqlRun{}, err
 	}
+	s := sqlRun{Query: q, Plan: p, Pred: p.PredictedEJ()}
 	var runErr error
-	b := r.prof.Profile(fmt.Sprintf("Q%d-sql", q.ID), func() {
+	s.B = r.prof.Profile(s.name(), func() {
 		_, runErr = exec.Collect(op)
 	})
-	return sqlRun{Query: q, Plan: p, Pred: p.PredictedEJ(), B: b}, runErr
+	return s, runErr
 }
 
 // name is the run's row label; ID 0 is the README join example X9 appends to

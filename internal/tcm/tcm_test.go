@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"energydb/internal/db/engine"
+	"energydb/internal/db/plan"
 	"energydb/internal/memsim"
 	"energydb/internal/rapl"
 	"energydb/internal/tpch"
@@ -85,22 +86,23 @@ func TestCoDesignSavesEnergyWithoutSlowdown(t *testing.T) {
 		m := NewMachine()
 		meter := rapl.NewPowerMeter(m, 5, 0)
 		e := engine.New(engine.SQLite, m, engine.SettingSmall)
+		e.Knobs.DisableVectorExec = true // Figure 13's row executor
 		tpch.Setup(e, tpch.Size10MB)
 		if optimize {
 			if _, err := OptimizeSQLite(e, []string{"lineitem", "orders", "customer"}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		q, err := tpch.QueryByID(6)
+		q, err := tpch.SQLByID(6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := tpch.Warm(e, q.Build)
+		op, err := tpch.Warm(e, plan.Builder(q.Text))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return meter.MeasureSession(func() {
-			if _, err := e.Run(plan); err != nil {
+			if _, err := e.Run(op); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -5,6 +5,7 @@ import (
 
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/value"
 )
 
 // BasicOp is one of the seven basic query operations of Section 3.2, whose
@@ -28,6 +29,26 @@ func BasicOps() []BasicOp {
 	}
 }
 
+// Warm is the first half of warm-then-measure for a plan built by a
+// function — a BasicOp's Build, or plan.Builder's for SQL text: it builds and
+// runs the plan once so buffers and caches hold the working set, then returns
+// a fresh build to measure.
+func Warm(e *engine.Engine, build func(*engine.Engine) (exec.Operator, error)) (exec.Operator, error) {
+	plan, err := build(e)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := e.Run(plan); err != nil {
+		return nil, err
+	}
+	return build(e)
+}
+
+// lineitemCol is a column of lineitem, the table every operation reads.
+func lineitemCol(name string) exec.Col {
+	return exec.Col{Idx: LineitemSchema.MustColIndex(name), Name: name}
+}
+
 // BasicOpByName fetches one operation.
 func BasicOpByName(name string) (BasicOp, error) {
 	for _, op := range BasicOps() {
@@ -45,12 +66,8 @@ func opSelect(e *engine.Engine) (exec.Operator, error) {
 		return nil, err
 	}
 	return e.Scan(li, exec.BinOp{Op: exec.OpAnd,
-		L: exec.BinOp{Op: exec.OpGt,
-			L: exec.Col{Idx: li.Schema().MustColIndex("l_quantity"), Name: "l_quantity"},
-			R: exec.Const{V: vf(45)}},
-		R: exec.BinOp{Op: exec.OpLt,
-			L: exec.Col{Idx: li.Schema().MustColIndex("l_discount"), Name: "l_discount"},
-			R: exec.Const{V: vf(0.03)}},
+		L: exec.BinOp{Op: exec.OpGt, L: lineitemCol("l_quantity"), R: exec.Const{V: value.Float(45)}},
+		R: exec.BinOp{Op: exec.OpLt, L: lineitemCol("l_discount"), R: exec.Const{V: value.Float(0.03)}},
 	}), nil
 }
 
@@ -60,12 +77,15 @@ func opProjection(e *engine.Engine) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	scan := e.Scan(li, nil)
-	return &exec.Project{Ctx: e.Ctx, Child: scan,
+	revenue := exec.BinOp{Op: exec.OpMul,
+		L: lineitemCol("l_extendedprice"),
+		R: exec.BinOp{Op: exec.OpSub, L: exec.Const{V: value.Float(1)}, R: lineitemCol("l_discount")},
+	}
+	return &exec.Project{Ctx: e.Ctx, Child: e.Scan(li, nil),
 		Exprs: []exec.Expr{
-			col(scan, "l_orderkey"),
-			revenue(scan),
-			exec.BinOp{Op: exec.OpMul, L: col(scan, "l_quantity"), R: col(scan, "l_tax")},
+			lineitemCol("l_orderkey"),
+			revenue,
+			exec.BinOp{Op: exec.OpMul, L: lineitemCol("l_quantity"), R: lineitemCol("l_tax")},
 		},
 		Names: []string{"l_orderkey", "revenue", "taxed_qty"}}, nil
 }
@@ -87,9 +107,8 @@ func opSort(e *engine.Engine) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	scan := e.Scan(li, nil)
-	return e.Sort(scan, []exec.SortKey{
-		{Expr: col(scan, "l_extendedprice"), Desc: true},
+	return e.Sort(e.Scan(li, nil), []exec.SortKey{
+		{Expr: lineitemCol("l_extendedprice"), Desc: true},
 	}), nil
 }
 
@@ -99,11 +118,10 @@ func opGroupBy(e *engine.Engine) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	scan := e.Scan(li, nil)
-	return e.GroupBy(scan,
-		[]exec.Expr{col(scan, "l_returnflag"), col(scan, "l_shipmode")},
+	return e.GroupBy(e.Scan(li, nil),
+		[]exec.Expr{lineitemCol("l_returnflag"), lineitemCol("l_shipmode")},
 		[]exec.AggSpec{
-			{Kind: exec.AggSum, Arg: col(scan, "l_quantity"), Name: "sum_qty"},
+			{Kind: exec.AggSum, Arg: lineitemCol("l_quantity"), Name: "sum_qty"},
 			{Kind: exec.AggCount, Name: "n"},
 		}), nil
 }
@@ -124,6 +142,6 @@ func opIndexScan(e *engine.Engine) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := vd(MkDate(1993, 0)), vd(MkDate(1996, 0))
-	return e.IndexRange(li, "l_shipdate", ptr(lo), ptr(hi), nil)
+	lo, hi := value.Date(MkDate(1993, 0)), value.Date(MkDate(1996, 0))
+	return e.IndexRange(li, "l_shipdate", &lo, &hi, nil)
 }

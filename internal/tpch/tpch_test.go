@@ -6,6 +6,8 @@ import (
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/plan"
+	"energydb/internal/db/value"
 )
 
 // testEngine loads the smallest class into an engine of the given kind.
@@ -79,25 +81,21 @@ func TestLoadBuildsTablesAndIndexes(t *testing.T) {
 }
 
 // TestAllQueriesRunOnAllEngines is the big integration check: every query
-// plan builds and drains on every engine profile, and row counts agree
+// text plans and drains on every engine profile, and row counts agree
 // across engines (same data, same semantics, different physical plans).
 func TestAllQueriesRunOnAllEngines(t *testing.T) {
 	counts := make(map[int]map[engine.Kind]int)
 	for _, kind := range engine.Kinds() {
 		e := testEngine(t, kind)
-		for _, q := range Queries() {
-			plan, err := q.Build(e)
+		for _, q := range SQLQueries() {
+			rows, _, err := plan.Run(e, q.Text)
 			if err != nil {
-				t.Fatalf("%v Q%d build: %v", kind, q.ID, err)
-			}
-			n, err := e.Run(plan)
-			if err != nil {
-				t.Fatalf("%v Q%d run: %v", kind, q.ID, err)
+				t.Fatalf("%v Q%d: %v", kind, q.ID, err)
 			}
 			if counts[q.ID] == nil {
 				counts[q.ID] = make(map[engine.Kind]int)
 			}
-			counts[q.ID][kind] = n
+			counts[q.ID][kind] = len(rows)
 		}
 	}
 	for id, byKind := range counts {
@@ -110,20 +108,22 @@ func TestAllQueriesRunOnAllEngines(t *testing.T) {
 	}
 }
 
+// runText plans and drains TPC-H query id's text on the engine.
+func runText(t *testing.T, e *engine.Engine, id int) []value.Row {
+	t.Helper()
+	q, err := SQLByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := plan.Run(e, q.Text)
+	if err != nil {
+		t.Fatalf("Q%d: %v", id, err)
+	}
+	return rows
+}
+
 func TestQ1ProducesKnownGroups(t *testing.T) {
-	e := testEngine(t, engine.PostgreSQL)
-	q, err := QueryByID(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := q.Build(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := exec.Collect(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runText(t, testEngine(t, engine.PostgreSQL), 1)
 	// returnflag in {A,N,R} x linestatus in {F,O}: at most 6, at least 3.
 	if len(rows) < 3 || len(rows) > 6 {
 		t.Fatalf("Q1 groups = %d", len(rows))
@@ -137,16 +137,7 @@ func TestQ1ProducesKnownGroups(t *testing.T) {
 }
 
 func TestQ6SelectivityIsPlausible(t *testing.T) {
-	e := testEngine(t, engine.SQLite)
-	q, _ := QueryByID(6)
-	plan, err := q.Build(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := exec.Collect(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runText(t, testEngine(t, engine.SQLite), 6)
 	if len(rows) != 1 {
 		t.Fatalf("Q6 rows = %d, want 1 scalar", len(rows))
 	}
@@ -178,8 +169,8 @@ func TestBasicOpsRun(t *testing.T) {
 func TestIndexScanMatchesTableScanFilterCount(t *testing.T) {
 	e := testEngine(t, engine.PostgreSQL)
 	li := e.MustTable("lineitem")
-	lo, hi := vd(MkDate(1993, 0)), vd(MkDate(1996, 0))
-	idxPlan, err := e.IndexRange(li, "l_shipdate", ptr(lo), ptr(hi), nil)
+	lo, hi := value.Date(MkDate(1993, 0)), value.Date(MkDate(1996, 0))
+	idxPlan, err := e.IndexRange(li, "l_shipdate", &lo, &hi, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +180,9 @@ func TestIndexScanMatchesTableScanFilterCount(t *testing.T) {
 	}
 	scanPlan := e.Scan(li, exec.BinOp{Op: exec.OpAnd,
 		L: exec.BinOp{Op: exec.OpGe,
-			L: exec.Col{Idx: li.Schema().MustColIndex("l_shipdate")}, R: exec.Const{V: vd(MkDate(1993, 0))}},
+			L: exec.Col{Idx: li.Schema().MustColIndex("l_shipdate")}, R: exec.Const{V: lo}},
 		R: exec.BinOp{Op: exec.OpLe,
-			L: exec.Col{Idx: li.Schema().MustColIndex("l_shipdate")}, R: exec.Const{V: vd(MkDate(1996, 0))}},
+			L: exec.Col{Idx: li.Schema().MustColIndex("l_shipdate")}, R: exec.Const{V: hi}},
 	})
 	nScan, err := e.Run(scanPlan)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
+	"energydb/internal/db/plan"
 	"energydb/internal/memsim"
 	"energydb/internal/tpch"
 )
@@ -128,16 +129,16 @@ func TestReplayOnDifferentArchitecture(t *testing.T) {
 	m := cpusim.NewMachine(cpusim.IntelI7_4790())
 	e := engine.New(engine.SQLite, m, engine.SettingBaseline)
 	tpch.Setup(e, tpch.Size10MB)
-	q, err := tpch.QueryByID(6)
+	q, err := tpch.SQLByID(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := tpch.Warm(e, q.Build)
+	op, err := tpch.Warm(e, plan.Builder(q.Text))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := Capture(m, func() {
-		if _, err := e.Run(plan); err != nil {
+		if _, err := e.Run(op); err != nil {
 			t.Error(err)
 		}
 	})
