@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench-check bench-e2e bench bench-join bench-substrate fuzz smoke loc
+.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench-check bench-e2e bench-substrate fuzz smoke loc
 
 all: build
 
@@ -97,7 +97,7 @@ golden-drift:
 # bench/ is a module of its own (bench/go.mod replaces energydb with ../),
 # so the root `go vet ./...` and `go test ./...` do not see it; this target
 # is what keeps the benchmark compiling and its own tests green. It also runs
-# the row-versus-vector index join pair once, which no JSON baseline records.
+# the row-versus-vector index join pair of internal/db/vec once.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run xxx -bench BenchmarkIndexJoin -benchtime 1x ./internal/db/vec/
@@ -120,22 +120,8 @@ bench-e2e:
 smoke:
 	./scripts/smoke.sh
 
-# Legacy scaling baseline (claims cite BENCHMARK.json names via bench-e2e
-# now): the row-versus-vector executor sweep (internal/db/vec/bench_test.go
-# -> BENCH_vector.json).
-bench:
-	$(GO) test -run xxx -bench BenchmarkVectorThroughput -benchtime 1s ./internal/db/vec/
-	$(GO) test -run xxx -bench BenchmarkVectorJoinSort -benchtime 1s ./internal/db/vec/
-
 # BENCHTIME is overridable so CI can keep the bench smokes short.
 BENCHTIME ?= 1s
-
-# Join/sort slice of the vector sweep only: lineitem ⋈ orders through the
-# row and batch hash joins plus the two-key lineitem sort, at batch widths
-# 64/256/1024. Merges just those cells into BENCH_vector.json (the
-# filter_agg slice is left untouched), so partial reruns are safe.
-bench-join:
-	$(GO) test -run xxx -bench BenchmarkVectorJoinSort -benchtime $(BENCHTIME) ./internal/db/vec/
 
 # The simulated substrate's host cost (root bench_test.go): the hierarchy
 # walk on an L1D hit, a never-hitting stream, a cache-resident scan and random

@@ -67,8 +67,8 @@ func TestHeadlineResult(t *testing.T) {
 }
 
 func TestExperimentRegistryThroughFacade(t *testing.T) {
-	if len(Experiments()) != 21 {
-		t.Fatalf("experiments = %d, want 21", len(Experiments()))
+	if len(Experiments()) != 20 {
+		t.Fatalf("experiments = %d, want 20", len(Experiments()))
 	}
 	exp, err := ExperimentByID("T1")
 	if err != nil {

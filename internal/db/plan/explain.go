@@ -48,11 +48,6 @@ func (n *Node) detail() string {
 	if vecEligibleKind(n.Kind) {
 		parts = append(parts, "mode="+n.Mode.String())
 	}
-	if n.BoundaryEJ > 0 {
-		// The RowSource transition price folded into this chain top's
-		// estimate: what the chain pays to hand rows to its row consumer.
-		parts = append(parts, "xfer≈"+fmtEnergy(n.BoundaryEJ))
-	}
 	if n.Kind == opIndexScan {
 		lo, hi := "..", ".."
 		if n.Lo != nil {

@@ -78,7 +78,7 @@ func FuzzPlan(f *testing.F) {
 		if err != nil {
 			return
 		}
-		checkChainConsistency(t, src, p.Root, false)
+		checkModeRule(t, src, p)
 		op, err := p.Build()
 		if err != nil {
 			t.Fatalf("Build failed after successful Prepare on %q: %v", src, err)
@@ -90,33 +90,26 @@ func FuzzPlan(f *testing.F) {
 	})
 }
 
-// checkChainConsistency asserts the chain-wise mode contract on a chosen
-// plan: vector chains are contiguous (a vector node never has a row child,
-// so no row operator is ever sandwiched between two vector ones), the
-// row↔vector transition is priced exactly at each chain top (BoundaryEJ > 0
-// where a row consumer takes over, and only there), and interior chain
-// nodes carry no boundary charge.
-func checkChainConsistency(t *testing.T, src string, n *Node, vecParent bool) {
+// checkModeRule asserts the mode rule on a prepared plan: under
+// DisableVectorExec, or when every scan reads at most one row, every node
+// runs row; otherwise a node runs vector exactly when its kind has a vector
+// form, its expressions compile to kernels only and all its children run
+// vector.
+func checkModeRule(t *testing.T, src string, p *Prepared) {
 	t.Helper()
-	if n.Mode == ModeVector {
-		if vecParent && n.BoundaryEJ != 0 {
-			t.Fatalf("interior vector node %s carries a boundary charge %g on %q",
-				n.Title(), n.BoundaryEJ, src)
-		}
-		if !vecParent && !(n.BoundaryEJ > 0) {
-			t.Fatalf("vector chain top %s under a row consumer has no priced transition on %q",
-				n.Title(), src)
-		}
+	free := !p.E.Knobs.DisableVectorExec && !keyed(p.Root)
+	var walk func(n *Node) bool
+	walk = func(n *Node) bool {
+		kids := true
 		for _, k := range n.Kids {
-			if k.Mode != ModeVector {
-				t.Fatalf("vector node %s has row-mode child %s on %q",
-					n.Title(), k.Title(), src)
-			}
+			kids = walk(k) && kids
 		}
-	} else if n.BoundaryEJ != 0 {
-		t.Fatalf("row node %s carries a boundary charge %g on %q", n.Title(), n.BoundaryEJ, src)
+		_, exact := compileVec(n)
+		want := free && kids && vecEligibleKind(n.Kind) && exact
+		if (n.Mode == ModeVector) != want {
+			t.Fatalf("%s runs %s on %q, against the mode rule:\n%s", n.Title(), n.Mode, src, explainText(p))
+		}
+		return want
 	}
-	for _, k := range n.Kids {
-		checkChainConsistency(t, src, k, n.Mode == ModeVector)
-	}
+	walk(p.Root)
 }

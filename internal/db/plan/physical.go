@@ -33,9 +33,10 @@ const (
 
 // Mode selects the executor implementation of a plan node: the classic
 // row-at-a-time interpreter or the vectorized batch-at-a-time engine
-// (internal/db/vec). The optimizer picks per operator by predicted active
-// energy; vectorized nodes can only stack on vectorized children, so a plan
-// is a row tree with vector chains rooted at scans.
+// (internal/db/vec). chooseModes picks by one rule (vector.go): a keyed plan
+// runs row, every other plan vector wherever an operator can. Vectorized
+// nodes can only stack on vectorized children, so a plan is a row tree with
+// vector chains rooted at scans.
 type Mode int
 
 const (
@@ -116,19 +117,14 @@ type Node struct {
 	// in either mode), an index scan's entries within [Lo, Hi].
 	candidates float64
 	// EstEJ is the predicted exclusive active energy of this operator in
-	// joules (Eq. 1 micro-op counts priced with the machine's ΔE table).
+	// joules (Eq. 1 micro-op counts priced with the machine's ΔE table). A
+	// vector chain top's includes the RowSource transition to its row
+	// consumer.
 	EstEJ float64
-	// BoundaryEJ is the predicted RowSource adaptation cost folded into
-	// EstEJ when this node tops a vector chain under a row consumer (zero
-	// elsewhere). EXPLAIN surfaces it as xfer≈ so a mode choice that
-	// breaks a chain can be audited against the transition it pays for.
-	BoundaryEJ float64
 
 	// seq is the sequential candidate chooseScan kept beside this index
-	// scan. The chain DP prices the pair as one node with three states — the
-	// row index scan, the batched index scan, the vectorized sequential scan
-	// — and commitModes replaces the index scan by it where the chain prefers
-	// that one (nil on every other node).
+	// scan; in a vector plan runVector replaces the index scan by it where
+	// its vector form is the cheaper one (nil on every other node).
 	seq *Node
 }
 
@@ -145,15 +141,10 @@ type planCtx struct {
 	star bool
 	// topRefs are the columns referenced above the join chain.
 	topRefs map[string]bool
-	// prices holds the chain DP's two-state subtree prices (see
-	// priceModes/commitModes in vector.go).
-	prices map[*Node]modePrice
-	// pin and pinMode, set only by the planner's own tests, restrict the
-	// named relations to one access path (opSeqScan or opIndexScan) and
-	// their scan or index join to one mode, so a test can price the
-	// neighbours of a committed plan, or run a write over each.
-	pin     map[string]opKind
-	pinMode map[string]Mode
+	// pin, set only by the planner's own tests, restricts the named
+	// relations to one access path (opSeqScan or opIndexScan), so a test can
+	// price the neighbours of a committed plan, or run a write over each.
+	pin map[string]opKind
 }
 
 func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, lp *logical) *planCtx {
@@ -195,10 +186,8 @@ func renderConds(conds []sql.Node) string {
 // cheapest row candidate. Batches amortize a sequential scan's per-tuple
 // interpretation over the whole heap and an index scan's only over the rows
 // it fetches, so the row comparison does not settle the vector one: when an
-// index scan wins it the sequential candidate rides along (Node.seq), and
-// which of the two the plan runs is a state of the chain DP (priceModes),
-// where each competes at the price of its cheapest mode assignment in its
-// chain.
+// index scan wins it the sequential candidate rides along (Node.seq), and a
+// vector plan runs the cheaper of the two vector forms (runVector).
 func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 	pred, err := compileConds(r.conds, r.t.Schema())
 	if err != nil {
@@ -630,24 +619,26 @@ func (pc *planCtx) planFootprint(n *Node) float64 {
 	return total
 }
 
-// recostScans re-prices every sequential scan, in the mode it was committed
-// to, after the coster learns the plan-wide footprint. Access-path, join and
-// mode choices were made with the optimistic (footprint-free) estimates —
-// those compare candidates under equal cache pressure, which is what a
-// choice needs, and both modes of a scan read the heap through the same
-// scanHeap term — but the *absolute* numbers EXPLAIN reports must reflect
-// the eviction the full plan causes.
-func (pc *planCtx) recostScans(n *Node) {
+// recostScans re-prices every sequential scan, in its mode, after the coster
+// learns the plan-wide footprint; vecConsumer is set when n's parent runs
+// vector. Access-path and join choices were made with the optimistic
+// (footprint-free) estimates — those compare candidates under equal cache
+// pressure, which is what a choice needs — but the *absolute* numbers
+// EXPLAIN reports must reflect the eviction the full plan causes.
+func (pc *planCtx) recostScans(n *Node, vecConsumer bool) {
 	for _, k := range n.Kids {
-		pc.recostScans(k)
+		pc.recostScans(k, n.Mode == ModeVector)
 	}
 	if n.Kind != opSeqScan {
 		return
 	}
 	if n.Mode == ModeVector {
 		pr, _ := compileVec(n)
-		n.EstEJ, _ = pc.costVec(n, pr)
-		n.EstEJ += n.BoundaryEJ
+		ej, out := pc.costVec(n, pr, nil)
+		if !vecConsumer {
+			ej += pc.costBoundary(n, out)
+		}
+		n.EstEJ = ej
 		return
 	}
 	pc.costRow(n, bind(n))

@@ -43,7 +43,7 @@ type Prepared struct {
 
 // Prepare plans a parsed SELECT on the engine.
 func Prepare(e *engine.Engine, stmt *sql.SelectStmt) (*Prepared, error) {
-	return preparePinned(e, stmt, nil, nil)
+	return preparePinned(e, stmt, nil)
 }
 
 // PrepareStmt plans any plannable statement: a SELECT, or an UPDATE or DELETE,
@@ -52,16 +52,16 @@ func Prepare(e *engine.Engine, stmt *sql.SelectStmt) (*Prepared, error) {
 //
 // The order of decisions: buildChain collects each relation's access-path
 // candidates and picks joins, buildTop (or buildWrite) adds the operators
-// above; chooseModes then settles, per chain, access path and execution mode
-// together; the footprint is summed over the committed tree and the scans
-// re-priced against it.
+// above; chooseModes then applies the mode rule, which also picks an index
+// scan's vector form; the footprint is summed over the committed tree and the
+// scans re-priced against it.
 func PrepareStmt(e *engine.Engine, stmt sql.Statement) (*Prepared, error) {
-	return preparePinned(e, stmt, nil, nil)
+	return preparePinned(e, stmt, nil)
 }
 
-// preparePinned is PrepareStmt with the tests' access-path and mode pins (see
+// preparePinned is PrepareStmt with the tests' access-path pins (see
 // planCtx.pin).
-func preparePinned(e *engine.Engine, stmt sql.Statement, pin map[string]opKind, pinMode map[string]Mode) (*Prepared, error) {
+func preparePinned(e *engine.Engine, stmt sql.Statement, pin map[string]opKind) (*Prepared, error) {
 	var read *sql.SelectStmt
 	var sets []sql.SetClause
 	write := true
@@ -80,7 +80,7 @@ func preparePinned(e *engine.Engine, stmt sql.Statement, pin map[string]opKind, 
 		return nil, err
 	}
 	pc := newPlanCtx(e, read, lp)
-	pc.pin, pc.pinMode = pin, pinMode
+	pc.pin = pin
 	root, err := pc.buildChain()
 	if err != nil {
 		return nil, err
@@ -95,7 +95,7 @@ func preparePinned(e *engine.Engine, stmt sql.Statement, pin map[string]opKind, 
 	}
 	pc.chooseModes(root)
 	pc.c.footprint = pc.planFootprint(root)
-	pc.recostScans(root)
+	pc.recostScans(root, false)
 	return &Prepared{E: e, Stmt: read, Root: root}, nil
 }
 

@@ -422,7 +422,7 @@ func TestExplainEnergyAttribution(t *testing.T) {
 // TestOptimizerPredictionWithinBound sanity-checks the cost model on the toy
 // schema: the predicted total should land within a factor of a few of the
 // measured Eactive (the tight 25% acceptance bound is enforced on TPC-H by
-// experiment X6).
+// experiment X9).
 func TestOptimizerPredictionWithinBound(t *testing.T) {
 	e, prof := newProfiledEngine(t)
 	for _, q := range []string{

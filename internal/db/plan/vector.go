@@ -7,45 +7,39 @@ import (
 	"energydb/internal/db/vec"
 )
 
-// Row-versus-vector mode choice, and with it the access path. After the plan
-// shape is fixed, chooseModes prices every mode assignment chain-wise: a
-// two-state dynamic program over the tree computes, per node, the cheapest
-// subtree total with the node in row mode (each child free to pick its own
-// cheaper state, every vector→row transition explicitly charged) and in
-// vector mode (every child forced to stay in the chain), then commits the
-// cheaper assignment top-down. A relation with a usable index enters the
-// program as one node with two access paths (chooseScan): its row state is
-// the index scan, its vector state the cheaper of the batched index scan and
-// the vectorized sequential scan, so an index scan that beats the row-mode
-// sequential scan does not forfeit a chain either of them would have won as
-// a whole. The
-// vector hypothesis is priced the way the row one is (see "node costing" in
-// physical.go): chargeVec evaluates the vec package's own charge functions
-// — one per-batch dispatch per primitive plus per-element payload traffic —
-// at the node's estimated cardinalities, and the cache model prices the
+// Row-versus-vector mode choice. Once the plan shape is fixed, chooseModes
+// applies one rule, with no cost comparison in it:
+//
+//   - A keyed plan runs row: when every scan reads at most one row (a point
+//     lookup, an UPDATE or DELETE by unique key), the whole plan stays on the
+//     row path. Batching one tuple buys a dispatch per primitive and reserves
+//     a batch of vectors it never fills.
+//   - Every other plan runs vector wherever it can: a node runs vector when
+//     its kind has a vector form, its expressions compile to kernels only and
+//     all its children run vector.
+//
+// Knobs.DisableVectorExec runs everything row. Why a rule and not a priced
+// choice per node: DESIGN.md §11.
+//
+// A vector node is priced once, the way a row one is (see "node costing" in
+// physical.go): chargeVec evaluates the vec package's own charge functions —
+// one per-batch dispatch per primitive plus per-element payload traffic — at
+// the node's estimated cardinalities, and the cache model prices the
 // data-dependent accesses, all with the same calibrated ΔE_m table as every
-// other estimate. The crossover falls out of the model: tiny inputs stay on
-// the row path (the batch dispatch does not amortize — a single-row index
-// lookup pays two dispatches, its fetch and the boundary, against one
-// tuple), large scans go vector.
+// other estimate.
 //
 // A vectorized operator exchanges columnar batches, so it can only stack on
 // a vectorized child; chains are rooted at scans, sequential or index, and
-// carry batches edge to edge through joins (hash joins with both inputs
-// vectorized, index joins fetching behind their probe batches) and sorts —
-// adapted back to rows only
-// where a row-only parent, or the drain loop at the top, takes over. That
-// adaptation is not free: RowSource charges one dispatch per batch plus a
-// full-width row copy per row (the loss of lazy materialization — a row
-// consumer takes whole rows), so a cheap row-mode operator sandwiched into
-// an otherwise-vector chain is priced against the whole chain it breaks,
-// including the extra boundary it forces, instead of winning a node-local
-// comparison and silently paying un-priced crossings (the X8 stranded-Prune
-// misprediction).
+// carry batches edge to edge through joins and sorts — adapted back to rows
+// only where a row-only parent (Limit, a write, an operator with a non-kernel
+// expression), or the drain loop at the top, takes over. That adaptation is
+// not free: RowSource charges one dispatch per batch plus a full-width row
+// copy per row, and the chain top's estimate carries it, so a plan's
+// predicted total sums what the run pays.
 
 // vecEligibleKind reports whether the node kind has a vectorized
-// implementation at all (used by EXPLAIN to decide which nodes carry a mode
-// annotation).
+// implementation at all: the mode rule's first test, and the nodes EXPLAIN
+// annotates with a mode.
 func vecEligibleKind(k opKind) bool {
 	switch k {
 	case opSeqScan, opIndexScan, opIndexJoin, opFilter, opPrune, opProject, opAggregate, opHashJoin, opSort:
@@ -80,8 +74,8 @@ func (f *flow) live(sel float64) (batches, rows float64) {
 	return f.batches * p, f.rows * p
 }
 
-// copyMat copies a materialization set (nil stays nil), so a hypothesis can
-// mark columns without touching the state its siblings are priced against.
+// copyMat copies a materialization set (nil stays nil), so a consumer can
+// mark columns without touching the flow its child handed over.
 func copyMat(mat map[int]bool) map[int]bool {
 	if mat == nil {
 		return nil
@@ -93,123 +87,88 @@ func copyMat(mat map[int]bool) map[int]bool {
 	return c
 }
 
-// modePrice is the two-state chain price of a subtree: rowTotal is the
-// cheapest subtree total with this node in row mode (each child picks the
-// cheaper of staying row or running its vector chain plus the boundary
-// crossing back to rows), vecTotal the total with this node in vector mode
-// (every child forced to stay in the chain; +Inf when the node cannot run
-// vectorized). vecEJ/out are the node's own vector estimate and output
-// flow under the vector hypothesis, boundary the RowSource adaptation price
-// of handing this node's vectorized output to a row consumer. seq is set
-// when the vector hypothesis of an index scan is its sequential candidate's.
-type modePrice struct {
-	rowTotal float64
-	vecTotal float64
-	vecEJ    float64
-	boundary float64
-	out      *flow
-	seq      bool
-}
-
-// chooseModes assigns execution modes chain-wise: priceModes runs the
-// two-state DP bottom-up, then commitModes walks top-down comparing, at
-// each point where a row consumer takes over, the transition-priced vector
-// chain against the all-row subtree. Winning vector estimates replace
-// EstEJ (plus the boundary price at the chain top) so EXPLAIN's predictions
-// describe — and sum to — the plan that will actually run.
+// chooseModes applies the mode rule to the plan under root and prices every
+// vector node in its mode; row nodes keep the estimates costRow gave them.
 func (pc *planCtx) chooseModes(root *Node) {
-	if pc.e.Knobs.DisableVectorExec {
+	if pc.e.Knobs.DisableVectorExec || keyed(root) {
 		return
 	}
-	pc.prices = map[*Node]modePrice{}
-	pc.priceModes(root)
-	pc.commitModes(root, false) // the drain loop at the top consumes rows
-}
-
-// priceModes computes the two-state price of n's subtree. The vector
-// hypothesis is priced against the children's output flows — the mechanism
-// that threads the chain root's batch count up a chain and the consumer's
-// column demand down it: a parent is charged Batch.Col materialization only
-// for the columns it references, against the child's output state (the
-// parent's demand, not the child's supply).
-func (pc *planCtx) priceModes(n *Node) modePrice {
-	rowKids, vecKids := 0.0, 0.0
-	chainKids := true
-	for _, k := range n.Kids {
-		p := pc.priceModes(k)
-		rowKids += math.Min(p.rowTotal, p.vecTotal+p.boundary)
-		if math.IsInf(p.vecTotal, 1) {
-			chainKids = false
-		} else {
-			vecKids += p.vecTotal
-		}
-	}
-	mp := modePrice{rowTotal: n.EstEJ + rowKids, vecTotal: math.Inf(1)}
-	if chainKids {
-		pc.priceVec(n, vecKids, &mp)
-		if n.seq != nil {
-			// Two vector candidates: keep the one cheaper as a chain top.
-			alt := modePrice{vecTotal: math.Inf(1), seq: true}
-			pc.priceVec(n.seq, vecKids, &alt)
-			if alt.vecTotal+alt.boundary < mp.vecTotal+mp.boundary {
-				alt.rowTotal = mp.rowTotal
-				mp = alt
-			}
-		}
-	}
-	if mode, ok := pc.pinMode[n.TableName]; ok && (n.Kind == opSeqScan || n.Kind == opIndexScan || n.Kind == opIndexJoin) {
-		switch {
-		case mode == ModeRow:
-			mp.vecTotal = math.Inf(1)
-		case !math.IsInf(mp.vecTotal, 1):
-			mp.rowTotal = math.Inf(1)
-		}
-	}
-	pc.prices[n] = mp
-	return mp
-}
-
-// priceVec fills mp's vector state with v's price above children whose
-// chains total vecKids, if v can run vectorized at all — the kind has a
-// kernel implementation and every expression compiles to kernels.
-func (pc *planCtx) priceVec(v *Node, vecKids float64, mp *modePrice) {
-	if !vecEligibleKind(v.Kind) {
-		return
-	}
-	if pr, ok := compileVec(v); ok {
-		mp.vecEJ, mp.out = pc.costVec(v, pr)
-		mp.vecTotal = mp.vecEJ + vecKids
-		mp.boundary = pc.costBoundary(v, mp.out)
+	if out := pc.vectorize(root); out != nil {
+		root.EstEJ += pc.costBoundary(root, out) // the drain loop at the top consumes rows
 	}
 }
 
-// commitModes commits the cheaper assignment top-down. Inside a committed
-// vector chain every node stays vector (the parent's price assumed it); at
-// each row-consumer point the transition-priced chain total competes with
-// the all-row subtree, and a winning chain top absorbs the boundary price
-// into its estimate (surfaced by EXPLAIN as xfer≈). An index scan whose
-// chain prefers the vectorized sequential scan becomes its sequential
-// candidate.
-func (pc *planCtx) commitModes(n *Node, vecConsumer bool) {
-	mp := pc.prices[n]
-	if vecConsumer || mp.vecTotal+mp.boundary < mp.rowTotal {
-		if mp.seq {
-			*n = *n.seq
-		}
-		n.Mode = ModeVector
-		n.EstEJ = mp.vecEJ
-		if !vecConsumer {
-			n.BoundaryEJ = mp.boundary
-			n.EstEJ += mp.boundary
-		}
-		for _, k := range n.Kids {
-			pc.commitModes(k, true)
-		}
-		return
+// keyed reports whether every scan under n reads at most one row.
+func keyed(n *Node) bool {
+	if (n.Kind == opSeqScan || n.Kind == opIndexScan) && bind(n).scanned > 1 {
+		return false
 	}
 	for _, k := range n.Kids {
-		pc.commitModes(k, false)
+		if !keyed(k) {
+			return false
+		}
 	}
+	return true
+}
+
+// vectorize runs n's subtree vector wherever the rule allows, children
+// first, and returns n's output flow if n itself runs vector, nil if it
+// stays row. Where n stays row, each vector child tops a chain and its
+// estimate carries what vec.RowSource charges to hand its batches over.
+func (pc *planCtx) vectorize(n *Node) *flow {
+	in := make([]*flow, len(n.Kids))
+	kids := true
+	for i, k := range n.Kids {
+		in[i] = pc.vectorize(k)
+		kids = kids && in[i] != nil
+	}
+	if kids {
+		if out := pc.runVector(n, in); out != nil {
+			return out
+		}
+	}
+	for i, k := range n.Kids {
+		if in[i] != nil {
+			k.EstEJ += pc.costBoundary(k, in[i])
+		}
+	}
+	return nil
+}
+
+// runVector commits n to vector mode at its price above children whose
+// output flows are in, if it has a vector form, and returns its own output
+// flow. An index scan that carries its sequential candidate (Node.seq) runs
+// as the cheaper of the two vector forms, each priced with the transition it
+// would pay as a chain top: batches amortize a sequential scan's per-tuple
+// interpretation over the whole heap, an index scan's only over the rows it
+// fetches, so the row comparison chooseScan made does not settle this one.
+func (pc *planCtx) runVector(n *Node, in []*flow) *flow {
+	ej, out := pc.vecPrice(n, in)
+	if s := n.seq; s != nil {
+		sej, sout := pc.vecPrice(s, in)
+		if sout != nil && (out == nil || sej+pc.costBoundary(s, sout) < ej+pc.costBoundary(n, out)) {
+			*n = *s
+			ej, out = sej, sout
+		}
+	}
+	if out != nil {
+		n.Mode, n.EstEJ = ModeVector, ej
+	}
+	return out
+}
+
+// vecPrice prices n in vector mode and returns its output flow, or a nil
+// flow if n cannot run vectorized at all: the kind has no kernel
+// implementation or an expression does not compile to kernels.
+func (pc *planCtx) vecPrice(n *Node, in []*flow) (float64, *flow) {
+	if !vecEligibleKind(n.Kind) {
+		return 0, nil
+	}
+	pr, ok := compileVec(n)
+	if !ok {
+		return 0, nil
+	}
+	return pc.costVec(n, pr, in)
 }
 
 // progs holds a node's expressions compiled to kernel programs. Prepare
@@ -250,13 +209,11 @@ func compileVec(n *Node) (*progs, bool) {
 	return pr, exact
 }
 
-// costVec prices n under the vector hypothesis and returns its output flow;
-// its children must have been priced (priceModes does).
-func (pc *planCtx) costVec(n *Node, pr *progs) (float64, *flow) {
-	var in []*flow
-	for _, kid := range n.Kids {
-		in = append(in, pc.prices[kid].out)
-	}
+// costVec prices n in vector mode against its children's output flows (in)
+// and returns its own. The flows thread the chain root's batch count up a
+// chain and the consumer's column demand down it: a parent is charged
+// Batch.Col materialization only for the columns it references.
+func (pc *planCtx) costVec(n *Node, pr *progs, in []*flow) (float64, *flow) {
 	k := pc.bindVec(n, in)
 	a := pc.c.newEst()
 	out := chargeVec(n, pr, k, a, in)
@@ -285,7 +242,7 @@ func (pc *planCtx) batchesFor(n float64) float64 {
 	return math.Ceil(n / float64(vec.BatchSizeFor(pc.e.M.Profile.Mem)))
 }
 
-// bindVec extends bind with the batch counts of the vector hypothesis: a scan
+// bindVec extends bind with the batch counts of vector mode: a scan
 // roots its chain with one batch per batch width of heap rows or index
 // entries, and a blocking operator cuts its buffered input into chunks and
 // its output into batches the same way — a join the candidates it gathers,

@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"energydb/internal/db/exec"
 	"energydb/internal/db/sql"
 	"energydb/internal/db/value"
+	"energydb/internal/tpch"
 )
 
 // vecTestEngine builds an engine with one `facts` table of the given size.
@@ -63,29 +66,53 @@ func prepare(t *testing.T, e *engine.Engine, query string) *Prepared {
 	return p
 }
 
-// TestVectorModeChoice checks the optimizer's row-versus-vector decision: a
-// full-table filter+aggregate over many rows goes vector (the per-batch
-// dispatch amortizes), while the same query over a handful of rows falls
-// back to row mode — the ISSUE's tiny-cardinality regression.
+// pointLookups are the benchmark's point-lookup statements: one keyed
+// single-row SELECT on each of three indexed TPC-H tables.
+var pointLookups = []string{
+	"SELECT o_totalprice, o_orderdate FROM orders WHERE o_orderkey = 1234",
+	"SELECT c_name, c_acctbal FROM customer WHERE c_custkey = 77",
+	"SELECT n_name FROM nation WHERE n_nationkey = 7",
+}
+
+// modes lists the plan's node modes in preorder.
+func modes(n *Node) []Mode {
+	out := []Mode{n.Mode}
+	for _, k := range n.Kids {
+		out = append(out, modes(k)...)
+	}
+	return out
+}
+
+// TestVectorModeChoice checks the mode rule on its edges: a filter+aggregate
+// runs vector over 5000 rows and over three alike — no cardinality crossover
+// decides it — while a keyed plan, one whose every scan reads at most one
+// row, runs row throughout. A key range of two rows is not keyed.
 func TestVectorModeChoice(t *testing.T) {
 	const query = "SELECT grp, SUM(amount) FROM facts WHERE amount > 1 GROUP BY grp"
-
-	big := prepare(t, vecTestEngine(t, 5000), query)
-	scan := findNode(big.Root, opSeqScan)
-	agg := findNode(big.Root, opAggregate)
-	if scan == nil || agg == nil {
-		t.Fatalf("plan shape: %s", big.Summary())
-	}
-	if scan.Mode != ModeVector {
-		t.Errorf("5000-row scan chose %v, want vector", scan.Mode)
-	}
-	if agg.Mode != ModeVector {
-		t.Errorf("5000-row aggregate chose %v, want vector", agg.Mode)
+	for _, rows := range []int{5000, 3} {
+		p := prepare(t, vecTestEngine(t, rows), query)
+		scan := findNode(p.Root, opSeqScan)
+		agg := findNode(p.Root, opAggregate)
+		if scan == nil || agg == nil {
+			t.Fatalf("plan shape: %s", p.Summary())
+		}
+		if scan.Mode != ModeVector || agg.Mode != ModeVector {
+			t.Errorf("%d-row scan and aggregate chose %v and %v, want vector", rows, scan.Mode, agg.Mode)
+		}
 	}
 
-	tiny := prepare(t, vecTestEngine(t, 3), query)
-	if scan := findNode(tiny.Root, opSeqScan); scan == nil || scan.Mode != ModeRow {
-		t.Errorf("3-row scan must stay on the row path, got %v", scan.Mode)
+	e := engine.New(engine.PostgreSQL, cpusim.NewMachine(cpusim.IntelI7_4790()), engine.SettingBaseline)
+	tpch.Setup(e, tpch.Size10MB)
+	for _, q := range pointLookups {
+		p := prepare(t, e, q)
+		if slices.Contains(modes(p.Root), ModeVector) {
+			t.Errorf("%s: a keyed plan must run row throughout:\n%s", q, explainText(p))
+		}
+	}
+
+	p := prepare(t, writeEngine(t, 5000), "SELECT amount FROM facts WHERE id BETWEEN 10 AND 11")
+	if s := findNode(p.Root, opIndexScan); s == nil || slices.Contains(modes(p.Root), ModeRow) {
+		t.Errorf("a two-row key range must run vector through an index scan:\n%s", explainText(p))
 	}
 }
 
@@ -165,12 +192,11 @@ func joinVecEngine(t *testing.T, dimRows, factRows int) *engine.Engine {
 
 const joinQuery = "SELECT id, label FROM facts JOIN dim ON grp = did ORDER BY amount DESC"
 
-// TestJoinSortModeChoice checks the crossover model on joins: with both
-// inputs large the hash join and the sort above it go vector; a build side
-// under one batch is decided by its price like everything else — a one-row
-// build stays in the vector chain under 6000 probe rows and under a dozen,
-// falls back to the row path under a single one, and the chosen plan never
-// measures above the forced-row one.
+// TestJoinSortModeChoice checks the mode rule on joins: with both inputs
+// large the hash join and the sort above it go vector; a one-row build side
+// stays in the vector chain under 6000 probe rows and under a dozen, and the
+// plan runs row when the probe side is a single row too (every scan reads
+// one row). The chosen plan never measures above the forced-row one.
 func TestJoinSortModeChoice(t *testing.T) {
 	p := prepare(t, joinVecEngine(t, 4000, 6000), joinQuery)
 	join := findNode(p.Root, opHashJoin)
@@ -252,41 +278,33 @@ func TestExplainShowsJoinSortMode(t *testing.T) {
 	}
 }
 
-// TestExplainShowsMode checks the EXPLAIN annotation on both paths.
+// TestExplainShowsMode checks the EXPLAIN annotation on both paths: a free
+// plan over a table prints mode=vector, a keyed lookup mode=row.
 func TestExplainShowsMode(t *testing.T) {
-	e := vecTestEngine(t, 5000)
-	lines := explainLines(t, e, "SELECT grp, SUM(amount) FROM facts GROUP BY grp")
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "mode=vector") {
-		t.Errorf("big-table EXPLAIN missing mode=vector:\n%s", joined)
+	e := writeEngine(t, 5000)
+	joined := strings.Join(explainLines(t, e, "SELECT grp, SUM(amount) FROM facts GROUP BY grp"), "\n")
+	if !strings.Contains(joined, "mode=vector") || strings.Contains(joined, "mode=row") {
+		t.Errorf("free EXPLAIN is not all mode=vector:\n%s", joined)
 	}
-
-	e2 := vecTestEngine(t, 3)
-	joined2 := strings.Join(explainLines(t, e2,
-		"SELECT grp, SUM(amount) FROM facts WHERE amount > 1 GROUP BY grp"), "\n")
-	if !strings.Contains(joined2, "mode=row") {
-		t.Errorf("tiny-table EXPLAIN missing mode=row:\n%s", joined2)
+	keyed := strings.Join(explainLines(t, e, "SELECT amount FROM facts WHERE id = 77"), "\n")
+	if !strings.Contains(keyed, "mode=row") || strings.Contains(keyed, "mode=vector") {
+		t.Errorf("keyed EXPLAIN is not all mode=row:\n%s", keyed)
 	}
 }
 
-// TestChainModePricing is the table-driven contract of the chain-wise mode
-// chooser: operators sandwiched inside a profitable vector chain stay in the
-// chain (a node-local row win would silently force two un-priced boundary
-// crossings), a chain consumed by a row parent carries its transition price
-// exactly at the chain top, and when the transition-priced chain genuinely
-// loses — a selective filter leaving a handful of rows above a big scan —
-// the operators above the scan drop to row mode while the scan keeps its
-// priced boundary. Every chosen plan must also beat (or match) the all-row
-// alternative, since the DP explicitly prices that hypothesis.
+// TestChainModePricing is the table-driven contract of the mode rule on
+// chains: every node with a vector form runs vector above a vector child, a
+// row-only parent (Limit) takes rows from the chain top below it, and a plan
+// whose scans read one row each runs row throughout. Where a row consumer
+// takes over, the chain top's estimate is its vector price plus the
+// RowSource transition: an aggregate that tops its chain is predicted above
+// the same aggregate inside one by exactly that price.
 func TestChainModePricing(t *testing.T) {
 	cases := []struct {
 		name  string
 		rows  int
 		query string
 		want  map[opKind]Mode
-		// boundaryOn is the node kind expected to carry the chain top's
-		// transition price (xfer≈ in EXPLAIN).
-		boundaryOn opKind
 	}{
 		{
 			name:  "mid-chain sort stays vector inside a committed chain",
@@ -295,7 +313,6 @@ func TestChainModePricing(t *testing.T) {
 			want: map[opKind]Mode{
 				opProject: ModeVector, opSort: ModeVector, opSeqScan: ModeVector,
 			},
-			boundaryOn: opProject,
 		},
 		{
 			name:  "mid-chain projected expression stays vector",
@@ -304,40 +321,44 @@ func TestChainModePricing(t *testing.T) {
 			want: map[opKind]Mode{
 				opProject: ModeVector, opSort: ModeVector, opSeqScan: ModeVector,
 			},
-			boundaryOn: opProject,
 		},
 		{
-			name:  "aggregate chain top absorbs the boundary under a row sort",
+			name:  "aggregate stays vector under the sort above it",
 			rows:  5000,
 			query: "SELECT grp, COUNT(*) AS n FROM facts GROUP BY grp ORDER BY grp",
 			want: map[opKind]Mode{
-				opSort: ModeRow, opAggregate: ModeVector, opSeqScan: ModeVector,
+				opSort: ModeVector, opAggregate: ModeVector, opSeqScan: ModeVector,
 			},
-			boundaryOn: opAggregate,
 		},
 		{
-			name:  "selective chain drops to row above the scan, scan keeps its priced boundary",
+			name:  "selective chain stays vector above the scan",
 			rows:  5000,
 			query: "SELECT id FROM facts WHERE id < 40 ORDER BY amount",
 			want: map[opKind]Mode{
-				opProject: ModeRow, opSort: ModeRow, opSeqScan: ModeVector,
+				opProject: ModeVector, opSort: ModeVector, opSeqScan: ModeVector,
 			},
-			boundaryOn: opSeqScan,
+		},
+		{
+			name:  "limit takes rows from the chain top below it",
+			rows:  5000,
+			query: "SELECT id FROM facts WHERE amount > 1 ORDER BY amount LIMIT 3",
+			want: map[opKind]Mode{
+				opLimit: ModeRow, opProject: ModeVector, opSort: ModeVector, opSeqScan: ModeVector,
+			},
 		},
 		{
 			name:  "tiny table stays all-row (no chain worth a boundary)",
-			rows:  3,
+			rows:  1,
 			query: "SELECT grp, SUM(amount) AS s FROM facts WHERE amount > 1 GROUP BY grp",
 			want: map[opKind]Mode{
 				opAggregate: ModeRow, opSeqScan: ModeRow,
 			},
-			boundaryOn: opKind(-1),
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := prepare(t, vecTestEngine(t, tc.rows), tc.query)
-			checkChainConsistency(t, tc.query, p.Root, false)
+			checkModeRule(t, tc.query, p)
 			for kind, want := range tc.want {
 				n := findNode(p.Root, kind)
 				if n == nil {
@@ -347,30 +368,16 @@ func TestChainModePricing(t *testing.T) {
 					t.Errorf("%s chose %v, want %v\n%s", n.Title(), n.Mode, want, p.Summary())
 				}
 			}
-			var walk func(n *Node)
-			walk = func(n *Node) {
-				if n.Kind == tc.boundaryOn && !(n.BoundaryEJ > 0) {
-					t.Errorf("%s should carry the chain's transition price", n.Title())
-				}
-				if n.Kind != tc.boundaryOn && n.BoundaryEJ != 0 {
-					t.Errorf("%s carries an unexpected transition price %g", n.Title(), n.BoundaryEJ)
-				}
-				for _, k := range n.Kids {
-					walk(k)
-				}
-			}
-			walk(p.Root)
-
-			// The committed plan must not lose to the all-row hypothesis the
-			// DP priced against it.
-			er := vecTestEngine(t, tc.rows)
-			er.Knobs.DisableVectorExec = true
-			allRow := prepare(t, er, tc.query)
-			if p.PredictedEJ() > allRow.PredictedEJ()*(1+1e-9) {
-				t.Errorf("chosen plan predicts %g J, all-row predicts %g J — chooser left energy on the table",
-					p.PredictedEJ(), allRow.PredictedEJ())
-			}
 		})
+	}
+
+	e := vecTestEngine(t, 5000)
+	top := findNode(prepare(t, e, "SELECT grp, COUNT(*) AS n FROM facts GROUP BY grp").Root, opAggregate)
+	inner := findNode(prepare(t, e, "SELECT grp, COUNT(*) AS n FROM facts GROUP BY grp ORDER BY grp").Root, opAggregate)
+	pc := &planCtx{e: e, c: newCoster(e)}
+	transition := pc.costBoundary(top, &flow{batches: pc.batchesFor(top.EstRows)})
+	if got := top.EstEJ - inner.EstEJ; !(transition > 0) || math.Abs(got-transition) > 1e-9*top.EstEJ {
+		t.Errorf("chain-top aggregate predicted %s above the interior one, want the transition %s", fmtEnergy(got), fmtEnergy(transition))
 	}
 }
 

@@ -45,8 +45,10 @@ func tableDump(t *testing.T, e *engine.Engine) []string {
 }
 
 // TestWriteSameOnEveryPathAndMode runs one UPDATE and one DELETE with the scan
-// under the write node pinned to each access path in each executor, and each
-// of those with the view's next batch scan pointing either way: all eight
+// under the write node pinned to each access path in each executor (the row
+// one under DisableVectorExec; the free plan reads 12 500 index entries or
+// the whole heap, so it runs vector), and each of those with the view's next
+// batch scan pointing either way: all eight
 // plans must change the same rows — read back slot by slot, so the same row
 // ids — and report the same count. The predicate has a part the index bounds
 // capture and a residual, and spans several batches of the vector scans. The
@@ -88,8 +90,9 @@ func TestWriteSameOnEveryPathAndMode(t *testing.T) {
 							t.Fatalf("the turning scan was not one front-to-back batch scan (%d, %d)", f, r)
 						}
 					}
+					e.Knobs.DisableVectorExec = mode == ModeRow
 					before := tableDump(t, e)
-					p, err := preparePinned(e, stmt, map[string]opKind{"facts": path}, map[string]Mode{"facts": mode})
+					p, err := preparePinned(e, stmt, map[string]opKind{"facts": path})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -219,8 +219,8 @@ func scanCharges(e *engine.Engine, m *exec.Meter, pred exec.Expr, mat map[int]bo
 // FuzzVecExec is the differential fuzzer for the vectorized engine: any
 // random table, predicate and plan shape — projection (mode 0), aggregation
 // (mode 1), hash join + sort (mode 2), a broken chain (mode 3: a row
-// consumer over a RowSource-adapted vector scan, the transition the
-// chain-wise mode chooser prices as a chain top's boundary), a projection
+// consumer over a RowSource-adapted vector scan, the transition the planner
+// prices into a chain top's estimate), a projection
 // over an index range scan on a random column with random bounds (mode 4) or
 // an index join on random key columns with a random residual (mode 5) — must
 // produce an identical result set, in identical order for the index

@@ -49,7 +49,7 @@ func (s *Sort) Open() error {
 	ncols := len(s.Child.Schema().Columns)
 	width := batchWidth(s.Ctx, s.BatchSize)
 	s.p = newPool(s.Ctx)
-	s.keyBase = s.Ctx.Arena.Alloc(uint64(MaxBatch)*8*uint64(len(s.Keys)+1), memsim.LineSize)
+	s.keyBase = s.Ctx.Arena.Alloc(uint64(width)*8*uint64(len(s.Keys)+1), memsim.LineSize)
 	s.rows = s.rows[:0]
 	s.keys = make([][]value.Value, len(s.Keys))
 	progs := make([]*Prog, len(s.Keys))
@@ -133,7 +133,9 @@ func (s *Sort) Open() error {
 	exec.ChargeSortStore(s.Ctx, exec.Card{In: float64(n)}, s.base)
 
 	s.pos = 0
-	s.out = NewBatch(s.Ctx.Arena, s.Schema(), width)
+	// The output batch is no wider than the rows there are to emit, the way
+	// Agg sizes its own: a handful of rows does not reserve a full batch.
+	s.out = NewBatch(s.Ctx.Arena, s.Schema(), max(1, min(n, width)))
 	s.chunk = make([]value.Row, 0, width)
 	return nil
 }

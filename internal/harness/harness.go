@@ -105,10 +105,9 @@ func Experiments() []Experiment {
 		{"X3", "Extension: ITCM on top of the DTCM co-design (Section 5 suggestion)", RunExtensionITCM},
 		{"X4", "Extension: update-statement breakdown (the write path deferred in Section 2.3)", RunExtensionWrites},
 		{"X5", "Extension: customized-CPU architecture sweep via trace replay (Section 4.1 design space)", RunExtensionArchSweep},
-		{"X6", "Extension: energy-aware logical-plan optimizer accuracy (predicted vs measured E_active)", RunExtensionOptimizer},
 		{"X7", "Extension: vectorized execution and the L1D bottleneck (share with/without vectorization)", RunExtensionVector},
 		{"X8", "Extension: vectorized join/sort vs forced-row execution (join-dominated subset deltas)", RunExtensionJoin},
-		{"X9", "Extension: estimator accuracy sweep after chain-wise mode pricing (predicted vs measured E_active)", RunExtensionAccuracy},
+		{"X9", "Extension: optimizer accuracy sweep (predicted vs measured E_active, Figure 7 share ordering on optimizer plans)", RunExtensionAccuracy},
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -95,7 +96,7 @@ func skipIfShort(t *testing.T) {
 }
 
 func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
-	want := []string{"T1", "T2", "T3", "T5", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "F13", "X1", "X2", "X3", "X4", "X5", "X6", "X7", "X8", "X9"}
+	want := []string{"T1", "T2", "T3", "T5", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "F13", "X1", "X2", "X3", "X4", "X5", "X7", "X8", "X9"}
 	exps := Experiments()
 	if len(exps) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(exps), len(want))
@@ -246,12 +247,18 @@ func TestExtensionArchSweepQuick(t *testing.T) {
 	}
 }
 
+// TestExtensionOptimizerQuick checks the optimizer's side of X9: every row
+// carries its plan's L1D+Reg2L1D share, and the per-engine share line holds
+// the Figure 7 ordering on optimizer-chosen plans.
 func TestExtensionOptimizerQuick(t *testing.T) {
-	res := runQuick(t, "X6")
-	for _, s := range []string{"Q1", "Q6", "prediction within", "avg L1D+Reg2L1D share by engine"} {
-		if !strings.Contains(res.Text, s) {
-			t.Errorf("X6 missing %q:\n%s", s, res.Text)
+	res := runQuick(t, "X9")
+	for q, share := range column(t, res, "L1D+St%") {
+		if v, err := strconv.ParseFloat(share, 64); err != nil || v <= 0 || v >= 100 {
+			t.Errorf("X9 %s: L1D+St%% cell %q is not a share", q, share)
 		}
+	}
+	if !strings.Contains(res.Text, "avg L1D+Reg2L1D share by engine") || !strings.Contains(res.Text, "Figure 7 ordering ok") {
+		t.Errorf("X9 missing the per-engine Figure 7 ordering line:\n%s", res.Text)
 	}
 }
 
@@ -267,7 +274,7 @@ func TestExtensionVectorQuick(t *testing.T) {
 // TestExtensionAccuracyQuick checks X9's shape: the sweep rows, the README
 // join example row, and the within-band summary lines all render. It also
 // pins the acceptance band on the README join example itself — the query
-// whose 2x over-prediction motivated the chain-wise estimator rework — so a
+// whose 2x over-prediction motivated the chain estimator rework — so a
 // cost-model regression that pushes it back out of +/-25% fails here, not
 // only in the full X9 sweep.
 func TestExtensionAccuracyQuick(t *testing.T) {
@@ -347,12 +354,11 @@ func column(t *testing.T, res Result, name string) map[string]string {
 
 // TestSQLSweepConsistency pins what rig.sql buys: one statement on one
 // configuration prints the same joules in every experiment, and what a row
-// says about its plan is read off the plan that produced its joules. X6, X7
-// and X9 all sweep the SQL texts on a SQLite rig of the same seed, so their
+// says about its plan is read off the plan that produced its joules. X7 and
+// X9 both sweep the SQL texts on a SQLite rig of the same seed, so their
 // measured cells must agree string for string; and a sweep run here must
 // reproduce X9's cells from the sqlRun it hands back.
 func TestSQLSweepConsistency(t *testing.T) {
-	x6 := column(t, runQuick(t, "X6"), "meas (mJ)")
 	x7 := column(t, runQuick(t, "X7"), "E_vec (mJ)")
 	x9 := runQuick(t, "X9")
 	x9meas, x9vecOps := column(t, x9, "meas (mJ)"), column(t, x9, "vec ops")
@@ -368,9 +374,6 @@ func TestSQLSweepConsistency(t *testing.T) {
 	}
 	for _, s := range runs {
 		q := s.name()
-		if x6[q] != x9meas[q] {
-			t.Errorf("%s: X6 meas %s, X9 meas %s", q, x6[q], x9meas[q])
-		}
 		if x7[q] != x9meas[q] {
 			t.Errorf("%s: X7 E_vec %s, X9 meas %s", q, x7[q], x9meas[q])
 		}

@@ -108,8 +108,8 @@ func isVectorJoinOrSort(n *plan.Node) bool {
 	return isVector(n) && (isJoin(n) || strings.HasPrefix(n.Title(), "Sort"))
 }
 
-// accuracyCells renders the four cells every accuracy table (X6, X9) row
-// starts with: query, predicted and measured E_active, signed error.
+// accuracyCells renders the four cells every X9 row starts with: query,
+// predicted and measured E_active, signed error.
 func (s sqlRun) accuracyCells() []string {
 	return []string{
 		s.name(),
