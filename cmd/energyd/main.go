@@ -12,9 +12,10 @@
 // the handshake; table stores are provisioned lazily and shared between
 // sessions that request the same combination. Statements execute in
 // parallel on a pool of per-worker simulated machines (-workers, default
-// GOMAXPROCS; -workers 1 reproduces the old fully-serialized server), with
-// fair round-robin scheduling within each worker, so per-session energy
-// attribution stays exact.
+// GOMAXPROCS; -workers 1 reproduces the old fully-serialized server). Each
+// worker runs one statement at a time, so per-session energy attribution
+// stays exact, and takes its sessions' statements in the order they arrive,
+// so a busy session cannot starve the others.
 //
 // With -metrics-addr set, energyd additionally serves /metrics (Prometheus
 // text: statement latency/energy histograms, Eq. 1 component totals, the

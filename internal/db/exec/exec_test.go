@@ -292,8 +292,6 @@ func TestExpressions(t *testing.T) {
 		{Like{Col{Idx: 1}, "AIR"}, value.Int(0)},
 		{InList{Col{Idx: 0}, []value.Value{value.Int(4), value.Int(5)}}, value.Int(1)},
 		{InList{Col{Idx: 0}, []value.Value{value.Int(4)}}, value.Int(0)},
-		{Between(Col{Idx: 0}, value.Int(5), value.Int(6)), value.Int(1)},
-		{Between(Col{Idx: 0}, value.Int(6), value.Int(9)), value.Int(0)},
 	}
 	for i, c := range cases {
 		if got := c.e.Eval(row); !value.Equal(got, c.want) && !(got.IsNull() && c.want.IsNull()) {

@@ -254,11 +254,3 @@ func boolVal(b bool) value.Value {
 	}
 	return value.Int(0)
 }
-
-// Between builds lo <= e AND e < hi (the TPC-H date-range idiom).
-func Between(e Expr, lo, hi value.Value) Expr {
-	return BinOp{OpAnd,
-		BinOp{OpGe, e, Const{lo}},
-		BinOp{OpLt, e, Const{hi}},
-	}
-}

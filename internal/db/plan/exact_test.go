@@ -137,8 +137,7 @@ func checkExact(t *testing.T, label string, p *Prepared, n *Node, meters map[*No
 	a := &est{cm: e.Ctx.Cost}
 	var out *flow
 	if n.Mode == ModeVector {
-		pr, _ := compileVec(n)
-		out = chargeVec(n, pr, k, a, in)
+		out = chargeVec(n, compileVec(n), k, a, in)
 		if !vecParent {
 			chargeBoundary(n, exec.Card{Batches: k.outBatches, In: k.out}, a)
 		}

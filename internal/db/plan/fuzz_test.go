@@ -93,8 +93,7 @@ func FuzzPlan(f *testing.F) {
 // checkModeRule asserts the mode rule on a prepared plan: under
 // DisableVectorExec, or when every scan reads at most one row, every node
 // runs row; otherwise a node runs vector exactly when its kind has a vector
-// form, its expressions compile to kernels only and all its children run
-// vector.
+// form and all its children run vector.
 func checkModeRule(t *testing.T, src string, p *Prepared) {
 	t.Helper()
 	free := !p.E.Knobs.DisableVectorExec && !keyed(p.Root)
@@ -104,8 +103,7 @@ func checkModeRule(t *testing.T, src string, p *Prepared) {
 		for _, k := range n.Kids {
 			kids = walk(k) && kids
 		}
-		_, exact := compileVec(n)
-		want := free && kids && vecEligibleKind(n.Kind) && exact
+		want := free && kids && vecEligibleKind(n.Kind)
 		if (n.Mode == ModeVector) != want {
 			t.Fatalf("%s runs %s on %q, against the mode rule:\n%s", n.Title(), n.Mode, src, explainText(p))
 		}

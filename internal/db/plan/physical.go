@@ -633,8 +633,7 @@ func (pc *planCtx) recostScans(n *Node, vecConsumer bool) {
 		return
 	}
 	if n.Mode == ModeVector {
-		pr, _ := compileVec(n)
-		ej, out := pc.costVec(n, pr, nil)
+		ej, out := pc.costVec(n, compileVec(n), nil)
 		if !vecConsumer {
 			ej += pc.costBoundary(n, out)
 		}

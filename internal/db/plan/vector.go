@@ -15,8 +15,7 @@ import (
 //     row path. Batching one tuple buys a dispatch per primitive and reserves
 //     a batch of vectors it never fills.
 //   - Every other plan runs vector wherever it can: a node runs vector when
-//     its kind has a vector form, its expressions compile to kernels only and
-//     all its children run vector.
+//     its kind has a vector form and all its children run vector.
 //
 // Knobs.DisableVectorExec runs everything row. Why a rule and not a priced
 // choice per node: DESIGN.md §11.
@@ -31,11 +30,10 @@ import (
 // A vectorized operator exchanges columnar batches, so it can only stack on
 // a vectorized child; chains are rooted at scans, sequential or index, and
 // carry batches edge to edge through joins and sorts — adapted back to rows
-// only where a row-only parent (Limit, a write, an operator with a non-kernel
-// expression), or the drain loop at the top, takes over. That adaptation is
-// not free: RowSource charges one dispatch per batch plus a full-width row
-// copy per row, and the chain top's estimate carries it, so a plan's
-// predicted total sums what the run pays.
+// only where a row-only parent (Limit, a write), or the drain loop at the
+// top, takes over. That adaptation is not free: RowSource charges one
+// dispatch per batch plus a full-width row copy per row, and the chain top's
+// estimate carries it, so a plan's predicted total sums what the run pays.
 
 // vecEligibleKind reports whether the node kind has a vectorized
 // implementation at all: the mode rule's first test, and the nodes EXPLAIN
@@ -158,39 +156,29 @@ func (pc *planCtx) runVector(n *Node, in []*flow) *flow {
 }
 
 // vecPrice prices n in vector mode and returns its output flow, or a nil
-// flow if n cannot run vectorized at all: the kind has no kernel
-// implementation or an expression does not compile to kernels.
+// flow if n's kind has no vector form.
 func (pc *planCtx) vecPrice(n *Node, in []*flow) (float64, *flow) {
 	if !vecEligibleKind(n.Kind) {
 		return 0, nil
 	}
-	pr, ok := compileVec(n)
-	if !ok {
-		return 0, nil
-	}
-	return pc.costVec(n, pr, in)
+	return pc.costVec(n, compileVec(n), in)
 }
 
-// progs holds a node's expressions compiled to kernel programs. Prepare
-// compiles them once: whether all of them are exact decides if the node can
-// run vectorized, and chargeVec prices the same programs.
+// progs holds a node's expressions compiled to kernel programs; chargeVec
+// prices the same programs the vector operator runs.
 type progs struct {
 	filter                    *vec.Prog   // nil without a predicate
 	exprs, groups, post, keys []*vec.Prog // select list, GROUP BY, re-projection, ORDER BY
 	args                      []*vec.Prog // one per aggregate, nil for COUNT(*)
 }
 
-// compileVec compiles n's expressions and reports whether every one of them
-// runs as kernels only.
-func compileVec(n *Node) (*progs, bool) {
-	exact := true
+// compileVec compiles n's expressions.
+func compileVec(n *Node) *progs {
 	one := func(e exec.Expr) *vec.Prog {
 		if e == nil {
 			return nil
 		}
-		p := vec.Compile(e)
-		exact = exact && p.KernelsOnly()
-		return p
+		return vec.Compile(e)
 	}
 	all := func(es []exec.Expr) []*vec.Prog {
 		ps := make([]*vec.Prog, len(es))
@@ -206,7 +194,7 @@ func compileVec(n *Node) (*progs, bool) {
 	for _, k := range n.SortKeys {
 		pr.keys = append(pr.keys, one(k.Expr))
 	}
-	return pr, exact
+	return pr
 }
 
 // costVec prices n in vector mode against its children's output flows (in)

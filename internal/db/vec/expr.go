@@ -1,6 +1,8 @@
 package vec
 
 import (
+	"fmt"
+
 	"energydb/internal/db/exec"
 	"energydb/internal/db/value"
 )
@@ -41,9 +43,6 @@ func (p *pool) get(cap int) *Vector {
 type Prog struct {
 	nodes []*progNode // column reads and kernels; constants are operands only
 	res   *progNode
-	// exact is false when some node has no kernel and falls back to
-	// row-at-a-time evaluation; the planner only vectorizes exact programs.
-	exact bool
 }
 
 // progNode is a column read (exec.Col), a constant (val fixed), or a kernel
@@ -54,9 +53,10 @@ type progNode struct {
 	val  *Vector // result for the current batch
 }
 
-// Compile flattens the expression into a program.
+// Compile flattens the expression into a program. Every exec expression has
+// a kernel; an expression type without one panics.
 func Compile(e exec.Expr) *Prog {
-	p := &Prog{exact: true}
+	p := &Prog{}
 	p.res = p.add(e)
 	return p
 }
@@ -77,16 +77,11 @@ func (p *Prog) add(e exec.Expr) *progNode {
 	case exec.InList:
 		n.l = p.add(t.E)
 	default:
-		p.exact = false
+		panic(fmt.Sprintf("vec: no kernel for %T", e))
 	}
 	p.nodes = append(p.nodes, n)
 	return n
 }
-
-// KernelsOnly reports whether the program runs as kernels only. The planner
-// only chooses vector mode for such programs; an unsupported node reaching a
-// program anyway falls back to row-at-a-time evaluation inside its kernel.
-func (p *Prog) KernelsOnly() bool { return p.exact }
 
 // Const reports whether the program's result is a broadcast constant.
 func (p *Prog) Const() bool { return p.res.isConst() }
@@ -181,18 +176,6 @@ func (p *Prog) eval(ctx *exec.Ctx, pl *pool, b *Batch) *Vector {
 					}
 				}
 				out.Set(i, boolVal(hit))
-			}
-		default:
-			// Exact fallback for expression types without a kernel: rebuild
-			// each selected row and run the row interpreter's Eval, charging
-			// its per-node cost so the energy model stays honest.
-			nodes := nd.e.Nodes()
-			row := make(value.Row, len(b.Cols))
-			for k := 0; k < n; k++ {
-				i := b.Pos(k)
-				b.Row(k, row)
-				ctx.EvalCost(nodes)
-				out.Set(i, nd.e.Eval(row))
 			}
 		}
 	}

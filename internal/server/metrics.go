@@ -24,7 +24,7 @@ const (
 //
 // Every per-statement observation happens on the worker goroutine inside the
 // statement's job (session.retire), so the counters are exactly as drained
-// as the ledgers: after pool.close() nothing is still in flight.
+// as the ledgers: after Server.Close nothing is still in flight.
 type metrics struct {
 	reg  *obs.Registry
 	qlog *obs.QueryLog
@@ -122,11 +122,11 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.StoreStats().HeapScansForward) }, "direction", "forward")
 	r.GaugeFunc("energyd_heap_scans_total", scansHelp,
 		func() float64 { return float64(s.StoreStats().HeapScansReverse) }, "direction", "reverse")
-	r.Gauge("energyd_workers", "Execution workers (simulated machines).").Set(float64(len(s.pool.workers)))
+	r.Gauge("energyd_workers", "Execution workers (simulated machines).").Set(float64(len(s.workers)))
 	r.GaugeFunc("energyd_slowlog_slowest_seconds", "Worst statement wall time on the slow board.", m.qlog.SlowestWall)
 	r.GaugeFunc("energyd_slowlog_hottest_joules", "Worst statement E_active on the hot board.", m.qlog.HottestJoules)
 
-	for _, w := range s.pool.workers {
+	for _, w := range s.workers {
 		id := strconv.Itoa(w.id)
 		w.mPState = r.Gauge("energyd_worker_pstate", "Current P-state of the worker's machine.", "worker", id)
 		w.mPState.Set(float64(w.m.PState()))

@@ -13,13 +13,13 @@
 // into machine time (Machine.Sync). The server therefore gives every worker
 // a machine of its own and keeps the single-owner discipline per worker:
 //
-//   - The pool runs N workers (Config.Workers, default GOMAXPROCS). Each
+//   - The server runs N workers (Config.Workers, default GOMAXPROCS). Each
 //     worker goroutine owns a private machine — a cpusim.Machine.NewLike
 //     clone of the calibrated primary — plus its own meter, profiler and
 //     engine views. Engine attachment, statement execution, and the
 //     counter/energy snapshot-delta pair around each statement all run as
-//     scheduler jobs on that worker's goroutine, so machine state needs no
-//     locks and attribution deltas are exact even with statements running
+//     jobs on that worker's goroutine, so machine state needs no locks and
+//     attribution deltas are exact even with statements running
 //     concurrently on other workers.
 //   - Table data is shared, not cloned: one engine.Shared store per
 //     negotiated (profile, setting, class), loaded once on the primary
@@ -31,8 +31,10 @@
 //     doc).
 //   - Sessions are assigned to a worker round-robin at handshake and stay
 //     there (sticky), so one session's statements retain protocol order.
-//     Within a worker, scheduling is fair round-robin over its sessions
-//     (see sched.go), so a statement-streaming session cannot starve its
+//     A worker is one goroutine reading one unbuffered channel of jobs
+//     (see worker.go). A session blocks until its job has run, so it never
+//     has a second job waiting, and the runtime serves blocked senders in
+//     arrival order: a statement-streaming session cannot starve its
 //     neighbours.
 //   - Connection goroutines (one per session) only parse frames, submit
 //     jobs, and write responses. Data crosses between a connection
@@ -106,14 +108,14 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Server is one energyd instance: a calibrated measurement stack, a worker
-// pool of cloned machines, and shared table stores with per-worker views.
+// Server is one energyd instance: a calibrated measurement stack, workers
+// on cloned machines, and shared table stores with per-worker views.
 type Server struct {
-	cfg  Config
-	m    *cpusim.Machine // calibration primary; also runs store loads
-	cal  *core.Calibration
-	pool *pool
-	obs  *metrics
+	cfg     Config
+	m       *cpusim.Machine // calibration primary; also runs store loads
+	cal     *core.Calibration
+	workers []*worker
+	obs     *metrics
 
 	// loadMu serializes store builds on the primary machine (TPC-H loads
 	// drive s.m, which tolerates only one goroutine at a time).
@@ -130,6 +132,7 @@ type Server struct {
 	retired LedgerTotals
 
 	nextSID atomic.Uint64
+	nextW   atomic.Uint64 // sessions assigned so far (see assign)
 }
 
 type engineKey struct {
@@ -146,7 +149,7 @@ type storeEntry struct {
 }
 
 // New builds the measurement stack, calibrates the energy model on the
-// primary machine, and starts the worker pool. The server is ready to Serve.
+// primary machine, and starts the workers. The server is ready to Serve.
 func New(cfg Config) (*Server, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
@@ -174,7 +177,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		m:        st.M,
 		cal:      st.Cal,
-		pool:     newPool(cfg.Workers, st.M, st.Cal, cfg.Seed, cfg.Noise, cfg.Governor),
+		workers:  newWorkers(cfg.Workers, st.M, st.Cal, cfg.Seed, cfg.Noise, cfg.Governor),
 		sessions: make(map[uint64]*session),
 		stores:   make(map[engineKey]*storeEntry),
 	}
@@ -187,14 +190,21 @@ func New(cfg Config) (*Server, error) {
 // and shared by every worker's profiler.
 func (s *Server) Calibration() *core.Calibration { return s.cal }
 
-// Workers returns the pool size.
-func (s *Server) Workers() int { return len(s.pool.workers) }
+// Workers returns the number of workers.
+func (s *Server) Workers() int { return len(s.workers) }
+
+// assign picks the next worker round-robin. Sessions keep the result for
+// life, so a session's statements run in protocol order while different
+// sessions run in parallel.
+func (s *Server) assign() *worker {
+	return s.workers[(s.nextW.Add(1)-1)%uint64(len(s.workers))]
+}
 
 // Totals returns the server-wide energy ledger snapshot: the merge of the
 // per-worker ledgers. The per-session ledgers partition the same sum.
 func (s *Server) Totals() LedgerTotals {
 	var out LedgerTotals
-	for _, w := range s.pool.workers {
+	for _, w := range s.workers {
 		out.Merge(w.ledger.Totals())
 	}
 	return out
@@ -202,8 +212,8 @@ func (s *Server) Totals() LedgerTotals {
 
 // WorkerTotals returns each worker's ledger snapshot, in worker order.
 func (s *Server) WorkerTotals() []LedgerTotals {
-	out := make([]LedgerTotals, len(s.pool.workers))
-	for i, w := range s.pool.workers {
+	out := make([]LedgerTotals, len(s.workers))
+	for i, w := range s.workers {
 		out[i] = w.ledger.Totals()
 	}
 	return out
@@ -307,7 +317,9 @@ func (s *Server) Close() error {
 	for _, sess := range sessions {
 		sess.conn.Close()
 	}
-	s.pool.close()
+	for _, w := range s.workers {
+		w.close()
+	}
 	return err
 }
 
@@ -315,7 +327,7 @@ func (s *Server) Close() error {
 // retired accumulator in the same critical section that removes it from the
 // registry, so SessionTotals observes each session exactly once. By the time
 // run's defers reach here the connection is closed and no statement job of
-// this session can still be queued, so the ledger is final.
+// this session can still be waiting, so the ledger is final.
 func (s *Server) dropSession(sess *session) {
 	s.mu.Lock()
 	if _, ok := s.sessions[sess.id]; ok {
@@ -441,7 +453,7 @@ func (s *Server) Stats() *wire.StatsSnapshot {
 		TxnsCommitted:   txns.Committed,
 		TxnsAborted:     txns.Aborted,
 		Banner:          Banner,
-		Workers:         len(s.pool.workers),
+		Workers:         len(s.workers),
 		Sessions:        nSessions,
 		Engines:         engines,
 		Queries:         t.Queries,

@@ -36,12 +36,6 @@ type session struct {
 	ledger Ledger
 }
 
-// submit runs fn on the session's worker goroutine, serialized fairly
-// against the worker's other sessions.
-func (s *session) submit(fn func()) error {
-	return s.wk.sched.submit(s.id, fn)
-}
-
 // armRead applies the per-frame read deadline, if configured.
 func (s *session) armRead() {
 	if d := s.srv.cfg.ReadTimeout; d > 0 {
@@ -154,9 +148,9 @@ func (s *session) handshake(r *bufio.Reader) error {
 	}
 	key := engineKey{kind: kind, setting: setting, class: class}
 	sh := s.srv.sharedStore(key)
-	s.wk = s.srv.pool.assign()
+	s.wk = s.srv.assign()
 	var eng *engine.Engine
-	if err := s.submit(func() {
+	if err := s.wk.submit(func() {
 		eng = s.wk.engine(key, sh)
 	}); err != nil {
 		s.send(&wire.Error{Msg: err.Error()})
@@ -186,7 +180,7 @@ func (s *session) serveQuery(text string) error {
 		res, err = s.exec(func() ([]stmt.Record, stmt.Result, error) { return s.pipe.Exec(st) })
 	}
 	if err != nil {
-		class := "exec" // the scheduler refused the job
+		class := "exec" // the worker refused the job
 		var se *stmt.Error
 		if errors.As(err, &se) {
 			class = se.Class
@@ -223,13 +217,13 @@ func (s *session) serveQuery(text string) error {
 }
 
 // exec runs one pipeline call as one job on the session's worker and retires
-// every record it yields as the tail of that same job: pool.close() waits
+// every record it yields as the tail of that same job: Server.Close waits
 // for the running job to finish, so after Close every executed statement is
 // fully accounted — a concurrent Server.Close can never observe a statement
 // that ran but is not yet booked, and the session ledgers partition
 // Server.Totals exactly at rest.
 func (s *session) exec(call func() ([]stmt.Record, stmt.Result, error)) (res stmt.Result, err error) {
-	if submitErr := s.submit(func() {
+	if submitErr := s.wk.submit(func() {
 		var recs []stmt.Record
 		recs, res, err = call()
 		for _, r := range recs {

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"sync/atomic"
+	"errors"
 
 	"energydb/internal/core"
 	"energydb/internal/cpusim"
@@ -10,16 +10,28 @@ import (
 	"energydb/internal/rapl"
 )
 
+// ErrServerClosed is returned for work submitted after shutdown.
+var ErrServerClosed = errors.New("server: closed")
+
 // worker is one execution lane: a private simulated machine (a NewLike clone
 // of the calibrated primary), its own RAPL meter and profiler, per-worker
-// engine views over the shared table stores, and a fair per-session
-// scheduler whose single goroutine owns all of it. Because the machine,
+// engine views over the shared table stores, and one goroutine (loop) that
+// owns all of it and runs the jobs it reads from jobs. Because the machine,
 // meter and engines are touched only from that goroutine, statement counter
 // deltas advance in isolation and per-statement attribution stays exact
 // without any machine-level locking.
+//
+// The lane needs no queue of its own. A session's connection goroutine
+// blocks in submit until its job has run, so a session never has a second
+// job waiting; the submitters blocked on the unbuffered send are the queue,
+// and Go serves blocked senders in the order they arrived. A session
+// streaming statements back to back therefore waits behind every session
+// that arrived before its next statement — none of them can be starved.
 type worker struct {
 	id    int
-	sched *sched
+	jobs  chan func()   // unbuffered: a send hands the job to loop
+	quit  chan struct{} // closed by close
+	idle  chan struct{} // closed when loop exits
 	m     *cpusim.Machine
 	meter *rapl.Meter
 	prof  *core.Profiler
@@ -45,6 +57,69 @@ type worker struct {
 	// obs cells are themselves goroutine-safe for scrapes.
 	mPState      *obs.Gauge
 	mTransitions *obs.Counter
+}
+
+// newWorkers clones the calibrated primary machine n times and starts each
+// clone's goroutine. Each worker's meter gets a distinct deterministic noise
+// seed so concurrent measurements do not share an error stream. With
+// governor set, each worker also gets a stall-aware DVFS governor over its
+// machine.
+func newWorkers(n int, primary *cpusim.Machine, cal *core.Calibration, seed int64, noise float64, governor bool) []*worker {
+	ws := make([]*worker, n)
+	for i := range ws {
+		m := primary.NewLike()
+		meter := rapl.NewMeter(m, seed+int64(i)+1, noise)
+		w := &worker{
+			id:      i,
+			jobs:    make(chan func()),
+			quit:    make(chan struct{}),
+			idle:    make(chan struct{}),
+			m:       m,
+			meter:   meter,
+			prof:    core.NewProfiler(m, meter, cal),
+			engines: make(map[engineKey]*engine.Engine),
+		}
+		if governor {
+			w.gov = cpusim.NewStallAwareGovernor(m)
+		}
+		go w.loop()
+		ws[i] = w
+	}
+	return ws
+}
+
+// submit runs fn on the worker goroutine and returns once it has run, or
+// returns ErrServerClosed without running it if the worker is closing.
+func (w *worker) submit(fn func()) error {
+	done := make(chan struct{})
+	select {
+	case w.jobs <- func() { fn(); close(done) }:
+	case <-w.quit:
+		return ErrServerClosed
+	}
+	<-done
+	return nil
+}
+
+// loop runs jobs one at a time until close.
+func (w *worker) loop() {
+	defer close(w.idle)
+	for {
+		select {
+		case <-w.quit:
+			return
+		case fn := <-w.jobs:
+			fn()
+		}
+	}
+}
+
+// close stops the worker and returns once the job it was running, if any,
+// has finished. The send in submit is unbuffered, so no job is left behind:
+// every later submit sees quit and fails.
+func (w *worker) close() {
+	close(w.quit)
+	<-w.idle
 }
 
 // tickGovernor runs the DVFS policy over the window since the last retired
@@ -74,51 +149,4 @@ func (w *worker) engine(key engineKey, sh *engine.Shared) *engine.Engine {
 		w.engines[key] = e
 	}
 	return e
-}
-
-// pool is the set of workers plus the sticky session assignment counter.
-// Sessions are assigned round-robin at handshake and stay on their worker
-// for life, so a session's statements are serialized (protocol order) while
-// different sessions run genuinely in parallel.
-type pool struct {
-	workers []*worker
-	nextW   atomic.Uint64
-}
-
-// newPool clones the calibrated primary machine n times. Each worker's
-// meter gets a distinct deterministic noise seed so concurrent measurements
-// do not share an error stream. With governor set, each worker also gets a
-// stall-aware DVFS governor over its machine.
-func newPool(n int, primary *cpusim.Machine, cal *core.Calibration, seed int64, noise float64, governor bool) *pool {
-	p := &pool{workers: make([]*worker, n)}
-	for i := 0; i < n; i++ {
-		m := primary.NewLike()
-		meter := rapl.NewMeter(m, seed+int64(i)+1, noise)
-		w := &worker{
-			id:      i,
-			sched:   newSched(),
-			m:       m,
-			meter:   meter,
-			prof:    core.NewProfiler(m, meter, cal),
-			engines: make(map[engineKey]*engine.Engine),
-		}
-		if governor {
-			w.gov = cpusim.NewStallAwareGovernor(m)
-		}
-		p.workers[i] = w
-	}
-	return p
-}
-
-// assign picks the next worker round-robin (sticky: callers keep the result
-// for the session's lifetime).
-func (p *pool) assign() *worker {
-	return p.workers[(p.nextW.Add(1)-1)%uint64(len(p.workers))]
-}
-
-// close stops every worker's scheduler and waits for the goroutines to exit.
-func (p *pool) close() {
-	for _, w := range p.workers {
-		w.sched.close()
-	}
 }

@@ -3,8 +3,10 @@
 # metrics listener, run a few statements through the wire protocol, scrape
 # /metrics and /healthz, and grep for the core metric families with live
 # values. Exercises exactly what a production scrape + STATS client would.
-# The same statements then run through dbshell's local mode, which must print
-# the same answers: both are consumers of one statement pipeline.
+# The daemon runs one worker, and three sessions then share it at once: every
+# statement of each must come back. The same statements then run through
+# dbshell's local mode, which must print the same answers: both are consumers
+# of one statement pipeline.
 set -eu
 
 PORT="${SMOKE_PORT:-17683}"
@@ -15,7 +17,7 @@ trap 'kill "$PID" 2>/dev/null || true; wait "$PID" 2>/dev/null || true; rm -rf "
 go build -o "$TMP/energyd" ./cmd/energyd
 go build -o "$TMP/dbshell" ./cmd/dbshell
 
-"$TMP/energyd" -addr "127.0.0.1:$PORT" -metrics-addr "127.0.0.1:$MPORT" -quiet >"$TMP/energyd.log" 2>&1 &
+"$TMP/energyd" -addr "127.0.0.1:$PORT" -metrics-addr "127.0.0.1:$MPORT" -workers 1 -quiet >"$TMP/energyd.log" 2>&1 &
 PID=$!
 
 # Wait for /healthz (calibration takes a moment).
@@ -105,6 +107,29 @@ for family in \
   }
 done
 echo "smoke: /metrics families ok"
+
+# Three sessions on the one worker at once, three statements each: the lane
+# must get every statement of every session through.
+lanes=""
+for s in 1 2 3; do
+  printf '%s\n' '\q6' '\q6' '\q6' '\quit' |
+    "$TMP/dbshell" -connect "127.0.0.1:$PORT" -db sqlite -class 10MB >"$TMP/lane$s.out" 2>&1 &
+  lanes="$lanes $!"
+done
+for lane in $lanes; do
+  wait "$lane" || {
+    echo "smoke: a concurrent session failed" >&2
+    cat "$TMP"/lane*.out >&2
+    exit 1
+  }
+done
+n=$(cat "$TMP"/lane*.out | grep -c 'energy: Eactive=' || true)
+[ "$n" -eq 9 ] || {
+  echo "smoke: $n energy reports from three concurrent sessions, want 9" >&2
+  cat "$TMP"/lane*.out >&2
+  exit 1
+}
+echo "smoke: three concurrent sessions on one worker ok"
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true
