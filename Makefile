@@ -26,12 +26,12 @@ lint:
 
 # Non-blank, non-comment, non-test Go lines of the packages the simplicity
 # PRs track: the planner and the two executors, the analyzer suite, the
-# statement pipeline with its two consumers, the experiment harness, the
-# TPC-H package and the public facade at the root.
+# statement pipeline with its two consumers and the wire protocol, the
+# experiment harness, the TPC-H package and the public facade at the root.
 loc:
 	@scripts/loc.sh internal/db/plan internal/db/vec internal/db/exec
 	@scripts/loc.sh internal/lint
-	@scripts/loc.sh internal/server cmd/dbshell internal/db/stmt
+	@scripts/loc.sh internal/server internal/server/wire cmd/dbshell internal/db/stmt
 	@scripts/loc.sh internal/harness
 	@scripts/loc.sh internal/tpch
 	@scripts/loc.sh .

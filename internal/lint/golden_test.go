@@ -61,7 +61,6 @@ func TestGoldenCancelPoll(t *testing.T)   { golden(t, AnalyzerCancelPoll) }
 // be that analyzer's second half and is retirepath's finding now.
 func TestGoldenLedgerRetire(t *testing.T) { golden(t, AnalyzerLedgerRetire, AnalyzerRetirePath) }
 
-func TestGoldenWireSym(t *testing.T)    { golden(t, AnalyzerWireSym) }
 func TestGoldenChargePath(t *testing.T) { golden(t, AnalyzerChargePath) }
 func TestGoldenPoolEscape(t *testing.T) { golden(t, AnalyzerPoolEscape) }
 func TestGoldenWalErr(t *testing.T)     { golden(t, AnalyzerWalErr) }

@@ -14,25 +14,26 @@
 //
 // # Analyzers
 //
-// Four rules are local type/AST rules with no path question:
+// Two rules are local type/AST rules with no path question:
 //
 //   - counterdelta: raw a-b subtraction on monotonic uint64 PMU/ledger
 //     counters (underflow on counter reset).
-//   - lockorder: engine → txn → storage → btree lock ordering, mutex value
-//     copies, and lock held across a channel operation.
-//   - wiresym: wire frame types whose Encode/Decode/String surfaces are
-//     asymmetric.
 //   - poolescape: pooled vec batches/vectors pulled from an operator or
 //     pool must not be retained in fields or growing slices past their
 //     reuse point.
 //
-// Five are path rules, and all five are clients of one engine: a
+// Six are path rules, and all six are clients of one engine: a
 // statement-level CFG (cfg.go), reachability-avoiding-facts queries over it
 // (dataflow.go: avoidSearch, guaranteedOn, iterationCompletes, loop anchors)
 // and an interprocedural may/must summary of what every declared function
 // charges, dispatches and polls (summary.go). No analyzer re-derives a path
 // property by matching statement shapes.
 //
+//   - lockorder: engine → txn → storage → btree lock ordering and locks
+//     held across a channel operation (a lock is held wherever a path from
+//     its Lock avoids every non-deferred Unlock of it), plus exported lock
+//     wrappers on engine types. Copies of lock-bearing values are go vet's
+//     copylocks check.
 //   - chargepath: every executor loop that advances tuples, batches,
 //     pages or version chains must charge the meter on every completing
 //     iteration (vectorized loops additionally owe a per-batch driver
@@ -103,7 +104,6 @@ func All() []*Analyzer {
 		AnalyzerLockOrder,
 		AnalyzerCancelPoll,
 		AnalyzerLedgerRetire,
-		AnalyzerWireSym,
 		AnalyzerChargePath,
 		AnalyzerPoolEscape,
 		AnalyzerWalErr,
@@ -348,10 +348,14 @@ func funcScopes(f *ast.File) []funcScope {
 	return out
 }
 
-// inspectShallow walks the body like ast.Inspect but does not descend into
-// nested function literals, so per-goroutine analyses don't mix scopes.
-func inspectShallow(body *ast.BlockStmt, fn func(ast.Node) bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
+// inspectShallow walks n like ast.Inspect but does not descend into nested
+// function literals, so per-goroutine analyses don't mix scopes. A nil n
+// (a synthetic CFG node's fragment) has nothing to walk.
+func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
+	if n == nil {
+		return
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}

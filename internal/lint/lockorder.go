@@ -12,12 +12,10 @@ import (
 // catalog lock is always taken before the transaction manager's commit
 // lock, which is always taken before the storage layer's row lock, which
 // is always taken before anything in the btree layer — engine → txn →
-// storage → btree. It additionally flags three shapes that have bitten
+// storage → btree. It additionally flags two shapes that have bitten
 // concurrent Go systems forever and that `make race` can only catch when a
 // test happens to interleave badly:
 //
-//   - copying a value whose type contains a sync.Mutex/RWMutex/Once/
-//     WaitGroup (the copy silently forks the lock state);
 //   - blocking on a channel operation while holding a lock (the scheduler
 //     and store-provision paths must release before waiting, or a slow
 //     peer deadlocks every other session);
@@ -27,13 +25,15 @@ import (
 //     readers against writers and was replaced by MVCC snapshots; new
 //     code must not grow it back.
 //
-// The analysis is per-function and linear: function literals are separate
-// scopes (they usually run on other goroutines), an Unlock anywhere clears
-// the held state for the rest of the scan (under-reporting is the right
-// bias for a required CI gate), and a deferred Unlock holds to scope end.
+// Copying a value that contains a lock is go vet's copylocks check.
+//
+// "Held" is a path question on the CFG engine: a lock is held at a
+// statement when some path from its Lock reaches the statement without
+// passing a non-deferred Unlock of the same base. Function literals are
+// separate scopes (they usually run on other goroutines).
 var AnalyzerLockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "engine→txn→storage→btree lock ordering, mutex copies, locks held across channel ops, retired store-lock wrappers",
+	Doc:  "engine→txn→storage→btree lock ordering, locks held across channel ops, retired store-lock wrappers",
 	Run:  runLockOrder,
 }
 
@@ -48,20 +48,11 @@ var lockLevels = map[string]int{
 	"btree":   3,
 }
 
-// heldLock is one acquisition the linear scan still considers live.
-type heldLock struct {
-	expr     string // rendered base expression, for release matching
-	pkgBase  string // declaring package's final path element
-	level    int    // lockLevels rank, -1 when unordered
-	deferred bool   // released only at scope end
-}
-
 func runLockOrder(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
 		for _, fn := range funcScopes(file) {
-			scanLockScope(pass, fn)
+			checkLockScope(pass, fn.body)
 		}
-		checkMutexCopies(pass, file)
 		checkStoreLockWrappers(pass, file)
 	}
 }
@@ -89,86 +80,110 @@ func checkStoreLockWrappers(pass *Pass, file *ast.File) {
 	}
 }
 
-// scanLockScope walks one function body in source order tracking held
-// locks, reporting order inversions and channel operations under a lock.
-func scanLockScope(pass *Pass, fn funcScope) {
-	var held []heldLock
-	release := func(expr string) {
-		for i := len(held) - 1; i >= 0; i-- {
-			if held[i].expr == expr && !held[i].deferred {
-				held = append(held[:i], held[i+1:]...)
-				return
-			}
-		}
-		// Unlock with no matching tracked Lock (e.g. branch-local
-		// lock/unlock pairs): be conservative and clear non-deferred
-		// state so later channel ops are not falsely flagged.
-		for i := len(held) - 1; i >= 0; i-- {
-			if !held[i].deferred {
-				held = append(held[:i], held[i+1:]...)
-				return
-			}
-		}
+// lockSite is one (un)lock call a CFG node evaluates.
+type lockSite struct {
+	node    *cnode
+	call    *ast.CallExpr
+	base    string // rendered base expression, for release matching
+	pkgBase string // declaring package's final path element
+	level   int    // lockLevels rank, -1 when unordered
+}
+
+// lockSites lists the lock (unlock false) or unlock (unlock true) calls the
+// node evaluates. A deferred call runs at scope end, so a defer node has
+// none.
+func lockSites(pass *Pass, n *cnode, unlock bool) []lockSite {
+	if _, deferred := n.stmt.(*ast.DeferStmt); deferred {
+		return nil
 	}
-	reportChan := func(n ast.Node, what string) {
-		if len(held) == 0 {
-			return
+	var out []lockSite
+	inspectShallow(stmtEvalNode(n.stmt), func(m ast.Node) bool {
+		call, ok := m.(*ast.CallExpr)
+		if !ok {
+			return true
 		}
-		pass.Reportf(n.Pos(), "%s while holding %s lock; release before blocking on a channel",
-			what, held[len(held)-1].expr)
-	}
-	inspectShallow(fn.body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			if base, name, ok := lockCall(pass, n.Call); ok && isUnlockName(name) {
-				for i := range held {
-					if held[i].expr == base {
-						held[i].deferred = true
-					}
-				}
-			}
-			// Don't descend: the deferred call runs at scope end.
-			return false
-		case *ast.CallExpr:
-			base, name, ok := lockCall(pass, n)
-			if !ok {
-				return true
-			}
-			if isUnlockName(name) {
-				release(base)
-				return true
-			}
-			lvl, pkgBase := lockLevel(pass, n)
-			for _, h := range held {
-				if h.level >= 0 && lvl >= 0 && h.level > lvl {
-					pass.Reportf(n.Pos(),
-						"acquires %s lock (%s) while holding %s lock (%s); documented order is engine → txn → storage → btree",
-						pkgBase, base, h.pkgBase, h.expr)
-				}
-			}
-			held = append(held, heldLock{expr: base, pkgBase: pkgBase, level: lvl})
-			return true
-		case *ast.SendStmt:
-			reportChan(n, "channel send")
-			return true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				reportChan(n, "channel receive")
-			}
-			return true
-		case *ast.SelectStmt:
-			reportChan(n, "select")
-			return true
-		case *ast.RangeStmt:
-			if t := pass.TypeOf(n.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					reportChan(n, "range over channel")
-				}
-			}
-			return true
+		if base, name, ok := lockCall(pass, call); ok && isUnlockName(name) == unlock {
+			level, pkgBase := lockLevel(pass, call)
+			out = append(out, lockSite{n, call, base, pkgBase, level})
 		}
 		return true
 	})
+	return out
+}
+
+// checkLockScope reports, for one function body, the lower-layer
+// acquisitions and the channel operations some path reaches while a lock
+// is held.
+func checkLockScope(pass *Pass, body *ast.BlockStmt) {
+	if !anyCall(body, func(call *ast.CallExpr) bool {
+		_, name, ok := lockCall(pass, call)
+		return ok && isLockName(name)
+	}) {
+		return
+	}
+	g := pass.Prog.cfgOf(body)
+	var locks []lockSite
+	for _, n := range g.nodes {
+		locks = append(locks, lockSites(pass, n, false)...)
+	}
+	held := func(l lockSite, at *cnode) bool {
+		return avoidSearch(l.node, map[*cnode]bool{at: true}, func(st ast.Stmt) bool {
+			for _, u := range lockSites(pass, g.byStmt[st], true) {
+				if u.base == l.base {
+					return true
+				}
+			}
+			return false
+		})
+	}
+	for _, b := range locks {
+		for _, a := range locks {
+			if b.level >= 0 && a.level > b.level && held(a, b.node) {
+				pass.Reportf(b.call.Pos(),
+					"acquires %s lock (%s) while holding %s lock (%s); documented order is engine → txn → storage → btree",
+					b.pkgBase, b.base, a.pkgBase, a.base)
+			}
+		}
+	}
+	for _, n := range g.nodes {
+		what := chanOp(pass, n.stmt)
+		if what == "" {
+			continue
+		}
+		// Name the innermost held lock: the last one taken in source order.
+		var last *lockSite
+		for i, l := range locks {
+			if (last == nil || l.call.Pos() > last.call.Pos()) && held(l, n) {
+				last = &locks[i]
+			}
+		}
+		if last != nil {
+			pass.Reportf(n.stmt.Pos(), "%s while holding %s lock; release before blocking on a channel", what, last.base)
+		}
+	}
+}
+
+// chanOp names the channel operation a CFG node's statement may block on,
+// or returns "" when it has none.
+func chanOp(pass *Pass, st ast.Stmt) string {
+	switch st := st.(type) {
+	case *ast.SendStmt:
+		return "channel send"
+	case *ast.SelectStmt:
+		return "select"
+	case *ast.RangeStmt:
+		if _, isChan := pass.TypeOf(st.X).Underlying().(*types.Chan); isChan {
+			return "range over channel"
+		}
+	}
+	what := ""
+	inspectShallow(stmtEvalNode(st), func(n ast.Node) bool {
+		if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+			what = "channel receive"
+		}
+		return what == ""
+	})
+	return what
 }
 
 // lockNames / unlock classification.
@@ -252,94 +267,6 @@ func isSyncLocker(t types.Type) bool {
 	switch named.Obj().Name() {
 	case "Mutex", "RWMutex":
 		return true
-	}
-	return false
-}
-
-// checkMutexCopies flags copies of lock-bearing values: assignment from an
-// existing location (identifier, selector, deref, index), passing such a
-// value as a call argument, or ranging over a slice/array of them. Fresh
-// construction (composite literals, call results) is fine — the lock state
-// is zero.
-func checkMutexCopies(pass *Pass, file *ast.File) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				checkCopyExpr(pass, rhs)
-			}
-		case *ast.ValueSpec:
-			for _, v := range n.Values {
-				checkCopyExpr(pass, v)
-			}
-		case *ast.CallExpr:
-			if _, _, isLock := lockCall(pass, n); isLock {
-				return true
-			}
-			for _, arg := range n.Args {
-				checkCopyExpr(pass, arg)
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				t := pass.TypeOf(n.Value)
-				if t != nil && containsLock(t, nil) {
-					pass.Reportf(n.Value.Pos(), "range copies %s values containing a mutex; iterate by index or store pointers", t.String())
-				}
-			}
-		}
-		return true
-	})
-}
-
-// checkCopyExpr reports when the expression copies a lock-bearing value
-// out of an existing location.
-func checkCopyExpr(pass *Pass, e ast.Expr) {
-	e = ast.Unparen(e)
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return
-	}
-	t := pass.TypeOf(e)
-	if t == nil {
-		return
-	}
-	if _, isPtr := t.(*types.Pointer); isPtr {
-		return
-	}
-	if containsLock(t, nil) {
-		pass.Reportf(e.Pos(), "copies %s which contains a mutex; pass a pointer instead", t.String())
-	}
-}
-
-// containsLock reports whether the type transitively contains a sync lock
-// (not through pointers).
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil {
-		return false
-	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named := namedOf(t); named != nil && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync" {
-		switch named.Obj().Name() {
-		case "Mutex", "RWMutex", "Once", "WaitGroup", "Cond", "Pool", "Map":
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
 	}
 	return false
 }

@@ -1,6 +1,6 @@
-// Package app exercises the lockorder analyzer: ordering inversions,
-// locks held across channel operations, and mutex value copies, next to
-// the accepted shapes of each.
+// Package app exercises the lockorder analyzer: ordering inversions and
+// locks held across channel operations, next to the accepted shapes of
+// each. The mutex value copies at the end are go vet's, not lockorder's.
 package app
 
 import (
@@ -58,6 +58,31 @@ func (s *system) publishLocked(v int) {
 // publish releases before blocking: the accepted shape.
 func (s *system) publish(v int) {
 	s.rows.Mu.Lock()
+	s.rows.Mu.Unlock()
+	s.work <- v
+}
+
+// publishSometimes releases on one branch only: the other path still holds
+// the row lock at the send.
+func (s *system) publishSometimes(v int, early bool) {
+	s.rows.Mu.Lock()
+	if early {
+		s.rows.Mu.Unlock()
+	}
+	s.work <- v
+	if !early {
+		s.rows.Mu.Unlock()
+	}
+}
+
+// publishUnlocked defers the release only on the branch that returns; the
+// path to the send has already unlocked.
+func (s *system) publishUnlocked(v int, early bool) {
+	s.rows.Mu.Lock()
+	if early {
+		defer s.rows.Mu.Unlock()
+		return
+	}
 	s.rows.Mu.Unlock()
 	s.work <- v
 }

@@ -57,34 +57,31 @@ const (
 	TypeTxnAck       Type = 0x0B // server → client: transaction state after a TxnCtl
 )
 
+// frames is the one list of frame types, indexed by Type: Type.String and
+// Decode both read it, so a type has a name exactly when peers can parse it.
+var frames = [256]struct {
+	name string
+	new  func() Frame
+}{
+	TypeHello:        {"Hello", func() Frame { return &Hello{} }},
+	TypeHelloAck:     {"HelloAck", func() Frame { return &HelloAck{} }},
+	TypeQuery:        {"Query", func() Frame { return &Query{} }},
+	TypeResultSet:    {"ResultSet", func() Frame { return &ResultSet{} }},
+	TypeEnergyReport: {"EnergyReport", func() Frame { return &EnergyReport{} }},
+	TypeError:        {"Error", func() Frame { return &Error{} }},
+	TypeQuit:         {"Quit", func() Frame { return &Quit{} }},
+	TypeStats:        {"Stats", func() Frame { return &Stats{} }},
+	TypeStatsReply:   {"StatsReply", func() Frame { return &StatsReply{} }},
+	TypeTxnCtl:       {"TxnCtl", func() Frame { return &TxnCtl{} }},
+	TypeTxnAck:       {"TxnAck", func() Frame { return &TxnAck{} }},
+}
+
 // String names the frame type.
 func (t Type) String() string {
-	switch t {
-	case TypeHello:
-		return "Hello"
-	case TypeHelloAck:
-		return "HelloAck"
-	case TypeQuery:
-		return "Query"
-	case TypeResultSet:
-		return "ResultSet"
-	case TypeEnergyReport:
-		return "EnergyReport"
-	case TypeError:
-		return "Error"
-	case TypeQuit:
-		return "Quit"
-	case TypeStats:
-		return "Stats"
-	case TypeStatsReply:
-		return "StatsReply"
-	case TypeTxnCtl:
-		return "TxnCtl"
-	case TypeTxnAck:
-		return "TxnAck"
-	default:
+	if frames[t].new == nil {
 		return fmt.Sprintf("Type(0x%02x)", byte(t))
 	}
+	return frames[t].name
 }
 
 // Frame is one protocol message.
@@ -365,18 +362,16 @@ const (
 	TxnRollback TxnOp = 3
 )
 
+// txnOps names the operations, indexed by TxnOp; an op without a name is
+// not one.
+var txnOps = [...]string{TxnBegin: "BEGIN", TxnCommit: "COMMIT", TxnRollback: "ROLLBACK"}
+
 // String names the operation.
 func (op TxnOp) String() string {
-	switch op {
-	case TxnBegin:
-		return "BEGIN"
-	case TxnCommit:
-		return "COMMIT"
-	case TxnRollback:
-		return "ROLLBACK"
-	default:
+	if int(op) >= len(txnOps) || txnOps[op] == "" {
 		return fmt.Sprintf("TxnOp(%d)", byte(op))
 	}
+	return txnOps[op]
 }
 
 // TxnCtl controls the session's explicit transaction: BEGIN opens one
@@ -397,7 +392,7 @@ func (t *TxnCtl) decode(b *buf) error {
 	if err != nil {
 		return err
 	}
-	if TxnOp(v) < TxnBegin || TxnOp(v) > TxnRollback {
+	if int(v) >= len(txnOps) || txnOps[v] == "" {
 		return fmt.Errorf("unknown txn op %d", v)
 	}
 	t.Op = TxnOp(v)
@@ -483,33 +478,10 @@ func Decode(data []byte) (Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	var f Frame
-	switch Type(t) {
-	case TypeHello:
-		f = &Hello{}
-	case TypeHelloAck:
-		f = &HelloAck{}
-	case TypeQuery:
-		f = &Query{}
-	case TypeResultSet:
-		f = &ResultSet{}
-	case TypeEnergyReport:
-		f = &EnergyReport{}
-	case TypeError:
-		f = &Error{}
-	case TypeQuit:
-		f = &Quit{}
-	case TypeStats:
-		f = &Stats{}
-	case TypeStatsReply:
-		f = &StatsReply{}
-	case TypeTxnCtl:
-		f = &TxnCtl{}
-	case TypeTxnAck:
-		f = &TxnAck{}
-	default:
+	if frames[t].new == nil {
 		return nil, fmt.Errorf("wire: unknown frame type 0x%02x", t)
 	}
+	f := frames[t].new()
 	if err := f.decode(b); err != nil {
 		return nil, fmt.Errorf("wire: bad %v frame: %w", f.FrameType(), err)
 	}

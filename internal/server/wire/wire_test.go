@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -12,7 +13,7 @@ import (
 )
 
 // sampleFrames covers every frame type with representative payloads,
-// including empty and awkward cases.
+// including empty and awkward cases (TestFrameTable holds it to that).
 func sampleFrames() []Frame {
 	return []Frame{
 		&Hello{Version: ProtocolVersion, Engine: "sqlite", Setting: "baseline", Class: "10MB"},
@@ -39,6 +40,53 @@ func sampleFrames() []Frame {
 		&Stats{},
 		&StatsReply{},
 		&StatsReply{JSON: `{"banner":"energyd/1","queries":3}`},
+		&TxnCtl{Op: TxnBegin},
+		&TxnCtl{Op: TxnCommit},
+		&TxnCtl{Op: TxnRollback},
+		&TxnAck{},
+		&TxnAck{TxnID: 7, Active: true},
+	}
+}
+
+// TestFrameTable checks every type byte against the frame table: a byte
+// decodes exactly when it has an entry, the entry builds a frame of its own
+// type named like its struct, and sampleFrames covers every entry.
+func TestFrameTable(t *testing.T) {
+	samples := map[Type][]byte{}
+	for _, f := range sampleFrames() {
+		samples[f.FrameType()] = Encode(f)
+	}
+	for i := 0; i < 256; i++ {
+		typ, e := Type(i), frames[i]
+		if e.new == nil {
+			if got := typ.String(); got != fmt.Sprintf("Type(0x%02x)", i) {
+				t.Errorf("0x%02x has no entry but String() = %q", i, got)
+			}
+			if _, ok := samples[typ]; ok {
+				t.Errorf("sampleFrames has a frame of type 0x%02x, which has no entry", i)
+			}
+			for _, enc := range samples {
+				if f, err := Decode(append([]byte{byte(i)}, enc[1:]...)); err == nil {
+					t.Errorf("0x%02x has no entry but decoded %#v", i, f)
+				}
+			}
+			continue
+		}
+		f := e.new()
+		if f.FrameType() != typ {
+			t.Errorf("frames[0x%02x] builds a %v frame", i, f.FrameType())
+		}
+		if name := reflect.TypeOf(f).Elem().Name(); typ.String() != e.name || e.name != name {
+			t.Errorf("0x%02x: String() = %q, entry %q, struct %s", i, typ.String(), e.name, name)
+		}
+		enc, ok := samples[typ]
+		if !ok {
+			t.Errorf("%v is in the frame table but not in sampleFrames", typ)
+			continue
+		}
+		if _, err := Decode(enc); err != nil {
+			t.Errorf("%v does not decode: %v", typ, err)
+		}
 	}
 }
 
@@ -90,6 +138,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"huge row count": {byte(TypeResultSet),
 			0, 0, 0, 0, // ncols = 0
 			0xff, 0xff, 0xff, 0xff}, // nrows = 4B with no payload
+		"txn op 0": {byte(TypeTxnCtl), 0},
+		"txn op 4": {byte(TypeTxnCtl), 4},
 	}
 	for name, data := range cases {
 		if f, err := Decode(data); err == nil {
