@@ -42,7 +42,7 @@ func TestRecordedCounters(t *testing.T) {
 		rowOnly bool
 		ids     []int // 0 is the README join
 	}
-	small := []int{1, 3, 6, 13, 18, 0}
+	small := []int{1, 3, 6, 13, 18, 0, 14}
 	configs := []config{
 		{engine.SQLite, Size10MB, false, small},
 		{engine.SQLite, Size10MB, true, small},
