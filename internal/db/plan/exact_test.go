@@ -215,7 +215,9 @@ func TestChargesExactAtObservedCardinalities(t *testing.T) {
 
 // TestChargesExactVectorChains checks the same property on the operator and
 // mode pairs no TPC-H plan contains at 10MB: vectorized projections, sorted
-// chains and a vectorized hash join with its pruned build side.
+// chains and a vectorized hash join with its pruned build side — and a
+// projection and an aggregate whose expressions share a subexpression, which
+// both the operator and the planner evaluate once per batch.
 func TestChargesExactVectorChains(t *testing.T) {
 	seen := map[string]int{}
 	for _, q := range []string{
@@ -224,6 +226,8 @@ func TestChargesExactVectorChains(t *testing.T) {
 		"SELECT grp, COUNT(*) AS n, SUM(amount * 2) AS s FROM facts GROUP BY grp ORDER BY grp",
 		"SELECT id FROM facts WHERE id < 40 ORDER BY amount",
 		"SELECT id, amount * 2 FROM facts WHERE amount > 1 AND id < 4000",
+		"SELECT amount * 2 AS a, amount * 2 + id AS b FROM facts WHERE amount > 1",
+		"SELECT grp, SUM(amount * 2) AS s, SUM(amount * 2 * id) AS t FROM facts GROUP BY grp",
 	} {
 		runExact(t, q, vecTestEngine(t, 5000), q, seen)
 	}

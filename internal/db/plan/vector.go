@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"slices"
 
 	"energydb/internal/db/exec"
 	"energydb/internal/db/vec"
@@ -164,35 +165,30 @@ func (pc *planCtx) vecPrice(n *Node, in []*flow) (float64, *flow) {
 	return pc.costVec(n, compileVec(n), in)
 }
 
-// progs holds a node's expressions compiled to kernel programs; chargeVec
-// prices the same programs the vector operator runs.
+// progs holds a node's expressions compiled to kernel programs, one per
+// vector operator; chargeVec prices the same programs the operators run.
 type progs struct {
-	filter                    *vec.Prog   // nil without a predicate
-	exprs, groups, post, keys []*vec.Prog // select list, GROUP BY, re-projection, ORDER BY
-	args                      []*vec.Prog // one per aggregate, nil for COUNT(*)
+	filter *vec.Prog // nil without a predicate
+	// list is the node operator's expression list: a projection's select
+	// list, an aggregate's GROUP BY keys then one argument per aggregate
+	// (nil for COUNT(*)), or a sort's keys — a node has one of these.
+	list *vec.Prog
+	post *vec.Prog // an aggregate's select-list re-projection
 }
 
-// compileVec compiles n's expressions.
+// compileVec compiles n's expressions into the programs its vector
+// operators compile.
 func compileVec(n *Node) *progs {
-	one := func(e exec.Expr) *vec.Prog {
-		if e == nil {
-			return nil
-		}
-		return vec.Compile(e)
-	}
-	all := func(es []exec.Expr) []*vec.Prog {
-		ps := make([]*vec.Prog, len(es))
-		for i, e := range es {
-			ps[i] = one(e)
-		}
-		return ps
-	}
-	pr := &progs{filter: one(n.Filter), exprs: all(n.Exprs), groups: all(n.GroupExprs), post: all(n.PostExprs)}
+	list := append(slices.Clone(n.Exprs), n.GroupExprs...)
 	for _, a := range n.Aggs {
-		pr.args = append(pr.args, one(a.Arg))
+		list = append(list, a.Arg)
 	}
 	for _, k := range n.SortKeys {
-		pr.keys = append(pr.keys, one(k.Expr))
+		list = append(list, k.Expr)
+	}
+	pr := &progs{list: vec.Compile(list...), post: vec.Compile(n.PostExprs...)}
+	if n.Filter != nil {
+		pr.filter = vec.Compile(n.Filter)
 	}
 	return pr
 }
@@ -281,12 +277,10 @@ func toucher(s exec.Sink, f *flow) func(col int) {
 }
 
 // chargeProject charges a vectorized projection of c: its driver dispatch
-// and one kernel program per output expression.
-func chargeProject(s exec.Sink, c exec.Card, exprs []*vec.Prog, touch func(col int)) {
+// and the select list's kernel program.
+func chargeProject(s exec.Sink, c exec.Card, exprs *vec.Prog, touch func(col int)) {
 	vec.ChargeDispatch(s, c)
-	for _, p := range exprs {
-		p.Charge(s, c, touch)
-	}
+	exprs.Charge(s, c, touch)
 }
 
 // chargeVec issues the modelled charges of n's vectorized operator at k,
@@ -354,19 +348,12 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 			touch(c)
 		}
 	case opProject:
-		chargeProject(s, arriving, pr.exprs, touch)
+		chargeProject(s, arriving, pr.list, touch)
 	case opAggregate:
-		// Key and argument kernels and one table update per batch; then the
-		// finalizing table scan, one materialization primitive per output
+		// The key and argument program and one table update per batch; then
+		// the finalizing table scan, one materialization primitive per output
 		// column per group batch, and the select-list re-projection.
-		for _, p := range pr.groups {
-			p.Charge(s, arriving, touch)
-		}
-		for _, p := range pr.args {
-			if p != nil {
-				p.Charge(s, arriving, touch)
-			}
-		}
+		pr.list.Charge(s, arriving, touch)
 		vec.ChargeAggUpdate(s, arriving, len(n.Aggs), 0)
 		groups := exec.Card{Batches: k.outBatches, In: k.out}
 		vec.ChargeAggFinalize(s, exec.Card{Batches: 1, In: k.out}, len(n.GroupExprs), len(n.Aggs), 0)
@@ -399,12 +386,12 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 		}
 		return out
 	case opSort:
-		// Bulk key extraction (kernels plus one packing primitive per key
-		// per batch), a collect dispatch per batch, the chunked fill, the
-		// placement, and a lazily backed emit with no per-row output copy.
-		for _, p := range pr.keys {
-			p.Charge(s, arriving, touch)
-			vec.ChargeSortPack(s, arriving, 0, p.Const(), 0)
+		// Bulk key extraction (the keys' program plus one packing primitive
+		// per key per batch), a collect dispatch per batch, the chunked fill,
+		// the placement, and a lazily backed emit with no per-row output copy.
+		pr.list.Charge(s, arriving, touch)
+		for i := range n.SortKeys {
+			vec.ChargeSortPack(s, arriving, 0, pr.list.Const(i), 0)
 		}
 		vec.ChargeDispatch(s, arriving)                     // collect
 		vec.ChargeDispatch(s, exec.Card{Batches: k.chunks}) // fill, chunk by chunk

@@ -1,7 +1,9 @@
 package vec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"energydb/internal/db/exec"
 	"energydb/internal/db/value"
@@ -33,16 +35,19 @@ func (p *pool) get(cap int) *Vector {
 	return v
 }
 
-// Prog is an expression compiled for batch evaluation: its column reads and
-// kernels in evaluation order, operands before the kernel that consumes
-// them. Column references alias the batch's vectors, constants broadcast
-// from a register, and every other node is one kernel. The executor
-// evaluates the sequence per batch (eval) and the planner prices the same
-// sequence at estimated cardinalities (Charge), so which kernels an
-// expression costs is decided once, here.
+// Prog is an operator's expression list compiled for batch evaluation as one
+// program: its column reads and kernels in evaluation order, operands before
+// the kernel that consumes them, and one root per expression. Each distinct
+// subexpression is one node, however often the list holds it, so it is read
+// or computed once per batch. Column references alias the batch's vectors,
+// constants broadcast from a register, and every other node is one kernel.
+// The executor evaluates the sequence per batch (eval) and the planner
+// prices the same sequence at estimated cardinalities (Charge), so which
+// kernels an operator costs is decided once, here.
 type Prog struct {
 	nodes []*progNode // column reads and kernels; constants are operands only
-	res   *progNode
+	roots []*progNode // one per expression, nil for a nil one
+	ends  []int       // nodes[:ends[i]] compute roots[:i+1]
 }
 
 // progNode is a column read (exec.Col), a constant (val fixed), or a kernel
@@ -53,38 +58,81 @@ type progNode struct {
 	val  *Vector // result for the current batch
 }
 
-// Compile flattens the expression into a program. Every exec expression has
-// a kernel; an expression type without one panics.
-func Compile(e exec.Expr) *Prog {
-	p := &Prog{}
-	p.res = p.add(e)
+// nodeKey is a node's structure, by which Compile finds the node a
+// subexpression already has: its kind ('c' column, 'k' constant, 'b' binary
+// operator, 'n' NOT, 'l' LIKE, 'i' IN), its column index or operator, its
+// operand nodes, and lit — the exact encoding of a constant or of every
+// value of an IN list, or a LIKE pattern. A column's name is cosmetic.
+type nodeKey struct {
+	kind byte
+	arg  int
+	l, r *progNode
+	lit  string
+}
+
+// Compile compiles the expressions into one program, root i computing
+// es[i]; a nil expression (COUNT(*)'s argument) has a nil root. Every exec
+// expression has a kernel; an expression type without one panics.
+func Compile(es ...exec.Expr) *Prog {
+	p := &Prog{roots: make([]*progNode, len(es)), ends: make([]int, len(es))}
+	seen := map[nodeKey]*progNode{}
+	for i, e := range es {
+		if e != nil {
+			p.roots[i] = p.add(e, seen)
+		}
+		p.ends[i] = len(p.nodes)
+	}
 	return p
 }
 
-func (p *Prog) add(e exec.Expr) *progNode {
-	n := &progNode{e: e}
+func (p *Prog) add(e exec.Expr, seen map[nodeKey]*progNode) *progNode {
+	var k nodeKey
 	switch t := e.(type) {
 	case exec.Const:
-		n.val = NewConst(t.V)
-		return n
+		k = nodeKey{kind: 'k', lit: lit(t.V)}
 	case exec.Col:
+		k = nodeKey{kind: 'c', arg: t.Idx}
 	case exec.BinOp:
-		n.l, n.r = p.add(t.L), p.add(t.R)
+		k = nodeKey{kind: 'b', arg: int(t.Op), l: p.add(t.L, seen), r: p.add(t.R, seen)}
 	case exec.Not:
-		n.l = p.add(t.E)
+		k = nodeKey{kind: 'n', l: p.add(t.E, seen)}
 	case exec.Like:
-		n.l = p.add(t.E)
+		k = nodeKey{kind: 'l', l: p.add(t.E, seen), lit: t.Pattern}
 	case exec.InList:
-		n.l = p.add(t.E)
+		k = nodeKey{kind: 'i', l: p.add(t.E, seen), lit: lit(t.List...)}
 	default:
 		panic(fmt.Sprintf("vec: no kernel for %T", e))
 	}
-	p.nodes = append(p.nodes, n)
+	if n := seen[k]; n != nil {
+		return n
+	}
+	n := &progNode{e: e, l: k.l, r: k.r}
+	seen[k] = n
+	if c, ok := e.(exec.Const); ok {
+		n.val = NewConst(c.V)
+	} else {
+		p.nodes = append(p.nodes, n)
+	}
 	return n
 }
 
-// Const reports whether the program's result is a broadcast constant.
-func (p *Prog) Const() bool { return p.res.isConst() }
+// lit encodes values exactly: every field, a string length-prefixed, so
+// Int(1) and Float(1), 0.0 and -0.0, or two lists differing in one value
+// never encode alike.
+func lit(vs ...value.Value) string {
+	var b []byte
+	for _, v := range vs {
+		b = append(b, byte(v.T))
+		b = binary.AppendVarint(b, v.I)
+		b = binary.AppendUvarint(b, math.Float64bits(v.F))
+		b = binary.AppendUvarint(b, uint64(len(v.S)))
+		b = append(b, v.S...)
+	}
+	return string(b)
+}
+
+// Const reports whether root i is a broadcast constant.
+func (p *Prog) Const(i int) bool { return p.roots[i].isConst() }
 
 // isConst reports whether the node broadcasts a constant, which a kernel
 // keeps in a register instead of loading a payload.
@@ -105,7 +153,7 @@ func (n *progNode) payload(ins []uint64) []uint64 {
 // Charge charges one evaluation per batch over c.In selected elements:
 // touch is told each column read — whether that materializes the column
 // depends on what the chain below already touched, which the caller knows —
-// and every kernel is charged.
+// and every kernel is charged, once however many roots share it.
 func (p *Prog) Charge(s exec.Sink, c exec.Card, touch func(col int)) {
 	var buf [2]uint64
 	for _, n := range p.nodes {
@@ -117,22 +165,28 @@ func (p *Prog) Charge(s exec.Sink, c exec.Card, touch func(col int)) {
 	}
 }
 
-// ChargeFilter charges the program as a predicate: Charge, then the
+// ChargeFilter charges a one-root program as a predicate: Charge, then the
 // narrowing of c.In candidates to c.Out survivors.
 func (p *Prog) ChargeFilter(s exec.Sink, c exec.Card, touch func(col int)) {
 	p.Charge(s, c, touch)
-	chargeNarrow(s, c, 0, p.Const(), 0)
+	chargeNarrow(s, c, 0, p.Const(0), 0)
 }
 
-// eval evaluates the program over the batch's selected positions: dispatch
-// charged per batch per kernel, payload traffic per element, with element
-// semantics delegated to the exact same helpers the row interpreter uses.
-// The result is only valid until the next eval or pool reset.
-func (p *Prog) eval(ctx *exec.Ctx, pl *pool, b *Batch) *Vector {
+// eval returns a root's result over the batch's selected positions (nil for
+// a nil root), evaluating the nodes it needs beyond those of the roots
+// before it: called for each root in order after a pool reset, it runs every
+// node once. Dispatch is charged per batch per kernel, payload traffic per
+// element, with element semantics delegated to the exact same helpers the
+// row interpreter uses. The result is only valid until the pool is reset.
+func (p *Prog) eval(ctx *exec.Ctx, pl *pool, b *Batch, root int) *Vector {
 	n := b.Len()
 	c := exec.Card{Batches: 1, In: float64(n)}
 	var buf [2]uint64
-	for _, nd := range p.nodes {
+	from := 0
+	if root > 0 {
+		from = p.ends[root-1]
+	}
+	for _, nd := range p.nodes[from:p.ends[root]] {
 		if col, ok := nd.e.(exec.Col); ok {
 			nd.val = b.Col(ctx, col.Idx)
 			continue
@@ -179,7 +233,10 @@ func (p *Prog) eval(ctx *exec.Ctx, pl *pool, b *Batch) *Vector {
 			}
 		}
 	}
-	return p.res.val
+	if p.roots[root] == nil {
+		return nil
+	}
+	return p.roots[root].val
 }
 
 // numOperand is a kernel operand read without boxing: a null-free int, date
@@ -329,10 +386,10 @@ func boolVal(b bool) value.Value {
 	return value.Int(0)
 }
 
-// filter evaluates the program as a predicate and narrows the batch's
+// filter evaluates a one-root program as a predicate and narrows the batch's
 // selection to the positions where it is truthy.
 func (p *Prog) filter(ctx *exec.Ctx, pl *pool, b *Batch) {
-	pred := p.eval(ctx, pl, b)
+	pred := p.eval(ctx, pl, b, 0)
 	c := exec.Card{Batches: 1, In: float64(b.Len())}
 	if c.In > 0 {
 		if o, ok := pred.numeric(); ok {

@@ -217,8 +217,9 @@ func scanCharges(e *engine.Engine, m *exec.Meter, pred exec.Expr, mat map[int]bo
 }
 
 // FuzzVecExec is the differential fuzzer for the vectorized engine: any
-// random table, predicate and plan shape — projection (mode 0), aggregation
-// (mode 1), hash join + sort (mode 2), a broken chain (mode 3: a row
+// random table, predicate and plan shape — projection (mode 0) and
+// aggregation (mode 1), each over an expression list that repeats a subtree,
+// hash join + sort (mode 2), a broken chain (mode 3: a row
 // consumer over a RowSource-adapted vector scan, the transition the planner
 // prices into a chain top's estimate), a projection
 // over an index range scan on a random column with random bounds (mode 4) or
@@ -253,6 +254,8 @@ func FuzzVecExec(f *testing.F) {
 	f.Add(int64(11), uint16(260), uint16(2), uint8(5))
 	f.Add(int64(12), uint16(700), uint16(255), uint8(5))
 	f.Add(int64(13), uint16(0), uint16(9), uint8(5))
+	f.Add(int64(14), uint16(400), uint16(64), uint8(0))
+	f.Add(int64(15), uint16(600), uint16(100), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, nRows, batch uint16, mode uint8) {
 		rows := int(nRows) % 800
 		batchSize := int(batch)%MaxBatch + 1
@@ -287,6 +290,10 @@ func FuzzVecExec(f *testing.F) {
 				{Kind: exec.AggCount, Name: "n"},
 				{Kind: exec.AggMin, Arg: exec.Col{Idx: ra.Intn(5)}, Name: "lo"},
 			}
+			// A second sum over the first one's argument: the program
+			// evaluates and charges that argument once for both.
+			aggs = append(aggs, exec.AggSpec{Kind: exec.AggSum, Name: "s2",
+				Arg: exec.BinOp{Op: exec.OpMul, L: aggs[0].Arg, R: exec.Col{Idx: ra.Intn(5)}}})
 			want = runMetered(t, er, &exec.Metered{Set: msR, M: mTopR, Child: &exec.GroupBy{
 				Ctx: er.Ctx, Child: scanR, GroupBy: groupBy, Aggs: aggs,
 			}}, msR, []*exec.Meter{mScanR, mTopR})
@@ -300,9 +307,11 @@ func FuzzVecExec(f *testing.F) {
 			in, groups := mScanV.Emitted(), mTopV.Emitted()
 			arriving := exec.Card{Batches: float64(in.Batches), In: float64(mScanV.Rows())}
 			w := &tally{cm: ev.Ctx.Cost}
-			for _, e := range []exec.Expr{groupBy[0], aggs[0].Arg, aggs[2].Arg} {
-				Compile(e).Charge(w, arriving, toucher(w, mat, in))
+			exprs := append([]exec.Expr(nil), groupBy...)
+			for _, a := range aggs {
+				exprs = append(exprs, a.Arg)
 			}
+			Compile(exprs...).Charge(w, arriving, toucher(w, mat, in))
 			ChargeAggUpdate(w, arriving, len(aggs), 0)
 			ChargeAggFinalize(w, exec.Card{Batches: 1, In: float64(mTopV.Rows())}, len(groupBy), len(aggs), 0)
 			for i := 0; i < len(groupBy)+len(aggs); i++ {
@@ -421,9 +430,7 @@ func FuzzVecExec(f *testing.F) {
 			arriving := exec.Card{Batches: fetched.Batches, In: fetched.Out}
 			w = &tally{cm: ev.Ctx.Cost}
 			ChargeDispatch(w, arriving)
-			for _, e := range exprs {
-				Compile(e).Charge(w, arriving, toucher(w, mat, out))
-			}
+			Compile(exprs...).Charge(w, arriving, toucher(w, mat, out))
 			checkCharges(t, mTopV, w)
 		case 5:
 			// Index join of the filtered scan to the same table through an
@@ -473,6 +480,8 @@ func FuzzVecExec(f *testing.F) {
 			for i := range exprs {
 				exprs[i] = randExpr(ra, 2, 5)
 			}
+			// One more output over the first: a subtree the list repeats.
+			exprs = append(exprs, exec.BinOp{Op: exec.OpAdd, L: exprs[0], R: exec.Col{Idx: ra.Intn(5)}})
 			want = runMetered(t, er, &exec.Metered{Set: msR, M: mTopR, Child: &exec.Project{
 				Ctx: er.Ctx, Child: scanR, Exprs: exprs,
 			}}, msR, []*exec.Meter{mScanR, mTopR})
@@ -487,9 +496,7 @@ func FuzzVecExec(f *testing.F) {
 			arriving := exec.Card{Batches: float64(in.Batches), In: float64(mScanV.Rows())}
 			w := &tally{cm: ev.Ctx.Cost}
 			ChargeDispatch(w, arriving)
-			for _, e := range exprs {
-				Compile(e).Charge(w, arriving, toucher(w, mat, in))
-			}
+			Compile(exprs...).Charge(w, arriving, toucher(w, mat, in))
 			checkCharges(t, mTopV, w)
 		}
 		if !reflect.DeepEqual(got, want) {

@@ -173,8 +173,9 @@ func (p *Prune) Next() (*Batch, error) {
 // Close implements Operator.
 func (p *Prune) Close() error { return p.Child.Close() }
 
-// Project computes one kernel per output expression. Output column typing
-// mirrors the row executor's Project (anonymous float slots).
+// Project computes its select list as one kernel program, an output column
+// per root. Output column typing mirrors the row executor's Project
+// (anonymous float slots).
 type Project struct {
 	Ctx   *exec.Ctx
 	Child Operator
@@ -184,7 +185,7 @@ type Project struct {
 	schema *catalog.Schema
 	out    Batch
 	p      *pool
-	progs  []*Prog
+	prog   *Prog
 }
 
 // Schema implements Operator.
@@ -207,7 +208,7 @@ func (p *Project) Schema() *catalog.Schema {
 func (p *Project) Open() error {
 	p.out.Cols = make([]*Vector, len(p.Exprs))
 	p.p = newPool(p.Ctx)
-	p.progs = compileAll(p.Exprs)
+	p.prog = Compile(p.Exprs...)
 	return p.Child.Open()
 }
 
@@ -224,8 +225,8 @@ func (p *Project) Next() (*Batch, error) {
 	// every batch with zero attributed work (chargepath finding).
 	ChargeDispatch(p.Ctx, exec.Card{Batches: 1})
 	p.p.reset()
-	for i, prog := range p.progs {
-		p.out.Cols[i] = prog.eval(p.Ctx, p.p, b)
+	for i := range p.out.Cols {
+		p.out.Cols[i] = p.prog.eval(p.Ctx, p.p, b, i)
 	}
 	p.out.N, p.out.Sel, p.out.cap = b.N, b.Sel, b.cap
 	return &p.out, nil
@@ -234,20 +235,13 @@ func (p *Project) Next() (*Batch, error) {
 // Close implements Operator.
 func (p *Project) Close() error { return p.Child.Close() }
 
-func compileAll(exprs []exec.Expr) []*Prog {
-	progs := make([]*Prog, len(exprs))
-	for i, e := range exprs {
-		progs[i] = Compile(e)
-	}
-	return progs
-}
-
 // aggTableBytes is the simulated size of one aggregation hash bucket
 // (matching the row executor's hash-bucket geometry).
 const aggTableBytes = 16
 
 // Agg is batch-at-a-time hash aggregation: group keys and aggregate
-// arguments are evaluated as vectors (one kernel each), then one
+// arguments are evaluated as vectors by one kernel program, so a
+// subexpression several of them share runs once per batch; then one
 // table-update primitive per batch probes and updates the simulated hash
 // table for every selected element. Accumulator arithmetic is exec.AggAcc —
 // the row GroupBy's accumulator — so results are bit-identical to the row
@@ -301,13 +295,11 @@ func (g *Agg) Open() error {
 	tableSize := uint64(cap) * aggTableBytes * 2
 	tableBase := g.Ctx.Arena.Alloc(tableSize, memsim.PageSize)
 	g.p = newPool(g.Ctx)
-	keyProgs := compileAll(g.GroupBy)
-	argProgs := make([]*Prog, len(g.Aggs))
-	for i, a := range g.Aggs {
-		if a.Arg != nil {
-			argProgs[i] = Compile(a.Arg)
-		}
+	exprs := append([]exec.Expr(nil), g.GroupBy...)
+	for _, a := range g.Aggs {
+		exprs = append(exprs, a.Arg)
 	}
+	prog := Compile(exprs...)
 
 	type group struct {
 		keyVals []value.Value
@@ -316,8 +308,8 @@ func (g *Agg) Open() error {
 	groups := make(map[value.Key]*group)
 	var order []*group
 
-	kvs := make([]*Vector, len(g.GroupBy))
-	avs := make([]*Vector, len(g.Aggs))
+	vs := make([]*Vector, len(exprs))
+	kvs, avs := vs[:len(g.GroupBy)], vs[len(g.GroupBy):]
 	scratch := make([]value.Value, len(g.GroupBy))
 	for {
 		b, err := g.Child.Next()
@@ -329,14 +321,8 @@ func (g *Agg) Open() error {
 		}
 		g.Ctx.Poll()
 		g.p.reset()
-		for i, prog := range keyProgs {
-			kvs[i] = prog.eval(g.Ctx, g.p, b)
-		}
-		for i, prog := range argProgs {
-			avs[i] = nil
-			if prog != nil {
-				avs[i] = prog.eval(g.Ctx, g.p, b)
-			}
+		for i := range vs {
+			vs[i] = prog.eval(g.Ctx, g.p, b, i)
 		}
 		n := b.Len()
 		// One table-update primitive for the whole batch: the probe

@@ -10,13 +10,13 @@ import (
 )
 
 // Sort is the batch-at-a-time sort: sort keys are extracted in bulk — one
-// kernel per key per input batch, through the same typed vectors every other
-// kernel uses — into columnar key stores, the ordering pass produces a
-// selection vector over the collected rows (the comparator keeps the row
-// sort's discipline: a poll and two dependent buffer loads per comparison),
-// and output batches are emitted lazily backed by the sorted run, so a
-// parent kernel only materializes the columns it actually touches and no
-// per-row output copy happens at all.
+// kernel program over the keys per input batch, through the same typed
+// vectors every other kernel uses — into columnar key stores, the ordering
+// pass produces a selection vector over the collected rows (the comparator
+// keeps the row sort's discipline: a poll and two dependent buffer loads
+// per comparison), and output batches are emitted lazily backed by the
+// sorted run, so a parent kernel only materializes the columns it actually
+// touches and no per-row output copy happens at all.
 type Sort struct {
 	Ctx   *exec.Ctx
 	Child Operator
@@ -52,10 +52,11 @@ func (s *Sort) Open() error {
 	s.keyBase = s.Ctx.Arena.Alloc(uint64(width)*8*uint64(len(s.Keys)+1), memsim.LineSize)
 	s.rows = s.rows[:0]
 	s.keys = make([][]value.Value, len(s.Keys))
-	progs := make([]*Prog, len(s.Keys))
-	for kc := range s.Keys {
-		progs[kc] = Compile(s.Keys[kc].Expr)
+	exprs := make([]exec.Expr, len(s.Keys))
+	for kc, k := range s.Keys {
+		exprs[kc] = k.Expr
 	}
+	prog := Compile(exprs...)
 	for {
 		b, err := s.Child.Next()
 		if err != nil {
@@ -70,13 +71,13 @@ func (s *Sort) Open() error {
 		if n == 0 {
 			continue
 		}
-		// Bulk key extraction: each key's program computes it as a typed
+		// Bulk key extraction: the keys' program computes each as a typed
 		// vector (columns alias the batch, computed keys run as kernels),
 		// then one packing primitive per key appends it to the columnar key
-		// store.
+		// store, key by key.
 		s.p.reset()
-		for kc, prog := range progs {
-			kv := prog.eval(s.Ctx, s.p, b)
+		for kc := range s.Keys {
+			kv := prog.eval(s.Ctx, s.p, b, kc)
 			ChargeSortPack(s.Ctx, exec.Card{Batches: 1, In: float64(n)}, kv.Addr(), kv.Const(), s.keyBase)
 			for k := 0; k < n; k++ {
 				s.keys[kc] = append(s.keys[kc], kv.Get(b.Pos(k)))

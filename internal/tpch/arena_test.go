@@ -17,7 +17,7 @@ import (
 // joined the vector chain: 433 760 bytes at 10MB, 300 230 at 100MB (Q6 520 128
 // / 36 800, Q14 32 768 / 32 768, Q3 155 936 / 157 504, Q5 352 032 / 407 824,
 // Q1 864 256 / 864 240). Every operator of these plans runs on vectors now
-// (269 915 / 271 553 bytes); the budget holds because a vector draws its
+// (261 723 / 263 361 bytes); the budget holds because a vector draws its
 // payload address when it is first materialized or written, expression
 // temporaries are as wide as the batch they are evaluated over, an
 // aggregate's output batch is as wide as its groups, and a sort's key-pack
