@@ -25,11 +25,13 @@ lint:
 	$(GO) run ./cmd/energylint ./...
 
 # Non-blank, non-comment, non-test Go lines of the packages the simplicity
-# PRs track: the planner and the two executors, the analyzer suite, the
-# statement pipeline with its two consumers and the wire protocol, the
-# experiment harness, the TPC-H package and the public facade at the root.
+# PRs track: the planner and the two executors, the engine profiles, the
+# analyzer suite, the statement pipeline with its two consumers and the wire
+# protocol, the experiment harness, the TPC-H package and the public facade
+# at the root.
 loc:
 	@scripts/loc.sh internal/db/plan internal/db/vec internal/db/exec
+	@scripts/loc.sh internal/db/engine
 	@scripts/loc.sh internal/lint
 	@scripts/loc.sh internal/server internal/server/wire cmd/dbshell internal/db/stmt
 	@scripts/loc.sh internal/harness
@@ -79,7 +81,9 @@ race:
 
 # Golden-drift gate: regenerate every EXPLAIN golden — the 22 TPC-H texts on
 # the SQLite profile (testdata/explain) and on the PostgreSQL profile the
-# benchmark's server runs (testdata/explain/postgresql) — into a scratch
+# benchmark's server runs (testdata/explain/postgresql), the writes
+# (testdata/explain/dml) and the seven basic operations' row plans on all
+# three profiles (testdata/explain/basic) — into a scratch
 # directory and diff it, recursively, against the committed set.
 # TestExplainGolden already fails on drift in `make test`; this target
 # additionally catches a stale, hand-edited, missing or stray committed

@@ -10,12 +10,15 @@ package energydb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
+	"energydb/internal/db/exec"
 	"energydb/internal/db/plan"
+	"energydb/internal/db/sql"
 	"energydb/internal/harness"
 	"energydb/internal/memsim"
 	"energydb/internal/rapl"
@@ -291,25 +294,39 @@ func BenchmarkAblationFillPolicy(b *testing.B) {
 		m := cpusim.NewMachine(prof)
 		e := engine.New(engine.PostgreSQL, m, engine.SettingBaseline)
 		// The policy only matters when re-references land in L2/L3:
-		// an index scan over the 100MB class has exactly that reuse.
+		// an index scan over the 100MB class has exactly that reuse. Free
+		// plans may read the range sequentially, so the text is planned for
+		// the row executor and the plan must be the index scan.
 		tpch.Setup(e, tpch.Size100MB)
+		e.Knobs.DisableVectorExec = true
 		op, err := tpch.BasicOpByName("index scan")
 		if err != nil {
 			b.Fatal(err)
 		}
-		scan, err := op.Build(e)
+		stmt, err := sql.Parse(op.Text)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Run(scan); err != nil {
+		build := func() exec.Operator {
+			p, err := plan.Prepare(e, stmt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if s := p.Summary(); !strings.Contains(s, "IndexScan") {
+				b.Fatalf("index scan text planned as %s", s)
+			}
+			scan, err := p.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			return scan
+		}
+		if _, err := e.Run(build()); err != nil {
 			b.Fatal(err)
 		}
+		scan := build()
 		before := m.Hier.Counters()
 		e0 := m.ActiveEnergy().Total()
-		scan, err = op.Build(e)
-		if err != nil {
-			b.Fatal(err)
-		}
 		if _, err := e.Run(scan); err != nil {
 			b.Fatal(err)
 		}

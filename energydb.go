@@ -156,11 +156,12 @@ func QueryByID(id int) (Query, error) { return tpch.SQLByID(id) }
 // the text on the engine and instantiates the plan.
 func Builder(query string) func(*Engine) (exec.Operator, error) { return plan.Builder(query) }
 
-// BasicOps returns the 7 basic query operations of Section 3.2.
+// BasicOps returns the 7 basic query operations of Section 3.2, each as SQL
+// text for Builder.
 func BasicOps() []BasicOp { return tpch.BasicOps() }
 
-// Warm is the first half of warm-then-measure for a BasicOp's Build or a
-// query's Builder: it runs the plan once and returns a fresh build to measure.
+// Warm is the first half of warm-then-measure for a Builder: it runs the plan
+// once and returns a fresh build to measure.
 func Warm(e *Engine, build func(*Engine) (exec.Operator, error)) (exec.Operator, error) {
 	return tpch.Warm(e, build)
 }
@@ -168,7 +169,8 @@ func Warm(e *Engine, build func(*Engine) (exec.Operator, error)) (exec.Operator,
 // Experiments returns the registry of all paper tables and figures.
 func Experiments() []Experiment { return harness.Experiments() }
 
-// ExperimentByID fetches an experiment (T1, T2, T3, T5, F5–F11, F13).
+// ExperimentByID fetches an experiment (T1, T2, T3, T5, F5–F11, F13, X1–X5,
+// X7–X9).
 func ExperimentByID(id string) (Experiment, error) { return harness.ByID(id) }
 
 // DefaultExperimentOptions returns the paper-shaped configuration.

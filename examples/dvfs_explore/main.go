@@ -73,7 +73,7 @@ func sweepQueryOp(name string) {
 			log.Fatal(err)
 		}
 		eng := lab.NewEngine(energydb.PostgreSQL, energydb.SettingLarge, energydb.Size500MB)
-		plan, err := energydb.Warm(eng, op.Build)
+		plan, err := energydb.Warm(eng, energydb.Builder(op.Text))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -624,11 +624,6 @@ func (e *Engine) InsertTxn(tx *txn.Txn, t *Table, row value.Row) int {
 	return id
 }
 
-// Scan builds a sequential scan with an optional pushed-down filter.
-func (e *Engine) Scan(t *Table, filter exec.Expr) exec.Operator {
-	return &exec.SeqScan{Ctx: e.Ctx, File: t.File, Filter: filter}
-}
-
 // CreateIndex builds a secondary index on one column over the latest
 // committed data, taking the catalog lock for the registration. It must not
 // run concurrently with DML on the table (see the package documentation).
@@ -657,56 +652,6 @@ func (e *Engine) CreateIndex(t *Table, col string) *btree.Tree {
 	}
 	sh.mu.Unlock()
 	return tree
-}
-
-// IndexRange builds an index range scan over [lo, hi] on the indexed column
-// (nil bounds are open).
-func (e *Engine) IndexRange(t *Table, col string, lo, hi *value.Value, residual exec.Expr) (exec.Operator, error) {
-	idx := t.Index(col)
-	if idx == nil {
-		return nil, fmt.Errorf("engine: table %q has no index on %q", t.Name, col)
-	}
-	return &exec.IndexScan{Ctx: e.Ctx, File: t.File, Tree: idx, Lo: lo, Hi: hi, Filter: residual}, nil
-}
-
-// joinHashThreshold is the stored table's row count from which the
-// PostgreSQL and MySQL profiles hash it rather than index-join it.
-const joinHashThreshold = 64
-
-// EquiJoin joins an outer operator to a stored table on outer[outerKey] ==
-// inner[innerCol], picking the profile's strategy: an indexed inner table is
-// index-joined on SQLite (its only strategy) and, on PostgreSQL and MySQL,
-// while it is small; otherwise the stored table is hashed.
-func (e *Engine) EquiJoin(outer exec.Operator, outerKey int, inner *Table, innerCol string, residual exec.Expr) exec.Operator {
-	tree := inner.Index(innerCol)
-	if tree != nil && (e.Kind == SQLite || inner.File.RowCount() < joinHashThreshold) {
-		return &exec.IndexJoin{
-			Ctx: e.Ctx, Outer: outer, Inner: inner.File, Index: tree,
-			OuterKey: outerKey, Residual: residual,
-		}
-	}
-	// Hash join: build on the stored table, probe with the outer rows.
-	// The joined row is probe columns then build columns, matching the
-	// index-join layout, so callers index identically either way.
-	return &exec.HashJoin{
-		Ctx:      e.Ctx,
-		Build:    e.Scan(inner, nil),
-		Probe:    outer,
-		BuildKey: []int{inner.schema.MustColIndex(innerCol)},
-		ProbeKey: []int{outerKey},
-		Residual: residual,
-	}
-}
-
-// Sort builds a sort node under the profile's work_mem (the simulation cost
-// is the same; the knob is recorded for completeness).
-func (e *Engine) Sort(child exec.Operator, keys []exec.SortKey) exec.Operator {
-	return &exec.Sort{Ctx: e.Ctx, Child: child, Keys: keys}
-}
-
-// GroupBy builds a hash aggregation.
-func (e *Engine) GroupBy(child exec.Operator, groupBy []exec.Expr, aggs []exec.AggSpec) exec.Operator {
-	return &exec.GroupBy{Ctx: e.Ctx, Child: child, GroupBy: groupBy, Aggs: aggs}
 }
 
 // Run establishes the statement snapshot and drains a plan with result

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"energydb/internal/cpusim"
@@ -64,7 +66,7 @@ func TestKnobsMatchTable4(t *testing.T) {
 func TestInsertAndScan(t *testing.T) {
 	e := newEngine(t, SQLite, SettingBaseline)
 	tbl := loadSample(t, e, 500)
-	n, err := e.Run(e.Scan(tbl, nil))
+	n, err := e.Run(&exec.SeqScan{Ctx: e.Ctx, File: tbl.File})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,69 +75,60 @@ func TestInsertAndScan(t *testing.T) {
 	}
 }
 
-func TestIndexRange(t *testing.T) {
+func TestIndexScanRange(t *testing.T) {
 	e := newEngine(t, PostgreSQL, SettingBaseline)
 	tbl := loadSample(t, e, 500)
 	lo, hi := value.Int(100), value.Int(199)
-	plan, err := e.IndexRange(tbl, "k", &lo, &hi, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := e.Run(plan)
+	n, err := e.Run(&exec.IndexScan{Ctx: e.Ctx, File: tbl.File, Tree: tbl.Index("k"), Lo: &lo, Hi: &hi})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 100 {
 		t.Fatalf("index range returned %d rows, want 100", n)
 	}
-	if _, err := e.IndexRange(tbl, "v", nil, nil, nil); err == nil {
-		t.Fatal("expected error for unindexed column")
+	if tbl.Index("v") != nil {
+		t.Fatal("unindexed column has an index")
 	}
 }
 
-func TestJoinStrategyByProfile(t *testing.T) {
-	build := func(kind Kind) exec.Operator {
-		e := newEngine(t, kind, SettingBaseline)
-		tbl := loadSample(t, e, 500)
-		outer := e.Scan(tbl, nil)
-		return e.EquiJoin(outer, 0, tbl, "k", nil)
-	}
-	if _, ok := build(SQLite).(*exec.IndexJoin); !ok {
-		t.Error("SQLite must use the index nested-loop join")
-	}
-	if _, ok := build(PostgreSQL).(*exec.HashJoin); !ok {
-		t.Error("PostgreSQL should hash-join a 500-row inner table")
-	}
-	if _, ok := build(MySQL).(*exec.HashJoin); !ok {
-		t.Error("MySQL should hash-join a 500-row inner table")
-	}
-}
-
-func TestSmallInnerTableUsesIndexJoinEverywhere(t *testing.T) {
-	e := newEngine(t, PostgreSQL, SettingBaseline)
-	tbl := loadSample(t, e, 20) // below joinHashThreshold
-	outer := e.Scan(tbl, nil)
-	if _, ok := e.EquiJoin(outer, 0, tbl, "k", nil).(*exec.IndexJoin); !ok {
-		t.Error("small inner tables should index-join even on PostgreSQL")
-	}
-}
-
+// TestJoinStrategiesAgreeOnResults joins a table's grp column to its indexed
+// key both ways, on every profile: the index nested loop and the hash join
+// must return the same rows.
 func TestJoinStrategiesAgreeOnResults(t *testing.T) {
-	counts := map[Kind]int{}
 	for _, kind := range Kinds() {
 		e := newEngine(t, kind, SettingBaseline)
 		tbl := loadSample(t, e, 300)
-		outer := e.Scan(tbl, nil)
-		j := e.EquiJoin(outer, 1 /* grp */, tbl, "k", nil)
-		n, err := e.Run(j)
+		scan := func() exec.Operator { return &exec.SeqScan{Ctx: e.Ctx, File: tbl.File} }
+		e.BeginRead()
+		index, err := exec.Collect(&exec.IndexJoin{
+			Ctx: e.Ctx, Outer: scan(), Inner: tbl.File, Index: tbl.Index("k"), OuterKey: 1, // grp
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts[kind] = n
+		hash, err := exec.Collect(&exec.HashJoin{
+			Ctx: e.Ctx, Build: scan(), Probe: scan(), BuildKey: []int{0}, ProbeKey: []int{1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(index) == 0 || !sameRows(index, hash) {
+			t.Fatalf("%v: index join %d rows, hash join %d rows, or their rows differ", kind, len(index), len(hash))
+		}
 	}
-	if counts[SQLite] != counts[PostgreSQL] || counts[MySQL] != counts[PostgreSQL] {
-		t.Fatalf("join results differ across engines: %v", counts)
+}
+
+// sameRows says whether a and b hold the same rows, in any order.
+func sameRows(a, b []value.Row) bool {
+	key := func(rows []value.Row) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprint(r)
+		}
+		slices.Sort(out)
+		return out
 	}
+	return slices.Equal(key(a), key(b))
 }
 
 func TestUnknownTable(t *testing.T) {
@@ -170,8 +163,8 @@ func TestUpdateWhere(t *testing.T) {
 		t.Fatalf("updated %d rows, want 100", n)
 	}
 	// Values visible through a scan.
-	rows, err := exec.Collect(e.Scan(tbl, exec.BinOp{Op: exec.OpGe,
-		L: exec.Col{Idx: 2}, R: exec.Const{V: value.Float(1000)}}))
+	rows, err := exec.Collect(&exec.SeqScan{Ctx: e.Ctx, File: tbl.File, Filter: exec.BinOp{Op: exec.OpGe,
+		L: exec.Col{Idx: 2}, R: exec.Const{V: value.Float(1000)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +237,6 @@ func TestRollbackJournalCopiesPagesOnce(t *testing.T) {
 // pred, as a transaction of its own: the by-hand form of an UPDATE.
 func updateWhere(e *Engine, t *Table, pred exec.Expr, set func(value.Row) value.Row) (int, error) {
 	return e.Autocommit(func(*txn.Txn) (int, error) {
-		return exec.Drain(&Write{E: e, T: t, Child: e.Scan(t, pred), Set: set})
+		return exec.Drain(&Write{E: e, T: t, Child: &exec.SeqScan{Ctx: e.Ctx, File: t.File, Filter: pred}, Set: set})
 	})
 }

@@ -38,7 +38,7 @@ func TestWalCrashRecovery(t *testing.T) {
 	e.InsertTxn(txn2, tbl, row(102))
 	k5 := exec.BinOp{Op: exec.OpEq, L: exec.Col{Idx: 0}, R: exec.Const{V: value.Int(5)}}
 	e.Bind(txn2)
-	if n, err := exec.Drain(&Write{E: e, T: tbl, Child: e.Scan(tbl, k5), Set: func(r value.Row) value.Row {
+	if n, err := exec.Drain(&Write{E: e, T: tbl, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File, Filter: k5}, Set: func(r value.Row) value.Row {
 		r[2] = value.Float(-1)
 		return r
 	}}); err != nil || n != 1 {
@@ -94,7 +94,7 @@ func TestWalCrashRecovery(t *testing.T) {
 	}
 
 	// Committed work is back: 50 base rows + txn1's k=100 + txn3's k=103.
-	n, err := f.Run(f.Scan(ftbl, nil))
+	n, err := f.Run(&exec.SeqScan{Ctx: f.Ctx, File: ftbl.File})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestWalCrashRecovery(t *testing.T) {
 	// txn2 lost: its inserts are invisible and its update is undone.
 	for _, k := range []int64{101, 102} {
 		pred := exec.BinOp{Op: exec.OpEq, L: exec.Col{Idx: 0}, R: exec.Const{V: value.Int(k)}}
-		if n, err := f.Run(f.Scan(ftbl, pred)); err != nil || n != 0 {
+		if n, err := f.Run(&exec.SeqScan{Ctx: f.Ctx, File: ftbl.File, Filter: pred}); err != nil || n != 0 {
 			t.Fatalf("uncommitted insert k=%d visible after recovery (n=%d err=%v)", k, n, err)
 		}
 	}
-	rows, err := exec.Collect(f.Scan(ftbl, k5))
+	rows, err := exec.Collect(&exec.SeqScan{Ctx: f.Ctx, File: ftbl.File, Filter: k5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestWalCrashRecovery(t *testing.T) {
 	if _, err := g.Recover(durable); err != nil {
 		t.Fatal(err)
 	}
-	gn, err := g.Run(g.Scan(gtbl, nil))
+	gn, err := g.Run(&exec.SeqScan{Ctx: g.Ctx, File: gtbl.File})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRecoveryAfterCheckpoint(t *testing.T) {
 	update := func(tx *txn.Txn, k int64, v float64) {
 		t.Helper()
 		e.Bind(tx)
-		if n, err := exec.Drain(&Write{E: e, T: tbl, Child: e.Scan(tbl, key(k)), Set: setV(v)}); err != nil || n != 1 {
+		if n, err := exec.Drain(&Write{E: e, T: tbl, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File, Filter: key(k)}, Set: setV(v)}); err != nil || n != 1 {
 			t.Fatalf("update k=%d: n=%d err=%v", k, n, err)
 		}
 	}
@@ -221,7 +221,7 @@ func TestRecoveryAfterCheckpoint(t *testing.T) {
 	}
 
 	want := map[int64]float64{100: 100, 101: 101, 102: 102, 5: -5, 6: -6, 7: -7, 8: 8}
-	rows, err := exec.Collect(f.Scan(ftbl, nil))
+	rows, err := exec.Collect(&exec.SeqScan{Ctx: f.Ctx, File: ftbl.File})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +238,10 @@ func TestRecoveryAfterCheckpoint(t *testing.T) {
 	}
 	// The index went through the same replay: one entry per recovered key.
 	for k := range want {
-		op, err := f.IndexRange(ftbl, "k", ptrTo(value.Int(k)), ptrTo(value.Int(k)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		kv := value.Int(k)
+		op := &exec.IndexScan{Ctx: f.Ctx, File: ftbl.File, Tree: ftbl.Index("k"), Lo: &kv, Hi: &kv}
 		if n, err := f.Run(op); err != nil || n != 1 {
 			t.Errorf("index lookup k=%d found %d rows (err=%v), want 1", k, n, err)
 		}
 	}
 }
-
-func ptrTo(v value.Value) *value.Value { return &v }

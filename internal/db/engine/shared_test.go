@@ -6,6 +6,7 @@ import (
 
 	"energydb/internal/cpusim"
 	"energydb/internal/db/catalog"
+	"energydb/internal/db/exec"
 	"energydb/internal/db/value"
 )
 
@@ -34,7 +35,7 @@ func TestSharedView(t *testing.T) {
 
 	before := e.M.Hier.Counters()
 	before2 := m2.Hier.Counters()
-	n, err := e2.Run(e2.Scan(tbl2, nil))
+	n, err := e2.Run(&exec.SeqScan{Ctx: e2.Ctx, File: tbl2.File})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +52,7 @@ func TestSharedView(t *testing.T) {
 	// Index lookups through the view hit the shared structure.
 	lo := value.Int(50)
 	hi := value.Int(59)
-	op, err := e2.IndexRange(tbl2, "k", &lo, &hi, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	op := &exec.IndexScan{Ctx: e2.Ctx, File: tbl2.File, Tree: tbl2.Index("k"), Lo: &lo, Hi: &hi}
 	if n, err := e2.Run(op); err != nil || n != 10 {
 		t.Fatalf("view index range = (%d, %v), want 10 rows", n, err)
 	}
@@ -115,7 +113,7 @@ func TestSharedParallelReaders(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				n, err := ev.Run(ev.Scan(vt, nil))
+				n, err := ev.Run(&exec.SeqScan{Ctx: ev.Ctx, File: vt.File})
 				if err != nil {
 					t.Error(err)
 					return

@@ -169,12 +169,11 @@ func (p *Prepared) instantiate(n *Node, mt *metering) (exec.Operator, error) {
 	var op exec.Operator
 	switch n.Kind {
 	case opSeqScan:
-		op = e.Scan(n.Table, n.Filter)
+		op = &exec.SeqScan{Ctx: e.Ctx, File: n.Table.File, Filter: n.Filter}
 	case opIndexScan:
-		var err error
-		op, err = e.IndexRange(n.Table, n.IdxCol, n.Lo, n.Hi, n.Filter)
-		if err != nil {
-			return nil, err
+		op = &exec.IndexScan{
+			Ctx: e.Ctx, File: n.Table.File, Tree: n.Table.Index(n.IdxCol),
+			Lo: n.Lo, Hi: n.Hi, Filter: n.Filter,
 		}
 	case opIndexJoin:
 		op = &exec.IndexJoin{
@@ -195,10 +194,10 @@ func (p *Prepared) instantiate(n *Node, mt *metering) (exec.Operator, error) {
 	case opProject:
 		op = &exec.Project{Ctx: e.Ctx, Child: kids[0], Exprs: n.Exprs, Names: n.Names}
 	case opAggregate:
-		g := e.GroupBy(kids[0], n.GroupExprs, n.Aggs)
+		g := &exec.GroupBy{Ctx: e.Ctx, Child: kids[0], GroupBy: n.GroupExprs, Aggs: n.Aggs}
 		op = &exec.Project{Ctx: e.Ctx, Child: g, Exprs: n.PostExprs, Names: n.PostNames}
 	case opSort:
-		op = e.Sort(kids[0], n.SortKeys)
+		op = &exec.Sort{Ctx: e.Ctx, Child: kids[0], Keys: n.SortKeys}
 	case opLimit:
 		op = &exec.Limit{Child: kids[0], N: n.LimitN}
 	case opWrite:

@@ -265,8 +265,11 @@ func TestJoinPushdownReducesScan(t *testing.T) {
 	// Hand-built unpushed tree on a fresh, identically seeded engine:
 	// full scan → join → post-join filter (what the old planner produced).
 	e2 := testEngine(t)
-	items := e2.MustTable("items")
-	join := e2.EquiJoin(e2.Scan(items, nil), 1, e2.MustTable("cats"), "cat_id", nil)
+	cats := e2.MustTable("cats")
+	join := &exec.IndexJoin{
+		Ctx: e2.Ctx, Outer: &exec.SeqScan{Ctx: e2.Ctx, File: e2.MustTable("items").File},
+		Inner: cats.File, Index: cats.Index("cat_id"), OuterKey: 1,
+	}
 	cond, err := sql.Parse("SELECT * FROM items WHERE price < 15")
 	if err != nil {
 		t.Fatal(err)

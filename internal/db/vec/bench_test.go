@@ -42,7 +42,7 @@ func BenchmarkIndexJoin(b *testing.B) {
 	}
 	b.Run("mode=row", func(b *testing.B) {
 		run(b, func() exec.Operator {
-			return &exec.IndexJoin{Ctx: e.Ctx, Outer: e.Scan(lineitem, nil), Inner: orders.File, Index: index, OuterKey: 0}
+			return &exec.IndexJoin{Ctx: e.Ctx, Outer: &exec.SeqScan{Ctx: e.Ctx, File: lineitem.File}, Inner: orders.File, Index: index, OuterKey: 0}
 		})
 	})
 	b.Run("mode=vector", func(b *testing.B) {

@@ -269,7 +269,7 @@ func FuzzVecExec(f *testing.F) {
 		msR := exec.NewMeterSet(er.Ctx)
 		mScanR := &exec.Meter{Label: "scan"}
 		mTopR := &exec.Meter{Label: "top", Kids: []*exec.Meter{mScanR}}
-		scanR := &exec.Metered{Set: msR, M: mScanR, Child: er.Scan(tr, pred)}
+		scanR := &exec.Metered{Set: msR, M: mScanR, Child: &exec.SeqScan{Ctx: er.Ctx, File: tr.File, Filter: pred}}
 
 		// Vector path on an identically seeded engine.
 		ev, tv := fuzzTable(rand.New(rand.NewSource(seed)), rows)
@@ -341,7 +341,7 @@ func FuzzVecExec(f *testing.F) {
 				Ctx: er.Ctx,
 				Child: &exec.Metered{Set: msR, M: mJoinR, Child: &exec.HashJoin{
 					Ctx:   er.Ctx,
-					Build: &exec.Metered{Set: msR, M: mBuildR, Child: er.Scan(tr, pred)},
+					Build: &exec.Metered{Set: msR, M: mBuildR, Child: &exec.SeqScan{Ctx: er.Ctx, File: tr.File, Filter: pred}},
 					Probe: scanR, BuildKey: buildKey, ProbeKey: probeKey,
 					Residual: residual,
 				}},
@@ -404,10 +404,7 @@ func FuzzVecExec(f *testing.F) {
 			name := tr.Schema().Columns[ci].Name
 			er.CreateIndex(tr, name)
 			ev.CreateIndex(tv, name)
-			rowScan, err := er.IndexRange(tr, name, lo, hi, pred)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rowScan := &exec.IndexScan{Ctx: er.Ctx, File: tr.File, Tree: tr.Index(name), Lo: lo, Hi: hi, Filter: pred}
 			want = runMetered(t, er, &exec.Metered{Set: msR, M: mTopR, Child: &exec.Project{
 				Ctx: er.Ctx, Child: &exec.Metered{Set: msR, M: mScanR, Child: rowScan}, Exprs: exprs,
 			}}, msR, []*exec.Meter{mScanR, mTopR})

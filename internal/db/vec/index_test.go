@@ -87,11 +87,7 @@ func TestIndexScanMatchesRow(t *testing.T) {
 				label := fmt.Sprintf("%s [%v, %v] residual=%v batch=%d", r.col, r.lo, r.hi, residual != nil, batch)
 				meteredPair(t, label, er, ev,
 					func(*exec.MeterSet, *exec.Meter) exec.Operator {
-						op, err := er.IndexRange(tr, r.col, r.lo, r.hi, residual)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return op
+						return &exec.IndexScan{Ctx: er.Ctx, File: tr.File, Tree: tr.Index(r.col), Lo: r.lo, Hi: r.hi, Filter: residual}
 					},
 					func(*exec.MeterSet, *exec.Meter) Operator {
 						return &IndexScan{Ctx: ev.Ctx, File: tv.File, Tree: tv.Index(r.col), Lo: r.lo, Hi: r.hi, Filter: residual, BatchSize: batch}
@@ -117,7 +113,7 @@ func TestIndexJoinMatchesRow(t *testing.T) {
 				_, mVec := meteredPair(t, label, er, ev,
 					func(ms *exec.MeterSet, kid *exec.Meter) exec.Operator {
 						return &exec.IndexJoin{
-							Ctx: er.Ctx, Outer: &exec.Metered{Set: ms, M: kid, Child: er.Scan(tr, testPred())},
+							Ctx: er.Ctx, Outer: &exec.Metered{Set: ms, M: kid, Child: &exec.SeqScan{Ctx: er.Ctx, File: tr.File, Filter: testPred()}},
 							Inner: tr.File, Index: tr.Index(name), OuterKey: key, Residual: res,
 						}
 					},
@@ -176,7 +172,7 @@ func TestIndexOpsDropInvisibleEntries(t *testing.T) {
 		e, tbl := indexedEngine(t, 200)
 		if n, err := e.Autocommit(func(*txn.Txn) (int, error) {
 			grp3 := exec.BinOp{Op: exec.OpEq, L: col(1), R: exec.Const{V: value.Int(3)}}
-			return exec.Drain(&engine.Write{E: e, T: tbl, Child: e.Scan(tbl, grp3)})
+			return exec.Drain(&engine.Write{E: e, T: tbl, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File, Filter: grp3}})
 		}); err != nil || n == 0 {
 			t.Fatalf("delete: %d rows, %v", n, err)
 		}
@@ -192,8 +188,7 @@ func TestIndexOpsDropInvisibleEntries(t *testing.T) {
 	lo, hi := ptr(value.Int(20)), ptr(value.Int(120))
 	mRow, mVec := meteredPair(t, "index scan", er, ev,
 		func(*exec.MeterSet, *exec.Meter) exec.Operator {
-			op, _ := er.IndexRange(tr, "id", lo, hi, nil)
-			return op
+			return &exec.IndexScan{Ctx: er.Ctx, File: tr.File, Tree: tr.Index("id"), Lo: lo, Hi: hi}
 		},
 		func(*exec.MeterSet, *exec.Meter) Operator {
 			return &IndexScan{Ctx: ev.Ctx, File: tv.File, Tree: tv.Index("id"), Lo: lo, Hi: hi, BatchSize: 16}
@@ -209,7 +204,7 @@ func TestIndexOpsDropInvisibleEntries(t *testing.T) {
 	meteredPair(t, "index join", er, ev,
 		func(ms *exec.MeterSet, kid *exec.Meter) exec.Operator {
 			return &exec.IndexJoin{
-				Ctx: er.Ctx, Outer: &exec.Metered{Set: ms, M: kid, Child: er.Scan(tr, nil)},
+				Ctx: er.Ctx, Outer: &exec.Metered{Set: ms, M: kid, Child: &exec.SeqScan{Ctx: er.Ctx, File: tr.File}},
 				Inner: tr.File, Index: tr.Index("grp"), OuterKey: 1,
 			}
 		},
@@ -266,7 +261,7 @@ func TestCancelIndexOps(t *testing.T) {
 func TestIndexJoinCheaperPerRow(t *testing.T) {
 	run := func(vector bool) memsim.Counters {
 		e, tbl := indexedEngine(t, 2000)
-		var op exec.Operator = &exec.IndexJoin{Ctx: e.Ctx, Outer: e.Scan(tbl, nil), Inner: tbl.File, Index: tbl.Index("id"), OuterKey: 0}
+		var op exec.Operator = &exec.IndexJoin{Ctx: e.Ctx, Outer: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File}, Inner: tbl.File, Index: tbl.Index("id"), OuterKey: 0}
 		if vector {
 			op = &RowSource{Child: &IndexJoin{Ctx: e.Ctx, Probe: &Scan{Ctx: e.Ctx, File: tbl.File}, Inner: tbl.File, Index: tbl.Index("id"), ProbeKey: 0}}
 		}

@@ -25,7 +25,7 @@ func TestHashJoinMatchesRow(t *testing.T) {
 		for _, residual := range []exec.Expr{nil, joinResidual()} {
 			e, tbl := testEngine(t, 260)
 			want, err := exec.Collect(&exec.HashJoin{
-				Ctx: e.Ctx, Build: e.Scan(tbl, nil), Probe: e.Scan(tbl, nil),
+				Ctx: e.Ctx, Build: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File}, Probe: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File},
 				BuildKey: []int{key}, ProbeKey: []int{key}, Residual: residual,
 			})
 			if err != nil {
@@ -118,7 +118,7 @@ func TestSortMatchesRow(t *testing.T) {
 		{Expr: exec.BinOp{Op: exec.OpMul, L: col(0), R: exec.Const{V: value.Int(-1)}}},
 	}
 	e, tbl := testEngine(t, 400)
-	want, err := exec.Collect(&exec.Sort{Ctx: e.Ctx, Child: e.Scan(tbl, nil), Keys: keys})
+	want, err := exec.Collect(&exec.Sort{Ctx: e.Ctx, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File}, Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestVecJoinCheaperPerRow(t *testing.T) {
 	e, tbl := testEngine(t, 2000)
 	before := e.M.Hier.Counters()
 	if _, err := exec.Drain(&exec.HashJoin{
-		Ctx: e.Ctx, Build: e.Scan(tbl, nil), Probe: e.Scan(tbl, nil),
+		Ctx: e.Ctx, Build: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File}, Probe: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File},
 		BuildKey: []int{0}, ProbeKey: []int{0},
 	}); err != nil {
 		t.Fatal(err)

@@ -90,7 +90,7 @@ func TestScanFilterProjectMatchesRow(t *testing.T) {
 			exec.Not{E: exec.InList{E: col(1), List: []value.Value{value.Int(2), value.Int(4)}}},
 		}
 		want, err := exec.Collect(&exec.Project{
-			Ctx: e.Ctx, Child: e.Scan(tbl, pred), Exprs: exprs,
+			Ctx: e.Ctx, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File, Filter: pred}, Exprs: exprs,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestScanFilterProjectMatchesRow(t *testing.T) {
 func TestPruneMatchesRow(t *testing.T) {
 	e, tbl := testEngine(t, 200)
 	cols := []int{3, 0}
-	want, err := exec.Collect(&exec.Prune{Ctx: e.Ctx, Child: e.Scan(tbl, nil), Cols: cols})
+	want, err := exec.Collect(&exec.Prune{Ctx: e.Ctx, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File}, Cols: cols})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestAggMatchesRow(t *testing.T) {
 	}
 	pred := testPred()
 	want, err := exec.Collect(&exec.GroupBy{
-		Ctx: e.Ctx, Child: e.Scan(tbl, pred), GroupBy: groupBy, Aggs: aggs,
+		Ctx: e.Ctx, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File, Filter: pred}, GroupBy: groupBy, Aggs: aggs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestAggMatchesRow(t *testing.T) {
 func TestScalarAggNoGroups(t *testing.T) {
 	e, tbl := testEngine(t, 100)
 	aggs := []exec.AggSpec{{Kind: exec.AggSum, Arg: col(0), Name: "s"}}
-	want, err := exec.Collect(&exec.GroupBy{Ctx: e.Ctx, Child: e.Scan(tbl, nil), Aggs: aggs})
+	want, err := exec.Collect(&exec.GroupBy{Ctx: e.Ctx, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File}, Aggs: aggs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestVecCheaperPerRow(t *testing.T) {
 	pred := testPred()
 
 	before := e.M.Hier.Counters()
-	if _, err := exec.Drain(e.Scan(tbl, pred)); err != nil {
+	if _, err := exec.Drain(&exec.SeqScan{Ctx: e.Ctx, File: tbl.File, Filter: pred}); err != nil {
 		t.Fatal(err)
 	}
 	rowDelta := e.M.Hier.Counters().Sub(before)

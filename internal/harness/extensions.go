@@ -69,7 +69,8 @@ func RunExtensionNoSQL(o Options) (Result, error) {
 // three policies — fixed P36, and the stall-aware governor — on a
 // memory-bound plan (index scan over a DRAM-sized table) and a CPU-bound
 // plan (warm table scan), reporting energy, runtime and energy-efficiency
-// (Perf/Energy, the metric of [14] the paper uses).
+// (Perf/Energy, the metric of [14] the paper uses). Both are basic-operation
+// texts planned for the row executor.
 func RunExtensionDVFS(o Options) (Result, error) {
 	o = o.effective()
 	class := tpch.Size500MB
@@ -85,11 +86,13 @@ func RunExtensionDVFS(o Options) (Result, error) {
 		meter := rapl.NewMeter(m, o.Seed, 0)
 		e := engine.New(engine.PostgreSQL, m, engine.SettingLarge)
 		tpch.Setup(e, class)
+		e.Knobs.DisableVectorExec = true
 		op, err := tpch.BasicOpByName(opName)
 		if err != nil {
 			return outcome{}, err
 		}
-		plan, err := tpch.Warm(e, op.Build)
+		build := plan.Builder(op.Text)
+		measured, err := tpch.Warm(e, build)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -99,7 +102,7 @@ func RunExtensionDVFS(o Options) (Result, error) {
 			// of the plan so the policy locks onto its stall profile
 			// (a real implementation would read the plan type and the
 			// memory-access counters, as Section 5 suggests).
-			probe, err := op.Build(e)
+			probe, err := build(e)
 			if err != nil {
 				return outcome{}, err
 			}
@@ -111,7 +114,7 @@ func RunExtensionDVFS(o Options) (Result, error) {
 		}
 		sess := meter.Begin()
 		t0 := m.WallSeconds()
-		if _, err := e.Run(plan); err != nil {
+		if _, err := e.Run(measured); err != nil {
 			return outcome{}, err
 		}
 		meas := sess.End()
@@ -185,7 +188,7 @@ func RunExtensionWrites(o Options) (Result, error) {
 				return Result{}, err
 			}
 			// Warm the table.
-			if _, err := e.Run(e.Scan(li, nil)); err != nil {
+			if _, err := e.Run(&exec.SeqScan{Ctx: e.Ctx, File: li.File}); err != nil {
 				return Result{}, err
 			}
 			p, err := plan.PrepareStmt(e, stmt)

@@ -11,7 +11,7 @@ import (
 
 // RunFigure6 reproduces Figure 6: the Active-energy breakdown of the seven
 // basic query operations on the three database systems (baseline data size
-// and knobs).
+// and knobs), each operation's text planned for the row executor.
 func RunFigure6(o Options) (Result, error) {
 	o = o.effective()
 	header := append([]string{"Database", "Operation"}, shareHeader...)
@@ -22,13 +22,15 @@ func RunFigure6(o Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
+		r.e.Knobs.DisableVectorExec = true
 		for _, op := range tpch.BasicOps() {
-			b, err := r.profile(fmt.Sprintf("%s/%s", kind, op.Name), op.Build)
+			s, err := r.sql(tpch.SQLQuery{Text: op.Text})
 			if err != nil {
-				return Result{}, err
+				return Result{}, fmt.Errorf("%v %s: %w", kind, op.Name, err)
 			}
-			rows = append(rows, append([]string{kind.String(), op.Name}, shareCells(b)...))
-			bds = append(bds, b)
+			s.B.Name = fmt.Sprintf("%s/%s", kind, op.Name)
+			rows = append(rows, append([]string{kind.String(), op.Name}, shareCells(s.B)...))
+			bds = append(bds, s.B)
 		}
 	}
 	text, csv := table("Figure 6: Active energy cost breakdown of the basic query operations", header, rows)

@@ -151,9 +151,9 @@ func newRig(o Options, p cpusim.PState, kind engine.Kind, setting engine.Setting
 	return rig{e: e, prof: l.Profiler()}, nil
 }
 
-// profile is warm-then-measure for an operator tree built by hand (a
-// BasicOp's, or the X8 join lab's): run it once to warm, rebuild it and
-// profile that run. SQL text goes through rig.sql.
+// profile is warm-then-measure for an operator tree built by hand (the X8
+// join lab's): run it once to warm, rebuild it and profile that run. SQL
+// text goes through rig.sql.
 func (r rig) profile(name string, build func(*engine.Engine) (exec.Operator, error)) (core.Breakdown, error) {
 	plan, err := tpch.Warm(r.e, build)
 	if err != nil {

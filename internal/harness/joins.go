@@ -122,8 +122,9 @@ func joinLab(vecRig, rowRig rig) (string, string, error) {
 	}
 	rowJoin := func(e *engine.Engine) (exec.Operator, error) {
 		return &exec.HashJoin{
-			Ctx:   e.Ctx,
-			Build: e.Scan(e.MustTable("orders"), nil), Probe: e.Scan(e.MustTable("lineitem"), nil),
+			Ctx:      e.Ctx,
+			Build:    &exec.SeqScan{Ctx: e.Ctx, File: e.MustTable("orders").File},
+			Probe:    &exec.SeqScan{Ctx: e.Ctx, File: e.MustTable("lineitem").File},
 			BuildKey: []int{0}, ProbeKey: []int{0},
 		}, nil
 	}
@@ -136,7 +137,11 @@ func joinLab(vecRig, rowRig rig) (string, string, error) {
 		}}, nil
 	}
 	rowSort := func(e *engine.Engine) (exec.Operator, error) {
-		return e.Sort(e.Scan(e.MustTable("lineitem"), nil), sortKeys), nil
+		return &exec.Sort{
+			Ctx:   e.Ctx,
+			Child: &exec.SeqScan{Ctx: e.Ctx, File: e.MustTable("lineitem").File},
+			Keys:  sortKeys,
+		}, nil
 	}
 	vecSort := func(e *engine.Engine) (exec.Operator, error) {
 		return &vec.RowSource{Child: &vec.Sort{

@@ -32,7 +32,9 @@ var dmlTexts = []struct{ name, text string }{
 // text, and for the writes of dmlTexts, on the deterministic 10MB dataset, on
 // the SQLite profile (testdata/explain, writes in dml/sqlite-*.txt) and on the
 // PostgreSQL profile the benchmark's server runs (testdata/explain/postgresql,
-// writes in dml/postgresql-*.txt). A change to the statistics, the cost
+// writes in dml/postgresql-*.txt). It also pins the row plan of every basic
+// operation, the way Figure 6 plans it (DisableVectorExec), on all three
+// profiles (basic/<profile>-<op>.txt). A change to the statistics, the cost
 // model or the rewrite rules that alters any plan (or its cardinality and
 // energy predictions) trips this test; if the new plan is intentional,
 // regenerate with `go test ./internal/tpch -run ExplainGolden -update`.
@@ -45,53 +47,67 @@ func TestExplainGolden(t *testing.T) {
 		// even if someone regenerated without reviewing.
 		root = alt
 	}
+	newEngine := func(kind engine.Kind) *engine.Engine {
+		e := engine.New(kind, cpusim.NewMachine(cpusim.IntelI7_4790()), engine.SettingBaseline)
+		Setup(e, Size10MB)
+		return e
+	}
 	for _, profile := range []struct {
 		kind engine.Kind
 		dir  string
 	}{{engine.SQLite, root}, {engine.PostgreSQL, filepath.Join(root, "postgresql")}} {
-		m := cpusim.NewMachine(cpusim.IntelI7_4790())
-		e := engine.New(profile.kind, m, engine.SettingBaseline)
-		Setup(e, Size10MB)
-		// golden plans one statement and holds its EXPLAIN to the file.
-		golden := func(name, text, path string) {
-			stmt, err := sql.ParseStatement(text)
-			if err != nil {
-				t.Fatalf("%s: parse: %v", name, err)
-			}
-			p, err := plan.PrepareStmt(e, stmt)
-			if err != nil {
-				t.Fatalf("%s %s: plan: %v", profile.kind, name, err)
-			}
-			rows, _ := p.Explain()
-			var b strings.Builder
-			for _, r := range rows {
-				b.WriteString(r[0].S)
-				b.WriteByte('\n')
-			}
-			got := b.String()
-			if *updateExplain {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%s %s: %v (run with -update to generate)", profile.kind, name, err)
-			}
-			if got != string(want) {
-				t.Errorf("%s %s plan changed.\n--- want\n%s--- got\n%s", profile.kind, name, want, got)
-			}
-		}
+		e := newEngine(profile.kind)
 		for _, q := range SQLQueries() {
-			golden(fmt.Sprintf("Q%d", q.ID), q.Text, filepath.Join(profile.dir, fmt.Sprintf("q%d.txt", q.ID)))
+			explainGolden(t, e, fmt.Sprintf("Q%d", q.ID), q.Text, filepath.Join(profile.dir, fmt.Sprintf("q%d.txt", q.ID)))
 		}
 		for _, w := range dmlTexts {
-			golden(w.name, w.text, filepath.Join(root, "dml", strings.ToLower(profile.kind.String())+"-"+w.name+".txt"))
+			explainGolden(t, e, w.name, w.text, filepath.Join(root, "dml", strings.ToLower(profile.kind.String())+"-"+w.name+".txt"))
 		}
+	}
+	for _, kind := range engine.Kinds() {
+		e := newEngine(kind)
+		e.Knobs.DisableVectorExec = true
+		for _, op := range BasicOps() {
+			file := strings.ToLower(kind.String()) + "-" + strings.ReplaceAll(op.Name, " ", "-") + ".txt"
+			explainGolden(t, e, op.Name, op.Text, filepath.Join(root, "basic", file))
+		}
+	}
+}
+
+// explainGolden plans one statement on e and holds its EXPLAIN to the file at
+// path (or, under -update, writes it there).
+func explainGolden(t *testing.T, e *engine.Engine, name, text, path string) {
+	t.Helper()
+	stmt, err := sql.ParseStatement(text)
+	if err != nil {
+		t.Fatalf("%s: parse: %v", name, err)
+	}
+	p, err := plan.PrepareStmt(e, stmt)
+	if err != nil {
+		t.Fatalf("%s %s: plan: %v", e.Kind, name, err)
+	}
+	rows, _ := p.Explain()
+	var b strings.Builder
+	for _, r := range rows {
+		b.WriteString(r[0].S)
+		b.WriteByte('\n')
+	}
+	got := b.String()
+	if *updateExplain {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s %s: %v (run with -update to generate)", e.Kind, name, err)
+	}
+	if got != string(want) {
+		t.Errorf("%s %s plan changed.\n--- want\n%s--- got\n%s", e.Kind, name, want, got)
 	}
 }
 
