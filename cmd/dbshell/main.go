@@ -111,8 +111,11 @@ type shell struct {
 	maxRows int
 
 	// Local mode (lazily built): the statement pipeline energyd sessions
-	// run, on an engine and profiler of the shell's own.
+	// run, on an engine and profiler of the shell's own, and the breakdowns
+	// of the regions the current statement completed, which are printed
+	// after its answer.
 	pipe *stmt.Session
+	done []core.Breakdown
 
 	// Remote mode.
 	remote *client.Conn
@@ -205,7 +208,7 @@ func (sh *shell) dispatch(line string) bool {
 	if st.Note != "" {
 		fmt.Println("approximates the query:", st.Note)
 	}
-	sh.local(func() ([]stmt.Record, stmt.Result, error) { return sh.pipe.Exec(st) },
+	sh.local(func() (stmt.Result, error) { return sh.pipe.Exec(st) },
 		func(res stmt.Result) { sh.printRows(res.Cols, res.Rows) })
 	return true
 }
@@ -243,29 +246,36 @@ func (sh *shell) setupLocal() error {
 	fmt.Printf("Loading TPC-H %s into the %v profile (%v knobs)...\n", sh.class, sh.kind, sh.setting)
 	eng := engine.New(sh.kind, st.M, sh.setting)
 	tpch.Setup(eng, sh.class)
-	sh.pipe = &stmt.Session{Eng: eng, Prof: st.Profiler()}
+	sh.pipe = &stmt.Session{Eng: eng, Prof: st.Profiler(), Retire: sh.retire}
 	return nil
+}
+
+// retire is the local pipeline's sink: it keeps the breakdown of every region
+// that ran to completion.
+func (sh *shell) retire(r stmt.Record) {
+	if r.OK {
+		sh.done = append(sh.done, r.B)
+	}
 }
 
 // local runs one pipeline call on the shell's own engine and shows what an
 // energyd session would have answered, then the breakdown of every region
 // that ran to completion (a failed write inside a transaction still shows
 // what rolling it back cost).
-func (sh *shell) local(call func() ([]stmt.Record, stmt.Result, error), show func(stmt.Result)) {
+func (sh *shell) local(call func() (stmt.Result, error), show func(stmt.Result)) {
 	if err := sh.setupLocal(); err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	recs, res, err := call()
+	sh.done = sh.done[:0]
+	res, err := call()
 	if err != nil {
 		fmt.Println("error:", err)
 	} else {
 		show(res)
 	}
-	for _, r := range recs {
-		if r.OK {
-			printBreakdown(r.B)
-		}
+	for _, b := range sh.done {
+		printBreakdown(b)
 	}
 }
 
@@ -312,7 +322,7 @@ func (sh *shell) txnCmd(op wire.TxnOp) {
 		}
 		return
 	}
-	sh.local(func() ([]stmt.Record, stmt.Result, error) { return sh.pipe.Txn(op) },
+	sh.local(func() (stmt.Result, error) { return sh.pipe.Txn(op) },
 		func(res stmt.Result) { fmt.Println(res.Rows[0][0]) })
 }
 

@@ -9,9 +9,10 @@
 // ran. A statement that succeeds yields one; a write that fails inside an
 // explicit transaction yields two (the failed write, then the rollback of
 // the whole transaction); a statement that fails before anything was
-// measured yields none. What the consumer does with a record — ledgers,
-// metrics, a printed breakdown — is the consumer's business; what it may not
-// do is drop one, because the joules in it were really spent.
+// measured yields none. The Session hands each record to its Retire sink
+// before the call that measured it returns, so no caller can drop one: the
+// joules in it were really spent. What the sink does with a record —
+// ledgers, metrics, a printed breakdown — is the consumer's business.
 package stmt
 
 import (
@@ -126,6 +127,9 @@ func Parse(text string) (*Stmt, error) {
 type Session struct {
 	Eng  *engine.Engine
 	Prof *core.Profiler
+	// Retire receives every record, on the calling goroutine, before Exec
+	// or Txn returns. It is required: a nil sink panics at the first record.
+	Retire func(Record)
 	// Timeout cancels execution that runs longer (0 = no limit).
 	Timeout time.Duration
 
@@ -141,8 +145,8 @@ func (s *Session) InTxn() (uint64, bool) {
 }
 
 // Exec runs one statement under one snapshot — the open transaction's pinned
-// one, or a fresh read snapshot — and returns the records of its profiled
-// regions, which the caller must retire whether or not err is nil.
+// one, or a fresh read snapshot — and retires the records of its profiled
+// regions whether or not it fails.
 //
 // The region is execution only for SELECT and EXPLAIN ENERGY (rows are
 // collected, not rendered: the paper's display-disabled runs), planning for
@@ -155,7 +159,7 @@ func (s *Session) InTxn() (uint64, bool) {
 // The view's read snapshot stays registered with the transaction manager only
 // while the statement runs: once Exec returns, an idle session holds no
 // version back from the writers' reclamation.
-func (s *Session) Exec(st *Stmt) ([]Record, Result, error) {
+func (s *Session) Exec(st *Stmt) (Result, error) {
 	switch st.AST.(type) {
 	case *sql.BeginStmt:
 		return s.Txn(wire.TxnBegin)
@@ -186,7 +190,7 @@ func (s *Session) Exec(st *Stmt) ([]Record, Result, error) {
 			op, err = p.Build()
 		}
 		if err != nil {
-			return nil, Result{}, &Error{"plan", err}
+			return Result{}, &Error{"plan", err}
 		}
 		rec.Plan, res.Cols = p.Summary(), op.Schema().Names()
 		start = time.Now() // a SELECT's wall time is its execution
@@ -198,7 +202,7 @@ func (s *Session) Exec(st *Stmt) ([]Record, Result, error) {
 		var p *plan.Prepared
 		if a.Energy {
 			if p, err = plan.PrepareStmt(s.Eng, a.Stmt); err != nil {
-				return nil, Result{}, &Error{"plan", err}
+				return Result{}, &Error{"plan", err}
 			}
 			_, read := a.Stmt.(*sql.SelectStmt)
 			write = !read
@@ -237,22 +241,20 @@ func (s *Session) Exec(st *Stmt) ([]Record, Result, error) {
 		rec.Rows, res.Cols, res.Rows = affected(n)
 	}
 	rec.Wall, rec.OK, res.Energy = time.Since(start).Seconds(), err == nil, rec.B
-	recs := []Record{rec}
+	s.Retire(rec)
 	if err == nil {
-		return recs, res, nil
+		return res, nil
 	}
 	if errors.Is(err, exec.ErrCanceled) {
 		class, err = "timeout", fmt.Errorf("statement timeout: canceled after %v", s.Timeout)
 	}
 	if write && s.tx != nil {
-		rb, rbErr := s.control(wire.TxnRollback, start)
-		recs = append(recs, rb)
-		if rbErr != nil {
+		if _, rbErr := s.control(wire.TxnRollback, start); rbErr != nil {
 			err = errors.Join(err, rbErr)
 		}
 		err = fmt.Errorf("%w %s", err, wire.TxnRolledBackSuffix)
 	}
-	return recs, Result{}, &Error{class, err}
+	return Result{}, &Error{class, err}
 }
 
 // affected is the answer of a DML statement that changed n rows.
@@ -284,7 +286,7 @@ func (s *Session) guarded(fn func()) {
 // Txn runs one transaction control and reports the new transaction state as
 // a one-row result. Commit fsyncs the WAL and rollback walks the undo chain,
 // so the controls are profiled regions like any statement.
-func (s *Session) Txn(op wire.TxnOp) ([]Record, Result, error) {
+func (s *Session) Txn(op wire.TxnOp) (Result, error) {
 	start := time.Now()
 	var err error
 	switch {
@@ -296,25 +298,26 @@ func (s *Session) Txn(op wire.TxnOp) ([]Record, Result, error) {
 		err = errors.New("no transaction open")
 	}
 	if err != nil {
-		return nil, Result{}, &Error{"txn", err}
+		return Result{}, &Error{"txn", err}
 	}
 	rec, err := s.control(op, start)
 	s.Eng.EndRead() // a commit or rollback left the view on a fresh read snapshot
 	if err != nil {
-		return []Record{rec}, Result{}, &Error{"txn", err}
+		return Result{}, &Error{"txn", err}
 	}
 	status := op.String()
 	if id, open := s.InTxn(); open {
 		status = fmt.Sprintf("%s (txn %d)", op, id)
 	}
-	return []Record{rec}, Result{
+	return Result{
 		Name: rec.Name, Cols: []string{"status"}, Rows: []value.Row{{value.Str(status)}}, Energy: rec.B,
 	}, nil
 }
 
-// control runs an admissible transaction control inside one profiled region.
-// The record is OK even when commit or rollback errored: the WAL fsync or
-// undo walk already charged the meter, and the transaction is over.
+// control runs an admissible transaction control inside one profiled region
+// and retires its record. The record is OK even when commit or rollback
+// errored: the WAL fsync or undo walk already charged the meter, and the
+// transaction is over.
 func (s *Session) control(op wire.TxnOp, start time.Time) (Record, error) {
 	name := strings.ToLower(op.String())
 	tx := s.tx
@@ -333,5 +336,7 @@ func (s *Session) control(op wire.TxnOp, start time.Time) (Record, error) {
 			err = s.Eng.Rollback(tx)
 		}
 	})
-	return Record{Name: name, Text: name, Wall: time.Since(start).Seconds(), B: b, OK: true}, err
+	rec := Record{Name: name, Text: name, Wall: time.Since(start).Seconds(), B: b, OK: true}
+	s.Retire(rec)
+	return rec, err
 }

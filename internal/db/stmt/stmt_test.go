@@ -15,15 +15,23 @@ import (
 	"energydb/internal/tpch"
 )
 
-// newSession is a pipeline on a direct SQLite engine: what dbshell's local
-// mode builds.
-func newSession(t *testing.T) *stmt.Session {
-	t.Helper()
-	return sessionOn(t, engine.SQLite)
+// recorder is a pipeline on a direct SQLite engine, what dbshell's local
+// mode builds, whose sink keeps the records of the current call.
+type recorder struct {
+	*stmt.Session
+	recs []stmt.Record
 }
 
-// sessionOn is a pipeline over a fresh 10MB store of the given profile.
-func sessionOn(t testing.TB, kind engine.Kind) *stmt.Session {
+func newSession(t *testing.T) *recorder {
+	t.Helper()
+	r := &recorder{}
+	r.Session = sessionOn(t, engine.SQLite, func(rec stmt.Record) { r.recs = append(r.recs, rec) })
+	return r
+}
+
+// sessionOn is a pipeline over a fresh 10MB store of the given profile that
+// retires into retire.
+func sessionOn(t testing.TB, kind engine.Kind, retire func(stmt.Record)) *stmt.Session {
 	t.Helper()
 	st, err := core.NewStack(cpusim.PStateMax, 42, rapl.DefaultNoise, 0.1, 0)
 	if err != nil {
@@ -31,16 +39,24 @@ func sessionOn(t testing.TB, kind engine.Kind) *stmt.Session {
 	}
 	eng := engine.New(kind, st.M, engine.SettingBaseline)
 	tpch.Setup(eng, tpch.Size10MB)
-	return &stmt.Session{Eng: eng, Prof: st.Profiler()}
+	return &stmt.Session{Eng: eng, Prof: st.Profiler(), Retire: retire}
+}
+
+// call runs one pipeline call and returns, with its answer, the records the
+// sink received before it returned.
+func (r *recorder) call(fn func() (stmt.Result, error)) ([]stmt.Record, stmt.Result, error) {
+	r.recs = nil
+	res, err := fn()
+	return r.recs, res, err
 }
 
 // run parses and executes one statement.
-func run(s *stmt.Session, text string) ([]stmt.Record, stmt.Result, error) {
+func (r *recorder) run(text string) ([]stmt.Record, stmt.Result, error) {
 	st, err := stmt.Parse(text)
 	if err != nil {
 		return nil, stmt.Result{}, err
 	}
-	return s.Exec(st)
+	return r.call(func() (stmt.Result, error) { return r.Exec(st) })
 }
 
 // shape renders a record sequence: names in order, "!" marking a record that
@@ -114,7 +130,7 @@ func TestPipeline(t *testing.T) {
 	}
 	for i, step := range steps {
 		s.Timeout = step.timeout
-		recs, res, err := run(s, step.text)
+		recs, res, err := s.run(step.text)
 		class := ""
 		var se *stmt.Error
 		switch {
@@ -128,6 +144,7 @@ func TestPipeline(t *testing.T) {
 		}
 		if got := shape(recs); got != step.recs {
 			t.Errorf("step %d %q: records %q, want %q", i, step.text, got, step.recs)
+			continue
 		}
 		if _, in := s.InTxn(); in != step.inTxn {
 			t.Errorf("step %d %q: in transaction = %v, want %v", i, step.text, in, step.inTxn)
@@ -156,13 +173,13 @@ func TestPipeline(t *testing.T) {
 func TestTxnOpsDirect(t *testing.T) {
 	s := newSession(t)
 	for _, op := range []wire.TxnOp{0, 4} {
-		recs, _, err := s.Txn(op)
+		recs, _, err := s.call(func() (stmt.Result, error) { return s.Txn(op) })
 		var se *stmt.Error
 		if !errors.As(err, &se) || se.Class != "txn" || len(recs) != 0 {
 			t.Errorf("op %v: recs %q, err %v; want a txn-class error and no record", op, shape(recs), err)
 		}
 	}
-	recs, res, err := s.Txn(wire.TxnBegin)
+	recs, res, err := s.call(func() (stmt.Result, error) { return s.Txn(wire.TxnBegin) })
 	if err != nil || shape(recs) != "begin" || res.Name != "begin" {
 		t.Fatalf("begin: recs %q, result %+v, err %v", shape(recs), res, err)
 	}

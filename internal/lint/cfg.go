@@ -9,8 +9,8 @@ import (
 // a statement-level CFG over one function body, built from go/ast alone (no
 // x/tools dependency, matching the module's zero-dependency go.mod). The
 // graph is deliberately coarse — one node per statement, no basic-block
-// merging — because every client analysis (chargepath, walerr, retirepath,
-// lockorder, ...) asks path questions ("does a path from A to B avoid all
+// merging — because every client analysis (chargepath, cancelpoll, walerr,
+// lockorder) asks path questions ("does a path from A to B avoid all
 // nodes in S?"), and path existence is insensitive to block granularity.
 //
 // Conventions:

@@ -76,16 +76,6 @@ func guaranteedOn(from, to *cnode, fact stmtPred) bool {
 	return !avoidSearch(from, map[*cnode]bool{to: true}, fact)
 }
 
-// anyMatch reports whether some node of the graph satisfies p.
-func (g *cfg) anyMatch(p stmtPred) bool {
-	for _, n := range g.nodes {
-		if n.matches(p) {
-			return true
-		}
-	}
-	return false
-}
-
 // loopAnchors returns the nodes from which a per-iteration obligation of
 // loop may be discharged ahead of it: the heads of the loops (from the same
 // scope's loop list) that lexically enclose it, innermost first, then the

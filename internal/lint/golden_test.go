@@ -10,11 +10,10 @@ import (
 	"testing"
 )
 
-// golden runs one analyzer (plus any that share its fixture) over the
-// fixture module under testdata/<name> and compares the rendered findings
-// against expect.txt in the same directory (paths relative to the fixture
-// root). Regenerate with UPDATE_GOLDEN=1 go test ./internal/lint.
-func golden(t *testing.T, a *Analyzer, sharing ...*Analyzer) {
+// golden runs one analyzer over the fixture module under testdata/<name>
+// and compares the rendered findings against expect.txt in the same
+// directory (paths relative to the fixture root). Regenerate with UPDATE_GOLDEN=1 go test ./internal/lint.
+func golden(t *testing.T, a *Analyzer) {
 	t.Helper()
 	dir, err := filepath.Abs(filepath.Join("testdata", a.Name))
 	if err != nil {
@@ -25,7 +24,7 @@ func golden(t *testing.T, a *Analyzer, sharing ...*Analyzer) {
 		t.Fatalf("loading fixture: %v", err)
 	}
 	var b strings.Builder
-	for _, d := range Run(prog, append([]*Analyzer{a}, sharing...)) {
+	for _, d := range Run(prog, []*Analyzer{a}) {
 		rel, err := filepath.Rel(dir, d.Pos.Filename)
 		if err != nil {
 			rel = d.Pos.Filename
@@ -56,15 +55,9 @@ func golden(t *testing.T, a *Analyzer, sharing ...*Analyzer) {
 func TestGoldenCounterDelta(t *testing.T) { golden(t, AnalyzerCounterDelta) }
 func TestGoldenLockOrder(t *testing.T)    { golden(t, AnalyzerLockOrder) }
 func TestGoldenCancelPoll(t *testing.T)   { golden(t, AnalyzerCancelPoll) }
-
-// The ledgerretire fixture also seeds the dropped measurement that used to
-// be that analyzer's second half and is retirepath's finding now.
-func TestGoldenLedgerRetire(t *testing.T) { golden(t, AnalyzerLedgerRetire, AnalyzerRetirePath) }
-
-func TestGoldenChargePath(t *testing.T) { golden(t, AnalyzerChargePath) }
-func TestGoldenPoolEscape(t *testing.T) { golden(t, AnalyzerPoolEscape) }
-func TestGoldenWalErr(t *testing.T)     { golden(t, AnalyzerWalErr) }
-func TestGoldenRetirePath(t *testing.T) { golden(t, AnalyzerRetirePath) }
+func TestGoldenChargePath(t *testing.T)   { golden(t, AnalyzerChargePath) }
+func TestGoldenPoolEscape(t *testing.T)   { golden(t, AnalyzerPoolEscape) }
+func TestGoldenWalErr(t *testing.T)       { golden(t, AnalyzerWalErr) }
 
 // TestRepoClean asserts the full suite reports nothing on the repository
 // itself: every real finding has been fixed or carries a justified waiver,

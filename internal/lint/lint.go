@@ -4,8 +4,7 @@
 // counter deltas, exact ledger partitioning, race-free snapshots) is only as
 // credible as the plumbing that implements it; this package turns the
 // invariants the code documents in prose — and has violated before, see the
-// StallAwareGovernor underflow and the client.Dial socket leak fixed in
-// earlier PRs — into machine-checked rules.
+// StallAwareGovernor underflow — into machine-checked rules.
 //
 // The suite uses only the standard library (go/parser, go/ast, go/types,
 // go/importer), matching the module's zero-dependency go.mod. Packages are
@@ -22,7 +21,7 @@
 //     pool must not be retained in fields or growing slices past their
 //     reuse point.
 //
-// Six are path rules, and all six are clients of one engine: a
+// Four are path rules, and all four are clients of one engine: a
 // statement-level CFG (cfg.go), reachability-avoiding-facts queries over it
 // (dataflow.go: avoidSearch, guaranteedOn, iterationCompletes, loop anchors)
 // and an interprocedural may/must summary of what every declared function
@@ -43,13 +42,9 @@
 //     not fire), unless the loop is batch-bounded and a checkpoint is
 //     guaranteed once per enclosing iteration; sort comparators must
 //     contain one.
-//   - ledgerretire: from a Dial-shaped acquisition, no return may be
-//     reachable without passing a Close or an escape of the resource.
 //   - walerr: WAL/engine/txn/storage durability errors
 //     (Commit/Rollback/Abort/Sync/Append) must reach the caller or the
 //     abort path on every CFG path.
-//   - retirepath: every profiled statement breakdown must be retired
-//     into the ledgers on every path, including error returns.
 //
 // # Waivers
 //
@@ -103,11 +98,9 @@ func All() []*Analyzer {
 		AnalyzerCounterDelta,
 		AnalyzerLockOrder,
 		AnalyzerCancelPoll,
-		AnalyzerLedgerRetire,
 		AnalyzerChargePath,
 		AnalyzerPoolEscape,
 		AnalyzerWalErr,
-		AnalyzerRetirePath,
 	}
 }
 
@@ -428,7 +421,7 @@ func hasMethod(t types.Type, name string) bool {
 
 // reachableTypes returns the types called name that the package declares
 // or a direct import declares: the Operator interfaces a package can
-// delegate through, the session Ledger it can retire into.
+// delegate through.
 func reachableTypes(pass *Pass, name string) []*types.TypeName {
 	var out []*types.TypeName
 	for _, pkg := range append([]*types.Package{pass.Pkg.Types}, pass.Pkg.Types.Imports()...) {

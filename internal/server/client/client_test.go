@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 // Hello, replies with an Error frame, and then waits for EOF — which only
 // arrives if the client actually closed its side.
 func TestDialClosesConnOnHandshakeReject(t *testing.T) {
-	testDialClosesConn(t, func(c net.Conn) {
+	testDialClosesConn(t, Options{Engine: "sqlite"}, func(c net.Conn) {
 		if _, err := wire.Read(c); err != nil {
 			t.Errorf("server read hello: %v", err)
 			return
@@ -31,7 +32,7 @@ func TestDialClosesConnOnHandshakeReject(t *testing.T) {
 // path: the server answers the handshake with a protocol-legal but
 // out-of-place frame.
 func TestDialClosesConnOnGarbageFrame(t *testing.T) {
-	testDialClosesConn(t, func(c net.Conn) {
+	testDialClosesConn(t, Options{Engine: "sqlite"}, func(c net.Conn) {
 		if _, err := wire.Read(c); err != nil {
 			t.Errorf("server read hello: %v", err)
 			return
@@ -42,35 +43,31 @@ func TestDialClosesConnOnGarbageFrame(t *testing.T) {
 	})
 }
 
-// TestDialClosesConnOnImmediateClose covers the transport-error path: the
-// server accepts and slams the connection shut without answering.
+// TestDialClosesConnOnImmediateClose covers the transport-error paths: the
+// Hello cannot be sent (a frame over wire.MaxFrame fails before a byte is
+// written), or the server hangs up without answering it.
 func TestDialClosesConnOnImmediateClose(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		c.Close()
-	}()
-	conn, err := Dial(ln.Addr().String(), Options{})
-	if err == nil {
-		conn.Close()
-		t.Fatal("Dial succeeded against a slammed connection")
-	}
-	<-done
+	t.Run("send", func(t *testing.T) {
+		testDialClosesConn(t, Options{Engine: strings.Repeat("x", wire.MaxFrame)}, func(net.Conn) {})
+	})
+	t.Run("read", func(t *testing.T) {
+		testDialClosesConn(t, Options{Engine: "sqlite"}, func(c net.Conn) {
+			if _, err := wire.Read(c); err != nil {
+				t.Errorf("server read hello: %v", err)
+				return
+			}
+			if err := c.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Errorf("server hang-up: %v", err)
+			}
+		})
+	})
 }
 
-// testDialClosesConn runs one fake-server script and asserts the failed Dial
-// left no open socket: after the scripted reply, the server-side read must
-// see EOF (client closed) rather than time out (client leaked the conn).
-func testDialClosesConn(t *testing.T, script func(net.Conn)) {
+// testDialClosesConn runs one fake-server script against a Dial with opts and
+// asserts the failed Dial left no open socket: after the script, the
+// server-side read must see EOF (client closed) rather than time out (client
+// leaked the conn).
+func testDialClosesConn(t *testing.T, opts Options, script func(net.Conn)) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -95,7 +92,7 @@ func testDialClosesConn(t *testing.T, script func(net.Conn)) {
 		sawEOF <- err
 	}()
 
-	conn, err := Dial(ln.Addr().String(), Options{Engine: "sqlite"})
+	conn, err := Dial(ln.Addr().String(), opts)
 	if err == nil {
 		conn.Close()
 		t.Fatal("Dial succeeded; fake server should have failed the handshake")

@@ -6,7 +6,7 @@ import (
 	"energydb/internal/core"
 )
 
-// TestAddEnergyDoesNotCountQuery pins the retirepath fix's accounting
+// TestAddEnergyDoesNotCountQuery pins the ledger's side of the retire
 // contract: a failed statement's measured joules enter the ledger through
 // AddEnergy without bumping Queries, so error paths conserve energy while
 // the wire-visible query count still means "statements that succeeded".

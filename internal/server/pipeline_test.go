@@ -43,7 +43,12 @@ func TestSessionMatchesPipeline(t *testing.T) {
 	}
 	eng := engine.New(engine.SQLite, st.M, engine.SettingBaseline)
 	tpch.Setup(eng, tpch.Size10MB)
-	local := &stmt.Session{Eng: eng, Prof: st.Profiler()}
+	retired := uint64(0) // OK records the local sink received in the current step
+	local := &stmt.Session{Eng: eng, Prof: st.Profiler(), Retire: func(r stmt.Record) {
+		if r.OK {
+			retired++
+		}
+	}}
 
 	errorsByClass := func() map[string]float64 {
 		out := map[string]float64{}
@@ -96,17 +101,11 @@ func TestSessionMatchesPipeline(t *testing.T) {
 		queries, classes := srv.Totals().Queries, errorsByClass()
 		remote, rerr := conn.Query(text)
 
-		var recs []stmt.Record
 		var res stmt.Result
+		retired = 0
 		parsed, lerr := stmt.Parse(text)
 		if lerr == nil {
-			recs, res, lerr = local.Exec(parsed)
-		}
-		retired := uint64(0)
-		for _, r := range recs {
-			if r.OK {
-				retired++
-			}
+			res, lerr = local.Exec(parsed)
 		}
 		if got := srv.Totals().Queries - queries; got != retired {
 			t.Errorf("step %d %q: session retired %d statements, pipeline yielded %d OK records", i, text, got, retired)

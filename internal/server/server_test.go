@@ -409,12 +409,13 @@ func TestStmtTimeout(t *testing.T) {
 	}
 }
 
-// TestFailedStatementEnergyConserved is the retirepath analyzer's dynamic
-// twin: a statement canceled partway through has really spent simulated
-// joules, and dropping its measured breakdown on the error path would break
-// the session-ledgers-partition-the-server-total invariant. The timeout is
-// long enough for the scan to do real work before the watchdog fires, so
-// the conserved energy is observable; the query count must still read 0.
+// TestFailedStatementEnergyConserved checks the pipeline's retire contract
+// end to end on the error path: a statement canceled partway through has
+// really spent simulated joules, and dropping its measured breakdown would
+// break the session-ledgers-partition-the-server-total invariant. The
+// timeout is long enough for the scan to do real work before the watchdog
+// fires, so the conserved energy is observable; the query count must still
+// read 0.
 func TestFailedStatementEnergyConserved(t *testing.T) {
 	srv, addr := startServerCfg(t, server.Config{Workers: 1, StmtTimeout: 2 * time.Millisecond})
 	conn, err := client.Dial(addr, client.Options{Engine: "sqlite", Setting: "baseline", Class: "10MB"})

@@ -156,7 +156,7 @@ func (s *session) handshake(r *bufio.Reader) error {
 		s.send(&wire.Error{Msg: err.Error()})
 		return err
 	}
-	s.pipe = &stmt.Session{Eng: eng, Prof: s.wk.prof, Timeout: s.srv.cfg.StmtTimeout}
+	s.pipe = &stmt.Session{Eng: eng, Prof: s.wk.prof, Retire: s.retire, Timeout: s.srv.cfg.StmtTimeout}
 	return s.send(&wire.HelloAck{
 		Banner:    Banner,
 		Engine:    kind.String(),
@@ -177,7 +177,7 @@ func (s *session) serveQuery(text string) error {
 	st, err := stmt.Parse(text)
 	var res stmt.Result
 	if err == nil {
-		res, err = s.exec(func() ([]stmt.Record, stmt.Result, error) { return s.pipe.Exec(st) })
+		res, err = s.exec(func() (stmt.Result, error) { return s.pipe.Exec(st) })
 	}
 	if err != nil {
 		class := "exec" // the worker refused the job
@@ -216,20 +216,14 @@ func (s *session) serveQuery(text string) error {
 	return s.send(rep)
 }
 
-// exec runs one pipeline call as one job on the session's worker and retires
-// every record it yields as the tail of that same job: Server.Close waits
-// for the running job to finish, so after Close every executed statement is
-// fully accounted — a concurrent Server.Close can never observe a statement
-// that ran but is not yet booked, and the session ledgers partition
-// Server.Totals exactly at rest.
-func (s *session) exec(call func() ([]stmt.Record, stmt.Result, error)) (res stmt.Result, err error) {
-	if submitErr := s.wk.submit(func() {
-		var recs []stmt.Record
-		recs, res, err = call()
-		for _, r := range recs {
-			s.retire(r)
-		}
-	}); submitErr != nil {
+// exec runs one pipeline call as one job on the session's worker. The
+// pipeline retires every record before the call returns, so retirement is
+// part of that same job: Server.Close waits for the running job to finish,
+// so after Close every executed statement is fully accounted — a concurrent
+// Server.Close can never observe a statement that ran but is not yet booked,
+// and the session ledgers partition Server.Totals exactly at rest.
+func (s *session) exec(call func() (stmt.Result, error)) (res stmt.Result, err error) {
+	if submitErr := s.wk.submit(func() { res, err = call() }); submitErr != nil {
 		return res, submitErr
 	}
 	return res, err
@@ -237,16 +231,17 @@ func (s *session) exec(call func() ([]stmt.Record, stmt.Result, error)) (res stm
 
 // txn runs one transaction control on the session's worker.
 func (s *session) txn(op wire.TxnOp) error {
-	_, err := s.exec(func() ([]stmt.Record, stmt.Result, error) { return s.pipe.Txn(op) })
+	_, err := s.exec(func() (stmt.Result, error) { return s.pipe.Txn(op) })
 	return err
 }
 
-// retire books one record. An OK record is a retired statement: the ledger
-// adds, the metric observations, the query-log entry and the optional
-// governor tick. Any other record is a failed statement's measured energy:
-// the joules were really spent, so they must reach the session and worker
-// ledgers (which partition Server.Totals exactly) even though the statement
-// never counts toward Queries. It MUST run on the worker goroutine.
+// retire is the pipeline's sink: it books one record. An OK record is a
+// retired statement: the ledger adds, the metric observations, the query-log
+// entry and the optional governor tick. Any other record is a failed
+// statement's measured energy: the joules were really spent, so they must
+// reach the session and worker ledgers (which partition Server.Totals
+// exactly) even though the statement never counts toward Queries. It MUST
+// run on the worker goroutine.
 func (s *session) retire(r stmt.Record) {
 	if !r.OK {
 		if r.B.EActive != 0 || r.B.Seconds != 0 {
