@@ -227,6 +227,23 @@ func splitConjuncts(n sql.Node) []sql.Node {
 	return []sql.Node{n}
 }
 
+// filterConjuncts lists the conjuncts vec.Conjuncts finds in the predicate
+// compiled from conds: each AND operand, and a BETWEEN as its two inclusive
+// bounds, in order.
+func filterConjuncts(conds []sql.Node) []sql.Node {
+	var out []sql.Node
+	for _, c := range conds {
+		for _, c := range splitConjuncts(c) {
+			if b, ok := c.(sql.BetweenNode); ok {
+				out = append(out, sql.BinNode{Op: ">=", L: b.E, R: b.Lo}, sql.BinNode{Op: "<=", L: b.E, R: b.Hi})
+				continue
+			}
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // colRefs collects the column names a node references.
 func colRefs(n sql.Node, out map[string]bool) {
 	switch v := n.(type) {

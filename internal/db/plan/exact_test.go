@@ -14,9 +14,48 @@ import (
 	"energydb/internal/tpch"
 )
 
+// conjunctCounts counts, over the rows n's filter tests, the rows reaching
+// each of the filter's conjuncts and the rows leaving the last: n re-run on
+// the row path without its filter (a filter node's child run instead), and
+// each row's conjuncts evaluated in order by the row interpreter until one
+// fails.
+func conjunctCounts(t *testing.T, p *Prepared, n *Node) []float64 {
+	t.Helper()
+	bare := *n
+	bare.Mode, bare.Filter = ModeRow, nil
+	src := &bare
+	if n.Kind == opFilter {
+		src = n.Kids[0]
+	}
+	op, err := p.instantiate(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := exec.Collect(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conj := vec.Conjuncts(n.Filter)
+	counts := make([]float64, len(conj)+1)
+	for _, r := range rows {
+		i := 0
+		for ; i < len(conj); i++ {
+			counts[i]++
+			if !exec.Truthy(conj[i].Eval(r)) {
+				break
+			}
+		}
+		if i == len(conj) {
+			counts[i]++
+		}
+	}
+	return counts
+}
+
 // observed binds n's cardinalities to what the meters counted, in the mode
 // n ran in; in are the output flows of its children (vector mode).
-func observed(e *engine.Engine, n *Node, meters map[*Node]*exec.Meter, in []*flow) cards {
+func observed(t *testing.T, p *Prepared, n *Node, meters map[*Node]*exec.Meter, in []*flow) cards {
+	e := p.E
 	k := bind(n) // scanned: a full scan reads the whole heap
 	own := meters[n].Emitted()
 	k.out = float64(meters[n].Rows())
@@ -29,6 +68,9 @@ func observed(e *engine.Engine, n *Node, meters map[*Node]*exec.Meter, in []*flo
 	}
 	if n.Mode != ModeVector {
 		return k
+	}
+	if n.Filter != nil {
+		k.conj = conjunctCounts(t, p, n)
 	}
 	k.outBatches = float64(own.Batches)
 	switch n.Kind {
@@ -132,9 +174,8 @@ func checkExact(t *testing.T, label string, p *Prepared, n *Node, meters map[*No
 		}
 		in = append(in, checkExact(t, label, p, kid, meters, n.Mode == ModeVector, kidCut))
 	}
-	e := p.E
-	k := observed(e, n, meters, in)
-	a := &est{cm: e.Ctx.Cost}
+	k := observed(t, p, n, meters, in)
+	a := &est{cm: p.E.Ctx.Cost}
 	var out *flow
 	if n.Mode == ModeVector {
 		out = chargeVec(n, compileVec(n), k, a, in)
@@ -177,7 +218,11 @@ func runExact(t *testing.T, label string, e *engine.Engine, text string, seen ma
 	var count func(n *Node)
 	count = func(n *Node) {
 		if exactKind(n) {
-			seen[strings.Fields(n.Title())[0]+"/"+n.Mode.String()]++
+			key := strings.Fields(n.Title())[0] + "/" + n.Mode.String()
+			seen[key]++
+			if n.Filter != nil && len(vec.Conjuncts(n.Filter)) > 1 {
+				seen[key+" conjuncts"]++
+			}
 		}
 		for _, kid := range n.Kids {
 			count(kid)
@@ -217,7 +262,10 @@ func TestChargesExactAtObservedCardinalities(t *testing.T) {
 // mode pairs no TPC-H plan contains at 10MB: vectorized projections, sorted
 // chains and a vectorized hash join with its pruned build side — and a
 // projection and an aggregate whose expressions share a subexpression, which
-// both the operator and the planner evaluate once per batch.
+// both the operator and the planner evaluate once per batch. It also names
+// the filters that narrow one conjunct at a time: TPC-H Q6's batched index
+// scan, whose residual is three comparisons, and a hash join's residual of
+// two cross-relation conjuncts.
 func TestChargesExactVectorChains(t *testing.T) {
 	seen := map[string]int{}
 	for _, q := range []string{
@@ -234,10 +282,19 @@ func TestChargesExactVectorChains(t *testing.T) {
 	for _, q := range []string{
 		joinQuery,
 		"SELECT id, label FROM facts JOIN dim ON grp = did WHERE amount < id",
+		"SELECT id, label FROM facts JOIN dim ON grp = did WHERE did < id AND did * 2 < amount + 40",
 	} {
 		runExact(t, q, joinVecEngine(t, 4000, 6000), q, seen)
 	}
-	for _, want := range []string{"Project/vector", "HashAggregate/vector", "HashJoin/vector", "SeqScan/vector"} {
+	e := engine.New(engine.PostgreSQL, cpusim.NewMachine(cpusim.IntelI7_4790()), engine.SettingBaseline)
+	tpch.Setup(e, tpch.Size10MB)
+	q6, err := tpch.SQLByID(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runExact(t, "PostgreSQL Q6", e, q6.Text, seen)
+	for _, want := range []string{"Project/vector", "HashAggregate/vector", "HashJoin/vector", "SeqScan/vector",
+		"IndexScan/vector conjuncts", "HashJoin/vector conjuncts"} {
 		if seen[want] == 0 {
 			t.Errorf("no %s node was checked: %v", want, seen)
 		}

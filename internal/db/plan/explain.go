@@ -144,16 +144,13 @@ func (p *Prepared) Summary() string {
 }
 
 // PredictedEJ sums the per-operator energy predictions.
-func (p *Prepared) PredictedEJ() float64 {
-	total := 0.0
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		total += n.EstEJ
-		for _, k := range n.Kids {
-			walk(k)
-		}
+func (p *Prepared) PredictedEJ() float64 { return predictedEJ(p.Root) }
+
+func predictedEJ(n *Node) float64 {
+	total := n.EstEJ
+	for _, k := range n.Kids {
+		total += predictedEJ(k)
 	}
-	walk(p.Root)
 	return total
 }
 

@@ -395,16 +395,7 @@ func (pc *planCtx) sampleJoinEstimate(r *rel, resConds []sql.Node) (fan, condSel
 	defaultMul := 1.0
 	var evalConds []sql.Node
 	for _, c := range append(append([]sql.Node{}, r.conds...), resConds...) {
-		refs := map[string]bool{}
-		colRefs(c, refs)
-		resolvable := true
-		for col := range refs {
-			if _, err := joint.ColIndex(col); err != nil {
-				resolvable = false
-				break
-			}
-		}
-		if resolvable {
+		if resolves(c, joint) {
 			evalConds = append(evalConds, c)
 		} else {
 			defaultMul *= pc.residualSelOf(c)

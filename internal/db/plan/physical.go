@@ -33,7 +33,7 @@ const (
 
 // Mode selects the executor implementation of a plan node: the classic
 // row-at-a-time interpreter or the vectorized batch-at-a-time engine
-// (internal/db/vec). chooseModes picks by one rule (vector.go): a keyed plan
+// (internal/db/vec). choosePlan picks by one rule (vector.go): a keyed plan
 // runs row, every other plan vector wherever an operator can. Vectorized
 // nodes can only stack on vectorized children, so a plan is a row tree with
 // vector chains rooted at scans.
@@ -116,15 +116,23 @@ type Node struct {
 	// before its residual (what the match loop of either strategy iterates,
 	// in either mode), an index scan's entries within [Lo, Hi].
 	candidates float64
+	// pass estimates, for each conjunct of Filter in vec.Conjuncts order,
+	// the share of the rows reaching it that pass it (passShares); nil
+	// without a filter.
+	pass []float64
 	// EstEJ is the predicted exclusive active energy of this operator in
 	// joules (Eq. 1 micro-op counts priced with the machine's ΔE table). A
 	// vector chain top's includes the RowSource transition to its row
 	// consumer.
 	EstEJ float64
 
+	// progs holds the node's expressions compiled for its vector operators
+	// (compileVec), once however often choosePlan prices the node.
+	progs *progs
+
 	// seq is the sequential candidate chooseScan kept beside this index
-	// scan; in a vector plan runVector replaces the index scan by it where
-	// its vector form is the cheaper one (nil on every other node).
+	// scan; in a vector plan choosePlan replaces the index scan by it where
+	// that makes the cheaper plan (nil on every other node).
 	seq *Node
 }
 
@@ -187,7 +195,8 @@ func renderConds(conds []sql.Node) string {
 // interpretation over the whole heap and an index scan's only over the rows
 // it fetches, so the row comparison does not settle the vector one: when an
 // index scan wins it the sequential candidate rides along (Node.seq), and a
-// vector plan runs the cheaper of the two vector forms (runVector).
+// vector plan runs whichever of the two vector forms makes the cheaper plan
+// (choosePlan).
 func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 	pred, err := compileConds(r.conds, r.t.Schema())
 	if err != nil {
@@ -195,7 +204,7 @@ func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 	}
 	seq := &Node{
 		Kind: opSeqScan, Table: r.t, TableName: r.name,
-		Filter: pred, FilterStr: renderConds(r.conds),
+		Filter: pred, FilterStr: renderConds(r.conds), pass: pc.passShares(r, r.conds),
 		schema:  r.t.Schema(),
 		EstRows: r.estRows,
 	}
@@ -222,7 +231,7 @@ func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 		cand := &Node{
 			Kind: opIndexScan, Table: r.t, TableName: r.name,
 			IdxCol: col, Lo: lo, Hi: hi,
-			Filter: resid, FilterStr: renderConds(rest),
+			Filter: resid, FilterStr: renderConds(rest), pass: pc.passShares(r, rest),
 			schema:  r.t.Schema(),
 			EstRows: r.estRows, candidates: float64(r.stats.RowCount) * rangeSel,
 		}
@@ -395,7 +404,7 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, 
 			Kind: opIndexJoin, Kids: []*Node{outer},
 			Table: r.t, TableName: r.name,
 			OuterKey: outerKey, OuterColName: r.outerCol, InnerColName: r.innerCol,
-			Filter: resid, FilterStr: renderConds(all),
+			Filter: resid, FilterStr: renderConds(all), pass: pc.passShares(r, all),
 			schema:  schema,
 			EstRows: matches, candidates: preMatches,
 		}
@@ -422,7 +431,7 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, 
 		Kind: opHashJoin, Kids: []*Node{outer, build},
 		OuterKey: outerKey, InnerKey: innerKey,
 		OuterColName: r.outerCol, InnerColName: r.innerCol,
-		Filter: resid, FilterStr: renderConds(resConds),
+		Filter: resid, FilterStr: renderConds(resConds), pass: pc.passShares(r, resConds),
 		schema:  schema,
 		EstRows: matches,
 		// The build side is already filtered by the inner relation's pushed
@@ -473,6 +482,37 @@ type cards struct {
 	// output into.
 	batches, buildBatches, backRows float64
 	chunks, outBatches              float64
+	// conj counts the rows reaching each conjunct of the node's filter, then
+	// the rows leaving the last (vec.Prog.ChargeFilter).
+	conj []float64
+}
+
+// passShares estimates, for each conjunct of the filter compiled from conds
+// (filterConjuncts), the share of the rows reaching it that pass it: from
+// r's statistics when the conjunct reads r's columns alone, by residualSelOf
+// when it reads another relation's too.
+func (pc *planCtx) passShares(r *rel, conds []sql.Node) []float64 {
+	var pass []float64
+	for _, c := range filterConjuncts(conds) {
+		if r != nil && resolves(c, r.t.Schema()) {
+			pass = append(pass, selectivity(r.stats, r.t.Schema(), []sql.Node{c}))
+		} else {
+			pass = append(pass, pc.residualSelOf(c))
+		}
+	}
+	return pass
+}
+
+// resolves reports whether every column n references is in schema.
+func resolves(n sql.Node, schema *catalog.Schema) bool {
+	refs := map[string]bool{}
+	colRefs(n, refs)
+	for col := range refs {
+		if _, err := schema.ColIndex(col); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // bind estimates n's cardinalities from its own and its children's row
@@ -737,7 +777,7 @@ func (pc *planCtx) buildChain() (*Node, error) {
 		}
 		f := &Node{
 			Kind: opFilter, Kids: []*Node{node},
-			Filter: pred, FilterStr: renderConds(pc.lp.unplaced),
+			Filter: pred, FilterStr: renderConds(pc.lp.unplaced), pass: pc.passShares(nil, pc.lp.unplaced),
 			schema:  node.schema,
 			EstRows: node.EstRows * defaultSel,
 		}

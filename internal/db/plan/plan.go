@@ -52,9 +52,9 @@ func Prepare(e *engine.Engine, stmt *sql.SelectStmt) (*Prepared, error) {
 //
 // The order of decisions: buildChain collects each relation's access-path
 // candidates and picks joins, buildTop (or buildWrite) adds the operators
-// above; chooseModes then applies the mode rule, which also picks an index
-// scan's vector form; the footprint is summed over the committed tree and the
-// scans re-priced against it.
+// above; choosePlan then applies the mode rule, prices the tree — its scans
+// against the plan's footprint — and settles each index scan's vector form on
+// the cheaper plan.
 func PrepareStmt(e *engine.Engine, stmt sql.Statement) (*Prepared, error) {
 	return preparePinned(e, stmt, nil)
 }
@@ -93,9 +93,7 @@ func preparePinned(e *engine.Engine, stmt sql.Statement, pin map[string]opKind) 
 	if err != nil {
 		return nil, err
 	}
-	pc.chooseModes(root)
-	pc.c.footprint = pc.planFootprint(root)
-	pc.recostScans(root, false)
+	pc.choosePlan(root)
 	return &Prepared{E: e, Stmt: read, Root: root}, nil
 }
 
@@ -212,7 +210,7 @@ func (p *Prepared) instantiate(n *Node, mt *metering) (exec.Operator, error) {
 }
 
 // instantiateVec builds the vectorized executor for a vector-mode node.
-// chooseModes guarantees every child of a vector node is itself in vector
+// The mode rule guarantees every child of a vector node is itself in vector
 // mode, so the recursion bottoms out at the scans and batches move edge to
 // edge — through joins and sorts included — with no row adapter in between.
 func (p *Prepared) instantiateVec(n *Node, mt *metering) (vec.Operator, error) {

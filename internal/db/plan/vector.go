@@ -8,7 +8,7 @@ import (
 	"energydb/internal/db/vec"
 )
 
-// Row-versus-vector mode choice. Once the plan shape is fixed, chooseModes
+// Row-versus-vector mode choice. Once the plan shape is fixed, choosePlan
 // applies one rule, with no cost comparison in it:
 //
 //   - A keyed plan runs row: when every scan reads at most one row (a point
@@ -86,15 +86,83 @@ func copyMat(mat map[int]bool) map[int]bool {
 	return c
 }
 
-// chooseModes applies the mode rule to the plan under root and prices every
-// vector node in its mode; row nodes keep the estimates costRow gave them.
-func (pc *planCtx) chooseModes(root *Node) {
-	if pc.e.Knobs.DisableVectorExec || keyed(root) {
-		return
+// maxForms bounds how many index scans choosePlan settles by trying every
+// combination of vector forms; the scans beyond it run as index scans.
+const maxForms = 4
+
+// choosePlan applies the mode rule to the plan under root and prices it
+// (price). In a vector plan an index scan that carries its sequential
+// candidate (Node.seq) then runs as whichever of its two vector forms makes
+// the cheaper plan, every combination of the plan's forms priced whole.
+// chooseScan's row comparison does not settle this: batches amortize a
+// sequential scan's per-tuple interpretation over the whole heap and an
+// index scan's only over the rows it fetches. Nor does the scan's own price:
+// a sequential scan hands on a batch per batch width of heap and every
+// position behind it, and the consumers above pay for both — a join's key
+// column materializes over every position.
+func (pc *planCtx) choosePlan(root *Node) {
+	vector := !pc.e.Knobs.DisableVectorExec && !keyed(root)
+	var forms [][2]Node
+	var at []*Node
+	if vector {
+		at = formed(root, nil)
+		if len(at) > maxForms {
+			at = at[:maxForms]
+		}
 	}
-	if out := pc.vectorize(root); out != nil {
-		root.EstEJ += pc.costBoundary(root, out) // the drain loop at the top consumes rows
+	for _, n := range at {
+		idx := *n
+		idx.seq = nil
+		forms = append(forms, [2]Node{idx, *n.seq})
 	}
+	set := func(pick int) {
+		for i, n := range at {
+			*n = forms[i][pick>>i&1]
+		}
+	}
+	// Bit i of pick runs at[i] as its sequential candidate. The all-index
+	// plan, chooseScan's row winners, is priced last: it wins a tie and,
+	// when it wins, the tree already holds its prices.
+	best, bestEJ := 0, math.Inf(1)
+	for pick := 1<<len(at) - 1; pick >= 0; pick-- {
+		set(pick)
+		if ej := pc.price(root, vector); ej <= bestEJ {
+			best, bestEJ = pick, ej
+		}
+	}
+	if best != 0 {
+		set(best)
+		pc.price(root, vector)
+	}
+}
+
+// formed appends the index scans under n that carry their sequential
+// candidate, leaves first.
+func formed(n *Node, out []*Node) []*Node {
+	for _, k := range n.Kids {
+		out = formed(k, out)
+	}
+	if n.seq != nil {
+		out = append(out, n)
+	}
+	return out
+}
+
+// price prices the plan under root as it stands and returns its predicted
+// total: in a vector plan every node in the mode the rule gives it, with the
+// RowSource transition at each chain top (row nodes keep the estimates
+// costRow gave them), then every sequential scan again against the plan's
+// footprint.
+func (pc *planCtx) price(root *Node, vector bool) float64 {
+	pc.c.footprint = 0
+	if vector {
+		if out := pc.vectorize(root); out != nil {
+			root.EstEJ += pc.costBoundary(root, out) // the drain loop at the top consumes rows
+		}
+	}
+	pc.c.footprint = pc.planFootprint(root)
+	pc.recostScans(root, false)
+	return predictedEJ(root)
 }
 
 // keyed reports whether every scan under n reads at most one row.
@@ -136,33 +204,14 @@ func (pc *planCtx) vectorize(n *Node) *flow {
 
 // runVector commits n to vector mode at its price above children whose
 // output flows are in, if it has a vector form, and returns its own output
-// flow. An index scan that carries its sequential candidate (Node.seq) runs
-// as the cheaper of the two vector forms, each priced with the transition it
-// would pay as a chain top: batches amortize a sequential scan's per-tuple
-// interpretation over the whole heap, an index scan's only over the rows it
-// fetches, so the row comparison chooseScan made does not settle this one.
+// flow.
 func (pc *planCtx) runVector(n *Node, in []*flow) *flow {
-	ej, out := pc.vecPrice(n, in)
-	if s := n.seq; s != nil {
-		sej, sout := pc.vecPrice(s, in)
-		if sout != nil && (out == nil || sej+pc.costBoundary(s, sout) < ej+pc.costBoundary(n, out)) {
-			*n = *s
-			ej, out = sej, sout
-		}
-	}
-	if out != nil {
-		n.Mode, n.EstEJ = ModeVector, ej
-	}
-	return out
-}
-
-// vecPrice prices n in vector mode and returns its output flow, or a nil
-// flow if n's kind has no vector form.
-func (pc *planCtx) vecPrice(n *Node, in []*flow) (float64, *flow) {
 	if !vecEligibleKind(n.Kind) {
-		return 0, nil
+		return nil
 	}
-	return pc.costVec(n, compileVec(n), in)
+	ej, out := pc.costVec(n, compileVec(n), in)
+	n.Mode, n.EstEJ = ModeVector, ej
+	return out
 }
 
 // progs holds a node's expressions compiled to kernel programs, one per
@@ -176,9 +225,12 @@ type progs struct {
 	post *vec.Prog // an aggregate's select-list re-projection
 }
 
-// compileVec compiles n's expressions into the programs its vector
-// operators compile.
+// compileVec returns n's expressions compiled into the programs its vector
+// operators compile, compiling them on the first call.
 func compileVec(n *Node) *progs {
+	if n.progs != nil {
+		return n.progs
+	}
 	list := append(slices.Clone(n.Exprs), n.GroupExprs...)
 	for _, a := range n.Aggs {
 		list = append(list, a.Arg)
@@ -188,8 +240,9 @@ func compileVec(n *Node) *progs {
 	}
 	pr := &progs{list: vec.Compile(list...), post: vec.Compile(n.PostExprs...)}
 	if n.Filter != nil {
-		pr.filter = vec.Compile(n.Filter)
+		pr.filter = vec.CompileFilter(n.Filter)
 	}
+	n.progs = pr
 	return pr
 }
 
@@ -235,17 +288,38 @@ func (pc *planCtx) bindVec(n *Node, in []*flow) cards {
 	k := bind(n)
 	k.chunks = pc.batchesFor(k.in)
 	k.outBatches = pc.batchesFor(k.out)
+	cand := k.in // the rows a filter tests
 	switch n.Kind {
 	case opSeqScan, opIndexScan:
 		k.batches, k.backRows = pc.batchesFor(k.scanned), k.scanned
+		cand = k.scanned
 	case opIndexJoin:
 		k.outBatches = pc.batchesFor(k.matches)
+		cand = k.matches
 	case opHashJoin:
 		k.chunks = pc.batchesFor(k.build)
 		k.outBatches = pc.batchesFor(k.matches)
+		cand = k.matches
+	}
+	if n.Filter != nil {
+		k.conj = conjunctRows(cand, k.out, n.pass)
 	}
 	k.bindFlows(n, in)
 	return k
+}
+
+// conjunctRows spreads a filter's candidates over its conjuncts by their
+// pass shares: the rows reaching each conjunct in turn, then the out rows
+// leaving the last, which is the node's own estimate. No conjunct is reached
+// by fewer rows than leave the filter.
+func conjunctRows(candidates, out float64, pass []float64) []float64 {
+	rows := make([]float64, len(pass)+1)
+	rows[0] = candidates
+	for i := 1; i < len(pass); i++ {
+		rows[i] = math.Max(out, rows[i-1]*pass[i-1])
+	}
+	rows[len(pass)] = out
+	return rows
 }
 
 // bindFlows binds the batches arriving at n to its children's output flows
@@ -306,7 +380,7 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 		// go to the parent by reference.
 		vec.ChargeScan(s, exec.Card{Batches: k.batches}, 0)
 		if pr.filter != nil {
-			pr.filter.ChargeFilter(s, exec.Card{Batches: k.batches, In: k.scanned, Out: k.out}, touch)
+			pr.filter.ChargeFilter(s, k.batches, k.conj, touch)
 		}
 		return src
 	case opIndexScan:
@@ -316,8 +390,7 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 		fetched := exec.Card{Batches: k.batches, In: k.scanned, Out: k.scanned}
 		vec.ChargeFetch(s, fetched, 0)
 		if pr.filter != nil {
-			fetched.Out = k.out
-			pr.filter.ChargeFilter(s, fetched, touch)
+			pr.filter.ChargeFilter(s, k.batches, k.conj, touch)
 		}
 		return src
 	case opIndexJoin:
@@ -334,13 +407,12 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 		vec.ChargeJoinGather(s, matched, vec.RowLines(n.Kids[0].schema.RowWidth()), vec.RowLines(n.Table.Schema().RowWidth()), 0)
 		out := &flow{batches: k.outBatches, rows: k.matches, mat: map[int]bool{}}
 		if pr.filter != nil {
-			matched.Out = k.out
-			pr.filter.ChargeFilter(s, matched, toucher(s, out))
+			pr.filter.ChargeFilter(s, k.outBatches, k.conj, toucher(s, out))
 		}
 		return out
 	case opFilter:
 		// The batch passes through by reference: the output stays lazy.
-		pr.filter.ChargeFilter(s, arriving, touch)
+		pr.filter.ChargeFilter(s, k.batches, k.conj, touch)
 		return src
 	case opPrune:
 		vec.ChargePrune(s, arriving, len(n.Cols))
@@ -377,12 +449,12 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 		vec.ChargeDispatch(s, arriving)
 		touch(n.OuterKey)
 		vec.ChargeJoinProbe(s, arriving, 0)
-		matched := exec.Card{Batches: k.outBatches, In: k.matches, Out: k.out}
+		matched := exec.Card{Batches: k.outBatches, In: k.matches}
 		vec.ChargeDispatch(s, matched)
 		vec.ChargeJoinGather(s, matched, vec.RowLines(n.Kids[0].schema.RowWidth()), buildLines, 0)
 		out := &flow{batches: k.outBatches, rows: k.matches, mat: map[int]bool{}}
 		if pr.filter != nil {
-			pr.filter.ChargeFilter(s, matched, toucher(s, out))
+			pr.filter.ChargeFilter(s, k.outBatches, k.conj, toucher(s, out))
 		}
 		return out
 	case opSort:

@@ -57,9 +57,25 @@ func chargeKernel(s exec.Sink, c exec.Card, out uint64, ins ...uint64) {
 	s.Stores(out, c.In*kernelStoresPerVal)
 }
 
-// chargeNarrow turns a predicate vector into a narrower selection: the
-// dispatch, the predicate loads and one branch per candidate, then the
-// selection-vector store of the Out survivors.
+// chargeSelect is a selection primitive, the root kernel of a filter's
+// conjunct writing the selection vector directly: the dispatch, a payload
+// load per candidate per non-constant operand, the ALU work and one branch
+// per candidate, then the selection-vector store of the Out survivors. It
+// stores no predicate vector, so nothing reloads one.
+func chargeSelect(s exec.Sink, c exec.Card, sel uint64, ins ...uint64) {
+	s.Tuples(c.Batches)
+	for _, in := range ins {
+		s.Loads(in, c.In*kernelLoadsPerVal)
+	}
+	s.Adds(c.In * kernelInstrPerVal)
+	s.Others(c.In)
+	s.Stores(sel, c.Out)
+}
+
+// chargeNarrow turns a predicate vector — a bare column or constant
+// conjunct — into a narrower selection: the dispatch, the predicate loads
+// and one branch per candidate, then the selection-vector store of the Out
+// survivors.
 func chargeNarrow(s exec.Sink, c exec.Card, pred uint64, predConst bool, sel uint64) {
 	s.Tuples(c.Batches)
 	if !predConst {

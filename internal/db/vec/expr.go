@@ -44,10 +44,15 @@ func (p *pool) get(cap int) *Vector {
 // The executor evaluates the sequence per batch (eval) and the planner
 // prices the same sequence at estimated cardinalities (Charge), so which
 // kernels an operator costs is decided once, here.
+//
+// A filter program (CompileFilter) has one root per conjunct of its
+// predicate. A conjunct whose root is a kernel is a selection primitive: the
+// root is no node of the sequence and never stores a value, it tests its
+// operands and writes the selection vector (filter, ChargeFilter).
 type Prog struct {
 	nodes []*progNode // column reads and kernels; constants are operands only
 	roots []*progNode // one per expression, nil for a nil one
-	ends  []int       // nodes[:ends[i]] compute roots[:i+1]
+	ends  []int       // nodes[:ends[i]] compute roots[:i+1], or their operands
 }
 
 // progNode is a column read (exec.Col), a constant (val fixed), or a kernel
@@ -85,24 +90,39 @@ func Compile(es ...exec.Expr) *Prog {
 	return p
 }
 
-func (p *Prog) add(e exec.Expr, seen map[nodeKey]*progNode) *progNode {
-	var k nodeKey
-	switch t := e.(type) {
-	case exec.Const:
-		k = nodeKey{kind: 'k', lit: lit(t.V)}
-	case exec.Col:
-		k = nodeKey{kind: 'c', arg: t.Idx}
-	case exec.BinOp:
-		k = nodeKey{kind: 'b', arg: int(t.Op), l: p.add(t.L, seen), r: p.add(t.R, seen)}
-	case exec.Not:
-		k = nodeKey{kind: 'n', l: p.add(t.E, seen)}
-	case exec.Like:
-		k = nodeKey{kind: 'l', l: p.add(t.E, seen), lit: t.Pattern}
-	case exec.InList:
-		k = nodeKey{kind: 'i', l: p.add(t.E, seen), lit: lit(t.List...)}
-	default:
-		panic(fmt.Sprintf("vec: no kernel for %T", e))
+// CompileFilter compiles a predicate as a filter program: one root per
+// conjunct (Conjuncts), in order, over one shared node sequence. A kernel at
+// a conjunct's root becomes a selection primitive; its operands are nodes
+// like any other, so a subexpression two conjuncts share is computed once.
+func CompileFilter(pred exec.Expr) *Prog {
+	cs := Conjuncts(pred)
+	p := &Prog{roots: make([]*progNode, len(cs)), ends: make([]int, len(cs))}
+	seen := map[nodeKey]*progNode{}
+	for i, c := range cs {
+		if k := p.key(c, seen); k.kind == 'c' || k.kind == 'k' {
+			p.roots[i] = p.add(c, seen)
+		} else {
+			p.roots[i] = &progNode{e: c, l: k.l, r: k.r}
+		}
+		p.ends[i] = len(p.nodes)
 	}
+	return p
+}
+
+// Conjuncts splits a predicate's AND tree into the conjuncts a filter
+// program tests one after another, left to right; a predicate with no AND
+// at its root is its own single conjunct. exec.ApplyBin's AND is the truth
+// of both operands, so a row passes the predicate exactly when it passes
+// every conjunct.
+func Conjuncts(pred exec.Expr) []exec.Expr {
+	if b, ok := pred.(exec.BinOp); ok && b.Op == exec.OpAnd {
+		return append(Conjuncts(b.L), Conjuncts(b.R)...)
+	}
+	return []exec.Expr{pred}
+}
+
+func (p *Prog) add(e exec.Expr, seen map[nodeKey]*progNode) *progNode {
+	k := p.key(e, seen)
 	if n := seen[k]; n != nil {
 		return n
 	}
@@ -114,6 +134,25 @@ func (p *Prog) add(e exec.Expr, seen map[nodeKey]*progNode) *progNode {
 		p.nodes = append(p.nodes, n)
 	}
 	return n
+}
+
+// key returns e's structural key, adding its operands to the program first.
+func (p *Prog) key(e exec.Expr, seen map[nodeKey]*progNode) nodeKey {
+	switch t := e.(type) {
+	case exec.Const:
+		return nodeKey{kind: 'k', lit: lit(t.V)}
+	case exec.Col:
+		return nodeKey{kind: 'c', arg: t.Idx}
+	case exec.BinOp:
+		return nodeKey{kind: 'b', arg: int(t.Op), l: p.add(t.L, seen), r: p.add(t.R, seen)}
+	case exec.Not:
+		return nodeKey{kind: 'n', l: p.add(t.E, seen)}
+	case exec.Like:
+		return nodeKey{kind: 'l', l: p.add(t.E, seen), lit: t.Pattern}
+	case exec.InList:
+		return nodeKey{kind: 'i', l: p.add(t.E, seen), lit: lit(t.List...)}
+	}
+	panic(fmt.Sprintf("vec: no kernel for %T", e))
 }
 
 // lit encodes values exactly: every field, a string length-prefixed, so
@@ -150,13 +189,27 @@ func (n *progNode) payload(ins []uint64) []uint64 {
 	return append(ins, n.val.Addr())
 }
 
+// kernel reports whether the node computes its value from operands, as
+// opposed to reading a column or broadcasting a constant.
+func (n *progNode) kernel() bool {
+	switch n.e.(type) {
+	case exec.Col, exec.Const:
+		return false
+	}
+	return true
+}
+
 // Charge charges one evaluation per batch over c.In selected elements:
 // touch is told each column read — whether that materializes the column
 // depends on what the chain below already touched, which the caller knows —
 // and every kernel is charged, once however many roots share it.
 func (p *Prog) Charge(s exec.Sink, c exec.Card, touch func(col int)) {
+	chargeNodes(s, c, p.nodes, touch)
+}
+
+func chargeNodes(s exec.Sink, c exec.Card, nodes []*progNode, touch func(col int)) {
 	var buf [2]uint64
-	for _, n := range p.nodes {
+	for _, n := range nodes {
 		if col, ok := n.e.(exec.Col); ok {
 			touch(col.Idx)
 		} else {
@@ -165,11 +218,29 @@ func (p *Prog) Charge(s exec.Sink, c exec.Card, touch func(col int)) {
 	}
 }
 
-// ChargeFilter charges a one-root program as a predicate: Charge, then the
-// narrowing of c.In candidates to c.Out survivors.
-func (p *Prog) ChargeFilter(s exec.Sink, c exec.Card, touch func(col int)) {
-	p.Charge(s, c, touch)
-	chargeNarrow(s, c, 0, p.Const(0), 0)
+// ChargeFilter charges a filter program over the given number of batches,
+// conjunct by conjunct: rows[i] candidates reach conjunct i and rows[i+1] of
+// them survive it, so rows holds one entry per conjunct and then the rows
+// leaving the last. Conjunct i's new operand nodes run over its rows[i]
+// candidates, then its root narrows them: a selection primitive
+// (chargeSelect) where the root is a kernel, a predicate-vector narrowing
+// (chargeNarrow) where it is a bare column or constant.
+func (p *Prog) ChargeFilter(s exec.Sink, batches float64, rows []float64, touch func(col int)) {
+	if len(rows) != len(p.roots)+1 {
+		panic(fmt.Sprintf("vec: %d row counts for a filter of %d conjuncts", len(rows), len(p.roots)))
+	}
+	var buf [2]uint64
+	from := 0
+	for i, root := range p.roots {
+		c := exec.Card{Batches: batches, In: rows[i], Out: rows[i+1]}
+		chargeNodes(s, c, p.nodes[from:p.ends[i]], touch)
+		from = p.ends[i]
+		if root.kernel() {
+			chargeSelect(s, c, 0, root.r.payload(root.l.payload(buf[:0]))...)
+		} else {
+			chargeNarrow(s, c, 0, root.isConst(), 0)
+		}
+	}
 }
 
 // eval returns a root's result over the batch's selected positions (nil for
@@ -194,49 +265,40 @@ func (p *Prog) eval(ctx *exec.Ctx, pl *pool, b *Batch, root int) *Vector {
 		out := pl.get(b.cap)
 		nd.val = out //lint:poolescape node results are read by later nodes of this eval and by its caller, all before the pool is reset at the next batch
 		chargeKernel(ctx, c, out.Addr(), nd.r.payload(nd.l.payload(buf[:0]))...)
-		var l *Vector
-		if nd.l != nil {
-			l = nd.l.val
+		if t, ok := nd.e.(exec.BinOp); ok && evalNumeric(t.Op, nd.l.val, nd.r.val, out, b) {
+			continue
 		}
-		switch t := nd.e.(type) {
-		case exec.BinOp:
-			r := nd.r.val
-			if evalNumeric(t.Op, l, r, out, b) {
-				break
-			}
-			for k := 0; k < n; k++ {
-				i := b.Pos(k)
-				out.Set(i, exec.ApplyBin(t.Op, l.Get(i), r.Get(i)))
-			}
-		case exec.Not:
-			for k := 0; k < n; k++ {
-				i := b.Pos(k)
-				out.Set(i, boolVal(!exec.Truthy(l.Get(i))))
-			}
-		case exec.Like:
-			for k := 0; k < n; k++ {
-				i := b.Pos(k)
-				out.Set(i, boolVal(exec.LikeMatch(l.Get(i).S, t.Pattern)))
-			}
-		case exec.InList:
-			for k := 0; k < n; k++ {
-				i := b.Pos(k)
-				v := l.Get(i)
-				hit := false
-				for _, item := range t.List {
-					if value.Equal(v, item) {
-						hit = true
-						break
-					}
-				}
-				out.Set(i, boolVal(hit))
-			}
+		for k := 0; k < n; k++ {
+			i := b.Pos(k)
+			out.Set(i, nd.at(i))
 		}
 	}
 	if p.roots[root] == nil {
 		return nil
 	}
 	return p.roots[root].val
+}
+
+// at computes kernel node nd's element at batch position i from its
+// operands' current values, with the row interpreter's own helpers.
+func (nd *progNode) at(i int) value.Value {
+	switch t := nd.e.(type) {
+	case exec.BinOp:
+		return exec.ApplyBin(t.Op, nd.l.val.Get(i), nd.r.val.Get(i))
+	case exec.Not:
+		return boolVal(!exec.Truthy(nd.l.val.Get(i)))
+	case exec.Like:
+		return boolVal(exec.LikeMatch(nd.l.val.Get(i).S, t.Pattern))
+	case exec.InList:
+		v := nd.l.val.Get(i)
+		for _, item := range t.List {
+			if value.Equal(v, item) {
+				return value.Int(1)
+			}
+		}
+		return value.Int(0)
+	}
+	panic(fmt.Sprintf("vec: no kernel for %T", nd.e))
 }
 
 // numOperand is a kernel operand read without boxing: a null-free int, date
@@ -304,7 +366,7 @@ func evalNumeric(op exec.BinOpKind, l, r, out *Vector, b *Batch) bool {
 	if !okL || !okR || n == 0 || out.raw != nil {
 		return false
 	}
-	arith := op == exec.OpAdd || op == exec.OpSub || op == exec.OpMul || op == exec.OpDiv
+	arith := isArith(op)
 	if op == exec.OpDiv && !(r.isConst && ro.c != 0) {
 		return false
 	}
@@ -340,31 +402,42 @@ func evalNumeric(op exec.BinOpKind, l, r, out *Vector, b *Batch) bool {
 			out.i[i] = int64(applyArith(op, x, y))
 			continue
 		}
-		t := false
-		switch op {
-		case exec.OpAnd:
-			t = x != 0 && y != 0
-		case exec.OpOr:
-			t = x != 0 || y != 0
-		case exec.OpEq:
-			t = !(x < y) && !(x > y)
-		case exec.OpNe:
-			t = x < y || x > y
-		case exec.OpLt:
-			t = x < y
-		case exec.OpLe:
-			t = !(x > y)
-		case exec.OpGt:
-			t = x > y
-		case exec.OpGe:
-			t = !(x < y)
-		}
 		out.i[i] = 0
-		if t {
+		if applyBool(op, x, y) {
 			out.i[i] = 1
 		}
 	}
 	return true
+}
+
+func isArith(op exec.BinOpKind) bool {
+	return op == exec.OpAdd || op == exec.OpSub || op == exec.OpMul || op == exec.OpDiv
+}
+
+// applyBool is a comparison, AND or OR (op is no arithmetic operator) over
+// two numeric operands as exec.ApplyBin decides it on their float64
+// coercions: value.Compare's three-way comparison (neither less nor greater
+// is equal), and the truth of a non-zero operand. The BinOp kernel's typed
+// loop and the selection primitive both test through it; it stays small
+// enough to inline into their element loops.
+func applyBool(op exec.BinOpKind, x, y float64) bool {
+	switch op {
+	case exec.OpAnd:
+		return x != 0 && y != 0
+	case exec.OpOr:
+		return x != 0 || y != 0
+	case exec.OpEq:
+		return !(x < y) && !(x > y)
+	case exec.OpNe:
+		return x < y || x > y
+	case exec.OpLt:
+		return x < y
+	case exec.OpLe:
+		return !(x > y)
+	case exec.OpGt:
+		return x > y
+	}
+	return !(x < y) // exec.OpGe
 }
 
 func applyArith(op exec.BinOpKind, x, y float64) float64 {
@@ -386,18 +459,45 @@ func boolVal(b bool) value.Value {
 	return value.Int(0)
 }
 
-// filter evaluates a one-root program as a predicate and narrows the batch's
-// selection to the positions where it is truthy.
+// filter narrows the batch's selection by a filter program, one conjunct at
+// a time: each conjunct's new operand nodes are evaluated over the selection
+// the conjuncts before it left, then its root narrows that selection. An
+// empty selection still runs the remaining conjuncts, at no elements: a
+// chain dispatches once per root batch.
 func (p *Prog) filter(ctx *exec.Ctx, pl *pool, b *Batch) {
-	pred := p.eval(ctx, pl, b, 0)
-	c := exec.Card{Batches: 1, In: float64(b.Len())}
-	if c.In > 0 {
+	var buf [2]uint64
+	for i, root := range p.roots {
+		pred := p.eval(ctx, pl, b, i)
+		c := exec.Card{Batches: 1, In: float64(b.Len())}
+		if root.kernel() {
+			root.selectInto(b)
+			c.Out = float64(b.Len())
+			chargeSelect(ctx, c, b.selAddr(), root.r.payload(root.l.payload(buf[:0]))...)
+			continue
+		}
 		if o, ok := pred.numeric(); ok {
 			b.narrowSel(func(i int) bool { return o.at(i) != 0 })
 		} else {
 			b.narrowSel(func(i int) bool { return exec.Truthy(pred.Get(i)) })
 		}
 		c.Out = float64(b.Len())
+		chargeNarrow(ctx, c, pred.Addr(), pred.isConst, b.selAddr())
 	}
-	chargeNarrow(ctx, c, pred.Addr(), pred.isConst, b.selAddr())
+}
+
+// selectInto is a selection primitive: it narrows b's selection to the
+// positions where kernel node nd holds, testing each candidate straight from
+// nd's operands and storing no value of nd's. A comparison, AND or OR of two
+// null-free numeric operands tests their payloads through applyBool;
+// anything else tests the element the kernel would have stored.
+func (nd *progNode) selectInto(b *Batch) {
+	if t, ok := nd.e.(exec.BinOp); ok && !isArith(t.Op) {
+		lo, okL := nd.l.val.numeric()
+		ro, okR := nd.r.val.numeric()
+		if okL && okR {
+			b.narrowSel(func(i int) bool { return applyBool(t.Op, lo.at(i), ro.at(i)) })
+			return
+		}
+	}
+	b.narrowSel(func(i int) bool { return exec.Truthy(nd.at(i)) })
 }

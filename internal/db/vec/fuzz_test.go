@@ -42,6 +42,22 @@ func fuzzTable(r *rand.Rand, rows int) (*engine.Engine, *engine.Table) {
 	return e, tbl
 }
 
+// randPred draws a filter predicate of at least n conjuncts: random
+// expressions joined by AND into a tree of random shape, so a filter
+// program's conjuncts arrive in any nesting.
+func randPred(r *rand.Rand, n int) exec.Expr {
+	pred := randExpr(r, 2, 5)
+	for i := 1; i < n; i++ {
+		c := randExpr(r, 2, 5)
+		if r.Intn(2) == 0 {
+			pred = exec.BinOp{Op: exec.OpAnd, L: pred, R: c}
+		} else {
+			pred = exec.BinOp{Op: exec.OpAnd, L: c, R: pred}
+		}
+	}
+	return pred
+}
+
 var fuzzOps = []exec.BinOpKind{
 	exec.OpAdd, exec.OpSub, exec.OpMul, exec.OpDiv,
 	exec.OpEq, exec.OpNe, exec.OpLt, exec.OpLe, exec.OpGt, exec.OpGe,
@@ -201,17 +217,46 @@ func randBound(r *rand.Rand, ci int) *value.Value {
 	return &v
 }
 
-// scanCharges evaluates a vectorized scan's charges at what its meter saw,
-// marking the columns its predicate materialized in mat; rows > 0 adds a
-// RowSource boundary attributed to the scan.
-func scanCharges(e *engine.Engine, m *exec.Meter, pred exec.Expr, mat map[int]bool, lines int) *tally {
+// conjunctCounts drains tested, a row operator producing the rows a filter
+// tests, and counts the rows reaching each conjunct of pred and the rows
+// leaving the last, each row's conjuncts evaluated in order by the row
+// interpreter until one fails: the arrivals ChargeFilter is linear in, found
+// without the vector filter.
+func conjunctCounts(t *testing.T, pred exec.Expr, tested exec.Operator) []float64 {
+	t.Helper()
+	rows, err := exec.Collect(tested)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conj := Conjuncts(pred)
+	counts := make([]float64, len(conj)+1)
+	for _, r := range rows {
+		i := 0
+		for ; i < len(conj); i++ {
+			counts[i]++
+			if !exec.Truthy(conj[i].Eval(r)) {
+				break
+			}
+		}
+		if i == len(conj) {
+			counts[i]++
+		}
+	}
+	return counts
+}
+
+// scanCharges evaluates a vectorized scan's charges at what its meter saw
+// and at its filter's conjunct arrivals (conj), marking the columns its
+// predicate materialized in mat; lines > 0 adds a RowSource boundary
+// attributed to the scan.
+func scanCharges(e *engine.Engine, m *exec.Meter, pred exec.Expr, conj []float64, mat map[int]bool, lines int) *tally {
 	out := m.Emitted()
-	all := exec.Card{Batches: float64(out.Batches), In: float64(out.Positions), Out: float64(m.Rows())}
+	batches := float64(out.Batches)
 	w := &tally{cm: e.Ctx.Cost}
-	ChargeScan(w, exec.Card{Batches: all.Batches}, 0)
-	Compile(pred).ChargeFilter(w, all, toucher(w, mat, out))
+	ChargeScan(w, exec.Card{Batches: batches}, 0)
+	CompileFilter(pred).ChargeFilter(w, batches, conj, toucher(w, mat, out))
 	if lines > 0 {
-		ChargeBoundary(w, exec.Card{Batches: all.Batches, In: all.Out}, lines, 0)
+		ChargeBoundary(w, exec.Card{Batches: batches, In: float64(m.Rows())}, lines, 0)
 	}
 	return w
 }
@@ -256,12 +301,19 @@ func FuzzVecExec(f *testing.F) {
 	f.Add(int64(13), uint16(0), uint16(9), uint8(5))
 	f.Add(int64(14), uint16(400), uint16(64), uint8(0))
 	f.Add(int64(15), uint16(600), uint16(100), uint8(1))
+	f.Add(int64(16), uint16(500), uint16(64), uint8(12))
+	f.Add(int64(17), uint16(700), uint16(100), uint8(19))
+	f.Add(int64(18), uint16(300), uint16(32), uint8(16))
+	f.Add(int64(19), uint16(400), uint16(7), uint8(17))
+	f.Add(int64(20), uint16(600), uint16(1024), uint8(15))
+	f.Add(int64(21), uint16(250), uint16(16), uint8(14))
+	f.Add(int64(22), uint16(777), uint16(128), uint8(18))
 	f.Fuzz(func(t *testing.T, seed int64, nRows, batch uint16, mode uint8) {
 		rows := int(nRows) % 800
 		batchSize := int(batch)%MaxBatch + 1
 		shape := int(mode) % 6
 		r := rand.New(rand.NewSource(seed))
-		pred := randExpr(r, 2, 5)
+		pred := randPred(r, 1+int(mode)/6%4)
 		exprSeed := r.Int63()
 
 		// Row path.
@@ -270,6 +322,8 @@ func FuzzVecExec(f *testing.F) {
 		mScanR := &exec.Meter{Label: "scan"}
 		mTopR := &exec.Meter{Label: "top", Kids: []*exec.Meter{mScanR}}
 		scanR := &exec.Metered{Set: msR, M: mScanR, Child: &exec.SeqScan{Ctx: er.Ctx, File: tr.File, Filter: pred}}
+		// What the scans' filters saw, per conjunct: every row of the table.
+		scanned := func() []float64 { return conjunctCounts(t, pred, &exec.SeqScan{Ctx: er.Ctx, File: tr.File}) }
 
 		// Vector path on an identically seeded engine.
 		ev, tv := fuzzTable(rand.New(rand.NewSource(seed)), rows)
@@ -303,7 +357,7 @@ func FuzzVecExec(f *testing.F) {
 				}},
 			}, msV, []*exec.Meter{mScanV, mTopV})
 			mat := map[int]bool{}
-			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, mat, 0))
+			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, scanned(), mat, 0))
 			in, groups := mScanV.Emitted(), mTopV.Emitted()
 			arriving := exec.Card{Batches: float64(in.Batches), In: float64(mScanV.Rows())}
 			w := &tally{cm: ev.Ctx.Cost}
@@ -388,7 +442,7 @@ func FuzzVecExec(f *testing.F) {
 				},
 				GroupBy: groupBy, Aggs: aggs,
 			}}, msV, []*exec.Meter{mScanV, mTopV})
-			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, map[int]bool{}, RowLines(tv.Schema().RowWidth())))
+			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, scanned(), map[int]bool{}, RowLines(tv.Schema().RowWidth())))
 		case 4:
 			// Index range scan on a random column between random bounds (either
 			// may be open, the range may be empty or inverted), the predicate as
@@ -422,7 +476,8 @@ func FuzzVecExec(f *testing.F) {
 			ChargeFetch(w, fetched, 0)
 			fetched.Out = float64(mScanV.Rows())
 			mat := map[int]bool{}
-			Compile(pred).ChargeFilter(w, fetched, toucher(w, mat, out))
+			inRange := &exec.IndexScan{Ctx: er.Ctx, File: tr.File, Tree: tr.Index(name), Lo: lo, Hi: hi}
+			CompileFilter(pred).ChargeFilter(w, fetched.Batches, conjunctCounts(t, pred, inRange), toucher(w, mat, out))
 			checkIndexCharges(t, er, mScanR, mScanV, w, fetched, exec.ExprNodes(pred))
 			arriving := exec.Card{Batches: fetched.Batches, In: fetched.Out}
 			w = &tally{cm: ev.Ctx.Cost}
@@ -453,7 +508,7 @@ func FuzzVecExec(f *testing.F) {
 				}},
 			}, msV, []*exec.Meter{mScanV, mTopV})
 			mat := map[int]bool{}
-			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, mat, 0))
+			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, scanned(), mat, 0))
 			// The join looks at the probe batches with something selected: one
 			// key kernel each, over the key column's first touch.
 			in, out := mScanV.Emitted(), mTopV.Emitted()
@@ -468,7 +523,9 @@ func FuzzVecExec(f *testing.F) {
 			ChargeJoinGather(w, matched, 1, 1, 0)
 			matched.Out = float64(mTopV.Rows())
 			if residual != nil {
-				Compile(residual).ChargeFilter(w, matched, toucher(w, map[int]bool{}, out))
+				pairs := &exec.IndexJoin{Ctx: er.Ctx, Outer: &exec.SeqScan{Ctx: er.Ctx, File: tr.File, Filter: pred},
+					Inner: tr.File, Index: tr.Index(name), OuterKey: probeKey}
+				CompileFilter(residual).ChargeFilter(w, matched.Batches, conjunctCounts(t, residual, pairs), toucher(w, map[int]bool{}, out))
 			}
 			checkIndexCharges(t, er, mTopR, mTopV, w, matched, exec.ExprNodes(residual))
 		default:
@@ -488,7 +545,7 @@ func FuzzVecExec(f *testing.F) {
 				}},
 			}, msV, []*exec.Meter{mScanV, mTopV})
 			mat := map[int]bool{}
-			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, mat, 0))
+			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, scanned(), mat, 0))
 			in := mScanV.Emitted()
 			arriving := exec.Card{Batches: float64(in.Batches), In: float64(mScanV.Rows())}
 			w := &tally{cm: ev.Ctx.Cost}

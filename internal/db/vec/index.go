@@ -140,7 +140,7 @@ func (s *IndexScan) Open() error {
 	s.f = newFetcher(s.Ctx, s.File, s.Schema(), nil, s.BatchSize)
 	s.p = newPool(s.Ctx)
 	if s.Filter != nil {
-		s.pred = Compile(s.Filter)
+		s.pred = CompileFilter(s.Filter)
 	}
 	return nil
 }
@@ -219,7 +219,7 @@ func (j *IndexJoin) Open() error {
 	j.f = newFetcher(j.Ctx, j.Inner, j.Schema(), j.Probe.Schema(), j.BatchSize)
 	j.p = newPool(j.Ctx)
 	if j.Residual != nil {
-		j.pred = Compile(j.Residual)
+		j.pred = CompileFilter(j.Residual)
 	}
 	j.probe, j.matches, j.mi = nil, nil, 0
 	return j.Probe.Open()

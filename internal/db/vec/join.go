@@ -171,7 +171,7 @@ func (j *HashJoin) Open() error {
 	}
 	j.p = newPool(j.Ctx)
 	if j.Residual != nil {
-		j.residual = Compile(j.Residual)
+		j.residual = CompileFilter(j.Residual)
 	}
 	j.keyCols = make([]*Vector, len(j.ProbeKey))
 	j.scratch = make([]value.Value, len(j.ProbeKey))

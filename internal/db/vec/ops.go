@@ -50,7 +50,7 @@ func (s *Scan) Open() error {
 	s.b = NewBatch(s.Ctx.Arena, s.Schema(), n)
 	s.p = newPool(s.Ctx)
 	if s.Pred != nil {
-		s.pred = Compile(s.Pred)
+		s.pred = CompileFilter(s.Pred)
 	}
 	return nil
 }
@@ -110,7 +110,7 @@ func (f *Filter) Schema() *catalog.Schema { return f.Child.Schema() }
 // Open implements Operator.
 func (f *Filter) Open() error {
 	f.p = newPool(f.Ctx)
-	f.pred = Compile(f.Pred)
+	f.pred = CompileFilter(f.Pred)
 	return f.Child.Open()
 }
 

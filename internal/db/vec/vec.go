@@ -17,8 +17,10 @@
 // (FuzzVecExec checks this differentially). The one exception is host-side
 // only: over null-free numeric payloads the BinOp kernel runs a typed loop
 // (evalNumeric) that computes what ApplyBin computes without boxing each
-// element, held to the boxed loop by TestEvalNumericMatchesBoxedLoop; what a
-// kernel charges does not depend on which loop ran.
+// element, held to the boxed loop by TestEvalNumericMatchesBoxedLoop, and a
+// filter's selection primitive tests such operands through the same
+// comparison (applyBool); what a kernel charges does not depend on which
+// loop ran.
 package vec
 
 import (
