@@ -152,7 +152,8 @@ func ParseSetting(s string) (Setting, error) {
 }
 
 // Knobs are the resolved engine parameters (Table 4 rows, scaled 1:10 with
-// the data).
+// the data). Table 4's work_mem has no field: sorts and hash tables never
+// spill here, so it would change nothing.
 type Knobs struct {
 	// BufferBytes sizes the buffer pool: shared_buffers (PostgreSQL),
 	// cache_size × page_size (SQLite), innodb_buffer_pool_size (MySQL).
@@ -160,9 +161,6 @@ type Knobs struct {
 	// PageBytes is the page size: 8KB for PostgreSQL, page_size for
 	// SQLite, innodb_page_size for MySQL.
 	PageBytes int
-	// WorkMemBytes bounds sort/hash memory (PostgreSQL work_mem; the
-	// other engines derive a share of the buffer).
-	WorkMemBytes int
 	// TupleOverhead is the per-row on-page header width.
 	TupleOverhead int
 	// DisableVectorExec forces the planner to keep every operator on the
@@ -184,11 +182,11 @@ func KnobsFor(kind Kind, setting Setting) Knobs {
 		k.TupleOverhead = 24
 		switch setting {
 		case SettingSmall:
-			k.BufferBytes, k.WorkMemBytes = mb(8), mb(4)
+			k.BufferBytes = mb(8)
 		case SettingBaseline:
-			k.BufferBytes, k.WorkMemBytes = mb(128), mb(64)
+			k.BufferBytes = mb(128)
 		default:
-			k.BufferBytes, k.WorkMemBytes = mb(1024), mb(512)
+			k.BufferBytes = mb(1024)
 		}
 	case SQLite:
 		k.TupleOverhead = 6
@@ -203,7 +201,6 @@ func KnobsFor(kind Kind, setting Setting) Knobs {
 			k.PageBytes = 16 << 10
 			k.BufferBytes = 65000 * k.PageBytes / scale
 		}
-		k.WorkMemBytes = k.BufferBytes / 4
 	case MySQL:
 		k.TupleOverhead = 18
 		switch setting {
@@ -217,7 +214,6 @@ func KnobsFor(kind Kind, setting Setting) Knobs {
 			k.PageBytes = 16 << 10
 			k.BufferBytes = mb(1024)
 		}
-		k.WorkMemBytes = k.BufferBytes / 4
 	}
 	return k
 }
@@ -236,7 +232,6 @@ func costFor(kind Kind) exec.CostModel {
 		return exec.CostModel{
 			TupleInstr: 260, TupleLoads: 230, TupleStores: 115,
 			EvalInstr: 14, EvalLoads: 10, EvalStores: 6,
-			EmitRowCopy: true,
 		}
 	case PostgreSQL:
 		// Heavier executor (slot deforming, memory contexts, expression
@@ -244,7 +239,6 @@ func costFor(kind Kind) exec.CostModel {
 		return exec.CostModel{
 			TupleInstr: 560, TupleLoads: 250, TupleStores: 95,
 			EvalInstr: 30, EvalLoads: 12, EvalStores: 5,
-			EmitRowCopy: true,
 		}
 	default: // MySQL
 		// The heaviest per-row bookkeeping (InnoDB record formats, latch
@@ -252,7 +246,6 @@ func costFor(kind Kind) exec.CostModel {
 		return exec.CostModel{
 			TupleInstr: 950, TupleLoads: 265, TupleStores: 95,
 			EvalInstr: 38, EvalLoads: 13, EvalStores: 6,
-			EmitRowCopy: true,
 		}
 	}
 }

@@ -34,9 +34,9 @@ func loadSample(t *testing.T, e *Engine, rows int) *Table {
 }
 
 func TestKnobsMatchTable4(t *testing.T) {
-	// PostgreSQL baseline: shared_buffers 128MB, work_mem 64MB (1:10).
+	// PostgreSQL baseline: shared_buffers 128MB (1:10).
 	k := KnobsFor(PostgreSQL, SettingBaseline)
-	if k.BufferBytes != 128<<20/10 || k.WorkMemBytes != 64<<20/10 {
+	if k.BufferBytes != 128<<20/10 {
 		t.Fatalf("PG baseline knobs = %+v", k)
 	}
 	if k.PageBytes != 8<<10 {

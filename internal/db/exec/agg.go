@@ -1,11 +1,8 @@
 package exec
 
 import (
-	"fmt"
-
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/value"
-	"energydb/internal/memsim"
 )
 
 // AggKind enumerates aggregate functions.
@@ -46,9 +43,8 @@ type AggSpec struct {
 	Name string
 }
 
-// AggAcc accumulates one aggregate for one group. It is exported so the
-// vectorized aggregation in internal/db/vec folds with exactly the same
-// arithmetic as the row-at-a-time GroupBy below.
+// AggAcc accumulates one aggregate for one group of a GroupTable, the table
+// the row GroupBy and the vectorized aggregation both fold into.
 type AggAcc struct {
 	sum   float64
 	count int64
@@ -70,9 +66,7 @@ func (a *AggAcc) Update(v value.Value) {
 
 // UpdateKind folds one input value, maintaining only the state the given
 // aggregate kind reads back in Result. Sum/avg/count updates skip the two
-// order comparisons Update pays for min/max tracking — a per-tuple saving
-// shared by the row GroupBy and the vectorized Agg, so the two paths stay
-// bit-identical.
+// order comparisons Update pays for min/max tracking.
 func (a *AggAcc) UpdateKind(k AggKind, v value.Value) {
 	switch k {
 	case AggCount:
@@ -111,11 +105,10 @@ func (a *AggAcc) Result(k AggKind) value.Value {
 // group's accumulators. With no group keys it degenerates to a single-group
 // scalar aggregate.
 type GroupBy struct {
-	Ctx      *Ctx
-	Child    Operator
-	GroupBy  []Expr
-	Aggs     []AggSpec
-	GroupCap int // optional hint for the hash-table size
+	Ctx     *Ctx
+	Child   Operator
+	GroupBy []Expr
+	Aggs    []AggSpec
 
 	schema *catalog.Schema
 	groups []value.Row
@@ -125,20 +118,7 @@ type GroupBy struct {
 // Schema implements Operator.
 func (g *GroupBy) Schema() *catalog.Schema {
 	if g.schema == nil {
-		cols := make([]catalog.Column, 0, len(g.GroupBy)+len(g.Aggs))
-		for i := range g.GroupBy {
-			cols = append(cols, catalog.Column{
-				Name: fmt.Sprintf("g%d", i), Type: value.TypeStr, Width: 16,
-			})
-		}
-		for _, a := range g.Aggs {
-			name := a.Name
-			if name == "" {
-				name = a.Kind.String()
-			}
-			cols = append(cols, catalog.Column{Name: name, Type: value.TypeFloat, Width: 8})
-		}
-		g.schema = catalog.NewSchema(cols...)
+		g.schema = AggSchema(len(g.GroupBy), g.Aggs)
 	}
 	return g.schema
 }
@@ -150,26 +130,16 @@ func (g *GroupBy) Open() error {
 	}
 	defer g.Child.Close()
 
-	cap := g.GroupCap
-	if cap <= 0 {
-		cap = defaultGroupCap
-	}
-	tableSize := uint64(cap) * hashBucketBytes * 2
-	tableBase := g.Ctx.Arena.Alloc(tableSize, memsim.PageSize)
+	table := NewGroupTable(g.Ctx, len(g.GroupBy), g.Aggs)
 	h := g.Ctx.M.Hier
-
-	type group struct {
-		keyVals []value.Value
-		states  []AggAcc
-	}
-	groups := make(map[value.Key]*group)
-	var order []*group
 
 	nodes := ExprNodes(g.GroupBy...)
 	for _, a := range g.Aggs {
 		nodes += ExprNodes(a.Arg)
 	}
 
+	scratch := make([]value.Value, len(g.GroupBy)+len(g.Aggs))
+	keyVals, args := scratch[:len(g.GroupBy)], scratch[len(g.GroupBy):]
 	for {
 		row, ok, err := g.Child.Next()
 		if err != nil {
@@ -179,41 +149,28 @@ func (g *GroupBy) Open() error {
 			break
 		}
 		ChargeGroupInput(g.Ctx, Card{In: 1}, nodes)
-		keyVals := make([]value.Value, len(g.GroupBy))
 		for i, e := range g.GroupBy {
 			keyVals[i] = e.Eval(row)
 		}
-		key := value.MakeKey(keyVals...)
-		slot := tableBase + key.Hash()%tableSize
+		for i, a := range g.Aggs {
+			if a.Arg != nil {
+				args[i] = a.Arg.Eval(row)
+			}
+		}
+		slot, isNew := table.Add(keyVals, args)
 		h.Load(slot, true) // bucket probe
-		grp, found := groups[key]
-		if !found {
-			grp = &group{keyVals: keyVals, states: make([]AggAcc, len(g.Aggs))}
-			groups[key] = grp
-			order = append(order, grp)
+		if isNew {
 			ChargeGroupInsert(g.Ctx, Card{In: 1}, slot)
 		}
-		for i, a := range g.Aggs {
-			v := value.Int(1)
-			if a.Arg != nil {
-				v = a.Arg.Eval(row)
-			}
-			grp.states[i].UpdateKind(a.Kind, v)
-		}
-		acc := slot + hashBucketBytes
+		acc := AccSlot(slot)
 		h.Load(acc, true) // accumulator fetch
 		ChargeGroupUpdate(g.Ctx, Card{In: 1}, len(g.Aggs), acc)
 	}
 
-	g.groups = make([]value.Row, len(order))
-	for i, grp := range order {
+	g.groups = make([]value.Row, table.Len())
+	for i := range table.Len() {
 		ChargeGroupOutput(g.Ctx, Card{In: 1}, len(g.Aggs), 0)
-		out := make(value.Row, 0, len(grp.keyVals)+len(g.Aggs))
-		out = append(out, grp.keyVals...)
-		for k, a := range g.Aggs {
-			out = append(out, grp.states[k].Result(a.Kind))
-		}
-		g.groups[i] = out
+		g.groups[i] = table.Row(i)
 	}
 	g.pos = 0
 	return nil

@@ -91,23 +91,6 @@ func (c *Ctx) Others(n float64) {
 	}
 }
 
-// hashBucketBytes is the simulated size of one hash-table bucket entry.
-const hashBucketBytes = 16
-
-// SortEntryBytes is the size of one sort-buffer entry (a row pointer and
-// its extracted key slot), in both executors.
-const SortEntryBytes = 16
-
-// HashTableBytes is the simulated footprint of a join hash table over the
-// given number of build rows: a bucket head and a chain entry per row.
-func HashTableBytes(rows float64) float64 { return (rows + 1) * hashBucketBytes * 2 }
-
-// GroupTableBytes is the simulated footprint of the default hash
-// aggregation table (GroupCap 0).
-const GroupTableBytes = defaultGroupCap * hashBucketBytes * 2
-
-const defaultGroupCap = 1024
-
 // ChargeTuples is the per-tuple schedule of every row source — both scans
 // and the match loops of all three joins: each candidate row pays the
 // interpretation overhead and the filter (or residual) evaluation, each

@@ -195,17 +195,6 @@ func TestNestedLoopJoinSchema(t *testing.T) {
 	}
 }
 
-func TestEmitRowWithoutCopy(t *testing.T) {
-	m := newFixture(t, 1)
-	cost := CostModel{EmitRowCopy: false}
-	ctx := NewCtx(m.ctx.M, m.dev.Arena, cost)
-	before := ctx.M.Hier.Counters()
-	ctx.EmitRow(64)
-	if d := ctx.M.Hier.Counters().Sub(before); d.Stores != 0 {
-		t.Fatalf("EmitRow stored %d with copy disabled", d.Stores)
-	}
-}
-
 func TestLoadRepeatKindSanity(t *testing.T) {
 	// Guard: the ctx hot path must stay within its allocation.
 	f := newFixture(t, 1)

@@ -39,9 +39,6 @@ type CostModel struct {
 	EvalInstr  int
 	EvalLoads  int
 	EvalStores int
-	// EmitRowCopy controls whether emitted rows are copied into an
-	// output slot (one store per cache line of row width).
-	EmitRowCopy bool
 }
 
 // hotLines is the number of distinct cache lines the executor's hot
@@ -177,7 +174,7 @@ func (c *Ctx) PollEvery(i int) {
 // EmitRow simulates copying an emitted tuple of the given width into an
 // output slot: one store per cache line.
 func (c *Ctx) EmitRow(width int) {
-	if !c.Cost.EmitRowCopy || width <= 0 {
+	if width <= 0 {
 		return
 	}
 	lines := uint64((width + memsim.LineSize - 1) / memsim.LineSize)

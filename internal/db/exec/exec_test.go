@@ -36,7 +36,7 @@ func newFixture(t *testing.T, rows int) *fixture {
 			value.Str(tags[i%3]),
 		})
 	}
-	cost := CostModel{TupleInstr: 4, EvalInstr: 2, EvalStores: 1, EmitRowCopy: true}
+	cost := CostModel{TupleInstr: 4, EvalInstr: 2, EvalStores: 1}
 	return &fixture{
 		dev:  dev,
 		ctx:  NewCtx(m, dev.Arena, cost),

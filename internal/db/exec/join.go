@@ -5,7 +5,6 @@ import (
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/storage"
 	"energydb/internal/db/value"
-	"energydb/internal/memsim"
 )
 
 // HashJoin builds a hash table on the build side and probes it with the
@@ -22,15 +21,15 @@ type HashJoin struct {
 	// Residual is an optional non-equi predicate over the joined row.
 	Residual Expr
 
-	schema    *catalog.Schema
-	table     map[value.Key][]value.Row
-	tableBase uint64
-	tableSize uint64
-	probeRow  value.Row
-	matches   []value.Row
-	matchIdx  int
-	out       value.Row
-	resNodes  int
+	schema   *catalog.Schema
+	rows     []value.Row
+	table    HashTable
+	probeKey KeyBuf
+	probeRow value.Row
+	matches  []int32
+	matchIdx int
+	out      value.Row
+	resNodes int
 }
 
 // Schema implements Operator.
@@ -47,23 +46,23 @@ func (j *HashJoin) Open() error {
 	if err != nil {
 		return err
 	}
-	j.table = make(map[value.Key][]value.Row, len(rows))
-	j.tableSize = uint64(HashTableBytes(float64(len(rows))))
-	j.tableBase = j.Ctx.Arena.Alloc(j.tableSize, memsim.PageSize)
+	j.rows = rows
+	j.table = NewHashTable(j.Ctx, len(rows))
 	h := j.Ctx.M.Hier
+	buildKey := make(KeyBuf, len(j.BuildKey))
 	for i, r := range rows {
 		j.Ctx.PollEvery(i)
-		key, ok := joinKey(r, j.BuildKey)
+		key, ok := buildKey.Row(r, j.BuildKey)
 		if !ok {
 			// A NULL key can never satisfy an equality, so the row can
 			// never match; keep it out of the table entirely.
 			continue
 		}
-		j.table[key] = append(j.table[key], r)
-		slot := j.tableBase + uint64(i)*hashBucketBytes*2%j.tableSize
+		slot := j.table.Insert(key, i)
 		h.Load(slot, true)
 		ChargeHashBuild(j.Ctx, Card{In: 1}, slot)
 	}
+	j.probeKey = make(KeyBuf, len(j.ProbeKey))
 	j.resNodes = ExprNodes(j.Residual)
 	return j.Probe.Open()
 }
@@ -73,10 +72,10 @@ func (j *HashJoin) Next() (value.Row, bool, error) {
 	h := j.Ctx.M.Hier
 	for {
 		if j.matchIdx < len(j.matches) {
-			b := j.matches[j.matchIdx]
+			b := j.rows[j.matches[j.matchIdx]]
 			j.matchIdx++
 			// Walking the bucket chain is a pointer chase.
-			h.Load(j.tableBase+uint64(j.matchIdx)*hashBucketBytes%j.tableSize, true)
+			h.Load(j.table.Hop(j.matchIdx), true)
 			if j.out == nil {
 				j.out = make(value.Row, 0, len(j.probeRow)+len(b))
 			}
@@ -91,7 +90,7 @@ func (j *HashJoin) Next() (value.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		key, ok := joinKey(row, j.ProbeKey)
+		key, ok := j.probeKey.Row(row, j.ProbeKey)
 		if !ok {
 			// NULL never equals anything (not even NULL): skip the probe.
 			continue
@@ -99,15 +98,16 @@ func (j *HashJoin) Next() (value.Row, bool, error) {
 		j.probeRow = row.Clone()
 		ChargeHashProbe(j.Ctx, Card{In: 1})
 		// Bucket head probe: dependent load.
-		h.Load(j.tableBase+key.Hash()%j.tableSize, true)
-		j.matches = j.table[key]
+		h.Load(j.table.Head(key), true)
+		j.matches = j.table.Lookup(key)
 		j.matchIdx = 0
 	}
 }
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	j.table = nil
+	j.table = HashTable{}
+	j.rows = nil
 	return j.Probe.Close()
 }
 
@@ -254,19 +254,3 @@ func (j *NestedLoopJoin) Next() (value.Row, bool, error) {
 
 // Close implements Operator.
 func (j *NestedLoopJoin) Close() error { return j.Outer.Close() }
-
-// joinKey builds the equijoin key for r over the key columns idx. ok is
-// false when any key column is NULL: SQL equality is never true for NULL
-// (including NULL = NULL), so a NULL key can neither enter a hash table nor
-// match out of one.
-func joinKey(r value.Row, idx []int) (value.Key, bool) {
-	vals := make([]value.Value, len(idx))
-	//lint:nocharge key-column loads are charged by the calling operator's per-tuple cost (EmitRow/EvalCost at the join loop)
-	for i, j := range idx {
-		if r[j].IsNull() {
-			return value.Key{}, false
-		}
-		vals[i] = r[j]
-	}
-	return value.MakeKey(vals...), true
-}

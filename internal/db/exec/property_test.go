@@ -34,7 +34,7 @@ func randomFixture(seed int64, rows int) *fixture {
 			value.Str(tags[rng.Intn(len(tags))]),
 		})
 	}
-	cost := CostModel{TupleInstr: 4, EvalInstr: 2, EvalStores: 1, EmitRowCopy: true}
+	cost := CostModel{TupleInstr: 4, EvalInstr: 2, EvalStores: 1}
 	return &fixture{dev: dev, ctx: NewCtx(m, dev.Arena, cost), file: hf}
 }
 

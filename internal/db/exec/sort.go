@@ -1,11 +1,8 @@
 package exec
 
 import (
-	"sort"
-
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/value"
-	"energydb/internal/memsim"
 )
 
 // SortKey describes one ordering column.
@@ -26,7 +23,7 @@ type Sort struct {
 
 	rows    []value.Row
 	keys    [][]value.Value
-	base    uint64
+	run     SortRun
 	pos     int
 	rowsize int
 }
@@ -56,39 +53,19 @@ func (s *Sort) Open() error {
 		ChargeSortKeys(s.Ctx, Card{In: 1})
 	}
 
-	// The sort buffer: one pointer-sized entry per row.
-	n := uint64(len(rows))
-	if n == 0 {
-		n = 1
-	}
-	s.base = s.Ctx.Arena.Alloc(n*SortEntryBytes, memsim.PageSize)
-	h := s.Ctx.M.Hier
+	s.run = NewSortRun(s.Ctx, len(rows))
 	for i := range rows {
 		s.Ctx.PollEvery(i)
-		ChargeSortStore(s.Ctx, Card{In: 1}, s.base+uint64(i)*SortEntryBytes)
+		ChargeSortStore(s.Ctx, Card{In: 1}, s.run.Entry(i))
 	}
 
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		// Each comparison touches both entries (dependent: the sort
-		// network chases row pointers) and does key compares. The sort
-		// phase is O(n log n) comparisons with no tuple boundary, so it
-		// must poll here or a statement timeout cannot cancel it.
-		s.Ctx.Poll()
-		h.Load(s.base+uint64(idx[a])*SortEntryBytes%(n*SortEntryBytes), true)
-		h.Load(s.base+uint64(idx[b])*SortEntryBytes%(n*SortEntryBytes), true)
-		s.Ctx.Compute(len(s.Keys))
-		return s.less(idx[a], idx[b])
-	})
+	idx := s.run.Order(s.Ctx, len(rows), len(s.Keys), s.less)
 	sorted := make([]value.Row, len(rows))
 	sortedKeys := make([][]value.Value, len(rows))
 	for i, j := range idx {
 		sorted[i] = s.rows[j]
 		sortedKeys[i] = s.keys[j]
-		ChargeSortStore(s.Ctx, Card{In: 1}, s.base+uint64(i)*SortEntryBytes)
+		ChargeSortStore(s.Ctx, Card{In: 1}, s.run.Entry(i))
 	}
 	s.rows = sorted
 	s.keys = sortedKeys
@@ -115,7 +92,7 @@ func (s *Sort) Next() (value.Row, bool, error) {
 		return nil, false, nil
 	}
 	// Reading the output streams the sorted run.
-	ChargeSortEmit(s.Ctx, Card{In: 1}, s.base+uint64(s.pos)*SortEntryBytes, s.rowsize)
+	ChargeSortEmit(s.Ctx, Card{In: 1}, s.run.Entry(s.pos), s.rowsize)
 	row := s.rows[s.pos]
 	s.pos++
 	return row, true, nil

@@ -1,0 +1,224 @@
+package exec
+
+import (
+	"fmt"
+	"sort"
+
+	"energydb/internal/db/catalog"
+	"energydb/internal/db/value"
+	"energydb/internal/memsim"
+)
+
+// This file holds the data structures both executors simulate, each written
+// once: the join hash table, the equijoin key, the group table and the sort
+// run. The row operators of this package and the batch operators of
+// internal/db/vec differ only in their driver (a tuple at a time or a batch
+// at a time) and in what they charge; the simulated addresses come from
+// here. The planner sizes the same structures with HashTableBytes,
+// GroupTableBytes and SortEntryBytes.
+
+// hashBucketBytes is the simulated size of one hash-table bucket entry.
+const hashBucketBytes = 16
+
+// SortEntryBytes is the size of one sort-buffer entry (a row pointer and
+// its extracted key slot).
+const SortEntryBytes = 16
+
+// HashTableBytes is the simulated footprint of a join hash table over the
+// given number of build rows: a bucket head and a chain entry per row.
+func HashTableBytes(rows float64) float64 { return (rows + 1) * hashBucketBytes * 2 }
+
+// GroupTableBytes is the simulated footprint of a hash aggregation's table:
+// groupCap buckets, each a bucket entry and its accumulator entry.
+const GroupTableBytes = groupCap * hashBucketBytes * 2
+
+const groupCap = 1024
+
+// hashRegion is a simulated hash table's address range.
+type hashRegion struct{ base, size uint64 }
+
+func newHashRegion(c *Ctx, size uint64) hashRegion {
+	return hashRegion{base: c.Arena.Alloc(size, memsim.PageSize), size: size}
+}
+
+// head is the bucket a key hashes to.
+func (r hashRegion) head(k value.Key) uint64 { return r.base + k.Hash()%r.size }
+
+// HashTable is a join's hash table: the build rows by equijoin key, as
+// indexes into the caller's build buffer, over a simulated table of
+// HashTableBytes.
+type HashTable struct {
+	hashRegion
+	buckets map[value.Key][]int32
+}
+
+// NewHashTable reserves the simulated table for rows build rows.
+func NewHashTable(c *Ctx, rows int) HashTable {
+	return HashTable{
+		hashRegion: newHashRegion(c, uint64(HashTableBytes(float64(rows)))),
+		buckets:    make(map[value.Key][]int32, rows),
+	}
+}
+
+// Insert adds build row i under key k and returns the address of its bucket
+// entry, which the caller loads (dependent) and then stores.
+func (t *HashTable) Insert(k value.Key, i int) uint64 {
+	t.buckets[k] = append(t.buckets[k], int32(i))
+	return t.base + uint64(i)*hashBucketBytes*2%t.size
+}
+
+// Head is the address of the bucket head a probe key hashes to.
+func (t *HashTable) Head(k value.Key) uint64 { return t.head(k) }
+
+// Lookup returns the build rows stored under k, in insertion order.
+func (t *HashTable) Lookup(k value.Key) []int32 { return t.buckets[k] }
+
+// Hop is the address of the n-th entry (from 1) of a bucket chain walk.
+func (t *HashTable) Hop(n int) uint64 { return t.base + uint64(n)*hashBucketBytes%t.size }
+
+// KeyBuf builds equijoin keys in a reused scratch buffer, one value per key
+// column.
+type KeyBuf []value.Value
+
+// Key encodes the buffered values. ok is false when any of them is NULL: SQL
+// equality is never true for NULL (including NULL = NULL), so a NULL key can
+// neither enter a hash table nor match out of one.
+func (k KeyBuf) Key() (value.Key, bool) {
+	for _, v := range k {
+		if v.IsNull() {
+			return value.Key{}, false
+		}
+	}
+	return value.MakeKey(k...), true
+}
+
+// Row gathers r's key columns cols into the buffer and encodes them.
+func (k KeyBuf) Row(r value.Row, cols []int) (value.Key, bool) {
+	//lint:nocharge key-column loads are charged by the calling operator's per-tuple or per-batch cost
+	for i, c := range cols {
+		k[i] = r[c]
+	}
+	return k.Key()
+}
+
+// AggSchema is a hash aggregation's output schema: the group keys, then one
+// column per aggregate.
+func AggSchema(keys int, aggs []AggSpec) *catalog.Schema {
+	cols := make([]catalog.Column, 0, keys+len(aggs))
+	for i := 0; i < keys; i++ {
+		cols = append(cols, catalog.Column{
+			Name: fmt.Sprintf("g%d", i), Type: value.TypeStr, Width: 16,
+		})
+	}
+	for _, a := range aggs {
+		name := a.Name
+		if name == "" {
+			name = a.Kind.String()
+		}
+		cols = append(cols, catalog.Column{Name: name, Type: value.TypeFloat, Width: 8})
+	}
+	return catalog.NewSchema(cols...)
+}
+
+// GroupTable is a hash aggregation's groups: each group's key values and
+// accumulators, in first-seen order, over a simulated table of
+// GroupTableBytes. A bucket's accumulators sit one entry after it (AccSlot).
+// Group g's key values and accumulators are the g-th runs of two flat
+// stores, so a new group costs no allocation of its own.
+type GroupTable struct {
+	hashRegion
+	nkeys  int
+	aggs   []AggSpec
+	index  map[value.Key]int32
+	keys   []value.Value
+	states []AggAcc
+}
+
+// NewGroupTable reserves the simulated table for groups of nkeys key values
+// and the given aggregates.
+func NewGroupTable(c *Ctx, nkeys int, aggs []AggSpec) *GroupTable {
+	return &GroupTable{
+		hashRegion: newHashRegion(c, GroupTableBytes),
+		nkeys:      nkeys,
+		aggs:       aggs,
+		index:      make(map[value.Key]int32),
+	}
+}
+
+// Base is the address of the simulated table.
+func (t *GroupTable) Base() uint64 { return t.base }
+
+// AccSlot is the address of the accumulators of the bucket at slot.
+func AccSlot(slot uint64) uint64 { return slot + hashBucketBytes }
+
+// Add folds one input into the group keyed by vals, creating the group when
+// it is new. args holds one argument value per aggregate; an aggregate
+// without an argument folds value 1. It returns the bucket the key hashes to
+// and whether the group is new.
+func (t *GroupTable) Add(vals, args []value.Value) (slot uint64, isNew bool) {
+	key := value.MakeKey(vals...)
+	g, found := t.index[key]
+	if !found {
+		g = int32(t.Len())
+		t.index[key] = g
+		t.keys = append(t.keys, vals...)
+		t.states = append(t.states, make([]AggAcc, len(t.aggs))...)
+	}
+	states := t.states[int(g)*len(t.aggs):]
+	for i, a := range t.aggs {
+		v := value.Int(1)
+		if a.Arg != nil {
+			v = args[i]
+		}
+		states[i].UpdateKind(a.Kind, v)
+	}
+	return t.head(key), !found
+}
+
+// Len returns the number of groups.
+func (t *GroupTable) Len() int { return len(t.index) }
+
+// Row finalizes group i (in first-seen order) into an output row. The
+// drivers loop over the groups, each with its own charge.
+func (t *GroupTable) Row(i int) value.Row {
+	out := make([]value.Value, t.nkeys, t.nkeys+len(t.aggs))
+	copy(out, t.keys[i*t.nkeys:])
+	states := t.states[i*len(t.aggs):]
+	for k, a := range t.aggs {
+		out = append(out, states[k].Result(a.Kind))
+	}
+	return out
+}
+
+// SortRun is a sort's buffer: one SortEntryBytes entry per collected row.
+type SortRun struct{ base uint64 }
+
+// NewSortRun reserves the sort buffer for n rows (at least one entry).
+func NewSortRun(c *Ctx, n int) SortRun {
+	return SortRun{base: c.Arena.Alloc(uint64(max(n, 1))*SortEntryBytes, memsim.PageSize)}
+}
+
+// Entry is the address of entry i.
+func (r SortRun) Entry(i int) uint64 { return r.base + uint64(i)*SortEntryBytes }
+
+// Order runs the ordering pass over the run's n entries and returns the
+// permutation that sorts them, stable under less. Every comparison polls for
+// cancellation (the pass is O(n log n) comparisons with no tuple boundary),
+// loads both entries (dependent: the sort network chases row pointers) and
+// does nkeys key compares; less compares collected rows a and b in the
+// caller's key layout.
+func (r SortRun) Order(c *Ctx, n, nkeys int, less func(a, b int) bool) []int32 {
+	h := c.M.Hier
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		c.Poll()
+		h.Load(r.Entry(int(idx[a])), true)
+		h.Load(r.Entry(int(idx[b])), true)
+		c.Compute(nkeys)
+		return less(int(idx[a]), int(idx[b]))
+	})
+	return idx
+}

@@ -135,7 +135,7 @@ func (a *est) Evals(n float64, nodes int) {
 
 // Emits implements exec.Sink (Ctx.EmitRow: one store per line of width).
 func (a *est) Emits(n float64, width int) {
-	if !a.cm.EmitRowCopy || width <= 0 {
+	if width <= 0 {
 		return
 	}
 	a.reg2 += n * float64((width+memsim.LineSize-1)/memsim.LineSize)

@@ -143,30 +143,11 @@ func analyticSel(stats *catalog.TableStats, schema *catalog.Schema, cond sql.Nod
 		}
 		return clamp((hi - lo + step) / (max - min + step)), true
 	case sql.BinNode:
-		op := v.Op
-		c, okC := v.L.(sql.ColNode)
-		lit, okV := litValue(v.R)
-		if !okC || !okV {
-			if c2, ok := v.R.(sql.ColNode); ok {
-				if lit2, ok2 := litValue(v.L); ok2 {
-					c, lit, okC, okV = c2, lit2, true, true
-					switch op {
-					case "<":
-						op = ">"
-					case "<=":
-						op = ">="
-					case ">":
-						op = "<"
-					case ">=":
-						op = "<="
-					}
-				}
-			}
-		}
-		if !okC || !okV || lit.T == value.TypeStr {
+		c, op, lit, ok := colCmp(v)
+		if !ok || lit.T == value.TypeStr {
 			return 0, false
 		}
-		min, max, step, distinct, ok := colStats(c.Name)
+		min, max, step, distinct, ok := colStats(c)
 		if !ok {
 			return 0, false
 		}

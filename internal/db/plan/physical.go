@@ -303,28 +303,7 @@ func extractBounds(col string, conds []sql.Node) (lo, hi *value.Value, captured,
 				full = true
 			}
 		case sql.BinNode:
-			op := v.Op
-			c, okC := v.L.(sql.ColNode)
-			lit, okV := litValue(v.R)
-			if !okC || !okV {
-				// literal OP col — mirror the operator.
-				if c2, ok := v.R.(sql.ColNode); ok {
-					if lit2, ok2 := litValue(v.L); ok2 {
-						c, lit, okC, okV = c2, lit2, true, true
-						switch op {
-						case "<":
-							op = ">"
-						case "<=":
-							op = ">="
-						case ">":
-							op = "<"
-						case ">=":
-							op = "<="
-						}
-					}
-				}
-			}
-			if okC && okV && c.Name == col {
+			if c, op, lit, ok := colCmp(v); ok && c == col {
 				switch op {
 				case "=":
 					setLo(lit)
@@ -351,15 +330,37 @@ func extractBounds(col string, conds []sql.Node) (lo, hi *value.Value, captured,
 	}
 	// Strict bounds still narrow the range estimate.
 	for _, cond := range rest {
-		if b, ok := cond.(sql.BinNode); ok {
-			if c, ok := b.L.(sql.ColNode); ok && c.Name == col {
-				if _, okV := litValue(b.R); okV && (b.Op == "<" || b.Op == ">") {
-					captured = append(captured, cond)
-				}
-			}
+		if c, op, _, ok := colCmp(cond); ok && c == col && (op == "<" || op == ">") {
+			captured = append(captured, cond)
 		}
 	}
 	return lo, hi, captured, rest
+}
+
+// mirrored maps each comparison operator to the one that holds with its
+// operands swapped.
+var mirrored = map[string]string{"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+// colCmp normalizes a comparison between a column and a literal to column OP
+// literal: with the literal first the operator is mirrored, so 5 < c reads
+// as c > 5. ok is false for any other node.
+func colCmp(n sql.Node) (col, op string, lit value.Value, ok bool) {
+	b, isBin := n.(sql.BinNode)
+	flip, isCmp := mirrored[b.Op]
+	if !isBin || !isCmp {
+		return "", "", value.Value{}, false
+	}
+	if c, isCol := b.L.(sql.ColNode); isCol {
+		if lit, ok := litValue(b.R); ok {
+			return c.Name, b.Op, lit, true
+		}
+	}
+	if c, isCol := b.R.(sql.ColNode); isCol {
+		if lit, ok := litValue(b.L); ok {
+			return c.Name, flip, lit, true
+		}
+	}
+	return "", "", value.Value{}, false
 }
 
 // chooseJoin joins the chain to relation r. SQLite's profile only has the

@@ -360,6 +360,22 @@ func TestExplainSeqScanForFullTable(t *testing.T) {
 	}
 }
 
+// TestLiteralFirstComparisonPlansAlike checks that a comparison spelled
+// literal first plans like its mirror: the strict bound tightens the index
+// range and enters the range estimate either way, so the two EXPLAINs differ
+// only in how the filter is written.
+func TestLiteralFirstComparisonPlansAlike(t *testing.T) {
+	e := testEngine(t)
+	want := strings.Join(explainLines(t, e, "SELECT price FROM items WHERE id > 90 AND id <= 95"), "\n")
+	got := strings.Join(explainLines(t, e, "SELECT price FROM items WHERE 90 < id AND id <= 95"), "\n")
+	if got = strings.ReplaceAll(got, "(90 < id)", "(id > 90)"); got != want {
+		t.Fatalf("literal-first spelling plans differently:\n%s\nwant:\n%s", got, want)
+	}
+	if !strings.Contains(want, "IndexScan items (id)") {
+		t.Fatalf("bounded range did not use the index:\n%s", want)
+	}
+}
+
 func newProfiledEngine(t *testing.T) (*engine.Engine, *core.Profiler) {
 	t.Helper()
 	m := cpusim.NewMachine(cpusim.IntelI7_4790())

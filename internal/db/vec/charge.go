@@ -98,7 +98,7 @@ func ChargePrune(s exec.Sink, c exec.Card, cols int) {
 func ChargeAggUpdate(s exec.Sink, c exec.Card, aggs int, table uint64) {
 	s.Tuples(c.Batches)
 	s.Loads(table, 2*c.In)
-	s.Stores(table+aggTableBytes, c.In)
+	s.Stores(exec.AccSlot(table), c.In)
 	s.Adds(c.In * float64(2+aggs))
 }
 

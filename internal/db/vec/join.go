@@ -7,11 +7,6 @@ import (
 	"energydb/internal/memsim"
 )
 
-// hashEntryBytes is the simulated size of one hash-table bucket entry,
-// matching the row executor's bucket geometry (exec.HashTableBytes sizes
-// the table) so the two modes probe the same simulated table shape.
-const hashEntryBytes = 16
-
 // HashJoin is the batch-at-a-time equijoin: the build side is drained into
 // a row buffer and hashed in batch-width chunks (one dispatch per chunk
 // instead of per row), then each probe batch runs one key-hash kernel and
@@ -20,16 +15,17 @@ const hashEntryBytes = 16
 // lazily by the assembled rows (like the sort's emit), so a parent kernel
 // pays materialization only for the columns it actually touches.
 //
-// The simulated traffic keeps the row join's shape where the hardware would
-// not change: bucket probes and chain walks stay dependent loads into a
-// table usually larger than L1D. What vectorization removes is the per-tuple
+// The table is the row join's own exec.HashTable, because the hardware
+// would not change shape just because the driver batched: bucket probes and
+// chain walks stay dependent loads into a table usually larger than L1D, at
+// the same addresses. What vectorization removes is the per-tuple
 // interpretation — the dispatch, the probe-row clone, the per-match output
 // copy — which is exactly the L1D/Reg2L1D component the paper's micro
 // analysis prices.
 //
-// NULL join keys never match (including NULL = NULL): build rows with a
-// NULL key are never inserted and probe elements with a NULL key are never
-// probed, the same semantics as the row HashJoin.
+// NULL join keys never match (including NULL = NULL): both joins build their
+// keys with exec.KeyBuf, so build rows with a NULL key are never inserted and
+// probe elements with a NULL key are never probed.
 type HashJoin struct {
 	Ctx      *exec.Ctx
 	Build    Operator
@@ -45,9 +41,7 @@ type HashJoin struct {
 
 	schema    *catalog.Schema
 	buildRows []value.Row
-	table     map[value.Key][]int32
-	tableBase uint64
-	tableSize uint64
+	table     exec.HashTable
 	buildBase uint64
 	rowBase   uint64 // scratch line the assembled-row traffic is charged against
 
@@ -67,7 +61,7 @@ type HashJoin struct {
 	residual *Prog
 	keyCols  []*Vector
 	keyAddrs []uint64
-	scratch  []value.Value
+	probeKey exec.KeyBuf
 	rowBuf   []value.Row // reused backing rows for the lazily backed output
 }
 
@@ -126,12 +120,10 @@ func (j *HashJoin) Open() error {
 		bufBytes = memsim.LineSize
 	}
 	j.buildBase = j.Ctx.Arena.Alloc(bufBytes, memsim.LineSize)
-	j.tableSize = uint64(exec.HashTableBytes(float64(len(rows))))
-	j.tableBase = j.Ctx.Arena.Alloc(j.tableSize, memsim.PageSize)
-	j.table = make(map[value.Key][]int32, len(rows))
+	j.table = exec.NewHashTable(j.Ctx, len(rows))
 
 	chunk := batchWidth(j.Ctx, j.BatchSize)
-	scratch := make([]value.Value, len(j.BuildKey))
+	buildKey := make(exec.KeyBuf, len(j.BuildKey))
 	for lo := 0; lo < len(rows); lo += chunk {
 		hi := lo + chunk
 		if hi > len(rows) {
@@ -143,20 +135,11 @@ func (j *HashJoin) Open() error {
 		j.Ctx.PollEvery(lo)
 		ChargeJoinBuild(j.Ctx, exec.Card{Batches: 1, In: float64(hi - lo)}, rowLines, j.buildBase+uint64(lo)*uint64(width))
 		for i, r := range rows[lo:hi] {
-			null := false
-			for c, ci := range j.BuildKey {
-				if r[ci].IsNull() {
-					null = true
-					break
-				}
-				scratch[c] = r[ci]
-			}
-			if null {
+			key, ok := buildKey.Row(r, j.BuildKey)
+			if !ok {
 				continue
 			}
-			key := value.MakeKey(scratch...)
-			j.table[key] = append(j.table[key], int32(lo+i))
-			slot := j.tableBase + uint64(lo+i)*hashEntryBytes*2%j.tableSize
+			slot := j.table.Insert(key, lo+i)
 			h.Load(slot, true)
 			ChargeJoinInsert(j.Ctx, exec.Card{In: 1}, slot)
 		}
@@ -174,7 +157,7 @@ func (j *HashJoin) Open() error {
 		j.residual = CompileFilter(j.Residual)
 	}
 	j.keyCols = make([]*Vector, len(j.ProbeKey))
-	j.scratch = make([]value.Value, len(j.ProbeKey))
+	j.probeKey = make(exec.KeyBuf, len(j.ProbeKey))
 	j.probe = nil
 	j.pk = 0
 	j.matches = nil
@@ -201,23 +184,15 @@ func (j *HashJoin) probeKeys(b *Batch) {
 	j.keyOK = j.keyOK[:0]
 	for k := 0; k < n; k++ {
 		i := b.Pos(k)
-		null := false
 		for c, v := range j.keyCols {
-			if v.IsNull(i) {
-				null = true
-				break
-			}
-			j.scratch[c] = v.Get(i)
+			j.probeKey[c] = v.Get(i)
 		}
-		if null {
-			j.keys = append(j.keys, value.Key{})
-			j.keyOK = append(j.keyOK, false)
-			continue
+		key, ok := j.probeKey.Key()
+		if ok {
+			h.Load(j.table.Head(key), true)
 		}
-		key := value.MakeKey(j.scratch...)
-		h.Load(j.tableBase+key.Hash()%j.tableSize, true)
 		j.keys = append(j.keys, key)
-		j.keyOK = append(j.keyOK, true)
+		j.keyOK = append(j.keyOK, ok)
 	}
 }
 
@@ -231,11 +206,10 @@ func (j *HashJoin) Next() (*Batch, error) {
 	j.pairP = j.pairP[:0]
 	j.pairB = j.pairB[:0]
 	for {
-		// Drain the current bucket chain: each entry is a pointer chase,
-		// exactly as the row join walks it.
+		// Drain the current bucket chain: each entry is a pointer chase.
 		//lint:nocharge dispatch is charged per probe batch (probeKeys) and per emitted batch (gather); the chain walk itself charges a dependent load each hop
 		for j.mi < len(j.matches) && len(j.pairP) < capN {
-			h.Load(j.tableBase+uint64(j.mi+1)*hashEntryBytes%j.tableSize, true)
+			h.Load(j.table.Hop(j.mi+1), true)
 			j.pairP = append(j.pairP, int32(j.curK))
 			j.pairB = append(j.pairB, j.matches[j.mi])
 			j.mi++
@@ -250,7 +224,7 @@ func (j *HashJoin) Next() (*Batch, error) {
 				continue
 			}
 			j.curK = k
-			j.matches = j.table[j.keys[k]]
+			j.matches = j.table.Lookup(j.keys[k])
 			j.mi = 0
 			continue
 		}
@@ -325,7 +299,7 @@ func (j *HashJoin) gather(out *Batch) {
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	j.table = nil
+	j.table = exec.HashTable{}
 	j.buildRows = nil
 	return j.Probe.Close()
 }

@@ -235,23 +235,18 @@ func (p *Project) Next() (*Batch, error) {
 // Close implements Operator.
 func (p *Project) Close() error { return p.Child.Close() }
 
-// aggTableBytes is the simulated size of one aggregation hash bucket
-// (matching the row executor's hash-bucket geometry).
-const aggTableBytes = 16
-
 // Agg is batch-at-a-time hash aggregation: group keys and aggregate
 // arguments are evaluated as vectors by one kernel program, so a
 // subexpression several of them share runs once per batch; then one
 // table-update primitive per batch probes and updates the simulated hash
-// table for every selected element. Accumulator arithmetic is exec.AggAcc —
-// the row GroupBy's accumulator — so results are bit-identical to the row
-// path. Groups are emitted in first-seen order, batch by batch.
+// table for every selected element. The groups live in an exec.GroupTable —
+// the row GroupBy's table — so results are bit-identical to the row path.
+// Groups are emitted in first-seen order, batch by batch.
 type Agg struct {
-	Ctx      *exec.Ctx
-	Child    Operator
-	GroupBy  []exec.Expr
-	Aggs     []exec.AggSpec
-	GroupCap int
+	Ctx     *exec.Ctx
+	Child   Operator
+	GroupBy []exec.Expr
+	Aggs    []exec.AggSpec
 
 	schema *catalog.Schema
 	out    *Batch
@@ -260,23 +255,10 @@ type Agg struct {
 	p      *pool
 }
 
-// Schema implements Operator (mirrors the row GroupBy's schema).
+// Schema implements Operator.
 func (g *Agg) Schema() *catalog.Schema {
 	if g.schema == nil {
-		cols := make([]catalog.Column, 0, len(g.GroupBy)+len(g.Aggs))
-		for i := range g.GroupBy {
-			cols = append(cols, catalog.Column{
-				Name: fmt.Sprintf("g%d", i), Type: value.TypeStr, Width: 16,
-			})
-		}
-		for _, a := range g.Aggs {
-			name := a.Name
-			if name == "" {
-				name = a.Kind.String()
-			}
-			cols = append(cols, catalog.Column{Name: name, Type: value.TypeFloat, Width: 8})
-		}
-		g.schema = catalog.NewSchema(cols...)
+		g.schema = exec.AggSchema(len(g.GroupBy), g.Aggs)
 	}
 	return g.schema
 }
@@ -288,12 +270,7 @@ func (g *Agg) Open() error {
 	}
 	defer g.Child.Close()
 
-	cap := g.GroupCap
-	if cap <= 0 {
-		cap = 1024
-	}
-	tableSize := uint64(cap) * aggTableBytes * 2
-	tableBase := g.Ctx.Arena.Alloc(tableSize, memsim.PageSize)
+	table := exec.NewGroupTable(g.Ctx, len(g.GroupBy), g.Aggs)
 	g.p = newPool(g.Ctx)
 	exprs := append([]exec.Expr(nil), g.GroupBy...)
 	for _, a := range g.Aggs {
@@ -301,16 +278,10 @@ func (g *Agg) Open() error {
 	}
 	prog := Compile(exprs...)
 
-	type group struct {
-		keyVals []value.Value
-		states  []exec.AggAcc
-	}
-	groups := make(map[value.Key]*group)
-	var order []*group
-
 	vs := make([]*Vector, len(exprs))
 	kvs, avs := vs[:len(g.GroupBy)], vs[len(g.GroupBy):]
-	scratch := make([]value.Value, len(g.GroupBy))
+	scratch := make([]value.Value, len(exprs))
+	keyVals, args := scratch[:len(g.GroupBy)], scratch[len(g.GroupBy):]
 	for {
 		b, err := g.Child.Next()
 		if err != nil {
@@ -328,29 +299,18 @@ func (g *Agg) Open() error {
 		// One table-update primitive for the whole batch: the probe
 		// loads, accumulator stores and update arithmetic for n
 		// elements, dispatched once.
-		ChargeAggUpdate(g.Ctx, exec.Card{Batches: 1, In: float64(n)}, len(g.Aggs), tableBase)
+		ChargeAggUpdate(g.Ctx, exec.Card{Batches: 1, In: float64(n)}, len(g.Aggs), table.Base())
 		for k := 0; k < n; k++ {
 			i := b.Pos(k)
 			for j, kv := range kvs {
-				scratch[j] = kv.Get(i)
+				keyVals[j] = kv.Get(i)
 			}
-			key := value.MakeKey(scratch...)
-			grp, found := groups[key]
-			if !found {
-				grp = &group{
-					keyVals: append([]value.Value(nil), scratch...),
-					states:  make([]exec.AggAcc, len(g.Aggs)),
+			for j, av := range avs {
+				if av != nil {
+					args[j] = av.Get(i)
 				}
-				groups[key] = grp
-				order = append(order, grp)
 			}
-			for j := range g.Aggs {
-				v := value.Int(1)
-				if avs[j] != nil {
-					v = avs[j].Get(i)
-				}
-				grp.states[j].UpdateKind(g.Aggs[j].Kind, v)
-			}
+			table.Add(keyVals, args)
 		}
 	}
 
@@ -358,15 +318,10 @@ func (g *Agg) Open() error {
 	// each group's bucket is re-read and its accumulators folded into output
 	// rows. This is real per-group work the meter must see (chargepath
 	// finding); the row executor's GroupBy.Open charges the same way.
-	ChargeAggFinalize(g.Ctx, exec.Card{Batches: 1, In: float64(len(order))}, len(g.GroupBy), len(g.Aggs), tableBase)
-	g.groups = make([]value.Row, len(order))
-	for i, grp := range order {
-		out := make(value.Row, 0, len(grp.keyVals)+len(g.Aggs))
-		out = append(out, grp.keyVals...)
-		for k, a := range g.Aggs {
-			out = append(out, grp.states[k].Result(a.Kind))
-		}
-		g.groups[i] = out
+	ChargeAggFinalize(g.Ctx, exec.Card{Batches: 1, In: float64(table.Len())}, len(g.GroupBy), len(g.Aggs), table.Base())
+	g.groups = make([]value.Row, table.Len())
+	for i := range table.Len() {
+		g.groups[i] = table.Row(i)
 	}
 	g.pos = 0
 	// The output batch is no wider than the groups there are to emit: a

@@ -1,8 +1,6 @@
 package vec
 
 import (
-	"sort"
-
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/exec"
 	"energydb/internal/db/value"
@@ -11,10 +9,9 @@ import (
 
 // Sort is the batch-at-a-time sort: sort keys are extracted in bulk — one
 // kernel program over the keys per input batch, through the same typed
-// vectors every other kernel uses — into columnar key stores, the ordering
-// pass produces a selection vector over the collected rows (the comparator
-// keeps the row sort's discipline: a poll and two dependent buffer loads
-// per comparison), and output batches are emitted lazily backed by the
+// vectors every other kernel uses — into columnar key stores, the row sort's
+// ordering pass (exec.SortRun.Order) produces a selection vector over the
+// collected rows, and output batches are emitted lazily backed by the
 // sorted run, so a parent kernel only materializes the columns it actually
 // touches and no per-row output copy happens at all.
 type Sort struct {
@@ -28,7 +25,7 @@ type Sort struct {
 	rows    []value.Row
 	keys    [][]value.Value // columnar: keys[k][i] is key k of collected row i
 	idx     []int32         // ordering selection vector over rows
-	base    uint64
+	run     exec.SortRun
 	keyBase uint64
 	pos     int
 	out     *Batch
@@ -45,7 +42,6 @@ func (s *Sort) Open() error {
 	if err := s.Child.Open(); err != nil {
 		return err
 	}
-	h := s.Ctx.M.Hier
 	ncols := len(s.Child.Schema().Columns)
 	width := batchWidth(s.Ctx, s.BatchSize)
 	s.p = newPool(s.Ctx)
@@ -99,11 +95,7 @@ func (s *Sort) Open() error {
 	// The sort buffer: one pointer-sized entry per row, written in
 	// batch-width chunks with batch-granularity cancellation.
 	n := len(s.rows)
-	nn := uint64(n)
-	if nn == 0 {
-		nn = 1
-	}
-	s.base = s.Ctx.Arena.Alloc(nn*exec.SortEntryBytes, memsim.PageSize)
+	s.run = exec.NewSortRun(s.Ctx, n)
 	for lo := 0; lo < n; lo += width {
 		hi := lo + width
 		if hi > n {
@@ -111,27 +103,14 @@ func (s *Sort) Open() error {
 		}
 		s.Ctx.PollEvery(lo)
 		ChargeDispatch(s.Ctx, exec.Card{Batches: 1})
-		exec.ChargeSortStore(s.Ctx, exec.Card{In: float64(hi - lo)}, s.base+uint64(lo)*exec.SortEntryBytes)
+		exec.ChargeSortStore(s.Ctx, exec.Card{In: float64(hi - lo)}, s.run.Entry(lo))
 	}
 
-	// Ordering pass: identical comparator discipline to the row sort — the
-	// O(n log n) comparison loop has no batch boundary, so it polls and
-	// chases both row pointers itself.
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		s.Ctx.Poll()
-		h.Load(s.base+uint64(idx[a])*exec.SortEntryBytes%(nn*exec.SortEntryBytes), true)
-		h.Load(s.base+uint64(idx[b])*exec.SortEntryBytes%(nn*exec.SortEntryBytes), true)
-		s.Ctx.Compute(len(s.Keys))
-		return s.less(int(idx[a]), int(idx[b]))
-	})
-	s.idx = idx
+	// Ordering pass: the row sort's, over the columnar key store.
+	s.idx = s.run.Order(s.Ctx, n, len(s.Keys), s.less)
 	// Final placement: the ordering selection vector is stored in one bulk
 	// pass instead of a per-row store loop.
-	exec.ChargeSortStore(s.Ctx, exec.Card{In: float64(n)}, s.base)
+	exec.ChargeSortStore(s.Ctx, exec.Card{In: float64(n)}, s.run.Entry(0))
 
 	s.pos = 0
 	// The output batch is no wider than the rows there are to emit, the way
@@ -167,7 +146,7 @@ func (s *Sort) Next() (*Batch, error) {
 	if rem := len(s.rows) - s.pos; rem < n {
 		n = rem
 	}
-	ChargeSortEmit(s.Ctx, exec.Card{Batches: 1, In: float64(n)}, s.base+uint64(s.pos)*exec.SortEntryBytes)
+	ChargeSortEmit(s.Ctx, exec.Card{Batches: 1, In: float64(n)}, s.run.Entry(s.pos))
 	s.chunk = s.chunk[:0]
 	for _, j := range s.idx[s.pos : s.pos+n] {
 		s.chunk = append(s.chunk, s.rows[j])

@@ -12,7 +12,7 @@
 // and the planner evaluates per plan node.
 //
 // Semantics are shared with the row path by construction: kernels evaluate
-// elements with exec.ApplyBin, exec.Truthy, exec.LikeMatch and exec.AggAcc —
+// elements with exec.ApplyBin, exec.Truthy, exec.LikeMatch and exec.GroupTable —
 // the same helpers the row interpreter uses — so the two paths cannot drift
 // (FuzzVecExec checks this differentially). The one exception is host-side
 // only: over null-free numeric payloads the BinOp kernel runs a typed loop

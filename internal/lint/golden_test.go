@@ -6,6 +6,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -88,11 +89,11 @@ func loadRepo(t *testing.T, patterns ...string) *Program {
 }
 
 // TestDeletionMatrix removes, one at a time and in memory, every statement
-// of the methods of vec.HashJoin and vec.Sort that is a Poll or a call to a
-// charge function whose summary says it always pays the per-batch dispatch
-// (13 statements when written), and expects chargepath or cancelpoll to
-// notice each time: those calls are what the two analyzers exist to keep in
-// place.
+// of the methods of vec.HashJoin, vec.Sort and exec.SortRun (the ordering
+// pass both sorts share) that is a Poll or a call to a charge function whose
+// summary says it always pays the per-batch dispatch (13 statements when
+// written), and expects chargepath or cancelpoll to notice each time: those
+// calls are what the two analyzers exist to keep in place.
 // isDispatchCharge reports whether call invokes a package-level function
 // that dispatches on every path: the shared charge functions, as opposed to
 // operator methods that reach one.
@@ -106,65 +107,67 @@ func isDispatchCharge(sum *summary, pkg *Package, call *ast.CallExpr) bool {
 }
 
 func TestDeletionMatrix(t *testing.T) {
-	prog := loadRepo(t, "./internal/db/vec")
+	prog := loadRepo(t, "./internal/db/vec", "./internal/db/exec")
 	analyzers := []*Analyzer{AnalyzerChargePath, AnalyzerCancelPoll}
 	if diags := Run(prog, analyzers); len(diags) > 0 {
-		t.Fatalf("vec is not clean before any deletion: %v", diags)
+		t.Fatalf("vec and exec are not clean before any deletion: %v", diags)
+	}
+	receivers := map[string][]string{
+		"energydb/internal/db/vec":  {"HashJoin", "Sort"},
+		"energydb/internal/db/exec": {"SortRun"},
 	}
 	sites := 0
-	pkg := prog.Pkgs[0]
 	sum := prog.chargeSummary()
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
-				continue
-			}
-			if recv := recvTypeName(fd); recv != "HashJoin" && recv != "Sort" {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				var list *[]ast.Stmt
-				switch n := n.(type) {
-				case *ast.BlockStmt:
-					list = &n.List
-				case *ast.CaseClause:
-					list = &n.Body
-				case *ast.CommClause:
-					list = &n.Body
-				default:
+	for _, pkg := range prog.Pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || fd.Body == nil || !slices.Contains(receivers[pkg.Path], recvTypeName(fd)) {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					var list *[]ast.Stmt
+					switch n := n.(type) {
+					case *ast.BlockStmt:
+						list = &n.List
+					case *ast.CaseClause:
+						list = &n.Body
+					case *ast.CommClause:
+						list = &n.Body
+					default:
+						return true
+					}
+					kept := *list
+					for i, st := range kept {
+						es, ok := st.(*ast.ExprStmt)
+						if !ok {
+							continue
+						}
+						call, ok := es.X.(*ast.CallExpr)
+						if !ok {
+							continue
+						}
+						// PollEvery is left out: both of its uses sit next to a
+						// TupleCost that polls as well, so it is redundant to
+						// the analyzers by design.
+						if calleeName(call) != "Poll" && !isDispatchCharge(sum, pkg, call) {
+							continue
+						}
+						sites++
+						*list = append(append([]ast.Stmt{}, kept[:i]...), kept[i+1:]...)
+						prog.chargeSum, prog.cfgCache = nil, nil
+						if len(Run(prog, analyzers)) == 0 {
+							t.Errorf("deleting %s at %s goes unnoticed", exprString(call), prog.Fset.Position(call.Pos()))
+						}
+						*list = kept
+					}
 					return true
-				}
-				kept := *list
-				for i, st := range kept {
-					es, ok := st.(*ast.ExprStmt)
-					if !ok {
-						continue
-					}
-					call, ok := es.X.(*ast.CallExpr)
-					if !ok {
-						continue
-					}
-					// PollEvery is left out: both of its uses sit next to a
-					// TupleCost that polls as well, so it is redundant to
-					// the analyzers by design.
-					if calleeName(call) != "Poll" && !isDispatchCharge(sum, pkg, call) {
-						continue
-					}
-					sites++
-					*list = append(append([]ast.Stmt{}, kept[:i]...), kept[i+1:]...)
-					prog.chargeSum, prog.cfgCache = nil, nil
-					if len(Run(prog, analyzers)) == 0 {
-						t.Errorf("deleting %s at %s goes unnoticed", exprString(call), prog.Fset.Position(call.Pos()))
-					}
-					*list = kept
-				}
-				return true
-			})
+				})
+			}
 		}
 	}
 	if sites == 0 {
-		t.Errorf("found no dispatch or Poll statement in the methods of vec.HashJoin and vec.Sort; the matrix checks nothing")
+		t.Errorf("found no dispatch or Poll statement in the methods of vec.HashJoin, vec.Sort and exec.SortRun; the matrix checks nothing")
 	}
 	t.Logf("%d deletions tried", sites)
 }

@@ -146,13 +146,20 @@ func (m *metrics) watchTables(s *Server, sh *engine.Shared) {
 	}
 }
 
-// observeStatement books one successfully retired statement.
+// observeStatement books one successfully retired statement; its energy is
+// booked by observeEnergy like every other record's.
 func (m *metrics) observeStatement(b core.Breakdown, rows uint64, wallSeconds float64) {
 	m.stmtOK.Inc()
 	m.wallHist.Observe(wallSeconds)
 	m.simHist.Observe(b.Seconds)
 	m.joulesHist.Observe(b.EActive)
 	m.rowsHist.Observe(float64(rows))
+}
+
+// observeEnergy books one retired record's energy, whether its statement
+// succeeded or not, exactly as the ledgers do, so the joule counters agree
+// with energyd_l1d_share and STATS.
+func (m *metrics) observeEnergy(b core.Breakdown) {
 	m.activeJ.Add(b.EActive)
 	m.busyJ.Add(b.EBusy)
 	m.backgroundJ.Add(b.EBackground)

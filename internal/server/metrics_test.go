@@ -293,6 +293,55 @@ func TestErrorClassCounters(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, grepLines(text, "errors_total"))
 		}
 	}
+	// The timed-out statement's joules are in the ledgers, so they must be
+	// in the joule counter too.
+	assertJoulesMatchLedgers(t, srv)
+}
+
+// TestFailedStatementJoulesCounted loses a write-write conflict, a failure
+// that happens after the statement has scanned, and checks that its joules
+// reach the joule counters as they reach the ledgers.
+func TestFailedStatementJoulesCounted(t *testing.T) {
+	srv, addr := startServerCfg(t, server.Config{Workers: 1})
+	opts := client.Options{Engine: "sqlite", Setting: "baseline", Class: "10MB"}
+	first, err := client.Dial(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	second, err := client.Dial(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	for _, q := range []string{"BEGIN", "UPDATE nation SET n_regionkey = 1 WHERE n_nationkey = 3"} {
+		if _, err := first.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := srv.Totals().EActive
+	if _, err := second.Query("UPDATE nation SET n_regionkey = 2 WHERE n_nationkey = 3"); err == nil {
+		t.Fatal("expected a write-write conflict")
+	}
+	if srv.Totals().EActive == before {
+		t.Fatal("the failed write spent no energy; the check below would prove nothing")
+	}
+	assertJoulesMatchLedgers(t, srv)
+}
+
+// assertJoulesMatchLedgers checks that the joule counters hold what the
+// ledgers hold: E_active and every Eq. 1 component.
+func assertJoulesMatchLedgers(t *testing.T, srv *server.Server) {
+	t.Helper()
+	reg, tot := srv.Metrics(), srv.Totals()
+	if active := reg.Counter("energyd_active_joules_total", "").Value(); active != tot.EActive {
+		t.Errorf("energyd_active_joules_total = %g, ledgers hold %g", active, tot.EActive)
+	}
+	for _, c := range core.Components() {
+		if j := reg.Counter("energyd_energy_joules_total", "", "component", c.String()).Value(); j != tot.Joules[c] {
+			t.Errorf("energyd_energy_joules_total{component=%q} = %g, ledgers hold %g", c, j, tot.Joules[c])
+		}
+	}
 }
 
 // TestGovernorOptIn checks Config.Governor wiring: with the stall-aware
