@@ -83,6 +83,9 @@ func (a *AggAcc) UpdateKind(k AggKind, v value.Value) {
 func (a *AggAcc) Result(k AggKind) value.Value {
 	switch k {
 	case AggSum:
+		if a.count == 0 {
+			return value.Null()
+		}
 		return value.Float(a.sum)
 	case AggAvg:
 		if a.count == 0 {

@@ -112,9 +112,6 @@ func ChargeWrite(s Sink, c Card, nodes int) {
 	s.Evals(c.In, nodes)
 }
 
-// ChargeFilter is the predicate evaluation per input row.
-func ChargeFilter(s Sink, c Card, nodes int) { s.Evals(c.In, nodes) }
-
 // ChargeProject evaluates the output expressions and copies the projected
 // row (8-byte slots) per input row.
 func ChargeProject(s Sink, c Card, nodes, cols int) {

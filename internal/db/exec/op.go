@@ -147,41 +147,6 @@ func (s *IndexScan) RowID() int { return s.id }
 // Close implements Operator.
 func (s *IndexScan) Close() error { return nil }
 
-// Filter drops rows failing the predicate.
-type Filter struct {
-	Ctx   *Ctx
-	Child Operator
-	Pred  Expr
-
-	nodes int
-}
-
-// Schema implements Operator.
-func (f *Filter) Schema() *catalog.Schema { return f.Child.Schema() }
-
-// Open implements Operator.
-func (f *Filter) Open() error {
-	f.nodes = f.Pred.Nodes()
-	return f.Child.Open()
-}
-
-// Next implements Operator.
-func (f *Filter) Next() (value.Row, bool, error) {
-	for {
-		row, ok, err := f.Child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		ChargeFilter(f.Ctx, Card{In: 1}, f.nodes)
-		if Truthy(f.Pred.Eval(row)) {
-			return row, true, nil
-		}
-	}
-}
-
-// Close implements Operator.
-func (f *Filter) Close() error { return f.Child.Close() }
-
 // Project computes output expressions per row.
 type Project struct {
 	Ctx   *Ctx

@@ -159,7 +159,7 @@ func (t *GroupTable) Add(vals, args []value.Value) (slot uint64, isNew bool) {
 	key := value.MakeKey(vals...)
 	g, found := t.index[key]
 	if !found {
-		g = int32(t.Len())
+		g = int32(len(t.index))
 		t.index[key] = g
 		t.keys = append(t.keys, vals...)
 		t.states = append(t.states, make([]AggAcc, len(t.aggs))...)
@@ -175,17 +175,27 @@ func (t *GroupTable) Add(vals, args []value.Value) (slot uint64, isNew bool) {
 	return t.head(key), !found
 }
 
-// Len returns the number of groups.
-func (t *GroupTable) Len() int { return len(t.index) }
+// Len returns the number of groups. A table without keys is a scalar
+// aggregate, whose one group exists even when no input arrived: SQL answers
+// it with COUNT 0 and NULL for every other aggregate.
+func (t *GroupTable) Len() int {
+	if t.nkeys == 0 {
+		return 1
+	}
+	return len(t.index)
+}
 
 // Row finalizes group i (in first-seen order) into an output row. The
 // drivers loop over the groups, each with its own charge.
 func (t *GroupTable) Row(i int) value.Row {
 	out := make([]value.Value, t.nkeys, t.nkeys+len(t.aggs))
 	copy(out, t.keys[i*t.nkeys:])
-	states := t.states[i*len(t.aggs):]
 	for k, a := range t.aggs {
-		out = append(out, states[k].Result(a.Kind))
+		var acc AggAcc // a scalar aggregate's group over no input
+		if i < len(t.index) {
+			acc = t.states[i*len(t.aggs)+k]
+		}
+		out = append(out, acc.Result(a.Kind))
 	}
 	return out
 }

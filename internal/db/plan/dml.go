@@ -69,11 +69,11 @@ func readOf(table string, where sql.Node) *sql.SelectStmt {
 // buildWrite puts the write node of an UPDATE (sets non-empty) or DELETE over
 // the scan of its table.
 func (pc *planCtx) buildWrite(scan *Node, sets []sql.SetClause) (*Node, error) {
-	t := pc.lp.rels[0].t
+	t := pc.rels[0].t
 	schema := t.Schema()
 	w := &Node{
 		Kind: opWrite, Kids: []*Node{scan},
-		Table: t, TableName: pc.lp.rels[0].name,
+		Table: t, TableName: pc.rels[0].name,
 		schema:  schema,
 		EstRows: scan.EstRows,
 	}

@@ -16,18 +16,13 @@ import (
 
 // conjunctCounts counts, over the rows n's filter tests, the rows reaching
 // each of the filter's conjuncts and the rows leaving the last: n re-run on
-// the row path without its filter (a filter node's child run instead), and
-// each row's conjuncts evaluated in order by the row interpreter until one
-// fails.
+// the row path without its filter, and each row's conjuncts evaluated in
+// order by the row interpreter until one fails.
 func conjunctCounts(t *testing.T, p *Prepared, n *Node) []float64 {
 	t.Helper()
 	bare := *n
 	bare.Mode, bare.Filter = ModeRow, nil
-	src := &bare
-	if n.Kind == opFilter {
-		src = n.Kids[0]
-	}
-	op, err := p.instantiate(src, nil)
+	op, err := p.instantiate(&bare, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +106,7 @@ func observed(t *testing.T, p *Prepared, n *Node, meters map[*Node]*exec.Meter, 
 // operators, whose candidates before the filter are not metered.
 func exactKind(n *Node) bool {
 	switch n.Kind {
-	case opSeqScan, opFilter, opPrune, opProject, opAggregate, opHashJoin:
+	case opSeqScan, opPrune, opProject, opAggregate, opHashJoin:
 		return true
 	case opIndexScan, opIndexJoin:
 		return n.Mode == ModeVector
@@ -232,11 +227,11 @@ func runExact(t *testing.T, label string, e *engine.Engine, text string, seen ma
 }
 
 // TestChargesExactAtObservedCardinalities is the "exact by construction"
-// property, checked: for every scan, filter, prune, project, aggregate and
-// hash-join node of the 22 TPC-H plans, in whichever mode it was planned,
-// the planner's evaluation of the operator's charge functions — the same
-// calls that price the node, fed the cardinalities the meters observed
-// instead of estimates — reproduces the add and plain-instruction counts of
+// property, checked: for every scan, prune, project, aggregate and hash-join
+// node of the 22 TPC-H plans, in whichever mode it was planned, the
+// planner's evaluation of the operator's charge functions — the same calls
+// that price the node, fed the cardinalities the meters observed instead of
+// estimates — reproduces the add and plain-instruction counts of
 // the node's exclusive meter delta, chain tops including their RowSource
 // boundary. A charge the executor issues and the planner's binding omits
 // (or the reverse) fails here whatever the ±25% X9 band would absorb.

@@ -20,8 +20,6 @@ func (n *Node) Title() string {
 		return fmt.Sprintf("IndexJoin %s (%s = %s)", n.TableName, n.OuterColName, n.InnerColName)
 	case opHashJoin:
 		return fmt.Sprintf("HashJoin (%s = %s)", n.OuterColName, n.InnerColName)
-	case opFilter:
-		return "Filter"
 	case opPrune:
 		return fmt.Sprintf("Prune [%s]", strings.Join(n.schema.Names(), ", "))
 	case opProject:
@@ -129,7 +127,7 @@ func (p *Prepared) Explain() ([]value.Row, []string) {
 // Summary renders the winning plan as one line — operators in execution
 // order, leaves first — for the slow-query log and metric labels, where the
 // multi-line EXPLAIN tree would not fit. E.g.
-// "SeqScan lineitem → Filter → HashAggregate → Sort [revenue]".
+// "SeqScan lineitem → HashAggregate → Sort [revenue]".
 func (p *Prepared) Summary() string {
 	var titles []string
 	var walk func(n *Node)

@@ -56,11 +56,13 @@ func FuzzPlan(f *testing.F) {
 		"SELECT COUNT(*), AVG(price) FROM items WHERE name LIKE 'n%'",
 		"SELECT id FROM items WHERE cat IN (0, 1) ORDER BY price DESC LIMIT 3",
 		"SELECT id, price * 2 AS d FROM items WHERE id < '1995-01-01'",
+		"SELECT name, cat_name FROM items JOIN cats ON cat = cat_id WHERE 1 = 0 OR 2 > 1",
 		// Planner-error shapes: unknown tables/columns, unresolvable joins,
 		// misplaced aggregates — must fail with errors, not panic.
 		"SELECT * FROM missing",
 		"SELECT nope FROM items",
 		"SELECT id FROM items JOIN cats ON wrong = cat_id",
+		"SELECT id FROM items JOIN cats ON cat = cat_id WHERE nope < cat_id",
 		"SELECT id, SUM(price) FROM items",
 		"SELECT MAX(price) FROM items WHERE SUM(id) > 0",
 		"SELECT * FROM items JOIN items ON id = id",

@@ -21,6 +21,9 @@ type rel struct {
 	stats *catalog.TableStats
 	join  *sql.JoinClause // nil for the FROM relation
 	conds []sql.Node      // single-table conjuncts on this relation
+	// resid holds the conjuncts spanning this relation and earlier ones in
+	// the join order: the join that brings this relation in tests them.
+	resid []sql.Node
 
 	// Resolved after join ordering (join relations only).
 	outerCol, innerCol string
@@ -29,23 +32,6 @@ type rel struct {
 	sel float64
 	// estRows = RowCount × sel.
 	estRows float64
-}
-
-// residual is a conjunct spanning several relations, applied at the earliest
-// join position where all its columns are available.
-type residual struct {
-	cond sql.Node
-	pos  int // index into logical.rels of the join that makes it evaluable
-}
-
-// logical is the rewritten query: relations in execution order with pushed
-// predicates, plus the cross-relation residuals.
-type logical struct {
-	rels      []*rel
-	residuals []residual
-	// unplaced conjuncts reference columns in no relation; they are compiled
-	// against the full join schema so the usual resolution error surfaces.
-	unplaced []sql.Node
 }
 
 // defaultSel is the selectivity assumed when a predicate cannot be estimated
@@ -194,12 +180,14 @@ func math1(f float64) float64 {
 	return f
 }
 
-// buildLogical rewrites the statement into relations with pushed-down
-// predicates and a statistics-driven join order. Single-relation conjuncts
-// are pushed through the join chain to their base relation — including the
-// FROM relation when joins are present (the old planner only pushed the
-// WHERE clause on join-free statements).
-func buildLogical(e *engine.Engine, stmt *sql.SelectStmt) (*logical, error) {
+// buildLogical rewrites the statement into its relations in a
+// statistics-driven join order, each with its pushed predicates and join
+// residuals: every WHERE conjunct lands in exactly one relation's conds or
+// resid, so a scan or a join tests it. Single-relation conjuncts are pushed
+// through the join chain to their base relation — including the FROM
+// relation when joins are present (the old planner only pushed the WHERE
+// clause on join-free statements).
+func buildLogical(e *engine.Engine, stmt *sql.SelectStmt) ([]*rel, error) {
 	base, err := e.Table(stmt.From)
 	if err != nil {
 		return nil, err
@@ -217,43 +205,38 @@ func buildLogical(e *engine.Engine, stmt *sql.SelectStmt) (*logical, error) {
 		all = append(all, r)
 	}
 
-	lp := &logical{}
-
 	// Classify WHERE conjuncts: a conjunct whose columns all live in one
-	// relation is pushed to that relation's scan; conjuncts spanning
-	// relations become join residuals.
+	// relation is pushed to that relation's scan, and one with no column —
+	// it holds for every row or for none — to the FROM relation's; conjuncts
+	// spanning relations become join residuals.
 	var multi []sql.Node
 	for _, cond := range splitConjuncts(stmt.Where) {
 		refs := map[string]bool{}
 		colRefs(cond, refs)
 		var owner *rel
-		ok := true
+		spans := false
 		for col := range refs {
 			var found *rel
+			var err error
 			for _, r := range all {
-				if _, err := r.t.Schema().ColIndex(col); err == nil {
+				if _, err = r.t.Schema().ColIndex(col); err == nil {
 					found = r
 					break
 				}
 			}
 			if found == nil {
-				ok = false
-				break
+				return nil, err // a column no relation has
 			}
-			if owner == nil {
-				owner = found
-			} else if owner != found {
-				owner = nil
-				break
-			}
+			spans = spans || owner != nil && owner != found
+			owner = found
 		}
 		switch {
-		case !ok:
-			lp.unplaced = append(lp.unplaced, cond)
-		case owner != nil && len(refs) > 0:
-			owner.conds = append(owner.conds, cond)
-		default:
+		case spans:
 			multi = append(multi, cond)
+		case owner == nil:
+			all[0].conds = append(all[0].conds, cond)
+		default:
+			owner.conds = append(owner.conds, cond)
 		}
 	}
 
@@ -267,7 +250,7 @@ func buildLogical(e *engine.Engine, stmt *sql.SelectStmt) (*logical, error) {
 	// with the smallest estimated output cardinality. A join is eligible
 	// when one ON side resolves in the accumulated outer schema and the
 	// other in the joined table.
-	lp.rels = []*rel{all[0]}
+	rels := []*rel{all[0]}
 	avail := map[string]bool{}
 	for _, c := range all[0].t.Schema().Columns {
 		avail[c.Name] = true
@@ -295,21 +278,21 @@ func buildLogical(e *engine.Engine, stmt *sql.SelectStmt) (*logical, error) {
 		r := pool[bestIdx]
 		pool = append(pool[:bestIdx], pool[bestIdx+1:]...)
 		r.outerCol, r.innerCol = bestOuter, bestInner
-		lp.rels = append(lp.rels, r)
+		rels = append(rels, r)
 		card = bestCard
 		for _, c := range r.t.Schema().Columns {
 			avail[c.Name] = true
 		}
 	}
 
-	// Residuals attach to the earliest join position where every referenced
-	// column is available.
+	// Residuals attach to the earliest join where every referenced column is
+	// available. A spanning conjunct names a column the FROM relation lacks,
+	// so that is a join, never the FROM relation's scan.
 	for _, cond := range multi {
 		refs := map[string]bool{}
 		colRefs(cond, refs)
-		pos := -1
 		have := map[string]bool{}
-		for i, r := range lp.rels {
+		for _, r := range rels {
 			for _, c := range r.t.Schema().Columns {
 				have[c.Name] = true
 			}
@@ -321,19 +304,12 @@ func buildLogical(e *engine.Engine, stmt *sql.SelectStmt) (*logical, error) {
 				}
 			}
 			if all {
-				pos = i
+				r.resid = append(r.resid, cond)
 				break
 			}
 		}
-		if pos < 1 {
-			// Spanning conjunct that somehow resolves nowhere past the
-			// base: let full-schema compilation report it.
-			lp.unplaced = append(lp.unplaced, cond)
-			continue
-		}
-		lp.residuals = append(lp.residuals, residual{cond: cond, pos: pos})
 	}
-	return lp, nil
+	return rels, nil
 }
 
 // sampleProbeCap bounds the number of index probes one join estimate spends.
@@ -348,13 +324,13 @@ const sampleProbeCap = 48
 // keep the default residual selectivity. Returns ok=false when there is no
 // usable index, sample, or match — callers then fall back to the
 // distinct-count estimate.
-func (pc *planCtx) sampleJoinEstimate(r *rel, resConds []sql.Node) (fan, condSel float64, ok bool) {
+func (pc *planCtx) sampleJoinEstimate(r *rel) (fan, condSel float64, ok bool) {
 	tree := r.t.Index(r.innerCol)
 	if tree == nil {
 		return 0, 0, false
 	}
 	var owner *rel
-	for _, o := range pc.lp.rels {
+	for _, o := range pc.rels {
 		if o == r {
 			break
 		}
@@ -375,7 +351,7 @@ func (pc *planCtx) sampleJoinEstimate(r *rel, resConds []sql.Node) (fan, condSel
 	joint := owner.t.Schema().Concat(r.t.Schema())
 	defaultMul := 1.0
 	var evalConds []sql.Node
-	for _, c := range append(append([]sql.Node{}, r.conds...), resConds...) {
+	for _, c := range append(append([]sql.Node{}, r.conds...), r.resid...) {
 		if resolves(c, joint) {
 			evalConds = append(evalConds, c)
 		} else {
@@ -445,7 +421,7 @@ func (pc *planCtx) residualSelOf(cond sql.Node) float64 {
 	}
 	d := 1.0
 	for _, name := range []string{lc.Name, rc.Name} {
-		for _, r := range pc.lp.rels {
+		for _, r := range pc.rels {
 			if _, err := r.t.Schema().ColIndex(name); err == nil {
 				if dd := distinctOf(r.stats, r.t.Schema(), name); dd > d {
 					d = dd

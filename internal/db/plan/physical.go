@@ -22,7 +22,6 @@ const (
 	opIndexScan
 	opIndexJoin
 	opHashJoin
-	opFilter
 	opPrune
 	opProject
 	opAggregate
@@ -66,7 +65,8 @@ type Node struct {
 	// Scans and the index-join inner side.
 	Table     *engine.Table
 	TableName string
-	// Filter is the pushed scan filter, join residual or filter predicate.
+	// Filter is the pushed scan filter or the join residual: every WHERE
+	// conjunct is tested by the scan or the join it is attached to.
 	Filter    exec.Expr
 	FilterStr string
 	// IdxCol with Lo/Hi bound an index range scan ([nil, nil] is full).
@@ -144,7 +144,7 @@ type planCtx struct {
 	e    *engine.Engine
 	c    *coster
 	stmt *sql.SelectStmt
-	lp   *logical
+	rels []*rel // in join order (buildLogical)
 	// star disables column pruning (SELECT * needs every column).
 	star bool
 	// topRefs are the columns referenced above the join chain.
@@ -155,8 +155,8 @@ type planCtx struct {
 	pin map[string]opKind
 }
 
-func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, lp *logical) *planCtx {
-	pc := &planCtx{e: e, c: newCoster(e), stmt: stmt, lp: lp, topRefs: map[string]bool{}}
+func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, rels []*rel) *planCtx {
+	pc := &planCtx{e: e, c: newCoster(e), stmt: stmt, rels: rels, topRefs: map[string]bool{}}
 	for _, it := range stmt.Items {
 		if it.Star {
 			pc.star = true
@@ -169,11 +169,6 @@ func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, lp *logical) *planCtx {
 	}
 	for _, k := range stmt.OrderBy {
 		colRefs(k.Expr, pc.topRefs)
-	}
-	if len(lp.unplaced) > 0 {
-		// Unresolvable conjuncts keep the full schema so their compile
-		// error mentions the real relation.
-		pc.star = true
 	}
 	return pc
 }
@@ -367,7 +362,7 @@ func colCmp(n sql.Node) (col, op string, lit value.Value, ok bool) {
 // index nested loop; PostgreSQL and MySQL compare the predicted energy of a
 // hash join (build on the filtered inner scan) against the index nested
 // loop and take the cheaper — replacing the old fixed row-count threshold.
-func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, error) {
+func (pc *planCtx) chooseJoin(outer *Node, r *rel) (*Node, error) {
 	outerKey, err := outer.schema.ColIndex(r.outerCol)
 	if err != nil {
 		return nil, err
@@ -376,7 +371,7 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, 
 	// cross-table correlations and data skew the per-column statistics
 	// cannot); fall back to the distinct-count model without an index or
 	// sample.
-	fan, condSel, sampled := pc.sampleJoinEstimate(r, resConds)
+	fan, condSel, sampled := pc.sampleJoinEstimate(r)
 	var matches, preMatches float64
 	if sampled {
 		preMatches = outer.EstRows * fan
@@ -385,7 +380,7 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, 
 		d := distinctOf(r.stats, r.t.Schema(), r.innerCol)
 		preMatches = outer.EstRows * float64(r.stats.RowCount) / d
 		matches = outer.EstRows * r.estRows / d
-		for _, rc := range resConds {
+		for _, rc := range r.resid {
 			matches *= pc.residualSelOf(rc)
 		}
 	}
@@ -396,7 +391,7 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, 
 		// Index nested loop reads full inner rows, so the pushed inner
 		// conjuncts are evaluated per match together with the residuals.
 		schema := outer.schema.Concat(r.t.Schema())
-		all := append(append([]sql.Node{}, r.conds...), resConds...)
+		all := append(append([]sql.Node{}, r.conds...), r.resid...)
 		resid, err := compileConds(all, schema)
 		if err != nil {
 			return nil, err
@@ -424,7 +419,7 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, 
 		return nil, err
 	}
 	schema := outer.schema.Concat(build.schema)
-	resid, err := compileConds(resConds, schema)
+	resid, err := compileConds(r.resid, schema)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +427,7 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel, resConds []sql.Node) (*Node, 
 		Kind: opHashJoin, Kids: []*Node{outer, build},
 		OuterKey: outerKey, InnerKey: innerKey,
 		OuterColName: r.outerCol, InnerColName: r.innerCol,
-		Filter: resid, FilterStr: renderConds(resConds), pass: pc.passShares(r, resConds),
+		Filter: resid, FilterStr: renderConds(r.resid), pass: pc.passShares(r, r.resid),
 		schema:  schema,
 		EstRows: matches,
 		// The build side is already filtered by the inner relation's pushed
@@ -495,7 +490,7 @@ type cards struct {
 func (pc *planCtx) passShares(r *rel, conds []sql.Node) []float64 {
 	var pass []float64
 	for _, c := range filterConjuncts(conds) {
-		if r != nil && resolves(c, r.t.Schema()) {
+		if resolves(c, r.t.Schema()) {
 			pass = append(pass, selectivity(r.stats, r.t.Schema(), []sql.Node{c}))
 		} else {
 			pass = append(pass, pc.residualSelOf(c))
@@ -556,8 +551,6 @@ func chargeRow(n *Node, k cards, s exec.Sink) {
 		exec.ChargeHashBuild(s, exec.Card{In: k.build}, 0)
 		exec.ChargeHashProbe(s, in)
 		exec.ChargeTuples(s, exec.Card{In: k.matches, Out: k.out}, exec.ExprNodes(n.Filter), joined)
-	case opFilter:
-		exec.ChargeFilter(s, in, exec.ExprNodes(n.Filter))
 	case opPrune:
 		exec.ChargePrune(s, in, len(n.Cols), n.schema.RowWidth())
 	case opProject:
@@ -686,17 +679,6 @@ func (pc *planCtx) recostScans(n *Node, vecConsumer bool) {
 
 // chain assembly ------------------------------------------------------------
 
-// residualsAt collects the cross-relation conjuncts attached to join i.
-func (lp *logical) residualsAt(i int) []sql.Node {
-	var out []sql.Node
-	for _, r := range lp.residuals {
-		if r.pos == i {
-			out = append(out, r.cond)
-		}
-	}
-	return out
-}
-
 // outerKeep lists the outer-schema columns still needed at join position i:
 // everything referenced above the chain, by residuals at or after i, and by
 // the ON keys of joins at or after i.
@@ -708,14 +690,12 @@ func (pc *planCtx) outerKeep(schema *catalog.Schema, i int) ([]int, bool) {
 	for c := range pc.topRefs {
 		need[c] = true
 	}
-	for _, r := range pc.lp.residuals {
-		if r.pos >= i {
-			colRefs(r.cond, need)
+	for _, r := range pc.rels[i:] {
+		need[r.outerCol] = true
+		need[r.innerCol] = true
+		for _, c := range r.resid {
+			colRefs(c, need)
 		}
-	}
-	for j := i; j < len(pc.lp.rels); j++ {
-		need[pc.lp.rels[j].outerCol] = true
-		need[pc.lp.rels[j].innerCol] = true
 	}
 	var keep []int
 	for idx, c := range schema.Columns {
@@ -751,39 +731,25 @@ func (pc *planCtx) maybePrune(child *Node, keep []int, rows, linesSaved float64)
 // lines is the number of cache lines a row of the given byte width spans.
 func lines(width int) float64 { return math.Ceil(float64(width) / memsim.LineSize) }
 
-// buildChain assembles the scan-join part of the plan, then applies any
-// conjuncts that never resolved (surfacing their resolution errors).
+// buildChain assembles the scan-join part of the plan; its scans and joins
+// test every WHERE conjunct.
 func (pc *planCtx) buildChain() (*Node, error) {
-	node, err := pc.chooseScan(pc.lp.rels[0])
+	node, err := pc.chooseScan(pc.rels[0])
 	if err != nil {
 		return nil, err
 	}
-	for i := 1; i < len(pc.lp.rels); i++ {
-		r := pc.lp.rels[i]
+	for i := 1; i < len(pc.rels); i++ {
+		r := pc.rels[i]
 		if keep, ok := pc.outerKeep(node.schema, i); ok {
 			// The join copies outer plus inner columns per match, 8 bytes each.
 			inner := len(r.t.Schema().Columns)
 			saved := lines((len(node.schema.Columns)+inner)*8) - lines((len(keep)+inner)*8)
 			node = pc.maybePrune(node, keep, node.EstRows, saved)
 		}
-		node, err = pc.chooseJoin(node, r, pc.lp.residualsAt(i))
+		node, err = pc.chooseJoin(node, r)
 		if err != nil {
 			return nil, err
 		}
-	}
-	if len(pc.lp.unplaced) > 0 {
-		pred, err := compileConds(pc.lp.unplaced, node.schema)
-		if err != nil {
-			return nil, err
-		}
-		f := &Node{
-			Kind: opFilter, Kids: []*Node{node},
-			Filter: pred, FilterStr: renderConds(pc.lp.unplaced), pass: pc.passShares(nil, pc.lp.unplaced),
-			schema:  node.schema,
-			EstRows: node.EstRows * defaultSel,
-		}
-		pc.costRow(f, bind(f))
-		node = f
 	}
 	return node, nil
 }
@@ -798,7 +764,7 @@ func (pc *planCtx) groupEstimate(in float64) float64 {
 	for _, g := range pc.stmt.GroupBy {
 		d := math.Sqrt(math.Max(1, in))
 		if c, ok := g.(sql.ColNode); ok {
-			for _, r := range pc.lp.rels {
+			for _, r := range pc.rels {
 				if _, err := r.t.Schema().ColIndex(c.Name); err == nil {
 					d = distinctOf(r.stats, r.t.Schema(), c.Name)
 					// The key values reaching the aggregate come from the
@@ -826,7 +792,7 @@ func (pc *planCtx) buildTop(node *Node) (*Node, error) {
 		// Prune to the sorted-and-projected columns first when it pays:
 		// Sort copies whole rows, so dropping wide unused columns saves
 		// a line per row per copy.
-		if keep, ok := pc.outerKeep(node.schema, len(pc.lp.rels)); ok {
+		if keep, ok := pc.outerKeep(node.schema, len(pc.rels)); ok {
 			saved := lines(node.schema.RowWidth()) - lines(node.schema.Project(keep).RowWidth())
 			node = pc.maybePrune(node, keep, node.EstRows, saved)
 		}

@@ -75,11 +75,11 @@ func preparePinned(e *engine.Engine, stmt sql.Statement, pin map[string]opKind) 
 	default:
 		return nil, fmt.Errorf("plan: %T has no plan", stmt)
 	}
-	lp, err := buildLogical(e, read)
+	rels, err := buildLogical(e, read)
 	if err != nil {
 		return nil, err
 	}
-	pc := newPlanCtx(e, read, lp)
+	pc := newPlanCtx(e, read, rels)
 	pc.pin = pin
 	root, err := pc.buildChain()
 	if err != nil {
@@ -185,8 +185,6 @@ func (p *Prepared) instantiate(n *Node, mt *metering) (exec.Operator, error) {
 			BuildKey: []int{n.InnerKey}, ProbeKey: []int{n.OuterKey},
 			Residual: n.Filter,
 		}
-	case opFilter:
-		op = &exec.Filter{Ctx: e.Ctx, Child: kids[0], Pred: n.Filter}
 	case opPrune:
 		op = &exec.Prune{Ctx: e.Ctx, Child: kids[0], Cols: n.Cols}
 	case opProject:
@@ -246,8 +244,6 @@ func (p *Prepared) instantiateVec(n *Node, mt *metering) (vec.Operator, error) {
 			Index: n.Table.Index(n.InnerColName), ProbeKey: n.OuterKey,
 			Residual: n.Filter,
 		}
-	case opFilter:
-		op = &vec.Filter{Ctx: e.Ctx, Child: kids[0], Pred: n.Filter}
 	case opPrune:
 		op = &vec.Prune{Ctx: e.Ctx, Child: kids[0], Cols: n.Cols}
 	case opProject:

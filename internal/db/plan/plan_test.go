@@ -120,6 +120,35 @@ func TestScalarAggregate(t *testing.T) {
 	}
 }
 
+// TestScalarAggregateOverNoRows checks SQL's answer to an aggregate over an
+// empty input on both executors: one row, COUNT 0 and NULL for the rest,
+// without GROUP BY; no row with it.
+func TestScalarAggregateOverNoRows(t *testing.T) {
+	for _, rowOnly := range []bool{false, true} {
+		e := testEngine(t)
+		e.Knobs.DisableVectorExec = rowOnly
+		rows, _, err := Run(e, "SELECT COUNT(*), SUM(price), AVG(price), MIN(id), MAX(name) FROM items WHERE id > 1000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || rows[0][0].AsInt() != 0 {
+			t.Fatalf("row only: %v: rows = %v, want one row counting 0", rowOnly, rows)
+		}
+		for i, v := range rows[0][1:] {
+			if !v.IsNull() {
+				t.Errorf("row only: %v: aggregate %d over no rows = %v, want NULL", rowOnly, i+1, v)
+			}
+		}
+		rows, _, err = Run(e, "SELECT cat, COUNT(*) FROM items WHERE id > 1000 GROUP BY cat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 0 {
+			t.Errorf("row only: %v: grouped aggregate over no rows = %v, want none", rowOnly, rows)
+		}
+	}
+}
+
 func TestJoin(t *testing.T) {
 	e := testEngine(t)
 	rows, _, err := Run(e, `
@@ -221,8 +250,8 @@ func TestResultsMatchAcrossEngines(t *testing.T) {
 // TestJoinPushdownReducesScan is the regression test for the missed-pushdown
 // bug in the old planner (WHERE was pushed into the scan only when the
 // statement had no joins). The optimized plan must scan only the matching
-// base tuples and spend measurably less L1D energy than the unpushed
-// scan→join→filter tree the old planner emitted.
+// base tuples and spend measurably less L1D energy than the unpushed tree,
+// which tests the predicate on every joined row.
 func TestJoinPushdownReducesScan(t *testing.T) {
 	const query = `SELECT name, cat_name FROM items JOIN cats ON cat = cat_id WHERE price < 15`
 
@@ -262,24 +291,25 @@ func TestJoinPushdownReducesScan(t *testing.T) {
 		t.Fatalf("items scan emitted %d tuples, want 10 (predicate pushed through the join)", scanRows)
 	}
 
-	// Hand-built unpushed tree on a fresh, identically seeded engine:
-	// full scan → join → post-join filter (what the old planner produced).
+	// Hand-built unpushed tree on a fresh, identically seeded engine: a full
+	// scan, and the predicate left to the join as a residual on every joined
+	// row (where the old planner tested it).
 	e2 := testEngine(t)
-	cats := e2.MustTable("cats")
-	join := &exec.IndexJoin{
-		Ctx: e2.Ctx, Outer: &exec.SeqScan{Ctx: e2.Ctx, File: e2.MustTable("items").File},
-		Inner: cats.File, Index: cats.Index("cat_id"), OuterKey: 1,
-	}
+	items, cats := e2.MustTable("items"), e2.MustTable("cats")
 	cond, err := sql.Parse("SELECT * FROM items WHERE price < 15")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := compile(cond.Where, join.Schema())
+	pred, err := compile(cond.Where, items.Schema().Concat(cats.Schema()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	join := &exec.IndexJoin{
+		Ctx: e2.Ctx, Outer: &exec.SeqScan{Ctx: e2.Ctx, File: items.File},
+		Inner: cats.File, Index: cats.Index("cat_id"), OuterKey: 1, Residual: pred,
+	}
 	c0 := e2.M.Hier.Counters()
-	rows2, err := exec.Collect(&exec.Filter{Ctx: e2.Ctx, Child: join, Pred: pred})
+	rows2, err := exec.Collect(join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,6 +403,42 @@ func TestLiteralFirstComparisonPlansAlike(t *testing.T) {
 	}
 	if !strings.Contains(want, "IndexScan items (id)") {
 		t.Fatalf("bounded range did not use the index:\n%s", want)
+	}
+}
+
+// TestConstantConjunctRunsInScan checks that a conjunct naming no column is
+// tested by the FROM relation's scan, like any of its own, on both
+// executors and under a join, and that a conjunct naming a column no
+// relation has fails the plan.
+func TestConstantConjunctRunsInScan(t *testing.T) {
+	for _, c := range []struct {
+		query, filter string
+		rows          int
+	}{
+		{"SELECT id FROM items WHERE 1 = 0", "filter=((1 = 0))", 0},
+		{"SELECT id FROM items WHERE price < 15 AND 'a' < 'b'", "filter=((price < 15) AND ('a' < 'b'))", 10},
+		{"SELECT name, cat_name FROM items JOIN cats ON cat = cat_id WHERE 2 > 1 AND cat_name = 'veg'", "filter=((2 > 1))", 25},
+	} {
+		for _, rowOnly := range []bool{false, true} {
+			e := testEngine(t)
+			e.Knobs.DisableVectorExec = rowOnly
+			rows, _, err := Run(e, c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != c.rows {
+				t.Errorf("%s (row only: %v): %d rows, want %d", c.query, rowOnly, len(rows), c.rows)
+			}
+			lines := explainLines(t, e, c.query)
+			scan := lines[len(lines)-2] // the FROM relation's scan is the deepest node
+			if !strings.Contains(scan, "Scan items") || !strings.Contains(scan, c.filter) {
+				t.Errorf("%s: the FROM scan does not test %s:\n%s", c.query, c.filter, strings.Join(lines, "\n"))
+			}
+		}
+	}
+	_, _, err := Run(testEngine(t), "SELECT id FROM items JOIN cats ON cat = cat_id WHERE 1 = 1 AND nope > cat_id")
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("a conjunct naming an unknown column: err = %v, want it named", err)
 	}
 }
 

@@ -41,7 +41,7 @@ import (
 // annotates with a mode.
 func vecEligibleKind(k opKind) bool {
 	switch k {
-	case opSeqScan, opIndexScan, opIndexJoin, opFilter, opPrune, opProject, opAggregate, opHashJoin, opSort:
+	case opSeqScan, opIndexScan, opIndexJoin, opPrune, opProject, opAggregate, opHashJoin, opSort:
 		return true
 	}
 	return false
@@ -410,10 +410,6 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 			pr.filter.ChargeFilter(s, k.outBatches, k.conj, toucher(s, out))
 		}
 		return out
-	case opFilter:
-		// The batch passes through by reference: the output stays lazy.
-		pr.filter.ChargeFilter(s, k.batches, k.conj, touch)
-		return src
 	case opPrune:
 		vec.ChargePrune(s, arriving, len(n.Cols))
 		for _, c := range n.Cols {

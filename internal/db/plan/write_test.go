@@ -51,7 +51,8 @@ func tableDump(t *testing.T, e *engine.Engine) []string {
 // batch scan pointing either way: all eight
 // plans must change the same rows — read back slot by slot, so the same row
 // ids — and report the same count. The predicate has a part the index bounds
-// capture and a residual, and spans several batches of the vector scans. The
+// capture and a residual (the DELETE's includes a conjunct of no column,
+// which the scan tests too), and spans several batches of the vector scans. The
 // machine's L3 is cut to 256 KB so that facts is longer than it and the vector
 // sequential scan does walk back to front when told to.
 func TestWriteSameOnEveryPathAndMode(t *testing.T) {
@@ -60,7 +61,7 @@ func TestWriteSameOnEveryPathAndMode(t *testing.T) {
 	small.Mem.L2.SizeBytes, small.Mem.L3.SizeBytes = 64<<10, 256<<10
 	for _, text := range []string{
 		"UPDATE facts SET amount = amount * 2 + 1, grp = 9 WHERE id >= 100 AND id <= 12600 AND grp = 3",
-		"DELETE FROM facts WHERE id >= 100 AND id <= 12600 AND grp = 3",
+		"DELETE FROM facts WHERE id >= 100 AND id <= 12600 AND grp = 3 AND 1 = 1",
 	} {
 		stmt, err := sql.ParseStatement(text)
 		if err != nil {

@@ -94,41 +94,6 @@ func (s *Scan) Close() error { return nil }
 // every other scan of a heap longer than the last-level cache does.
 func (s *Scan) Reverse() bool { return s.bs != nil && s.bs.Reverse() }
 
-// Filter narrows the selection vector of each batch by a predicate.
-type Filter struct {
-	Ctx   *exec.Ctx
-	Child Operator
-	Pred  exec.Expr
-
-	p    *pool
-	pred *Prog
-}
-
-// Schema implements Operator.
-func (f *Filter) Schema() *catalog.Schema { return f.Child.Schema() }
-
-// Open implements Operator.
-func (f *Filter) Open() error {
-	f.p = newPool(f.Ctx)
-	f.pred = CompileFilter(f.Pred)
-	return f.Child.Open()
-}
-
-// Next implements Operator.
-func (f *Filter) Next() (*Batch, error) {
-	b, err := f.Child.Next()
-	if b == nil || err != nil {
-		return nil, err
-	}
-	f.Ctx.Poll()
-	f.p.reset()
-	f.pred.filter(f.Ctx, f.p, b)
-	return b, nil
-}
-
-// Close implements Operator.
-func (f *Filter) Close() error { return f.Child.Close() }
-
 // Prune narrows each batch to a subset of its columns. Vectors are shared
 // with the child batch — pruning moves no payload bytes, it only remaps the
 // column slots (one batch dispatch).
