@@ -25,12 +25,14 @@ lint:
 	$(GO) run ./cmd/energylint ./...
 
 # Non-blank, non-comment, non-test Go lines of the packages the simplicity
-# PRs track: the planner and the two executors, the engine profiles, the
+# PRs track: the planner and the two executors, the B-tree (its bounded
+# range iterator is what both index scans read), the engine profiles, the
 # analyzer suite, the statement pipeline with its two consumers and the wire
 # protocol, the experiment harness, the TPC-H package and the public facade
 # at the root.
 loc:
 	@scripts/loc.sh internal/db/plan internal/db/vec internal/db/exec
+	@scripts/loc.sh internal/db/btree
 	@scripts/loc.sh internal/db/engine
 	@scripts/loc.sh internal/lint
 	@scripts/loc.sh internal/server internal/server/wire cmd/dbshell internal/db/stmt

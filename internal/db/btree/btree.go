@@ -345,47 +345,37 @@ type frame struct {
 	idx int
 }
 
-// Seek positions at the first entry with key >= target and returns an
-// iterator over the tree snapshot current at the call. The descent issues
-// dependent loads at each level.
-func (t *Tree) Seek(target value.Value) *Iter {
+// Range returns an iterator over the entries with lo <= key <= hi of the
+// tree snapshot current at the call; a nil bound is open. The descent to the
+// first entry >= lo (the smallest entry when lo is nil) issues dependent
+// loads at each level. The upper bound is checked on the host and costs no simulated
+// access: the iterator turns invalid at the first entry past hi.
+func (t *Tree) Range(lo, hi *value.Value) *Iter {
 	it := &Iter{t: t}
+	if hi != nil {
+		it.hi, it.bounded = *hi, true
+	}
 	n := t.snapshotRoot()
-	for !n.leaf {
+	for {
 		t.touchNode(n, len(n.keys))
-		// Descend into the leftmost child that can hold target:
-		// duplicates equal to a separator may live in the child left
-		// of it, so the interior search uses >=.
-		idx := sort.Search(len(n.keys), func(i int) bool {
-			return value.Compare(n.keys[i], target) >= 0
-		})
+		// Descend into the leftmost child that can hold lo: duplicates
+		// equal to a separator may live in the child left of it, so the
+		// interior search uses >=.
+		idx := 0
+		if lo != nil {
+			idx = sort.Search(len(n.keys), func(i int) bool {
+				return value.Compare(n.keys[i], *lo) >= 0
+			})
+		}
+		if n.leaf {
+			it.n, it.idx = n, idx
+			break
+		}
 		it.stack = append(it.stack, frame{n, idx})
 		n = n.kids[idx]
 	}
-	t.touchNode(n, len(n.keys))
-	it.n = n
-	it.idx = sort.Search(len(n.keys), func(i int) bool {
-		return value.Compare(n.keys[i], target) >= 0
-	})
-	// The first >= entry may live in a later leaf.
+	// The first entry in range may live in a later leaf.
 	for it.n != nil && it.idx >= len(it.n.keys) {
-		it.advanceLeaf()
-	}
-	return it
-}
-
-// First returns an iterator at the smallest entry of the current snapshot.
-func (t *Tree) First() *Iter {
-	it := &Iter{t: t}
-	n := t.snapshotRoot()
-	for !n.leaf {
-		t.touchNode(n, len(n.keys))
-		it.stack = append(it.stack, frame{n, 0})
-		n = n.kids[0]
-	}
-	t.touchNode(n, len(n.keys))
-	it.n = n
-	for it.n != nil && len(it.n.keys) == 0 {
 		it.advanceLeaf()
 	}
 	return it
@@ -394,10 +384,7 @@ func (t *Tree) First() *Iter {
 // Lookup returns the rowIDs of entries equal to key.
 func (t *Tree) Lookup(key value.Value) []int {
 	var out []int
-	for it := t.Seek(key); it.Valid(); it.Next() {
-		if value.Compare(it.Key(), key) != 0 {
-			break
-		}
+	for it := t.Range(&key, &key); it.Valid(); it.Next() {
 		out = append(out, it.RowID())
 	}
 	return out
@@ -411,11 +398,15 @@ type Iter struct {
 	stack []frame
 	n     *node
 	idx   int
+	// hi is the inclusive upper bound when bounded is set.
+	hi      value.Value
+	bounded bool
 }
 
-// Valid reports whether the iterator points at an entry.
+// Valid reports whether the iterator points at an entry within its range.
 func (it *Iter) Valid() bool {
-	return it.n != nil && it.idx < len(it.n.keys)
+	return it.n != nil && it.idx < len(it.n.keys) &&
+		(!it.bounded || value.Compare(it.n.keys[it.idx], it.hi) <= 0)
 }
 
 // Key returns the current key.

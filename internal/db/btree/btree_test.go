@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -55,7 +56,7 @@ func TestOrderedIteration(t *testing.T) {
 		tr.Insert(value.Int(int64(k)), i)
 	}
 	var got []int64
-	for it := tr.First(); it.Valid(); it.Next() {
+	for it := tr.Range(nil, nil); it.Valid(); it.Next() {
 		got = append(got, it.Key().I)
 	}
 	if len(got) != 5000 {
@@ -66,12 +67,15 @@ func TestOrderedIteration(t *testing.T) {
 	}
 }
 
+// seek is Range from target with no upper bound.
+func seek(tr *Tree, target value.Value) *Iter { return tr.Range(&target, nil) }
+
 func TestSeekRange(t *testing.T) {
 	tr := newTree(t, 1024)
 	for i := 0; i < 1000; i++ {
 		tr.Insert(value.Int(int64(i*2)), i) // even keys 0..1998
 	}
-	it := tr.Seek(value.Int(501)) // first key >= 501 is 502
+	it := seek(tr, value.Int(501)) // first key >= 501 is 502
 	if !it.Valid() || it.Key().I != 502 {
 		t.Fatalf("seek(501) at %v", it.Key())
 	}
@@ -81,6 +85,57 @@ func TestSeekRange(t *testing.T) {
 	}
 	if count != 50 {
 		t.Fatalf("range [502, 600] has %d entries, want 50", count)
+	}
+
+	// The bounded iterator against the loop it replaced: an open-ended
+	// iterator from lo, stopped by a host compare at the first key past hi.
+	// Both must yield the same row ids and issue the same simulated accesses.
+	// Key 1000 is duplicated across several leaves (order 63 at 1024 bytes).
+	build := func() (*Tree, *memsim.Hierarchy) {
+		m := cpusim.NewMachine(cpusim.IntelI7_4790())
+		tr := New(m.Hier, memsim.NewArena(1<<33, 512<<20), 1024)
+		for i := 0; i < 1000; i++ {
+			tr.Insert(value.Int(int64(i*2)), i)
+			if i%4 == 0 {
+				tr.Insert(value.Int(1000), 5000+i)
+			}
+		}
+		return tr, m.Hier
+	}
+	at := func(k int64) *value.Value { v := value.Int(k); return &v }
+	for _, c := range []struct {
+		name   string
+		lo, hi *value.Value
+		want   int
+	}{
+		{"lower bound only", at(1901), nil, 49},
+		{"upper bound only", nil, at(99), 50},
+		{"both bounds", at(502), at(600), 50},
+		{"hi below lo", at(600), at(500), 0},
+		{"empty past the last key", at(1999), nil, 0},
+		{"duplicates of both bounds", at(1000), at(1000), 251},
+		{"duplicates of the lower bound", at(1000), at(1004), 253},
+		{"duplicates of the upper bound", at(996), at(1000), 253},
+	} {
+		newTr, newH := build()
+		oldTr, oldH := build()
+		newBefore, oldBefore := newH.Counters(), oldH.Counters()
+		var got, want []int
+		for it := newTr.Range(c.lo, c.hi); it.Valid(); it.Next() {
+			got = append(got, it.RowID())
+		}
+		for it := oldTr.Range(c.lo, nil); it.Valid(); it.Next() {
+			if c.hi != nil && value.Compare(it.Key(), *c.hi) > 0 {
+				break
+			}
+			want = append(want, it.RowID())
+		}
+		if !slices.Equal(got, want) || len(got) != c.want {
+			t.Errorf("%s: Range yields %d ids %v, the compare loop %d, want %d", c.name, len(got), got, len(want), c.want)
+		}
+		if d, w := newH.Counters().Sub(newBefore), oldH.Counters().Sub(oldBefore); d != w {
+			t.Errorf("%s: Range issued %+v, the compare loop %+v", c.name, d, w)
+		}
 	}
 }
 
@@ -174,7 +229,7 @@ func TestStringKeys(t *testing.T) {
 	for i, w := range words {
 		tr.Insert(value.Str(w), i)
 	}
-	it := tr.First()
+	it := tr.Range(nil, nil)
 	if it.Key().S != "alpha" {
 		t.Fatalf("first key = %q", it.Key().S)
 	}

@@ -75,19 +75,19 @@ func FuzzBtreeDelete(f *testing.F) {
 					t.Fatalf("op %d: Delete(%d, %d) = %v, model says %v", i/2, e.key, e.id, got, ok)
 				}
 			case 2:
-				if got, exp := collect(tr.Seek(value.Int(key))), want[want.seek(key):]; !slices.Equal(got, []entry(exp)) {
-					t.Fatalf("op %d: Seek(%d) yields %v, want %v", i/2, key, got, exp)
+				if got, exp := collect(seek(tr, value.Int(key))), want[want.seek(key):]; !slices.Equal(got, []entry(exp)) {
+					t.Fatalf("op %d: seek(%d) yields %v, want %v", i/2, key, got, exp)
 				}
 			case 3:
 				if held == nil {
-					held, heldWant = tr.Seek(value.Int(key)), slices.Clone(want[want.seek(key):])
+					held, heldWant = seek(tr, value.Int(key)), slices.Clone(want[want.seek(key):])
 				}
 			}
 			if tr.Len() != len(want) {
 				t.Fatalf("op %d: Len = %d, model has %d", i/2, tr.Len(), len(want))
 			}
 		}
-		if got := collect(tr.First()); !slices.Equal(got, []entry(want)) {
+		if got := collect(tr.Range(nil, nil)); !slices.Equal(got, []entry(want)) {
 			t.Fatalf("final iteration yields %v, want %v", got, want)
 		}
 		if held != nil {
@@ -135,10 +135,10 @@ func TestDeleteEmptiesLeavesInPlace(t *testing.T) {
 		}
 	}
 	leaves(tr.s.root)
-	if it := tr.First(); it.Valid() {
+	if it := tr.Range(nil, nil); it.Valid() {
 		t.Fatalf("empty tree iterates from %v", it.Key())
 	}
-	if it := tr.Seek(value.Int(100)); it.Valid() {
+	if it := seek(tr, value.Int(100)); it.Valid() {
 		t.Fatalf("empty tree seeks to %v", it.Key())
 	}
 	tr.Insert(value.Int(250), 9)

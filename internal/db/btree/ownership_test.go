@@ -42,8 +42,8 @@ func TestIterSurvivesRootSplits(t *testing.T) {
 			tr.Insert(value.Int(int64(i*100)), i)
 			want = append(want, entry{int64(i * 100), i})
 		}
-		first := tr.First()
-		mid := tr.Seek(value.Int(want[initial/2].key))
+		first := tr.Range(nil, nil)
+		mid := seek(tr, value.Int(want[initial/2].key))
 		height := tr.Height()
 		rng := rand.New(rand.NewSource(3))
 		for n := 0; n < 3*tr.Order() || tr.Height() < height+2; n++ {
@@ -53,7 +53,7 @@ func TestIterSurvivesRootSplits(t *testing.T) {
 			t.Fatalf("initial=%d: First() opened before the inserts yields %v, want %v", initial, got, want)
 		}
 		if got := collect(mid); !slices.Equal(got, want[initial/2:]) {
-			t.Fatalf("initial=%d: Seek() opened before the inserts yields %v, want %v", initial, got, want[initial/2:])
+			t.Fatalf("initial=%d: seek() opened before the inserts yields %v, want %v", initial, got, want[initial/2:])
 		}
 	}
 }
@@ -78,11 +78,11 @@ func TestSeekBetweenInsertsMatchesModel(t *testing.T) {
 			}
 			target := rng.Int63n(220)
 			from := sort.Search(len(model), func(j int) bool { return model[j].key >= target })
-			if got := collect(tr.Seek(value.Int(target))); !slices.Equal(got, model[from:]) {
-				t.Fatalf("k=%d after %d inserts: Seek(%d) yields %v, want %v", k, i+1, target, got, model[from:])
+			if got := collect(seek(tr, value.Int(target))); !slices.Equal(got, model[from:]) {
+				t.Fatalf("k=%d after %d inserts: seek(%d) yields %v, want %v", k, i+1, target, got, model[from:])
 			}
 		}
-		if got := collect(tr.First()); !slices.Equal(got, model) {
+		if got := collect(tr.Range(nil, nil)); !slices.Equal(got, model) {
 			t.Fatalf("k=%d: final tree differs from the model", k)
 		}
 	}
@@ -106,7 +106,7 @@ func TestConcurrentViewsInsertAndScan(t *testing.T) {
 					continue
 				}
 				own, last := 0, int64(-1)
-				for it := view.First(); it.Valid(); it.Next() {
+				for it := view.Range(nil, nil); it.Valid(); it.Next() {
 					k := it.Key().I
 					if k <= last {
 						t.Errorf("view %d: scan out of order: %d after %d", v, k, last)
@@ -128,7 +128,7 @@ func TestConcurrentViewsInsertAndScan(t *testing.T) {
 	if tr.Len() != 2*perView {
 		t.Fatalf("len = %d, want %d", tr.Len(), 2*perView)
 	}
-	got := collect(tr.First())
+	got := collect(tr.Range(nil, nil))
 	for i, e := range got {
 		if e.key != int64(i) || e.id != i {
 			t.Fatalf("entry %d = %+v", i, e)
@@ -141,7 +141,7 @@ func TestConcurrentViewsInsertAndScan(t *testing.T) {
 
 // TestInsertCopiesOnlyWhatAReaderSaw counts allocations: building a tree no
 // reader has seen copies no node (only slice growth and the split siblings
-// allocate, well under two per insert), while the first insert after a Seek
+// allocate, well under two per insert), while the first insert after a seek
 // clones the root-to-leaf path once and the one after that writes the clones
 // in place.
 func TestInsertCopiesOnlyWhatAReaderSaw(t *testing.T) {
@@ -161,15 +161,15 @@ func TestInsertCopiesOnlyWhatAReaderSaw(t *testing.T) {
 	// A clone is three allocations (node, keys, row ids or children).
 	path := float64(3 * tr.Height())
 	afterSeek := testing.AllocsPerRun(50, func() {
-		tr.Seek(value.Int(0))
+		seek(tr, value.Int(0))
 		insert()
 	})
-	seekOnly := testing.AllocsPerRun(50, func() { tr.Seek(value.Int(0)) })
+	seekOnly := testing.AllocsPerRun(50, func() { seek(tr, value.Int(0)) })
 	if cloned := afterSeek - seekOnly; cloned < path || cloned > path+3 {
-		t.Fatalf("insert after a Seek: %.2f allocations, want the %v of one cloned path (plus growth)", cloned, path)
+		t.Fatalf("insert after a seek: %.2f allocations, want the %v of one cloned path (plus growth)", cloned, path)
 	}
 
-	tr.Seek(value.Int(0))
+	seek(tr, value.Int(0))
 	insert() // clones the path
 	root := tr.s.root
 	if a := testing.AllocsPerRun(50, insert); a >= 2 {

@@ -53,7 +53,7 @@ func TestTreeViewIteration(t *testing.T) {
 	}
 	v := tr.View(memsim.New(memsim.I7_4790()))
 	i := 0
-	for it := v.First(); it.Valid(); it.Next() {
+	for it := v.Range(nil, nil); it.Valid(); it.Next() {
 		if it.RowID() != i {
 			t.Fatalf("view iteration position %d has rowID %d", i, it.RowID())
 		}

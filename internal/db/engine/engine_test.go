@@ -107,7 +107,7 @@ func TestJoinStrategiesAgreeOnResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		hash, err := exec.Collect(&exec.HashJoin{
-			Ctx: e.Ctx, Build: scan(), Probe: scan(), BuildKey: []int{0}, ProbeKey: []int{1},
+			Ctx: e.Ctx, Build: scan(), Probe: scan(), BuildKey: 0, ProbeKey: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -43,6 +43,16 @@ type AggSpec struct {
 	Name string
 }
 
+// AggExprs is a hash aggregation's expression list: the GROUP BY keys, then
+// one argument per aggregate (nil for COUNT(*)).
+func AggExprs(groupBy []Expr, aggs []AggSpec) []Expr {
+	exprs := append(make([]Expr, 0, len(groupBy)+len(aggs)), groupBy...)
+	for _, a := range aggs {
+		exprs = append(exprs, a.Arg)
+	}
+	return exprs
+}
+
 // AggAcc accumulates one aggregate for one group of a GroupTable, the table
 // the row GroupBy and the vectorized aggregation both fold into.
 type AggAcc struct {
@@ -136,13 +146,10 @@ func (g *GroupBy) Open() error {
 	table := NewGroupTable(g.Ctx, len(g.GroupBy), g.Aggs)
 	h := g.Ctx.M.Hier
 
-	nodes := ExprNodes(g.GroupBy...)
-	for _, a := range g.Aggs {
-		nodes += ExprNodes(a.Arg)
-	}
-
-	scratch := make([]value.Value, len(g.GroupBy)+len(g.Aggs))
-	keyVals, args := scratch[:len(g.GroupBy)], scratch[len(g.GroupBy):]
+	exprs := AggExprs(g.GroupBy, g.Aggs)
+	nodes := ExprNodes(exprs...)
+	vals := make([]value.Value, len(exprs))
+	keyVals, args := vals[:len(g.GroupBy)], vals[len(g.GroupBy):]
 	for {
 		row, ok, err := g.Child.Next()
 		if err != nil {
@@ -152,12 +159,9 @@ func (g *GroupBy) Open() error {
 			break
 		}
 		ChargeGroupInput(g.Ctx, Card{In: 1}, nodes)
-		for i, e := range g.GroupBy {
-			keyVals[i] = e.Eval(row)
-		}
-		for i, a := range g.Aggs {
-			if a.Arg != nil {
-				args[i] = a.Arg.Eval(row)
+		for i, e := range exprs {
+			if e != nil {
+				vals[i] = e.Eval(row)
 			}
 		}
 		slot, isNew := table.Add(keyVals, args)

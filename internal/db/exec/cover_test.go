@@ -160,8 +160,8 @@ func TestHashJoinSchemaAndClose(t *testing.T) {
 		Ctx:      f.ctx,
 		Build:    &SeqScan{Ctx: f.ctx, File: f.file},
 		Probe:    &SeqScan{Ctx: f.ctx, File: f.file},
-		BuildKey: []int{1},
-		ProbeKey: []int{1},
+		BuildKey: 1,
+		ProbeKey: 1,
 	}
 	names := j.Schema().Names()
 	if len(names) != 8 || !strings.Contains(strings.Join(names, ","), "id") {

@@ -205,8 +205,8 @@ func TestHashJoin(t *testing.T) {
 		Ctx:      f.ctx,
 		Build:    &SeqScan{Ctx: f.ctx, File: f.file},
 		Probe:    &SeqScan{Ctx: f.ctx, File: f.file},
-		BuildKey: []int{1},
-		ProbeKey: []int{1},
+		BuildKey: 1,
+		ProbeKey: 1,
 	}
 	n, err := Drain(j)
 	if err != nil {
@@ -224,8 +224,8 @@ func TestHashJoinResidual(t *testing.T) {
 		Ctx:      f.ctx,
 		Build:    &SeqScan{Ctx: f.ctx, File: f.file},
 		Probe:    &SeqScan{Ctx: f.ctx, File: f.file},
-		BuildKey: []int{1},
-		ProbeKey: []int{1},
+		BuildKey: 1,
+		ProbeKey: 1,
 		Residual: BinOp{OpLt, Col{Idx: 0}, Col{Idx: 4}},
 	}
 	n, err := Drain(j)

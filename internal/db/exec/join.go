@@ -13,18 +13,18 @@ import (
 // usually larger than L1D, one of the ways complex executors shift energy
 // away from the L1D cache (Section 3.3).
 type HashJoin struct {
-	Ctx      *Ctx
-	Build    Operator
-	Probe    Operator
-	BuildKey []int
-	ProbeKey []int
+	Ctx   *Ctx
+	Build Operator
+	Probe Operator
+	// BuildKey and ProbeKey are the equijoin's key columns on each side.
+	BuildKey int
+	ProbeKey int
 	// Residual is an optional non-equi predicate over the joined row.
 	Residual Expr
 
 	schema   *catalog.Schema
 	rows     []value.Row
 	table    HashTable
-	probeKey KeyBuf
 	probeRow value.Row
 	matches  []int32
 	matchIdx int
@@ -49,10 +49,9 @@ func (j *HashJoin) Open() error {
 	j.rows = rows
 	j.table = NewHashTable(j.Ctx, len(rows))
 	h := j.Ctx.M.Hier
-	buildKey := make(KeyBuf, len(j.BuildKey))
 	for i, r := range rows {
 		j.Ctx.PollEvery(i)
-		key, ok := buildKey.Row(r, j.BuildKey)
+		key, ok := JoinKey(r[j.BuildKey])
 		if !ok {
 			// A NULL key can never satisfy an equality, so the row can
 			// never match; keep it out of the table entirely.
@@ -62,7 +61,6 @@ func (j *HashJoin) Open() error {
 		h.Load(slot, true)
 		ChargeHashBuild(j.Ctx, Card{In: 1}, slot)
 	}
-	j.probeKey = make(KeyBuf, len(j.ProbeKey))
 	j.resNodes = ExprNodes(j.Residual)
 	return j.Probe.Open()
 }
@@ -90,7 +88,7 @@ func (j *HashJoin) Next() (value.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		key, ok := j.probeKey.Row(row, j.ProbeKey)
+		key, ok := JoinKey(row[j.ProbeKey])
 		if !ok {
 			// NULL never equals anything (not even NULL): skip the probe.
 			continue

@@ -41,7 +41,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	build, probe := nullJoinInputs(f)
 	j := &HashJoin{
 		Ctx: f.ctx, Build: build.Scan(), Probe: probe.Scan(),
-		BuildKey: []int{0}, ProbeKey: []int{0},
+		BuildKey: 0, ProbeKey: 0,
 	}
 	rows, err := Collect(j)
 	if err != nil {
@@ -66,7 +66,7 @@ func TestHashJoinNullKeysWithResidual(t *testing.T) {
 	build, probe := nullJoinInputs(f)
 	j := &HashJoin{
 		Ctx: f.ctx, Build: build.Scan(), Probe: probe.Scan(),
-		BuildKey: []int{0}, ProbeKey: []int{0},
+		BuildKey: 0, ProbeKey: 0,
 		// probe.v < build.v + 100 keeps v=100 vs {10,14} out, v=102 vs 12 out;
 		// an always-true shape would hide residual evaluation entirely, so use
 		// one that prunes: keep pairs with build.v > 10.
@@ -79,34 +79,6 @@ func TestHashJoinNullKeysWithResidual(t *testing.T) {
 	// Surviving pairs: (k=1, build v=14) and (k=2, build v=12).
 	if len(rows) != 2 {
 		t.Fatalf("residual join produced %d rows, want 2: %v", len(rows), rows)
-	}
-}
-
-// TestHashJoinMultiColNullComponent checks a composite key with one NULL
-// component is treated as a NULL key.
-func TestHashJoinMultiColNullComponent(t *testing.T) {
-	f := newFixture(t, 1)
-	schema := catalog.NewSchema(
-		catalog.Column{Name: "a", Type: value.TypeInt},
-		catalog.Column{Name: "b", Type: value.TypeInt},
-	)
-	rows := []value.Row{
-		{value.Int(1), value.Int(1)},
-		{value.Int(1), value.Null()},
-		{value.Null(), value.Int(1)},
-	}
-	mt := NewMemTable(f.ctx, schema, rows)
-	j := &HashJoin{
-		Ctx: f.ctx, Build: mt.Scan(), Probe: mt.Scan(),
-		BuildKey: []int{0, 1}, ProbeKey: []int{0, 1},
-	}
-	got, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only (1,1) ⋈ (1,1): rows with a NULL in either key component drop out.
-	if len(got) != 1 {
-		t.Fatalf("composite-key join produced %d rows, want 1: %v", len(got), got)
 	}
 }
 

@@ -105,11 +105,7 @@ func (s *IndexScan) Schema() *catalog.Schema { return s.File.Schema() }
 
 // Open implements Operator.
 func (s *IndexScan) Open() error {
-	if s.Lo != nil {
-		s.it = s.Tree.Seek(*s.Lo)
-	} else {
-		s.it = s.Tree.First()
-	}
+	s.it = s.Tree.Range(s.Lo, s.Hi)
 	s.filterNodes = ExprNodes(s.Filter)
 	s.width = s.File.Schema().RowWidth()
 	return nil
@@ -118,9 +114,6 @@ func (s *IndexScan) Open() error {
 // Next implements Operator.
 func (s *IndexScan) Next() (value.Row, bool, error) {
 	for s.it.Valid() {
-		if s.Hi != nil && value.Compare(s.it.Key(), *s.Hi) > 0 {
-			return nil, false, nil
-		}
 		id := s.it.RowID()
 		s.it.Next()
 		row, visible, err := s.File.ReadRow(id, false)
@@ -159,18 +152,25 @@ type Project struct {
 	out    value.Row
 }
 
+// ProjectSchema is the output schema of a projection of n expressions: an
+// anonymous 8-byte float slot each, named by names (col<i> where a name is
+// missing or empty).
+func ProjectSchema(n int, names []string) *catalog.Schema {
+	cols := make([]catalog.Column, n)
+	for i := range cols {
+		name := fmt.Sprintf("col%d", i)
+		if i < len(names) && names[i] != "" {
+			name = names[i]
+		}
+		cols[i] = catalog.Column{Name: name, Type: value.TypeFloat, Width: 8}
+	}
+	return catalog.NewSchema(cols...)
+}
+
 // Schema implements Operator.
 func (p *Project) Schema() *catalog.Schema {
 	if p.schema == nil {
-		cols := make([]catalog.Column, len(p.Exprs))
-		for i := range p.Exprs {
-			name := fmt.Sprintf("col%d", i)
-			if i < len(p.Names) && p.Names[i] != "" {
-				name = p.Names[i]
-			}
-			cols[i] = catalog.Column{Name: name, Type: value.TypeFloat, Width: 8}
-		}
-		p.schema = catalog.NewSchema(cols...)
+		p.schema = ProjectSchema(len(p.Exprs), p.Names)
 	}
 	return p.schema
 }

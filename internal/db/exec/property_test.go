@@ -156,8 +156,8 @@ func TestPropertyHashJoinMatchesNestedLoop(t *testing.T) {
 			Ctx:      fx.ctx,
 			Build:    &SeqScan{Ctx: fx.ctx, File: fx.file},
 			Probe:    &SeqScan{Ctx: fx.ctx, File: fx.file},
-			BuildKey: []int{1},
-			ProbeKey: []int{1},
+			BuildKey: 1,
+			ProbeKey: 1,
 		})
 		if err != nil {
 			return false

@@ -12,6 +12,15 @@ type SortKey struct {
 	Desc bool
 }
 
+// SortExprs is the expression list of a sort's keys, in key order.
+func SortExprs(keys []SortKey) []Expr {
+	exprs := make([]Expr, len(keys))
+	for i, k := range keys {
+		exprs[i] = k.Expr
+	}
+	return exprs
+}
+
 // Sort materializes the child and sorts it. The simulated cost follows a
 // pointer-based quicksort: each comparison loads the two row headers
 // (dependent) and each move stores a pointer — the compact sort buffers
@@ -22,7 +31,6 @@ type Sort struct {
 	Keys  []SortKey
 
 	rows    []value.Row
-	keys    [][]value.Value
 	run     SortRun
 	pos     int
 	rowsize int
@@ -37,19 +45,16 @@ func (s *Sort) Open() error {
 	if err != nil {
 		return err
 	}
-	s.rows = rows
 	s.pos = 0
 	s.rowsize = s.Child.Schema().RowWidth()
 
 	// Precompute key columns (engines sort on extracted keys).
-	s.keys = make([][]value.Value, len(rows))
+	keys := NewSortKeys(s.Keys)
 	for i, r := range rows {
 		s.Ctx.PollEvery(i)
-		ks := make([]value.Value, len(s.Keys))
 		for k, sk := range s.Keys {
-			ks[k] = sk.Expr.Eval(r)
+			keys.Append(k, sk.Expr.Eval(r))
 		}
-		s.keys[i] = ks
 		ChargeSortKeys(s.Ctx, Card{In: 1})
 	}
 
@@ -59,31 +64,13 @@ func (s *Sort) Open() error {
 		ChargeSortStore(s.Ctx, Card{In: 1}, s.run.Entry(i))
 	}
 
-	idx := s.run.Order(s.Ctx, len(rows), len(s.Keys), s.less)
-	sorted := make([]value.Row, len(rows))
-	sortedKeys := make([][]value.Value, len(rows))
+	idx := s.run.Order(s.Ctx, len(rows), keys)
+	s.rows = make([]value.Row, len(rows))
 	for i, j := range idx {
-		sorted[i] = s.rows[j]
-		sortedKeys[i] = s.keys[j]
+		s.rows[i] = rows[j]
 		ChargeSortStore(s.Ctx, Card{In: 1}, s.run.Entry(i))
 	}
-	s.rows = sorted
-	s.keys = sortedKeys
 	return nil
-}
-
-func (s *Sort) less(a, b int) bool {
-	for k, sk := range s.Keys {
-		c := value.Compare(s.keys[a][k], s.keys[b][k])
-		if c == 0 {
-			continue
-		}
-		if sk.Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
 }
 
 // Next implements Operator.
@@ -101,6 +88,5 @@ func (s *Sort) Next() (value.Row, bool, error) {
 // Close implements Operator.
 func (s *Sort) Close() error {
 	s.rows = nil
-	s.keys = nil
 	return nil
 }

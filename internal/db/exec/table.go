@@ -10,11 +10,11 @@ import (
 )
 
 // This file holds the data structures both executors simulate, each written
-// once: the join hash table, the equijoin key, the group table and the sort
-// run. The row operators of this package and the batch operators of
-// internal/db/vec differ only in their driver (a tuple at a time or a batch
-// at a time) and in what they charge; the simulated addresses come from
-// here. The planner sizes the same structures with HashTableBytes,
+// once: the join hash table, the equijoin key, the group table, the sort run
+// and its key store. The row operators of this package and the batch
+// operators of internal/db/vec differ only in their driver (a tuple at a time
+// or a batch at a time) and in what they charge; the simulated addresses come
+// from here. The planner sizes the same structures with HashTableBytes,
 // GroupTableBytes and SortEntryBytes.
 
 // hashBucketBytes is the simulated size of one hash-table bucket entry.
@@ -76,29 +76,14 @@ func (t *HashTable) Lookup(k value.Key) []int32 { return t.buckets[k] }
 // Hop is the address of the n-th entry (from 1) of a bucket chain walk.
 func (t *HashTable) Hop(n int) uint64 { return t.base + uint64(n)*hashBucketBytes%t.size }
 
-// KeyBuf builds equijoin keys in a reused scratch buffer, one value per key
-// column.
-type KeyBuf []value.Value
-
-// Key encodes the buffered values. ok is false when any of them is NULL: SQL
-// equality is never true for NULL (including NULL = NULL), so a NULL key can
-// neither enter a hash table nor match out of one.
-func (k KeyBuf) Key() (value.Key, bool) {
-	for _, v := range k {
-		if v.IsNull() {
-			return value.Key{}, false
-		}
+// JoinKey is the hash-table key of an equijoin key value. ok is false for
+// NULL: SQL equality is never true for NULL (including NULL = NULL), so a
+// NULL key can neither enter a hash table nor match out of one.
+func JoinKey(v value.Value) (key value.Key, ok bool) {
+	if v.IsNull() {
+		return value.Key{}, false
 	}
-	return value.MakeKey(k...), true
-}
-
-// Row gathers r's key columns cols into the buffer and encodes them.
-func (k KeyBuf) Row(r value.Row, cols []int) (value.Key, bool) {
-	//lint:nocharge key-column loads are charged by the calling operator's per-tuple or per-batch cost
-	for i, c := range cols {
-		k[i] = r[c]
-	}
-	return k.Key()
+	return value.MakeKey(v), true
 }
 
 // AggSchema is a hash aggregation's output schema: the group keys, then one
@@ -211,13 +196,43 @@ func NewSortRun(c *Ctx, n int) SortRun {
 // Entry is the address of entry i.
 func (r SortRun) Entry(i int) uint64 { return r.base + uint64(i)*SortEntryBytes }
 
+// SortKeys is a sort's extracted keys, column-major: column k holds key k
+// of every collected row, in collection order.
+type SortKeys struct {
+	keys []SortKey
+	cols [][]value.Value
+}
+
+// NewSortKeys returns an empty key store for the given ordering columns.
+func NewSortKeys(keys []SortKey) *SortKeys {
+	return &SortKeys{keys: keys, cols: make([][]value.Value, len(keys))}
+}
+
+// Append adds v as key k of the next collected row.
+func (s *SortKeys) Append(k int, v value.Value) { s.cols[k] = append(s.cols[k], v) }
+
+// less orders collected rows a and b: the first key they differ on decides,
+// descending where its SortKey says so; rows equal on every key tie.
+func (s *SortKeys) less(a, b int) bool {
+	for k, col := range s.cols {
+		c := value.Compare(col[a], col[b])
+		if c == 0 {
+			continue
+		}
+		if s.keys[k].Desc {
+			return c > 0
+		}
+		return c < 0
+	}
+	return false
+}
+
 // Order runs the ordering pass over the run's n entries and returns the
-// permutation that sorts them, stable under less. Every comparison polls for
+// permutation that sorts them by keys, stable. Every comparison polls for
 // cancellation (the pass is O(n log n) comparisons with no tuple boundary),
 // loads both entries (dependent: the sort network chases row pointers) and
-// does nkeys key compares; less compares collected rows a and b in the
-// caller's key layout.
-func (r SortRun) Order(c *Ctx, n, nkeys int, less func(a, b int) bool) []int32 {
+// does one compare per key.
+func (r SortRun) Order(c *Ctx, n int, keys *SortKeys) []int32 {
 	h := c.M.Hier
 	idx := make([]int32, n)
 	for i := range idx {
@@ -227,8 +242,8 @@ func (r SortRun) Order(c *Ctx, n, nkeys int, less func(a, b int) bool) []int32 {
 		c.Poll()
 		h.Load(r.Entry(int(idx[a])), true)
 		h.Load(r.Entry(int(idx[b])), true)
-		c.Compute(nkeys)
-		return less(int(idx[a]), int(idx[b]))
+		c.Compute(len(keys.keys))
+		return keys.less(int(idx[a]), int(idx[b]))
 	})
 	return idx
 }

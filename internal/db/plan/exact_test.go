@@ -125,11 +125,7 @@ func treeWork(t *testing.T, p *Prepared, n *Node) uint64 {
 	switch n.Kind {
 	case opIndexScan:
 		tree := n.Table.Index(n.IdxCol).View(scratch)
-		if n.Lo != nil {
-			tree.Seek(*n.Lo)
-		} else {
-			tree.First()
-		}
+		tree.Range(n.Lo, n.Hi)
 	case opIndexJoin:
 		tree := n.Table.Index(n.InnerColName).View(scratch)
 		outer, err := p.instantiate(n.Kids[0], nil)

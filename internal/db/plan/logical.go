@@ -43,9 +43,10 @@ const residualSel = 0.3
 
 // selectivity estimates the fraction of t's rows passing the conjunction of
 // conds. Conjuncts comparing an ordered column against literals are priced
-// analytically from the column's bounds (a 128-row sample cannot resolve a
-// 1% date range); the rest are evaluated over the statistics sample, and the
-// two estimates multiply under the usual independence assumption.
+// analytically from the column's bounds (a sample of at most 2048 rows holds
+// only some 20 rows of a 1% date range); the rest are evaluated over the
+// statistics sample, and the two estimates multiply under the usual
+// independence assumption.
 func selectivity(stats *catalog.TableStats, schema *catalog.Schema, conds []sql.Node) float64 {
 	sel := 1.0
 	var rest []sql.Node

@@ -88,12 +88,11 @@ type Node struct {
 	Names []string
 
 	// Aggregate (hash aggregation plus the select-list re-projection).
-	GroupExprs  []exec.Expr
-	GroupNames  []string
-	Aggs        []exec.AggSpec
-	aggArgNodes int
-	PostExprs   []exec.Expr
-	PostNames   []string
+	GroupExprs []exec.Expr
+	GroupNames []string
+	Aggs       []exec.AggSpec
+	PostExprs  []exec.Expr
+	PostNames  []string
 
 	// Sort.
 	SortKeys  []exec.SortKey
@@ -558,7 +557,7 @@ func chargeRow(n *Node, k cards, s exec.Sink) {
 	case opAggregate:
 		// Hash aggregation, then the select-list re-projection of its groups.
 		groups := exec.Card{In: k.out, Out: k.out}
-		exec.ChargeGroupInput(s, in, exec.ExprNodes(n.GroupExprs...)+n.aggArgNodes)
+		exec.ChargeGroupInput(s, in, exec.ExprNodes(exec.AggExprs(n.GroupExprs, n.Aggs)...))
 		exec.ChargeGroupInsert(s, groups, 0)
 		exec.ChargeGroupUpdate(s, in, len(n.Aggs), 0)
 		exec.ChargeGroupOutput(s, groups, len(n.Aggs), len(n.GroupExprs)+len(n.Aggs))
@@ -903,7 +902,7 @@ func (pc *planCtx) projection(node *Node) (*Node, map[string]int, error) {
 		p := &Node{
 			Kind: opProject, Kids: []*Node{node},
 			Exprs: exprs, Names: outNames,
-			schema:  projectSchema(outNames),
+			schema:  exec.ProjectSchema(len(outNames), outNames),
 			EstRows: node.EstRows,
 		}
 		pc.costRow(p, bind(p))
@@ -923,7 +922,6 @@ func (pc *planCtx) projection(node *Node) (*Node, map[string]int, error) {
 		groupKeys = append(groupKeys, render(g))
 	}
 	var aggs []exec.AggSpec
-	argNodes := 0
 	type outCol struct {
 		name   string
 		grpIdx int
@@ -946,7 +944,6 @@ func (pc *planCtx) projection(node *Node) (*Node, map[string]int, error) {
 				if err != nil {
 					return nil, nil, err
 				}
-				argNodes += arg.Nodes()
 			}
 			kind, err := aggKind(agg.Func)
 			if err != nil {
@@ -985,21 +982,10 @@ func (pc *planCtx) projection(node *Node) (*Node, map[string]int, error) {
 	a := &Node{
 		Kind: opAggregate, Kids: []*Node{node},
 		GroupExprs: groupExprs, GroupNames: groupKeys,
-		Aggs: aggs, aggArgNodes: argNodes,
-		PostExprs: postExprs, PostNames: postNames,
-		schema:  projectSchema(postNames),
+		Aggs: aggs, PostExprs: postExprs, PostNames: postNames,
+		schema:  exec.ProjectSchema(len(postNames), postNames),
 		EstRows: pc.groupEstimate(node.EstRows),
 	}
 	pc.costRow(a, bind(a))
 	return a, names, nil
-}
-
-// projectSchema mirrors exec.Project's output schema: anonymous 8-byte
-// float slots with the output names.
-func projectSchema(names []string) *catalog.Schema {
-	cols := make([]catalog.Column, len(names))
-	for i, n := range names {
-		cols[i] = catalog.Column{Name: n, Type: value.TypeFloat, Width: 8}
-	}
-	return &catalog.Schema{Columns: cols}
 }

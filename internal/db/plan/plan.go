@@ -182,7 +182,7 @@ func (p *Prepared) instantiate(n *Node, mt *metering) (exec.Operator, error) {
 	case opHashJoin:
 		op = &exec.HashJoin{
 			Ctx: e.Ctx, Build: kids[1], Probe: kids[0],
-			BuildKey: []int{n.InnerKey}, ProbeKey: []int{n.OuterKey},
+			BuildKey: n.InnerKey, ProbeKey: n.OuterKey,
 			Residual: n.Filter,
 		}
 	case opPrune:
@@ -254,7 +254,7 @@ func (p *Prepared) instantiateVec(n *Node, mt *metering) (vec.Operator, error) {
 	case opHashJoin:
 		op = &vec.HashJoin{
 			Ctx: e.Ctx, Build: kids[1], Probe: kids[0],
-			BuildKey: []int{n.InnerKey}, ProbeKey: []int{n.OuterKey},
+			BuildKey: n.InnerKey, ProbeKey: n.OuterKey,
 			Residual: n.Filter,
 		}
 	case opSort:

@@ -231,13 +231,7 @@ func compileVec(n *Node) *progs {
 	if n.progs != nil {
 		return n.progs
 	}
-	list := append(slices.Clone(n.Exprs), n.GroupExprs...)
-	for _, a := range n.Aggs {
-		list = append(list, a.Arg)
-	}
-	for _, k := range n.SortKeys {
-		list = append(list, k.Expr)
-	}
+	list := slices.Concat(n.Exprs, exec.AggExprs(n.GroupExprs, n.Aggs), exec.SortExprs(n.SortKeys))
 	pr := &progs{list: vec.Compile(list...), post: vec.Compile(n.PostExprs...)}
 	if n.Filter != nil {
 		pr.filter = vec.CompileFilter(n.Filter)

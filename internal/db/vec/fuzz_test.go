@@ -377,8 +377,8 @@ func FuzzVecExec(f *testing.F) {
 			// a multi-key sort — the scan meters above feed the probe side; the
 			// build side gets its own scan and meter.
 			ra := rand.New(rand.NewSource(exprSeed))
-			buildKey := []int{ra.Intn(5)}
-			probeKey := []int{ra.Intn(5)}
+			buildKey := ra.Intn(5)
+			probeKey := ra.Intn(5)
 			var residual exec.Expr
 			if ra.Intn(2) == 0 {
 				residual = randExpr(ra, 1, 10)

@@ -132,11 +132,7 @@ func (s *IndexScan) Schema() *catalog.Schema { return s.File.Schema() }
 
 // Open implements Operator.
 func (s *IndexScan) Open() error {
-	if s.Lo != nil {
-		s.it = s.Tree.Seek(*s.Lo)
-	} else {
-		s.it = s.Tree.First()
-	}
+	s.it = s.Tree.Range(s.Lo, s.Hi)
 	s.f = newFetcher(s.Ctx, s.File, s.Schema(), nil, s.BatchSize)
 	s.p = newPool(s.Ctx)
 	if s.Filter != nil {
@@ -149,7 +145,7 @@ func (s *IndexScan) Open() error {
 func (s *IndexScan) Next() (*Batch, error) {
 	for {
 		s.Ctx.Poll()
-		for !s.f.full() && s.it.Valid() && (s.Hi == nil || value.Compare(s.it.Key(), *s.Hi) <= 0) {
+		for !s.f.full() && s.it.Valid() {
 			id := s.it.RowID()
 			s.it.Next()
 			if err := s.f.fetch(id, nil, 0); err != nil {

@@ -24,19 +24,20 @@ import (
 // analysis prices.
 //
 // NULL join keys never match (including NULL = NULL): both joins build their
-// keys with exec.KeyBuf, so build rows with a NULL key are never inserted and
+// keys with exec.JoinKey, so build rows with a NULL key are never inserted and
 // probe elements with a NULL key are never probed.
 type HashJoin struct {
-	Ctx      *exec.Ctx
-	Build    Operator
-	Probe    Operator
-	BuildKey []int
-	ProbeKey []int
+	Ctx   *exec.Ctx
+	Build Operator
+	Probe Operator
+	// BuildKey and ProbeKey are the equijoin's key columns on each side.
+	BuildKey int
+	ProbeKey int
 	// Residual is an optional non-equi predicate over the joined row,
 	// evaluated vectorized over the gathered output batch.
 	Residual exec.Expr
 	// BatchSize overrides the L1D-derived build-chunk and output-batch
-	// width (benchmarks sweep it); 0 picks BatchSizeFor.
+	// width; 0 picks BatchSizeFor.
 	BatchSize int
 
 	schema    *catalog.Schema
@@ -59,9 +60,6 @@ type HashJoin struct {
 
 	p        *pool
 	residual *Prog
-	keyCols  []*Vector
-	keyAddrs []uint64
-	probeKey exec.KeyBuf
 	rowBuf   []value.Row // reused backing rows for the lazily backed output
 }
 
@@ -123,7 +121,6 @@ func (j *HashJoin) Open() error {
 	j.table = exec.NewHashTable(j.Ctx, len(rows))
 
 	chunk := batchWidth(j.Ctx, j.BatchSize)
-	buildKey := make(exec.KeyBuf, len(j.BuildKey))
 	for lo := 0; lo < len(rows); lo += chunk {
 		hi := lo + chunk
 		if hi > len(rows) {
@@ -135,7 +132,7 @@ func (j *HashJoin) Open() error {
 		j.Ctx.PollEvery(lo)
 		ChargeJoinBuild(j.Ctx, exec.Card{Batches: 1, In: float64(hi - lo)}, rowLines, j.buildBase+uint64(lo)*uint64(width))
 		for i, r := range rows[lo:hi] {
-			key, ok := buildKey.Row(r, j.BuildKey)
+			key, ok := exec.JoinKey(r[j.BuildKey])
 			if !ok {
 				continue
 			}
@@ -156,8 +153,6 @@ func (j *HashJoin) Open() error {
 	if j.Residual != nil {
 		j.residual = CompileFilter(j.Residual)
 	}
-	j.keyCols = make([]*Vector, len(j.ProbeKey))
-	j.probeKey = make(exec.KeyBuf, len(j.ProbeKey))
 	j.probe = nil
 	j.pk = 0
 	j.matches = nil
@@ -166,28 +161,23 @@ func (j *HashJoin) Open() error {
 }
 
 // probeKeys is the vectorized key-hash kernel: one dispatch per probe
-// batch, bulk key-column loads and hash arithmetic, then a dependent
-// bucket-head load per non-NULL key element.
+// batch, the key column (materialized on first touch), bulk key loads and
+// hash arithmetic, then a dependent bucket-head load per non-NULL key
+// element.
 func (j *HashJoin) probeKeys(b *Batch) {
 	n := b.Len()
 	ChargeDispatch(j.Ctx, exec.Card{Batches: 1})
 	h := j.Ctx.M.Hier
-	j.keyAddrs = j.keyAddrs[:0]
-	for i, c := range j.ProbeKey {
-		j.keyCols[i] = b.Col(j.Ctx, c)
-		if !j.keyCols[i].Const() {
-			j.keyAddrs = append(j.keyAddrs, j.keyCols[i].Addr())
-		}
+	kv := b.Col(j.Ctx, j.ProbeKey)
+	if c := (exec.Card{In: float64(n)}); kv.Const() {
+		ChargeJoinProbe(j.Ctx, c)
+	} else {
+		ChargeJoinProbe(j.Ctx, c, kv.Addr())
 	}
-	ChargeJoinProbe(j.Ctx, exec.Card{In: float64(n)}, j.keyAddrs...)
 	j.keys = j.keys[:0]
 	j.keyOK = j.keyOK[:0]
 	for k := 0; k < n; k++ {
-		i := b.Pos(k)
-		for c, v := range j.keyCols {
-			j.probeKey[c] = v.Get(i)
-		}
-		key, ok := j.probeKey.Key()
+		key, ok := exec.JoinKey(kv.Get(b.Pos(k)))
 		if ok {
 			h.Load(j.table.Head(key), true)
 		}

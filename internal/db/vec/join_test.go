@@ -2,6 +2,7 @@ package vec
 
 import (
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestHashJoinMatchesRow(t *testing.T) {
 			e, tbl := testEngine(t, 260)
 			want, err := exec.Collect(&exec.HashJoin{
 				Ctx: e.Ctx, Build: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File}, Probe: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File},
-				BuildKey: []int{key}, ProbeKey: []int{key}, Residual: residual,
+				BuildKey: key, ProbeKey: key, Residual: residual,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -37,7 +38,7 @@ func TestHashJoinMatchesRow(t *testing.T) {
 					Ctx:      ev.Ctx,
 					Build:    &Scan{Ctx: ev.Ctx, File: tv.File, BatchSize: batch},
 					Probe:    &Scan{Ctx: ev.Ctx, File: tv.File, BatchSize: batch},
-					BuildKey: []int{key}, ProbeKey: []int{key},
+					BuildKey: key, ProbeKey: key,
 					Residual: residual, BatchSize: batch,
 				})
 				if !reflect.DeepEqual(got, want) {
@@ -72,7 +73,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 		Ctx:      e.Ctx,
 		Build:    &Scan{Ctx: e.Ctx, File: tbl.File},
 		Probe:    &Scan{Ctx: e.Ctx, File: tbl.File},
-		BuildKey: []int{2}, ProbeKey: []int{2}, BatchSize: 32,
+		BuildKey: 2, ProbeKey: 2, BatchSize: 32,
 	})
 	if len(got) != want {
 		t.Fatalf("NULL-key join produced %d rows, want %d", len(got), want)
@@ -96,7 +97,7 @@ func TestHashJoinEmptySides(t *testing.T) {
 			Ctx:      e.Ctx,
 			Build:    &Scan{Ctx: e.Ctx, File: tbl.File, Pred: tc.buildPred},
 			Probe:    &Scan{Ctx: e.Ctx, File: tbl.File, Pred: tc.probePred},
-			BuildKey: []int{1}, ProbeKey: []int{1},
+			BuildKey: 1, ProbeKey: 1,
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -110,28 +111,62 @@ func TestHashJoinEmptySides(t *testing.T) {
 // TestSortMatchesRow is the differential check for the vectorized sort: same
 // multi-key ordering as the row sort (both use a stable sort over identical
 // arrival order, so the full row sequence must be equal), including a key
-// column containing NULLs and a computed key expression.
+// column containing NULLs and a computed key expression. Both sorts share one
+// comparator, so where a case gives an independent one the row sort must
+// also match a stable sort of the scan's rows under it.
 func TestSortMatchesRow(t *testing.T) {
-	keys := []exec.SortKey{
-		{Expr: col(1)},             // grp asc
-		{Expr: col(2), Desc: true}, // price desc, NULLs included
-		{Expr: exec.BinOp{Op: exec.OpMul, L: col(0), R: exec.Const{V: value.Int(-1)}}},
-	}
-	e, tbl := testEngine(t, 400)
-	want, err := exec.Collect(&exec.Sort{Ctx: e.Ctx, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File}, Keys: keys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 7, 256, 1024} {
-		ev, tv := testEngine(t, 400)
-		got := collectVec(t, &Sort{
-			Ctx:   ev.Ctx,
-			Child: &Scan{Ctx: ev.Ctx, File: tv.File, BatchSize: batch},
-			Keys:  keys, BatchSize: batch,
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("batch=%d: vector sort differs from row sort (%d vs %d rows)",
-				batch, len(got), len(want))
+	for _, c := range []struct {
+		name string
+		keys []exec.SortKey
+		less func(a, b value.Row) bool
+	}{
+		{name: "asc, desc with NULLs, computed", keys: []exec.SortKey{
+			{Expr: col(1)},             // grp asc
+			{Expr: col(2), Desc: true}, // price desc, NULLs included
+			{Expr: exec.BinOp{Op: exec.OpMul, L: col(0), R: exec.Const{V: value.Int(-1)}}},
+		}},
+		// Price repeats every 97 rows and is NULL every 13th; rows 91 apart
+		// with a NULL price tie on both keys and keep their arrival order.
+		{name: "desc with NULLs and ties, then asc", keys: []exec.SortKey{
+			{Expr: col(2), Desc: true},
+			{Expr: col(1)},
+		}, less: func(a, b value.Row) bool {
+			if pa, pb := a[2], b[2]; pa.IsNull() || pb.IsNull() {
+				if pa.IsNull() != pb.IsNull() {
+					return pb.IsNull() // NULL is the lowest value: last when descending
+				}
+			} else if pa.F != pb.F {
+				return pa.F > pb.F
+			}
+			return a[1].I < b[1].I
+		}},
+	} {
+		e, tbl := testEngine(t, 400)
+		want, err := exec.Collect(&exec.Sort{Ctx: e.Ctx, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File}, Keys: c.keys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.less != nil {
+			rows, err := exec.Collect(&exec.SeqScan{Ctx: e.Ctx, File: tbl.File})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.SliceStable(rows, func(i, j int) bool { return c.less(rows[i], rows[j]) })
+			if !reflect.DeepEqual(want, rows) {
+				t.Fatalf("%s: row sort differs from a stable sort under the reference order", c.name)
+			}
+		}
+		for _, batch := range []int{1, 7, 256, 1024} {
+			ev, tv := testEngine(t, 400)
+			got := collectVec(t, &Sort{
+				Ctx:   ev.Ctx,
+				Child: &Scan{Ctx: ev.Ctx, File: tv.File, BatchSize: batch},
+				Keys:  c.keys, BatchSize: batch,
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, batch=%d: vector sort differs from row sort (%d vs %d rows)",
+					c.name, batch, len(got), len(want))
+			}
 		}
 	}
 }
@@ -168,7 +203,7 @@ func TestJoinSortMeterPartition(t *testing.T) {
 			Ctx:      e.Ctx,
 			Build:    &Metered{Set: ms, M: mBuild, Child: &Scan{Ctx: e.Ctx, File: tbl.File, BatchSize: 64}},
 			Probe:    &Metered{Set: ms, M: mProbe, Child: &Scan{Ctx: e.Ctx, File: tbl.File, BatchSize: 64}},
-			BuildKey: []int{1}, ProbeKey: []int{1},
+			BuildKey: 1, ProbeKey: 1,
 			Residual: joinResidual(), BatchSize: 64,
 		}},
 		Keys: []exec.SortKey{{Expr: col(0)}, {Expr: col(5), Desc: true}},
@@ -204,7 +239,7 @@ func TestCancelVecJoinSort(t *testing.T) {
 		Ctx:      e.Ctx,
 		Build:    &Scan{Ctx: e.Ctx, File: tbl.File, BatchSize: 32},
 		Probe:    &Scan{Ctx: e.Ctx, File: tbl.File, BatchSize: 32},
-		BuildKey: []int{1}, ProbeKey: []int{1},
+		BuildKey: 1, ProbeKey: 1,
 	}})
 	if err != exec.ErrCanceled {
 		t.Fatalf("join err = %v, want ErrCanceled", err)
@@ -226,7 +261,7 @@ func TestVecJoinCheaperPerRow(t *testing.T) {
 	before := e.M.Hier.Counters()
 	if _, err := exec.Drain(&exec.HashJoin{
 		Ctx: e.Ctx, Build: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File}, Probe: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File},
-		BuildKey: []int{0}, ProbeKey: []int{0},
+		BuildKey: 0, ProbeKey: 0,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +272,7 @@ func TestVecJoinCheaperPerRow(t *testing.T) {
 		Ctx:      e.Ctx,
 		Build:    &Scan{Ctx: e.Ctx, File: tbl.File},
 		Probe:    &Scan{Ctx: e.Ctx, File: tbl.File},
-		BuildKey: []int{0}, ProbeKey: []int{0},
+		BuildKey: 0, ProbeKey: 0,
 	}}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package vec
 
 import (
-	"fmt"
-
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/exec"
 	"energydb/internal/db/storage"
@@ -30,8 +28,8 @@ type Scan struct {
 	Ctx  *exec.Ctx
 	File *storage.HeapFile
 	Pred exec.Expr
-	// BatchSize overrides the L1D-derived batch width (benchmarks sweep
-	// it); 0 picks BatchSizeFor on the context machine's hierarchy.
+	// BatchSize overrides the L1D-derived batch width; 0 picks
+	// BatchSizeFor on the context machine's hierarchy.
 	BatchSize int
 
 	bs   *storage.BatchScanner
@@ -139,8 +137,7 @@ func (p *Prune) Next() (*Batch, error) {
 func (p *Prune) Close() error { return p.Child.Close() }
 
 // Project computes its select list as one kernel program, an output column
-// per root. Output column typing mirrors the row executor's Project
-// (anonymous float slots).
+// per root. Its output schema is the row executor's (exec.ProjectSchema).
 type Project struct {
 	Ctx   *exec.Ctx
 	Child Operator
@@ -156,15 +153,7 @@ type Project struct {
 // Schema implements Operator.
 func (p *Project) Schema() *catalog.Schema {
 	if p.schema == nil {
-		cols := make([]catalog.Column, len(p.Exprs))
-		for i := range p.Exprs {
-			name := fmt.Sprintf("col%d", i)
-			if i < len(p.Names) && p.Names[i] != "" {
-				name = p.Names[i]
-			}
-			cols[i] = catalog.Column{Name: name, Type: value.TypeFloat, Width: 8}
-		}
-		p.schema = catalog.NewSchema(cols...)
+		p.schema = exec.ProjectSchema(len(p.Exprs), p.Names)
 	}
 	return p.schema
 }
@@ -237,16 +226,12 @@ func (g *Agg) Open() error {
 
 	table := exec.NewGroupTable(g.Ctx, len(g.GroupBy), g.Aggs)
 	g.p = newPool(g.Ctx)
-	exprs := append([]exec.Expr(nil), g.GroupBy...)
-	for _, a := range g.Aggs {
-		exprs = append(exprs, a.Arg)
-	}
+	exprs := exec.AggExprs(g.GroupBy, g.Aggs)
 	prog := Compile(exprs...)
 
 	vs := make([]*Vector, len(exprs))
-	kvs, avs := vs[:len(g.GroupBy)], vs[len(g.GroupBy):]
-	scratch := make([]value.Value, len(exprs))
-	keyVals, args := scratch[:len(g.GroupBy)], scratch[len(g.GroupBy):]
+	vals := make([]value.Value, len(exprs))
+	keyVals, args := vals[:len(g.GroupBy)], vals[len(g.GroupBy):]
 	for {
 		b, err := g.Child.Next()
 		if err != nil {
@@ -267,12 +252,9 @@ func (g *Agg) Open() error {
 		ChargeAggUpdate(g.Ctx, exec.Card{Batches: 1, In: float64(n)}, len(g.Aggs), table.Base())
 		for k := 0; k < n; k++ {
 			i := b.Pos(k)
-			for j, kv := range kvs {
-				keyVals[j] = kv.Get(i)
-			}
-			for j, av := range avs {
-				if av != nil {
-					args[j] = av.Get(i)
+			for j, v := range vs {
+				if v != nil {
+					vals[j] = v.Get(i)
 				}
 			}
 			table.Add(keyVals, args)
@@ -325,7 +307,8 @@ func (g *Agg) Close() error {
 }
 
 // RowSource adapts a vectorized chain back to the row Operator interface so
-// it can sit under row-at-a-time parents (sorts, joins, the drain loop).
+// it can sit under a row-at-a-time parent: a Limit, a write, or the drain
+// loop.
 // The adapter charges the boundary crossing (ChargeBoundary) against Ctx;
 // when Set/M are provided the charges are attributed to M (the chain-top
 // operator's meter), keeping the per-operator partition of a metered plan

@@ -9,22 +9,21 @@ import (
 
 // Sort is the batch-at-a-time sort: sort keys are extracted in bulk — one
 // kernel program over the keys per input batch, through the same typed
-// vectors every other kernel uses — into columnar key stores, the row sort's
-// ordering pass (exec.SortRun.Order) produces a selection vector over the
-// collected rows, and output batches are emitted lazily backed by the
+// vectors every other kernel uses — into the row sort's column-major key
+// store (exec.SortKeys), the row sort's ordering pass (exec.SortRun.Order)
+// produces a selection vector over the collected rows, and output batches are emitted lazily backed by the
 // sorted run, so a parent kernel only materializes the columns it actually
 // touches and no per-row output copy happens at all.
 type Sort struct {
 	Ctx   *exec.Ctx
 	Child Operator
 	Keys  []exec.SortKey
-	// BatchSize overrides the L1D-derived output batch width (benchmarks
-	// sweep it); 0 picks BatchSizeFor.
+	// BatchSize overrides the L1D-derived output batch width; 0 picks
+	// BatchSizeFor.
 	BatchSize int
 
 	rows    []value.Row
-	keys    [][]value.Value // columnar: keys[k][i] is key k of collected row i
-	idx     []int32         // ordering selection vector over rows
+	idx     []int32 // ordering selection vector over rows
 	run     exec.SortRun
 	keyBase uint64
 	pos     int
@@ -47,12 +46,8 @@ func (s *Sort) Open() error {
 	s.p = newPool(s.Ctx)
 	s.keyBase = s.Ctx.Arena.Alloc(uint64(width)*8*uint64(len(s.Keys)+1), memsim.LineSize)
 	s.rows = s.rows[:0]
-	s.keys = make([][]value.Value, len(s.Keys))
-	exprs := make([]exec.Expr, len(s.Keys))
-	for kc, k := range s.Keys {
-		exprs[kc] = k.Expr
-	}
-	prog := Compile(exprs...)
+	keys := exec.NewSortKeys(s.Keys)
+	prog := Compile(exec.SortExprs(s.Keys)...)
 	for {
 		b, err := s.Child.Next()
 		if err != nil {
@@ -76,7 +71,7 @@ func (s *Sort) Open() error {
 			kv := prog.eval(s.Ctx, s.p, b, kc)
 			ChargeSortPack(s.Ctx, exec.Card{Batches: 1, In: float64(n)}, kv.Addr(), kv.Const(), s.keyBase)
 			for k := 0; k < n; k++ {
-				s.keys[kc] = append(s.keys[kc], kv.Get(b.Pos(k)))
+				keys.Append(kc, kv.Get(b.Pos(k)))
 			}
 		}
 		// Collect the rows behind the keys (one dispatch per batch; the
@@ -107,7 +102,7 @@ func (s *Sort) Open() error {
 	}
 
 	// Ordering pass: the row sort's, over the columnar key store.
-	s.idx = s.run.Order(s.Ctx, n, len(s.Keys), s.less)
+	s.idx = s.run.Order(s.Ctx, n, keys)
 	// Final placement: the ordering selection vector is stored in one bulk
 	// pass instead of a per-row store loop.
 	exec.ChargeSortStore(s.Ctx, exec.Card{In: float64(n)}, s.run.Entry(0))
@@ -118,20 +113,6 @@ func (s *Sort) Open() error {
 	s.out = NewBatch(s.Ctx.Arena, s.Schema(), max(1, min(n, width)))
 	s.chunk = make([]value.Row, 0, width)
 	return nil
-}
-
-func (s *Sort) less(a, b int) bool {
-	for k, sk := range s.Keys {
-		c := value.Compare(s.keys[k][a], s.keys[k][b])
-		if c == 0 {
-			continue
-		}
-		if sk.Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
 }
 
 // Next implements Operator: emits the next batch of the sorted run, lazily
@@ -159,7 +140,6 @@ func (s *Sort) Next() (*Batch, error) {
 // Close implements Operator.
 func (s *Sort) Close() error {
 	s.rows = nil
-	s.keys = nil
 	s.idx = nil
 	return nil
 }

@@ -59,7 +59,7 @@ func BatchSizeFor(cfg memsim.Config) int {
 }
 
 // batchWidth resolves an operator's BatchSize field: the override if one is
-// set (benchmarks and tests sweep it), else the width BatchSizeFor derives
+// set (only tests set one), else the width BatchSizeFor derives
 // from the context machine's L1D, never above MaxBatch.
 func batchWidth(ctx *exec.Ctx, override int) int {
 	if override <= 0 {

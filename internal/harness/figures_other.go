@@ -149,12 +149,12 @@ func RunFigure10(o Options) (Result, error) {
 	for _, w := range cpu2006.Workloads() {
 		// Warm pass: CPU2006 workloads are long-running, so steady-state
 		// cache contents (not cold-start streaming) shape the profile.
-		warm := o.WorkScale / 4
+		warm := o.workScale() / 4
 		if warm > 0.05 {
 			warm = 0.05
 		}
 		w.Run(l.M, warm)
-		b := prof.Profile(w.Name, func() { w.Run(l.M, o.WorkScale) })
+		b := prof.Profile(w.Name, func() { w.Run(l.M, o.workScale()) })
 		rows = append(rows, append(append([]string{w.Name}, shareCells(b)...),
 			fmt.Sprintf("%.1f", b.L1DShare()*100)))
 		bds = append(bds, b)

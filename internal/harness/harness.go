@@ -27,8 +27,6 @@ type Options struct {
 	Setting engine.Setting
 	// Scale rescales micro-benchmark pass counts (1 = paper-shaped).
 	Scale float64
-	// WorkScale rescales CPU2006 kernel iteration counts.
-	WorkScale float64
 	// Quick restricts query sweeps to a subset and the smallest class,
 	// for tests and smoke runs.
 	Quick bool
@@ -39,33 +37,35 @@ type Options struct {
 // DefaultOptions returns the paper-shaped configuration.
 func DefaultOptions() Options {
 	return Options{
-		Class:     tpch.Size100MB,
-		Setting:   engine.SettingBaseline,
-		Scale:     0.2,
-		WorkScale: 0.2,
-		Seed:      42,
+		Class:   tpch.Size100MB,
+		Setting: engine.SettingBaseline,
+		Scale:   0.2,
+		Seed:    42,
 	}
 }
 
-// effective fills the defaults of unset scales and, under o.Quick, shrinks
-// the class and both scales for fast runs.
+// effective fills the default of an unset Scale and, under o.Quick, shrinks
+// the class and the scale for fast runs.
 func (o Options) effective() Options {
 	if o.Scale <= 0 {
 		o.Scale = 0.2
-	}
-	if o.WorkScale <= 0 {
-		o.WorkScale = 0.2
 	}
 	if o.Quick {
 		o.Class = tpch.Size10MB
 		if o.Scale > 0.05 {
 			o.Scale = 0.05
 		}
-		if o.WorkScale > 0.05 {
-			o.WorkScale = 0.05
-		}
 	}
 	return o
+}
+
+// workScale rescales CPU2006 kernel iteration counts: 0.2, or 0.05 under
+// o.Quick.
+func (o Options) workScale() float64 {
+	if o.Quick {
+		return 0.05
+	}
+	return 0.2
 }
 
 // Result is a rendered experiment.

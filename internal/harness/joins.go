@@ -125,7 +125,7 @@ func joinLab(vecRig, rowRig rig) (string, string, error) {
 			Ctx:      e.Ctx,
 			Build:    &exec.SeqScan{Ctx: e.Ctx, File: e.MustTable("orders").File},
 			Probe:    &exec.SeqScan{Ctx: e.Ctx, File: e.MustTable("lineitem").File},
-			BuildKey: []int{0}, ProbeKey: []int{0},
+			BuildKey: 0, ProbeKey: 0,
 		}, nil
 	}
 	vecJoin := func(e *engine.Engine) (exec.Operator, error) {
@@ -133,7 +133,7 @@ func joinLab(vecRig, rowRig rig) (string, string, error) {
 			Ctx:      e.Ctx,
 			Build:    &vec.Scan{Ctx: e.Ctx, File: e.MustTable("orders").File},
 			Probe:    &vec.Scan{Ctx: e.Ctx, File: e.MustTable("lineitem").File},
-			BuildKey: []int{0}, ProbeKey: []int{0},
+			BuildKey: 0, ProbeKey: 0,
 		}}, nil
 	}
 	rowSort := func(e *engine.Engine) (exec.Operator, error) {
