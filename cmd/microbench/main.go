@@ -1,6 +1,8 @@
 // Command microbench runs the micro-benchmark methodology standalone: the
 // MBS isolation set, the ΔE_m solver, and the VMBS verification set —
-// Tables 1, 2 (single P-state) and 3 in one run.
+// Tables 1, 2 (single P-state) and 3 in one run — and the random-gather
+// pairs beside VMBS (mubench.Gathers): stall and energy per load, dependent
+// against grouped.
 //
 // Usage:
 //
@@ -16,6 +18,7 @@ import (
 
 	"energydb/internal/core"
 	"energydb/internal/cpusim"
+	"energydb/internal/mubench"
 	"energydb/internal/rapl"
 )
 
@@ -62,6 +65,14 @@ func main() {
 		fmt.Printf("%-22s %14.6f %14.6f %8.2f\n", v.Name, v.EEstimated, v.EMeasured, v.Accuracy*100)
 	}
 	fmt.Printf("%-22s %14s %14s %8.2f\n", "average", "", "", core.MeanAccuracy(results)*100)
+
+	fmt.Println("\nRandom gather, dependent vs grouped (beside VMBS):")
+	fmt.Printf("%-12s %10s %20s\n", "benchmark", "stall/load", "E_active/load (nJ)")
+	for _, s := range mubench.Gathers() {
+		r := st.Runner.Run(s)
+		loads := float64(r.Counters.Loads)
+		fmt.Printf("%-12s %10.2f %20.2f\n", s.Name, float64(r.Counters.StallCycles)/loads, r.EActive/loads*1e9)
+	}
 }
 
 func fatal(err error) {

@@ -351,7 +351,15 @@ type frame struct {
 // loads at each level. The upper bound is checked on the host and costs no simulated
 // access: the iterator turns invalid at the first entry past hi.
 func (t *Tree) Range(lo, hi *value.Value) *Iter {
-	it := &Iter{t: t}
+	it := new(Iter)
+	t.seek(it, lo, hi)
+	return it
+}
+
+// seek points it at the first entry of Range(lo, hi), reusing its descent
+// stack.
+func (t *Tree) seek(it *Iter, lo, hi *value.Value) {
+	*it = Iter{t: t, stack: it.stack[:0]}
 	if hi != nil {
 		it.hi, it.bounded = *hi, true
 	}
@@ -378,16 +386,17 @@ func (t *Tree) Range(lo, hi *value.Value) *Iter {
 	for it.n != nil && it.idx >= len(it.n.keys) {
 		it.advanceLeaf()
 	}
-	return it
 }
 
-// Lookup returns the rowIDs of entries equal to key.
-func (t *Tree) Lookup(key value.Value) []int {
-	var out []int
-	for it := t.Range(&key, &key); it.Valid(); it.Next() {
-		out = append(out, it.RowID())
+// Lookup returns the rowIDs of entries equal to key, appended to dst[:0] and
+// walked with it: an operator that hands every lookup the same iterator and
+// buffer allocates nothing per key.
+func (t *Tree) Lookup(key value.Value, it *Iter, dst []int) []int {
+	dst = dst[:0]
+	for t.seek(it, &key, &key); it.Valid(); it.Next() {
+		dst = append(dst, it.RowID())
 	}
-	return out
+	return dst
 }
 
 // Iter walks leaf entries in key order over one immutable tree snapshot:

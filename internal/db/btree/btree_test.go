@@ -27,11 +27,11 @@ func TestInsertLookup(t *testing.T) {
 	if tr.Len() != 10000 {
 		t.Fatalf("len = %d", tr.Len())
 	}
-	ids := tr.Lookup(value.Int(21))
+	ids := lookup(tr, value.Int(21))
 	if len(ids) != 1 || ids[0] != 3 {
 		t.Fatalf("lookup(21) = %v, want [3]", ids)
 	}
-	if got := tr.Lookup(value.Int(10001)); got != nil {
+	if got := lookup(tr, value.Int(10001)); got != nil {
 		t.Fatalf("lookup(missing) = %v", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestDuplicateKeys(t *testing.T) {
 	}
 	tr.Insert(value.Int(41), 1000)
 	tr.Insert(value.Int(43), 1001)
-	if got := len(tr.Lookup(value.Int(42))); got != 100 {
+	if got := len(lookup(tr, value.Int(42))); got != 100 {
 		t.Fatalf("duplicates found = %d, want 100", got)
 	}
 }
@@ -157,7 +157,7 @@ func TestDescentIssuesDependentLoads(t *testing.T) {
 		tr.Insert(value.Int(int64(i)), i)
 	}
 	before := m.Hier.Counters()
-	tr.Lookup(value.Int(33333))
+	lookup(tr, value.Int(33333))
 	d := m.Hier.Counters().Sub(before)
 	if d.Loads == 0 {
 		t.Fatal("lookup issued no loads")
@@ -193,7 +193,7 @@ func TestPlaceTopLevels(t *testing.T) {
 		t.Fatal("root not relocated")
 	}
 	// Tree still works after relocation.
-	if ids := tr.Lookup(value.Int(777)); len(ids) != 1 || ids[0] != 777 {
+	if ids := lookup(tr, value.Int(777)); len(ids) != 1 || ids[0] != 777 {
 		t.Fatalf("lookup after relocation = %v", ids)
 	}
 }
@@ -211,7 +211,7 @@ func TestPropertyInsertedKeysFound(t *testing.T) {
 			want[k] = append(want[k], i)
 		}
 		for k, ids := range want {
-			got := tr.Lookup(value.Int(k))
+			got := lookup(tr, value.Int(k))
 			if len(got) != len(ids) {
 				return false
 			}
@@ -233,7 +233,10 @@ func TestStringKeys(t *testing.T) {
 	if it.Key().S != "alpha" {
 		t.Fatalf("first key = %q", it.Key().S)
 	}
-	if ids := tr.Lookup(value.Str("charlie")); len(ids) != 1 || ids[0] != 4 {
+	if ids := lookup(tr, value.Str("charlie")); len(ids) != 1 || ids[0] != 4 {
 		t.Fatalf("lookup(charlie) = %v", ids)
 	}
 }
+
+// lookup is Tree.Lookup with a fresh iterator and buffer.
+func lookup(t *Tree, key value.Value) []int { return t.Lookup(key, new(Iter), nil) }

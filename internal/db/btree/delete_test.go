@@ -142,7 +142,7 @@ func TestDeleteEmptiesLeavesInPlace(t *testing.T) {
 		t.Fatalf("empty tree seeks to %v", it.Key())
 	}
 	tr.Insert(value.Int(250), 9)
-	if got := tr.Lookup(value.Int(250)); !slices.Equal(got, []int{9}) {
+	if got := lookup(tr, value.Int(250)); !slices.Equal(got, []int{9}) {
 		t.Fatalf("lookup after refilling an emptied leaf = %v", got)
 	}
 }

@@ -26,7 +26,7 @@ func TestTreeView(t *testing.T) {
 
 	baseBefore := tr.h.Counters()
 	otherBefore := other.Hier.Counters()
-	if ids := v.Lookup(value.Int(4321)); len(ids) != 1 || ids[0] != 4321 {
+	if ids := lookup(v, value.Int(4321)); len(ids) != 1 || ids[0] != 4321 {
 		t.Fatalf("view lookup = %v, want [4321]", ids)
 	}
 	if tr.h.Counters() != baseBefore {
@@ -38,7 +38,7 @@ func TestTreeView(t *testing.T) {
 
 	// Inserts through the view are visible to the base (same structure).
 	v.Insert(value.Int(999999), 5000)
-	if ids := tr.Lookup(value.Int(999999)); len(ids) != 1 || ids[0] != 5000 {
+	if ids := lookup(tr, value.Int(999999)); len(ids) != 1 || ids[0] != 5000 {
 		t.Fatalf("base lookup after view insert = %v, want [5000]", ids)
 	}
 }

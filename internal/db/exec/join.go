@@ -123,6 +123,7 @@ type IndexJoin struct {
 
 	schema   *catalog.Schema
 	outerRow value.Row
+	it       btree.Iter // reused by every lookup, with matches' buffer
 	matches  []int
 	matchIdx int
 	out      value.Row
@@ -177,7 +178,7 @@ func (j *IndexJoin) Next() (value.Row, bool, error) {
 			continue
 		}
 		j.outerRow = row.Clone()
-		j.matches = j.Index.Lookup(row[j.OuterKey])
+		j.matches = j.Index.Lookup(row[j.OuterKey], &j.it, j.matches)
 		j.matchIdx = 0
 	}
 }

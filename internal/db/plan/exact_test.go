@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"energydb/internal/cpusim"
+	"energydb/internal/db/btree"
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
 	"energydb/internal/db/vec"
@@ -138,7 +139,7 @@ func treeWork(t *testing.T, p *Prepared, n *Node) uint64 {
 		}
 		for _, r := range rows {
 			if !r[n.OuterKey].IsNull() {
-				tree.Lookup(r[n.OuterKey])
+				tree.Lookup(r[n.OuterKey], new(btree.Iter), nil)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"energydb/internal/db/btree"
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
@@ -369,12 +370,15 @@ func (pc *planCtx) sampleJoinEstimate(r *rel) (fan, condSel float64, ok bool) {
 	}
 	probes, matches, passed := 0, 0, 0
 	var out value.Row
+	var it btree.Iter
+	var ids []int
 	for _, s := range owner.stats.Sample {
 		if ownPred != nil && !exec.Truthy(ownPred.Eval(s)) {
 			continue
 		}
 		probes++
-		for _, id := range tree.Lookup(s[keyIdx]) {
+		ids = tree.Lookup(s[keyIdx], &it, ids)
+		for _, id := range ids {
 			matches++
 			if pred == nil {
 				passed++

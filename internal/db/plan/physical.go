@@ -577,7 +577,9 @@ func chargeRow(n *Node, k cards, s exec.Sink) {
 // log and heap stores of a write — in
 // either execution mode: both executors issue them at the same addresses.
 // The vector join adds the gather's scattered first-line load per match;
-// the vector aggregate's table fits the cache and has no such term.
+// the vector aggregate's table fits the cache and has no such term. Both
+// modes are priced on the row executor's dependent schedule, although a
+// batch issues some of these loads independently (DESIGN.md §14).
 func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 	c := pc.c
 	switch n.Kind {

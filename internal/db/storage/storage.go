@@ -221,12 +221,19 @@ func (bp *BufferPool) Frames() int { return bp.frames }
 // header is touched (one dependent load) on every fetch, as an engine
 // touches the page's slot directory.
 func (bp *BufferPool) Fetch(id PageID, sequential bool) uint64 {
+	return bp.frameAddr[bp.fetch(id, sequential, true)]
+}
+
+// fetch is Fetch returning the frame index, with the page-header load
+// dependent or not: a batch that resolves many pages before it reads any of
+// them issues their headers back to back (HeapFile.ReadRows).
+func (bp *BufferPool) fetch(id PageID, sequential, dependent bool) int {
 	h := bp.dev.M.Hier
 	if idx, ok := bp.pageTable[id]; ok {
 		bp.Hits++
 		bp.frameRef[idx] = true
-		h.Load(bp.frameAddr[idx], true)
-		return bp.frameAddr[idx]
+		h.Load(bp.frameAddr[idx], dependent)
+		return idx
 	}
 	bp.Misses++
 	idx := bp.evict()
@@ -249,8 +256,14 @@ func (bp *BufferPool) Fetch(id PageID, sequential bool) uint64 {
 		bp.dev.everRead[id] = true
 	}
 	h.StoreRange(bp.frameAddr[idx], uint64(bp.pageSize))
-	h.Load(bp.frameAddr[idx], true)
-	return bp.frameAddr[idx]
+	h.Load(bp.frameAddr[idx], dependent)
+	return idx
+}
+
+// holds reports whether frame idx still holds page id (no accesses
+// simulated).
+func (bp *BufferPool) holds(idx int, id PageID) bool {
+	return bp.frameUsed[idx] && bp.framePage[idx] == id
 }
 
 // Contains reports whether the page is resident (no accesses simulated).
@@ -586,6 +599,8 @@ type HeapFile struct {
 	// is longer than the last-level cache (see BatchScanner). It belongs to
 	// the view because the caches it speaks of are the view's machine's.
 	reverse bool
+	// frames is ReadRows' scratch: the frame pass 1 resolved for each id.
+	frames []int
 }
 
 // NewHeapFile creates an empty heap file on the pool, with fresh shared
@@ -936,6 +951,52 @@ func (hf *HeapFile) ReadRow(id int, sequential bool) (row value.Row, visible boo
 		}
 	}
 	return row, true, nil
+}
+
+// ReadRows reads the rows ids name under the device's ambient snapshot into
+// dst (len(dst) >= len(ids); dst[i] is nil when no version of ids[i] is
+// visible), issuing per id what ReadRow(id, false) issues on the schedule a
+// batch engine can follow: slots are fixed-width, so a row's address
+// follows from its id and its page's frame, never from a header's contents,
+// and no id's loads wait on another's. Pass 1 resolves every id's page
+// through the pool in id order (a miss keeps its disk charge and page copy)
+// and issues the page-header loads as independent loads. Pass 2 charges each
+// row's version-chain hops, which stay dependent, then issues the row's
+// first line as an independent load and streams the rest. Pass 1 may have
+// evicted a frame an earlier id resolved; pass 2 then fetches that page
+// again, as ReadRow would, rather than load from a frame that holds another
+// page. Nothing is simulated when an id is out of range.
+func (hf *HeapFile) ReadRows(ids []int, dst []value.Row) error {
+	d := hf.data
+	n := d.rowCount()
+	for _, id := range ids {
+		if id < 0 || id >= n {
+			return fmt.Errorf("storage: row %d out of range [0, %d)", id, n)
+		}
+	}
+	if cap(hf.frames) < len(ids) {
+		hf.frames = make([]int, len(ids))
+	}
+	frames := hf.frames[:len(ids)]
+	for i, id := range ids {
+		frames[i] = hf.pool.fetch(PageID{d.fileID, id / d.perPage}, false, false)
+	}
+	h := hf.dev.M.Hier
+	for i, id := range ids {
+		pid := PageID{d.fileID, id / d.perPage}
+		if !hf.pool.holds(frames[i], pid) {
+			frames[i] = hf.pool.fetch(pid, false, true)
+		}
+		row, hops, _ := d.row(id, hf.dev.Snap)
+		dst[i] = row
+		rowAddr := hf.pool.frameAddr[frames[i]] + uint64(pageHeaderBytes+id%d.perPage*d.rowWidth)
+		hf.dev.ChargeChain(hops)
+		h.Load(rowAddr, false)
+		if row != nil && d.rowWidth > memsim.LineSize {
+			h.LoadRange(rowAddr+memsim.LineSize, uint64(d.rowWidth-memsim.LineSize))
+		}
+	}
+	return nil
 }
 
 // Machine exposes the device machine (operators issue compute through it).

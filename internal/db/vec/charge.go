@@ -126,7 +126,8 @@ func ChargeJoinInsert(s exec.Sink, c exec.Card, slot uint64) { s.Stores(slot, c.
 // ChargeJoinProbe is the payload of a join's key kernel, after its dispatch
 // and the key columns' materialization: the key loads and the per-key
 // arithmetic (the hash, or the index join's NULL test and search-key setup).
-// The dependent bucket-head load or index descent per element follows.
+// The bucket-head load (independent across a probe batch) or the index
+// descent (dependent) per element follows.
 func ChargeJoinProbe(s exec.Sink, c exec.Card, keys ...uint64) {
 	for _, k := range keys {
 		s.Loads(k, c.In*kernelLoadsPerVal)
@@ -135,11 +136,10 @@ func ChargeJoinProbe(s exec.Sink, c exec.Card, keys ...uint64) {
 }
 
 // ChargeJoinGather assembles the In matched pairs into output rows, after
-// the gather's dispatch and each pair's dependent first-line load of its
-// build row: the trailing build lines, the cache-hot probe row, the
-// assembled-row stores and the move bookkeeping. No per-column vector
-// traffic: the output stays rows-backed and its consumer materializes what
-// it touches.
+// the gather's dispatch and each pair's first-line load of its build row:
+// the trailing build lines, the cache-hot probe row, the assembled-row
+// stores and the move bookkeeping. No per-column vector traffic: the output
+// stays rows-backed and its consumer materializes what it touches.
 func ChargeJoinGather(s exec.Sink, c exec.Card, probeLines, buildLines int, at uint64) {
 	s.Loads(at, c.In*float64(buildLines-1))
 	s.Loads(at, c.In*float64(probeLines))
@@ -148,12 +148,13 @@ func ChargeJoinGather(s exec.Sink, c exec.Card, probeLines, buildLines int, at u
 }
 
 // ChargeFetch is the index operators' fetch primitive over one batch of In
-// index entries, Out of them visible to the snapshot, after the dependent
-// B-tree and heap accesses storage issued for each: a dispatch, then per
-// entry the row-id load off the id list and the bound-or-visibility branch,
-// and per visible row the row-pointer store into the batch's backing. This
-// is what replaces the row schedule's per-candidate exec.ChargeTuples; rows
-// are handed on by reference, so there is no output copy.
+// index entries, Out of them visible to the snapshot, after the B-tree and
+// heap accesses storage issued for each (HeapFile.ReadRows): a dispatch,
+// then per entry the row-id load off the id list and the bound-or-visibility
+// branch, and per visible row the row-pointer store into the batch's
+// backing. This is what replaces the row schedule's per-candidate
+// exec.ChargeTuples; rows are handed on by reference, so there is no output
+// copy.
 func ChargeFetch(s exec.Sink, c exec.Card, at uint64) {
 	s.Tuples(c.Batches)
 	s.Loads(at, c.In)

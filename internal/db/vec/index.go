@@ -10,29 +10,31 @@ import (
 )
 
 // fetcher is the one way index access becomes batches: row ids go in, a
-// lazily backed batch comes out. Each id is read exactly as the row operators
-// read it — HeapFile.ReadRow(id, false): the page fetch, the version-chain
-// hops and a dependent load of the row's first line, all inside storage — so
-// the data-dependent traffic of an index operator does not depend on its
-// mode. What the batch form drops is the row schedule's per-candidate
-// interpretation (exec.ChargeTuples): emit charges one dispatch per batch per
-// primitive plus per-element payload traffic (ChargeFetch, and for a join the
-// gather's dispatch and ChargeJoinGather), and hands the rows out by
-// reference, so a consumer materializes only the columns it touches.
+// lazily backed batch comes out. fetch only queues an id; emit hands the
+// whole queue to HeapFile.ReadRows, which issues per id what the row
+// operators' ReadRow(id, false) issues — the page fetch, the version-chain
+// hops, the row's first line and the rest of the row — but on the batch's
+// schedule: every id is known before any is read, so the page headers and
+// the rows' first lines go out back to back as independent loads, and only
+// the chain hops stay dependent. What the batch form also drops is the row
+// schedule's per-candidate interpretation (exec.ChargeTuples): emit charges
+// one dispatch per batch per primitive plus per-element payload traffic
+// (ChargeFetch, and for a join the gather's dispatch and ChargeJoinGather),
+// and hands the rows out by reference, so a consumer materializes only the
+// columns it touches.
 type fetcher struct {
 	ctx  *exec.Ctx
 	file *storage.HeapFile
 	out  *Batch
-	// rows backs out: the fetched heap rows themselves, or, under a join,
-	// probe+inner rows assembled in buf (np probe columns in front); ids are
-	// the heap slots they were fetched from.
-	rows []value.Row
+	// ids queues the heap slots of the pending batch, entries the snapshot
+	// cannot see included. emit reads them into rows and compacts both to
+	// the visible entries: rows then backs out, the heap rows themselves or,
+	// under a join, probe+inner rows assembled in buf (np probe columns in
+	// front, copied at fetch, one per queued id), and ids are their slots.
 	ids  []int
+	rows []value.Row
 	buf  []value.Row
 	np   int
-	// seen counts the ids fetched into the pending batch, entries the
-	// snapshot cannot see included; it bounds a batch at its width.
-	seen int
 	// at is the scratch line the id list and the assembled rows are charged
 	// against.
 	at                     uint64
@@ -47,8 +49,8 @@ func newFetcher(ctx *exec.Ctx, file *storage.HeapFile, schema, probe *catalog.Sc
 	f := &fetcher{
 		ctx: ctx, file: file,
 		out:  NewBatch(ctx.Arena, schema, width),
-		rows: make([]value.Row, 0, width),
 		ids:  make([]int, 0, width),
+		rows: make([]value.Row, width),
 		at:   ctx.Arena.Alloc(memsim.LineSize, memsim.LineSize),
 	}
 	if probe != nil {
@@ -61,50 +63,58 @@ func newFetcher(ctx *exec.Ctx, file *storage.HeapFile, schema, probe *catalog.Sc
 }
 
 // full reports whether the pending batch has taken a batch width of ids.
-func (f *fetcher) full() bool { return f.seen == f.out.Cap() }
+func (f *fetcher) full() bool { return len(f.ids) == f.out.Cap() }
 
-// fetch reads heap row id into the pending batch, dropping it when no version
-// is visible to the snapshot (index entries outlive their heap versions).
-// Under a join the row enters behind the probe row at selection index k of
-// probe, copied now, so the pending batch does not hold on to probe.
-func (f *fetcher) fetch(id int, probe *Batch, k int) error {
-	f.ctx.PollEvery(f.seen)
-	f.seen++
-	row, visible, err := f.file.ReadRow(id, false)
-	if err != nil || !visible {
-		return err
-	}
+// fetch queues heap row id for the pending batch. Under a join the row
+// enters behind the probe row at selection index k of probe, copied now, so
+// the pending batch does not hold on to probe.
+func (f *fetcher) fetch(id int, probe *Batch, k int) {
 	if probe != nil {
-		dst := f.buf[len(f.rows)]
+		dst := f.buf[len(f.ids)]
 		if dst == nil {
 			dst = make(value.Row, len(f.out.Cols))
-			f.buf[len(f.rows)] = dst
+			f.buf[len(f.ids)] = dst
 		}
 		probe.Row(k, dst[:f.np])
-		copy(dst[f.np:], row)
-		row = dst
 	}
-	f.rows = append(f.rows, row)
 	f.ids = append(f.ids, id)
-	return nil
 }
 
-// emit hands out the pending rows as a lazily backed batch and charges the
-// batch's share of the primitive; nil when nothing was fetched since the last
-// emit. The batch is empty when every entry fetched was invisible.
-func (f *fetcher) emit() *Batch {
-	if f.seen == 0 {
-		return nil
+// emit reads the queued ids, hands out the visible rows as a lazily backed
+// batch and charges the batch's share of the primitive; nil when nothing was
+// queued since the last emit. The batch is empty when every entry was
+// invisible to the snapshot (index entries outlive their heap versions).
+func (f *fetcher) emit() (*Batch, error) {
+	n := len(f.ids)
+	if n == 0 {
+		return nil, nil
 	}
-	ChargeFetch(f.ctx, exec.Card{Batches: 1, In: float64(f.seen), Out: float64(len(f.rows))}, f.at)
+	rows := f.rows[:n]
+	if err := f.file.ReadRows(f.ids, rows); err != nil {
+		return nil, err
+	}
+	k := 0
+	for i, row := range rows {
+		f.ctx.Poll()
+		if row == nil {
+			continue
+		}
+		if f.buf != nil {
+			copy(f.buf[i][f.np:], row)
+			row = f.buf[i]
+		}
+		rows[k], f.ids[k] = row, f.ids[i]
+		k++
+	}
+	ChargeFetch(f.ctx, exec.Card{Batches: 1, In: float64(n), Out: float64(k)}, f.at)
 	if f.buf != nil {
 		ChargeDispatch(f.ctx, exec.Card{Batches: 1})
-		ChargeJoinGather(f.ctx, exec.Card{In: float64(len(f.rows))}, f.probeLines, f.innerLines, f.at)
+		ChargeJoinGather(f.ctx, exec.Card{In: float64(k)}, f.probeLines, f.innerLines, f.at)
 	}
-	f.out.SetRows(f.rows)
-	f.out.SetRowIDs(0, f.ids)
-	f.rows, f.ids, f.seen = f.rows[:0], f.ids[:0], 0
-	return f.out
+	f.out.SetRows(rows[:k])
+	f.out.SetRowIDs(0, f.ids[:k])
+	f.ids = f.ids[:0]
+	return f.out, nil
 }
 
 // IndexScan is the batch form of exec.IndexScan: it walks the index over
@@ -146,15 +156,13 @@ func (s *IndexScan) Next() (*Batch, error) {
 	for {
 		s.Ctx.Poll()
 		for !s.f.full() && s.it.Valid() {
-			id := s.it.RowID()
+			s.Ctx.Poll()
+			s.f.fetch(s.it.RowID(), nil, 0)
 			s.it.Next()
-			if err := s.f.fetch(id, nil, 0); err != nil {
-				return nil, err
-			}
 		}
-		b := s.f.emit()
-		if b == nil {
-			return nil, nil
+		b, err := s.f.emit()
+		if b == nil || err != nil {
+			return nil, err
 		}
 		if b.N == 0 {
 			continue
@@ -196,8 +204,9 @@ type IndexJoin struct {
 
 	probe   *Batch
 	key     *Vector
-	pk      int // next selection index within the probe batch
-	curK    int // selection index whose matches are being fetched
+	pk      int        // next selection index within the probe batch
+	curK    int        // selection index whose matches are being fetched
+	it      btree.Iter // reused by every lookup, with matches' buffer
 	matches []int
 	mi      int
 }
@@ -227,17 +236,15 @@ func (j *IndexJoin) Next() (*Batch, error) {
 	for {
 		for !j.f.full() {
 			if j.mi < len(j.matches) {
+				j.f.fetch(j.matches[j.mi], j.probe, j.curK)
 				j.mi++
-				if err := j.f.fetch(j.matches[j.mi-1], j.probe, j.curK); err != nil {
-					return nil, err
-				}
 				continue
 			}
 			if j.probe != nil && j.pk < j.probe.Len() {
 				j.curK = j.pk
 				j.pk++
 				if i := j.probe.Pos(j.curK); !j.key.IsNull(i) {
-					j.matches, j.mi = j.Index.Lookup(j.key.Get(i)), 0
+					j.matches, j.mi = j.Index.Lookup(j.key.Get(i), &j.it, j.matches), 0
 				}
 				continue
 			}
@@ -264,9 +271,9 @@ func (j *IndexJoin) Next() (*Batch, error) {
 				ChargeJoinProbe(j.Ctx, c, j.key.Addr())
 			}
 		}
-		b := j.f.emit()
-		if b == nil {
-			return nil, nil
+		b, err := j.f.emit()
+		if b == nil || err != nil {
+			return nil, err
 		}
 		if b.N == 0 {
 			continue

@@ -218,9 +218,9 @@ func TestIndexOpsDropInvisibleEntries(t *testing.T) {
 
 // TestCancelIndexOps checks cancellation: a pre-armed flag stops both
 // operators before they fetch anything, and a flag raised while a batch is
-// being fetched stops the fetch primitive inside that batch — it polls on a
-// stride, so the uncancellable stretch is a few hundred fetches, not a batch
-// width of them.
+// queued stops the fetch primitive at that batch's emit, before it hands any
+// row out — ReadRows reads a batch in two passes, so the uncancellable
+// stretch is one batch width of ids.
 func TestCancelIndexOps(t *testing.T) {
 	e, tbl := indexedEngine(t, 600)
 	var flag atomic.Bool
@@ -238,20 +238,16 @@ func TestCancelIndexOps(t *testing.T) {
 
 	flag.Store(false)
 	f := newFetcher(e.Ctx, tbl.File, tbl.Schema(), nil, MaxBatch)
-	err := func() (err error) {
+	for id := 0; !f.full(); id++ {
+		f.fetch(id%600, nil, 0)
+	}
+	flag.Store(true)
+	b, err := func() (b *Batch, err error) {
 		defer exec.RecoverCanceled(&err)
-		for id := 0; !f.full(); id++ {
-			if id == 100 {
-				flag.Store(true)
-			}
-			if err := f.fetch(id%600, nil, 0); err != nil {
-				return err
-			}
-		}
-		return nil
+		return f.emit()
 	}()
-	if err != exec.ErrCanceled || f.seen < 100 || f.seen > 100+MaxBatch/8 {
-		t.Fatalf("fetching a %d-row batch with the flag raised at row 100: err = %v after %d fetches", MaxBatch, err, f.seen)
+	if err != exec.ErrCanceled || b != nil {
+		t.Fatalf("emitting a %d-row batch with the flag raised: batch %v, err = %v, want ErrCanceled", MaxBatch, b, err)
 	}
 }
 

@@ -16,12 +16,15 @@ import (
 // pays materialization only for the columns it actually touches.
 //
 // The table is the row join's own exec.HashTable, because the hardware
-// would not change shape just because the driver batched: bucket probes and
-// chain walks stay dependent loads into a table usually larger than L1D, at
-// the same addresses. What vectorization removes is the per-tuple
+// would not change shape just because the driver batched: the same bucket
+// heads, chain hops and build rows, at the same addresses, in a table usually
+// larger than L1D. What vectorization removes is the per-tuple
 // interpretation — the dispatch, the probe-row clone, the per-match output
 // copy — which is exactly the L1D/Reg2L1D component the paper's micro
-// analysis prices.
+// analysis prices. What it changes is the schedule: a probe batch's keys are
+// all hashed before any chain is walked, so their bucket heads, and a
+// gathered batch's build-row first lines, are independent loads issued back
+// to back; build inserts and chain hops stay dependent.
 //
 // NULL join keys never match (including NULL = NULL): both joins build their
 // keys with exec.JoinKey, so build rows with a NULL key are never inserted and
@@ -162,8 +165,8 @@ func (j *HashJoin) Open() error {
 
 // probeKeys is the vectorized key-hash kernel: one dispatch per probe
 // batch, the key column (materialized on first touch), bulk key loads and
-// hash arithmetic, then a dependent bucket-head load per non-NULL key
-// element.
+// hash arithmetic, then a bucket-head load per non-NULL key element —
+// independent, since every head's address follows from its key alone.
 func (j *HashJoin) probeKeys(b *Batch) {
 	n := b.Len()
 	ChargeDispatch(j.Ctx, exec.Card{Batches: 1})
@@ -179,7 +182,7 @@ func (j *HashJoin) probeKeys(b *Batch) {
 	for k := 0; k < n; k++ {
 		key, ok := exec.JoinKey(kv.Get(b.Pos(k)))
 		if ok {
-			h.Load(j.table.Head(key), true)
+			h.Load(j.table.Head(key), false)
 		}
 		j.keys = append(j.keys, key)
 		j.keyOK = append(j.keyOK, ok)
@@ -255,11 +258,12 @@ func (j *HashJoin) Next() (*Batch, error) {
 // row assembly — two block copies per pair: the probe row out of the
 // (cache-hot, just-produced) probe batch and the build row out of the build
 // buffer, whose scattered first-line access keeps real buffer addresses so
-// the simulator sees the table-sized working set. No per-column vector
-// traffic happens here: the output stays rows-backed, and a parent kernel
-// pays materialization (Batch.Col) only for the columns it actually touches
-// — the consumer's demand, not the join's supply — so unreferenced columns
-// of wide rows move nothing beyond the block copy.
+// the simulator sees the table-sized working set. Every pair's build row is
+// known before any is read, so those first lines are independent loads. No
+// per-column vector traffic happens here: the output stays rows-backed, and
+// a parent kernel pays materialization (Batch.Col) only for the columns it
+// actually touches — the consumer's demand, not the join's supply — so
+// unreferenced columns of wide rows move nothing beyond the block copy.
 func (j *HashJoin) gather(out *Batch) {
 	h := j.Ctx.M.Hier
 	np := len(j.Probe.Schema().Columns)
@@ -273,9 +277,9 @@ func (j *HashJoin) gather(out *Batch) {
 	}
 	ChargeDispatch(j.Ctx, exec.Card{Batches: 1})
 	for _, bi := range j.pairB {
-		// Dependent first-line load of the matched build row at its real
-		// buffer offset; trailing lines of the row ride the open line(s).
-		h.Load(j.buildBase+uint64(bi)*width%bufBytes, true)
+		// First-line load of the matched build row at its real buffer
+		// offset; trailing lines of the row ride the open line(s).
+		h.Load(j.buildBase+uint64(bi)*width%bufBytes, false)
 	}
 	ChargeJoinGather(j.Ctx, exec.Card{In: float64(len(j.pairP))},
 		RowLines(j.Probe.Schema().RowWidth()), RowLines(int(width)), j.rowBase)

@@ -40,6 +40,10 @@ const (
 	// StyleListPair interleaves two pointer chases over different
 	// layers (the B_L1D_list_L2 verification benchmark).
 	StyleListPair
+	// StyleGather visits StyleRandomList's permutation with independent
+	// loads: a gather through an index vector, every address known before
+	// any load is issued, as a batch engine knows a batch's row ids.
+	StyleGather
 )
 
 // Observe selects which RAPL domains constitute the benchmark's Busy-CPU
@@ -154,6 +158,38 @@ func VMBS() []Spec {
 		{Name: "B_L1D_list_nop_add", Style: StyleList, MemBytes: sizeL1D, Passes: 3000,
 			NopPerOp: 1, AddPerOp: 1, OverheadPerKiloOp: 11, Observe: ObserveCore, Seed: 207},
 	}
+}
+
+// Gathers returns the random-gather pairs beside VMBS (not in it: Table 3
+// is VMBS alone): over an L2-, an L3- and a DRAM-sized array, the same
+// large-span random permutation read as a pointer chase (dependent, like
+// B_L2, B_L3 and B_mem) and as a grouped gather (independent). Their stall
+// per load is the dependent rule's latency-1 against the independent rule's
+// (latency-L1D)/IndependentMLP at each level: what a batch gains by issuing
+// its addresses back to back.
+func Gathers() []Spec {
+	var out []Spec
+	for i, g := range []struct {
+		layer   string
+		bytes   uint64
+		passes  int
+		span    int
+		observe Observe
+	}{
+		{"L2", sizeL2, 300, 64, ObserveCore},
+		{"L3", sizeL3, 14, 512, ObservePackage},
+		{"mem", sizeMem, 2, 4096, ObservePackageDRAM},
+	} {
+		for _, st := range []Style{StyleRandomList, StyleGather} {
+			name := "G_" + g.layer + "_dep"
+			if st == StyleGather {
+				name = "G_" + g.layer + "_group"
+			}
+			out = append(out, Spec{Name: name, Style: st, MemBytes: g.bytes, Passes: g.passes,
+				SpanThreshold: g.span, OverheadPerKiloOp: 15, Observe: g.observe, Seed: int64(301 + i)})
+		}
+	}
+	return out
 }
 
 // Result is the outcome of running one micro-benchmark.
@@ -326,10 +362,10 @@ func newWalker(h *memsim.Hierarchy, s Spec) *walker {
 	arena := memsim.NewArena(1<<30, s.MemBytes+s.MemBytes2+(4<<20))
 	rng := rand.New(rand.NewSource(s.Seed))
 	switch s.Style {
-	case StyleArray, StyleList, StyleRandomList:
+	case StyleArray, StyleList, StyleRandomList, StyleGather:
 		w.base = arena.Alloc(s.MemBytes, memsim.PageSize)
 		n := int(s.MemBytes / memsim.LineSize)
-		w.order = layout(n, s.Style == StyleRandomList, s.SpanThreshold, rng)
+		w.order = layout(n, s.Style == StyleRandomList || s.Style == StyleGather, s.SpanThreshold, rng)
 	case StyleStoreVar:
 		w.base = arena.Alloc(memsim.LineSize, memsim.LineSize)
 	case StyleListPair:
@@ -423,7 +459,7 @@ func (w *walker) pass(walk bool) {
 		w.walked++
 	}
 	switch s.Style {
-	case StyleArray:
+	case StyleArray, StyleGather:
 		for _, idx := range w.order {
 			if walk {
 				w.h.Load(w.base+uint64(idx)*memsim.LineSize, false)
@@ -484,9 +520,9 @@ func (w *walker) overheadN(ops float64) {
 	}
 }
 
-// FindSpec returns the spec with the given name from MBS or VMBS.
+// FindSpec returns the spec with the given name from MBS, VMBS or Gathers.
 func FindSpec(name string) (Spec, error) {
-	for _, s := range append(MBS(), VMBS()...) {
+	for _, s := range append(append(MBS(), VMBS()...), Gathers()...) {
 		if s.Name == name {
 			return s, nil
 		}
