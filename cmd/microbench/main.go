@@ -1,8 +1,8 @@
 // Command microbench runs the micro-benchmark methodology standalone: the
 // MBS isolation set, the ΔE_m solver, and the VMBS verification set —
 // Tables 1, 2 (single P-state) and 3 in one run — and the random-gather
-// pairs beside VMBS (mubench.Gathers): stall and energy per load, dependent
-// against grouped.
+// pairs beside VMBS (mubench.Gathers) and the B+tree descent pair
+// (mubench.Descents): stall and energy per load, dependent against grouped.
 //
 // Usage:
 //
@@ -66,12 +66,19 @@ func main() {
 	}
 	fmt.Printf("%-22s %14s %14s %8.2f\n", "average", "", "", core.MeanAccuracy(results)*100)
 
-	fmt.Println("\nRandom gather, dependent vs grouped (beside VMBS):")
+	perLoad(st.Runner, "Random gather, dependent vs grouped (beside VMBS):", mubench.Gathers())
+	perLoad(st.Runner, "B+tree descent, one key at a time vs level by level (beside VMBS):", mubench.Descents())
+}
+
+// perLoad runs a pair set and prints each benchmark's stall and energy per
+// load.
+func perLoad(r *mubench.Runner, title string, specs []mubench.Spec) {
+	fmt.Println("\n" + title)
 	fmt.Printf("%-12s %10s %20s\n", "benchmark", "stall/load", "E_active/load (nJ)")
-	for _, s := range mubench.Gathers() {
-		r := st.Runner.Run(s)
-		loads := float64(r.Counters.Loads)
-		fmt.Printf("%-12s %10.2f %20.2f\n", s.Name, float64(r.Counters.StallCycles)/loads, r.EActive/loads*1e9)
+	for _, s := range specs {
+		res := r.Run(s)
+		loads := float64(res.Counters.Loads)
+		fmt.Printf("%-12s %10.2f %20.2f\n", s.Name, float64(res.Counters.StallCycles)/loads, res.EActive/loads*1e9)
 	}
 }
 

@@ -1,8 +1,11 @@
 // Package btree implements a B+tree over simulated memory. It backs the
 // engines' clustered tables and secondary indexes. Every node carries a
-// simulated address; descents issue dependent (pointer-chasing) loads and
+// simulated address; a descent issues dependent (pointer-chasing) loads and
 // leaf scans issue streaming loads, reproducing the locality contrast the
-// paper observes between index scan and table scan (Section 3.3).
+// paper observes between index scan and table scan (Section 3.3). A batch
+// of lookups (SeekBatch, the batch engine's index join) descends level by
+// level instead: the loads of one level, across the batch's keys, are
+// independent of each other and go out back to back.
 //
 // The tree also supports relocating its top layers into a TCM window — the
 // Section 4.2 co-design places "the root and first few layers of the B-tree
@@ -41,6 +44,7 @@ package btree
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -197,7 +201,7 @@ func (t *Tree) Insert(key value.Value, rowID int) {
 // insert returns n, or its clone when n predates the current generation,
 // with (key, rowID) added, plus a split sibling when it overflowed.
 func (t *Tree) insert(n *node, key value.Value, rowID int) (*node, *node, value.Value) {
-	t.touchNode(n, len(n.keys))
+	t.touchNode(n)
 	c := t.mutable(n)
 	if c.leaf {
 		idx := sort.Search(len(c.keys), func(i int) bool {
@@ -275,7 +279,7 @@ func (t *Tree) Delete(key value.Value, rowID int) bool {
 // delete returns n, or its clone when n predates the current generation,
 // without (key, rowID), and whether the entry was found below n.
 func (t *Tree) delete(n *node, key value.Value, rowID int) (*node, bool) {
-	t.touchNode(n, len(n.keys))
+	t.touchNode(n)
 	i := sort.Search(len(n.keys), func(i int) bool {
 		return value.Compare(n.keys[i], key) >= 0
 	})
@@ -318,25 +322,24 @@ func (t *Tree) mutable(n *node) *node {
 }
 
 // touchNode simulates reading a node during a descent: a dependent load of
-// the header plus the binary-search probes within the node.
-func (t *Tree) touchNode(n *node, entries int) {
+// the header, then the binary-search rounds within the node, each a
+// dependent load of the line probeAddr names, then one comparison per round.
+func (t *Tree) touchNode(n *node) {
 	t.h.Load(n.addr, true)
-	probes := 1
-	for e := entries; e > 1; e >>= 1 {
-		probes++
+	rounds := probes(n)
+	for i := 0; i < rounds; i++ {
+		t.h.Load(probeAddr(n, i), true)
 	}
-	for i := 0; i < probes; i++ {
-		off := uint64(nodeHeaderBytes + (i*37%maxInt(entries, 1))*entryBytes)
-		t.h.Load(n.addr+off, true)
-	}
-	t.h.Exec(uint64(probes), memsim.InstrOther) // comparisons
+	t.h.Exec(uint64(rounds), memsim.InstrOther) // comparisons
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// probes is the number of binary-search rounds a descent spends in n:
+// 1 + ⌊log2 entries⌋, and one for an empty node.
+func probes(n *node) int { return max(bits.Len(uint(len(n.keys))), 1) }
+
+// probeAddr is the address binary-search round i reads in n.
+func probeAddr(n *node, i int) uint64 {
+	return n.addr + uint64(nodeHeaderBytes+(i*37%max(len(n.keys), 1))*entryBytes)
 }
 
 // frame is one interior level of an iterator's descent path.
@@ -357,34 +360,80 @@ func (t *Tree) Range(lo, hi *value.Value) *Iter {
 }
 
 // seek points it at the first entry of Range(lo, hi), reusing its descent
-// stack.
+// stack: one node after another, each read with touchNode's dependent loads.
 func (t *Tree) seek(it *Iter, lo, hi *value.Value) {
 	*it = Iter{t: t, stack: it.stack[:0]}
 	if hi != nil {
 		it.hi, it.bounded = *hi, true
 	}
-	n := t.snapshotRoot()
-	for {
-		t.touchNode(n, len(n.keys))
-		// Descend into the leftmost child that can hold lo: duplicates
-		// equal to a separator may live in the child left of it, so the
-		// interior search uses >=.
-		idx := 0
-		if lo != nil {
-			idx = sort.Search(len(n.keys), func(i int) bool {
-				return value.Compare(n.keys[i], *lo) >= 0
-			})
-		}
-		if n.leaf {
-			it.n, it.idx = n, idx
-			break
-		}
-		it.stack = append(it.stack, frame{n, idx})
-		n = n.kids[idx]
+	for n := t.snapshotRoot(); n != nil; {
+		t.touchNode(n)
+		n = it.descend(n, lo)
 	}
-	// The first entry in range may live in a later leaf.
-	for it.n != nil && it.idx >= len(it.n.keys) {
-		it.advanceLeaf()
+	it.settle()
+}
+
+// SeekBatch points its[k] at the first entry equal to keys[k], as Lookup's
+// iterator stands before its first RowID, for every k, over one snapshot of
+// the tree: the batch goes down level by level. At each level every
+// iterator's node header is loaded, back to back, then each binary-search
+// round across the batch, as independent loads: the nodes of one level
+// follow from the level above alone, so no key's load waits on another
+// key's. Within one key the levels, and the rounds within one node, keep
+// their order. The lines and comparisons are touchNode's, node by node; the
+// leaf hops that settle an iterator stay dependent, as do the iterators' own
+// Next loads. its must be at least as long as keys; each iterator's stack is
+// reused, and the iterators whose stack is too short for the tree share one
+// new array.
+func (t *Tree) SeekBatch(keys []value.Value, its []Iter) {
+	if len(keys) == 0 {
+		return
+	}
+	its = its[:len(keys)]
+	root := t.snapshotRoot()
+	depth := 0 // interior levels: the frames a descent pushes
+	for n := root; !n.leaf; n = n.kids[0] {
+		depth++
+	}
+	var frames []frame
+	for k := range its {
+		stack := its[k].stack[:0]
+		if cap(stack) < depth {
+			if len(frames) == 0 {
+				frames = make([]frame, depth*(len(its)-k))
+			}
+			stack, frames = frames[:0:depth], frames[depth:]
+		}
+		// Until the leaf is reached, n is the node the next level reads.
+		its[k] = Iter{t: t, stack: stack, n: root, hi: keys[k], bounded: true}
+	}
+	for leaf := false; !leaf; {
+		// The tree is balanced and the snapshot one: a level is leaves
+		// for every key or for none.
+		leaf = its[0].n.leaf
+		rounds := 0
+		for k := range its {
+			n := its[k].n
+			t.h.Load(n.addr, false)
+			p := probes(n)
+			t.h.Exec(uint64(p), memsim.InstrOther) // comparisons
+			rounds = max(rounds, p)
+		}
+		for i := 0; i < rounds; i++ {
+			for k := range its {
+				if n := its[k].n; i < probes(n) {
+					t.h.Load(probeAddr(n, i), false)
+				}
+			}
+		}
+		for k := range its {
+			if next := its[k].descend(its[k].n, &its[k].hi); next != nil {
+				its[k].n = next
+			}
+		}
+	}
+	for k := range its {
+		its[k].settle()
 	}
 }
 
@@ -423,6 +472,35 @@ func (it *Iter) Key() value.Value { return it.n.keys[it.idx] }
 
 // RowID returns the current row id.
 func (it *Iter) RowID() int { return it.n.rowIDs[it.idx] }
+
+// descend is one level of a descent toward the first entry >= lo (the
+// smallest entry when lo is nil), taken on the host once n's loads are
+// issued: at a leaf it positions it and returns nil, above one it records
+// the branch on it's stack and returns the child to read next.
+func (it *Iter) descend(n *node, lo *value.Value) *node {
+	// Descend into the leftmost child that can hold lo: duplicates equal
+	// to a separator may live in the child left of it, so the interior
+	// search uses >=.
+	idx := 0
+	if lo != nil {
+		idx = sort.Search(len(n.keys), func(i int) bool {
+			return value.Compare(n.keys[i], *lo) >= 0
+		})
+	}
+	if n.leaf {
+		it.n, it.idx = n, idx
+		return nil
+	}
+	it.stack = append(it.stack, frame{n, idx})
+	return n.kids[idx]
+}
+
+// settle ends a descent: the first entry in range may live in a later leaf.
+func (it *Iter) settle() {
+	for it.n != nil && it.idx >= len(it.n.keys) {
+		it.advanceLeaf()
+	}
+}
 
 // advanceLeaf moves to the next leaf in key order via the descent stack,
 // charging one dependent load for the leaf hop (the on-disk structure's

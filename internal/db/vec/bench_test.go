@@ -21,9 +21,9 @@ func benchEngine() *engine.Engine {
 // BenchmarkIndexJoin is the row-versus-vector pair for the index nested loop:
 // lineitem ⋈ orders through the orders index on o_orderkey, the join TPC-H
 // runs most, in host rows per second over the probe side. Both forms issue
-// the same B-tree descents and heap fetches; the vector one replaces the
-// per-match interpretation storm by one fetch and one gather dispatch per
-// output batch. `make bench-check` and CI run it once (-benchtime=1x) to keep
+// the same B-tree descent lines and heap fetches; the vector one descends a
+// probe batch's keys together and replaces the per-match interpretation
+// storm by one fetch and one gather dispatch per output batch. `make bench-check` and CI run it once (-benchtime=1x) to keep
 // the pair compiling and finishing.
 func BenchmarkIndexJoin(b *testing.B) {
 	e := benchEngine()

@@ -179,12 +179,15 @@ func (s *IndexScan) Next() (*Batch, error) {
 func (s *IndexScan) Close() error { return nil }
 
 // IndexJoin is the batch form of exec.IndexJoin: per probe batch one key
-// kernel, then an index lookup per selected non-NULL key (a NULL key matches
-// nothing, as in every join here) whose matches are fetched behind their
-// probe row and re-batched at batch width — a key's duplicates may span
-// output batches — with the residual run as a kernel program over the
-// joined batch. Output order is the row join's: probe order, then index
-// order within a key.
+// kernel, then one batched descent (btree.SeekBatch) of every selected
+// non-NULL key (a NULL key matches nothing, as in every join here), which
+// goes down the index level by level with independent loads. Each key's
+// iterator is walked only when the cursor reaches its probe element, its
+// matches fetched behind their probe row and re-batched at batch width — a
+// key's duplicates may span output batches — with the residual run as a
+// kernel program over the joined batch. What a probe batch holds is one
+// iterator per key, never a key's list of matches. Output order is the row
+// join's: probe order, then index order within a key.
 type IndexJoin struct {
 	Ctx      *exec.Ctx
 	Probe    Operator
@@ -202,13 +205,14 @@ type IndexJoin struct {
 	p      *pool
 	pred   *Prog
 
-	probe   *Batch
-	key     *Vector
-	pk      int        // next selection index within the probe batch
-	curK    int        // selection index whose matches are being fetched
-	it      btree.Iter // reused by every lookup, with matches' buffer
-	matches []int
-	mi      int
+	probe *Batch
+	// The probe batch's descended keys: keys[i] was read at selection
+	// index sel[i] and its[i] walks its matches; cur is the one being
+	// fetched. The three slices are reused by every probe batch.
+	keys []value.Value
+	sel  []int
+	its  []btree.Iter
+	cur  int
 }
 
 // Schema implements Operator (probe columns first, like the row join).
@@ -226,25 +230,22 @@ func (j *IndexJoin) Open() error {
 	if j.Residual != nil {
 		j.pred = CompileFilter(j.Residual)
 	}
-	j.probe, j.matches, j.mi = nil, nil, 0
+	j.probe, j.keys, j.sel, j.cur = nil, j.keys[:0], j.sel[:0], 0
 	return j.Probe.Open()
 }
 
 // Next implements Operator: fills one output batch. The cursor (probe batch,
-// element, position in its matches) persists across calls.
+// descended key, its iterator's position) persists across calls.
 func (j *IndexJoin) Next() (*Batch, error) {
 	for {
 		for !j.f.full() {
-			if j.mi < len(j.matches) {
-				j.f.fetch(j.matches[j.mi], j.probe, j.curK)
-				j.mi++
-				continue
-			}
-			if j.probe != nil && j.pk < j.probe.Len() {
-				j.curK = j.pk
-				j.pk++
-				if i := j.probe.Pos(j.curK); !j.key.IsNull(i) {
-					j.matches, j.mi = j.Index.Lookup(j.key.Get(i), &j.it, j.matches), 0
+			if j.cur < len(j.keys) {
+				j.Ctx.Poll()
+				if it := &j.its[j.cur]; it.Valid() {
+					j.f.fetch(it.RowID(), j.probe, j.sel[j.cur])
+					it.Next()
+				} else {
+					j.cur++
 				}
 				continue
 			}
@@ -257,19 +258,30 @@ func (j *IndexJoin) Next() (*Batch, error) {
 				break
 			}
 			j.Ctx.Poll()
-			j.probe, j.pk = b, 0 //lint:poolescape held only until the next Probe.Next pull; fetch copies each probe row out as it is matched
+			j.probe = b //lint:poolescape held only until the next Probe.Next pull; fetch copies each probe row out as it is matched
+			j.keys, j.sel, j.cur = j.keys[:0], j.sel[:0], 0
 			if b.Len() == 0 {
 				continue
 			}
 			// The key kernel: a dispatch, the key column (materialized on
 			// first touch), then the key loads and per-key setup in bulk.
 			ChargeDispatch(j.Ctx, exec.Card{Batches: 1})
-			j.key = b.Col(j.Ctx, j.ProbeKey)
-			if c := (exec.Card{In: float64(b.Len())}); j.key.Const() {
+			key := b.Col(j.Ctx, j.ProbeKey)
+			if c := (exec.Card{In: float64(b.Len())}); key.Const() {
 				ChargeJoinProbe(j.Ctx, c)
 			} else {
-				ChargeJoinProbe(j.Ctx, c, j.key.Addr())
+				ChargeJoinProbe(j.Ctx, c, key.Addr())
 			}
+			if n := b.Len(); cap(j.keys) < n {
+				j.keys, j.sel, j.its = make([]value.Value, 0, n), make([]int, 0, n), make([]btree.Iter, n)
+			}
+			for k := 0; k < b.Len(); k++ {
+				if i := b.Pos(k); !key.IsNull(i) {
+					j.keys = append(j.keys, key.Get(i))
+					j.sel = append(j.sel, k)
+				}
+			}
+			j.Index.SeekBatch(j.keys, j.its)
 		}
 		b, err := j.f.emit()
 		if b == nil || err != nil {

@@ -3,9 +3,11 @@ package vec
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"energydb/internal/db/catalog"
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
 	"energydb/internal/db/txn"
@@ -131,6 +133,63 @@ func TestIndexJoinMatchesRow(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Hand-made probe batches of four against grp (values 0..6, 37 rows
+	// each): one all NULL, so its batch descent has no key at all; one
+	// mixing NULL, a repeated key and an absent one; one of an absent key,
+	// a NULL and a repeated key.
+	keys := []value.Value{
+		value.Null(), value.Null(), value.Null(), value.Null(),
+		value.Int(3), value.Null(), value.Int(3), value.Int(99),
+		value.Int(-1), value.Int(6), value.Null(), value.Int(6),
+	}
+	probeTable := func(e *engine.Engine) *engine.Table {
+		p := e.CreateTable("p", catalog.NewSchema(catalog.Column{Name: "k", Type: value.TypeInt}))
+		for _, k := range keys {
+			e.Insert(p, value.Row{k})
+		}
+		return p
+	}
+	for _, batch := range []int{1, 3, 64} {
+		er, tr := indexedEngine(t, 260)
+		ev, tv := indexedEngine(t, 260)
+		pr, pv := probeTable(er), probeTable(ev)
+		label := fmt.Sprintf("hand-made probe batches, batch=%d", batch)
+		_, mVec := meteredPair(t, label, er, ev,
+			func(ms *exec.MeterSet, kid *exec.Meter) exec.Operator {
+				return &exec.IndexJoin{
+					Ctx: er.Ctx, Outer: &exec.Metered{Set: ms, M: kid, Child: &exec.SeqScan{Ctx: er.Ctx, File: pr.File}},
+					Inner: tr.File, Index: tr.Index("grp"), OuterKey: 0,
+				}
+			},
+			func(ms *exec.MeterSet, kid *exec.Meter) Operator {
+				return &IndexJoin{
+					Ctx: ev.Ctx, Probe: &Metered{Set: ms, M: kid, Child: &Scan{Ctx: ev.Ctx, File: pv.File, BatchSize: 4}},
+					Inner: tv.File, Index: tv.Index("grp"), ProbeKey: 0, BatchSize: batch,
+				}
+			})
+		if mVec.Rows() != 4*37 {
+			t.Fatalf("%s: %d rows, want %d", label, mVec.Rows(), 4*37)
+		}
+	}
+
+	// What the join holds for a probe batch is one key, selection index and
+	// iterator (a descent stack as deep as the tree) per probe row, whatever
+	// a key matches: as much for grp (37
+	// matches a row) as for id (one), at an output width that splits every
+	// grp key across batches.
+	held := func(index string, key int) []int {
+		e, tbl := indexedEngine(t, 260)
+		j := &IndexJoin{
+			Ctx: e.Ctx, Probe: &Scan{Ctx: e.Ctx, File: tbl.File, BatchSize: 16},
+			Inner: tbl.File, Index: tbl.Index(index), ProbeKey: key, BatchSize: 3,
+		}
+		collectVec(t, j)
+		return []int{cap(j.keys), cap(j.sel), cap(j.its)}
+	}
+	if grp, id := held("grp", 1), held("id", 0); !slices.Equal(grp, id) || !slices.Equal(grp, []int{16, 16, 16}) {
+		t.Fatalf("per probe batch of 16 the grp join holds %v keys, selection indexes and iterators, the id join %v", grp, id)
 	}
 }
 

@@ -10,6 +10,7 @@ package mubench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"energydb/internal/cpusim"
 	"energydb/internal/memsim"
@@ -44,7 +45,37 @@ const (
 	// loads: a gather through an index vector, every address known before
 	// any load is issued, as a batch engine knows a batch's row ids.
 	StyleGather
+	// StyleDescent walks random keys down a B+tree one key at a time: at
+	// each level the node's header, then its binary-search rounds, every
+	// load dependent on the one before.
+	StyleDescent
+	// StyleDescentGroup walks the same keys descentGroup at a time, level
+	// by level: the level's node headers back to back, then each
+	// binary-search round across the group, as independent loads — the
+	// schedule of a batched index lookup (btree.Tree.SeekBatch).
+	StyleDescentGroup
 )
+
+// The descent benchmarks' tree: nodes of a 16-byte header and descentFanout
+// 16-byte entries, one per descentNodeBytes (five lines), with
+// Spec.MemBytes/descentNodeBytes leaves under a root. A key is its path, one
+// descentBits-bit digit a level; a node's visit reads the header, then
+// descentBits binary-search rounds of one entry each.
+const (
+	descentBits      = 4
+	descentFanout    = 1 << descentBits
+	descentNodeBytes = 320
+	descentGroup     = 64 // keys per group: a batch width
+)
+
+// descentLevels is the height of the descent tree over memBytes of leaves.
+func descentLevels(memBytes uint64) int {
+	levels := 1
+	for n := uint64(1); n*descentNodeBytes < memBytes; n *= descentFanout {
+		levels++
+	}
+	return levels
+}
 
 // Observe selects which RAPL domains constitute the benchmark's Busy-CPU
 // energy observation (Section 2.6): core for workloads that stay within
@@ -98,6 +129,8 @@ func (s Spec) DesiredOps() uint64 {
 		return s.MemBytes / memsim.LineSize * 64 // ut=64 unrolled blocks
 	case StyleListPair:
 		return s.MemBytes/memsim.LineSize + s.MemBytes2/memsim.LineSize
+	case StyleDescent, StyleDescentGroup:
+		return s.MemBytes / descentNodeBytes * uint64(descentLevels(s.MemBytes)*(1+descentBits))
 	default:
 		return s.MemBytes / memsim.LineSize
 	}
@@ -188,6 +221,27 @@ func Gathers() []Spec {
 			out = append(out, Spec{Name: name, Style: st, MemBytes: g.bytes, Passes: g.passes,
 				SpanThreshold: g.span, OverheadPerKiloOp: 15, Observe: g.observe, Seed: int64(301 + i)})
 		}
+	}
+	return out
+}
+
+// Descents returns the B+tree descent pair beside VMBS (not in it): one
+// random key per leaf of a tree whose leaves span 20 MB, more than the L3
+// holds, walked down one key at a time (dependent) and descentGroup keys at
+// a time, level by level (independent). Both issue the same loads; the root
+// and upper levels hit L1D and L2, the last interior level L3, the leaves
+// DRAM, and each level's stall per load is the dependent rule's latency-1
+// against the independent rule's (latency-L1D)/IndependentMLP: what a probe
+// batch gains by descending its keys together.
+func Descents() []Spec {
+	var out []Spec
+	for _, st := range []Style{StyleDescent, StyleDescentGroup} {
+		name := "D_dep"
+		if st == StyleDescentGroup {
+			name = "D_group"
+		}
+		out = append(out, Spec{Name: name, Style: st, MemBytes: 20 << 20, Passes: 2,
+			OverheadPerKiloOp: 15, Observe: ObservePackageDRAM, Seed: 401})
 	}
 	return out
 }
@@ -335,6 +389,9 @@ type walker struct {
 	// order2/base2 is the second chase for StyleListPair.
 	base2  uint64
 	order2 []uint32
+	// levels are the descent tree's level base addresses, root first;
+	// order then holds the keys.
+	levels []uint64
 	// overhead accumulates fractional loop-control instructions.
 	overhead      float64
 	overheadSlope float64
@@ -373,8 +430,33 @@ func newWalker(h *memsim.Hierarchy, s Spec) *walker {
 		w.order = layout(int(s.MemBytes/memsim.LineSize), false, 0, rng)
 		w.base2 = arena.Alloc(s.MemBytes2, memsim.PageSize)
 		w.order2 = layout(int(s.MemBytes2/memsim.LineSize), true, s.SpanThreshold, rng)
+	case StyleDescent, StyleDescentGroup:
+		nodes := uint64(1)
+		for range descentLevels(s.MemBytes) {
+			w.levels = append(w.levels, arena.Alloc(nodes*descentNodeBytes, memsim.PageSize))
+			nodes *= descentFanout
+		}
+		leaves := nodes / descentFanout
+		w.order = make([]uint32, leaves)
+		for i, leaf := range rng.Perm(int(leaves)) {
+			w.order[i] = uint32(leaf*descentFanout + rng.Intn(descentFanout))
+		}
 	}
 	return w
+}
+
+// descentLoad is the address of load j of key's visit to tree level l: the
+// node's header for j = 0, then the entry binary-search round j reads.
+func (w *walker) descentLoad(key uint32, l, j int) uint64 {
+	below := uint(descentBits * (len(w.levels) - 1 - l))
+	addr := w.levels[l] + uint64(key>>(below+descentBits))*descentNodeBytes
+	if j == 0 {
+		return addr
+	}
+	digit := key >> below & (descentFanout - 1)
+	half := uint(descentBits - j) // round j halves a range of 2<<half entries
+	mid := digit>>(half+1)<<(half+1) + 1<<half
+	return addr + 16 + uint64(mid)*16
 }
 
 // layout produces the visit order: identity for sequential lists/arrays, or
@@ -484,6 +566,25 @@ func (w *walker) pass(walk bool) {
 	case StyleExec:
 		w.h.Exec(s.ExecOps, s.ExecKind)
 		w.overheadN(float64(s.ExecOps))
+	case StyleDescent, StyleDescentGroup:
+		// One key at a time is a group of one whose loads are dependent.
+		size, dep := descentGroup, false
+		if s.Style == StyleDescent {
+			size, dep = 1, true
+		}
+		for g := 0; g < len(w.order); g += size {
+			group := w.order[g:min(g+size, len(w.order))]
+			for l := range w.levels {
+				for j := 0; j <= descentBits; j++ {
+					for _, key := range group {
+						if walk {
+							w.h.Load(w.descentLoad(key, l, j), dep)
+						}
+						w.interleave()
+					}
+				}
+			}
+		}
 	case StyleListPair:
 		// Interleave the two chases item by item; the shorter list
 		// wraps around.
@@ -520,9 +621,10 @@ func (w *walker) overheadN(ops float64) {
 	}
 }
 
-// FindSpec returns the spec with the given name from MBS, VMBS or Gathers.
+// FindSpec returns the spec with the given name from MBS, VMBS, Gathers or
+// Descents.
 func FindSpec(name string) (Spec, error) {
-	for _, s := range append(append(MBS(), VMBS()...), Gathers()...) {
+	for _, s := range slices.Concat(MBS(), VMBS(), Gathers(), Descents()) {
 		if s.Name == name {
 			return s, nil
 		}
