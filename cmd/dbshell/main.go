@@ -327,7 +327,8 @@ func (sh *shell) txnCmd(op wire.TxnOp) {
 }
 
 // stats fetches and renders the server's observability snapshot (STATS):
-// totals, the Eq. 1 component split, and the slow/hot query boards.
+// totals, the Eq. 1 component split, and the slow/hot query boards. Every
+// number is a registry series, the same one /metrics exposes.
 func (sh *shell) stats() {
 	if sh.remote == nil {
 		fmt.Println("not connected: \\stats shows a remote energyd's observability snapshot (use \\connect host:port)")
@@ -338,34 +339,44 @@ func (sh *shell) stats() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("%s\n%d workers, %d sessions, engines: %s\n",
-		s.Banner, s.Workers, s.Sessions, strings.Join(s.Engines, ", "))
-	fmt.Printf("totals: %d queries, Eactive=%.4gJ Ebusy=%.4gJ Ebackground=%.4gJ over %.4gs sim time, L1D share %.1f%%\n",
-		s.Queries, s.EActiveJ, s.EBusyJ, s.EBackgroundJ, s.Seconds, s.L1DShare*100)
-	fmt.Printf("txns: %d active, %d started, %d committed, %d aborted\n",
-		s.TxnsActive, s.TxnsStarted, s.TxnsCommitted, s.TxnsAborted)
+	// v holds each series by family name, or by family name and its one
+	// label's value ("energyd_heap_scans_total/forward").
+	v := make(map[string]float64)
 	var analyzes []string
-	gauge := make(map[string]float64)
-	scans := make(map[string]float64)
+	var pred obs.MetricSnapshot
 	for _, f := range s.Metrics.Families {
 		for _, m := range f.Metrics {
+			key := f.Name
+			if len(m.Labels) > 0 {
+				key += "/" + m.Labels[0].Value
+			}
+			v[key] = m.Value
 			switch {
 			case f.Name == "energyd_analyze_total" && m.Value > 0:
 				analyzes = append(analyzes, fmt.Sprintf("%s=%.0f", m.Labels[0].Value, m.Value))
-			case f.Name == "energyd_heap_scans_total":
-				scans[m.Labels[0].Value] = m.Value
+			case f.Name == "energyd_prediction_error_ratio":
+				pred = m
 			}
-			gauge[f.Name] = m.Value
 		}
 	}
+	fmt.Printf("%s\n%.0f workers, %.0f sessions, engines: %s\n",
+		s.Banner, v["energyd_workers"], v["energyd_sessions_active"], strings.Join(s.Engines, ", "))
+	fmt.Printf("totals: %.0f queries, Eactive=%.4gJ Ebusy=%.4gJ Ebackground=%.4gJ over %.4gs sim time, L1D share %.1f%%\n",
+		v["energyd_statements_total/ok"], v["energyd_active_joules_total"], v["energyd_busy_joules_total"],
+		v["energyd_background_joules_total"], v["energyd_sim_seconds_total"], v["energyd_l1d_share"]*100)
+	fmt.Printf("txns: %.0f active, %.0f started, %.0f committed, %.0f aborted\n",
+		v["energyd_txns_active"], v["energyd_txns_started"], v["energyd_txns_committed"], v["energyd_txns_aborted"])
 	fmt.Printf("reclaim: oldest snapshot %.0f commits behind, %.0f versions pruned, %.0f dead rows reaped (%.0f pending), log holds %.0f records after %.0f checkpoints, analyze: %s\n",
-		gauge["energyd_oldest_snapshot_lag"], gauge["energyd_versions_pruned_total"],
-		gauge["energyd_dead_rows_reaped_total"], gauge["energyd_dead_rows_pending"],
-		gauge["energyd_wal_retained_records"], gauge["energyd_wal_checkpoints_total"], strings.Join(analyzes, " "))
-	fmt.Printf("scans: %.0f vector heap scans front to back, %.0f back to front\n", scans["forward"], scans["reverse"])
+		v["energyd_oldest_snapshot_lag"], v["energyd_versions_pruned_total"],
+		v["energyd_dead_rows_reaped_total"], v["energyd_dead_rows_pending"],
+		v["energyd_wal_retained_records"], v["energyd_wal_checkpoints_total"], strings.Join(analyzes, " "))
+	fmt.Printf("scans: %.0f vector heap scans front to back, %.0f back to front\n",
+		v["energyd_heap_scans_total/forward"], v["energyd_heap_scans_total/reverse"])
+	fmt.Printf("prediction: %d planned statements, predicted/measured E_active %.3g on average\n",
+		pred.Count, pred.Sum/max(float64(pred.Count), 1))
 	fmt.Print("components:")
 	for _, c := range core.Components() {
-		fmt.Printf(" %s=%.4gJ", c, s.ComponentJoules[c.String()])
+		fmt.Printf(" %s=%.4gJ", c, v["energyd_energy_joules_total/"+c.String()])
 	}
 	fmt.Println()
 	printBoard := func(title string, entries []obs.QueryLogEntry, metric func(obs.QueryLogEntry) string) {

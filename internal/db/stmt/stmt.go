@@ -54,6 +54,9 @@ type Record struct {
 	Wall float64
 	B    core.Breakdown
 	OK   bool
+	// Pred is the plan's predicted E_active (plan.Prepared.PredictedEJ) for
+	// SELECT, EXPLAIN ENERGY, UPDATE and DELETE; zero for everything else.
+	Pred float64
 }
 
 // Result is a statement's answer: the result set and the breakdown of the
@@ -192,7 +195,7 @@ func (s *Session) Exec(st *Stmt) (Result, error) {
 		if err != nil {
 			return Result{}, &Error{"plan", err}
 		}
-		rec.Plan, res.Cols = p.Summary(), op.Schema().Names()
+		rec.Plan, rec.Pred, res.Cols = p.Summary(), p.PredictedEJ(), op.Schema().Names()
 		start = time.Now() // a SELECT's wall time is its execution
 		s.guarded(func() {
 			rec.B = s.Prof.Profile(st.Name, func() { res.Rows, err = exec.Collect(op) })
@@ -206,6 +209,7 @@ func (s *Session) Exec(st *Stmt) (Result, error) {
 			}
 			_, read := a.Stmt.(*sql.SelectStmt)
 			write = !read
+			rec.Pred = p.PredictedEJ()
 			s.guarded(func() { res.Rows, res.Cols, rec.B, err = p.ExplainEnergy(s.Prof) })
 		} else {
 			class = "plan"
@@ -233,7 +237,7 @@ func (s *Session) Exec(st *Stmt) (Result, error) {
 		if p, err = plan.PrepareStmt(s.Eng, a); err != nil {
 			class = "plan" // nothing ran, but an open transaction is over all the same
 		} else {
-			rec.Plan = p.Summary()
+			rec.Plan, rec.Pred = p.Summary(), p.PredictedEJ()
 			s.guarded(func() {
 				rec.B = s.Prof.Profile(st.Name, func() { n, err = p.ExecWrite(s.tx) })
 			})

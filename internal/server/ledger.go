@@ -7,7 +7,7 @@ import (
 )
 
 // Ledger accumulates energy attribution for one accounting scope (a session
-// or a worker). Worker goroutines add breakdowns as statements retire;
+// or the whole server). Worker goroutines add breakdowns as statements retire;
 // connection goroutines read totals when building responses, so the ledger
 // is shared across goroutines and carries its own mutex.
 //
@@ -15,9 +15,9 @@ import (
 // owned by exactly one worker, whose counters only advance while that
 // statement runs, so the Eq. 1 delta snapshotted around a statement belongs
 // entirely to the session that issued it. Every breakdown is added to one
-// session ledger and one worker ledger; the session ledgers therefore
-// partition the server total (Server.Totals, the merge of the worker
-// ledgers) — the per-session EActive sums add up to the server total.
+// session ledger and to the server ledger; the session ledgers therefore
+// partition the server total (Server.Totals) — the per-session EActive sums
+// add up to it.
 type Ledger struct {
 	mu sync.Mutex
 	t  LedgerTotals
@@ -38,32 +38,20 @@ type LedgerTotals struct {
 }
 
 // Add retires one statement's breakdown into the ledger.
-func (l *Ledger) Add(b core.Breakdown) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.t.Queries++
-	l.addEnergyLocked(b)
-}
+func (l *Ledger) Add(b core.Breakdown) { l.add(b, 1) }
 
 // AddEnergy folds a breakdown's energy into the ledger without counting a
 // retired statement. Error and timeout paths use it: the statement failed
 // (Queries stays put, per the wire contract) but its measured joules were
 // really spent, and they must still land somewhere or the session ledgers
 // stop partitioning Server.Totals.
-func (l *Ledger) AddEnergy(b core.Breakdown) {
+func (l *Ledger) AddEnergy(b core.Breakdown) { l.add(b, 0) }
+
+func (l *Ledger) add(b core.Breakdown, queries uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.addEnergyLocked(b)
-}
-
-func (l *Ledger) addEnergyLocked(b core.Breakdown) {
-	l.t.EActive += b.EActive
-	l.t.EBusy += b.EBusy
-	l.t.EBackground += b.EBackground
-	l.t.Seconds += b.Seconds
-	for i, j := range b.Joules {
-		l.t.Joules[i] += j
-	}
+	l.t.Merge(LedgerTotals{Queries: queries, EActive: b.EActive, EBusy: b.EBusy,
+		EBackground: b.EBackground, Seconds: b.Seconds, Joules: b.Joules})
 }
 
 // Totals returns a consistent snapshot.
@@ -73,8 +61,8 @@ func (l *Ledger) Totals() LedgerTotals {
 	return l.t
 }
 
-// Merge folds another snapshot into t (Server.Totals uses it to combine the
-// per-worker ledgers).
+// Merge folds another snapshot into t: a breakdown into a ledger, or a
+// session ledger into Server.SessionTotals.
 func (t *LedgerTotals) Merge(o LedgerTotals) {
 	t.Queries += o.Queries
 	t.EActive += o.EActive

@@ -6,6 +6,7 @@ import (
 
 	"energydb/internal/core"
 	"energydb/internal/db/engine"
+	"energydb/internal/db/stmt"
 	"energydb/internal/obs"
 )
 
@@ -24,7 +25,9 @@ const (
 //
 // Every per-statement observation happens on the worker goroutine inside the
 // statement's job (session.retire), so the counters are exactly as drained
-// as the ledgers: after Server.Close nothing is still in flight.
+// as the ledgers: after Server.Close nothing is still in flight. The energy
+// series are no tally of their own: they read the server ledger at scrape
+// time.
 type metrics struct {
 	reg  *obs.Registry
 	qlog *obs.QueryLog
@@ -38,12 +41,7 @@ type metrics struct {
 	simHist    *obs.Histogram
 	joulesHist *obs.Histogram
 	rowsHist   *obs.Histogram
-
-	activeJ     *obs.Counter
-	busyJ       *obs.Counter
-	backgroundJ *obs.Counter
-	simSeconds  *obs.Counter
-	component   [core.NumComponents]*obs.Counter
+	predHist   *obs.Histogram
 }
 
 // newMetrics registers energyd's metric families against a fresh registry
@@ -74,48 +72,56 @@ func newMetrics(s *Server) *metrics {
 		"Per-statement Active energy E_active (J).", obs.ExpBuckets(1e-9, 10, 12))
 	m.rowsHist = r.Histogram("energyd_statement_rows",
 		"Result rows per statement.", obs.ExpBuckets(1, 10, 7))
+	m.predHist = r.Histogram("energyd_prediction_error_ratio",
+		"Planner-predicted over measured E_active per planned statement.",
+		[]float64{0.25, 0.354, 0.5, 0.707, 1, 1.41, 2, 2.83, 4}) // √2 steps
 
-	m.activeJ = r.Counter("energyd_active_joules_total", "Cumulative Active energy attributed to statements (J).")
-	m.busyJ = r.Counter("energyd_busy_joules_total", "Cumulative Busy-CPU energy over statements (J).")
-	m.backgroundJ = r.Counter("energyd_background_joules_total", "Cumulative background energy over statements (J).")
-	m.simSeconds = r.Counter("energyd_sim_seconds_total", "Cumulative simulated execution time (s).")
-	for _, c := range core.Components() {
-		m.component[c] = r.Counter("energyd_energy_joules_total",
-			"Cumulative Eq. 1 component energy (J).", "component", c.String())
-	}
-	r.GaugeFunc("energyd_l1d_share", "Live (E_L1D+E_Reg2L1D)/E_active over all retired statements.", func() float64 {
-		return s.Totals().L1DShare()
-	})
-	r.GaugeFunc("energyd_engines", "Distinct (profile, setting, class) stores provisioned.", func() float64 {
-		return float64(s.Engines())
-	})
-	r.GaugeFunc("energyd_txns_active", "Explicit transactions currently open across all stores.", func() float64 {
-		return float64(s.TxnStats().Active)
-	})
-	r.GaugeFunc("energyd_txns_committed", "Transactions committed since server start, all stores.", func() float64 {
-		return float64(s.TxnStats().Committed)
-	})
-	r.GaugeFunc("energyd_txns_aborted", "Transactions aborted since server start, all stores.", func() float64 {
-		return float64(s.TxnStats().Aborted)
-	})
+	// Derived gauges, read at scrape time. The energy series read the server
+	// ledger and are gauges, not counters: a short statement's measured
+	// E_active can be negative, so the signed running sum can go down, which
+	// a Prometheus counter may not.
 	for _, g := range []struct {
 		name, help string
-		read       func(engine.StoreStats) float64
+		read       func() float64
 	}{
+		{"energyd_active_joules_total", "Cumulative Active energy attributed to statements (J).",
+			func() float64 { return s.Totals().EActive }},
+		{"energyd_busy_joules_total", "Cumulative Busy-CPU energy over statements (J).",
+			func() float64 { return s.Totals().EBusy }},
+		{"energyd_background_joules_total", "Cumulative background energy over statements (J).",
+			func() float64 { return s.Totals().EBackground }},
+		{"energyd_sim_seconds_total", "Cumulative simulated execution time (s).",
+			func() float64 { return s.Totals().Seconds }},
+		{"energyd_l1d_share", "Live (E_L1D+E_Reg2L1D)/E_active over all retired statements.",
+			func() float64 { return s.Totals().L1DShare() }},
+		{"energyd_engines", "Distinct (profile, setting, class) stores provisioned.",
+			func() float64 { return float64(s.Engines()) }},
+		{"energyd_txns_active", "Explicit transactions currently open across all stores.",
+			func() float64 { return float64(s.TxnStats().Active) }},
+		{"energyd_txns_started", "Transactions begun since server start, all stores.",
+			func() float64 { return float64(s.TxnStats().Started) }},
+		{"energyd_txns_committed", "Transactions committed since server start, all stores.",
+			func() float64 { return float64(s.TxnStats().Committed) }},
+		{"energyd_txns_aborted", "Transactions aborted since server start, all stores.",
+			func() float64 { return float64(s.TxnStats().Aborted) }},
 		{"energyd_oldest_snapshot_lag", "Commits between the oldest registered snapshot and the horizon (worst store).",
-			func(st engine.StoreStats) float64 { return float64(st.OldestSnapshotLag) }},
+			func() float64 { return float64(s.StoreStats().OldestSnapshotLag) }},
 		{"energyd_versions_pruned_total", "Row versions unlinked from their chains by later updates.",
-			func(st engine.StoreStats) float64 { return float64(st.VersionsPruned) }},
+			func() float64 { return float64(s.StoreStats().VersionsPruned) }},
 		{"energyd_dead_rows_pending", "Deleted or aborted rows queued until no snapshot can see them.",
-			func(st engine.StoreStats) float64 { return float64(st.DeadRowsPending) }},
+			func() float64 { return float64(s.StoreStats().DeadRowsPending) }},
 		{"energyd_dead_rows_reaped_total", "Dead rows whose slot and index entries a later write released.",
-			func(st engine.StoreStats) float64 { return float64(st.DeadRowsReaped) }},
+			func() float64 { return float64(s.StoreStats().DeadRowsReaped) }},
 		{"energyd_wal_retained_records", "Log records held since the last checkpoint, buffered ones included.",
-			func(st engine.StoreStats) float64 { return float64(st.WALRetained) }},
+			func() float64 { return float64(s.StoreStats().WALRetained) }},
 		{"energyd_wal_checkpoints_total", "Checkpoints taken: dirty pages written back and the log recycled.",
-			func(st engine.StoreStats) float64 { return float64(st.WALCheckpoints) }},
+			func() float64 { return float64(s.StoreStats().WALCheckpoints) }},
 	} {
-		r.GaugeFunc(g.name, g.help, func() float64 { return g.read(s.StoreStats()) })
+		r.GaugeFunc(g.name, g.help, g.read)
+	}
+	for _, c := range core.Components() {
+		r.GaugeFunc("energyd_energy_joules_total", "Cumulative Eq. 1 component energy (J).",
+			func() float64 { return s.Totals().Joules[c] }, "component", c.String())
 	}
 	const scansHelp = "Batch (vector) heap scans started, by the direction they walked: a heap longer than L3 is walked back to front every other time."
 	r.GaugeFunc("energyd_heap_scans_total", scansHelp,
@@ -147,25 +153,17 @@ func (m *metrics) watchTables(s *Server, sh *engine.Shared) {
 }
 
 // observeStatement books one successfully retired statement; its energy is
-// booked by observeEnergy like every other record's.
-func (m *metrics) observeStatement(b core.Breakdown, rows uint64, wallSeconds float64) {
+// in the ledgers, which the energy series read. A planned statement whose
+// prediction and measurement are both positive also books its
+// predicted-over-measured ratio.
+func (m *metrics) observeStatement(r stmt.Record) {
 	m.stmtOK.Inc()
-	m.wallHist.Observe(wallSeconds)
-	m.simHist.Observe(b.Seconds)
-	m.joulesHist.Observe(b.EActive)
-	m.rowsHist.Observe(float64(rows))
-}
-
-// observeEnergy books one retired record's energy, whether its statement
-// succeeded or not, exactly as the ledgers do, so the joule counters agree
-// with energyd_l1d_share and STATS.
-func (m *metrics) observeEnergy(b core.Breakdown) {
-	m.activeJ.Add(b.EActive)
-	m.busyJ.Add(b.EBusy)
-	m.backgroundJ.Add(b.EBackground)
-	m.simSeconds.Add(b.Seconds)
-	for i, j := range b.Joules {
-		m.component[i].Add(j)
+	m.wallHist.Observe(r.Wall)
+	m.simHist.Observe(r.B.Seconds)
+	m.joulesHist.Observe(r.B.EActive)
+	m.rowsHist.Observe(float64(r.Rows))
+	if r.Pred > 0 && r.B.EActive > 0 {
+		m.predHist.Observe(r.Pred / r.B.EActive)
 	}
 }
 

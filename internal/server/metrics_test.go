@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"energydb/internal/core"
+	"energydb/internal/obs"
 	"energydb/internal/server"
 	"energydb/internal/server/client"
 )
@@ -20,7 +21,7 @@ import (
 // Because statements now retire (ledger adds included) inside their worker
 // job, Close — which drains the workers — cannot return while any executed
 // statement is unaccounted, so immediately after Close the session-side sum
-// (live ledgers + retired accumulator) must equal the worker-side sum
+// (live ledgers + retired accumulator) must equal the server ledger
 // exactly: same statement count, same energy to float tolerance.
 func TestCloseUnderLoadPartitionInvariant(t *testing.T) {
 	srv, addr := startServerCfg(t, server.Config{Workers: 4})
@@ -64,7 +65,7 @@ func TestCloseUnderLoadPartitionInvariant(t *testing.T) {
 	total := srv.Totals()
 	bySession := srv.SessionTotals()
 	if bySession.Queries != total.Queries {
-		t.Errorf("session ledgers counted %d statements, worker ledgers %d: shutdown lost retirements",
+		t.Errorf("session ledgers counted %d statements, server ledger %d: shutdown lost retirements",
 			bySession.Queries, total.Queries)
 	}
 	if total.Queries == 0 {
@@ -72,7 +73,7 @@ func TestCloseUnderLoadPartitionInvariant(t *testing.T) {
 	}
 	checkClose := func(name string, a, b float64) {
 		if math.Abs(a-b) > 1e-9*math.Max(math.Abs(b), 1) {
-			t.Errorf("%s: session side %g != worker side %g", name, a, b)
+			t.Errorf("%s: session side %g != server ledger %g", name, a, b)
 		}
 	}
 	checkClose("EActive", bySession.EActive, total.EActive)
@@ -92,8 +93,9 @@ func TestCloseUnderLoadPartitionInvariant(t *testing.T) {
 }
 
 // TestStatsCommand drives the STATS round trip end to end: statements run,
-// then the wire snapshot must carry the totals, the Eq. 1 component split,
-// the registry series and the slow/hot boards with plan summaries.
+// then the wire snapshot's registry must carry the totals, the Eq. 1
+// component split and the other series, beside the slow/hot boards with
+// plan summaries.
 func TestStatsCommand(t *testing.T) {
 	srv, addr := startServerCfg(t, server.Config{Workers: 1})
 	conn, err := client.Dial(addr, client.Options{Engine: "sqlite", Setting: "baseline", Class: "10MB"})
@@ -129,22 +131,24 @@ func TestStatsCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Banner == "" || snap.Workers != 1 || snap.Sessions != 1 {
-		t.Errorf("header: banner=%q workers=%d sessions=%d", snap.Banner, snap.Workers, snap.Sessions)
+	v := series(snap.Metrics)
+	if snap.Banner == "" || v["energyd_workers"].Value != 1 || v["energyd_sessions_active"].Value != 1 {
+		t.Errorf("header: banner=%q workers=%g sessions=%g",
+			snap.Banner, v["energyd_workers"].Value, v["energyd_sessions_active"].Value)
 	}
-	if snap.Queries != 2 {
-		t.Errorf("queries = %d, want 2", snap.Queries)
+	if q := v["energyd_statements_total/ok"].Value; q != 2 {
+		t.Errorf("queries = %g, want 2", q)
 	}
 	total := srv.Totals()
-	if snap.EActiveJ != total.EActive || snap.L1DShare != total.L1DShare() {
+	if active := v["energyd_active_joules_total"].Value; active != total.EActive || v["energyd_l1d_share"].Value != total.L1DShare() {
 		t.Errorf("snapshot totals diverge from server ledger")
 	}
 	sum := 0.0
 	for _, c := range core.Components() {
-		sum += snap.ComponentJoules[c.String()]
+		sum += v["energyd_energy_joules_total/"+c.String()].Value
 	}
-	if math.Abs(sum-clamped-snap.EActiveJ) > 1e-9*snap.EActiveJ {
-		t.Errorf("component joules sum %g - clamped %g != EActive %g", sum, clamped, snap.EActiveJ)
+	if math.Abs(sum-clamped-total.EActive) > 1e-9*total.EActive {
+		t.Errorf("component joules sum %g - clamped %g != EActive %g", sum, clamped, total.EActive)
 	}
 	if len(snap.Engines) != 1 || !strings.Contains(snap.Engines[0], "SQLite") {
 		t.Errorf("engines = %v", snap.Engines)
@@ -152,18 +156,14 @@ func TestStatsCommand(t *testing.T) {
 
 	// Registry series made the trip: find the latency histogram and the
 	// error counter.
-	series := map[string]bool{}
-	for _, f := range snap.Metrics.Families {
-		series[f.Name] = true
-	}
 	for _, want := range []string{
 		"energyd_statement_wall_seconds", "energyd_statement_joules",
-		"energyd_energy_joules_total", "energyd_l1d_share",
-		"energyd_statements_total", "energyd_errors_total",
-		"energyd_worker_pstate", "energyd_pstate_transitions_total",
+		"energyd_energy_joules_total/E_L1D", "energyd_l1d_share",
+		"energyd_statements_total/error", "energyd_errors_total/plan",
+		"energyd_worker_pstate/0", "energyd_pstate_transitions_total/0",
 	} {
-		if !series[want] {
-			t.Errorf("snapshot missing metric family %s", want)
+		if _, ok := v[want]; !ok {
+			t.Errorf("snapshot missing metric series %s", want)
 		}
 	}
 
@@ -230,7 +230,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE energyd_statement_wall_seconds histogram",
 		"# TYPE energyd_statement_seconds histogram",
 		"# TYPE energyd_statement_rows histogram",
-		"# TYPE energyd_energy_joules_total counter",
+		"# TYPE energyd_energy_joules_total gauge",
+		"# TYPE energyd_active_joules_total gauge",
 		"# TYPE energyd_l1d_share gauge",
 		"# TYPE energyd_worker_pstate gauge",
 		"# TYPE energyd_pstate_transitions_total counter",
@@ -294,13 +295,13 @@ func TestErrorClassCounters(t *testing.T) {
 		}
 	}
 	// The timed-out statement's joules are in the ledgers, so they must be
-	// in the joule counter too.
+	// in the energy series too.
 	assertJoulesMatchLedgers(t, srv)
 }
 
 // TestFailedStatementJoulesCounted loses a write-write conflict, a failure
 // that happens after the statement has scanned, and checks that its joules
-// reach the joule counters as they reach the ledgers.
+// reach the energy series as they reach the ledgers.
 func TestFailedStatementJoulesCounted(t *testing.T) {
 	srv, addr := startServerCfg(t, server.Config{Workers: 1})
 	opts := client.Options{Engine: "sqlite", Setting: "baseline", Class: "10MB"}
@@ -329,19 +330,70 @@ func TestFailedStatementJoulesCounted(t *testing.T) {
 	assertJoulesMatchLedgers(t, srv)
 }
 
-// assertJoulesMatchLedgers checks that the joule counters hold what the
+// TestPredictionErrorHistogram checks which records reach
+// energyd_prediction_error_ratio: the planned statements that ran (here \q6
+// and a SELECT), not transaction controls, an INSERT, a plain EXPLAIN (its
+// region is planning) or a statement that failed to plan.
+func TestPredictionErrorHistogram(t *testing.T) {
+	srv, addr := startServerCfg(t, server.Config{Workers: 1})
+	conn, err := client.Dial(addr, client.Options{Engine: "sqlite", Setting: "baseline", Class: "10MB"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, q := range []string{
+		`\q6`,
+		"SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag",
+		"BEGIN",
+		"INSERT INTO region VALUES (1000, 'PRED')",
+		"COMMIT",
+		"EXPLAIN SELECT COUNT(*) AS n FROM lineitem",
+	} {
+		if _, err := conn.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if _, err := conn.Query("SELECT nothing FROM nowhere"); err == nil {
+		t.Fatal("expected statement error")
+	}
+	h := series(srv.Metrics().Snapshot())["energyd_prediction_error_ratio"]
+	if h.Count != 2 {
+		t.Errorf("energyd_prediction_error_ratio_count = %d, want 2", h.Count)
+	}
+	if h.Sum <= 0 || len(h.Buckets) != 10 || h.Buckets[0].LE != "0.25" || h.Buckets[4].LE != "1" || h.Buckets[8].LE != "4" {
+		t.Errorf("energyd_prediction_error_ratio: sum %g, buckets %+v", h.Sum, h.Buckets)
+	}
+}
+
+// assertJoulesMatchLedgers checks that the energy series hold what the
 // ledgers hold: E_active and every Eq. 1 component.
 func assertJoulesMatchLedgers(t *testing.T, srv *server.Server) {
 	t.Helper()
-	reg, tot := srv.Metrics(), srv.Totals()
-	if active := reg.Counter("energyd_active_joules_total", "").Value(); active != tot.EActive {
+	v, tot := series(srv.Metrics().Snapshot()), srv.Totals()
+	if active := v["energyd_active_joules_total"].Value; active != tot.EActive {
 		t.Errorf("energyd_active_joules_total = %g, ledgers hold %g", active, tot.EActive)
 	}
 	for _, c := range core.Components() {
-		if j := reg.Counter("energyd_energy_joules_total", "", "component", c.String()).Value(); j != tot.Joules[c] {
+		if j := v["energyd_energy_joules_total/"+c.String()].Value; j != tot.Joules[c] {
 			t.Errorf("energyd_energy_joules_total{component=%q} = %g, ledgers hold %g", c, j, tot.Joules[c])
 		}
 	}
+}
+
+// series indexes a registry snapshot by family name, or by family name and
+// its one label's value ("energyd_energy_joules_total/E_L1D").
+func series(snap obs.Snapshot) map[string]obs.MetricSnapshot {
+	out := make(map[string]obs.MetricSnapshot)
+	for _, f := range snap.Families {
+		for _, m := range f.Metrics {
+			key := f.Name
+			if len(m.Labels) > 0 {
+				key += "/" + m.Labels[0].Value
+			}
+			out[key] = m
+		}
+	}
+	return out
 }
 
 // TestGovernorOptIn checks Config.Governor wiring: with the stall-aware

@@ -27,7 +27,9 @@ import (
 //     ends: at most one superseded version per hot key (chain length 2), no
 //     dead row waiting after the next write;
 //   - sessions that are connected but idle pin nothing;
-//   - at rest, Totals is the sum of the session ledgers.
+//   - at rest, Totals is the sum of the session ledgers, and the energy
+//     series read Totals: the mix's short writes can measure a negative
+//     E_active, which a signed sum keeps and a counter would drop.
 func TestLongReaderUnderReclamation(t *testing.T) {
 	srv, addr := startServerCfg(t, server.Config{Workers: 3})
 	dial := func() *client.Conn {
@@ -89,6 +91,7 @@ func TestLongReaderUnderReclamation(t *testing.T) {
 			t.Errorf("%s: Totals (%d statements, %g J) is not the sum of the session ledgers (%d, %g J)",
 				when, tot.Queries, tot.EActive, sess.Queries, sess.EActive)
 		}
+		assertJoulesMatchLedgers(t, srv)
 	}
 	// Every update transaction supersedes one version of a hot order and one
 	// of the nation row; what has not been pruned is still linked.

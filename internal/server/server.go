@@ -42,9 +42,10 @@
 //     done-channel, which orders the memory accesses.
 //   - The only structures shared between goroutines — session/store
 //     registries and the energy Ledgers — carry their own mutexes. Each
-//     statement's breakdown lands in exactly one session ledger and
-//     exactly one worker ledger, so the session ledgers partition the
-//     server total (the merge of the worker ledgers) exactly.
+//     statement's breakdown lands in exactly one session ledger and in
+//     the server ledger, so the session ledgers partition the server
+//     total exactly. The registry's energy series and STATS read that
+//     server ledger; nothing else tallies joules.
 //
 // Counter snapshots (memsim.Hierarchy.Counters) return value
 // copies and are race-free by construction once the per-worker single-owner
@@ -116,6 +117,9 @@ type Server struct {
 	cal     *core.Calibration
 	workers []*worker
 	obs     *metrics
+	// ledger books every retired record once: Totals reads it, and so do
+	// the registry's energy series.
+	ledger Ledger
 
 	// loadMu serializes store builds on the primary machine (TPC-H loads
 	// drive s.m, which tolerates only one goroutine at a time).
@@ -200,29 +204,14 @@ func (s *Server) assign() *worker {
 	return s.workers[(s.nextW.Add(1)-1)%uint64(len(s.workers))]
 }
 
-// Totals returns the server-wide energy ledger snapshot: the merge of the
-// per-worker ledgers. The per-session ledgers partition the same sum.
-func (s *Server) Totals() LedgerTotals {
-	var out LedgerTotals
-	for _, w := range s.workers {
-		out.Merge(w.ledger.Totals())
-	}
-	return out
-}
-
-// WorkerTotals returns each worker's ledger snapshot, in worker order.
-func (s *Server) WorkerTotals() []LedgerTotals {
-	out := make([]LedgerTotals, len(s.workers))
-	for i, w := range s.workers {
-		out[i] = w.ledger.Totals()
-	}
-	return out
-}
+// Totals returns the server-wide energy ledger snapshot: the signed sum of
+// every retired record. The per-session ledgers partition the same sum.
+func (s *Server) Totals() LedgerTotals { return s.ledger.Totals() }
 
 // SessionTotals returns the session-side sum: every live session's ledger
 // plus the retired accumulator of departed sessions. Once the workers are
 // drained (after Close) this equals Totals exactly — each statement's
-// breakdown lands in one session ledger and one worker ledger within the
+// breakdown lands in one session ledger and the server ledger within the
 // same worker job, so neither side can be ahead of the other at rest. Both
 // reads happen under s.mu, the same lock dropSession holds while it merges
 // a departing session, so no ledger is ever counted twice or dropped.
@@ -429,42 +418,22 @@ func (s *Server) StoreStats() engine.StoreStats {
 	return out
 }
 
-// Stats assembles the observability snapshot the STATS command returns:
-// ledger totals with the Eq. 1 component split, the live metrics registry,
-// and the slow/hot query boards.
+// Stats assembles the observability snapshot the STATS command returns: the
+// live metrics registry (energy totals included) and the slow/hot query
+// boards.
 func (s *Server) Stats() *wire.StatsSnapshot {
-	t := s.Totals()
-	comp := make(map[string]float64, core.NumComponents)
-	for _, c := range core.Components() {
-		comp[c.String()] = t.Joules[c]
-	}
 	s.mu.Lock()
-	nSessions := len(s.sessions)
 	engines := make([]string, 0, len(s.stores))
 	for k := range s.stores {
 		engines = append(engines, fmt.Sprintf("%s/%s/%s", k.kind, k.setting, k.class))
 	}
 	s.mu.Unlock()
 	sort.Strings(engines)
-	txns := s.TxnStats()
 	return &wire.StatsSnapshot{
-		TxnsActive:      txns.Active,
-		TxnsStarted:     txns.Started,
-		TxnsCommitted:   txns.Committed,
-		TxnsAborted:     txns.Aborted,
-		Banner:          Banner,
-		Workers:         len(s.workers),
-		Sessions:        nSessions,
-		Engines:         engines,
-		Queries:         t.Queries,
-		EActiveJ:        t.EActive,
-		EBusyJ:          t.EBusy,
-		EBackgroundJ:    t.EBackground,
-		Seconds:         t.Seconds,
-		L1DShare:        t.L1DShare(),
-		ComponentJoules: comp,
-		Metrics:         s.obs.reg.Snapshot(),
-		Slowest:         s.obs.qlog.Slowest(),
-		Hottest:         s.obs.qlog.Hottest(),
+		Banner:  Banner,
+		Engines: engines,
+		Metrics: s.obs.reg.Snapshot(),
+		Slowest: s.obs.qlog.Slowest(),
+		Hottest: s.obs.qlog.Hottest(),
 	}
 }

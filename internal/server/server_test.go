@@ -305,10 +305,9 @@ func TestHandshakeRejects(t *testing.T) {
 // TestLedgerPartitionParallel checks the partition invariant under real
 // parallelism: 16 concurrent sessions spread over 4 workers, each running
 // statements on its own simulated machine, and still (a) every session
-// ledger equals the sum of that session's per-query reports, (b) the
-// session ledgers sum to the server total, and (c) the per-worker ledgers
-// merge to the same total — no energy is lost or double-counted when
-// statements retire concurrently.
+// ledger equals the sum of that session's per-query reports and (b) the
+// session ledgers sum to the server total — no energy is lost or
+// double-counted when statements retire concurrently.
 func TestLedgerPartitionParallel(t *testing.T) {
 	srv, addr := startServerCfg(t, server.Config{Workers: 4})
 	if got := srv.Workers(); got != 4 {
@@ -362,14 +361,6 @@ func TestLedgerPartitionParallel(t *testing.T) {
 	if rel := math.Abs(sum-total.EActive) / total.EActive; rel > 1e-9 {
 		t.Errorf("session ledgers (%g J) do not partition server total (%g J): rel err %g",
 			sum, total.EActive, rel)
-	}
-	var wsum server.LedgerTotals
-	for _, wt := range srv.WorkerTotals() {
-		wsum.Merge(wt)
-	}
-	if wsum.Queries != total.Queries || wsum.EActive != total.EActive {
-		t.Errorf("worker ledgers (%d q, %g J) do not merge to server total (%d q, %g J)",
-			wsum.Queries, wsum.EActive, total.Queries, total.EActive)
 	}
 }
 

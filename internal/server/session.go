@@ -235,26 +235,25 @@ func (s *session) txn(op wire.TxnOp) error {
 	return err
 }
 
-// retire is the pipeline's sink: it books one record. Every record's energy
-// reaches the joule counters. An OK record is a retired statement: the
-// ledger adds, the statement count and histograms, the query-log entry and
-// the optional governor tick. Any other record is a failed statement's
-// measured energy: the joules were really spent, so they must reach the
-// session and worker ledgers (which partition Server.Totals exactly) even
-// though the statement never counts toward Queries. It MUST run on the
-// worker goroutine.
+// retire is the pipeline's sink: it books one record into the session ledger
+// and the server ledger, and nowhere else. An OK record is a retired
+// statement: the ledger adds, the statement count and histograms, the
+// query-log entry and the optional governor tick. Any other record is a
+// failed statement's measured energy: the joules were really spent, so they
+// must reach both ledgers (the session ledgers partition Server.Totals
+// exactly) even though the statement never counts toward Queries. It MUST
+// run on the worker goroutine.
 func (s *session) retire(r stmt.Record) {
-	s.srv.obs.observeEnergy(r.B)
 	if !r.OK {
 		if r.B.EActive != 0 || r.B.Seconds != 0 {
 			s.ledger.AddEnergy(r.B)
-			s.wk.ledger.AddEnergy(r.B)
+			s.srv.ledger.AddEnergy(r.B)
 		}
 		return
 	}
 	s.ledger.Add(r.B)
-	s.wk.ledger.Add(r.B)
-	s.srv.obs.observeStatement(r.B, r.Rows, r.Wall)
+	s.srv.ledger.Add(r.B)
+	s.srv.obs.observeStatement(r)
 	s.srv.obs.qlog.Record(obs.QueryLogEntry{
 		Session:     s.id,
 		Name:        r.Name,

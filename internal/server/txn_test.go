@@ -382,14 +382,7 @@ func TestTxnMixedLedgerPartition(t *testing.T) {
 		t.Errorf("session ledgers (%g J) do not partition server total (%g J) with writers in the mix: rel err %g",
 			sum, total.EActive, rel)
 	}
-	var wsum server.LedgerTotals
-	for _, wt := range srv.WorkerTotals() {
-		wsum.Merge(wt)
-	}
-	if wsum.Queries != total.Queries || wsum.EActive != total.EActive {
-		t.Errorf("worker ledgers (%d q, %g J) do not merge to server total (%d q, %g J)",
-			wsum.Queries, wsum.EActive, total.Queries, total.EActive)
-	}
+	assertJoulesMatchLedgers(t, srv)
 	stats := srv.TxnStats()
 	if stats.Active != 0 || stats.Committed < 8 || stats.Aborted < 8 {
 		t.Errorf("txn counters off: %+v (want 0 active, >=8 committed, >=8 aborted)", stats)

@@ -7,42 +7,16 @@ import (
 )
 
 // StatsSnapshot is the JSON payload of a StatsReply: the server's
-// observability state at one instant — energy totals and their Eq. 1
-// component split, the full metrics registry, and the slow/hot query
-// boards. It is what dbshell renders for \stats and what Client.Stats
-// returns.
+// observability state at one instant — the full metrics registry and the
+// slow/hot query boards. Every number lives in the registry (energy totals
+// and their Eq. 1 split, workers, sessions, statements, transactions), so
+// STATS and /metrics cannot disagree. It is what dbshell renders for \stats
+// and what Client.Stats returns.
 type StatsSnapshot struct {
 	// Banner identifies the server build.
 	Banner string `json:"banner"`
-	// Workers is the size of the execution pool (simulated machines).
-	Workers int `json:"workers"`
-	// Sessions is the number of live sessions.
-	Sessions int `json:"sessions"`
 	// Engines lists the engine/setting/class triples currently loaded.
 	Engines []string `json:"engines,omitempty"`
-
-	// Queries is the total number of statements retired since start.
-	Queries uint64 `json:"queries"`
-	// EActiveJ..Seconds mirror Server.Totals(): the cumulative Active,
-	// Busy and Background energy (J) and simulated seconds.
-	EActiveJ     float64 `json:"e_active_joules"`
-	EBusyJ       float64 `json:"e_busy_joules"`
-	EBackgroundJ float64 `json:"e_background_joules"`
-	Seconds      float64 `json:"seconds"`
-	// L1DShare is (E_L1D + E_Reg2L1D) / E_active — the paper's headline
-	// ratio, live.
-	L1DShare float64 `json:"l1d_share"`
-	// ComponentJoules is the Eq. 1 decomposition by component name
-	// (E_L1D, E_Reg2L1D, E_L2, E_L3, E_mem, E_pf, E_stall, E_other).
-	ComponentJoules map[string]float64 `json:"component_joules"`
-
-	// TxnsActive..TxnsAborted are the explicit-transaction counters summed
-	// over every provisioned store: open right now, and started /
-	// committed / aborted since server start.
-	TxnsActive    int64  `json:"txns_active"`
-	TxnsStarted   uint64 `json:"txns_started"`
-	TxnsCommitted uint64 `json:"txns_committed"`
-	TxnsAborted   uint64 `json:"txns_aborted"`
 
 	// Metrics is the full registry snapshot — the same series /metrics
 	// exposes in Prometheus text format.

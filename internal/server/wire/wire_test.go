@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"energydb/internal/db/value"
+	"energydb/internal/obs"
 )
 
 // sampleFrames covers every frame type with representative payloads,
@@ -150,17 +151,16 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 
 func TestStatsSnapshotRoundTrip(t *testing.T) {
 	snap := &StatsSnapshot{
-		Banner:          "energyd/1 test",
-		Workers:         4,
-		Sessions:        2,
-		Engines:         []string{"sqlite/baseline/10MB"},
-		Queries:         17,
-		EActiveJ:        1.25,
-		EBusyJ:          2.5,
-		EBackgroundJ:    0.75,
-		Seconds:         0.125,
-		L1DShare:        0.48,
-		ComponentJoules: map[string]float64{"E_L1D": 0.5, "E_other": 0.25},
+		Banner:  "energyd/1 test",
+		Engines: []string{"sqlite/baseline/10MB"},
+		Metrics: obs.Snapshot{Families: []obs.FamilySnapshot{{
+			Name: "energyd_energy_joules_total", Help: "Cumulative Eq. 1 component energy (J).", Kind: "gauge",
+			Metrics: []obs.MetricSnapshot{
+				{Labels: []obs.Label{{Name: "component", Value: "E_L1D"}}, Value: 0.5},
+				{Labels: []obs.Label{{Name: "component", Value: "E_other"}}, Value: -0.25},
+			},
+		}}},
+		Hottest: []obs.QueryLogEntry{{Session: 3, Name: "tpch-q6", Text: `\q6`, Rows: 1, EActive: 1.25}},
 	}
 	reply, err := snap.Reply()
 	if err != nil {

@@ -40,12 +40,6 @@ type worker struct {
 	// the stores themselves. Touched only on the worker goroutine.
 	engines map[engineKey]*engine.Engine
 
-	// ledger accumulates every statement retired on this worker. The
-	// server total is the merge of the worker ledgers; the per-session
-	// ledgers partition the same sum (each breakdown is added to exactly
-	// one session ledger and exactly one worker ledger).
-	ledger Ledger
-
 	// gov is the optional per-worker stall-aware DVFS governor
 	// (Config.Governor). It reprograms this worker's machine, so like the
 	// machine it is touched only on the worker goroutine — ticked once per

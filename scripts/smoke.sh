@@ -82,6 +82,7 @@ for family in \
   'energyd_statements_total{status="ok"} 5' \
   'energyd_statement_joules_count 5' \
   'energyd_txns_active 0' \
+  'energyd_txns_started 1' \
   'energyd_txns_committed 1' \
   'energyd_txns_aborted 0' \
   'energyd_oldest_snapshot_lag 0' \
@@ -95,6 +96,7 @@ for family in \
   'energyd_heap_scans_total{direction="reverse"} 0' \
   'energyd_statement_wall_seconds_bucket' \
   'energyd_energy_joules_total{component="E_L1D"}' \
+  '# TYPE energyd_active_joules_total gauge' \
   'energyd_l1d_share' \
   'energyd_worker_pstate{worker="0"}' \
   'energyd_pstate_transitions_total{worker="0"}' \
@@ -106,6 +108,21 @@ for family in \
     exit 1
   }
 done
+# \q6 and the SELECT always book a prediction ratio; the UPDATE books one
+# only when its measured E_active is positive.
+grep -Eq '^energyd_prediction_error_ratio_count [23]$' "$TMP/metrics.out" || {
+  echo "smoke: /metrics prediction-error histogram did not count 2 or 3 statements" >&2
+  grep "^energyd_prediction_error_ratio" "$TMP/metrics.out" >&2
+  exit 1
+}
+# \stats and /metrics read the one server ledger, and nothing ran between the
+# two: the E_active \stats printed is the scraped one.
+stats_active=$(sed -n 's/.*totals: .* Eactive=\([^J]*\)J .*/\1/p' "$TMP/shell.out")
+scraped_active=$(awk '$1 == "energyd_active_joules_total" { printf "%.4g", $2 }' "$TMP/metrics.out")
+[ -n "$stats_active" ] && [ "$stats_active" = "$scraped_active" ] || {
+  echo "smoke: \\stats E_active '$stats_active' != scraped energyd_active_joules_total '$scraped_active'" >&2
+  exit 1
+}
 echo "smoke: /metrics families ok"
 
 # Three sessions on the one worker at once, three statements each: the lane
