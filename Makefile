@@ -28,8 +28,9 @@ lint:
 # PRs track: the planner and the two executors, the B-tree (its bounded
 # range iterator is what both index scans read), the engine profiles, the
 # analyzer suite, the statement pipeline with its two consumers and the wire
-# protocol, the experiment harness, the TPC-H package and the public facade
-# at the root.
+# protocol, the experiment harness, the TPC-H package, the simulator
+# substrate (cache hierarchy and CPU model) and the public facade at the
+# root.
 loc:
 	@scripts/loc.sh internal/db/plan internal/db/vec internal/db/exec
 	@scripts/loc.sh internal/db/btree
@@ -38,6 +39,7 @@ loc:
 	@scripts/loc.sh internal/server internal/server/wire cmd/dbshell internal/db/stmt
 	@scripts/loc.sh internal/harness
 	@scripts/loc.sh internal/tpch
+	@scripts/loc.sh internal/memsim internal/cpusim
 	@scripts/loc.sh .
 
 # Budget gate for the analyzer suite itself: the full-repo run (load +

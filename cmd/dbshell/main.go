@@ -182,20 +182,6 @@ func (sh *shell) dispatch(line string) bool {
 		sh.txnCmd(wire.TxnRollback)
 		return true
 	}
-	// SQL-spelled transaction controls route through the same handler as
-	// the meta commands, so the remote session's txn state (and the
-	// prompt) stays in sync.
-	switch strings.ToUpper(strings.TrimRight(strings.TrimSuffix(line, ";"), " ")) {
-	case "BEGIN", "BEGIN TRANSACTION":
-		sh.txnCmd(wire.TxnBegin)
-		return true
-	case "COMMIT", "COMMIT WORK":
-		sh.txnCmd(wire.TxnCommit)
-		return true
-	case "ROLLBACK", "ROLLBACK WORK":
-		sh.txnCmd(wire.TxnRollback)
-		return true
-	}
 	if sh.remote != nil {
 		sh.remoteQuery(line)
 		return true

@@ -187,19 +187,6 @@ func TestGovernorRaisesUnderLoadAndSagsWhenIdle(t *testing.T) {
 	}
 }
 
-func TestMachineReset(t *testing.T) {
-	m := NewMachine(IntelI7_4790())
-	m.Hier.Load(0x40, true)
-	m.AddIdle(1)
-	m.Reset()
-	if m.WallSeconds() != 0 || m.ActiveEnergy().Total() != 0 {
-		t.Fatal("reset did not clear accounting")
-	}
-	if m.PState() != PStateMax {
-		t.Fatal("reset should restore the top P-state")
-	}
-}
-
 func TestEISTToggleDoesNotLoseEnergy(t *testing.T) {
 	m := NewMachine(IntelI7_4790())
 	m.Hier.Exec(1000, InstrAddKind())

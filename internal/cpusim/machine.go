@@ -229,18 +229,6 @@ func (m *Machine) IdleSeconds() float64 { m.Sync(); return m.idleSeconds }
 // WallSeconds returns total elapsed simulated time.
 func (m *Machine) WallSeconds() float64 { m.Sync(); return m.busySeconds + m.idleSeconds }
 
-// Reset returns the machine to a cold, zero-energy state at the top P-state.
-func (m *Machine) Reset() {
-	m.Hier.ResetState()
-	m.lastCounters = memsim.Counters{}
-	m.active = DomainEnergy{}
-	m.busySeconds = 0
-	m.idleSeconds = 0
-	m.pstate = m.Profile.MaxPState
-	m.Hier.SetFrequencyHz(m.pstate.FrequencyHz())
-	m.gov = governor{}
-}
-
 // EnableITCM models an instruction tightly-coupled memory (the Section 5
 // suggestion for E_other-heavy systems): the hot instruction stream is
 // served from scratchpad instead of the L1I cache, scaling the

@@ -42,17 +42,13 @@ func NewStallAwareGovernor(m *Machine) *StallAwareGovernor {
 }
 
 // Tick inspects the window since the last tick and reprograms the P-state.
-// It returns the chosen state and the observed stall fraction.
+// It returns the chosen state and the observed stall fraction. The window is
+// the difference of two counter snapshots of the governor's one machine,
+// whose counters only count up.
 func (g *StallAwareGovernor) Tick() (PState, float64) {
 	c := g.m.Hier.Counters()
-	// The cumulative counters go backwards when they are reset under the
-	// governor (Machine.Reset, Hierarchy.ResetCounters) or when the
-	// governor is re-attached across machines (e.g. after NewLike). Raw
-	// uint64 subtraction would underflow to ~2^64 and saturate the stall
-	// fraction at ~1, pinning the low P-state forever. Treat a backwards
-	// window as empty and resynchronize the baselines instead.
-	stall := monotonicDelta(c.StallCycles, g.lastStall)
-	cycles := monotonicDelta(c.Cycles(), g.lastCycles)
+	stall := c.StallCycles - g.lastStall
+	cycles := c.Cycles() - g.lastCycles
 	g.lastStall = c.StallCycles
 	g.lastCycles = c.Cycles()
 	g.Ticks++
@@ -77,13 +73,4 @@ func (g *StallAwareGovernor) Tick() (PState, float64) {
 		g.Transitions++
 	}
 	return g.m.PState(), frac
-}
-
-// monotonicDelta returns cur - last, clamped to zero when the counter went
-// backwards.
-func monotonicDelta(cur, last uint64) uint64 {
-	if cur < last {
-		return 0
-	}
-	return cur - last
 }

@@ -52,42 +52,6 @@ func TestStallAwareGovernorRecovers(t *testing.T) {
 	}
 }
 
-// TestStallAwareGovernorSurvivesCounterReset is the regression test for the
-// window-delta underflow: when the machine's cumulative counters are reset
-// under a live governor, the raw uint64 deltas wrap to ~2^64 and the stall
-// fraction saturates near 1, pinning the low P-state even on pure compute.
-// The fixed Tick clamps backwards windows to zero and resynchronizes.
-func TestStallAwareGovernorSurvivesCounterReset(t *testing.T) {
-	m := NewMachine(IntelI7_4790())
-	gov := NewStallAwareGovernor(m)
-	gov.Tick()
-	// Memory-bound window first, so the governor's baselines are large and
-	// the machine sits at the low P-state.
-	for i := 0; i < 2000; i++ {
-		m.Hier.Load(uint64(i*2654435761)%(128<<20), true)
-	}
-	if p, _ := gov.Tick(); p != gov.LowPState {
-		t.Fatalf("setup: P-state %v, want %v", p, gov.LowPState)
-	}
-	// Counters reset under the governor (Machine.Reset does the same via
-	// Hier.ResetState); the next window is pure compute.
-	m.Hier.ResetCounters()
-	m.Hier.Exec(100000, memsim.InstrAdd)
-	p, frac := gov.Tick()
-	if frac >= gov.MidThreshold {
-		t.Fatalf("stall fraction %.3f after counter reset: window delta underflowed", frac)
-	}
-	if p != m.Profile.MaxPState {
-		t.Fatalf("P-state %v after reset + compute window, want max: governor pinned low", p)
-	}
-	// And the baselines resynchronized: a further compute window behaves
-	// normally.
-	m.Hier.Exec(100000, memsim.InstrAdd)
-	if p, frac := gov.Tick(); p != m.Profile.MaxPState || frac > 0.01 {
-		t.Fatalf("governor did not resync after reset: P-state %v, frac %.3f", p, frac)
-	}
-}
-
 // TestStallAwareGovernorCountsTransitions checks the transition counter the
 // server exports: one low transition, one recovery.
 func TestStallAwareGovernorCountsTransitions(t *testing.T) {

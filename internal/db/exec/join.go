@@ -185,71 +185,3 @@ func (j *IndexJoin) Next() (value.Row, bool, error) {
 
 // Close implements Operator.
 func (j *IndexJoin) Close() error { return j.Outer.Close() }
-
-// NestedLoopJoin materializes the inner side once and rescans it per outer
-// row, applying the predicate to the concatenated row. It handles non-equi
-// joins and is the fallback when no index exists.
-type NestedLoopJoin struct {
-	Ctx   *Ctx
-	Outer Operator
-	Inner Operator
-	Pred  Expr
-
-	schema    *catalog.Schema
-	inner     *MemTable
-	outerRow  value.Row
-	innerIdx  int
-	out       value.Row
-	predNodes int
-}
-
-// Schema implements Operator.
-func (j *NestedLoopJoin) Schema() *catalog.Schema {
-	if j.schema == nil {
-		j.schema = j.Outer.Schema().Concat(j.Inner.Schema())
-	}
-	return j.schema
-}
-
-// Open implements Operator.
-func (j *NestedLoopJoin) Open() error {
-	rows, err := Collect(j.Inner)
-	if err != nil {
-		return err
-	}
-	j.inner = NewMemTable(j.Ctx, j.Inner.Schema(), rows)
-	j.predNodes = ExprNodes(j.Pred)
-	j.innerIdx = 0
-	j.outerRow = nil
-	return j.Outer.Open()
-}
-
-// Next implements Operator.
-func (j *NestedLoopJoin) Next() (value.Row, bool, error) {
-	for {
-		if j.outerRow == nil {
-			row, ok, err := j.Outer.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.outerRow = row.Clone()
-			j.innerIdx = 0
-		}
-		for j.innerIdx < j.inner.Len() {
-			inner := j.inner.Row(j.innerIdx)
-			j.innerIdx++
-			if j.out == nil {
-				j.out = make(value.Row, 0, len(j.outerRow)+len(inner))
-			}
-			j.out = append(j.out[:0], j.outerRow...)
-			j.out = append(j.out, inner...)
-			if chargeCandidate(j.Ctx, j.Pred, j.predNodes, j.out, len(j.out)*8) {
-				return j.out, true, nil
-			}
-		}
-		j.outerRow = nil
-	}
-}
-
-// Close implements Operator.
-func (j *NestedLoopJoin) Close() error { return j.Outer.Close() }

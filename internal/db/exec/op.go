@@ -8,7 +8,6 @@ import (
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/storage"
 	"energydb/internal/db/value"
-	"energydb/internal/memsim"
 )
 
 // Operator is a Volcano iterator.
@@ -232,61 +231,6 @@ func (l *Limit) Next() (value.Row, bool, error) {
 
 // Close implements Operator.
 func (l *Limit) Close() error { return l.Child.Close() }
-
-// MemTable is a materialized row set living at simulated addresses,
-// scannable many times (the inner side of block nested-loop joins, sort
-// buffers, CTE-like temps).
-type MemTable struct {
-	Ctx    *Ctx
-	schema *catalog.Schema
-	rows   []value.Row
-	base   uint64
-	width  int
-}
-
-// NewMemTable materializes rows into scratch memory, simulating the copy.
-func NewMemTable(ctx *Ctx, schema *catalog.Schema, rows []value.Row) *MemTable {
-	width := schema.RowWidth()
-	size := uint64(width) * uint64(len(rows))
-	if size == 0 {
-		size = memsim.LineSize
-	}
-	base := ctx.Arena.Alloc(size, memsim.LineSize)
-	for i := range rows {
-		ctx.PollEvery(i)
-		ctx.M.Hier.StoreRange(base+uint64(i*width), uint64(width))
-	}
-	return &MemTable{Ctx: ctx, schema: schema, rows: rows, base: base, width: width}
-}
-
-// Len returns the row count.
-func (m *MemTable) Len() int { return len(m.rows) }
-
-// Row reads row i with streaming loads.
-func (m *MemTable) Row(i int) value.Row {
-	m.Ctx.M.Hier.LoadRange(m.base+uint64(i*m.width), uint64(m.width))
-	return m.rows[i]
-}
-
-// Scan returns an operator over the mem table.
-func (m *MemTable) Scan() Operator { return &memScan{t: m} }
-
-type memScan struct {
-	t   *MemTable
-	pos int
-}
-
-func (s *memScan) Schema() *catalog.Schema { return s.t.schema }
-func (s *memScan) Open() error             { s.pos = 0; return nil }
-func (s *memScan) Next() (value.Row, bool, error) {
-	if s.pos >= len(s.t.rows) {
-		return nil, false, nil
-	}
-	row := s.t.Row(s.pos)
-	s.pos++
-	return row, true, nil
-}
-func (s *memScan) Close() error { return nil }
 
 // ErrCanceled is returned by Collect and Drain when the statement was
 // abandoned through Ctx.Cancel (a statement timeout, typically).

@@ -361,15 +361,6 @@ func (bp *BufferPool) RelocateFrames(alloc func(size uint64) (uint64, bool)) int
 	return moved
 }
 
-// HitRate returns the buffer hit ratio.
-func (bp *BufferPool) HitRate() float64 {
-	total := bp.Hits + bp.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(bp.Hits) / float64(total)
-}
-
 // pageHeaderBytes models the slotted-page header walked on row access.
 const pageHeaderBytes = 24
 

@@ -209,7 +209,7 @@ func RunExtensionWrites(o Options) (Result, error) {
 			if updated == 0 {
 				return Result{}, fmt.Errorf("harness: %s updated no rows", w.name)
 			}
-			walRecs := e.WAL().Records.Load() - walBefore //lint:monotonic WAL counters never reset within a run
+			walRecs := e.WAL().Records.Load() - walBefore
 			rows = append(rows, append(append([]string{kind.String(), w.name}, shareCells(b)...),
 				fmt.Sprintf("%.1f", b.L1DShare()*100),
 				fmt.Sprintf("%.3f", b.EActive*1e3),

@@ -53,12 +53,11 @@ func golden(t *testing.T, a *Analyzer) {
 	}
 }
 
-func TestGoldenCounterDelta(t *testing.T) { golden(t, AnalyzerCounterDelta) }
-func TestGoldenLockOrder(t *testing.T)    { golden(t, AnalyzerLockOrder) }
-func TestGoldenCancelPoll(t *testing.T)   { golden(t, AnalyzerCancelPoll) }
-func TestGoldenChargePath(t *testing.T)   { golden(t, AnalyzerChargePath) }
-func TestGoldenPoolEscape(t *testing.T)   { golden(t, AnalyzerPoolEscape) }
-func TestGoldenWalErr(t *testing.T)       { golden(t, AnalyzerWalErr) }
+func TestGoldenLockOrder(t *testing.T)  { golden(t, AnalyzerLockOrder) }
+func TestGoldenCancelPoll(t *testing.T) { golden(t, AnalyzerCancelPoll) }
+func TestGoldenChargePath(t *testing.T) { golden(t, AnalyzerChargePath) }
+func TestGoldenPoolEscape(t *testing.T) { golden(t, AnalyzerPoolEscape) }
+func TestGoldenWalErr(t *testing.T)     { golden(t, AnalyzerWalErr) }
 
 // TestRepoClean asserts the full suite reports nothing on the repository
 // itself: every real finding has been fixed or carries a justified waiver,

@@ -4,7 +4,8 @@
 // counter deltas, exact ledger partitioning, race-free snapshots) is only as
 // credible as the plumbing that implements it; this package turns the
 // invariants the code documents in prose — and has violated before, see the
-// StallAwareGovernor underflow — into machine-checked rules.
+// Sort.Open loops no statement timeout could stop — into machine-checked
+// rules.
 //
 // The suite uses only the standard library (go/parser, go/ast, go/types,
 // go/importer), matching the module's zero-dependency go.mod. Packages are
@@ -13,10 +14,8 @@
 //
 // # Analyzers
 //
-// Two rules are local type/AST rules with no path question:
+// One rule is a local type/AST rule with no path question:
 //
-//   - counterdelta: raw a-b subtraction on monotonic uint64 PMU/ledger
-//     counters (underflow on counter reset).
 //   - poolescape: pooled vec batches/vectors pulled from an operator or
 //     pool must not be retained in fields or growing slices past their
 //     reuse point.
@@ -50,12 +49,11 @@
 //
 // A finding can be waived with a //lint:<key> comment trailing the flagged
 // line, or standing alone on the line directly above it, where <key> is the
-// analyzer's waiver key (counterdelta uses "monotonic", cancelpoll uses
-// "nopoll", chargepath uses "nocharge", the others use their own name). A
-// trailing waiver covers its own line only. Waivers should carry a
-// justification after the key:
+// analyzer's waiver key (cancelpoll uses "nopoll", chargepath uses
+// "nocharge", the others use their own name). A trailing waiver covers its
+// own line only. Waivers should carry a justification after the key:
 //
-//	//lint:monotonic Transitions only advances on this goroutine
+//	//lint:nopoll the loop is bounded by one batch
 //
 // A waiver that no longer suppresses anything is stale; TestRepoClean fails
 // on it. DESIGN.md §10 is the rule catalogue: each analyzer, the engine
@@ -95,7 +93,6 @@ func (a *Analyzer) Key() string {
 // All lists every analyzer in the suite, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AnalyzerCounterDelta,
 		AnalyzerLockOrder,
 		AnalyzerCancelPoll,
 		AnalyzerChargePath,
@@ -180,8 +177,7 @@ type waiver struct {
 	key string
 	// standalone is set when nothing but the comment is on its line; only
 	// then does it also cover the line below. A trailing waiver covers its
-	// own line alone, so `x := a - b //lint:monotonic` cannot leak onto the
-	// next statement.
+	// own line alone, so it cannot leak onto the next statement.
 	standalone bool
 	// used records that the waiver suppressed at least one finding; a
 	// waiver that never did is stale (TestRepoClean fails on those).
@@ -294,9 +290,7 @@ func exprString(e ast.Expr) string {
 }
 
 // funcScope is one function body an analyzer scans: a declaration or a
-// function literal. Analyzers that model per-goroutine state (lockorder)
-// scan literals as their own scopes; analyzers looking for guards anywhere
-// in the written function (counterdelta) search the body inclusively.
+// function literal, each its own scope.
 type funcScope struct {
 	name string
 	node ast.Node       // *ast.FuncDecl or *ast.FuncLit
@@ -310,10 +304,9 @@ func (fs funcScope) captures(obj types.Object) bool {
 	return obj.Pos() < fs.node.Pos() || fs.node.End() < obj.Pos()
 }
 
-// declScopes enumerates only the declared function bodies (literals stay
-// part of their declaration). Use when "the enclosing function" means the
-// function as written, nested closures included.
-func declScopes(f *ast.File) []funcScope {
+// funcScopes enumerates every function body in the file: all declarations
+// and every function literal, each as its own scope.
+func funcScopes(f *ast.File) []funcScope {
 	var out []funcScope
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
@@ -321,19 +314,9 @@ func declScopes(f *ast.File) []funcScope {
 			continue
 		}
 		out = append(out, funcScope{name: fd.Name.Name, node: fd, body: fd.Body})
-	}
-	return out
-}
-
-// funcScopes enumerates every function body in the file: all declarations
-// and every function literal, each as its own scope.
-func funcScopes(f *ast.File) []funcScope {
-	var out []funcScope
-	for _, decl := range declScopes(f) {
-		out = append(out, decl)
-		ast.Inspect(decl.body, func(n ast.Node) bool {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				out = append(out, funcScope{name: decl.name + " (func literal)", node: lit, body: lit.Body})
+				out = append(out, funcScope{name: fd.Name.Name + " (func literal)", node: lit, body: lit.Body})
 			}
 			return true
 		})

@@ -132,48 +132,36 @@ func missRate(miss, total uint64) float64 {
 	return float64(miss) / float64(total)
 }
 
-// monotonicSub returns cur - prev clamped at zero. Counter snapshots are
-// monotonic only per hierarchy instance: ResetCounters rewinds every field,
-// and a stale base snapshot then makes the raw subtraction wrap to ~2^64 —
-// the same underflow class as the stallgov.Tick bug. A zero delta for the window
-// spanning the reset is the honest reading.
-func monotonicSub(cur, prev uint64) uint64 {
-	if cur < prev {
-		return 0
-	}
-	return cur - prev
-}
-
-// Sub returns c - base, for delta readings around a measured region. Each
-// field clamps at zero so a base snapshot taken before a counter reset
-// yields empty deltas instead of wrapped ones.
+// Sub returns c - base, for delta readings around a measured region. base
+// must be an earlier snapshot of the same hierarchy: counters only count up,
+// so every field of the difference is the count of the region between.
 func (c Counters) Sub(base Counters) Counters {
 	return Counters{
-		Loads:          monotonicSub(c.Loads, base.Loads),
-		L1DAccesses:    monotonicSub(c.L1DAccesses, base.L1DAccesses),
-		L1DHits:        monotonicSub(c.L1DHits, base.L1DHits),
-		L1DMisses:      monotonicSub(c.L1DMisses, base.L1DMisses),
-		L2Accesses:     monotonicSub(c.L2Accesses, base.L2Accesses),
-		L2Hits:         monotonicSub(c.L2Hits, base.L2Hits),
-		L2Misses:       monotonicSub(c.L2Misses, base.L2Misses),
-		L3Accesses:     monotonicSub(c.L3Accesses, base.L3Accesses),
-		L3Hits:         monotonicSub(c.L3Hits, base.L3Hits),
-		L3Misses:       monotonicSub(c.L3Misses, base.L3Misses),
-		MemAccesses:    monotonicSub(c.MemAccesses, base.MemAccesses),
-		PrefetchL2:     monotonicSub(c.PrefetchL2, base.PrefetchL2),
-		PrefetchL3:     monotonicSub(c.PrefetchL3, base.PrefetchL3),
-		Stores:         monotonicSub(c.Stores, base.Stores),
-		StoreL1DHits:   monotonicSub(c.StoreL1DHits, base.StoreL1DHits),
-		StoreL1DMisses: monotonicSub(c.StoreL1DMisses, base.StoreL1DMisses),
-		TCMLoads:       monotonicSub(c.TCMLoads, base.TCMLoads),
-		TCMStores:      monotonicSub(c.TCMStores, base.TCMStores),
-		StallCycles:    monotonicSub(c.StallCycles, base.StallCycles),
-		IssueSlots:     monotonicSub(c.IssueSlots, base.IssueSlots),
-		AddOps:         monotonicSub(c.AddOps, base.AddOps),
-		NopOps:         monotonicSub(c.NopOps, base.NopOps),
-		OtherOps:       monotonicSub(c.OtherOps, base.OtherOps),
-		PageCrossings:  monotonicSub(c.PageCrossings, base.PageCrossings),
-		UncountedL1DPf: monotonicSub(c.UncountedL1DPf, base.UncountedL1DPf),
+		Loads:          c.Loads - base.Loads,
+		L1DAccesses:    c.L1DAccesses - base.L1DAccesses,
+		L1DHits:        c.L1DHits - base.L1DHits,
+		L1DMisses:      c.L1DMisses - base.L1DMisses,
+		L2Accesses:     c.L2Accesses - base.L2Accesses,
+		L2Hits:         c.L2Hits - base.L2Hits,
+		L2Misses:       c.L2Misses - base.L2Misses,
+		L3Accesses:     c.L3Accesses - base.L3Accesses,
+		L3Hits:         c.L3Hits - base.L3Hits,
+		L3Misses:       c.L3Misses - base.L3Misses,
+		MemAccesses:    c.MemAccesses - base.MemAccesses,
+		PrefetchL2:     c.PrefetchL2 - base.PrefetchL2,
+		PrefetchL3:     c.PrefetchL3 - base.PrefetchL3,
+		Stores:         c.Stores - base.Stores,
+		StoreL1DHits:   c.StoreL1DHits - base.StoreL1DHits,
+		StoreL1DMisses: c.StoreL1DMisses - base.StoreL1DMisses,
+		TCMLoads:       c.TCMLoads - base.TCMLoads,
+		TCMStores:      c.TCMStores - base.TCMStores,
+		StallCycles:    c.StallCycles - base.StallCycles,
+		IssueSlots:     c.IssueSlots - base.IssueSlots,
+		AddOps:         c.AddOps - base.AddOps,
+		NopOps:         c.NopOps - base.NopOps,
+		OtherOps:       c.OtherOps - base.OtherOps,
+		PageCrossings:  c.PageCrossings - base.PageCrossings,
+		UncountedL1DPf: c.UncountedL1DPf - base.UncountedL1DPf,
 	}
 }
 

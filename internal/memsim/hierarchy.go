@@ -129,22 +129,11 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // Counters returns a snapshot of the PMU counters.
 func (h *Hierarchy) Counters() Counters { return h.ctr }
 
-// ResetCounters zeroes the PMU without disturbing cache contents, like
-// reprogramming hardware counters between measurement runs.
-func (h *Hierarchy) ResetCounters() { h.ctr = Counters{} }
-
-// ResetState empties the caches and the prefetcher stream table in addition
-// to the counters, giving a cold machine. Never call this on a hierarchy
-// owned by a cpusim.Machine mid-run — counter monotonicity is what the
-// machine's energy accounting relies on; use ResetCaches there instead.
-func (h *Hierarchy) ResetState() {
-	h.ctr = Counters{}
-	h.ResetCaches()
-}
-
-// ResetCaches empties cache contents and the prefetcher stream table while
-// leaving the (monotonic) PMU counters untouched, like flushing the caches
-// between benchmark runs.
+// ResetCaches empties cache contents and the prefetcher stream table, like
+// flushing the caches between benchmark runs. The PMU counters keep
+// counting: no method lowers one, so a delta between two snapshots of one
+// hierarchy never wraps. A cold machine with zeroed counters is a new one
+// (cpusim.Machine.NewLike).
 func (h *Hierarchy) ResetCaches() {
 	if h.l1d != nil {
 		h.l1d.reset()

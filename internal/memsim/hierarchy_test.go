@@ -54,11 +54,11 @@ func TestL2HitAfterL1DEviction(t *testing.T) {
 	}
 	// The first line has been evicted from L1D but the working set
 	// (128KB) still fits in L2.
-	h.ResetCounters()
+	before := h.Counters()
 	if lvl := h.Load(0, true); lvl != LevelL2 {
 		t.Fatalf("level = %v, want L2", lvl)
 	}
-	c := h.Counters()
+	c := h.Counters().Sub(before)
 	if c.L1DMisses != 1 || c.L2Hits != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
@@ -73,9 +73,8 @@ func TestDependentLoadStalls(t *testing.T) {
 	if c.StallCycles != want {
 		t.Fatalf("cold dependent stall = %d, want %d", c.StallCycles, want)
 	}
-	h.ResetCounters()
 	h.Load(0x40, true) // warm: L1D latency 4 -> 3 stall cycles
-	if got := h.Counters().StallCycles; got != 3 {
+	if got := h.Counters().Sub(c).StallCycles; got != 3 {
 		t.Fatalf("warm dependent stall = %d, want 3", got)
 	}
 }
@@ -83,9 +82,9 @@ func TestDependentLoadStalls(t *testing.T) {
 func TestIndependentL1DLoadDoesNotStall(t *testing.T) {
 	h := newI7(t)
 	h.Load(0x40, false)
-	h.ResetCounters()
+	before := h.Counters()
 	h.Load(0x40, false)
-	if got := h.Counters().StallCycles; got != 0 {
+	if got := h.Counters().Sub(before).StallCycles; got != 0 {
 		t.Fatalf("independent L1D hit stalled %d cycles, want 0", got)
 	}
 }
@@ -104,9 +103,9 @@ func TestIndependentMissStallAmortized(t *testing.T) {
 func TestStoreHitCountsReg2L1D(t *testing.T) {
 	h := newI7(t)
 	h.Load(0x80, false) // bring line in
-	h.ResetCounters()
+	before := h.Counters()
 	h.Store(0x80)
-	c := h.Counters()
+	c := h.Counters().Sub(before)
 	if c.StoreL1DHits != 1 || c.StoreL1DMisses != 0 {
 		t.Fatalf("store counters = %+v", c)
 	}
@@ -126,10 +125,9 @@ func TestStoreMissWriteAllocates(t *testing.T) {
 		t.Fatalf("write-allocate should fetch from DRAM: %+v", c)
 	}
 	// After allocation the next store hits.
-	h.ResetCounters()
 	h.Store(0x3000)
-	if got := h.Counters().StoreL1DHits; got != 1 {
-		t.Fatalf("second store should hit L1D, counters %+v", h.Counters())
+	if d := h.Counters().Sub(c); d.StoreL1DHits != 1 {
+		t.Fatalf("second store should hit L1D, counters %+v", d)
 	}
 }
 
@@ -138,19 +136,19 @@ func TestIPCAccounting(t *testing.T) {
 	// Warm one line then issue 1000 independent loads to it: dual issue,
 	// no stalls -> IPC approaches 2.
 	h.Load(0, false)
-	h.ResetCounters()
+	before := h.Counters()
 	for i := 0; i < 1000; i++ {
 		h.Load(0, false)
 	}
-	if ipc := h.Counters().IPC(); ipc < 1.9 || ipc > 2.1 {
+	if ipc := h.Counters().Sub(before).IPC(); ipc < 1.9 || ipc > 2.1 {
 		t.Fatalf("array-style IPC = %.2f, want about 2", ipc)
 	}
 	// Dependent loads: 4 cycles per load -> IPC 0.25.
-	h.ResetCounters()
+	before = h.Counters()
 	for i := 0; i < 1000; i++ {
 		h.Load(0, true)
 	}
-	if ipc := h.Counters().IPC(); ipc < 0.24 || ipc > 0.26 {
+	if ipc := h.Counters().Sub(before).IPC(); ipc < 0.24 || ipc > 0.26 {
 		t.Fatalf("list-style IPC = %.3f, want about 0.25", ipc)
 	}
 }
@@ -161,9 +159,9 @@ func TestExecIssueWidths(t *testing.T) {
 	if ipc := h.Counters().IPC(); ipc < 3.9 || ipc > 4.1 {
 		t.Fatalf("nop IPC = %.2f, want about 4", ipc)
 	}
-	h.ResetCounters()
+	before := h.Counters()
 	h.Exec(1000, InstrAdd)
-	if ipc := h.Counters().IPC(); ipc < 1.9 || ipc > 2.1 {
+	if ipc := h.Counters().Sub(before).IPC(); ipc < 1.9 || ipc > 2.1 {
 		t.Fatalf("add IPC = %.2f, want about 2", ipc)
 	}
 }
@@ -294,18 +292,6 @@ func TestInclusionPropertyOnDemandPath(t *testing.T) {
 	}
 }
 
-func TestResetState(t *testing.T) {
-	h := newI7(t)
-	h.Load(0x40, false)
-	h.ResetState()
-	if got := h.Counters(); got != (Counters{}) {
-		t.Fatalf("counters not zeroed: %+v", got)
-	}
-	if lvl := h.Load(0x40, false); lvl != LevelMem {
-		t.Fatalf("cache not cold after ResetState: level %v", lvl)
-	}
-}
-
 func TestArenaAlignmentAndExhaustion(t *testing.T) {
 	a := NewArena(0, 4096)
 	addr := a.Alloc(100, 256)
@@ -355,31 +341,5 @@ func TestLevelString(t *testing.T) {
 		if got := lvl.String(); got != want {
 			t.Fatalf("Level(%d).String() = %q, want %q", lvl, got, want)
 		}
-	}
-}
-
-// TestSubClampsAcrossCounterReset is a regression test: a snapshot taken
-// before ResetCounters used to make Sub wrap to ~2^64 (raw uint64 subtraction
-// on a now-smaller snapshot). The delta must clamp at zero instead — the same
-// fix shape as the stallgov.Tick underflow.
-func TestSubClampsAcrossCounterReset(t *testing.T) {
-	h := newI7(t)
-	h.Load(0x40, true)
-	h.Load(0x80, true)
-	h.Load(0xC0, true)
-	before := h.Counters()
-
-	h.ResetCounters()
-	h.Load(0x40, true)
-	d := h.Counters().Sub(before)
-
-	if d.Loads != 0 {
-		t.Fatalf("Loads delta across reset = %d, want 0 (clamped)", d.Loads)
-	}
-	if d.L1DAccesses != 0 {
-		t.Fatalf("L1DAccesses delta across reset = %d, want 0 (clamped)", d.L1DAccesses)
-	}
-	if d.MemAccesses > 3 {
-		t.Fatalf("MemAccesses delta across reset = %d, want small (not wrapped)", d.MemAccesses)
 	}
 }

@@ -230,7 +230,9 @@ func mixed(p *pair, rng *rand.Rand, lines uint64, n int) {
 // FuzzHierarchy turns bytes into an access stream and runs it through the
 // same pair. The first byte picks the configuration; every following three
 // pick an operation and a line among 1024, few enough that the tiny caches
-// and the ARM L1D both hit and evict.
+// and the ARM L1D both hit and evict. After every operation, flushes and
+// prefetcher toggles included, no counter may be below its value before
+// it: Counters.Sub subtracts unclamped on that guarantee.
 func FuzzHierarchy(f *testing.F) {
 	f.Add([]byte{0x01, 0x3f, 0x00, 0x00, 0x3f, 0x08, 0x00, 0x00, 0x00, 0x00})
 	f.Add([]byte{0x03, 0x02, 0x10, 0x01, 0x0b, 0x10, 0x01, 0x06, 0x00, 0x00, 0x00, 0x10, 0x01})
@@ -248,6 +250,7 @@ func FuzzHierarchy(f *testing.F) {
 		cfg.Prefetch.L1DNextLine = data[0]&2 != 0
 		cfg.DirectFill = data[0]&4 != 0
 		p := newPair(t, cfg)
+		last := p.h.Counters()
 		for data = data[1:]; len(data) >= 3; data = data[3:] {
 			op, arg := data[0]&7, uint64(data[0]>>3)
 			addr := (uint64(data[1]) | uint64(data[2]&3)<<8) * LineSize
@@ -271,6 +274,23 @@ func FuzzHierarchy(f *testing.F) {
 					p.load(addr+k*LineSize, false)
 				}
 			}
+			now := p.h.Counters()
+			if field := fell(last, now); field != "" {
+				t.Fatalf("access %d (op %d): %s fell\n before %+v\n after  %+v", p.n, op, field, last, now)
+			}
+			last = now
 		}
 	})
+}
+
+// fell names the first counter that is lower in now than in prev, or
+// returns "" when none is.
+func fell(prev, now Counters) string {
+	a, b := reflect.ValueOf(prev), reflect.ValueOf(now)
+	for i := 0; i < a.NumField(); i++ {
+		if b.Field(i).Uint() < a.Field(i).Uint() {
+			return a.Type().Field(i).Name
+		}
+	}
+	return ""
 }

@@ -77,9 +77,9 @@ func TestSetFrequencyKeepsCacheLatencies(t *testing.T) {
 	h := New(I7_4790())
 	h.SetFrequencyHz(1.2e9)
 	h.Load(0x40, true) // bring in
-	h.ResetCounters()
+	before := h.Counters()
 	h.Load(0x40, true) // L1D hit: 4 cycles regardless of frequency
-	if got := h.Counters().StallCycles; got != 3 {
+	if got := h.Counters().Sub(before).StallCycles; got != 3 {
 		t.Fatalf("L1D dependent stall at 1.2GHz = %d, want 3", got)
 	}
 }
@@ -93,7 +93,6 @@ func TestDirectFillSkipsIntermediateLevels(t *testing.T) {
 	for i := 1; i < cfg.L1D.SizeBytes/LineSize*2; i++ {
 		h.Load(uint64(i)*LineSize, true)
 	}
-	h.ResetCounters()
 	// Under replication the line would still sit in L2/L3; under direct
 	// fill the working set (64KB) filled only L1D, so this revisit of the
 	// first line must go back to DRAM.
@@ -108,7 +107,6 @@ func TestReplicationKeepsL2Copy(t *testing.T) {
 	for i := 1; i < 32<<10/LineSize*2; i++ {
 		h.Load(uint64(i)*LineSize, true)
 	}
-	h.ResetCounters()
 	if lvl := h.Load(0x40, true); lvl != LevelL2 {
 		t.Fatalf("level = %v, want L2 (replication keeps copies)", lvl)
 	}

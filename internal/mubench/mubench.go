@@ -355,7 +355,7 @@ func (r *Runner) measure(w *walker) Result {
 
 	// Same-snapshot identity, not a window delta: Instructions() sums
 	// AddOps+NopOps+OtherOps of this one delta, so it cannot be smaller.
-	desired := delta.Instructions() - delta.OtherOps //lint:monotonic
+	desired := delta.Instructions() - delta.OtherOps
 	bli := 0.0
 	if n := delta.Instructions(); n > 0 {
 		bli = float64(desired) / float64(n) * 100

@@ -106,9 +106,6 @@ func (kv *LSMKV) Scan(lo, hi string, fn func(k, v string)) {
 // Runs returns the number of sorted runs.
 func (kv *LSMKV) Runs() int { return len(kv.runs) }
 
-// MemLen returns the memtable entry count.
-func (kv *LSMKV) MemLen() int { return kv.mem.len() }
-
 // ---- skiplist memtable ----
 
 const maxSkipLevel = 12

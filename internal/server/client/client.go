@@ -121,6 +121,17 @@ func (c *Conn) Query(text string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("client: expected EnergyReport, got %v", f.FrameType())
 	}
+	// A transaction control sent as SQL text answers with a status row
+	// rather than a TxnAck; mirror it so InTxn stays honest.
+	switch rep.Name {
+	case "begin":
+		c.txnID, c.inTxn = 0, true
+		if len(rs.Rows) == 1 && len(rs.Rows[0]) == 1 {
+			fmt.Sscanf(rs.Rows[0][0].S, "BEGIN (txn %d)", &c.txnID)
+		}
+	case "commit", "rollback":
+		c.txnID, c.inTxn = 0, false
+	}
 	return &Result{Cols: rs.Cols, Rows: rs.Rows, Energy: *rep}, nil
 }
 

@@ -134,11 +134,20 @@ func TestTxnWriteWriteConflict(t *testing.T) {
 	}
 }
 
-// TestTxnSQLControlsAndPromptState drives BEGIN/COMMIT through SQL text and
-// checks the statement-level replies plus error handling for misuse.
+// TestTxnSQLControls drives BEGIN/COMMIT/ROLLBACK through SQL text and
+// checks the statement-level replies, error handling for misuse, and that
+// the client's InTxn follows the server's transaction state whichever way
+// a control was sent.
 func TestTxnSQLControls(t *testing.T) {
 	_, addr := startServerCfg(t, server.Config{Workers: 1})
 	a := dialTxn(t, addr)
+	wantTxn := func(step string, want bool) {
+		t.Helper()
+		id, in := a.InTxn()
+		if in != want || in != (id != 0) {
+			t.Fatalf("after %s: InTxn() = (%d, %v), want open=%v", step, id, in, want)
+		}
+	}
 
 	res, err := a.Query("BEGIN")
 	if err != nil {
@@ -147,15 +156,39 @@ func TestTxnSQLControls(t *testing.T) {
 	if len(res.Rows) != 1 || !strings.HasPrefix(res.Rows[0][0].S, "BEGIN") {
 		t.Fatalf("BEGIN reply = %+v", res.Rows)
 	}
+	wantTxn("BEGIN", true)
+	if id, _ := a.InTxn(); res.Rows[0][0].S != fmt.Sprintf("BEGIN (txn %d)", id) {
+		t.Fatalf("InTxn id %d does not match the reply %q", id, res.Rows[0][0].S)
+	}
 	if _, err := a.Query("BEGIN"); err == nil {
 		t.Fatal("nested BEGIN should fail")
 	}
+	wantTxn("nested BEGIN", true)
 	if _, err := a.Query("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
+	wantTxn("COMMIT", false)
 	if _, err := a.Query("ROLLBACK"); err == nil {
 		t.Fatal("ROLLBACK with no open transaction should fail")
 	}
+	wantTxn("stray ROLLBACK", false)
+
+	if _, err := a.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	wantTxn("Begin()", true)
+	if _, err := a.Query("COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+	wantTxn("Begin() then COMMIT", false)
+	if _, err := a.Query("BEGIN TRANSACTION"); err != nil {
+		t.Fatal(err)
+	}
+	wantTxn("BEGIN TRANSACTION", true)
+	if _, err := a.Query("ROLLBACK WORK"); err != nil {
+		t.Fatal(err)
+	}
+	wantTxn("ROLLBACK WORK", false)
 }
 
 // TestTxnFailedDMLRollsBack checks that a statement failure inside an

@@ -128,9 +128,7 @@ func (w *worker) tickGovernor() {
 		w.mPState.Set(float64(p))
 	}
 	if w.mTransitions != nil {
-		// before was read above in this same call; Transitions only grows
-		// between the two reads (the governor is worker-goroutine-owned).
-		w.mTransitions.Add(float64(w.gov.Transitions - before)) //lint:monotonic
+		w.mTransitions.Add(float64(w.gov.Transitions - before))
 	}
 }
 
