@@ -252,12 +252,15 @@ func TestChargesExactAtObservedCardinalities(t *testing.T) {
 
 // TestChargesExactVectorChains checks the same property on the operator and
 // mode pairs no TPC-H plan contains at 10MB: vectorized projections, sorted
-// chains and a vectorized hash join with its pruned build side — and a
-// projection and an aggregate whose expressions share a subexpression, which
-// both the operator and the planner evaluate once per batch. It also names
-// the filters that narrow one conjunct at a time: TPC-H Q6's batched index
-// scan, whose residual is three comparisons, and a hash join's residual of
-// two cross-relation conjuncts.
+// chains and a vectorized hash join with its pruned build side — and
+// projections and aggregates whose expressions share a subexpression, which
+// both the operator and the planner evaluate once per batch, among them a
+// TPC-H Q1-shaped aggregate whose arguments share a product and feed the
+// table update unstored. It also names the filters that narrow one conjunct
+// at a time: TPC-H Q6's batched index scan, whose residual is three
+// comparisons, a hash join's residual of two cross-relation conjuncts, and a
+// BETWEEN over a computed value that its first conjunct's loop stores for
+// the second.
 func TestChargesExactVectorChains(t *testing.T) {
 	seen := map[string]int{}
 	for _, q := range []string{
@@ -268,6 +271,9 @@ func TestChargesExactVectorChains(t *testing.T) {
 		"SELECT id, amount * 2 FROM facts WHERE amount > 1 AND id < 4000",
 		"SELECT amount * 2 AS a, amount * 2 + id AS b FROM facts WHERE amount > 1",
 		"SELECT grp, SUM(amount * 2) AS s, SUM(amount * 2 * id) AS t FROM facts GROUP BY grp",
+		"SELECT grp, SUM(amount) AS q, SUM(amount * (1 - grp)) AS r, SUM(amount * (1 - grp) * (1 + id)) AS c, " +
+			"AVG(amount) AS a, AVG(grp) AS g, COUNT(*) AS n FROM facts WHERE id <= 4500 GROUP BY grp ORDER BY grp",
+		"SELECT id, amount FROM facts WHERE amount * 2 BETWEEN 10 AND 40",
 	} {
 		runExact(t, q, vecTestEngine(t, 5000), q, seen)
 	}

@@ -231,8 +231,10 @@ func compileVec(n *Node) *progs {
 	if n.progs != nil {
 		return n.progs
 	}
-	list := slices.Concat(n.Exprs, exec.AggExprs(n.GroupExprs, n.Aggs), exec.SortExprs(n.SortKeys))
-	pr := &progs{list: vec.Compile(list...), post: vec.Compile(n.PostExprs...)}
+	pr := &progs{list: vec.Compile(slices.Concat(n.Exprs, exec.SortExprs(n.SortKeys))...), post: vec.Compile(n.PostExprs...)}
+	if n.Kind == opAggregate {
+		pr.list = vec.CompileAgg(n.GroupExprs, n.Aggs)
+	}
 	if n.Filter != nil {
 		pr.filter = vec.CompileFilter(n.Filter)
 	}

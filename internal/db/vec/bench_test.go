@@ -6,6 +6,7 @@ import (
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/value"
 	"energydb/internal/db/vec"
 	"energydb/internal/tpch"
 )
@@ -53,4 +54,43 @@ func BenchmarkIndexJoin(b *testing.B) {
 			}}
 		})
 	})
+}
+
+// BenchmarkFusedProgram is the host cost of one fused expression loop: TPC-H
+// Q1's aggregate program (CompileAgg; its keys, its shared
+// l_extendedprice * (1 - l_discount) and its eight arguments) over the
+// first batch of lineitem, its columns already materialized, in host ns per
+// row and allocations per batch. The simulated charges the loop issues are
+// part of the cost. `make bench-check` and CI run it once (-benchtime=1x) to
+// keep it compiling and finishing.
+func BenchmarkFusedProgram(b *testing.B) {
+	e := benchEngine()
+	lineitem := e.MustTable("lineitem")
+	c := func(name string) exec.Expr { return exec.Col{Idx: tpch.LineitemSchema.MustColIndex(name), Name: name} }
+	bin := func(op exec.BinOpKind, l, r exec.Expr) exec.Expr { return exec.BinOp{Op: op, L: l, R: r} }
+	one := exec.Const{V: value.Int(1)}
+	qty, price, disc := c("l_quantity"), c("l_extendedprice"), c("l_discount")
+	rev := bin(exec.OpMul, price, bin(exec.OpSub, one, disc))
+	prog := vec.CompileAgg([]exec.Expr{c("l_returnflag"), c("l_linestatus")}, []exec.AggSpec{
+		{Kind: exec.AggSum, Arg: qty}, {Kind: exec.AggSum, Arg: price}, {Kind: exec.AggSum, Arg: rev},
+		{Kind: exec.AggSum, Arg: bin(exec.OpMul, rev, bin(exec.OpAdd, one, c("l_tax")))},
+		{Kind: exec.AggAvg, Arg: qty}, {Kind: exec.AggAvg, Arg: price}, {Kind: exec.AggAvg, Arg: disc},
+		{Kind: exec.AggCount},
+	})
+	scan := &vec.Scan{Ctx: e.Ctx, File: lineitem.File}
+	if err := scan.Open(); err != nil {
+		b.Fatal(err)
+	}
+	batch, err := scan.Next()
+	if err != nil || batch == nil {
+		b.Fatalf("no first batch of lineitem: %v", err)
+	}
+	eval := vec.EvalEach(e.Ctx, prog)
+	eval(batch) // materializes the columns the program reads
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eval(batch)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.Len()), "ns/row")
 }

@@ -8,14 +8,16 @@ import "energydb/internal/db/exec"
 // in its cardinality record. Operators call them per batch with the *exec.Ctx
 // as sink; the planner calls the same functions once per plan node with
 // estimated totals. The scheme is one dispatch — a tuple's worth of
-// interpretation overhead — per batch per primitive, plus per-element
-// payload traffic at the vectors' simulated addresses. Dependent loads at
+// interpretation overhead — per batch per primitive (an expression
+// program's fused element loop is one primitive), plus per-element payload
+// traffic at the vectors' simulated addresses. Dependent loads at
 // data-dependent addresses (bucket heads, chain walks, build-row gathers,
 // comparator loads) stay inline in the operators.
 
-// Per-value kernel costs, charged per selected element per primitive: one
-// L1D payload load per input vector element, one payload store per output
-// element, and kernelInstrPerVal ALU instructions per element.
+// Per-value kernel costs, charged per selected element: one L1D payload
+// load per element of a value a loop reads from memory, one payload store
+// per element of a value it leaves there, and kernelInstrPerVal ALU
+// instructions per element per kernel.
 const (
 	kernelLoadsPerVal  = 1
 	kernelStoresPerVal = 1
@@ -45,29 +47,39 @@ func ChargeMaterialize(s exec.Sink, c exec.Card, at uint64) {
 	s.Stores(at, c.In*kernelStoresPerVal)
 }
 
-// chargeKernel is one expression primitive over the selected elements: the
-// dispatch, a payload load per element per non-constant input, the ALU work
-// and a payload store per element.
-func chargeKernel(s exec.Sink, c exec.Card, out uint64, ins ...uint64) {
+// regBudget is how many values a fused element loop keeps in registers at
+// once; each value live beyond it spills.
+const regBudget = 16
+
+// chargeLoop is one fused element loop of an expression program over the
+// selected elements: one dispatch, a payload load per element for each
+// value the loop reads from memory (a column, or a value an earlier loop
+// stored), the ALU work of its kernels, a payload store per element for
+// each value it leaves in memory (a root its consumer reads back, or a value
+// a later loop reads), and a store plus a load per element for each value
+// the register budget spills. Values computed and consumed inside the loop
+// stay in registers and issue nothing.
+func chargeLoop(s exec.Sink, c exec.Card, l *loop) {
 	s.Tuples(c.Batches)
-	for _, in := range ins {
-		s.Loads(in, c.In*kernelLoadsPerVal)
+	for _, in := range l.loads {
+		s.Loads(in.addr(), c.In*kernelLoadsPerVal)
 	}
-	s.Adds(c.In * kernelInstrPerVal)
-	s.Stores(out, c.In*kernelStoresPerVal)
+	s.Adds(c.In * kernelInstrPerVal * float64(l.kernels))
+	for _, out := range l.stores {
+		s.Stores(out.addr(), c.In*kernelStoresPerVal)
+	}
+	for _, v := range l.spills {
+		s.Stores(v.addr(), c.In)
+		s.Loads(v.addr(), c.In)
+	}
 }
 
-// chargeSelect is a selection primitive, the root kernel of a filter's
-// conjunct writing the selection vector directly: the dispatch, a payload
-// load per candidate per non-constant operand, the ALU work and one branch
-// per candidate, then the selection-vector store of the Out survivors. It
-// stores no predicate vector, so nothing reloads one.
-func chargeSelect(s exec.Sink, c exec.Card, sel uint64, ins ...uint64) {
-	s.Tuples(c.Batches)
-	for _, in := range ins {
-		s.Loads(in, c.In*kernelLoadsPerVal)
-	}
-	s.Adds(c.In * kernelInstrPerVal)
+// chargeSelect is a selection primitive's tail, after the fused loop of its
+// conjunct (whose kernels count the root, which tests each candidate
+// straight from its operands): one branch per candidate and the
+// selection-vector store of the Out survivors. It stores no predicate
+// vector, so nothing reloads one.
+func chargeSelect(s exec.Sink, c exec.Card, sel uint64) {
 	s.Others(c.In)
 	s.Stores(sel, c.Out)
 }

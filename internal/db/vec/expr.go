@@ -45,6 +45,12 @@ func (p *pool) get(cap int) *Vector {
 // prices the same sequence at estimated cardinalities (Charge), so which
 // kernels an operator costs is decided once, here.
 //
+// The program runs as fused element loops, scheduled once at compile time
+// (fuse): one loop over every node for a Compile program, one per conjunct
+// for a filter program. A loop is one dispatch; what it loads, stores and
+// spills follows from which of its values leave it (DESIGN.md §11, fused
+// programs).
+//
 // A filter program (CompileFilter) has one root per conjunct of its
 // predicate. A conjunct whose root is a kernel is a selection primitive: the
 // root is no node of the sequence and never stores a value, it tests its
@@ -52,7 +58,7 @@ func (p *pool) get(cap int) *Vector {
 type Prog struct {
 	nodes []*progNode // column reads and kernels; constants are operands only
 	roots []*progNode // one per expression, nil for a nil one
-	ends  []int       // nodes[:ends[i]] compute roots[:i+1], or their operands
+	loops []loop      // the fused element loops, in the order they run
 }
 
 // progNode is a column read (exec.Col), a constant (val fixed), or a kernel
@@ -77,36 +83,159 @@ type nodeKey struct {
 
 // Compile compiles the expressions into one program, root i computing
 // es[i]; a nil expression (COUNT(*)'s argument) has a nil root. Every exec
-// expression has a kernel; an expression type without one panics.
-func Compile(es ...exec.Expr) *Prog {
-	p := &Prog{roots: make([]*progNode, len(es)), ends: make([]int, len(es))}
+// expression has a kernel; an expression type without one panics. Its one
+// loop stores every kernel root, which its consumer reads back.
+func Compile(es ...exec.Expr) *Prog { return compile(es, len(es)) }
+
+// CompileAgg compiles a hash aggregation's expression list, exec.AggExprs:
+// the GROUP BY keys, then one argument per aggregate. The argument roots go
+// straight into the table update the loop runs into (ChargeAggUpdate): they
+// stay in registers to the loop's end and are never stored.
+func CompileAgg(groupBy []exec.Expr, aggs []exec.AggSpec) *Prog {
+	return compile(exec.AggExprs(groupBy, aggs), len(groupBy))
+}
+
+// compile compiles es as one loop whose first stored roots are stored and
+// whose other roots are held to the loop's end.
+func compile(es []exec.Expr, stored int) *Prog {
+	p := &Prog{roots: make([]*progNode, len(es))}
 	seen := map[nodeKey]*progNode{}
 	for i, e := range es {
 		if e != nil {
 			p.roots[i] = p.add(e, seen)
 		}
-		p.ends[i] = len(p.nodes)
 	}
+	store := map[*progNode]bool{}
+	for _, r := range p.roots[:stored] {
+		store[r] = true
+	}
+	p.loops = []loop{fuse(p.nodes, nil, store, p.roots[stored:])}
 	return p
 }
 
 // CompileFilter compiles a predicate as a filter program: one root per
 // conjunct (Conjuncts), in order, over one shared node sequence. A kernel at
 // a conjunct's root becomes a selection primitive; its operands are nodes
-// like any other, so a subexpression two conjuncts share is computed once.
+// like any other, so a subexpression two conjuncts share is computed once:
+// in the first conjunct's loop, which stores it for the later one to load.
 func CompileFilter(pred exec.Expr) *Prog {
 	cs := Conjuncts(pred)
-	p := &Prog{roots: make([]*progNode, len(cs)), ends: make([]int, len(cs))}
+	p := &Prog{roots: make([]*progNode, len(cs)), loops: make([]loop, len(cs))}
 	seen := map[nodeKey]*progNode{}
+	ends := make([]int, len(cs)+1) // nodes[ends[i]:ends[i+1]] are conjunct i's own
 	for i, c := range cs {
 		if k := p.key(c, seen); k.kind == 'c' || k.kind == 'k' {
 			p.roots[i] = p.add(c, seen)
 		} else {
 			p.roots[i] = &progNode{e: c, l: k.l, r: k.r}
 		}
-		p.ends[i] = len(p.nodes)
+		ends[i+1] = len(p.nodes)
+	}
+	// Conjunct by conjunct from the last: a kernel a later conjunct loads
+	// crosses a loop boundary and is stored.
+	later := map[*progNode]bool{}
+	for i := len(cs) - 1; i >= 0; i-- {
+		var sel *progNode
+		if p.roots[i].kernel() {
+			sel = p.roots[i]
+		}
+		p.loops[i] = fuse(p.nodes[ends[i]:ends[i+1]], sel, later, nil)
+		for _, n := range p.loops[i].loads {
+			later[n] = true
+		}
 	}
 	return p
+}
+
+// loop is the schedule of one fused element loop: the column reads and
+// kernels it binds and computes, in order; the values it loads (columns,
+// and values an earlier loop stored), the values it stores (for a consumer
+// after the loop), and the values the register budget spills. Every other
+// value it computes lives and dies in a register.
+type loop struct {
+	nodes                 []*progNode
+	kernels               int // kernel nodes, a filter conjunct's selection primitive included
+	loads, stores, spills []*progNode
+}
+
+// fuse schedules the loop over nodes that ends in selection primitive sel
+// (nil for none). A kernel in store is stored once; the values in held stay
+// live to the loop's end. A value is live from the kernel that loads or
+// computes it to the last kernel of the loop that reads it; where more than
+// regBudget values are live at once, the excess spill: the values loaded or
+// computed last among those live where the count first peaks.
+func fuse(nodes []*progNode, sel *progNode, store map[*progNode]bool, held []*progNode) loop {
+	var steps []*progNode // the kernels in the order they run
+	for _, n := range nodes {
+		if n.kernel() {
+			steps = append(steps, n)
+		}
+	}
+	if sel != nil {
+		steps = append(steps, sel)
+	}
+	l := loop{nodes: nodes, kernels: len(steps)}
+	var vals []*progNode           // in order of first load or computation
+	span := map[*progNode][2]int{} // the first and last kernel each value is live at
+	use := func(n *progNode, at int) {
+		if s, ok := span[n]; ok {
+			span[n] = [2]int{s[0], at}
+			return
+		}
+		span[n] = [2]int{at, at}
+		vals = append(vals, n)
+	}
+	for at, k := range steps {
+		for _, o := range [2]*progNode{k.l, k.r} {
+			if o == nil || o.isConst() {
+				continue
+			}
+			if _, ok := span[o]; !ok {
+				l.loads = append(l.loads, o)
+			}
+			use(o, at)
+		}
+		use(k, at)
+		if store[k] {
+			l.stores = append(l.stores, k)
+		}
+	}
+	for _, n := range held {
+		if s, ok := span[n]; ok {
+			span[n] = [2]int{s[0], len(steps)}
+		}
+	}
+	liveAt := func(n *progNode, at int) bool { return span[n][0] <= at && at <= span[n][1] }
+	peak, peakAt := 0, 0
+	for at := 0; at <= len(steps); at++ {
+		live := 0
+		for _, n := range vals {
+			if liveAt(n, at) {
+				live++
+			}
+		}
+		if live > peak {
+			peak, peakAt = live, at
+		}
+	}
+	if peak > regBudget {
+		for _, n := range vals {
+			if liveAt(n, peakAt) {
+				l.spills = append(l.spills, n)
+			}
+		}
+		l.spills = l.spills[regBudget:]
+	}
+	return l
+}
+
+// addr is the payload address of the node's current value, zero before the
+// first eval (and in the planner's programs, which never evaluate).
+func (n *progNode) addr() uint64 {
+	if n.val == nil {
+		return 0
+	}
+	return n.val.Addr()
 }
 
 // Conjuncts splits a predicate's AND tree into the conjuncts a filter
@@ -177,18 +306,6 @@ func (p *Prog) Const(i int) bool { return p.roots[i].isConst() }
 // keeps in a register instead of loading a payload.
 func (n *progNode) isConst() bool { return n.val != nil && n.val.isConst }
 
-// payload appends the address a kernel loads operand n from, unless the
-// operand is absent or constant (the address is zero before the first eval).
-func (n *progNode) payload(ins []uint64) []uint64 {
-	switch {
-	case n == nil || n.isConst():
-		return ins
-	case n.val == nil:
-		return append(ins, 0)
-	}
-	return append(ins, n.val.Addr())
-}
-
 // kernel reports whether the node computes its value from operands, as
 // opposed to reading a column or broadcasting a constant.
 func (n *progNode) kernel() bool {
@@ -202,18 +319,21 @@ func (n *progNode) kernel() bool {
 // Charge charges one evaluation per batch over c.In selected elements:
 // touch is told each column read — whether that materializes the column
 // depends on what the chain below already touched, which the caller knows —
-// and every kernel is charged, once however many roots share it.
+// and the program's loop is charged, each kernel once however many roots
+// share it. A program whose every root is a column or constant runs no loop.
 func (p *Prog) Charge(s exec.Sink, c exec.Card, touch func(col int)) {
-	chargeNodes(s, c, p.nodes, touch)
+	l := &p.loops[0]
+	l.touch(touch)
+	if l.kernels > 0 {
+		chargeLoop(s, c, l)
+	}
 }
 
-func chargeNodes(s exec.Sink, c exec.Card, nodes []*progNode, touch func(col int)) {
-	var buf [2]uint64
-	for _, n := range nodes {
+// touch tells touch each column the loop reads.
+func (l *loop) touch(touch func(col int)) {
+	for _, n := range l.nodes {
 		if col, ok := n.e.(exec.Col); ok {
 			touch(col.Idx)
-		} else {
-			chargeKernel(s, c, 0, n.r.payload(n.l.payload(buf[:0]))...)
 		}
 	}
 }
@@ -221,62 +341,79 @@ func chargeNodes(s exec.Sink, c exec.Card, nodes []*progNode, touch func(col int
 // ChargeFilter charges a filter program over the given number of batches,
 // conjunct by conjunct: rows[i] candidates reach conjunct i and rows[i+1] of
 // them survive it, so rows holds one entry per conjunct and then the rows
-// leaving the last. Conjunct i's new operand nodes run over its rows[i]
-// candidates, then its root narrows them: a selection primitive
-// (chargeSelect) where the root is a kernel, a predicate-vector narrowing
-// (chargeNarrow) where it is a bare column or constant.
+// leaving the last. Conjunct i's loop runs over its rows[i] candidates: a
+// selection primitive (its loop, then chargeSelect) where the root is a
+// kernel, a predicate-vector narrowing (chargeNarrow) where it is a bare
+// column or constant, which has no kernel to fuse.
 func (p *Prog) ChargeFilter(s exec.Sink, batches float64, rows []float64, touch func(col int)) {
 	if len(rows) != len(p.roots)+1 {
 		panic(fmt.Sprintf("vec: %d row counts for a filter of %d conjuncts", len(rows), len(p.roots)))
 	}
-	var buf [2]uint64
-	from := 0
 	for i, root := range p.roots {
 		c := exec.Card{Batches: batches, In: rows[i], Out: rows[i+1]}
-		chargeNodes(s, c, p.nodes[from:p.ends[i]], touch)
-		from = p.ends[i]
+		l := &p.loops[i]
+		l.touch(touch)
 		if root.kernel() {
-			chargeSelect(s, c, 0, root.r.payload(root.l.payload(buf[:0]))...)
+			chargeLoop(s, c, l)
+			chargeSelect(s, c, 0)
 		} else {
 			chargeNarrow(s, c, 0, root.isConst(), 0)
 		}
 	}
 }
 
-// eval returns a root's result over the batch's selected positions (nil for
-// a nil root), evaluating the nodes it needs beyond those of the roots
-// before it: called for each root in order after a pool reset, it runs every
-// node once. Dispatch is charged per batch per kernel, payload traffic per
-// element, with element semantics delegated to the exact same helpers the
-// row interpreter uses. The result is only valid until the pool is reset.
-func (p *Prog) eval(ctx *exec.Ctx, pl *pool, b *Batch, root int) *Vector {
-	n := b.Len()
-	c := exec.Card{Batches: 1, In: float64(n)}
-	var buf [2]uint64
-	from := 0
-	if root > 0 {
-		from = p.ends[root-1]
+// eval runs a Compile program over the batch's selected positions, its
+// kernels as one fused loop; root reads the results. The results are only
+// valid until the pool is reset.
+func (p *Prog) eval(ctx *exec.Ctx, pl *pool, b *Batch) {
+	if l := &p.loops[0]; l.kernels > 0 {
+		l.run(ctx, pl, b)
 	}
-	for _, nd := range p.nodes[from:p.ends[root]] {
+}
+
+// root returns root i's result over the batch the last eval ran on: a
+// column root reads the batch's vector (materializing it on first touch), a
+// nil root is nil.
+func (p *Prog) root(ctx *exec.Ctx, b *Batch, i int) *Vector {
+	r := p.roots[i]
+	if r == nil {
+		return nil
+	}
+	if col, ok := r.e.(exec.Col); ok {
+		return b.Col(ctx, col.Idx)
+	}
+	return r.val
+}
+
+// run runs the loop over the batch's selected positions: it binds each node
+// to its vector — a column's through the batch, a kernel's to a scratch
+// vector of the pool — charges the loop, then computes every kernel on the
+// host, with the exact same helpers the row interpreter uses. The host
+// writes every kernel's vector whether or not the loop stores it: what the
+// loop issues is its charge, not the host's layout.
+func (l *loop) run(ctx *exec.Ctx, pl *pool, b *Batch) {
+	for _, nd := range l.nodes {
 		if col, ok := nd.e.(exec.Col); ok {
 			nd.val = b.Col(ctx, col.Idx)
 			continue
 		}
 		out := pl.get(b.cap)
 		nd.val = out //lint:poolescape node results are read by later nodes of this eval and by its caller, all before the pool is reset at the next batch
-		chargeKernel(ctx, c, out.Addr(), nd.r.payload(nd.l.payload(buf[:0]))...)
-		if t, ok := nd.e.(exec.BinOp); ok && evalNumeric(t.Op, nd.l.val, nd.r.val, out, b) {
+	}
+	n := b.Len()
+	chargeLoop(ctx, exec.Card{Batches: 1, In: float64(n)}, l)
+	for _, nd := range l.nodes {
+		if !nd.kernel() {
+			continue
+		}
+		if t, ok := nd.e.(exec.BinOp); ok && evalNumeric(t.Op, nd.l.val, nd.r.val, nd.val, b) {
 			continue
 		}
 		for k := 0; k < n; k++ {
 			i := b.Pos(k)
-			out.Set(i, nd.at(i))
+			nd.val.Set(i, nd.at(i))
 		}
 	}
-	if p.roots[root] == nil {
-		return nil
-	}
-	return p.roots[root].val
 }
 
 // at computes kernel node nd's element at batch position i from its
@@ -382,7 +519,7 @@ func evalNumeric(op exec.BinOpKind, l, r, out *Vector, b *Batch) bool {
 		if out.f == nil {
 			out.f = make([]float64, out.cap)
 		}
-		//lint:nocharge the kernel's dispatch and payload traffic are charged by the caller (chargeKernel in Prog.eval), whichever element loop runs
+		//lint:nocharge the kernel's work and payload traffic are charged with its fused loop (chargeLoop in loop.run), whichever element loop runs
 		for k := 0; k < n; k++ {
 			i := b.Pos(k)
 			out.clearNull(i)
@@ -393,7 +530,7 @@ func evalNumeric(op exec.BinOpKind, l, r, out *Vector, b *Batch) bool {
 	if out.i == nil {
 		out.i = make([]int64, out.cap)
 	}
-	//lint:nocharge as above: charged by the caller before the element loop
+	//lint:nocharge as above: charged with the kernel's fused loop
 	for k := 0; k < n; k++ {
 		i := b.Pos(k)
 		out.clearNull(i)
@@ -460,21 +597,24 @@ func boolVal(b bool) value.Value {
 }
 
 // filter narrows the batch's selection by a filter program, one conjunct at
-// a time: each conjunct's new operand nodes are evaluated over the selection
-// the conjuncts before it left, then its root narrows that selection. An
-// empty selection still runs the remaining conjuncts, at no elements: a
-// chain dispatches once per root batch.
+// a time: each conjunct's loop evaluates its new operand nodes over the
+// selection the conjuncts before it left, then its root narrows that
+// selection. An empty selection still runs the remaining conjuncts, at no
+// elements: a chain dispatches once per root batch.
 func (p *Prog) filter(ctx *exec.Ctx, pl *pool, b *Batch) {
-	var buf [2]uint64
 	for i, root := range p.roots {
-		pred := p.eval(ctx, pl, b, i)
 		c := exec.Card{Batches: 1, In: float64(b.Len())}
 		if root.kernel() {
+			p.loops[i].run(ctx, pl, b)
 			root.selectInto(b)
 			c.Out = float64(b.Len())
-			chargeSelect(ctx, c, b.selAddr(), root.r.payload(root.l.payload(buf[:0]))...)
+			chargeSelect(ctx, c, b.selAddr())
 			continue
 		}
+		if col, ok := root.e.(exec.Col); ok {
+			root.val = b.Col(ctx, col.Idx)
+		}
+		pred := root.val
 		if o, ok := pred.numeric(); ok {
 			b.narrowSel(func(i int) bool { return o.at(i) != 0 })
 		} else {

@@ -179,8 +179,9 @@ func (p *Project) Next() (*Batch, error) {
 	// every batch with zero attributed work (chargepath finding).
 	ChargeDispatch(p.Ctx, exec.Card{Batches: 1})
 	p.p.reset()
+	p.prog.eval(p.Ctx, p.p, b)
 	for i := range p.out.Cols {
-		p.out.Cols[i] = p.prog.eval(p.Ctx, p.p, b, i)
+		p.out.Cols[i] = p.prog.root(p.Ctx, b, i)
 	}
 	p.out.N, p.out.Sel, p.out.cap = b.N, b.Sel, b.cap
 	return &p.out, nil
@@ -190,12 +191,13 @@ func (p *Project) Next() (*Batch, error) {
 func (p *Project) Close() error { return p.Child.Close() }
 
 // Agg is batch-at-a-time hash aggregation: group keys and aggregate
-// arguments are evaluated as vectors by one kernel program, so a
+// arguments are evaluated by one kernel program (CompileAgg), so a
 // subexpression several of them share runs once per batch; then one
 // table-update primitive per batch probes and updates the simulated hash
-// table for every selected element. The groups live in an exec.GroupTable —
-// the row GroupBy's table — so results are bit-identical to the row path.
-// Groups are emitted in first-seen order, batch by batch.
+// table for every selected element, its arguments unstored. The groups live
+// in an exec.GroupTable — the row GroupBy's table — so results are
+// bit-identical to the row path. Groups are emitted in first-seen order,
+// batch by batch.
 type Agg struct {
 	Ctx     *exec.Ctx
 	Child   Operator
@@ -226,11 +228,10 @@ func (g *Agg) Open() error {
 
 	table := exec.NewGroupTable(g.Ctx, len(g.GroupBy), g.Aggs)
 	g.p = newPool(g.Ctx)
-	exprs := exec.AggExprs(g.GroupBy, g.Aggs)
-	prog := Compile(exprs...)
+	prog := CompileAgg(g.GroupBy, g.Aggs)
 
-	vs := make([]*Vector, len(exprs))
-	vals := make([]value.Value, len(exprs))
+	vs := make([]*Vector, len(g.GroupBy)+len(g.Aggs))
+	vals := make([]value.Value, len(vs))
 	keyVals, args := vals[:len(g.GroupBy)], vals[len(g.GroupBy):]
 	for {
 		b, err := g.Child.Next()
@@ -242,13 +243,15 @@ func (g *Agg) Open() error {
 		}
 		g.Ctx.Poll()
 		g.p.reset()
+		prog.eval(g.Ctx, g.p, b)
 		for i := range vs {
-			vs[i] = prog.eval(g.Ctx, g.p, b, i)
+			vs[i] = prog.root(g.Ctx, b, i)
 		}
 		n := b.Len()
 		// One table-update primitive for the whole batch: the probe
 		// loads, accumulator stores and update arithmetic for n
-		// elements, dispatched once.
+		// elements, dispatched once, taking the arguments from the
+		// program's loop in registers.
 		ChargeAggUpdate(g.Ctx, exec.Card{Batches: 1, In: float64(n)}, len(g.Aggs), table.Base())
 		for k := 0; k < n; k++ {
 			i := b.Pos(k)

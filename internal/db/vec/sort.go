@@ -63,12 +63,13 @@ func (s *Sort) Open() error {
 			continue
 		}
 		// Bulk key extraction: the keys' program computes each as a typed
-		// vector (columns alias the batch, computed keys run as kernels),
-		// then one packing primitive per key appends it to the columnar key
-		// store, key by key.
+		// vector in one loop (columns alias the batch, computed keys run as
+		// kernels), then one packing primitive per key appends it to the
+		// columnar key store, key by key.
 		s.p.reset()
+		prog.eval(s.Ctx, s.p, b)
 		for kc := range s.Keys {
-			kv := prog.eval(s.Ctx, s.p, b, kc)
+			kv := prog.root(s.Ctx, b, kc)
 			ChargeSortPack(s.Ctx, exec.Card{Batches: 1, In: float64(n)}, kv.Addr(), kv.Const(), s.keyBase)
 			for k := 0; k < n; k++ {
 				keys.Append(kc, kv.Get(b.Pos(k)))

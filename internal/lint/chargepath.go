@@ -31,7 +31,7 @@ import (
 //     touch on every path plus a lexical charge), guaranteed on every path
 //     from an enclosing anchor to the loop (batch-granular charging before
 //     a per-element loop), or guaranteed between loop exit and the end of
-//     the enclosing iteration (charging after the loop, chargeKernel
+//     the enclosing iteration (charging after the loop, chargeLoop
 //     style).
 //
 //  3. Vectorized dispatch (package vec only): element loops must also be
