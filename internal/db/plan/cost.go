@@ -159,7 +159,13 @@ func (a *est) Others(n float64) { a.other += n }
 // randLoad charges n dependent loads at uniformly random addresses within a
 // working set of setBytes, blending hit levels by the fraction of the set
 // each cache level holds.
-func (c *coster) randLoad(a *est, n, setBytes float64) {
+func (c *coster) randLoad(a *est, n, setBytes float64) { c.randLoads(a, n, setBytes, true) }
+
+// randLoads is randLoad for dependent or independent loads. An independent
+// load (memsim's Load(addr, false)) hides an L1D hit entirely and exposes
+// only a deeper level's latency beyond L1D, spread over the memory-level
+// parallelism.
+func (c *coster) randLoads(a *est, n, setBytes float64, dependent bool) {
 	if n <= 0 {
 		return
 	}
@@ -175,7 +181,11 @@ func (c *coster) randLoad(a *est, n, setBytes float64) {
 	a.l2 += n * (1 - p1)
 	a.l3 += n * (1 - p1 - p2)
 	a.mem += n * pm
-	a.stall += n * (p1*c.depL1 + p2*c.depL2 + p3*c.depL3 + pm*c.depMem)
+	if dependent {
+		a.stall += n * (p1*c.depL1 + p2*c.depL2 + p3*c.depL3 + pm*c.depMem)
+		return
+	}
+	a.stall += n * (p2*c.indL2 + p3*c.indL3 + pm*c.indMem)
 }
 
 // sortInsertionBlock is the run length below which sort.SliceStable switches
@@ -415,22 +425,34 @@ func (c *coster) indexEntries(a *est, n float64, entries int) {
 	a.addIn(miss)
 }
 
-// heapFetch charges n random single-row fetches from the heap.
-func (c *coster) heapFetch(a *est, n float64, t *engine.Table) {
+// heapFetch charges n random single-row fetches from the heap: per row its
+// lines and the header line of the pool frame that holds it. The row
+// operators' ReadRow chases both, dependent loads. The batch form's
+// ReadRows (batched) knows every id before it reads one and issues the same
+// lines as independent loads. Its ids come in index-key order, not heap
+// order, so a batched fetch whose rows span more than L3 finds none of its
+// lines cached when the statement runs again — each run evicts its earliest
+// lines before it returns to them — and those lines are priced from DRAM.
+// The row form keeps the capacity blend.
+func (c *coster) heapFetch(a *est, n float64, t *engine.Table, batched bool) {
 	if n <= 0 {
 		return
 	}
 	w := c.heapRowWidth(t)
 	lines := math.Ceil(w / 64)
 	r := residentFrac(t)
-	c.randLoad(a, n*lines*r, c.heapBytes(t))
+	set := c.heapBytes(t)
+	if batched && math.Min(set, n*lines*memsim.LineSize) > c.l3Bytes {
+		set = math.Inf(1)
+	}
+	c.randLoads(a, n*lines*r, set, !batched)
 	if r < 1 {
 		pageLines := float64(c.e.Knobs.PageBytes) / 64
 		c.coldLines(a, n*(1-r)*pageLines)
 		a.l1d += n * (1 - r) * lines
 	}
 	// Pool frame lookup: the header line of whichever page holds the row.
-	c.randLoad(a, n, math.Ceil(c.heapBytes(t)/float64(c.e.Knobs.PageBytes))*memsim.LineSize)
+	c.randLoads(a, n, math.Ceil(c.heapBytes(t)/float64(c.e.Knobs.PageBytes))*memsim.LineSize, !batched)
 }
 
 // writeRows charges what the storage layer issues for n rows an UPDATE or

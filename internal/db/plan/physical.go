@@ -577,9 +577,11 @@ func chargeRow(n *Node, k cards, s exec.Sink) {
 // log and heap stores of a write — in
 // either execution mode: both executors issue them at the same addresses.
 // The vector join adds the gather's scattered first-line load per match;
-// the vector aggregate's table fits the cache and has no such term. Both
-// modes are priced on the row executor's dependent schedule, although a
-// batch issues some of these loads independently (DESIGN.md §14).
+// the vector aggregate's table fits the cache and has no such term. The
+// batch heap fetch is priced on its own independent schedule (heapFetch);
+// everything else both modes price on the row executor's dependent
+// schedule, although a batch issues some of those loads independently —
+// the hash join's bucket heads, SeekBatch's descents (DESIGN.md §14).
 func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 	c := pc.c
 	switch n.Kind {
@@ -589,12 +591,12 @@ func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 		tree := n.Table.Index(n.IdxCol)
 		c.btreeDescend(a, 1, tree.Height(), tree.Len())
 		c.indexEntries(a, k.scanned, tree.Len())
-		c.heapFetch(a, k.scanned, n.Table)
+		c.heapFetch(a, k.scanned, n.Table, vector)
 	case opIndexJoin:
 		tree := n.Table.Index(n.InnerColName)
 		c.btreeDescend(a, k.in, tree.Height(), tree.Len())
 		c.indexEntries(a, k.matches, tree.Len())
-		c.heapFetch(a, k.matches, n.Table)
+		c.heapFetch(a, k.matches, n.Table, vector)
 	case opHashJoin:
 		table := exec.HashTableBytes(k.build)
 		c.randLoad(a, k.build, table)   // bucket load per build row

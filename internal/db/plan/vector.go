@@ -1,8 +1,8 @@
 package plan
 
 import (
+	"maps"
 	"math"
-	"slices"
 
 	"energydb/internal/db/exec"
 	"energydb/internal/db/vec"
@@ -53,12 +53,13 @@ func vecEligibleKind(k opKind) bool {
 // the scan, or the join, sort or aggregate that re-batched its output —
 // however few rows stay selected. rows counts the positions behind those
 // batches. mat is set for a lazily backed batch (vec.Batch over raw rows)
-// and records the columns the subtree below has materialized — a first
-// touch covers every position, selected or not; it is nil when every vector
-// is materialized already (kernel outputs).
+// and holds the state the consumers below left each column in (a column
+// absent is untouched): read by one loop straight from the rows, or stored;
+// Prune hands it through with the slots remapped. It is nil when every
+// vector is materialized already (kernel outputs).
 type flow struct {
 	batches, rows float64
-	mat           map[int]bool
+	mat           map[int]vec.ColState
 }
 
 // live returns the part of f a buffering consumer looks at. vec.HashJoin and
@@ -73,19 +74,6 @@ func (f *flow) live(sel float64) (batches, rows float64) {
 	return f.batches * p, f.rows * p
 }
 
-// copyMat copies a materialization set (nil stays nil), so a consumer can
-// mark columns without touching the flow its child handed over.
-func copyMat(mat map[int]bool) map[int]bool {
-	if mat == nil {
-		return nil
-	}
-	c := make(map[int]bool, len(mat))
-	for col := range mat {
-		c[col] = true
-	}
-	return c
-}
-
 // maxForms bounds how many index scans choosePlan settles by trying every
 // combination of vector forms; the scans beyond it run as index scans.
 const maxForms = 4
@@ -98,8 +86,8 @@ const maxForms = 4
 // sequential scan's per-tuple interpretation over the whole heap and an
 // index scan's only over the rows it fetches. Nor does the scan's own price:
 // a sequential scan hands on a batch per batch width of heap and every
-// position behind it, and the consumers above pay for both — a join's key
-// column materializes over every position.
+// position behind it, and the consumers above pay for both — a dispatch per
+// batch, selected rows or not.
 func (pc *planCtx) choosePlan(root *Node) {
 	vector := !pc.e.Knobs.DisableVectorExec && !keyed(root)
 	var forms [][2]Node
@@ -231,9 +219,12 @@ func compileVec(n *Node) *progs {
 	if n.progs != nil {
 		return n.progs
 	}
-	pr := &progs{list: vec.Compile(slices.Concat(n.Exprs, exec.SortExprs(n.SortKeys))...), post: vec.Compile(n.PostExprs...)}
-	if n.Kind == opAggregate {
+	pr := &progs{list: vec.Compile(n.Exprs...), post: vec.Compile(n.PostExprs...)}
+	switch n.Kind {
+	case opAggregate:
 		pr.list = vec.CompileAgg(n.GroupExprs, n.Aggs)
+	case opSort:
+		pr.list = vec.CompileSort(n.SortKeys)
 	}
 	if n.Filter != nil {
 		pr.filter = vec.CompileFilter(n.Filter)
@@ -243,9 +234,9 @@ func compileVec(n *Node) *progs {
 }
 
 // costVec prices n in vector mode against its children's output flows (in)
-// and returns its own. The flows thread the chain root's batch count up a
-// chain and the consumer's column demand down it: a parent is charged
-// Batch.Col materialization only for the columns it references.
+// and returns its own. The flows thread the chain root's batch count and
+// each column's state up a chain: a parent is charged for a column only as
+// it takes one it references (vec.ColState.Take).
 func (pc *planCtx) costVec(n *Node, pr *progs, in []*flow) (float64, *flow) {
 	k := pc.bindVec(n, in)
 	a := pc.c.newEst()
@@ -334,39 +325,27 @@ func (k *cards) bindFlows(n *Node, in []*flow) {
 	}
 }
 
-// toucher returns the planner's stand-in for vec.Batch.Col on the batches
-// of f: the first touch of a column a lazily backed batch has not
-// materialized yet charges its materialization and marks it.
-func toucher(s exec.Sink, f *flow) func(col int) {
-	return func(col int) {
-		if f.mat != nil && !f.mat[col] {
-			f.mat[col] = true
-			vec.ChargeMaterialize(s, exec.Card{Batches: f.batches, In: f.rows}, 0)
-		}
-	}
-}
-
 // chargeProject charges a vectorized projection of c: its driver dispatch
 // and the select list's kernel program.
-func chargeProject(s exec.Sink, c exec.Card, exprs *vec.Prog, touch func(col int)) {
+func chargeProject(s exec.Sink, c exec.Card, exprs *vec.Prog, touch vec.Touch) {
 	vec.ChargeDispatch(s, c)
 	exprs.Charge(s, c, touch)
 }
 
 // chargeVec issues the modelled charges of n's vectorized operator at k,
 // given the flows its children hand over, and returns the flow n hands its
-// own consumer. Only columns a node's kernels reference materialize here;
-// the rest do where (and if) a parent first touches them — which is how a
-// consumer's column demand, not the producer's supply, ends up priced.
+// own consumer. Only columns a node references are taken here; the rest are
+// where (and if) a parent takes them — which is how a consumer's column
+// demand, not the producer's supply, ends up priced.
 func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 	// The batches n's kernels run over: the first child's, at the bound
 	// extent (a scan's are its own). Pass-through operators hand the same
 	// lazily backed batches on; kernel outputs are fully materialized.
-	src := &flow{batches: k.batches, rows: k.backRows, mat: map[int]bool{}}
+	src := &flow{batches: k.batches, rows: k.backRows, mat: map[int]vec.ColState{}}
 	if len(in) > 0 {
-		src.mat = copyMat(in[0].mat)
+		src.mat = maps.Clone(in[0].mat) // the consumer moves its own copy on
 	}
-	touch := toucher(s, src)
+	touch := vec.Toucher(s, src.mat)
 	made := &flow{batches: k.batches, rows: k.backRows}
 	arriving := exec.Card{Batches: k.batches, In: k.in, Out: k.out}
 	switch n.Kind {
@@ -390,26 +369,31 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 		}
 		return src
 	case opIndexJoin:
-		// One key kernel per probe batch over its materialized key column;
-		// then per output batch the fetch primitive and the gather that
-		// assembles probe and inner rows, and the residual over the joined
-		// batch. Lookups and fetches themselves are the model's.
+		// One key kernel per probe batch, which reads the key column; then
+		// per output batch the fetch primitive and the gather that assembles
+		// probe and inner rows, and the residual over the joined batch.
+		// Lookups and fetches themselves are the model's.
 		vec.ChargeDispatch(s, arriving)
-		touch(n.OuterKey)
+		touch(n.OuterKey, arriving, vec.Read)
 		vec.ChargeJoinProbe(s, arriving, 0)
 		matched := exec.Card{Batches: k.outBatches, In: k.matches, Out: k.matches}
 		vec.ChargeFetch(s, matched, 0)
 		vec.ChargeDispatch(s, matched)
 		vec.ChargeJoinGather(s, matched, vec.RowLines(n.Kids[0].schema.RowWidth()), vec.RowLines(n.Table.Schema().RowWidth()), 0)
-		out := &flow{batches: k.outBatches, rows: k.matches, mat: map[int]bool{}}
+		out := &flow{batches: k.outBatches, rows: k.matches, mat: map[int]vec.ColState{}}
 		if pr.filter != nil {
-			pr.filter.ChargeFilter(s, k.outBatches, k.conj, toucher(s, out))
+			pr.filter.ChargeFilter(s, k.outBatches, k.conj, vec.Toucher(s, out.mat))
 		}
 		return out
 	case opPrune:
+		// The slots remapped: a lazily backed batch passes through, each
+		// kept column in the state it arrived in.
 		vec.ChargePrune(s, arriving, len(n.Cols))
-		for _, c := range n.Cols {
-			touch(c)
+		if src.mat != nil {
+			made.mat = map[int]vec.ColState{}
+			for i, c := range n.Cols {
+				made.mat[i] = src.mat[c]
+			}
 		}
 	case opProject:
 		chargeProject(s, arriving, pr.list, touch)
@@ -425,28 +409,27 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 			vec.ChargeMaterialize(s, groups, 0)
 		}
 		made = &flow{batches: k.outBatches, rows: k.out}
-		chargeProject(s, groups, pr.post, toucher(s, made))
+		chargeProject(s, groups, pr.post, vec.Toucher(s, made.mat))
 	case opHashJoin:
 		// Build: a collect dispatch per batch, the chunked hashing of the
-		// row buffer, an entry store per row. Probe: the key column of a
-		// lazily backed probe batch materializes, then one key-hash kernel
-		// per batch. Matches: one gather per output batch. The output is
-		// backed by the assembled rows, so which of its columns become
-		// vectors is priced where a consumer (or the residual here) touches
-		// them.
+		// row buffer, an entry store per row. Probe: one key-hash kernel per
+		// batch, which reads the key column. Matches: one gather per output
+		// batch. The output is backed by the assembled rows, so what its
+		// columns cost is priced where a consumer (or the residual here)
+		// takes them.
 		buildLines := vec.RowLines(n.Kids[1].schema.RowWidth())
 		vec.ChargeDispatch(s, exec.Card{Batches: k.buildBatches})
 		vec.ChargeJoinBuild(s, exec.Card{Batches: k.chunks, In: k.build}, buildLines, 0)
 		vec.ChargeJoinInsert(s, exec.Card{In: k.build}, 0)
 		vec.ChargeDispatch(s, arriving)
-		touch(n.OuterKey)
+		touch(n.OuterKey, arriving, vec.Read)
 		vec.ChargeJoinProbe(s, arriving, 0)
 		matched := exec.Card{Batches: k.outBatches, In: k.matches}
 		vec.ChargeDispatch(s, matched)
 		vec.ChargeJoinGather(s, matched, vec.RowLines(n.Kids[0].schema.RowWidth()), buildLines, 0)
-		out := &flow{batches: k.outBatches, rows: k.matches, mat: map[int]bool{}}
+		out := &flow{batches: k.outBatches, rows: k.matches, mat: map[int]vec.ColState{}}
 		if pr.filter != nil {
-			pr.filter.ChargeFilter(s, k.outBatches, k.conj, toucher(s, out))
+			pr.filter.ChargeFilter(s, k.outBatches, k.conj, vec.Toucher(s, out.mat))
 		}
 		return out
 	case opSort:
@@ -462,7 +445,7 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 		exec.ChargeSortStore(s, arriving, 0)                // fill
 		exec.ChargeSortStore(s, arriving, 0)                // placement
 		vec.ChargeSortEmit(s, exec.Card{Batches: k.outBatches, In: k.in}, 0)
-		return &flow{batches: k.outBatches, rows: k.out, mat: map[int]bool{}}
+		return &flow{batches: k.outBatches, rows: k.out, mat: map[int]vec.ColState{}}
 	}
 	return made
 }

@@ -40,7 +40,7 @@ func TestReadRowsIssuesReadRowsLoads(t *testing.T) {
 
 	got := make([]value.Row, len(ids))
 	before = devBatch.M.Hier.Counters()
-	if err := batch.ReadRows(ids, got); err != nil {
+	if _, err := batch.ReadRows(ids, got); err != nil {
 		t.Fatal(err)
 	}
 	batchCtr := devBatch.M.Hier.Counters().Sub(before)
@@ -55,7 +55,7 @@ func TestReadRowsIssuesReadRowsLoads(t *testing.T) {
 	if batchCtr.StallCycles >= rowCtr.StallCycles {
 		t.Errorf("ReadRows stalls %d cycles, per-id ReadRow %d: the batch schedule should overlap its loads", batchCtr.StallCycles, rowCtr.StallCycles)
 	}
-	if err := batch.ReadRows([]int{3, 4096}, got); err == nil {
+	if _, err := batch.ReadRows([]int{3, 4096}, got); err == nil {
 		t.Error("an out-of-range id must fail the batch")
 	}
 }
@@ -109,7 +109,7 @@ func TestReadRowsRefetchesEvictedFrames(t *testing.T) {
 		}
 	})
 	got := make([]value.Row, len(ids))
-	err := hf.ReadRows(ids, got)
+	_, err := hf.ReadRows(ids, got)
 	dev.M.Hier.SetRecorder(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -956,13 +956,14 @@ func (hf *HeapFile) ReadRow(id int, sequential bool) (row value.Row, visible boo
 // first line as an independent load and streams the rest. Pass 1 may have
 // evicted a frame an earlier id resolved; pass 2 then fetches that page
 // again, as ReadRow would, rather than load from a frame that holds another
-// page. Nothing is simulated when an id is out of range.
-func (hf *HeapFile) ReadRows(ids []int, dst []value.Row) error {
+// page. It returns the simulated address it read the first id's row at.
+// Nothing is simulated when an id is out of range.
+func (hf *HeapFile) ReadRows(ids []int, dst []value.Row) (first uint64, err error) {
 	d := hf.data
 	n := d.rowCount()
 	for _, id := range ids {
 		if id < 0 || id >= n {
-			return fmt.Errorf("storage: row %d out of range [0, %d)", id, n)
+			return 0, fmt.Errorf("storage: row %d out of range [0, %d)", id, n)
 		}
 	}
 	if cap(hf.frames) < len(ids) {
@@ -980,14 +981,23 @@ func (hf *HeapFile) ReadRows(ids []int, dst []value.Row) error {
 		}
 		row, hops, _ := d.row(id, hf.dev.Snap)
 		dst[i] = row
-		rowAddr := hf.pool.frameAddr[frames[i]] + uint64(pageHeaderBytes+id%d.perPage*d.rowWidth)
+		rowAddr := d.rowAddr(hf.pool.frameAddr[frames[i]], id)
+		if i == 0 {
+			first = rowAddr
+		}
 		hf.dev.ChargeChain(hops)
 		h.Load(rowAddr, false)
 		if row != nil && d.rowWidth > memsim.LineSize {
 			h.LoadRange(rowAddr+memsim.LineSize, uint64(d.rowWidth-memsim.LineSize))
 		}
 	}
-	return nil
+	return first, nil
+}
+
+// rowAddr is the simulated address of slot id's row in a frame at
+// frameAddr that holds its page.
+func (d *TableData) rowAddr(frameAddr uint64, id int) uint64 {
+	return frameAddr + uint64(pageHeaderBytes+id%d.perPage*d.rowWidth)
 }
 
 // Machine exposes the device machine (operators issue compute through it).
@@ -1075,6 +1085,7 @@ type BatchScanner struct {
 	next     int
 	curPage  int
 	pageAddr uint64
+	rowAt    uint64 // where the last batch's first row was streamed from
 	buf      []value.Row
 
 	started bool
@@ -1123,6 +1134,10 @@ func (s *BatchScanner) start() {
 // is settled by the first NextBatch.
 func (s *BatchScanner) Reverse() bool { return s.reverse }
 
+// RowAddr returns the simulated address the last batch's first row was
+// streamed from, in the frame that held its page then.
+func (s *BatchScanner) RowAddr() uint64 { return s.rowAt }
+
 // NextBatch returns the next run of rows (nil entries mark slots invisible
 // to the snapshot) and the id of the first, or ok=false when every batch has
 // been handed out. The returned slice is only valid until the following
@@ -1166,11 +1181,14 @@ func (s *BatchScanner) NextBatch() ([]value.Row, int, bool) {
 		if !s.reverse || id == base {
 			edgePage, edgeAddr = page, addr
 		}
+		if id == base {
+			s.rowAt = d.rowAddr(addr, id)
+		}
 		run := d.perPage - slot
 		if rem := base + n - id; run > rem {
 			run = rem
 		}
-		h.LoadRange(addr+uint64(pageHeaderBytes+slot*d.rowWidth), uint64(run*d.rowWidth))
+		h.LoadRange(d.rowAddr(addr, id), uint64(run*d.rowWidth))
 		id += run
 	}
 	s.curPage, s.pageAddr = edgePage, edgeAddr

@@ -59,10 +59,13 @@ func BenchmarkIndexJoin(b *testing.B) {
 // BenchmarkFusedProgram is the host cost of one fused expression loop: TPC-H
 // Q1's aggregate program (CompileAgg; its keys, its shared
 // l_extendedprice * (1 - l_discount) and its eight arguments) over the
-// first batch of lineitem, its columns already materialized, in host ns per
-// row and allocations per batch. The simulated charges the loop issues are
-// part of the cost. `make bench-check` and CI run it once (-benchtime=1x) to
-// keep it compiling and finishing.
+// first batch of lineitem, in host ns per row, allocations per batch and
+// simulated µJ per batch (the charges the loop issues are part of the
+// cost). from=vectors evaluates it over columns already stored in their
+// vectors; from=rows re-points the batch at its raw rows every iteration
+// (Batch.SetRows), so each column goes from its row into the loop — the
+// scan-fused read — inside the timed loop. `make bench-check` and CI run it
+// once (-benchtime=1x) to keep it compiling and finishing.
 func BenchmarkFusedProgram(b *testing.B) {
 	e := benchEngine()
 	lineitem := e.MustTable("lineitem")
@@ -85,12 +88,29 @@ func BenchmarkFusedProgram(b *testing.B) {
 	if err != nil || batch == nil {
 		b.Fatalf("no first batch of lineitem: %v", err)
 	}
+	rows := batch.Rows()
 	eval := vec.EvalEach(e.Ctx, prog)
-	eval(batch) // materializes the columns the program reads
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eval(batch)
+	run := func(b *testing.B, each func()) {
+		each() // the pool's scratch vectors, allocated once
+		b.ReportAllocs()
+		before := e.M.Hier.Counters()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			each()
+		}
+		b.StopTimer()
+		joules := e.M.Profile.Energy.Active(e.M.Hier.Counters().Sub(before), e.M.PState()).Total()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.Len()), "ns/row")
+		b.ReportMetric(joules*1e6/float64(b.N), "µJ/batch")
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.Len()), "ns/row")
+	b.Run("from=vectors", func(b *testing.B) {
+		batch.StoreCols(e.Ctx)
+		run(b, func() { eval(batch) })
+	})
+	b.Run("from=rows", func(b *testing.B) {
+		run(b, func() {
+			batch.SetRows(rows)
+			eval(batch)
+		})
+	})
 }

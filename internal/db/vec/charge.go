@@ -38,9 +38,10 @@ func ChargeScan(s exec.Sink, c exec.Card, sel uint64) {
 }
 
 // ChargeMaterialize fills one vector from row-shaped backing — a lazily
-// backed batch's column on first touch, an aggregate's output column: a
-// dispatch per batch, then a move and a payload store per position (every
-// position, selected or not).
+// backed batch's column that a consumer takes as a vector or that a second
+// consumer reads (ColState.Take), over the In positions selected then; an
+// aggregate's output column, over its groups: a dispatch per batch, then a
+// move and a payload store per position.
 func ChargeMaterialize(s exec.Sink, c exec.Card, at uint64) {
 	s.Tuples(c.Batches)
 	s.Adds(c.In)
@@ -53,12 +54,13 @@ const regBudget = 16
 
 // chargeLoop is one fused element loop of an expression program over the
 // selected elements: one dispatch, a payload load per element for each
-// value the loop reads from memory (a column, or a value an earlier loop
-// stored), the ALU work of its kernels, a payload store per element for
-// each value it leaves in memory (a root its consumer reads back, or a value
-// a later loop reads), and a store plus a load per element for each value
-// the register budget spills. Values computed and consumed inside the loop
-// stay in registers and issue nothing.
+// value the loop reads from memory (a column — at its row when the loop is
+// the column's first reader — or a value an earlier loop stored), the ALU
+// work of its kernels, a payload store per element for each value it leaves
+// in memory (a root its consumer reads back, or a value a later loop reads),
+// and a store plus a load per element for each value the register budget
+// spills. Values computed and consumed inside the loop stay in registers and
+// issue nothing.
 func chargeLoop(s exec.Sink, c exec.Card, l *loop) {
 	s.Tuples(c.Batches)
 	for _, in := range l.loads {
@@ -135,11 +137,12 @@ func ChargeJoinBuild(s exec.Sink, c exec.Card, lines int, buf uint64) {
 // ChargeJoinInsert is the bucket-entry store of one build row.
 func ChargeJoinInsert(s exec.Sink, c exec.Card, slot uint64) { s.Stores(slot, c.In) }
 
-// ChargeJoinProbe is the payload of a join's key kernel, after its dispatch
-// and the key columns' materialization: the key loads and the per-key
-// arithmetic (the hash, or the index join's NULL test and search-key setup).
-// The bucket-head load (independent across a probe batch) or the index
-// descent (dependent) per element follows.
+// ChargeJoinProbe is the payload of a join's key kernel, after its dispatch:
+// the key loads (from the probe rows when the kernel is the key column's
+// first reader, Batch.take) and the per-key arithmetic (the hash, or the
+// index join's NULL test and search-key setup). The bucket-head load
+// (independent across a probe batch) or the index descent (dependent) per
+// element follows.
 func ChargeJoinProbe(s exec.Sink, c exec.Card, keys ...uint64) {
 	for _, k := range keys {
 		s.Loads(k, c.In*kernelLoadsPerVal)

@@ -39,7 +39,8 @@ func (p *pool) get(cap int) *Vector {
 // program: its column reads and kernels in evaluation order, operands before
 // the kernel that consumes them, and one root per expression. Each distinct
 // subexpression is one node, however often the list holds it, so it is read
-// or computed once per batch. Column references alias the batch's vectors,
+// or computed once per batch. A column a kernel reads is loaded by the loop
+// (from the backing rows, if no consumer took it before: Batch.take),
 // constants broadcast from a register, and every other node is one kernel.
 // The executor evaluates the sequence per batch (eval) and the planner
 // prices the same sequence at estimated cardinalities (Charge), so which
@@ -59,6 +60,10 @@ type Prog struct {
 	nodes []*progNode // column reads and kernels; constants are operands only
 	roots []*progNode // one per expression, nil for a nil one
 	loops []loop      // the fused element loops, in the order they run
+	// bare is how a column root reaches the program's consumer: stored for a
+	// projection that hands it on, read by a sort's key pack, or hold —
+	// loaded by an aggregate's loop for its table update.
+	bare Use
 }
 
 // progNode is a column read (exec.Col), a constant (val fixed), or a kernel
@@ -67,6 +72,7 @@ type progNode struct {
 	e    exec.Expr
 	l, r *progNode
 	val  *Vector // result for the current batch
+	from uint64  // a column's: where the current batch's loads of it go
 }
 
 // nodeKey is a node's structure, by which Compile finds the node a
@@ -84,21 +90,31 @@ type nodeKey struct {
 // Compile compiles the expressions into one program, root i computing
 // es[i]; a nil expression (COUNT(*)'s argument) has a nil root. Every exec
 // expression has a kernel; an expression type without one panics. Its one
-// loop stores every kernel root, which its consumer reads back.
-func Compile(es ...exec.Expr) *Prog { return compile(es, len(es)) }
+// loop stores every kernel root, which its consumer reads back, and a column
+// root is stored for the consumer to take (Batch.take, Store).
+func Compile(es ...exec.Expr) *Prog { return compile(es, len(es), Store) }
+
+// CompileSort compiles a sort's keys: the loop stores every kernel key, and
+// each key's packing primitive then reads its key once per element — a
+// column key straight from the batch, as a loop's own read (Read).
+func CompileSort(keys []exec.SortKey) *Prog {
+	return compile(exec.SortExprs(keys), len(keys), Read)
+}
 
 // CompileAgg compiles a hash aggregation's expression list, exec.AggExprs:
 // the GROUP BY keys, then one argument per aggregate. The argument roots go
 // straight into the table update the loop runs into (ChargeAggUpdate): they
-// stay in registers to the loop's end and are never stored.
+// stay in registers to the loop's end and are never stored. So does every
+// column root, which the loop loads itself.
 func CompileAgg(groupBy []exec.Expr, aggs []exec.AggSpec) *Prog {
-	return compile(exec.AggExprs(groupBy, aggs), len(groupBy))
+	return compile(exec.AggExprs(groupBy, aggs), len(groupBy), hold)
 }
 
 // compile compiles es as one loop whose first stored roots are stored and
-// whose other roots are held to the loop's end.
-func compile(es []exec.Expr, stored int) *Prog {
-	p := &Prog{roots: make([]*progNode, len(es))}
+// whose other roots are held to the loop's end; a column root reaches the
+// consumer as bare says, and under hold the loop holds it too.
+func compile(es []exec.Expr, stored int, bare Use) *Prog {
+	p := &Prog{roots: make([]*progNode, len(es)), bare: bare}
 	seen := map[nodeKey]*progNode{}
 	for i, e := range es {
 		if e != nil {
@@ -109,7 +125,16 @@ func compile(es []exec.Expr, stored int) *Prog {
 	for _, r := range p.roots[:stored] {
 		store[r] = true
 	}
-	p.loops = []loop{fuse(p.nodes, nil, store, p.roots[stored:])}
+	held := p.roots[stored:]
+	if bare == hold {
+		held = nil
+		for i, r := range p.roots {
+			if _, ok := r.column(); ok || i >= stored {
+				held = append(held, r)
+			}
+		}
+	}
+	p.loops = []loop{fuse(p.nodes, nil, store, held)}
 	return p
 }
 
@@ -151,7 +176,8 @@ func CompileFilter(pred exec.Expr) *Prog {
 // kernels it binds and computes, in order; the values it loads (columns,
 // and values an earlier loop stored), the values it stores (for a consumer
 // after the loop), and the values the register budget spills. Every other
-// value it computes lives and dies in a register.
+// value it computes lives and dies in a register. A loop with no kernel
+// loads only columns an aggregate's table update takes, into registers.
 type loop struct {
 	nodes                 []*progNode
 	kernels               int // kernel nodes, a filter conjunct's selection primitive included
@@ -160,7 +186,8 @@ type loop struct {
 
 // fuse schedules the loop over nodes that ends in selection primitive sel
 // (nil for none). A kernel in store is stored once; the values in held stay
-// live to the loop's end. A value is live from the kernel that loads or
+// live to the loop's end, and a held column no kernel reads is loaded for
+// it, at the end. A value is live from the kernel that loads or
 // computes it to the last kernel of the loop that reads it; where more than
 // regBudget values are live at once, the excess spill: the values loaded or
 // computed last among those live where the count first peaks.
@@ -203,6 +230,9 @@ func fuse(nodes []*progNode, sel *progNode, store map[*progNode]bool, held []*pr
 	for _, n := range held {
 		if s, ok := span[n]; ok {
 			span[n] = [2]int{s[0], len(steps)}
+		} else if _, ok := n.column(); ok {
+			l.loads = append(l.loads, n)
+			use(n, len(steps))
 		}
 	}
 	liveAt := func(n *progNode, at int) bool { return span[n][0] <= at && at <= span[n][1] }
@@ -229,13 +259,28 @@ func fuse(nodes []*progNode, sel *progNode, store map[*progNode]bool, held []*pr
 	return l
 }
 
-// addr is the payload address of the node's current value, zero before the
-// first eval (and in the planner's programs, which never evaluate).
+// addr is the address the loop's loads and stores of the node's current
+// value go to: a column's where the batch's take put them, a kernel's
+// payload. It is zero before the first eval (and in the planner's programs,
+// which never evaluate).
 func (n *progNode) addr() uint64 {
+	if _, ok := n.column(); ok {
+		return n.from
+	}
 	if n.val == nil {
 		return 0
 	}
 	return n.val.Addr()
+}
+
+// column returns the column a column-read node reads; false for any other
+// node, and for nil.
+func (n *progNode) column() (int, bool) {
+	if n == nil {
+		return 0, false
+	}
+	c, ok := n.e.(exec.Col)
+	return c.Idx, ok
 }
 
 // Conjuncts splits a predicate's AND tree into the conjuncts a filter
@@ -317,23 +362,36 @@ func (n *progNode) kernel() bool {
 }
 
 // Charge charges one evaluation per batch over c.In selected elements:
-// touch is told each column read — whether that materializes the column
-// depends on what the chain below already touched, which the caller knows —
-// and the program's loop is charged, each kernel once however many roots
-// share it. A program whose every root is a column or constant runs no loop.
-func (p *Prog) Charge(s exec.Sink, c exec.Card, touch func(col int)) {
+// touch is told each column the loop reads, then each column root the
+// consumer takes as the program's bare use — what that costs depends on
+// which consumers took the column before, which the caller knows — and the
+// program's loop is charged, each kernel once however many roots share it. A
+// program whose every root is a column or constant runs no loop, except an
+// aggregate's, which loads its column roots for the table update.
+func (p *Prog) Charge(s exec.Sink, c exec.Card, touch Touch) {
 	l := &p.loops[0]
-	l.touch(touch)
-	if l.kernels > 0 {
+	l.read(c, touch)
+	if l.runs() {
 		chargeLoop(s, c, l)
+	}
+	if p.bare == hold {
+		return
+	}
+	for _, r := range p.roots {
+		if col, ok := r.column(); ok {
+			touch(col, c, p.bare)
+		}
 	}
 }
 
-// touch tells touch each column the loop reads.
-func (l *loop) touch(touch func(col int)) {
-	for _, n := range l.nodes {
-		if col, ok := n.e.(exec.Col); ok {
-			touch(col.Idx)
+// runs reports whether the loop has anything to issue.
+func (l *loop) runs() bool { return l.kernels > 0 || len(l.loads) > 0 }
+
+// read tells touch each column the loop loads, over c.
+func (l *loop) read(c exec.Card, touch Touch) {
+	for _, n := range l.loads {
+		if col, ok := n.column(); ok {
+			touch(col, c, Read)
 		}
 	}
 }
@@ -344,21 +402,24 @@ func (l *loop) touch(touch func(col int)) {
 // leaving the last. Conjunct i's loop runs over its rows[i] candidates: a
 // selection primitive (its loop, then chargeSelect) where the root is a
 // kernel, a predicate-vector narrowing (chargeNarrow) where it is a bare
-// column or constant, which has no kernel to fuse.
-func (p *Prog) ChargeFilter(s exec.Sink, batches float64, rows []float64, touch func(col int)) {
+// column, which it reads, or a constant, which has no kernel to fuse.
+func (p *Prog) ChargeFilter(s exec.Sink, batches float64, rows []float64, touch Touch) {
 	if len(rows) != len(p.roots)+1 {
 		panic(fmt.Sprintf("vec: %d row counts for a filter of %d conjuncts", len(rows), len(p.roots)))
 	}
 	for i, root := range p.roots {
 		c := exec.Card{Batches: batches, In: rows[i], Out: rows[i+1]}
-		l := &p.loops[i]
-		l.touch(touch)
 		if root.kernel() {
+			l := &p.loops[i]
+			l.read(c, touch)
 			chargeLoop(s, c, l)
 			chargeSelect(s, c, 0)
-		} else {
-			chargeNarrow(s, c, 0, root.isConst(), 0)
+			continue
 		}
+		if col, ok := root.column(); ok {
+			touch(col, c, Read)
+		}
+		chargeNarrow(s, c, 0, root.isConst(), 0)
 	}
 }
 
@@ -366,39 +427,47 @@ func (p *Prog) ChargeFilter(s exec.Sink, batches float64, rows []float64, touch 
 // kernels as one fused loop; root reads the results. The results are only
 // valid until the pool is reset.
 func (p *Prog) eval(ctx *exec.Ctx, pl *pool, b *Batch) {
-	if l := &p.loops[0]; l.kernels > 0 {
+	if l := &p.loops[0]; l.runs() {
 		l.run(ctx, pl, b)
 	}
 }
 
-// root returns root i's result over the batch the last eval ran on: a
-// column root reads the batch's vector (materializing it on first touch), a
-// nil root is nil.
-func (p *Prog) root(ctx *exec.Ctx, b *Batch, i int) *Vector {
+// root returns root i's result over the batch the last eval ran on, and the
+// address its consumer loads it from: a stored kernel's payload, a column
+// taken from the batch as the program's bare use says. An aggregate's roots
+// are held in registers (address zero), a constant broadcasts from one, and
+// a nil root is nil.
+func (p *Prog) root(ctx *exec.Ctx, b *Batch, i int) (*Vector, uint64) {
 	r := p.roots[i]
-	if r == nil {
-		return nil
+	switch {
+	case r == nil:
+		return nil, 0
+	case p.bare == hold, r.isConst():
+		return r.val, 0
 	}
-	if col, ok := r.e.(exec.Col); ok {
-		return b.Col(ctx, col.Idx)
+	if col, ok := r.column(); ok {
+		return b.take(ctx, col, p.bare)
 	}
-	return r.val
+	return r.val, r.val.Addr()
 }
 
-// run runs the loop over the batch's selected positions: it binds each node
-// to its vector — a column's through the batch, a kernel's to a scratch
-// vector of the pool — charges the loop, then computes every kernel on the
-// host, with the exact same helpers the row interpreter uses. The host
-// writes every kernel's vector whether or not the loop stores it: what the
-// loop issues is its charge, not the host's layout.
+// run runs the loop over the batch's selected positions: it binds each
+// kernel to a scratch vector of the pool and takes each column the loop
+// loads from the batch (Batch.take), charges the loop, then computes every
+// kernel on the host, with the exact same helpers the row interpreter uses.
+// The host writes every kernel's vector whether or not the loop stores it:
+// what the loop issues is its charge, not the host's layout.
 func (l *loop) run(ctx *exec.Ctx, pl *pool, b *Batch) {
 	for _, nd := range l.nodes {
-		if col, ok := nd.e.(exec.Col); ok {
-			nd.val = b.Col(ctx, col.Idx)
-			continue
+		if nd.kernel() {
+			out := pl.get(b.cap)
+			nd.val = out //lint:poolescape node results are read by later nodes of this eval and by its caller, all before the pool is reset at the next batch
 		}
-		out := pl.get(b.cap)
-		nd.val = out //lint:poolescape node results are read by later nodes of this eval and by its caller, all before the pool is reset at the next batch
+	}
+	for _, nd := range l.loads {
+		if col, ok := nd.column(); ok {
+			nd.val, nd.from = b.take(ctx, col, Read)
+		}
 	}
 	n := b.Len()
 	chargeLoop(ctx, exec.Card{Batches: 1, In: float64(n)}, l)
@@ -611,17 +680,17 @@ func (p *Prog) filter(ctx *exec.Ctx, pl *pool, b *Batch) {
 			chargeSelect(ctx, c, b.selAddr())
 			continue
 		}
-		if col, ok := root.e.(exec.Col); ok {
-			root.val = b.Col(ctx, col.Idx)
+		pred, at := root.val, uint64(0)
+		if col, ok := root.column(); ok {
+			pred, at = b.take(ctx, col, Read)
 		}
-		pred := root.val
 		if o, ok := pred.numeric(); ok {
 			b.narrowSel(func(i int) bool { return o.at(i) != 0 })
 		} else {
 			b.narrowSel(func(i int) bool { return exec.Truthy(pred.Get(i)) })
 		}
 		c.Out = float64(b.Len())
-		chargeNarrow(ctx, c, pred.Addr(), pred.isConst, b.selAddr())
+		chargeNarrow(ctx, c, at, pred.isConst, b.selAddr())
 	}
 }
 

@@ -142,7 +142,7 @@ func TestConjunctNarrowing(t *testing.T) {
 			if c.emptied > 0 && (conj[c.emptied-1] == 0 || conj[c.emptied] != 0) {
 				t.Fatalf("%v: rows reaching each conjunct %v, want the selection emptied by conjunct %d", c.pred, conj, c.emptied)
 			}
-			checkCharges(t, m, scanCharges(ev, m, c.pred, conj, map[int]bool{}, 0))
+			checkCharges(t, m, scanCharges(ev, m, c.pred, conj, map[int]ColState{}, 0))
 		})
 	}
 }

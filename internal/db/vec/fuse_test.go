@@ -32,7 +32,7 @@ func num(v float64) exec.Expr { return exec.Const{V: value.Float(v)} }
 // selected elements.
 func charged(p *Prog, n float64) traffic {
 	var t traffic
-	p.Charge(&t, exec.Card{Batches: 1, In: n}, func(int) {})
+	p.Charge(&t, exec.Card{Batches: 1, In: n}, func(int, exec.Card, Use) {})
 	return t
 }
 
@@ -80,7 +80,7 @@ func TestFusedCrossingValueStoredOnce(t *testing.T) {
 			first.kernels, len(first.stores), second.kernels, len(second.loads), len(second.stores))
 	}
 	var got traffic
-	p.ChargeFilter(&got, 1, []float64{100, 40, 10}, func(int) {})
+	p.ChargeFilter(&got, 1, []float64{100, 40, 10}, func(int, exec.Card, Use) {})
 	want := traffic{
 		tuples: 2,
 		loads:  100 + 40,      // price in the first loop, price * 2 in the second
@@ -124,8 +124,10 @@ func TestFusedSpillsExcess(t *testing.T) {
 // TestFusedQ1Aggregate: TPC-H Q1's aggregate program computes its shared
 // l_extendedprice * (1 - l_discount) once and stores nothing — its keys
 // are columns and its arguments feed the table update in registers. Its
-// loop loads the three columns a kernel reads, once each. Compiled as a
-// projection of the same list, the four kernel roots would each be stored.
+// loop loads each column it reads once: the three a kernel reads, and
+// l_quantity and the two keys, which only the table update takes. Compiled
+// as a projection of the same list, the four kernel roots would each be
+// stored.
 func TestFusedQ1Aggregate(t *testing.T) {
 	one := exec.Const{V: value.Int(1)}
 	qty, price, disc, tax := col(4), col(5), col(6), col(7)
@@ -139,11 +141,11 @@ func TestFusedQ1Aggregate(t *testing.T) {
 	groupBy := []exec.Expr{col(8), col(9)}
 	p := CompileAgg(groupBy, aggs)
 	l := p.loops[0]
-	if l.kernels != 4 || len(l.stores) != 0 || len(l.loads) != 3 || len(l.spills) != 0 {
-		t.Fatalf("Q1's aggregate loop: %d kernels, %d loads, %d stores, %d spills; want 4, 3, 0, 0",
+	if l.kernels != 4 || len(l.stores) != 0 || len(l.loads) != 6 || len(l.spills) != 0 {
+		t.Fatalf("Q1's aggregate loop: %d kernels, %d loads, %d stores, %d spills; want 4, 6, 0, 0",
 			l.kernels, len(l.loads), len(l.stores), len(l.spills))
 	}
-	if got, want := charged(p, 100), (traffic{tuples: 1, loads: 300, adds: 1600}); got != want {
+	if got, want := charged(p, 100), (traffic{tuples: 1, loads: 600, adds: 1600}); got != want {
 		t.Fatalf("charged %+v, want %+v", got, want)
 	}
 	if got := len(Compile(exec.AggExprs(groupBy, aggs)...).loops[0].stores); got != 2 {

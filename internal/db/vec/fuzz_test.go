@@ -151,18 +151,6 @@ func (t *tally) Stream(uint64, float64)     {}
 func (t *tally) Adds(n float64)             { t.add += n }
 func (t *tally) Others(n float64)           { t.other += n }
 
-// toucher stands in for Batch.Col on the scan's lazily backed batches: the
-// first read of a column mat has not seen charges its materialization over
-// all the scan's batches and positions.
-func toucher(s exec.Sink, mat map[int]bool, scan exec.Emitted) func(col int) {
-	return func(col int) {
-		if !mat[col] {
-			mat[col] = true
-			ChargeMaterialize(s, exec.Card{Batches: float64(scan.Batches), In: float64(scan.Positions)}, 0)
-		}
-	}
-}
-
 // checkCharges requires the meter's arithmetic and plain instruction counts
 // to equal one evaluation of the operator's charge functions at the totals
 // the run produced: charging batch by batch sums to the single evaluation
@@ -246,15 +234,14 @@ func conjunctCounts(t *testing.T, pred exec.Expr, tested exec.Operator) []float6
 }
 
 // scanCharges evaluates a vectorized scan's charges at what its meter saw
-// and at its filter's conjunct arrivals (conj), marking the columns its
-// predicate materialized in mat; lines > 0 adds a RowSource boundary
-// attributed to the scan.
-func scanCharges(e *engine.Engine, m *exec.Meter, pred exec.Expr, conj []float64, mat map[int]bool, lines int) *tally {
-	out := m.Emitted()
-	batches := float64(out.Batches)
+// and at its filter's conjunct arrivals (conj), leaving in mat the state its
+// predicate left each column in (Toucher); lines > 0 adds a RowSource
+// boundary attributed to the scan.
+func scanCharges(e *engine.Engine, m *exec.Meter, pred exec.Expr, conj []float64, mat map[int]ColState, lines int) *tally {
+	batches := float64(m.Emitted().Batches)
 	w := &tally{cm: e.Ctx.Cost}
 	ChargeScan(w, exec.Card{Batches: batches}, 0)
-	CompileFilter(pred).ChargeFilter(w, batches, conj, toucher(w, mat, out))
+	CompileFilter(pred).ChargeFilter(w, batches, conj, Toucher(w, mat))
 	if lines > 0 {
 		ChargeBoundary(w, exec.Card{Batches: batches, In: float64(m.Rows())}, lines, 0)
 	}
@@ -308,6 +295,10 @@ func FuzzVecExec(f *testing.F) {
 	f.Add(int64(20), uint16(600), uint16(1024), uint8(15))
 	f.Add(int64(21), uint16(250), uint16(16), uint8(14))
 	f.Add(int64(22), uint16(777), uint16(128), uint8(18))
+	// An aggregation whose filter's two conjuncts and GROUP BY key all read
+	// price: the first conjunct's loop reads it from the rows, the second
+	// stores it over the first one's survivors, the aggregate loads it.
+	f.Add(int64(32), uint16(400), uint16(63), uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, nRows, batch uint16, mode uint8) {
 		rows := int(nRows) % 800
 		batchSize := int(batch)%MaxBatch + 1
@@ -356,16 +347,12 @@ func FuzzVecExec(f *testing.F) {
 					Ctx: ev.Ctx, Child: scanV, GroupBy: groupBy, Aggs: aggs,
 				}},
 			}, msV, []*exec.Meter{mScanV, mTopV})
-			mat := map[int]bool{}
+			mat := map[int]ColState{}
 			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, scanned(), mat, 0))
 			in, groups := mScanV.Emitted(), mTopV.Emitted()
 			arriving := exec.Card{Batches: float64(in.Batches), In: float64(mScanV.Rows())}
 			w := &tally{cm: ev.Ctx.Cost}
-			exprs := append([]exec.Expr(nil), groupBy...)
-			for _, a := range aggs {
-				exprs = append(exprs, a.Arg)
-			}
-			Compile(exprs...).Charge(w, arriving, toucher(w, mat, in))
+			CompileAgg(groupBy, aggs).Charge(w, arriving, Toucher(w, mat))
 			ChargeAggUpdate(w, arriving, len(aggs), 0)
 			ChargeAggFinalize(w, exec.Card{Batches: 1, In: float64(mTopV.Rows())}, len(groupBy), len(aggs), 0)
 			for i := 0; i < len(groupBy)+len(aggs); i++ {
@@ -442,7 +429,7 @@ func FuzzVecExec(f *testing.F) {
 				},
 				GroupBy: groupBy, Aggs: aggs,
 			}}, msV, []*exec.Meter{mScanV, mTopV})
-			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, scanned(), map[int]bool{}, RowLines(tv.Schema().RowWidth())))
+			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, scanned(), map[int]ColState{}, RowLines(tv.Schema().RowWidth())))
 		case 4:
 			// Index range scan on a random column between random bounds (either
 			// may be open, the range may be empty or inverted), the predicate as
@@ -475,14 +462,14 @@ func FuzzVecExec(f *testing.F) {
 			w := &tally{cm: ev.Ctx.Cost}
 			ChargeFetch(w, fetched, 0)
 			fetched.Out = float64(mScanV.Rows())
-			mat := map[int]bool{}
+			mat := map[int]ColState{}
 			inRange := &exec.IndexScan{Ctx: er.Ctx, File: tr.File, Tree: tr.Index(name), Lo: lo, Hi: hi}
-			CompileFilter(pred).ChargeFilter(w, fetched.Batches, conjunctCounts(t, pred, inRange), toucher(w, mat, out))
+			CompileFilter(pred).ChargeFilter(w, fetched.Batches, conjunctCounts(t, pred, inRange), Toucher(w, mat))
 			checkIndexCharges(t, er, mScanR, mScanV, w, fetched, exec.ExprNodes(pred))
 			arriving := exec.Card{Batches: fetched.Batches, In: fetched.Out}
 			w = &tally{cm: ev.Ctx.Cost}
 			ChargeDispatch(w, arriving)
-			Compile(exprs...).Charge(w, arriving, toucher(w, mat, out))
+			Compile(exprs...).Charge(w, arriving, Toucher(w, mat))
 			checkCharges(t, mTopV, w)
 		case 5:
 			// Index join of the filtered scan to the same table through an
@@ -507,16 +494,16 @@ func FuzzVecExec(f *testing.F) {
 					Residual: residual, BatchSize: batchSize,
 				}},
 			}, msV, []*exec.Meter{mScanV, mTopV})
-			mat := map[int]bool{}
+			mat := map[int]ColState{}
 			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, scanned(), mat, 0))
 			// The join looks at the probe batches with something selected: one
-			// key kernel each, over the key column's first touch.
+			// key kernel each, which reads the key column.
 			in, out := mScanV.Emitted(), mTopV.Emitted()
-			live := exec.Emitted{Batches: in.Live, Positions: in.LivePositions}
+			probed := exec.Card{Batches: float64(in.Live), In: float64(mScanV.Rows())}
 			w := &tally{cm: ev.Ctx.Cost}
-			ChargeDispatch(w, exec.Card{Batches: float64(live.Batches)})
-			toucher(w, mat, live)(probeKey)
-			ChargeJoinProbe(w, exec.Card{In: float64(mScanV.Rows())}, 0)
+			ChargeDispatch(w, probed)
+			Toucher(w, mat)(probeKey, probed, Read)
+			ChargeJoinProbe(w, probed, 0)
 			matched := exec.Card{Batches: float64(out.Batches), In: float64(out.Positions), Out: float64(out.Positions)}
 			ChargeFetch(w, matched, 0)
 			ChargeDispatch(w, matched)
@@ -525,7 +512,7 @@ func FuzzVecExec(f *testing.F) {
 			if residual != nil {
 				pairs := &exec.IndexJoin{Ctx: er.Ctx, Outer: &exec.SeqScan{Ctx: er.Ctx, File: tr.File, Filter: pred},
 					Inner: tr.File, Index: tr.Index(name), OuterKey: probeKey}
-				CompileFilter(residual).ChargeFilter(w, matched.Batches, conjunctCounts(t, residual, pairs), toucher(w, map[int]bool{}, out))
+				CompileFilter(residual).ChargeFilter(w, matched.Batches, conjunctCounts(t, residual, pairs), Toucher(w, map[int]ColState{}))
 			}
 			checkIndexCharges(t, er, mTopR, mTopV, w, matched, exec.ExprNodes(residual))
 		default:
@@ -544,13 +531,13 @@ func FuzzVecExec(f *testing.F) {
 					Ctx: ev.Ctx, Child: scanV, Exprs: exprs,
 				}},
 			}, msV, []*exec.Meter{mScanV, mTopV})
-			mat := map[int]bool{}
+			mat := map[int]ColState{}
 			checkCharges(t, mScanV, scanCharges(ev, mScanV, pred, scanned(), mat, 0))
 			in := mScanV.Emitted()
 			arriving := exec.Card{Batches: float64(in.Batches), In: float64(mScanV.Rows())}
 			w := &tally{cm: ev.Ctx.Cost}
 			ChargeDispatch(w, arriving)
-			Compile(exprs...).Charge(w, arriving, toucher(w, mat, in))
+			Compile(exprs...).Charge(w, arriving, Toucher(w, mat))
 			checkCharges(t, mTopV, w)
 		}
 		if !reflect.DeepEqual(got, want) {

@@ -53,7 +53,10 @@ func newFetcher(ctx *exec.Ctx, file *storage.HeapFile, schema, probe *catalog.Sc
 		rows: make([]value.Row, width),
 		at:   ctx.Arena.Alloc(memsim.LineSize, memsim.LineSize),
 	}
-	if probe != nil {
+	if probe == nil {
+		f.out.heap = file.Schema()
+	} else {
+		f.out.at = f.at
 		f.np = len(probe.Columns)
 		f.probeLines = RowLines(probe.RowWidth())
 		f.innerLines = RowLines(file.Schema().RowWidth())
@@ -90,8 +93,12 @@ func (f *fetcher) emit() (*Batch, error) {
 		return nil, nil
 	}
 	rows := f.rows[:n]
-	if err := f.file.ReadRows(f.ids, rows); err != nil {
+	first, err := f.file.ReadRows(f.ids, rows)
+	if err != nil {
 		return nil, err
+	}
+	if f.out.heap != nil {
+		f.out.at = first
 	}
 	k := 0
 	for i, row := range rows {
@@ -263,14 +270,14 @@ func (j *IndexJoin) Next() (*Batch, error) {
 			if b.Len() == 0 {
 				continue
 			}
-			// The key kernel: a dispatch, the key column (materialized on
-			// first touch), then the key loads and per-key setup in bulk.
+			// The key kernel: a dispatch, the key column read (Batch.take),
+			// then the key loads and per-key setup in bulk.
 			ChargeDispatch(j.Ctx, exec.Card{Batches: 1})
-			key := b.Col(j.Ctx, j.ProbeKey)
+			key, at := b.take(j.Ctx, j.ProbeKey, Read)
 			if c := (exec.Card{In: float64(b.Len())}); key.Const() {
 				ChargeJoinProbe(j.Ctx, c)
 			} else {
-				ChargeJoinProbe(j.Ctx, c, key.Addr())
+				ChargeJoinProbe(j.Ctx, c, at)
 			}
 			if n := b.Len(); cap(j.keys) < n {
 				j.keys, j.sel, j.its = make([]value.Value, 0, n), make([]int, 0, n), make([]btree.Iter, n)

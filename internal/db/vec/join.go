@@ -147,6 +147,7 @@ func (j *HashJoin) Open() error {
 
 	j.out = NewBatch(j.Ctx.Arena, j.Schema(), chunk)
 	j.rowBase = j.Ctx.Arena.Alloc(memsim.LineSize, memsim.LineSize)
+	j.out.at = j.rowBase
 	j.rowBuf = make([]value.Row, chunk)
 	//lint:nopoll bounded by one batch (at most MaxBatch rows), pure allocation
 	for i := range j.rowBuf { //lint:nocharge one-time output-buffer allocation; emitted rows are charged per batch in gather
@@ -164,18 +165,18 @@ func (j *HashJoin) Open() error {
 }
 
 // probeKeys is the vectorized key-hash kernel: one dispatch per probe
-// batch, the key column (materialized on first touch), bulk key loads and
+// batch, the key column read (Batch.take), bulk key loads and
 // hash arithmetic, then a bucket-head load per non-NULL key element —
 // independent, since every head's address follows from its key alone.
 func (j *HashJoin) probeKeys(b *Batch) {
 	n := b.Len()
 	ChargeDispatch(j.Ctx, exec.Card{Batches: 1})
 	h := j.Ctx.M.Hier
-	kv := b.Col(j.Ctx, j.ProbeKey)
+	kv, at := b.take(j.Ctx, j.ProbeKey, Read)
 	if c := (exec.Card{In: float64(n)}); kv.Const() {
 		ChargeJoinProbe(j.Ctx, c)
 	} else {
-		ChargeJoinProbe(j.Ctx, c, kv.Addr())
+		ChargeJoinProbe(j.Ctx, c, at)
 	}
 	j.keys = j.keys[:0]
 	j.keyOK = j.keyOK[:0]
@@ -261,7 +262,7 @@ func (j *HashJoin) Next() (*Batch, error) {
 // the simulator sees the table-sized working set. Every pair's build row is
 // known before any is read, so those first lines are independent loads. No
 // per-column vector traffic happens here: the output stays rows-backed, and
-// a parent kernel pays materialization (Batch.Col) only for the columns it
+// a parent kernel pays (Batch.take) only for the columns it
 // actually touches — the consumer's demand, not the join's supply — so
 // unreferenced columns of wide rows move nothing beyond the block copy.
 func (j *HashJoin) gather(out *Batch) {

@@ -20,8 +20,10 @@ type Operator interface {
 
 // Scan streams a heap file batch-at-a-time: one BatchScanner call per batch
 // (page fetches plus one range load per page run — the same pages and lines
-// as the row scan), lazily materialized columns (Batch.Col charges one
-// primitive per column a kernel actually touches), and an optional
+// as the row scan), lazily backed columns (a column costs what its
+// consumers take of it, Batch.take: a fused read from the row for the
+// first loop that reads it, one materialization over the selected rows for
+// a second consumer, nothing for a column no one references), and an optional
 // pushed-down predicate evaluated into the selection vector. One charge-free
 // Poll bounds cancellation latency per batch instead of per tuple.
 type Scan struct {
@@ -46,6 +48,7 @@ func (s *Scan) Open() error {
 	n := batchWidth(s.Ctx, s.BatchSize)
 	s.bs = s.File.BatchScan(n)
 	s.b = NewBatch(s.Ctx.Arena, s.Schema(), n)
+	s.b.heap = s.Schema()
 	s.p = newPool(s.Ctx)
 	if s.Pred != nil {
 		s.pred = CompileFilter(s.Pred)
@@ -63,6 +66,7 @@ func (s *Scan) Next() (*Batch, error) {
 	b := s.b
 	b.SetRows(rows)
 	b.SetRowIDs(base, nil)
+	b.at = s.bs.RowAddr()
 	// One driver dispatch per batch: the scan's cursor bookkeeping and
 	// batch handoff cost one tuple's worth of interpretation overhead.
 	// Slots invisible to the snapshot arrive as nil holes; drop them via
@@ -93,8 +97,9 @@ func (s *Scan) Close() error { return nil }
 func (s *Scan) Reverse() bool { return s.bs != nil && s.bs.Reverse() }
 
 // Prune narrows each batch to a subset of its columns. Vectors are shared
-// with the child batch — pruning moves no payload bytes, it only remaps the
-// column slots (one batch dispatch).
+// with the child batch and a lazily backed batch stays lazily backed, each
+// kept column in the state its consumers below left it — pruning moves no
+// payload bytes, it only remaps the column slots (one batch dispatch).
 type Prune struct {
 	Ctx   *exec.Ctx
 	Child Operator
@@ -126,11 +131,21 @@ func (p *Prune) Next() (*Batch, error) {
 	}
 	p.Ctx.Poll()
 	ChargePrune(p.Ctx, exec.Card{Batches: 1}, len(p.Cols))
+	// The kept columns, in order, sharing their vectors: a lazily backed
+	// batch hands its backing rows through with the slots remapped and each
+	// slot's state carried over, so nothing is materialized here.
+	o := &p.out
+	o.N, o.Sel, o.cap = b.N, b.Sel, b.cap
+	o.rows, o.base, o.ids, o.heap, o.at = b.rows, b.base, b.ids, b.heap, b.at
+	o.raw, o.state = o.raw[:0], o.state[:0]
 	for i, c := range p.Cols {
-		p.out.Cols[i] = b.Col(p.Ctx, c)
+		o.Cols[i] = b.Cols[c]
+		if b.rows != nil {
+			o.raw = append(o.raw, b.rawCol(c))
+			o.state = append(o.state, b.state[c])
+		}
 	}
-	p.out.N, p.out.Sel, p.out.cap = b.N, b.Sel, b.cap
-	return &p.out, nil
+	return o, nil
 }
 
 // Close implements Operator.
@@ -181,7 +196,7 @@ func (p *Project) Next() (*Batch, error) {
 	p.p.reset()
 	p.prog.eval(p.Ctx, p.p, b)
 	for i := range p.out.Cols {
-		p.out.Cols[i] = p.prog.root(p.Ctx, b, i)
+		p.out.Cols[i], _ = p.prog.root(p.Ctx, b, i)
 	}
 	p.out.N, p.out.Sel, p.out.cap = b.N, b.Sel, b.cap
 	return &p.out, nil
@@ -245,7 +260,7 @@ func (g *Agg) Open() error {
 		g.p.reset()
 		prog.eval(g.Ctx, g.p, b)
 		for i := range vs {
-			vs[i] = prog.root(g.Ctx, b, i)
+			vs[i], _ = prog.root(g.Ctx, b, i)
 		}
 		n := b.Len()
 		// One table-update primitive for the whole batch: the probe

@@ -47,7 +47,7 @@ func (s *Sort) Open() error {
 	s.keyBase = s.Ctx.Arena.Alloc(uint64(width)*8*uint64(len(s.Keys)+1), memsim.LineSize)
 	s.rows = s.rows[:0]
 	keys := exec.NewSortKeys(s.Keys)
-	prog := Compile(exec.SortExprs(s.Keys)...)
+	prog := CompileSort(s.Keys)
 	for {
 		b, err := s.Child.Next()
 		if err != nil {
@@ -62,15 +62,15 @@ func (s *Sort) Open() error {
 		if n == 0 {
 			continue
 		}
-		// Bulk key extraction: the keys' program computes each as a typed
-		// vector in one loop (columns alias the batch, computed keys run as
-		// kernels), then one packing primitive per key appends it to the
-		// columnar key store, key by key.
+		// Bulk key extraction: the keys' program computes each computed key
+		// as a typed vector in one loop, then one packing primitive per key
+		// appends it to the columnar key store, key by key, reading a column
+		// key straight from the batch.
 		s.p.reset()
 		prog.eval(s.Ctx, s.p, b)
 		for kc := range s.Keys {
-			kv := prog.root(s.Ctx, b, kc)
-			ChargeSortPack(s.Ctx, exec.Card{Batches: 1, In: float64(n)}, kv.Addr(), kv.Const(), s.keyBase)
+			kv, at := prog.root(s.Ctx, b, kc)
+			ChargeSortPack(s.Ctx, exec.Card{Batches: 1, In: float64(n)}, at, kv.Const(), s.keyBase)
 			for k := 0; k < n; k++ {
 				keys.Append(kc, kv.Get(b.Pos(k)))
 			}
@@ -129,6 +129,7 @@ func (s *Sort) Next() (*Batch, error) {
 		n = rem
 	}
 	ChargeSortEmit(s.Ctx, exec.Card{Batches: 1, In: float64(n)}, s.run.Entry(s.pos))
+	s.out.at = s.run.Entry(s.pos)
 	s.chunk = s.chunk[:0]
 	for _, j := range s.idx[s.pos : s.pos+n] {
 		s.chunk = append(s.chunk, s.rows[j])

@@ -112,8 +112,8 @@ func NewConst(v value.Value) *Vector {
 func (v *Vector) Const() bool { return v.isConst }
 
 // Addr returns the simulated payload address, drawing it from the arena on
-// first use — the vector's first materialization or first kernel write — so a
-// column of a lazily backed batch that no kernel touches occupies no
+// first use — the first charge that stores into the vector or loads from
+// it — so a column of a lazily backed batch that is never stored occupies no
 // simulated address space (the arena is never freed). A constant has none.
 func (v *Vector) Addr() uint64 {
 	if v.addr == 0 && !v.isConst {
@@ -242,18 +242,28 @@ type Batch struct {
 	// all N.
 	Sel []int32
 
-	// rows backs a scan batch with its raw source rows: columns materialize
-	// lazily, on first kernel touch (Col), so columns the query never
-	// references move no payload bytes and charge nothing — projection
-	// pushdown falls out of the representation instead of needing a planner
-	// rule. nil means every vector is materialized (kernel outputs).
+	// rows backs a scan batch with its raw source rows: a column moves out
+	// of them only when a consumer takes it (take), so columns the query
+	// never references move no payload bytes and charge nothing —
+	// projection pushdown falls out of the representation instead of
+	// needing a planner rule. nil means every vector is materialized
+	// (kernel outputs).
 	rows []value.Row
-	mat  []bool
+	// raw maps a column slot to its column of the backing rows (nil: slot j
+	// is column j), as Prune remaps them; state is each slot's ColState.
+	raw   []int
+	state []ColState
 	// base and ids name the heap slots behind rows when they came off a
 	// heap file: a sequential run starts at slot base (ids nil), a fetched
 	// batch lists each row's slot.
 	base int
 	ids  []int
+	// at is where a loop reading a column straight from the rows loads: the
+	// batch's first row as its producer read it in a pool frame, heap then
+	// being the file's schema, which places each column in the row; or,
+	// heap nil, the line an operator assembled the rows at.
+	heap *catalog.Schema
+	at   uint64
 
 	selBuf []int32
 	sel    uint64 // simulated address of the selection vector, zero until selAddr draws it
@@ -303,19 +313,19 @@ func (b *Batch) Pos(k int) int {
 }
 
 // SetRows points the batch at one raw source batch, every row of it
-// selected, and marks every column unmaterialized. The slice is only read
-// until the next SetRows call.
+// selected, and marks every column untouched. The slice is only read until
+// the next SetRows call.
 func (b *Batch) SetRows(rows []value.Row) {
 	b.rows = rows
 	b.N = len(rows)
 	b.Sel = nil
-	if b.mat == nil {
-		b.mat = make([]bool, len(b.Cols))
+	if b.state == nil {
+		b.state = make([]ColState, len(b.Cols))
 		return
 	}
-	//lint:nocharge per-column dirty-flag reset, no payload movement; materialization charges in Col
-	for j := range b.mat {
-		b.mat[j] = false
+	//lint:nocharge per-column state reset, no payload movement; what a column costs is charged when a consumer takes it
+	for j := range b.state {
+		b.state[j] = Untouched
 	}
 }
 
@@ -334,43 +344,143 @@ func (b *Batch) RowID(k int) int {
 	return b.base + i
 }
 
-// Col returns column j's vector, materializing it from the raw source rows
-// on first touch: one vectorized materialization primitive — a batch
-// dispatch, one move instruction and one payload store per value. The loop
-// covers every source position (not just selected ones), so a column's
-// vector is valid under any later selection narrowing.
-func (b *Batch) Col(ctx *exec.Ctx, j int) *Vector {
-	v := b.Cols[j]
-	if b.rows == nil || b.mat[j] {
-		return v
+// ColState is where a column of a lazily backed batch stands: no consumer
+// has taken it, one loop has read it straight from the backing rows, or it
+// is stored in its vector over the positions selected when it was stored.
+type ColState uint8
+
+const (
+	Untouched ColState = iota
+	Fused
+	Stored
+)
+
+// Use is how a consumer takes a column of a lazily backed batch.
+type Use uint8
+
+const (
+	// Read is a loop that loads the column once per selected element: a
+	// fused program loop, a selection, a join's probe key, a sort key pack,
+	// the aggregate's table update.
+	Read Use = iota
+	// Store takes the vector itself, to hand on (a projection's column).
+	Store
+	// hold marks the column roots of an aggregate's program: its loop
+	// reads them (Read) and holds them for the table update.
+	hold
+)
+
+// Take moves the column on for a consumer that takes it as u and reports
+// what the move costs: store when the column is stored now — a materializing
+// primitive over the positions still selected (ChargeMaterialize) — and
+// fromRows when the consumer loads it from the backing rows. The first Read
+// of an untouched column is fused into the reading loop: one load per
+// selected element at the row, no dispatch, no move, no store. Any other
+// first take, and a second consumer of a column one loop has read, stores
+// it once; after that every reader loads the vector.
+func (st *ColState) Take(u Use) (store, fromRows bool) {
+	switch {
+	case *st == Stored:
+		return false, false
+	case *st == Untouched && u == Read:
+		*st = Fused
+		return false, true
 	}
-	b.mat[j] = true
-	ChargeMaterialize(ctx, exec.Card{Batches: 1, In: float64(len(b.rows))}, v.Addr())
-	for i, row := range b.rows {
-		if row == nil {
-			// Snapshot-invisible hole: never selected, but the vector
-			// position must hold a defined value.
-			v.Set(i, value.Null())
-			continue
+	*st = Stored
+	return true, false
+}
+
+// Touch is a consumer taking column col of the batches it reads over c.
+type Touch func(col int, c exec.Card, u Use)
+
+// Toucher is the planner's stand-in for Batch.take on batches whose columns
+// stand at mat (nil: every vector is materialized): each take moves the
+// column's state and charges a store where Take says one happens.
+func Toucher(s exec.Sink, mat map[int]ColState) Touch {
+	return func(col int, c exec.Card, u Use) {
+		if mat == nil {
+			return
 		}
-		v.Set(i, row[j])
+		st := mat[col]
+		if store, _ := st.Take(u); store {
+			ChargeMaterialize(s, exec.Card{Batches: c.Batches, In: c.In}, 0)
+		}
+		mat[col] = st
 	}
-	return v
+}
+
+// take hands a consumer column j's vector and the address its loads go to.
+// On a lazily backed batch the column moves on by ColState.Take, charged
+// over the selected positions: a fused read loads the row, and draws no
+// vector address; a stored column loads its vector. The host copies the
+// selected positions out of the rows at the first take; later selections
+// only narrow, so the copy stays valid.
+func (b *Batch) take(ctx *exec.Ctx, j int, u Use) (*Vector, uint64) {
+	v := b.Cols[j]
+	if b.rows == nil {
+		return v, v.Addr()
+	}
+	if b.state[j] == Untouched {
+		b.fill(j)
+	}
+	store, fromRows := b.state[j].Take(u)
+	if store {
+		ChargeMaterialize(ctx, exec.Card{Batches: 1, In: float64(b.Len())}, v.Addr())
+	}
+	if fromRows {
+		return v, b.rowLine(j)
+	}
+	return v, v.Addr()
+}
+
+// rawCol is the column of the backing rows slot j shows.
+func (b *Batch) rawCol(j int) int {
+	if b.raw == nil {
+		return j
+	}
+	return b.raw[j]
+}
+
+// fill copies column j out of the backing rows at the selected positions,
+// on the host only.
+func (b *Batch) fill(j int) {
+	v, c, n := b.Cols[j], b.rawCol(j), b.Len()
+	//lint:nocharge host copy of the selected values; what the column costs is charged by take, when a consumer takes it
+	for k := 0; k < n; k++ {
+		i := b.Pos(k)
+		v.Set(i, b.rows[i][c])
+	}
+}
+
+// rowLine is the line a fused read of column j loads from: in a heap-backed
+// batch the column's line in the first row where the scan or fetch read it,
+// otherwise the line the rows were assembled at. Like every vector payload
+// charge, the loop's loads repeat on that one line.
+func (b *Batch) rowLine(j int) uint64 {
+	if b.heap == nil {
+		return b.at
+	}
+	return b.at + uint64(b.heap.ColOffset(b.rawCol(j)))
 }
 
 // Row materializes the selected position k into dst (which must have one
 // slot per column). A lazily backed batch copies straight from the source
 // row — the charge-free path RowSource uses when a row-mode parent consumes
-// a scan batch, mirroring the row SeqScan handing out stored rows.
+// a scan batch, mirroring the row SeqScan handing out stored rows — through
+// Prune's slot map if it has one.
 func (b *Batch) Row(k int, dst value.Row) {
 	i := b.Pos(k)
-	if b.rows != nil {
+	if b.rows != nil && b.raw == nil {
 		copy(dst, b.rows[i])
 		return
 	}
 	//lint:nocharge deliberately charge-free materialization helper: callers charge per batch (TupleCost/LoadRange) before copying rows out
 	for j, c := range b.Cols {
-		dst[j] = c.Get(i)
+		if b.rows != nil {
+			dst[j] = b.rows[i][b.raw[j]]
+		} else {
+			dst[j] = c.Get(i)
+		}
 	}
 }
 

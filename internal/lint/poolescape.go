@@ -7,12 +7,12 @@ import (
 
 // AnalyzerPoolEscape guards the vectorized executor's reuse contract:
 // batches returned by an operator's Next and vectors handed out by the
-// expression pool (Prog.eval / pool.get / Batch.Col) are REUSED on the next
-// pull or the next reset — they are loans, not transfers. Retaining one
-// past the loan (appending it to a slice, storing it in a field) aliases
-// memory the owner is about to overwrite, which corrupts results in a way
-// the energy model never sees (the counters charge the overwrite, the
-// query returns the wrong rows).
+// expression pool (Prog.eval / Prog.root / pool.get / Batch.take) are
+// REUSED on the next pull or the next reset — they are loans, not
+// transfers. Retaining one past the loan (appending it to a slice, storing
+// it in a field) aliases memory the owner is about to overwrite, which
+// corrupts results in a way the energy model never sees (the counters
+// charge the overwrite, the query returns the wrong rows).
 //
 // The analyzer tracks variables bound from pull/pool calls and flags:
 //
@@ -35,7 +35,7 @@ var AnalyzerPoolEscape = &Analyzer{
 // reuse pool.
 var poolSourceNames = map[string]bool{
 	"Next": true, "NextBatch": true, // operator pulls (batch reused per pull)
-	"eval": true, "get": true, "Col": true, // expression-pool vectors
+	"eval": true, "root": true, "get": true, "take": true, // expression-pool vectors
 }
 
 func runPoolEscape(p *Pass) {

@@ -13,21 +13,24 @@ import (
 // what a statement reserves — vector payloads, hash tables, sort buffers —
 // times the statement rate is how long a server lasts. Over the benchmark's
 // analytic cycle (Q6×3, Q14, Q3×2, Q5×2, Q1×2; PostgreSQL profile, warm), the
-// mean per statement must stay at or under what it was before index access
-// joined the vector chain: 433 760 bytes at 10MB, 300 230 at 100MB (Q6 520 128
-// / 36 800, Q14 32 768 / 32 768, Q3 155 936 / 157 504, Q5 352 032 / 407 824,
-// Q1 864 256 / 864 240). Every operator of these plans runs on vectors now
-// (261 723 / 263 361 bytes); the budget holds because a vector draws its
-// payload address when it is first materialized or written, expression
-// temporaries are as wide as the batch they are evaluated over, an
-// aggregate's output batch is as wide as its groups, and a sort's key-pack
-// area as wide as one batch and its output batch as wide as its rows.
+// mean per statement must stay at or under 66 753 bytes at 10MB and 68 392
+// at 100MB (Q6 57 296 / 57 296, Q14 36 928 / 36 928, Q3 69 840 / 75 504, Q5
+// 89 888 / 92 432, Q1 69 632 / 69 616). The limits only ever go down: they
+// were 433 760 / 300 230 before every operator of these plans ran on
+// vectors, and the means 178 164 / 179 803 before a column that one loop
+// reads stopped drawing a vector address. The budget holds because a vector
+// draws its payload address only when a value is stored into it — a column
+// that a single loop reads goes from the row into a register (vec.ColState)
+// — expression temporaries are as wide as the batch they are evaluated over,
+// an aggregate's output batch is as wide as its groups, and a sort's
+// key-pack area as wide as one batch and its output batch as wide as its
+// rows.
 func TestArenaPerStatement(t *testing.T) {
 	cycle := []struct{ id, times int }{{6, 3}, {14, 1}, {3, 2}, {5, 2}, {1, 2}}
 	for _, c := range []struct {
 		class SizeClass
 		limit uint64
-	}{{Size10MB, 433760}, {Size100MB, 300230}} {
+	}{{Size10MB, 66753}, {Size100MB, 68392}} {
 		if c.class == Size100MB && testing.Short() {
 			continue
 		}
