@@ -134,8 +134,9 @@ BENCHTIME ?= 1s
 
 # The simulated substrate's host cost (root bench_test.go): the hierarchy
 # walk on an L1D hit, a never-hitting stream, a cache-resident scan and random
-# DRAM loads, the calibration every boot pays (BenchmarkCalibration/boot; most
-# of the benchmark's setup_s on the resident workloads), the index build
+# DRAM loads, the calibration every boot pays (BenchmarkCalibration/boot;
+# about half of the benchmark's setup_s on analytic-resident and txn-mixed),
+# the index build
 # every load pays, the ANALYZE pass a planner pays when a table's
 # statistics have gone stale (internal/db/engine), and what eight scans of a
 # heap of 1.3 × L3 pull out of DRAM walking it the same way every time and
@@ -152,7 +153,8 @@ bench-substrate:
 # the planner pipeline (parse → optimize → build → execute), the row-versus-
 # vector differential executor, both wire-protocol surfaces, the cache
 # hierarchy against its reference model, the state equivalence that
-# calibration's credited passes rest on, and the B+tree's insert/delete/seek
+# calibration's credited passes rest on, calibration's closed-form pass
+# against the walk it stands for, and the B+tree's insert/delete/seek
 # against a sorted-slice model. FUZZTIME is overridable for CI smoke runs.
 FUZZTIME ?= 30s
 
@@ -164,4 +166,5 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzQueryRoundTrip -fuzztime $(FUZZTIME) ./internal/server/wire/
 	$(GO) test -run xxx -fuzz '^FuzzHierarchy$$' -fuzztime $(FUZZTIME) ./internal/memsim/
 	$(GO) test -run xxx -fuzz '^FuzzHierarchyState$$' -fuzztime $(FUZZTIME) ./internal/memsim/
+	$(GO) test -run xxx -fuzz '^FuzzThrashPass$$' -fuzztime $(FUZZTIME) ./internal/memsim/
 	$(GO) test -run xxx -fuzz FuzzBtreeDelete -fuzztime $(FUZZTIME) ./internal/db/btree/

@@ -206,13 +206,7 @@ func (h *Hierarchy) Load(addr uint64, dependent bool) Level {
 			h.rec(AccessLoadInd, addr, 1)
 		}
 	}
-	if dependent {
-		// A dependent load cannot pair with its successor: it occupies
-		// a full issue cycle (Figure 3: 1 busy + latency-1 stalled).
-		h.ctr.IssueSlots += issueLCM
-	} else {
-		h.ctr.IssueSlots += issueLCM / loadIssueWidth
-	}
+	h.ctr.IssueSlots += loadSlots(dependent)
 	if h.cfg.TCM.InData(addr) {
 		h.ctr.TCMLoads++
 		h.ctr.Loads++
@@ -225,7 +219,7 @@ func (h *Hierarchy) Load(addr uint64, dependent bool) Level {
 	h.notePage(addr)
 	line := addr / LineSize
 	level := h.demandFill(line)
-	h.stall(level, dependent)
+	h.ctr.StallCycles += h.stall(level, dependent)
 	if h.cfg.Prefetch.Enabled {
 		if h.pf != nil {
 			h.pf.observe(h, line)
@@ -283,7 +277,7 @@ func (h *Hierarchy) Store(addr uint64) Level {
 	// store completes in L1D.
 	h.ctr.StoreL1DMisses++
 	level := h.fetch(line, true)
-	h.stall(level, false)
+	h.ctr.StallCycles += h.stall(level, false)
 	return level
 }
 
@@ -447,28 +441,38 @@ func (h *Hierarchy) fetch(line uint64, replicate bool) Level {
 	return LevelMem
 }
 
-// stall charges stall cycles for a load satisfied at level.
-func (h *Hierarchy) stall(level Level, dependent bool) {
+// stall is the stall cycles a load satisfied at level costs.
+func (h *Hierarchy) stall(level Level, dependent bool) uint64 {
 	lat := h.latency(level)
 	if dependent {
 		// Figure 3: the pipeline breaks; one busy (issue) cycle plus
 		// latency-1 stall cycles.
 		if lat > 1 {
-			h.ctr.StallCycles += uint64(lat - 1)
+			return uint64(lat - 1)
 		}
-		return
+		return 0
 	}
 	// Independent loads: L1D hits are fully hidden by dual issue; deeper
 	// hits expose the latency beyond L1D, amortized over the achievable
 	// memory-level parallelism.
 	if level == LevelL1D || level == LevelTCM {
-		return
+		return 0
 	}
 	exposed := lat - h.cfg.L1D.LatencyCycles
 	if exposed <= 0 {
-		return
+		return 0
 	}
-	h.ctr.StallCycles += uint64(exposed / h.cfg.IndependentMLP)
+	return uint64(exposed / h.cfg.IndependentMLP)
+}
+
+// loadSlots is the issue slots one load occupies. A dependent load cannot
+// pair with its successor: it occupies a full issue cycle (Figure 3: 1 busy
+// + latency-1 stalled).
+func loadSlots(dependent bool) uint64 {
+	if dependent {
+		return issueLCM
+	}
+	return issueLCM / loadIssueWidth
 }
 
 func (h *Hierarchy) latency(level Level) int {

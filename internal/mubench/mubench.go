@@ -402,6 +402,7 @@ type walker struct {
 	from   memsim.State    // where the last walked pass ended
 	steady bool            // a compared pass ended where it began
 	mem    memsim.Counters // what the memory accesses of that pass counted
+	thrash bool            // the warmup was issued in closed form, and mem is the next pass's
 }
 
 // steadyChecks is how many passes after the warmup step compares before it
@@ -490,11 +491,33 @@ func abs(x int) int {
 	return x
 }
 
-// warmup walks the first pass, which populates the target layer, and notes
-// the state it leaves for step to compare the next pass against.
+// warmup runs the first pass, which populates the target layer, and notes
+// the state it leaves for step to compare the next pass against. A pass of
+// one order that misses at every level is issued in closed form instead of
+// walked (memsim.Hierarchy.ThrashPass): from the cold caches Run leaves, a
+// pass over distinct lines that sends every set of every level more lines
+// than it has ways. Every later pass then misses everywhere too and ends
+// where the warmup ended, so what the warmup's memory accesses counted is
+// what each of them counts, but for the first page crossing: the warmup's
+// first load, on a cold hierarchy with no last page, always crosses, and the
+// next pass's first load crosses only if the pass ends on another page.
 func (w *walker) warmup() {
-	w.pass(true)
+	before := w.h.Counters()
+	switch w.s.Style {
+	case StyleArray, StyleGather:
+		w.thrash = w.h.ThrashPass(w.base, w.order, false)
+	case StyleList, StyleRandomList:
+		w.thrash = w.h.ThrashPass(w.base, w.order, true)
+	}
+	w.pass(!w.thrash)
 	w.from = w.h.State()
+	if w.thrash {
+		w.mem = w.h.Counters().Sub(before).MemorySide()
+		page := func(idx uint32) uint64 { return (w.base + uint64(idx)*memsim.LineSize) / memsim.PageSize }
+		if page(w.order[0]) == page(w.order[len(w.order)-1]) {
+			w.mem.PageCrossings--
+		}
+	}
 }
 
 // step runs one measured pass. Every pass of a benchmark issues the same
@@ -519,6 +542,14 @@ func (w *walker) step() {
 		w.h.Credit(w.mem)
 	case w.checks == steadyChecks:
 		w.pass(true)
+	case w.checks == 0 && w.thrash && w.h.State().Equal(w.from):
+		// The hierarchy is where the warmup's closed form left it: this
+		// pass misses everywhere as the warmup did and ends where it
+		// began.
+		w.steady = true
+		w.from = memsim.State{}
+		w.pass(false)
+		w.h.Credit(w.mem)
 	default:
 		before := w.h.Counters()
 		w.pass(true)
