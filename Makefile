@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench-check bench-e2e bench-substrate fuzz smoke loc
+.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench-check bench-e2e bench-substrate bench-server fuzz smoke loc
 
 all: build
 
@@ -148,6 +148,15 @@ bench-substrate:
 	$(GO) test -run xxx -bench 'BenchmarkHierarchy|BenchmarkCalibration|BenchmarkCreateIndex' -benchtime $(BENCHTIME) .
 	$(GO) test -run xxx -bench BenchmarkAnalyze -benchtime $(BENCHTIME) ./internal/db/engine/
 	$(GO) test -run xxx -bench BenchmarkHeapRescan -benchtime 1x ./internal/db/storage/
+
+# The wire and hand-off layer's host cost (internal/server): one client on a
+# loopback energyd sending keyed SELECTs on orders, reported as ns/stmt and
+# allocs/op (both ends share the process). The simulator does almost nothing
+# for these statements, so this is the number a socket, frame, scheduling or
+# reply-write change reports before and after; CI runs it once to keep it
+# compiling and finishing.
+bench-server:
+	$(GO) test -run xxx -bench BenchmarkRoundTrip -benchtime $(BENCHTIME) ./internal/server/
 
 # Short fuzz pass over every fuzz target: the SQL parser (raw client text),
 # the planner pipeline (parse → optimize → build → execute), the row-versus-

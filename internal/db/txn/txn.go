@@ -179,8 +179,8 @@ func (t *Txn) Oldest() uint64 { return t.mgr.Oldest() }
 
 // Manager allocates transaction IDs and commit timestamps and publishes the
 // snapshot horizon. One manager serves one table store; all fields are
-// atomics or guarded by commitMu, so Begin/Commit/Abort may be called from
-// any worker goroutine.
+// atomics or guarded by commitMu, so Begin/Commit/Abort may be called
+// holding any worker's lane.
 type Manager struct {
 	// last is the published commit horizon (read by every new snapshot).
 	last atomic.Uint64

@@ -41,9 +41,10 @@ func TestFailedStatementEnergyConserved(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// The recorder runs on the worker goroutine, which owns the machine and
-	// the engine views, and counts only inside a statement's guarded region,
-	// where the view's Ctx carries the statement's cancel flag.
+	// The recorder runs holding the worker's lane, as everything that
+	// touches the machine and the engine views does, and counts only inside
+	// a statement's guarded region, where the view's Ctx carries the
+	// statement's cancel flag.
 	wk := srv.workers[0]
 	issued := uint64(0)
 	if err := wk.submit(func() {

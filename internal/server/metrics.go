@@ -23,8 +23,8 @@ const (
 // slow/hot query log. Hot-path handles are resolved once here; only the
 // per-class error counters go through lazy registry lookup.
 //
-// Every per-statement observation happens on the worker goroutine inside the
-// statement's job (session.retire), so the counters are exactly as drained
+// Every per-statement observation happens inside the statement's job, holding
+// the worker's lane (session.retire), so the counters are exactly as drained
 // as the ledgers: after Server.Close nothing is still in flight. The energy
 // series are no tally of their own: they read the server ledger at scrape
 // time.
@@ -45,10 +45,10 @@ type metrics struct {
 }
 
 // newMetrics registers energyd's metric families against a fresh registry
-// and hands each worker its P-state gauge/transition counter. The GaugeFunc
-// closures read server state at scrape time; none of them acquires a lock
-// that could be held while touching the registry, so scrapes cannot
-// deadlock against the serving path.
+// and hands each worker its P-state gauge/transition counter and the shared
+// lane-wait histogram. The GaugeFunc closures read server state at scrape
+// time; none of them acquires a lock that could be held while touching the
+// registry, so scrapes cannot deadlock against the serving path.
 func newMetrics(s *Server) *metrics {
 	r := obs.NewRegistry()
 	m := &metrics{reg: r, qlog: obs.NewQueryLog(slowLogRing, slowLogTopN)}
@@ -132,7 +132,10 @@ func newMetrics(s *Server) *metrics {
 	r.GaugeFunc("energyd_slowlog_slowest_seconds", "Worst statement wall time on the slow board.", m.qlog.SlowestWall)
 	r.GaugeFunc("energyd_slowlog_hottest_joules", "Worst statement E_active on the hot board.", m.qlog.HottestJoules)
 
+	laneWait := r.Histogram("energyd_lane_wait_seconds",
+		"Host wall-clock time a job waited for its worker's lane.", obs.ExpBuckets(1e-6, 10, 9))
 	for _, w := range s.workers {
+		w.mLaneWait = laneWait
 		id := strconv.Itoa(w.id)
 		w.mPState = r.Gauge("energyd_worker_pstate", "Current P-state of the worker's machine.", "worker", id)
 		w.mPState.Set(float64(w.m.PState()))

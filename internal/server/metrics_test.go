@@ -260,6 +260,50 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestLaneWaitCountsJobs checks energyd_lane_wait_seconds: one observation
+// per job that ran on a worker — each handshake's engine attachment, each
+// statement past the parser (a plan error included), each transaction
+// control frame — and none for a parse error or a STATS frame.
+func TestLaneWaitCountsJobs(t *testing.T) {
+	srv, addr := startServerCfg(t, server.Config{Workers: 2})
+	opts := client.Options{Engine: "sqlite", Setting: "baseline", Class: "10MB"}
+	jobs := uint64(0)
+	for i := 0; i < 2; i++ {
+		conn, err := client.Dial(addr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		jobs++ // the handshake
+		if _, err := conn.Query(`\q6`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Query("SELECT x FROM missing_table"); err == nil {
+			t.Fatal("expected plan error")
+		}
+		jobs += 4
+		if _, err := conn.Query("SELEC nope"); err == nil {
+			t.Fatal("expected parse error")
+		}
+		if _, err := conn.Stats(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := series(srv.Metrics().Snapshot())["energyd_lane_wait_seconds"]
+	if h.Count != jobs {
+		t.Errorf("energyd_lane_wait_seconds_count = %d, want %d jobs", h.Count, jobs)
+	}
+	if h.Sum < 0 {
+		t.Errorf("energyd_lane_wait_seconds_sum = %g", h.Sum)
+	}
+}
+
 // TestErrorClassCounters checks the by-class error attribution.
 func TestErrorClassCounters(t *testing.T) {
 	srv, addr := startServerCfg(t, server.Config{Workers: 1, StmtTimeout: time.Nanosecond})

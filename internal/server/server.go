@@ -14,13 +14,13 @@
 // a machine of its own and keeps the single-owner discipline per worker:
 //
 //   - The server runs N workers (Config.Workers, default GOMAXPROCS). Each
-//     worker goroutine owns a private machine — a cpusim.Machine.NewLike
-//     clone of the calibrated primary — plus its own meter, profiler and
-//     engine views. Engine attachment, statement execution, and the
-//     counter/energy snapshot-delta pair around each statement all run as
-//     jobs on that worker's goroutine, so machine state needs no locks and
-//     attribution deltas are exact even with statements running
-//     concurrently on other workers.
+//     worker owns a private machine — a cpusim.Machine.NewLike clone of the
+//     calibrated primary — plus its own meter, profiler and engine views,
+//     and a lane: a channel with one slot. Engine attachment, statement
+//     execution, and the counter/energy snapshot-delta pair around each
+//     statement all run as jobs holding that worker's lane, so machine
+//     state needs no other lock and attribution deltas are exact even with
+//     statements running concurrently on other workers.
 //   - Table data is shared, not cloned: one engine.Shared store per
 //     negotiated (profile, setting, class), loaded once on the primary
 //     machine, with per-worker engine views bound to it. Statements run
@@ -31,15 +31,15 @@
 //     doc).
 //   - Sessions are assigned to a worker round-robin at handshake and stay
 //     there (sticky), so one session's statements retain protocol order.
-//     A worker is one goroutine reading one unbuffered channel of jobs
-//     (see worker.go). A session blocks until its job has run, so it never
-//     has a second job waiting, and the runtime serves blocked senders in
-//     arrival order: a statement-streaming session cannot starve its
-//     neighbours.
-//   - Connection goroutines (one per session) only parse frames, submit
-//     jobs, and write responses. Data crosses between a connection
-//     goroutine and its worker only through the job's closure and its
-//     done-channel, which orders the memory accesses.
+//     A session holds or waits for its worker's slot until its job has run
+//     (see worker.go), so it never has a second job waiting, and the
+//     runtime serves goroutines blocked on the full channel in arrival
+//     order, handing a released slot to the first of them: a
+//     statement-streaming session cannot starve its neighbours.
+//   - Connection goroutines (one per session) parse frames, run their own
+//     jobs holding the lane, and write responses; a job never changes
+//     goroutine. Taking and releasing the slot orders one holder's
+//     accesses to the machine before the next holder's.
 //   - The only structures shared between goroutines — session/store
 //     registries and the energy Ledgers — carry their own mutexes. Each
 //     statement's breakdown lands in exactly one session ledger and in
@@ -50,7 +50,7 @@
 // Counter snapshots (memsim.Hierarchy.Counters) return value
 // copies and are race-free by construction once the per-worker single-owner
 // rule holds; rapl.Meter additionally guards its measurement-noise stream
-// with a mutex so sessions opened off the worker cannot corrupt it.
+// with a mutex so sessions opened off the lane cannot corrupt it.
 package server
 
 import (

@@ -17,8 +17,8 @@ import (
 // session is one client connection: a statement pipeline over the negotiated
 // engine view on its sticky worker, an energy ledger, and a frame loop. The
 // connection goroutine owns conn and the buffered reader/writer exclusively;
-// everything machine-side happens in jobs on the session's worker (see the
-// package comment).
+// everything machine-side happens in jobs it runs holding its worker's lane
+// (see the package comment).
 type session struct {
 	id   uint64
 	srv  *Server
@@ -29,8 +29,8 @@ type session struct {
 	// pipe runs the session's statements (internal/db/stmt) and holds its
 	// open transaction. Engines are cached per worker and shared by its
 	// sessions; the pipeline binds this session's snapshot per statement.
-	// It is called only inside worker jobs; the connection goroutine blocks
-	// in submit while any job runs, so its reads of InTxn never race them.
+	// It is called only inside worker jobs, which run on the connection
+	// goroutine itself, so its reads of InTxn never race them.
 	pipe *stmt.Session
 
 	ledger Ledger
@@ -168,9 +168,9 @@ func (s *session) handshake(r *bufio.Reader) error {
 }
 
 // serveQuery runs one statement through the pipeline on the session's worker
-// and answers with ResultSet + EnergyReport (or Error). Statement failures —
-// including statement timeouts — keep the session open; only transport
-// failures propagate.
+// and answers with ResultSet + EnergyReport, flushed once (or Error).
+// Statement failures — including statement timeouts — keep the session
+// open; only transport failures propagate.
 func (s *session) serveQuery(text string) error {
 	s.srv.obs.inFlight.Add(1)
 	defer s.srv.obs.inFlight.Add(-1)
@@ -205,15 +205,15 @@ func (s *session) serveQuery(text string) error {
 	for i := range rep.Joules {
 		rep.Joules[i] = b.Joules[i]
 	}
-	if err := s.send(&wire.ResultSet{Cols: res.Cols, Rows: res.Rows}); err != nil {
-		// An oversized result set fails before any bytes hit the wire;
+	if err := s.send(&wire.ResultSet{Cols: res.Cols, Rows: res.Rows}, rep); err != nil {
+		// An oversized result set fails before any bytes reach the writer;
 		// downgrade to a statement error and keep the session alive.
 		if s.w.Buffered() == 0 {
 			return s.send(&wire.Error{Msg: err.Error()})
 		}
 		return err
 	}
-	return s.send(rep)
+	return nil
 }
 
 // exec runs one pipeline call as one job on the session's worker. The
@@ -242,7 +242,7 @@ func (s *session) txn(op wire.TxnOp) error {
 // failed statement's measured energy: the joules were really spent, so they
 // must reach both ledgers (the session ledgers partition Server.Totals
 // exactly) even though the statement never counts toward Queries. It MUST
-// run on the worker goroutine.
+// run holding the worker's lane.
 func (s *session) retire(r stmt.Record) {
 	if !r.OK {
 		if r.B.EActive != 0 || r.B.Seconds != 0 {
@@ -267,12 +267,16 @@ func (s *session) retire(r stmt.Record) {
 	s.wk.tickGovernor()
 }
 
-func (s *session) send(f wire.Frame) error {
+// send writes frames into the connection's buffer and flushes once, so a
+// reply that fits the buffer leaves in one write.
+func (s *session) send(fs ...wire.Frame) error {
 	if d := s.srv.cfg.WriteTimeout; d > 0 {
 		s.conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := wire.Write(s.w, f); err != nil {
-		return err
+	for _, f := range fs {
+		if err := wire.Write(s.w, f); err != nil {
+			return err
+		}
 	}
 	return s.w.Flush()
 }

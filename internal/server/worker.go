@@ -2,6 +2,8 @@ package server
 
 import (
 	"errors"
+	"sync/atomic"
+	"time"
 
 	"energydb/internal/core"
 	"energydb/internal/cpusim"
@@ -14,50 +16,53 @@ import (
 var ErrServerClosed = errors.New("server: closed")
 
 // worker is one execution lane: a private simulated machine (a NewLike clone
-// of the calibrated primary), its own RAPL meter and profiler, per-worker
-// engine views over the shared table stores, and one goroutine (loop) that
-// owns all of it and runs the jobs it reads from jobs. Because the machine,
-// meter and engines are touched only from that goroutine, statement counter
-// deltas advance in isolation and per-statement attribution stays exact
-// without any machine-level locking.
+// of the calibrated primary), its own RAPL meter and profiler, and per-worker
+// engine views over the shared table stores. A job runs on the goroutine that
+// submits it, holding the worker's lane, a one-slot channel. Because the
+// machine, meter and engines are touched only while holding the lane,
+// statement counter deltas advance in isolation and per-statement
+// attribution stays exact without any machine-level locking; the channel
+// operations that take and release the slot order one holder's memory
+// accesses before the next one's.
 //
 // The lane needs no queue of its own. A session's connection goroutine
-// blocks in submit until its job has run, so a session never has a second
-// job waiting; the submitters blocked on the unbuffered send are the queue,
-// and Go serves blocked senders in the order they arrived. A session
+// holds or waits for the slot until its job has run, so a session never has
+// a second job waiting; the submitters blocked on the full channel are the
+// queue, Go serves blocked senders in the order they arrived, and a release
+// hands the slot to the first of them before any newcomer. A session
 // streaming statements back to back therefore waits behind every session
 // that arrived before its next statement — none of them can be starved.
 type worker struct {
-	id    int
-	jobs  chan func()   // unbuffered: a send hands the job to loop
-	quit  chan struct{} // closed by close
-	idle  chan struct{} // closed when loop exits
-	m     *cpusim.Machine
-	meter *rapl.Meter
-	prof  *core.Profiler
+	id     int
+	lane   chan struct{} // capacity 1: holding its slot is holding the worker
+	closed atomic.Bool   // set by close; a job that sees it does not run
+	m      *cpusim.Machine
+	meter  *rapl.Meter
+	prof   *core.Profiler
 
 	// engines caches this worker's views of the shared stores, keyed like
-	// the stores themselves. Touched only on the worker goroutine.
+	// the stores themselves. Touched only holding the worker's lane.
 	engines map[engineKey]*engine.Engine
 
 	// gov is the optional per-worker stall-aware DVFS governor
 	// (Config.Governor). It reprograms this worker's machine, so like the
-	// machine it is touched only on the worker goroutine — ticked once per
+	// machine it is touched only holding the worker's lane — ticked once per
 	// retired statement, treating the statement as the governor's window.
 	gov *cpusim.StallAwareGovernor
 
 	// mPState / mTransitions publish the governor's state to the metrics
-	// registry (set by newMetrics). Updated on the worker goroutine; the
-	// obs cells are themselves goroutine-safe for scrapes.
+	// registry, and mLaneWait the time a job waits for the lane (set by
+	// newMetrics). Updated holding the worker's lane; the obs cells are
+	// themselves goroutine-safe for scrapes.
 	mPState      *obs.Gauge
 	mTransitions *obs.Counter
+	mLaneWait    *obs.Histogram
 }
 
-// newWorkers clones the calibrated primary machine n times and starts each
-// clone's goroutine. Each worker's meter gets a distinct deterministic noise
-// seed so concurrent measurements do not share an error stream. With
-// governor set, each worker also gets a stall-aware DVFS governor over its
-// machine.
+// newWorkers clones the calibrated primary machine n times. Each worker's
+// meter gets a distinct deterministic noise seed so concurrent measurements
+// do not share an error stream. With governor set, each worker also gets a
+// stall-aware DVFS governor over its machine.
 func newWorkers(n int, primary *cpusim.Machine, cal *core.Calibration, seed int64, noise float64, governor bool) []*worker {
 	ws := make([]*worker, n)
 	for i := range ws {
@@ -65,9 +70,7 @@ func newWorkers(n int, primary *cpusim.Machine, cal *core.Calibration, seed int6
 		meter := rapl.NewMeter(m, seed+int64(i)+1, noise)
 		w := &worker{
 			id:      i,
-			jobs:    make(chan func()),
-			quit:    make(chan struct{}),
-			idle:    make(chan struct{}),
+			lane:    make(chan struct{}, 1),
 			m:       m,
 			meter:   meter,
 			prof:    core.NewProfiler(m, meter, cal),
@@ -76,48 +79,39 @@ func newWorkers(n int, primary *cpusim.Machine, cal *core.Calibration, seed int6
 		if governor {
 			w.gov = cpusim.NewStallAwareGovernor(m)
 		}
-		go w.loop()
 		ws[i] = w
 	}
 	return ws
 }
 
-// submit runs fn on the worker goroutine and returns once it has run, or
-// returns ErrServerClosed without running it if the worker is closing.
+// submit runs fn on the calling goroutine, holding the worker's lane, and
+// returns once it has run, or returns ErrServerClosed without running it if
+// the worker is closing.
 func (w *worker) submit(fn func()) error {
-	done := make(chan struct{})
-	select {
-	case w.jobs <- func() { fn(); close(done) }:
-	case <-w.quit:
+	asked := time.Now()
+	w.lane <- struct{}{}
+	defer func() { <-w.lane }()
+	if w.closed.Load() {
 		return ErrServerClosed
 	}
-	<-done
+	if w.mLaneWait != nil {
+		w.mLaneWait.Observe(time.Since(asked).Seconds())
+	}
+	fn()
 	return nil
 }
 
-// loop runs jobs one at a time until close.
-func (w *worker) loop() {
-	defer close(w.idle)
-	for {
-		select {
-		case <-w.quit:
-			return
-		case fn := <-w.jobs:
-			fn()
-		}
-	}
-}
-
-// close stops the worker and returns once the job it was running, if any,
-// has finished. The send in submit is unbuffered, so no job is left behind:
-// every later submit sees quit and fails.
+// close stops the worker and returns once the job holding the lane, if any,
+// has finished. Submitters still waiting for the slot take it after close
+// has set closed, so none of them runs its job.
 func (w *worker) close() {
-	close(w.quit)
-	<-w.idle
+	w.closed.Store(true)
+	w.lane <- struct{}{}
+	<-w.lane
 }
 
 // tickGovernor runs the DVFS policy over the window since the last retired
-// statement and publishes the new P-state. Must run on the worker goroutine.
+// statement and publishes the new P-state. Must run holding the worker's lane.
 func (w *worker) tickGovernor() {
 	if w.gov == nil {
 		return
@@ -133,7 +127,7 @@ func (w *worker) tickGovernor() {
 }
 
 // engine returns this worker's view of a shared store, creating it on first
-// use. Must run on the worker goroutine.
+// use. Must run holding the worker's lane.
 func (w *worker) engine(key engineKey, sh *engine.Shared) *engine.Engine {
 	e, ok := w.engines[key]
 	if !ok {

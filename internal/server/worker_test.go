@@ -12,7 +12,7 @@ import (
 )
 
 // laneWaiters counts the goroutines blocked on a worker's lane: inside
-// worker.submit, waiting for the worker to take their job.
+// worker.submit, waiting to take the lane's slot.
 func laneWaiters() int {
 	buf := make([]byte, 1<<16)
 	for {
@@ -26,7 +26,7 @@ func laneWaiters() int {
 	waiting := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		header, _, _ := strings.Cut(g, "\n")
-		if strings.Contains(header, "[select") && strings.Contains(g, "server.(*worker).submit(") {
+		if strings.Contains(header, "[chan send") && strings.Contains(g, "server.(*worker).submit(") {
 			waiting++
 		}
 	}
@@ -134,11 +134,11 @@ func TestLaneServesArrivalOrder(t *testing.T) {
 }
 
 // TestWorkerCloseWaitsForRunningJob pins the worker's shutdown contract:
-// close returns only after the job it was running has returned, and a submit
-// after close fails at once without running its job.
+// close returns only after the job holding the lane has returned, a submit
+// already waiting for the lane when close starts fails without running its
+// job, and a submit after close fails at once without running its job.
 func TestWorkerCloseWaitsForRunningJob(t *testing.T) {
-	w := &worker{jobs: make(chan func()), quit: make(chan struct{}), idle: make(chan struct{})}
-	go w.loop()
+	w := &worker{lane: make(chan struct{}, 1)}
 
 	started, release := make(chan struct{}), make(chan struct{})
 	finished := false
@@ -151,6 +151,13 @@ func TestWorkerCloseWaitsForRunningJob(t *testing.T) {
 		})
 	}()
 	<-started
+
+	queuedRan := false
+	queued := make(chan error, 1)
+	go func() { queued <- w.submit(func() { queuedRan = true }) }()
+	for laneWaiters() == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
 
 	closed := make(chan struct{})
 	go func() {
@@ -169,6 +176,12 @@ func TestWorkerCloseWaitsForRunningJob(t *testing.T) {
 	}
 	if err := <-submitted; err != nil {
 		t.Fatalf("submit of the job that ran: %v", err)
+	}
+	if err := <-queued; !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("submit queued before close = %v, want ErrServerClosed", err)
+	}
+	if queuedRan {
+		t.Fatal("a job queued on the lane when close started ran")
 	}
 
 	ran := false

@@ -95,6 +95,7 @@ for family in \
   'energyd_heap_scans_total{direction="forward"}' \
   'energyd_heap_scans_total{direction="reverse"} 0' \
   'energyd_statement_wall_seconds_bucket' \
+  'energyd_lane_wait_seconds_bucket' \
   'energyd_energy_joules_total{component="E_L1D"}' \
   '# TYPE energyd_active_joules_total gauge' \
   'energyd_l1d_share' \
