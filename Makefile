@@ -138,15 +138,18 @@ BENCHTIME ?= 1s
 # about half of the benchmark's setup_s on analytic-resident and txn-mixed),
 # the index build
 # every load pays, the ANALYZE pass a planner pays when a table's
-# statistics have gone stale (internal/db/engine), and what eight scans of a
+# statistics have gone stale (internal/db/engine), the planning of the 22
+# TPC-H texts (internal/db/plan: every node priced through the executors'
+# charge functions), and what eight scans of a
 # heap of 1.3 × L3 pull out of DRAM walking it the same way every time and
 # taking turns (internal/db/storage; simulated cost, once is exact). These are
-# the numbers a memsim, btree, statistics or scan-order change reports before
+# the numbers a memsim, btree, statistics, planner or scan-order change reports before
 # and after; CI runs them
 # once each to keep them compiling and finishing.
 bench-substrate:
 	$(GO) test -run xxx -bench 'BenchmarkHierarchy|BenchmarkCalibration|BenchmarkCreateIndex' -benchtime $(BENCHTIME) .
 	$(GO) test -run xxx -bench BenchmarkAnalyze -benchtime $(BENCHTIME) ./internal/db/engine/
+	$(GO) test -run xxx -bench BenchmarkPrepare -benchtime $(BENCHTIME) ./internal/db/plan/
 	$(GO) test -run xxx -bench BenchmarkHeapRescan -benchtime 1x ./internal/db/storage/
 
 # The wire and hand-off layer's host cost (internal/server): one client on a

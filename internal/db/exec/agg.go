@@ -144,8 +144,6 @@ func (g *GroupBy) Open() error {
 	defer g.Child.Close()
 
 	table := NewGroupTable(g.Ctx, len(g.GroupBy), g.Aggs)
-	h := g.Ctx.M.Hier
-
 	exprs := AggExprs(g.GroupBy, g.Aggs)
 	nodes := ExprNodes(exprs...)
 	vals := make([]value.Value, len(exprs))
@@ -158,20 +156,17 @@ func (g *GroupBy) Open() error {
 		if !ok {
 			break
 		}
-		ChargeGroupInput(g.Ctx, Card{In: 1}, nodes)
 		for i, e := range exprs {
 			if e != nil {
 				vals[i] = e.Eval(row)
 			}
 		}
 		slot, isNew := table.Add(keyVals, args)
-		h.Load(slot, true) // bucket probe
+		ChargeGroupInput(g.Ctx, Card{In: 1}, nodes, slot, GroupTableBytes)
 		if isNew {
 			ChargeGroupInsert(g.Ctx, Card{In: 1}, slot)
 		}
-		acc := AccSlot(slot)
-		h.Load(acc, true) // accumulator fetch
-		ChargeGroupUpdate(g.Ctx, Card{In: 1}, len(g.Aggs), acc)
+		ChargeGroupUpdate(g.Ctx, Card{In: 1}, len(g.Aggs), AccSlot(slot), GroupTableBytes)
 	}
 
 	g.groups = make([]value.Row, table.Len())

@@ -13,8 +13,10 @@ import "energydb/internal/memsim"
 // the per-tuple calls sum to the single evaluation: at equal cardinalities
 // prediction and measurement agree on every modelled term, and what is left
 // of a prediction error is cardinality plus the planner's cache model for
-// the data-dependent accesses (page scans, bucket probes, comparator loads),
-// which operators keep issuing inline at real addresses.
+// the data-dependent accesses. The loads of the executors' own hash, group
+// and build-buffer structures are charges too (Sink.Random), which the
+// planner prices with that model; page scans, B-tree descents and
+// comparator loads are issued inline, below or beside the charges.
 
 // Sink receives modelled charges. Counts are float64 because the planner
 // evaluates charge functions at fractional estimates; the executor passes
@@ -35,6 +37,12 @@ type Sink interface {
 	Stores(addr uint64, n float64)
 	// Stream charges one load per cache line of a sequential read.
 	Stream(addr uint64, bytes float64)
+	// Random charges n loads at a data-dependent address in a structure
+	// of set bytes — a hash bucket, a chain entry, a build row — whose
+	// hit level depends on cache state, not on a count; dependent says
+	// whether the load waits on the one before it. The executor passes
+	// one address per call.
+	Random(addr uint64, n, set float64, dependent bool)
 	// Adds and Others charge n arithmetic and n plain instructions.
 	Adds(n float64)
 	Others(n float64)
@@ -81,6 +89,13 @@ func (c *Ctx) Stores(addr uint64, n float64) { c.M.Hier.StoreRepeat(addr, uint64
 // Stream implements Sink.
 func (c *Ctx) Stream(addr uint64, bytes float64) { c.M.Hier.LoadRange(addr, uint64(bytes)) }
 
+// Random implements Sink.
+func (c *Ctx) Random(addr uint64, n, _ float64, dependent bool) {
+	for ; n >= 1; n-- {
+		c.M.Hier.Load(addr, dependent)
+	}
+}
+
 // Adds implements Sink.
 func (c *Ctx) Adds(n float64) { c.Compute(int(n)) }
 
@@ -126,33 +141,45 @@ func ChargePrune(s Sink, c Card, cols, width int) {
 	s.Emits(c.In, width)
 }
 
-// ChargeHashBuild is the hash arithmetic and the bucket-entry store of one
-// build row, issued after its dependent bucket load.
-func ChargeHashBuild(s Sink, c Card, slot uint64) {
+// ChargeHashBuild is one build row's insert into a join hash table of set
+// bytes: the dependent load of its bucket entry at slot, the hash
+// arithmetic and the entry store.
+func ChargeHashBuild(s Sink, c Card, slot uint64, set float64) {
+	s.Random(slot, c.In, set, true)
 	s.Adds(3 * c.In)
 	s.Stores(slot, c.In)
 }
 
-// ChargeHashProbe hashes the probe key; the dependent bucket-head load
-// follows it.
-func ChargeHashProbe(s Sink, c Card) { s.Adds(2 * c.In) }
+// ChargeHashProbe hashes the probe key, then loads the bucket head it hashes
+// to (dependent).
+func ChargeHashProbe(s Sink, c Card, head uint64, set float64) {
+	s.Adds(2 * c.In)
+	s.Random(head, c.In, set, true)
+}
 
-// ChargeGroupInput is what every row entering a hash aggregation pays
-// before its bucket is probed: interpretation overhead, the evaluation of
-// the key and argument expressions, and the key hash.
-func ChargeGroupInput(s Sink, c Card, nodes int) {
+// ChargeChainHop is one step of a bucket-chain walk, per match in both
+// executors: the dependent load of the next chain entry.
+func ChargeChainHop(s Sink, c Card, hop uint64, set float64) { s.Random(hop, c.In, set, true) }
+
+// ChargeGroupInput is what every row entering a hash aggregation pays once
+// its group is found: interpretation overhead, the evaluation of the key
+// and argument expressions, the key hash and the dependent probe of its
+// bucket at slot, in a group table of set bytes.
+func ChargeGroupInput(s Sink, c Card, nodes int, slot uint64, set float64) {
 	s.Tuples(c.In)
 	s.Evals(c.In, nodes)
 	s.Adds(2 * c.In)
+	s.Random(slot, c.In, set, true)
 }
 
 // ChargeGroupInsert is the bucket-entry store of each new group, issued
-// between its dependent bucket probe and its accumulator fetch.
+// between its bucket probe and its accumulator fetch.
 func ChargeGroupInsert(s Sink, c Card, slot uint64) { s.Stores(slot, c.In) }
 
-// ChargeGroupUpdate follows the dependent accumulator fetch at acc: one
+// ChargeGroupUpdate is the dependent fetch of the accumulators at acc, one
 // arithmetic op per aggregate and the accumulator store.
-func ChargeGroupUpdate(s Sink, c Card, aggs int, acc uint64) {
+func ChargeGroupUpdate(s Sink, c Card, aggs int, acc uint64, set float64) {
+	s.Random(acc, c.In, set, true)
 	s.Adds(c.In * float64(aggs))
 	s.Stores(acc, c.In)
 }

@@ -48,7 +48,6 @@ func (j *HashJoin) Open() error {
 	}
 	j.rows = rows
 	j.table = NewHashTable(j.Ctx, len(rows))
-	h := j.Ctx.M.Hier
 	for i, r := range rows {
 		j.Ctx.PollEvery(i)
 		key, ok := JoinKey(r[j.BuildKey])
@@ -57,9 +56,7 @@ func (j *HashJoin) Open() error {
 			// never match; keep it out of the table entirely.
 			continue
 		}
-		slot := j.table.Insert(key, i)
-		h.Load(slot, true)
-		ChargeHashBuild(j.Ctx, Card{In: 1}, slot)
+		ChargeHashBuild(j.Ctx, Card{In: 1}, j.table.Insert(key, i), j.table.Bytes())
 	}
 	j.resNodes = ExprNodes(j.Residual)
 	return j.Probe.Open()
@@ -67,13 +64,11 @@ func (j *HashJoin) Open() error {
 
 // Next implements Operator.
 func (j *HashJoin) Next() (value.Row, bool, error) {
-	h := j.Ctx.M.Hier
 	for {
 		if j.matchIdx < len(j.matches) {
 			b := j.rows[j.matches[j.matchIdx]]
 			j.matchIdx++
-			// Walking the bucket chain is a pointer chase.
-			h.Load(j.table.Hop(j.matchIdx), true)
+			ChargeChainHop(j.Ctx, Card{In: 1}, j.table.Hop(j.matchIdx), j.table.Bytes())
 			if j.out == nil {
 				j.out = make(value.Row, 0, len(j.probeRow)+len(b))
 			}
@@ -94,9 +89,7 @@ func (j *HashJoin) Next() (value.Row, bool, error) {
 			continue
 		}
 		j.probeRow = row.Clone()
-		ChargeHashProbe(j.Ctx, Card{In: 1})
-		// Bucket head probe: dependent load.
-		h.Load(j.table.Head(key), true)
+		ChargeHashProbe(j.Ctx, Card{In: 1}, j.table.Head(key), j.table.Bytes())
 		j.matches = j.table.Lookup(key)
 		j.matchIdx = 0
 	}

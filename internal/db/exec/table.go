@@ -67,6 +67,10 @@ func (t *HashTable) Insert(k value.Key, i int) uint64 {
 	return t.base + uint64(i)*hashBucketBytes*2%t.size
 }
 
+// Bytes is the size of the simulated table, the working set its bucket and
+// chain loads are priced over.
+func (t *HashTable) Bytes() float64 { return float64(t.size) }
+
 // Head is the address of the bucket head a probe key hashes to.
 func (t *HashTable) Head(k value.Key) uint64 { return t.head(k) }
 

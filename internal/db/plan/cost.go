@@ -15,13 +15,15 @@ import (
 // machine's calibrated ΔE_m table, so the cost model and the measurement
 // share one energy vocabulary.
 //
-// It fills from two sides. As an exec.Sink it receives the modelled charges
-// of the executors' own charge functions (exec/charge.go, vec/charge.go),
-// evaluated at a node's estimated cardinalities — the planner holds no copy
-// of any operator's arithmetic. The coster methods below add the cache
-// model: what the data-dependent accesses the operators issue at real
-// addresses are expected to cost.
+// It fills from two sides. As an exec.Sink it receives the charges of the
+// executors' own charge functions (exec/charge.go, vec/charge.go), evaluated
+// at a node's estimated cardinalities — the planner holds no copy of any
+// operator's arithmetic or of its hash, group and gather loads, which it
+// prices through Random. The coster methods below add the rest of the cache
+// model: what the storage, B-tree and sort accesses the operators issue
+// beside their charges are expected to cost.
 type est struct {
+	c  *coster        // the cache model Random prices with
 	cm exec.CostModel // the profile's interpretation overheads (Tuples/Evals/Emits)
 
 	l1d   float64 // demand L1D accesses (N_L1D)
@@ -114,7 +116,7 @@ func (c *coster) price(a *est) float64 {
 }
 
 // newEst starts an estimate under the engine's executor cost model.
-func (c *coster) newEst() *est { return &est{cm: c.e.Ctx.Cost} }
+func (c *coster) newEst() *est { return &est{c: c, cm: c.e.Ctx.Cost} }
 
 // Tuples implements exec.Sink: the profile's per-tuple interpretation
 // overhead (hot loads, hot stores, plain instructions — all cache-resident),
@@ -149,6 +151,11 @@ func (a *est) Stores(_ uint64, n float64) { a.reg2 += n }
 
 // Stream implements exec.Sink: one L1D access per line read.
 func (a *est) Stream(_ uint64, bytes float64) { a.l1d += bytes / memsim.LineSize }
+
+// Random implements exec.Sink: n loads spread over a structure of set bytes,
+// priced on the dependent schedule whatever the flag says, although a batch
+// issues its bucket heads and gathers independently (DESIGN.md §14).
+func (a *est) Random(_ uint64, n, set float64, _ bool) { a.c.randLoad(a, n, set) }
 
 // Adds implements exec.Sink.
 func (a *est) Adds(n float64) { a.add += n }

@@ -115,6 +115,18 @@ func exactKind(n *Node) bool {
 	return false
 }
 
+// loadsExact lists the operators whose loads are all issued by charge
+// functions: the hash join's and the aggregate's table loads included, and
+// none of the heap or B-tree loads the cache model prices beside the
+// charges.
+func loadsExact(n *Node) bool {
+	switch n.Kind {
+	case opHashJoin, opAggregate, opProject, opPrune:
+		return true
+	}
+	return false
+}
+
 // treeWork replays n's index traversals on a scratch hierarchy and returns
 // the plain instructions the B-tree issued for them: the one part of an
 // index operator's OtherOps that depends on the data rather than on a charge
@@ -148,10 +160,12 @@ func treeWork(t *testing.T, p *Prepared, n *Node) uint64 {
 
 // checkExact re-evaluates every node's charge functions at the cardinalities
 // the meters observed and requires the cache-independent counters to equal
-// the node's exclusive meter delta. cut marks a subtree a LIMIT may have
-// stopped pulling from before it was drained: its meters then saw only part
-// of what the operators buffered or finalized, so it is skipped down to the
-// next blocking operator. It returns n's output flow (nil in row mode).
+// the node's exclusive meter delta: the add and plain-instruction counts,
+// and for the loadsExact kinds the number of loads. cut marks a subtree a
+// LIMIT may have stopped pulling from before it was drained: its meters then
+// saw only part of what the operators buffered or finalized, so it is
+// skipped down to the next blocking operator. It returns n's output flow
+// (nil in row mode).
 func checkExact(t *testing.T, label string, p *Prepared, n *Node, meters map[*Node]*exec.Meter, vecParent, cut bool) *flow {
 	t.Helper()
 	if n.Kind == opLimit {
@@ -167,7 +181,7 @@ func checkExact(t *testing.T, label string, p *Prepared, n *Node, meters map[*No
 		in = append(in, checkExact(t, label, p, kid, meters, n.Mode == ModeVector, kidCut))
 	}
 	k := observed(t, p, n, meters, in)
-	a := &est{cm: p.E.Ctx.Cost}
+	a := newCoster(p.E).newEst()
 	var out *flow
 	if n.Mode == ModeVector {
 		out = chargeVec(n, compileVec(n), k, a, in)
@@ -186,10 +200,14 @@ func checkExact(t *testing.T, label string, p *Prepared, n *Node, meters map[*No
 	if n.Kind == opHashJoin && n.Mode == ModeRow && n.Filter != nil {
 		return out // candidates before the residual are not metered on the row path
 	}
-	got := meters[n].Own()
-	if want := a.counters(); want.AddOps != got.AddOps || want.OtherOps != got.OtherOps {
+	got, want := meters[n].Own(), a.counters()
+	if want.AddOps != got.AddOps || want.OtherOps != got.OtherOps {
 		t.Errorf("%s: %s (mode=%s): charges at observed cardinalities give AddOps=%d OtherOps=%d, meter has AddOps=%d OtherOps=%d\n  cards %+v",
 			label, n.Title(), n.Mode, want.AddOps, want.OtherOps, got.AddOps, got.OtherOps, k)
+	}
+	if loadsExact(n) && want.L1DAccesses != got.Loads {
+		t.Errorf("%s: %s (mode=%s): charges at observed cardinalities give %d loads, meter has %d\n  cards %+v",
+			label, n.Title(), n.Mode, want.L1DAccesses, got.Loads, k)
 	}
 	return out
 }
@@ -230,7 +248,8 @@ func runExact(t *testing.T, label string, e *engine.Engine, text string, seen ma
 // that price the node, fed the cardinalities the meters observed instead of
 // estimates — reproduces the add and plain-instruction counts of
 // the node's exclusive meter delta, chain tops including their RowSource
-// boundary. A charge the executor issues and the planner's binding omits
+// boundary, and for the join, aggregate, project and prune nodes its load
+// count. A charge the executor issues and the planner's binding omits
 // (or the reverse) fails here whatever the ±25% X9 band would absorb.
 func TestChargesExactAtObservedCardinalities(t *testing.T) {
 	configs := []struct {

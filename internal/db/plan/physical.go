@@ -547,8 +547,10 @@ func chargeRow(n *Node, k cards, s exec.Sink) {
 	case opIndexJoin:
 		exec.ChargeTuples(s, exec.Card{In: k.matches, Out: k.out}, exec.ExprNodes(n.Filter), joined)
 	case opHashJoin:
-		exec.ChargeHashBuild(s, exec.Card{In: k.build}, 0)
-		exec.ChargeHashProbe(s, in)
+		table := exec.HashTableBytes(k.build)
+		exec.ChargeHashBuild(s, exec.Card{In: k.build}, 0, table)
+		exec.ChargeHashProbe(s, in, 0, table)
+		exec.ChargeChainHop(s, exec.Card{In: k.matches}, 0, table)
 		exec.ChargeTuples(s, exec.Card{In: k.matches, Out: k.out}, exec.ExprNodes(n.Filter), joined)
 	case opPrune:
 		exec.ChargePrune(s, in, len(n.Cols), n.schema.RowWidth())
@@ -557,9 +559,9 @@ func chargeRow(n *Node, k cards, s exec.Sink) {
 	case opAggregate:
 		// Hash aggregation, then the select-list re-projection of its groups.
 		groups := exec.Card{In: k.out, Out: k.out}
-		exec.ChargeGroupInput(s, in, exec.ExprNodes(exec.AggExprs(n.GroupExprs, n.Aggs)...))
+		exec.ChargeGroupInput(s, in, exec.ExprNodes(exec.AggExprs(n.GroupExprs, n.Aggs)...), 0, exec.GroupTableBytes)
 		exec.ChargeGroupInsert(s, groups, 0)
-		exec.ChargeGroupUpdate(s, in, len(n.Aggs), 0)
+		exec.ChargeGroupUpdate(s, in, len(n.Aggs), 0, exec.GroupTableBytes)
 		exec.ChargeGroupOutput(s, groups, len(n.Aggs), len(n.GroupExprs)+len(n.Aggs))
 		exec.ChargeProject(s, groups, exec.ExprNodes(n.PostExprs...), len(n.PostExprs))
 	case opSort:
@@ -572,16 +574,18 @@ func chargeRow(n *Node, k cards, s exec.Sink) {
 	}
 }
 
-// model prices the data-dependent accesses of n at k — heap and index
-// traffic, hash-table probes and chain walks, the sort's ordering pass, the
-// log and heap stores of a write — in
-// either execution mode: both executors issue them at the same addresses.
-// The vector join adds the gather's scattered first-line load per match;
-// the vector aggregate's table fits the cache and has no such term. The
-// batch heap fetch is priced on its own independent schedule (heapFetch);
-// everything else both modes price on the row executor's dependent
-// schedule, although a batch issues some of those loads independently —
-// the hash join's bucket heads, SeekBatch's descents (DESIGN.md §14).
+// model prices the data-dependent accesses of n at k that no charge
+// function issues, in either execution mode: both executors issue them at
+// the same addresses. Two kinds are left here. Heap, scan, B-tree and write
+// traffic: storage and btree sit below exec, so their loads and stores are
+// issued inside the storage calls, not by a charge. And the sort's ordering
+// pass: sortCompares prices its comparator loads with a merge-level
+// locality model, not a random blend. The hash table's, group table's and
+// gather's loads are charges (exec.Sink.Random), priced where
+// chargeRow/chargeVec evaluate them. The batch heap fetch is priced on its
+// own independent schedule (heapFetch); both modes price SeekBatch's
+// descents on the row executor's dependent schedule, although a batch
+// issues them level by level (DESIGN.md §14).
 func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 	c := pc.c
 	switch n.Kind {
@@ -597,19 +601,6 @@ func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 		c.btreeDescend(a, k.in, tree.Height(), tree.Len())
 		c.indexEntries(a, k.matches, tree.Len())
 		c.heapFetch(a, k.matches, n.Table, vector)
-	case opHashJoin:
-		table := exec.HashTableBytes(k.build)
-		c.randLoad(a, k.build, table)   // bucket load per build row
-		c.randLoad(a, k.in, table)      // bucket head per probe row
-		c.randLoad(a, k.matches, table) // chain hop per match
-		if vector {
-			c.randLoad(a, k.matches, math.Max(memsim.LineSize, k.build*float64(n.Kids[1].schema.RowWidth())))
-		}
-	case opAggregate:
-		if !vector {
-			c.randLoad(a, k.in, exec.GroupTableBytes) // bucket probe
-			c.randLoad(a, k.in, exec.GroupTableBytes) // accumulator fetch
-		}
 	case opSort:
 		c.sortCompares(a, k.in, exec.SortEntryBytes, float64(len(n.SortKeys)))
 	case opWrite:

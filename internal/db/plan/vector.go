@@ -6,6 +6,7 @@ import (
 
 	"energydb/internal/db/exec"
 	"energydb/internal/db/vec"
+	"energydb/internal/memsim"
 )
 
 // Row-versus-vector mode choice. Once the plan shape is fixed, choosePlan
@@ -417,15 +418,19 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 		// batch. The output is backed by the assembled rows, so what its
 		// columns cost is priced where a consumer (or the residual here)
 		// takes them.
-		buildLines := vec.RowLines(n.Kids[1].schema.RowWidth())
+		width := n.Kids[1].schema.RowWidth()
+		buildLines, table := vec.RowLines(width), exec.HashTableBytes(k.build)
 		vec.ChargeDispatch(s, exec.Card{Batches: k.buildBatches})
 		vec.ChargeJoinBuild(s, exec.Card{Batches: k.chunks, In: k.build}, buildLines, 0)
-		vec.ChargeJoinInsert(s, exec.Card{In: k.build}, 0)
+		vec.ChargeJoinInsert(s, exec.Card{In: k.build}, 0, table)
 		vec.ChargeDispatch(s, arriving)
 		touch(n.OuterKey, arriving, vec.Read)
 		vec.ChargeJoinProbe(s, arriving, 0)
+		vec.ChargeBucketHead(s, arriving, 0, table)
+		exec.ChargeChainHop(s, exec.Card{In: k.matches}, 0, table)
 		matched := exec.Card{Batches: k.outBatches, In: k.matches}
 		vec.ChargeDispatch(s, matched)
+		vec.ChargeGatherRow(s, matched, 0, math.Max(memsim.LineSize, k.build*float64(width)))
 		vec.ChargeJoinGather(s, matched, vec.RowLines(n.Kids[0].schema.RowWidth()), buildLines, 0)
 		out := &flow{batches: k.outBatches, rows: k.matches, mat: map[int]vec.ColState{}}
 		if pr.filter != nil {

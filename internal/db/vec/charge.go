@@ -10,9 +10,10 @@ import "energydb/internal/db/exec"
 // estimated totals. The scheme is one dispatch — a tuple's worth of
 // interpretation overhead — per batch per primitive (an expression
 // program's fused element loop is one primitive), plus per-element payload
-// traffic at the vectors' simulated addresses. Dependent loads at
-// data-dependent addresses (bucket heads, chain walks, build-row gathers,
-// comparator loads) stay inline in the operators.
+// traffic at the vectors' simulated addresses. Loads at data-dependent
+// addresses — bucket entries and heads, chain hops, build-row gathers — are
+// charges too (exec.Sink.Random), independent where a batch knows every
+// address before it issues one; the sort's comparator loads stay inline.
 
 // Per-value kernel costs, charged per selected element: one L1D payload
 // load per element of a value a loop reads from memory, one payload store
@@ -126,7 +127,7 @@ func ChargeAggFinalize(s exec.Sink, c exec.Card, keys, aggs int, table uint64) {
 
 // ChargeJoinBuild hashes one chunk of the collected build rows: the
 // row-buffer copy (lines per row), the key loads and the hash arithmetic,
-// in bulk. Each row's dependent bucket load and ChargeJoinInsert follow.
+// in bulk. ChargeJoinInsert follows per row.
 func ChargeJoinBuild(s exec.Sink, c exec.Card, lines int, buf uint64) {
 	s.Tuples(c.Batches)
 	s.Stores(buf, c.In*float64(lines))
@@ -134,15 +135,33 @@ func ChargeJoinBuild(s exec.Sink, c exec.Card, lines int, buf uint64) {
 	s.Adds(3 * c.In)
 }
 
-// ChargeJoinInsert is the bucket-entry store of one build row.
-func ChargeJoinInsert(s exec.Sink, c exec.Card, slot uint64) { s.Stores(slot, c.In) }
+// ChargeJoinInsert is one build row's bucket entry at slot, in a hash table
+// of set bytes: its dependent load, then its store.
+func ChargeJoinInsert(s exec.Sink, c exec.Card, slot uint64, set float64) {
+	s.Random(slot, c.In, set, true)
+	s.Stores(slot, c.In)
+}
+
+// ChargeBucketHead is a probe key's bucket-head load, in a hash table of set
+// bytes: independent, since a batch hashes all its keys before it walks any
+// chain and every head's address follows from its key alone.
+func ChargeBucketHead(s exec.Sink, c exec.Card, head uint64, set float64) {
+	s.Random(head, c.In, set, false)
+}
+
+// ChargeGatherRow is the first-line load of a matched build row at its
+// offset in a build buffer of set bytes: independent, since every pair's
+// build row is known before any is read. ChargeJoinGather prices the rest of
+// the row.
+func ChargeGatherRow(s exec.Sink, c exec.Card, row uint64, set float64) {
+	s.Random(row, c.In, set, false)
+}
 
 // ChargeJoinProbe is the payload of a join's key kernel, after its dispatch:
 // the key loads (from the probe rows when the kernel is the key column's
 // first reader, Batch.take) and the per-key arithmetic (the hash, or the
-// index join's NULL test and search-key setup). The bucket-head load
-// (independent across a probe batch) or the index descent (dependent) per
-// element follows.
+// index join's NULL test and search-key setup). Per element,
+// ChargeBucketHead or the index descent follows.
 func ChargeJoinProbe(s exec.Sink, c exec.Card, keys ...uint64) {
 	for _, k := range keys {
 		s.Loads(k, c.In*kernelLoadsPerVal)
@@ -151,10 +170,11 @@ func ChargeJoinProbe(s exec.Sink, c exec.Card, keys ...uint64) {
 }
 
 // ChargeJoinGather assembles the In matched pairs into output rows, after
-// the gather's dispatch and each pair's first-line load of its build row:
-// the trailing build lines, the cache-hot probe row, the assembled-row
-// stores and the move bookkeeping. No per-column vector traffic: the output
-// stays rows-backed and its consumer materializes what it touches.
+// the gather's dispatch and each pair's first build-row line (ChargeGatherRow
+// for a hash join, the heap fetch for an index join): the trailing build
+// lines, the cache-hot probe row, the assembled-row stores and the move
+// bookkeeping. No per-column vector traffic: the output stays rows-backed
+// and its consumer materializes what it touches.
 func ChargeJoinGather(s exec.Sink, c exec.Card, probeLines, buildLines int, at uint64) {
 	s.Loads(at, c.In*float64(buildLines-1))
 	s.Loads(at, c.In*float64(probeLines))

@@ -24,6 +24,9 @@ func (t *traffic) Stream(uint64, float64)     {}
 func (t *traffic) Adds(n float64)             { t.adds += n }
 func (t *traffic) Others(n float64)           { t.others += n }
 
+// Random counts nothing: no fused loop loads at a data-dependent address.
+func (t *traffic) Random(uint64, float64, float64, bool) {}
+
 func bin(op exec.BinOpKind, l, r exec.Expr) exec.Expr { return exec.BinOp{Op: op, L: l, R: r} }
 
 func num(v float64) exec.Expr { return exec.Const{V: value.Float(v)} }

@@ -151,6 +151,9 @@ func (t *tally) Stream(uint64, float64)     {}
 func (t *tally) Adds(n float64)             { t.add += n }
 func (t *tally) Others(n float64)           { t.other += n }
 
+// Random is a load, which tally does not keep.
+func (t *tally) Random(uint64, float64, float64, bool) {}
+
 // checkCharges requires the meter's arithmetic and plain instruction counts
 // to equal one evaluation of the operator's charge functions at the totals
 // the run produced: charging batch by batch sums to the single evaluation

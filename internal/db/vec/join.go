@@ -47,6 +47,8 @@ type HashJoin struct {
 	buildRows []value.Row
 	table     exec.HashTable
 	buildBase uint64
+	width     uint64 // build-buffer bytes per row (a zero-width row takes 8)
+	bufBytes  uint64 // build-buffer size (an empty buffer takes one line)
 	rowBase   uint64 // scratch line the assembled-row traffic is charged against
 
 	out   *Batch
@@ -80,7 +82,6 @@ func (j *HashJoin) Open() error {
 	if err := j.Build.Open(); err != nil {
 		return err
 	}
-	h := j.Ctx.M.Hier
 	ncols := len(j.Build.Schema().Columns)
 	var rows []value.Row
 	for {
@@ -111,16 +112,16 @@ func (j *HashJoin) Open() error {
 	}
 	j.buildRows = rows
 
-	width := j.Build.Schema().RowWidth()
-	if width <= 0 {
-		width = 8
+	j.width = uint64(j.Build.Schema().RowWidth())
+	if j.width == 0 {
+		j.width = 8
 	}
-	rowLines := RowLines(width)
-	bufBytes := uint64(len(rows)) * uint64(width)
-	if bufBytes == 0 {
-		bufBytes = memsim.LineSize
+	rowLines := RowLines(int(j.width))
+	j.bufBytes = uint64(len(rows)) * j.width
+	if j.bufBytes == 0 {
+		j.bufBytes = memsim.LineSize
 	}
-	j.buildBase = j.Ctx.Arena.Alloc(bufBytes, memsim.LineSize)
+	j.buildBase = j.Ctx.Arena.Alloc(j.bufBytes, memsim.LineSize)
 	j.table = exec.NewHashTable(j.Ctx, len(rows))
 
 	chunk := batchWidth(j.Ctx, j.BatchSize)
@@ -131,17 +132,15 @@ func (j *HashJoin) Open() error {
 		}
 		// Batch-granularity cancellation plus one build-kernel dispatch per
 		// chunk: hash arithmetic, the buffer copy, and the key loads are
-		// charged in bulk; bucket accesses stay per-row dependent loads.
+		// charged in bulk; bucket entries stay per-row dependent loads.
 		j.Ctx.PollEvery(lo)
-		ChargeJoinBuild(j.Ctx, exec.Card{Batches: 1, In: float64(hi - lo)}, rowLines, j.buildBase+uint64(lo)*uint64(width))
+		ChargeJoinBuild(j.Ctx, exec.Card{Batches: 1, In: float64(hi - lo)}, rowLines, j.buildBase+uint64(lo)*j.width)
 		for i, r := range rows[lo:hi] {
 			key, ok := exec.JoinKey(r[j.BuildKey])
 			if !ok {
 				continue
 			}
-			slot := j.table.Insert(key, lo+i)
-			h.Load(slot, true)
-			ChargeJoinInsert(j.Ctx, exec.Card{In: 1}, slot)
+			ChargeJoinInsert(j.Ctx, exec.Card{In: 1}, j.table.Insert(key, lo+i), j.table.Bytes())
 		}
 	}
 
@@ -171,7 +170,6 @@ func (j *HashJoin) Open() error {
 func (j *HashJoin) probeKeys(b *Batch) {
 	n := b.Len()
 	ChargeDispatch(j.Ctx, exec.Card{Batches: 1})
-	h := j.Ctx.M.Hier
 	kv, at := b.take(j.Ctx, j.ProbeKey, Read)
 	if c := (exec.Card{In: float64(n)}); kv.Const() {
 		ChargeJoinProbe(j.Ctx, c)
@@ -183,7 +181,7 @@ func (j *HashJoin) probeKeys(b *Batch) {
 	for k := 0; k < n; k++ {
 		key, ok := exec.JoinKey(kv.Get(b.Pos(k)))
 		if ok {
-			h.Load(j.table.Head(key), false)
+			ChargeBucketHead(j.Ctx, exec.Card{In: 1}, j.table.Head(key), j.table.Bytes())
 		}
 		j.keys = append(j.keys, key)
 		j.keyOK = append(j.keyOK, ok)
@@ -196,14 +194,13 @@ func (j *HashJoin) probeKeys(b *Batch) {
 func (j *HashJoin) Next() (*Batch, error) {
 	out := j.out
 	capN := out.Cap()
-	h := j.Ctx.M.Hier
 	j.pairP = j.pairP[:0]
 	j.pairB = j.pairB[:0]
 	for {
 		// Drain the current bucket chain: each entry is a pointer chase.
-		//lint:nocharge dispatch is charged per probe batch (probeKeys) and per emitted batch (gather); the chain walk itself charges a dependent load each hop
+		//lint:nocharge dispatch is charged per probe batch (probeKeys) and per emitted batch (gather); each hop charges its dependent load through exec.ChargeChainHop
 		for j.mi < len(j.matches) && len(j.pairP) < capN {
-			h.Load(j.table.Hop(j.mi+1), true)
+			exec.ChargeChainHop(j.Ctx, exec.Card{In: 1}, j.table.Hop(j.mi+1), j.table.Bytes())
 			j.pairP = append(j.pairP, int32(j.curK))
 			j.pairB = append(j.pairB, j.matches[j.mi])
 			j.mi++
@@ -266,24 +263,15 @@ func (j *HashJoin) Next() (*Batch, error) {
 // actually touches — the consumer's demand, not the join's supply — so
 // unreferenced columns of wide rows move nothing beyond the block copy.
 func (j *HashJoin) gather(out *Batch) {
-	h := j.Ctx.M.Hier
 	np := len(j.Probe.Schema().Columns)
-	width := uint64(j.Build.Schema().RowWidth())
-	if width == 0 {
-		width = 8
-	}
-	bufBytes := uint64(len(j.buildRows)) * width
-	if bufBytes == 0 {
-		bufBytes = memsim.LineSize
-	}
 	ChargeDispatch(j.Ctx, exec.Card{Batches: 1})
 	for _, bi := range j.pairB {
 		// First-line load of the matched build row at its real buffer
 		// offset; trailing lines of the row ride the open line(s).
-		h.Load(j.buildBase+uint64(bi)*width%bufBytes, false)
+		ChargeGatherRow(j.Ctx, exec.Card{In: 1}, j.buildBase+uint64(bi)*j.width%j.bufBytes, float64(j.bufBytes))
 	}
 	ChargeJoinGather(j.Ctx, exec.Card{In: float64(len(j.pairP))},
-		RowLines(j.Probe.Schema().RowWidth()), RowLines(int(width)), j.rowBase)
+		RowLines(j.Probe.Schema().RowWidth()), RowLines(int(j.width)), j.rowBase)
 	for i := range j.pairP {
 		dst := j.rowBuf[i]
 		j.probe.Row(int(j.pairP[i]), dst[:np])

@@ -88,7 +88,7 @@ func directFacts(pkg *Package, call *ast.CallExpr) chargeFacts {
 		}
 	case "Sink":
 		switch fn.Name() {
-		case "Evals", "Emits", "Loads", "Stores", "Stream", "Adds", "Others":
+		case "Evals", "Emits", "Loads", "Stores", "Stream", "Random", "Adds", "Others":
 			return chargeFacts{charges: true}
 		case "Tuples":
 			return chargeFacts{charges: true, dispatches: true, polls: true}
