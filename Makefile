@@ -25,14 +25,17 @@ lint:
 	$(GO) run ./cmd/energylint ./...
 
 # Non-blank, non-comment, non-test Go lines of the packages the simplicity
-# PRs track: the planner and the two executors, the B-tree (its bounded
-# range iterator is what both index scans read), the engine profiles, the
+# PRs track: the planner and the two executors, the storage layer (heap
+# file, buffer pool, WAL: every row fetch and slot write both index scans
+# and every writer issue), the B-tree (its bounded range iterator is what
+# both index scans read), the engine profiles, the
 # analyzer suite, the statement pipeline with its two consumers and the wire
 # protocol, the experiment harness, the TPC-H package, the simulator
 # substrate (cache hierarchy and CPU model) and the public facade at the
 # root.
 loc:
 	@scripts/loc.sh internal/db/plan internal/db/vec internal/db/exec
+	@scripts/loc.sh internal/db/storage
 	@scripts/loc.sh internal/db/btree
 	@scripts/loc.sh internal/db/engine
 	@scripts/loc.sh internal/lint
@@ -140,7 +143,9 @@ BENCHTIME ?= 1s
 # every load pays, the ANALYZE pass a planner pays when a table's
 # statistics have gone stale (internal/db/engine), the planning of the 22
 # TPC-H texts (internal/db/plan: every node priced through the executors'
-# charge functions), and what eight scans of a
+# charge functions), a B-tree descent per key, grouped (SeekBatch) and one
+# key at a time (Lookup, which every keyed SELECT of point-lookup's warm-up
+# runs), as ns/key and allocs/op (internal/db/btree), and what eight scans of a
 # heap of 1.3 × L3 pull out of DRAM walking it the same way every time and
 # taking turns (internal/db/storage; simulated cost, once is exact). These are
 # the numbers a memsim, btree, statistics, planner or scan-order change reports before
@@ -150,6 +155,7 @@ bench-substrate:
 	$(GO) test -run xxx -bench 'BenchmarkHierarchy|BenchmarkCalibration|BenchmarkCreateIndex' -benchtime $(BENCHTIME) .
 	$(GO) test -run xxx -bench BenchmarkAnalyze -benchtime $(BENCHTIME) ./internal/db/engine/
 	$(GO) test -run xxx -bench BenchmarkPrepare -benchtime $(BENCHTIME) ./internal/db/plan/
+	$(GO) test -run xxx -bench 'BenchmarkLookup|BenchmarkSeekBatch' -benchmem -benchtime $(BENCHTIME) ./internal/db/btree/
 	$(GO) test -run xxx -bench BenchmarkHeapRescan -benchtime 1x ./internal/db/storage/
 
 # The wire and hand-off layer's host cost (internal/server): one client on a

@@ -10,9 +10,18 @@ import (
 	"energydb/internal/memsim"
 )
 
-// walk collects the row ids an iterator SeekBatch positioned yields, as
+// position is where an iterator stands: its leaf's simulated address (equal
+// across twin trees) and its index there, or (0, 0) past the last leaf.
+func position(it *Iter) [2]uint64 {
+	if it.n == nil {
+		return [2]uint64{}
+	}
+	return [2]uint64{it.n.addr, uint64(it.idx)}
+}
+
+// yields collects the row ids an iterator SeekBatch positioned yields, as
 // Lookup collects them from its own.
-func walk(it *Iter) []int {
+func yields(it *Iter) []int {
 	var ids []int
 	for ; it.Valid(); it.Next() {
 		ids = append(ids, it.RowID())
@@ -28,39 +37,15 @@ func ints(ks ...int64) []value.Value {
 	return out
 }
 
-// TestSeekBatchMatchesLookup runs a batch descent and per-key Lookups on twin
-// trees: every key must get Lookup's row ids, in Lookup's order, and the batch
-// must issue the same loads, stores, adds and plain instructions — its loads
-// are the same lines in another order — with no more stall. A batch of more
-// than one key that reaches past the root stalls strictly less: its descent
-// loads are independent.
+// TestSeekBatchMatchesLookup runs walk's two modes over one key list on twin
+// trees: grouped, the whole batch level by level (SeekBatch), and dependent,
+// one key at a time (Lookup). Every key's iterator must stand at the same
+// entry of the same leaf and yield the same row ids in the same order, and
+// the two must issue the same loads, stores, adds and plain instructions —
+// the same lines in another order — with no more stall. A batch of more than
+// one key that reaches past the root stalls strictly less: its descent loads
+// are independent.
 func TestSeekBatchMatchesLookup(t *testing.T) {
-	// evens holds the even keys 0..1998, key 1000 repeated 251 times across
-	// leaves (TestSeekRange's tree).
-	evens := func(tr *Tree) {
-		for i := 0; i < 1000; i++ {
-			tr.Insert(value.Int(int64(i*2)), i)
-			if i%4 == 0 {
-				tr.Insert(value.Int(1000), 5000+i)
-			}
-		}
-	}
-	// holes is 0..599 with every key in [100, 400) deleted, emptying whole
-	// leaves in place.
-	holes := func(tr *Tree) {
-		for i := 0; i < 600; i++ {
-			tr.Insert(value.Int(int64(i)), i)
-		}
-		for i := 100; i < 400; i++ {
-			tr.Delete(value.Int(int64(i)), i)
-		}
-	}
-	// flat stays one leaf: height 1.
-	flat := func(tr *Tree) {
-		for i := 0; i < 8; i++ {
-			tr.Insert(value.Int(int64(i*3)), i)
-		}
-	}
 	for _, c := range []struct {
 		name  string
 		page  int
@@ -93,7 +78,7 @@ func TestSeekBatchMatchesLookup(t *testing.T) {
 			batchTr.SeekBatch(c.keys, its)
 			got := make([][]int, len(c.keys))
 			for k := range c.keys {
-				got[k] = walk(&its[k])
+				got[k] = yields(&its[k])
 			}
 			batch := batchH.Counters().Sub(before)
 
@@ -107,6 +92,13 @@ func TestSeekBatchMatchesLookup(t *testing.T) {
 				}
 			}
 			perKey := keyH.Counters().Sub(before)
+			batchTr.SeekBatch(c.keys, its)
+			for k, key := range c.keys {
+				one := keyTr.Range(&key, &key)
+				if at, want := position(&its[k]), position(one); at != want {
+					t.Errorf("key %v: SeekBatch stands at %v, a lone descent at %v", key, at, want)
+				}
+			}
 
 			if batch.Loads != perKey.Loads || batch.Stores != perKey.Stores || batch.AddOps != perKey.AddOps || batch.OtherOps != perKey.OtherOps {
 				t.Errorf("SeekBatch issued %+v, per-key Lookup %+v", batch, perKey)
@@ -152,7 +144,7 @@ func TestSeekBatchSnapshotUnderInsert(t *testing.T) {
 		reader.SeekBatch(keys, its)
 		seen := 0
 		for k := range keys {
-			ids := walk(&its[k])
+			ids := yields(&its[k])
 			switch {
 			case len(ids) == 0:
 			case len(ids) == 1 && ids[0] == 1000+k && seen == k:
@@ -165,7 +157,7 @@ func TestSeekBatchSnapshotUnderInsert(t *testing.T) {
 	wg.Wait()
 	reader.SeekBatch(keys, its)
 	for k := range keys {
-		if ids := walk(&its[k]); len(ids) != 1 {
+		if ids := yields(&its[k]); len(ids) != 1 {
 			t.Fatalf("after the inserts key %d yields %v", 1000+k, ids)
 		}
 	}

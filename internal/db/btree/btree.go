@@ -2,10 +2,14 @@
 // engines' clustered tables and secondary indexes. Every node carries a
 // simulated address; a descent issues dependent (pointer-chasing) loads and
 // leaf scans issue streaming loads, reproducing the locality contrast the
-// paper observes between index scan and table scan (Section 3.3). A batch
-// of lookups (SeekBatch, the batch engine's index join) descends level by
-// level instead: the loads of one level, across the batch's keys, are
-// independent of each other and go out back to back.
+// paper observes between index scan and table scan (Section 3.3).
+//
+// A descent has one issue path, level by level over a set of keys, with two
+// modes (the paper's Algorithms 1 and 2, Section 2.5). A batch of lookups
+// (SeekBatch, the batch engine's index join) is grouped: the loads of one
+// level, across the batch's keys, are independent of each other and go out
+// back to back. One key (Range, Lookup, and the node reads of Insert and
+// Delete) is a batch of one whose loads are dependent.
 //
 // The tree also supports relocating its top layers into a TCM window — the
 // Section 4.2 co-design places "the root and first few layers of the B-tree
@@ -201,7 +205,7 @@ func (t *Tree) Insert(key value.Value, rowID int) {
 // insert returns n, or its clone when n predates the current generation,
 // with (key, rowID) added, plus a split sibling when it overflowed.
 func (t *Tree) insert(n *node, key value.Value, rowID int) (*node, *node, value.Value) {
-	t.touchNode(n)
+	t.level([]Iter{{n: n}}, true)
 	c := t.mutable(n)
 	if c.leaf {
 		idx := sort.Search(len(c.keys), func(i int) bool {
@@ -279,7 +283,7 @@ func (t *Tree) Delete(key value.Value, rowID int) bool {
 // delete returns n, or its clone when n predates the current generation,
 // without (key, rowID), and whether the entry was found below n.
 func (t *Tree) delete(n *node, key value.Value, rowID int) (*node, bool) {
-	t.touchNode(n)
+	t.level([]Iter{{n: n}}, true)
 	i := sort.Search(len(n.keys), func(i int) bool {
 		return value.Compare(n.keys[i], key) >= 0
 	})
@@ -321,21 +325,9 @@ func (t *Tree) mutable(n *node) *node {
 	return n
 }
 
-// touchNode simulates reading a node during a descent: a dependent load of
-// the header, then the binary-search rounds within the node, each a
-// dependent load of the line probeAddr names, then one comparison per round.
-func (t *Tree) touchNode(n *node) {
-	t.h.Load(n.addr, true)
-	rounds := probes(n)
-	for i := 0; i < rounds; i++ {
-		t.h.Load(probeAddr(n, i), true)
-	}
-	t.h.Exec(uint64(rounds), memsim.InstrOther) // comparisons
-}
-
-// probes is the number of binary-search rounds a descent spends in n:
-// 1 + ⌊log2 entries⌋, and one for an empty node.
-func probes(n *node) int { return max(bits.Len(uint(len(n.keys))), 1) }
+// Probes is the number of binary-search rounds a descent spends in a node
+// holding fill entries: 1 + ⌊log2 fill⌋, and one for an empty node.
+func Probes(fill int) int { return max(bits.Len(uint(fill)), 1) }
 
 // probeAddr is the address binary-search round i reads in n.
 func probeAddr(n *node, i int) uint64 {
@@ -350,9 +342,9 @@ type frame struct {
 
 // Range returns an iterator over the entries with lo <= key <= hi of the
 // tree snapshot current at the call; a nil bound is open. The descent to the
-// first entry >= lo (the smallest entry when lo is nil) issues dependent
-// loads at each level. The upper bound is checked on the host and costs no simulated
-// access: the iterator turns invalid at the first entry past hi.
+// first entry >= lo (the smallest entry when lo is nil) is a batch of one:
+// its loads are dependent. The upper bound is checked on the host and costs
+// no simulated access: the iterator turns invalid at the first entry past hi.
 func (t *Tree) Range(lo, hi *value.Value) *Iter {
 	it := new(Iter)
 	t.seek(it, lo, hi)
@@ -360,31 +352,28 @@ func (t *Tree) Range(lo, hi *value.Value) *Iter {
 }
 
 // seek points it at the first entry of Range(lo, hi), reusing its descent
-// stack: one node after another, each read with touchNode's dependent loads.
+// stack: walk over a batch of one, dependent. The batch is a one-element
+// array copied back into it, since walk takes a slice.
 func (t *Tree) seek(it *Iter, lo, hi *value.Value) {
-	*it = Iter{t: t, stack: it.stack[:0]}
+	one := [1]Iter{{t: t, stack: it.stack[:0], n: t.snapshotRoot()}}
+	if lo != nil {
+		one[0].lo, one[0].lowered = *lo, true
+	}
 	if hi != nil {
-		it.hi, it.bounded = *hi, true
+		one[0].hi, one[0].bounded = *hi, true
 	}
-	for n := t.snapshotRoot(); n != nil; {
-		t.touchNode(n)
-		n = it.descend(n, lo)
-	}
-	it.settle()
+	t.walk(one[:], true)
+	*it = one[0]
 }
 
 // SeekBatch points its[k] at the first entry equal to keys[k], as Lookup's
 // iterator stands before its first RowID, for every k, over one snapshot of
-// the tree: the batch goes down level by level. At each level every
-// iterator's node header is loaded, back to back, then each binary-search
-// round across the batch, as independent loads: the nodes of one level
-// follow from the level above alone, so no key's load waits on another
-// key's. Within one key the levels, and the rounds within one node, keep
-// their order. The lines and comparisons are touchNode's, node by node; the
-// leaf hops that settle an iterator stay dependent, as do the iterators' own
-// Next loads. its must be at least as long as keys; each iterator's stack is
-// reused, and the iterators whose stack is too short for the tree share one
-// new array.
+// the tree: walk over the whole batch, its descent loads independent — the
+// nodes of one level follow from the level above alone, so no key's load
+// waits on another key's. The leaf hops that settle an iterator stay
+// dependent, as do the iterators' own Next loads. its must be at least as
+// long as keys; each iterator's stack is reused, and the iterators whose
+// stack is too short for the tree share one new array.
 func (t *Tree) SeekBatch(keys []value.Value, its []Iter) {
 	if len(keys) == 0 {
 		return
@@ -404,36 +393,52 @@ func (t *Tree) SeekBatch(keys []value.Value, its []Iter) {
 			}
 			stack, frames = frames[:0:depth], frames[depth:]
 		}
-		// Until the leaf is reached, n is the node the next level reads.
-		its[k] = Iter{t: t, stack: stack, n: root, hi: keys[k], bounded: true}
+		its[k] = Iter{t: t, stack: stack, n: root, lo: keys[k], hi: keys[k], lowered: true, bounded: true}
 	}
+	t.walk(its, false)
+}
+
+// walk descends every iterator of its, each standing at one snapshot's root,
+// to the first entry of its range, level by level: level issues the reads of
+// the level's nodes, then each iterator takes its branch on the host. Within
+// one key the levels, and the rounds within one node, keep their order. Then
+// each iterator settles.
+func (t *Tree) walk(its []Iter, dependent bool) {
+	// The tree is balanced and the snapshot one: a level is leaves for
+	// every key or for none.
 	for leaf := false; !leaf; {
-		// The tree is balanced and the snapshot one: a level is leaves
-		// for every key or for none.
 		leaf = its[0].n.leaf
-		rounds := 0
+		t.level(its, dependent)
 		for k := range its {
-			n := its[k].n
-			t.h.Load(n.addr, false)
-			p := probes(n)
-			t.h.Exec(uint64(p), memsim.InstrOther) // comparisons
-			rounds = max(rounds, p)
-		}
-		for i := 0; i < rounds; i++ {
-			for k := range its {
-				if n := its[k].n; i < probes(n) {
-					t.h.Load(probeAddr(n, i), false)
-				}
-			}
-		}
-		for k := range its {
-			if next := its[k].descend(its[k].n, &its[k].hi); next != nil {
-				its[k].n = next
-			}
+			its[k].branch()
 		}
 	}
 	for k := range its {
 		its[k].settle()
+	}
+}
+
+// level is the one issue path of a node read: it reads the nodes its[k].n,
+// each header with its comparisons back to back, then each binary-search
+// round across the set, round i of every node before round i+1 of any, each
+// a load of the line probeAddr names. dependent marks a set of one reached
+// by pointer chasing (a lone descent, an insert, a delete); a batch's loads
+// are independent.
+func (t *Tree) level(its []Iter, dependent bool) {
+	rounds := 0
+	for k := range its {
+		n := its[k].n
+		t.h.Load(n.addr, dependent)
+		p := Probes(len(n.keys))
+		t.h.Exec(uint64(p), memsim.InstrOther) // comparisons
+		rounds = max(rounds, p)
+	}
+	for i := 0; i < rounds; i++ {
+		for k := range its {
+			if n := its[k].n; i < Probes(len(n.keys)) {
+				t.h.Load(probeAddr(n, i), dependent)
+			}
+		}
 	}
 }
 
@@ -454,11 +459,15 @@ func (t *Tree) Lookup(key value.Value, it *Iter, dst []int) []int {
 type Iter struct {
 	t     *Tree
 	stack []frame
-	n     *node
-	idx   int
-	// hi is the inclusive upper bound when bounded is set.
-	hi      value.Value
-	bounded bool
+	// n is the node the descent reads next, and the current leaf once it
+	// is reached.
+	n   *node
+	idx int
+	// lo is the descent's target when lowered is set: it stops at the first
+	// entry >= lo, else at the smallest. hi is the inclusive upper bound
+	// when bounded is set.
+	lo, hi           value.Value
+	lowered, bounded bool
 }
 
 // Valid reports whether the iterator points at an entry within its range.
@@ -473,26 +482,25 @@ func (it *Iter) Key() value.Value { return it.n.keys[it.idx] }
 // RowID returns the current row id.
 func (it *Iter) RowID() int { return it.n.rowIDs[it.idx] }
 
-// descend is one level of a descent toward the first entry >= lo (the
-// smallest entry when lo is nil), taken on the host once n's loads are
-// issued: at a leaf it positions it and returns nil, above one it records
-// the branch on it's stack and returns the child to read next.
-func (it *Iter) descend(n *node, lo *value.Value) *node {
+// branch takes one level of the descent on the host once it.n's loads are
+// issued: at a leaf it positions it at the first entry >= lo, above one it
+// records the branch on its stack and moves to the child to read next.
+func (it *Iter) branch() {
 	// Descend into the leftmost child that can hold lo: duplicates equal
 	// to a separator may live in the child left of it, so the interior
 	// search uses >=.
-	idx := 0
-	if lo != nil {
+	n, idx := it.n, 0
+	if it.lowered {
 		idx = sort.Search(len(n.keys), func(i int) bool {
-			return value.Compare(n.keys[i], *lo) >= 0
+			return value.Compare(n.keys[i], it.lo) >= 0
 		})
 	}
 	if n.leaf {
-		it.n, it.idx = n, idx
-		return nil
+		it.idx = idx
+		return
 	}
 	it.stack = append(it.stack, frame{n, idx})
-	return n.kids[idx]
+	it.n = n.kids[idx]
 }
 
 // settle ends a descent: the first entry in range may live in a later leaf.

@@ -626,7 +626,7 @@ func (e *Engine) CreateIndex(t *Table, col string) *btree.Tree {
 	prev := e.Dev.Snap
 	e.Dev.Snap = txn.Latest()
 	for i, n := 0, t.File.RowCount(); i < n; i++ {
-		row, visible, err := t.File.ReadRow(i, true)
+		row, visible, err := t.File.ReadRow(i)
 		if err != nil {
 			e.Dev.Snap = prev
 			panic(err)

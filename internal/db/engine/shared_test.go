@@ -153,7 +153,7 @@ func TestUpdateWhereStillWorks(t *testing.T) {
 	if n != 50 {
 		t.Fatalf("updated %d rows, want 50", n)
 	}
-	row, visible, err := tbl.File.ReadRow(7, true)
+	row, visible, err := tbl.File.ReadRow(7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func TestIndexJoinOperator(t *testing.T) {
 	f := newFixture(t, 60)
 	idx := btree.New(f.ctx.M.Hier, f.ctx.Arena, 4096)
 	for i := 0; i < f.file.RowCount(); i++ {
-		row, _, err := f.file.ReadRow(i, true)
+		row, _, err := f.file.ReadRow(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestIndexJoinResidual(t *testing.T) {
 	f := newFixture(t, 40)
 	idx := btree.New(f.ctx.M.Hier, f.ctx.Arena, 4096)
 	for i := 0; i < f.file.RowCount(); i++ {
-		row, _, err := f.file.ReadRow(i, true)
+		row, _, err := f.file.ReadRow(i)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -143,7 +143,7 @@ func (j *IndexJoin) Next() (value.Row, bool, error) {
 		if j.matchIdx < len(j.matches) {
 			id := j.matches[j.matchIdx]
 			j.matchIdx++
-			inner, visible, err := j.Inner.ReadRow(id, false)
+			inner, visible, err := j.Inner.FetchRow(id)
 			if err != nil {
 				return nil, false, err
 			}

@@ -88,7 +88,7 @@ func TestIndexJoinNullOuterKey(t *testing.T) {
 	f := newFixture(t, 20)
 	idx := btree.New(f.ctx.M.Hier, f.ctx.Arena, 4096)
 	for i := 0; i < f.file.RowCount(); i++ {
-		row, _, err := f.file.ReadRow(i, true)
+		row, _, err := f.file.ReadRow(i)
 		if err != nil {
 			t.Fatal(err)
 		}

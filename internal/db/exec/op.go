@@ -115,7 +115,7 @@ func (s *IndexScan) Next() (value.Row, bool, error) {
 	for s.it.Valid() {
 		id := s.it.RowID()
 		s.it.Next()
-		row, visible, err := s.File.ReadRow(id, false)
+		row, visible, err := s.File.FetchRow(id)
 		if err != nil {
 			return nil, false, err
 		}

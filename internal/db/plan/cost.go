@@ -3,6 +3,7 @@ package plan
 import (
 	"math"
 
+	"energydb/internal/db/btree"
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
 	"energydb/internal/db/storage"
@@ -398,9 +399,9 @@ func indexBytes(entries int) float64 {
 }
 
 // btreeDescend charges n root-to-leaf descents of an index of the given
-// height over that many entries, as Tree.touchNode issues them: per node a
-// header load and one binary-search probe per halving of the node's fill,
-// each a dependent load. The fill follows from the shape — a tree of height h
+// height over that many entries, as a lone descent (btree's level, a set of
+// one) issues them: per node a header load and btree.Probes binary-search
+// rounds at the node's fill, each a dependent load. The fill follows from the shape — a tree of height h
 // over e entries fans out e^(1/h) a level — and so does the working set: a
 // descent probes the same few lines of whichever node it visits, so what
 // competes for the caches is nodes × probed lines, not the index's bytes.
@@ -409,7 +410,7 @@ func (c *coster) btreeDescend(a *est, n float64, height, entries int) {
 		return
 	}
 	fan := math.Max(2, math.Pow(float64(entries), 1/float64(height)))
-	probes := math.Floor(math.Log2(fan)) + 1
+	probes := float64(btree.Probes(int(fan)))
 	nodes := 0.0
 	for lvl, at := 0, 1.0; lvl < height; lvl, at = lvl+1, at*fan {
 		nodes += at
@@ -434,9 +435,9 @@ func (c *coster) indexEntries(a *est, n float64, entries int) {
 
 // heapFetch charges n random single-row fetches from the heap: per row its
 // lines and the header line of the pool frame that holds it. The row
-// operators' ReadRow chases both, dependent loads. The batch form's
-// ReadRows (batched) knows every id before it reads one and issues the same
-// lines as independent loads. Its ids come in index-key order, not heap
+// operators' FetchRow, a batch of one, chases both, dependent loads. The
+// batch form's ReadRows (batched) knows every id before it reads one and
+// issues the same lines as independent loads. Its ids come in index-key order, not heap
 // order, so a batched fetch whose rows span more than L3 finds none of its
 // lines cached when the statement runs again — each run evicts its earliest
 // lines before it returns to them — and those lines are priced from DRAM.

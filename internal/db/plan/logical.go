@@ -384,7 +384,7 @@ func (pc *planCtx) sampleJoinEstimate(r *rel) (fan, condSel float64, ok bool) {
 				passed++
 				continue
 			}
-			inner, visible, err := r.t.File.ReadRow(id, false)
+			inner, visible, err := r.t.File.FetchRow(id)
 			if err != nil || !visible {
 				continue
 			}

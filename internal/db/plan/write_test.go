@@ -32,7 +32,7 @@ func tableDump(t *testing.T, e *engine.Engine) []string {
 	f := e.MustTable("facts").File
 	out := make([]string, f.RowCount())
 	for id := range out {
-		row, visible, err := f.ReadRow(id, true)
+		row, visible, err := f.ReadRow(id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,11 +29,11 @@ func TestInsertTxnInvisibleUntilCommit(t *testing.T) {
 
 	// An autocommit snapshot taken now must not see it; the writer must.
 	dev.Snap = mgr.Pin()
-	if _, visible, err := hf.ReadRow(id, true); err != nil || visible {
+	if _, visible, err := hf.ReadRow(id); err != nil || visible {
 		t.Fatalf("uncommitted insert visible to other snapshot (err=%v)", err)
 	}
 	dev.Snap = tx.Snap()
-	if row, visible, _ := hf.ReadRow(id, true); !visible || row[0].I != 99 {
+	if row, visible, _ := hf.ReadRow(id); !visible || row[0].I != 99 {
 		t.Fatalf("writer cannot read own insert: %v %v", row, visible)
 	}
 
@@ -41,7 +41,7 @@ func TestInsertTxnInvisibleUntilCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Snap = mgr.Pin()
-	if _, visible, _ := hf.ReadRow(id, true); !visible {
+	if _, visible, _ := hf.ReadRow(id); !visible {
 		t.Fatal("committed insert invisible to fresh snapshot")
 	}
 }
@@ -58,7 +58,7 @@ func TestInsertTxnAbortLeavesTombstone(t *testing.T) {
 		t.Fatalf("row ids must not be reused; count = %d", hf.RowCount())
 	}
 	dev.Snap = txn.Latest()
-	if _, visible, _ := hf.ReadRow(id, true); visible {
+	if _, visible, _ := hf.ReadRow(id); visible {
 		t.Fatal("aborted insert visible")
 	}
 	if hf.Data().LiveCount() != 10 {
@@ -83,7 +83,7 @@ func TestUpdateTxnSnapshotStability(t *testing.T) {
 
 	// Old snapshot walks the chain to the pre-update version.
 	dev.Snap = reader
-	row, visible, err := hf.ReadRow(3, true)
+	row, visible, err := hf.ReadRow(3)
 	if err != nil || !visible {
 		t.Fatalf("old snapshot lost the row: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestUpdateTxnSnapshotStability(t *testing.T) {
 	}
 	// New snapshot sees the update.
 	dev.Snap = mgr.Pin()
-	row, _, _ = hf.ReadRow(3, true)
+	row, _, _ = hf.ReadRow(3)
 	if row[1].F != 99 {
 		t.Fatalf("new snapshot missed the update: %v", row)
 	}
@@ -138,7 +138,7 @@ func TestUpdateTxnAbortRestoresHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Snap = txn.Latest()
-	row, visible, _ := hf.ReadRow(3, true)
+	row, visible, _ := hf.ReadRow(3)
 	if !visible || row[1].F != 3 || row[2].S != "x" {
 		t.Fatalf("abort did not restore original: %v %v", row, visible)
 	}
@@ -159,18 +159,18 @@ func TestDeleteTxnLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Snap = tx.Snap()
-	if _, visible, _ := hf.ReadRow(2, true); visible {
+	if _, visible, _ := hf.ReadRow(2); visible {
 		t.Fatal("deleter still sees deleted row")
 	}
 	dev.Snap = mgr.Pin()
-	if _, visible, _ := hf.ReadRow(2, true); !visible {
+	if _, visible, _ := hf.ReadRow(2); !visible {
 		t.Fatal("uncommitted delete visible to others")
 	}
 	if err := mgr.Abort(tx); err != nil {
 		t.Fatal(err)
 	}
 	dev.Snap = txn.Latest()
-	if _, visible, _ := hf.ReadRow(2, true); !visible {
+	if _, visible, _ := hf.ReadRow(2); !visible {
 		t.Fatal("aborted delete removed the row")
 	}
 
@@ -184,11 +184,11 @@ func TestDeleteTxnLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Snap = before
-	if _, visible, _ := hf.ReadRow(2, true); !visible {
+	if _, visible, _ := hf.ReadRow(2); !visible {
 		t.Fatal("pre-delete snapshot lost the row")
 	}
 	dev.Snap = mgr.Pin()
-	if _, visible, _ := hf.ReadRow(2, true); visible {
+	if _, visible, _ := hf.ReadRow(2); visible {
 		t.Fatal("committed delete still visible")
 	}
 	// Deleted head conflicts for any later writer.
@@ -279,14 +279,14 @@ func TestChainWalkChargesReader(t *testing.T) {
 	// load-count difference is the chain traversal.
 	dev.Snap = mgr.Pin()
 	before := dev.M.Hier.Counters()
-	if _, visible, _ := hf.ReadRow(0, true); !visible {
+	if _, visible, _ := hf.ReadRow(0); !visible {
 		t.Fatal("head invisible to fresh snapshot")
 	}
 	headLoads := dev.M.Hier.Counters().Sub(before).Loads
 
 	dev.Snap = old
 	before = dev.M.Hier.Counters()
-	row, visible, _ := hf.ReadRow(0, true)
+	row, visible, _ := hf.ReadRow(0)
 	if !visible || row[1].F != 0 {
 		t.Fatalf("old snapshot read = %v (visible=%v)", row, visible)
 	}

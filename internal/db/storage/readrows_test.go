@@ -20,9 +20,11 @@ func wideHeap(t *testing.T, poolBytes, n int) (*Device, *HeapFile) {
 	return dev, hf
 }
 
-// TestReadRowsIssuesReadRowsLoads checks that the batch read returns what
-// per-id ReadRow returns and issues the same loads and stores: only their
-// schedule differs, so the stall is lower and nothing else is.
+// TestReadRowsIssuesReadRowsLoads runs readRows' two modes over one id list
+// on twin heaps: grouped, as one batch (ReadRows), and dependent, one id at a
+// time (FetchRow). Both must return the same rows and issue the same loads
+// and stores: only the schedule differs, so the grouped mode stalls less and
+// nothing else differs.
 func TestReadRowsIssuesReadRowsLoads(t *testing.T) {
 	ids := []int{5, 900, 901, 17, 4000, 2222, 5, 3999, 64, 1500}
 	devRow, row := wideHeap(t, 1<<20, 4096)
@@ -30,9 +32,9 @@ func TestReadRowsIssuesReadRowsLoads(t *testing.T) {
 	want := make([]value.Row, len(ids))
 	before := devRow.M.Hier.Counters()
 	for i, id := range ids {
-		r, ok, err := row.ReadRow(id, false)
+		r, ok, err := row.FetchRow(id)
 		if err != nil || !ok {
-			t.Fatalf("ReadRow(%d): visible %v, err %v", id, ok, err)
+			t.Fatalf("FetchRow(%d): visible %v, err %v", id, ok, err)
 		}
 		want[i] = r
 	}
@@ -46,14 +48,14 @@ func TestReadRowsIssuesReadRowsLoads(t *testing.T) {
 	batchCtr := devBatch.M.Hier.Counters().Sub(before)
 	for i := range ids {
 		if !slices.EqualFunc(got[i], want[i], value.Equal) {
-			t.Errorf("row %d: ReadRows %v, ReadRow %v", ids[i], got[i], want[i])
+			t.Errorf("row %d: grouped %v, dependent %v", ids[i], got[i], want[i])
 		}
 	}
 	if batchCtr.Loads != rowCtr.Loads || batchCtr.Stores != rowCtr.Stores {
-		t.Errorf("ReadRows loads/stores %d/%d, per-id ReadRow %d/%d", batchCtr.Loads, batchCtr.Stores, rowCtr.Loads, rowCtr.Stores)
+		t.Errorf("grouped loads/stores %d/%d, dependent %d/%d", batchCtr.Loads, batchCtr.Stores, rowCtr.Loads, rowCtr.Stores)
 	}
 	if batchCtr.StallCycles >= rowCtr.StallCycles {
-		t.Errorf("ReadRows stalls %d cycles, per-id ReadRow %d: the batch schedule should overlap its loads", batchCtr.StallCycles, rowCtr.StallCycles)
+		t.Errorf("grouped stalls %d cycles, dependent %d: the batch schedule should overlap its loads", batchCtr.StallCycles, rowCtr.StallCycles)
 	}
 	if _, err := batch.ReadRows([]int{3, 4096}, got); err == nil {
 		t.Error("an out-of-range id must fail the batch")
@@ -121,9 +123,9 @@ func TestReadRowsRefetchesEvictedFrames(t *testing.T) {
 		t.Errorf("%d pool misses for %d distinct pages on %d frames: the row pass fetched no evicted page again", n, len(ids), bp.Frames())
 	}
 	for i, id := range ids {
-		want, _, _ := hf.ReadRow(id, false)
+		want, _, _ := hf.FetchRow(id)
 		if !slices.EqualFunc(got[i], want, value.Equal) {
-			t.Errorf("row %d: ReadRows %v, ReadRow %v", id, got[i], want)
+			t.Errorf("row %d: ReadRows %v, FetchRow %v", id, got[i], want)
 		}
 	}
 }

@@ -660,10 +660,18 @@ func (hf *HeapFile) Append(r value.Row) int {
 	d.slots = append(d.slots, v)
 	d.mu.Unlock()
 	d.changes.Add(1)
-	page, slot := id/d.perPage, id%d.perPage
-	addr := hf.pool.Fetch(PageID{d.fileID, page}, true)
-	hf.dev.M.Hier.StoreRange(addr+uint64(pageHeaderBytes+slot*d.rowWidth), uint64(d.rowWidth))
+	hf.storeSlot(id, true, uint64(d.rowWidth))
 	return id
+}
+
+// storeSlot simulates writing the first n bytes of slot id's row: the fetch
+// of its page (sequential rides readahead) and a store per line. It returns
+// the page, for the callers that mark it dirty.
+func (hf *HeapFile) storeSlot(id int, sequential bool, n uint64) PageID {
+	d := hf.data
+	pid := PageID{d.fileID, id / d.perPage}
+	hf.dev.M.Hier.StoreRange(d.rowAddr(hf.pool.Fetch(pid, sequential), id), n)
+	return pid
 }
 
 // insertRecord undoes/commits an InsertTxn: commit stamps the begin
@@ -742,11 +750,7 @@ func (hf *HeapFile) InsertTxn(t *txn.Txn, r value.Row) int {
 	d.mu.Unlock()
 	d.changes.Add(1)
 	t.Log(&insertRecord{d: d, id: id, v: v})
-	page, slot := id/d.perPage, id%d.perPage
-	pid := PageID{d.fileID, page}
-	addr := hf.pool.Fetch(pid, true)
-	hf.dev.M.Hier.StoreRange(addr+uint64(pageHeaderBytes+slot*d.rowWidth), uint64(d.rowWidth))
-	hf.pool.MarkDirty(pid)
+	hf.pool.MarkDirty(hf.storeSlot(id, true, uint64(d.rowWidth)))
 	return id
 }
 
@@ -773,11 +777,7 @@ func (hf *HeapFile) InsertAtTxn(t *txn.Txn, id int, r value.Row) error {
 	d.mu.Unlock()
 	d.changes.Add(1)
 	t.Log(&insertRecord{d: d, id: id, v: v})
-	page, slot := id/d.perPage, id%d.perPage
-	pid := PageID{d.fileID, page}
-	addr := hf.pool.Fetch(pid, true)
-	hf.dev.M.Hier.StoreRange(addr+uint64(pageHeaderBytes+slot*d.rowWidth), uint64(d.rowWidth))
-	hf.pool.MarkDirty(pid)
+	hf.pool.MarkDirty(hf.storeSlot(id, true, uint64(d.rowWidth)))
 	return nil
 }
 
@@ -816,11 +816,7 @@ func (hf *HeapFile) UpdateTxn(t *txn.Txn, id int, row value.Row) (int, error) {
 		d.pruned.Add(uint64(cut))
 		hf.dev.versions(1, true)
 	}
-	page, slot := id/d.perPage, id%d.perPage
-	pid := PageID{d.fileID, page}
-	addr := hf.pool.Fetch(pid, false)
-	hf.dev.M.Hier.StoreRange(addr+uint64(pageHeaderBytes+slot*d.rowWidth), uint64(d.rowWidth))
-	hf.pool.MarkDirty(pid)
+	hf.pool.MarkDirty(hf.storeSlot(id, false, uint64(d.rowWidth)))
 	return d.rowWidth, nil
 }
 
@@ -845,11 +841,7 @@ func (hf *HeapFile) DeleteTxn(t *txn.Txn, id int) error {
 	d.mu.Unlock()
 	d.changes.Add(1)
 	t.Log(&deleteRecord{v: head})
-	page, slot := id/d.perPage, id%d.perPage
-	pid := PageID{d.fileID, page}
-	addr := hf.pool.Fetch(pid, false)
-	hf.dev.M.Hier.StoreRange(addr+uint64(pageHeaderBytes+slot*d.rowWidth), memsim.LineSize)
-	hf.pool.MarkDirty(pid)
+	hf.pool.MarkDirty(hf.storeSlot(id, false, memsim.LineSize))
 	return nil
 }
 
@@ -896,14 +888,9 @@ func (hf *HeapFile) Reap(oldest uint64) []Reaped {
 	d.mu.Unlock()
 	d.reaped.Add(uint64(len(out)))
 
-	h := hf.dev.M.Hier
 	hf.dev.ChargeChain(examined)
 	for _, r := range out {
-		page, slot := r.ID/d.perPage, r.ID%d.perPage
-		pid := PageID{d.fileID, page}
-		addr := hf.pool.Fetch(pid, false)
-		h.StoreRange(addr+uint64(pageHeaderBytes+slot*d.rowWidth), memsim.LineSize)
-		hf.pool.MarkDirty(pid)
+		hf.pool.MarkDirty(hf.storeSlot(r.ID, false, memsim.LineSize))
 	}
 	return out
 }
@@ -911,54 +898,67 @@ func (hf *HeapFile) Reap(oldest uint64) []Reaped {
 // Pool returns the backing buffer pool.
 func (hf *HeapFile) Pool() *BufferPool { return hf.pool }
 
-// ReadRow fetches row id under the device's ambient snapshot, simulating
-// the page fetch, chain hops and the row's cache-line loads. visible is
-// false (with a nil row) when no version of the slot is visible — index
-// probes skip such hits. sequential marks scan-order access (readahead +
-// independent loads); random access (index lookups) issues dependent loads.
-func (hf *HeapFile) ReadRow(id int, sequential bool) (row value.Row, visible bool, err error) {
+// ReadRow reads row id in scan order under the device's ambient snapshot:
+// the page fetch rides readahead and the row streams (streamRow). visible is
+// false (with a nil row) when no version of the slot is visible. A read of a
+// row an index entry named is FetchRow.
+func (hf *HeapFile) ReadRow(id int) (row value.Row, visible bool, err error) {
 	d := hf.data
 	row, hops, ok := d.row(id, hf.dev.Snap)
 	if !ok {
 		return nil, false, fmt.Errorf("storage: row %d out of range [0, %d)", id, d.rowCount())
 	}
-	page, slot := id/d.perPage, id%d.perPage
-	addr := hf.pool.Fetch(PageID{d.fileID, page}, sequential)
-	rowAddr := addr + uint64(pageHeaderBytes+slot*d.rowWidth)
+	hf.streamRow(d.rowAddr(hf.pool.Fetch(PageID{d.fileID, id / d.perPage}, true), id), row, hops)
+	return row, row != nil, nil
+}
+
+// streamRow charges a slot read in scan order: its version-chain hops, then
+// the row's lines as one streaming range, or only the tuple header when no
+// version is visible.
+func (hf *HeapFile) streamRow(rowAddr uint64, row value.Row, hops int) {
 	h := hf.dev.M.Hier
 	hf.dev.ChargeChain(hops)
 	if row == nil {
-		// Invisible: only the tuple header was examined.
-		h.Load(rowAddr, !sequential)
-		return nil, false, nil
+		h.Load(rowAddr, false)
+		return
 	}
-	if sequential {
-		h.LoadRange(rowAddr, uint64(d.rowWidth))
-	} else {
-		// The slot lookup is a pointer chase; remaining lines stream.
-		h.Load(rowAddr, true)
-		if d.rowWidth > memsim.LineSize {
-			h.LoadRange(rowAddr+memsim.LineSize, uint64(d.rowWidth-memsim.LineSize))
-		}
+	h.LoadRange(rowAddr, uint64(hf.data.rowWidth))
+}
+
+// FetchRow reads row id, named by an index entry, under the device's ambient
+// snapshot: a ReadRows of one id whose page-header load and first-line load
+// are dependent, since a lone row's address waits on the entry that named it
+// (a pointer chase). visible is false (with a nil row) when no version of the
+// slot is visible — index probes skip such hits.
+func (hf *HeapFile) FetchRow(id int) (row value.Row, visible bool, err error) {
+	ids, dst := [1]int{id}, [1]value.Row{}
+	if _, err := hf.readRows(ids[:], dst[:], true); err != nil {
+		return nil, false, err
 	}
-	return row, true, nil
+	return dst[0], dst[0] != nil, nil
 }
 
 // ReadRows reads the rows ids name under the device's ambient snapshot into
 // dst (len(dst) >= len(ids); dst[i] is nil when no version of ids[i] is
-// visible), issuing per id what ReadRow(id, false) issues on the schedule a
-// batch engine can follow: slots are fixed-width, so a row's address
-// follows from its id and its page's frame, never from a header's contents,
-// and no id's loads wait on another's. Pass 1 resolves every id's page
-// through the pool in id order (a miss keeps its disk charge and page copy)
-// and issues the page-header loads as independent loads. Pass 2 charges each
-// row's version-chain hops, which stay dependent, then issues the row's
-// first line as an independent load and streams the rest. Pass 1 may have
-// evicted a frame an earlier id resolved; pass 2 then fetches that page
-// again, as ReadRow would, rather than load from a frame that holds another
-// page. It returns the simulated address it read the first id's row at.
-// Nothing is simulated when an id is out of range.
+// visible) on the schedule a batch engine can follow: slots are fixed-width,
+// so a row's address follows from its id and its page's frame, never from a
+// header's contents, and no id's loads wait on another's. It returns the
+// simulated address it read the first id's row at. Nothing is simulated when
+// an id is out of range.
 func (hf *HeapFile) ReadRows(ids []int, dst []value.Row) (first uint64, err error) {
+	return hf.readRows(ids, dst, false)
+}
+
+// readRows is the one issue path of a fetched row, grouped (ReadRows) or, for
+// a batch of one, dependent (FetchRow). Pass 1 resolves every id's page
+// through the pool in id order (a miss keeps its disk charge and page copy)
+// and issues the page-header loads, back to back. Pass 2 charges each row's
+// version-chain hops, which stay dependent, then issues the row's first line
+// and streams the rest; a slot no version of which is visible costs its
+// first line alone. Pass 1 may have evicted a frame an earlier id resolved;
+// pass 2 then fetches that page again, dependent, rather than load from a
+// frame that holds another page.
+func (hf *HeapFile) readRows(ids []int, dst []value.Row, dependent bool) (first uint64, err error) {
 	d := hf.data
 	n := d.rowCount()
 	for _, id := range ids {
@@ -971,7 +971,7 @@ func (hf *HeapFile) ReadRows(ids []int, dst []value.Row) (first uint64, err erro
 	}
 	frames := hf.frames[:len(ids)]
 	for i, id := range ids {
-		frames[i] = hf.pool.fetch(PageID{d.fileID, id / d.perPage}, false, false)
+		frames[i] = hf.pool.fetch(PageID{d.fileID, id / d.perPage}, false, dependent)
 	}
 	h := hf.dev.M.Hier
 	for i, id := range ids {
@@ -986,7 +986,7 @@ func (hf *HeapFile) ReadRows(ids []int, dst []value.Row) (first uint64, err erro
 			first = rowAddr
 		}
 		hf.dev.ChargeChain(hops)
-		h.Load(rowAddr, false)
+		h.Load(rowAddr, dependent)
 		if row != nil && d.rowWidth > memsim.LineSize {
 			h.LoadRange(rowAddr+memsim.LineSize, uint64(d.rowWidth-memsim.LineSize))
 		}
@@ -1037,7 +1037,6 @@ func (hf *HeapFile) Scan() *Scanner {
 func (s *Scanner) Next() (value.Row, int, bool) {
 	hf := s.hf
 	d := hf.data
-	h := hf.dev.M.Hier
 	for {
 		row, hops, ok := d.row(s.next, hf.dev.Snap)
 		if !ok {
@@ -1045,20 +1044,15 @@ func (s *Scanner) Next() (value.Row, int, bool) {
 		}
 		id := s.next
 		s.next++
-		page, slot := id/d.perPage, id%d.perPage
-		if page != s.curPage {
+		if page := id / d.perPage; page != s.curPage {
 			s.pageAddr = hf.pool.Fetch(PageID{d.fileID, page}, true)
 			s.curPage = page
 		}
-		rowAddr := s.pageAddr + uint64(pageHeaderBytes+slot*d.rowWidth)
-		hf.dev.ChargeChain(hops)
-		if row == nil {
-			// Invisible: the scan still touched the tuple header.
-			h.Load(rowAddr, false)
-			continue
+		// Invisible slots cost the scan their tuple header.
+		hf.streamRow(d.rowAddr(s.pageAddr, id), row, hops)
+		if row != nil {
+			return row, id, true
 		}
-		h.LoadRange(rowAddr, uint64(d.rowWidth))
-		return row, id, true
 	}
 }
 

@@ -117,7 +117,7 @@ func TestHeapFileRoundTrip(t *testing.T) {
 	if hf.RowCount() != 1000 {
 		t.Fatalf("row count = %d", hf.RowCount())
 	}
-	r, visible, err := hf.ReadRow(500, true)
+	r, visible, err := hf.ReadRow(500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestHeapFileRoundTrip(t *testing.T) {
 	if r[0].I != 500 || r[1].F != 750 {
 		t.Fatalf("row 500 = %v", r)
 	}
-	if _, _, err := hf.ReadRow(1000, true); err == nil {
+	if _, _, err := hf.ReadRow(1000); err == nil {
 		t.Fatal("out-of-range read must error")
 	}
 }

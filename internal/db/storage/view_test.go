@@ -32,7 +32,7 @@ func TestTableDataView(t *testing.T) {
 
 	beforeA := devA.M.Hier.Counters()
 	beforeB := devB.M.Hier.Counters()
-	row, _, err := view.ReadRow(42, false)
+	row, _, err := view.FetchRow(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTableDataView(t *testing.T) {
 		t.Fatal(err)
 	}
 	devA.Snap = mgr.Pin()
-	row, _, err = hf.ReadRow(42, false)
+	row, _, err = hf.FetchRow(42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func TestHeapFileUpdateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Snap = mgr.Pin()
-	r, visible, err := hf.ReadRow(42, true)
+	r, visible, err := hf.ReadRow(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestWideRowsSpanMultipleLines(t *testing.T) {
 	hf := NewHeapFile(dev, bp, testSchemaWide(), 0)
 	hf.Append(value.Row{value.Str("x"), value.Str("y")})
 	before := dev.M.Hier.Counters()
-	if _, _, err := hf.ReadRow(0, false); err != nil {
+	if _, _, err := hf.FetchRow(0); err != nil {
 		t.Fatal(err)
 	}
 	d := dev.M.Hier.Counters().Sub(before)

@@ -12,11 +12,11 @@ import (
 // fetcher is the one way index access becomes batches: row ids go in, a
 // lazily backed batch comes out. fetch only queues an id; emit hands the
 // whole queue to HeapFile.ReadRows, which issues per id what the row
-// operators' ReadRow(id, false) issues — the page fetch, the version-chain
-// hops, the row's first line and the rest of the row — but on the batch's
-// schedule: every id is known before any is read, so the page headers and
-// the rows' first lines go out back to back as independent loads, and only
-// the chain hops stay dependent. What the batch form also drops is the row
+// operators' FetchRow issues — the page fetch, the version-chain hops, the
+// row's first line and the rest of the row — but on the batch's schedule:
+// every id is known before any is read, so the page headers and the rows'
+// first lines go out back to back as independent loads, and only the chain
+// hops stay dependent. What the batch form also drops is the row
 // schedule's per-candidate interpretation (exec.ChargeTuples): emit charges
 // one dispatch per batch per primitive plus per-element payload traffic
 // (ChargeFetch, and for a join the gather's dispatch and ChargeJoinGather),
