@@ -138,7 +138,8 @@ BENCHTIME ?= 1s
 # The simulated substrate's host cost (root bench_test.go): the hierarchy
 # walk on an L1D hit, a never-hitting stream, a cache-resident scan and random
 # DRAM loads, the calibration every boot pays (BenchmarkCalibration/boot;
-# about half of the benchmark's setup_s on analytic-resident and txn-mixed),
+# internal/mubench's BenchmarkCalibration/spec=<name> splits each MBS
+# benchmark into walker build, warmup and measured passes),
 # the index build
 # every load pays, the ANALYZE pass a planner pays when a table's
 # statistics have gone stale (internal/db/engine), the planning of the 22
@@ -152,7 +153,7 @@ BENCHTIME ?= 1s
 # and after; CI runs them
 # once each to keep them compiling and finishing.
 bench-substrate:
-	$(GO) test -run xxx -bench 'BenchmarkHierarchy|BenchmarkCalibration|BenchmarkCreateIndex' -benchtime $(BENCHTIME) .
+	$(GO) test -run xxx -bench 'BenchmarkHierarchy|BenchmarkCalibration|BenchmarkCreateIndex' -benchtime $(BENCHTIME) . ./internal/mubench/
 	$(GO) test -run xxx -bench BenchmarkAnalyze -benchtime $(BENCHTIME) ./internal/db/engine/
 	$(GO) test -run xxx -bench BenchmarkPrepare -benchtime $(BENCHTIME) ./internal/db/plan/
 	$(GO) test -run xxx -bench 'BenchmarkLookup|BenchmarkSeekBatch' -benchmem -benchtime $(BENCHTIME) ./internal/db/btree/

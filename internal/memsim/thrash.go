@@ -8,22 +8,24 @@ package memsim
 // level that keeps lines holding the last ways lines the pass mapped to it,
 // in access order.
 //
-// Both hold only for a pass that provably misses everywhere. From cold caches
-// a pass over distinct lines does. If moreover every set of every present
-// level is sent more lines than it has ways, the pass leaves each set holding
-// only lines the start of the pass evicts before it returns to them, so under
-// LRU every repetition of the pass misses everywhere too and ends in the same
-// State; mubench counts on that to account the passes after its first.
+// That holds for any pass over distinct lines from cold caches: no line has
+// been seen, so every load misses everywhere. Whether the pass repeats itself
+// is a second fact, reported as repeats: if every set of every present level
+// that the pass sends lines to is sent more than it has ways, the pass leaves
+// each such set holding only lines the start of the pass evicts before it
+// returns to them, so under LRU every repetition of the pass misses everywhere
+// too and ends in the same State; mubench counts on that to account the
+// passes after its first. A pass that fits some set is issued all the same,
+// and its repetition, which hits in that set, is the caller's to walk.
 //
 // It refuses, touching nothing, when a recorder is installed (its owner wants
 // the events), a TCM window is set, the prefetcher is on, a cache is not
-// cold, a line repeats, or some set of some present level is sent no more
-// lines than it has ways. It also refuses an order spread over more than 64
+// cold, or a line repeats. It also refuses an order spread over more than 64
 // times its length in lines, too thin to check for repeats with a bitmap.
 // The caller then walks the pass.
-func (h *Hierarchy) ThrashPass(base uint64, order []uint32, dependent bool) bool {
+func (h *Hierarchy) ThrashPass(base uint64, order []uint32, dependent bool) (issued, repeats bool) {
 	if h.rec != nil || h.cfg.TCM != nil || h.cfg.Prefetch.Enabled || len(order) == 0 {
-		return false
+		return false, false
 	}
 	caches := make([]*cache, 0, 3)
 	for _, c := range []*cache{h.l1d, h.l2, h.l3} {
@@ -31,7 +33,7 @@ func (h *Hierarchy) ThrashPass(base uint64, order []uint32, dependent bool) bool
 			continue
 		}
 		if c.tick != 0 { // every placement ticks, and only a reset rewinds
-			return false
+			return false, false
 		}
 		caches = append(caches, c)
 	}
@@ -42,7 +44,7 @@ func (h *Hierarchy) ThrashPass(base uint64, order []uint32, dependent bool) bool
 	}
 	span := uint64(hi-lo) + 1
 	if span > 64*uint64(len(order)) {
-		return false
+		return false, false
 	}
 	seen := make([]uint64, (span+63)/64)
 	sent := make([][]int32, len(caches))
@@ -53,7 +55,7 @@ func (h *Hierarchy) ThrashPass(base uint64, order []uint32, dependent bool) bool
 	for _, idx := range order {
 		bit := uint64(idx - lo)
 		if seen[bit/64]&(1<<(bit%64)) != 0 {
-			return false
+			return false, false
 		}
 		seen[bit/64] |= 1 << (bit % 64)
 		addr := base + uint64(idx)*LineSize
@@ -65,10 +67,12 @@ func (h *Hierarchy) ThrashPass(base uint64, order []uint32, dependent bool) bool
 			sent[i][addr/LineSize&c.setMask]++
 		}
 	}
+	repeats = true
 	for i, c := range caches {
 		for _, k := range sent[i] {
-			if int(k) <= c.assoc {
-				return false
+			if k > 0 && int(k) <= c.assoc {
+				repeats = false
+				break
 			}
 		}
 	}
@@ -96,11 +100,12 @@ func (h *Hierarchy) ThrashPass(base uint64, order []uint32, dependent bool) bool
 		}
 	}
 	h.ctr.MemAccesses += n
-	return true
+	return true, repeats
 }
 
 // fillTail leaves the cold cache as the misses of the pass would: each set
-// holding the last assoc lines the pass sent it, stamped with their 1-based
+// holding the last assoc lines the pass sent it (all of them, where it was
+// sent fewer), stamped with their 1-based
 // positions in the pass, the tick at the pass's length and the newest-way
 // hint on its last line. sent is scratch, one count per set.
 func (c *cache) fillTail(base uint64, order []uint32, sent []int32) {

@@ -24,17 +24,21 @@ func shuffled(n int, seed int64) []uint32 {
 
 // sameAsWalk issues the pass in closed form on one of two new hierarchies
 // and walks it on the other, and requires equal counters and Equal states
-// after it. Then it walks the pass again on both: they must agree again, and
-// the repetition must miss at every level and count what the first pass
-// counted but for the first page crossing. Last, on a fresh pair, a load of
-// the line the pass sent to its last line's L1D set just before it must hit
-// and take the newest rank on both, which the newest-way hint must not skip.
-func sameAsWalk(t *testing.T, twins func() (*Hierarchy, *Hierarchy), base uint64, order []uint32, dependent bool) {
+// after it. Then it walks the pass again on both: they must agree again. If
+// the closed form reported that the pass repeats itself, the repetition must
+// miss at every level and count what the first pass counted but for the first
+// page crossing; if it did not, and every level keeps what it misses, the
+// repetition must hit somewhere. Last, on a fresh pair, a load of the line
+// the pass sent to its last line's L1D set just before it must hit and take
+// the newest rank on both, which the newest-way hint must not skip. It
+// returns what the closed form reported.
+func sameAsWalk(t *testing.T, twins func() (*Hierarchy, *Hierarchy), base uint64, order []uint32, dependent bool) (repeats bool) {
 	t.Helper()
 	got, want := twins()
 	closedAndWalked := func() {
 		t.Helper()
-		if !got.ThrashPass(base, order, dependent) {
+		var issued bool
+		if issued, repeats = got.ThrashPass(base, order, dependent); !issued {
 			t.Fatal("closed form refused")
 		}
 		walkPass(want, base, order, dependent)
@@ -57,12 +61,18 @@ func sameAsWalk(t *testing.T, twins func() (*Hierarchy, *Hierarchy), base uint64
 		t.Fatal("repeated pass: state differs from the walk's")
 	}
 	again := got.Counters().Sub(first)
-	if n := uint64(len(order)); again.L1DMisses != n || again.MemAccesses != n {
-		t.Fatalf("repeated pass hit: %d L1D misses, %d DRAM accesses of %d loads", again.L1DMisses, again.MemAccesses, n)
-	}
-	again.PageCrossings = first.PageCrossings
-	if again != first {
-		t.Fatalf("repeated pass counted\n %+v\nthe first\n %+v", again, first)
+	n := uint64(len(order))
+	switch {
+	case repeats:
+		if again.L1DMisses != n || again.MemAccesses != n {
+			t.Fatalf("repeated pass hit: %d L1D misses, %d DRAM accesses of %d loads", again.L1DMisses, again.MemAccesses, n)
+		}
+		again.PageCrossings = first.PageCrossings
+		if again != first {
+			t.Fatalf("repeated pass counted\n %+v\nthe first\n %+v", again, first)
+		}
+	case !got.cfg.DirectFill && again.MemAccesses == n:
+		t.Fatalf("the pass was reported not to repeat, yet its repetition missed everywhere: %+v", again)
 	}
 
 	got, want = twins()
@@ -71,8 +81,11 @@ func sameAsWalk(t *testing.T, twins func() (*Hierarchy, *Hierarchy), base uint64
 	sets := uint64(got.cfg.L1D.Sets())
 	last := len(order) - 1
 	prev := last - 1
-	for addr(prev)/LineSize%sets != addr(last)/LineSize%sets {
+	for prev >= 0 && addr(prev)/LineSize%sets != addr(last)/LineSize%sets {
 		prev--
+	}
+	if prev < 0 { // the last line is alone in its set
+		return repeats
 	}
 	if g, w := got.Load(addr(prev), dependent), want.Load(addr(prev), dependent); g != LevelL1D || w != LevelL1D {
 		t.Fatalf("reload of the line before the last in its set: %v, walk %v", g, w)
@@ -80,10 +93,13 @@ func sameAsWalk(t *testing.T, twins func() (*Hierarchy, *Hierarchy), base uint64
 	if !got.State().Equal(want.State()) {
 		t.Fatal("after a reload: state differs from the walk's")
 	}
+	return repeats
 }
 
 // TestThrashPassMatchesWalk: every pass the closed form takes leaves the
-// counters and State its Load loop leaves on a twin hierarchy.
+// counters and State its Load loop leaves on a twin hierarchy, whether or not
+// it repeats itself. A 12 MB chase sends every L3 set 24 lines and repeats; a
+// 6 MB one sends each 12, fits the L3 and does not.
 func TestThrashPassMatchesWalk(t *testing.T) {
 	const base = 1 << 30
 	chase := shuffled(12<<20/LineSize, 1) // 12 MB: 24 lines per L3 set
@@ -93,16 +109,18 @@ func TestThrashPassMatchesWalk(t *testing.T) {
 		freqHz    float64
 		order     []uint32
 		dependent bool
+		repeats   bool
 	}{
-		{"dependent", I7_4790(), 0, chase, true},
-		{"independent", I7_4790(), 0, chase, false},
-		{"ARM", ARM1176JZFS(), 0, shuffled(64<<10/LineSize, 2), true},
-		{"DirectFill", I7_4790().with(func(c *Config) { c.DirectFill = true }), 0, chase, true},
-		{"PStateMin", I7_4790(), 0.8e9, chase, false},
+		{"dependent", I7_4790(), 0, chase, true, true},
+		{"independent", I7_4790(), 0, chase, false, true},
+		{"ARM", ARM1176JZFS(), 0, shuffled(64<<10/LineSize, 2), true, true},
+		{"DirectFill", I7_4790().with(func(c *Config) { c.DirectFill = true }), 0, chase, true, true},
+		{"PStateMin", I7_4790(), 0.8e9, chase, false, true},
+		{"6 MB list", I7_4790(), 0, shuffled(6<<20/LineSize, 3), true, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			sameAsWalk(t, func() (*Hierarchy, *Hierarchy) {
+			repeats := sameAsWalk(t, func() (*Hierarchy, *Hierarchy) {
 				got, want := New(c.cfg), New(c.cfg)
 				if c.freqHz > 0 {
 					got.SetFrequencyHz(c.freqHz)
@@ -110,6 +128,9 @@ func TestThrashPassMatchesWalk(t *testing.T) {
 				}
 				return got, want
 			}, base, c.order, c.dependent)
+			if repeats != c.repeats {
+				t.Fatalf("repeats %v, want %v", repeats, c.repeats)
+			}
 		})
 	}
 }
@@ -134,7 +155,6 @@ func TestThrashPassRefuses(t *testing.T) {
 		order []uint32
 	}{
 		{"warm cache", I7_4790(), func(h *Hierarchy) { h.Load(0, true) }, chase},
-		{"6 MB list", I7_4790(), nil, shuffled(6<<20/LineSize, 3)},
 		{"repeated line", I7_4790(), nil, repeated},
 		{"TCM window", armTCM(), nil, shuffled(64<<10/LineSize, 2)},
 		{"recorder", I7_4790(), func(h *Hierarchy) {
@@ -151,7 +171,7 @@ func TestThrashPassRefuses(t *testing.T) {
 				c.setup(h)
 			}
 			ctr, state := h.Counters(), h.State()
-			if h.ThrashPass(base, c.order, true) {
+			if issued, _ := h.ThrashPass(base, c.order, true); issued {
 				t.Fatal("closed form taken")
 			}
 			if h.Counters() != ctr {
@@ -215,7 +235,7 @@ func FuzzThrashPass(f *testing.F) {
 			probe.Load(base, dependent)
 		}
 		ctr, state := probe.Counters(), probe.State()
-		if !probe.ThrashPass(base, order, dependent) {
+		if issued, _ := probe.ThrashPass(base, order, dependent); !issued {
 			if probe.Counters() != ctr || !probe.State().Equal(state) {
 				t.Fatal("a refused closed form moved the hierarchy")
 			}

@@ -296,14 +296,25 @@ func NewRunner(m *cpusim.Machine, meter *rapl.Meter) *Runner {
 // (walker.step); the Result and the machine's counters, time and energy are
 // those of walking every pass.
 func (r *Runner) Run(s Spec) Result {
+	return r.run(newWalker(r.M.Hier, s))
+}
+
+// run is Run with the benchmark's walker already built.
+func (r *Runner) run(w *walker) Result {
 	r.M.Hier.ResetCaches()
 	r.M.Hier.SetPrefetchEnabled(false)
-	return r.measure(newWalker(r.M.Hier, s))
+	return r.measure(w)
 }
 
 // measure runs the warmup pass and the measured sessions of w's benchmark on
 // the hierarchy as it stands.
 func (r *Runner) measure(w *walker) Result {
+	w.warmup()
+	return r.sessions(w)
+}
+
+// sessions runs the measured sessions of w's benchmark after its warmup.
+func (r *Runner) sessions(w *walker) Result {
 	s := w.s
 	passes := s.Passes
 	if r.Scale > 0 && r.Scale != 1 {
@@ -316,8 +327,6 @@ func (r *Runner) measure(w *walker) Result {
 	if reps < 1 {
 		reps = 1
 	}
-
-	w.warmup()
 
 	var busy, seconds float64
 	var delta memsim.Counters
@@ -370,13 +379,32 @@ func (r *Runner) measure(w *walker) Result {
 	}
 }
 
-// RunAll executes a list of specs in order.
+// RunAll executes a list of specs in order and returns what Run returns for
+// each. A walker's layout is a function of its spec alone and building one
+// touches no machine state, so the walkers are built on a second goroutine
+// while the specs before them are measured: B_mem's permutation is drawn
+// while the smaller benchmarks run.
 func (r *Runner) RunAll(specs []Spec) []Result {
+	walkers := buildWalkers(r.M.Hier, specs)
 	out := make([]Result, 0, len(specs))
-	for _, s := range specs {
-		out = append(out, r.Run(s))
+	for range specs {
+		out = append(out, r.run(<-walkers))
 	}
 	return out
+}
+
+// buildWalkers builds the specs' walkers in order on a goroutine of its own
+// and closes the channel after the last. The channel holds them all, so the
+// builder never waits on its reader and finishes even if the reader stops.
+func buildWalkers(h *memsim.Hierarchy, specs []Spec) <-chan *walker {
+	walkers := make(chan *walker, len(specs))
+	go func() {
+		defer close(walkers)
+		for _, s := range specs {
+			walkers <- newWalker(h, s)
+		}
+	}()
+	return walkers
 }
 
 // walker drives one benchmark's access stream.
@@ -402,7 +430,7 @@ type walker struct {
 	from   memsim.State    // where the last walked pass ended
 	steady bool            // a compared pass ended where it began
 	mem    memsim.Counters // what the memory accesses of that pass counted
-	thrash bool            // the warmup was issued in closed form, and mem is the next pass's
+	thrash bool            // the warmup was issued in closed form and repeats, and mem is the next pass's
 }
 
 // steadyChecks is how many passes after the warmup step compares before it
@@ -493,23 +521,26 @@ func abs(x int) int {
 
 // warmup runs the first pass, which populates the target layer, and notes
 // the state it leaves for step to compare the next pass against. A pass of
-// one order that misses at every level is issued in closed form instead of
-// walked (memsim.Hierarchy.ThrashPass): from the cold caches Run leaves, a
-// pass over distinct lines that sends every set of every level more lines
-// than it has ways. Every later pass then misses everywhere too and ends
-// where the warmup ended, so what the warmup's memory accesses counted is
-// what each of them counts, but for the first page crossing: the warmup's
-// first load, on a cold hierarchy with no last page, always crosses, and the
-// next pass's first load crosses only if the pass ends on another page.
+// one order is issued in closed form instead of walked
+// (memsim.Hierarchy.ThrashPass): from the cold caches Run leaves, a pass over
+// distinct lines misses at every level. When it also sends every set of
+// every level it reaches more lines than the set has ways (thrash), every
+// later pass misses everywhere too and ends where the warmup ended, so what
+// the warmup's memory accesses counted is what each of them counts, but for
+// the first page crossing: the warmup's first load, on a cold hierarchy with
+// no last page, always crosses, and the next pass's first load crosses only
+// if the pass ends on another page. Otherwise step walks the next pass and
+// compares as it would after a walked warmup.
 func (w *walker) warmup() {
 	before := w.h.Counters()
+	var cold bool
 	switch w.s.Style {
 	case StyleArray, StyleGather:
-		w.thrash = w.h.ThrashPass(w.base, w.order, false)
+		cold, w.thrash = w.h.ThrashPass(w.base, w.order, false)
 	case StyleList, StyleRandomList:
-		w.thrash = w.h.ThrashPass(w.base, w.order, true)
+		cold, w.thrash = w.h.ThrashPass(w.base, w.order, true)
 	}
-	w.pass(!w.thrash)
+	w.pass(!cold)
 	w.from = w.h.State()
 	if w.thrash {
 		w.mem = w.h.Counters().Sub(before).MemorySide()
@@ -565,38 +596,39 @@ func (w *walker) step() {
 }
 
 // pass runs one full traversal, through the hierarchy when walk is set and
-// otherwise with its loads and stores left out.
+// otherwise with its loads and stores left out: then only the instructions
+// between them are issued, all at once (interleaveN).
 func (w *walker) pass(walk bool) {
 	s := w.s
 	if walk {
 		w.walked++
 	}
+	if s.Style == StyleExec {
+		w.h.Exec(s.ExecOps, s.ExecKind)
+		w.overheadN(float64(s.ExecOps))
+		return
+	}
+	if !walk {
+		w.interleaveN(w.interleaves())
+		return
+	}
 	switch s.Style {
 	case StyleArray, StyleGather:
 		for _, idx := range w.order {
-			if walk {
-				w.h.Load(w.base+uint64(idx)*memsim.LineSize, false)
-			}
+			w.h.Load(w.base+uint64(idx)*memsim.LineSize, false)
 			w.interleave()
 		}
 	case StyleList, StyleRandomList:
 		for _, idx := range w.order {
-			if walk {
-				w.h.Load(w.base+uint64(idx)*memsim.LineSize, true)
-			}
+			w.h.Load(w.base+uint64(idx)*memsim.LineSize, true)
 			w.interleave()
 		}
 	case StyleStoreVar:
 		n := s.DesiredOps()
 		for i := uint64(0); i < n; i++ {
-			if walk {
-				w.h.Store(w.base)
-			}
+			w.h.Store(w.base)
 			w.interleave()
 		}
-	case StyleExec:
-		w.h.Exec(s.ExecOps, s.ExecKind)
-		w.overheadN(float64(s.ExecOps))
 	case StyleDescent, StyleDescentGroup:
 		// One key at a time is a group of one whose loads are dependent.
 		size, dep := descentGroup, false
@@ -608,9 +640,7 @@ func (w *walker) pass(walk bool) {
 			for l := range w.levels {
 				for j := 0; j <= descentBits; j++ {
 					for _, key := range group {
-						if walk {
-							w.h.Load(w.descentLoad(key, l, j), dep)
-						}
+						w.h.Load(w.descentLoad(key, l, j), dep)
 						w.interleave()
 					}
 				}
@@ -621,10 +651,8 @@ func (w *walker) pass(walk bool) {
 		// wraps around.
 		n := len(w.order2)
 		for i := 0; i < n; i++ {
-			if walk {
-				w.h.Load(w.base+uint64(w.order[i%len(w.order)])*memsim.LineSize, true)
-				w.h.Load(w.base2+uint64(w.order2[i])*memsim.LineSize, true)
-			}
+			w.h.Load(w.base+uint64(w.order[i%len(w.order)])*memsim.LineSize, true)
+			w.h.Load(w.base2+uint64(w.order2[i])*memsim.LineSize, true)
 			w.interleave()
 			w.interleave()
 		}
@@ -641,6 +669,50 @@ func (w *walker) interleave() {
 		w.h.Exec(uint64(w.s.NopPerOp), memsim.InstrNop)
 	}
 	w.overheadN(1)
+}
+
+// interleaves is how many times one pass calls interleave: once per load or
+// store, StyleExec aside.
+func (w *walker) interleaves() uint64 {
+	switch w.s.Style {
+	case StyleStoreVar:
+		return w.s.DesiredOps()
+	case StyleListPair:
+		return 2 * uint64(len(w.order2))
+	case StyleDescent, StyleDescentGroup:
+		return uint64(len(w.order) * len(w.levels) * (1 + descentBits))
+	default:
+		return uint64(len(w.order))
+	}
+}
+
+// interleaveN issues what n calls of interleave issue, for a pass whose
+// loads and stores are left out. Exec only adds to the counters, so one call
+// per instruction kind counts what the n calls count; the loop overhead's
+// carry is stepped op by op as interleave steps it, so that the float
+// rounding, and with it every later pass's overhead, is the walk's. A pass
+// is left unwalked only with no recorder installed, which alone could tell
+// one Exec from many.
+func (w *walker) interleaveN(n uint64) {
+	if w.s.AddPerOp > 0 {
+		w.h.Exec(n*uint64(w.s.AddPerOp), memsim.InstrAdd)
+	}
+	if w.s.NopPerOp > 0 {
+		w.h.Exec(n*uint64(w.s.NopPerOp), memsim.InstrNop)
+	}
+	overhead, slope, other := w.overhead, w.overheadSlope, uint64(0)
+	for range n {
+		overhead += slope
+		if overhead >= 1 {
+			k := uint64(overhead)
+			other += k
+			overhead -= float64(k)
+		}
+	}
+	w.overhead = overhead
+	if other > 0 {
+		w.h.Exec(other, memsim.InstrOther)
+	}
 }
 
 func (w *walker) overheadN(ops float64) {

@@ -141,6 +141,8 @@ func newMetrics(s *Server) *metrics {
 		w.mPState.Set(float64(w.m.PState()))
 		w.mTransitions = r.Counter("energyd_pstate_transitions_total",
 			"P-state changes made by the worker's stall-aware governor.", "worker", id)
+		w.mArena = r.Gauge("energyd_worker_arena_bytes",
+			"Simulated bytes reserved across the worker's engine views; an arena releases none until reset.", "worker", id)
 	}
 	return m
 }

@@ -479,3 +479,30 @@ func grepLines(text, needle string) string {
 	}
 	return fmt.Sprintf("%s\n", strings.Join(out, "\n"))
 }
+
+// TestWorkerArenaBytesGrows: the worker's arena gauge counts the simulated
+// bytes its engine views reserve, which every analytic statement adds to and
+// nothing releases.
+func TestWorkerArenaBytesGrows(t *testing.T) {
+	srv, addr := startServerCfg(t, server.Config{Workers: 1})
+	conn, err := client.Dial(addr, client.Options{Engine: "sqlite", Setting: "baseline", Class: "10MB"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	arena := func() float64 {
+		return series(srv.Metrics().Snapshot())["energyd_worker_arena_bytes/0"].Value
+	}
+	last := arena()
+	for _, q := range []string{`\q6`, `\q1`, `\q6`} {
+		if _, err := conn.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		now := arena()
+		t.Logf("after %s: %.0f bytes", q, now)
+		if now <= last {
+			t.Fatalf("after %s the arena gauge reads %.0f bytes, %.0f before", q, now, last)
+		}
+		last = now
+	}
+}

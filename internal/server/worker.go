@@ -51,12 +51,14 @@ type worker struct {
 	gov *cpusim.StallAwareGovernor
 
 	// mPState / mTransitions publish the governor's state to the metrics
-	// registry, and mLaneWait the time a job waits for the lane (set by
+	// registry, mLaneWait the time a job waits for the lane and mArena the
+	// simulated bytes the worker's engine views have reserved (set by
 	// newMetrics). Updated holding the worker's lane; the obs cells are
 	// themselves goroutine-safe for scrapes.
 	mPState      *obs.Gauge
 	mTransitions *obs.Counter
 	mLaneWait    *obs.Histogram
+	mArena       *obs.Gauge
 }
 
 // newWorkers clones the calibrated primary machine n times. Each worker's
@@ -98,6 +100,7 @@ func (w *worker) submit(fn func()) error {
 		w.mLaneWait.Observe(time.Since(asked).Seconds())
 	}
 	fn()
+	w.publishArena()
 	return nil
 }
 
@@ -124,6 +127,21 @@ func (w *worker) tickGovernor() {
 	if w.mTransitions != nil {
 		w.mTransitions.Add(float64(w.gov.Transitions - before))
 	}
+}
+
+// publishArena sets the arena gauge to the simulated bytes reserved across
+// the worker's engine views. An arena releases nothing until its view is
+// reset, so the gauge shows how close the worker is to exhausting one. Must
+// run holding the worker's lane.
+func (w *worker) publishArena() {
+	if w.mArena == nil {
+		return
+	}
+	var used uint64
+	for _, e := range w.engines {
+		used += e.Dev.Arena.Used()
+	}
+	w.mArena.Set(float64(used))
 }
 
 // engine returns this worker's view of a shared store, creating it on first

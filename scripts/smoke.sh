@@ -116,6 +116,13 @@ grep -Eq '^energyd_prediction_error_ratio_count [23]$' "$TMP/metrics.out" || {
   grep "^energyd_prediction_error_ratio" "$TMP/metrics.out" >&2
   exit 1
 }
+# The statements reserved simulated memory on the worker's engine view, and no
+# arena gives any back: the arena gauge must read above zero.
+awk '$1 == "energyd_worker_arena_bytes{worker=\"0\"}" && $2 > 0 { ok = 1 } END { exit !ok }' "$TMP/metrics.out" || {
+  echo "smoke: /metrics energyd_worker_arena_bytes for worker 0 missing or zero" >&2
+  grep "^energyd_worker_arena_bytes" "$TMP/metrics.out" >&2
+  exit 1
+}
 # \stats and /metrics read the one server ledger, and nothing ran between the
 # two: the E_active \stats printed is the scraped one.
 stats_active=$(sed -n 's/.*totals: .* Eactive=\([^J]*\)J .*/\1/p' "$TMP/shell.out")
