@@ -111,6 +111,21 @@ func BenchmarkHierarchyLoadRandomDRAM(b *testing.B) {
 	}
 }
 
+// stateSink keeps BenchmarkHierarchyState's snapshots live.
+var stateSink memsim.State
+
+// BenchmarkHierarchyState takes the snapshot mubench compares to find a
+// repeating pass, of an i7 hierarchy whose every set of every level is full.
+func BenchmarkHierarchyState(b *testing.B) {
+	cfg := memsim.I7_4790()
+	h := memsim.New(cfg)
+	h.StoreRange(0, 2*uint64(cfg.L3.SizeBytes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stateSink = h.State()
+	}
+}
+
 // BenchmarkCalibration/boot is what server.New, dbshell and the benchmark's
 // set-up pay before the first statement: pass counts at scale 0.1, five
 // sessions per micro-benchmark. /single-pass runs every micro-benchmark's

@@ -16,7 +16,7 @@ import (
 // statement, one transaction); otherwise the writes join tx and become visible
 // at its commit. Write-write conflicts surface as txn.ErrWriteConflict — under
 // an explicit transaction the caller decides whether to roll back. An INSERT
-// goes straight to the engine; an UPDATE or DELETE is planned (PrepareStmt)
+// goes straight to the engine; an UPDATE or DELETE is planned (Prepare)
 // and its plan drained.
 func ExecWrite(e *engine.Engine, tx *txn.Txn, stmt sql.Statement) (int, error) {
 	if ins, ok := stmt.(*sql.InsertStmt); ok {
@@ -25,7 +25,7 @@ func ExecWrite(e *engine.Engine, tx *txn.Txn, stmt sql.Statement) (int, error) {
 		}
 		return execInsert(e, tx, ins)
 	}
-	p, err := PrepareStmt(e, stmt)
+	p, err := Prepare(e, stmt)
 	if err != nil {
 		return 0, err
 	}

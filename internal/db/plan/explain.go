@@ -157,10 +157,12 @@ func predictedEJ(n *Node) float64 {
 // counters are priced with the calibrated ΔE_m table and scaled so the
 // per-operator energies sum exactly to the statement's measured Eactive
 // (the counter deltas partition the run, so the scale factor only absorbs
-// the E_other residual that Eq. 1 cannot place). A write plan run outside a
-// transaction autocommits inside the region; the begin and the commit happen
-// outside every operator's meter window and are credited to the root, the
-// write node, whose estimate prices them.
+// the E_other residual that Eq. 1 cannot place). Beside each measured row
+// count and energy the line prints the planner's prediction, the plain
+// EXPLAIN's rows≈ and E≈, and the signed error of E≈ against the measured
+// E. A write plan run outside a transaction autocommits inside the region;
+// the begin and the commit happen outside every operator's meter window and
+// are credited to the root, the write node, whose estimate prices them.
 //
 // It returns the rendered rows and the statement-level breakdown (for the
 // caller's energy ledger).
@@ -217,9 +219,9 @@ func (p *Prepared) ExplainEnergy(prof *core.Profiler) ([]value.Row, []string, co
 			// walked the heap back to front (storage.BatchScanner).
 			detail += " order=reverse"
 		}
-		line := fmt.Sprintf("%s%s%s  (rows=%d, E=%s %4.1f%%, L1D+Reg2L1D %4.1f%%)",
-			prefix, n.Title(), detail, m.Rows(), fmtEnergy(eJ),
-			share*100, nb.L1DShare()*100)
+		line := fmt.Sprintf("%s%s%s  (rows=%d of ≈%.0f, E=%s %4.1f%%, L1D+Reg2L1D %4.1f%%, E≈%s %+.0f%%)",
+			prefix, n.Title(), detail, m.Rows(), n.EstRows, fmtEnergy(eJ),
+			share*100, nb.L1DShare()*100, fmtEnergy(n.EstEJ), relErr(n.EstEJ, eJ)*100)
 		rows = append(rows, value.Row{value.Str(line)})
 	})
 	stmt := prof.Cal.BreakdownCounters("statement", b.Counters, b.EActive)

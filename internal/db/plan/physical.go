@@ -796,30 +796,18 @@ func (pc *planCtx) buildTop(node *Node) (*Node, error) {
 				aliasExprs[it.As] = it.Expr
 			}
 		}
-		keys := make([]exec.SortKey, 0, len(stmt.OrderBy))
-		names := make([]string, 0, len(stmt.OrderBy))
-		for _, k := range stmt.OrderBy {
-			nodeAST := k.Expr
-			if c, ok := nodeAST.(sql.ColNode); ok {
+		var err error
+		node, err = pc.sortBy(node, func(key sql.Node, in *catalog.Schema) (exec.Expr, error) {
+			if c, ok := key.(sql.ColNode); ok {
 				if repl, ok := aliasExprs[c.Name]; ok {
-					nodeAST = repl
+					key = repl
 				}
 			}
-			expr, err := compile(nodeAST, node.schema)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, exec.SortKey{Expr: expr, Desc: k.Desc})
-			names = append(names, sortName(k))
+			return compile(key, in)
+		})
+		if err != nil {
+			return nil, err
 		}
-		s := &Node{
-			Kind: opSort, Kids: []*Node{node},
-			SortKeys: keys, SortNames: names,
-			schema:  node.schema,
-			EstRows: node.EstRows,
-		}
-		pc.costRow(s, bind(s))
-		node = s
 	}
 
 	node, outNames, err := pc.projection(node)
@@ -828,24 +816,12 @@ func (pc *planCtx) buildTop(node *Node) (*Node, error) {
 	}
 
 	if agg && len(stmt.OrderBy) > 0 {
-		keys := make([]exec.SortKey, 0, len(stmt.OrderBy))
-		names := make([]string, 0, len(stmt.OrderBy))
-		for _, k := range stmt.OrderBy {
-			expr, err := compileWithAliases(k.Expr, node.schema, outNames)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, exec.SortKey{Expr: expr, Desc: k.Desc})
-			names = append(names, sortName(k))
+		node, err = pc.sortBy(node, func(key sql.Node, in *catalog.Schema) (exec.Expr, error) {
+			return compileWithAliases(key, in, outNames)
+		})
+		if err != nil {
+			return nil, err
 		}
-		s := &Node{
-			Kind: opSort, Kids: []*Node{node},
-			SortKeys: keys, SortNames: names,
-			schema:  node.schema,
-			EstRows: node.EstRows,
-		}
-		pc.costRow(s, bind(s))
-		node = s
 	}
 	if stmt.Limit > 0 {
 		node = &Node{
@@ -856,6 +832,29 @@ func (pc *planCtx) buildTop(node *Node) (*Node, error) {
 		}
 	}
 	return node, nil
+}
+
+// sortBy puts a Sort on the statement's ORDER BY above node, each key
+// compiled against node's schema by compileKey, and costs it.
+func (pc *planCtx) sortBy(node *Node, compileKey func(sql.Node, *catalog.Schema) (exec.Expr, error)) (*Node, error) {
+	keys := make([]exec.SortKey, 0, len(pc.stmt.OrderBy))
+	names := make([]string, 0, len(pc.stmt.OrderBy))
+	for _, k := range pc.stmt.OrderBy {
+		expr, err := compileKey(k.Expr, node.schema)
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, exec.SortKey{Expr: expr, Desc: k.Desc})
+		names = append(names, sortName(k))
+	}
+	s := &Node{
+		Kind: opSort, Kids: []*Node{node},
+		SortKeys: keys, SortNames: names,
+		schema:  node.schema,
+		EstRows: node.EstRows,
+	}
+	pc.costRow(s, bind(s))
+	return s, nil
 }
 
 func sortName(k sql.OrderKey) string {

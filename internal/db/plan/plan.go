@@ -41,12 +41,7 @@ type Prepared struct {
 	Root *Node
 }
 
-// Prepare plans a parsed SELECT on the engine.
-func Prepare(e *engine.Engine, stmt *sql.SelectStmt) (*Prepared, error) {
-	return preparePinned(e, stmt, nil)
-}
-
-// PrepareStmt plans any plannable statement: a SELECT, or an UPDATE or DELETE,
+// Prepare plans any plannable statement: a SELECT, or an UPDATE or DELETE,
 // whose WHERE is planned like a SELECT's — the same access-path candidates,
 // the same mode choice — under one write node at the root.
 //
@@ -55,11 +50,11 @@ func Prepare(e *engine.Engine, stmt *sql.SelectStmt) (*Prepared, error) {
 // above; choosePlan then applies the mode rule, prices the tree — its scans
 // against the plan's footprint — and settles each index scan's vector form on
 // the cheaper plan.
-func PrepareStmt(e *engine.Engine, stmt sql.Statement) (*Prepared, error) {
+func Prepare(e *engine.Engine, stmt sql.Statement) (*Prepared, error) {
 	return preparePinned(e, stmt, nil)
 }
 
-// preparePinned is PrepareStmt with the tests' access-path pins (see
+// preparePinned is Prepare with the tests' access-path pins (see
 // planCtx.pin).
 func preparePinned(e *engine.Engine, stmt sql.Statement, pin map[string]opKind) (*Prepared, error) {
 	var read *sql.SelectStmt

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -501,6 +502,65 @@ func TestExplainEnergyAttribution(t *testing.T) {
 	}
 	if sumShare < 99.0 || sumShare > 101.0 {
 		t.Fatalf("operator shares sum to %.2f%%, want ~100%%", sumShare)
+	}
+}
+
+// TestExplainEnergyPrediction checks the prediction EXPLAIN ENERGY prints
+// beside each measurement: every operator line carries the plain EXPLAIN's
+// rows≈ and E≈ for the same plan, and the E≈ values sum to the "predicted
+// total" line.
+func TestExplainEnergyPrediction(t *testing.T) {
+	e, prof := newProfiledEngine(t)
+	stmt, err := sql.Parse(`SELECT cat, SUM(price) FROM items JOIN cats ON cat = cat_id
+		WHERE id < 50 GROUP BY cat ORDER BY cat`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Prepare(e, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, _ := p.Explain()
+	measured, _, _, err := p.ExplainEnergy(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, total := plain[:len(plain)-1], plain[len(plain)-1][0].S
+	if len(measured) != len(plain)+2 {
+		t.Fatalf("%d EXPLAIN ENERGY lines for %d operators", len(measured), len(plain))
+	}
+	rowsRE := regexp.MustCompile(`rows(?:=\d+ of )?≈(\d+)`)
+	eRE := regexp.MustCompile(`E≈([0-9.e+-]+)([mun]?J)`)
+	joules := func(line string) (string, float64) {
+		m := eRE.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("no E≈ in %q", line)
+		}
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatalf("cannot parse %q: %v", line, err)
+		}
+		return m[1] + m[2], v * map[string]float64{"J": 1, "mJ": 1e-3, "uJ": 1e-6, "nJ": 1e-9}[m[2]]
+	}
+	sum := 0.0
+	for i, r := range plain {
+		got, want := measured[i][0].S, r[0].S
+		g, w := rowsRE.FindStringSubmatch(got), rowsRE.FindStringSubmatch(want)
+		if g == nil || w == nil || g[1] != w[1] {
+			t.Errorf("rows≈ differ:\n  %s\n  %s", got, want)
+		}
+		ge, v := joules(got)
+		if we, _ := joules(want); ge != we {
+			t.Errorf("E≈ differ:\n  %s\n  %s", got, want)
+		}
+		sum += v
+	}
+	// Each term is rounded to three significant figures.
+	if _, want := joules(total); math.Abs(sum-want) > 0.01*want {
+		t.Fatalf("operator E≈ sum to %.4g J, %q", sum, total)
+	}
+	if _, want := joules(measured[len(measured)-1][0].S); math.Abs(sum-want) > 0.01*want {
+		t.Fatalf("operator E≈ sum to %.4g J, %q", sum, measured[len(measured)-1][0].S)
 	}
 }
 

@@ -152,7 +152,7 @@ func TestWritePlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := PrepareStmt(e, stmt)
+		p, err := Prepare(e, stmt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.text, err)
 		}
@@ -173,12 +173,12 @@ func TestWritePlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := PrepareStmt(e, stmt); err == nil {
+		if _, err := Prepare(e, stmt); err == nil {
 			t.Errorf("%s planned without error", bad)
 		}
 	}
 	ins, _ := sql.ParseStatement("INSERT INTO facts VALUES (1, 2, 3)")
-	if _, err := PrepareStmt(e, ins); err == nil {
+	if _, err := Prepare(e, ins); err == nil {
 		t.Error("an INSERT has no plan")
 	}
 }
@@ -209,7 +209,7 @@ func TestExplainEnergyWriterStatements(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := PrepareStmt(e, stmt)
+		p, err := Prepare(e, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}

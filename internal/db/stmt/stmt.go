@@ -204,7 +204,7 @@ func (s *Session) Exec(st *Stmt) (Result, error) {
 	case *sql.ExplainStmt:
 		var p *plan.Prepared
 		if a.Energy {
-			if p, err = plan.PrepareStmt(s.Eng, a.Stmt); err != nil {
+			if p, err = plan.Prepare(s.Eng, a.Stmt); err != nil {
 				return Result{}, &Error{"plan", err}
 			}
 			_, read := a.Stmt.(*sql.SelectStmt)
@@ -214,7 +214,7 @@ func (s *Session) Exec(st *Stmt) (Result, error) {
 		} else {
 			class = "plan"
 			rec.B = s.Prof.Profile(st.Name, func() {
-				if p, err = plan.PrepareStmt(s.Eng, a.Stmt); err == nil {
+				if p, err = plan.Prepare(s.Eng, a.Stmt); err == nil {
 					res.Rows, res.Cols = p.Explain()
 				}
 			})
@@ -234,7 +234,7 @@ func (s *Session) Exec(st *Stmt) (Result, error) {
 		write = true
 		var p *plan.Prepared
 		var n int
-		if p, err = plan.PrepareStmt(s.Eng, a); err != nil {
+		if p, err = plan.Prepare(s.Eng, a); err != nil {
 			class = "plan" // nothing ran, but an open transaction is over all the same
 		} else {
 			rec.Plan, rec.Pred = p.Summary(), p.PredictedEJ()

@@ -191,7 +191,7 @@ func RunExtensionWrites(o Options) (Result, error) {
 			if _, err := e.Run(&exec.SeqScan{Ctx: e.Ctx, File: li.File}); err != nil {
 				return Result{}, err
 			}
-			p, err := plan.PrepareStmt(e, stmt)
+			p, err := plan.Prepare(e, stmt)
 			if err != nil {
 				return Result{}, err
 			}

@@ -3,24 +3,23 @@ package memsim
 // cache is a set-associative cache with true-LRU replacement. Only tags are
 // tracked: the simulator models placement and movement, not contents.
 //
-// A set is assoc consecutive ways of one slice, so probing it reads one
-// contiguous run of host memory. An empty way is the zero way: tag 0 never
-// matches (tags are line+1) and used 0 is below every tick, so the LRU search
-// picks an empty way before any filled one without a valid bit.
+// A set is assoc consecutive tags of one slice, ordered from the most to the
+// least recently used, so probing it reads one contiguous run of host memory
+// and the position of a tag is its LRU rank. A hit moves its tag to the
+// front; a placement shifts the set back one and writes the front, so the
+// last tag is the victim. An empty slot is tag 0, which never matches (tags
+// are line+1) and, since a set fills from the front, always sits behind
+// every filled one.
 type cache struct {
-	ways    []way
+	tags    []uint64
 	assoc   int
 	setMask uint64
-	tick    uint64
-	// mru indexes the way touched last, by a hit or a placement.
+	// mru indexes the front of the set touched last, by a hit or a
+	// placement.
 	mru int
-}
-
-// way is one line's metadata: its tag (line+1, zero when empty) and the
-// cache's tick at its last touch.
-type way struct {
-	tag  uint64
-	used uint64
+	// cold is set until the first placement after the cache was built or
+	// reset (ThrashPass computes only from cold caches).
+	cold bool
 }
 
 func newCache(cfg CacheConfig) *cache {
@@ -32,38 +31,37 @@ func newCache(cfg CacheConfig) *cache {
 		panic("memsim: cache set count must be a positive power of two")
 	}
 	return &cache{
-		ways:    make([]way, sets*cfg.Ways),
+		tags:    make([]uint64, sets*cfg.Ways),
 		assoc:   cfg.Ways,
 		setMask: uint64(sets - 1),
+		cold:    true,
 	}
 }
 
-// access probes for the line and refreshes its LRU state on a hit. On a miss
-// with fill set it places the line over the LRU way of the set it has just
-// read: nothing else touches this cache between a miss and the fill that
-// answers it, so one visit leaves the state two would.
+// access probes for the line and moves it to the front of its set on a hit.
+// On a miss with fill set it places the line in the set it has just read:
+// nothing else touches this cache between a miss and the fill that answers
+// it, so one visit leaves the state two would.
 //
-// A hit on the way touched last returns at once, inlined into the caller: that
-// way already holds the highest tick, and only the order of ticks within a
-// set is ever read, so there is nothing to refresh.
+// A hit on the front of the set touched last returns at once, inlined into
+// the caller: the line is already the most recently used of its set.
 func (c *cache) access(line uint64, fill bool) bool {
-	if c.ways[c.mru].tag == line+1 {
+	if c.tags[c.mru] == line+1 {
 		return true
 	}
 	return c.scan(line, fill)
 }
 
-// scan compares the set's tags first, so a hit leaves before any victim
-// bookkeeping.
+// scan compares the set's tags first, so a hit leaves before any placement.
 func (c *cache) scan(line uint64, fill bool) bool {
 	tag := line + 1
 	base := int(line&c.setMask) * c.assoc
-	set := c.ways[base : base+c.assoc]
-	for i := range set {
-		if set[i].tag == tag {
-			c.tick++
-			set[i].used = c.tick
-			c.mru = base + i
+	set := c.tags[base : base+c.assoc]
+	for i, t := range set {
+		if t == tag {
+			copy(set[1:i+1], set[:i])
+			set[0] = tag
+			c.mru = base
 			return true
 		}
 	}
@@ -73,35 +71,31 @@ func (c *cache) scan(line uint64, fill bool) bool {
 	return false
 }
 
-// place overwrites the least recently used way of the line's set.
+// place evicts the least recently used tag of the line's set, the last, and
+// makes the line the most recently used.
 func (c *cache) place(line uint64) {
 	base := int(line&c.setMask) * c.assoc
-	set := c.ways[base : base+c.assoc]
-	victim, oldest := 0, set[0].used
-	for i := 1; i < len(set); i++ {
-		if set[i].used < oldest {
-			victim, oldest = i, set[i].used
-		}
-	}
-	c.tick++
-	set[victim] = way{line + 1, c.tick}
-	c.mru = base + victim
+	set := c.tags[base : base+c.assoc]
+	copy(set[1:], set)
+	set[0] = line + 1
+	c.mru = base
+	c.cold = false
 }
 
 // contains probes without disturbing LRU state (used by the prefetchers).
 func (c *cache) contains(line uint64) bool {
 	tag := line + 1
 	base := int(line&c.setMask) * c.assoc
-	for _, w := range c.ways[base : base+c.assoc] {
-		if w.tag == tag {
+	for _, t := range c.tags[base : base+c.assoc] {
+		if t == tag {
 			return true
 		}
 	}
 	return false
 }
 
-// insert places the line over the LRU way unless the set already holds it,
-// and reports whether it did. A line already present keeps its LRU state:
+// insert places the line over the LRU tag unless the set already holds it,
+// and reports whether it did. A line already present keeps its LRU rank:
 // the prefetchers check before issuing and a dropped prefetch touches nothing.
 func (c *cache) insert(line uint64) bool {
 	if c.contains(line) {
@@ -113,7 +107,7 @@ func (c *cache) insert(line uint64) bool {
 
 // reset empties the cache: afterwards it equals a new one.
 func (c *cache) reset() {
-	clear(c.ways)
-	c.tick = 0
+	clear(c.tags)
 	c.mru = 0
+	c.cold = true
 }

@@ -8,16 +8,16 @@ import "slices"
 // calls return the same levels, move the counters by the same amounts and
 // end in Equal states again.
 //
-// A cache is read only through the tags of a set and the order of their LRU
-// stamps (cache.access), so a set is kept as its tags from the most to the
-// least recently used and neither the way a tag sits in nor the value of its
-// stamp is part of the state. The rest is kept as it stands: the latency and
-// fill configuration, the TCM window, the page of the last demand access,
-// and the streamer's table with its clock. The table is compared stamp for
-// stamp, so two states with a running streamer are Equal only if the
-// streamers saw equally many accesses; nothing that compares states runs it.
-// The hints (cache.mru, prefetcher.last) are left out: each is checked
-// against the tag or page it names before it is believed.
+// A cache is kept as its tags: an access reads only which tags each set
+// holds and in what LRU order, and a set stores them in that order. The rest
+// is kept as it stands too: the latency and fill configuration, the TCM
+// window, the page of the last demand access, and the streamer's table with
+// its clock. The table is compared stamp for stamp, so two states with a
+// running streamer are Equal only if the streamers saw equally many
+// accesses; nothing that compares states runs it. The hints (cache.mru,
+// prefetcher.last) are left out: each is checked against the tag or page it
+// names before it is believed. So is cache.cold, which holds exactly while
+// every tag of the cache is zero.
 type State struct {
 	cfg         Config // less its TCM pointer: the window is compared by value
 	hasTCM      bool
@@ -34,9 +34,9 @@ type State struct {
 func (h *Hierarchy) State() State {
 	s := State{
 		cfg:      h.cfg,
-		l1d:      h.l1d.ranked(),
-		l2:       h.l2.ranked(),
-		l3:       h.l3.ranked(),
+		l1d:      h.l1d.snapshot(),
+		l2:       h.l2.snapshot(),
+		l3:       h.l3.snapshot(),
 		lastPage: h.lastPage,
 		havePage: h.havePage,
 	}
@@ -62,30 +62,12 @@ func (s State) Equal(o State) bool {
 		slices.Equal(s.l1d, o.l1d) && slices.Equal(s.l2, o.l2) && slices.Equal(s.l3, o.l3)
 }
 
-// ranked returns the cache's tags set by set, each set from its most to its
-// least recently used way. Filled ways carry distinct stamps (every touch but
-// a repeated one on the newest way takes a new tick), so the order is total;
-// empty ways, tag and stamp zero, come last. An absent level has no tags.
-func (c *cache) ranked() []uint64 {
+// snapshot returns a copy of the cache's tags. An absent level has none.
+func (c *cache) snapshot() []uint64 {
 	if c == nil {
 		return nil
 	}
-	tags := make([]uint64, len(c.ways))
-	sorted := make([]way, c.assoc)
-	for base := 0; base < len(c.ways); base += c.assoc {
-		// Insertion sort, newest stamp first: a set is a handful of ways.
-		for i, w := range c.ways[base : base+c.assoc] {
-			j := i
-			for ; j > 0 && sorted[j-1].used < w.used; j-- {
-				sorted[j] = sorted[j-1]
-			}
-			sorted[j] = w
-		}
-		for i, w := range sorted {
-			tags[base+i] = w.tag
-		}
-	}
-	return tags
+	return slices.Clone(c.tags)
 }
 
 // Credit moves the counters by d without simulating an access. It is for a

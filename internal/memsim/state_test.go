@@ -43,26 +43,11 @@ func (h *Hierarchy) caches() []*cache {
 }
 
 // scramble rewrites every cache into another representation of the state it
-// is in: the ways of each set permuted, every stamp and the tick moved up by
-// the same offset, the newest-way hint following its way.
+// is in. A set's tags in LRU order are the state itself, so all that can move
+// is the newest-set hint, here to the front of a random set.
 func scramble(h *Hierarchy, rng *rand.Rand) {
 	for _, c := range h.caches() {
-		offset := uint64(1 + rng.Intn(1000))
-		for base := 0; base < len(c.ways); base += c.assoc {
-			set := c.ways[base : base+c.assoc]
-			rng.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
-		}
-		c.tick += offset
-		for i := range c.ways {
-			if c.ways[i].tag != 0 {
-				c.ways[i].used += offset
-			}
-		}
-		for i := range c.ways {
-			if c.ways[i].used > c.ways[c.mru].used {
-				c.mru = i
-			}
-		}
+		c.mru = rng.Intn(len(c.tags)/c.assoc) * c.assoc
 	}
 }
 
@@ -135,7 +120,7 @@ func FuzzHierarchyState(f *testing.F) {
 
 		// One difference at a time, each undone before the next.
 		c := b.caches()[rng.Intn(len(b.caches()))]
-		set := c.ways[rng.Intn(len(c.ways)/c.assoc)*c.assoc:][:c.assoc]
+		set := c.tags[rng.Intn(len(c.tags)/c.assoc)*c.assoc:][:c.assoc]
 		i := rng.Intn(len(set))
 		j := (i + 1 + rng.Intn(len(set)-1)) % len(set)
 		differs := func(what string, change, undo func()) {
@@ -148,10 +133,10 @@ func FuzzHierarchyState(f *testing.F) {
 				t.Fatalf("states differ with %s restored", what)
 			}
 		}
-		swapRank := func() { set[i].used, set[j].used = set[j].used, set[i].used }
+		swapRank := func() { set[i], set[j] = set[j], set[i] }
 		differs("one LRU rank", swapRank, swapRank)
 		sets := c.setMask + 1
-		differs("one tag", func() { set[i].tag += sets }, func() { set[i].tag -= sets })
+		differs("one tag", func() { set[i] += sets }, func() { set[i] -= sets })
 		differs("the last page", func() { b.lastPage++ }, func() { b.lastPage-- })
 
 		// The common future, over the tail of the sweep and past it.

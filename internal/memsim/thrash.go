@@ -32,7 +32,7 @@ func (h *Hierarchy) ThrashPass(base uint64, order []uint32, dependent bool) (iss
 		if c == nil {
 			continue
 		}
-		if c.tick != 0 { // every placement ticks, and only a reset rewinds
+		if !c.cold {
 			return false, false
 		}
 		caches = append(caches, c)
@@ -105,12 +105,11 @@ func (h *Hierarchy) ThrashPass(base uint64, order []uint32, dependent bool) (iss
 
 // fillTail leaves the cold cache as the misses of the pass would: each set
 // holding the last assoc lines the pass sent it (all of them, where it was
-// sent fewer), stamped with their 1-based
-// positions in the pass, the tick at the pass's length and the newest-way
-// hint on its last line. sent is scratch, one count per set.
+// sent fewer), from the pass's last to its earliest, and the newest-set hint
+// on the set of its last line. sent is scratch, one count per set.
 func (c *cache) fillTail(base uint64, order []uint32, sent []int32) {
 	clear(sent)
-	left := len(c.ways)
+	left := len(c.tags)
 	for i := len(order) - 1; i >= 0 && left > 0; i-- {
 		line := (base + uint64(order[i])*LineSize) / LineSize
 		set := int(line & c.setMask)
@@ -120,10 +119,10 @@ func (c *cache) fillTail(base uint64, order []uint32, sent []int32) {
 		}
 		sent[set]++
 		left--
-		c.ways[set*c.assoc+k] = way{line + 1, uint64(i + 1)}
+		c.tags[set*c.assoc+k] = line + 1
 		if i == len(order)-1 {
 			c.mru = set * c.assoc
 		}
 	}
-	c.tick = uint64(len(order))
+	c.cold = false
 }

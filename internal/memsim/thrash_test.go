@@ -30,7 +30,7 @@ func shuffled(n int, seed int64) []uint32 {
 // page crossing; if it did not, and every level keeps what it misses, the
 // repetition must hit somewhere. Last, on a fresh pair, a load of the line
 // the pass sent to its last line's L1D set just before it must hit and take
-// the newest rank on both, which the newest-way hint must not skip. It
+// the newest rank on both, which the newest-set hint must not skip. It
 // returns what the closed form reported.
 func sameAsWalk(t *testing.T, twins func() (*Hierarchy, *Hierarchy), base uint64, order []uint32, dependent bool) (repeats bool) {
 	t.Helper()

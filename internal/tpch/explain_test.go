@@ -82,7 +82,7 @@ func explainGolden(t *testing.T, e *engine.Engine, name, text, path string) {
 	if err != nil {
 		t.Fatalf("%s: parse: %v", name, err)
 	}
-	p, err := plan.PrepareStmt(e, stmt)
+	p, err := plan.Prepare(e, stmt)
 	if err != nil {
 		t.Fatalf("%s %s: plan: %v", e.Kind, name, err)
 	}
