@@ -114,15 +114,35 @@ func BenchmarkHierarchyLoadRandomDRAM(b *testing.B) {
 // stateSink keeps BenchmarkHierarchyState's snapshots live.
 var stateSink memsim.State
 
-// BenchmarkHierarchyState takes the snapshot mubench compares to find a
-// repeating pass, of an i7 hierarchy whose every set of every level is full.
-func BenchmarkHierarchyState(b *testing.B) {
+// fullHierarchy is an i7 hierarchy whose every set of every level is full.
+func fullHierarchy() *memsim.Hierarchy {
 	cfg := memsim.I7_4790()
 	h := memsim.New(cfg)
 	h.StoreRange(0, 2*uint64(cfg.L3.SizeBytes))
+	return h
+}
+
+// BenchmarkHierarchyState takes a new snapshot of a full i7 hierarchy, the
+// kind mubench keeps to find a repeating pass.
+func BenchmarkHierarchyState(b *testing.B) {
+	h := fullHierarchy()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stateSink = h.State()
+	}
+}
+
+// BenchmarkHierarchyMatches compares a full i7 hierarchy with the snapshot it
+// is in, which is what mubench does after each compared pass instead of
+// taking a second snapshot.
+func BenchmarkHierarchyMatches(b *testing.B) {
+	h := fullHierarchy()
+	s := h.State()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !h.Matches(s) {
+			b.Fatal("the hierarchy does not match its own snapshot")
+		}
 	}
 }
 

@@ -241,10 +241,8 @@ func (t *Tree) insert(n *node, key value.Value, rowID int) (*node, *node, value.
 func (t *Tree) splitLeaf(n *node) (*node, value.Value) {
 	mid := len(n.keys) / 2
 	right := t.newNode(true)
-	right.keys = append(right.keys, n.keys[mid:]...)
-	right.rowIDs = append(right.rowIDs, n.rowIDs[mid:]...)
-	n.keys = n.keys[:mid]
-	n.rowIDs = n.rowIDs[:mid]
+	n.keys, right.keys = cut(n.keys, mid, mid)
+	n.rowIDs, right.rowIDs = cut(n.rowIDs, mid, mid)
 	t.h.StoreRange(right.addr, uint64(nodeHeaderBytes+len(right.keys)*entryBytes))
 	return right, right.keys[0]
 }
@@ -253,12 +251,22 @@ func (t *Tree) splitInterior(n *node) (*node, value.Value) {
 	mid := len(n.keys) / 2
 	sep := n.keys[mid]
 	right := t.newNode(false)
-	right.keys = append(right.keys, n.keys[mid+1:]...)
-	right.kids = append(right.kids, n.kids[mid+1:]...)
-	n.keys = n.keys[:mid]
-	n.kids = n.kids[:mid+1]
+	n.keys, right.keys = cut(n.keys, mid, mid+1)
+	n.kids, right.kids = cut(n.kids, mid+1, mid+1)
 	t.h.StoreRange(right.addr, uint64(nodeHeaderBytes+len(right.keys)*entryBytes))
 	return right, sep
+}
+
+// cut splits a node's slice between the node, which keeps s[:i], and its
+// new right sibling, which takes s[j:]. The node gets a copy exactly as long
+// as what it holds; the sibling, where a load in key order keeps inserting,
+// takes over s's grown array, so it fills it before it allocates again.
+func cut[E any](s []E, i, j int) (left, right []E) {
+	left = make([]E, i)
+	copy(left, s)
+	right = s[:copy(s, s[j:])]
+	clear(s[len(right):]) // drop what the moved tail still points at
+	return left, right
 }
 
 // Delete removes the entry (key, rowID) and reports whether it was there.

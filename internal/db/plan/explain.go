@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"energydb/internal/core"
+	"energydb/internal/db/exec"
 	"energydb/internal/db/value"
 	"energydb/internal/memsim"
 )
@@ -153,16 +154,14 @@ func predictedEJ(n *Node) float64 {
 }
 
 // ExplainEnergy executes the plan with per-operator metering under the
-// profiler and renders the measured attribution: each operator's exclusive
-// counters are priced with the calibrated ΔE_m table and scaled so the
-// per-operator energies sum exactly to the statement's measured Eactive
-// (the counter deltas partition the run, so the scale factor only absorbs
-// the E_other residual that Eq. 1 cannot place). Beside each measured row
-// count and energy the line prints the planner's prediction, the plain
-// EXPLAIN's rows≈ and E≈, and the signed error of E≈ against the measured
-// E. A write plan run outside a transaction autocommits inside the region;
-// the begin and the commit happen outside every operator's meter window and
-// are credited to the root, the write node, whose estimate prices them.
+// profiler and renders the measured attribution (Attribute): each
+// operator's share of the statement's measured Eactive. Beside each
+// measured row count and energy the line prints the planner's prediction,
+// the plain EXPLAIN's rows≈ and E≈, and the signed error of E≈ against the
+// measured E. A write plan run outside a transaction autocommits inside the
+// region; the begin and the commit happen outside every operator's meter
+// window and are credited to the root, the write node, whose estimate
+// prices them.
 //
 // It returns the rendered rows and the statement-level breakdown (for the
 // caller's energy ledger).
@@ -171,7 +170,6 @@ func (p *Prepared) ExplainEnergy(prof *core.Profiler) ([]value.Row, []string, co
 	if err != nil {
 		return nil, nil, core.Breakdown{}, err
 	}
-	meters := mt.meters
 	var runErr error
 	b := prof.Profile("explain-energy", func() {
 		_, runErr = p.drain(op)
@@ -180,35 +178,12 @@ func (p *Prepared) ExplainEnergy(prof *core.Profiler) ([]value.Row, []string, co
 		return nil, nil, b, runErr
 	}
 
-	price := func(c memsim.Counters) float64 {
-		return p.E.M.Profile.Energy.Active(c, p.E.M.PState()).Total()
-	}
-	unmetered := b.Counters.Sub(meters[p.Root].Inclusive())
-	own := func(n *Node) memsim.Counters {
-		if n == p.Root {
-			return meters[n].Own().Add(unmetered)
-		}
-		return meters[n].Own()
-	}
-	sum := 0.0
-	var each func(n *Node)
-	each = func(n *Node) {
-		sum += price(own(n))
-		for _, k := range n.Kids {
-			each(k)
-		}
-	}
-	each(p.Root)
-	scale := 1.0
-	if sum > 0 && b.EActive > 0 {
-		scale = b.EActive / sum
-	}
-
+	at := p.Attribute(mt.meters, b)
 	var rows []value.Row
 	walkTree(p.Root, func(n *Node, prefix string) {
-		m := meters[n]
-		eJ := price(own(n)) * scale
-		nb := prof.Cal.BreakdownCounters(n.Title(), own(n), eJ)
+		m := mt.meters[n]
+		eJ := at.EJ[n]
+		nb := prof.Cal.BreakdownCounters(n.Title(), at.Own[n], eJ)
 		share := 0.0
 		if b.EActive > 0 {
 			share = eJ / b.EActive
@@ -232,6 +207,48 @@ func (p *Prepared) ExplainEnergy(prof *core.Profiler) ([]value.Row, []string, co
 			fmtEnergy(p.PredictedEJ()), relErr(p.PredictedEJ(), b.EActive)*100))},
 	)
 	return rows, ExplainColumns, b, nil
+}
+
+// Attribution is a metered run's split over the plan's nodes.
+type Attribution struct {
+	// Own is each node's exclusive counters; the root's also hold what no
+	// meter saw (an autocommit's begin and commit).
+	Own map[*Node]memsim.Counters
+	// EJ is Own priced with the calibrated ΔE_m table and scaled so that
+	// the nodes sum exactly to the run's measured E_active: the counter
+	// deltas partition the run, so the scale only absorbs the E_other
+	// residual Eq. 1 cannot place.
+	EJ map[*Node]float64
+}
+
+// Attribute splits a run of the plan, built by BuildMetered and measured as
+// b, over its nodes from the meters that build returned: each node's EJ is
+// the E an EXPLAIN ENERGY line prints.
+func (p *Prepared) Attribute(meters map[*Node]*exec.Meter, b core.Breakdown) Attribution {
+	at := Attribution{Own: make(map[*Node]memsim.Counters), EJ: make(map[*Node]float64)}
+	unmetered := b.Counters.Sub(meters[p.Root].Inclusive())
+	sum := 0.0
+	var each func(n *Node)
+	each = func(n *Node) {
+		own := meters[n].Own()
+		if n == p.Root {
+			own = own.Add(unmetered)
+		}
+		at.Own[n] = own
+		at.EJ[n] = p.E.M.Profile.Energy.Active(own, p.E.M.PState()).Total()
+		sum += at.EJ[n]
+		for _, k := range n.Kids {
+			each(k)
+		}
+	}
+	each(p.Root)
+	if sum > 0 && b.EActive > 0 {
+		scale := b.EActive / sum
+		for n := range at.EJ {
+			at.EJ[n] *= scale
+		}
+	}
+	return at
 }
 
 // relErr is (predicted - measured) / measured.

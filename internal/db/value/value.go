@@ -5,6 +5,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 )
@@ -90,8 +91,14 @@ func (v Value) AsInt() int64 {
 }
 
 // Compare orders two datums: -1, 0, +1. NULL sorts first. Numeric types
-// compare by value across int/float/date; strings compare lexically.
+// compare by value across int/float/date; strings compare lexically. Two
+// integers (or dates) compare as integers: through float64 every pair above
+// 2^53 that rounds to one float would compare equal, though Hash tells them
+// apart.
 func Compare(a, b Value) int {
+	if isInt(a.T) && isInt(b.T) {
+		return cmp.Compare(a.I, b.I)
+	}
 	if a.IsNull() || b.IsNull() {
 		switch {
 		case a.IsNull() && b.IsNull():
@@ -122,6 +129,9 @@ func Compare(a, b Value) int {
 		return 0
 	}
 }
+
+// isInt reports whether a datum of type t carries its value in I.
+func isInt(t Type) bool { return t == TypeInt || t == TypeDate }
 
 // Equal reports datum equality under Compare semantics.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }

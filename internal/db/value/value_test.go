@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -27,6 +28,33 @@ func TestCompareBasics(t *testing.T) {
 	for i, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
 			t.Errorf("case %d: Compare(%v, %v) = %d, want %d", i, c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestCompareLargeInts: integers and dates compare exactly, where a float64
+// conversion would round neighbours above 2^53 onto one value, and Compare
+// agrees with Hash on which of them are equal.
+func TestCompareLargeInts(t *testing.T) {
+	const big = 1 << 53
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{Int(big), Int(big + 1), -1},
+		{Int(big + 1), Int(big), 1},
+		{Int(big + 1), Int(big + 1), 0},
+		{Int(math.MaxInt64), Int(math.MaxInt64 - 1), 1},
+		{Int(math.MinInt64), Int(math.MinInt64 + 1), -1},
+		{Date(big), Date(big + 1), -1},
+		{Date(big + 1), Int(big), 1},
+	}
+	for i, c := range cases {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("case %d: Compare(%v, %v) = %d, want %d", i, c.a, c.b, got, c.want)
+		}
+		if c.a.T == c.b.T && (Compare(c.a, c.b) == 0) != (c.a.Hash() == c.b.Hash()) {
+			t.Errorf("case %d: Compare(%v, %v) = %d but the hashes say otherwise", i, c.a, c.b, Compare(c.a, c.b))
 		}
 	}
 }

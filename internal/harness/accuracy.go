@@ -3,9 +3,11 @@ package harness
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
+	"energydb/internal/db/plan"
 	"energydb/internal/tpch"
 )
 
@@ -21,7 +23,8 @@ const ReadmeJoinQuery = `SELECT * FROM lineitem JOIN partsupp ON l_suppkey = ps_
 // against the measured E_active of every TPC-H query's optimizer-chosen
 // plan: every query runs warm under the Eq. 1 profiler on the SQLite
 // profile, the README join example rides along as a 23rd row, and the table
-// reports the signed error per query plus the within-±25% count. Rows also
+// reports the signed error per query plus the within-±25% count, then the
+// same error by operator kind over the TPC-H plans' nodes. Rows also
 // show the plan's E_L1D+E_Reg2L1D share, the paper's headline metric, and its
 // vector-operator count, so a prediction error can be read against how much
 // of the plan went batch-at-a-time. The same sweep on the other two engine
@@ -80,6 +83,7 @@ func RunExtensionAccuracy(o Options) (Result, error) {
 	}
 	text += fmt.Sprintf("avg L1D+Reg2L1D share by engine: SQLite %.1f%% > PostgreSQL %.1f%% > MySQL %.1f%% (Figure 7 ordering %s)\n",
 		shares[engine.SQLite]*100, shares[engine.PostgreSQL]*100, shares[engine.MySQL]*100, mark)
+	text += "\n" + errorByKind(runs[:total])
 	return Result{ID: "X9", Title: "Extension X9 (optimizer accuracy sweep)", Text: text, CSV: csv}, nil
 }
 
@@ -90,4 +94,100 @@ func avgL1DShare(runs []sqlRun) float64 {
 		sum += s.B.L1DShare()
 	}
 	return sum / float64(len(runs))
+}
+
+// opKinds are the operator kinds errorByKind reads the prediction error by,
+// in table order.
+var opKinds = []string{"scan", "index fetch", "join probe", "aggregate", "sort", "other"}
+
+// opKind names the kind of a plan node: a heap scan, an index range scan
+// with its heap fetches, a hash or index join's probe (and build), a hash
+// aggregate, a sort, or other (projection, prune, limit).
+func opKind(n *plan.Node) string {
+	t := n.Title()
+	switch {
+	case strings.HasPrefix(t, "SeqScan"):
+		return "scan"
+	case strings.HasPrefix(t, "IndexScan"):
+		return "index fetch"
+	case isJoin(n):
+		return "join probe"
+	case strings.HasPrefix(t, "HashAggregate"):
+		return "aggregate"
+	case strings.HasPrefix(t, "Sort"):
+		return "sort"
+	}
+	return "other"
+}
+
+// kindSums is one operator kind's share of a sweep: its nodes, their summed
+// estimates and the E_active the measured runs attribute to them.
+type kindSums struct {
+	nodes      int
+	pred, meas float64
+}
+
+// sumByKind folds every node of the runs' measured plans into its kind: each
+// node's E≈ (EstEJ) and its E from the run's meters, the two numbers an
+// EXPLAIN ENERGY line prints for it. Over all kinds the sums are the runs'
+// predicted and measured totals.
+func sumByKind(runs []sqlRun) map[string]kindSums {
+	sums := make(map[string]kindSums)
+	for _, s := range runs {
+		at := s.Plan.Attribute(s.Meters, s.B)
+		var walk func(n *plan.Node)
+		walk = func(n *plan.Node) {
+			k := sums[opKind(n)]
+			k.nodes++
+			k.pred += n.EstEJ
+			k.meas += at.EJ[n]
+			sums[opKind(n)] = k
+			for _, kid := range n.Kids {
+				walk(kid)
+			}
+		}
+		walk(s.Plan.Root)
+	}
+	return sums
+}
+
+// errorByKind renders the prediction error by operator kind and names the
+// kind with the largest absolute error, the first one for the cost model to
+// fit.
+func errorByKind(runs []sqlRun) string {
+	sums := sumByKind(runs)
+	var total float64
+	for _, k := range sums {
+		total += k.meas
+	}
+	var rows [][]string
+	worst := ""
+	for _, name := range opKinds {
+		k, ok := sums[name]
+		if !ok {
+			continue
+		}
+		rows = append(rows, []string{
+			name, fmt.Sprint(k.nodes),
+			fmt.Sprintf("%.3f", k.pred*1e3), fmt.Sprintf("%.3f", k.meas*1e3),
+			fmt.Sprintf("%+.1f", relErrPct(k.pred, k.meas)),
+			fmt.Sprintf("%.1f", k.meas/total*100),
+		})
+		if worst == "" || math.Abs(k.pred-k.meas) > math.Abs(sums[worst].pred-sums[worst].meas) {
+			worst = name
+		}
+	}
+	text, _ := table(fmt.Sprintf("prediction error by operator kind (every node of the %d TPC-H plans: E≈ vs its metered E)", len(runs)),
+		[]string{"Kind", "nodes", "pred (mJ)", "meas (mJ)", "err%", "meas share%"}, rows)
+	w := sums[worst]
+	return text + fmt.Sprintf("largest absolute error by kind: %s, %+.3f mJ (%+.1f%%)\n", worst, (w.pred-w.meas)*1e3, relErrPct(w.pred, w.meas))
+}
+
+// relErrPct is the signed error of pred against meas in per cent, 0 for a
+// kind that measured nothing (a Limit simulates no work).
+func relErrPct(pred, meas float64) float64 {
+	if meas == 0 {
+		return 0
+	}
+	return (pred/meas - 1) * 100
 }

@@ -396,3 +396,38 @@ func TestSQLSweepConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestErrorByKindPartitionsTheSweep: X9's table by operator kind folds every
+// node of every measured plan into exactly one kind, so over the kinds the
+// estimates sum to the runs' predictions and the metered energies to their
+// measured E_active.
+func TestErrorByKindPartitionsTheSweep(t *testing.T) {
+	o := quickOpts().effective()
+	r, err := newRig(o, cpusim.PState36, engine.SQLite, o.Setting, o.Class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, _, _, err := predVsMeas(r, sqlSweep(o, 3, 13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pred, meas, kindPred, kindMeas float64
+	for _, s := range runs {
+		pred += s.Pred
+		meas += s.B.EActive
+	}
+	sums := sumByKind(runs)
+	for name, k := range sums {
+		if !slices.Contains(opKinds, name) {
+			t.Errorf("kind %q is not one the table prints", name)
+		}
+		kindPred += k.pred
+		kindMeas += k.meas
+	}
+	if math.Abs(kindPred/pred-1) > 1e-9 || math.Abs(kindMeas/meas-1) > 1e-9 {
+		t.Fatalf("kinds sum to pred %g, meas %g J; the runs to %g, %g J", kindPred, kindMeas, pred, meas)
+	}
+	if sums["join probe"].nodes == 0 || sums["sort"].nodes == 0 {
+		t.Fatalf("Q3 and Q13 have joins and sorts, the kinds hold %+v", sums)
+	}
+}

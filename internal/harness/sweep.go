@@ -24,6 +24,9 @@ type sqlRun struct {
 	// Pred is the cost model's predicted E_active of Plan, in joules.
 	Pred float64
 	B    core.Breakdown
+	// Meters are the per-operator meters of the measured run (metering
+	// reads the counters and simulates nothing).
+	Meters map[*plan.Node]*exec.Meter
 }
 
 // sql is the one place the harness parses, plans and profiles SQL text. It
@@ -37,24 +40,24 @@ func (r rig) sql(q tpch.SQLQuery) (sqlRun, error) {
 	if err != nil {
 		return sqlRun{}, err
 	}
-	build := func() (p *plan.Prepared, op exec.Operator, err error) {
+	build := func() (p *plan.Prepared, op exec.Operator, meters map[*plan.Node]*exec.Meter, err error) {
 		if p, err = plan.Prepare(r.e, stmt); err == nil {
-			op, err = p.Build()
+			op, meters, err = p.BuildMetered()
 		}
-		return p, op, err
+		return p, op, meters, err
 	}
-	_, warm, err := build()
+	_, warm, _, err := build()
 	if err != nil {
 		return sqlRun{}, err
 	}
 	if _, err := exec.Collect(warm); err != nil {
 		return sqlRun{}, err
 	}
-	p, op, err := build()
+	p, op, meters, err := build()
 	if err != nil {
 		return sqlRun{}, err
 	}
-	s := sqlRun{Query: q, Plan: p, Pred: p.PredictedEJ()}
+	s := sqlRun{Query: q, Plan: p, Pred: p.PredictedEJ(), Meters: meters}
 	var runErr error
 	s.B = r.prof.Profile(s.name(), func() {
 		_, runErr = exec.Collect(op)

@@ -14,10 +14,23 @@ type Arena struct {
 	end  uint64
 }
 
-// NewArena creates an arena spanning [base, base+size).
+// MaxAddr bounds the simulated address space: every address a workload
+// loads or stores lies below it. A cache keeps a line as the 32-bit tag
+// line+1, and 0 marks an empty way. Below MaxAddr every line has a tag that
+// fits and is not 0, and so do the lines the prefetchers pull in after it
+// (the next line, the rest of its page). An arena that reaches past it
+// panics, and so does a ThrashPass that does, so no address aliases
+// another line or an empty way.
+const MaxAddr = 1<<38 - PageSize
+
+// NewArena creates an arena spanning [base, base+size). It panics if the
+// span reaches past MaxAddr.
 func NewArena(base, size uint64) *Arena {
 	if base == 0 {
 		base = LineSize // keep address 0 unallocated
+	}
+	if base > MaxAddr || size > MaxAddr-base {
+		panic(fmt.Sprintf("memsim: arena [%#x, +%#x) reaches past MaxAddr %#x", base, size, uint64(MaxAddr)))
 	}
 	return &Arena{base: base, next: base, end: base + size}
 }

@@ -10,8 +10,11 @@ package memsim
 // last tag is the victim. An empty slot is tag 0, which never matches (tags
 // are line+1) and, since a set fills from the front, always sits behind
 // every filled one.
+//
+// A tag is 32 bits: lines below MaxAddr/LineSize fit, so a 16-way set is
+// 64 B, one host cache line.
 type cache struct {
-	tags    []uint64
+	tags    []uint32
 	assoc   int
 	setMask uint64
 	// mru indexes the front of the set touched last, by a hit or a
@@ -31,7 +34,7 @@ func newCache(cfg CacheConfig) *cache {
 		panic("memsim: cache set count must be a positive power of two")
 	}
 	return &cache{
-		tags:    make([]uint64, sets*cfg.Ways),
+		tags:    make([]uint32, sets*cfg.Ways),
 		assoc:   cfg.Ways,
 		setMask: uint64(sets - 1),
 		cold:    true,
@@ -46,7 +49,7 @@ func newCache(cfg CacheConfig) *cache {
 // A hit on the front of the set touched last returns at once, inlined into
 // the caller: the line is already the most recently used of its set.
 func (c *cache) access(line uint64, fill bool) bool {
-	if c.tags[c.mru] == line+1 {
+	if c.tags[c.mru] == uint32(line+1) {
 		return true
 	}
 	return c.scan(line, fill)
@@ -54,7 +57,7 @@ func (c *cache) access(line uint64, fill bool) bool {
 
 // scan compares the set's tags first, so a hit leaves before any placement.
 func (c *cache) scan(line uint64, fill bool) bool {
-	tag := line + 1
+	tag := uint32(line + 1)
 	base := int(line&c.setMask) * c.assoc
 	set := c.tags[base : base+c.assoc]
 	for i, t := range set {
@@ -77,14 +80,14 @@ func (c *cache) place(line uint64) {
 	base := int(line&c.setMask) * c.assoc
 	set := c.tags[base : base+c.assoc]
 	copy(set[1:], set)
-	set[0] = line + 1
+	set[0] = uint32(line + 1)
 	c.mru = base
 	c.cold = false
 }
 
 // contains probes without disturbing LRU state (used by the prefetchers).
 func (c *cache) contains(line uint64) bool {
-	tag := line + 1
+	tag := uint32(line + 1)
 	base := int(line&c.setMask) * c.assoc
 	for _, t := range c.tags[base : base+c.assoc] {
 		if t == tag {

@@ -17,9 +17,9 @@ func TestCacheRecencyOrder(t *testing.T) {
 	const a, b, d, e, f, odd = 2, 4, 6, 8, 10, 1
 	step := func(what string, got, want bool, mru int, lines ...uint64) {
 		t.Helper()
-		tags := make([]uint64, 4)
+		tags := make([]uint32, 4)
 		for i, l := range lines {
-			tags[i] = l + 1
+			tags[i] = uint32(l + 1)
 		}
 		if got != want {
 			t.Fatalf("%s: returned %v, want %v", what, got, want)
@@ -67,7 +67,7 @@ func TestCacheRecencyOrder(t *testing.T) {
 		}
 	}
 	thrash("new hierarchy", true)
-	if set, want := h.l1d.tags[:4], []uint64{9, 7, 5, 3}; !slices.Equal(set, want) {
+	if set, want := h.l1d.tags[:4], []uint32{9, 7, 5, 3}; !slices.Equal(set, want) {
 		t.Fatalf("after the pass L1D set 0 holds tags %v, want %v", set, want)
 	}
 	thrash("after a pass", false)
@@ -83,4 +83,58 @@ func TestCacheRecencyOrder(t *testing.T) {
 	thrash("after a load", false)
 	h.ResetCaches()
 	thrash("after the last reset", true)
+}
+
+// TestTagAddressCeiling: a line just below MaxAddr keeps a tag of its own. A
+// load and a store there miss and then hit; a stream over the top pages, with
+// both prefetchers reaching toward the ceiling, does what the reference's
+// 64-bit tags do; and an arena or a closed-form pass that reaches past
+// MaxAddr panics.
+func TestTagAddressCeiling(t *testing.T) {
+	const top = MaxAddr - 1
+	h := New(tiny())
+	if got := h.Load(top, true); got != LevelMem {
+		t.Fatalf("first load below MaxAddr served by %v, want memory", got)
+	}
+	if got := h.Load(top, true); got != LevelL1D {
+		t.Fatalf("second load below MaxAddr served by %v, want L1D", got)
+	}
+	h = New(tiny())
+	if got := h.Store(top); got != LevelMem {
+		t.Fatalf("first store below MaxAddr served by %v, want memory", got)
+	}
+	if got := h.Store(top); got != LevelL1D {
+		t.Fatalf("second store below MaxAddr served by %v, want L1D", got)
+	}
+
+	cfg := tiny()
+	cfg.Prefetch.Enabled, cfg.Prefetch.L1DNextLine = true, true
+	p := newPair(t, cfg)
+	for round := range 3 {
+		for addr := uint64(MaxAddr - 2*PageSize); addr < MaxAddr; addr += LineSize {
+			if round == 1 {
+				p.store(addr)
+			} else {
+				p.load(addr, round == 2)
+			}
+		}
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	NewArena(MaxAddr-PageSize, PageSize) // ends at the ceiling: allowed
+	mustPanic("an arena one byte past MaxAddr", func() { NewArena(MaxAddr-PageSize, PageSize+1) })
+	mustPanic("an arena based past MaxAddr", func() { NewArena(MaxAddr, LineSize) })
+	mustPanic("an arena whose end wraps", func() { NewArena(1<<63, 1<<63) })
+	if issued, _ := New(tiny()).ThrashPass(MaxAddr-LineSize, []uint32{0}, false); !issued {
+		t.Fatal("a pass over the last line below MaxAddr was refused")
+	}
+	mustPanic("a pass past MaxAddr", func() { New(tiny()).ThrashPass(MaxAddr-LineSize, []uint32{0, 1}, false) })
 }

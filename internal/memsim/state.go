@@ -22,7 +22,7 @@ type State struct {
 	cfg         Config // less its TCM pointer: the window is compared by value
 	hasTCM      bool
 	tcm         TCMConfig
-	l1d, l2, l3 []uint64
+	l1d, l2, l3 []uint32
 	lastPage    uint64
 	havePage    bool
 	streams     []stream
@@ -32,11 +32,35 @@ type State struct {
 // State captures the hierarchy's current state. The counters are not part of
 // it: they record the past and no access reads them.
 func (h *Hierarchy) State() State {
+	var s State
+	h.StateInto(&s)
+	return s
+}
+
+// StateInto sets *s to the hierarchy's current state, reusing the tag and
+// stream buffers s already holds: a copy of s taken before shares them and
+// is overwritten too.
+func (h *Hierarchy) StateInto(s *State) {
+	v := h.view()
+	v.l1d = append(s.l1d[:0], v.l1d...)
+	v.l2 = append(s.l2[:0], v.l2...)
+	v.l3 = append(s.l3[:0], v.l3...)
+	v.streams = append(s.streams[:0], v.streams...)
+	*s = v
+}
+
+// Matches reports whether the hierarchy is in state s, which is
+// State().Equal(s) without copying the state.
+func (h *Hierarchy) Matches(s State) bool { return h.view().Equal(s) }
+
+// view is the hierarchy's state over its own tag slices and stream table,
+// not copies: it holds only until the next access.
+func (h *Hierarchy) view() State {
 	s := State{
 		cfg:      h.cfg,
-		l1d:      h.l1d.snapshot(),
-		l2:       h.l2.snapshot(),
-		l3:       h.l3.snapshot(),
+		l1d:      h.l1d.tagsOrNil(),
+		l2:       h.l2.tagsOrNil(),
+		l3:       h.l3.tagsOrNil(),
 		lastPage: h.lastPage,
 		havePage: h.havePage,
 	}
@@ -48,8 +72,7 @@ func (h *Hierarchy) State() State {
 		s.cfg.TCM = nil
 	}
 	if h.pf != nil {
-		s.streams = slices.Clone(h.pf.streams)
-		s.pfClock = h.pf.clock
+		s.streams, s.pfClock = h.pf.streams, h.pf.clock
 	}
 	return s
 }
@@ -62,12 +85,12 @@ func (s State) Equal(o State) bool {
 		slices.Equal(s.l1d, o.l1d) && slices.Equal(s.l2, o.l2) && slices.Equal(s.l3, o.l3)
 }
 
-// snapshot returns a copy of the cache's tags. An absent level has none.
-func (c *cache) snapshot() []uint64 {
+// tagsOrNil is the cache's tags; an absent level has none.
+func (c *cache) tagsOrNil() []uint32 {
 	if c == nil {
 		return nil
 	}
-	return slices.Clone(c.tags)
+	return c.tags
 }
 
 // Credit moves the counters by d without simulating an access. It is for a

@@ -51,6 +51,17 @@ func scramble(h *Hierarchy, rng *rand.Rand) {
 	}
 }
 
+// equalStates reports whether a and b are in Equal states, and fails if
+// Matches says otherwise in either direction.
+func equalStates(t *testing.T, a, b *Hierarchy) bool {
+	t.Helper()
+	eq := a.State().Equal(b.State())
+	if a.Matches(b.State()) != eq || b.Matches(a.State()) != eq {
+		t.Fatalf("Matches disagrees with Equal (%v)", eq)
+	}
+	return eq
+}
+
 // FuzzHierarchyState checks the relation mubench's steady-state accounting
 // rests on. Two hierarchies take different histories, then the same sweep of
 // stores that replaces every line of every level, and one of them is
@@ -114,7 +125,7 @@ func FuzzHierarchyState(f *testing.F) {
 			base[i] = h.Counters()
 		}
 		scramble(b, rng)
-		if !a.State().Equal(b.State()) {
+		if !equalStates(t, a, b) {
 			t.Fatal("after the same sweep the states differ")
 		}
 
@@ -125,17 +136,17 @@ func FuzzHierarchyState(f *testing.F) {
 		j := (i + 1 + rng.Intn(len(set)-1)) % len(set)
 		differs := func(what string, change, undo func()) {
 			change()
-			if a.State().Equal(b.State()) {
+			if equalStates(t, a, b) {
 				t.Fatalf("states equal with %s changed", what)
 			}
 			undo()
-			if !a.State().Equal(b.State()) {
+			if !equalStates(t, a, b) {
 				t.Fatalf("states differ with %s restored", what)
 			}
 		}
 		swapRank := func() { set[i], set[j] = set[j], set[i] }
 		differs("one LRU rank", swapRank, swapRank)
-		sets := c.setMask + 1
+		sets := uint32(c.setMask + 1)
 		differs("one tag", func() { set[i] += sets }, func() { set[i] -= sets })
 		differs("the last page", func() { b.lastPage++ }, func() { b.lastPage-- })
 
@@ -150,7 +161,7 @@ func FuzzHierarchyState(f *testing.F) {
 				t.Fatalf("access %d (op %d, line %d): counters\n          %+v\nscrambled %+v", n, o, line, ca, cb)
 			}
 		}
-		if !a.State().Equal(b.State()) {
+		if !equalStates(t, a, b) {
 			t.Fatal("states differ after the same accesses from equal states")
 		}
 	})
@@ -183,5 +194,31 @@ func TestMemorySide(t *testing.T) {
 	without.Credit(with.Counters())
 	if got, want := without.Counters(), base.Add(with.Counters()); got != want {
 		t.Fatalf("credit\n  got %+v\n want %+v", got, want)
+	}
+}
+
+// TestStateIntoReusesBuffers: a snapshot refilled in place is the state
+// State builds, allocates nothing once its buffers are sized, and Matches
+// the hierarchy until an access moves it.
+func TestStateIntoReusesBuffers(t *testing.T) {
+	cfg := I7_4790()
+	cfg.Prefetch.Enabled = true
+	h := New(cfg)
+	h.LoadRange(0, 16<<20)
+	var s State
+	h.StateInto(&s)
+	if !s.Equal(h.State()) || !h.Matches(s) {
+		t.Fatal("a snapshot taken in place differs from State")
+	}
+	if n := testing.AllocsPerRun(5, func() { h.StateInto(&s) }); n != 0 {
+		t.Fatalf("StateInto into sized buffers allocated %v times", n)
+	}
+	h.Load(1<<30, true)
+	if h.Matches(s) {
+		t.Fatal("the hierarchy matches a snapshot taken before a miss")
+	}
+	h.StateInto(&s)
+	if !s.Equal(h.State()) || !h.Matches(s) {
+		t.Fatal("a refilled snapshot differs from State")
 	}
 }

@@ -1,5 +1,7 @@
 package memsim
 
+import "fmt"
+
 // ThrashPass issues one load to each line base+order[i]*LineSize in order, all
 // dependent or all independent, without walking the caches, and reports
 // whether it did. It leaves the counters and State that the Load loop would:
@@ -22,9 +24,19 @@ package memsim
 // the events), a TCM window is set, the prefetcher is on, a cache is not
 // cold, or a line repeats. It also refuses an order spread over more than 64
 // times its length in lines, too thin to check for repeats with a bitmap.
-// The caller then walks the pass.
+// The caller then walks the pass. A pass that reaches past MaxAddr panics.
 func (h *Hierarchy) ThrashPass(base uint64, order []uint32, dependent bool) (issued, repeats bool) {
-	if h.rec != nil || h.cfg.TCM != nil || h.cfg.Prefetch.Enabled || len(order) == 0 {
+	if len(order) == 0 {
+		return false, false
+	}
+	lo, hi := order[0], order[0]
+	for _, idx := range order {
+		lo, hi = min(lo, idx), max(hi, idx)
+	}
+	if end := base + (uint64(hi)+1)*LineSize; base > MaxAddr || end > MaxAddr {
+		panic(fmt.Sprintf("memsim: pass over [%#x, %#x) reaches past MaxAddr %#x", base, end, uint64(MaxAddr)))
+	}
+	if h.rec != nil || h.cfg.TCM != nil || h.cfg.Prefetch.Enabled {
 		return false, false
 	}
 	caches := make([]*cache, 0, 3)
@@ -38,10 +50,6 @@ func (h *Hierarchy) ThrashPass(base uint64, order []uint32, dependent bool) (iss
 		caches = append(caches, c)
 	}
 
-	lo, hi := order[0], order[0]
-	for _, idx := range order {
-		lo, hi = min(lo, idx), max(hi, idx)
-	}
 	span := uint64(hi-lo) + 1
 	if span > 64*uint64(len(order)) {
 		return false, false
@@ -119,7 +127,7 @@ func (c *cache) fillTail(base uint64, order []uint32, sent []int32) {
 		}
 		sent[set]++
 		left--
-		c.tags[set*c.assoc+k] = line + 1
+		c.tags[set*c.assoc+k] = uint32(line + 1)
 		if i == len(order)-1 {
 			c.mru = set * c.assoc
 		}

@@ -3,6 +3,7 @@ package memsim
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -195,7 +196,8 @@ func TestThrashPassRefuses(t *testing.T) {
 // dependent loads (bit 2) and a warm cache (bit 3); bytes 1–8 are the base,
 // byte 9 the length, byte 10 the stride between the order's lines and byte 11
 // their offset. Every later pair of bytes edits the shuffled order: a swap, or
-// one in sixteen a copy, which repeats a line.
+// one in sixteen a copy, which repeats a line. A pass that reaches past
+// MaxAddr must panic.
 func FuzzThrashPass(f *testing.F) {
 	f.Add([]byte{0x04, 0, 0, 0, 0x40, 0, 0, 0, 0, 0x60, 0, 0, 0x11, 0x22})
 	f.Add([]byte{0x01, 0x10, 0x20, 0, 0, 0, 0, 0, 0, 0xff, 0, 3})
@@ -230,6 +232,16 @@ func FuzzThrashPass(f *testing.F) {
 		}
 
 		probe := New(cfg)
+		if hi := slices.Max(order); base > MaxAddr || base+(uint64(hi)+1)*LineSize > MaxAddr {
+			// Past the address space a 32-bit tag covers: refused loudly.
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("a pass from %#x to line %d past MaxAddr did not panic", base, hi)
+				}
+			}()
+			probe.ThrashPass(base, order, dependent)
+			return
+		}
 		warm := data[0]&8 != 0
 		if warm {
 			probe.Load(base, dependent)

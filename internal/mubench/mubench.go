@@ -541,7 +541,13 @@ func (w *walker) warmup() {
 		cold, w.thrash = w.h.ThrashPass(w.base, w.order, true)
 	}
 	w.pass(!cold)
-	w.from = w.h.State()
+	if w.s.Style == StyleExec {
+		// No load or store: the hierarchy's state cannot move, so every
+		// pass ends where it began and its memory side is empty.
+		w.steady = true
+		return
+	}
+	w.h.StateInto(&w.from)
 	if w.thrash {
 		w.mem = w.h.Counters().Sub(before).MemorySide()
 		page := func(idx uint32) uint64 { return (w.base + uint64(idx)*memsim.LineSize) / memsim.PageSize }
@@ -573,7 +579,7 @@ func (w *walker) step() {
 		w.h.Credit(w.mem)
 	case w.checks == steadyChecks:
 		w.pass(true)
-	case w.checks == 0 && w.thrash && w.h.State().Equal(w.from):
+	case w.checks == 0 && w.thrash && w.h.Matches(w.from):
 		// The hierarchy is where the warmup's closed form left it: this
 		// pass misses everywhere as the warmup did and ends where it
 		// began.
@@ -585,12 +591,12 @@ func (w *walker) step() {
 		before := w.h.Counters()
 		w.pass(true)
 		w.checks++
-		if after := w.h.State(); after.Equal(w.from) {
+		if w.h.Matches(w.from) {
 			w.steady = true
 			w.mem = w.h.Counters().Sub(before).MemorySide()
 			w.from = memsim.State{}
 		} else {
-			w.from = after
+			w.h.StateInto(&w.from)
 		}
 	}
 }

@@ -90,7 +90,7 @@ func TestLSMScan(t *testing.T) {
 
 func TestSkiplistOrdering(t *testing.T) {
 	m := newM(t)
-	arena := memsim.NewArena(1<<40, 1<<20)
+	arena := memsim.NewArena(1<<37, 1<<20) // clear of the stores' arenas, below memsim.MaxAddr
 	s := newSkiplist(m, arena)
 	keys := []string{"delta", "alpha", "charlie", "bravo", "echo"}
 	for i, k := range keys {
