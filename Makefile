@@ -141,9 +141,10 @@ BENCHTIME ?= 1s
 # internal/mubench's BenchmarkCalibration/spec=<name> splits each MBS
 # benchmark into walker build, warmup and measured passes),
 # the index build
-# every load pays (these with B/op and allocs/op, so the snapshot's, the
-# index build's and boot's heap use are on record), the ANALYZE pass a planner pays when a table's
-# statistics have gone stale (internal/db/engine), the planning of the 22
+# every load pays, the ANALYZE pass a planner pays when a table's
+# statistics have gone stale (internal/db/engine; these with B/op and
+# allocs/op, so the snapshot's, the index build's, boot's and ANALYZE's heap
+# use are on record), the planning of the 22
 # TPC-H texts (internal/db/plan: every node priced through the executors'
 # charge functions), a B-tree descent per key, grouped (SeekBatch) and one
 # key at a time (Lookup, which every keyed SELECT of point-lookup's warm-up
@@ -155,7 +156,7 @@ BENCHTIME ?= 1s
 # once each to keep them compiling and finishing.
 bench-substrate:
 	$(GO) test -run xxx -bench 'BenchmarkHierarchy|BenchmarkCalibration|BenchmarkCreateIndex' -benchmem -benchtime $(BENCHTIME) . ./internal/mubench/
-	$(GO) test -run xxx -bench BenchmarkAnalyze -benchtime $(BENCHTIME) ./internal/db/engine/
+	$(GO) test -run xxx -bench BenchmarkAnalyze -benchmem -benchtime $(BENCHTIME) ./internal/db/engine/
 	$(GO) test -run xxx -bench BenchmarkPrepare -benchtime $(BENCHTIME) ./internal/db/plan/
 	$(GO) test -run xxx -bench 'BenchmarkLookup|BenchmarkSeekBatch' -benchmem -benchtime $(BENCHTIME) ./internal/db/btree/
 	$(GO) test -run xxx -bench BenchmarkHeapRescan -benchtime 1x ./internal/db/storage/

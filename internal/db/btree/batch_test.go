@@ -64,7 +64,7 @@ func TestSeekBatchMatchesLookup(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			twin := func() (*Tree, *memsim.Hierarchy) {
 				m := cpusim.NewMachine(cpusim.IntelI7_4790())
-				tr := New(m.Hier, memsim.NewArena(1<<33, 64<<20), c.page)
+				tr := New(m.Hier, memsim.NewArena(1<<33, 64<<20), c.page, value.TypeInt)
 				c.build(tr)
 				return tr, m.Hier
 			}
@@ -167,7 +167,7 @@ func TestSeekBatchSnapshotUnderInsert(t *testing.T) {
 // over it, for the host cost of the two descents.
 func benchTree(b *testing.B) (*Tree, []value.Value) {
 	m := cpusim.NewMachine(cpusim.IntelI7_4790())
-	tr := New(m.Hier, memsim.NewArena(1<<33, 512<<20), 4096)
+	tr := New(m.Hier, memsim.NewArena(1<<33, 512<<20), 4096, value.TypeInt)
 	for i := 0; i < 100000; i++ {
 		tr.Insert(value.Int(int64(i)), i)
 	}

@@ -46,10 +46,12 @@
 package btree
 
 import (
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -70,13 +72,21 @@ type Tree struct {
 	s *shared
 }
 
-// shared is the cross-view tree structure. mu guards root/size/height/gen;
-// nodes of an older generation than gen are immutable (a reader may hold
-// them), nodes of generation gen belong to the inserter.
+// shared is the cross-view tree structure. mu guards root/size/height/gen
+// and the string dictionary; nodes of an older generation than gen are
+// immutable (a reader may hold them), nodes of generation gen belong to the
+// inserter.
 type shared struct {
-	mu     sync.RWMutex
-	arena  *memsim.Arena
-	order  int // max children per interior node / entries per leaf
+	mu    sync.RWMutex
+	arena *memsim.Arena
+	order int        // max children per interior node / entries per leaf
+	kind  value.Type // the type of every non-NULL key
+	// strs and strIDs intern a Str tree's keys: a key's word is its index
+	// in strs. Nothing is ever removed, since an older snapshot may still
+	// decode it, and strs only grows, so a slice a reader captured stays
+	// valid for every word it can reach.
+	strs   []string
+	strIDs map[string]uint64
 	root   *node
 	height int
 	size   int
@@ -88,19 +98,39 @@ type shared struct {
 }
 
 type node struct {
-	gen    uint64
-	addr   uint64
-	leaf   bool
-	keys   []value.Value // first key component only, for ordering
-	kids   []*node       // interior
-	rowIDs []int         // leaf
+	gen  uint64
+	addr uint64
+	leaf bool
+	// nulls counts the NULL keys, which sort first: keys[:nulls] are NULL
+	// and their words mean nothing.
+	nulls  int
+	keys   []uint64 // ordered words of the first key component (see codec)
+	kids   []*node  // interior
+	rowIDs []int    // leaf
+}
+
+// key is one stored key: its word, or NULL.
+type key struct {
+	w    uint64
+	null bool
+}
+
+// key returns n's key i.
+func (n *node) key(i int) key { return key{w: n.keys[i], null: i < n.nulls} }
+
+// putKey inserts k as n's key i; a NULL goes among the leading NULLs.
+func (n *node) putKey(i int, k key) {
+	n.keys = insertAt(n.keys, i, k.w)
+	if k.null {
+		n.nulls++
+	}
 }
 
 // clone returns a mutable copy of n for generation gen at the same simulated
 // address. The original stays immutable for readers holding older roots.
 func (n *node) clone(gen uint64) *node {
-	c := &node{gen: gen, addr: n.addr, leaf: n.leaf}
-	c.keys = append([]value.Value(nil), n.keys...)
+	c := &node{gen: gen, addr: n.addr, leaf: n.leaf, nulls: n.nulls}
+	c.keys = append([]uint64(nil), n.keys...)
 	if n.leaf {
 		c.rowIDs = append([]int(nil), n.rowIDs...)
 	} else {
@@ -109,16 +139,144 @@ func (n *node) clone(gen uint64) *node {
 	return c
 }
 
-// New creates an empty tree whose nodes fit the given page size.
-func New(h *memsim.Hierarchy, arena *memsim.Arena, pageSize int) *Tree {
+// New creates an empty tree of keys of the given type whose nodes fit the
+// given page size. Besides keys of that type it takes only NULLs.
+func New(h *memsim.Hierarchy, arena *memsim.Arena, pageSize int, kind value.Type) *Tree {
 	order := (pageSize - nodeHeaderBytes) / entryBytes
 	if order < 8 {
 		order = 8
 	}
-	t := &Tree{h: h, s: &shared{arena: arena, order: order}}
+	t := &Tree{h: h, s: &shared{arena: arena, order: order, kind: kind}}
+	if kind == value.TypeStr {
+		t.s.strIDs = make(map[string]uint64)
+	}
 	t.s.root = t.newNode(true)
 	t.s.height = 1
 	return t
+}
+
+// signBit is the top bit of a word.
+const signBit = 1 << 63
+
+// codec maps one tree's keys to ordered words and back. An Int or Date key's
+// word is the integer with its sign bit flipped and a Float key's the IEEE
+// total-order transform (−0 as +0), so unsigned word order is value.Compare's
+// order; a Str key's word is its index in the tree's dictionary, which orders
+// nothing, and is compared by its string.
+type codec struct {
+	kind value.Type
+	strs []string // the dictionary as captured with the root
+}
+
+// codec returns the codec of the current dictionary; the caller holds mu.
+func (s *shared) codec() codec { return codec{kind: s.kind, strs: s.strs} }
+
+// encode turns a key into what a node stores, interning a string; the
+// caller holds mu. It panics on a non-NULL key of another type, whose word
+// would not compare with the stored ones, and on a NaN, which value.Compare
+// finds equal to every number, so that no position keeps the keys in order.
+func (s *shared) encode(v value.Value) key {
+	switch {
+	case v.IsNull():
+		return key{null: true}
+	case v.T != s.kind:
+		panic(fmt.Sprintf("btree: %v key in a tree of %v keys", v.T, s.kind))
+	case v.T == value.TypeFloat && math.IsNaN(v.F):
+		panic("btree: NaN key")
+	case v.T != value.TypeStr:
+		return key{w: s.codec().bound(v).w}
+	}
+	id, ok := s.strIDs[v.S]
+	if !ok {
+		id = uint64(len(s.strs))
+		s.strs = append(s.strs, v.S)
+		s.strIDs[v.S] = id
+	}
+	return key{w: id}
+}
+
+// floatWord is f's total-order word: negative floats have every bit flipped,
+// the others their sign bit set. Both zeros map to +0's word.
+func floatWord(f float64) uint64 {
+	if f == 0 {
+		return signBit
+	}
+	b := math.Float64bits(f)
+	if b&signBit != 0 {
+		return ^b
+	}
+	return b | signBit
+}
+
+// decode returns the non-NULL key a word stands for.
+func (c codec) decode(w uint64) value.Value {
+	switch c.kind {
+	case value.TypeInt:
+		return value.Int(int64(w ^ signBit))
+	case value.TypeDate:
+		return value.Date(int64(w ^ signBit))
+	case value.TypeFloat:
+		if w&signBit != 0 {
+			return value.Float(math.Float64frombits(w ^ signBit))
+		}
+		return value.Float(math.Float64frombits(^w))
+	}
+	return value.Str(c.strs[w])
+}
+
+// bound is a probe prepared for one tree. When word is set, w orders against
+// the tree's non-NULL words exactly as v does under value.Compare: v is of
+// the tree's own kind (Int and Date compare alike) and not a NaN. Any other
+// probe is compared with each decoded key.
+type bound struct {
+	v    value.Value
+	w    uint64
+	word bool
+}
+
+// bound prepares v as a probe.
+func (c codec) bound(v value.Value) bound {
+	b := bound{v: v}
+	switch {
+	case v.IsNull() || c.kind == value.TypeStr:
+	case c.kind == value.TypeFloat:
+		if v.T == value.TypeFloat && !math.IsNaN(v.F) {
+			b.w, b.word = floatWord(v.F), true
+		}
+	case v.T == value.TypeInt || v.T == value.TypeDate:
+		b.w, b.word = uint64(v.I)^signBit, true
+	}
+	return b
+}
+
+// compare is value.Compare(n's key i, b.v).
+func (c codec) compare(n *node, i int, b *bound) int {
+	switch {
+	case i < n.nulls:
+		if b.v.IsNull() {
+			return 0
+		}
+		return -1
+	case b.word:
+		return cmp.Compare(n.keys[i], b.w)
+	default:
+		return value.Compare(c.decode(n.keys[i]), b.v)
+	}
+}
+
+// search returns the first i of n whose key is at or above b.v under
+// value.Compare, or above it when above is set.
+func (c codec) search(n *node, b *bound, above bool) int {
+	lo, hi := 0, len(n.keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r := c.compare(n, m, b); r < 0 || above && r == 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // View returns a tree over the same shared node structure whose simulated
@@ -137,12 +295,13 @@ func (t *Tree) newNode(leaf bool) *node {
 	}
 }
 
-// snapshotRoot captures the current published root and marks the tree read,
-// which makes everything reachable from that root immutable.
-func (t *Tree) snapshotRoot() *node {
+// snapshot captures the current published root and marks the tree read,
+// which makes everything reachable from that root immutable, with the codec
+// that decodes it.
+func (t *Tree) snapshot() (*node, codec) {
 	t.s.mu.RLock()
 	defer t.s.mu.RUnlock()
-	return t.s.capture()
+	return t.s.capture(), t.s.codec()
 }
 
 // capture hands the root to a reader; the caller holds mu.
@@ -184,16 +343,20 @@ func (s *shared) beginWrite() {
 // kept in insertion order. The simulated descent and node writes are issued
 // against the inserting view's hierarchy; structurally the insert copies
 // whatever a reader may hold (see the package comment), so concurrent readers
-// keep a consistent snapshot.
-func (t *Tree) Insert(key value.Value, rowID int) {
+// keep a consistent snapshot. A non-NULL key must be of the tree's type and
+// not a NaN (see shared.encode); Insert panics on any other.
+func (t *Tree) Insert(v value.Value, rowID int) {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
+	k := t.s.encode(v)
 	t.s.beginWrite()
 	t.s.size++
-	root, split, sep := t.insert(t.s.root, key, rowID)
+	c := t.s.codec()
+	b := c.bound(v)
+	root, split, sep := t.insert(t.s.root, c, &b, k, rowID)
 	if split != nil {
 		newRoot := t.newNode(false)
-		newRoot.keys = []value.Value{sep}
+		newRoot.putKey(0, sep)
 		newRoot.kids = []*node{root, split}
 		root = newRoot
 		t.s.height++
@@ -203,54 +366,52 @@ func (t *Tree) Insert(key value.Value, rowID int) {
 }
 
 // insert returns n, or its clone when n predates the current generation,
-// with (key, rowID) added, plus a split sibling when it overflowed.
-func (t *Tree) insert(n *node, key value.Value, rowID int) (*node, *node, value.Value) {
+// with the entry (k, rowID) added, plus a split sibling when it overflowed.
+// b is k as a probe: the entry goes after every key that equals it.
+func (t *Tree) insert(n *node, c codec, b *bound, k key, rowID int) (*node, *node, key) {
 	t.level([]Iter{{n: n}}, true)
-	c := t.mutable(n)
-	if c.leaf {
-		idx := sort.Search(len(c.keys), func(i int) bool {
-			return value.Compare(c.keys[i], key) > 0
-		})
-		c.keys = insertAt(c.keys, idx, key)
-		c.rowIDs = insertIntAt(c.rowIDs, idx, rowID)
-		t.h.StoreRange(c.addr+uint64(nodeHeaderBytes+idx*entryBytes), entryBytes)
-		if len(c.keys) <= t.s.order {
-			return c, nil, value.Value{}
+	m := t.mutable(n)
+	idx := c.search(m, b, true)
+	if m.leaf {
+		m.putKey(idx, k)
+		m.rowIDs = insertAt(m.rowIDs, idx, rowID)
+		t.h.StoreRange(m.addr+uint64(nodeHeaderBytes+idx*entryBytes), entryBytes)
+		if len(m.keys) <= t.s.order {
+			return m, nil, key{}
 		}
-		right, sep := t.splitLeaf(c)
-		return c, right, sep
+		right, sep := t.splitLeaf(m)
+		return m, right, sep
 	}
-	idx := sort.Search(len(c.keys), func(i int) bool {
-		return value.Compare(c.keys[i], key) > 0
-	})
-	child, split, sep := t.insert(c.kids[idx], key, rowID)
-	c.kids[idx] = child
+	child, split, sep := t.insert(m.kids[idx], c, b, k, rowID)
+	m.kids[idx] = child
 	if split == nil {
-		return c, nil, value.Value{}
+		return m, nil, key{}
 	}
-	c.keys = insertAt(c.keys, idx, sep)
-	c.kids = insertNodeAt(c.kids, idx+1, split)
-	t.h.StoreRange(c.addr+uint64(nodeHeaderBytes+idx*entryBytes), entryBytes)
-	if len(c.kids) <= t.s.order {
-		return c, nil, value.Value{}
+	m.putKey(idx, sep)
+	m.kids = insertAt(m.kids, idx+1, split)
+	t.h.StoreRange(m.addr+uint64(nodeHeaderBytes+idx*entryBytes), entryBytes)
+	if len(m.kids) <= t.s.order {
+		return m, nil, key{}
 	}
-	right, rsep := t.splitInterior(c)
-	return c, right, rsep
+	right, rsep := t.splitInterior(m)
+	return m, right, rsep
 }
 
-func (t *Tree) splitLeaf(n *node) (*node, value.Value) {
+func (t *Tree) splitLeaf(n *node) (*node, key) {
 	mid := len(n.keys) / 2
 	right := t.newNode(true)
+	n.nulls, right.nulls = min(n.nulls, mid), max(n.nulls-mid, 0)
 	n.keys, right.keys = cut(n.keys, mid, mid)
 	n.rowIDs, right.rowIDs = cut(n.rowIDs, mid, mid)
 	t.h.StoreRange(right.addr, uint64(nodeHeaderBytes+len(right.keys)*entryBytes))
-	return right, right.keys[0]
+	return right, right.key(0)
 }
 
-func (t *Tree) splitInterior(n *node) (*node, value.Value) {
+func (t *Tree) splitInterior(n *node) (*node, key) {
 	mid := len(n.keys) / 2
-	sep := n.keys[mid]
+	sep := n.key(mid)
 	right := t.newNode(false)
+	n.nulls, right.nulls = min(n.nulls, mid), max(n.nulls-mid-1, 0)
 	n.keys, right.keys = cut(n.keys, mid, mid+1)
 	n.kids, right.kids = cut(n.kids, mid+1, mid+1)
 	t.h.StoreRange(right.addr, uint64(nodeHeaderBytes+len(right.keys)*entryBytes))
@@ -276,11 +437,13 @@ func cut[E any](s []E, i, j int) (left, right []E) {
 // entry stays in place, empty (iterators step over it) and without its entry
 // arrays. Equal keys may straddle a separator, so the search tries every
 // child that can hold key, leftmost first.
-func (t *Tree) Delete(key value.Value, rowID int) bool {
+func (t *Tree) Delete(v value.Value, rowID int) bool {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
 	t.s.beginWrite()
-	root, found := t.delete(t.s.root, key, rowID)
+	c := t.s.codec()
+	b := c.bound(v)
+	root, found := t.delete(t.s.root, c, &b, rowID)
 	if found {
 		t.s.root = root
 		t.s.size--
@@ -289,36 +452,37 @@ func (t *Tree) Delete(key value.Value, rowID int) bool {
 }
 
 // delete returns n, or its clone when n predates the current generation,
-// without (key, rowID), and whether the entry was found below n.
-func (t *Tree) delete(n *node, key value.Value, rowID int) (*node, bool) {
+// without the entry (b.v, rowID), and whether it was found below n.
+func (t *Tree) delete(n *node, c codec, b *bound, rowID int) (*node, bool) {
 	t.level([]Iter{{n: n}}, true)
-	i := sort.Search(len(n.keys), func(i int) bool {
-		return value.Compare(n.keys[i], key) >= 0
-	})
+	i := c.search(n, b, false)
 	if n.leaf {
-		for ; i < len(n.keys) && value.Compare(n.keys[i], key) == 0; i++ {
+		for ; i < len(n.keys) && c.compare(n, i, b) == 0; i++ {
 			if n.rowIDs[i] != rowID {
 				t.h.Load(n.addr+uint64(nodeHeaderBytes+i*entryBytes), false)
 				continue
 			}
-			c := t.mutable(n)
-			c.keys = append(c.keys[:i], c.keys[i+1:]...)
-			c.rowIDs = append(c.rowIDs[:i], c.rowIDs[i+1:]...)
-			if len(c.keys) == 0 {
-				c.keys, c.rowIDs = nil, nil
+			m := t.mutable(n)
+			if i < m.nulls {
+				m.nulls--
 			}
-			t.h.StoreRange(c.addr+uint64(nodeHeaderBytes+i*entryBytes), entryBytes)
-			return c, true
+			m.keys = append(m.keys[:i], m.keys[i+1:]...)
+			m.rowIDs = append(m.rowIDs[:i], m.rowIDs[i+1:]...)
+			if len(m.keys) == 0 {
+				m.keys, m.rowIDs = nil, nil
+			}
+			t.h.StoreRange(m.addr+uint64(nodeHeaderBytes+i*entryBytes), entryBytes)
+			return m, true
 		}
 		return n, false
 	}
 	for ; i < len(n.kids); i++ {
-		if kid, found := t.delete(n.kids[i], key, rowID); found {
-			c := t.mutable(n)
-			c.kids[i] = kid
-			return c, true
+		if kid, found := t.delete(n.kids[i], c, b, rowID); found {
+			m := t.mutable(n)
+			m.kids[i] = kid
+			return m, true
 		}
-		if i == len(n.keys) || value.Compare(n.keys[i], key) > 0 {
+		if i == len(n.keys) || c.compare(n, i, b) > 0 {
 			break
 		}
 	}
@@ -363,12 +527,13 @@ func (t *Tree) Range(lo, hi *value.Value) *Iter {
 // stack: walk over a batch of one, dependent. The batch is a one-element
 // array copied back into it, since walk takes a slice.
 func (t *Tree) seek(it *Iter, lo, hi *value.Value) {
-	one := [1]Iter{{t: t, stack: it.stack[:0], n: t.snapshotRoot()}}
+	root, c := t.snapshot()
+	one := [1]Iter{{t: t, c: c, stack: it.stack[:0], n: root}}
 	if lo != nil {
-		one[0].lo, one[0].lowered = *lo, true
+		one[0].lo, one[0].lowered = c.bound(*lo), true
 	}
 	if hi != nil {
-		one[0].hi, one[0].bounded = *hi, true
+		one[0].hi, one[0].bounded = c.bound(*hi), true
 	}
 	t.walk(one[:], true)
 	*it = one[0]
@@ -387,7 +552,7 @@ func (t *Tree) SeekBatch(keys []value.Value, its []Iter) {
 		return
 	}
 	its = its[:len(keys)]
-	root := t.snapshotRoot()
+	root, c := t.snapshot()
 	depth := 0 // interior levels: the frames a descent pushes
 	for n := root; !n.leaf; n = n.kids[0] {
 		depth++
@@ -401,7 +566,8 @@ func (t *Tree) SeekBatch(keys []value.Value, its []Iter) {
 			}
 			stack, frames = frames[:0:depth], frames[depth:]
 		}
-		its[k] = Iter{t: t, stack: stack, n: root, lo: keys[k], hi: keys[k], lowered: true, bounded: true}
+		b := c.bound(keys[k])
+		its[k] = Iter{t: t, c: c, stack: stack, n: root, lo: b, hi: b, lowered: true, bounded: true}
 	}
 	t.walk(its, false)
 }
@@ -466,6 +632,7 @@ func (t *Tree) Lookup(key value.Value, it *Iter, dst []int) []int {
 // and a concurrent insert can never tear the traversal.
 type Iter struct {
 	t     *Tree
+	c     codec
 	stack []frame
 	// n is the node the descent reads next, and the current leaf once it
 	// is reached.
@@ -474,18 +641,23 @@ type Iter struct {
 	// lo is the descent's target when lowered is set: it stops at the first
 	// entry >= lo, else at the smallest. hi is the inclusive upper bound
 	// when bounded is set.
-	lo, hi           value.Value
+	lo, hi           bound
 	lowered, bounded bool
 }
 
 // Valid reports whether the iterator points at an entry within its range.
 func (it *Iter) Valid() bool {
 	return it.n != nil && it.idx < len(it.n.keys) &&
-		(!it.bounded || value.Compare(it.n.keys[it.idx], it.hi) <= 0)
+		(!it.bounded || it.c.compare(it.n, it.idx, &it.hi) <= 0)
 }
 
 // Key returns the current key.
-func (it *Iter) Key() value.Value { return it.n.keys[it.idx] }
+func (it *Iter) Key() value.Value {
+	if it.idx < it.n.nulls {
+		return value.Null()
+	}
+	return it.c.decode(it.n.keys[it.idx])
+}
 
 // RowID returns the current row id.
 func (it *Iter) RowID() int { return it.n.rowIDs[it.idx] }
@@ -499,9 +671,7 @@ func (it *Iter) branch() {
 	// search uses >=.
 	n, idx := it.n, 0
 	if it.lowered {
-		idx = sort.Search(len(n.keys), func(i int) bool {
-			return value.Compare(n.keys[i], it.lo) >= 0
-		})
+		idx = it.c.search(n, &it.lo, false)
 	}
 	if n.leaf {
 		it.idx = idx
@@ -620,22 +790,9 @@ func (t *Tree) PlaceTopLevels(alloc func(size uint64) (uint64, bool)) int {
 	return moved
 }
 
-func insertAt(s []value.Value, i int, v value.Value) []value.Value {
-	s = append(s, value.Value{})
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertIntAt(s []int, i, v int) []int {
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertNodeAt(s []*node, i int, v *node) []*node {
-	s = append(s, nil)
+func insertAt[E any](s []E, i int, v E) []E {
+	var zero E
+	s = append(s, zero)
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s

@@ -16,7 +16,7 @@ func newTree(t *testing.T, pageSize int) *Tree {
 	t.Helper()
 	m := cpusim.NewMachine(cpusim.IntelI7_4790())
 	arena := memsim.NewArena(1<<33, 512<<20)
-	return New(m.Hier, arena, pageSize)
+	return New(m.Hier, arena, pageSize, value.TypeInt)
 }
 
 func TestInsertLookup(t *testing.T) {
@@ -93,7 +93,7 @@ func TestSeekRange(t *testing.T) {
 	// Key 1000 is duplicated across several leaves (order 63 at 1024 bytes).
 	build := func() (*Tree, *memsim.Hierarchy) {
 		m := cpusim.NewMachine(cpusim.IntelI7_4790())
-		tr := New(m.Hier, memsim.NewArena(1<<33, 512<<20), 1024)
+		tr := New(m.Hier, memsim.NewArena(1<<33, 512<<20), 1024, value.TypeInt)
 		for i := 0; i < 1000; i++ {
 			tr.Insert(value.Int(int64(i*2)), i)
 			if i%4 == 0 {
@@ -152,7 +152,7 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 func TestDescentIssuesDependentLoads(t *testing.T) {
 	m := cpusim.NewMachine(cpusim.IntelI7_4790())
 	arena := memsim.NewArena(1<<33, 512<<20)
-	tr := New(m.Hier, arena, 4096)
+	tr := New(m.Hier, arena, 4096, value.TypeInt)
 	for i := 0; i < 50000; i++ {
 		tr.Insert(value.Int(int64(i)), i)
 	}
@@ -171,7 +171,7 @@ func TestDescentIssuesDependentLoads(t *testing.T) {
 func TestPlaceTopLevels(t *testing.T) {
 	m := cpusim.NewMachine(cpusim.IntelI7_4790())
 	arena := memsim.NewArena(1<<33, 512<<20)
-	tr := New(m.Hier, arena, 4096)
+	tr := New(m.Hier, arena, 4096, value.TypeInt)
 	for i := 0; i < 100000; i++ {
 		tr.Insert(value.Int(int64(i)), i)
 	}
@@ -202,7 +202,7 @@ func TestPropertyInsertedKeysFound(t *testing.T) {
 	f := func(seed int64, n uint16) bool {
 		count := int(n%500) + 1
 		m := cpusim.NewMachine(cpusim.IntelI7_4790())
-		tr := New(m.Hier, memsim.NewArena(1<<33, 64<<20), 512)
+		tr := New(m.Hier, memsim.NewArena(1<<33, 64<<20), 512, value.TypeInt)
 		rng := rand.New(rand.NewSource(seed))
 		want := make(map[int64][]int)
 		for i := 0; i < count; i++ {
@@ -224,7 +224,8 @@ func TestPropertyInsertedKeysFound(t *testing.T) {
 }
 
 func TestStringKeys(t *testing.T) {
-	tr := newTree(t, 1024)
+	m := cpusim.NewMachine(cpusim.IntelI7_4790())
+	tr := New(m.Hier, memsim.NewArena(1<<33, 64<<20), 1024, value.TypeStr)
 	words := []string{"delta", "alpha", "echo", "bravo", "charlie"}
 	for i, w := range words {
 		tr.Insert(value.Str(w), i)

@@ -66,6 +66,9 @@ func recordLoads(h *memsim.Hierarchy, fn func()) []load {
 	return got
 }
 
+// intKeys decodes the words of the int trees these tests build.
+var intKeys = codec{kind: value.TypeInt}
+
 // lookupLoads works out, from the node structure alone, the loads a Lookup
 // of key issues. Down the leftmost path that can hold key, per node: its
 // header, then its binary-search rounds at probeAddr, all dependent. Then the
@@ -100,7 +103,7 @@ func lookupLoads(root *node, key value.Value) []load {
 		for i := 0; i < rounds; i++ {
 			dep(probeAddr(n, i))
 		}
-		idx = sort.Search(len(n.keys), func(i int) bool { return value.Compare(n.keys[i], key) >= 0 })
+		idx = sort.Search(len(n.keys), func(i int) bool { return value.Compare(intKeys.decode(n.keys[i]), key) >= 0 })
 		if n.leaf {
 			break
 		}
@@ -122,7 +125,7 @@ func lookupLoads(root *node, key value.Value) []load {
 			return want
 		}
 	}
-	for value.Compare(leaves[leaf].keys[idx], key) == 0 {
+	for value.Compare(intKeys.decode(leaves[leaf].keys[idx]), key) == 0 {
 		if idx++; idx < len(leaves[leaf].keys) {
 			want = append(want, load{memsim.AccessLoadInd, leaves[leaf].addr + uint64(nodeHeaderBytes+idx*entryBytes)})
 			continue
@@ -155,7 +158,7 @@ func TestLookupLoadSequence(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m := cpusim.NewMachine(cpusim.IntelI7_4790())
-			tr := New(m.Hier, memsim.NewArena(1<<33, 64<<20), c.page)
+			tr := New(m.Hier, memsim.NewArena(1<<33, 64<<20), c.page, value.TypeInt)
 			c.build(tr)
 			keys := c.keys
 			// A key just past the first leaf's last entry lands past that
@@ -166,7 +169,7 @@ func TestLookupLoadSequence(t *testing.T) {
 				n = n.kids[0]
 			}
 			if len(n.keys) > 0 {
-				keys = append(slices.Clip(keys), value.Int(n.keys[len(n.keys)-1].I+1))
+				keys = append(slices.Clip(keys), value.Int(intKeys.decode(n.keys[len(n.keys)-1]).I+1))
 			}
 			var it Iter
 			var buf []int

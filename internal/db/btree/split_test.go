@@ -46,7 +46,7 @@ func TestSplitLeavesNoSlack(t *testing.T) {
 					if nd.leaf {
 						break
 					}
-					nd = nd.kids[sort.Search(len(nd.keys), func(j int) bool { return value.Compare(nd.keys[j], key) > 0 })]
+					nd = nd.kids[sort.Search(len(nd.keys), func(j int) bool { return value.Compare(intKeys.decode(nd.keys[j]), key) > 0 })]
 				}
 				tr.Insert(key, i)
 				for j, nd := range path {

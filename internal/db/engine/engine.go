@@ -622,7 +622,7 @@ func (e *Engine) InsertTxn(tx *txn.Txn, t *Table, row value.Row) int {
 // run concurrently with DML on the table (see the package documentation).
 func (e *Engine) CreateIndex(t *Table, col string) *btree.Tree {
 	ci := t.schema.MustColIndex(col)
-	tree := btree.New(e.M.Hier, e.Dev.Arena, e.Knobs.PageBytes)
+	tree := btree.New(e.M.Hier, e.Dev.Arena, e.Knobs.PageBytes, t.schema.Columns[ci].Type)
 	prev := e.Dev.Snap
 	e.Dev.Snap = txn.Latest()
 	for i, n := 0, t.File.RowCount(); i < n; i++ {

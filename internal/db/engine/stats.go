@@ -111,10 +111,16 @@ func newKMV(k int) kmvSketch {
 }
 
 func (s *kmvSketch) add(h uint64) {
+	// Once the heap is full, a hash at or above its root can change
+	// nothing: every tracked hash is at most the root. Most hashes of a
+	// long column stop here, before the map lookup.
+	m := s.mins
+	if len(m) == s.k && h >= m[0] {
+		return
+	}
 	if _, ok := s.set[h]; ok {
 		return
 	}
-	m := s.mins
 	if len(m) < s.k {
 		// Sift the new hash up from the end.
 		i := len(m)
@@ -125,9 +131,6 @@ func (s *kmvSketch) add(h uint64) {
 		m[i] = h
 		s.mins = m
 		s.set[h] = struct{}{}
-		return
-	}
-	if h >= m[0] {
 		return
 	}
 	// Replace the root and sift the new hash down.

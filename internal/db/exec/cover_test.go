@@ -11,7 +11,7 @@ import (
 
 func TestIndexJoinOperator(t *testing.T) {
 	f := newFixture(t, 60)
-	idx := btree.New(f.ctx.M.Hier, f.ctx.Arena, 4096)
+	idx := btree.New(f.ctx.M.Hier, f.ctx.Arena, 4096, value.TypeInt)
 	for i := 0; i < f.file.RowCount(); i++ {
 		row, _, err := f.file.ReadRow(i)
 		if err != nil {
@@ -40,7 +40,7 @@ func TestIndexJoinOperator(t *testing.T) {
 
 func TestIndexJoinResidual(t *testing.T) {
 	f := newFixture(t, 40)
-	idx := btree.New(f.ctx.M.Hier, f.ctx.Arena, 4096)
+	idx := btree.New(f.ctx.M.Hier, f.ctx.Arena, 4096, value.TypeInt)
 	for i := 0; i < f.file.RowCount(); i++ {
 		row, _, err := f.file.ReadRow(i)
 		if err != nil {

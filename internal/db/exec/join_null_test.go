@@ -86,7 +86,7 @@ func TestHashJoinNullKeysWithResidual(t *testing.T) {
 // rows whose key is NULL instead of probing the index with a NULL.
 func TestIndexJoinNullOuterKey(t *testing.T) {
 	f := newFixture(t, 20)
-	idx := btree.New(f.ctx.M.Hier, f.ctx.Arena, 4096)
+	idx := btree.New(f.ctx.M.Hier, f.ctx.Arena, 4096, value.TypeInt)
 	for i := 0; i < f.file.RowCount(); i++ {
 		row, _, err := f.file.ReadRow(i)
 		if err != nil {
