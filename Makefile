@@ -46,7 +46,7 @@ loc:
 	@scripts/loc.sh .
 
 # Budget gate for the analyzer suite itself: the full-repo run (load +
-# type-check + all analyzers, chargeflow CFG fixpoint included) must stay
+# type-check + all analyzers and their CFG queries) must stay
 # under 10 seconds so `make lint` remains a pre-commit habit rather than
 # a CI-only chore. Uses the prebuilt binary so the budget measures
 # analysis, not compilation.
@@ -177,15 +177,18 @@ bench-server:
 # calibration's credited passes rest on, calibration's closed-form pass
 # against the walk it stands for, and the B+tree's insert/delete/seek
 # against a sorted-slice model. FUZZTIME is overridable for CI smoke runs.
+# Each line caps the minimisation of a new input at 2 s, so a run spends its
+# FUZZTIME fuzzing: uncapped, FuzzBtreeDelete stopped executing once its
+# second new input turned up.
 FUZZTIME ?= 30s
 
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/db/sql/
-	$(GO) test -run xxx -fuzz FuzzPlan -fuzztime $(FUZZTIME) ./internal/db/plan/
-	$(GO) test -run xxx -fuzz FuzzVecExec -fuzztime $(FUZZTIME) ./internal/db/vec/
-	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/server/wire/
-	$(GO) test -run xxx -fuzz FuzzQueryRoundTrip -fuzztime $(FUZZTIME) ./internal/server/wire/
-	$(GO) test -run xxx -fuzz '^FuzzHierarchy$$' -fuzztime $(FUZZTIME) ./internal/memsim/
-	$(GO) test -run xxx -fuzz '^FuzzHierarchyState$$' -fuzztime $(FUZZTIME) ./internal/memsim/
-	$(GO) test -run xxx -fuzz '^FuzzThrashPass$$' -fuzztime $(FUZZTIME) ./internal/memsim/
-	$(GO) test -run xxx -fuzz FuzzBtreeDelete -fuzztime $(FUZZTIME) ./internal/db/btree/
+	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/db/sql/
+	$(GO) test -run xxx -fuzz FuzzPlan -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/db/plan/
+	$(GO) test -run xxx -fuzz FuzzVecExec -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/db/vec/
+	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/server/wire/
+	$(GO) test -run xxx -fuzz FuzzQueryRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/server/wire/
+	$(GO) test -run xxx -fuzz '^FuzzHierarchy$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/memsim/
+	$(GO) test -run xxx -fuzz '^FuzzHierarchyState$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/memsim/
+	$(GO) test -run xxx -fuzz '^FuzzThrashPass$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/memsim/
+	$(GO) test -run xxx -fuzz FuzzBtreeDelete -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/db/btree/

@@ -49,7 +49,7 @@ func main() {
 	analyzers := lint.All()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-14s %s (waiver //lint:%s)\n", a.Name, a.Doc, a.Key())
+			fmt.Printf("%-14s %s (waiver //lint:%s)\n", a.Name, a.Doc, a.Name)
 		}
 		return
 	}

@@ -692,7 +692,8 @@ func (it *Iter) settle() {
 // charging one dependent load for the leaf hop (the on-disk structure's
 // sibling link).
 func (it *Iter) advanceLeaf() {
-	//lint:nocharge stack pops revisit interior nodes charged during the descent; the leaf hop below charges its dependent load
+	// Stack pops revisit interior nodes charged during the descent; the leaf
+	// hop below charges its dependent load.
 	for len(it.stack) > 0 {
 		top := &it.stack[len(it.stack)-1]
 		top.idx++

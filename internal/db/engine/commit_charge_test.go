@@ -6,7 +6,7 @@ import (
 	"energydb/internal/db/value"
 )
 
-// TestCommitChargesStamping pins the walerr/chargepath fix: committing a
+// TestCommitChargesStamping pins the commit-stamping charge: committing a
 // write transaction must charge the committing worker for every version
 // stamp (a header load plus a timestamp-line store per write), mirroring
 // how Rollback charges the undo walk via ChargeUndo. Before the fix the

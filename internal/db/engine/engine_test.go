@@ -237,6 +237,7 @@ func TestRollbackJournalCopiesPagesOnce(t *testing.T) {
 // pred, as a transaction of its own: the by-hand form of an UPDATE.
 func updateWhere(e *Engine, t *Table, pred exec.Expr, set func(value.Row) value.Row) (int, error) {
 	return e.Autocommit(func(*txn.Txn) (int, error) {
-		return exec.Drain(&Write{E: e, T: t, Child: &exec.SeqScan{Ctx: e.Ctx, File: t.File, Filter: pred}, Set: set})
+		return exec.Drain(&Write{E: e, T: t, Child: &exec.SeqScan{Ctx: e.Ctx, File: t.File, Filter: pred},
+			Set: func(r value.Row) (value.Row, error) { return set(r), nil }})
 	})
 }

@@ -38,9 +38,9 @@ func TestWalCrashRecovery(t *testing.T) {
 	e.InsertTxn(txn2, tbl, row(102))
 	k5 := exec.BinOp{Op: exec.OpEq, L: exec.Col{Idx: 0}, R: exec.Const{V: value.Int(5)}}
 	e.Bind(txn2)
-	if n, err := exec.Drain(&Write{E: e, T: tbl, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File, Filter: k5}, Set: func(r value.Row) value.Row {
+	if n, err := exec.Drain(&Write{E: e, T: tbl, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File, Filter: k5}, Set: func(r value.Row) (value.Row, error) {
 		r[2] = value.Float(-1)
-		return r
+		return r, nil
 	}}); err != nil || n != 1 {
 		t.Fatalf("txn2 update: n=%d err=%v", n, err)
 	}
@@ -151,8 +151,8 @@ func TestRecoveryAfterCheckpoint(t *testing.T) {
 	key := func(k int64) exec.Expr {
 		return exec.BinOp{Op: exec.OpEq, L: exec.Col{Idx: 0}, R: exec.Const{V: value.Int(k)}}
 	}
-	setV := func(v float64) func(value.Row) value.Row {
-		return func(r value.Row) value.Row { r[2] = value.Float(v); return r }
+	setV := func(v float64) func(value.Row) (value.Row, error) {
+		return func(r value.Row) (value.Row, error) { r[2] = value.Float(v); return r, nil }
 	}
 	update := func(tx *txn.Txn, k int64, v float64) {
 		t.Helper()

@@ -27,11 +27,13 @@ type Write struct {
 	T *Table
 	// Child yields the rows to change; it must be an exec.RowIDer.
 	Child exec.Operator
-	// Set computes a row's replacement from a copy of it; nil deletes the
-	// row. It must leave indexed columns alone — the paper defers write-query
-	// analysis and so does this engine's index maintenance. SetNodes is the
-	// node count of the expressions it evaluates, charged per row.
-	Set      func(value.Row) value.Row
+	// Set computes a row's replacement from a copy of it, or the error
+	// that ends the statement (a value the column cannot store); nil
+	// deletes the row. It must leave indexed columns alone — the paper
+	// defers write-query analysis and so does this engine's index
+	// maintenance. SetNodes is the node count of the expressions it
+	// evaluates, charged per row.
+	Set      func(value.Row) (value.Row, error)
 	SetNodes int
 
 	tx        *txn.Txn
@@ -73,7 +75,10 @@ func (w *Write) Next() (value.Row, bool, error) {
 		}
 		return row, true, nil
 	}
-	newRow := w.Set(row.Clone())
+	newRow, err := w.Set(row.Clone())
+	if err != nil {
+		return nil, false, err
+	}
 	for col := range w.T.Indexes {
 		ci := w.T.schema.MustColIndex(col)
 		if !value.Equal(row[ci], newRow[ci]) {

@@ -171,6 +171,7 @@ func (g *GroupBy) Open() error {
 
 	g.groups = make([]value.Row, table.Len())
 	for i := range table.Len() {
+		g.Ctx.PollEvery(i)
 		ChargeGroupOutput(g.Ctx, Card{In: 1}, len(g.Aggs), 0)
 		g.groups[i] = table.Row(i)
 	}
@@ -183,6 +184,7 @@ func (g *GroupBy) Next() (value.Row, bool, error) {
 	if g.pos >= len(g.groups) {
 		return nil, false, nil
 	}
+	g.Ctx.Poll()
 	row := g.groups[g.pos]
 	g.pos++
 	ChargeGroupOutput(g.Ctx, Card{Out: 1}, len(g.Aggs), len(row))

@@ -53,8 +53,8 @@ type Ctx struct {
 	Cost  CostModel
 
 	// Cancel, when non-nil and set, makes the executor abandon the running
-	// statement at the next per-tuple checkpoint: TupleCost panics with a
-	// sentinel that Collect and Drain recover into ErrCanceled. It may be
+	// statement at the next checkpoint: TupleCost, Poll or PollEvery panics
+	// with a sentinel that Collect and Drain recover into ErrCanceled. It may be
 	// flipped from any goroutine (statement-timeout watchdogs use this);
 	// everything else on the Ctx stays single-owner.
 	Cancel *atomic.Bool
@@ -147,7 +147,10 @@ func (c *Ctx) TupleCost() {
 // flag (and yields, same as TupleCost) without touching the simulated
 // machine, so loops that already account their traffic another way — hash
 // builds, sort comparators, materialization copies — can still be timed
-// out without perturbing energy numbers.
+// out without perturbing energy numbers. The rule the three checkpoints
+// keep: no stretch of work between two of them outgrows one tuple's, one
+// batch's or one pollStride's worth. TestCancelWithinBound measures every
+// stretch of the TPC-H texts' row and vector plans against that bound.
 func (c *Ctx) Poll() { c.checkpoint(1) }
 
 // pollStride is how many buffer elements pass between cancellation checks

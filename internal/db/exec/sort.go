@@ -67,6 +67,7 @@ func (s *Sort) Open() error {
 	idx := s.run.Order(s.Ctx, len(rows), keys)
 	s.rows = make([]value.Row, len(rows))
 	for i, j := range idx {
+		s.Ctx.PollEvery(i)
 		s.rows[i] = rows[j]
 		ChargeSortStore(s.Ctx, Card{In: 1}, s.run.Entry(i))
 	}
@@ -79,6 +80,7 @@ func (s *Sort) Next() (value.Row, bool, error) {
 		return nil, false, nil
 	}
 	// Reading the output streams the sorted run.
+	s.Ctx.Poll()
 	ChargeSortEmit(s.Ctx, Card{In: 1}, s.run.Entry(s.pos), s.rowsize)
 	row := s.rows[s.pos]
 	s.pos++

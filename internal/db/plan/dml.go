@@ -96,16 +96,15 @@ func (pc *planCtx) buildWrite(scan *Node, sets []sql.SetClause) (*Node, error) {
 		w.setNodes += ex.Nodes()
 	}
 	if len(setters) > 0 {
-		w.set = func(r value.Row) value.Row {
+		w.set = func(r value.Row) (value.Row, error) {
 			for _, st := range setters {
-				r[st.ci] = st.expr.Eval(r)
-				// On a type mismatch the value stays as evaluated (comparisons
-				// handle mixed numerics).
-				if v, err := coerce(r[st.ci], schema.Columns[st.ci].Type); err == nil {
-					r[st.ci] = v
+				v, err := coerce(st.expr.Eval(r), schema.Columns[st.ci].Type)
+				if err != nil {
+					return nil, fmt.Errorf("plan: UPDATE value for %q: %w", schema.Columns[st.ci].Name, err)
 				}
+				r[st.ci] = v
 			}
-			return r
+			return r, nil
 		}
 	}
 	pc.costRow(w, bind(w))

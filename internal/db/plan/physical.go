@@ -105,7 +105,7 @@ type Node struct {
 	// assigned columns, the function computing a row's replacement (nil
 	// deletes it) and the node count of the expressions it evaluates.
 	SetNames []string
-	set      func(value.Row) value.Row
+	set      func(value.Row) (value.Row, error)
 	setNodes int
 
 	schema *catalog.Schema

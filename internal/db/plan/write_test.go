@@ -257,6 +257,38 @@ func TestExplainEnergyWriterStatements(t *testing.T) {
 	}
 }
 
+// TestUpdateRejectsMistypedValue holds UPDATE to INSERT's typing: a value
+// its column cannot store ends the statement with coerce's error and rolls
+// it back, instead of landing in the row as evaluated — where a string in a
+// float column compared above every number and would panic an index built
+// over the column later.
+func TestUpdateRejectsMistypedValue(t *testing.T) {
+	e := engine.New(engine.PostgreSQL, cpusim.NewMachine(cpusim.IntelI7_4790()), engine.SettingBaseline)
+	tpch.Setup(e, tpch.Size10MB)
+	read := func(query string) string {
+		t.Helper()
+		rows, _, err := Run(e, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(rows)
+	}
+	row := read("SELECT * FROM orders WHERE o_orderkey = 7")
+	count := read("SELECT COUNT(*) FROM orders WHERE o_totalprice > 100")
+
+	n, err := ExecWrite(e, nil, mustParse(t, "UPDATE orders SET o_totalprice = 'abc' WHERE o_orderkey = 7"))
+	if err == nil || !strings.Contains(err.Error(), "cannot store string in float column") {
+		t.Fatalf("UPDATE of a float column to 'abc': %d rows, err = %v; want coerce's error", n, err)
+	}
+	if got := read("SELECT * FROM orders WHERE o_orderkey = 7"); got != row {
+		t.Errorf("the failed UPDATE changed the row: %s, was %s", got, row)
+	}
+	if got := read("SELECT COUNT(*) FROM orders WHERE o_totalprice > 100"); got != count {
+		t.Errorf("COUNT(*) WHERE o_totalprice > 100 reads %s after the failed UPDATE, %s before", got, count)
+	}
+	e.CreateIndex(e.MustTable("orders"), "o_totalprice")
+}
+
 func mustParse(t *testing.T, text string) sql.Statement {
 	t.Helper()
 	stmt, err := sql.ParseStatement(text)

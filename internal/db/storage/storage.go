@@ -388,7 +388,6 @@ func newVersion(begin uint64, row value.Row, prev *Version) *Version {
 // taken past the head. Callers charge the hops via Device.ChargeChain.
 func resolve(v *Version, snap txn.Snap) (value.Row, int) {
 	hops := 0
-	//lint:nocharge machine-free walk over shared version chains; the caller charges the returned hops on its own machine (Device.ChargeChain)
 	for v != nil {
 		if snap.Visible(v.begin.Load(), v.end.Load()) {
 			return v.row, hops
@@ -409,7 +408,6 @@ var tombstone = newVersion(txn.Aborted, nil, nil)
 // of the chain with it — and returns the hops walked and the versions cut.
 // The caller holds the table's write lock and charges both.
 func prune(v *Version, oldest uint64) (walked, cut int) {
-	//lint:nocharge machine-free walk under the table lock; UpdateTxn charges the hops and the unlink on its own machine
 	for ; v.prev != nil; v = v.prev {
 		walked++
 		if v.prev.end.Load() > oldest {
@@ -528,7 +526,8 @@ func (d *TableData) ForEachRaw(fn func(id int, row value.Row)) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	latest := txn.Latest()
-	//lint:nocharge ANALYZE path: statistics collection must not advance any worker's PMU counters
+	// ANALYZE path: statistics collection must not advance any worker's PMU
+	// counters.
 	for i, v := range d.slots {
 		if row, _ := resolve(v, latest); row != nil {
 			fn(i, row)
@@ -543,7 +542,7 @@ func (d *TableData) LiveCount() int {
 	defer d.mu.RUnlock()
 	latest := txn.Latest()
 	n := 0
-	//lint:nocharge bookkeeping count, no accesses simulated
+	// Bookkeeping count, no accesses simulated.
 	for _, v := range d.slots {
 		if row, _ := resolve(v, latest); row != nil {
 			n++
@@ -565,7 +564,8 @@ func (d *TableData) rowSpan(lo int, dst []value.Row, snap txn.Snap) (n, hops int
 	if n > len(dst) {
 		n = len(dst)
 	}
-	//lint:nocharge machine-free resolution under the shared lock; BatchScanner.NextBatch charges the returned hops and the page runs
+	// Machine-free resolution under the shared lock; BatchScanner.NextBatch
+	// charges the returned hops and the page runs.
 	for i := 0; i < n; i++ {
 		row, h := resolve(d.slots[lo+i], snap)
 		dst[i] = row
@@ -869,7 +869,8 @@ func (hf *HeapFile) Reap(oldest uint64) []Reaped {
 	d.mu.Lock()
 	queued := d.dead
 	keep := d.dead[:0]
-	//lint:nocharge machine-free pass under the table lock; the header looks and marking stores are issued below, outside it
+	// Machine-free pass under the table lock; the header looks and marking
+	// stores are issued below, outside it.
 	for _, id := range queued {
 		v := d.slots[id]
 		begin, end := v.begin.Load(), v.end.Load()

@@ -277,7 +277,6 @@ func (m *Manager) Commit(t *Txn) (uint64, error) {
 		// The manager is shared across workers and machine-free; the
 		// committing worker pays for each stamp via Device.ChargeCommit
 		// in engine.Commit.
-		//lint:nocharge stamping is charged by engine.Commit (Device.ChargeCommit)
 		for _, r := range t.records {
 			r.Commit(ts)
 		}
@@ -303,7 +302,6 @@ func (m *Manager) Abort(t *Txn) error {
 	}
 	// The undo walk is charged by engine.Rollback (Device.ChargeUndo) on
 	// the aborting worker's device; the shared manager stays machine-free.
-	//lint:nocharge undo is charged by engine.Rollback (Device.ChargeUndo)
 	for i := len(t.records) - 1; i >= 0; i-- {
 		t.records[i].Abort()
 	}

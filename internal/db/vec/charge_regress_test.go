@@ -8,13 +8,12 @@ import (
 	"energydb/internal/db/value"
 )
 
-// TestProjectChargesDispatch is the regression test for the chargepath
-// finding fixed in this PR: a projection whose expressions reach no
-// kernel (constants broadcast, and evalVec's Col case hands back the
-// child's vector as-is) charged nothing per batch, so before
-// Project.Next paid its per-batch TupleCost the operator emitted every
-// batch with zero attributed work in its Next phase — exactly the shape
-// the fuzz oracle's zero-meter check now guards at runtime. Open-phase
+// TestProjectChargesDispatch is the regression test for a charge defect: a
+// projection whose expressions reach no kernel (constants broadcast, and
+// evalVec's Col case hands back the child's vector as-is) charged nothing
+// per batch, so before Project.Next paid its per-batch TupleCost the
+// operator emitted every batch with zero attributed work in its Next phase
+// — exactly the shape the fuzz oracle's zero-meter check guards at runtime. Open-phase
 // setup charges (pool allocation) are excluded by snapshotting the
 // meter after Open, so the assertion sees only the emit path.
 func TestProjectChargesDispatch(t *testing.T) {

@@ -588,7 +588,8 @@ func evalNumeric(op exec.BinOpKind, l, r, out *Vector, b *Batch) bool {
 		if out.f == nil {
 			out.f = make([]float64, out.cap)
 		}
-		//lint:nocharge the kernel's work and payload traffic are charged with its fused loop (chargeLoop in loop.run), whichever element loop runs
+		// The kernel's work and payload traffic are charged with its fused
+		// loop (chargeLoop in loop.run), whichever element loop runs.
 		for k := 0; k < n; k++ {
 			i := b.Pos(k)
 			out.clearNull(i)
@@ -599,7 +600,7 @@ func evalNumeric(op exec.BinOpKind, l, r, out *Vector, b *Batch) bool {
 	if out.i == nil {
 		out.i = make([]int64, out.cap)
 	}
-	//lint:nocharge as above: charged with the kernel's fused loop
+	// As above: charged with the kernel's fused loop.
 	for k := 0; k < n; k++ {
 		i := b.Pos(k)
 		out.clearNull(i)

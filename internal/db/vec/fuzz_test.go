@@ -107,8 +107,7 @@ func randExpr(r *rand.Rand, depth, ncols int) exec.Expr {
 // partition), and whenever the statement emits rows, no operator on the
 // plan may report zero charged micro-ops — every metered operator sits on
 // the path that produced those rows, so a zero meter means its work went
-// unattributed (exactly the silent-loop defect the chargepath analyzer
-// guards statically).
+// unattributed (a loop that moves data without charging the meter).
 func runMetered(t *testing.T, e *engine.Engine, op exec.Operator, ms *exec.MeterSet, meters []*exec.Meter) []value.Row {
 	t.Helper()
 	before := e.M.Hier.Counters()

@@ -148,8 +148,7 @@ func (j *HashJoin) Open() error {
 	j.rowBase = j.Ctx.Arena.Alloc(memsim.LineSize, memsim.LineSize)
 	j.out.at = j.rowBase
 	j.rowBuf = make([]value.Row, chunk)
-	//lint:nopoll bounded by one batch (at most MaxBatch rows), pure allocation
-	for i := range j.rowBuf { //lint:nocharge one-time output-buffer allocation; emitted rows are charged per batch in gather
+	for i := range j.rowBuf {
 		j.rowBuf[i] = make(value.Row, len(j.Schema().Columns))
 	}
 	j.p = newPool(j.Ctx)
@@ -198,7 +197,9 @@ func (j *HashJoin) Next() (*Batch, error) {
 	j.pairB = j.pairB[:0]
 	for {
 		// Drain the current bucket chain: each entry is a pointer chase.
-		//lint:nocharge dispatch is charged per probe batch (probeKeys) and per emitted batch (gather); each hop charges its dependent load through exec.ChargeChainHop
+		// Dispatch is charged per probe batch (probeKeys) and per emitted
+		// batch (gather); each hop charges its dependent load through
+		// exec.ChargeChainHop.
 		for j.mi < len(j.matches) && len(j.pairP) < capN {
 			exec.ChargeChainHop(j.Ctx, exec.Card{In: 1}, j.table.Hop(j.mi+1), j.table.Bytes())
 			j.pairP = append(j.pairP, int32(j.curK))

@@ -1,11 +1,13 @@
 package vec
 
 import (
+	"errors"
 	"reflect"
 	"sort"
 	"sync/atomic"
 	"testing"
 
+	"energydb/internal/db/catalog"
 	"energydb/internal/db/exec"
 	"energydb/internal/db/value"
 )
@@ -252,6 +254,63 @@ func TestCancelVecJoinSort(t *testing.T) {
 		t.Fatalf("sort err = %v, want ErrCanceled", err)
 	}
 }
+
+// emptyBatches hands out n empty batches and never polls: a child whose
+// Next reaches no checkpoint, so only the consumer's own can stop a loop
+// over it.
+type emptyBatches struct {
+	schema    *catalog.Schema
+	b         *Batch
+	n, pulled int
+}
+
+func (s *emptyBatches) Schema() *catalog.Schema { return s.schema }
+func (s *emptyBatches) Open() error             { s.pulled = 0; return nil }
+func (s *emptyBatches) Close() error            { return nil }
+func (s *emptyBatches) Next() (*Batch, error) {
+	if s.pulled == s.n {
+		return nil, nil
+	}
+	s.pulled++
+	s.b.SetRows(nil)
+	return s.b, nil
+}
+
+// TestCancelPollsEmptyBatches checks that the pull loops of the batch join's
+// build and probe sides and of the batch sort each pass a checkpoint for
+// every batch they pull, an empty one included, rather than only once a
+// batch has rows to dispatch: under a raised cancel flag, each stops at the
+// first batch of a child that never polls.
+func TestCancelPollsEmptyBatches(t *testing.T) {
+	e, tbl := testEngine(t, 10)
+	var flag atomic.Bool
+	e.Ctx.Cancel = &flag
+	source := func() *emptyBatches {
+		return &emptyBatches{schema: tbl.Schema(), b: NewBatch(e.Ctx.Arena, tbl.Schema(), 1), n: 50}
+	}
+	build, probe, sorted := source(), source(), source()
+	join := &HashJoin{Ctx: e.Ctx, Build: build, Probe: probe, BuildKey: 1, ProbeKey: 1}
+	flag.Store(true)
+	if _, err := exec.Drain(&RowSource{Child: join}); !errors.Is(err, exec.ErrCanceled) || build.pulled != 1 {
+		t.Errorf("join build: err = %v after %d empty batches, want ErrCanceled after 1", err, build.pulled)
+	}
+	flag.Store(false)
+	if err := join.Open(); err != nil {
+		t.Fatal(err)
+	}
+	flag.Store(true)
+	if _, err := exec.Drain(&RowSource{Child: &probeOnly{join}}); !errors.Is(err, exec.ErrCanceled) || probe.pulled != 1 {
+		t.Errorf("join probe: err = %v after %d empty batches, want ErrCanceled after 1", err, probe.pulled)
+	}
+	if _, err := exec.Drain(&RowSource{Child: &Sort{Ctx: e.Ctx, Child: sorted, Keys: []exec.SortKey{{Expr: col(0)}}}}); !errors.Is(err, exec.ErrCanceled) || sorted.pulled != 1 {
+		t.Errorf("sort: err = %v after %d empty batches, want ErrCanceled after 1", err, sorted.pulled)
+	}
+}
+
+// probeOnly runs an opened join's probe loop without opening it again.
+type probeOnly struct{ *HashJoin }
+
+func (p *probeOnly) Open() error { return nil }
 
 // TestVecJoinCheaperPerRow checks the planner's crossover premise for joins:
 // on a join big enough for batch kernels to amortize dispatch, the vector

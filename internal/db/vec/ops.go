@@ -191,7 +191,7 @@ func (p *Project) Next() (*Batch, error) {
 	// One driver dispatch per projected batch, like Scan and Prune: a
 	// column-only projection reaches no kernel (its program hands the
 	// child's vector back as-is), and without this charge it would emit
-	// every batch with zero attributed work (chargepath finding).
+	// every batch with zero attributed work (TestProjectChargesDispatch).
 	ChargeDispatch(p.Ctx, exec.Card{Batches: 1})
 	p.p.reset()
 	p.prog.eval(p.Ctx, p.p, b)
@@ -281,8 +281,8 @@ func (g *Agg) Open() error {
 
 	// Finalization: one table-scan primitive over the accumulated groups —
 	// each group's bucket is re-read and its accumulators folded into output
-	// rows. This is real per-group work the meter must see (chargepath
-	// finding); the row executor's GroupBy.Open charges the same way.
+	// rows. This is real per-group work the meter must see; the row
+	// executor's GroupBy.Open charges the same way.
 	ChargeAggFinalize(g.Ctx, exec.Card{Batches: 1, In: float64(table.Len())}, len(g.GroupBy), len(g.Aggs), table.Base())
 	g.groups = make([]value.Row, table.Len())
 	for i := range table.Len() {

@@ -222,7 +222,8 @@ func (v *Vector) clearNull(i int) {
 // every position representable so far.
 func (v *Vector) demote() {
 	raw := make([]value.Value, v.cap)
-	//lint:nocharge representation demotion copies within one already-allocated vector; the triggering kernel charged its payload stores
+	// Representation demotion copies within one already-allocated vector; the
+	// triggering kernel charged its payload stores.
 	for i := range raw {
 		raw[i] = v.Get(i)
 	}
@@ -275,7 +276,8 @@ type Batch struct {
 // column types.
 func NewBatch(arena *memsim.Arena, schema *catalog.Schema, cap int) *Batch {
 	cols := make([]*Vector, len(schema.Columns))
-	//lint:nocharge one-time batch allocation; payload traffic is charged when kernels fill the vectors
+	// One-time batch allocation; payload traffic is charged when kernels fill
+	// the vectors.
 	for i, c := range schema.Columns {
 		cols[i] = NewVector(arena, c.Type, cap)
 	}
@@ -323,7 +325,8 @@ func (b *Batch) SetRows(rows []value.Row) {
 		b.state = make([]ColState, len(b.Cols))
 		return
 	}
-	//lint:nocharge per-column state reset, no payload movement; what a column costs is charged when a consumer takes it
+	// Per-column state reset, no payload movement; what a column costs is
+	// charged when a consumer takes it.
 	for j := range b.state {
 		b.state[j] = Untouched
 	}
@@ -445,7 +448,8 @@ func (b *Batch) rawCol(j int) int {
 // on the host only.
 func (b *Batch) fill(j int) {
 	v, c, n := b.Cols[j], b.rawCol(j), b.Len()
-	//lint:nocharge host copy of the selected values; what the column costs is charged by take, when a consumer takes it
+	// Host copy of the selected values; what the column costs is charged by
+	// take, when a consumer takes it.
 	for k := 0; k < n; k++ {
 		i := b.Pos(k)
 		v.Set(i, b.rows[i][c])
@@ -474,7 +478,8 @@ func (b *Batch) Row(k int, dst value.Row) {
 		copy(dst, b.rows[i])
 		return
 	}
-	//lint:nocharge deliberately charge-free materialization helper: callers charge per batch (TupleCost/LoadRange) before copying rows out
+	// Deliberately charge-free materialization helper: callers charge per
+	// batch (TupleCost/LoadRange) before copying rows out.
 	for j, c := range b.Cols {
 		if b.rows != nil {
 			dst[j] = b.rows[i][b.raw[j]]
@@ -491,7 +496,8 @@ func (b *Batch) Row(k int, dst value.Row) {
 func (b *Batch) narrowSel(keep func(i int) bool) {
 	sel := b.selBuf[:0]
 	n := b.Len()
-	//lint:nocharge predicate loads and the selection-vector store are charged by the calling kernel (chargeNarrow, ChargeScan)
+	// Predicate loads and the selection-vector store are charged by the
+	// calling kernel (chargeNarrow, ChargeScan).
 	for k := 0; k < n; k++ {
 		i := b.Pos(k)
 		if keep(i) {

@@ -5,13 +5,13 @@ import (
 	"go/token"
 )
 
-// This file is the chargeflow dataflow engine's control-flow graph builder:
+// This file is the dataflow engine's control-flow graph builder:
 // a statement-level CFG over one function body, built from go/ast alone (no
 // x/tools dependency, matching the module's zero-dependency go.mod). The
 // graph is deliberately coarse — one node per statement, no basic-block
-// merging — because every client analysis (chargepath, cancelpoll, walerr,
-// lockorder) asks path questions ("does a path from A to B avoid all
-// nodes in S?"), and path existence is insensitive to block granularity.
+// merging — because every client analysis (walerr, lockorder) asks path
+// questions ("does a path from A to B avoid all nodes in S?"), and path
+// existence is insensitive to block granularity.
 //
 // Conventions:
 //   - entry and exit are synthetic nodes (stmt == nil).
@@ -31,9 +31,6 @@ import (
 type cnode struct {
 	stmt  ast.Stmt
 	succs []*cnode
-	// loopHead marks the condition/range node of a For/Range statement, so
-	// clients can identify back edges and iteration-completing paths.
-	loopHead bool
 	// preds counts incoming edges, so the builder can tell a join or after
 	// node nothing reaches from one control falls through.
 	preds int
@@ -45,12 +42,7 @@ type cfg struct {
 	exit  *cnode
 	// byStmt maps each statement to its node.
 	byStmt map[ast.Stmt]*cnode
-	// afterOf maps each For/Range statement to its synthetic after node —
-	// the point control reaches when the loop exits normally. Clients use
-	// it for charge-after-loop arguments ("every path from loop exit to
-	// scope exit passes a charge").
-	afterOf map[ast.Stmt]*cnode
-	nodes   []*cnode
+	nodes  []*cnode
 }
 
 // loopFrame tracks the break/continue targets of the innermost loops during
@@ -82,7 +74,7 @@ type pendingGoto struct {
 
 // buildCFG constructs the CFG for one function body.
 func buildCFG(body *ast.BlockStmt) *cfg {
-	g := &cfg{byStmt: make(map[ast.Stmt]*cnode), afterOf: make(map[ast.Stmt]*cnode)}
+	g := &cfg{byStmt: make(map[ast.Stmt]*cnode)}
 	g.entry = &cnode{}
 	g.exit = &cnode{}
 	g.nodes = append(g.nodes, g.entry, g.exit)
@@ -168,11 +160,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt, pred *cnode) *cnode {
 			pred = b.stmt(s.Init, pred)
 		}
 		head := b.node(s)
-		head.loopHead = true
 		b.edge(pred, head)
 		after := &cnode{}
 		b.g.nodes = append(b.g.nodes, after)
-		b.g.afterOf[s] = after
 		if s.Cond != nil {
 			b.edge(head, after) // condition false: skip the loop
 		}
@@ -195,11 +185,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt, pred *cnode) *cnode {
 
 	case *ast.RangeStmt:
 		head := b.node(s)
-		head.loopHead = true
 		b.edge(pred, head)
 		after := &cnode{}
 		b.g.nodes = append(b.g.nodes, after)
-		b.g.afterOf[s] = after
 		b.edge(head, after) // empty collection: skip the loop
 		b.push(loopFrame{label: b.pendingLabel, brk: after, cont: head})
 		bodyEnd := b.block(s.Body, head)

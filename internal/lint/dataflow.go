@@ -5,17 +5,11 @@ import (
 	"go/types"
 )
 
-// This file holds the chargeflow engine's path queries. Every client
-// analyzer reduces its soundness rule to one of two reachability questions
-// over the statement-level CFG in cfg.go:
-//
-//   - avoidSearch: does a path exist from one node to a goal set that
-//     avoids every node in a fact set? ("can this loop iteration complete
-//     without charging the meter", "can this error value reach function
-//     exit without being read")
-//   - guaranteedOn: is a fact set hit on EVERY path from A to B? (the dual
-//     of avoidSearch, used for charge-before-loop and charge-after-loop
-//     arguments)
+// This file holds the engine's one path query. Every path rule reduces to
+// avoidSearch over the statement-level CFG in cfg.go: does a path exist from
+// one node to a goal set that avoids every node in a fact set? ("is this
+// lock still held here", "can this error value reach function exit without
+// being read"). Its negation is "the fact is guaranteed on every path".
 //
 // Node predicates are expressed as functions over statements, so analyzers
 // stay in AST vocabulary and the engine stays generic.
@@ -68,132 +62,37 @@ func avoidSearch(from *cnode, goals map[*cnode]bool, avoid stmtPred) bool {
 	return false
 }
 
-// guaranteedOn reports whether every path from `from` (exclusive) to `to`
-// passes through a node matching `fact`. It is the negation of an avoid
-// search with `to` as the only goal. When `to` is unreachable from `from`
-// it returns true vacuously.
-func guaranteedOn(from, to *cnode, fact stmtPred) bool {
-	return !avoidSearch(from, map[*cnode]bool{to: true}, fact)
-}
-
-// loopAnchors returns the nodes from which a per-iteration obligation of
-// loop may be discharged ahead of it: the heads of the loops (from the same
-// scope's loop list) that lexically enclose it, innermost first, then the
-// scope entry. A fact guaranteed on every path from an anchor to the loop
-// holds once per enclosing iteration — batch granularity.
-func loopAnchors(g *cfg, loops []ast.Stmt, loop ast.Stmt) []*cnode {
-	var anchors []*cnode
-	// loops is in source order, so enclosing loops appear outermost first.
-	for i := len(loops) - 1; i >= 0; i-- {
-		if l := loops[i]; l != loop && l.Pos() <= loop.Pos() && loop.End() <= l.End() {
-			anchors = append(anchors, g.byStmt[l])
+// stmtEvalNode returns the AST fragment a CFG node for this statement
+// actually evaluates: compound statements (if/for/range/switch/select) are
+// represented in the CFG by their condition/tag alone — their nested
+// statements have their own nodes — so fact queries must not descend into
+// them, or a conditional unlock inside a branch would look unconditional.
+// Simple statements evaluate themselves.
+func stmtEvalNode(st ast.Stmt) ast.Node {
+	switch s := st.(type) {
+	case *ast.IfStmt:
+		if s.Cond != nil {
+			return s.Cond
 		}
-	}
-	return append(anchors, g.entry)
-}
-
-// guaranteedFromAny reports whether, for some anchor, every path from it to
-// `to` passes a node matching fact.
-func guaranteedFromAny(anchors []*cnode, to *cnode, fact stmtPred) bool {
-	for _, a := range anchors {
-		if guaranteedOn(a, to, fact) {
-			return true
-		}
-	}
-	return false
-}
-
-// loopBodyNodes returns the nodes lexically inside the loop statement's
-// body (and, for a ForStmt, its post statement) — the statements one
-// iteration executes. The loop head itself is excluded.
-func (g *cfg) loopBodyNodes(loop ast.Stmt) map[*cnode]bool {
-	var body *ast.BlockStmt
-	var post ast.Stmt
-	switch l := loop.(type) {
+		return nil
 	case *ast.ForStmt:
-		body, post = l.Body, l.Post
+		if s.Cond != nil {
+			return s.Cond
+		}
+		return nil
 	case *ast.RangeStmt:
-		body = l.Body
-	default:
+		return s.X
+	case *ast.SwitchStmt:
+		if s.Tag != nil {
+			return s.Tag
+		}
+		return nil
+	case *ast.TypeSwitchStmt:
+		return s.Assign
+	case *ast.SelectStmt, *ast.BlockStmt, *ast.LabeledStmt:
 		return nil
 	}
-	out := map[*cnode]bool{}
-	mark := func(n ast.Node) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			if s, ok := m.(ast.Stmt); ok {
-				if cn := g.byStmt[s]; cn != nil {
-					out[cn] = true
-				}
-			}
-			// Closures are separate scopes, but their defining statement
-			// is already marked; do not descend.
-			_, isLit := m.(*ast.FuncLit)
-			return !isLit
-		})
-	}
-	mark(body)
-	if post != nil {
-		mark(post)
-	}
-	return out
-}
-
-// iterationCompletes reports whether an iteration of the loop can run from
-// its head back to its head while avoiding every node matching `fact`, and
-// while passing through at least one node matching `mustPass` (pass nil to
-// accept any completing path). This is the chargepath core question:
-// "can one full trip around this loop do its work without charging".
-//
-// The search walks only nodes inside the loop body (so paths that break
-// out of the loop do not count as completed iterations) plus the head as
-// the completion goal.
-func iterationCompletes(g *cfg, loop ast.Stmt, mustPass, fact stmtPred) bool {
-	head := g.byStmt[loop]
-	if head == nil {
-		return false
-	}
-	body := g.loopBodyNodes(loop)
-	// State: (node, passedMustPass). BFS over at most 2x body nodes.
-	type state struct {
-		n      *cnode
-		passed bool
-	}
-	start := state{head, mustPass == nil}
-	seen := map[state]bool{start: true}
-	queue := []state{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, s := range cur.n.succs {
-			// Completing the iteration: back at the head.
-			if s == head {
-				if cur.passed {
-					return true
-				}
-				continue
-			}
-			if !body[s] && s.stmt != nil {
-				continue // left the loop (break/return path)
-			}
-			if s.matches(fact) {
-				continue // iteration touched a fact node: this path is fine
-			}
-			passed := cur.passed || (mustPass != nil && s.matches(mustPass))
-			// Synthetic join nodes inside the body flow through; joins
-			// outside (the loop's after node) have stmt==nil too — they
-			// are excluded because their successors leave the body. Guard:
-			// only expand synthetic nodes whose successors can still reach
-			// the head through body nodes (cheap approximation: expand
-			// them, the body check above stops real escapes at the next
-			// concrete statement).
-			st := state{s, passed}
-			if !seen[st] {
-				seen[st] = true
-				queue = append(queue, st)
-			}
-		}
-	}
-	return false
+	return st
 }
 
 // anyCall reports whether some call expression lexically inside n (function

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// The tests in this file exercise the chargeflow engine (cfg.go,
+// The tests in this file exercise the dataflow engine (cfg.go,
 // dataflow.go) as an engine: each builds the CFG of a small function from
 // source and asserts edges and query answers directly, without an analyzer
 // in between. Every statement in the sources is a call or a condition on a
@@ -240,7 +240,7 @@ func TestPathQueries(t *testing.T) {
 		body       string
 		from, to   string
 		fact       []string
-		guaranteed bool // guaranteedOn(from, to, fact); avoidSearch is its negation
+		guaranteed bool // every path from from to to passes the fact: avoidSearch is false
 	}{
 		{"straight line", "a(); charge(); b()", "entry", "exit", []string{"charge"}, true},
 		{"if without else skips the fact", "if c1 { charge() }; b()", "entry", "exit", []string{"charge"}, false},
@@ -261,9 +261,6 @@ func TestPathQueries(t *testing.T) {
 		t.Run(tc.construct, func(t *testing.T) {
 			g := parseBody(t, tc.body)
 			from, to := named(t, g, tc.from), named(t, g, tc.to)
-			if got := guaranteedOn(from, to, calls(tc.fact...)); got != tc.guaranteed {
-				t.Errorf("guaranteedOn(%s, %s, %v) = %v, want %v", tc.from, tc.to, tc.fact, got, tc.guaranteed)
-			}
 			if got := avoidSearch(from, map[*cnode]bool{to: true}, calls(tc.fact...)); got == tc.guaranteed {
 				t.Errorf("avoidSearch(%s, %s, %v) = %v, want %v", tc.from, tc.to, tc.fact, got, !tc.guaranteed)
 			}
@@ -275,84 +272,5 @@ func TestPathQueries(t *testing.T) {
 	g := parseBody(t, "a(); charge()")
 	if !avoidSearch(g.entry, map[*cnode]bool{named(t, g, "charge"): true}, calls("charge")) {
 		t.Errorf("avoidSearch: a goal node matching avoid must still be reached")
-	}
-}
-
-func TestIterationCompletes(t *testing.T) {
-	cases := []struct {
-		construct string
-		body      string
-		loop      string   // name of the loop head under test
-		mustPass  []string // nil: any completing path
-		fact      []string
-		completes bool
-	}{
-		{"every trip passes the fact", "for c1 { a(); charge() }", "c1", nil, []string{"charge"}, false},
-		{"continue fast path skips the fact", "for c1 { pull(); if c2 { continue }; charge() }", "c1", []string{"pull"}, []string{"charge"}, true},
-		{"fact before the fast path", "for c1 { pull(); charge(); if c2 { continue }; b() }", "c1", []string{"pull"}, []string{"charge"}, false},
-		{"mustPass not on the uncharged path", "for c1 { if c2 { continue }; pull(); charge() }", "c1", []string{"pull"}, []string{"charge"}, false},
-		{"break is not a completed iteration", "for c1 { if c2 { break }; charge() }", "c1", nil, []string{"charge"}, false},
-		{"return is not a completed iteration", "for c1 { if c2 { return }; charge() }", "c1", nil, []string{"charge"}, false},
-		{"range loop", "for range r1 { if c2 { continue }; charge() }", "r1", nil, []string{"charge"}, true},
-		{"post statement carries the fact", "for i = 0; c1; charge() { if c2 { continue }; a() }", "c1", nil, []string{"charge"}, false},
-		{"outer trip around a zero-trip inner loop", "for c1 { for c2 { charge() } }", "c1", nil, []string{"charge"}, true},
-		{"inner loop: continue fast path", "for c1 { for c2 { if c3 { continue }; charge() } }", "c2", nil, []string{"charge"}, true},
-		{"inner loop: break leaves it, outer still charged after", "for c1 { for c2 { if c3 { break }; charge() }; charge() }", "c2", nil, []string{"charge"}, false},
-		{"outer loop charged after the inner one", "for c1 { for c2 { if c3 { break }; a() }; charge() }", "c1", nil, []string{"charge"}, false},
-		{"labelled continue skips the outer loop's tail", "outer: for c1 { for c2 { if c3 { continue outer }; a() }; charge() }", "c1", nil, []string{"charge"}, true},
-		{"switch in the body: one clause without the fact", "for c1 { switch t1 { case 1: charge(); default: a() } }", "c1", nil, []string{"charge"}, true},
-		{"select in the body: every case has the fact", "for c1 { select { case <-ch: charge(); case <-ch2: poll() } }", "c1", nil, []string{"charge", "poll"}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.construct, func(t *testing.T) {
-			g := parseBody(t, tc.body)
-			var mustPass stmtPred
-			if tc.mustPass != nil {
-				mustPass = calls(tc.mustPass...)
-			}
-			if got := iterationCompletes(g, named(t, g, tc.loop).stmt, mustPass, calls(tc.fact...)); got != tc.completes {
-				t.Errorf("iterationCompletes = %v, want %v", got, tc.completes)
-			}
-		})
-	}
-}
-
-// TestLoopAnchors pins the batch-granularity argument chargepath and
-// cancelpoll share: a fact guaranteed on every path from an enclosing loop
-// head (or the scope entry) to an inner loop covers that loop once per
-// enclosing iteration.
-func TestLoopAnchors(t *testing.T) {
-	body, g := parseFunc(t, `
-		setup()
-		for c1 {
-			poll()
-			for c2 {
-				for c3 { a() }
-			}
-			for c4 { b() }
-		}
-		for c5 { d() }`)
-	loops := scopeLoops(body)
-	names := func(anchors []*cnode) string {
-		var out []string
-		for _, a := range anchors {
-			out = append(out, nodeName(g, a))
-		}
-		return strings.Join(out, ",")
-	}
-	for loop, want := range map[string]string{"c1": "entry", "c2": "c1,entry", "c3": "c2,c1,entry", "c4": "c1,entry", "c5": "entry"} {
-		if got := names(loopAnchors(g, loops, named(t, g, loop).stmt)); got != want {
-			t.Errorf("loopAnchors(%s) = %s, want %s", loop, got, want)
-		}
-	}
-	for loop, want := range map[string]bool{"c1": false, "c2": true, "c3": true, "c4": true, "c5": false} {
-		head := named(t, g, loop)
-		if got := guaranteedFromAny(loopAnchors(g, loops, head.stmt), head, calls("poll")); got != want {
-			t.Errorf("poll guaranteed ahead of %s = %v, want %v", loop, got, want)
-		}
-	}
-	// c3 is covered from c1 (through c2), not from its innermost anchor.
-	if guaranteedOn(named(t, g, "c2"), named(t, g, "c3"), calls("poll")) {
-		t.Errorf("poll is not on the path from c2 to c3")
 	}
 }

@@ -1,11 +1,12 @@
 // Package lint is energylint: a dependency-free static-analysis suite that
-// enforces the repository's energy-accounting and concurrency invariants.
+// enforces the repository's concurrency, durability and pooling invariants.
 // The measurement methodology of the paper (Eq. 1 attribution from PMU
 // counter deltas, exact ledger partitioning, race-free snapshots) is only as
 // credible as the plumbing that implements it; this package turns the
-// invariants the code documents in prose — and has violated before, see the
-// Sort.Open loops no statement timeout could stop — into machine-checked
-// rules.
+// invariants the code documents in prose into machine-checked rules where
+// no run-time test can hold them. The charge and cancellation rules are
+// held at run time instead: by the exact-charge and recorded-counter tests
+// and by the cancellation-latency test over the TPC-H texts (DESIGN.md §10).
 //
 // The suite uses only the standard library (go/parser, go/ast, go/types,
 // go/importer), matching the module's zero-dependency go.mod. Packages are
@@ -20,27 +21,16 @@
 //     pool must not be retained in fields or growing slices past their
 //     reuse point.
 //
-// Four are path rules, and all four are clients of one engine: a
-// statement-level CFG (cfg.go), reachability-avoiding-facts queries over it
-// (dataflow.go: avoidSearch, guaranteedOn, iterationCompletes, loop anchors)
-// and an interprocedural may/must summary of what every declared function
-// charges, dispatches and polls (summary.go). No analyzer re-derives a path
-// property by matching statement shapes.
+// Two are path rules, clients of one engine: a statement-level CFG
+// (cfg.go) and a reachability-avoiding-facts query over it (dataflow.go:
+// avoidSearch). No analyzer re-derives a path property by matching
+// statement shapes.
 //
 //   - lockorder: engine → txn → storage → btree lock ordering and locks
 //     held across a channel operation (a lock is held wherever a path from
 //     its Lock avoids every non-deferred Unlock of it), plus exported lock
 //     wrappers on engine types. Copies of lock-bearing values are go vet's
 //     copylocks check.
-//   - chargepath: every executor loop that advances tuples, batches,
-//     pages or version chains must charge the meter on every completing
-//     iteration (vectorized loops additionally owe a per-batch driver
-//     dispatch, and emit boundaries a free cancellation poll).
-//   - cancelpoll: no iteration of a tuple or batch loop may complete
-//     without reaching a cancellation checkpoint (statement timeouts would
-//     not fire), unless the loop is batch-bounded and a checkpoint is
-//     guaranteed once per enclosing iteration; sort comparators must
-//     contain one.
 //   - walerr: WAL/engine/txn/storage durability errors
 //     (Commit/Rollback/Abort/Sync/Append) must reach the caller or the
 //     abort path on every CFG path.
@@ -49,11 +39,10 @@
 //
 // A finding can be waived with a //lint:<key> comment trailing the flagged
 // line, or standing alone on the line directly above it, where <key> is the
-// analyzer's waiver key (cancelpoll uses "nopoll", chargepath uses
-// "nocharge", the others use their own name). A trailing waiver covers its
-// own line only. Waivers should carry a justification after the key:
+// analyzer's name. A trailing waiver covers its own line only. Waivers
+// should carry a justification after the key:
 //
-//	//lint:nopoll the loop is bounded by one batch
+//	//lint:poolescape held only until the next Child.Next pull
 //
 // A waiver that no longer suppresses anything is stale; TestRepoClean fails
 // on it. DESIGN.md §10 is the rule catalogue: each analyzer, the engine
@@ -71,31 +60,19 @@ import (
 
 // Analyzer is one named invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -only filters.
+	// Name identifies the analyzer in diagnostics and -only filters, and
+	// is the //lint:<key> token that waives its findings.
 	Name string
 	// Doc is a one-line description.
 	Doc string
-	// WaiverKey is the //lint:<key> token that suppresses this analyzer's
-	// findings (defaults to Name when empty).
-	WaiverKey string
 	// Run inspects one type-checked package and reports findings.
 	Run func(*Pass)
-}
-
-// Key returns the waiver token for the analyzer.
-func (a *Analyzer) Key() string {
-	if a.WaiverKey != "" {
-		return a.WaiverKey
-	}
-	return a.Name
 }
 
 // All lists every analyzer in the suite, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerLockOrder,
-		AnalyzerCancelPoll,
-		AnalyzerChargePath,
 		AnalyzerPoolEscape,
 		AnalyzerWalErr,
 	}
@@ -132,7 +109,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 // Reportf records a finding at pos unless a waiver covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Prog.Fset.Position(pos)
-	if p.Prog.waived(position, p.analyzer.Key()) {
+	if p.Prog.waived(position, p.analyzer.Name) {
 		return
 	}
 	*p.out = append(*p.out, Diagnostic{
@@ -339,23 +316,6 @@ func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
-// scopeLoops lists the for/range statements of one function scope in source
-// order (outer loops before the loops they enclose), nested function
-// literals excluded.
-func scopeLoops(body *ast.BlockStmt) []ast.Stmt {
-	var loops []ast.Stmt
-	inspectShallow(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ForStmt:
-			loops = append(loops, n)
-		case *ast.RangeStmt:
-			loops = append(loops, n)
-		}
-		return true
-	})
-	return loops
-}
-
 // calleeName extracts the called function's bare name ("" for calls through
 // a function value that is neither an identifier nor a selector).
 func calleeName(call *ast.CallExpr) string {
@@ -385,51 +345,4 @@ func typeName(t types.Type) string {
 		return named.Obj().Name()
 	}
 	return ""
-}
-
-// hasMethod reports whether a value of type t — addressable, so pointer-
-// receiver methods count — or the interface t has a method of that name.
-func hasMethod(t types.Type, name string) bool {
-	if _, isPtr := t.(*types.Pointer); !isPtr && !types.IsInterface(t) {
-		t = types.NewPointer(t)
-	}
-	ms := types.NewMethodSet(t)
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
-// reachableTypes returns the types called name that the package declares
-// or a direct import declares: the Operator interfaces a package can
-// delegate through.
-func reachableTypes(pass *Pass, name string) []*types.TypeName {
-	var out []*types.TypeName
-	for _, pkg := range append([]*types.Package{pass.Pkg.Types}, pass.Pkg.Types.Imports()...) {
-		if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
-			out = append(out, tn)
-		}
-	}
-	return out
-}
-
-// mentionsType reports whether the package declares or names a type called
-// name that has the given method. cancelpoll gates on it: a package that
-// talks about the executor Ctx has a machine to poll, while code that merely
-// imports such a package (row rendering in the shell, wire encoding) stays
-// out of scope. The other gates are reachableTypes (declared here or in a
-// direct import) and, for layer-named rules — engine, txn, vec, wire, ... —
-// path.Base of the import path, so fixture packages of the same name are
-// analyzed like the real ones.
-func mentionsType(pass *Pass, name, method string) bool {
-	for _, idents := range []map[*ast.Ident]types.Object{pass.Pkg.Info.Defs, pass.Pkg.Info.Uses} {
-		for id, obj := range idents {
-			if tn, ok := obj.(*types.TypeName); ok && id.Name == name && hasMethod(tn.Type(), method) {
-				return true
-			}
-		}
-	}
-	return false
 }

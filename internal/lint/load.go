@@ -32,19 +32,9 @@ type Program struct {
 	stdSrc  types.Importer      // fallback stdlib importer (source)
 	waivers map[string]map[int][]*waiver
 
-	// chargeSum and cfgCache are lazily-built chargeflow engine state,
-	// shared by every analyzer pass over this program (summary.go, cfg.go).
-	chargeSum *summary
-	cfgCache  map[*ast.BlockStmt]*cfg
-}
-
-// chargeSummary returns the interprocedural charge/dispatch/poll summary,
-// building it on first use and caching it for every subsequent pass.
-func (prog *Program) chargeSummary() *summary {
-	if prog.chargeSum == nil {
-		prog.chargeSum = buildSummary(prog)
-	}
-	return prog.chargeSum
+	// cfgCache holds the lazily-built CFGs (cfg.go), shared by every
+	// analyzer pass over this program.
+	cfgCache map[*ast.BlockStmt]*cfg
 }
 
 // cfgOf returns the (cached) control-flow graph of a function body.

@@ -25,10 +25,9 @@ import (
 // consuming it fully before the next pull — waive the store with
 // //lint:poolescape and a sentence saying why the hold is safe.
 var AnalyzerPoolEscape = &Analyzer{
-	Name:      "poolescape",
-	Doc:       "pooled batches/vectors (operator Next results, expression-pool vectors) must not be retained past their reuse point",
-	WaiverKey: "poolescape",
-	Run:       runPoolEscape,
+	Name: "poolescape",
+	Doc:  "pooled batches/vectors (operator Next results, expression-pool vectors) must not be retained past their reuse point",
+	Run:  runPoolEscape,
 }
 
 // poolSourceNames are the methods/functions whose results are loans from a

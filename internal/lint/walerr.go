@@ -11,7 +11,7 @@ import (
 // WAL layer must reach the caller or the transaction abort path. Dropping
 // one turns a failed durability point into a silently "successful"
 // statement — the ledger charges the energy, the client sees OK, and the
-// data is gone. The check is CFG liveness on the chargeflow engine: the
+// data is gone. The check is CFG liveness on the dataflow engine: the
 // error value must be read (returned, tested, joined, deferred) on every
 // path from its definition to function exit.
 //
@@ -21,10 +21,9 @@ import (
 //   - the error assigned to a variable that can reach function exit
 //     without ever being read.
 var AnalyzerWalErr = &Analyzer{
-	Name:      "walerr",
-	Doc:       "WAL/engine/txn durability errors (Commit/Rollback/Abort/Sync/Append) must reach the caller or the abort path",
-	WaiverKey: "walerr",
-	Run:       runWalErr,
+	Name: "walerr",
+	Doc:  "WAL/engine/txn durability errors (Commit/Rollback/Abort/Sync/Append) must reach the caller or the abort path",
+	Run:  runWalErr,
 }
 
 // walErrMethods are the durability points.
