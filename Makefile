@@ -1,10 +1,11 @@
 # Build/verify entry points. `make check` is the gate for server-layer
-# changes: vet everything, run energylint, run the full test suite (the
-# bench/ module's included), then re-run everything under the race detector.
+# changes: vet everything (copylocks included), run staticcheck, run the full
+# test suite (the bench/ module's included), then re-run everything under
+# the race detector.
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-bench staticcheck vulncheck race check golden-drift bench-check bench-e2e bench-substrate bench-server fuzz smoke loc
+.PHONY: all build test vet staticcheck vulncheck race check golden-drift bench-check bench-e2e bench-substrate bench-server fuzz smoke loc
 
 all: build
 
@@ -17,45 +18,24 @@ test:
 vet:
 	$(GO) vet ./...
 
-# energylint: the project's own stdlib-only analyzer suite (see DESIGN.md
-# §10). The whole module is type-checked once and shared by all analyzers
-# and their one CFG/dataflow engine, so a full run stays in single-digit
-# seconds.
-lint:
-	$(GO) run ./cmd/energylint ./...
-
 # Non-blank, non-comment, non-test Go lines of the packages the simplicity
 # PRs track: the planner and the two executors, the storage layer (heap
 # file, buffer pool, WAL: every row fetch and slot write both index scans
 # and every writer issue), the B-tree (its bounded range iterator is what
-# both index scans read), the engine profiles, the
-# analyzer suite, the statement pipeline with its two consumers and the wire
-# protocol, the experiment harness, the TPC-H package, the simulator
-# substrate (cache hierarchy and CPU model) and the public facade at the
-# root.
+# both index scans read), the engine profiles, the statement pipeline with
+# its two consumers and the wire protocol, the experiment harness, the TPC-H
+# package, the simulator substrate (cache hierarchy and CPU model) and the
+# public facade at the root.
 loc:
 	@scripts/loc.sh internal/db/plan internal/db/vec internal/db/exec
 	@scripts/loc.sh internal/db/storage
 	@scripts/loc.sh internal/db/btree
 	@scripts/loc.sh internal/db/engine
-	@scripts/loc.sh internal/lint
 	@scripts/loc.sh internal/server internal/server/wire cmd/dbshell internal/db/stmt
 	@scripts/loc.sh internal/harness
 	@scripts/loc.sh internal/tpch
 	@scripts/loc.sh internal/memsim internal/cpusim
 	@scripts/loc.sh .
-
-# Budget gate for the analyzer suite itself: the full-repo run (load +
-# type-check + all analyzers and their CFG queries) must stay
-# under 10 seconds so `make lint` remains a pre-commit habit rather than
-# a CI-only chore. Uses the prebuilt binary so the budget measures
-# analysis, not compilation.
-lint-bench:
-	@$(GO) build -o /tmp/energylint-bench ./cmd/energylint && \
-	start=$$(date +%s%N) && /tmp/energylint-bench ./... && end=$$(date +%s%N) && \
-	ms=$$(( (end - start) / 1000000 )) && \
-	echo "lint-bench: full-repo analyzer run took $$ms ms (budget 10000 ms)" && \
-	if [ $$ms -gt 10000 ]; then echo "lint-bench: over budget"; exit 1; fi
 
 # Static analysis beyond vet. Skipped with a notice when the binary is not
 # installed (CI installs it; local runs stay dependency-free).
@@ -114,7 +94,7 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run xxx -bench 'BenchmarkIndexJoin|BenchmarkFusedProgram' -benchtime 1x ./internal/db/vec/
 
-check: vet lint staticcheck test bench-check golden-drift race
+check: vet staticcheck test bench-check golden-drift race
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): the untraced
 # end-to-end pass of one workload and seed, at the benchmark's own default

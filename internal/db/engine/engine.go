@@ -43,8 +43,19 @@
 // Shared.mu is catalog-scoped only: it guards the tables map (CreateTable,
 // CreateIndex, Table lookups), never statement execution. Lock order across
 // the stack is engine (Shared.mu) → txn (the Manager's commit and registry
-// mutexes) → storage (TableData.mu) → btree (tree shared mu); no layer calls
-// back up.
+// mutexes) → storage (TableData.mu) → btree (tree shared mu). The layering
+// holds it. Every mutex is an unexported field of its own package and no
+// package exports a lock wrapper, so a function takes only its own package's
+// locks. This package imports the other three, storage imports only txn, and
+// btree imports none of them, so btree reaches no layer above it and storage
+// reaches one only through a callback or through txn. The txn mutexes are
+// leaves, so calling txn cannot invert the order: the registry mutex guards
+// the pin list alone, and the one callback run under the commit mutex, a
+// write record's Commit, stores atomics and takes no lock. The only other
+// callback run under a lock is storage.TableData.ForEachRaw's, which must
+// take no lock (ANALYZE's take none). Nor does the engine expose a
+// statement-scoped store lock: readers progress while a writer's transaction
+// is open (TestTxnReadersProgressWhileWriterOpen in internal/server).
 //
 // An individual Engine is still NOT goroutine-safe: one worker owns it, and
 // all access to it (plan building, execution, transaction binding,

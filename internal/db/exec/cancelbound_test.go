@@ -37,15 +37,17 @@ const (
 // statement within about one batch, or one pollStride of a buffer loop, of
 // work. On the PostgreSQL profile at 10MB — the profile whose plans hold row
 // hash joins — it runs the 22 TPC-H texts, the seven basic operations, an
-// UPDATE and a DELETE, each in its row plan (DisableVectorExec) and its
-// vector plan. A first run measures, from the hierarchy's recorder, every
-// gap between checkpoints; the longest must be within the bound. Then the
+// equijoin whose row plan hashes every lineitem row, an UPDATE and a DELETE,
+// each in its row plan (DisableVectorExec) and its vector plan. A first run
+// measures, from the hierarchy's recorder, every gap between checkpoints;
+// the longest must be within the bound. Then the
 // statement runs again with its cancel flag raised by the recorder at the
 // start of that longest gap and at seeded points through the run, and must
 // return exec.ErrCanceled, or finish, within the bound each time. A loop
 // that stops polling shows as a gap as long as the rest of the loop:
 // dropping the key-extraction PollEvery of Sort.Open, the comparator Poll of
-// SortRun.Order or the build PollEvery of HashJoin.Open fails here. The
+// SortRun.Order or the build PollEvery of HashJoin.Open fails here (the
+// lineitem build then runs 17 827 events, almost nine bounds, unpolled). The
 // event stream is deterministic, so the test is; -short raises the flag at
 // fewer seeded points.
 func TestCancelWithinBound(t *testing.T) {
@@ -146,8 +148,11 @@ type cancelStatement struct {
 	stmt  sql.Statement
 }
 
-// cancelStatements parses the 22 TPC-H texts, the seven basic operations, an
-// UPDATE of every lineitem row and a DELETE of about a fifth of orders.
+// cancelStatements parses the 22 TPC-H texts, the seven basic operations, a
+// join of orders and lineitem on two unindexed price columns (the row plan
+// builds its hash table from all 5 937 lineitem rows, where the largest TPC-H
+// build holds 784), an UPDATE of every lineitem row and a DELETE of about a
+// fifth of orders.
 func cancelStatements(t *testing.T) []cancelStatement {
 	var texts [][2]string
 	for _, q := range tpch.SQLQueries() {
@@ -157,6 +162,7 @@ func cancelStatements(t *testing.T) []cancelStatement {
 		texts = append(texts, [2]string{op.Name, op.Text})
 	}
 	texts = append(texts,
+		[2]string{"hash build", "SELECT COUNT(*) FROM orders JOIN lineitem ON o_totalprice = l_extendedprice"},
 		[2]string{"update", "UPDATE lineitem SET l_quantity = l_quantity + 1"},
 		[2]string{"delete", "DELETE FROM orders WHERE o_orderpriority = '5-LOW'"})
 	out := make([]cancelStatement, len(texts))

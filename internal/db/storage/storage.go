@@ -521,7 +521,10 @@ func (d *TableData) row(id int, snap txn.Snap) (row value.Row, hops int, ok bool
 // statistics collection is bookkeeping on the Go side, not part of any
 // measured statement, so it must not advance the PMU counters of whichever
 // worker happens to run it. Slots with no committed version (in-flight
-// inserts, aborted tombstones, committed deletes) are skipped.
+// inserts, aborted tombstones, committed deletes) are skipped. fn runs under
+// the table's read lock and must take no lock: its callers live in the
+// engine, and an engine lock taken in fn would invert the engine → txn →
+// storage → btree order (package engine).
 func (d *TableData) ForEachRaw(fn func(id int, row value.Row)) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

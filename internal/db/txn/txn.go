@@ -38,11 +38,12 @@
 // # Locking model
 //
 // The manager's commit and registry mutexes are txn-level locks in the
-// engine stack's documented order (engine → txn → storage → btree, enforced
-// by the lockorder analyzer): commit stamping touches only version atomics,
-// never a storage or btree lock, and Oldest is read before a storage lock is
-// taken, never under one. Undo records MAY take storage.TableData's lock (to
-// swap a chain head back), which respects the order.
+// engine stack's documented order (engine → txn → storage → btree; package
+// engine says what holds it). Both are leaves: commit stamping touches only
+// version atomics, never a storage or btree lock, and the registry mutex
+// guards the pin list alone. Oldest is read before a storage lock is taken,
+// never under one. Undo records MAY take storage.TableData's lock (to swap a
+// chain head back); Abort runs them with no manager lock held.
 package txn
 
 import (

@@ -461,7 +461,9 @@ func (l *loop) run(ctx *exec.Ctx, pl *pool, b *Batch) {
 	for _, nd := range l.nodes {
 		if nd.kernel() {
 			out := pl.get(b.cap)
-			nd.val = out //lint:poolescape node results are read by later nodes of this eval and by its caller, all before the pool is reset at the next batch
+			// Node results are read by later nodes of this eval and by its
+			// caller, all before the pool is reset at the next batch.
+			nd.val = out
 		}
 	}
 	for _, nd := range l.loads {

@@ -265,7 +265,9 @@ func (j *IndexJoin) Next() (*Batch, error) {
 				break
 			}
 			j.Ctx.Poll()
-			j.probe = b //lint:poolescape held only until the next Probe.Next pull; fetch copies each probe row out as it is matched
+			// Held only until the next Probe.Next pull: fetch copies each
+			// probe row out as it is matched.
+			j.probe = b
 			j.keys, j.sel, j.cur = j.keys[:0], j.sel[:0], 0
 			if b.Len() == 0 {
 				continue

@@ -234,7 +234,9 @@ func (j *HashJoin) Next() (*Batch, error) {
 			break
 		}
 		j.Ctx.Poll()
-		j.probe = b //lint:poolescape held only until the next Probe.Next pull; every row is gathered out before re-pulling
+		// Held only until the next Probe.Next pull: every row is gathered
+		// out before re-pulling.
+		j.probe = b
 		j.pk = 0
 		if b.Len() == 0 {
 			continue

@@ -392,7 +392,9 @@ func (r *RowSource) Next() (value.Row, bool, error) {
 			return nil, false, nil
 		}
 		r.charge(exec.Card{Batches: 1})
-		r.b, r.k = b, 0 //lint:poolescape held only until the next Child.Next pull; the cursor drains the batch row-by-row before re-pulling
+		// Held only until the next Child.Next pull: the cursor drains the
+		// batch row by row before re-pulling.
+		r.b, r.k = b, 0
 	}
 }
 

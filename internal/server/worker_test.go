@@ -13,7 +13,12 @@ import (
 
 // laneWaiters counts the goroutines blocked on a worker's lane: inside
 // worker.submit, waiting to take the lane's slot.
-func laneWaiters() int {
+func laneWaiters() int { return blockedIn("chan send", "server.(*worker).submit(") }
+
+// blockedIn counts the goroutines whose dump header names state (a wait
+// reason such as "chan send" or "sync.Mutex.Lock") and whose stack holds
+// frame.
+func blockedIn(state, frame string) int {
 	buf := make([]byte, 1<<16)
 	for {
 		n := runtime.Stack(buf, true)
@@ -26,7 +31,7 @@ func laneWaiters() int {
 	waiting := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		header, _, _ := strings.Cut(g, "\n")
-		if strings.Contains(header, "[chan send") && strings.Contains(g, "server.(*worker).submit(") {
+		if strings.Contains(header, "["+state) && strings.Contains(g, frame) {
 			waiting++
 		}
 	}
