@@ -23,15 +23,15 @@ vet:
 # file, buffer pool, WAL: every row fetch and slot write both index scans
 # and every writer issue), the B-tree (its bounded range iterator is what
 # both index scans read), the engine profiles, the statement pipeline with
-# its two consumers and the wire protocol, the experiment harness, the TPC-H
-# package, the simulator substrate (cache hierarchy and CPU model) and the
-# public facade at the root.
+# its two consumers, the wire protocol and its client library, the
+# experiment harness, the TPC-H package, the simulator substrate (cache
+# hierarchy and CPU model) and the public facade at the root.
 loc:
 	@scripts/loc.sh internal/db/plan internal/db/vec internal/db/exec
 	@scripts/loc.sh internal/db/storage
 	@scripts/loc.sh internal/db/btree
 	@scripts/loc.sh internal/db/engine
-	@scripts/loc.sh internal/server internal/server/wire cmd/dbshell internal/db/stmt
+	@scripts/loc.sh internal/server internal/server/wire internal/server/client cmd/dbshell internal/db/stmt
 	@scripts/loc.sh internal/harness
 	@scripts/loc.sh internal/tpch
 	@scripts/loc.sh internal/memsim internal/cpusim
@@ -145,10 +145,14 @@ bench-substrate:
 # loopback energyd sending keyed SELECTs on orders, reported as ns/stmt and
 # allocs/op (both ends share the process). The simulator does almost nothing
 # for these statements, so this is the number a socket, frame, scheduling or
-# reply-write change reports before and after; CI runs it once to keep it
-# compiling and finishing.
+# reply-write change reports before and after. BenchmarkFrames
+# (internal/server/wire) is the codec's share of it: one point-lookup
+# exchange — Query, a one-row ResultSet, EnergyReport — encoded and decoded,
+# with B/op and allocs/op. CI runs both once to keep them compiling and
+# finishing.
 bench-server:
 	$(GO) test -run xxx -bench BenchmarkRoundTrip -benchtime $(BENCHTIME) ./internal/server/
+	$(GO) test -run xxx -bench BenchmarkFrames -benchmem -benchtime $(BENCHTIME) ./internal/server/wire/
 
 # Short fuzz pass over every fuzz target: the SQL parser (raw client text),
 # the planner pipeline (parse → optimize → build → execute), the row-versus-

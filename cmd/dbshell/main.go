@@ -422,11 +422,7 @@ func (sh *shell) tables() {
 }
 
 func printBreakdown(b core.Breakdown) {
-	var shares [core.NumComponents]float64
-	for i := range shares {
-		shares[i] = b.Share(core.Component(i))
-	}
-	printShares(b.EActive, shares, "")
+	printShares(b.EActive, b.Shares(), "")
 }
 
 func printRemoteBreakdown(e wire.EnergyReport) {

@@ -145,9 +145,6 @@ func (m *Machine) SetEIST(on bool) {
 	m.gov = governor{}
 }
 
-// EIST reports whether the governor is active.
-func (m *Machine) EIST() bool { return m.eist }
-
 // Sync folds the cycles executed since the last sync into wall-clock time
 // and active energy at the current P-state. Callers that change the P-state
 // or read energy must sync first; public entry points do it automatically.
@@ -169,9 +166,6 @@ func (m *Machine) Sync() {
 func (m *Machine) AddIdle(seconds float64) {
 	m.Sync()
 	m.idleSeconds += seconds
-	if m.eist {
-		m.gov.observeIdle(seconds)
-	}
 }
 
 // GovernorTick must be called periodically by EIST-enabled workload drivers
@@ -264,8 +258,6 @@ type governor struct {
 const (
 	govUpThreshold = 0.90
 )
-
-func (g *governor) observeIdle(float64) {}
 
 func (g *governor) next(util float64, min, max PState) PState {
 	if util >= govUpThreshold {

@@ -43,9 +43,6 @@ func (p PState) Voltage() float64 {
 	return 0.65 + (f-0.8)*(1.10-0.65)/(3.6-0.8)
 }
 
-// Valid reports whether the state is within the supported range.
-func (p PState) Valid() bool { return p >= PStateMin && p <= PStateMax }
-
 // Clamp returns p limited to the valid range.
 func (p PState) Clamp() PState {
 	if p < PStateMin {

@@ -92,9 +92,6 @@ func preparePinned(e *engine.Engine, stmt sql.Statement, pin map[string]opKind) 
 	return &Prepared{E: e, Stmt: read, Root: root}, nil
 }
 
-// Names returns the output column names.
-func (p *Prepared) Names() []string { return p.Root.Schema().Names() }
-
 // Build instantiates the executor tree for one execution.
 func (p *Prepared) Build() (exec.Operator, error) {
 	op, err := p.instantiate(p.Root, nil)

@@ -210,9 +210,6 @@ func NewBufferPool(dev *Device, poolBytes, pageSize int) *BufferPool {
 	return bp
 }
 
-// PageSize returns the pool's page size.
-func (bp *BufferPool) PageSize() int { return bp.pageSize }
-
 // Frames returns the number of frames.
 func (bp *BufferPool) Frames() int { return bp.frames }
 
@@ -331,18 +328,6 @@ func (bp *BufferPool) DirtyCount() int {
 		}
 	}
 	return n
-}
-
-// Flush drops every cached page, forcing subsequent fetches to disk (used
-// by cold-run experiments).
-func (bp *BufferPool) Flush() {
-	bp.pageTable = make(map[PageID]int, bp.frames)
-	for i := range bp.frameUsed {
-		bp.frameUsed[i] = false
-		bp.frameRef[i] = false
-		bp.frameDirty[i] = false
-	}
-	bp.clockHand = 0
 }
 
 // RelocateFrames moves the first frames of the pool to addresses drawn from

@@ -186,8 +186,16 @@ func sqlSweep(o Options, quickIDs ...int) []tpch.SQLQuery {
 	return out
 }
 
-// shareHeader is the component header of every breakdown table.
-var shareHeader = []string{"E_L1D%", "E_Reg2L1D%", "E_L2%", "E_L3%", "E_mem%", "E_pf%", "E_stall%", "E_other%"}
+// shareHeader is the component header of every breakdown table: each
+// component's name with "%" appended. Its length is its capacity, so every
+// append to it copies.
+var shareHeader = func() []string {
+	out := make([]string, core.NumComponents)
+	for i, c := range core.Components() {
+		out[i] = c.String() + "%"
+	}
+	return out
+}()
 
 // shareCells renders a breakdown's component shares.
 func shareCells(b core.Breakdown) []string {

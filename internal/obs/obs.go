@@ -277,13 +277,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // snapshotBuckets returns cumulative bucket counts (per Prometheus le
 // semantics, ending with +Inf), the sum and the count, atomically.
 func (h *Histogram) snapshotBuckets() ([]uint64, float64, uint64) {

@@ -10,13 +10,19 @@ import (
 	"strconv"
 	"strings"
 
+	"energydb/internal/core"
 	"energydb/internal/harness"
 )
 
-// componentColumns are the breakdown headers, in stacking order.
-var componentColumns = []string{
-	"E_L1D%", "E_Reg2L1D%", "E_L2%", "E_L3%", "E_mem%", "E_pf%", "E_stall%", "E_other%",
-}
+// componentColumns are the breakdown headers, in stacking order: each
+// component's name with "%" appended, as the harness tables head them.
+var componentColumns = func() []string {
+	out := make([]string, core.NumComponents)
+	for i, c := range core.Components() {
+		out[i] = c.String() + "%"
+	}
+	return out
+}()
 
 // componentColors shade the stack (L1D family warm, memory path cool,
 // other grey).

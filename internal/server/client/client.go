@@ -70,20 +70,15 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	}); err != nil {
 		return nil, err
 	}
-	f, err := wire.Read(c.r)
+	ack, err := reply[*wire.HelloAck](c)
+	if qe, rejected := err.(*QueryError); rejected {
+		return nil, fmt.Errorf("client: server rejected handshake: %s", qe.Msg)
+	}
 	if err != nil {
 		return nil, err
 	}
-	switch f := f.(type) {
-	case *wire.HelloAck:
-		c.ack = *f
-		ok = true
-		return c, nil
-	case *wire.Error:
-		return nil, fmt.Errorf("client: server rejected handshake: %s", f.Msg)
-	default:
-		return nil, fmt.Errorf("client: unexpected %v frame in handshake", f.FrameType())
-	}
+	c.ack, ok = *ack, true
+	return c, nil
 }
 
 // Info returns the server's handshake acknowledgement (resolved engine
@@ -96,30 +91,18 @@ func (c *Conn) Query(text string) (*Result, error) {
 	if err := c.send(&wire.Query{Text: text}); err != nil {
 		return nil, err
 	}
-	f, err := wire.Read(c.r)
+	rs, err := reply[*wire.ResultSet](c)
+	if qe, failed := err.(*QueryError); failed && strings.HasSuffix(qe.Msg, wire.TxnRolledBackSuffix) {
+		// The server rolled the open transaction back with the failed
+		// statement; mirror it so InTxn stays honest.
+		c.txnID, c.inTxn = 0, false
+	}
 	if err != nil {
 		return nil, err
 	}
-	rs, ok := f.(*wire.ResultSet)
-	if !ok {
-		if e, isErr := f.(*wire.Error); isErr {
-			if strings.HasSuffix(e.Msg, wire.TxnRolledBackSuffix) {
-				// The server rolled the open transaction back with the
-				// failed statement; mirror it so InTxn stays honest.
-				c.inTxn = false
-				c.txnID = 0
-			}
-			return nil, &QueryError{Msg: e.Msg}
-		}
-		return nil, fmt.Errorf("client: expected ResultSet, got %v", f.FrameType())
-	}
-	f, err = wire.Read(c.r)
+	rep, err := reply[*wire.EnergyReport](c)
 	if err != nil {
 		return nil, err
-	}
-	rep, ok := f.(*wire.EnergyReport)
-	if !ok {
-		return nil, fmt.Errorf("client: expected EnergyReport, got %v", f.FrameType())
 	}
 	// A transaction control sent as SQL text answers with a status row
 	// rather than a TxnAck; mirror it so InTxn stays honest.
@@ -166,19 +149,12 @@ func (c *Conn) txnCtl(op wire.TxnOp) (*wire.TxnAck, error) {
 	if err := c.send(&wire.TxnCtl{Op: op}); err != nil {
 		return nil, err
 	}
-	f, err := wire.Read(c.r)
+	ack, err := reply[*wire.TxnAck](c)
 	if err != nil {
 		return nil, err
 	}
-	switch f := f.(type) {
-	case *wire.TxnAck:
-		c.txnID, c.inTxn = f.TxnID, f.Active
-		return f, nil
-	case *wire.Error:
-		return nil, &QueryError{Msg: f.Msg}
-	default:
-		return nil, fmt.Errorf("client: expected TxnAck, got %v", f.FrameType())
-	}
+	c.txnID, c.inTxn = ack.TxnID, ack.Active
+	return ack, nil
 }
 
 // Stats requests the server's observability snapshot (the STATS command):
@@ -188,24 +164,36 @@ func (c *Conn) Stats() (*wire.StatsSnapshot, error) {
 	if err := c.send(&wire.Stats{}); err != nil {
 		return nil, err
 	}
-	f, err := wire.Read(c.r)
+	r, err := reply[*wire.StatsReply](c)
 	if err != nil {
 		return nil, err
 	}
-	switch f := f.(type) {
-	case *wire.StatsReply:
-		return f.Snapshot()
-	case *wire.Error:
-		return nil, fmt.Errorf("client: stats failed: %s", f.Msg)
-	default:
-		return nil, fmt.Errorf("client: expected StatsReply, got %v", f.FrameType())
-	}
+	return r.Snapshot()
 }
 
 // Close sends Quit and closes the connection.
 func (c *Conn) Close() error {
 	_ = c.send(&wire.Quit{}) // best effort; the server also handles EOF
 	return c.c.Close()
+}
+
+// reply reads the answer to a request: the frame F it expects, an Error
+// frame as a *QueryError (the session stays usable), or else a protocol
+// error.
+func reply[F wire.Frame](c *Conn) (F, error) {
+	var want F
+	f, err := wire.Read(c.r)
+	if err != nil {
+		return want, err
+	}
+	switch f := f.(type) {
+	case F:
+		return f, nil
+	case *wire.Error:
+		return want, &QueryError{Msg: f.Msg}
+	default:
+		return want, fmt.Errorf("client: expected %v, got %v", want.FrameType(), f.FrameType())
+	}
 }
 
 func (c *Conn) send(f wire.Frame) error {

@@ -312,11 +312,14 @@ func TestStatementErrorKeepsSession(t *testing.T) {
 	}
 }
 
-// TestHandshakeRejects checks negotiation failures close cleanly.
+// TestHandshakeRejects checks negotiation failures close cleanly, with the
+// message dbshell prints.
 func TestHandshakeRejects(t *testing.T) {
 	_, addr := startServer(t)
 	if _, err := client.Dial(addr, client.Options{Engine: "oracle"}); err == nil {
 		t.Fatal("expected handshake rejection for unknown engine")
+	} else if !strings.HasPrefix(err.Error(), "client: server rejected handshake: ") {
+		t.Errorf("handshake rejection reads %q", err)
 	}
 	if _, err := client.Dial(addr, client.Options{Class: "9TB"}); err == nil {
 		t.Fatal("expected handshake rejection for unknown class")

@@ -88,8 +88,9 @@ func (t Type) String() string {
 type Frame interface {
 	// FrameType tags the message on the wire.
 	FrameType() Type
-	encode(b *buf)
-	decode(b *buf) error
+	// fields is the frame's layout: its fields once, in wire order. Encode
+	// and Decode both run it, so the two directions cannot disagree.
+	fields(c *codec)
 }
 
 // Hello opens a session: the client proposes the engine profile, knob
@@ -104,25 +105,11 @@ type Hello struct {
 // FrameType implements Frame.
 func (*Hello) FrameType() Type { return TypeHello }
 
-func (h *Hello) encode(b *buf) {
-	b.putByte(h.Version)
-	b.putString(h.Engine)
-	b.putString(h.Setting)
-	b.putString(h.Class)
-}
-
-func (h *Hello) decode(b *buf) (err error) {
-	if h.Version, err = b.getByte(); err != nil {
-		return err
-	}
-	if h.Engine, err = b.getString(); err != nil {
-		return err
-	}
-	if h.Setting, err = b.getString(); err != nil {
-		return err
-	}
-	h.Class, err = b.getString()
-	return err
+func (h *Hello) fields(c *codec) {
+	c.byte(&h.Version)
+	c.str(&h.Engine)
+	c.str(&h.Setting)
+	c.str(&h.Class)
 }
 
 // HelloAck confirms the session: the server echoes the resolved parameters
@@ -139,37 +126,17 @@ type HelloAck struct {
 // FrameType implements Frame.
 func (*HelloAck) FrameType() Type { return TypeHelloAck }
 
-func (h *HelloAck) encode(b *buf) {
-	b.putString(h.Banner)
-	b.putString(h.Engine)
-	b.putString(h.Setting)
-	b.putString(h.Class)
-	b.putU32(h.Tables)
-	b.putU64(h.SessionID)
-}
-
-func (h *HelloAck) decode(b *buf) (err error) {
-	if h.Banner, err = b.getString(); err != nil {
-		return err
-	}
-	if h.Engine, err = b.getString(); err != nil {
-		return err
-	}
-	if h.Setting, err = b.getString(); err != nil {
-		return err
-	}
-	if h.Class, err = b.getString(); err != nil {
-		return err
-	}
-	if h.Tables, err = b.getU32(); err != nil {
-		return err
-	}
-	h.SessionID, err = b.getU64()
-	return err
+func (h *HelloAck) fields(c *codec) {
+	c.str(&h.Banner)
+	c.str(&h.Engine)
+	c.str(&h.Setting)
+	c.str(&h.Class)
+	c.u32(&h.Tables)
+	c.u64(&h.SessionID)
 }
 
 // Query carries one statement: either SQL for the engine's parser, or the
-// shell shorthand `\qN` to run TPC-H query N as a built plan.
+// shell shorthand `\qN`, which stands for the SQL text of TPC-H query N.
 type Query struct {
 	Text string
 }
@@ -177,8 +144,7 @@ type Query struct {
 // FrameType implements Frame.
 func (*Query) FrameType() Type { return TypeQuery }
 
-func (q *Query) encode(b *buf)       { b.putString(q.Text) }
-func (q *Query) decode(b *buf) error { var err error; q.Text, err = b.getString(); return err }
+func (q *Query) fields(c *codec) { c.str(&q.Text) }
 
 // ResultSet returns the statement's rows. Rows were collected with result
 // display disabled inside the measured region (the paper's methodology);
@@ -191,41 +157,9 @@ type ResultSet struct {
 // FrameType implements Frame.
 func (*ResultSet) FrameType() Type { return TypeResultSet }
 
-func (r *ResultSet) encode(b *buf) {
-	b.putU32(uint32(len(r.Cols)))
-	for _, c := range r.Cols {
-		b.putString(c)
-	}
-	b.putU32(uint32(len(r.Rows)))
-	for _, row := range r.Rows {
-		b.putU32(uint32(len(row)))
-		for _, v := range row {
-			b.putValue(v)
-		}
-	}
-}
-
-func (r *ResultSet) decode(b *buf) error {
-	ncols, err := b.getU32()
-	if err != nil {
-		return err
-	}
-	r.Cols, err = getSlice(b, ncols, (*buf).getString)
-	if err != nil {
-		return err
-	}
-	nrows, err := b.getU32()
-	if err != nil {
-		return err
-	}
-	r.Rows, err = getSlice(b, nrows, func(b *buf) (value.Row, error) {
-		width, err := b.getU32()
-		if err != nil {
-			return nil, err
-		}
-		return getSlice(b, width, (*buf).getValue)
-	})
-	return err
+func (r *ResultSet) fields(c *codec) {
+	list(c, &r.Cols, (*codec).str)
+	list(c, &r.Rows, func(c *codec, row *value.Row) { list(c, row, (*codec).value) })
 }
 
 // EnergyReport is the per-query Eq. 1 breakdown plus the session ledger
@@ -250,45 +184,19 @@ type EnergyReport struct {
 // FrameType implements Frame.
 func (*EnergyReport) FrameType() Type { return TypeEnergyReport }
 
-func (e *EnergyReport) encode(b *buf) {
-	b.putString(e.Name)
-	b.putU64(e.Rows)
-	b.putF64(e.EActive)
-	b.putF64(e.EBusy)
-	b.putF64(e.EBackground)
-	b.putF64(e.Seconds)
-	for _, j := range e.Joules {
-		b.putF64(j)
-	}
-	b.putU64(e.SessionQueries)
-	b.putF64(e.SessionActive)
-	b.putF64(e.SessionSeconds)
-}
-
-func (e *EnergyReport) decode(b *buf) (err error) {
-	if e.Name, err = b.getString(); err != nil {
-		return err
-	}
-	if e.Rows, err = b.getU64(); err != nil {
-		return err
-	}
-	fields := []*float64{&e.EActive, &e.EBusy, &e.EBackground, &e.Seconds}
+func (e *EnergyReport) fields(c *codec) {
+	c.str(&e.Name)
+	c.u64(&e.Rows)
+	c.f64(&e.EActive)
+	c.f64(&e.EBusy)
+	c.f64(&e.EBackground)
+	c.f64(&e.Seconds)
 	for i := range e.Joules {
-		fields = append(fields, &e.Joules[i])
+		c.f64(&e.Joules[i])
 	}
-	for _, f := range fields {
-		if *f, err = b.getF64(); err != nil {
-			return err
-		}
-	}
-	if e.SessionQueries, err = b.getU64(); err != nil {
-		return err
-	}
-	if e.SessionActive, err = b.getF64(); err != nil {
-		return err
-	}
-	e.SessionSeconds, err = b.getF64()
-	return err
+	c.u64(&e.SessionQueries)
+	c.f64(&e.SessionActive)
+	c.f64(&e.SessionSeconds)
 }
 
 // TxnRolledBackSuffix ends an Error message when the statement's failure
@@ -306,8 +214,7 @@ type Error struct {
 // FrameType implements Frame.
 func (*Error) FrameType() Type { return TypeError }
 
-func (e *Error) encode(b *buf)       { b.putString(e.Msg) }
-func (e *Error) decode(b *buf) error { var err error; e.Msg, err = b.getString(); return err }
+func (e *Error) fields(c *codec) { c.str(&e.Msg) }
 
 // Quit closes the session cleanly.
 type Quit struct{}
@@ -315,8 +222,7 @@ type Quit struct{}
 // FrameType implements Frame.
 func (*Quit) FrameType() Type { return TypeQuit }
 
-func (*Quit) encode(*buf)       {}
-func (*Quit) decode(*buf) error { return nil }
+func (*Quit) fields(*codec) {}
 
 // Stats asks the server for an observability snapshot (the STATS command;
 // dbshell's \stats). The reply is a StatsReply carrying StatsSnapshot JSON —
@@ -327,8 +233,7 @@ type Stats struct{}
 // FrameType implements Frame.
 func (*Stats) FrameType() Type { return TypeStats }
 
-func (*Stats) encode(*buf)       {}
-func (*Stats) decode(*buf) error { return nil }
+func (*Stats) fields(*codec) {}
 
 // StatsReply answers a Stats request with a JSON-encoded StatsSnapshot. JSON
 // keeps the payload schema-evolvable (new metric families appear without a
@@ -340,8 +245,7 @@ type StatsReply struct {
 // FrameType implements Frame.
 func (*StatsReply) FrameType() Type { return TypeStatsReply }
 
-func (s *StatsReply) encode(b *buf)       { b.putString(s.JSON) }
-func (s *StatsReply) decode(b *buf) error { var err error; s.JSON, err = b.getString(); return err }
+func (s *StatsReply) fields(c *codec) { c.str(&s.JSON) }
 
 // Snapshot decodes the reply's payload.
 func (s *StatsReply) Snapshot() (*StatsSnapshot, error) {
@@ -368,11 +272,13 @@ var txnOps = [...]string{TxnBegin: "BEGIN", TxnCommit: "COMMIT", TxnRollback: "R
 
 // String names the operation.
 func (op TxnOp) String() string {
-	if int(op) >= len(txnOps) || txnOps[op] == "" {
+	if !op.valid() {
 		return fmt.Sprintf("TxnOp(%d)", byte(op))
 	}
 	return txnOps[op]
 }
+
+func (op TxnOp) valid() bool { return int(op) < len(txnOps) && txnOps[op] != "" }
 
 // TxnCtl controls the session's explicit transaction: BEGIN opens one
 // (statements then read a pinned snapshot and write under its ID until it
@@ -386,17 +292,11 @@ type TxnCtl struct {
 // FrameType implements Frame.
 func (*TxnCtl) FrameType() Type { return TypeTxnCtl }
 
-func (t *TxnCtl) encode(b *buf) { b.putByte(byte(t.Op)) }
-func (t *TxnCtl) decode(b *buf) error {
-	v, err := b.getByte()
-	if err != nil {
-		return err
+func (t *TxnCtl) fields(c *codec) {
+	c.byte((*byte)(&t.Op))
+	if !t.Op.valid() {
+		c.fail(fmt.Errorf("unknown txn op %d", byte(t.Op)))
 	}
-	if int(v) >= len(txnOps) || txnOps[v] == "" {
-		return fmt.Errorf("unknown txn op %d", v)
-	}
-	t.Op = TxnOp(v)
-	return nil
 }
 
 // TxnAck answers a TxnCtl: the session's transaction ID (0 when none is
@@ -409,41 +309,23 @@ type TxnAck struct {
 // FrameType implements Frame.
 func (*TxnAck) FrameType() Type { return TypeTxnAck }
 
-func (t *TxnAck) encode(b *buf) {
-	b.putU64(t.TxnID)
-	active := byte(0)
-	if t.Active {
-		active = 1
-	}
-	b.putByte(active)
-}
-
-func (t *TxnAck) decode(b *buf) (err error) {
-	if t.TxnID, err = b.getU64(); err != nil {
-		return err
-	}
-	v, err := b.getByte()
-	if err != nil {
-		return err
-	}
-	t.Active = v != 0
-	return nil
+func (t *TxnAck) fields(c *codec) {
+	c.u64(&t.TxnID)
+	c.bool(&t.Active)
 }
 
 // Write frames and sends one message.
 func Write(w io.Writer, f Frame) error {
-	b := &buf{}
-	b.putByte(byte(f.FrameType()))
-	f.encode(b)
-	if len(b.data) > MaxFrame {
-		return fmt.Errorf("wire: frame %v exceeds MaxFrame (%d > %d)", f.FrameType(), len(b.data), MaxFrame)
+	data := Encode(f)
+	if len(data) > MaxFrame {
+		return fmt.Errorf("wire: frame %v exceeds MaxFrame (%d > %d)", f.FrameType(), len(data), MaxFrame)
 	}
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b.data)))
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(b.data)
+	_, err := w.Write(data)
 	return err
 }
 
@@ -460,9 +342,6 @@ func Read(r io.Reader) (Frame, error) {
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	if n < 1 {
-		return nil, errors.New("wire: empty frame")
-	}
 	data := make([]byte, n)
 	if _, err := io.ReadFull(r, data); err != nil {
 		return nil, err
@@ -473,159 +352,161 @@ func Read(r io.Reader) (Frame, error) {
 // Decode parses one frame body (type byte + payload, without the length
 // prefix). It never panics on malformed input.
 func Decode(data []byte) (Frame, error) {
-	b := &buf{data: data}
-	t, err := b.getByte()
-	if err != nil {
-		return nil, err
+	if len(data) == 0 {
+		return nil, errors.New("wire: empty frame")
 	}
-	if frames[t].new == nil {
-		return nil, fmt.Errorf("wire: unknown frame type 0x%02x", t)
+	e := frames[data[0]]
+	if e.new == nil {
+		return nil, fmt.Errorf("wire: unknown frame type 0x%02x", data[0])
 	}
-	f := frames[t].new()
-	if err := f.decode(b); err != nil {
-		return nil, fmt.Errorf("wire: bad %v frame: %w", f.FrameType(), err)
+	f := e.new()
+	c := &codec{data: data, off: 1, decoding: true}
+	f.fields(c)
+	if c.err != nil {
+		return nil, fmt.Errorf("wire: bad %v frame: %w", f.FrameType(), c.err)
 	}
-	if b.off != len(b.data) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %v frame", len(b.data)-b.off, f.FrameType())
+	if c.off != len(data) {
+		return nil, fmt.Errorf("wire: %d trailing bytes after %v frame", len(data)-c.off, f.FrameType())
 	}
 	return f, nil
 }
 
 // Encode serializes one frame body (type byte + payload, without the length
-// prefix) — the inverse of Decode, used by tests and fuzzing.
+// prefix) — the inverse of Decode.
 func Encode(f Frame) []byte {
-	b := &buf{}
-	b.putByte(byte(f.FrameType()))
-	f.encode(b)
-	return b.data
+	c := &codec{data: append([]byte(nil), byte(f.FrameType()))}
+	f.fields(c)
+	return c.data
 }
 
-// buf is a bounds-checked serialization cursor.
-type buf struct {
-	data []byte
-	off  int
+// codec runs a frame's layout in one direction. Encoding, each field is
+// appended to data. Decoding, each field is read from data at off into
+// place, bounds-checked; the first failure is kept in err and every later
+// read is skipped, so a layout lists its fields without checking any.
+type codec struct {
+	data     []byte
+	off      int
+	decoding bool
+	err      error
 }
 
 var errShort = errors.New("truncated payload")
 
-func (b *buf) putByte(v byte) { b.data = append(b.data, v) }
-
-func (b *buf) putU32(v uint32) {
-	b.data = binary.BigEndian.AppendUint32(b.data, v)
+// fail records a decoding failure unless an earlier one is already kept.
+func (c *codec) fail(err error) {
+	if c.decoding && c.err == nil {
+		c.err = err
+	}
 }
 
-func (b *buf) putU64(v uint64) {
-	b.data = binary.BigEndian.AppendUint64(b.data, v)
+// take returns the next n bytes of a decoding, or nil once it has failed.
+func (c *codec) take(n int) []byte {
+	if n > len(c.data)-c.off {
+		c.fail(errShort)
+	}
+	if c.err != nil {
+		return nil
+	}
+	c.off += n
+	return c.data[c.off-n : c.off]
 }
 
-func (b *buf) putF64(v float64) { b.putU64(math.Float64bits(v)) }
-
-func (b *buf) putString(s string) {
-	b.putU32(uint32(len(s)))
-	b.data = append(b.data, s...)
+func (c *codec) byte(v *byte) {
+	if !c.decoding {
+		c.data = append(c.data, *v)
+	} else if p := c.take(1); p != nil {
+		*v = p[0]
+	}
 }
 
-func (b *buf) putValue(v value.Value) {
-	b.putByte(byte(v.T))
+func (c *codec) u32(v *uint32) {
+	if !c.decoding {
+		c.data = binary.BigEndian.AppendUint32(c.data, *v)
+	} else if p := c.take(4); p != nil {
+		*v = binary.BigEndian.Uint32(p)
+	}
+}
+
+func (c *codec) u64(v *uint64) {
+	if !c.decoding {
+		c.data = binary.BigEndian.AppendUint64(c.data, *v)
+	} else if p := c.take(8); p != nil {
+		*v = binary.BigEndian.Uint64(p)
+	}
+}
+
+// i64, f64 and bool carry their field as a u64 or a byte; only a decoding
+// writes the field back, so encoding never stores to the frame.
+func (c *codec) i64(v *int64) {
+	u := uint64(*v)
+	c.u64(&u)
+	if c.decoding {
+		*v = int64(u)
+	}
+}
+
+func (c *codec) f64(v *float64) {
+	u := math.Float64bits(*v)
+	c.u64(&u)
+	if c.decoding {
+		*v = math.Float64frombits(u)
+	}
+}
+
+func (c *codec) bool(v *bool) {
+	b := byte(0)
+	if *v {
+		b = 1
+	}
+	c.byte(&b)
+	if c.decoding {
+		*v = b != 0
+	}
+}
+
+// str carries a uint32 byte length, then the bytes.
+func (c *codec) str(s *string) {
+	n := uint32(len(*s))
+	c.u32(&n)
+	if !c.decoding {
+		c.data = append(c.data, *s...)
+	} else if p := c.take(int(n)); p != nil {
+		*s = string(p)
+	}
+}
+
+// value carries a type byte, then that type's payload: none for NULL, a
+// 64-bit word for integers, dates and floats, a string for TypeStr.
+func (c *codec) value(v *value.Value) {
+	c.byte((*byte)(&v.T))
 	switch v.T {
 	case value.TypeNull:
 	case value.TypeInt, value.TypeDate:
-		b.putU64(uint64(v.I))
+		c.i64(&v.I)
 	case value.TypeFloat:
-		b.putF64(v.F)
+		c.f64(&v.F)
 	case value.TypeStr:
-		b.putString(v.S)
-	}
-}
-
-func (b *buf) getByte() (byte, error) {
-	if b.off+1 > len(b.data) {
-		return 0, errShort
-	}
-	v := b.data[b.off]
-	b.off++
-	return v, nil
-}
-
-func (b *buf) getU32() (uint32, error) {
-	if b.off+4 > len(b.data) {
-		return 0, errShort
-	}
-	v := binary.BigEndian.Uint32(b.data[b.off:])
-	b.off += 4
-	return v, nil
-}
-
-func (b *buf) getU64() (uint64, error) {
-	if b.off+8 > len(b.data) {
-		return 0, errShort
-	}
-	v := binary.BigEndian.Uint64(b.data[b.off:])
-	b.off += 8
-	return v, nil
-}
-
-func (b *buf) getF64() (float64, error) {
-	v, err := b.getU64()
-	return math.Float64frombits(v), err
-}
-
-func (b *buf) getString() (string, error) {
-	n, err := b.getU32()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > len(b.data)-b.off {
-		return "", errShort
-	}
-	s := string(b.data[b.off : b.off+int(n)])
-	b.off += int(n)
-	return s, nil
-}
-
-func (b *buf) getValue() (value.Value, error) {
-	t, err := b.getByte()
-	if err != nil {
-		return value.Value{}, err
-	}
-	switch value.Type(t) {
-	case value.TypeNull:
-		return value.Null(), nil
-	case value.TypeInt:
-		v, err := b.getU64()
-		return value.Int(int64(v)), err
-	case value.TypeDate:
-		v, err := b.getU64()
-		return value.Date(int64(v)), err
-	case value.TypeFloat:
-		v, err := b.getF64()
-		return value.Float(v), err
-	case value.TypeStr:
-		s, err := b.getString()
-		return value.Str(s), err
+		c.str(&v.S)
 	default:
-		return value.Value{}, fmt.Errorf("unknown value type 0x%02x", t)
+		c.fail(fmt.Errorf("unknown value type 0x%02x", byte(v.T)))
 	}
 }
 
-// getSlice decodes n elements, capping the upfront allocation so a corrupt
-// count cannot allocate more than the remaining payload could encode.
-func getSlice[T any](b *buf, n uint32, get func(*buf) (T, error)) ([]T, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	remaining := len(b.data) - b.off
-	if int64(n) > int64(remaining) {
-		// Every element costs at least one byte on the wire.
-		return nil, errShort
-	}
-	out := make([]T, 0, n)
-	for i := uint32(0); i < n; i++ {
-		v, err := get(b)
-		if err != nil {
-			return nil, err
+// list carries a uint32 count, then each element. Decoding, a count above
+// the bytes left fails before anything is allocated: every element costs at
+// least one byte on the wire, so a corrupt count cannot force an allocation
+// larger than the payload could encode.
+func list[S ~[]E, E any](c *codec, s *S, elem func(*codec, *E)) {
+	n := uint32(len(*s))
+	c.u32(&n)
+	if c.decoding && n > 0 {
+		if int64(n) > int64(len(c.data)-c.off) {
+			c.fail(errShort)
+			return
 		}
-		out = append(out, v)
+		*s = make(S, n)
 	}
-	return out, nil
+	for i := range *s {
+		elem(c, &(*s)[i])
+	}
 }

@@ -3,8 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"flag"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -87,6 +90,65 @@ func TestFrameTable(t *testing.T) {
 		}
 		if _, err := Decode(enc); err != nil {
 			t.Errorf("%v does not decode: %v", typ, err)
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/frames.hex from the current encoder")
+
+// TestFrameBytes pins the wire format itself: every sampleFrames entry must
+// encode to the bytes in testdata/frames.hex, one "<type> <hex>" line each.
+// A round trip cannot show this — an encoder and decoder that change
+// together still agree with each other but no longer with other peers.
+func TestFrameBytes(t *testing.T) {
+	const golden = "testdata/frames.hex"
+	var got strings.Builder
+	for _, f := range sampleFrames() {
+		fmt.Fprintf(&got, "%v %s\n", f.FrameType(), hex.EncodeToString(Encode(f)))
+	}
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d encoded frames, %s has %d", len(gotLines)-1, golden, len(wantLines)-1)
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("sample %d encodes as\n  %s\nwant\n  %s", i, gotLines[i], wantLines[i])
+		}
+	}
+}
+
+// BenchmarkFrames is the codec's host cost for one point-lookup exchange:
+// each iteration encodes and decodes the Query, a one-row, four-column
+// ResultSet and the EnergyReport (run with -benchmem for allocs/op).
+func BenchmarkFrames(b *testing.B) {
+	exchange := []Frame{
+		&Query{Text: "SELECT o_orderkey, o_custkey, o_totalprice, o_orderdate FROM orders WHERE o_orderkey = 4711"},
+		&ResultSet{
+			Cols: []string{"o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"},
+			Rows: []value.Row{{value.Int(4711), value.Int(991), value.Float(173665.47), value.Date(9131)}},
+		},
+		&EnergyReport{
+			Name: "select", Rows: 1,
+			EActive: 1.25e-6, EBusy: 3.1e-6, EBackground: 1.9e-6, Seconds: 2.2e-7,
+			Joules:         [8]float64{4e-7, 2e-7, 1e-7, 5e-8, 2e-8, 1e-8, 3e-7, 1.7e-7},
+			SessionQueries: 12, SessionActive: 1.5e-5, SessionSeconds: 2.6e-6,
+		},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, f := range exchange {
+			if _, err := Decode(Encode(f)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
