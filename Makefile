@@ -128,9 +128,11 @@ BENCHTIME ?= 1s
 # TPC-H texts (internal/db/plan: every node priced through the executors'
 # charge functions), a B-tree descent per key, grouped (SeekBatch) and one
 # key at a time (Lookup, which every keyed SELECT of point-lookup's warm-up
-# runs), as ns/key and allocs/op (internal/db/btree), and what eight scans of a
+# runs), as ns/key and allocs/op (internal/db/btree), what eight scans of a
 # heap of 1.3 × L3 pull out of DRAM walking it the same way every time and
-# taking turns (internal/db/storage; simulated cost, once is exact). These are
+# taking turns, and the lines and DRAM fills of one scan of Q1's columns of a
+# lineitem-shaped heap laid out row-major and in column runs
+# (internal/db/storage; simulated cost, once is exact). These are
 # the numbers a memsim, btree, statistics, planner or scan-order change reports before
 # and after; CI runs them
 # once each to keep them compiling and finishing.
@@ -139,7 +141,7 @@ bench-substrate:
 	$(GO) test -run xxx -bench BenchmarkAnalyze -benchmem -benchtime $(BENCHTIME) ./internal/db/engine/
 	$(GO) test -run xxx -bench BenchmarkPrepare -benchtime $(BENCHTIME) ./internal/db/plan/
 	$(GO) test -run xxx -bench 'BenchmarkLookup|BenchmarkSeekBatch' -benchmem -benchtime $(BENCHTIME) ./internal/db/btree/
-	$(GO) test -run xxx -bench BenchmarkHeapRescan -benchtime 1x ./internal/db/storage/
+	$(GO) test -run xxx -bench 'BenchmarkHeapRescan|BenchmarkHeapScanLayout' -benchtime 1x ./internal/db/storage/
 
 # The wire and hand-off layer's host cost (internal/server): one client on a
 # loopback energyd sending keyed SELECTs on orders, reported as ns/stmt and

@@ -235,7 +235,9 @@ func (l *Lab) Verify() []VerifyResult { return l.Calibration.Verify(l.runner) }
 // NewEngine creates a database engine on the lab's machine and loads the
 // TPC-H dataset of the given class into it. Its planner is held to the row
 // executor (Knobs.DisableVectorExec), as the paper's tuple-at-a-time engines
-// run; clear the knob to let it choose vector operators.
+// run, and since the knob is set before the load its heaps are row-major, as
+// theirs are. Clearing the knob later lets the planner choose vector
+// operators; it does not give the tables column storage.
 func (l *Lab) NewEngine(kind EngineKind, setting Setting, class SizeClass) *Engine {
 	e := engine.New(kind, l.Machine, setting)
 	e.Knobs.DisableVectorExec = true

@@ -3,6 +3,8 @@ package energydb
 import (
 	"math"
 	"testing"
+
+	"energydb/internal/db/storage"
 )
 
 func newTestLab(t *testing.T) *Lab {
@@ -63,6 +65,18 @@ func TestHeadlineResult(t *testing.T) {
 	}
 	if !(shares[SQLite] > shares[PostgreSQL] && shares[SQLite] > shares[MySQL]) {
 		t.Errorf("SQLite should have the highest L1D share: %v", shares)
+	}
+}
+
+// TestLabEngineRowMajor: an engine the lab loads lays every table out
+// row-major, as the paper's engines do, even once its planner is let free.
+func TestLabEngineRowMajor(t *testing.T) {
+	e := newTestLab(t).NewEngine(PostgreSQL, SettingBaseline, Size10MB)
+	e.Knobs.DisableVectorExec = false
+	for _, name := range []string{"region", "nation", "supplier", "customer", "part", "partsupp", "orders", "lineitem"} {
+		if e.MustTable(name).File.Data().Layout() != storage.Rows {
+			t.Errorf("%s is laid out in column runs", name)
+		}
 	}
 }
 

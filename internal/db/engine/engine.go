@@ -176,7 +176,10 @@ type Knobs struct {
 	TupleOverhead int
 	// DisableVectorExec forces the planner to keep every operator on the
 	// row-at-a-time path, ignoring the vectorized implementations (used by
-	// the X7 experiment to isolate the vectorization effect).
+	// the X7 experiment to isolate the vectorization effect). It also picks
+	// the layout of the tables created while it holds: row-major heaps under
+	// it, the paper's engines; column heaps without it, for the vector scans
+	// (CreateTable). Clearing it later changes plans, not storage.
 	DisableVectorExec bool
 }
 
@@ -529,12 +532,17 @@ func (e *Engine) Rollback(t *txn.Txn) error {
 // CreateTable registers a table, taking the catalog lock. MySQL's profile
 // organizes rows under the clustered primary index; the others use plain
 // heap files (SQLite's B-tree tables scan sequentially in rowid order,
-// which the heap file reproduces).
+// which the heap file reproduces). An engine that may run vector chains
+// lays the heap out in column runs; one under DisableVectorExec, row-major.
 func (e *Engine) CreateTable(name string, schema *catalog.Schema) *Table {
 	sh := e.shared
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	file := storage.NewHeapFile(e.Dev, e.Pool, schema, e.Knobs.TupleOverhead)
+	layout := storage.Columns
+	if e.Knobs.DisableVectorExec {
+		layout = storage.Rows
+	}
+	file := storage.NewHeapFile(e.Dev, e.Pool, schema, e.Knobs.TupleOverhead, layout)
 	sh.tables[name] = &sharedTable{
 		name:    name,
 		schema:  schema,
@@ -636,8 +644,9 @@ func (e *Engine) CreateIndex(t *Table, col string) *btree.Tree {
 	tree := btree.New(e.M.Hier, e.Dev.Arena, e.Knobs.PageBytes, t.schema.Columns[ci].Type)
 	prev := e.Dev.Snap
 	e.Dev.Snap = txn.Latest()
+	key := t.File.Data().Reads([]int{ci})
 	for i, n := 0, t.File.RowCount(); i < n; i++ {
-		row, visible, err := t.File.ReadRow(i)
+		row, visible, err := t.File.ReadRow(i, key)
 		if err != nil {
 			e.Dev.Snap = prev
 			panic(err)
@@ -698,14 +707,20 @@ func (e *Engine) WAL() *storage.WAL { return e.shared.Wal }
 
 // journalPayload sizes one logged row change under the engine's journal
 // mode: WAL engines log a logical record per row; the rollback journal
-// copies the whole page image on the first touch of each page and rides it
+// copies the whole page image on the first touch of each page the change
+// writes (a DELETE's stamp writes the tuple header's page alone) and rides it
 // for later rows. journaled tracks first touches across one statement.
-func (e *Engine) journalPayload(t *Table, id int, journaled map[int]bool) int {
+func (e *Engine) journalPayload(t *Table, id int, stamp bool, journaled map[storage.PageID]bool) int {
 	if e.Journal() == JournalRollback {
-		page := id / t.File.RowsPerPage()
-		if !journaled[page] {
-			journaled[page] = true
-			return e.Knobs.PageBytes
+		images := 0
+		for _, pid := range t.File.Data().SlotPages(id, stamp) {
+			if !journaled[pid] {
+				journaled[pid] = true
+				images++
+			}
+		}
+		if images > 0 {
+			return images * e.Knobs.PageBytes
 		}
 	}
 	return t.schema.RowWidth()
@@ -741,10 +756,10 @@ func (e *Engine) Autocommit(run func(*txn.Txn) (int, error)) (int, error) {
 
 // logChange appends one row change of tx to the log, sized by the journal
 // mode; journaled tracks first page touches across the statement.
-func (e *Engine) logChange(tx *txn.Txn, t *Table, kind storage.RecordKind, id int, data value.Row, journaled map[int]bool) {
+func (e *Engine) logChange(tx *txn.Txn, t *Table, kind storage.RecordKind, id int, data value.Row, journaled map[storage.PageID]bool) {
 	e.shared.Wal.Append(e.Dev, storage.LogRecord{
 		Kind: kind, Txn: tx.ID(), Table: t.Name, Row: id, Data: data,
-	}, e.journalPayload(t, id, journaled))
+	}, e.journalPayload(t, id, kind == storage.RecDelete, journaled))
 }
 
 // Recover replays durable log records (storage.WAL.Durable) after a crash,

@@ -7,6 +7,7 @@ import (
 	"energydb/internal/cpusim"
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/storage"
 	"energydb/internal/db/value"
 )
 
@@ -153,7 +154,7 @@ func TestUpdateWhereStillWorks(t *testing.T) {
 	if n != 50 {
 		t.Fatalf("updated %d rows, want 50", n)
 	}
-	row, visible, err := tbl.File.ReadRow(7)
+	row, visible, err := tbl.File.ReadRow(7, storage.Reads{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestScanDirectionUnderConcurrentWrites(t *testing.T) {
 	e := New(PostgreSQL, cpusim.NewMachine(small), SettingBaseline)
 	const rows = 12000
 	tbl := loadSample(t, e, rows)
-	if !tbl.File.Alternates() {
+	if !tbl.File.Alternates(storage.Reads{}) {
 		t.Fatal("sample fits the L3")
 	}
 	reader := e.Shared().View(cpusim.NewMachine(small))
@@ -207,7 +208,7 @@ func TestScanDirectionUnderConcurrentWrites(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 6; i++ {
-		sc := rt.File.BatchScan(500)
+		sc := rt.File.BatchScan(500, storage.Reads{})
 		seen, first := 0, -1
 		for {
 			batch, base, ok := sc.NextBatch()
@@ -240,7 +241,7 @@ func TestScanDirectionUnderConcurrentWrites(t *testing.T) {
 	if err := reader.Commit(rtx); err != nil {
 		t.Fatal(err)
 	}
-	sc := tbl.File.BatchScan(500)
+	sc := tbl.File.BatchScan(500, storage.Reads{})
 	if _, base, ok := sc.NextBatch(); !ok || base != 0 || sc.Reverse() {
 		t.Fatalf("the writer's first batch scan starts at %d, reverse=%v", base, sc.Reverse())
 	}

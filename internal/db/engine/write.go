@@ -38,7 +38,7 @@ type Write struct {
 
 	tx        *txn.Txn
 	ids       exec.RowIDer
-	journaled map[int]bool
+	journaled map[storage.PageID]bool
 }
 
 // Schema implements exec.Operator.
@@ -55,7 +55,7 @@ func (w *Write) Open() error {
 		return fmt.Errorf("engine: write to %q over %T, which yields no row ids", w.T.Name, w.Child)
 	}
 	w.ids = ids
-	w.journaled = make(map[int]bool)
+	w.journaled = make(map[storage.PageID]bool)
 	w.E.reap(w.T)
 	return w.Child.Open()
 }

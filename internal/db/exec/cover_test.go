@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"energydb/internal/db/btree"
+	"energydb/internal/db/storage"
 	"energydb/internal/db/value"
 	"energydb/internal/memsim"
 )
@@ -13,7 +14,7 @@ func TestIndexJoinOperator(t *testing.T) {
 	f := newFixture(t, 60)
 	idx := btree.New(f.ctx.M.Hier, f.ctx.Arena, 4096, value.TypeInt)
 	for i := 0; i < f.file.RowCount(); i++ {
-		row, _, err := f.file.ReadRow(i)
+		row, _, err := f.file.ReadRow(i, storage.Reads{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func TestIndexJoinResidual(t *testing.T) {
 	f := newFixture(t, 40)
 	idx := btree.New(f.ctx.M.Hier, f.ctx.Arena, 4096, value.TypeInt)
 	for i := 0; i < f.file.RowCount(); i++ {
-		row, _, err := f.file.ReadRow(i)
+		row, _, err := f.file.ReadRow(i, storage.Reads{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func newFixture(t *testing.T, rows int) *fixture {
 		catalog.Column{Name: "amt", Type: value.TypeFloat},
 		catalog.Column{Name: "tag", Type: value.TypeStr, Width: 16},
 	)
-	hf := storage.NewHeapFile(dev, pool, schema, 8)
+	hf := storage.NewHeapFile(dev, pool, schema, 8, storage.Rows)
 	tags := []string{"alpha", "beta", "gamma"}
 	for i := 0; i < rows; i++ {
 		hf.Append(value.Row{

@@ -106,11 +106,13 @@ func (j *HashJoin) Close() error {
 // the inner table's index and fetches matching rows — SQLite's only join
 // strategy and the preferred plan for selective joins elsewhere.
 type IndexJoin struct {
-	Ctx      *Ctx
-	Outer    Operator
-	Inner    *storage.HeapFile
-	Index    *btree.Tree
-	OuterKey int
+	Ctx   *Ctx
+	Outer Operator
+	Inner *storage.HeapFile
+	// InnerReads is what a fetch reads of the inner heap (zero: every column).
+	InnerReads storage.Reads
+	Index      *btree.Tree
+	OuterKey   int
 	// Residual filters the concatenated row.
 	Residual Expr
 
@@ -143,7 +145,7 @@ func (j *IndexJoin) Next() (value.Row, bool, error) {
 		if j.matchIdx < len(j.matches) {
 			id := j.matches[j.matchIdx]
 			j.matchIdx++
-			inner, visible, err := j.Inner.FetchRow(id)
+			inner, visible, err := j.Inner.FetchRow(id, j.InnerReads)
 			if err != nil {
 				return nil, false, err
 			}

@@ -5,6 +5,7 @@ import (
 
 	"energydb/internal/db/btree"
 	"energydb/internal/db/catalog"
+	"energydb/internal/db/storage"
 	"energydb/internal/db/value"
 )
 
@@ -88,7 +89,7 @@ func TestIndexJoinNullOuterKey(t *testing.T) {
 	f := newFixture(t, 20)
 	idx := btree.New(f.ctx.M.Hier, f.ctx.Arena, 4096, value.TypeInt)
 	for i := 0; i < f.file.RowCount(); i++ {
-		row, _, err := f.file.ReadRow(i)
+		row, _, err := f.file.ReadRow(i, storage.Reads{})
 		if err != nil {
 			t.Fatal(err)
 		}

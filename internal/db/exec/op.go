@@ -31,6 +31,8 @@ type SeqScan struct {
 	Ctx    *Ctx
 	File   *storage.HeapFile
 	Filter Expr
+	// Reads is what the scan reads of the heap (zero: every column).
+	Reads storage.Reads
 
 	sc          *storage.Scanner
 	id          int
@@ -43,7 +45,7 @@ func (s *SeqScan) Schema() *catalog.Schema { return s.File.Schema() }
 
 // Open implements Operator.
 func (s *SeqScan) Open() error {
-	s.sc = s.File.Scan()
+	s.sc = s.File.Scan(s.Reads)
 	s.filterNodes = ExprNodes(s.Filter)
 	s.width = s.File.Schema().RowWidth()
 	return nil
@@ -92,6 +94,8 @@ type IndexScan struct {
 	Hi   *value.Value
 	// Filter applies residual predicates after the heap fetch.
 	Filter Expr
+	// Reads is what a fetch reads of the heap (zero: every column).
+	Reads storage.Reads
 
 	it          *btree.Iter
 	id          int
@@ -115,7 +119,7 @@ func (s *IndexScan) Next() (value.Row, bool, error) {
 	for s.it.Valid() {
 		id := s.it.RowID()
 		s.it.Next()
-		row, visible, err := s.File.FetchRow(id)
+		row, visible, err := s.File.FetchRow(id, s.Reads)
 		if err != nil {
 			return nil, false, err
 		}

@@ -23,7 +23,7 @@ func randomFixture(seed int64, rows int) *fixture {
 		catalog.Column{Name: "amt", Type: value.TypeFloat},
 		catalog.Column{Name: "tag", Type: value.TypeStr, Width: 16},
 	)
-	hf := storage.NewHeapFile(dev, pool, schema, 8)
+	hf := storage.NewHeapFile(dev, pool, schema, 8, storage.Rows)
 	rng := rand.New(rand.NewSource(seed))
 	tags := []string{"alpha", "beta", "gamma", "delta"}
 	for i := 0; i < rows; i++ {

@@ -340,51 +340,50 @@ func (c *coster) coldLines(a *est, lines float64) {
 
 // table-shaped helpers -------------------------------------------------------
 
-// heapRowWidth is the on-page row width including the profile's tuple header.
-func (c *coster) heapRowWidth(t *engine.Table) float64 {
-	return float64(t.Schema().RowWidth() + c.e.Knobs.TupleOverhead)
+// span is what node n reads of one slot of its heap: the runs of its columns
+// and the tuple header, in the geometry storage issues (storage.Span).
+func span(n *Node) storage.Span { return n.Table.File.Data().Span(n.reads) }
+
+// heapBytes approximates what reading n's columns of every slot touches.
+func heapBytes(n *Node) float64 {
+	return float64(n.Table.File.RowCount()) * span(n).Bytes
 }
 
-// heapBytes approximates the heap file's footprint.
-func (c *coster) heapBytes(t *engine.Table) float64 {
-	return float64(t.File.RowCount()) * c.heapRowWidth(t)
-}
-
-// residentFrac reports the fraction of the heap's pages currently in the
-// buffer pool (plan-time residency stands in for the steady-state hit rate).
-func residentFrac(t *engine.Table) float64 {
-	res, total := t.File.ResidentPages()
+// residentFrac reports the fraction of those pages currently in the buffer
+// pool (plan-time residency stands in for the steady-state hit rate).
+func residentFrac(n *Node) float64 {
+	res, total := n.Table.File.ResidentPages(n.reads)
 	if total == 0 {
 		return 1
 	}
 	return float64(res) / float64(total)
 }
 
-// scanHeap charges a full sequential scan of the heap (excluding per-row
+// scanHeap charges a full sequential scan of n's columns (excluding per-row
 // executor overhead, which callers charge against the scanned row count), in
 // row or vector mode: the pages and lines are the same, the order in which
 // consecutive scans of a long heap walk them is not.
-func (c *coster) scanHeap(a *est, t *engine.Table, vector bool) {
+func (c *coster) scanHeap(a *est, n *Node, vector bool) {
+	t := n.Table
 	rows := float64(t.File.RowCount())
 	if rows == 0 {
 		return
 	}
-	w := c.heapRowWidth(t)
-	rowLines := math.Ceil(w / 64)
-	newLines := w / 64
-	a.l1d += rows * rowLines // LoadRange issues one load per covered line
-	r := residentFrac(t)
+	sp := span(n)
+	w, newLines := sp.Bytes, sp.Bytes/64
+	a.l1d += rows * sp.Stream // LoadRange issues one load per covered line
+	r := residentFrac(n)
 	// The stream competes for L3 with the whole plan's working set, not just
 	// its own heap: a big sort or build buffer evicts the lines between
 	// touches, so the DRAM-refill fraction follows the plan footprint
 	// (measured: the same 7.9MB heap refills ~12% of its lines under a
 	// footprint that just fits L3, ~39% under an 11MB one, and ~91% when a
 	// 21MB sort buffer streams over it).
-	c.seqLines(a, rows*newLines*r, c.heapBytes(t), math.Max(c.heapBytes(t), c.footprint), vector && t.File.Alternates())
+	c.seqLines(a, rows*newLines*r, heapBytes(n), math.Max(heapBytes(n), c.footprint), vector && t.File.Alternates(n.reads))
 	if r < 1 {
 		// Faulted pages fill frame lines from the device; subsequent row
 		// loads on the page then hit L1D (already counted above).
-		pages := (1 - r) * c.heapBytes(t) / float64(c.e.Knobs.PageBytes)
+		pages := (1 - r) * heapBytes(n) / float64(c.e.Knobs.PageBytes)
 		c.coldLines(a, pages*float64(c.e.Knobs.PageBytes)/64)
 	}
 	// One pool-frame lookup per page.
@@ -433,23 +432,23 @@ func (c *coster) indexEntries(a *est, n float64, entries int) {
 	a.addIn(miss)
 }
 
-// heapFetch charges n random single-row fetches from the heap: per row its
-// lines and the header line of the pool frame that holds it. The row
-// operators' FetchRow, a batch of one, chases both, dependent loads. The
-// batch form's ReadRows (batched) knows every id before it reads one and
-// issues the same lines as independent loads. Its ids come in index-key order, not heap
-// order, so a batched fetch whose rows span more than L3 finds none of its
-// lines cached when the statement runs again — each run evicts its earliest
-// lines before it returns to them — and those lines are priced from DRAM.
-// The row form keeps the capacity blend.
-func (c *coster) heapFetch(a *est, n float64, t *engine.Table, batched bool) {
+// heapFetch charges n random single-row fetches of node's columns: per row
+// its lines in every run read and the header line of the pool frame holding
+// its tuple header. The row operators' FetchRow, a batch of one, chases
+// both, dependent loads. The batch form's ReadRows (batched) knows every id
+// before it reads one and issues the same lines as independent loads. Its ids
+// come in index-key order, not heap order, so a batched fetch whose rows span
+// more than L3 finds none of its lines cached when the statement runs again —
+// each run evicts its earliest lines before it returns to them — and those
+// lines are priced from DRAM. The row form keeps the capacity blend.
+func (c *coster) heapFetch(a *est, n float64, node *Node, batched bool) {
 	if n <= 0 {
 		return
 	}
-	w := c.heapRowWidth(t)
-	lines := math.Ceil(w / 64)
-	r := residentFrac(t)
-	set := c.heapBytes(t)
+	sp := span(node)
+	lines := sp.Lines
+	r := residentFrac(node)
+	set := heapBytes(node)
 	if batched && math.Min(set, n*lines*memsim.LineSize) > c.l3Bytes {
 		set = math.Inf(1)
 	}
@@ -460,24 +459,25 @@ func (c *coster) heapFetch(a *est, n float64, t *engine.Table, batched bool) {
 		a.l1d += n * (1 - r) * lines
 	}
 	// Pool frame lookup: the header line of whichever page holds the row.
-	c.randLoads(a, n, math.Ceil(c.heapBytes(t)/float64(c.e.Knobs.PageBytes))*memsim.LineSize, !batched)
+	c.randLoads(a, n, math.Ceil(heapBytes(node)/float64(c.e.Knobs.PageBytes))*memsim.LineSize, !batched)
 }
 
 // writeRows charges what the storage layer issues for n rows an UPDATE or
-// DELETE (del) changes in t: per row the log record streamed into the hot log
-// buffer, the pool-frame lookup and the tuple store on the page the scan has
-// just read (a DELETE stamps the header line only), and an UPDATE's hop to the
-// version it supersedes. A statement that will autocommit (no transaction is
-// bound while it is planned) also pays its commit: the commit record, the
-// buffer read back out by the flush, a stamp per version written. And the
-// statement reaps what earlier writers left dead in t before it scans: per
-// queued slot the look at it, the header store that releases it and, per
-// index, the descent to its entry and the entry's removal.
-func (c *coster) writeRows(a *est, n float64, t *engine.Table, del bool) {
+// DELETE (del) changes in node's table: per row the log record streamed into
+// the hot log buffer, the pool-frame lookup and the tuple store in every run
+// on the pages the scan has just read (a DELETE stamps the header line only),
+// and an UPDATE's hop to the version it supersedes. A statement that will
+// autocommit (no transaction is bound while it is planned) also pays its
+// commit: the commit record, the buffer read back out by the flush, a stamp
+// per version written. And the statement reaps what earlier writers left dead
+// before it scans: per queued slot the look at it, the header store that
+// releases it and, per index, the descent to its entry and the removal.
+func (c *coster) writeRows(a *est, n float64, node *Node, del bool) {
+	t := node.Table
 	logLines := c.e.LogBytes(t, n) / memsim.LineSize
 	heapLines := 1.0
 	if !del {
-		heapLines = math.Ceil(c.heapRowWidth(t) / memsim.LineSize)
+		heapLines = span(node).Lines
 		c.randLoad(a, n, storage.VersionStoreBytes)
 	}
 	a.reg2 += logLines + n*heapLines

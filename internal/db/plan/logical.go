@@ -11,6 +11,7 @@ import (
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
 	"energydb/internal/db/sql"
+	"energydb/internal/db/storage"
 	"energydb/internal/db/value"
 )
 
@@ -28,6 +29,8 @@ type rel struct {
 
 	// Resolved after join ordering (join relations only).
 	outerCol, innerCol string
+	// reads is what the statement reads of the heap (newPlanCtx).
+	reads storage.Reads
 
 	// sel is the estimated fraction of rows passing conds.
 	sel float64
@@ -384,7 +387,7 @@ func (pc *planCtx) sampleJoinEstimate(r *rel) (fan, condSel float64, ok bool) {
 				passed++
 				continue
 			}
-			inner, visible, err := r.t.File.FetchRow(id)
+			inner, visible, err := r.t.File.FetchRow(id, r.reads)
 			if err != nil || !visible {
 				continue
 			}

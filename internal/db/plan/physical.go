@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
 	"energydb/internal/db/sql"
+	"energydb/internal/db/storage"
 	"energydb/internal/db/value"
 	"energydb/internal/memsim"
 )
@@ -62,9 +64,10 @@ type Node struct {
 	Mode Mode
 	Kids []*Node
 
-	// Scans and the index-join inner side.
+	// Scans and the index-join inner side, and what they read of the heap.
 	Table     *engine.Table
 	TableName string
+	reads     storage.Reads
 	// Filter is the pushed scan filter or the join residual: every WHERE
 	// conjunct is tested by the scan or the join it is attached to.
 	Filter    exec.Expr
@@ -146,8 +149,10 @@ type planCtx struct {
 	rels []*rel // in join order (buildLogical)
 	// star disables column pruning (SELECT * needs every column).
 	star bool
-	// topRefs are the columns referenced above the join chain.
-	topRefs map[string]bool
+	// topRefs are the columns referenced above the join chain; need adds
+	// the join keys and residuals, which every access path of a relation
+	// reads beside the conjuncts it tests itself (readsOf).
+	topRefs, need map[string]bool
 	// pin, set only by the planner's own tests, restricts the named
 	// relations to one access path (opSeqScan or opIndexScan), so a test can
 	// price the neighbours of a committed plan, or run a write over each.
@@ -169,7 +174,34 @@ func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, rels []*rel) *planCtx {
 	for _, k := range stmt.OrderBy {
 		colRefs(k.Expr, pc.topRefs)
 	}
+	pc.need = maps.Clone(pc.topRefs)
+	for _, r := range rels {
+		pc.need[r.outerCol], pc.need[r.innerCol] = true, true
+		for _, c := range r.resid {
+			colRefs(c, pc.need)
+		}
+	}
+	for _, r := range rels {
+		r.reads = pc.readsOf(r, r.conds)
+	}
 	return pc
+}
+
+// readsOf is what a scan or fetch of r that tests conds reads of its heap:
+// the columns of r that conds or the rest of the statement name — the select
+// list, the joins, the residuals — or every column under SELECT *.
+func (pc *planCtx) readsOf(r *rel, conds []sql.Node) storage.Reads {
+	need := maps.Clone(pc.need)
+	for _, c := range conds {
+		colRefs(c, need)
+	}
+	cols := []int{}
+	for i, c := range r.t.Schema().Columns {
+		if need[c.Name] || pc.star {
+			cols = append(cols, i)
+		}
+	}
+	return r.t.File.Data().Reads(cols)
 }
 
 // renderConds renders an AND chain for display.
@@ -197,7 +229,7 @@ func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 		return nil, err
 	}
 	seq := &Node{
-		Kind: opSeqScan, Table: r.t, TableName: r.name,
+		Kind: opSeqScan, Table: r.t, TableName: r.name, reads: r.reads,
 		Filter: pred, FilterStr: renderConds(r.conds), pass: pc.passShares(r, r.conds),
 		schema:  r.t.Schema(),
 		EstRows: r.estRows,
@@ -223,7 +255,7 @@ func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 		}
 		rangeSel := selectivity(r.stats, r.t.Schema(), captured)
 		cand := &Node{
-			Kind: opIndexScan, Table: r.t, TableName: r.name,
+			Kind: opIndexScan, Table: r.t, TableName: r.name, reads: pc.readsOf(r, rest),
 			IdxCol: col, Lo: lo, Hi: hi,
 			Filter: resid, FilterStr: renderConds(rest), pass: pc.passShares(r, rest),
 			schema:  r.t.Schema(),
@@ -397,7 +429,7 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel) (*Node, error) {
 		}
 		indexNode = &Node{
 			Kind: opIndexJoin, Kids: []*Node{outer},
-			Table: r.t, TableName: r.name,
+			Table: r.t, TableName: r.name, reads: r.reads,
 			OuterKey: outerKey, OuterColName: r.outerCol, InnerColName: r.innerCol,
 			Filter: resid, FilterStr: renderConds(all), pass: pc.passShares(r, all),
 			schema:  schema,
@@ -590,21 +622,21 @@ func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 	c := pc.c
 	switch n.Kind {
 	case opSeqScan:
-		c.scanHeap(a, n.Table, vector)
+		c.scanHeap(a, n, vector)
 	case opIndexScan:
 		tree := n.Table.Index(n.IdxCol)
 		c.btreeDescend(a, 1, tree.Height(), tree.Len())
 		c.indexEntries(a, k.scanned, tree.Len())
-		c.heapFetch(a, k.scanned, n.Table, vector)
+		c.heapFetch(a, k.scanned, n, vector)
 	case opIndexJoin:
 		tree := n.Table.Index(n.InnerColName)
 		c.btreeDescend(a, k.in, tree.Height(), tree.Len())
 		c.indexEntries(a, k.matches, tree.Len())
-		c.heapFetch(a, k.matches, n.Table, vector)
+		c.heapFetch(a, k.matches, n, vector)
 	case opSort:
 		c.sortCompares(a, k.in, exec.SortEntryBytes, float64(len(n.SortKeys)))
 	case opWrite:
-		c.writeRows(a, k.in, n.Table, n.set == nil)
+		c.writeRows(a, k.in, n, n.set == nil)
 	}
 }
 
@@ -618,10 +650,10 @@ func (pc *planCtx) planFootprint(n *Node) float64 {
 	total := 0.0
 	switch n.Kind {
 	case opSeqScan:
-		total += pc.c.heapBytes(n.Table)
+		total += heapBytes(n)
 	case opIndexScan:
 		// A keyed range touches at most the heap, at least the match set.
-		total += math.Min(pc.c.heapBytes(n.Table), n.EstRows*pc.c.heapRowWidth(n.Table))
+		total += math.Min(heapBytes(n), n.EstRows*span(n).Bytes)
 	case opIndexJoin:
 		// Probe keys arrive in outer order, so the inner fetches scatter
 		// across the inner heap: each probe drags in the B-tree leaf path
@@ -632,7 +664,7 @@ func (pc *planCtx) planFootprint(n *Node) float64 {
 		// once its index join into the 1.7MB orders heap runs interleaved,
 		// versus 1.6% for the same stream feeding only an aggregate.
 		probes := n.Kids[0].EstRows
-		total += math.Min(pc.c.heapBytes(n.Table), probes*float64(pc.e.Knobs.PageBytes))
+		total += math.Min(heapBytes(n), probes*float64(pc.e.Knobs.PageBytes))
 	case opHashJoin:
 		build := n.Kids[1]
 		total += build.EstRows*float64(build.schema.RowWidth()) + exec.HashTableBytes(build.EstRows)

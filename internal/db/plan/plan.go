@@ -159,15 +159,15 @@ func (p *Prepared) instantiate(n *Node, mt *metering) (exec.Operator, error) {
 	var op exec.Operator
 	switch n.Kind {
 	case opSeqScan:
-		op = &exec.SeqScan{Ctx: e.Ctx, File: n.Table.File, Filter: n.Filter}
+		op = &exec.SeqScan{Ctx: e.Ctx, File: n.Table.File, Filter: n.Filter, Reads: n.reads}
 	case opIndexScan:
 		op = &exec.IndexScan{
 			Ctx: e.Ctx, File: n.Table.File, Tree: n.Table.Index(n.IdxCol),
-			Lo: n.Lo, Hi: n.Hi, Filter: n.Filter,
+			Lo: n.Lo, Hi: n.Hi, Filter: n.Filter, Reads: n.reads,
 		}
 	case opIndexJoin:
 		op = &exec.IndexJoin{
-			Ctx: e.Ctx, Outer: kids[0], Inner: n.Table.File,
+			Ctx: e.Ctx, Outer: kids[0], Inner: n.Table.File, InnerReads: n.reads,
 			Index: n.Table.Index(n.InnerColName), OuterKey: n.OuterKey,
 			Residual: n.Filter,
 		}
@@ -220,7 +220,7 @@ func (p *Prepared) instantiateVec(n *Node, mt *metering) (vec.Operator, error) {
 	var op vec.Operator
 	switch n.Kind {
 	case opSeqScan:
-		scan := &vec.Scan{Ctx: e.Ctx, File: n.Table.File, Pred: n.Filter}
+		scan := &vec.Scan{Ctx: e.Ctx, File: n.Table.File, Pred: n.Filter, Reads: n.reads}
 		if mt != nil {
 			mt.scans[n] = scan
 		}
@@ -228,11 +228,11 @@ func (p *Prepared) instantiateVec(n *Node, mt *metering) (vec.Operator, error) {
 	case opIndexScan:
 		op = &vec.IndexScan{
 			Ctx: e.Ctx, File: n.Table.File, Tree: n.Table.Index(n.IdxCol),
-			Lo: n.Lo, Hi: n.Hi, Filter: n.Filter,
+			Lo: n.Lo, Hi: n.Hi, Filter: n.Filter, Reads: n.reads,
 		}
 	case opIndexJoin:
 		op = &vec.IndexJoin{
-			Ctx: e.Ctx, Probe: kids[0], Inner: n.Table.File,
+			Ctx: e.Ctx, Probe: kids[0], Inner: n.Table.File, InnerReads: n.reads,
 			Index: n.Table.Index(n.InnerColName), ProbeKey: n.OuterKey,
 			Residual: n.Filter,
 		}

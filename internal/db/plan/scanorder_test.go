@@ -33,6 +33,17 @@ func runMetered(t *testing.T, e *engine.Engine, id int) (*Prepared, map[*Node]*e
 	return p, meters, e.M.Profile.Energy.Active(e.M.Hier.Counters().Sub(before), e.M.PState()).Total()
 }
 
+// loadRowMajor loads class into e's tables laid out row-major, as under
+// DisableVectorExec, and then lets the planner choose vector operators
+// again: every lineitem scan reads whole rows, 1.06 × L3 at 100MB on this
+// profile, so consecutive vector scans of it take turns in direction. A
+// column heap's scans read only their columns, which fit L3.
+func loadRowMajor(e *engine.Engine, class tpch.SizeClass) {
+	e.Knobs.DisableVectorExec = true
+	tpch.Setup(e, class)
+	e.Knobs.DisableVectorExec = false
+}
+
 // TestAlternatingScanPrice holds seqLines' price of a vector scan over a heap
 // longer than L3 — PostgreSQL's lineitem at 100MB, 1.06 × L3 of lines — to
 // the two measurements it was fitted to. Back to back, Q1's scan refills
@@ -46,17 +57,18 @@ func TestAlternatingScanPrice(t *testing.T) {
 		t.Skip("loads the 100MB class")
 	}
 	e := engine.New(engine.PostgreSQL, cpusim.NewMachine(cpusim.IntelI7_4790()), engine.SettingBaseline)
-	tpch.Setup(e, tpch.Size100MB)
+	loadRowMajor(e, tpch.Size100MB)
 	e.M.Hier.SetPrefetchEnabled(true)
 	active := func(c memsim.Counters) float64 { return e.M.Profile.Energy.Active(c, e.M.PState()).Total() }
 
 	lineitem := e.MustTable("lineitem")
 	c := newCoster(e)
 	a := c.newEst()
-	c.scanHeap(a, lineitem, true)
+	whole := &Node{Kind: opSeqScan, Table: lineitem}
+	c.scanHeap(a, whole, true)
 	predPf := float64(a.counters().PrefetchL3)
 	row := c.newEst()
-	c.scanHeap(row, lineitem, false)
+	c.scanHeap(row, whole, false)
 	if got := float64(row.counters().PrefetchL3); got < 1.9*predPf {
 		t.Errorf("a row scan, which always walks front to back, is priced at %.0f DRAM→L3 prefetches against the vector scan's %.0f", got, predPf)
 	}
@@ -125,7 +137,7 @@ func TestExplainEnergySaysOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engine.New(engine.PostgreSQL, st.M, engine.SettingBaseline)
-	tpch.Setup(e, tpch.Size100MB)
+	loadRowMajor(e, tpch.Size100MB)
 	var joules [2]float64
 	for run, want := range []bool{false, true} {
 		p := prepare(t, e, "SELECT COUNT(*), SUM(l_quantity) FROM lineitem")

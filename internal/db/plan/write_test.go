@@ -11,6 +11,7 @@ import (
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
 	"energydb/internal/db/sql"
+	"energydb/internal/db/storage"
 	"energydb/internal/tpch"
 )
 
@@ -32,7 +33,7 @@ func tableDump(t *testing.T, e *engine.Engine) []string {
 	f := e.MustTable("facts").File
 	out := make([]string, f.RowCount())
 	for id := range out {
-		row, visible, err := f.ReadRow(id)
+		row, visible, err := f.ReadRow(id, storage.Reads{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,12 +76,13 @@ func TestWriteSameOnEveryPathAndMode(t *testing.T) {
 					e := factsEngine(cpusim.NewMachine(small), rows)
 					facts := e.MustTable("facts")
 					e.CreateIndex(facts, "id")
-					if !facts.File.Alternates() {
+					if !facts.File.Alternates(storage.Reads{}) {
 						t.Fatal("facts fits the L3")
 					}
 					if reverse {
-						// One completed vector scan turns the view around.
-						op, err := prepare(t, e, "SELECT COUNT(*) FROM facts").Build()
+						// One completed vector scan of every column turns the
+						// view around.
+						op, err := prepare(t, e, "SELECT * FROM facts").Build()
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -11,7 +11,7 @@ func newHeap(t *testing.T) (*Device, *HeapFile) {
 	t.Helper()
 	dev := newDev(t)
 	bp := NewBufferPool(dev, 1<<20, 8<<10)
-	hf := NewHeapFile(dev, bp, testSchema(), 8)
+	hf := NewHeapFile(dev, bp, testSchema(), 8, Rows)
 	for i := 0; i < 10; i++ {
 		hf.Append(value.Row{value.Int(int64(i)), value.Float(float64(i)), value.Str("x")})
 	}
@@ -29,11 +29,11 @@ func TestInsertTxnInvisibleUntilCommit(t *testing.T) {
 
 	// An autocommit snapshot taken now must not see it; the writer must.
 	dev.Snap = mgr.Pin()
-	if _, visible, err := hf.ReadRow(id); err != nil || visible {
+	if _, visible, err := hf.ReadRow(id, Reads{}); err != nil || visible {
 		t.Fatalf("uncommitted insert visible to other snapshot (err=%v)", err)
 	}
 	dev.Snap = tx.Snap()
-	if row, visible, _ := hf.ReadRow(id); !visible || row[0].I != 99 {
+	if row, visible, _ := hf.ReadRow(id, Reads{}); !visible || row[0].I != 99 {
 		t.Fatalf("writer cannot read own insert: %v %v", row, visible)
 	}
 
@@ -41,7 +41,7 @@ func TestInsertTxnInvisibleUntilCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Snap = mgr.Pin()
-	if _, visible, _ := hf.ReadRow(id); !visible {
+	if _, visible, _ := hf.ReadRow(id, Reads{}); !visible {
 		t.Fatal("committed insert invisible to fresh snapshot")
 	}
 }
@@ -58,7 +58,7 @@ func TestInsertTxnAbortLeavesTombstone(t *testing.T) {
 		t.Fatalf("row ids must not be reused; count = %d", hf.RowCount())
 	}
 	dev.Snap = txn.Latest()
-	if _, visible, _ := hf.ReadRow(id); visible {
+	if _, visible, _ := hf.ReadRow(id, Reads{}); visible {
 		t.Fatal("aborted insert visible")
 	}
 	if hf.Data().LiveCount() != 10 {
@@ -83,7 +83,7 @@ func TestUpdateTxnSnapshotStability(t *testing.T) {
 
 	// Old snapshot walks the chain to the pre-update version.
 	dev.Snap = reader
-	row, visible, err := hf.ReadRow(3)
+	row, visible, err := hf.ReadRow(3, Reads{})
 	if err != nil || !visible {
 		t.Fatalf("old snapshot lost the row: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestUpdateTxnSnapshotStability(t *testing.T) {
 	}
 	// New snapshot sees the update.
 	dev.Snap = mgr.Pin()
-	row, _, _ = hf.ReadRow(3)
+	row, _, _ = hf.ReadRow(3, Reads{})
 	if row[1].F != 99 {
 		t.Fatalf("new snapshot missed the update: %v", row)
 	}
@@ -138,7 +138,7 @@ func TestUpdateTxnAbortRestoresHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Snap = txn.Latest()
-	row, visible, _ := hf.ReadRow(3)
+	row, visible, _ := hf.ReadRow(3, Reads{})
 	if !visible || row[1].F != 3 || row[2].S != "x" {
 		t.Fatalf("abort did not restore original: %v %v", row, visible)
 	}
@@ -159,18 +159,18 @@ func TestDeleteTxnLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Snap = tx.Snap()
-	if _, visible, _ := hf.ReadRow(2); visible {
+	if _, visible, _ := hf.ReadRow(2, Reads{}); visible {
 		t.Fatal("deleter still sees deleted row")
 	}
 	dev.Snap = mgr.Pin()
-	if _, visible, _ := hf.ReadRow(2); !visible {
+	if _, visible, _ := hf.ReadRow(2, Reads{}); !visible {
 		t.Fatal("uncommitted delete visible to others")
 	}
 	if err := mgr.Abort(tx); err != nil {
 		t.Fatal(err)
 	}
 	dev.Snap = txn.Latest()
-	if _, visible, _ := hf.ReadRow(2); !visible {
+	if _, visible, _ := hf.ReadRow(2, Reads{}); !visible {
 		t.Fatal("aborted delete removed the row")
 	}
 
@@ -184,11 +184,11 @@ func TestDeleteTxnLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Snap = before
-	if _, visible, _ := hf.ReadRow(2); !visible {
+	if _, visible, _ := hf.ReadRow(2, Reads{}); !visible {
 		t.Fatal("pre-delete snapshot lost the row")
 	}
 	dev.Snap = mgr.Pin()
-	if _, visible, _ := hf.ReadRow(2); visible {
+	if _, visible, _ := hf.ReadRow(2, Reads{}); visible {
 		t.Fatal("committed delete still visible")
 	}
 	// Deleted head conflicts for any later writer.
@@ -213,7 +213,7 @@ func TestScannerSkipsInvisible(t *testing.T) {
 	// Pre-txn snapshot: 10 original rows.
 	dev.Snap = txn.Snap{}
 	n := 0
-	for sc := hf.Scan(); ; n++ {
+	for sc := hf.Scan(Reads{}); ; n++ {
 		if _, _, ok := sc.Next(); !ok {
 			break
 		}
@@ -224,7 +224,7 @@ func TestScannerSkipsInvisible(t *testing.T) {
 	// Fresh snapshot: row 0 deleted, one insert added.
 	dev.Snap = mgr.Pin()
 	ids := []int{}
-	for sc := hf.Scan(); ; {
+	for sc := hf.Scan(Reads{}); ; {
 		_, id, ok := sc.Next()
 		if !ok {
 			break
@@ -247,7 +247,7 @@ func TestBatchScannerNilHoles(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Snap = mgr.Pin()
-	rows, base, ok := hf.BatchScan(64).NextBatch()
+	rows, base, ok := hf.BatchScan(64, Reads{}).NextBatch()
 	if !ok || base != 0 || len(rows) != 10 {
 		t.Fatalf("batch = %d rows at %d (ok=%v)", len(rows), base, ok)
 	}
@@ -279,14 +279,14 @@ func TestChainWalkChargesReader(t *testing.T) {
 	// load-count difference is the chain traversal.
 	dev.Snap = mgr.Pin()
 	before := dev.M.Hier.Counters()
-	if _, visible, _ := hf.ReadRow(0); !visible {
+	if _, visible, _ := hf.ReadRow(0, Reads{}); !visible {
 		t.Fatal("head invisible to fresh snapshot")
 	}
 	headLoads := dev.M.Hier.Counters().Sub(before).Loads
 
 	dev.Snap = old
 	before = dev.M.Hier.Counters()
-	row, visible, _ := hf.ReadRow(0)
+	row, visible, _ := hf.ReadRow(0, Reads{})
 	if !visible || row[1].F != 0 {
 		t.Fatalf("old snapshot read = %v (visible=%v)", row, visible)
 	}

@@ -13,7 +13,7 @@ import (
 func wideHeap(t *testing.T, poolBytes, n int) (*Device, *HeapFile) {
 	t.Helper()
 	dev := newDev(t)
-	hf := NewHeapFile(dev, NewBufferPool(dev, poolBytes, 8<<10), testSchema(), 100)
+	hf := NewHeapFile(dev, NewBufferPool(dev, poolBytes, 8<<10), testSchema(), 100, Rows)
 	for i := 0; i < n; i++ {
 		hf.Append(value.Row{value.Int(int64(i)), value.Float(float64(i)), value.Str("x")})
 	}
@@ -32,7 +32,7 @@ func TestReadRowsIssuesReadRowsLoads(t *testing.T) {
 	want := make([]value.Row, len(ids))
 	before := devRow.M.Hier.Counters()
 	for i, id := range ids {
-		r, ok, err := row.FetchRow(id)
+		r, ok, err := row.FetchRow(id, Reads{})
 		if err != nil || !ok {
 			t.Fatalf("FetchRow(%d): visible %v, err %v", id, ok, err)
 		}
@@ -42,7 +42,7 @@ func TestReadRowsIssuesReadRowsLoads(t *testing.T) {
 
 	got := make([]value.Row, len(ids))
 	before = devBatch.M.Hier.Counters()
-	if _, err := batch.ReadRows(ids, got); err != nil {
+	if err := batch.ReadRows(ids, got, Reads{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	batchCtr := devBatch.M.Hier.Counters().Sub(before)
@@ -57,7 +57,7 @@ func TestReadRowsIssuesReadRowsLoads(t *testing.T) {
 	if batchCtr.StallCycles >= rowCtr.StallCycles {
 		t.Errorf("grouped stalls %d cycles, dependent %d: the batch schedule should overlap its loads", batchCtr.StallCycles, rowCtr.StallCycles)
 	}
-	if _, err := batch.ReadRows([]int{3, 4096}, got); err == nil {
+	if err := batch.ReadRows([]int{3, 4096}, got, Reads{}, nil); err == nil {
 		t.Error("an out-of-range id must fail the batch")
 	}
 }
@@ -70,7 +70,7 @@ func TestReadRowsIssuesReadRowsLoads(t *testing.T) {
 // the page of a row the batch asked for, at that row's slot (or the header).
 func TestReadRowsRefetchesEvictedFrames(t *testing.T) {
 	dev, hf := wideHeap(t, 4*8<<10, 61*16) // 4 frames; 61 rows per page, 16 pages
-	per := hf.RowsPerPage()
+	per := hf.data.runs[0].perPage
 	if per != 61 {
 		t.Fatalf("rows per page = %d, want 61", per)
 	}
@@ -99,19 +99,19 @@ func TestReadRowsRefetchesEvictedFrames(t *testing.T) {
 			page := bp.framePage[f]
 			off := int(addr - base)
 			switch {
-			case !bp.frameUsed[f] || page.File != d.fileID:
+			case !bp.frameUsed[f] || page.File != d.runs[0].file:
 				bad = append(bad, "load into a frame holding no page of the heap")
 			case off == 0:
 				if !asked[page.Page*per+page.Page] {
 					bad = append(bad, "header load of a page the batch did not ask for")
 				}
-			case !asked[page.Page*per+(off-pageHeaderBytes)/d.rowWidth]:
+			case !asked[page.Page*per+(off-pageHeaderBytes)/d.runs[0].width]:
 				bad = append(bad, "row load at a slot the batch did not ask for")
 			}
 		}
 	})
 	got := make([]value.Row, len(ids))
-	_, err := hf.ReadRows(ids, got)
+	err := hf.ReadRows(ids, got, Reads{}, nil)
 	dev.M.Hier.SetRecorder(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestReadRowsRefetchesEvictedFrames(t *testing.T) {
 		t.Errorf("%d pool misses for %d distinct pages on %d frames: the row pass fetched no evicted page again", n, len(ids), bp.Frames())
 	}
 	for i, id := range ids {
-		want, _, _ := hf.FetchRow(id)
+		want, _, _ := hf.FetchRow(id, Reads{})
 		if !slices.EqualFunc(got[i], want, value.Equal) {
 			t.Errorf("row %d: ReadRows %v, FetchRow %v", id, got[i], want)
 		}

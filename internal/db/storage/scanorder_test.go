@@ -22,7 +22,7 @@ func longHeap(tb testing.TB, l3 int, ratio float64) (*Device, *HeapFile) {
 	dev.M.Hier.SetPrefetchEnabled(true)
 	const pageSize = 8 << 10
 	bytes := int(ratio * float64(l3))
-	hf := NewHeapFile(dev, NewBufferPool(dev, bytes+(1<<20), pageSize), testSchema(), 8)
+	hf := NewHeapFile(dev, NewBufferPool(dev, bytes+(1<<20), pageSize), testSchema(), 8, Rows)
 	for i := 0; hf.PageCount()*pageSize < bytes; i++ {
 		hf.Append(value.Row{value.Int(int64(i)), value.Float(float64(i)), value.Str("x")})
 	}
@@ -62,7 +62,7 @@ func refill(c memsim.Counters) float64 { return float64(c.PrefetchL3) / float64(
 // rule is for — the DRAM→L3 prefetches of the next full scan.
 func TestScanOrderFlipsOnCompletion(t *testing.T) {
 	_, hf := longHeap(t, testL3, 1.3)
-	if !hf.Alternates() {
+	if !hf.Alternates(Reads{}) {
 		t.Fatal("a heap of 1.3 × L3 does not alternate")
 	}
 	const width = 512
@@ -70,7 +70,7 @@ func TestScanOrderFlipsOnCompletion(t *testing.T) {
 
 	// Front to back, cold; then the same again with the direction held, which
 	// is what every scan cost before: all of it refilled.
-	bases, _ := drain(hf, hf.BatchScan(width), -1)
+	bases, _ := drain(hf, hf.BatchScan(width, Reads{}), -1)
 	if bases[0] != 0 || bases[len(bases)-1] != last || !slices.IsSorted(bases) {
 		t.Fatalf("first scan of a view is not front to back: %d … %d", bases[0], bases[len(bases)-1])
 	}
@@ -78,14 +78,14 @@ func TestScanOrderFlipsOnCompletion(t *testing.T) {
 		t.Fatal("a completed scan did not turn the view")
 	}
 	hf.reverse = false
-	_, same := drain(hf, hf.BatchScan(width), -1)
+	_, same := drain(hf, hf.BatchScan(width, Reads{}), -1)
 	if r := refill(same); r < 0.95 {
 		t.Fatalf("front to back after front to back refilled %.3f of its lines, want all", r)
 	}
 
 	// A scan abandoned after five batches started at the far end and leaves
 	// the direction where it was.
-	sc := hf.BatchScan(width)
+	sc := hf.BatchScan(width, Reads{})
 	bases, _ = drain(hf, sc, 5)
 	if !sc.Reverse() || bases[0] != last || bases[4] != last-4*width {
 		t.Fatalf("abandoned scan: reverse=%v bases %v, want %d downwards", sc.Reverse(), bases, last)
@@ -96,7 +96,7 @@ func TestScanOrderFlipsOnCompletion(t *testing.T) {
 
 	// So the next full scan still walks back to front, over the same batches,
 	// and finds the tail of the last full one cached (1 − L3/heap = 0.23).
-	sc = hf.BatchScan(width)
+	sc = hf.BatchScan(width, Reads{})
 	bases, cheap := drain(hf, sc, -1)
 	if !sc.Reverse() || bases[0] != last || bases[len(bases)-1] != 0 {
 		t.Fatalf("scan after an abandoned one: reverse=%v, %d … %d", sc.Reverse(), bases[0], bases[len(bases)-1])
@@ -119,7 +119,7 @@ func TestScanOrderFlipsOnCompletion(t *testing.T) {
 	// The pass after the cheap one is the dear one: lines that hit through
 	// the L3→L2 streamer kept their old recency, so it finds only what the
 	// cheap pass refilled.
-	_, dear := drain(hf, hf.BatchScan(width), -1)
+	_, dear := drain(hf, hf.BatchScan(width, Reads{}), -1)
 	if r := refill(dear); r < 0.70 || r > 0.90 {
 		t.Fatalf("front to back after back to front refilled %.3f of its lines, want about 0.81", r)
 	}
@@ -127,7 +127,7 @@ func TestScanOrderFlipsOnCompletion(t *testing.T) {
 	// Two scans one statement opens together (a self-join's build and probe):
 	// the second settles its direction when it starts to run, after the first
 	// has finished, and so runs the other way.
-	build, probe := hf.BatchScan(width), hf.BatchScan(width)
+	build, probe := hf.BatchScan(width, Reads{}), hf.BatchScan(width, Reads{})
 	drain(hf, build, -1)
 	_, second := drain(hf, probe, -1)
 	if !build.Reverse() || probe.Reverse() {
@@ -146,22 +146,22 @@ func TestScanOrderFlipsOnCompletion(t *testing.T) {
 // an L3.
 func TestScanOrderKeepsShortHeaps(t *testing.T) {
 	_, hf := longHeap(t, smallL3, 0.9)
-	if hf.Alternates() {
+	if hf.Alternates(Reads{}) {
 		t.Fatal("a heap of 0.9 × L3 alternates")
 	}
 	for range 3 {
-		sc := hf.BatchScan(512)
+		sc := hf.BatchScan(512, Reads{})
 		bases, _ := drain(hf, sc, -1)
 		if sc.Reverse() || bases[0] != 0 || !slices.IsSorted(bases) || hf.reverse {
 			t.Fatalf("short heap scanned out of order: reverse=%v view=%v", sc.Reverse(), hf.reverse)
 		}
 	}
 	dev := NewDevice(cpusim.NewMachine(cpusim.ARM1176()), 64<<20)
-	arm := NewHeapFile(dev, NewBufferPool(dev, 1<<20, 4<<10), testSchema(), 8)
+	arm := NewHeapFile(dev, NewBufferPool(dev, 1<<20, 4<<10), testSchema(), 8, Rows)
 	for i := 0; i < 20000; i++ {
 		arm.Append(value.Row{value.Int(int64(i)), value.Float(0), value.Str("x")})
 	}
-	if arm.Alternates() {
+	if arm.Alternates(Reads{}) {
 		t.Fatal("a heap alternates on a machine without an L3")
 	}
 }
@@ -178,7 +178,7 @@ func scanSlots(hf *HeapFile, reverse bool, width int) ([]slotRow, map[int][]int)
 	hf.reverse = reverse
 	var out []slotRow
 	holes := map[int][]int{}
-	for sc := hf.BatchScan(width); ; {
+	for sc := hf.BatchScan(width, Reads{}); ; {
 		rows, base, ok := sc.NextBatch()
 		if !ok {
 			return out, holes
@@ -287,7 +287,7 @@ func TestScanOrderPerView(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < v.scans; i++ {
-				sc := v.hf.BatchScan(512)
+				sc := v.hf.BatchScan(512, Reads{})
 				bases, _ := drain(v.hf, sc, -1)
 				if want := i%2 == 1; sc.Reverse() != want || (bases[0] == 0) == want {
 					t.Errorf("scan %d of a view: reverse=%v, first base %d", i, sc.Reverse(), bases[0])
@@ -313,7 +313,7 @@ func BenchmarkHeapRescan(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			dev, hf := longHeap(b, cpusim.IntelI7_4790().Mem.L3.SizeBytes, 1.3)
-			drain(hf, hf.BatchScan(1024), -1) // cold pass
+			drain(hf, hf.BatchScan(1024, Reads{}), -1) // cold pass
 			const scans = 8
 			var sum memsim.Counters
 			b.ResetTimer()
@@ -322,7 +322,7 @@ func BenchmarkHeapRescan(b *testing.B) {
 					if !alternate {
 						hf.reverse = false
 					}
-					_, c := drain(hf, hf.BatchScan(1024), -1)
+					_, c := drain(hf, hf.BatchScan(1024, Reads{}), -1)
 					sum = sum.Add(c)
 				}
 			}

@@ -43,6 +43,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -171,6 +172,11 @@ type BufferPool struct {
 	frameDirty []bool
 	pageTable  map[PageID]int
 	clockHand  int
+	// recent is, per file (a run's pages are a file of their own), the
+	// frame the file's last lookup found: scans and bulk loads resolve one
+	// page of a run many times in a row, and a check of it saves them the
+	// page table's hashing. Host work alone; a hit counts as any other.
+	recent [16]int
 
 	// Misses counts pages read from disk; Hits counts buffer hits.
 	Hits   uint64
@@ -225,15 +231,29 @@ func (bp *BufferPool) Fetch(id PageID, sequential bool) uint64 {
 // dependent or not: a batch that resolves many pages before it reads any of
 // them issues their headers back to back (HeapFile.ReadRows).
 func (bp *BufferPool) fetch(id PageID, sequential, dependent bool) int {
+	idx := bp.locate(id, sequential)
+	bp.dev.M.Hier.Load(bp.frameAddr[idx], dependent)
+	return idx
+}
+
+// locate is fetch without the page-header load: the frame that holds the
+// page, read in on a miss.
+func (bp *BufferPool) locate(id PageID, sequential bool) int {
 	h := bp.dev.M.Hier
-	if idx, ok := bp.pageTable[id]; ok {
+	last := &bp.recent[uint(id.File)%uint(len(bp.recent))]
+	idx, ok := *last, bp.holds(*last, id)
+	if !ok {
+		idx, ok = bp.pageTable[id]
+	}
+	if ok {
 		bp.Hits++
 		bp.frameRef[idx] = true
-		h.Load(bp.frameAddr[idx], dependent)
+		*last = idx
 		return idx
 	}
 	bp.Misses++
-	idx := bp.evict()
+	idx = bp.evict()
+	*last = idx
 	bp.pageTable[id] = idx
 	bp.framePage[idx] = id
 	bp.frameUsed[idx] = true
@@ -253,7 +273,6 @@ func (bp *BufferPool) fetch(id PageID, sequential, dependent bool) int {
 		bp.dev.everRead[id] = true
 	}
 	h.StoreRange(bp.frameAddr[idx], uint64(bp.pageSize))
-	h.Load(bp.frameAddr[idx], dependent)
 	return idx
 }
 
@@ -415,12 +434,15 @@ func prune(v *Version, oldest uint64) (walked, cut int) {
 // reads resolve snapshots lock-free against version atomics, so statements
 // never serialize behind DML.
 type TableData struct {
-	mu       sync.RWMutex
-	schema   *catalog.Schema
-	slots    []*Version
-	fileID   int
-	rowWidth int
-	perPage  int
+	mu     sync.RWMutex
+	schema *catalog.Schema
+	slots  []*Version
+	// runs is the page geometry: runs[0] holds each slot's tuple header (and,
+	// row-major, every column), colRun and colOff place each column in its
+	// run's slot, and all lists every run.
+	runs           []run
+	colRun, colOff []int
+	all            []int
 	// TupleOverhead is the per-row header width (PostgreSQL's 24-byte
 	// heap tuple header, InnoDB's record header, ...), an engine knob.
 	TupleOverhead int
@@ -564,6 +586,139 @@ func (d *TableData) rowSpan(lo int, dst []value.Row, snap txn.Snap) (n, hops int
 
 var nextFileID atomic.Int64
 
+// Layout is how a heap lays its slots out in runs.
+type Layout uint8
+
+const (
+	// Rows is the row-major heap (NSM): one run holding each slot's tuple
+	// header and every column.
+	Rows Layout = iota
+	// Columns is the column heap (DSM): one run of tuple headers and one run
+	// per column, so a read of some columns touches only their runs.
+	Columns
+)
+
+// run is a group of columns stored at fixed widths, slot by slot, in pages
+// of its own: slot id lies in page id/perPage of the run's file, at offset
+// pageHeaderBytes + id%perPage*width.
+type run struct{ file, width, perPage int }
+
+// Reads is what a read of some columns touches in one heap: the header run
+// and each run holding one of the columns, in run order. The zero Reads
+// touches every run.
+type Reads struct{ runs []int }
+
+// Reads resolves a column set against the heap's runs: nil reads every
+// column, an empty set only the tuple headers.
+func (d *TableData) Reads(cols []int) Reads {
+	if cols == nil || len(d.runs) == 1 {
+		return Reads{}
+	}
+	runs := []int{0}
+	for k := 1; k < len(d.runs); k++ {
+		for _, c := range cols {
+			if d.colRun[c] == k {
+				runs = append(runs, k)
+				break
+			}
+		}
+	}
+	return Reads{runs}
+}
+
+// Layout reports how the heap lays its slots out.
+func (d *TableData) Layout() Layout {
+	if len(d.runs) > 1 {
+		return Columns
+	}
+	return Rows
+}
+
+// touched lists the runs r reads.
+func (d *TableData) touched(r Reads) []int {
+	if r.runs == nil {
+		return d.all
+	}
+	return r.runs
+}
+
+// page is the page of run k that holds slot id.
+func (d *TableData) page(k, id int) PageID {
+	return PageID{d.runs[k].file, id / d.runs[k].perPage}
+}
+
+// frame resolves page pid of run k through the view's pool and returns the
+// frame's index. A page of the header run (a row-major page) has its
+// header line loaded, dependent or not, as the slot directory every read of
+// a slot consults; a column run's page has no directory — a value's address
+// follows from the slot id — so it is located in the pool (a miss still pays
+// its read and copy) with no load.
+func (hf *HeapFile) frame(k int, pid PageID, sequential, dependent bool) int {
+	if k > 0 {
+		return hf.pool.locate(pid, sequential)
+	}
+	return hf.pool.fetch(pid, sequential, dependent)
+}
+
+// slotAddr is the simulated address of slot id in run k, in a frame at
+// frameAddr that holds its page.
+func (d *TableData) slotAddr(k int, frameAddr uint64, id int) uint64 {
+	r := d.runs[k]
+	return frameAddr + uint64(pageHeaderBytes+id%r.perPage*r.width)
+}
+
+// Span is what reading a column set of one slot touches: the bytes of the
+// runs read, tuple header included; the loads a lone slot read issues in
+// them (each run's slot in whole lines); and the loads per slot of a scan
+// that streams them page by page. A column run's slots narrower than a line
+// share it; a row-major slot is priced at whole lines, as the row scans'
+// price always was. Only the header run's page costs a header load
+// (HeapFile.frame), so a slot read makes one page-frame lookup whatever it
+// reads.
+type Span struct{ Bytes, Lines, Stream float64 }
+
+// Span is the cost model's view of a read of r: the same geometry every
+// issue path below walks.
+func (d *TableData) Span(r Reads) Span {
+	var sp Span
+	for _, k := range d.touched(r) {
+		w := float64(d.runs[k].width)
+		lines := math.Ceil(w / memsim.LineSize)
+		sp.Bytes += w
+		sp.Lines += lines
+		if w < memsim.LineSize && len(d.runs) > 1 {
+			lines = w / memsim.LineSize
+		}
+		sp.Stream += lines
+	}
+	return sp
+}
+
+// At is where a read found its first slot: the slot's address in each run
+// the read touched, zero in the others.
+type At struct {
+	d    *TableData
+	slot []uint64
+}
+
+// Col returns the simulated address of column j in the slot. It panics when
+// the read did not touch column j's run: the plan under-stated its columns.
+func (a *At) Col(j int) uint64 {
+	at := a.slot[a.d.colRun[j]]
+	if at == 0 {
+		panic(fmt.Sprintf("storage: column %d was not read", j))
+	}
+	return at + uint64(a.d.colOff[j])
+}
+
+// reset empties a for a read of d.
+func (a *At) reset(d *TableData) {
+	if a.d != d {
+		a.d, a.slot = d, make([]uint64, len(d.runs))
+	}
+	clear(a.slot)
+}
+
 // HeapFile stores fixed-width rows in slotted pages behind a buffer pool.
 // Row *contents* live on the Go side (the shared TableData); the page/slot
 // geometry determines the simulated addresses touched when rows are read.
@@ -578,26 +733,37 @@ type HeapFile struct {
 	// is longer than the last-level cache (see BatchScanner). It belongs to
 	// the view because the caches it speaks of are the view's machine's.
 	reverse bool
-	// frames is ReadRows' scratch: the frame pass 1 resolved for each id.
+	// frames and slots are the read paths' scratch: the frame each (id, run)
+	// resolved to, and one slot's address in each run.
 	frames []int
+	slots  []uint64
 }
 
 // NewHeapFile creates an empty heap file on the pool, with fresh shared
-// table data.
-func NewHeapFile(dev *Device, pool *BufferPool, schema *catalog.Schema, tupleOverhead int) *HeapFile {
-	width := schema.RowWidth() + tupleOverhead
-	perPage := (pool.pageSize - pageHeaderBytes) / width
-	if perPage < 1 {
-		perPage = 1
+// table data laid out as layout says.
+func NewHeapFile(dev *Device, pool *BufferPool, schema *catalog.Schema, tupleOverhead int, layout Layout) *HeapFile {
+	d := &TableData{schema: schema, TupleOverhead: tupleOverhead}
+	n := len(schema.Columns)
+	d.colRun, d.colOff = make([]int, n), make([]int, n)
+	addRun := func(width int) int {
+		width = max(width, 1)
+		perPage := max((pool.pageSize-pageHeaderBytes)/width, 1)
+		d.runs = append(d.runs, run{int(nextFileID.Add(1)), width, perPage})
+		d.all = append(d.all, len(d.all))
+		return len(d.runs) - 1
 	}
-	data := &TableData{
-		schema:        schema,
-		fileID:        int(nextFileID.Add(1)),
-		rowWidth:      width,
-		perPage:       perPage,
-		TupleOverhead: tupleOverhead,
+	if layout == Rows {
+		addRun(schema.RowWidth() + tupleOverhead)
+		for j := range d.colOff {
+			d.colOff[j] = schema.ColOffset(j)
+		}
+	} else {
+		addRun(tupleOverhead)
+		for j, c := range schema.Columns {
+			d.colRun[j] = addRun(c.Width)
+		}
 	}
-	return &HeapFile{dev: dev, pool: pool, data: data}
+	return &HeapFile{dev: dev, pool: pool, data: d}
 }
 
 // Data returns the shared table data behind this view.
@@ -621,17 +787,31 @@ func (hf *HeapFile) Schema() *catalog.Schema { return hf.data.schema }
 // it determines the file's page geometry.
 func (hf *HeapFile) RowCount() int { return hf.data.rowCount() }
 
-// PageCount returns the number of pages the slots occupy.
-func (hf *HeapFile) PageCount() int {
-	n := hf.data.rowCount()
-	if n == 0 {
-		return 0
+// PageCount returns the number of pages the slots occupy, over every run.
+func (hf *HeapFile) PageCount() int { return hf.pages(hf.data.all) }
+
+// pages returns the number of pages the slots occupy in the given runs.
+func (hf *HeapFile) pages(runs []int) int {
+	n, total := hf.data.rowCount(), 0
+	for _, k := range runs {
+		total += (n + hf.data.runs[k].perPage - 1) / hf.data.runs[k].perPage
 	}
-	return (n + hf.data.perPage - 1) / hf.data.perPage
+	return total
 }
 
-// RowsPerPage returns the slot count per page.
-func (hf *HeapFile) RowsPerPage() int { return hf.data.perPage }
+// SlotPages returns the pages a write of slot id stores into, one per run;
+// a stamp writes the tuple header's alone (storeSlot).
+func (d *TableData) SlotPages(id int, stamp bool) []PageID {
+	runs := d.all
+	if stamp {
+		runs = runs[:1]
+	}
+	pids := make([]PageID, len(runs))
+	for i, k := range runs {
+		pids[i] = d.page(k, id)
+	}
+	return pids
+}
 
 // TupleOverhead returns the per-row header width knob.
 func (hf *HeapFile) TupleOverhead() int { return hf.data.TupleOverhead }
@@ -648,18 +828,30 @@ func (hf *HeapFile) Append(r value.Row) int {
 	d.slots = append(d.slots, v)
 	d.mu.Unlock()
 	d.changes.Add(1)
-	hf.storeSlot(id, true, uint64(d.rowWidth))
+	hf.storeSlot(id, true, false, false)
 	return id
 }
 
-// storeSlot simulates writing the first n bytes of slot id's row: the fetch
-// of its page (sequential rides readahead) and a store per line. It returns
-// the page, for the callers that mark it dirty.
-func (hf *HeapFile) storeSlot(id int, sequential bool, n uint64) PageID {
+// storeSlot simulates writing slot id: in each run, the fetch of its page
+// (sequential rides readahead) and a store per line of the slot. A stamp
+// writes the tuple header alone: a row-major slot's first line, a header
+// run's slot. dirty marks the pages written.
+func (hf *HeapFile) storeSlot(id int, sequential, stamp, dirty bool) {
 	d := hf.data
-	pid := PageID{d.fileID, id / d.perPage}
-	hf.dev.M.Hier.StoreRange(d.rowAddr(hf.pool.Fetch(pid, sequential), id), n)
-	return pid
+	for _, k := range d.all {
+		pid := d.page(k, id)
+		n := uint64(d.runs[k].width)
+		if stamp && d.Layout() == Rows {
+			n = memsim.LineSize
+		}
+		hf.dev.M.Hier.StoreRange(d.slotAddr(k, hf.pool.frameAddr[hf.frame(k, pid, sequential, true)], id), n)
+		if dirty {
+			hf.pool.MarkDirty(pid)
+		}
+		if stamp {
+			return
+		}
+	}
 }
 
 // insertRecord undoes/commits an InsertTxn: commit stamps the begin
@@ -738,7 +930,7 @@ func (hf *HeapFile) InsertTxn(t *txn.Txn, r value.Row) int {
 	d.mu.Unlock()
 	d.changes.Add(1)
 	t.Log(&insertRecord{d: d, id: id, v: v})
-	hf.pool.MarkDirty(hf.storeSlot(id, true, uint64(d.rowWidth)))
+	hf.storeSlot(id, true, false, true)
 	return id
 }
 
@@ -765,7 +957,7 @@ func (hf *HeapFile) InsertAtTxn(t *txn.Txn, id int, r value.Row) error {
 	d.mu.Unlock()
 	d.changes.Add(1)
 	t.Log(&insertRecord{d: d, id: id, v: v})
-	hf.pool.MarkDirty(hf.storeSlot(id, true, uint64(d.rowWidth)))
+	hf.storeSlot(id, true, false, true)
 	return nil
 }
 
@@ -804,8 +996,8 @@ func (hf *HeapFile) UpdateTxn(t *txn.Txn, id int, row value.Row) (int, error) {
 		d.pruned.Add(uint64(cut))
 		hf.dev.versions(1, true)
 	}
-	hf.pool.MarkDirty(hf.storeSlot(id, false, uint64(d.rowWidth)))
-	return d.rowWidth, nil
+	hf.storeSlot(id, false, false, true)
+	return d.schema.RowWidth() + d.TupleOverhead, nil
 }
 
 // DeleteTxn stamps slot id's head with t's ID (first-updater-wins, as
@@ -829,7 +1021,7 @@ func (hf *HeapFile) DeleteTxn(t *txn.Txn, id int) error {
 	d.mu.Unlock()
 	d.changes.Add(1)
 	t.Log(&deleteRecord{v: head})
-	hf.pool.MarkDirty(hf.storeSlot(id, false, memsim.LineSize))
+	hf.storeSlot(id, false, true, true)
 	return nil
 }
 
@@ -879,7 +1071,7 @@ func (hf *HeapFile) Reap(oldest uint64) []Reaped {
 
 	hf.dev.ChargeChain(examined)
 	for _, r := range out {
-		hf.pool.MarkDirty(hf.storeSlot(r.ID, false, memsim.LineSize))
+		hf.storeSlot(r.ID, false, true, true)
 	}
 	return out
 }
@@ -887,139 +1079,182 @@ func (hf *HeapFile) Reap(oldest uint64) []Reaped {
 // Pool returns the backing buffer pool.
 func (hf *HeapFile) Pool() *BufferPool { return hf.pool }
 
-// ReadRow reads row id in scan order under the device's ambient snapshot:
-// the page fetch rides readahead and the row streams (streamRow). visible is
-// false (with a nil row) when no version of the slot is visible. A read of a
-// row an index entry named is FetchRow.
-func (hf *HeapFile) ReadRow(id int) (row value.Row, visible bool, err error) {
+// ReadRow reads row id's columns r names in scan order under the device's
+// ambient snapshot: each run's page fetch rides readahead and the slot
+// streams (streamSlot). visible is false (with a nil row) when no version of
+// the slot is visible. A read of a row an index entry named is FetchRow.
+func (hf *HeapFile) ReadRow(id int, r Reads) (row value.Row, visible bool, err error) {
 	d := hf.data
 	row, hops, ok := d.row(id, hf.dev.Snap)
 	if !ok {
 		return nil, false, fmt.Errorf("storage: row %d out of range [0, %d)", id, d.rowCount())
 	}
-	hf.streamRow(d.rowAddr(hf.pool.Fetch(PageID{d.fileID, id / d.perPage}, true), id), row, hops)
+	runs := d.touched(r)
+	hf.slots = hf.slots[:0]
+	for _, k := range runs {
+		hf.slots = append(hf.slots, d.slotAddr(k, hf.pool.frameAddr[hf.frame(k, d.page(k, id), true, true)], id))
+	}
+	hf.streamSlot(runs, hf.slots, row, hops)
 	return row, row != nil, nil
 }
 
-// streamRow charges a slot read in scan order: its version-chain hops, then
-// the row's lines as one streaming range, or only the tuple header when no
-// version is visible.
-func (hf *HeapFile) streamRow(rowAddr uint64, row value.Row, hops int) {
+// streamSlot charges a slot read in scan order, at slot[j] in run runs[j]:
+// its version-chain hops, then each run's slot as one streaming range, or
+// only the tuple header's first line when no version is visible.
+func (hf *HeapFile) streamSlot(runs []int, slot []uint64, row value.Row, hops int) {
 	h := hf.dev.M.Hier
 	hf.dev.ChargeChain(hops)
 	if row == nil {
-		h.Load(rowAddr, false)
+		h.Load(slot[0], false)
 		return
 	}
-	h.LoadRange(rowAddr, uint64(hf.data.rowWidth))
+	for j, k := range runs {
+		h.LoadRange(slot[j], uint64(hf.data.runs[k].width))
+	}
 }
 
-// FetchRow reads row id, named by an index entry, under the device's ambient
-// snapshot: a ReadRows of one id whose page-header load and first-line load
-// are dependent, since a lone row's address waits on the entry that named it
-// (a pointer chase). visible is false (with a nil row) when no version of the
-// slot is visible — index probes skip such hits.
-func (hf *HeapFile) FetchRow(id int) (row value.Row, visible bool, err error) {
+// FetchRow reads row id's columns r names, the row named by an index entry,
+// under the device's ambient snapshot: a ReadRows of one id whose page-header
+// load and tuple header's first-line load are dependent, since a lone row's
+// address waits on the entry that named it (a pointer chase). visible is
+// false (with a nil row) when no version of the slot is visible — index
+// probes skip such hits.
+func (hf *HeapFile) FetchRow(id int, r Reads) (row value.Row, visible bool, err error) {
 	ids, dst := [1]int{id}, [1]value.Row{}
-	if _, err := hf.readRows(ids[:], dst[:], true); err != nil {
+	if err := hf.readRows(ids[:], dst[:], r, nil, true); err != nil {
 		return nil, false, err
 	}
 	return dst[0], dst[0] != nil, nil
 }
 
-// ReadRows reads the rows ids name under the device's ambient snapshot into
-// dst (len(dst) >= len(ids); dst[i] is nil when no version of ids[i] is
-// visible) on the schedule a batch engine can follow: slots are fixed-width,
-// so a row's address follows from its id and its page's frame, never from a
-// header's contents, and no id's loads wait on another's. It returns the
-// simulated address it read the first id's row at. Nothing is simulated when
-// an id is out of range.
-func (hf *HeapFile) ReadRows(ids []int, dst []value.Row) (first uint64, err error) {
-	return hf.readRows(ids, dst, false)
+// ReadRows reads the columns r names of the rows ids name under the device's
+// ambient snapshot into dst (len(dst) >= len(ids); dst[i] is nil when no
+// version of ids[i] is visible) on the schedule a batch engine can follow:
+// slots are fixed-width, so a slot's address in every run follows from its
+// id and its page's frame, never from a header's contents, and no id's loads
+// wait on another's. at, if not nil, learns where the first id's slot was
+// read. Nothing is simulated when an id is out of range.
+func (hf *HeapFile) ReadRows(ids []int, dst []value.Row, r Reads, at *At) error {
+	return hf.readRows(ids, dst, r, at, false)
 }
 
 // readRows is the one issue path of a fetched row, grouped (ReadRows) or, for
-// a batch of one, dependent (FetchRow). Pass 1 resolves every id's page
-// through the pool in id order (a miss keeps its disk charge and page copy)
-// and issues the page-header loads, back to back. Pass 2 charges each row's
-// version-chain hops, which stay dependent, then issues the row's first line
-// and streams the rest; a slot no version of which is visible costs its
-// first line alone. Pass 1 may have evicted a frame an earlier id resolved;
-// pass 2 then fetches that page again, dependent, rather than load from a
-// frame that holds another page.
-func (hf *HeapFile) readRows(ids []int, dst []value.Row, dependent bool) (first uint64, err error) {
+// a batch of one, dependent (FetchRow). Pass 1 resolves every id's page in
+// every run read through the pool, in id order (a miss keeps its disk charge
+// and page copy), and issues the header run's page-header loads back to
+// back. Pass 2 charges each row's version-chain hops, which stay dependent,
+// then in each run issues the slot's first line and streams the rest; a slot
+// no version of which is visible costs its tuple header's first line alone.
+// A lone row's tuple header waits on the entry; its other runs' lines
+// overlap it. Pass 1 may have evicted a frame an earlier id resolved; pass 2
+// then fetches that page again, dependent, rather than load from a frame
+// that holds another page.
+func (hf *HeapFile) readRows(ids []int, dst []value.Row, r Reads, at *At, dependent bool) error {
 	d := hf.data
 	n := d.rowCount()
 	for _, id := range ids {
 		if id < 0 || id >= n {
-			return 0, fmt.Errorf("storage: row %d out of range [0, %d)", id, n)
+			return fmt.Errorf("storage: row %d out of range [0, %d)", id, n)
 		}
 	}
-	if cap(hf.frames) < len(ids) {
-		hf.frames = make([]int, len(ids))
+	runs := d.touched(r)
+	nr := len(runs)
+	if cap(hf.frames) < len(ids)*nr {
+		hf.frames = make([]int, len(ids)*nr)
 	}
-	frames := hf.frames[:len(ids)]
+	frames := hf.frames[:len(ids)*nr]
 	for i, id := range ids {
-		frames[i] = hf.pool.fetch(PageID{d.fileID, id / d.perPage}, false, dependent)
+		for j, k := range runs {
+			frames[i*nr+j] = hf.frame(k, d.page(k, id), false, dependent)
+		}
+	}
+	if at != nil {
+		at.reset(d)
 	}
 	h := hf.dev.M.Hier
 	for i, id := range ids {
-		pid := PageID{d.fileID, id / d.perPage}
-		if !hf.pool.holds(frames[i], pid) {
-			frames[i] = hf.pool.fetch(pid, false, true)
+		hf.slots = hf.slots[:0]
+		for j, k := range runs {
+			pid := d.page(k, id)
+			f := frames[i*nr+j]
+			if !hf.pool.holds(f, pid) {
+				f = hf.frame(k, pid, false, true)
+			}
+			hf.slots = append(hf.slots, d.slotAddr(k, hf.pool.frameAddr[f], id))
+			if i == 0 && at != nil {
+				at.slot[k] = hf.slots[j]
+			}
 		}
 		row, hops, _ := d.row(id, hf.dev.Snap)
 		dst[i] = row
-		rowAddr := d.rowAddr(hf.pool.frameAddr[frames[i]], id)
-		if i == 0 {
-			first = rowAddr
-		}
 		hf.dev.ChargeChain(hops)
-		h.Load(rowAddr, dependent)
-		if row != nil && d.rowWidth > memsim.LineSize {
-			h.LoadRange(rowAddr+memsim.LineSize, uint64(d.rowWidth-memsim.LineSize))
+		for j, k := range runs {
+			if row == nil && j > 0 {
+				break
+			}
+			h.Load(hf.slots[j], dependent && j == 0)
+			if w := d.runs[k].width; row != nil && w > memsim.LineSize {
+				h.LoadRange(hf.slots[j]+memsim.LineSize, uint64(w-memsim.LineSize))
+			}
 		}
 	}
-	return first, nil
-}
-
-// rowAddr is the simulated address of slot id's row in a frame at
-// frameAddr that holds its page.
-func (d *TableData) rowAddr(frameAddr uint64, id int) uint64 {
-	return frameAddr + uint64(pageHeaderBytes+id%d.perPage*d.rowWidth)
+	return nil
 }
 
 // Machine exposes the device machine (operators issue compute through it).
 func (hf *HeapFile) Machine() *cpusim.Machine { return hf.dev.M }
 
-// ResidentPages reports how many of the file's pages are currently resident
-// in this view's buffer pool, and the total page count. No accesses are
-// simulated; the cost model uses this to predict buffer hit behaviour.
-func (hf *HeapFile) ResidentPages() (resident, total int) {
-	total = hf.PageCount()
-	for p := 0; p < total; p++ {
-		if hf.pool.Contains(PageID{hf.data.fileID, p}) {
-			resident++
+// ResidentPages reports how many of the pages of the runs r reads are
+// currently resident in this view's buffer pool, and their total. No
+// accesses are simulated; the cost model uses this to predict buffer hit
+// behaviour.
+func (hf *HeapFile) ResidentPages(r Reads) (resident, total int) {
+	d := hf.data
+	runs := d.touched(r)
+	n := d.rowCount()
+	for _, k := range runs {
+		for p, pages := 0, (n+d.runs[k].perPage-1)/d.runs[k].perPage; p < pages; p++ {
+			if hf.pool.Contains(PageID{d.runs[k].file, p}) {
+				resident++
+			}
 		}
 	}
-	return resident, total
+	return resident, hf.pages(runs)
 }
 
-// Scanner iterates a heap file in row order, fetching each page once and
-// streaming the rows off it — the sequential-scan access pattern whose L1D
-// locality the paper identifies as the energy bottleneck's root cause.
-// Slots invisible to the device's snapshot are skipped after a header
-// check, so callers only ever see rows their snapshot may read.
+// pageAt is the page of one run a scan fetched last and its frame address.
+type pageAt struct {
+	page int
+	addr uint64
+}
+
+// newEdges starts a scan's per-run page memory, no page fetched yet.
+func newEdges(n int) []pageAt {
+	e := make([]pageAt, n)
+	for j := range e {
+		e[j].page = -1
+	}
+	return e
+}
+
+// Scanner iterates a heap file in row order, fetching each page of every run
+// it reads once and streaming the slots off it — the sequential-scan access
+// pattern whose L1D locality the paper identifies as the energy bottleneck's
+// root cause. Slots invisible to the device's snapshot are skipped after a
+// header check, so callers only ever see rows their snapshot may read.
 type Scanner struct {
-	hf       *HeapFile
-	next     int
-	curPage  int
-	pageAddr uint64
+	hf   *HeapFile
+	runs []int
+	next int
+	edge []pageAt
+	slot []uint64
 }
 
-// Scan starts a full-file sequential scan under the device's snapshot.
-func (hf *HeapFile) Scan() *Scanner {
-	return &Scanner{hf: hf, curPage: -1}
+// Scan starts a full-file sequential scan of the columns r names under the
+// device's snapshot.
+func (hf *HeapFile) Scan(r Reads) *Scanner {
+	runs := hf.data.touched(r)
+	return &Scanner{hf: hf, runs: runs, edge: newEdges(len(runs)), slot: make([]uint64, len(runs))}
 }
 
 // Next returns the next visible row and its id, or ok=false at the end.
@@ -1033,43 +1268,46 @@ func (s *Scanner) Next() (value.Row, int, bool) {
 		}
 		id := s.next
 		s.next++
-		if page := id / d.perPage; page != s.curPage {
-			s.pageAddr = hf.pool.Fetch(PageID{d.fileID, page}, true)
-			s.curPage = page
+		for j, k := range s.runs {
+			if pid := d.page(k, id); pid.Page != s.edge[j].page {
+				s.edge[j] = pageAt{pid.Page, hf.pool.frameAddr[hf.frame(k, pid, true, true)]}
+			}
+			s.slot[j] = d.slotAddr(k, s.edge[j].addr, id)
 		}
 		// Invisible slots cost the scan their tuple header.
-		hf.streamRow(d.rowAddr(s.pageAddr, id), row, hops)
+		hf.streamSlot(s.runs, s.slot, row, hops)
 		if row != nil {
 			return row, id, true
 		}
 	}
 }
 
-// BatchScanner iterates a heap file a batch at a time: each page is fetched
-// once and each page's row run is streamed with a single range load, so the
-// batch touches the same pages and cache lines as the row-at-a-time Scanner
-// while amortizing the per-call bookkeeping over the whole batch — the
-// vectorized-scan access pattern. Slots invisible to the device's snapshot
-// come back as nil holes; the vectorized scan drops them via its selection
-// vector.
+// BatchScanner iterates a heap file a batch at a time: in each run it reads,
+// each page is fetched once and each page's slot run is streamed with a
+// single range load, so the batch touches the same pages and cache lines as
+// the row-at-a-time Scanner while amortizing the per-call bookkeeping over
+// the whole batch — the vectorized-scan access pattern. Slots invisible to
+// the device's snapshot come back as nil holes; the vectorized scan drops
+// them via its selection vector.
 //
-// Batches arrive in slot order unless the heap is longer than the device's
-// last-level cache. Such a heap, scanned front to back again, finds none of
-// its lines: under LRU each was evicted by the scan's own later lines. So a
-// scan of one starts at the end where the view's previous batch scan finished
-// (HeapFile.reverse) and finds that scan's tail still cached. Only the order
-// of the batches turns around — the same batches, each one's rows, pages and
-// lines ascending, so the per-page streamer still trains and a batch's row
-// ids stay base+i. The view's direction turns when a scan hands out its last
-// batch: a scan abandoned early (LIMIT, a cancelled statement) walked off
-// nothing and leaves it alone.
+// Batches arrive in slot order unless the runs the scan reads are longer
+// than the device's last-level cache. Such a heap, scanned front to back
+// again, finds none of its lines: under LRU each was evicted by the scan's
+// own later lines. So a scan of one starts at the end where the view's
+// previous batch scan finished (HeapFile.reverse) and finds that scan's tail
+// still cached. Only the order of the batches turns around — the same
+// batches, each one's rows, pages and lines ascending, so the per-page
+// streamer still trains and a batch's row ids stay base+i. The view's
+// direction turns when a scan hands out its last batch: a scan abandoned
+// early (LIMIT, a cancelled statement) walked off nothing and leaves it
+// alone.
 type BatchScanner struct {
-	hf       *HeapFile
-	next     int
-	curPage  int
-	pageAddr uint64
-	rowAt    uint64 // where the last batch's first row was streamed from
-	buf      []value.Row
+	hf   *HeapFile
+	runs []int
+	next int
+	edge []pageAt
+	at   At // where the last batch's first slot was streamed from
+	buf  []value.Row
 
 	started bool
 	reverse bool
@@ -1077,20 +1315,24 @@ type BatchScanner struct {
 	left    int // reverse: batches not handed out yet
 }
 
-// BatchScan starts a full-file sequential scan that yields up to max rows
-// per batch.
-func (hf *HeapFile) BatchScan(max int) *BatchScanner {
+// BatchScan starts a full-file sequential scan of the columns r names that
+// yields up to max rows per batch.
+func (hf *HeapFile) BatchScan(max int, r Reads) *BatchScanner {
 	if max < 1 {
 		max = 1
 	}
-	return &BatchScanner{hf: hf, curPage: -1, buf: make([]value.Row, max)}
+	runs := hf.data.touched(r)
+	return &BatchScanner{hf: hf, runs: runs, edge: newEdges(len(runs)), buf: make([]value.Row, max)}
 }
 
-// Alternates reports whether consecutive batch scans of this heap take turns
-// in direction: its pages do not fit the device's last-level cache.
-func (hf *HeapFile) Alternates() bool {
+// Alternates reports whether consecutive batch scans of the columns r names
+// take turns in direction: the pages of the runs they read do not fit the
+// device's last-level cache.
+func (hf *HeapFile) Alternates(r Reads) bool { return hf.alternates(hf.data.touched(r)) }
+
+func (hf *HeapFile) alternates(runs []int) bool {
 	l3 := hf.dev.M.Hier.Config().L3
-	return l3.Present() && hf.PageCount()*hf.pool.pageSize > l3.SizeBytes
+	return l3.Present() && hf.pages(runs)*hf.pool.pageSize > l3.SizeBytes
 }
 
 // start fixes the scan's direction, at its first batch rather than when it
@@ -1099,7 +1341,7 @@ func (hf *HeapFile) Alternates() bool {
 func (s *BatchScanner) start() {
 	hf := s.hf
 	s.started = true
-	if hf.Alternates() {
+	if hf.alternates(s.runs) {
 		s.reverse = hf.reverse
 		s.total = hf.RowCount()
 		if s.reverse {
@@ -1117,9 +1359,9 @@ func (s *BatchScanner) start() {
 // is settled by the first NextBatch.
 func (s *BatchScanner) Reverse() bool { return s.reverse }
 
-// RowAddr returns the simulated address the last batch's first row was
-// streamed from, in the frame that held its page then.
-func (s *BatchScanner) RowAddr() uint64 { return s.rowAt }
+// At returns where the last batch's first slot was streamed from, in the
+// frames that held its pages then. It is updated in place by every batch.
+func (s *BatchScanner) At() *At { return &s.at }
 
 // NextBatch returns the next run of rows (nil entries mark slots invisible
 // to the snapshot) and the id of the first, or ok=false when every batch has
@@ -1152,28 +1394,29 @@ func (s *BatchScanner) NextBatch() ([]value.Row, int, bool) {
 	}
 	h := hf.dev.M.Hier
 	hf.dev.ChargeChain(hops)
-	// The page this batch shares with the one after it is fetched once: the
-	// last page of a batch walking up, the first of one walking down.
-	edgePage, edgeAddr := s.curPage, s.pageAddr
-	for id := base; id < base+n; {
-		page, slot := id/d.perPage, id%d.perPage
-		addr := s.pageAddr
-		if page != s.curPage {
-			addr = hf.pool.Fetch(PageID{d.fileID, page}, true)
+	s.at.reset(d)
+	for j, k := range s.runs {
+		r := d.runs[k]
+		// The page this batch shares with the one after it is fetched once:
+		// the last page of a batch walking up, the first of one walking down.
+		edge := s.edge[j]
+		for id := base; id < base+n; {
+			page, slot := id/r.perPage, id%r.perPage
+			addr := s.edge[j].addr
+			if page != s.edge[j].page {
+				addr = hf.pool.frameAddr[hf.frame(k, PageID{r.file, page}, true, true)]
+			}
+			if !s.reverse || id == base {
+				edge = pageAt{page, addr}
+			}
+			if id == base {
+				s.at.slot[k] = d.slotAddr(k, addr, id)
+			}
+			run := min(r.perPage-slot, base+n-id)
+			h.LoadRange(d.slotAddr(k, addr, id), uint64(run*r.width))
+			id += run
 		}
-		if !s.reverse || id == base {
-			edgePage, edgeAddr = page, addr
-		}
-		if id == base {
-			s.rowAt = d.rowAddr(addr, id)
-		}
-		run := d.perPage - slot
-		if rem := base + n - id; run > rem {
-			run = rem
-		}
-		h.LoadRange(d.rowAddr(addr, id), uint64(run*d.rowWidth))
-		id += run
+		s.edge[j] = edge
 	}
-	s.curPage, s.pageAddr = edgePage, edgeAddr
 	return dst[:n], base, true
 }

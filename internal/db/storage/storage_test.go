@@ -107,7 +107,7 @@ func TestSequentialMissIsCheaper(t *testing.T) {
 func TestHeapFileRoundTrip(t *testing.T) {
 	dev := newDev(t)
 	bp := NewBufferPool(dev, 1<<20, 8<<10)
-	hf := NewHeapFile(dev, bp, testSchema(), 24)
+	hf := NewHeapFile(dev, bp, testSchema(), 24, Rows)
 	for i := 0; i < 1000; i++ {
 		id := hf.Append(value.Row{value.Int(int64(i)), value.Float(float64(i) * 1.5), value.Str("x")})
 		if id != i {
@@ -117,7 +117,7 @@ func TestHeapFileRoundTrip(t *testing.T) {
 	if hf.RowCount() != 1000 {
 		t.Fatalf("row count = %d", hf.RowCount())
 	}
-	r, visible, err := hf.ReadRow(500)
+	r, visible, err := hf.ReadRow(500, Reads{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestHeapFileRoundTrip(t *testing.T) {
 	if r[0].I != 500 || r[1].F != 750 {
 		t.Fatalf("row 500 = %v", r)
 	}
-	if _, _, err := hf.ReadRow(1000); err == nil {
+	if _, _, err := hf.ReadRow(1000, Reads{}); err == nil {
 		t.Fatal("out-of-range read must error")
 	}
 }
@@ -135,10 +135,10 @@ func TestHeapFileRoundTrip(t *testing.T) {
 func TestHeapFileGeometry(t *testing.T) {
 	dev := newDev(t)
 	bp := NewBufferPool(dev, 1<<20, 8<<10)
-	hf := NewHeapFile(dev, bp, testSchema(), 24)
+	hf := NewHeapFile(dev, bp, testSchema(), 24, Rows)
 	// Row width = 8+8+16+24 = 56; (8192-24)/56 = 145 rows per page.
-	if hf.RowsPerPage() != 145 {
-		t.Fatalf("rows per page = %d, want 145", hf.RowsPerPage())
+	if hf.data.runs[0].perPage != 145 {
+		t.Fatalf("rows per page = %d, want 145", hf.data.runs[0].perPage)
 	}
 	for i := 0; i < 300; i++ {
 		hf.Append(value.Row{value.Int(int64(i)), value.Float(0), value.Str("x")})
@@ -151,19 +151,19 @@ func TestHeapFileGeometry(t *testing.T) {
 func TestSequentialScanLoadsStreamIndependently(t *testing.T) {
 	dev := newDev(t)
 	bp := NewBufferPool(dev, 4<<20, 8<<10)
-	hf := NewHeapFile(dev, bp, testSchema(), 0)
+	hf := NewHeapFile(dev, bp, testSchema(), 0, Rows)
 	for i := 0; i < 2000; i++ {
 		hf.Append(value.Row{value.Int(int64(i)), value.Float(0), value.Str("abcdefgh")})
 	}
 	// Warm: scan everything once so pages are resident.
-	for sc := hf.Scan(); ; {
+	for sc := hf.Scan(Reads{}); ; {
 		if _, _, ok := sc.Next(); !ok {
 			break
 		}
 	}
 	before := dev.M.Hier.Counters()
 	n := 0
-	for sc := hf.Scan(); ; n++ {
+	for sc := hf.Scan(Reads{}); ; n++ {
 		if _, _, ok := sc.Next(); !ok {
 			break
 		}

@@ -14,7 +14,7 @@ import (
 func TestTableDataView(t *testing.T) {
 	devA := newDev(t)
 	poolA := NewBufferPool(devA, 64<<10, 8<<10)
-	hf := NewHeapFile(devA, poolA, testSchema(), 8)
+	hf := NewHeapFile(devA, poolA, testSchema(), 8, Rows)
 	for i := 0; i < 100; i++ {
 		hf.Append(value.Row{value.Int(int64(i)), value.Float(float64(i)), value.Str("x")})
 	}
@@ -26,13 +26,13 @@ func TestTableDataView(t *testing.T) {
 	if view.RowCount() != hf.RowCount() {
 		t.Fatalf("view rows %d != base rows %d", view.RowCount(), hf.RowCount())
 	}
-	if view.RowsPerPage() != hf.RowsPerPage() || view.TupleOverhead() != hf.TupleOverhead() {
+	if view.PageCount() != hf.PageCount() || view.TupleOverhead() != hf.TupleOverhead() {
 		t.Fatal("view geometry differs from base")
 	}
 
 	beforeA := devA.M.Hier.Counters()
 	beforeB := devB.M.Hier.Counters()
-	row, _, err := view.FetchRow(42)
+	row, _, err := view.FetchRow(42, Reads{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTableDataView(t *testing.T) {
 		t.Fatal(err)
 	}
 	devA.Snap = mgr.Pin()
-	row, _, err = hf.FetchRow(42)
+	row, _, err = hf.FetchRow(42, Reads{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTableDataView(t *testing.T) {
 func TestTableDataConcurrentReaders(t *testing.T) {
 	devA := newDev(t)
 	poolA := NewBufferPool(devA, 64<<10, 8<<10)
-	hf := NewHeapFile(devA, poolA, testSchema(), 8)
+	hf := NewHeapFile(devA, poolA, testSchema(), 8, Rows)
 	const rows = 500
 	for i := 0; i < rows; i++ {
 		hf.Append(value.Row{value.Int(int64(i)), value.Float(float64(i)), value.Str("x")})
@@ -84,7 +84,7 @@ func TestTableDataConcurrentReaders(t *testing.T) {
 			dev := NewDevice(cpusim.NewMachine(cpusim.IntelI7_4790()), 256<<20)
 			view := hf.Data().View(dev, NewBufferPool(dev, 64<<10, 8<<10))
 			n := 0
-			for sc := view.Scan(); ; n++ {
+			for sc := view.Scan(Reads{}); ; n++ {
 				if _, _, ok := sc.Next(); !ok {
 					break
 				}

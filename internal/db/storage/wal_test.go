@@ -120,7 +120,7 @@ func newTxnPair() (*txn.Manager, *txn.Txn) {
 func TestHeapFileUpdateRoundTrip(t *testing.T) {
 	dev := newDev(t)
 	bp := NewBufferPool(dev, 1<<20, 8<<10)
-	hf := NewHeapFile(dev, bp, testSchema(), 8)
+	hf := NewHeapFile(dev, bp, testSchema(), 8, Rows)
 	for i := 0; i < 100; i++ {
 		hf.Append(value.Row{value.Int(int64(i)), value.Float(0), value.Str("x")})
 	}
@@ -132,7 +132,7 @@ func TestHeapFileUpdateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Snap = mgr.Pin()
-	r, visible, err := hf.ReadRow(42)
+	r, visible, err := hf.ReadRow(42, Reads{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +211,8 @@ func TestRelocateFrames(t *testing.T) {
 func TestScannerEmptyFile(t *testing.T) {
 	dev := newDev(t)
 	bp := NewBufferPool(dev, 64<<10, 8<<10)
-	hf := NewHeapFile(dev, bp, testSchema(), 0)
-	if _, _, ok := hf.Scan().Next(); ok {
+	hf := NewHeapFile(dev, bp, testSchema(), 0, Rows)
+	if _, _, ok := hf.Scan(Reads{}).Next(); ok {
 		t.Fatal("empty file scanner returned a row")
 	}
 	if hf.PageCount() != 0 {
@@ -230,10 +230,10 @@ func testSchemaWide() *catalog.Schema {
 func TestWideRowsSpanMultipleLines(t *testing.T) {
 	dev := newDev(t)
 	bp := NewBufferPool(dev, 1<<20, 8<<10)
-	hf := NewHeapFile(dev, bp, testSchemaWide(), 0)
+	hf := NewHeapFile(dev, bp, testSchemaWide(), 0, Rows)
 	hf.Append(value.Row{value.Str("x"), value.Str("y")})
 	before := dev.M.Hier.Counters()
-	if _, _, err := hf.FetchRow(0); err != nil {
+	if _, _, err := hf.FetchRow(0, Reads{}); err != nil {
 		t.Fatal(err)
 	}
 	d := dev.M.Hier.Counters().Sub(before)
@@ -247,7 +247,7 @@ func TestMachineAccessor(t *testing.T) {
 	m := cpusim.NewMachine(cpusim.IntelI7_4790())
 	dev := NewDevice(m, 64<<20)
 	bp := NewBufferPool(dev, 64<<10, 8<<10)
-	hf := NewHeapFile(dev, bp, testSchema(), 0)
+	hf := NewHeapFile(dev, bp, testSchema(), 0, Rows)
 	if hf.Machine() != m {
 		t.Fatal("Machine() accessor wrong")
 	}

@@ -23,9 +23,11 @@ import (
 // and hands the rows out by reference, so a consumer materializes only the
 // columns it touches.
 type fetcher struct {
-	ctx  *exec.Ctx
-	file *storage.HeapFile
-	out  *Batch
+	ctx   *exec.Ctx
+	file  *storage.HeapFile
+	reads storage.Reads
+	first storage.At // where ReadRows read the pending batch's first row
+	out   *Batch
 	// ids queues the heap slots of the pending batch, entries the snapshot
 	// cannot see included. emit reads them into rows and compacts both to
 	// the visible entries: rows then backs out, the heap rows themselves or,
@@ -44,17 +46,17 @@ type fetcher struct {
 // newFetcher builds a fetcher over file emitting batches of the given schema
 // and width: file's own schema for a scan, probe's columns followed by file's
 // for a join (probe nil otherwise).
-func newFetcher(ctx *exec.Ctx, file *storage.HeapFile, schema, probe *catalog.Schema, width int) *fetcher {
+func newFetcher(ctx *exec.Ctx, file *storage.HeapFile, reads storage.Reads, schema, probe *catalog.Schema, width int) *fetcher {
 	width = batchWidth(ctx, width)
 	f := &fetcher{
-		ctx: ctx, file: file,
+		ctx: ctx, file: file, reads: reads,
 		out:  NewBatch(ctx.Arena, schema, width),
 		ids:  make([]int, 0, width),
 		rows: make([]value.Row, width),
 		at:   ctx.Arena.Alloc(memsim.LineSize, memsim.LineSize),
 	}
 	if probe == nil {
-		f.out.heap = file.Schema()
+		f.out.heap = &f.first
 	} else {
 		f.out.at = f.at
 		f.np = len(probe.Columns)
@@ -93,12 +95,8 @@ func (f *fetcher) emit() (*Batch, error) {
 		return nil, nil
 	}
 	rows := f.rows[:n]
-	first, err := f.file.ReadRows(f.ids, rows)
-	if err != nil {
+	if err := f.file.ReadRows(f.ids, rows, f.reads, &f.first); err != nil {
 		return nil, err
-	}
-	if f.out.heap != nil {
-		f.out.at = first
 	}
 	k := 0
 	for i, row := range rows {
@@ -135,6 +133,8 @@ type IndexScan struct {
 	Lo, Hi *value.Value
 	// Filter applies residual predicates after the heap fetch.
 	Filter exec.Expr
+	// Reads is what a fetch reads of the heap (zero: every column).
+	Reads storage.Reads
 	// BatchSize overrides the L1D-derived batch width; 0 picks BatchSizeFor.
 	BatchSize int
 
@@ -150,7 +150,7 @@ func (s *IndexScan) Schema() *catalog.Schema { return s.File.Schema() }
 // Open implements Operator.
 func (s *IndexScan) Open() error {
 	s.it = s.Tree.Range(s.Lo, s.Hi)
-	s.f = newFetcher(s.Ctx, s.File, s.Schema(), nil, s.BatchSize)
+	s.f = newFetcher(s.Ctx, s.File, s.Reads, s.Schema(), nil, s.BatchSize)
 	s.p = newPool(s.Ctx)
 	if s.Filter != nil {
 		s.pred = CompileFilter(s.Filter)
@@ -196,11 +196,13 @@ func (s *IndexScan) Close() error { return nil }
 // iterator per key, never a key's list of matches. Output order is the row
 // join's: probe order, then index order within a key.
 type IndexJoin struct {
-	Ctx      *exec.Ctx
-	Probe    Operator
-	Inner    *storage.HeapFile
-	Index    *btree.Tree
-	ProbeKey int
+	Ctx   *exec.Ctx
+	Probe Operator
+	Inner *storage.HeapFile
+	// InnerReads is what a fetch reads of the inner heap (zero: every column).
+	InnerReads storage.Reads
+	Index      *btree.Tree
+	ProbeKey   int
 	// Residual filters the concatenated row.
 	Residual exec.Expr
 	// BatchSize overrides the L1D-derived output batch width; 0 picks
@@ -232,7 +234,7 @@ func (j *IndexJoin) Schema() *catalog.Schema {
 
 // Open implements Operator.
 func (j *IndexJoin) Open() error {
-	j.f = newFetcher(j.Ctx, j.Inner, j.Schema(), j.Probe.Schema(), j.BatchSize)
+	j.f = newFetcher(j.Ctx, j.Inner, j.InnerReads, j.Schema(), j.Probe.Schema(), j.BatchSize)
 	j.p = newPool(j.Ctx)
 	if j.Residual != nil {
 		j.pred = CompileFilter(j.Residual)

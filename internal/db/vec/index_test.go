@@ -10,6 +10,7 @@ import (
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/storage"
 	"energydb/internal/db/txn"
 	"energydb/internal/db/value"
 	"energydb/internal/memsim"
@@ -296,7 +297,7 @@ func TestCancelIndexOps(t *testing.T) {
 	}
 
 	flag.Store(false)
-	f := newFetcher(e.Ctx, tbl.File, tbl.Schema(), nil, MaxBatch)
+	f := newFetcher(e.Ctx, tbl.File, storage.Reads{}, tbl.Schema(), nil, MaxBatch)
 	for id := 0; !f.full(); id++ {
 		f.fetch(id%600, nil, 0)
 	}

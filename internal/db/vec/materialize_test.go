@@ -214,7 +214,7 @@ func TestFusedReadAfterEviction(t *testing.T) {
 	e := engine.New(engine.SQLite, cpusim.NewMachine(cpusim.IntelI7_4790()), engine.SettingBaseline)
 	ctx := e.Ctx
 	pool := storage.NewBufferPool(e.Dev, 0, 512) // 4 frames of 20 rows
-	hf := storage.NewHeapFile(e.Dev, pool, lazySchema, 0)
+	hf := storage.NewHeapFile(e.Dev, pool, lazySchema, 0, storage.Rows)
 	for i := range 200 {
 		hf.Append(value.Row{value.Int(int64(i)), value.Float(float64(i) / 2), value.Int(int64(i % 3))})
 	}
@@ -234,7 +234,7 @@ func TestFusedReadAfterEviction(t *testing.T) {
 			streamed[a.addr/memsim.LineSize] = true
 		}
 	}
-	if res, _ := hf.ResidentPages(); res >= 128/20 {
+	if res, _ := hf.ResidentPages(storage.Reads{}); res >= 128/20 {
 		t.Fatalf("%d pages resident: the batch's pages all fit the pool", res)
 	}
 	p := CompileAgg(nil, []exec.AggSpec{{Kind: exec.AggSum, Arg: bin(exec.OpMul, col(1), num(2))}})

@@ -30,6 +30,8 @@ type Scan struct {
 	Ctx  *exec.Ctx
 	File *storage.HeapFile
 	Pred exec.Expr
+	// Reads is what the scan streams of the heap (zero: every column).
+	Reads storage.Reads
 	// BatchSize overrides the L1D-derived batch width; 0 picks
 	// BatchSizeFor on the context machine's hierarchy.
 	BatchSize int
@@ -46,9 +48,9 @@ func (s *Scan) Schema() *catalog.Schema { return s.File.Schema() }
 // Open implements Operator.
 func (s *Scan) Open() error {
 	n := batchWidth(s.Ctx, s.BatchSize)
-	s.bs = s.File.BatchScan(n)
+	s.bs = s.File.BatchScan(n, s.Reads)
 	s.b = NewBatch(s.Ctx.Arena, s.Schema(), n)
-	s.b.heap = s.Schema()
+	s.b.heap = s.bs.At()
 	s.p = newPool(s.Ctx)
 	if s.Pred != nil {
 		s.pred = CompileFilter(s.Pred)
@@ -66,7 +68,6 @@ func (s *Scan) Next() (*Batch, error) {
 	b := s.b
 	b.SetRows(rows)
 	b.SetRowIDs(base, nil)
-	b.at = s.bs.RowAddr()
 	// One driver dispatch per batch: the scan's cursor bookkeeping and
 	// batch handoff cost one tuple's worth of interpretation overhead.
 	// Slots invisible to the snapshot arrive as nil holes; drop them via

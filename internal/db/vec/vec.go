@@ -26,6 +26,7 @@ package vec
 import (
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/storage"
 	"energydb/internal/db/value"
 	"energydb/internal/memsim"
 )
@@ -259,11 +260,11 @@ type Batch struct {
 	// batch lists each row's slot.
 	base int
 	ids  []int
-	// at is where a loop reading a column straight from the rows loads: the
-	// batch's first row as its producer read it in a pool frame, heap then
-	// being the file's schema, which places each column in the row; or,
-	// heap nil, the line an operator assembled the rows at.
-	heap *catalog.Schema
+	// heap, for rows read off a heap file, is where the batch's first row
+	// was read, each column in its own run's frame; at, with heap nil, is
+	// the line an operator assembled the rows at. A loop reading a column
+	// straight from the rows loads there.
+	heap *storage.At
 	at   uint64
 
 	selBuf []int32
@@ -458,13 +459,13 @@ func (b *Batch) fill(j int) {
 
 // rowLine is the line a fused read of column j loads from: in a heap-backed
 // batch the column's line in the first row where the scan or fetch read it,
-// otherwise the line the rows were assembled at. Like every vector payload
-// charge, the loop's loads repeat on that one line.
+// in the column's own run, otherwise the line the rows were assembled at.
+// Like every vector payload charge, the loop's loads repeat on that one line.
 func (b *Batch) rowLine(j int) uint64 {
 	if b.heap == nil {
 		return b.at
 	}
-	return b.at + uint64(b.heap.ColOffset(b.rawCol(j)))
+	return b.heap.Col(b.rawCol(j))
 }
 
 // Row materializes the selected position k into dst (which must have one

@@ -33,7 +33,7 @@ const ReadmeJoinQuery = `SELECT * FROM lineitem JOIN partsupp ON l_suppkey = ps_
 func RunExtensionAccuracy(o Options) (Result, error) {
 	o = o.effective()
 	queries := sqlSweep(o, representativeIDs...)
-	r, err := newRig(o, cpusim.PState36, engine.SQLite, o.Setting, o.Class)
+	r, err := newRig(o, cpusim.PState36, engine.SQLite, o.Setting, o.Class, false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -67,7 +67,7 @@ func RunExtensionAccuracy(o Options) (Result, error) {
 	// SQLite engine profile spends the largest E_L1D+E_Reg2L1D share,
 	// PostgreSQL next, MySQL least. SQLite's share is the sweep above.
 	for _, kind := range []engine.Kind{engine.PostgreSQL, engine.MySQL} {
-		rk, err := newRig(o, cpusim.PState36, kind, o.Setting, o.Class)
+		rk, err := newRig(o, cpusim.PState36, kind, o.Setting, o.Class, false)
 		if err != nil {
 			return Result{}, err
 		}

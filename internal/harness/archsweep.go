@@ -29,7 +29,7 @@ func RunExtensionArchSweep(o Options) (Result, error) {
 	base := cpusim.NewMachine(cpusim.IntelI7_4790())
 	e := engine.New(engine.SQLite, base, o.Setting)
 	e.Knobs.DisableVectorExec = true // the row plan Figure 7 measures
-	tpch.Setup(e, o.Class)
+	setup(e, o.Class)
 	base.Hier.SetPrefetchEnabled(true)
 	q, err := tpch.SQLByID(1)
 	if err != nil {

@@ -18,11 +18,10 @@ func RunFigure6(o Options) (Result, error) {
 	var rows [][]string
 	var bds []core.Breakdown
 	for _, kind := range engine.Kinds() {
-		r, err := newRig(o, cpusim.PState36, kind, o.Setting, o.Class)
+		r, err := newRig(o, cpusim.PState36, kind, o.Setting, o.Class, true)
 		if err != nil {
 			return Result{}, err
 		}
-		r.e.Knobs.DisableVectorExec = true
 		for _, op := range tpch.BasicOps() {
 			s, err := r.sql(tpch.SQLQuery{Text: op.Text})
 			if err != nil {
@@ -73,11 +72,10 @@ func RunFigure7(o Options) (Result, error) {
 // the row executor (DisableVectorExec): the paper measured tuple-at-a-time
 // engines.
 func rowSweep(o Options, kind engine.Kind, setting engine.Setting, class tpch.SizeClass, p cpusim.PState) ([]core.Breakdown, error) {
-	r, err := newRig(o, p, kind, setting, class)
+	r, err := newRig(o, p, kind, setting, class, true)
 	if err != nil {
 		return nil, err
 	}
-	r.e.Knobs.DisableVectorExec = true
 	var all []core.Breakdown
 	for _, q := range sqlSweep(o, representativeIDs...) {
 		s, err := r.sql(q)

@@ -43,7 +43,7 @@ func RunFigure5(o Options) (Result, error) {
 		m := cpusim.NewMachine(cpusim.IntelI7_4790())
 		e := engine.New(kind, m, o.Setting)
 		e.Knobs.DisableVectorExec = true // the paper's engines run tuple-at-a-time
-		tpch.Setup(e, o.Class)
+		setup(e, o.Class)
 		m.SetEIST(true)
 		for _, q := range sqlSweep(o, representativeIDs...) {
 			build := plan.Builder(q.Text)
@@ -178,7 +178,7 @@ func armRun(o Options, q tpch.SQLQuery, dtcm []string, itcm float64) (joules, se
 	meter := rapl.NewPowerMeter(m, o.Seed, 0)
 	e := engine.New(engine.SQLite, m, engine.SettingSmall)
 	e.Knobs.DisableVectorExec = true
-	tpch.Setup(e, tpch.Size10MB)
+	setup(e, tpch.Size10MB)
 	if dtcm != nil {
 		if _, err := tcm.OptimizeSQLite(e, dtcm); err != nil {
 			return 0, 0, err

@@ -140,15 +140,31 @@ type rig struct {
 }
 
 // newRig calibrates a fresh lab at P-state p and loads the class into an
-// engine of the given kind and knob setting.
-func newRig(o Options, p cpusim.PState, kind engine.Kind, setting engine.Setting, class tpch.SizeClass) (rig, error) {
+// engine of the given kind and knob setting. A row rig's planner is held to
+// the row executor (Knobs.DisableVectorExec) from before the load, so its
+// heaps are row-major, as the paper's engines' are; the others may run vector
+// chains, over column heaps.
+func newRig(o Options, p cpusim.PState, kind engine.Kind, setting engine.Setting, class tpch.SizeClass, row bool) (rig, error) {
 	l, err := newLab(o, p)
 	if err != nil {
 		return rig{}, err
 	}
 	e := engine.New(kind, l.M, setting)
-	tpch.Setup(e, class)
+	e.Knobs.DisableVectorExec = row
+	setup(e, class)
 	return rig{e: e, prof: l.Profiler()}, nil
+}
+
+// loaded, when set, sees every engine an experiment has loaded TPC-H into
+// (TestPaperRigsRowMajor reads their heap layouts through it).
+var loaded func(*engine.Engine)
+
+// setup loads the class into e: the one way an experiment loads TPC-H.
+func setup(e *engine.Engine, class tpch.SizeClass) {
+	tpch.Setup(e, class)
+	if loaded != nil {
+		loaded(e)
+	}
 }
 
 // profile is warm-then-measure for an operator tree built by hand (the X8

@@ -15,6 +15,7 @@ import (
 	"energydb/internal/cpusim"
 	"energydb/internal/db/engine"
 	"energydb/internal/db/plan"
+	"energydb/internal/db/storage"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/quick/<ID>.txt from the current quick outputs")
@@ -26,8 +27,12 @@ func quickOpts() Options {
 }
 
 // quickResults keeps each experiment's quick result, so a test that compares
-// experiments with each other does not run them again.
-var quickResults = map[string]Result{}
+// experiments with each other does not run them again; quickLoads keeps, per
+// experiment, the heap layout of every table of every engine it loaded.
+var (
+	quickResults = map[string]Result{}
+	quickLoads   = map[string][]string{}
+)
 
 // runQuick runs one experiment in quick mode and pins its rendered text to
 // testdata/quick/<ID>.txt, so a change that moves any cell of any experiment
@@ -45,7 +50,17 @@ func runQuick(t *testing.T, id string) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded = func(e *engine.Engine) {
+		for _, name := range tpchTables {
+			layout := "rows"
+			if e.MustTable(name).File.Data().Layout() == storage.Columns {
+				layout = "columns"
+			}
+			quickLoads[id] = append(quickLoads[id], fmt.Sprintf("%v %s: %s", e.Kind, name, layout))
+		}
+	}
 	res, err := exp.Run(quickOpts())
+	loaded = nil
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +379,7 @@ func TestSQLSweepConsistency(t *testing.T) {
 	x9meas, x9vecOps := column(t, x9, "meas (mJ)"), column(t, x9, "vec ops")
 
 	o := quickOpts().effective()
-	r, err := newRig(o, cpusim.PState36, engine.SQLite, o.Setting, o.Class)
+	r, err := newRig(o, cpusim.PState36, engine.SQLite, o.Setting, o.Class, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +418,7 @@ func TestSQLSweepConsistency(t *testing.T) {
 // measured E_active.
 func TestErrorByKindPartitionsTheSweep(t *testing.T) {
 	o := quickOpts().effective()
-	r, err := newRig(o, cpusim.PState36, engine.SQLite, o.Setting, o.Class)
+	r, err := newRig(o, cpusim.PState36, engine.SQLite, o.Setting, o.Class, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,5 +444,32 @@ func TestErrorByKindPartitionsTheSweep(t *testing.T) {
 	}
 	if sums["join probe"].nodes == 0 || sums["sort"].nodes == 0 {
 		t.Fatalf("Q3 and Q13 have joins and sorts, the kinds hold %+v", sums)
+	}
+}
+
+// tpchTables names the tables tpch.Load creates.
+var tpchTables = []string{"region", "nation", "supplier", "customer", "part", "partsupp", "orders", "lineitem"}
+
+// TestPaperRigsRowMajor: every engine a figure or table of the paper loads
+// lays its heaps out row-major, as the paper's engines do, so the column
+// runs the batch engine reads move none of their cells. Each experiment's
+// rigs set DisableVectorExec before they load, which is what picks the
+// layout (engine.CreateTable).
+func TestPaperRigsRowMajor(t *testing.T) {
+	loads := 0
+	for _, exp := range Experiments() {
+		if exp.ID[0] != 'F' && exp.ID[0] != 'T' {
+			continue
+		}
+		runQuick(t, exp.ID)
+		for _, l := range quickLoads[exp.ID] {
+			loads++
+			if !strings.HasSuffix(l, ": rows") {
+				t.Errorf("%s: %s", exp.ID, l)
+			}
+		}
+	}
+	if loads == 0 {
+		t.Fatal("no figure or table loaded an engine")
 	}
 }

@@ -198,13 +198,12 @@ func vectorVsRow(o Options, kind engine.Kind, queries []tpch.SQLQuery,
 	extraHeader []string, extra func(vecRowPair) []string) (*vecRowSweep, error) {
 	sw := &vecRowSweep{header: append(append([]string{"Query"}, extraHeader...), vecRowHeader...)}
 	var err error
-	if sw.vec, err = newRig(o, cpusim.PState36, kind, o.Setting, o.Class); err != nil {
+	if sw.vec, err = newRig(o, cpusim.PState36, kind, o.Setting, o.Class, false); err != nil {
 		return nil, err
 	}
-	if sw.row, err = newRig(o, cpusim.PState36, kind, o.Setting, o.Class); err != nil {
+	if sw.row, err = newRig(o, cpusim.PState36, kind, o.Setting, o.Class, true); err != nil {
 		return nil, err
 	}
-	sw.row.e.Knobs.DisableVectorExec = true
 	for _, q := range queries {
 		var p vecRowPair
 		if p.vec, err = sw.vec.sql(q); err != nil {

@@ -66,7 +66,12 @@ func (s *session) run() {
 
 	for {
 		s.armRead()
-		f, err := wire.Read(r)
+		f, err := wire.ReadClient(r)
+		var unexpected *wire.UnexpectedFrame
+		if errors.As(err, &unexpected) {
+			s.unexpected(unexpected.Type)
+			return
+		}
 		if err != nil {
 			s.srv.cfg.Logf("session %d: closed (%v)", s.id, err)
 			return
@@ -106,11 +111,17 @@ func (s *session) run() {
 				return
 			}
 		default:
-			s.srv.obs.errorClass("protocol")
-			s.send(&wire.Error{Msg: fmt.Sprintf("unexpected %v frame", f.FrameType())})
+			s.unexpected(f.FrameType())
 			return
 		}
 	}
+}
+
+// unexpected answers a frame the session does not take at this point, a
+// protocol error that closes the session.
+func (s *session) unexpected(t wire.Type) {
+	s.srv.obs.errorClass("protocol")
+	s.send(&wire.Error{Msg: (&wire.UnexpectedFrame{Type: t}).Error()})
 }
 
 // handshake negotiates the session engine: it resolves (or waits for) the
@@ -118,7 +129,12 @@ func (s *session) run() {
 // load never stalls a worker — then attaches this session's worker view.
 func (s *session) handshake(r *bufio.Reader) error {
 	s.armRead()
-	f, err := wire.Read(r)
+	f, err := wire.ReadClient(r)
+	var unexpected *wire.UnexpectedFrame
+	if errors.As(err, &unexpected) {
+		s.send(&wire.Error{Msg: fmt.Sprintf("expected Hello, got %v", unexpected.Type)})
+		return fmt.Errorf("expected Hello, got %v", unexpected.Type)
+	}
 	if err != nil {
 		return err
 	}

@@ -60,20 +60,21 @@ const (
 // frames is the one list of frame types, indexed by Type: Type.String and
 // Decode both read it, so a type has a name exactly when peers can parse it.
 var frames = [256]struct {
-	name string
-	new  func() Frame
+	name   string
+	client bool // a client sends it (ReadClient)
+	new    func() Frame
 }{
-	TypeHello:        {"Hello", func() Frame { return &Hello{} }},
-	TypeHelloAck:     {"HelloAck", func() Frame { return &HelloAck{} }},
-	TypeQuery:        {"Query", func() Frame { return &Query{} }},
-	TypeResultSet:    {"ResultSet", func() Frame { return &ResultSet{} }},
-	TypeEnergyReport: {"EnergyReport", func() Frame { return &EnergyReport{} }},
-	TypeError:        {"Error", func() Frame { return &Error{} }},
-	TypeQuit:         {"Quit", func() Frame { return &Quit{} }},
-	TypeStats:        {"Stats", func() Frame { return &Stats{} }},
-	TypeStatsReply:   {"StatsReply", func() Frame { return &StatsReply{} }},
-	TypeTxnCtl:       {"TxnCtl", func() Frame { return &TxnCtl{} }},
-	TypeTxnAck:       {"TxnAck", func() Frame { return &TxnAck{} }},
+	TypeHello:        {"Hello", true, func() Frame { return &Hello{} }},
+	TypeHelloAck:     {"HelloAck", false, func() Frame { return &HelloAck{} }},
+	TypeQuery:        {"Query", true, func() Frame { return &Query{} }},
+	TypeResultSet:    {"ResultSet", false, func() Frame { return &ResultSet{} }},
+	TypeEnergyReport: {"EnergyReport", false, func() Frame { return &EnergyReport{} }},
+	TypeError:        {"Error", false, func() Frame { return &Error{} }},
+	TypeQuit:         {"Quit", true, func() Frame { return &Quit{} }},
+	TypeStats:        {"Stats", true, func() Frame { return &Stats{} }},
+	TypeStatsReply:   {"StatsReply", false, func() Frame { return &StatsReply{} }},
+	TypeTxnCtl:       {"TxnCtl", true, func() Frame { return &TxnCtl{} }},
+	TypeTxnAck:       {"TxnAck", false, func() Frame { return &TxnAck{} }},
 }
 
 // String names the frame type.
@@ -159,7 +160,7 @@ func (*ResultSet) FrameType() Type { return TypeResultSet }
 
 func (r *ResultSet) fields(c *codec) {
 	list(c, &r.Cols, (*codec).str)
-	list(c, &r.Rows, func(c *codec, row *value.Row) { list(c, row, (*codec).value) })
+	list(c, &r.Rows, func(c *codec, row *value.Row) { c.row(row, len(r.Cols)) })
 }
 
 // EnergyReport is the per-query Eq. 1 breakdown plus the session ledger
@@ -332,8 +333,21 @@ func Write(w io.Writer, f Frame) error {
 // ErrFrameTooLarge reports a length prefix above MaxFrame.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 
+// UnexpectedFrame is a frame a server refused on its type byte: a type only
+// servers send, so its body was never decoded.
+type UnexpectedFrame struct{ Type Type }
+
+func (e *UnexpectedFrame) Error() string { return fmt.Sprintf("unexpected %v frame", e.Type) }
+
 // Read receives one message.
-func Read(r io.Reader) (Frame, error) {
+func Read(r io.Reader) (Frame, error) { return read(r, false) }
+
+// ReadClient receives one message on the server's side of a connection: a
+// frame of a type that clients never send fails with *UnexpectedFrame on its
+// type byte, before anything is decoded or allocated for its body.
+func ReadClient(r io.Reader) (Frame, error) { return read(r, true) }
+
+func read(r io.Reader, client bool) (Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -345,6 +359,9 @@ func Read(r io.Reader) (Frame, error) {
 	data := make([]byte, n)
 	if _, err := io.ReadFull(r, data); err != nil {
 		return nil, err
+	}
+	if client && n > 0 && frames[data[0]].new != nil && !frames[data[0]].client {
+		return nil, &UnexpectedFrame{Type(data[0])}
 	}
 	return Decode(data)
 }
@@ -490,6 +507,19 @@ func (c *codec) value(v *value.Value) {
 	default:
 		c.fail(fmt.Errorf("unknown value type 0x%02x", byte(v.T)))
 	}
+}
+
+// row carries one row as a list of values. Decoding, a row must hold exactly
+// want values, one per column; another count fails before the row is
+// allocated.
+func (c *codec) row(row *value.Row, want int) {
+	if c.decoding && c.err == nil && len(c.data)-c.off >= 4 {
+		if n := binary.BigEndian.Uint32(c.data[c.off:]); int64(n) != int64(want) {
+			c.fail(fmt.Errorf("row of %d values for %d columns", n, want))
+			return
+		}
+	}
+	list(c, row, (*codec).value)
 }
 
 // list carries a uint32 count, then each element. Decoding, a count above

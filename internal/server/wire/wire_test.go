@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -317,4 +318,31 @@ func FuzzQueryRoundTrip(f *testing.F) {
 			t.Fatalf("round trip mangled query: %#v", fr)
 		}
 	})
+}
+
+// TestResultSetRowsMatchColumns: a ResultSet row holds one value per column.
+// A row claiming another count fails on its count, before the row is
+// allocated: a 1 MiB frame of no columns and one row claiming 2^20 NULL
+// values allocates well under 2 MiB to be refused (a value for every byte
+// before the check: 41.9 MB). A row one value short or long fails too.
+func TestResultSetRowsMatchColumns(t *testing.T) {
+	body := []byte{byte(TypeResultSet), 0, 0, 0, 0, 0, 0, 0, 1}
+	body = binary.BigEndian.AppendUint32(body, 1<<20)
+	body = append(body, make([]byte, 1<<20)...)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Decode(body)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "row of 1048576 values for 0 columns") {
+		t.Fatalf("decode: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2<<20 {
+		t.Errorf("refusing the row allocated %d bytes", grew)
+	}
+	for _, row := range []value.Row{{value.Int(1)}, {value.Int(1), value.Int(2), value.Int(3)}} {
+		if _, err := Decode(Encode(&ResultSet{Cols: []string{"a", "b"}, Rows: []value.Row{row}})); err == nil {
+			t.Errorf("a row of %d values for 2 columns decoded", len(row))
+		}
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"energydb/internal/db/exec"
 	"energydb/internal/db/plan"
 	"energydb/internal/db/sql"
+	"energydb/internal/db/storage"
 	"energydb/internal/memsim"
 )
 
@@ -29,12 +30,13 @@ const readmeJoin = `SELECT * FROM lineitem JOIN partsupp ON l_suppkey = ps_suppk
 // work bit-identical. A plan change moves these numbers too; then the EXPLAIN
 // goldens say so first.
 //
-// Beside the statements, each configuration pins the load it ran them on
-// (testdata/counters/<engine>-<class>.load.txt, shared by the free and row
-// modes): the counter delta of Setup and the shape of every index it built,
-// so a change to how the B+trees are built or how the hierarchy is walked
-// shows whether it moved the simulated stream, a split point or a node
-// address.
+// Beside the statements, each configuration pins the load it ran them on:
+// the counter delta of Setup and the shape of every index it built, so a
+// change to how the B+trees are built or how the hierarchy is walked shows
+// whether it moved the simulated stream, a split point or a node address.
+// The knob is set before the load, so the row mode loads row-major heaps
+// (testdata/counters/<engine>-<class>.load.txt) and the free mode column
+// heaps (<engine>-<class>-free.load.txt).
 func TestRecordedCounters(t *testing.T) {
 	type config struct {
 		kind    engine.Kind
@@ -52,11 +54,10 @@ func TestRecordedCounters(t *testing.T) {
 	if !testing.Short() {
 		// At 100MB Q1 plans vector mode and Q18 vectorizes its sort. Both
 		// read lineitem through a vector scan and the heap is longer than L3
-		// there, so consecutive scans of it take turns in direction: each
-		// statement is recorded walking it front to back and then back to
-		// front, in this order on a fresh engine, and the label says which
-		// way it went. Q18's loads and adds differ between the two because
-		// its sort compares groups that arrive in another order.
+		// there, so consecutive scans of every column would take turns in
+		// direction; the label says which way each went. Each statement is
+		// recorded twice, in this order on a fresh engine: the columns Q1
+		// and Q18 read fit L3, so both passes of each walk front to back.
 		configs = append(configs, config{engine.PostgreSQL, Size100MB, false, []int{1, 1, 18, 18}})
 	}
 	for _, c := range configs {
@@ -71,7 +72,11 @@ func TestRecordedCounters(t *testing.T) {
 			e.Knobs.DisableVectorExec = c.rowOnly
 			before := e.M.Hier.Counters()
 			Setup(e, c.class)
-			compareRecorded(t, fmt.Sprintf("%s-%s.load", c.kind, c.class), loadRecord(t, e, before))
+			load := fmt.Sprintf("%s-%s.load", c.kind, c.class)
+			if !c.rowOnly {
+				load = fmt.Sprintf("%s-%s-free.load", c.kind, c.class)
+			}
+			compareRecorded(t, load, loadRecord(t, e, before))
 			var b strings.Builder
 			for _, id := range c.ids {
 				label, text := "readme-join", readmeJoin
@@ -88,7 +93,7 @@ func TestRecordedCounters(t *testing.T) {
 				planAndDrain(t, e, label, text)
 				if _, r := lineitem.Data().ScanCounts(); r > reversed {
 					label += " reverse"
-				} else if lineitem.Alternates() {
+				} else if lineitem.Alternates(storage.Reads{}) {
 					label += " forward"
 				}
 				fmt.Fprintf(&b, "%s %+v\n", label, e.M.Hier.Counters().Sub(before))

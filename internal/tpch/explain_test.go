@@ -47,8 +47,9 @@ func TestExplainGolden(t *testing.T) {
 		// even if someone regenerated without reviewing.
 		root = alt
 	}
-	newEngine := func(kind engine.Kind) *engine.Engine {
+	newEngine := func(kind engine.Kind, row bool) *engine.Engine {
 		e := engine.New(kind, cpusim.NewMachine(cpusim.IntelI7_4790()), engine.SettingBaseline)
+		e.Knobs.DisableVectorExec = row
 		Setup(e, Size10MB)
 		return e
 	}
@@ -56,7 +57,7 @@ func TestExplainGolden(t *testing.T) {
 		kind engine.Kind
 		dir  string
 	}{{engine.SQLite, root}, {engine.PostgreSQL, filepath.Join(root, "postgresql")}} {
-		e := newEngine(profile.kind)
+		e := newEngine(profile.kind, false)
 		for _, q := range SQLQueries() {
 			explainGolden(t, e, fmt.Sprintf("Q%d", q.ID), q.Text, filepath.Join(profile.dir, fmt.Sprintf("q%d.txt", q.ID)))
 		}
@@ -65,8 +66,7 @@ func TestExplainGolden(t *testing.T) {
 		}
 	}
 	for _, kind := range engine.Kinds() {
-		e := newEngine(kind)
-		e.Knobs.DisableVectorExec = true
+		e := newEngine(kind, true)
 		for _, op := range BasicOps() {
 			file := strings.ToLower(kind.String()) + "-" + strings.ReplaceAll(op.Name, " ", "-") + ".txt"
 			explainGolden(t, e, op.Name, op.Text, filepath.Join(root, "basic", file))
