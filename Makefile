@@ -130,8 +130,10 @@ BENCHTIME ?= 1s
 # key at a time (Lookup, which every keyed SELECT of point-lookup's warm-up
 # runs), as ns/key and allocs/op (internal/db/btree), what eight scans of a
 # heap of 1.3 × L3 pull out of DRAM walking it the same way every time and
-# taking turns, and the lines and DRAM fills of one scan of Q1's columns of a
-# lineitem-shaped heap laid out row-major and in column runs
+# taking turns, the lines and DRAM fills of one scan of Q1's columns of a
+# lineitem-shaped heap laid out row-major and in column runs, and the loads,
+# lines and DRAM fills per row of a batch fetch of Q6's columns of it in
+# key order
 # (internal/db/storage; simulated cost, once is exact). These are
 # the numbers a memsim, btree, statistics, planner or scan-order change reports before
 # and after; CI runs them
@@ -141,7 +143,7 @@ bench-substrate:
 	$(GO) test -run xxx -bench BenchmarkAnalyze -benchmem -benchtime $(BENCHTIME) ./internal/db/engine/
 	$(GO) test -run xxx -bench BenchmarkPrepare -benchtime $(BENCHTIME) ./internal/db/plan/
 	$(GO) test -run xxx -bench 'BenchmarkLookup|BenchmarkSeekBatch' -benchmem -benchtime $(BENCHTIME) ./internal/db/btree/
-	$(GO) test -run xxx -bench 'BenchmarkHeapRescan|BenchmarkHeapScanLayout' -benchtime 1x ./internal/db/storage/
+	$(GO) test -run xxx -bench 'BenchmarkHeapRescan|BenchmarkHeapScanLayout|BenchmarkHeapFetchLayout' -benchtime 1x ./internal/db/storage/
 
 # The wire and hand-off layer's host cost (internal/server): one client on a
 # loopback energyd sending keyed SELECTs on orders, reported as ns/stmt and
@@ -161,8 +163,9 @@ bench-server:
 # vector differential executor, both wire-protocol surfaces, the cache
 # hierarchy against its reference model, the state equivalence that
 # calibration's credited passes rest on, calibration's closed-form pass
-# against the walk it stands for, and the B+tree's insert/delete/seek
-# against a sorted-slice model. FUZZTIME is overridable for CI smoke runs.
+# against the walk it stands for, the B+tree's insert/delete/seek
+# against a sorted-slice model, and a row-major and a column heap under the
+# same writes, the visibility map's invariant checked after each. FUZZTIME is overridable for CI smoke runs.
 # Each line caps the minimisation of a new input at 2 s, so a run spends its
 # FUZZTIME fuzzing: uncapped, FuzzBtreeDelete stopped executing once its
 # second new input turned up.
@@ -178,3 +181,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzHierarchyState$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/memsim/
 	$(GO) test -run xxx -fuzz '^FuzzThrashPass$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/memsim/
 	$(GO) test -run xxx -fuzz FuzzBtreeDelete -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/db/btree/
+	$(GO) test -run xxx -fuzz FuzzHeapLayouts -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/db/storage/

@@ -398,13 +398,15 @@ func indexBytes(entries int) float64 {
 }
 
 // btreeDescend charges n root-to-leaf descents of an index of the given
-// height over that many entries, as a lone descent (btree's level, a set of
-// one) issues them: per node a header load and btree.Probes binary-search
-// rounds at the node's fill, each a dependent load. The fill follows from the shape — a tree of height h
-// over e entries fans out e^(1/h) a level — and so does the working set: a
-// descent probes the same few lines of whichever node it visits, so what
-// competes for the caches is nodes × probed lines, not the index's bytes.
-func (c *coster) btreeDescend(a *est, n float64, height, entries int) {
+// height over that many entries: per node a header load and btree.Probes
+// binary-search rounds at the node's fill, each a dependent load as a lone
+// descent (btree's level, a set of one) issues them, or independent as
+// SeekBatch issues a batch's descents level by level. The fill follows from
+// the shape — a tree of height h over e entries fans out e^(1/h) a level —
+// and so does the working set: a descent probes the same few lines of
+// whichever node it visits, so what competes for the caches is nodes ×
+// probed lines, not the index's bytes.
+func (c *coster) btreeDescend(a *est, n float64, height, entries int, dependent bool) {
 	if n <= 0 || height <= 0 {
 		return
 	}
@@ -415,7 +417,7 @@ func (c *coster) btreeDescend(a *est, n float64, height, entries int) {
 		nodes += at
 	}
 	visits := n * float64(height)
-	c.randLoad(a, visits*(1+probes), nodes*(1+probes)*memsim.LineSize)
+	c.randLoads(a, visits*(1+probes), nodes*(1+probes)*memsim.LineSize, dependent)
 	a.other += visits * probes
 }
 
@@ -434,13 +436,17 @@ func (c *coster) indexEntries(a *est, n float64, entries int) {
 
 // heapFetch charges n random single-row fetches of node's columns: per row
 // its lines in every run read and the header line of the pool frame holding
-// its tuple header. The row operators' FetchRow, a batch of one, chases
-// both, dependent loads. The batch form's ReadRows (batched) knows every id
+// its tuple header — or, on the share of pages the visibility map marks
+// all-visible (storage.Span.Mapped), the map's line in place of the tuple
+// header and the frame lookup. The row operators' FetchRow, a batch of one,
+// chases both, dependent loads. The batch form's ReadRows (batched) knows every id
 // before it reads one and issues the same lines as independent loads. Its ids
 // come in index-key order, not heap order, so a batched fetch whose rows span
 // more than L3 finds none of its lines cached when the statement runs again —
 // each run evicts its earliest lines before it returns to them — and those
-// lines are priced from DRAM. The row form keeps the capacity blend.
+// lines are priced from DRAM. Otherwise a batched fetch's lines compete
+// with the plan's whole working set, as a scan's stream does (scanHeap). The
+// row form keeps the capacity blend over the heap alone.
 func (c *coster) heapFetch(a *est, n float64, node *Node, batched bool) {
 	if n <= 0 {
 		return
@@ -451,6 +457,8 @@ func (c *coster) heapFetch(a *est, n float64, node *Node, batched bool) {
 	set := heapBytes(node)
 	if batched && math.Min(set, n*lines*memsim.LineSize) > c.l3Bytes {
 		set = math.Inf(1)
+	} else if batched {
+		set = math.Max(set, c.footprint)
 	}
 	c.randLoads(a, n*lines*r, set, !batched)
 	if r < 1 {
@@ -458,8 +466,13 @@ func (c *coster) heapFetch(a *est, n float64, node *Node, batched bool) {
 		c.coldLines(a, n*(1-r)*pageLines)
 		a.l1d += n * (1 - r) * lines
 	}
-	// Pool frame lookup: the header line of whichever page holds the row.
-	c.randLoads(a, n, math.Ceil(heapBytes(node)/float64(c.e.Knobs.PageBytes))*memsim.LineSize, !batched)
+	// Pool frame lookup: the header line of whichever page holds the row, or
+	// the visibility map's line. At one bit a page a line maps 512 pages, so
+	// the map is a line or a few, priced as one.
+	c.randLoads(a, n*(1-sp.Mapped), math.Ceil(heapBytes(node)/float64(c.e.Knobs.PageBytes))*memsim.LineSize, !batched)
+	if sp.Mapped > 0 {
+		c.randLoads(a, n*sp.Mapped, memsim.LineSize, !batched)
+	}
 }
 
 // writeRows charges what the storage layer issues for n rows an UPDATE or
@@ -493,7 +506,7 @@ func (c *coster) writeRows(a *est, n float64, node *Node, del bool) {
 		a.l1d += dead
 		a.reg2 += dead
 		for _, tree := range t.Indexes {
-			c.btreeDescend(a, dead, tree.Height(), tree.Len())
+			c.btreeDescend(a, dead, tree.Height(), tree.Len(), true)
 			a.reg2 += dead
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"energydb/internal/db/engine"
 	"energydb/internal/db/exec"
 	"energydb/internal/db/sql"
+	"energydb/internal/db/storage"
 	"energydb/internal/db/txn"
 	"energydb/internal/db/value"
 )
@@ -60,10 +61,17 @@ func (p *Prepared) drain(op exec.Operator) (int, error) {
 	return exec.Drain(op)
 }
 
-// readOf is the read half of an UPDATE or DELETE: every column of the rows
-// of table that pass where.
-func readOf(table string, where sql.Node) *sql.SelectStmt {
-	return &sql.SelectStmt{Items: []sql.SelectItem{{Star: true}}, From: table, Where: where}
+// readOf is the read half of an UPDATE or DELETE: the rows of table that
+// pass where, read for the columns where tests and the SET expressions take
+// as input. The write itself gets the whole row (the heap hands a scan or a
+// fetch every column), so only the runs the read names are priced and
+// loaded; planned as a write (newPlanCtx), the read keeps the tuple headers.
+func readOf(table string, where sql.Node, sets []sql.SetClause) *sql.SelectStmt {
+	items := make([]sql.SelectItem, len(sets))
+	for i, sc := range sets {
+		items[i].Expr = sc.Expr
+	}
+	return &sql.SelectStmt{Items: items, From: table, Where: where}
 }
 
 // buildWrite puts the write node of an UPDATE (sets non-empty) or DELETE over
@@ -74,6 +82,7 @@ func (pc *planCtx) buildWrite(scan *Node, sets []sql.SetClause) (*Node, error) {
 	w := &Node{
 		Kind: opWrite, Kids: []*Node{scan},
 		Table: t, TableName: pc.rels[0].name,
+		reads:   storage.Reads{}.Writing(), // a store writes every run
 		schema:  schema,
 		EstRows: scan.EstRows,
 	}

@@ -149,6 +149,9 @@ type planCtx struct {
 	rels []*rel // in join order (buildLogical)
 	// star disables column pruning (SELECT * needs every column).
 	star bool
+	// write marks the read of an UPDATE or DELETE: its scans and fetches
+	// read tuple headers whatever the visibility map says (Reads.Writing).
+	write bool
 	// topRefs are the columns referenced above the join chain; need adds
 	// the join keys and residuals, which every access path of a relation
 	// reads beside the conjuncts it tests itself (readsOf).
@@ -159,8 +162,8 @@ type planCtx struct {
 	pin map[string]opKind
 }
 
-func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, rels []*rel) *planCtx {
-	pc := &planCtx{e: e, c: newCoster(e), stmt: stmt, rels: rels, topRefs: map[string]bool{}}
+func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, rels []*rel, write bool) *planCtx {
+	pc := &planCtx{e: e, c: newCoster(e), stmt: stmt, rels: rels, write: write, topRefs: map[string]bool{}}
 	for _, it := range stmt.Items {
 		if it.Star {
 			pc.star = true
@@ -189,7 +192,8 @@ func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, rels []*rel) *planCtx {
 
 // readsOf is what a scan or fetch of r that tests conds reads of its heap:
 // the columns of r that conds or the rest of the statement name — the select
-// list, the joins, the residuals — or every column under SELECT *.
+// list, the joins, the residuals — or every column under SELECT *; a write's
+// read keeps the tuple headers.
 func (pc *planCtx) readsOf(r *rel, conds []sql.Node) storage.Reads {
 	need := maps.Clone(pc.need)
 	for _, c := range conds {
@@ -200,6 +204,9 @@ func (pc *planCtx) readsOf(r *rel, conds []sql.Node) storage.Reads {
 		if need[c.Name] || pc.star {
 			cols = append(cols, i)
 		}
+	}
+	if pc.write {
+		return r.t.File.Data().Reads(cols).Writing()
 	}
 	return r.t.File.Data().Reads(cols)
 }
@@ -614,10 +621,10 @@ func chargeRow(n *Node, k cards, s exec.Sink) {
 // pass: sortCompares prices its comparator loads with a merge-level
 // locality model, not a random blend. The hash table's, group table's and
 // gather's loads are charges (exec.Sink.Random), priced where
-// chargeRow/chargeVec evaluate them. The batch heap fetch is priced on its
-// own independent schedule (heapFetch); both modes price SeekBatch's
-// descents on the row executor's dependent schedule, although a batch
-// issues them level by level (DESIGN.md §14).
+// chargeRow/chargeVec evaluate them. The batch heap fetch and a batch
+// join's descents (SeekBatch, level by level) are priced on the independent
+// schedule they are issued on, the row forms' on the dependent one
+// (DESIGN.md §14).
 func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 	c := pc.c
 	switch n.Kind {
@@ -625,12 +632,12 @@ func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 		c.scanHeap(a, n, vector)
 	case opIndexScan:
 		tree := n.Table.Index(n.IdxCol)
-		c.btreeDescend(a, 1, tree.Height(), tree.Len())
+		c.btreeDescend(a, 1, tree.Height(), tree.Len(), true)
 		c.indexEntries(a, k.scanned, tree.Len())
 		c.heapFetch(a, k.scanned, n, vector)
 	case opIndexJoin:
 		tree := n.Table.Index(n.InnerColName)
-		c.btreeDescend(a, k.in, tree.Height(), tree.Len())
+		c.btreeDescend(a, k.in, tree.Height(), tree.Len(), !vector)
 		c.indexEntries(a, k.matches, tree.Len())
 		c.heapFetch(a, k.matches, n, vector)
 	case opSort:
@@ -679,17 +686,20 @@ func (pc *planCtx) planFootprint(n *Node) float64 {
 	return total
 }
 
-// recostScans re-prices every sequential scan, in its mode, after the coster
-// learns the plan-wide footprint; vecConsumer is set when n's parent runs
-// vector. Access-path and join choices were made with the optimistic
-// (footprint-free) estimates — those compare candidates under equal cache
-// pressure, which is what a choice needs — but the *absolute* numbers
-// EXPLAIN reports must reflect the eviction the full plan causes.
+// recostScans re-prices every sequential scan, in its mode, and every vector
+// index scan after the coster learns the plan-wide footprint; vecConsumer is
+// set when n's parent runs vector. Access-path and join choices were made
+// with the optimistic (footprint-free) estimates — those compare candidates
+// under equal cache pressure, which is what a choice needs — but the
+// *absolute* numbers EXPLAIN reports must reflect the eviction the full plan
+// causes. A vector index scan is re-priced too because choosePlan settles it
+// against its sequential candidate on these prices: re-pricing only the
+// sequential side would weigh the two under unequal pressure.
 func (pc *planCtx) recostScans(n *Node, vecConsumer bool) {
 	for _, k := range n.Kids {
 		pc.recostScans(k, n.Mode == ModeVector)
 	}
-	if n.Kind != opSeqScan {
+	if n.Kind != opSeqScan && (n.Kind != opIndexScan || n.Mode != ModeVector) {
 		return
 	}
 	if n.Mode == ModeVector {

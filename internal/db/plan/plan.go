@@ -64,9 +64,9 @@ func preparePinned(e *engine.Engine, stmt sql.Statement, pin map[string]opKind) 
 	case *sql.SelectStmt:
 		read, write = s, false
 	case *sql.UpdateStmt:
-		read, sets = readOf(s.Table, s.Where), s.Sets
+		read, sets = readOf(s.Table, s.Where, s.Sets), s.Sets
 	case *sql.DeleteStmt:
-		read = readOf(s.Table, s.Where)
+		read = readOf(s.Table, s.Where, nil)
 	default:
 		return nil, fmt.Errorf("plan: %T has no plan", stmt)
 	}
@@ -74,7 +74,7 @@ func preparePinned(e *engine.Engine, stmt sql.Statement, pin map[string]opKind) 
 	if err != nil {
 		return nil, err
 	}
-	pc := newPlanCtx(e, read, rels)
+	pc := newPlanCtx(e, read, rels, write)
 	pc.pin = pin
 	root, err := pc.buildChain()
 	if err != nil {

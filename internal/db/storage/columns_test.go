@@ -27,10 +27,10 @@ func colRow(i int) value.Row {
 	return value.Row{value.Int(int64(i)), value.Float(float64(i) / 4), value.Str(fmt.Sprint("t", i%7))}
 }
 
-// loadHeap bulk-loads n rows of colSchema behind a 24-byte tuple header, laid
-// out as layout says.
-func loadHeap(dev *Device, poolBytes, n int, layout Layout) *HeapFile {
-	hf := NewHeapFile(dev, NewBufferPool(dev, poolBytes, 8<<10), colSchema(), 24, layout)
+// loadHeap bulk-loads n rows of colSchema behind a 24-byte tuple header into
+// pages of pageBytes, laid out as layout says.
+func loadHeap(dev *Device, poolBytes, pageBytes, n int, layout Layout) *HeapFile {
+	hf := NewHeapFile(dev, NewBufferPool(dev, poolBytes, pageBytes), colSchema(), 24, layout)
 	for i := 0; i < n; i++ {
 		hf.Append(colRow(i))
 	}
@@ -88,17 +88,19 @@ func lines(seq []access, kind memsim.AccessKind, addr, n uint64) []access {
 }
 
 // TestColumnRunSequences pins the exact loads and stores each access path
-// issues on a column heap: only the header run's pages cost a header load,
-// and only the runs of the columns read are touched.
+// issues on a column heap when it reads tuple headers — a write's read, which
+// does whatever the visibility map says: only the header run's pages cost a
+// header load, and only the runs of the columns read are touched. The first
+// write to an all-visible page stores the map's line before the slot.
 func TestColumnRunSequences(t *testing.T) {
 	dev := newDev(t)
-	hf := loadHeap(dev, 1<<20, 2000, Columns)
+	hf := loadHeap(dev, 1<<20, 8<<10, 2000, Columns)
 	d := hf.data
 	if d.Layout() != Columns || len(d.runs) != 4 {
 		t.Fatalf("layout %v with %d runs, want a header run and three columns", d.Layout(), len(d.runs))
 	}
 	hdr, val, tag := 0, d.colRun[1], d.colRun[2]
-	valOnly, tagOnly := d.Reads([]int{1}), d.Reads([]int{2})
+	valOnly, tagOnly := d.Reads([]int{1}).Writing(), d.Reads([]int{2}).Writing()
 	mgr := txn.NewManager()
 	dev.Snap = mgr.Pin()
 	drainBatches(hf.BatchScan(512, Reads{})) // every page resident
@@ -173,7 +175,7 @@ func TestColumnRunSequences(t *testing.T) {
 
 	t.Run("slot store", func(t *testing.T) {
 		id := 42
-		want := []access{{memsim.AccessLoadDep, header(t, hf, hdr, id)}}
+		want := []access{{memsim.AccessStore, hf.mapLine(0)}, {memsim.AccessLoadDep, header(t, hf, hdr, id)}}
 		for _, k := range d.all {
 			want = lines(want, memsim.AccessStore, slot(t, hf, k, id), uint64(d.runs[k].width))
 		}
@@ -234,23 +236,298 @@ func drainBatches(sc *BatchScanner) {
 	}
 }
 
-// TestRowAndColumnHeapsAgree loads the same rows into a row-major and a
-// column heap, runs the same seeded inserts, updates, deletes and aborts on
-// both, and reads them back on every access path — Scan, BatchScan, ReadRow,
-// FetchRow and ReadRows — under every column set and several snapshots: the
-// rows, the ids and what each snapshot sees must be the same.
-func TestRowAndColumnHeapsAgree(t *testing.T) {
-	const n = 600
-	rng := rand.New(rand.NewSource(7))
+// TestVisibilityMapSequences pins the exact loads and stores of the reads
+// the visibility map changes. On an all-visible page a scan batch, a grouped
+// fetch and a lone fetch load the map's line in place of the header run's
+// page and tuple headers, and read only their columns' runs. A page an
+// UPDATE, a DELETE, an INSERT or an aborted INSERT has written is read with
+// its headers again, as a write's read always is. A row-major heap keeps no
+// map and issues what it always did.
+func TestVisibilityMapSequences(t *testing.T) {
+	load := func(layout Layout) (*Device, *HeapFile, *txn.Manager) {
+		dev := newDev(t)
+		hf := loadHeap(dev, 1<<20, 8<<10, 2000, layout)
+		mgr := txn.NewManager()
+		dev.Snap = mgr.Pin()
+		drainBatches(hf.BatchScan(512, Reads{})) // every page resident
+		return dev, hf, mgr
+	}
+	// check records fn and compares what it issued with want.
+	check := func(t *testing.T, dev *Device, want []access, fn func()) {
+		t.Helper()
+		if got := record(dev, fn); !slices.Equal(got, want) {
+			t.Errorf("issued\n%v\nwant\n%v", got, want)
+		}
+	}
+	fetch := func(t *testing.T, hf *HeapFile, id int, r Reads) {
+		if _, ok, err := hf.FetchRow(id, r); err != nil || !ok {
+			t.Fatalf("row %d: visible %v, err %v", id, ok, err)
+		}
+	}
+	// headerFetch is a lone fetch of tag that reads slot id's tuple header.
+	headerFetch := func(t *testing.T, hf *HeapFile, id int) []access {
+		tag := hf.data.colRun[2]
+		at := slot(t, hf, tag, id)
+		want := []access{
+			{memsim.AccessLoadDep, header(t, hf, 0, id)},
+			{memsim.AccessLoadDep, slot(t, hf, 0, id)},
+			{memsim.AccessLoadInd, at},
+		}
+		return lines(want, memsim.AccessLoadInd, at+memsim.LineSize, uint64(hf.data.runs[tag].width-memsim.LineSize))
+	}
+
+	t.Run("all-visible", func(t *testing.T) {
+		dev, hf, _ := load(Columns)
+		d := hf.data
+		val, tag := d.colRun[1], d.colRun[2]
+		valOnly, tagOnly := d.Reads([]int{1}), d.Reads([]int{2})
+		per := d.runs[0].perPage
+
+		t.Run("scan batch", func(t *testing.T) {
+			sc := hf.BatchScan(512, valOnly)
+			sc.NextBatch()
+			// Header pages 2 and 3 are new to the second batch; page 1 it
+			// shares with the first, which loaded its map line already.
+			var want []access
+			for p := 512 / per; p <= 1023/per; p++ {
+				if p != 511/per {
+					want = append(want, access{memsim.AccessLoadDep, hf.mapLine(p)})
+				}
+			}
+			r := d.runs[val]
+			for id := 512; id < 1024; {
+				n := min(r.perPage-id%r.perPage, 1024-id)
+				want = lines(want, memsim.AccessLoadInd, slot(t, hf, val, id), uint64(n*r.width))
+				id += n
+			}
+			check(t, dev, want, func() { sc.NextBatch() })
+		})
+
+		t.Run("grouped fetch", func(t *testing.T) {
+			ids := []int{1500, 3, 700}
+			var want []access
+			for _, id := range ids {
+				want = append(want, access{memsim.AccessLoadInd, hf.mapLine(id / per)}, access{memsim.AccessLoadInd, slot(t, hf, val, id)})
+			}
+			check(t, dev, want, func() {
+				if err := hf.ReadRows(ids, make([]value.Row, len(ids)), valOnly, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+
+		t.Run("lone fetch", func(t *testing.T) {
+			id := 1234
+			at := slot(t, hf, tag, id)
+			want := []access{{memsim.AccessLoadDep, hf.mapLine(id / per)}, {memsim.AccessLoadInd, at}}
+			want = lines(want, memsim.AccessLoadInd, at+memsim.LineSize, uint64(d.runs[tag].width-memsim.LineSize))
+			check(t, dev, want, func() { fetch(t, hf, id, tagOnly) })
+		})
+
+		t.Run("write's read", func(t *testing.T) {
+			check(t, dev, headerFetch(t, hf, 1234), func() { fetch(t, hf, 1234, tagOnly.Writing()) })
+		})
+	})
+
+	// Each write clears its page's bit, storing the map's line first; the
+	// page is then read with its headers, and its neighbours still are not.
+	for _, c := range []struct {
+		name  string
+		id    int // a slot of the written page to read back
+		write func(*HeapFile, *txn.Manager) error
+	}{
+		{"committed update", 420, func(hf *HeapFile, mgr *txn.Manager) error {
+			tx := mgr.Begin()
+			if _, err := hf.UpdateTxn(tx, 400, colRow(9)); err != nil {
+				return err
+			}
+			_, err := mgr.Commit(tx)
+			return err
+		}},
+		{"delete stamp", 420, func(hf *HeapFile, mgr *txn.Manager) error {
+			tx := mgr.Begin()
+			if err := hf.DeleteTxn(tx, 400); err != nil {
+				return err
+			}
+			_, err := mgr.Commit(tx)
+			return err
+		}},
+		{"insert onto the load's last page", 1999, func(hf *HeapFile, mgr *txn.Manager) error {
+			tx := mgr.Begin()
+			hf.InsertTxn(tx, colRow(2000))
+			_, err := mgr.Commit(tx)
+			return err
+		}},
+		{"aborted insert", 1999, func(hf *HeapFile, mgr *txn.Manager) error {
+			tx := mgr.Begin()
+			hf.InsertTxn(tx, colRow(2000))
+			return mgr.Abort(tx)
+		}},
+		{"replayed insert past the end", 1999, func(hf *HeapFile, mgr *txn.Manager) error {
+			tx := mgr.Begin()
+			if err := hf.InsertAtTxn(tx, 2800, colRow(2800)); err != nil {
+				return err
+			}
+			_, err := mgr.Commit(tx)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dev, hf, mgr := load(Columns)
+			per := hf.data.runs[0].perPage
+			page := c.id / per
+			got := record(dev, func() {
+				if err := c.write(hf, mgr); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if len(got) == 0 || got[0] != (access{memsim.AccessStore, hf.mapLine(page)}) {
+				t.Errorf("the write issued %v first, want the store of the map's line %#x", got[:min(len(got), 1)], hf.mapLine(page))
+			}
+			dev.Snap = mgr.Pin()
+			checkAllVisible(t, hf.data, []txn.Snap{dev.Snap})
+			// Of the load's pages, all but the written one stay all-visible.
+			loaded, pages := (2000+per-1)/per, (hf.RowCount()+per-1)/per
+			if got, want := hf.data.Span(Reads{}).Mapped, float64(loaded-1)/float64(pages); got != want {
+				t.Errorf("the planner sees %v of the pages all-visible, want %v", got, want)
+			}
+			tagOnly := hf.data.Reads([]int{2})
+			check(t, dev, headerFetch(t, hf, c.id), func() { fetch(t, hf, c.id, tagOnly) })
+			other := (page - 1) * per
+			at := slot(t, hf, hf.data.colRun[2], other)
+			want := lines([]access{{memsim.AccessLoadDep, hf.mapLine(page - 1)}, {memsim.AccessLoadInd, at}}, memsim.AccessLoadInd, at+memsim.LineSize, uint64(hf.data.runs[hf.data.colRun[2]].width-memsim.LineSize))
+			check(t, dev, want, func() { fetch(t, hf, other, tagOnly) })
+		})
+	}
+
+	// A row-major heap issues the sequences it always did: a header load per
+	// page, the whole slot streamed, and no map anywhere.
+	t.Run("row-major", func(t *testing.T) {
+		dev, hf, mgr := load(Rows)
+		r := hf.data.runs[0]
+		all := hf.data.Reads([]int{1})
+		if !slices.Equal(hf.data.touched(all), []int{0}) {
+			t.Fatalf("a row-major read touches runs %v", hf.data.touched(all))
+		}
+		tx := mgr.Begin()
+		if _, err := hf.UpdateTxn(tx, 700, colRow(9)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mgr.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		dev.Snap = mgr.Pin()
+		sc := hf.BatchScan(512, all)
+		sc.NextBatch()
+		var want []access
+		for id := 512; id < 1024; {
+			n := min(r.perPage-id%r.perPage, 1024-id)
+			if id/r.perPage != 511/r.perPage {
+				want = append(want, access{memsim.AccessLoadDep, header(t, hf, 0, id)})
+			}
+			want = lines(want, memsim.AccessLoadInd, slot(t, hf, 0, id), uint64(n*r.width))
+			id += n
+		}
+		check(t, dev, want, func() { sc.NextBatch() })
+
+		ids := []int{1500, 3, 700}
+		want = nil
+		for _, id := range ids {
+			want = append(want, access{memsim.AccessLoadInd, header(t, hf, 0, id)})
+		}
+		for _, id := range ids {
+			at := slot(t, hf, 0, id)
+			want = lines(append(want, access{memsim.AccessLoadInd, at}), memsim.AccessLoadInd, at+memsim.LineSize, uint64(r.width-memsim.LineSize))
+		}
+		check(t, dev, want, func() {
+			if err := hf.ReadRows(ids, make([]value.Row, len(ids)), all, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+
+		at := slot(t, hf, 0, 1234)
+		want = lines([]access{{memsim.AccessLoadDep, header(t, hf, 0, 1234)}, {memsim.AccessLoadDep, at}}, memsim.AccessLoadInd, at+memsim.LineSize, uint64(r.width-memsim.LineSize))
+		check(t, dev, want, func() { fetch(t, hf, 1234, all) })
+		if hf.data.vm != nil || len(dev.maps) != 0 || hf.data.Span(all).Mapped != 0 {
+			t.Errorf("a row-major heap keeps a visibility map: %d entries, %d placed, share %v", len(hf.data.vm), len(dev.maps), hf.data.Span(all).Mapped)
+		}
+	})
+}
+
+// heapOps encodes as bytes the operations TestRowAndColumnHeapsAgree draws
+// from a math/rand source of the given seed, two bytes a draw, so that
+// checkHeapLayouts decodes them into the same sequence.
+func heapOps(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	var ops []byte
+	draw := func(n int) int {
+		v := rng.Intn(n)
+		ops = append(ops, byte(v>>8), byte(v))
+		return v
+	}
+	rows := heapOpsRows
+	for round := 0; round < heapOpsRounds; round++ {
+		for i := 0; i < heapOpsPerRound; i++ {
+			draw(rows)
+			if draw(3) == 0 {
+				rows++
+			}
+		}
+	}
+	return ops
+}
+
+// The shape of checkHeapLayouts' runs: the rows loaded, and at most this
+// many transactions of this many operations each, every third one aborted.
+const heapOpsRows, heapOpsRounds, heapOpsPerRound = 600, 6, 40
+
+// TestRowAndColumnHeapsAgree runs checkHeapLayouts on the operations of
+// math/rand seed 7.
+func TestRowAndColumnHeapsAgree(t *testing.T) { checkHeapLayouts(t, heapOps(7)) }
+
+// FuzzHeapLayouts runs checkHeapLayouts on operation sequences drawn from
+// fuzz bytes; the seed corpus holds TestRowAndColumnHeapsAgree's.
+func FuzzHeapLayouts(f *testing.F) {
+	for _, seed := range []int64{7, 1, 2} {
+		f.Add(heapOps(seed))
+	}
+	f.Fuzz(checkHeapLayouts)
+}
+
+// checkHeapLayouts loads the same rows into a row-major and a column heap,
+// runs the same inserts, updates, deletes and aborts, decoded from ops, on
+// both, and reads them back on every access path — Scan, BatchScan,
+// ReadRow, FetchRow and ReadRows — under every column set and every
+// snapshot taken between transactions: the rows, the ids and what each
+// snapshot sees must be the same. After every operation each slot of a page
+// the column heap's visibility map marks all-visible must resolve visible,
+// with no chain hop, under every snapshot there is.
+func checkHeapLayouts(t *testing.T, ops []byte) {
 	dev := newDev(t)
-	heaps := [2]*HeapFile{loadHeap(dev, 256<<10, n, Rows), loadHeap(dev, 256<<10, n, Columns)}
+	// 1 KiB pages: 41 tuple headers a page, so the column heap's map has
+	// fifteen bits and most of them outlive the first writes.
+	heaps := [2]*HeapFile{loadHeap(dev, 256<<10, 1<<10, heapOpsRows, Rows), loadHeap(dev, 256<<10, 1<<10, heapOpsRows, Columns)}
+	// draw decodes the next draw of one of n values; ok is false once ops
+	// are spent.
+	draw := func(n int) (int, bool) {
+		if len(ops) < 2 {
+			return 0, false
+		}
+		v := int(ops[0])<<8 | int(ops[1])
+		ops = ops[2:]
+		return v % n, true
+	}
 	mgr := txn.NewManager()
 	snaps := []txn.Snap{mgr.Pin()}
-	for round := 0; round < 6; round++ {
+	for round := 0; round < heapOpsRounds && len(ops) > 0; round++ {
 		tx := mgr.Begin()
-		for i := 0; i < 40; i++ {
-			id := rng.Intn(heaps[0].RowCount())
-			switch rng.Intn(3) {
+		for i := 0; i < heapOpsPerRound; i++ {
+			id, ok := draw(heaps[0].RowCount())
+			kind, ok2 := draw(3)
+			if !ok || !ok2 {
+				break
+			}
+			switch kind {
 			case 0:
 				for _, hf := range heaps {
 					hf.InsertTxn(tx, colRow(1000+round*100+i))
@@ -269,6 +546,7 @@ func TestRowAndColumnHeapsAgree(t *testing.T) {
 					}
 				}
 			}
+			checkAllVisible(t, heaps[1].data, append(snaps, tx.Snap(), txn.Latest()))
 		}
 		if round%3 == 2 {
 			if err := mgr.Abort(tx); err != nil {
@@ -278,6 +556,7 @@ func TestRowAndColumnHeapsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		snaps = append(snaps, mgr.Pin())
+		checkAllVisible(t, heaps[1].data, append(snaps, txn.Latest()))
 	}
 	for _, snap := range snaps {
 		dev.Snap = snap
@@ -319,5 +598,87 @@ func TestRowAndColumnHeapsAgree(t *testing.T) {
 				t.Fatalf("columns %v: the column heap read %d entries, the row-major one %d", cols, len(dump[1]), len(dump[0]))
 			}
 		}
+	}
+}
+
+// checkAllVisible fails t if a slot of a page d's visibility map marks
+// all-visible resolves invisible, or past a chain hop, under one of snaps.
+func checkAllVisible(t *testing.T, d *TableData, snaps []txn.Snap) {
+	t.Helper()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	per := d.runs[0].perPage
+	for id, v := range d.slots {
+		if !d.allVisible(id / per) {
+			continue
+		}
+		for _, snap := range snaps {
+			if row, hops := resolve(v, snap); row == nil || hops != 0 {
+				t.Fatalf("slot %d of all-visible page %d resolves to %v after %d hops under snapshot %+v", id, id/per, row, hops, snap)
+			}
+		}
+	}
+}
+
+// TestBatchScanBesideWriter batch-scans a column heap on one view while a
+// writer on a second view of the same TableData updates, deletes and inserts
+// rows, clearing map bits as it goes. Under the snapshot the scan pinned
+// before the writes every pass must see exactly the loaded rows; under -race
+// it also checks that the map is read and written only under the table lock.
+func TestBatchScanBesideWriter(t *testing.T) {
+	const n = 3000
+	devR, devW := newDev(t), newDev(t)
+	scan := loadHeap(devR, 1<<20, 8<<10, n, Columns)
+	write := scan.Data().View(devW, NewBufferPool(devW, 1<<20, 8<<10))
+	mgr := txn.NewManager()
+	devR.Snap = mgr.Pin()
+	done := make(chan error, 1)
+	go func() {
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 300; i++ {
+			tx := mgr.Begin()
+			id := rng.Intn(n / 2) // the pages of the second half stay all-visible
+			var err error
+			switch i % 3 {
+			case 0:
+				_, err = write.UpdateTxn(tx, id, colRow(n+i))
+			case 1:
+				err = write.DeleteTxn(tx, id)
+			default:
+				write.InsertTxn(tx, colRow(n+i))
+			}
+			if err == txn.ErrWriteConflict {
+				err = mgr.Abort(tx)
+			} else if err == nil {
+				_, err = mgr.Commit(tx)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	r := scan.Data().Reads([]int{0, 2})
+	for passes, writing := 0, true; writing; passes++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		sc := scan.BatchScan(256, r)
+		for rows, base, ok := sc.NextBatch(); ok; rows, base, ok = sc.NextBatch() {
+			for i, row := range rows {
+				if id := base + i; id < n && !slices.EqualFunc(row, colRow(id), value.Equal) || id >= n && row != nil {
+					t.Fatalf("pass %d: slot %d reads %v under the snapshot before the writes", passes, id, row)
+				}
+			}
+		}
+	}
+	if v := scan.Data().visible.Load(); v == 0 || int(v) == len(scan.Data().vm) {
+		t.Errorf("%d of %d header pages all-visible after the writes: the writer cleared none, or every one", v, len(scan.Data().vm))
 	}
 }

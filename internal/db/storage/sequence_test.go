@@ -75,7 +75,7 @@ func TestFetchRowLoadSequence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, hops, ok := d.row(c.id, c.snap)
+		want, hops, _, ok := d.row(c.id, c.snap)
 		if !ok || hops != c.hops || visible != (want != nil) || !slices.EqualFunc(row, want, value.Equal) {
 			t.Fatalf("%s: read %v (visible %v, %d hops), want %v (%d hops)", c.name, row, visible, hops, want, c.hops)
 		}

@@ -81,6 +81,10 @@ type Device struct {
 	// version's header line in the version store.
 	verBase uint64
 	verOff  uint64
+
+	// maps places each column heap's visibility map (TableData.vm) in this
+	// device's simulated memory, at its first use (HeapFile.mapLine).
+	maps map[*TableData]uint64
 }
 
 // VersionStoreBytes sizes the simulated version-store region chain hops,
@@ -134,6 +138,11 @@ func (dev *Device) ChargeUndo(n int) { dev.versions(n, true) }
 // manager's stamping loop itself is machine-free (it is shared across
 // workers); the committing worker pays here.
 func (dev *Device) ChargeCommit(n int) { dev.versions(n, true) }
+
+// VisibilityMapBytes sizes the simulated region a column heap's visibility
+// map takes on a device: one bit per tuple-header page, 32 768 pages before
+// the map's lines repeat.
+const VisibilityMapBytes = 4 << 10
 
 // DiskModel gives per-page read latencies for the local SATA drive of the
 // paper's testbed plus the OS page-cache hit cost. Sequential reads ride OS
@@ -447,6 +456,16 @@ type TableData struct {
 	// heap tuple header, InnoDB's record header, ...), an engine knob.
 	TupleOverhead int
 
+	// vm is a column heap's visibility map, one entry per page of the
+	// tuple-header run: true while every slot on the page was bulk-loaded
+	// (Append) and no write has changed a head there since, so every snapshot
+	// sees each of its slots at the head, with no chain hop. A read that
+	// consults it (Reads) loads the map's line for such a page in place of
+	// its tuple headers. Nil on a row-major heap, which keeps no map. Guarded
+	// by mu; visible counts its true entries, for the planner, without it.
+	vm      []bool
+	visible atomic.Int64
+
 	// dead queues the slots a DeleteTxn stamped or an aborted InsertTxn left
 	// behind, until Reap finds them out of every snapshot's reach.
 	dead []int
@@ -510,17 +529,18 @@ func (d *TableData) rowCount() int {
 }
 
 // row resolves slot id against snap under the read lock: row is nil when no
-// version is visible, hops counts chain hops past the head, ok is false
+// version is visible, hops counts chain hops past the head, all reports
+// whether the visibility map marks the slot's page all-visible, ok is false
 // only when id is out of range. Returned rows are immutable payloads, so
 // they stay valid after the lock is released.
-func (d *TableData) row(id int, snap txn.Snap) (row value.Row, hops int, ok bool) {
+func (d *TableData) row(id int, snap txn.Snap) (row value.Row, hops int, all, ok bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if id < 0 || id >= len(d.slots) {
-		return nil, 0, false
+		return nil, 0, false, false
 	}
 	row, hops = resolve(d.slots[id], snap)
-	return row, hops, true
+	return row, hops, d.allVisible(id / d.runs[0].perPage), true
 }
 
 // ForEachRaw visits the latest committed version of every slot under the
@@ -563,12 +583,14 @@ func (d *TableData) LiveCount() int {
 
 // rowSpan resolves up to len(dst) slots starting at lo against snap under
 // one read lock. Invisible slots leave nil holes in dst. It returns the
-// number of slots examined and the total chain hops taken.
-func (d *TableData) rowSpan(lo int, dst []value.Row, snap txn.Snap) (n, hops int) {
+// number of slots examined and the total chain hops taken, and appends to
+// vis, for each tuple-header page the slots lie on, whether the visibility
+// map marks it all-visible (nothing on a row-major heap).
+func (d *TableData) rowSpan(lo int, dst []value.Row, snap txn.Snap, vis []bool) (n, hops int, _ []bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if lo < 0 || lo >= len(d.slots) {
-		return 0, 0
+		return 0, 0, vis
 	}
 	n = len(d.slots) - lo
 	if n > len(dst) {
@@ -581,7 +603,47 @@ func (d *TableData) rowSpan(lo int, dst []value.Row, snap txn.Snap) (n, hops int
 		dst[i] = row
 		hops += h
 	}
-	return n, hops
+	if d.vm != nil {
+		per := d.runs[0].perPage
+		for p := lo / per; p <= (lo+n-1)/per; p++ {
+			vis = append(vis, d.allVisible(p))
+		}
+	}
+	return n, hops, vis
+}
+
+// allVisible reports whether the visibility map marks tuple-header page p
+// all-visible; the caller holds the lock.
+func (d *TableData) allVisible(p int) bool { return p < len(d.vm) && d.vm[p] }
+
+// loaded extends the visibility map over slot id, which Append just filled
+// under the write lock: a page the bulk load opens is all-visible, and a page
+// it continues keeps its bit.
+func (d *TableData) loaded(id int) {
+	if d.Layout() == Columns && id/d.runs[0].perPage == len(d.vm) {
+		d.vm = append(d.vm, true)
+		d.visible.Add(1)
+	}
+}
+
+// written clears the all-visible bit of slot id's page, whose head a write
+// just changed under the write lock, extending the map over any page the
+// write opens. It reports whether a set bit was cleared, which the writer
+// then stores to its device's copy of the map (HeapFile.cleared).
+func (d *TableData) written(id int) bool {
+	if d.Layout() == Rows {
+		return false
+	}
+	p := id / d.runs[0].perPage
+	for len(d.vm) <= p {
+		d.vm = append(d.vm, false)
+	}
+	if !d.vm[p] {
+		return false
+	}
+	d.vm[p] = false
+	d.visible.Add(-1)
+	return true
 }
 
 var nextFileID atomic.Int64
@@ -605,8 +667,24 @@ type run struct{ file, width, perPage int }
 
 // Reads is what a read of some columns touches in one heap: the header run
 // and each run holding one of the columns, in run order. The zero Reads
-// touches every run.
-type Reads struct{ runs []int }
+// touches every run. On a column heap a read consults the visibility map
+// and skips the header run on an all-visible page, unless it is a write's
+// read (Writing).
+type Reads struct {
+	runs  []int
+	write bool
+}
+
+// Writing returns r as the read of a write: it reads the tuple-header run on
+// every page, all-visible or not, as first-updater-wins tests the head's
+// stamps.
+func (r Reads) Writing() Reads {
+	r.write = true
+	return r
+}
+
+// consults reports whether a read of r consults the visibility map.
+func (d *TableData) consults(r Reads) bool { return d.Layout() == Columns && !r.write }
 
 // Reads resolves a column set against the heap's runs: nil reads every
 // column, an empty set only the tuple headers.
@@ -623,7 +701,7 @@ func (d *TableData) Reads(cols []int) Reads {
 			}
 		}
 	}
-	return Reads{runs}
+	return Reads{runs: runs}
 }
 
 // Layout reports how the heap lays its slots out.
@@ -674,24 +752,59 @@ func (d *TableData) slotAddr(k int, frameAddr uint64, id int) uint64 {
 // share it; a row-major slot is priced at whole lines, as the row scans'
 // price always was. Only the header run's page costs a header load
 // (HeapFile.frame), so a slot read makes one page-frame lookup whatever it
-// reads.
-type Span struct{ Bytes, Lines, Stream float64 }
+// reads. Mapped is the share of the header run's pages the read finds
+// all-visible: on those it reads no tuple header, and its page-frame lookup
+// is a load of the visibility map's line instead, so the header run counts
+// in the other fields for the remaining share only.
+type Span struct{ Bytes, Lines, Stream, Mapped float64 }
 
 // Span is the cost model's view of a read of r: the same geometry every
 // issue path below walks.
 func (d *TableData) Span(r Reads) Span {
 	var sp Span
+	if d.consults(r) {
+		if pages := (d.rowCount() + d.runs[0].perPage - 1) / d.runs[0].perPage; pages > 0 {
+			sp.Mapped = float64(d.visible.Load()) / float64(pages)
+		}
+	}
 	for _, k := range d.touched(r) {
 		w := float64(d.runs[k].width)
 		lines := math.Ceil(w / memsim.LineSize)
-		sp.Bytes += w
-		sp.Lines += lines
+		share := 1.0
+		if k == 0 {
+			share -= sp.Mapped
+		}
+		sp.Bytes += share * w
+		sp.Lines += share * lines
 		if w < memsim.LineSize && len(d.runs) > 1 {
 			lines = w / memsim.LineSize
 		}
-		sp.Stream += lines
+		sp.Stream += share * lines
 	}
 	return sp
+}
+
+// mapLine is the simulated address of the line holding the visibility-map
+// bit of tuple-header page p, in the region the view's device keeps for the
+// heap's map.
+func (hf *HeapFile) mapLine(p int) uint64 {
+	if hf.vmBase == 0 {
+		dev := hf.dev
+		if dev.maps == nil {
+			dev.maps = make(map[*TableData]uint64)
+		}
+		if dev.maps[hf.data] == 0 {
+			dev.maps[hf.data] = dev.Arena.Alloc(VisibilityMapBytes, memsim.LineSize)
+		}
+		hf.vmBase = dev.maps[hf.data]
+	}
+	return hf.vmBase + uint64(p/8)%VisibilityMapBytes/memsim.LineSize*memsim.LineSize
+}
+
+// cleared stores the map bit of slot id's page after a write cleared it
+// (TableData.written).
+func (hf *HeapFile) cleared(id int) {
+	hf.dev.M.Hier.Store(hf.mapLine(id / hf.data.runs[0].perPage))
 }
 
 // At is where a read found its first slot: the slot's address in each run
@@ -733,10 +846,15 @@ type HeapFile struct {
 	// is longer than the last-level cache (see BatchScanner). It belongs to
 	// the view because the caches it speaks of are the view's machine's.
 	reverse bool
-	// frames and slots are the read paths' scratch: the frame each (id, run)
-	// resolved to, and one slot's address in each run.
+	// frames, slots and hops are the read paths' scratch: the frame each
+	// (id, run) resolved to, one slot's address in each run, and each id's
+	// chain hops.
 	frames []int
 	slots  []uint64
+	hops   []int
+	// vmBase is where the device keeps the heap's visibility map, once
+	// mapLine has placed it.
+	vmBase uint64
 }
 
 // NewHeapFile creates an empty heap file on the pool, with fresh shared
@@ -788,13 +906,18 @@ func (hf *HeapFile) Schema() *catalog.Schema { return hf.data.schema }
 func (hf *HeapFile) RowCount() int { return hf.data.rowCount() }
 
 // PageCount returns the number of pages the slots occupy, over every run.
-func (hf *HeapFile) PageCount() int { return hf.pages(hf.data.all) }
+func (hf *HeapFile) PageCount() int { return hf.pages(hf.data.all, false) }
 
-// pages returns the number of pages the slots occupy in the given runs.
-func (hf *HeapFile) pages(runs []int) int {
+// pages returns the number of pages the slots occupy in the given runs, the
+// header run's all-visible ones left out when mapped (a read that consults
+// the map fetches none of them).
+func (hf *HeapFile) pages(runs []int, mapped bool) int {
 	n, total := hf.data.rowCount(), 0
 	for _, k := range runs {
 		total += (n + hf.data.runs[k].perPage - 1) / hf.data.runs[k].perPage
+	}
+	if mapped {
+		total -= int(hf.data.visible.Load())
 	}
 	return total
 }
@@ -826,6 +949,7 @@ func (hf *HeapFile) Append(r value.Row) int {
 	d.mu.Lock()
 	id := len(d.slots)
 	d.slots = append(d.slots, v)
+	d.loaded(id)
 	d.mu.Unlock()
 	d.changes.Add(1)
 	hf.storeSlot(id, true, false, false)
@@ -927,9 +1051,13 @@ func (hf *HeapFile) InsertTxn(t *txn.Txn, r value.Row) int {
 	d.mu.Lock()
 	id := len(d.slots)
 	d.slots = append(d.slots, v)
+	cleared := d.written(id)
 	d.mu.Unlock()
 	d.changes.Add(1)
 	t.Log(&insertRecord{d: d, id: id, v: v})
+	if cleared {
+		hf.cleared(id)
+	}
 	hf.storeSlot(id, true, false, true)
 	return id
 }
@@ -950,13 +1078,21 @@ func (hf *HeapFile) InsertAtTxn(t *txn.Txn, id int, r value.Row) error {
 		d.mu.Unlock()
 		return fmt.Errorf("storage: replay slot %d already allocated (have %d)", id, n)
 	}
+	// Of the pages this write reaches, only the first can be all-visible:
+	// the one holding id, or the load's last page the back-fill continues.
+	first, cleared := min(id, len(d.slots)), false
 	for len(d.slots) <= id {
 		d.slots = append(d.slots, tombstone)
+		cleared = d.written(len(d.slots)-1) || cleared
 	}
 	d.slots[id] = v
+	cleared = d.written(id) || cleared
 	d.mu.Unlock()
 	d.changes.Add(1)
 	t.Log(&insertRecord{d: d, id: id, v: v})
+	if cleared {
+		hf.cleared(first)
+	}
 	hf.storeSlot(id, true, false, true)
 	return nil
 }
@@ -988,6 +1124,7 @@ func (hf *HeapFile) UpdateTxn(t *txn.Txn, id int, row value.Row) (int, error) {
 	nv := newVersion(t.ID(), row, head)
 	head.end.Store(t.ID())
 	d.slots[id] = nv
+	cleared := d.written(id)
 	d.mu.Unlock()
 	d.changes.Add(1)
 	t.Log(&updateRecord{d: d, id: id, old: head, neu: nv})
@@ -995,6 +1132,9 @@ func (hf *HeapFile) UpdateTxn(t *txn.Txn, id int, row value.Row) (int, error) {
 	if cut > 0 {
 		d.pruned.Add(uint64(cut))
 		hf.dev.versions(1, true)
+	}
+	if cleared {
+		hf.cleared(id)
 	}
 	hf.storeSlot(id, false, false, true)
 	return d.schema.RowWidth() + d.TupleOverhead, nil
@@ -1018,9 +1158,13 @@ func (hf *HeapFile) DeleteTxn(t *txn.Txn, id int) error {
 	}
 	head.end.Store(t.ID())
 	d.queueDead(id)
+	cleared := d.written(id)
 	d.mu.Unlock()
 	d.changes.Add(1)
 	t.Log(&deleteRecord{v: head})
+	if cleared {
+		hf.cleared(id)
+	}
 	hf.storeSlot(id, false, true, true)
 	return nil
 }
@@ -1059,6 +1203,7 @@ func (hf *HeapFile) Reap(oldest uint64) []Reaped {
 		case begin == txn.Aborted || end <= oldest:
 			out = append(out, Reaped{ID: id, Row: v.row})
 			d.slots[id] = tombstone
+			d.written(id) // a no-op: the write that queued the slot cleared its page
 		default:
 			keep = append(keep, id)
 		}
@@ -1081,18 +1226,26 @@ func (hf *HeapFile) Pool() *BufferPool { return hf.pool }
 
 // ReadRow reads row id's columns r names in scan order under the device's
 // ambient snapshot: each run's page fetch rides readahead and the slot
-// streams (streamSlot). visible is false (with a nil row) when no version of
-// the slot is visible. A read of a row an index entry named is FetchRow.
+// streams (streamSlot); on a page the visibility map marks all-visible the
+// map's line is loaded in place of the header run's. visible is false (with
+// a nil row) when no version of the slot is visible. A read of a row an
+// index entry named is FetchRow.
 func (hf *HeapFile) ReadRow(id int, r Reads) (row value.Row, visible bool, err error) {
 	d := hf.data
-	row, hops, ok := d.row(id, hf.dev.Snap)
+	row, hops, all, ok := d.row(id, hf.dev.Snap)
 	if !ok {
 		return nil, false, fmt.Errorf("storage: row %d out of range [0, %d)", id, d.rowCount())
 	}
 	runs := d.touched(r)
 	hf.slots = hf.slots[:0]
-	for _, k := range runs {
-		hf.slots = append(hf.slots, d.slotAddr(k, hf.pool.frameAddr[hf.frame(k, d.page(k, id), true, true)], id))
+	for j, k := range runs {
+		pid := d.page(k, id)
+		if j == 0 && all && d.consults(r) {
+			hf.dev.M.Hier.Load(hf.mapLine(pid.Page), true)
+			hf.slots = append(hf.slots, 0)
+			continue
+		}
+		hf.slots = append(hf.slots, d.slotAddr(k, hf.pool.frameAddr[hf.frame(k, pid, true, true)], id))
 	}
 	hf.streamSlot(runs, hf.slots, row, hops)
 	return row, row != nil, nil
@@ -1100,7 +1253,8 @@ func (hf *HeapFile) ReadRow(id int, r Reads) (row value.Row, visible bool, err e
 
 // streamSlot charges a slot read in scan order, at slot[j] in run runs[j]:
 // its version-chain hops, then each run's slot as one streaming range, or
-// only the tuple header's first line when no version is visible.
+// only the tuple header's first line when no version is visible. A zero
+// slot[0] is a header the visibility map stood in for.
 func (hf *HeapFile) streamSlot(runs []int, slot []uint64, row value.Row, hops int) {
 	h := hf.dev.M.Hier
 	hf.dev.ChargeChain(hops)
@@ -1109,16 +1263,18 @@ func (hf *HeapFile) streamSlot(runs []int, slot []uint64, row value.Row, hops in
 		return
 	}
 	for j, k := range runs {
-		h.LoadRange(slot[j], uint64(hf.data.runs[k].width))
+		if slot[j] != 0 {
+			h.LoadRange(slot[j], uint64(hf.data.runs[k].width))
+		}
 	}
 }
 
 // FetchRow reads row id's columns r names, the row named by an index entry,
 // under the device's ambient snapshot: a ReadRows of one id whose page-header
-// load and tuple header's first-line load are dependent, since a lone row's
-// address waits on the entry that named it (a pointer chase). visible is
-// false (with a nil row) when no version of the slot is visible — index
-// probes skip such hits.
+// load and tuple header's first-line load (or, on an all-visible page, the
+// visibility map's line) are dependent, since a lone row's address waits on
+// the entry that named it (a pointer chase). visible is false (with a nil
+// row) when no version of the slot is visible — index probes skip such hits.
 func (hf *HeapFile) FetchRow(id int, r Reads) (row value.Row, visible bool, err error) {
 	ids, dst := [1]int{id}, [1]value.Row{}
 	if err := hf.readRows(ids[:], dst[:], r, nil, true); err != nil {
@@ -1139,16 +1295,18 @@ func (hf *HeapFile) ReadRows(ids []int, dst []value.Row, r Reads, at *At) error 
 }
 
 // readRows is the one issue path of a fetched row, grouped (ReadRows) or, for
-// a batch of one, dependent (FetchRow). Pass 1 resolves every id's page in
-// every run read through the pool, in id order (a miss keeps its disk charge
-// and page copy), and issues the header run's page-header loads back to
-// back. Pass 2 charges each row's version-chain hops, which stay dependent,
-// then in each run issues the slot's first line and streams the rest; a slot
-// no version of which is visible costs its tuple header's first line alone.
-// A lone row's tuple header waits on the entry; its other runs' lines
-// overlap it. Pass 1 may have evicted a frame an earlier id resolved; pass 2
-// then fetches that page again, dependent, rather than load from a frame
-// that holds another page.
+// a batch of one, dependent (FetchRow). Pass 1 resolves every id's row and
+// its page in every run read through the pool, in id order (a miss keeps
+// its disk charge and page copy), and issues the header run's page-header
+// loads back to back. Pass 2 charges each row's version-chain hops, which
+// stay dependent, then in each run issues the slot's first line and streams
+// the rest; a slot no version of which is visible costs its tuple header's
+// first line alone. A lone row's tuple header waits on the entry; its other
+// runs' lines overlap it. A row on a page the visibility map marks
+// all-visible has no header page resolved and no tuple header read: the
+// map's line is loaded where the header's first line would be. Pass 1 may
+// have evicted a frame an earlier id resolved; pass 2 then fetches that page
+// again, dependent, rather than load from a frame that holds another page.
 func (hf *HeapFile) readRows(ids []int, dst []value.Row, r Reads, at *At, dependent bool) error {
 	d := hf.data
 	n := d.rowCount()
@@ -1159,12 +1317,21 @@ func (hf *HeapFile) readRows(ids []int, dst []value.Row, r Reads, at *At, depend
 	}
 	runs := d.touched(r)
 	nr := len(runs)
+	consults := d.consults(r)
 	if cap(hf.frames) < len(ids)*nr {
 		hf.frames = make([]int, len(ids)*nr)
 	}
 	frames := hf.frames[:len(ids)*nr]
+	hf.hops = hf.hops[:0]
 	for i, id := range ids {
+		row, hops, all, _ := d.row(id, hf.dev.Snap)
+		dst[i] = row
+		hf.hops = append(hf.hops, hops)
 		for j, k := range runs {
+			if j == 0 && all && consults {
+				frames[i*nr] = -1 // the map stands in for the header page
+				continue
+			}
 			frames[i*nr+j] = hf.frame(k, d.page(k, id), false, dependent)
 		}
 	}
@@ -1173,8 +1340,13 @@ func (hf *HeapFile) readRows(ids []int, dst []value.Row, r Reads, at *At, depend
 	}
 	h := hf.dev.M.Hier
 	for i, id := range ids {
+		mapped := frames[i*nr] < 0
 		hf.slots = hf.slots[:0]
 		for j, k := range runs {
+			if j == 0 && mapped {
+				hf.slots = append(hf.slots, 0)
+				continue
+			}
 			pid := d.page(k, id)
 			f := frames[i*nr+j]
 			if !hf.pool.holds(f, pid) {
@@ -1185,12 +1357,15 @@ func (hf *HeapFile) readRows(ids []int, dst []value.Row, r Reads, at *At, depend
 				at.slot[k] = hf.slots[j]
 			}
 		}
-		row, hops, _ := d.row(id, hf.dev.Snap)
-		dst[i] = row
-		hf.dev.ChargeChain(hops)
+		row := dst[i]
+		hf.dev.ChargeChain(hf.hops[i])
 		for j, k := range runs {
 			if row == nil && j > 0 {
 				break
+			}
+			if j == 0 && mapped {
+				h.Load(hf.mapLine(d.page(0, id).Page), dependent)
+				continue
 			}
 			h.Load(hf.slots[j], dependent && j == 0)
 			if w := d.runs[k].width; row != nil && w > memsim.LineSize {
@@ -1204,22 +1379,31 @@ func (hf *HeapFile) readRows(ids []int, dst []value.Row, r Reads, at *At, depend
 // Machine exposes the device machine (operators issue compute through it).
 func (hf *HeapFile) Machine() *cpusim.Machine { return hf.dev.M }
 
-// ResidentPages reports how many of the pages of the runs r reads are
-// currently resident in this view's buffer pool, and their total. No
+// ResidentPages reports how many of the pages a read of r fetches — those of
+// the runs it reads, less the header run's all-visible ones when it consults
+// the visibility map — are currently resident in this view's buffer pool,
+// and their total. No
 // accesses are simulated; the cost model uses this to predict buffer hit
 // behaviour.
 func (hf *HeapFile) ResidentPages(r Reads) (resident, total int) {
 	d := hf.data
 	runs := d.touched(r)
-	n := d.rowCount()
+	mapped := d.consults(r)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n := len(d.slots)
 	for _, k := range runs {
 		for p, pages := 0, (n+d.runs[k].perPage-1)/d.runs[k].perPage; p < pages; p++ {
+			if k == 0 && mapped && d.allVisible(p) {
+				continue
+			}
+			total++
 			if hf.pool.Contains(PageID{d.runs[k].file, p}) {
 				resident++
 			}
 		}
 	}
-	return resident, hf.pages(runs)
+	return resident, total
 }
 
 // pageAt is the page of one run a scan fetched last and its frame address.
@@ -1241,20 +1425,23 @@ func newEdges(n int) []pageAt {
 // it reads once and streaming the slots off it — the sequential-scan access
 // pattern whose L1D locality the paper identifies as the energy bottleneck's
 // root cause. Slots invisible to the device's snapshot are skipped after a
-// header check, so callers only ever see rows their snapshot may read.
+// header check, so callers only ever see rows their snapshot may read. A
+// header page the visibility map marks all-visible costs one load of the
+// map's line and no header is read off it.
 type Scanner struct {
-	hf   *HeapFile
-	runs []int
-	next int
-	edge []pageAt
-	slot []uint64
+	hf       *HeapFile
+	runs     []int
+	consults bool
+	next     int
+	edge     []pageAt
+	slot     []uint64
 }
 
 // Scan starts a full-file sequential scan of the columns r names under the
 // device's snapshot.
 func (hf *HeapFile) Scan(r Reads) *Scanner {
 	runs := hf.data.touched(r)
-	return &Scanner{hf: hf, runs: runs, edge: newEdges(len(runs)), slot: make([]uint64, len(runs))}
+	return &Scanner{hf: hf, runs: runs, consults: hf.data.consults(r), edge: newEdges(len(runs)), slot: make([]uint64, len(runs))}
 }
 
 // Next returns the next visible row and its id, or ok=false at the end.
@@ -1262,14 +1449,24 @@ func (s *Scanner) Next() (value.Row, int, bool) {
 	hf := s.hf
 	d := hf.data
 	for {
-		row, hops, ok := d.row(s.next, hf.dev.Snap)
+		row, hops, all, ok := d.row(s.next, hf.dev.Snap)
 		if !ok {
 			return nil, 0, false
 		}
 		id := s.next
 		s.next++
 		for j, k := range s.runs {
-			if pid := d.page(k, id); pid.Page != s.edge[j].page {
+			pid := d.page(k, id)
+			if j == 0 && all && s.consults {
+				if pid.Page != s.edge[0].page {
+					hf.dev.M.Hier.Load(hf.mapLine(pid.Page), true)
+					s.edge[0] = pageAt{pid.Page, 0}
+				}
+				s.slot[0] = 0
+				continue
+			}
+			// A page's edge address is zero where the map stood in for it.
+			if pid.Page != s.edge[j].page || s.edge[j].addr == 0 {
 				s.edge[j] = pageAt{pid.Page, hf.pool.frameAddr[hf.frame(k, pid, true, true)]}
 			}
 			s.slot[j] = d.slotAddr(k, s.edge[j].addr, id)
@@ -1302,12 +1499,14 @@ func (s *Scanner) Next() (value.Row, int, bool) {
 // early (LIMIT, a cancelled statement) walked off nothing and leaves it
 // alone.
 type BatchScanner struct {
-	hf   *HeapFile
-	runs []int
-	next int
-	edge []pageAt
-	at   At // where the last batch's first slot was streamed from
-	buf  []value.Row
+	hf       *HeapFile
+	runs     []int
+	consults bool
+	next     int
+	edge     []pageAt
+	at       At // where the last batch's first slot was streamed from
+	buf      []value.Row
+	vis      []bool // the batch's header pages the visibility map marks all-visible
 
 	started bool
 	reverse bool
@@ -1322,17 +1521,19 @@ func (hf *HeapFile) BatchScan(max int, r Reads) *BatchScanner {
 		max = 1
 	}
 	runs := hf.data.touched(r)
-	return &BatchScanner{hf: hf, runs: runs, edge: newEdges(len(runs)), buf: make([]value.Row, max)}
+	return &BatchScanner{hf: hf, runs: runs, consults: hf.data.consults(r), edge: newEdges(len(runs)), buf: make([]value.Row, max)}
 }
 
 // Alternates reports whether consecutive batch scans of the columns r names
-// take turns in direction: the pages of the runs they read do not fit the
-// device's last-level cache.
-func (hf *HeapFile) Alternates(r Reads) bool { return hf.alternates(hf.data.touched(r)) }
+// take turns in direction: the pages they fetch (ResidentPages) do not fit
+// the device's last-level cache.
+func (hf *HeapFile) Alternates(r Reads) bool {
+	return hf.alternates(hf.data.touched(r), hf.data.consults(r))
+}
 
-func (hf *HeapFile) alternates(runs []int) bool {
+func (hf *HeapFile) alternates(runs []int, mapped bool) bool {
 	l3 := hf.dev.M.Hier.Config().L3
-	return l3.Present() && hf.pages(runs)*hf.pool.pageSize > l3.SizeBytes
+	return l3.Present() && hf.pages(runs, mapped)*hf.pool.pageSize > l3.SizeBytes
 }
 
 // start fixes the scan's direction, at its first batch rather than when it
@@ -1341,7 +1542,7 @@ func (hf *HeapFile) alternates(runs []int) bool {
 func (s *BatchScanner) start() {
 	hf := s.hf
 	s.started = true
-	if hf.alternates(s.runs) {
+	if hf.alternates(s.runs, s.consults) {
 		s.reverse = hf.reverse
 		s.total = hf.RowCount()
 		if s.reverse {
@@ -1384,7 +1585,8 @@ func (s *BatchScanner) NextBatch() ([]value.Row, int, bool) {
 			dst = dst[:rem]
 		}
 	}
-	n, hops := d.rowSpan(base, dst, hf.dev.Snap)
+	var n, hops int
+	n, hops, s.vis = d.rowSpan(base, dst, hf.dev.Snap, s.vis[:0])
 	if n == 0 {
 		return nil, 0, false
 	}
@@ -1402,8 +1604,21 @@ func (s *BatchScanner) NextBatch() ([]value.Row, int, bool) {
 		edge := s.edge[j]
 		for id := base; id < base+n; {
 			page, slot := id/r.perPage, id%r.perPage
+			run := min(r.perPage-slot, base+n-id)
+			if j == 0 && s.consults && s.vis[page-base/r.perPage] {
+				// All-visible: the map's line stands in for the page's
+				// fetch and its headers; the edge keeps a zero address.
+				if page != s.edge[j].page {
+					h.Load(hf.mapLine(page), true)
+				}
+				if !s.reverse || id == base {
+					edge = pageAt{page, 0}
+				}
+				id += run
+				continue
+			}
 			addr := s.edge[j].addr
-			if page != s.edge[j].page {
+			if page != s.edge[j].page || addr == 0 {
 				addr = hf.pool.frameAddr[hf.frame(k, PageID{r.file, page}, true, true)]
 			}
 			if !s.reverse || id == base {
@@ -1412,7 +1627,6 @@ func (s *BatchScanner) NextBatch() ([]value.Row, int, bool) {
 			if id == base {
 				s.at.slot[k] = d.slotAddr(k, addr, id)
 			}
-			run := min(r.perPage-slot, base+n-id)
 			h.LoadRange(d.slotAddr(k, addr, id), uint64(run*r.width))
 			id += run
 		}
