@@ -128,14 +128,13 @@ BENCHTIME ?= 1s
 # TPC-H texts (internal/db/plan: every node priced through the executors'
 # charge functions), a B-tree descent per key, grouped (SeekBatch) and one
 # key at a time (Lookup, which every keyed SELECT of point-lookup's warm-up
-# runs), as ns/key and allocs/op (internal/db/btree), what eight scans of a
-# heap of 1.3 × L3 pull out of DRAM walking it the same way every time and
-# taking turns, the lines and DRAM fills of one scan of Q1's columns of a
+# runs), as ns/key and allocs/op (internal/db/btree), the lines and DRAM
+# fills of one scan of Q1's columns of a
 # lineitem-shaped heap laid out row-major and in column runs, and the loads,
 # lines and DRAM fills per row of a batch fetch of Q6's columns of it in
 # key order
 # (internal/db/storage; simulated cost, once is exact). These are
-# the numbers a memsim, btree, statistics, planner or scan-order change reports before
+# the numbers a memsim, btree, statistics, planner or heap-layout change reports before
 # and after; CI runs them
 # once each to keep them compiling and finishing.
 bench-substrate:
@@ -143,7 +142,7 @@ bench-substrate:
 	$(GO) test -run xxx -bench BenchmarkAnalyze -benchmem -benchtime $(BENCHTIME) ./internal/db/engine/
 	$(GO) test -run xxx -bench BenchmarkPrepare -benchtime $(BENCHTIME) ./internal/db/plan/
 	$(GO) test -run xxx -bench 'BenchmarkLookup|BenchmarkSeekBatch' -benchmem -benchtime $(BENCHTIME) ./internal/db/btree/
-	$(GO) test -run xxx -bench 'BenchmarkHeapRescan|BenchmarkHeapScanLayout|BenchmarkHeapFetchLayout' -benchtime 1x ./internal/db/storage/
+	$(GO) test -run xxx -bench 'BenchmarkHeapScanLayout|BenchmarkHeapFetchLayout' -benchtime 1x ./internal/db/storage/
 
 # The wire and hand-off layer's host cost (internal/server): one client on a
 # loopback energyd sending keyed SELECTs on orders, reported as ns/stmt and

@@ -326,7 +326,7 @@ func (sh *shell) stats() {
 		return
 	}
 	// v holds each series by family name, or by family name and its one
-	// label's value ("energyd_heap_scans_total/forward").
+	// label's value ("energyd_statements_total/ok").
 	v := make(map[string]float64)
 	var analyzes []string
 	var pred obs.MetricSnapshot
@@ -356,8 +356,6 @@ func (sh *shell) stats() {
 		v["energyd_oldest_snapshot_lag"], v["energyd_versions_pruned_total"],
 		v["energyd_dead_rows_reaped_total"], v["energyd_dead_rows_pending"],
 		v["energyd_wal_retained_records"], v["energyd_wal_checkpoints_total"], strings.Join(analyzes, " "))
-	fmt.Printf("scans: %.0f vector heap scans front to back, %.0f back to front\n",
-		v["energyd_heap_scans_total/forward"], v["energyd_heap_scans_total/reverse"])
 	fmt.Printf("prediction: %d planned statements, predicted/measured E_active %.3g on average\n",
 		pred.Count, pred.Sum/max(float64(pred.Count), 1))
 	fmt.Print("components:")

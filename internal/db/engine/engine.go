@@ -348,12 +348,6 @@ type StoreStats struct {
 	WALCheckpoints uint64
 	// Analyzes counts the ANALYZE passes per table.
 	Analyzes map[string]uint64
-	// HeapScansForward and HeapScansReverse count the batch scans started
-	// over the store's heaps by direction, all views together (storage.
-	// TableData.ScanCounts): a reverse scan is a vector scan of a heap longer
-	// than the last-level cache starting where the one before it ended.
-	HeapScansForward uint64
-	HeapScansReverse uint64
 }
 
 // Stats reads the store's reclamation state (each figure atomically; the set
@@ -374,9 +368,6 @@ func (sh *Shared) Stats() StoreStats {
 		st.DeadRowsReaped += r.DeadRowsReaped
 		st.DeadRowsPending += r.DeadRowsPending
 		st.Analyzes[name] = t.analyzes.Load()
-		f, rev := t.data.ScanCounts()
-		st.HeapScansForward += f
-		st.HeapScansReverse += rev
 	}
 	return st
 }
@@ -685,14 +676,6 @@ const (
 	JournalRollback
 )
 
-// String names the mode.
-func (j JournalMode) String() string {
-	if j == JournalRollback {
-		return "rollback-journal"
-	}
-	return "wal"
-}
-
 // Journal returns the engine's journal mode (by profile).
 func (e *Engine) Journal() JournalMode {
 	if e.Kind == SQLite {
@@ -728,13 +711,22 @@ func (e *Engine) journalPayload(t *Table, id int, stamp bool, journaled map[stor
 
 // LogBytes estimates what changing rows rows of t appends to the log under
 // the engine's journal mode, the way journalPayload sizes it row by row: a
-// record per row, and under the rollback journal a page image in place of the
-// row for the first touch of each page.
-func (e *Engine) LogBytes(t *Table, rows float64) float64 {
-	bytes := rows * float64(t.schema.RowWidth()+storage.WALRecordHeader)
+// record per row, and under the rollback journal a page image for the first
+// touch of each page a change writes (one in every run for an UPDATE, the
+// tuple header's alone for a stamp), in place of the row of each change
+// that touched one. The changed rows are taken to lie on distinct pages.
+func (e *Engine) LogBytes(t *Table, rows float64, stamp bool) float64 {
+	width := float64(t.schema.RowWidth())
+	bytes := rows * (width + storage.WALRecordHeader)
 	if e.Journal() == JournalRollback {
-		pages := min(rows, float64(t.File.PageCount()))
-		bytes += pages * float64(e.Knobs.PageBytes-t.schema.RowWidth())
+		// The last slot's page in each run written numbers the pages before it.
+		last := t.File.Data().SlotPages(max(t.File.RowCount()-1, 0), stamp)
+		pages := 0
+		for _, pid := range last {
+			pages += pid.Page + 1
+		}
+		images := min(rows*float64(len(last)), float64(pages))
+		bytes += images*float64(e.Knobs.PageBytes) - min(rows, images)*width
 	}
 	return bytes
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -230,6 +231,64 @@ func TestRollbackJournalCopiesPagesOnce(t *testing.T) {
 	if got < minBytes || got > maxBytes {
 		t.Fatalf("journal bytes = %d, want one page image per touched page plus row records (%d..%d)",
 			got, minBytes, maxBytes)
+	}
+}
+
+// TestLogBytesMatchesJournal holds the planner's log estimate to the bytes a
+// write appends under the rollback journal, on both heap layouts: a column
+// heap's UPDATE journals a page image per run, its DELETE the tuple header's
+// page alone, and a row-major heap one image per page either way. A keyed
+// write is exact. Over many rows a column heap's estimate may fall short by
+// a few row records: a row whose change opens pages in several runs at once
+// (slot 0 opens one in each) gives up one record for all its images.
+func TestLogBytesMatchesJournal(t *testing.T) {
+	const rows = 4000
+	key := func(k int64) exec.Expr {
+		return exec.BinOp{Op: exec.OpEq, L: exec.Col{Idx: 0}, R: exec.Const{V: value.Int(k)}}
+	}
+	grp3 := exec.BinOp{Op: exec.OpEq, L: exec.Col{Idx: 1}, R: exec.Const{V: value.Int(3)}}
+	setV := func(r value.Row) (value.Row, error) {
+		r[2] = value.Float(17)
+		return r, nil
+	}
+	for _, layout := range []struct {
+		name     string
+		rowMajor bool
+	}{{"row-major", true}, {"column", false}} {
+		for _, c := range []struct {
+			name string
+			pred exec.Expr
+			del  bool
+		}{
+			{"keyed update", key(7), false},
+			{"keyed delete", key(7), true},
+			{"unindexed update", grp3, false},
+			{"unindexed delete", grp3, true},
+			{"update every row", nil, false},
+		} {
+			e := newEngine(t, SQLite, SettingBaseline)
+			e.Knobs.DisableVectorExec = layout.rowMajor
+			tbl := loadSample(t, e, rows)
+			w := &Write{E: e, T: tbl, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File, Filter: c.pred}}
+			if !c.del {
+				w.Set = setV
+			}
+			tx := e.Begin()
+			e.Bind(tx)
+			before := e.WAL().Bytes.Load()
+			n, err := exec.Drain(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := float64(e.WAL().Bytes.Load() - before)
+			est := e.LogBytes(tbl, float64(n), c.del)
+			if tol := 0.01 * got; n == 0 || math.Abs(est-got) > tol || n == 1 && est != got {
+				t.Errorf("%s heap, %s: %d rows journaled %.0f bytes, estimated %.0f", layout.name, c.name, n, got, est)
+			}
+			if err := e.Rollback(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -271,9 +271,8 @@ const l3ShareFrac = 0.85
 // prefetch DRAM→L3, with a couple of demand misses per 4KB page going all
 // the way to memory while the streamer retrains. A set past L3 evicts even
 // a small stream through L3's inclusive backfill, so the L2 case demands
-// both bounds. alternates says the stream is read by scans that take turns in
-// direction (storage.BatchScanner over a heap longer than L3).
-func (c *coster) seqLines(a *est, lines, streamBytes, setBytes float64, alternates bool) {
+// both bounds.
+func (c *coster) seqLines(a *est, lines, streamBytes, setBytes float64) {
 	if lines <= 0 {
 		return
 	}
@@ -296,25 +295,9 @@ func (c *coster) seqLines(a *est, lines, streamBytes, setBytes float64, alternat
 		// 10.3MB PostgreSQL lineitem heap scanned by consecutive statements:
 		// 138917 DRAM→L3 prefetches for 138965 L3→L2 ones, where the graded
 		// share priced 34%).
-		//
-		// Scans that take turns in direction start on the K lines the one
-		// before left cached and refill the other S−K; but a line that hits
-		// through the L3→L2 streamer keeps its old L3 recency, so the pass
-		// after that finds only the S−K refilled ones again, or K of them
-		// once S > 2K. A pair refills (S−K) + max(K, S−K) lines, each pass
-		// max(1/2, 1−K/S) on average. Measured refill shares, back to back:
-		// that lineitem heap (S = 1.06 L3) 0.086 / 0.913; synthetic heaps of
-		// 1.3, 1.7, 2.2 and 3.0 L3 0.236 / 0.786, 0.419 / 0.599, 0.553 both
-		// ways, 0.673 both ways (K = 0.98 L3 with nothing else running; the
-		// price keeps the share every other spilling set gets). Among the
-		// benchmark's other statements the lineitem scan reads 0.41, not
-		// 0.50: fills landing between two scans break up the dear pass.
 		miss := 1.0
-		switch {
-		case streamBytes <= c.l3Bytes:
+		if streamBytes <= c.l3Bytes {
 			miss = math.Min(1, math.Max(0, 1-l3ShareFrac*c.l3Bytes/setBytes))
-		case alternates:
-			miss = math.Max(0.5, 1-l3ShareFrac*c.l3Bytes/streamBytes)
 		}
 		const trainFrac = 2.0 / 64
 		deep := lines * trainFrac * miss
@@ -361,9 +344,8 @@ func residentFrac(n *Node) float64 {
 
 // scanHeap charges a full sequential scan of n's columns (excluding per-row
 // executor overhead, which callers charge against the scanned row count), in
-// row or vector mode: the pages and lines are the same, the order in which
-// consecutive scans of a long heap walk them is not.
-func (c *coster) scanHeap(a *est, n *Node, vector bool) {
+// row or vector mode alike: both walk the same pages and lines in slot order.
+func (c *coster) scanHeap(a *est, n *Node) {
 	t := n.Table
 	rows := float64(t.File.RowCount())
 	if rows == 0 {
@@ -379,7 +361,7 @@ func (c *coster) scanHeap(a *est, n *Node, vector bool) {
 	// (measured: the same 7.9MB heap refills ~12% of its lines under a
 	// footprint that just fits L3, ~39% under an 11MB one, and ~91% when a
 	// 21MB sort buffer streams over it).
-	c.seqLines(a, rows*newLines*r, heapBytes(n), math.Max(heapBytes(n), c.footprint), vector && t.File.Alternates(n.reads))
+	c.seqLines(a, rows*newLines*r, heapBytes(n), math.Max(heapBytes(n), c.footprint))
 	if r < 1 {
 		// Faulted pages fill frame lines from the device; subsequent row
 		// loads on the page then hit L1D (already counted above).
@@ -487,7 +469,7 @@ func (c *coster) heapFetch(a *est, n float64, node *Node, batched bool) {
 // releases it and, per index, the descent to its entry and the removal.
 func (c *coster) writeRows(a *est, n float64, node *Node, del bool) {
 	t := node.Table
-	logLines := c.e.LogBytes(t, n) / memsim.LineSize
+	logLines := c.e.LogBytes(t, n, del) / memsim.LineSize
 	heapLines := 1.0
 	if !del {
 		heapLines = span(node).Lines

@@ -188,14 +188,8 @@ func (p *Prepared) ExplainEnergy(prof *core.Profiler) ([]value.Row, []string, co
 		if b.EActive > 0 {
 			share = eJ / b.EActive
 		}
-		detail := n.detail()
-		if scan := mt.scans[n]; scan != nil && scan.Reverse() {
-			// Why two measured runs of one statement may differ: this one
-			// walked the heap back to front (storage.BatchScanner).
-			detail += " order=reverse"
-		}
 		line := fmt.Sprintf("%s%s%s  (rows=%d of ≈%.0f, E=%s %4.1f%%, L1D+Reg2L1D %4.1f%%, E≈%s %+.0f%%)",
-			prefix, n.Title(), detail, m.Rows(), n.EstRows, fmtEnergy(eJ),
+			prefix, n.Title(), n.detail(), m.Rows(), n.EstRows, fmtEnergy(eJ),
 			share*100, nb.L1DShare()*100, fmtEnergy(n.EstEJ), relErr(n.EstEJ, eJ)*100)
 		rows = append(rows, value.Row{value.Str(line)})
 	})

@@ -38,9 +38,9 @@ func scans(n *Node) []*Node {
 // beats the row sequential scan costs a vector plan its batched sequential
 // scan (PostgreSQL Q1: 20.3 mJ committed against a 0.96 mJ neighbour).
 //
-// PostgreSQL runs it at 100MB too: its lineitem heap is longer than L3 there,
-// so the sequential candidate of a vector chain carries the alternating-scan
-// price (seqLines) against index paths priced as before.
+// PostgreSQL runs it at 100MB too, where plan working sets spill L3: the
+// sequential candidate carries seqLines' refill share against the index
+// paths. lineitem's column runs fit L3 there; its whole rows would not.
 func TestCommittedPlanBeatsScanNeighbours(t *testing.T) {
 	type rig struct {
 		kind engine.Kind

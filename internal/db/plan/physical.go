@@ -629,7 +629,7 @@ func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 	c := pc.c
 	switch n.Kind {
 	case opSeqScan:
-		c.scanHeap(a, n, vector)
+		c.scanHeap(a, n)
 	case opIndexScan:
 		tree := n.Table.Index(n.IdxCol)
 		c.btreeDescend(a, 1, tree.Height(), tree.Len(), true)

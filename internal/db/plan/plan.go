@@ -98,12 +98,10 @@ func (p *Prepared) Build() (exec.Operator, error) {
 	return op, err
 }
 
-// metering is what a metered build keeps per node: the meter, and for a
-// vector sequential scan the operator, which knows the way it walked.
+// metering is what a metered build keeps per node: the meter.
 type metering struct {
 	set    *exec.MeterSet
 	meters map[*Node]*exec.Meter
-	scans  map[*Node]*vec.Scan
 }
 
 // BuildMetered instantiates the executor tree with every operator wrapped in
@@ -118,7 +116,6 @@ func (p *Prepared) buildMetered() (exec.Operator, *metering, error) {
 	mt := &metering{
 		set:    exec.NewMeterSet(p.E.Ctx),
 		meters: make(map[*Node]*exec.Meter),
-		scans:  make(map[*Node]*vec.Scan),
 	}
 	op, err := p.instantiate(p.Root, mt)
 	return op, mt, err
@@ -220,11 +217,7 @@ func (p *Prepared) instantiateVec(n *Node, mt *metering) (vec.Operator, error) {
 	var op vec.Operator
 	switch n.Kind {
 	case opSeqScan:
-		scan := &vec.Scan{Ctx: e.Ctx, File: n.Table.File, Pred: n.Filter, Reads: n.reads}
-		if mt != nil {
-			mt.scans[n] = scan
-		}
-		op = scan
+		op = &vec.Scan{Ctx: e.Ctx, File: n.Table.File, Pred: n.Filter, Reads: n.reads}
 	case opIndexScan:
 		op = &vec.IndexScan{
 			Ctx: e.Ctx, File: n.Table.File, Tree: n.Table.Index(n.IdxCol),

@@ -561,44 +561,66 @@ func checkHeapLayouts(t *testing.T, ops []byte) {
 	for _, snap := range snaps {
 		dev.Snap = snap
 		for _, cols := range [][]int{nil, {}, {0}, {2}, {1, 2}} {
-			var dump [2][]string
+			var dump [2][]readBack
 			for h, hf := range heaps {
 				r := hf.Data().Reads(cols)
-				var out []string
+				var out []readBack
 				for sc := hf.Scan(r); ; {
 					row, id, ok := sc.Next()
 					if !ok {
 						break
 					}
-					out = append(out, fmt.Sprint("scan ", id, row))
+					out = append(out, readBack{"scan", id, []value.Row{row}, true, nil})
 				}
 				sc := hf.BatchScan(64, r)
 				for rows, base, ok := sc.NextBatch(); ok; rows, base, ok = sc.NextBatch() {
-					out = append(out, fmt.Sprint("batch ", base, rows))
+					out = append(out, readBack{"batch", base, slices.Clone(rows), true, nil})
 				}
 				ids := make([]int, hf.RowCount())
 				for id := range ids {
 					row, vis, err := hf.ReadRow(id, r)
-					out = append(out, fmt.Sprint("read ", id, row, vis, err))
+					out = append(out, readBack{"read", id, []value.Row{row}, vis, err})
 					row, vis, err = hf.FetchRow(id, r)
-					out = append(out, fmt.Sprint("fetch ", id, row, vis, err))
+					out = append(out, readBack{"fetch", id, []value.Row{row}, vis, err})
 					ids[id] = (id * 7919) % len(ids)
 				}
 				got := make([]value.Row, len(ids))
 				err := hf.ReadRows(ids, got, r, nil)
-				out = append(out, fmt.Sprint("rows ", got, err))
+				out = append(out, readBack{"rows", 0, got, true, err})
 				dump[h] = out
 			}
-			if !slices.Equal(dump[0], dump[1]) {
-				for i := range dump[0] {
-					if i >= len(dump[1]) || dump[0][i] != dump[1][i] {
-						t.Fatalf("columns %v: row-major and column heaps differ at %d:\n rows    %s\n columns %s", cols, i, dump[0][i], dump[1][min(i, len(dump[1])-1)])
-					}
+			for i := range min(len(dump[0]), len(dump[1])) {
+				if a, b := dump[0][i], dump[1][i]; !a.same(b) {
+					t.Fatalf("columns %v: row-major and column heaps differ at %d:\n rows    %+v\n columns %+v", cols, i, a, b)
 				}
+			}
+			if len(dump[1]) != len(dump[0]) {
 				t.Fatalf("columns %v: the column heap read %d entries, the row-major one %d", cols, len(dump[1]), len(dump[0]))
 			}
 		}
 	}
+}
+
+// readBack is one read checkHeapLayouts makes of a heap: the access path,
+// the slot id (a batch's base; 0 for ReadRows), the rows it returned (one,
+// or a batch with nil holes, or ReadRows' all), whether a single-row read
+// found its row visible, and its error.
+type readBack struct {
+	path string
+	at   int
+	rows []value.Row
+	vis  bool
+	err  error
+}
+
+// same reports whether two reads returned the same: a hole matches only a
+// hole, and errors match by message.
+func (a readBack) same(b readBack) bool {
+	return a.path == b.path && a.at == b.at && a.vis == b.vis &&
+		(a.err == nil) == (b.err == nil) && (a.err == nil || a.err.Error() == b.err.Error()) &&
+		slices.EqualFunc(a.rows, b.rows, func(x, y value.Row) bool {
+			return (x == nil) == (y == nil) && slices.Equal(x, y)
+		})
 }
 
 // checkAllVisible fails t if a slot of a page d's visibility map marks

@@ -478,10 +478,6 @@ type TableData struct {
 	pending atomic.Int64
 	pruned  atomic.Uint64
 	reaped  atomic.Uint64
-
-	// forwardScans and reverseScans count the batch scans every view has
-	// started over this table, by the direction they took.
-	forwardScans, reverseScans atomic.Uint64
 }
 
 // Changes returns how many rows were inserted, updated or deleted since the
@@ -507,12 +503,6 @@ func (d *TableData) Reclaimed() ReclaimStats {
 		DeadRowsReaped:  d.reaped.Load(),
 		DeadRowsPending: int(d.pending.Load()),
 	}
-}
-
-// ScanCounts returns how many batch scans of the table have started front to
-// back and back to front, over all its views.
-func (d *TableData) ScanCounts() (forward, reverse uint64) {
-	return d.forwardScans.Load(), d.reverseScans.Load()
 }
 
 // queueDead appends slot id to the dead queue; the caller holds the lock.
@@ -842,10 +832,6 @@ type HeapFile struct {
 	pool *BufferPool
 	data *TableData
 
-	// reverse is the direction this view's next batch scan takes if the heap
-	// is longer than the last-level cache (see BatchScanner). It belongs to
-	// the view because the caches it speaks of are the view's machine's.
-	reverse bool
 	// frames, slots and hops are the read paths' scratch: the frame each
 	// (id, run) resolved to, one slot's address in each run, and each id's
 	// chain hops.
@@ -906,18 +892,10 @@ func (hf *HeapFile) Schema() *catalog.Schema { return hf.data.schema }
 func (hf *HeapFile) RowCount() int { return hf.data.rowCount() }
 
 // PageCount returns the number of pages the slots occupy, over every run.
-func (hf *HeapFile) PageCount() int { return hf.pages(hf.data.all, false) }
-
-// pages returns the number of pages the slots occupy in the given runs, the
-// header run's all-visible ones left out when mapped (a read that consults
-// the map fetches none of them).
-func (hf *HeapFile) pages(runs []int, mapped bool) int {
+func (hf *HeapFile) PageCount() int {
 	n, total := hf.data.rowCount(), 0
-	for _, k := range runs {
-		total += (n + hf.data.runs[k].perPage - 1) / hf.data.runs[k].perPage
-	}
-	if mapped {
-		total -= int(hf.data.visible.Load())
+	for _, r := range hf.data.runs {
+		total += (n + r.perPage - 1) / r.perPage
 	}
 	return total
 }
@@ -1485,19 +1463,9 @@ func (s *Scanner) Next() (value.Row, int, bool) {
 // the row-at-a-time Scanner while amortizing the per-call bookkeeping over
 // the whole batch — the vectorized-scan access pattern. Slots invisible to
 // the device's snapshot come back as nil holes; the vectorized scan drops
-// them via its selection vector.
-//
-// Batches arrive in slot order unless the runs the scan reads are longer
-// than the device's last-level cache. Such a heap, scanned front to back
-// again, finds none of its lines: under LRU each was evicted by the scan's
-// own later lines. So a scan of one starts at the end where the view's
-// previous batch scan finished (HeapFile.reverse) and finds that scan's tail
-// still cached. Only the order of the batches turns around — the same
-// batches, each one's rows, pages and lines ascending, so the per-page
-// streamer still trains and a batch's row ids stay base+i. The view's
-// direction turns when a scan hands out its last batch: a scan abandoned
-// early (LIMIT, a cancelled statement) walked off nothing and leaves it
-// alone.
+// them via its selection vector. Batches arrive in slot order, every scan:
+// a heap longer than the last-level cache refills each time it is scanned
+// again (DESIGN.md §11).
 type BatchScanner struct {
 	hf       *HeapFile
 	runs     []int
@@ -1507,11 +1475,6 @@ type BatchScanner struct {
 	at       At // where the last batch's first slot was streamed from
 	buf      []value.Row
 	vis      []bool // the batch's header pages the visibility map marks all-visible
-
-	started bool
-	reverse bool
-	total   int // slots when the scan began, if the heap alternates; else 0
-	left    int // reverse: batches not handed out yet
 }
 
 // BatchScan starts a full-file sequential scan of the columns r names that
@@ -1524,42 +1487,6 @@ func (hf *HeapFile) BatchScan(max int, r Reads) *BatchScanner {
 	return &BatchScanner{hf: hf, runs: runs, consults: hf.data.consults(r), edge: newEdges(len(runs)), buf: make([]value.Row, max)}
 }
 
-// Alternates reports whether consecutive batch scans of the columns r names
-// take turns in direction: the pages they fetch (ResidentPages) do not fit
-// the device's last-level cache.
-func (hf *HeapFile) Alternates(r Reads) bool {
-	return hf.alternates(hf.data.touched(r), hf.data.consults(r))
-}
-
-func (hf *HeapFile) alternates(runs []int, mapped bool) bool {
-	l3 := hf.dev.M.Hier.Config().L3
-	return l3.Present() && hf.pages(runs, mapped)*hf.pool.pageSize > l3.SizeBytes
-}
-
-// start fixes the scan's direction, at its first batch rather than when it
-// was opened: of two scans one statement opens together over one heap, the
-// second to run starts where the first finished.
-func (s *BatchScanner) start() {
-	hf := s.hf
-	s.started = true
-	if hf.alternates(s.runs, s.consults) {
-		s.reverse = hf.reverse
-		s.total = hf.RowCount()
-		if s.reverse {
-			s.left = (s.total + len(s.buf) - 1) / len(s.buf)
-		}
-	}
-	if s.reverse {
-		hf.data.reverseScans.Add(1)
-	} else {
-		hf.data.forwardScans.Add(1)
-	}
-}
-
-// Reverse reports whether the scan hands its batches out back to front. It
-// is settled by the first NextBatch.
-func (s *BatchScanner) Reverse() bool { return s.reverse }
-
 // At returns where the last batch's first slot was streamed from, in the
 // frames that held its pages then. It is updated in place by every batch.
 func (s *BatchScanner) At() *At { return &s.at }
@@ -1571,66 +1498,45 @@ func (s *BatchScanner) At() *At { return &s.at }
 func (s *BatchScanner) NextBatch() ([]value.Row, int, bool) {
 	hf := s.hf
 	d := hf.data
-	if !s.started {
-		s.start()
-	}
-	base, dst := s.next, s.buf
-	if s.reverse {
-		if s.left == 0 {
-			return nil, 0, false
-		}
-		s.left--
-		base = s.left * len(s.buf)
-		if rem := s.total - base; rem < len(dst) {
-			dst = dst[:rem]
-		}
-	}
+	base := s.next
 	var n, hops int
-	n, hops, s.vis = d.rowSpan(base, dst, hf.dev.Snap, s.vis[:0])
+	n, hops, s.vis = d.rowSpan(base, s.buf, hf.dev.Snap, s.vis[:0])
 	if n == 0 {
 		return nil, 0, false
 	}
 	s.next = base + n
-	if s.total > 0 && (s.reverse && s.left == 0 || !s.reverse && s.next >= s.total) {
-		hf.reverse = !s.reverse
-	}
 	h := hf.dev.M.Hier
 	hf.dev.ChargeChain(hops)
 	s.at.reset(d)
 	for j, k := range s.runs {
 		r := d.runs[k]
-		// The page this batch shares with the one after it is fetched once:
-		// the last page of a batch walking up, the first of one walking down.
-		edge := s.edge[j]
+		// The page this batch shares with the one before it, the previous
+		// batch's last, is fetched once.
+		edge := &s.edge[j]
 		for id := base; id < base+n; {
 			page, slot := id/r.perPage, id%r.perPage
 			run := min(r.perPage-slot, base+n-id)
 			if j == 0 && s.consults && s.vis[page-base/r.perPage] {
 				// All-visible: the map's line stands in for the page's
 				// fetch and its headers; the edge keeps a zero address.
-				if page != s.edge[j].page {
+				if page != edge.page {
 					h.Load(hf.mapLine(page), true)
 				}
-				if !s.reverse || id == base {
-					edge = pageAt{page, 0}
-				}
+				*edge = pageAt{page, 0}
 				id += run
 				continue
 			}
-			addr := s.edge[j].addr
-			if page != s.edge[j].page || addr == 0 {
+			addr := edge.addr
+			if page != edge.page || addr == 0 {
 				addr = hf.pool.frameAddr[hf.frame(k, PageID{r.file, page}, true, true)]
 			}
-			if !s.reverse || id == base {
-				edge = pageAt{page, addr}
-			}
+			*edge = pageAt{page, addr}
 			if id == base {
 				s.at.slot[k] = d.slotAddr(k, addr, id)
 			}
 			h.LoadRange(d.slotAddr(k, addr, id), uint64(run*r.width))
 			id += run
 		}
-		s.edge[j] = edge
 	}
-	return dst[:n], base, true
+	return s.buf[:n], base, true
 }

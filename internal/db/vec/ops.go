@@ -93,10 +93,6 @@ func (s *Scan) Next() (*Batch, error) {
 // Close implements Operator.
 func (s *Scan) Close() error { return nil }
 
-// Reverse reports whether the scan handed its batches out back to front, as
-// every other scan of a heap longer than the last-level cache does.
-func (s *Scan) Reverse() bool { return s.bs != nil && s.bs.Reverse() }
-
 // Prune narrows each batch to a subset of its columns. Vectors are shared
 // with the child batch and a lazily backed batch stays lazily backed, each
 // kept column in the state its consumers below left it — pruning moves no

@@ -123,11 +123,6 @@ func newMetrics(s *Server) *metrics {
 		r.GaugeFunc("energyd_energy_joules_total", "Cumulative Eq. 1 component energy (J).",
 			func() float64 { return s.Totals().Joules[c] }, "component", c.String())
 	}
-	const scansHelp = "Batch (vector) heap scans started, by the direction they walked: a heap longer than L3 is walked back to front every other time."
-	r.GaugeFunc("energyd_heap_scans_total", scansHelp,
-		func() float64 { return float64(s.StoreStats().HeapScansForward) }, "direction", "forward")
-	r.GaugeFunc("energyd_heap_scans_total", scansHelp,
-		func() float64 { return float64(s.StoreStats().HeapScansReverse) }, "direction", "reverse")
 	r.Gauge("energyd_workers", "Execution workers (simulated machines).").Set(float64(len(s.workers)))
 	r.GaugeFunc("energyd_slowlog_slowest_seconds", "Worst statement wall time on the slow board.", m.qlog.SlowestWall)
 	r.GaugeFunc("energyd_slowlog_hottest_joules", "Worst statement E_active on the hot board.", m.qlog.HottestJoules)

@@ -409,8 +409,6 @@ func (s *Server) StoreStats() engine.StoreStats {
 		out.DeadRowsPending += st.DeadRowsPending
 		out.WALRetained += st.WALRetained
 		out.WALCheckpoints += st.WALCheckpoints
-		out.HeapScansForward += st.HeapScansForward
-		out.HeapScansReverse += st.HeapScansReverse
 		for table, n := range st.Analyzes {
 			out.Analyzes[table] += n
 		}
