@@ -422,31 +422,45 @@ func (c *coster) indexEntries(a *est, n float64, entries int) {
 // all-visible (storage.Span.Mapped), the map's line in place of the tuple
 // header and the frame lookup. The row operators' FetchRow, a batch of one,
 // chases both, dependent loads. The batch form's ReadRows (batched) knows every id
-// before it reads one and issues the same lines as independent loads. Its ids
-// come in index-key order, not heap order, so a batched fetch whose rows span
-// more than L3 finds none of its lines cached when the statement runs again —
-// each run evicts its earliest lines before it returns to them — and those
-// lines are priced from DRAM. Otherwise a batched fetch's lines compete
-// with the plan's whole working set, as a scan's stream does (scanHeap). The
-// row form keeps the capacity blend over the heap alone.
-func (c *coster) heapFetch(a *est, n float64, node *Node, batched bool) {
+// before it reads one and issues the same lines as independent loads, over a
+// set of the lines it reads, not the whole heap: a few hundred rows fetched
+// again warm stay in L2. Its ids come in index-key order, not heap order, so
+// a batched fetch whose lines span more than L3 finds none of them cached
+// when the statement runs again — each run evicts its earliest lines before
+// it returns to them — and those lines are priced from DRAM. Otherwise a
+// batched fetch's lines compete with the plan's whole working set, as a
+// scan's stream does (scanHeap). The row form keeps the capacity blend over
+// the heap alone. A batched fetch read in stages (Node.stages) issues each
+// stage's lines for the rows reaching its conjunct, conj[i], and the last
+// stage's for the rows that pass; only the first stage resolves pages and
+// reads the tuple headers.
+func (c *coster) heapFetch(a *est, n float64, node *Node, conj []float64, batched bool) {
 	if n <= 0 {
 		return
 	}
 	sp := span(node)
-	lines := sp.Lines
+	lines := n * sp.Lines // the lines the fetch reads, over every row
+	if batched && node.stages != nil {
+		lines = 0
+		for i, st := range node.fetchReads() {
+			lines += conj[i] * node.Table.File.Data().Span(st).Lines
+		}
+	}
 	r := residentFrac(node)
 	set := heapBytes(node)
-	if batched && math.Min(set, n*lines*memsim.LineSize) > c.l3Bytes {
-		set = math.Inf(1)
-	} else if batched {
-		set = math.Max(set, c.footprint)
+	if batched {
+		set = math.Min(set, lines*memsim.LineSize)
+		if set > c.l3Bytes {
+			set = math.Inf(1)
+		} else {
+			set = math.Max(set, c.footprint)
+		}
 	}
-	c.randLoads(a, n*lines*r, set, !batched)
+	c.randLoads(a, lines*r, set, !batched)
 	if r < 1 {
 		pageLines := float64(c.e.Knobs.PageBytes) / 64
 		c.coldLines(a, n*(1-r)*pageLines)
-		a.l1d += n * (1 - r) * lines
+		a.l1d += (1 - r) * lines
 	}
 	// Pool frame lookup: the header line of whichever page holds the row, or
 	// the visibility map's line. At one bit a page a line maps 512 pages, so

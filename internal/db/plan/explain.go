@@ -71,6 +71,19 @@ func (n *Node) detail() string {
 	if n.FilterStr != "" {
 		parts = append(parts, "filter=("+n.FilterStr+")")
 	}
+	if n.Mode == ModeVector && n.stages != nil {
+		var stages []string
+		for _, cols := range n.stages {
+			if len(cols) > 0 {
+				names := make([]string, len(cols))
+				for i, c := range cols {
+					names[i] = n.Table.Schema().Columns[c].Name
+				}
+				stages = append(stages, strings.Join(names, ", "))
+			}
+		}
+		parts = append(parts, "fetch=["+strings.Join(stages, " | ")+"]")
+	}
 	if len(parts) == 0 {
 		return ""
 	}

@@ -68,6 +68,10 @@ type Node struct {
 	Table     *engine.Table
 	TableName string
 	reads     storage.Reads
+	// stages splits reads for a batched fetch (late materialization,
+	// readsOf): one column list per conjunct of Filter, then the rest; nil
+	// for one read.
+	stages [][]int
 	// Filter is the pushed scan filter or the join residual: every WHERE
 	// conjunct is tested by the scan or the join it is attached to.
 	Filter    exec.Expr
@@ -185,7 +189,7 @@ func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, rels []*rel, write bool)
 		}
 	}
 	for _, r := range rels {
-		r.reads = pc.readsOf(r, r.conds)
+		r.reads, _ = pc.readsOf(r, r.conds)
 	}
 	return pc
 }
@@ -194,7 +198,14 @@ func newPlanCtx(e *engine.Engine, stmt *sql.SelectStmt, rels []*rel, write bool)
 // the columns of r that conds or the rest of the statement name — the select
 // list, the joins, the residuals — or every column under SELECT *; a write's
 // read keeps the tuple headers.
-func (pc *planCtx) readsOf(r *rel, conds []sql.Node) storage.Reads {
+//
+// stages splits those columns for a batched fetch on a column heap, which
+// reads them in stages (vec.IndexScan's Reads): one list per conjunct of the
+// filter compiled from conds (filterConjuncts), the columns of r that
+// conjunct names first, and a last list of the rest. It is nil where no
+// later stage has a column: a row-major heap is one run, read whole, and a
+// write's read is never staged.
+func (pc *planCtx) readsOf(r *rel, conds []sql.Node) (reads storage.Reads, stages [][]int) {
 	need := maps.Clone(pc.need)
 	for _, c := range conds {
 		colRefs(c, need)
@@ -205,10 +216,47 @@ func (pc *planCtx) readsOf(r *rel, conds []sql.Node) storage.Reads {
 			cols = append(cols, i)
 		}
 	}
+	d := r.t.File.Data()
 	if pc.write {
-		return r.t.File.Data().Reads(cols).Writing()
+		return d.Reads(cols).Writing(), nil
 	}
-	return r.t.File.Data().Reads(cols)
+	if d.Layout() == storage.Rows {
+		return d.Reads(cols), nil
+	}
+	left := slices.Clone(cols)
+	for _, c := range filterConjuncts(conds) {
+		named := map[string]bool{}
+		colRefs(c, named)
+		stage := []int{} // not nil: a first stage of no column reads the headers
+		left = slices.DeleteFunc(left, func(i int) bool {
+			if named[r.t.Schema().Columns[i].Name] {
+				stage = append(stage, i)
+				return true
+			}
+			return false
+		})
+		stages = append(stages, stage)
+	}
+	stages = append(stages, left)
+	if !slices.ContainsFunc(stages[1:], func(s []int) bool { return len(s) > 0 }) {
+		stages = nil
+	}
+	return d.Reads(cols), stages
+}
+
+// fetchReads is what a batched fetch of n reads of its heap, stage by stage
+// (vec.IndexScan's Reads): the first stage with the tuple headers, the later
+// ones without (storage.TableData.Later); one read where n has no stages.
+func (n *Node) fetchReads() []storage.Reads {
+	if n.stages == nil {
+		return []storage.Reads{n.reads}
+	}
+	d := n.Table.File.Data()
+	rs := []storage.Reads{d.Reads(n.stages[0])}
+	for _, cols := range n.stages[1:] {
+		rs = append(rs, d.Later(cols))
+	}
+	return rs
 }
 
 // renderConds renders an AND chain for display.
@@ -261,8 +309,9 @@ func (pc *planCtx) chooseScan(r *rel) (*Node, error) {
 			return nil, err
 		}
 		rangeSel := selectivity(r.stats, r.t.Schema(), captured)
+		reads, stages := pc.readsOf(r, rest)
 		cand := &Node{
-			Kind: opIndexScan, Table: r.t, TableName: r.name, reads: pc.readsOf(r, rest),
+			Kind: opIndexScan, Table: r.t, TableName: r.name, reads: reads, stages: stages,
 			IdxCol: col, Lo: lo, Hi: hi,
 			Filter: resid, FilterStr: renderConds(rest), pass: pc.passShares(r, rest),
 			schema:  r.t.Schema(),
@@ -434,9 +483,10 @@ func (pc *planCtx) chooseJoin(outer *Node, r *rel) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
+		_, stages := pc.readsOf(r, all)
 		indexNode = &Node{
 			Kind: opIndexJoin, Kids: []*Node{outer},
-			Table: r.t, TableName: r.name, reads: r.reads,
+			Table: r.t, TableName: r.name, reads: r.reads, stages: stages,
 			OuterKey: outerKey, OuterColName: r.outerCol, InnerColName: r.innerCol,
 			Filter: resid, FilterStr: renderConds(all), pass: pc.passShares(r, all),
 			schema:  schema,
@@ -634,12 +684,12 @@ func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 		tree := n.Table.Index(n.IdxCol)
 		c.btreeDescend(a, 1, tree.Height(), tree.Len(), true)
 		c.indexEntries(a, k.scanned, tree.Len())
-		c.heapFetch(a, k.scanned, n, vector)
+		c.heapFetch(a, k.scanned, n, k.conj, vector)
 	case opIndexJoin:
 		tree := n.Table.Index(n.InnerColName)
 		c.btreeDescend(a, k.in, tree.Height(), tree.Len(), !vector)
 		c.indexEntries(a, k.matches, tree.Len())
-		c.heapFetch(a, k.matches, n, vector)
+		c.heapFetch(a, k.matches, n, k.conj, vector)
 	case opSort:
 		c.sortCompares(a, k.in, exec.SortEntryBytes, float64(len(n.SortKeys)))
 	case opWrite:

@@ -221,11 +221,11 @@ func (p *Prepared) instantiateVec(n *Node, mt *metering) (vec.Operator, error) {
 	case opIndexScan:
 		op = &vec.IndexScan{
 			Ctx: e.Ctx, File: n.Table.File, Tree: n.Table.Index(n.IdxCol),
-			Lo: n.Lo, Hi: n.Hi, Filter: n.Filter, Reads: n.reads,
+			Lo: n.Lo, Hi: n.Hi, Filter: n.Filter, Reads: n.fetchReads(),
 		}
 	case opIndexJoin:
 		op = &vec.IndexJoin{
-			Ctx: e.Ctx, Probe: kids[0], Inner: n.Table.File, InnerReads: n.reads,
+			Ctx: e.Ctx, Probe: kids[0], Inner: n.Table.File, InnerReads: n.fetchReads(),
 			Index: n.Table.Index(n.InnerColName), ProbeKey: n.OuterKey,
 			Residual: n.Filter,
 		}

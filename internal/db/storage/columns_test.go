@@ -230,6 +230,75 @@ func TestColumnRunSequences(t *testing.T) {
 	})
 }
 
+// TestStagedFetchSequences pins the exact loads of a staged batch fetch on a
+// column heap: a first ReadRows of the tuple headers and one column for every
+// id, then a later stage (Later) of two more columns for the ids a filter
+// kept. The later stage loads no page header, no map line, no tuple header
+// and no chain hop — not even for a row read past two of them — and reads
+// only its runs' slots, only for the kept ids; it resolves nothing, and the
+// At the stages share places every column read at its stage's first id.
+func TestStagedFetchSequences(t *testing.T) {
+	dev := newDev(t)
+	hf := loadHeap(dev, 1<<20, 8<<10, 2000, Columns)
+	d := hf.data
+	mgr := txn.NewManager()
+	old := mgr.Pin()
+	for i := 0; i < 2; i++ { // row 42 gains two versions the old snapshot reads past
+		tx := mgr.Begin()
+		if _, err := hf.UpdateTxn(tx, 42, colRow(9000+i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mgr.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev.Snap = old
+	drainBatches(hf.BatchScan(512, Reads{})) // every page resident
+
+	ids, kept := []int{1500, 3, 42, 700, 1999}, []int{42, 700, 1999}
+	first, later := d.Reads([]int{1}), d.Later([]int{0, 2})
+	rows := make([]value.Row, len(ids))
+	var at At
+	if err := hf.ReadRows(ids, rows, first, &at); err != nil {
+		t.Fatal(err)
+	}
+	var want []access
+	for _, id := range kept {
+		for _, c := range []int{0, 2} {
+			k := d.colRun[c]
+			want = append(want, access{memsim.AccessLoadInd, slot(t, hf, k, id)})
+			if w := uint64(d.runs[k].width); w > memsim.LineSize {
+				want = lines(want, memsim.AccessLoadInd, slot(t, hf, k, id)+memsim.LineSize, w-memsim.LineSize)
+			}
+		}
+	}
+	off, hits := dev.verOff, hf.pool.Hits
+	got := record(dev, func() {
+		if err := hf.ReadRows(kept, nil, later, &at); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !slices.Equal(got, want) {
+		t.Errorf("the later stage issued\n%v\nwant\n%v", got, want)
+	}
+	if dev.verOff != off || hf.pool.Hits-hits != uint64(2*len(kept)) {
+		t.Errorf("the later stage walked %d bytes of version store and made %d frame lookups, want none and %d", dev.verOff-off, hf.pool.Hits-hits, 2*len(kept))
+	}
+	for i, id := range ids {
+		if !slices.Equal(rows[i], colRow(id)) {
+			t.Errorf("row %d reads %v under the old snapshot, want %v", id, rows[i], colRow(id))
+		}
+	}
+	for c, id := range map[int]int{0: kept[0], 1: ids[0], 2: kept[0]} {
+		if a, s := at.Col(c), slot(t, hf, d.colRun[c], id); a != s {
+			t.Errorf("column %d is at %#x, want row %d's slot at %#x", c, a, id, s)
+		}
+	}
+	if got := record(dev, func() { hf.ReadRows(nil, nil, later, &at) }); len(got) != 0 {
+		t.Errorf("a later stage of no rows issued %v", got)
+	}
+}
+
 // drainBatches runs a batch scan to its end.
 func drainBatches(sc *BatchScanner) {
 	for _, _, ok := sc.NextBatch(); ok; _, _, ok = sc.NextBatch() {
@@ -587,6 +656,9 @@ func checkHeapLayouts(t *testing.T, ops []byte) {
 				got := make([]value.Row, len(ids))
 				err := hf.ReadRows(ids, got, r, nil)
 				out = append(out, readBack{"rows", 0, got, true, err})
+				if cols != nil {
+					out = append(out, stagedRead(t, hf, ids, cols, got))
+				}
 				dump[h] = out
 			}
 			for i := range min(len(dump[0]), len(dump[1])) {
@@ -599,6 +671,38 @@ func checkHeapLayouts(t *testing.T, ops []byte) {
 			}
 		}
 	}
+}
+
+// stagedRead reads the rows ids name in two stages, the columns of cols but
+// the last first and the last later (Later) for the rows found visible, and
+// fails t unless that returns union, what one ReadRows of all of cols
+// returned, and places every column of cols at a slot of its stage.
+func stagedRead(t *testing.T, hf *HeapFile, ids, cols []int, union []value.Row) readBack {
+	t.Helper()
+	d := hf.Data()
+	split := max(len(cols)-1, 0)
+	got := make([]value.Row, len(ids))
+	var at At
+	err := hf.ReadRows(ids, got, d.Reads(cols[:split]), &at)
+	var vis []int
+	for i, row := range got {
+		if row != nil {
+			vis = append(vis, ids[i])
+		}
+	}
+	if err == nil {
+		err = hf.ReadRows(vis, nil, d.Later(cols[split:]), &at)
+	}
+	staged := readBack{"staged", 0, got, true, err}
+	if !staged.same(readBack{"staged", 0, union, true, nil}) {
+		t.Fatalf("columns %v read in two stages differ from one read of them:\n staged %+v\n one    %v", cols, staged, union)
+	}
+	if len(vis) > 0 {
+		for _, c := range cols {
+			at.Col(c)
+		}
+	}
+	return staged
 }
 
 // readBack is one read checkHeapLayouts makes of a heap: the access path,

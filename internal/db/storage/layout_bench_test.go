@@ -61,21 +61,28 @@ func BenchmarkHeapScanLayout(b *testing.B) {
 // 1.3 × the i7's 8 MB L3 (as row-major slots), laid out row-major and in
 // column runs, 1 024 rows a batch (ReadRows) in key order: the ids of a
 // key range of an index whose keys are a permutation of the heap's order.
-// Each batch takes the next key range. It reports per fetched row the loads
-// it issues, the distinct lines they touch and the lines filled from DRAM
-// (demand misses and DRAM→L3 prefetches). One pass over every batch warms
-// the pool and the caches first; the simulation is deterministic, so one
-// batch is exact.
+// Each batch takes the next key range. The columns-staged case reads the
+// column heap as a staged fetch of Q6's plan does (late materialization):
+// l_shipdate and l_discount for every row, l_quantity for the rows
+// l_discount's two conjuncts keep (3 in 11, TPC-H's discount shares), and
+// l_extendedprice for the rows l_quantity < 24 keeps of those (23 in 50).
+// It reports per fetched row (candidate) the loads it issues, the distinct
+// lines they touch and the lines filled from DRAM (demand misses and
+// DRAM→L3 prefetches). One pass over every batch warms the pool and the
+// caches first; the simulation is deterministic, so one batch is exact.
 func BenchmarkHeapFetchLayout(b *testing.B) {
-	for _, layout := range []Layout{Rows, Columns} {
-		name := map[Layout]string{Rows: "rows", Columns: "columns"}[layout]
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		layout Layout
+		staged bool
+	}{{"rows", Rows, false}, {"columns", Columns, false}, {"columns-staged", Columns, true}} {
+		b.Run(c.name, func(b *testing.B) {
 			const batch = 1024
 			p := cpusim.IntelI7_4790()
 			dev := NewDevice(cpusim.NewMachine(p), 256<<20)
 			dev.M.Hier.SetPrefetchEnabled(true)
 			schema, _ := lineitemShape()
-			hf := NewHeapFile(dev, NewBufferPool(dev, 2*p.Mem.L3.SizeBytes, 8<<10), schema, 24, layout)
+			hf := NewHeapFile(dev, NewBufferPool(dev, 2*p.Mem.L3.SizeBytes, 8<<10), schema, 24, c.layout)
 			row := make(value.Row, len(schema.Columns))
 			for i := range row {
 				row[i] = value.Int(int64(i))
@@ -85,12 +92,40 @@ func BenchmarkHeapFetchLayout(b *testing.B) {
 				hf.Append(row)
 			}
 			keyOrder := rand.New(rand.NewSource(1)).Perm(n)
-			r := hf.Data().Reads([]int{4, 5, 6, 10}) // l_quantity, l_extendedprice, l_discount, l_shipdate
+			d := hf.Data()
+			// l_quantity, l_extendedprice, l_discount, l_shipdate: one read,
+			// or three stages.
+			stages := []Reads{d.Reads([]int{4, 5, 6, 10})}
+			if c.staged {
+				stages = []Reads{d.Reads([]int{6, 10}), d.Later([]int{4}), d.Later([]int{5})}
+			}
+			// kept[s][id] is whether row id reaches stage s+1: the draws
+			// are fixed, so every pass keeps the same rows.
+			pass := rand.New(rand.NewSource(2))
+			kept := [2][]bool{make([]bool, n), make([]bool, n)}
+			for id := 0; id < n; id++ {
+				kept[0][id] = pass.Intn(11) < 3
+				kept[1][id] = kept[0][id] && pass.Intn(50) < 23
+			}
 			dst := make([]value.Row, batch)
+			var at At
+			ids := make([]int, 0, batch)
 			fetch := func(i int) {
-				at := i % (n / batch) * batch
-				if err := hf.ReadRows(keyOrder[at:at+batch], dst, r, nil); err != nil {
+				from := i % (n / batch) * batch
+				batchIDs := keyOrder[from : from+batch]
+				if err := hf.ReadRows(batchIDs, dst, stages[0], &at); err != nil {
 					b.Fatal(err)
+				}
+				for s, r := range stages[1:] {
+					ids = ids[:0]
+					for _, id := range batchIDs {
+						if kept[s][id] {
+							ids = append(ids, id)
+						}
+					}
+					if err := hf.ReadRows(ids, nil, r, &at); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			for i := 0; i < n/batch; i++ {
@@ -110,12 +145,12 @@ func BenchmarkHeapFetchLayout(b *testing.B) {
 				fetch(i)
 			}
 			b.StopTimer()
-			c := dev.M.Hier.Counters().Sub(before)
+			ctr := dev.M.Hier.Counters().Sub(before)
 			dev.M.Hier.SetRecorder(nil)
 			rows := float64(b.N * batch)
 			b.ReportMetric(float64(loads)/rows, "loads/row")
 			b.ReportMetric(float64(len(lines))/rows, "lines/row")
-			b.ReportMetric(float64(c.MemAccesses+c.PrefetchL3)/rows, "dram-fills/row")
+			b.ReportMetric(float64(ctr.MemAccesses+ctr.PrefetchL3)/rows, "dram-fills/row")
 		})
 	}
 }

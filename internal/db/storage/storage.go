@@ -659,10 +659,12 @@ type run struct{ file, width, perPage int }
 // and each run holding one of the columns, in run order. The zero Reads
 // touches every run. On a column heap a read consults the visibility map
 // and skips the header run on an all-visible page, unless it is a write's
-// read (Writing).
+// read (Writing). A later stage of a staged read (Later) touches column runs
+// alone, for rows a read with the header run already resolved.
 type Reads struct {
 	runs  []int
 	write bool
+	later bool
 }
 
 // Writing returns r as the read of a write: it reads the tuple-header run on
@@ -674,7 +676,7 @@ func (r Reads) Writing() Reads {
 }
 
 // consults reports whether a read of r consults the visibility map.
-func (d *TableData) consults(r Reads) bool { return d.Layout() == Columns && !r.write }
+func (d *TableData) consults(r Reads) bool { return d.Layout() == Columns && !r.write && !r.later }
 
 // Reads resolves a column set against the heap's runs: nil reads every
 // column, an empty set only the tuple headers.
@@ -682,7 +684,24 @@ func (d *TableData) Reads(cols []int) Reads {
 	if cols == nil || len(d.runs) == 1 {
 		return Reads{}
 	}
-	runs := []int{0}
+	return Reads{runs: append([]int{0}, d.colRuns(cols)...)}
+}
+
+// Later resolves a column set as a later stage of a staged read: the runs of
+// the columns, without the header run, read for rows an earlier stage (a
+// read of Reads) resolved. A row-major heap's one run is the header run,
+// which the first stage read whole, so there a later stage reads nothing.
+// Only ReadRows reads a later stage.
+func (d *TableData) Later(cols []int) Reads {
+	if len(d.runs) == 1 {
+		return Reads{runs: []int{}, later: true}
+	}
+	return Reads{runs: d.colRuns(cols), later: true}
+}
+
+// colRuns lists the column runs holding cols, in run order.
+func (d *TableData) colRuns(cols []int) []int {
+	runs := []int{}
 	for k := 1; k < len(d.runs); k++ {
 		for _, c := range cols {
 			if d.colRun[c] == k {
@@ -691,7 +710,7 @@ func (d *TableData) Reads(cols []int) Reads {
 			}
 		}
 	}
-	return Reads{runs: runs}
+	return runs
 }
 
 // Layout reports how the heap lays its slots out.
@@ -1268,6 +1287,12 @@ func (hf *HeapFile) FetchRow(id int, r Reads) (row value.Row, visible bool, err 
 // id and its page's frame, never from a header's contents, and no id's loads
 // wait on another's. at, if not nil, learns where the first id's slot was
 // read. Nothing is simulated when an id is out of range.
+//
+// A later stage of a staged read (r from Later) reads rows an earlier
+// ReadRows of them found visible: per id it issues its runs' slot lines and
+// nothing else — no visibility-map, header or chain-hop load — resolves
+// nothing and leaves dst as it is (it may be nil). at keeps the runs the
+// earlier stages recorded and learns the first id's slot in each of its own.
 func (hf *HeapFile) ReadRows(ids []int, dst []value.Row, r Reads, at *At) error {
 	return hf.readRows(ids, dst, r, at, false)
 }
@@ -1302,9 +1327,12 @@ func (hf *HeapFile) readRows(ids []int, dst []value.Row, r Reads, at *At, depend
 	frames := hf.frames[:len(ids)*nr]
 	hf.hops = hf.hops[:0]
 	for i, id := range ids {
-		row, hops, all, _ := d.row(id, hf.dev.Snap)
-		dst[i] = row
-		hf.hops = append(hf.hops, hops)
+		all := false
+		if !r.later {
+			row, hops, mapped, _ := d.row(id, hf.dev.Snap)
+			dst[i], all = row, mapped
+			hf.hops = append(hf.hops, hops)
+		}
 		for j, k := range runs {
 			if j == 0 && all && consults {
 				frames[i*nr] = -1 // the map stands in for the header page
@@ -1313,12 +1341,13 @@ func (hf *HeapFile) readRows(ids []int, dst []value.Row, r Reads, at *At, depend
 			frames[i*nr+j] = hf.frame(k, d.page(k, id), false, dependent)
 		}
 	}
-	if at != nil {
+	// A later stage keeps the runs earlier stages recorded.
+	if at != nil && (!r.later || at.d != d) {
 		at.reset(d)
 	}
 	h := hf.dev.M.Hier
 	for i, id := range ids {
-		mapped := frames[i*nr] < 0
+		mapped := nr > 0 && frames[i*nr] < 0
 		hf.slots = hf.slots[:0]
 		for j, k := range runs {
 			if j == 0 && mapped {
@@ -1335,18 +1364,21 @@ func (hf *HeapFile) readRows(ids []int, dst []value.Row, r Reads, at *At, depend
 				at.slot[k] = hf.slots[j]
 			}
 		}
-		row := dst[i]
-		hf.dev.ChargeChain(hf.hops[i])
+		visible := r.later
+		if !r.later {
+			visible = dst[i] != nil
+			hf.dev.ChargeChain(hf.hops[i])
+		}
 		for j, k := range runs {
-			if row == nil && j > 0 {
+			if !visible && j > 0 {
 				break
 			}
 			if j == 0 && mapped {
 				h.Load(hf.mapLine(d.page(0, id).Page), dependent)
 				continue
 			}
-			h.Load(hf.slots[j], dependent && j == 0)
-			if w := d.runs[k].width; row != nil && w > memsim.LineSize {
+			h.Load(hf.slots[j], dependent && k == 0)
+			if w := d.runs[k].width; visible && w > memsim.LineSize {
 				h.LoadRange(hf.slots[j]+memsim.LineSize, uint64(w-memsim.LineSize))
 			}
 		}

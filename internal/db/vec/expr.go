@@ -672,9 +672,14 @@ func boolVal(b bool) value.Value {
 // a time: each conjunct's loop evaluates its new operand nodes over the
 // selection the conjuncts before it left, then its root narrows that
 // selection. An empty selection still runs the remaining conjuncts, at no
-// elements: a chain dispatches once per root batch.
-func (p *Prog) filter(ctx *exec.Ctx, pl *pool, b *Batch) {
+// elements: a chain dispatches once per root batch. stage, if not nil, is
+// called with each conjunct's index before its loop, the first conjunct's
+// excepted: a staged fetch reads there the runs the loop reads first.
+func (p *Prog) filter(ctx *exec.Ctx, pl *pool, b *Batch, stage func(i int)) {
 	for i, root := range p.roots {
+		if i > 0 && stage != nil {
+			stage(i)
+		}
 		c := exec.Card{Batches: 1, In: float64(b.Len())}
 		if root.kernel() {
 			p.loops[i].run(ctx, pl, b)

@@ -1,6 +1,8 @@
 package vec
 
 import (
+	"fmt"
+
 	"energydb/internal/db/btree"
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/exec"
@@ -22,12 +24,20 @@ import (
 // (ChargeFetch, and for a join the gather's dispatch and ChargeJoinGather),
 // and hands the rows out by reference, so a consumer materializes only the
 // columns it touches.
+//
+// A staged fetch (late materialization) reads in the stages its operator's
+// Reads lists: emit reads the first — the tuple headers and the runs of the
+// residual's first conjunct — for every id; before each later conjunct's loop
+// the filter calls stage, which reads that conjunct's new runs for the rows
+// still selected; after the filter the operator has the rest read for the
+// rows that passed. A later stage resolves nothing: the rows and their
+// visibility are the first read's (storage.TableData.Later).
 type fetcher struct {
-	ctx   *exec.Ctx
-	file  *storage.HeapFile
-	reads storage.Reads
-	first storage.At // where ReadRows read the pending batch's first row
-	out   *Batch
+	ctx    *exec.Ctx
+	file   *storage.HeapFile
+	stages []storage.Reads
+	first  storage.At // where ReadRows read the pending batch's first row, run by run
+	out    *Batch
 	// ids queues the heap slots of the pending batch, entries the snapshot
 	// cannot see included. emit reads them into rows and compacts both to
 	// the visible entries: rows then backs out, the heap rows themselves or,
@@ -37,19 +47,29 @@ type fetcher struct {
 	rows []value.Row
 	buf  []value.Row
 	np   int
+	// sel is the scratch list of the slots a later stage reads.
+	sel []int
 	// at is the scratch line the id list and the assembled rows are charged
 	// against.
 	at                     uint64
 	probeLines, innerLines int
 }
 
-// newFetcher builds a fetcher over file emitting batches of the given schema
-// and width: file's own schema for a scan, probe's columns followed by file's
-// for a join (probe nil otherwise).
-func newFetcher(ctx *exec.Ctx, file *storage.HeapFile, reads storage.Reads, schema, probe *catalog.Schema, width int) *fetcher {
+// newFetcher builds a fetcher over file reading it in the given stages (nil:
+// every column, in one read) and emitting batches of the given schema and
+// width: file's own schema for a scan, probe's columns followed by file's for
+// a join (probe nil otherwise). A filter over the batches must have one
+// conjunct per stage but the last, or there must be one stage.
+func newFetcher(ctx *exec.Ctx, file *storage.HeapFile, stages []storage.Reads, filter *Prog, schema, probe *catalog.Schema, width int) *fetcher {
+	if stages == nil {
+		stages = []storage.Reads{{}}
+	}
+	if n := len(stages); n > 1 && (filter == nil || n != len(filter.roots)+1) {
+		panic(fmt.Sprintf("vec: %d fetch stages do not match the residual's conjuncts", n))
+	}
 	width = batchWidth(ctx, width)
 	f := &fetcher{
-		ctx: ctx, file: file, reads: reads,
+		ctx: ctx, file: file, stages: stages,
 		out:  NewBatch(ctx.Arena, schema, width),
 		ids:  make([]int, 0, width),
 		rows: make([]value.Row, width),
@@ -95,7 +115,7 @@ func (f *fetcher) emit() (*Batch, error) {
 		return nil, nil
 	}
 	rows := f.rows[:n]
-	if err := f.file.ReadRows(f.ids, rows, f.reads, &f.first); err != nil {
+	if err := f.file.ReadRows(f.ids, rows, f.stages[0], &f.first); err != nil {
 		return nil, err
 	}
 	k := 0
@@ -122,6 +142,37 @@ func (f *fetcher) emit() (*Batch, error) {
 	return f.out, nil
 }
 
+// stage reads stage i of b, the batch emit handed out last, for the rows b
+// still selects. A scan's batch learns where each run's first row was read;
+// a join's rows are assembled at a line of their own.
+func (f *fetcher) stage(b *Batch, i int) {
+	f.sel = f.sel[:0]
+	for k := 0; k < b.Len(); k++ {
+		f.sel = append(f.sel, b.RowID(k))
+	}
+	at := &f.first
+	if f.buf != nil {
+		at = nil
+	}
+	// Every id was in range at emit's read, and a heap never shrinks.
+	if err := f.file.ReadRows(f.sel, nil, f.stages[i], at); err != nil {
+		panic(err)
+	}
+}
+
+// filter runs the residual pred over b, which emit handed out, reading each
+// later stage before the conjunct it serves and the last, the rest of the
+// columns, for the rows that passed.
+func (f *fetcher) filter(pred *Prog, pl *pool, b *Batch) {
+	pl.reset()
+	if len(f.stages) == 1 {
+		pred.filter(f.ctx, pl, b, nil)
+		return
+	}
+	pred.filter(f.ctx, pl, b, func(i int) { f.stage(b, i) })
+	f.stage(b, len(f.stages)-1)
+}
+
 // IndexScan is the batch form of exec.IndexScan: it walks the index over
 // [Lo, Hi] (inclusive; nil is unbounded), fetches a batch width of entries
 // at a time in index order, and runs the residual as a kernel program that
@@ -133,8 +184,12 @@ type IndexScan struct {
 	Lo, Hi *value.Value
 	// Filter applies residual predicates after the heap fetch.
 	Filter exec.Expr
-	// Reads is what a fetch reads of the heap (zero: every column).
-	Reads storage.Reads
+	// Reads is what a fetch reads of the heap, stage by stage (nil: every
+	// column, in one read). One entry is one read. One entry per conjunct
+	// of Filter and one more is a staged read: entry 0 for every fetched
+	// row, entry i before conjunct i's loop for the rows still selected, the
+	// last after the filter for the rows that passed (fetcher).
+	Reads []storage.Reads
 	// BatchSize overrides the L1D-derived batch width; 0 picks BatchSizeFor.
 	BatchSize int
 
@@ -150,11 +205,11 @@ func (s *IndexScan) Schema() *catalog.Schema { return s.File.Schema() }
 // Open implements Operator.
 func (s *IndexScan) Open() error {
 	s.it = s.Tree.Range(s.Lo, s.Hi)
-	s.f = newFetcher(s.Ctx, s.File, s.Reads, s.Schema(), nil, s.BatchSize)
-	s.p = newPool(s.Ctx)
 	if s.Filter != nil {
 		s.pred = CompileFilter(s.Filter)
 	}
+	s.f = newFetcher(s.Ctx, s.File, s.Reads, s.pred, s.Schema(), nil, s.BatchSize)
+	s.p = newPool(s.Ctx)
 	return nil
 }
 
@@ -175,8 +230,7 @@ func (s *IndexScan) Next() (*Batch, error) {
 			continue
 		}
 		if s.pred != nil {
-			s.p.reset()
-			s.pred.filter(s.Ctx, s.p, b)
+			s.f.filter(s.pred, s.p, b)
 		}
 		return b, nil
 	}
@@ -199,8 +253,9 @@ type IndexJoin struct {
 	Ctx   *exec.Ctx
 	Probe Operator
 	Inner *storage.HeapFile
-	// InnerReads is what a fetch reads of the inner heap (zero: every column).
-	InnerReads storage.Reads
+	// InnerReads is what a fetch reads of the inner heap, stage by stage, as
+	// IndexScan's Reads is, the stages serving Residual's conjuncts.
+	InnerReads []storage.Reads
 	Index      *btree.Tree
 	ProbeKey   int
 	// Residual filters the concatenated row.
@@ -234,11 +289,11 @@ func (j *IndexJoin) Schema() *catalog.Schema {
 
 // Open implements Operator.
 func (j *IndexJoin) Open() error {
-	j.f = newFetcher(j.Ctx, j.Inner, j.InnerReads, j.Schema(), j.Probe.Schema(), j.BatchSize)
-	j.p = newPool(j.Ctx)
 	if j.Residual != nil {
 		j.pred = CompileFilter(j.Residual)
 	}
+	j.f = newFetcher(j.Ctx, j.Inner, j.InnerReads, j.pred, j.Schema(), j.Probe.Schema(), j.BatchSize)
+	j.p = newPool(j.Ctx)
 	j.probe, j.keys, j.sel, j.cur = nil, j.keys[:0], j.sel[:0], 0
 	return j.Probe.Open()
 }
@@ -302,8 +357,7 @@ func (j *IndexJoin) Next() (*Batch, error) {
 			continue
 		}
 		if j.pred != nil {
-			j.p.reset()
-			j.pred.filter(j.Ctx, j.p, b)
+			j.f.filter(j.pred, j.p, b)
 		}
 		return b, nil
 	}

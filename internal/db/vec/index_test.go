@@ -276,6 +276,210 @@ func TestIndexOpsDropInvisibleEntries(t *testing.T) {
 		})
 }
 
+// stagedEngine is indexedEngine laid out row-major or in column runs, with
+// every fifth row's name and day changed by a committed update, every
+// eleventh row deleted, and forty inserts left uncommitted; old is a
+// snapshot pinned before those writes, under which the updated rows read
+// past a chain hop and the deleted ones are still visible.
+func stagedEngine(t *testing.T, rowMajor bool) (e *engine.Engine, tbl *engine.Table, old txn.Snap) {
+	t.Helper()
+	e, tbl = layoutEngine(t, 600, rowMajor)
+	for _, col := range []string{"id", "grp", "price"} {
+		e.CreateIndex(tbl, col)
+	}
+	old = e.Shared().Txns.Pin()
+	every := func(n int) exec.Expr { // id is a multiple of n
+		in := exec.InList{E: col(0)}
+		for id := 0; id < 600; id += n {
+			in.List = append(in.List, value.Int(int64(id)))
+		}
+		return in
+	}
+	for n, set := range map[int]func(value.Row) (value.Row, error){
+		5: func(r value.Row) (value.Row, error) {
+			r[3], r[4] = value.Str("beta"), value.Date(r[4].I+200)
+			return r, nil
+		},
+		11: nil,
+	} {
+		if _, err := e.Autocommit(func(*txn.Txn) (int, error) {
+			return exec.Drain(&engine.Write{E: e, T: tbl, Set: set, Child: &exec.SeqScan{Ctx: e.Ctx, File: tbl.File, Filter: every(n)}})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := e.Begin()
+	for i := 0; i < 40; i++ {
+		e.InsertTxn(tx, tbl, value.Row{value.Int(int64(100 + i)), value.Int(int64(i % 7)), value.Float(9), value.Str("alpha"), value.Date(1)})
+	}
+	e.Unbind()
+	return e, tbl, old
+}
+
+// and3 is the conjunction of three predicates, as a filter program's three
+// conjuncts.
+func and3(a, b, c exec.Expr) exec.Expr {
+	return exec.BinOp{Op: exec.OpAnd, L: exec.BinOp{Op: exec.OpAnd, L: a, R: b}, R: c}
+}
+
+// TestStagedFetchMatchesRowPlan runs a staged IndexScan and IndexJoin — a
+// residual of three conjuncts on three columns, each read only for the rows
+// still selected, the rest of the columns after the filter — over a column
+// heap holding updated, deleted and uncommitted rows, under a fresh snapshot
+// and one pinned before the writes. A projection above reads two columns of
+// the last stage in a fused loop. The rows must be the row operators' over
+// the same data laid out row-major, in the same order.
+func TestStagedFetchMatchesRowPlan(t *testing.T) {
+	gt := func(c int, v value.Value) exec.Expr { return exec.BinOp{Op: exec.OpGt, L: col(c), R: exec.Const{V: v}} }
+	lt := func(c int, v value.Value) exec.Expr { return exec.BinOp{Op: exec.OpLt, L: col(c), R: exec.Const{V: v}} }
+	project := []exec.Expr{
+		exec.BinOp{Op: exec.OpAdd, L: col(0), R: exec.Const{V: value.Int(1)}},
+		exec.Like{E: col(3), Pattern: "b%"},
+		col(4),
+	}
+	// The scan: price, then grp, then day; id and name after the filter.
+	scanPred := and3(gt(2, value.Float(4)), exec.BinOp{Op: exec.OpNe, L: col(1), R: exec.Const{V: value.Int(3)}}, lt(4, value.Date(300)))
+	scanStages := func(d *storage.TableData) []storage.Reads {
+		return []storage.Reads{d.Reads([]int{2}), d.Later([]int{1}), d.Later([]int{4}), d.Later([]int{0, 3})}
+	}
+	// The join on grp: the inner price, then probe.id < inner.id, then the
+	// inner day; the inner grp and name after the filter.
+	joinPred := and3(gt(7, value.Float(2)), exec.BinOp{Op: exec.OpLt, L: col(0), R: col(5)}, lt(9, value.Date(250)))
+	joinStages := func(d *storage.TableData) []storage.Reads {
+		return []storage.Reads{d.Reads([]int{2}), d.Later([]int{0}), d.Later([]int{4}), d.Later([]int{1, 3})}
+	}
+	lo, hi := ptr(value.Int(30)), ptr(value.Int(420))
+	for _, pinned := range []bool{false, true} {
+		for _, batch := range []int{1, 7, 64, 1024} {
+			er, tr, oldR := stagedEngine(t, true)
+			ev, tv, oldV := stagedEngine(t, false)
+			if tr.File.Data().Layout() != storage.Rows || tv.File.Data().Layout() != storage.Columns {
+				t.Fatal("the two engines' heaps are not laid out row-major and in column runs")
+			}
+			if pinned {
+				er.Dev.Snap, ev.Dev.Snap = oldR, oldV
+			}
+			label := fmt.Sprintf("pinned=%v batch=%d", pinned, batch)
+			want, err := exec.Collect(&exec.Project{Ctx: er.Ctx, Exprs: project, Child: &exec.IndexScan{
+				Ctx: er.Ctx, File: tr.File, Tree: tr.Index("id"), Lo: lo, Hi: hi, Filter: scanPred,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := collectVec(t, &Project{Ctx: ev.Ctx, Exprs: project, Child: &IndexScan{
+				Ctx: ev.Ctx, File: tv.File, Tree: tv.Index("id"), Lo: lo, Hi: hi, Filter: scanPred,
+				Reads: scanStages(tv.File.Data()), BatchSize: batch,
+			}})
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("index scan, %s: %d rows staged, the row plan %d\n%v\n%v", label, len(got), len(want), got, want)
+			}
+
+			want, err = exec.Collect(&exec.IndexJoin{
+				Ctx: er.Ctx, Outer: &exec.SeqScan{Ctx: er.Ctx, File: tr.File, Filter: lt(0, value.Int(90))},
+				Inner: tr.File, Index: tr.Index("grp"), OuterKey: 1, Residual: joinPred,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = collectVec(t, &IndexJoin{
+				Ctx: ev.Ctx, Probe: &Scan{Ctx: ev.Ctx, File: tv.File, Pred: lt(0, value.Int(90)), BatchSize: batch},
+				Inner: tv.File, InnerReads: joinStages(tv.File.Data()), Index: tv.Index("grp"), ProbeKey: 1,
+				Residual: joinPred, BatchSize: batch,
+			})
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("index join, %s: %d rows staged, the row plan %d", label, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestStagedFetchReadsSurvivors records the loads of a staged IndexScan and
+// IndexJoin on a column heap and checks, for every row the index hands them,
+// which of its column slots were read: the first conjunct's column for every
+// row, the second's for the rows the first kept, and the other columns for
+// the rows the whole residual kept — no slot of a row a conjunct dropped.
+func TestStagedFetchReadsSurvivors(t *testing.T) {
+	e, tbl := indexedEngine(t, 600)
+	d := tbl.File.Data()
+	// slots[id][c] is where a read of row id finds column c: a one-row read
+	// places each of its columns at the row's slot in the column's run.
+	slots := make([][5]uint64, 600)
+	for id := range slots {
+		var at storage.At
+		if err := tbl.File.ReadRows([]int{id}, make([]value.Row, 1), storage.Reads{}, &at); err != nil {
+			t.Fatal(err)
+		}
+		for c := range slots[id] {
+			slots[id][c] = at.Col(c)
+		}
+	}
+	record := func(op Operator) map[uint64]bool {
+		loaded := map[uint64]bool{}
+		e.M.Hier.SetRecorder(func(kind memsim.AccessKind, addr, _ uint64) {
+			if kind == memsim.AccessLoadDep || kind == memsim.AccessLoadInd {
+				loaded[addr] = true
+			}
+		})
+		defer e.M.Hier.SetRecorder(nil)
+		collectVec(t, op)
+		return loaded
+	}
+	// check fails t unless row id's slot of column c was read exactly when
+	// want says.
+	check := func(what string, loaded map[uint64]bool, id, c int, want bool) {
+		t.Helper()
+		if loaded[slots[id][c]] != want {
+			t.Fatalf("%s: row %d's column %d read %v, want %v", what, id, c, !want, want)
+		}
+	}
+	price := func(id int) (float64, bool) { return float64(id%97) / 4, id%13 != 0 }
+
+	// price > 10, then grp <> 3; id, name and day after the filter.
+	pred := exec.BinOp{Op: exec.OpAnd,
+		L: exec.BinOp{Op: exec.OpGt, L: col(2), R: exec.Const{V: value.Float(10)}},
+		R: exec.BinOp{Op: exec.OpNe, L: col(1), R: exec.Const{V: value.Int(3)}},
+	}
+	loaded := record(&IndexScan{
+		Ctx: e.Ctx, File: tbl.File, Tree: tbl.Index("id"), Lo: ptr(value.Int(100)), Hi: ptr(value.Int(499)), Filter: pred,
+		Reads: []storage.Reads{d.Reads([]int{2}), d.Later([]int{1}), d.Later([]int{0, 3, 4})}, BatchSize: 64,
+	})
+	for id := 100; id < 500; id++ {
+		p, ok := price(id)
+		first := ok && p > 10
+		check("index scan", loaded, id, 2, true)
+		check("index scan", loaded, id, 1, first)
+		for _, c := range []int{0, 3, 4} {
+			check("index scan", loaded, id, c, first && id%7 != 3)
+		}
+	}
+
+	// A probe table of one row (g, 20g) per grp value g joins every row of
+	// the grp: inner.price > 10, then probe.n < inner.id; the inner id's
+	// name and day after.
+	probe := e.CreateTable("p", catalog.NewSchema(catalog.Column{Name: "g", Type: value.TypeInt}, catalog.Column{Name: "n", Type: value.TypeInt}))
+	for g := int64(0); g < 7; g++ {
+		e.Insert(probe, value.Row{value.Int(g), value.Int(20 * g)})
+	}
+	pred = exec.BinOp{Op: exec.OpAnd,
+		L: exec.BinOp{Op: exec.OpGt, L: col(4), R: exec.Const{V: value.Float(10)}},
+		R: exec.BinOp{Op: exec.OpLt, L: col(1), R: col(2)},
+	}
+	loaded = record(&IndexJoin{
+		Ctx: e.Ctx, Probe: &Scan{Ctx: e.Ctx, File: probe.File},
+		Inner: tbl.File, Index: tbl.Index("grp"), ProbeKey: 0, Residual: pred,
+		InnerReads: []storage.Reads{d.Reads([]int{2}), d.Later([]int{0}), d.Later([]int{3, 4})}, BatchSize: 64,
+	})
+	for id := range slots {
+		p, ok := price(id)
+		first := ok && p > 10
+		check("index join", loaded, id, 2, true)
+		check("index join", loaded, id, 0, first)
+		for _, c := range []int{3, 4} {
+			check("index join", loaded, id, c, first && 20*(id%7) < id)
+		}
+	}
+}
+
 // TestCancelIndexOps checks cancellation: a pre-armed flag stops both
 // operators before they fetch anything, and a flag raised while a batch is
 // queued stops the fetch primitive at that batch's emit, before it hands any
@@ -297,7 +501,7 @@ func TestCancelIndexOps(t *testing.T) {
 	}
 
 	flag.Store(false)
-	f := newFetcher(e.Ctx, tbl.File, storage.Reads{}, tbl.Schema(), nil, MaxBatch)
+	f := newFetcher(e.Ctx, tbl.File, nil, nil, tbl.Schema(), nil, MaxBatch)
 	for id := 0; !f.full(); id++ {
 		f.fetch(id%600, nil, 0)
 	}

@@ -249,7 +249,7 @@ func (j *HashJoin) Next() (*Batch, error) {
 	j.gather(out)
 	if j.residual != nil {
 		j.p.reset()
-		j.residual.filter(j.Ctx, j.p, out)
+		j.residual.filter(j.Ctx, j.p, out, nil)
 	}
 	return out, nil
 }

@@ -126,7 +126,7 @@ func TestSecondConsumerStoresOnce(t *testing.T) {
 	agg := CompileAgg([]exec.Expr{col(2)}, []exec.AggSpec{{Kind: exec.AggSum, Arg: col(1)}})
 	pl := newPool(ctx)
 	events := recording(ctx, func() {
-		filter.filter(ctx, pl, b)
+		filter.filter(ctx, pl, b, nil)
 		if b.state[1] != Fused {
 			t.Errorf("price is %v after the filter, want Fused", b.state[1])
 		}

@@ -85,7 +85,7 @@ func (s *Scan) Next() (*Batch, error) {
 	ChargeScan(s.Ctx, c, sel)
 	if s.pred != nil {
 		s.p.reset()
-		s.pred.filter(s.Ctx, s.p, b)
+		s.pred.filter(s.Ctx, s.p, b, nil)
 	}
 	return b, nil
 }

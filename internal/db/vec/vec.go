@@ -461,9 +461,14 @@ func (b *Batch) fill(j int) {
 // batch the column's line in the first row where the scan or fetch read it,
 // in the column's own run, otherwise the line the rows were assembled at.
 // Like every vector payload charge, the loop's loads repeat on that one line.
+// With no row selected the loop loads nothing, and a staged fetch may have
+// read no row of the column's run (fetcher): the line is zero.
 func (b *Batch) rowLine(j int) uint64 {
-	if b.heap == nil {
+	switch {
+	case b.heap == nil:
 		return b.at
+	case b.Len() == 0:
+		return 0
 	}
 	return b.heap.Col(b.rawCol(j))
 }

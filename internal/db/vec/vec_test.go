@@ -30,8 +30,16 @@ func TestBatchSizeFor(t *testing.T) {
 // every datum type, including NULLs.
 func testEngine(t testing.TB, rows int) (*engine.Engine, *engine.Table) {
 	t.Helper()
+	return layoutEngine(t, rows, false)
+}
+
+// layoutEngine is testEngine with its table laid out row-major (rowMajor,
+// as under DisableVectorExec) or in column runs.
+func layoutEngine(t testing.TB, rows int, rowMajor bool) (*engine.Engine, *engine.Table) {
+	t.Helper()
 	m := cpusim.NewMachine(cpusim.IntelI7_4790())
 	e := engine.New(engine.SQLite, m, engine.SettingBaseline)
+	e.Knobs.DisableVectorExec = rowMajor
 	tbl := e.CreateTable("t", catalog.NewSchema(
 		catalog.Column{Name: "id", Type: value.TypeInt},
 		catalog.Column{Name: "grp", Type: value.TypeInt},
