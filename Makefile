@@ -88,11 +88,11 @@ golden-drift:
 # bench/ is a module of its own (bench/go.mod replaces energydb with ../),
 # so the root `go vet ./...` and `go test ./...` do not see it; this target
 # is what keeps the benchmark compiling and its own tests green. It also runs
-# the row-versus-vector index join pair and the fused expression loop of
-# internal/db/vec once.
+# the row-versus-vector index join pair, the fused expression loop and Q1's
+# code-indexed aggregation of internal/db/vec once.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run xxx -bench 'BenchmarkIndexJoin|BenchmarkFusedProgram' -benchtime 1x ./internal/db/vec/
+	$(GO) test -run xxx -bench 'BenchmarkIndexJoin|BenchmarkFusedProgram|BenchmarkQ1Aggregate' -benchtime 1x ./internal/db/vec/
 
 check: vet staticcheck test bench-check golden-drift race
 

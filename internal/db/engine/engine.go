@@ -610,6 +610,19 @@ func (e *Engine) Insert(t *Table, row value.Row) {
 	}
 }
 
+// Load bulk-loads rows as Insert does, row by row; into an empty column
+// heap it first lets the heap decide from them which string columns to code
+// (storage.HeapFile.Load). The TPC-H loader uses it.
+func (e *Engine) Load(t *Table, rows []value.Row) {
+	first := t.File.Load(rows)
+	for col, idx := range t.Indexes {
+		ci := t.schema.MustColIndex(col)
+		for i, row := range rows {
+			idx.Insert(row[ci], first+i)
+		}
+	}
+}
+
 // InsertTxn appends a row under transaction tx: the new version is
 // invisible to other snapshots until commit, and the insert is logged for
 // replay. Index entries are published immediately (as in PostgreSQL);

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"sort"
 
 	"energydb/internal/db/catalog"
@@ -82,10 +84,18 @@ func (t *HashTable) Hop(n int) uint64 { return t.base + uint64(n)*hashBucketByte
 
 // JoinKey is the hash-table key of an equijoin key value. ok is false for
 // NULL: SQL equality is never true for NULL (including NULL = NULL), so a
-// NULL key can neither enter a hash table nor match out of one.
+// NULL key can neither enter a hash table nor match out of one. A DATE, and
+// a FLOAT holding an integer, key as the INT value.Compare finds equal to
+// them, so a hash join matches what an index join over the same columns
+// does; an INT keys as it always did.
 func JoinKey(v value.Value) (key value.Key, ok bool) {
-	if v.IsNull() {
+	switch {
+	case v.IsNull():
 		return value.Key{}, false
+	case v.T == value.TypeDate:
+		v = value.Int(v.I)
+	case v.T == value.TypeFloat && v.F == math.Trunc(v.F) && math.Abs(v.F) < 1<<63:
+		v = value.Int(int64(v.F))
 	}
 	return value.MakeKey(v), true
 }
@@ -109,16 +119,48 @@ func AggSchema(keys int, aggs []AggSpec) *catalog.Schema {
 	return catalog.NewSchema(cols...)
 }
 
+// AccOf maps each aggregate to its accumulator: aggregates over one input —
+// the same argument expression, or COUNT(*)s — share one, as PostgreSQL
+// shares transition states, so SUM(x) and AVG(x) update one. It returns the
+// accumulator of each aggregate, and how many there are.
+func AccOf(aggs []AggSpec) (of []int, n int) {
+	of = make([]int, len(aggs))
+	for i, a := range aggs {
+		of[i] = n
+		for j := range i {
+			if reflect.DeepEqual(aggs[j].Arg, a.Arg) {
+				of[i] = of[j]
+				break
+			}
+		}
+		if of[i] == n {
+			n++
+		}
+	}
+	return of, n
+}
+
 // GroupTable is a hash aggregation's groups: each group's key values and
 // accumulators, in first-seen order, over a simulated table of
 // GroupTableBytes. A bucket's accumulators sit one entry after it (AccSlot).
 // Group g's key values and accumulators are the g-th runs of two flat
-// stores, so a new group costs no allocation of its own.
+// stores, so a new group costs no allocation of its own. Aggregates over one
+// input share an accumulator (AccOf); kind holds what each accumulator
+// maintains, the most any of its aggregates reads back.
+//
+// A code-indexed table (NewCodeTable) has no hash: its groups are the
+// combinations of its keys' codes, each with one accumulator entry at a
+// fixed address, and slots maps a combination to its group.
 type GroupTable struct {
 	hashRegion
 	nkeys  int
 	aggs   []AggSpec
+	of     []int
+	kind   []AggKind
+	arg    []int // per accumulator, the first aggregate updating it
 	index  map[value.Key]int32
+	slots  []int32
+	groups int
 	keys   []value.Value
 	states []AggAcc
 }
@@ -126,12 +168,48 @@ type GroupTable struct {
 // NewGroupTable reserves the simulated table for groups of nkeys key values
 // and the given aggregates.
 func NewGroupTable(c *Ctx, nkeys int, aggs []AggSpec) *GroupTable {
-	return &GroupTable{
-		hashRegion: newHashRegion(c, GroupTableBytes),
-		nkeys:      nkeys,
-		aggs:       aggs,
-		index:      make(map[value.Key]int32),
+	t := newGroupTable(nkeys, aggs)
+	t.hashRegion = newHashRegion(c, GroupTableBytes)
+	t.index = make(map[value.Key]int32)
+	return t
+}
+
+// NewCodeTable reserves a code-indexed aggregation's table over groups code
+// combinations: a region of one accumulator entry per combination, no larger.
+func NewCodeTable(c *Ctx, nkeys int, aggs []AggSpec, groups int) *GroupTable {
+	t := newGroupTable(nkeys, aggs)
+	size := uint64(CodeTableBytes(groups))
+	t.hashRegion = hashRegion{base: c.Arena.Alloc(size, memsim.LineSize), size: size}
+	t.slots = make([]int32, groups)
+	for i := range t.slots {
+		t.slots[i] = -1
 	}
+	return t
+}
+
+// CodeTableBytes is the simulated footprint of a code-indexed aggregation's
+// table over groups code combinations: an accumulator entry each.
+func CodeTableBytes(groups int) float64 { return float64(max(groups, 1)) * hashBucketBytes }
+
+func newGroupTable(nkeys int, aggs []AggSpec) *GroupTable {
+	t := &GroupTable{nkeys: nkeys, aggs: aggs}
+	var n int
+	t.of, n = AccOf(aggs)
+	t.kind, t.arg = make([]AggKind, n), make([]int, n)
+	for i := range t.kind {
+		t.kind[i] = AggCount
+	}
+	for i := len(aggs) - 1; i >= 0; i-- {
+		acc := t.of[i]
+		t.arg[acc] = i
+		switch k := aggs[i].Kind; {
+		case k == AggMin || k == AggMax:
+			t.kind[acc] = AggMin
+		case (k == AggSum || k == AggAvg) && t.kind[acc] == AggCount:
+			t.kind[acc] = AggSum
+		}
+	}
+	return t
 }
 
 // Base is the address of the simulated table.
@@ -148,20 +226,47 @@ func (t *GroupTable) Add(vals, args []value.Value) (slot uint64, isNew bool) {
 	key := value.MakeKey(vals...)
 	g, found := t.index[key]
 	if !found {
-		g = int32(len(t.index))
+		g = t.group(vals)
 		t.index[key] = g
-		t.keys = append(t.keys, vals...)
-		t.states = append(t.states, make([]AggAcc, len(t.aggs))...)
 	}
-	states := t.states[int(g)*len(t.aggs):]
-	for i, a := range t.aggs {
-		v := value.Int(1)
-		if a.Arg != nil {
-			v = args[i]
-		}
-		states[i].UpdateKind(a.Kind, v)
-	}
+	t.update(g, args)
 	return t.head(key), !found
+}
+
+// AddAt folds one input into the group of code combination gid of a
+// code-indexed table, creating the group, keyed by vals, when it is new. It
+// returns the address of the group's accumulator entry and whether the group
+// is new.
+func (t *GroupTable) AddAt(gid int, vals, args []value.Value) (slot uint64, isNew bool) {
+	g := t.slots[gid]
+	if isNew = g < 0; isNew {
+		g = t.group(vals)
+		t.slots[gid] = g
+	}
+	t.update(g, args)
+	return t.base + uint64(gid)*hashBucketBytes, isNew
+}
+
+// group appends a new group keyed by vals and returns its number.
+func (t *GroupTable) group(vals []value.Value) int32 {
+	t.keys = append(t.keys, vals...)
+	t.states = append(t.states, make([]AggAcc, len(t.kind))...)
+	t.groups++
+	return int32(t.groups - 1)
+}
+
+// update folds one input into group g's accumulators, each once, with the
+// argument of the first aggregate updating it; an aggregate without an
+// argument folds value 1.
+func (t *GroupTable) update(g int32, args []value.Value) {
+	states := t.states[int(g)*len(t.kind):]
+	for i, k := range t.kind {
+		v := value.Int(1)
+		if a := t.arg[i]; t.aggs[a].Arg != nil {
+			v = args[a]
+		}
+		states[i].UpdateKind(k, v)
+	}
 }
 
 // Len returns the number of groups. A table without keys is a scalar
@@ -171,7 +276,7 @@ func (t *GroupTable) Len() int {
 	if t.nkeys == 0 {
 		return 1
 	}
-	return len(t.index)
+	return t.groups
 }
 
 // Row finalizes group i (in first-seen order) into an output row. The
@@ -181,8 +286,8 @@ func (t *GroupTable) Row(i int) value.Row {
 	copy(out, t.keys[i*t.nkeys:])
 	for k, a := range t.aggs {
 		var acc AggAcc // a scalar aggregate's group over no input
-		if i < len(t.index) {
-			acc = t.states[i*len(t.aggs)+k]
+		if i < t.groups {
+			acc = t.states[i*len(t.kind)+t.of[k]]
 		}
 		out = append(out, acc.Result(a.Kind))
 	}

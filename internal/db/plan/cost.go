@@ -457,6 +457,9 @@ func (c *coster) heapFetch(a *est, n float64, node *Node, conj []float64, batche
 		}
 	}
 	c.randLoads(a, lines*r, set, !batched)
+	if !batched {
+		a.l1d += n * sp.Decodes // the row fetch's decodes
+	}
 	if r < 1 {
 		pageLines := float64(c.e.Knobs.PageBytes) / 64
 		c.coldLines(a, n*(1-r)*pageLines)
@@ -488,6 +491,7 @@ func (c *coster) writeRows(a *est, n float64, node *Node, del bool) {
 	if !del {
 		heapLines = span(node).Lines
 		c.randLoad(a, n, storage.VersionStoreBytes)
+		a.l1d += n * t.File.Data().Span(storage.Reads{}).Decodes // each coded column's lookup
 	}
 	a.reg2 += logLines + n*heapLines
 	a.l1d += n

@@ -64,6 +64,21 @@ func (n *Node) detail() string {
 			names[i] = a.Name
 		}
 		parts = append(parts, fmt.Sprintf("aggs=[%s]", strings.Join(names, ", ")))
+		if n.Mode == ModeVector && n.codeGroups > 0 {
+			parts = append(parts, fmt.Sprintf("index=codes(%d)", n.codeGroups))
+		}
+	}
+	if n.Kind == opSeqScan || n.Kind == opIndexScan || n.Kind == opIndexJoin {
+		var names []string
+		dicts := n.Table.File.Data().Dicts(n.reads)
+		for j, col := range n.Table.Schema().Columns {
+			if dicts[j] != nil {
+				names = append(names, col.Name)
+			}
+		}
+		if len(names) > 0 {
+			parts = append(parts, "coded=["+strings.Join(names, ", ")+"]")
+		}
 	}
 	if len(n.SetNames) > 0 {
 		parts = append(parts, fmt.Sprintf("set=[%s]", strings.Join(n.SetNames, ", ")))

@@ -135,6 +135,10 @@ type Node struct {
 	// progs holds the node's expressions compiled for its vector operators
 	// (compileVec), once however often choosePlan prices the node.
 	progs *progs
+	// codeGroups is, for an aggregate priced in vector mode, the code
+	// combinations of its code-indexed table (vec.CodeGroups), zero when it
+	// groups by hash.
+	codeGroups int
 
 	// seq is the sequential candidate chooseScan kept beside this index
 	// scan; in a vector plan choosePlan replaces the index scan by it where
@@ -680,6 +684,9 @@ func (pc *planCtx) model(n *Node, k cards, a *est, vector bool) {
 	switch n.Kind {
 	case opSeqScan:
 		c.scanHeap(a, n)
+		if !vector {
+			a.l1d += k.scanned * span(n).Decodes // the row scan's decodes
+		}
 	case opIndexScan:
 		tree := n.Table.Index(n.IdxCol)
 		c.btreeDescend(a, 1, tree.Height(), tree.Len(), true)
@@ -727,6 +734,9 @@ func (pc *planCtx) planFootprint(n *Node) float64 {
 		total += build.EstRows*float64(build.schema.RowWidth()) + exec.HashTableBytes(build.EstRows)
 	case opAggregate:
 		total += exec.GroupTableBytes
+		if n.Mode == ModeVector && n.codeGroups > 0 {
+			total += exec.CodeTableBytes(n.codeGroups) - exec.GroupTableBytes
+		}
 	case opSort:
 		total += n.Kids[0].EstRows * (float64(n.Kids[0].schema.RowWidth()) + exec.SortEntryBytes)
 	}

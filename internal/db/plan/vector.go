@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"energydb/internal/db/exec"
+	"energydb/internal/db/storage"
 	"energydb/internal/db/vec"
 	"energydb/internal/memsim"
 )
@@ -212,6 +213,8 @@ type progs struct {
 	// (nil for COUNT(*)), or a sort's keys — a node has one of these.
 	list *vec.Prog
 	post *vec.Prog // an aggregate's select-list re-projection
+	// codes is an aggregate's list as a code-indexed aggregation runs it.
+	codes *vec.Prog
 }
 
 // compileVec returns n's expressions compiled into the programs its vector
@@ -224,6 +227,7 @@ func compileVec(n *Node) *progs {
 	switch n.Kind {
 	case opAggregate:
 		pr.list = vec.CompileAgg(n.GroupExprs, n.Aggs)
+		pr.codes = vec.CompileCodeAgg(n.GroupExprs, n.Aggs)
 	case opSort:
 		pr.list = vec.CompileSort(n.SortKeys)
 	}
@@ -254,8 +258,70 @@ func (pc *planCtx) costBoundary(n *Node, out *flow) float64 {
 	return pc.c.price(a)
 }
 
+// chargeBoundary is what vec.RowSource charges to hand c's rows over: the
+// row copies, and a decode per row of each column the rows hold codes of.
 func chargeBoundary(n *Node, c exec.Card, s exec.Sink) {
 	vec.ChargeBoundary(s, c, vec.RowLines(n.schema.RowWidth()), 0)
+	for range coded(n) {
+		vec.ChargeDecode(s, exec.Card{In: c.In}, 0)
+	}
+}
+
+// coded returns, by column, the dictionary of each column whose codes the
+// rows of vector node n's batches hold (vec.Batch's codes): a scan's or a
+// fetch's coded columns read, handed on by Prune and Sort and into the
+// joins' assembled rows. A consumer reading one as values decodes it.
+func coded(n *Node) map[int]*storage.Dict {
+	switch n.Kind {
+	case opSeqScan, opIndexScan:
+		return n.Table.File.Data().Dicts(n.fetchReads()...)
+	case opIndexJoin:
+		return joinCoded(coded(n.Kids[0]), len(n.Kids[0].schema.Columns), n.Table.File.Data().Dicts(n.fetchReads()...))
+	case opHashJoin:
+		return joinCoded(coded(n.Kids[0]), len(n.Kids[0].schema.Columns), coded(n.Kids[1]))
+	case opSort:
+		return coded(n.Kids[0])
+	case opPrune:
+		var out map[int]*storage.Dict
+		in := coded(n.Kids[0])
+		for i, c := range n.Cols {
+			if dc := in[c]; dc != nil {
+				if out == nil {
+					out = map[int]*storage.Dict{}
+				}
+				out[i] = dc
+			}
+		}
+		return out
+	}
+	return nil
+}
+
+// joinCoded is the coded columns of rows assembled from np probe columns
+// holding probe's codes and inner columns holding inner's.
+func joinCoded(probe map[int]*storage.Dict, np int, inner map[int]*storage.Dict) map[int]*storage.Dict {
+	out := maps.Clone(probe)
+	for c, dc := range inner {
+		if out == nil {
+			out = map[int]*storage.Dict{}
+		}
+		out[np+c] = dc
+	}
+	return out
+}
+
+// codeGroups applies the executor's rule (vec.Agg) to aggregate n over rows
+// holding the codes of coded: the code combinations of its code-indexed
+// table (vec.CodeGroups), zero when it groups by hash.
+func codeGroups(n *Node, coded map[int]*storage.Dict) int {
+	dicts := make([]*storage.Dict, len(n.GroupExprs))
+	for i, e := range n.GroupExprs {
+		if c, ok := e.(exec.Col); ok {
+			dicts[i] = coded[c.Idx]
+		}
+	}
+	groups, _ := vec.CodeGroups(dicts)
+	return groups
 }
 
 // batchesFor counts the L1D-derived-width batches a stream of n rows
@@ -343,10 +409,12 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 	// extent (a scan's are its own). Pass-through operators hand the same
 	// lazily backed batches on; kernel outputs are fully materialized.
 	src := &flow{batches: k.batches, rows: k.backRows, mat: map[int]vec.ColState{}}
+	srcCoded := coded(n)
 	if len(in) > 0 {
 		src.mat = maps.Clone(in[0].mat) // the consumer moves its own copy on
+		srcCoded = coded(n.Kids[0])
 	}
-	touch := vec.Toucher(s, src.mat)
+	touch := vec.Toucher(s, src.mat, srcCoded)
 	made := &flow{batches: k.batches, rows: k.backRows}
 	arriving := exec.Card{Batches: k.batches, In: k.in, Out: k.out}
 	switch n.Kind {
@@ -383,7 +451,7 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 		vec.ChargeJoinGather(s, matched, vec.RowLines(n.Kids[0].schema.RowWidth()), vec.RowLines(n.Table.Schema().RowWidth()), 0)
 		out := &flow{batches: k.outBatches, rows: k.matches, mat: map[int]vec.ColState{}}
 		if pr.filter != nil {
-			pr.filter.ChargeFilter(s, k.outBatches, k.conj, vec.Toucher(s, out.mat))
+			pr.filter.ChargeFilter(s, k.outBatches, k.conj, vec.Toucher(s, out.mat, coded(n)))
 		}
 		return out
 	case opPrune:
@@ -396,21 +464,35 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 				made.mat[i] = src.mat[c]
 			}
 		}
+
 	case opProject:
 		chargeProject(s, arriving, pr.list, touch)
 	case opAggregate:
-		// The key and argument program and one table update per batch; then
-		// the finalizing table scan, one materialization primitive per output
-		// column per group batch, and the select-list re-projection.
-		pr.list.Charge(s, arriving, touch)
-		vec.ChargeAggUpdate(s, arriving, len(n.Aggs), 0)
+		// The key and argument program and one table update per batch —
+		// code-indexed where vec.Agg would run so, its keys decoded per
+		// group —; then the finalizing table scan, one materialization
+		// primitive per output column per group batch, and the select-list
+		// re-projection.
+		_, accs := exec.AccOf(n.Aggs)
+		if n.codeGroups = codeGroups(n, srcCoded); n.codeGroups > 0 {
+			pr.codes.Charge(s, arriving, touch)
+			vec.ChargeCodeAggUpdate(s, arriving, len(n.GroupExprs), accs, 0)
+		} else {
+			pr.list.Charge(s, arriving, touch)
+			vec.ChargeAggUpdate(s, arriving, accs, 0)
+		}
 		groups := exec.Card{Batches: k.outBatches, In: k.out}
 		vec.ChargeAggFinalize(s, exec.Card{Batches: 1, In: k.out}, len(n.GroupExprs), len(n.Aggs), 0)
+		if n.codeGroups > 0 {
+			for range n.GroupExprs {
+				vec.ChargeDecode(s, exec.Card{In: k.out}, 0)
+			}
+		}
 		for i := len(n.GroupExprs) + len(n.Aggs); i > 0; i-- {
 			vec.ChargeMaterialize(s, groups, 0)
 		}
 		made = &flow{batches: k.outBatches, rows: k.out}
-		chargeProject(s, groups, pr.post, vec.Toucher(s, made.mat))
+		chargeProject(s, groups, pr.post, vec.Toucher(s, made.mat, nil))
 	case opHashJoin:
 		// Build: a collect dispatch per batch, the chunked hashing of the
 		// row buffer, an entry store per row. Probe: one key-hash kernel per
@@ -434,7 +516,7 @@ func chargeVec(n *Node, pr *progs, k cards, s exec.Sink, in []*flow) *flow {
 		vec.ChargeJoinGather(s, matched, vec.RowLines(n.Kids[0].schema.RowWidth()), buildLines, 0)
 		out := &flow{batches: k.outBatches, rows: k.matches, mat: map[int]vec.ColState{}}
 		if pr.filter != nil {
-			pr.filter.ChargeFilter(s, k.outBatches, k.conj, vec.Toucher(s, out.mat))
+			pr.filter.ChargeFilter(s, k.outBatches, k.conj, vec.Toucher(s, out.mat, coded(n)))
 		}
 		return out
 	case opSort:

@@ -96,8 +96,8 @@ func TestColumnRunSequences(t *testing.T) {
 	dev := newDev(t)
 	hf := loadHeap(dev, 1<<20, 8<<10, 2000, Columns)
 	d := hf.data
-	if d.Layout() != Columns || len(d.runs) != 4 {
-		t.Fatalf("layout %v with %d runs, want a header run and three columns", d.Layout(), len(d.runs))
+	if d.Layout() != Columns || len(d.runs()) != 4 {
+		t.Fatalf("layout %v with %d runs, want a header run and three columns", d.Layout(), len(d.runs()))
 	}
 	hdr, val, tag := 0, d.colRun[1], d.colRun[2]
 	valOnly, tagOnly := d.Reads([]int{1}).Writing(), d.Reads([]int{2}).Writing()
@@ -111,7 +111,7 @@ func TestColumnRunSequences(t *testing.T) {
 		var want []access
 		base := 512
 		for _, k := range []int{hdr, val} {
-			r := d.runs[k]
+			r := d.runs()[k]
 			for id := base; id < base+512; {
 				n := min(r.perPage-id%r.perPage, base+512-id)
 				// The page the first batch ended on is not fetched again.
@@ -162,7 +162,7 @@ func TestColumnRunSequences(t *testing.T) {
 			{memsim.AccessLoadDep, slot(t, hf, hdr, id)},
 			{memsim.AccessLoadInd, at},
 		}
-		want = lines(want, memsim.AccessLoadInd, at+memsim.LineSize, uint64(d.runs[tag].width-memsim.LineSize))
+		want = lines(want, memsim.AccessLoadInd, at+memsim.LineSize, uint64(d.runs()[tag].width-memsim.LineSize))
 		got := record(dev, func() {
 			if _, ok, err := hf.FetchRow(id, tagOnly); err != nil || !ok {
 				t.Fatalf("visible %v, err %v", ok, err)
@@ -177,7 +177,7 @@ func TestColumnRunSequences(t *testing.T) {
 		id := 42
 		want := []access{{memsim.AccessStore, hf.mapLine(0)}, {memsim.AccessLoadDep, header(t, hf, hdr, id)}}
 		for _, k := range d.all {
-			want = lines(want, memsim.AccessStore, slot(t, hf, k, id), uint64(d.runs[k].width))
+			want = lines(want, memsim.AccessStore, slot(t, hf, k, id), uint64(d.runs()[k].width))
 		}
 		tx := mgr.Begin()
 		got := record(dev, func() {
@@ -195,7 +195,7 @@ func TestColumnRunSequences(t *testing.T) {
 
 	t.Run("delete stamp", func(t *testing.T) {
 		id := 43
-		want := lines([]access{{memsim.AccessLoadDep, header(t, hf, hdr, id)}}, memsim.AccessStore, slot(t, hf, hdr, id), uint64(d.runs[hdr].width))
+		want := lines([]access{{memsim.AccessLoadDep, header(t, hf, hdr, id)}}, memsim.AccessStore, slot(t, hf, hdr, id), uint64(d.runs()[hdr].width))
 		tx := mgr.Begin()
 		got := record(dev, func() {
 			if err := hf.DeleteTxn(tx, id); err != nil {
@@ -267,7 +267,7 @@ func TestStagedFetchSequences(t *testing.T) {
 		for _, c := range []int{0, 2} {
 			k := d.colRun[c]
 			want = append(want, access{memsim.AccessLoadInd, slot(t, hf, k, id)})
-			if w := uint64(d.runs[k].width); w > memsim.LineSize {
+			if w := uint64(d.runs()[k].width); w > memsim.LineSize {
 				want = lines(want, memsim.AccessLoadInd, slot(t, hf, k, id)+memsim.LineSize, w-memsim.LineSize)
 			}
 		}
@@ -342,7 +342,7 @@ func TestVisibilityMapSequences(t *testing.T) {
 			{memsim.AccessLoadDep, slot(t, hf, 0, id)},
 			{memsim.AccessLoadInd, at},
 		}
-		return lines(want, memsim.AccessLoadInd, at+memsim.LineSize, uint64(hf.data.runs[tag].width-memsim.LineSize))
+		return lines(want, memsim.AccessLoadInd, at+memsim.LineSize, uint64(hf.data.runs()[tag].width-memsim.LineSize))
 	}
 
 	t.Run("all-visible", func(t *testing.T) {
@@ -350,7 +350,7 @@ func TestVisibilityMapSequences(t *testing.T) {
 		d := hf.data
 		val, tag := d.colRun[1], d.colRun[2]
 		valOnly, tagOnly := d.Reads([]int{1}), d.Reads([]int{2})
-		per := d.runs[0].perPage
+		per := d.runs()[0].perPage
 
 		t.Run("scan batch", func(t *testing.T) {
 			sc := hf.BatchScan(512, valOnly)
@@ -363,7 +363,7 @@ func TestVisibilityMapSequences(t *testing.T) {
 					want = append(want, access{memsim.AccessLoadDep, hf.mapLine(p)})
 				}
 			}
-			r := d.runs[val]
+			r := d.runs()[val]
 			for id := 512; id < 1024; {
 				n := min(r.perPage-id%r.perPage, 1024-id)
 				want = lines(want, memsim.AccessLoadInd, slot(t, hf, val, id), uint64(n*r.width))
@@ -389,7 +389,7 @@ func TestVisibilityMapSequences(t *testing.T) {
 			id := 1234
 			at := slot(t, hf, tag, id)
 			want := []access{{memsim.AccessLoadDep, hf.mapLine(id / per)}, {memsim.AccessLoadInd, at}}
-			want = lines(want, memsim.AccessLoadInd, at+memsim.LineSize, uint64(d.runs[tag].width-memsim.LineSize))
+			want = lines(want, memsim.AccessLoadInd, at+memsim.LineSize, uint64(d.runs()[tag].width-memsim.LineSize))
 			check(t, dev, want, func() { fetch(t, hf, id, tagOnly) })
 		})
 
@@ -443,7 +443,7 @@ func TestVisibilityMapSequences(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dev, hf, mgr := load(Columns)
-			per := hf.data.runs[0].perPage
+			per := hf.data.runs()[0].perPage
 			page := c.id / per
 			got := record(dev, func() {
 				if err := c.write(hf, mgr); err != nil {
@@ -464,7 +464,7 @@ func TestVisibilityMapSequences(t *testing.T) {
 			check(t, dev, headerFetch(t, hf, c.id), func() { fetch(t, hf, c.id, tagOnly) })
 			other := (page - 1) * per
 			at := slot(t, hf, hf.data.colRun[2], other)
-			want := lines([]access{{memsim.AccessLoadDep, hf.mapLine(page - 1)}, {memsim.AccessLoadInd, at}}, memsim.AccessLoadInd, at+memsim.LineSize, uint64(hf.data.runs[hf.data.colRun[2]].width-memsim.LineSize))
+			want := lines([]access{{memsim.AccessLoadDep, hf.mapLine(page - 1)}, {memsim.AccessLoadInd, at}}, memsim.AccessLoadInd, at+memsim.LineSize, uint64(hf.data.runs()[hf.data.colRun[2]].width-memsim.LineSize))
 			check(t, dev, want, func() { fetch(t, hf, other, tagOnly) })
 		})
 	}
@@ -473,7 +473,7 @@ func TestVisibilityMapSequences(t *testing.T) {
 	// page, the whole slot streamed, and no map anywhere.
 	t.Run("row-major", func(t *testing.T) {
 		dev, hf, mgr := load(Rows)
-		r := hf.data.runs[0]
+		r := hf.data.runs()[0]
 		all := hf.data.Reads([]int{1})
 		if !slices.Equal(hf.data.touched(all), []int{0}) {
 			t.Fatalf("a row-major read touches runs %v", hf.data.touched(all))
@@ -571,11 +571,28 @@ func FuzzHeapLayouts(f *testing.F) {
 // snapshot sees must be the same. After every operation each slot of a page
 // the column heap's visibility map marks all-visible must resolve visible,
 // with no chain hop, under every snapshot there is.
+//
+// The column heap's load codes its tag column (seven values); the inserts
+// write tags it has not seen, which its dictionary takes, and every version
+// of every slot must keep a code that stands for its tag (checkCodes). Then
+// one transaction writes more new tags than the code space holds: the
+// column turns plain, and the heaps must still read alike.
 func checkHeapLayouts(t *testing.T, ops []byte) {
 	dev := newDev(t)
 	// 1 KiB pages: 41 tuple headers a page, so the column heap's map has
 	// fifteen bits and most of them outlive the first writes.
-	heaps := [2]*HeapFile{loadHeap(dev, 256<<10, 1<<10, heapOpsRows, Rows), loadHeap(dev, 256<<10, 1<<10, heapOpsRows, Columns)}
+	var heaps [2]*HeapFile
+	for h, layout := range []Layout{Rows, Columns} {
+		heaps[h] = NewHeapFile(dev, NewBufferPool(dev, 256<<10, 1<<10), colSchema(), 24, layout)
+		rows := make([]value.Row, heapOpsRows)
+		for i := range rows {
+			rows[i] = colRow(i)
+		}
+		heaps[h].Load(rows)
+	}
+	if heaps[1].data.Dict(2) == nil || heaps[0].data.Dict(2) != nil {
+		t.Fatal("the column heap's load must code its tag column, and the row-major one's must not")
+	}
 	// draw decodes the next draw of one of n values; ok is false once ops
 	// are spent.
 	draw := func(n int) (int, bool) {
@@ -599,7 +616,7 @@ func checkHeapLayouts(t *testing.T, ops []byte) {
 			switch kind {
 			case 0:
 				for _, hf := range heaps {
-					hf.InsertTxn(tx, colRow(1000+round*100+i))
+					hf.InsertTxn(tx, newTagRow(1000+round*100+i))
 				}
 			case 1:
 				for _, hf := range heaps {
@@ -616,6 +633,7 @@ func checkHeapLayouts(t *testing.T, ops []byte) {
 				}
 			}
 			checkAllVisible(t, heaps[1].data, append(snaps, tx.Snap(), txn.Latest()))
+			checkCodes(t, heaps[1].data)
 		}
 		if round%3 == 2 {
 			if err := mgr.Abort(tx); err != nil {
@@ -627,6 +645,58 @@ func checkHeapLayouts(t *testing.T, ops []byte) {
 		snaps = append(snaps, mgr.Pin())
 		checkAllVisible(t, heaps[1].data, append(snaps, txn.Latest()))
 	}
+	readHeapsAlike(t, dev, heaps, snaps)
+	tx := mgr.Begin()
+	for i := 0; i <= MaxCodes; i++ {
+		for _, hf := range heaps {
+			hf.InsertTxn(tx, newTagRow(9000+i))
+		}
+	}
+	if _, err := mgr.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	if heaps[1].data.Dict(2) != nil {
+		t.Fatalf("%d distinct tags left the tag column coded", heaps[1].data.Dict(2).Len())
+	}
+	readHeapsAlike(t, dev, heaps, []txn.Snap{mgr.Pin()})
+}
+
+// newTagRow is colRow(i) with a tag no loaded row has.
+func newTagRow(i int) value.Row {
+	r := colRow(i)
+	r[2] = value.Str(fmt.Sprint("n", i))
+	return r
+}
+
+// checkCodes fails t unless every version of every slot of d holds, in each
+// coded column, a value its dictionary has a code for that stands for it.
+func checkCodes(t *testing.T, d *TableData) {
+	t.Helper()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for j := range d.schema.Columns {
+		dc := d.Dict(j)
+		if dc == nil {
+			continue
+		}
+		for id, v := range d.slots {
+			for ; v != nil; v = v.prev {
+				if v.row == nil {
+					continue
+				}
+				c, ok := dc.Code(v.row[j])
+				if !ok || (c == NullCode) != v.row[j].IsNull() || c != NullCode && dc.vals[c] != v.row[j].S {
+					t.Fatalf("slot %d column %d holds %v, which the dictionary codes as %d (ok %v)", id, j, v.row[j], c, ok)
+				}
+			}
+		}
+	}
+}
+
+// readHeapsAlike reads both heaps back on every access path, under each of
+// snaps and every column set, and fails t unless they read the same.
+func readHeapsAlike(t *testing.T, dev *Device, heaps [2]*HeapFile, snaps []txn.Snap) {
+	t.Helper()
 	for _, snap := range snaps {
 		dev.Snap = snap
 		for _, cols := range [][]int{nil, {}, {0}, {2}, {1, 2}} {
@@ -733,7 +803,7 @@ func checkAllVisible(t *testing.T, d *TableData, snaps []txn.Snap) {
 	t.Helper()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	per := d.runs[0].perPage
+	per := d.runs()[0].perPage
 	for id, v := range d.slots {
 		if !d.allVisible(id / per) {
 			continue
@@ -806,5 +876,129 @@ func TestBatchScanBesideWriter(t *testing.T) {
 	}
 	if v := scan.Data().visible.Load(); v == 0 || int(v) == len(scan.Data().vm) {
 		t.Errorf("%d of %d header pages all-visible after the writes: the writer cleared none, or every one", v, len(scan.Data().vm))
+	}
+}
+
+// TestCodedRunSequences pins what a coded column costs on each path: a batch
+// scan of it streams one byte a slot (a 2000-slot batch of the tag run spans
+// 32 lines where the plain run's 100-byte slots span 3125), and a row
+// operator's read of it — a fetch, here — loads its value's dictionary entry
+// after the slot's lines. A write of a value the dictionary lacks stores the
+// new entry after looking it up.
+func TestCodedRunSequences(t *testing.T) {
+	dev := newDev(t)
+	hf := NewHeapFile(dev, NewBufferPool(dev, 1<<20, 8<<10), colSchema(), 24, Columns)
+	rows := make([]value.Row, 2000)
+	for i := range rows {
+		rows[i] = colRow(i)
+	}
+	hf.Load(rows)
+	d := hf.data
+	tag := d.colRun[2]
+	if r := d.runs()[tag]; r.width != 1 || d.Dict(2).Len() != 7 {
+		t.Fatalf("tag run %+v with %d codes, want one byte a slot and seven codes", r, d.Dict(2).Len())
+	}
+	mgr := txn.NewManager()
+	dev.Snap = mgr.Pin()
+	tagOnly := d.Reads([]int{2}).Writing()
+	drainBatches(hf.BatchScan(2000, Reads{})) // every page resident
+
+	t.Run("scan batch", func(t *testing.T) {
+		var want []access
+		want = append(want, access{memsim.AccessLoadDep, header(t, hf, 0, 0)})
+		for id := 0; id < 2000; id += d.runs()[0].perPage {
+			if id > 0 {
+				want = append(want, access{memsim.AccessLoadDep, header(t, hf, 0, id)})
+			}
+			n := min(d.runs()[0].perPage, 2000-id)
+			want = lines(want, memsim.AccessLoadInd, slot(t, hf, 0, id), uint64(n*24))
+		}
+		want = lines(want, memsim.AccessLoadInd, slot(t, hf, tag, 0), 2000)
+		got := record(dev, func() { hf.BatchScan(2000, tagOnly).NextBatch() })
+		if !slices.Equal(got, want) {
+			t.Errorf("issued\n%v\nwant\n%v", got, want)
+		}
+	})
+
+	t.Run("row fetch", func(t *testing.T) {
+		const id = 1234
+		c, _ := d.Dict(2).Code(colRow(id)[2])
+		want := []access{
+			{memsim.AccessLoadDep, header(t, hf, 0, id)},
+			{memsim.AccessLoadDep, slot(t, hf, 0, id)},
+			{memsim.AccessLoadInd, slot(t, hf, tag, id)},
+			{memsim.AccessLoadInd, hf.DictAddr(2) + uint64(c)*DictEntryBytes},
+		}
+		got := record(dev, func() { hf.FetchRow(id, tagOnly) })
+		if !slices.Equal(got, want) {
+			t.Errorf("issued\n%v\nwant\n%v", got, want)
+		}
+	})
+
+	t.Run("write of a new value", func(t *testing.T) {
+		tx := mgr.Begin()
+		got := record(dev, func() { hf.InsertTxn(tx, newTagRow(5000)) })
+		entry := hf.DictAddr(2) + uint64(d.Dict(2).Len()-1)*DictEntryBytes
+		at := slices.Index(got, access{memsim.AccessLoadInd, entry})
+		if d.Dict(2).Len() != 8 || at < 0 || !slices.Contains(got[at:], access{memsim.AccessStore, entry}) {
+			t.Errorf("the insert of a new tag (%d codes after it) issued no lookup of its entry %#x followed by its store:\n%v", d.Dict(2).Len(), entry, got)
+		}
+		if err := mgr.Abort(tx); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestCodedRunTurnsPlainBesideScan batch-scans a coded column on one view
+// while a writer on a second view inserts more new tags than the code space
+// holds, so the tag column's dictionary grows and then its run is rewritten
+// plain under the scan. Under the snapshot the scan pinned before the writes
+// every pass must see exactly the loaded rows; under -race it also checks
+// that readers take the geometry only as the writer publishes it.
+func TestCodedRunTurnsPlainBesideScan(t *testing.T) {
+	const n = 3000
+	devR, devW := newDev(t), newDev(t)
+	scan := NewHeapFile(devR, NewBufferPool(devR, 1<<20, 8<<10), colSchema(), 24, Columns)
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = colRow(i)
+	}
+	scan.Load(rows)
+	write := scan.Data().View(devW, NewBufferPool(devW, 1<<20, 8<<10))
+	mgr := txn.NewManager()
+	devR.Snap = mgr.Pin()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i <= MaxCodes; i++ {
+			tx := mgr.Begin()
+			write.InsertTxn(tx, newTagRow(n+i))
+			if _, err := mgr.Commit(tx); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	r := scan.Data().Reads([]int{0, 2})
+	for passes, writing := 0, true; writing; passes++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		sc := scan.BatchScan(256, r)
+		for rows, base, ok := sc.NextBatch(); ok; rows, base, ok = sc.NextBatch() {
+			for i, row := range rows {
+				if id := base + i; id < n && !slices.EqualFunc(row, colRow(id), value.Equal) || id >= n && row != nil {
+					t.Fatalf("pass %d: slot %d reads %v under the snapshot before the writes", passes, id, row)
+				}
+			}
+		}
+	}
+	if d := scan.Data(); d.Dict(2) != nil || d.runs()[d.colRun[2]].width != colSchema().Columns[2].Width {
+		t.Errorf("after %d new tags the tag run is %+v, coded %v", MaxCodes+1, d.runs()[d.colRun[2]], d.Dict(2) != nil)
 	}
 }

@@ -12,35 +12,59 @@ import (
 
 // lineitemShape has TPC-H lineitem's column widths (168 bytes a row-major
 // slot behind a 24-byte header) and q1Cols the seven columns Q1 reads of it:
-// 48 bytes, 72 with the header.
+// 48 bytes, 72 with the header. Columns 8 and 9 (l_returnflag,
+// l_linestatus), 13 and 14 (l_shipinstruct, l_shipmode) are strings.
 func lineitemShape() (*catalog.Schema, []int) {
 	var cols []catalog.Column
-	for _, w := range []int{8, 8, 8, 8, 8, 8, 8, 8, 4, 4, 8, 8, 8, 16, 16, 8} {
-		cols = append(cols, catalog.Column{Name: "c", Type: value.TypeInt, Width: w})
+	for j, w := range []int{8, 8, 8, 8, 8, 8, 8, 8, 4, 4, 8, 8, 8, 16, 16, 8} {
+		c := catalog.Column{Name: "c", Type: value.TypeInt, Width: w}
+		if lineitemStr(j) {
+			c.Type = value.TypeStr
+		}
+		cols = append(cols, c)
 	}
 	return catalog.NewSchema(cols...), []int{4, 5, 6, 7, 8, 9, 10}
 }
 
+// lineitemStr reports whether column j of lineitemShape is a string.
+func lineitemStr(j int) bool { return j == 8 || j == 9 || j == 13 || j == 14 }
+
 // BenchmarkHeapScanLayout batch-scans Q1's columns of a lineitem-shaped heap
-// of 1.3 × the i7's 8 MB L3 (as row-major slots), laid out row-major and in
-// column runs, and reports per scan the lines the scan loads and the lines
-// it fills from DRAM (demand misses and DRAM→L3 prefetches). Two scans warm
-// the caches first; the simulation is deterministic, so one scan is exact.
+// of 1.3 × the i7's 8 MB L3 (as row-major slots), laid out row-major, in
+// column runs, and in column runs whose string columns the bulk load codes
+// (columns-coded: each string column takes a few values, as TPC-H's do), and
+// reports per scan the lines the scan loads and the lines it fills from DRAM
+// (demand misses and DRAM→L3 prefetches), and the lines it loads per row.
+// Two scans warm the caches first; the simulation is deterministic, so one
+// scan is exact.
 func BenchmarkHeapScanLayout(b *testing.B) {
-	for _, layout := range []Layout{Rows, Columns} {
-		name := map[Layout]string{Rows: "rows", Columns: "columns"}[layout]
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		layout Layout
+		coded  bool
+	}{{"rows", Rows, false}, {"columns", Columns, false}, {"columns-coded", Columns, true}} {
+		b.Run(c.name, func(b *testing.B) {
 			p := cpusim.IntelI7_4790()
 			dev := NewDevice(cpusim.NewMachine(p), 256<<20)
 			dev.M.Hier.SetPrefetchEnabled(true)
 			schema, q1 := lineitemShape()
-			hf := NewHeapFile(dev, NewBufferPool(dev, 2*p.Mem.L3.SizeBytes, 8<<10), schema, 24, layout)
-			row := make(value.Row, len(schema.Columns))
-			for i := range row {
-				row[i] = value.Int(int64(i))
+			hf := NewHeapFile(dev, NewBufferPool(dev, 2*p.Mem.L3.SizeBytes, 8<<10), schema, 24, c.layout)
+			rows := make([]value.Row, 13*p.Mem.L3.SizeBytes/10/(schema.RowWidth()+24))
+			for i := range rows {
+				rows[i] = make(value.Row, len(schema.Columns))
+				for j := range rows[i] {
+					rows[i][j] = value.Int(int64(j))
+					if lineitemStr(j) {
+						rows[i][j] = value.Str(string(rune('A' + (i+j)%4)))
+					}
+				}
 			}
-			for n := 13 * p.Mem.L3.SizeBytes / 10 / (schema.RowWidth() + 24); n > 0; n-- {
-				hf.Append(row)
+			if c.coded {
+				hf.Load(rows)
+			} else {
+				for _, row := range rows {
+					hf.Append(row)
+				}
 			}
 			r := hf.Data().Reads(q1)
 			drainBatches(hf.BatchScan(1024, r))
@@ -50,9 +74,10 @@ func BenchmarkHeapScanLayout(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				drainBatches(hf.BatchScan(1024, r))
 			}
-			c := dev.M.Hier.Counters().Sub(before)
-			b.ReportMetric(float64(c.Loads)/float64(b.N), "lines/scan")
-			b.ReportMetric(float64(c.MemAccesses+c.PrefetchL3)/float64(b.N), "dram-fills/scan")
+			ctr := dev.M.Hier.Counters().Sub(before)
+			b.ReportMetric(float64(ctr.Loads)/float64(b.N), "lines/scan")
+			b.ReportMetric(float64(ctr.Loads)/float64(b.N*len(rows)), "lines/row")
+			b.ReportMetric(float64(ctr.MemAccesses+ctr.PrefetchL3)/float64(b.N), "dram-fills/scan")
 		})
 	}
 }

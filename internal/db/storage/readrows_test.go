@@ -70,7 +70,7 @@ func TestReadRowsIssuesReadRowsLoads(t *testing.T) {
 // the page of a row the batch asked for, at that row's slot (or the header).
 func TestReadRowsRefetchesEvictedFrames(t *testing.T) {
 	dev, hf := wideHeap(t, 4*8<<10, 61*16) // 4 frames; 61 rows per page, 16 pages
-	per := hf.data.runs[0].perPage
+	per := hf.data.runs()[0].perPage
 	if per != 61 {
 		t.Fatalf("rows per page = %d, want 61", per)
 	}
@@ -99,13 +99,13 @@ func TestReadRowsRefetchesEvictedFrames(t *testing.T) {
 			page := bp.framePage[f]
 			off := int(addr - base)
 			switch {
-			case !bp.frameUsed[f] || page.File != d.runs[0].file:
+			case !bp.frameUsed[f] || page.File != d.runs()[0].file:
 				bad = append(bad, "load into a frame holding no page of the heap")
 			case off == 0:
 				if !asked[page.Page*per+page.Page] {
 					bad = append(bad, "header load of a page the batch did not ask for")
 				}
-			case !asked[page.Page*per+(off-pageHeaderBytes)/d.runs[0].width]:
+			case !asked[page.Page*per+(off-pageHeaderBytes)/d.runs()[0].width]:
 				bad = append(bad, "row load at a slot the batch did not ask for")
 			}
 		}

@@ -79,7 +79,7 @@ func TestFetchRowLoadSequence(t *testing.T) {
 		if !ok || hops != c.hops || visible != (want != nil) || !slices.EqualFunc(row, want, value.Equal) {
 			t.Fatalf("%s: read %v (visible %v, %d hops), want %v (%d hops)", c.name, row, visible, hops, want, c.hops)
 		}
-		frame, ok := bp.pageTable[PageID{d.runs[0].file, c.id / d.runs[0].perPage}]
+		frame, ok := bp.pageTable[PageID{d.runs()[0].file, c.id / d.runs()[0].perPage}]
 		if !ok {
 			t.Fatalf("%s: page not resident after the read", c.name)
 		}
@@ -91,10 +91,10 @@ func TestFetchRowLoadSequence(t *testing.T) {
 		for i := 0; i < hops; i++ {
 			seq = append(seq, load{memsim.AccessLoadDep, dev.verBase + (off+uint64(i)*memsim.LineSize)%VersionStoreBytes})
 		}
-		rowAt := at + uint64(pageHeaderBytes+c.id%d.runs[0].perPage*d.runs[0].width)
+		rowAt := at + uint64(pageHeaderBytes+c.id%d.runs()[0].perPage*d.runs()[0].width)
 		seq = append(seq, load{memsim.AccessLoadDep, rowAt})
 		if want != nil {
-			for line := rowAt/memsim.LineSize + 1; line <= (rowAt+uint64(d.runs[0].width)-1)/memsim.LineSize; line++ {
+			for line := rowAt/memsim.LineSize + 1; line <= (rowAt+uint64(d.runs()[0].width)-1)/memsim.LineSize; line++ {
 				seq = append(seq, load{memsim.AccessLoadInd, line * memsim.LineSize})
 			}
 		}

@@ -44,6 +44,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -83,8 +84,10 @@ type Device struct {
 	verOff  uint64
 
 	// maps places each column heap's visibility map (TableData.vm) in this
-	// device's simulated memory, at its first use (HeapFile.mapLine).
-	maps map[*TableData]uint64
+	// device's simulated memory, at its first use (HeapFile.mapLine), and
+	// dicts each coded column's dictionary (HeapFile.DictAddr).
+	maps  map[*TableData]uint64
+	dicts map[dictKey]uint64
 }
 
 // VersionStoreBytes sizes the simulated version-store region chain hops,
@@ -446,10 +449,11 @@ type TableData struct {
 	mu     sync.RWMutex
 	schema *catalog.Schema
 	slots  []*Version
-	// runs is the page geometry: runs[0] holds each slot's tuple header (and,
-	// row-major, every column), colRun and colOff place each column in its
-	// run's slot, and all lists every run.
-	runs           []run
+	// geo is the page geometry and the column dictionaries (geometry),
+	// replaced whole under mu when a write changes either, so a reader loads
+	// it once without the lock. colRun and colOff place each column in its
+	// run's slot, and all lists every run; neither ever changes.
+	geo            atomic.Pointer[geometry]
 	colRun, colOff []int
 	all            []int
 	// TupleOverhead is the per-row header width (PostgreSQL's 24-byte
@@ -530,7 +534,7 @@ func (d *TableData) row(id int, snap txn.Snap) (row value.Row, hops int, all, ok
 		return nil, 0, false, false
 	}
 	row, hops = resolve(d.slots[id], snap)
-	return row, hops, d.allVisible(id / d.runs[0].perPage), true
+	return row, hops, d.allVisible(id / d.runs()[0].perPage), true
 }
 
 // ForEachRaw visits the latest committed version of every slot under the
@@ -594,7 +598,7 @@ func (d *TableData) rowSpan(lo int, dst []value.Row, snap txn.Snap, vis []bool) 
 		hops += h
 	}
 	if d.vm != nil {
-		per := d.runs[0].perPage
+		per := d.runs()[0].perPage
 		for p := lo / per; p <= (lo+n-1)/per; p++ {
 			vis = append(vis, d.allVisible(p))
 		}
@@ -610,7 +614,7 @@ func (d *TableData) allVisible(p int) bool { return p < len(d.vm) && d.vm[p] }
 // under the write lock: a page the bulk load opens is all-visible, and a page
 // it continues keeps its bit.
 func (d *TableData) loaded(id int) {
-	if d.Layout() == Columns && id/d.runs[0].perPage == len(d.vm) {
+	if d.Layout() == Columns && id/d.runs()[0].perPage == len(d.vm) {
 		d.vm = append(d.vm, true)
 		d.visible.Add(1)
 	}
@@ -624,7 +628,7 @@ func (d *TableData) written(id int) bool {
 	if d.Layout() == Rows {
 		return false
 	}
-	p := id / d.runs[0].perPage
+	p := id / d.runs()[0].perPage
 	for len(d.vm) <= p {
 		d.vm = append(d.vm, false)
 	}
@@ -655,6 +659,19 @@ const (
 // pageHeaderBytes + id%perPage*width.
 type run struct{ file, width, perPage int }
 
+// geometry is a heap's runs and, per column, its dictionary: nil for a plain
+// column, and for every column of a row-major heap. It is never written in
+// place: a write that extends a dictionary or rewrites a coded run plain
+// publishes a new one (TableData.geo).
+type geometry struct {
+	runs  []run
+	dicts []*Dict
+	coded int // the columns with a dictionary
+}
+
+// runs is the heap's current run geometry.
+func (d *TableData) runs() []run { return d.geo.Load().runs }
+
 // Reads is what a read of some columns touches in one heap: the header run
 // and each run holding one of the columns, in run order. The zero Reads
 // touches every run. On a column heap a read consults the visibility map
@@ -681,7 +698,7 @@ func (d *TableData) consults(r Reads) bool { return d.Layout() == Columns && !r.
 // Reads resolves a column set against the heap's runs: nil reads every
 // column, an empty set only the tuple headers.
 func (d *TableData) Reads(cols []int) Reads {
-	if cols == nil || len(d.runs) == 1 {
+	if cols == nil || len(d.runs()) == 1 {
 		return Reads{}
 	}
 	return Reads{runs: append([]int{0}, d.colRuns(cols)...)}
@@ -693,7 +710,7 @@ func (d *TableData) Reads(cols []int) Reads {
 // which the first stage read whole, so there a later stage reads nothing.
 // Only ReadRows reads a later stage.
 func (d *TableData) Later(cols []int) Reads {
-	if len(d.runs) == 1 {
+	if len(d.runs()) == 1 {
 		return Reads{runs: []int{}, later: true}
 	}
 	return Reads{runs: d.colRuns(cols), later: true}
@@ -702,7 +719,7 @@ func (d *TableData) Later(cols []int) Reads {
 // colRuns lists the column runs holding cols, in run order.
 func (d *TableData) colRuns(cols []int) []int {
 	runs := []int{}
-	for k := 1; k < len(d.runs); k++ {
+	for k := 1; k < len(d.runs()); k++ {
 		for _, c := range cols {
 			if d.colRun[c] == k {
 				runs = append(runs, k)
@@ -715,7 +732,7 @@ func (d *TableData) colRuns(cols []int) []int {
 
 // Layout reports how the heap lays its slots out.
 func (d *TableData) Layout() Layout {
-	if len(d.runs) > 1 {
+	if len(d.runs()) > 1 {
 		return Columns
 	}
 	return Rows
@@ -731,7 +748,7 @@ func (d *TableData) touched(r Reads) []int {
 
 // page is the page of run k that holds slot id.
 func (d *TableData) page(k, id int) PageID {
-	return PageID{d.runs[k].file, id / d.runs[k].perPage}
+	return PageID{d.runs()[k].file, id / d.runs()[k].perPage}
 }
 
 // frame resolves page pid of run k through the view's pool and returns the
@@ -750,7 +767,7 @@ func (hf *HeapFile) frame(k int, pid PageID, sequential, dependent bool) int {
 // slotAddr is the simulated address of slot id in run k, in a frame at
 // frameAddr that holds its page.
 func (d *TableData) slotAddr(k int, frameAddr uint64, id int) uint64 {
-	r := d.runs[k]
+	r := d.runs()[k]
 	return frameAddr + uint64(pageHeaderBytes+id%r.perPage*r.width)
 }
 
@@ -764,20 +781,28 @@ func (d *TableData) slotAddr(k int, frameAddr uint64, id int) uint64 {
 // reads. Mapped is the share of the header run's pages the read finds
 // all-visible: on those it reads no tuple header, and its page-frame lookup
 // is a load of the visibility map's line instead, so the header run counts
-// in the other fields for the remaining share only.
-type Span struct{ Bytes, Lines, Stream, Mapped float64 }
+// in the other fields for the remaining share only. Decodes counts the coded
+// columns read: a row operator's read of a slot loads one dictionary entry
+// for each (HeapFile.decode), and a write of a whole slot looks each up.
+type Span struct{ Bytes, Lines, Stream, Mapped, Decodes float64 }
 
 // Span is the cost model's view of a read of r: the same geometry every
 // issue path below walks.
 func (d *TableData) Span(r Reads) Span {
 	var sp Span
 	if d.consults(r) {
-		if pages := (d.rowCount() + d.runs[0].perPage - 1) / d.runs[0].perPage; pages > 0 {
+		if pages := (d.rowCount() + d.runs()[0].perPage - 1) / d.runs()[0].perPage; pages > 0 {
 			sp.Mapped = float64(d.visible.Load()) / float64(pages)
 		}
 	}
+	g := d.geo.Load()
+	for j, dc := range g.dicts {
+		if dc != nil && slices.Contains(d.touched(r), d.colRun[j]) {
+			sp.Decodes++
+		}
+	}
 	for _, k := range d.touched(r) {
-		w := float64(d.runs[k].width)
+		w := float64(g.runs[k].width)
 		lines := math.Ceil(w / memsim.LineSize)
 		share := 1.0
 		if k == 0 {
@@ -785,7 +810,7 @@ func (d *TableData) Span(r Reads) Span {
 		}
 		sp.Bytes += share * w
 		sp.Lines += share * lines
-		if w < memsim.LineSize && len(d.runs) > 1 {
+		if w < memsim.LineSize && len(g.runs) > 1 {
 			lines = w / memsim.LineSize
 		}
 		sp.Stream += share * lines
@@ -813,7 +838,7 @@ func (hf *HeapFile) mapLine(p int) uint64 {
 // cleared stores the map bit of slot id's page after a write cleared it
 // (TableData.written).
 func (hf *HeapFile) cleared(id int) {
-	hf.dev.M.Hier.Store(hf.mapLine(id / hf.data.runs[0].perPage))
+	hf.dev.M.Hier.Store(hf.mapLine(id / hf.data.runs()[0].perPage))
 }
 
 // At is where a read found its first slot: the slot's address in each run
@@ -836,7 +861,7 @@ func (a *At) Col(j int) uint64 {
 // reset empties a for a read of d.
 func (a *At) reset(d *TableData) {
 	if a.d != d {
-		a.d, a.slot = d, make([]uint64, len(d.runs))
+		a.d, a.slot = d, make([]uint64, len(d.runs()))
 	}
 	clear(a.slot)
 }
@@ -858,8 +883,10 @@ type HeapFile struct {
 	slots  []uint64
 	hops   []int
 	// vmBase is where the device keeps the heap's visibility map, once
-	// mapLine has placed it.
+	// mapLine has placed it; dictAt, per column, its dictionary, once
+	// DictAddr has.
 	vmBase uint64
+	dictAt []uint64
 }
 
 // NewHeapFile creates an empty heap file on the pool, with fresh shared
@@ -868,12 +895,11 @@ func NewHeapFile(dev *Device, pool *BufferPool, schema *catalog.Schema, tupleOve
 	d := &TableData{schema: schema, TupleOverhead: tupleOverhead}
 	n := len(schema.Columns)
 	d.colRun, d.colOff = make([]int, n), make([]int, n)
+	g := &geometry{dicts: make([]*Dict, n)}
 	addRun := func(width int) int {
-		width = max(width, 1)
-		perPage := max((pool.pageSize-pageHeaderBytes)/width, 1)
-		d.runs = append(d.runs, run{int(nextFileID.Add(1)), width, perPage})
+		g.runs = append(g.runs, newRun(pool.pageSize, width))
 		d.all = append(d.all, len(d.all))
-		return len(d.runs) - 1
+		return len(g.runs) - 1
 	}
 	if layout == Rows {
 		addRun(schema.RowWidth() + tupleOverhead)
@@ -886,7 +912,15 @@ func NewHeapFile(dev *Device, pool *BufferPool, schema *catalog.Schema, tupleOve
 			d.colRun[j] = addRun(c.Width)
 		}
 	}
+	d.geo.Store(g)
 	return &HeapFile{dev: dev, pool: pool, data: d}
+}
+
+// newRun lays out a run of slots of the given width in pages of pageSize
+// bytes, in a file of its own.
+func newRun(pageSize, width int) run {
+	width = max(width, 1)
+	return run{int(nextFileID.Add(1)), width, max((pageSize-pageHeaderBytes)/width, 1)}
 }
 
 // Data returns the shared table data behind this view.
@@ -913,7 +947,7 @@ func (hf *HeapFile) RowCount() int { return hf.data.rowCount() }
 // PageCount returns the number of pages the slots occupy, over every run.
 func (hf *HeapFile) PageCount() int {
 	n, total := hf.data.rowCount(), 0
-	for _, r := range hf.data.runs {
+	for _, r := range hf.data.runs() {
 		total += (n + r.perPage - 1) / r.perPage
 	}
 	return total
@@ -944,11 +978,13 @@ func (hf *HeapFile) Append(r value.Row) int {
 	d := hf.data
 	v := newVersion(0, r.Clone(), nil)
 	d.mu.Lock()
+	e := d.encode(r, hf.pool.pageSize)
 	id := len(d.slots)
 	d.slots = append(d.slots, v)
 	d.loaded(id)
 	d.mu.Unlock()
 	d.changes.Add(1)
+	hf.encodeCharge(r, e)
 	hf.storeSlot(id, true, false, false)
 	return id
 }
@@ -961,7 +997,7 @@ func (hf *HeapFile) storeSlot(id int, sequential, stamp, dirty bool) {
 	d := hf.data
 	for _, k := range d.all {
 		pid := d.page(k, id)
-		n := uint64(d.runs[k].width)
+		n := uint64(d.runs()[k].width)
 		if stamp && d.Layout() == Rows {
 			n = memsim.LineSize
 		}
@@ -1046,6 +1082,7 @@ func (hf *HeapFile) InsertTxn(t *txn.Txn, r value.Row) int {
 	d := hf.data
 	v := newVersion(t.ID(), r.Clone(), nil)
 	d.mu.Lock()
+	e := d.encode(r, hf.pool.pageSize)
 	id := len(d.slots)
 	d.slots = append(d.slots, v)
 	cleared := d.written(id)
@@ -1055,6 +1092,7 @@ func (hf *HeapFile) InsertTxn(t *txn.Txn, r value.Row) int {
 	if cleared {
 		hf.cleared(id)
 	}
+	hf.encodeCharge(r, e)
 	hf.storeSlot(id, true, false, true)
 	return id
 }
@@ -1075,6 +1113,7 @@ func (hf *HeapFile) InsertAtTxn(t *txn.Txn, id int, r value.Row) error {
 		d.mu.Unlock()
 		return fmt.Errorf("storage: replay slot %d already allocated (have %d)", id, n)
 	}
+	e := d.encode(r, hf.pool.pageSize)
 	// Of the pages this write reaches, only the first can be all-visible:
 	// the one holding id, or the load's last page the back-fill continues.
 	first, cleared := min(id, len(d.slots)), false
@@ -1090,6 +1129,7 @@ func (hf *HeapFile) InsertAtTxn(t *txn.Txn, id int, r value.Row) error {
 	if cleared {
 		hf.cleared(first)
 	}
+	hf.encodeCharge(r, e)
 	hf.storeSlot(id, true, false, true)
 	return nil
 }
@@ -1118,6 +1158,7 @@ func (hf *HeapFile) UpdateTxn(t *txn.Txn, id int, row value.Row) (int, error) {
 		return 0, txn.ErrWriteConflict
 	}
 	walked, cut := prune(head, oldest)
+	e := d.encode(row, hf.pool.pageSize)
 	nv := newVersion(t.ID(), row, head)
 	head.end.Store(t.ID())
 	d.slots[id] = nv
@@ -1133,6 +1174,7 @@ func (hf *HeapFile) UpdateTxn(t *txn.Txn, id int, row value.Row) (int, error) {
 	if cleared {
 		hf.cleared(id)
 	}
+	hf.encodeCharge(row, e)
 	hf.storeSlot(id, false, false, true)
 	return d.schema.RowWidth() + d.TupleOverhead, nil
 }
@@ -1249,9 +1291,10 @@ func (hf *HeapFile) ReadRow(id int, r Reads) (row value.Row, visible bool, err e
 }
 
 // streamSlot charges a slot read in scan order, at slot[j] in run runs[j]:
-// its version-chain hops, then each run's slot as one streaming range, or
-// only the tuple header's first line when no version is visible. A zero
-// slot[0] is a header the visibility map stood in for.
+// its version-chain hops, then each run's slot as one streaming range and
+// the decode of each coded column read (decode), or only the tuple header's
+// first line when no version is visible. A zero slot[0] is a header the
+// visibility map stood in for.
 func (hf *HeapFile) streamSlot(runs []int, slot []uint64, row value.Row, hops int) {
 	h := hf.dev.M.Hier
 	hf.dev.ChargeChain(hops)
@@ -1259,11 +1302,13 @@ func (hf *HeapFile) streamSlot(runs []int, slot []uint64, row value.Row, hops in
 		h.Load(slot[0], false)
 		return
 	}
+	geo := hf.data.runs()
 	for j, k := range runs {
 		if slot[j] != 0 {
-			h.LoadRange(slot[j], uint64(hf.data.runs[k].width))
+			h.LoadRange(slot[j], uint64(geo[k].width))
 		}
 	}
+	hf.decode(runs, row)
 }
 
 // FetchRow reads row id's columns r names, the row named by an index entry,
@@ -1274,7 +1319,7 @@ func (hf *HeapFile) streamSlot(runs []int, slot []uint64, row value.Row, hops in
 // row) when no version of the slot is visible — index probes skip such hits.
 func (hf *HeapFile) FetchRow(id int, r Reads) (row value.Row, visible bool, err error) {
 	ids, dst := [1]int{id}, [1]value.Row{}
-	if err := hf.readRows(ids[:], dst[:], r, nil, true); err != nil {
+	if err := hf.readRows(ids[:], dst[:], r, nil, true, true); err != nil {
 		return nil, false, err
 	}
 	return dst[0], dst[0] != nil, nil
@@ -1294,7 +1339,7 @@ func (hf *HeapFile) FetchRow(id int, r Reads) (row value.Row, visible bool, err 
 // nothing and leaves dst as it is (it may be nil). at keeps the runs the
 // earlier stages recorded and learns the first id's slot in each of its own.
 func (hf *HeapFile) ReadRows(ids []int, dst []value.Row, r Reads, at *At) error {
-	return hf.readRows(ids, dst, r, at, false)
+	return hf.readRows(ids, dst, r, at, false, false)
 }
 
 // readRows is the one issue path of a fetched row, grouped (ReadRows) or, for
@@ -1310,7 +1355,9 @@ func (hf *HeapFile) ReadRows(ids []int, dst []value.Row, r Reads, at *At) error 
 // map's line is loaded where the header's first line would be. Pass 1 may
 // have evicted a frame an earlier id resolved; pass 2 then fetches that page
 // again, dependent, rather than load from a frame that holds another page.
-func (hf *HeapFile) readRows(ids []int, dst []value.Row, r Reads, at *At, dependent bool) error {
+// With decode (a row operator's fetch) each visible row's coded columns are
+// decoded after its lines (decode).
+func (hf *HeapFile) readRows(ids []int, dst []value.Row, r Reads, at *At, dependent, decode bool) error {
 	d := hf.data
 	n := d.rowCount()
 	for _, id := range ids {
@@ -1378,9 +1425,12 @@ func (hf *HeapFile) readRows(ids []int, dst []value.Row, r Reads, at *At, depend
 				continue
 			}
 			h.Load(hf.slots[j], dependent && k == 0)
-			if w := d.runs[k].width; visible && w > memsim.LineSize {
+			if w := d.runs()[k].width; visible && w > memsim.LineSize {
 				h.LoadRange(hf.slots[j]+memsim.LineSize, uint64(w-memsim.LineSize))
 			}
+		}
+		if decode {
+			hf.decode(runs, dst[i])
 		}
 	}
 	return nil
@@ -1403,12 +1453,12 @@ func (hf *HeapFile) ResidentPages(r Reads) (resident, total int) {
 	defer d.mu.RUnlock()
 	n := len(d.slots)
 	for _, k := range runs {
-		for p, pages := 0, (n+d.runs[k].perPage-1)/d.runs[k].perPage; p < pages; p++ {
+		for p, pages := 0, (n+d.runs()[k].perPage-1)/d.runs()[k].perPage; p < pages; p++ {
 			if k == 0 && mapped && d.allVisible(p) {
 				continue
 			}
 			total++
-			if hf.pool.Contains(PageID{d.runs[k].file, p}) {
+			if hf.pool.Contains(PageID{d.runs()[k].file, p}) {
 				resident++
 			}
 		}
@@ -1541,7 +1591,7 @@ func (s *BatchScanner) NextBatch() ([]value.Row, int, bool) {
 	hf.dev.ChargeChain(hops)
 	s.at.reset(d)
 	for j, k := range s.runs {
-		r := d.runs[k]
+		r := d.runs()[k]
 		// The page this batch shares with the one before it, the previous
 		// batch's last, is fetched once.
 		edge := &s.edge[j]

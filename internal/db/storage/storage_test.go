@@ -137,8 +137,8 @@ func TestHeapFileGeometry(t *testing.T) {
 	bp := NewBufferPool(dev, 1<<20, 8<<10)
 	hf := NewHeapFile(dev, bp, testSchema(), 24, Rows)
 	// Row width = 8+8+16+24 = 56; (8192-24)/56 = 145 rows per page.
-	if hf.data.runs[0].perPage != 145 {
-		t.Fatalf("rows per page = %d, want 145", hf.data.runs[0].perPage)
+	if hf.data.runs()[0].perPage != 145 {
+		t.Fatalf("rows per page = %d, want 145", hf.data.runs()[0].perPage)
 	}
 	for i := 0; i < 300; i++ {
 		hf.Append(value.Row{value.Int(int64(i)), value.Float(0), value.Str("x")})

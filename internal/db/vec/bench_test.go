@@ -114,3 +114,41 @@ func BenchmarkFusedProgram(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkQ1Aggregate is TPC-H Q1's aggregation over the 10MB lineitem
+// (GROUP BY l_returnflag, l_linestatus, its eight aggregates over six
+// accumulators, no filter), which the coded keys run code-indexed (vec.Agg).
+// It reports host ns per row and simulated loads and adds per row. `make bench-check` and CI run it once
+// (-benchtime=1x) to keep the code-indexed path compiling and finishing.
+func BenchmarkQ1Aggregate(b *testing.B) {
+	e := benchEngine()
+	lineitem := e.MustTable("lineitem")
+	c := func(name string) exec.Expr { return exec.Col{Idx: tpch.LineitemSchema.MustColIndex(name), Name: name} }
+	bin := func(op exec.BinOpKind, l, r exec.Expr) exec.Expr { return exec.BinOp{Op: op, L: l, R: r} }
+	one := exec.Const{V: value.Int(1)}
+	qty, price, disc := c("l_quantity"), c("l_extendedprice"), c("l_discount")
+	rev := bin(exec.OpMul, price, bin(exec.OpSub, one, disc))
+	aggs := []exec.AggSpec{
+		{Kind: exec.AggSum, Arg: qty}, {Kind: exec.AggSum, Arg: price}, {Kind: exec.AggSum, Arg: rev},
+		{Kind: exec.AggSum, Arg: bin(exec.OpMul, rev, bin(exec.OpAdd, one, c("l_tax")))},
+		{Kind: exec.AggAvg, Arg: qty}, {Kind: exec.AggAvg, Arg: price}, {Kind: exec.AggAvg, Arg: disc},
+		{Kind: exec.AggCount},
+	}
+	keys := []exec.Expr{c("l_returnflag"), c("l_linestatus")}
+	if lineitem.File.Data().Dict(tpch.LineitemSchema.MustColIndex("l_returnflag")) == nil {
+		b.Fatal("l_returnflag is not coded")
+	}
+	rows := float64(b.N * lineitem.File.RowCount())
+	before := e.M.Hier.Counters()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg := &vec.Agg{Ctx: e.Ctx, Child: &vec.Scan{Ctx: e.Ctx, File: lineitem.File}, GroupBy: keys, Aggs: aggs}
+		if _, err := exec.Drain(&vec.RowSource{Child: agg}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctr := e.M.Hier.Counters().Sub(before)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+	b.ReportMetric(float64(ctr.Loads)/rows, "loads/row")
+	b.ReportMetric(float64(ctr.AddOps)/rows, "adds/row")
+}

@@ -107,14 +107,31 @@ func ChargePrune(s exec.Sink, c exec.Card, cols int) {
 	s.Adds(c.Batches * float64(cols))
 }
 
+// ChargeDecode is one dictionary load per value of a coded column read as
+// values (a string, not its code), at the dictionary's address; it follows
+// the load of the code itself.
+func ChargeDecode(s exec.Sink, c exec.Card, dict uint64) { s.Loads(dict, c.In) }
+
 // ChargeAggUpdate is the table-update primitive: per element two probe
 // loads, the accumulator store, and the hash plus one update op per
-// aggregate — all against a table that fits the cache.
-func ChargeAggUpdate(s exec.Sink, c exec.Card, aggs int, table uint64) {
+// accumulator (exec.AccOf: aggregates over one input share one) — all
+// against a table that fits the cache.
+func ChargeAggUpdate(s exec.Sink, c exec.Card, accs int, table uint64) {
 	s.Tuples(c.Batches)
 	s.Loads(table, 2*c.In)
 	s.Stores(exec.AccSlot(table), c.In)
-	s.Adds(c.In * float64(2+aggs))
+	s.Adds(c.In * float64(2+accs))
+}
+
+// ChargeCodeAggUpdate is the code-indexed table update (Agg over coded keys):
+// per element the group id composed from the keys' codes, an op per key, the
+// load of the group's accumulator entry and its store, and one update op per
+// accumulator. No hash, no bucket-head probe.
+func ChargeCodeAggUpdate(s exec.Sink, c exec.Card, keys, accs int, table uint64) {
+	s.Tuples(c.Batches)
+	s.Loads(table, c.In)
+	s.Stores(table, c.In)
+	s.Adds(c.In * float64(keys+accs))
 }
 
 // ChargeAggFinalize is the table scan that folds the In accumulated groups

@@ -92,13 +92,13 @@ type nodeKey struct {
 // expression has a kernel; an expression type without one panics. Its one
 // loop stores every kernel root, which its consumer reads back, and a column
 // root is stored for the consumer to take (Batch.take, Store).
-func Compile(es ...exec.Expr) *Prog { return compile(es, len(es), Store) }
+func Compile(es ...exec.Expr) *Prog { return compile(es, len(es), Store, false) }
 
 // CompileSort compiles a sort's keys: the loop stores every kernel key, and
 // each key's packing primitive then reads its key once per element — a
 // column key straight from the batch, as a loop's own read (Read).
 func CompileSort(keys []exec.SortKey) *Prog {
-	return compile(exec.SortExprs(keys), len(keys), Read)
+	return compile(exec.SortExprs(keys), len(keys), Read, false)
 }
 
 // CompileAgg compiles a hash aggregation's expression list, exec.AggExprs:
@@ -107,13 +107,21 @@ func CompileSort(keys []exec.SortKey) *Prog {
 // stay in registers to the loop's end and are never stored. So does every
 // column root, which the loop loads itself.
 func CompileAgg(groupBy []exec.Expr, aggs []exec.AggSpec) *Prog {
-	return compile(exec.AggExprs(groupBy, aggs), len(groupBy), hold)
+	return compile(exec.AggExprs(groupBy, aggs), len(groupBy), hold, false)
+}
+
+// CompileCodeAgg is CompileAgg for a code-indexed aggregation (Agg): the loop
+// reads each bare column key's codes (Code), unless something else in the
+// program reads the column as values.
+func CompileCodeAgg(groupBy []exec.Expr, aggs []exec.AggSpec) *Prog {
+	return compile(exec.AggExprs(groupBy, aggs), len(groupBy), hold, true)
 }
 
 // compile compiles es as one loop whose first stored roots are stored and
 // whose other roots are held to the loop's end; a column root reaches the
-// consumer as bare says, and under hold the loop holds it too.
-func compile(es []exec.Expr, stored int, bare Use) *Prog {
+// consumer as bare says, and under hold the loop holds it too, for its codes
+// when it is one of the first stored roots and codeKeys is set.
+func compile(es []exec.Expr, stored int, bare Use, codeKeys bool) *Prog {
 	p := &Prog{roots: make([]*progNode, len(es)), bare: bare}
 	seen := map[nodeKey]*progNode{}
 	for i, e := range es {
@@ -126,15 +134,22 @@ func compile(es []exec.Expr, stored int, bare Use) *Prog {
 		store[r] = true
 	}
 	held := p.roots[stored:]
+	codes := map[*progNode]bool{}
 	if bare == hold {
 		held = nil
 		for i, r := range p.roots {
 			if _, ok := r.column(); ok || i >= stored {
 				held = append(held, r)
 			}
+			if i < stored && codeKeys {
+				codes[r] = true
+			}
+		}
+		for _, r := range p.roots[stored:] {
+			delete(codes, r)
 		}
 	}
-	p.loops = []loop{fuse(p.nodes, nil, store, held)}
+	p.loops = []loop{fuse(p.nodes, nil, store, held, codes)}
 	return p
 }
 
@@ -164,7 +179,7 @@ func CompileFilter(pred exec.Expr) *Prog {
 		if p.roots[i].kernel() {
 			sel = p.roots[i]
 		}
-		p.loops[i] = fuse(p.nodes[ends[i]:ends[i+1]], sel, later, nil)
+		p.loops[i] = fuse(p.nodes[ends[i]:ends[i+1]], sel, later, nil, nil)
 		for _, n := range p.loops[i].loads {
 			later[n] = true
 		}
@@ -178,10 +193,13 @@ func CompileFilter(pred exec.Expr) *Prog {
 // after the loop), and the values the register budget spills. Every other
 // value it computes lives and dies in a register. A loop with no kernel
 // loads only columns an aggregate's table update takes, into registers.
+// uses says, per load, how the loop takes a column: Code where it reads only
+// the column's codes, Read otherwise.
 type loop struct {
 	nodes                 []*progNode
 	kernels               int // kernel nodes, a filter conjunct's selection primitive included
 	loads, stores, spills []*progNode
+	uses                  []Use
 }
 
 // fuse schedules the loop over nodes that ends in selection primitive sel
@@ -190,8 +208,10 @@ type loop struct {
 // it, at the end. A value is live from the kernel that loads or
 // computes it to the last kernel of the loop that reads it; where more than
 // regBudget values are live at once, the excess spill: the values loaded or
-// computed last among those live where the count first peaks.
-func fuse(nodes []*progNode, sel *progNode, store map[*progNode]bool, held []*progNode) loop {
+// computed last among those live where the count first peaks. A column the
+// loop loads is read as codes (Code) when every kernel reading it compares it
+// with literals (codeTest) and, if held, it is held for its codes (in codes).
+func fuse(nodes []*progNode, sel *progNode, store map[*progNode]bool, held []*progNode, codes map[*progNode]bool) loop {
 	var steps []*progNode // the kernels in the order they run
 	for _, n := range nodes {
 		if n.kernel() {
@@ -235,6 +255,26 @@ func fuse(nodes []*progNode, sel *progNode, store map[*progNode]bool, held []*pr
 			use(n, len(steps))
 		}
 	}
+	values := map[*progNode]bool{} // the columns something reads as values
+	for _, k := range steps {
+		for _, o := range [2]*progNode{k.l, k.r} {
+			if o != nil && !k.codeTest(o) {
+				values[o] = true
+			}
+		}
+	}
+	for _, n := range held {
+		if !codes[n] {
+			values[n] = true
+		}
+	}
+	for _, n := range l.loads {
+		u := Read
+		if _, ok := n.column(); ok && !values[n] {
+			u = Code
+		}
+		l.uses = append(l.uses, u)
+	}
 	liveAt := func(n *progNode, at int) bool { return span[n][0] <= at && at <= span[n][1] }
 	peak, peakAt := 0, 0
 	for at := 0; at <= len(steps); at++ {
@@ -271,6 +311,29 @@ func (n *progNode) addr() uint64 {
 		return 0
 	}
 	return n.val.Addr()
+}
+
+// codeTest reports whether kernel k tests operand o against literals alone,
+// a test a coded column answers from its codes: o = 'lit', o <> 'lit', or
+// o IN ('lit', ...), every literal a string.
+func (k *progNode) codeTest(o *progNode) bool {
+	str := func(v value.Value) bool { return v.T == value.TypeStr }
+	switch t := k.e.(type) {
+	case exec.BinOp:
+		other := k.r
+		if k.r == o {
+			other = k.l
+		}
+		return (t.Op == exec.OpEq || t.Op == exec.OpNe) && other != o && other.isConst() && str(other.val.cv)
+	case exec.InList:
+		for _, v := range t.List {
+			if !str(v) {
+				return false
+			}
+		}
+		return k.l == o
+	}
+	return false
 }
 
 // column returns the column a column-read node reads; false for any other
@@ -387,11 +450,11 @@ func (p *Prog) Charge(s exec.Sink, c exec.Card, touch Touch) {
 // runs reports whether the loop has anything to issue.
 func (l *loop) runs() bool { return l.kernels > 0 || len(l.loads) > 0 }
 
-// read tells touch each column the loop loads, over c.
+// read tells touch each column the loop loads, over c, as the loop uses it.
 func (l *loop) read(c exec.Card, touch Touch) {
-	for _, n := range l.loads {
+	for i, n := range l.loads {
 		if col, ok := n.column(); ok {
-			touch(col, c, Read)
+			touch(col, c, l.uses[i])
 		}
 	}
 }
@@ -466,9 +529,9 @@ func (l *loop) run(ctx *exec.Ctx, pl *pool, b *Batch) {
 			nd.val = out
 		}
 	}
-	for _, nd := range l.loads {
+	for i, nd := range l.loads {
 		if col, ok := nd.column(); ok {
-			nd.val, nd.from = b.take(ctx, col, Read)
+			nd.val, nd.from = b.take(ctx, col, l.uses[i])
 		}
 	}
 	n := b.Len()

@@ -243,7 +243,7 @@ func scanCharges(e *engine.Engine, m *exec.Meter, pred exec.Expr, conj []float64
 	batches := float64(m.Emitted().Batches)
 	w := &tally{cm: e.Ctx.Cost}
 	ChargeScan(w, exec.Card{Batches: batches}, 0)
-	CompileFilter(pred).ChargeFilter(w, batches, conj, Toucher(w, mat))
+	CompileFilter(pred).ChargeFilter(w, batches, conj, Toucher(w, mat, nil))
 	if lines > 0 {
 		ChargeBoundary(w, exec.Card{Batches: batches, In: float64(m.Rows())}, lines, 0)
 	}
@@ -354,7 +354,7 @@ func FuzzVecExec(f *testing.F) {
 			in, groups := mScanV.Emitted(), mTopV.Emitted()
 			arriving := exec.Card{Batches: float64(in.Batches), In: float64(mScanV.Rows())}
 			w := &tally{cm: ev.Ctx.Cost}
-			CompileAgg(groupBy, aggs).Charge(w, arriving, Toucher(w, mat))
+			CompileAgg(groupBy, aggs).Charge(w, arriving, Toucher(w, mat, nil))
 			ChargeAggUpdate(w, arriving, len(aggs), 0)
 			ChargeAggFinalize(w, exec.Card{Batches: 1, In: float64(mTopV.Rows())}, len(groupBy), len(aggs), 0)
 			for i := 0; i < len(groupBy)+len(aggs); i++ {
@@ -466,12 +466,12 @@ func FuzzVecExec(f *testing.F) {
 			fetched.Out = float64(mScanV.Rows())
 			mat := map[int]ColState{}
 			inRange := &exec.IndexScan{Ctx: er.Ctx, File: tr.File, Tree: tr.Index(name), Lo: lo, Hi: hi}
-			CompileFilter(pred).ChargeFilter(w, fetched.Batches, conjunctCounts(t, pred, inRange), Toucher(w, mat))
+			CompileFilter(pred).ChargeFilter(w, fetched.Batches, conjunctCounts(t, pred, inRange), Toucher(w, mat, nil))
 			checkIndexCharges(t, er, mScanR, mScanV, w, fetched, exec.ExprNodes(pred))
 			arriving := exec.Card{Batches: fetched.Batches, In: fetched.Out}
 			w = &tally{cm: ev.Ctx.Cost}
 			ChargeDispatch(w, arriving)
-			Compile(exprs...).Charge(w, arriving, Toucher(w, mat))
+			Compile(exprs...).Charge(w, arriving, Toucher(w, mat, nil))
 			checkCharges(t, mTopV, w)
 		case 5:
 			// Index join of the filtered scan to the same table through an
@@ -504,7 +504,7 @@ func FuzzVecExec(f *testing.F) {
 			probed := exec.Card{Batches: float64(in.Live), In: float64(mScanV.Rows())}
 			w := &tally{cm: ev.Ctx.Cost}
 			ChargeDispatch(w, probed)
-			Toucher(w, mat)(probeKey, probed, Read)
+			Toucher(w, mat, nil)(probeKey, probed, Read)
 			ChargeJoinProbe(w, probed, 0)
 			matched := exec.Card{Batches: float64(out.Batches), In: float64(out.Positions), Out: float64(out.Positions)}
 			ChargeFetch(w, matched, 0)
@@ -514,7 +514,7 @@ func FuzzVecExec(f *testing.F) {
 			if residual != nil {
 				pairs := &exec.IndexJoin{Ctx: er.Ctx, Outer: &exec.SeqScan{Ctx: er.Ctx, File: tr.File, Filter: pred},
 					Inner: tr.File, Index: tr.Index(name), OuterKey: probeKey}
-				CompileFilter(residual).ChargeFilter(w, matched.Batches, conjunctCounts(t, residual, pairs), Toucher(w, map[int]ColState{}))
+				CompileFilter(residual).ChargeFilter(w, matched.Batches, conjunctCounts(t, residual, pairs), Toucher(w, map[int]ColState{}, nil))
 			}
 			checkIndexCharges(t, er, mTopR, mTopV, w, matched, exec.ExprNodes(residual))
 		default:
@@ -539,7 +539,7 @@ func FuzzVecExec(f *testing.F) {
 			arriving := exec.Card{Batches: float64(in.Batches), In: float64(mScanV.Rows())}
 			w := &tally{cm: ev.Ctx.Cost}
 			ChargeDispatch(w, arriving)
-			Compile(exprs...).Charge(w, arriving, Toucher(w, mat))
+			Compile(exprs...).Charge(w, arriving, Toucher(w, mat, nil))
 			checkCharges(t, mTopV, w)
 		}
 		if !reflect.DeepEqual(got, want) {

@@ -51,7 +51,11 @@ type fetcher struct {
 	sel []int
 	// at is the scratch line the id list and the assembled rows are charged
 	// against.
-	at                     uint64
+	at uint64
+	// codes is the codes the fetched rows hold, column by column
+	// (HeapFile.Codes); under a join the assembled rows hold the probe's
+	// too, set at the first fetch.
+	codes                  []storage.Coded
 	probeLines, innerLines int
 }
 
@@ -75,8 +79,10 @@ func newFetcher(ctx *exec.Ctx, file *storage.HeapFile, stages []storage.Reads, f
 		rows: make([]value.Row, width),
 		at:   ctx.Arena.Alloc(memsim.LineSize, memsim.LineSize),
 	}
+	f.codes = file.Codes(stages...)
 	if probe == nil {
 		f.out.heap = &f.first
+		f.out.codes = f.codes
 	} else {
 		f.out.at = f.at
 		f.np = len(probe.Columns)
@@ -95,6 +101,9 @@ func (f *fetcher) full() bool { return len(f.ids) == f.out.Cap() }
 // the pending batch does not hold on to probe.
 func (f *fetcher) fetch(id int, probe *Batch, k int) {
 	if probe != nil {
+		if f.out.codes == nil {
+			f.out.codes = joinCodes(probe.codes, f.np, f.codes, len(f.file.Schema().Columns))
+		}
 		dst := f.buf[len(f.ids)]
 		if dst == nil {
 			dst = make(value.Row, len(f.out.Cols))

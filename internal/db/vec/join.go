@@ -3,6 +3,7 @@ package vec
 import (
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/storage"
 	"energydb/internal/db/value"
 	"energydb/internal/memsim"
 )
@@ -52,8 +53,9 @@ type HashJoin struct {
 	rowBase   uint64 // scratch line the assembled-row traffic is charged against
 
 	out   *Batch
-	pairP []int32 // per output position: probe batch position
-	pairB []int32 // per output position: build row index
+	codes []storage.Coded // the build rows' codes, from the build batches
+	pairP []int32         // per output position: probe batch position
+	pairB []int32         // per output position: build row index
 
 	probe   *Batch
 	keys    []value.Key
@@ -101,6 +103,7 @@ func (j *HashJoin) Open() error {
 		// One collect dispatch per batch; the copy into the build buffer is
 		// charged once the buffer address exists (below).
 		ChargeDispatch(j.Ctx, exec.Card{Batches: 1})
+		j.codes = b.codes
 		for k := 0; k < n; k++ {
 			dst := make(value.Row, ncols)
 			b.Row(k, dst)
@@ -281,6 +284,22 @@ func (j *HashJoin) gather(out *Batch) {
 		copy(dst[np:], j.buildRows[j.pairB[i]])
 	}
 	out.SetRows(j.rowBuf[:len(j.pairP)])
+	if out.codes == nil {
+		out.codes = joinCodes(j.probe.codes, np, j.codes, len(j.Build.Schema().Columns))
+	}
+}
+
+// joinCodes is the codes of an assembled row, np probe columns holding probe's
+// codes then ni inner columns holding inner's; nil when neither side holds
+// any.
+func joinCodes(probe []storage.Coded, np int, inner []storage.Coded, ni int) []storage.Coded {
+	if probe == nil && inner == nil {
+		return nil
+	}
+	out := make([]storage.Coded, np+ni)
+	copy(out, probe)
+	copy(out[np:], inner)
+	return out
 }
 
 // Close implements Operator.

@@ -1,6 +1,8 @@
 package vec
 
 import (
+	"fmt"
+
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/exec"
 	"energydb/internal/db/storage"
@@ -51,6 +53,7 @@ func (s *Scan) Open() error {
 	s.bs = s.File.BatchScan(n, s.Reads)
 	s.b = NewBatch(s.Ctx.Arena, s.Schema(), n)
 	s.b.heap = s.bs.At()
+	s.b.codes = s.File.Codes(s.Reads)
 	s.p = newPool(s.Ctx)
 	if s.Pred != nil {
 		s.pred = CompileFilter(s.Pred)
@@ -134,13 +137,19 @@ func (p *Prune) Next() (*Batch, error) {
 	o := &p.out
 	o.N, o.Sel, o.cap = b.N, b.Sel, b.cap
 	o.rows, o.base, o.ids, o.heap, o.at = b.rows, b.base, b.ids, b.heap, b.at
-	o.raw, o.state = o.raw[:0], o.state[:0]
+	o.raw, o.state, o.codes = o.raw[:0], o.state[:0], o.codes[:0]
 	for i, c := range p.Cols {
 		o.Cols[i] = b.Cols[c]
 		if b.rows != nil {
 			o.raw = append(o.raw, b.rawCol(c))
 			o.state = append(o.state, b.state[c])
 		}
+		if b.codes != nil {
+			o.codes = append(o.codes, b.codes[c])
+		}
+	}
+	if b.codes == nil {
+		o.codes = nil
 	}
 	return o, nil
 }
@@ -210,6 +219,14 @@ func (p *Project) Close() error { return p.Child.Close() }
 // in an exec.GroupTable — the row GroupBy's table — so results are
 // bit-identical to the row path. Groups are emitted in first-seen order,
 // batch by batch.
+//
+// When every GROUP BY key is a bare column the first batch holds codes of
+// (Batch.codes) and the keys' code combinations are few (CodeGroups), the
+// aggregation is code-indexed: the program reads the keys' codes
+// (CompileCodeAgg), each element's group id is composed from them, and the
+// table is a region of one accumulator entry per combination
+// (exec.NewCodeTable, ChargeCodeAggUpdate); the keys are decoded once per
+// group, at finalization.
 type Agg struct {
 	Ctx     *exec.Ctx
 	Child   Operator
@@ -221,6 +238,7 @@ type Agg struct {
 	groups []value.Row
 	pos    int
 	p      *pool
+	keys   []storage.Coded // the keys of a code-indexed aggregation, nil for a hash one
 }
 
 // Schema implements Operator.
@@ -238,9 +256,11 @@ func (g *Agg) Open() error {
 	}
 	defer g.Child.Close()
 
-	table := exec.NewGroupTable(g.Ctx, len(g.GroupBy), g.Aggs)
+	var table *exec.GroupTable
+	g.keys = nil
 	g.p = newPool(g.Ctx)
-	prog := CompileAgg(g.GroupBy, g.Aggs)
+	var prog *Prog
+	_, accs := exec.AccOf(g.Aggs)
 
 	vs := make([]*Vector, len(g.GroupBy)+len(g.Aggs))
 	vals := make([]value.Value, len(vs))
@@ -253,6 +273,9 @@ func (g *Agg) Open() error {
 		if b == nil {
 			break
 		}
+		if table == nil {
+			table, g.keys, prog = g.table(b)
+		}
 		g.Ctx.Poll()
 		g.p.reset()
 		prog.eval(g.Ctx, g.p, b)
@@ -264,7 +287,12 @@ func (g *Agg) Open() error {
 		// loads, accumulator stores and update arithmetic for n
 		// elements, dispatched once, taking the arguments from the
 		// program's loop in registers.
-		ChargeAggUpdate(g.Ctx, exec.Card{Batches: 1, In: float64(n)}, len(g.Aggs), table.Base())
+		c := exec.Card{Batches: 1, In: float64(n)}
+		if g.keys != nil {
+			ChargeCodeAggUpdate(g.Ctx, c, len(g.keys), accs, table.Base())
+		} else {
+			ChargeAggUpdate(g.Ctx, c, accs, table.Base())
+		}
 		for k := 0; k < n; k++ {
 			i := b.Pos(k)
 			for j, v := range vs {
@@ -272,15 +300,31 @@ func (g *Agg) Open() error {
 					vals[j] = v.Get(i)
 				}
 			}
-			table.Add(keyVals, args)
+			if g.keys == nil {
+				table.Add(keyVals, args)
+				continue
+			}
+			gid, err := groupID(g.keys, keyVals)
+			if err != nil {
+				return err
+			}
+			table.AddAt(gid, keyVals, args)
 		}
+	}
+	if table == nil {
+		table = exec.NewGroupTable(g.Ctx, len(g.GroupBy), g.Aggs)
 	}
 
 	// Finalization: one table-scan primitive over the accumulated groups —
 	// each group's bucket is re-read and its accumulators folded into output
 	// rows. This is real per-group work the meter must see; the row
-	// executor's GroupBy.Open charges the same way.
-	ChargeAggFinalize(g.Ctx, exec.Card{Batches: 1, In: float64(table.Len())}, len(g.GroupBy), len(g.Aggs), table.Base())
+	// executor's GroupBy.Open charges the same way. A code-indexed table
+	// decodes each group's keys.
+	groups := exec.Card{Batches: 1, In: float64(table.Len())}
+	ChargeAggFinalize(g.Ctx, groups, len(g.GroupBy), len(g.Aggs), table.Base())
+	for _, k := range g.keys {
+		ChargeDecode(g.Ctx, groups, k.Addr)
+	}
 	g.groups = make([]value.Row, table.Len())
 	for i := range table.Len() {
 		g.groups[i] = table.Row(i)
@@ -290,6 +334,68 @@ func (g *Agg) Open() error {
 	// handful of groups does not reserve a full batch of vector payload.
 	g.out = NewBatch(g.Ctx.Arena, g.Schema(), max(1, min(len(g.groups), batchWidth(g.Ctx, 0))))
 	return nil
+}
+
+// MaxCodeGroups bounds a code-indexed aggregation's table: its keys' code
+// combinations, NULL included, as many as a hash aggregation's buckets.
+const MaxCodeGroups = 1024
+
+// CodeGroups reports how many code combinations a code-indexed aggregation
+// over keys of these dictionaries has — each key's codes and NULL — and
+// whether it may run code-indexed: every key is coded and the combinations
+// number at most MaxCodeGroups. The executor asks it of the batch it sees
+// first, the planner of the flow it prices.
+func CodeGroups(dicts []*storage.Dict) (groups int, ok bool) {
+	if len(dicts) == 0 {
+		return 0, false
+	}
+	groups = 1
+	for _, dc := range dicts {
+		if dc == nil {
+			return 0, false
+		}
+		if groups *= dc.Len() + 1; groups > MaxCodeGroups {
+			return 0, false
+		}
+	}
+	return groups, true
+}
+
+// table starts the aggregation at its first batch b: code-indexed when every
+// key is a bare column b holds codes of and CodeGroups allows, returning the
+// keys' coded columns, else over a hash table; and the program to run.
+func (g *Agg) table(b *Batch) (*exec.GroupTable, []storage.Coded, *Prog) {
+	keys := make([]storage.Coded, len(g.GroupBy))
+	dicts := make([]*storage.Dict, len(g.GroupBy))
+	for i, e := range g.GroupBy {
+		if c, ok := e.(exec.Col); ok {
+			keys[i] = b.coded(c.Idx)
+			dicts[i] = keys[i].Dict
+		}
+	}
+	if groups, ok := CodeGroups(dicts); ok {
+		return exec.NewCodeTable(g.Ctx, len(keys), g.Aggs, groups), keys, CompileCodeAgg(g.GroupBy, g.Aggs)
+	}
+	return exec.NewGroupTable(g.Ctx, len(g.GroupBy), g.Aggs), nil, CompileAgg(g.GroupBy, g.Aggs)
+}
+
+// groupID composes a code-indexed group's id from its key values: each key's
+// code, NULL after the dictionary's last, in mixed radix over the keys'
+// dictionaries.
+func groupID(keys []storage.Coded, vals []value.Value) (int, error) {
+	gid := 0
+	for i, k := range keys {
+		c, ok := k.Dict.Code(vals[i])
+		if !ok {
+			return 0, fmt.Errorf("vec: group key %v has no code in its dictionary", vals[i])
+		}
+		code := int(c)
+		if c == storage.NullCode {
+			code = k.Dict.Len()
+		}
+		gid = gid*(k.Dict.Len()+1) + code
+	}
+	return gid, nil
 }
 
 // Next implements Operator: emits the next batch of groups, one
@@ -369,6 +475,16 @@ func (r *RowSource) charge(c exec.Card) {
 		defer r.Set.Exit(r.M)
 	}
 	ChargeBoundary(r.Ctx, c, r.lines, r.base)
+	if r.b == nil {
+		return
+	}
+	// A row consumer reads values: each coded column of a row handed out
+	// is decoded.
+	for _, cd := range r.b.codes {
+		if cd.Dict != nil {
+			ChargeDecode(r.Ctx, c, cd.Addr)
+		}
+	}
 }
 
 // Next implements exec.Operator. The returned row is reused; buffering

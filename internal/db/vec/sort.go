@@ -3,6 +3,7 @@ package vec
 import (
 	"energydb/internal/db/catalog"
 	"energydb/internal/db/exec"
+	"energydb/internal/db/storage"
 	"energydb/internal/db/value"
 	"energydb/internal/memsim"
 )
@@ -48,6 +49,7 @@ func (s *Sort) Open() error {
 	s.rows = s.rows[:0]
 	keys := exec.NewSortKeys(s.Keys)
 	prog := CompileSort(s.Keys)
+	var codes []storage.Coded // the collected rows keep the child's codes
 	for {
 		b, err := s.Child.Next()
 		if err != nil {
@@ -62,6 +64,7 @@ func (s *Sort) Open() error {
 		if n == 0 {
 			continue
 		}
+		codes = b.codes
 		// Bulk key extraction: the keys' program computes each computed key
 		// as a typed vector in one loop, then one packing primitive per key
 		// appends it to the columnar key store, key by key, reading a column
@@ -112,6 +115,7 @@ func (s *Sort) Open() error {
 	// The output batch is no wider than the rows there are to emit, the way
 	// Agg sizes its own: a handful of rows does not reserve a full batch.
 	s.out = NewBatch(s.Ctx.Arena, s.Schema(), max(1, min(n, width)))
+	s.out.codes = codes
 	s.chunk = make([]value.Row, 0, width)
 	return nil
 }

@@ -266,6 +266,12 @@ type Batch struct {
 	// straight from the rows loads there.
 	heap *storage.At
 	at   uint64
+	// codes holds, per column slot, the coded column behind it while the
+	// backing rows hold its codes (storage.Coded, zero for a plain column;
+	// nil when no slot is coded): a batch off a heap's coded runs, and the
+	// operators that hand its rows on, Prune, Sort and the joins' assembled
+	// rows. A consumer reading the slot as values decodes it (take).
+	codes []storage.Coded
 
 	selBuf []int32
 	sel    uint64 // simulated address of the selection vector, zero until selAddr draws it
@@ -372,6 +378,10 @@ const (
 	// hold marks the column roots of an aggregate's program: its loop
 	// reads them (Read) and holds them for the table update.
 	hold
+	// Code is a Read of the column's codes, not its values: a selection
+	// comparing it with literals (=, <>, IN), a code-indexed aggregate's
+	// key. On a coded column it decodes nothing.
+	Code
 )
 
 // Take moves the column on for a consumer that takes it as u and reports
@@ -386,7 +396,7 @@ func (st *ColState) Take(u Use) (store, fromRows bool) {
 	switch {
 	case *st == Stored:
 		return false, false
-	case *st == Untouched && u == Read:
+	case *st == Untouched && (u == Read || u == Code):
 		*st = Fused
 		return false, true
 	}
@@ -398,19 +408,32 @@ func (st *ColState) Take(u Use) (store, fromRows bool) {
 type Touch func(col int, c exec.Card, u Use)
 
 // Toucher is the planner's stand-in for Batch.take on batches whose columns
-// stand at mat (nil: every vector is materialized): each take moves the
-// column's state and charges a store where Take says one happens.
-func Toucher(s exec.Sink, mat map[int]ColState) Touch {
+// stand at mat (nil: every vector is materialized) and whose backing rows
+// hold codes of the columns in coded: each take moves the column's state,
+// charges a store where Take says one happens and a decode where decodes
+// says one does.
+func Toucher(s exec.Sink, mat map[int]ColState, coded map[int]*storage.Dict) Touch {
 	return func(col int, c exec.Card, u Use) {
 		if mat == nil {
 			return
 		}
 		st := mat[col]
-		if store, _ := st.Take(u); store {
+		store, fromRows := st.Take(u)
+		if store {
 			ChargeMaterialize(s, exec.Card{Batches: c.Batches, In: c.In}, 0)
+		}
+		if decodes(coded[col] != nil, u, store, fromRows) {
+			ChargeDecode(s, exec.Card{In: c.In}, 0)
 		}
 		mat[col] = st
 	}
+}
+
+// decodes reports whether a take of a column as u decodes it: the column is
+// coded in the backing rows, the consumer reads values, and the take moves
+// them out of the rows (a store, or a fused read).
+func decodes(coded bool, u Use, store, fromRows bool) bool {
+	return coded && u != Code && (store || fromRows)
 }
 
 // take hands a consumer column j's vector and the address its loads go to.
@@ -431,10 +454,22 @@ func (b *Batch) take(ctx *exec.Ctx, j int, u Use) (*Vector, uint64) {
 	if store {
 		ChargeMaterialize(ctx, exec.Card{Batches: 1, In: float64(b.Len())}, v.Addr())
 	}
+	if cd := b.coded(j); decodes(cd.Dict != nil, u, store, fromRows) {
+		ChargeDecode(ctx, exec.Card{In: float64(b.Len())}, cd.Addr)
+	}
 	if fromRows {
 		return v, b.rowLine(j)
 	}
 	return v, v.Addr()
+}
+
+// coded is the coded column behind slot j, zero when the slot's values are
+// plain.
+func (b *Batch) coded(j int) storage.Coded {
+	if b.codes == nil {
+		return storage.Coded{}
+	}
+	return b.codes[j]
 }
 
 // rawCol is the column of the backing rows slot j shows.

@@ -13,12 +13,14 @@ import (
 // what a statement reserves — vector payloads, hash tables, sort buffers —
 // times the statement rate is how long a server lasts. Over the benchmark's
 // analytic cycle (Q6×3, Q14, Q3×2, Q5×2, Q1×2; PostgreSQL profile, warm), the
-// mean per statement must stay at or under 66 753 bytes at 10MB and 68 392
+// mean per statement must stay at or under 52 008 bytes at 10MB and 54 465
 // at 100MB (Q6 57 296 / 57 296, Q14 36 928 / 36 928, Q3 69 840 / 75 504, Q5
-// 89 888 / 92 432, Q1 69 632 / 69 616). The limits only ever go down: they
+// 53 024 / 59 664, Q1 32 768 / 32 752). The limits only ever go down: they
 // were 433 760 / 300 230 before every operator of these plans ran on
-// vectors, and the means 178 164 / 179 803 before a column that one loop
-// reads stopped drawing a vector address. The budget holds because a vector
+// vectors, the means 178 164 / 179 803 before a column that one loop reads
+// stopped drawing a vector address, and 66 753 / 68 392 before Q1 and Q5,
+// grouping by coded columns, took a code-indexed table of a few lines in
+// place of a 32 KiB page-aligned hash region. The budget holds because a vector
 // draws its payload address only when a value is stored into it — a column
 // that a single loop reads goes from the row into a register (vec.ColState)
 // — expression temporaries are as wide as the batch they are evaluated over,
@@ -30,7 +32,7 @@ func TestArenaPerStatement(t *testing.T) {
 	for _, c := range []struct {
 		class SizeClass
 		limit uint64
-	}{{Size10MB, 66753}, {Size100MB, 68392}} {
+	}{{Size10MB, 52008}, {Size100MB, 54465}} {
 		if c.class == Size100MB && testing.Short() {
 			continue
 		}

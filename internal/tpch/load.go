@@ -18,30 +18,14 @@ func Load(e *engine.Engine, d *Data) {
 	orders := e.CreateTable("orders", OrdersSchema)
 	lineitem := e.CreateTable("lineitem", LineitemSchema)
 
-	for _, r := range d.Region {
-		e.Insert(region, r)
-	}
-	for _, r := range d.Nation {
-		e.Insert(nation, r)
-	}
-	for _, r := range d.Supplier {
-		e.Insert(supplier, r)
-	}
-	for _, r := range d.Customer {
-		e.Insert(customer, r)
-	}
-	for _, r := range d.Part {
-		e.Insert(part, r)
-	}
-	for _, r := range d.PartSupp {
-		e.Insert(partsupp, r)
-	}
-	for _, r := range d.Orders {
-		e.Insert(orders, r)
-	}
-	for _, r := range d.Lineitem {
-		e.Insert(lineitem, r)
-	}
+	e.Load(region, d.Region)
+	e.Load(nation, d.Nation)
+	e.Load(supplier, d.Supplier)
+	e.Load(customer, d.Customer)
+	e.Load(part, d.Part)
+	e.Load(partsupp, d.PartSupp)
+	e.Load(orders, d.Orders)
+	e.Load(lineitem, d.Lineitem)
 
 	// Primary-key indexes.
 	e.CreateIndex(region, "r_regionkey")
